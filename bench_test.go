@@ -248,15 +248,16 @@ func BenchmarkRuntimeMigratoryCounter(b *testing.B) {
 // benchRuntimeWorkload runs one SPLASH workload end to end on the live DSM
 // runtime per iteration — the full life of an execution: node startup,
 // concurrent program body, closing barrier, image read-out — under every
-// protocol engine and node shape (gpn=1: one goroutine per node; gpn=2:
-// two logical processors multiplexed onto each of two nodes; gpn=4: the
-// whole program on one oversubscribed node), reporting interconnect
-// traffic per run.
+// protocol engine and node shape (gpn=1: four nodes of one goroutine;
+// gpn=2: two logical processors multiplexed onto each of two nodes;
+// gpn=4: eight logical processors on two oversubscribed nodes — never
+// fewer than two nodes, a single one has no interconnect to measure),
+// reporting interconnect traffic per run.
 func benchRuntimeWorkload(b *testing.B, app string) {
 	for _, mode := range dsm.Modes {
 		for _, gpn := range []int{1, 2, 4} {
 			b.Run(fmt.Sprintf("%s/gpn=%d", mode, gpn), func(b *testing.B) {
-				prog, err := workload.New(app, 4, 0.05, benchSeed)
+				prog, err := workload.New(app, max(4, 2*gpn), 0.05, benchSeed)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -279,19 +280,22 @@ func benchRuntimeWorkload(b *testing.B, app string) {
 }
 
 // BenchmarkRuntimeCounter is the concurrency headline bench: the
-// migratory-counter pattern at a fixed logical parallelism of eight
+// migratory-counter pattern at a logical parallelism of eight
 // processors, across node shapes — gpn=1 is eight single-goroutine
-// nodes, gpn=4 two oversubscribed nodes of four goroutines, gpn=8 one
-// node. Each processor performs b.N lock-protected increments, so ns/op
-// is directly comparable across shapes; oversubscribed shapes resolve
-// most lock transfers as node-local handoffs and must show the
-// throughput gain (CI records gpn=1 vs gpn=4 in BENCH_runtime.json).
+// nodes, gpn=4 two oversubscribed nodes of four goroutines, gpn=8 two
+// nodes of eight (sixteen processors: a single node would have no
+// interconnect to measure). Each processor performs b.N lock-protected
+// increments, so ns/op is directly comparable between gpn=1 and gpn=4;
+// oversubscribed shapes resolve most lock transfers as node-local
+// handoffs and must show the throughput gain (CI records gpn=1 vs gpn=4
+// in BENCH_runtime.json). msgs/critsec covers the timed increments only.
 func BenchmarkRuntimeCounter(b *testing.B) {
 	const procs = 8
 	for _, gpn := range []int{1, 4, 8} {
 		b.Run(fmt.Sprintf("gpn=%d", gpn), func(b *testing.B) {
+			nodes := max(procs/gpn, 2)
 			d, err := repro.NewDSM(repro.DSMConfig{
-				Procs:             procs / gpn,
+				Procs:             nodes,
 				SpaceSize:         64 * 1024,
 				PageSize:          1024,
 				Mode:              repro.LazyInvalidate,
@@ -304,6 +308,7 @@ func BenchmarkRuntimeCounter(b *testing.B) {
 			a := repro.NewArena(d.Layout())
 			counter := repro.NewVar[uint64](a)
 			lock := a.NewLock()
+			before := d.NetStats().Messages
 			b.ResetTimer()
 			var wg sync.WaitGroup
 			for _, n := range d.Local() {
@@ -325,9 +330,8 @@ func BenchmarkRuntimeCounter(b *testing.B) {
 			}
 			wg.Wait()
 			b.StopTimer()
-			st := d.NetStats()
-			crit := int64(procs) * int64(b.N)
-			b.ReportMetric(float64(st.Messages)/float64(crit), "msgs/critsec")
+			crit := int64(nodes*gpn) * int64(b.N)
+			b.ReportMetric(float64(d.NetStats().Messages-before)/float64(crit), "msgs/critsec")
 		})
 	}
 }

@@ -584,8 +584,13 @@ poll:
 	if !strings.Contains(body, "dsm_node_rpc_seconds_bucket") {
 		t.Error("missing rpc latency histogram")
 	}
+	for _, want := range []string{"dsm_node_twin_bytes_peak", "dsm_node_diffs_trimmed_total"} {
+		if !strings.Contains(body, want) {
+			t.Errorf("/metrics missing the twin-budget series %s", want)
+		}
+	}
 	statusz := get("/statusz")
-	for _, want := range []string{`"procs"`, `"mode"`, `"nodes"`, `"net"`} {
+	for _, want := range []string{`"procs"`, `"mode"`, `"nodes"`, `"net"`, `"TwinBytesPeak"`, `"DiffsTrimmed"`} {
 		if !strings.Contains(statusz, want) {
 			t.Errorf("/statusz missing %s:\n%s", want, statusz)
 		}

@@ -35,7 +35,8 @@ type Interval struct {
 	VC vc.VC
 	// Pages lists the pages modified during the interval, ascending.
 	Pages []mem.PageID
-	// Mods holds the modified byte ranges, parallel to Pages.
+	// Mods holds the modified byte ranges, parallel to Pages, or is nil
+	// when the producer does not size diffs from ranges (the live runtime).
 	Mods []*page.RangeSet
 }
 
@@ -47,7 +48,7 @@ func (iv *Interval) NumNotices() int { return len(iv.Pages) }
 // did not modify p.
 func (iv *Interval) ModsFor(p mem.PageID) *page.RangeSet {
 	i := sort.Search(len(iv.Pages), func(i int) bool { return iv.Pages[i] >= p })
-	if i < len(iv.Pages) && iv.Pages[i] == p {
+	if i < len(iv.Pages) && iv.Pages[i] == p && iv.Mods != nil {
 		return iv.Mods[i]
 	}
 	return nil
@@ -297,19 +298,24 @@ func (l *Log) FlattenSafe(pg mem.PageID, creator mem.ProcID, first, last int32, 
 	ia := l.Get(IntervalID{Proc: creator, Index: first})
 	ib := l.Get(IntervalID{Proc: creator, Index: last})
 	for q := 0; q < l.n; q++ {
-		for _, k := range hist[q] {
-			if !ib.VC.Covers(q, k) {
-				break // ascending indices: nothing later is covered either
-			}
-			if mem.ProcID(q) == creator {
-				if k <= first || merged(k) {
-					continue
+		// The intervals of q on the page that last's clock covers.
+		idxs := hist[q]
+		idxs = idxs[:sort.Search(len(idxs), func(i int) bool { return idxs[i] > ib.VC[q] })]
+		if mem.ProcID(q) == creator {
+			// Every own one after first must be merged.
+			after := sort.Search(len(idxs), func(i int) bool { return idxs[i] > first })
+			for _, k := range idxs[after:] {
+				if !merged(k) {
+					return false
 				}
-				return false
 			}
-			if x := l.ivs[q][k]; PlanBefore(ia, x) {
-				return false
-			}
+			continue
+		}
+		// Clock sums rise strictly with a processor's interval index, so if
+		// any covered interval of q sorts after first, the latest one does:
+		// test that one alone.
+		if n := len(idxs); n > 0 && PlanBefore(ia, l.ivs[q][idxs[n-1]]) {
+			return false
 		}
 	}
 	return true

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/mem"
@@ -215,8 +216,8 @@ func TestAssignRespondersCoversAll(t *testing.T) {
 
 func TestCoalescedDiffBytes(t *testing.T) {
 	l := NewLog(2)
-	iv0 := mkInterval(0, 0, vc.VC{0, -1}, 5)  // [0,8) on page 5
-	iv1 := mkInterval(1, 0, vc.VC{-1, 0}, 5)  // [0,8) on page 5 (overlaps)
+	iv0 := mkInterval(0, 0, vc.VC{0, -1}, 5) // [0,8) on page 5
+	iv1 := mkInterval(1, 0, vc.VC{-1, 0}, 5) // [0,8) on page 5 (overlaps)
 	l.Append(iv0)
 	l.Append(iv1)
 	// Overlapping ranges coalesce: one 8-byte run.
@@ -257,5 +258,112 @@ func TestModifiersOf(t *testing.T) {
 	}
 	if l.ModifiersOf(99) != nil {
 		t.Fatal("ModifiersOf(unmodified) != nil")
+	}
+}
+
+// flattenSafeRef is FlattenSafe as first written: a linear scan of the
+// page's whole covered history. Kept as the oracle for the searched
+// version.
+func flattenSafeRef(l *Log, pg mem.PageID, creator mem.ProcID, first, last int32, merged func(int32) bool) bool {
+	hist := l.byPage[pg]
+	if hist == nil {
+		return false
+	}
+	ia := l.Get(IntervalID{Proc: creator, Index: first})
+	ib := l.Get(IntervalID{Proc: creator, Index: last})
+	for q := 0; q < l.n; q++ {
+		for _, k := range hist[q] {
+			if !ib.VC.Covers(q, k) {
+				break
+			}
+			if mem.ProcID(q) == creator {
+				if k <= first || merged(k) {
+					continue
+				}
+				return false
+			}
+			if x := l.ivs[q][k]; PlanBefore(ia, x) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// randomHB1Log builds an hb1-consistent log: processors close intervals
+// on random pages and learn each other's clocks by acquire-style merges,
+// so every interval's clock covers exactly what happened before it.
+// soloPage is written by processor 0 only (creator-only history).
+func randomHB1Log(rng *rand.Rand, procs, pages, events int) *Log {
+	const soloPage = 0
+	l := NewLog(procs)
+	clocks := make([]vc.VC, procs)
+	for p := range clocks {
+		clocks[p] = vc.New(procs)
+	}
+	for e := 0; e < events; e++ {
+		p := rng.Intn(procs)
+		if rng.Intn(3) == 0 {
+			clocks[p].Max(clocks[rng.Intn(procs)])
+			continue
+		}
+		var pgs []mem.PageID
+		for pg := 0; pg < pages; pg++ {
+			if (pg != soloPage || p == 0) && rng.Intn(2) == 0 {
+				pgs = append(pgs, mem.PageID(pg))
+			}
+		}
+		if len(pgs) == 0 {
+			continue
+		}
+		idx := clocks[p].Tick(p)
+		l.Append(&Interval{ID: IntervalID{Proc: mem.ProcID(p), Index: idx}, VC: clocks[p].Clone(), Pages: pgs})
+	}
+	return l
+}
+
+// TestFlattenSafeMatchesLinearScan compares FlattenSafe against the
+// linear-scan oracle on random hb1-consistent logs: multi-writer pages and
+// a single-writer page, full and gapped merged sets, first == last.
+func TestFlattenSafeMatchesLinearScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	safe, unsafe := 0, 0
+	for round := 0; round < 200; round++ {
+		procs := 2 + rng.Intn(4)
+		pages := 1 + rng.Intn(3)
+		l := randomHB1Log(rng, procs, pages, 20+rng.Intn(120))
+		for pg, hist := range l.byPage {
+			for creator, idxs := range hist {
+				for trial := 0; trial < 8 && len(idxs) > 0; trial++ {
+					a, b := rng.Intn(len(idxs)), rng.Intn(len(idxs))
+					if a > b {
+						a, b = b, a
+					}
+					// Full membership, or each member dropped one time in four.
+					gapped := trial%2 == 1
+					member := make(map[int32]bool)
+					for _, k := range idxs[a : b+1] {
+						if !gapped || rng.Intn(4) != 0 {
+							member[k] = true
+						}
+					}
+					merged := func(k int32) bool { return member[k] }
+					got := l.FlattenSafe(pg, mem.ProcID(creator), idxs[a], idxs[b], merged)
+					want := flattenSafeRef(l, pg, mem.ProcID(creator), idxs[a], idxs[b], merged)
+					if got != want {
+						t.Fatalf("round %d: FlattenSafe(page %d, creator %d, [%d,%d], members %v) = %v, linear scan says %v",
+							round, pg, creator, idxs[a], idxs[b], member, got, want)
+					}
+					if got {
+						safe++
+					} else {
+						unsafe++
+					}
+				}
+			}
+		}
+	}
+	if safe < 100 || unsafe < 100 {
+		t.Fatalf("generator is lopsided: %d safe and %d unsafe cases", safe, unsafe)
 	}
 }

@@ -1,7 +1,9 @@
 package dsm
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -53,6 +55,13 @@ type lazyEngine struct {
 	// fresh accumulates the interval records learned during the current
 	// barrier rendezvous, for postBarrier's invalidation step.
 	fresh []wire.IntervalRec
+	// parked queues deferred slots oldest first for trimTwinsLocked.
+	// Entries whose slot was since served or collected are swept out at
+	// GC and when the queue reaches parkedSweep, so its length follows the
+	// slots still holding twins, not the run.
+	parked      []parkedSlot
+	parkedSweep int
+	cand        []mem.PageID // closeIntervalLocked's sorted-dirty-page scratch
 
 	// dirtyMu guards the current interval's dirty-page set (pages with a
 	// live twin). Leaf lock: taken with a page stripe or e.mu held,
@@ -95,6 +104,19 @@ type diffSlot struct {
 	flat bool
 }
 
+// parkedSlot is one entry of the deferred-slot queue.
+type parkedSlot struct {
+	pg   mem.PageID
+	slot *diffSlot
+}
+
+// twinBudget bounds the bytes of twins a node keeps parked in deferred
+// slots: past it, interval close materializes the oldest deferred diffs
+// (a sparse MakeDiff each) so memory follows the working set since the
+// last GC epoch instead of the run length. Below it nothing changes:
+// diffs are still made on demand only, or never when GC covers them.
+const twinBudget = 4 << 20
+
 // flatKey identifies a flattened serve group: this node's own intervals
 // on one page with indices in [first, last]. FlattenSafe only passes
 // when the group contains every own interval on the page in that range,
@@ -130,8 +152,14 @@ func newLazyEngine(n *Node, update bool) *lazyEngine {
 // release, when the buffer returns to the page pool.
 func (e *lazyEngine) newTwin(contents []byte) *page.Twin {
 	t := page.NewTwin(contents)
-	e.n.stats.twinBytesLive.Add(int64(t.Len()))
-	return t
+	st := &e.n.stats
+	live := st.twinBytesLive.Add(int64(t.Len()))
+	for {
+		peak := st.twinBytesPeak.Load()
+		if live <= peak || st.twinBytesPeak.CompareAndSwap(peak, live) {
+			return t
+		}
+	}
 }
 
 func (e *lazyEngine) releaseTwin(t *page.Twin) {
@@ -211,10 +239,10 @@ func (e *lazyEngine) modeID() Mode {
 // twin becomes a retained diff-store entry and the interval record with
 // its write notices enters the log. By default the diff itself is not
 // computed here — the slot keeps the twin as its base and the diff is
-// materialized on the first serve (or at GC, or never: a covered slot
-// whose diff nobody fetched is discarded twin and all, which is the
-// lazy-creation win). With EagerDiffs the diff is computed immediately,
-// the pre-lazy behavior kept for A/B measurement. Caller holds e.mu.
+// materialized on the first serve, or when the twin budget trims the
+// slot, or never: a covered slot whose diff nobody fetched is discarded
+// at GC twin and all, which is the lazy-creation win. With EagerDiffs
+// the diff is computed immediately (A/B baseline). Caller holds e.mu.
 // With multiple application goroutines the node's interval contains
 // every local goroutine's writes since the last synchronization point —
 // the node is one processor to the protocol, exactly as a multi-threaded
@@ -226,17 +254,17 @@ func (e *lazyEngine) closeIntervalLocked() {
 		e.dirtyMu.Unlock()
 		return
 	}
-	cand := make([]mem.PageID, 0, len(e.dirty))
+	e.cand = e.cand[:0]
 	for pg := range e.dirty {
-		cand = append(cand, pg)
+		e.cand = append(e.cand, pg)
 	}
-	e.dirty = make(map[mem.PageID]struct{})
+	clear(e.dirty)
 	e.dirtyMu.Unlock()
-	sort.Slice(cand, func(i, j int) bool { return cand[i] < cand[j] })
+	slices.Sort(e.cand)
 
-	byPage := make(map[mem.PageID]*diffSlot, len(cand))
-	pages := make([]mem.PageID, 0, len(cand))
-	for _, pg := range cand {
+	byPage := make(map[mem.PageID]*diffSlot, len(e.cand))
+	pages := make([]mem.PageID, 0, len(e.cand))
+	for _, pg := range e.cand {
 		pmu := n.pageLock(pg)
 		pmu.Lock()
 		pc := e.pages[pg]
@@ -262,6 +290,7 @@ func (e *lazyEngine) closeIntervalLocked() {
 			slot = &diffSlot{base: pc.twin}
 			pc.twin = nil
 			pc.pending = slot
+			e.parked = append(e.parked, parkedSlot{pg, slot})
 			n.stats.diffsDeferred.Add(1)
 		}
 		pmu.Unlock()
@@ -285,30 +314,73 @@ func (e *lazyEngine) closeIntervalLocked() {
 		pmu.Unlock()
 	}
 	e.diffs[id] = byPage
-	e.log.Append(&core.Interval{
-		ID:    id,
-		VC:    e.v.Clone(),
-		Pages: pages,
-		Mods:  make([]*page.RangeSet, len(pages)),
-	})
+	// No Mods: byte ranges size the simulator's diffs; these are real.
+	e.log.Append(&core.Interval{ID: id, VC: e.v.Clone(), Pages: pages})
 	n.stats.intervalsCreated.Add(1)
+	e.trimTwinsLocked()
+}
+
+// trimTwinsLocked enforces twinBudget once an interval is logged: while
+// the node holds more twin bytes than the budget, the oldest parked slot
+// that is still deferred is materialized, one at a time so each twin
+// goes back to the page pool as the next capture needs one. A trimmed
+// slot serves the same diff demand would have made (its target contents
+// are fixed from the moment it is parked), so no message changes. Caller
+// holds e.mu; stripes are taken under it, as handleDiffReq does.
+func (e *lazyEngine) trimTwinsLocked() {
+	n := e.n
+	i := 0
+	for ; i < len(e.parked) && n.stats.twinBytesLive.Load() > twinBudget; i++ {
+		p := e.parked[i]
+		e.parked[i] = parkedSlot{}
+		pmu := n.pageLock(p.pg)
+		pmu.Lock()
+		if p.slot.base != nil {
+			e.materializeSlot(e.pages[p.pg], p.slot, p.pg)
+			n.stats.diffsTrimmed.Add(1)
+		}
+		pmu.Unlock()
+	}
+	e.parked = e.parked[i:]
+	if len(e.parked) >= e.parkedSweep {
+		e.sweepParkedLocked()
+	}
+}
+
+// sweepParkedLocked drops queue entries whose slot no longer holds a
+// twin (served on demand, or collected). Caller holds e.mu.
+func (e *lazyEngine) sweepParkedLocked() {
+	live := e.parked[:0]
+	for _, p := range e.parked {
+		pmu := e.n.pageLock(p.pg)
+		pmu.Lock()
+		if p.slot.base != nil {
+			live = append(live, p)
+		}
+		pmu.Unlock()
+	}
+	clear(e.parked[len(live):])
+	e.parked = live
+	e.parkedSweep = 2*len(live) + 64
 }
 
 // absorbIntervalsLocked merges received interval records into the log,
 // skipping already-known ones, and returns the genuinely new records.
 // Caller holds e.mu.
 func (e *lazyEngine) absorbIntervalsLocked(recs []wire.IntervalRec) []wire.IntervalRec {
-	// Per-processor index order is required by the log.
-	sorted := make([]wire.IntervalRec, len(recs))
-	copy(sorted, recs)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].Proc != sorted[j].Proc {
-			return sorted[i].Proc < sorted[j].Proc
-		}
-		return sorted[i].Index < sorted[j].Index
-	})
+	// Per-processor index order is required by the log. NoticesBetween
+	// emits records in that order already, so only a foreign sender's
+	// unordered list pays for a copy and a sort.
+	byProcIndex := func(a, b wire.IntervalRec) int {
+		return cmp.Or(cmp.Compare(a.Proc, b.Proc), cmp.Compare(a.Index, b.Index))
+	}
+	sorted := recs
+	if !slices.IsSortedFunc(recs, byProcIndex) {
+		sorted = slices.Clone(recs)
+		slices.SortFunc(sorted, byProcIndex)
+	}
 	var fresh []wire.IntervalRec
-	for _, rec := range sorted {
+	for i, rec := range sorted {
 		// The records came off the wire: validate before touching the log.
 		// A processor id outside the cluster or an index that does not
 		// extend our high-water mark contiguously is the sender's
@@ -343,16 +415,20 @@ func (e *lazyEngine) absorbIntervalsLocked(recs []wire.IntervalRec) []wire.Inter
 					rec.Proc, e.v[rec.Proc], rec.Index))
 			continue
 		}
+		// The decoded clock and page list belong to the log from here on:
+		// the message they arrived in is dropped after absorption.
 		e.log.Append(&core.Interval{
 			ID:    core.IntervalID{Proc: rec.Proc, Index: rec.Index},
-			VC:    rec.VC.Clone(),
+			VC:    rec.VC,
 			Pages: rec.Pages,
-			Mods:  make([]*page.RangeSet, len(rec.Pages)),
 		})
 		// Track per-processor high-water mark in our clock: Covers uses
 		// e.v, so advance it per record to keep the dedupe correct for
 		// consecutive indices.
 		e.v[rec.Proc] = rec.Index
+		if fresh == nil {
+			fresh = make([]wire.IntervalRec, 0, len(sorted)-i)
+		}
 		fresh = append(fresh, rec)
 		// A write notice is the classifier's view of remote writers under
 		// the lazy protocols (no directory transaction ever reaches us).
@@ -379,13 +455,15 @@ func invalidPageIn(n *Node, pages []mem.PageID) *mem.PageID {
 // intervalsSinceLocked collects wire records for every known interval
 // (r, k) with k > floor[r]. Caller holds e.mu.
 func (e *lazyEngine) intervalsSinceLocked(floor vc.VC) []wire.IntervalRec {
-	if len(floor) != len(e.v) {
-		// A legitimate acquirer always stamps its full clock; a missing or
-		// short one is a forged request. Treat the sender as knowing
-		// nothing — over-granting is safe, indexing a short clock is not.
+	if len(floor) != len(e.v) || slices.Min(floor) < -1 {
+		// A legitimate acquirer always stamps its full clock; a missing,
+		// short or below-empty one is a forged request. Treat the sender as
+		// knowing nothing — over-granting is safe, indexing with a forged
+		// clock is not.
 		floor = vc.New(len(e.v))
 	}
-	var recs []wire.IntervalRec
+	count, _ := e.log.NoticesBetween(floor, e.v, nil)
+	recs := make([]wire.IntervalRec, 0, count)
 	e.log.NoticesBetween(floor, e.v, func(iv *core.Interval) {
 		recs = append(recs, wire.IntervalRec{
 			Proc:  iv.ID.Proc,
@@ -1082,6 +1160,7 @@ func (e *lazyEngine) runGC(b mem.BarrierID) error {
 	// Flattened serves merge only pre-epoch intervals their requesters
 	// still needed; the epoch retires them with the diffs they merged.
 	e.flat = make(map[flatKey]*page.Diff)
+	e.sweepParkedLocked()
 	n.stats.gcRuns.Add(1)
 	return nil
 }

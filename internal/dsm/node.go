@@ -53,12 +53,16 @@ type Stats struct {
 	// encoded wire body, DiffsFlattened counts diffs elided by merging a
 	// multi-interval fetch into one flattened diff, and TwinBytesLive
 	// gauges the bytes currently held in live twins (capture minus final
-	// release).
+	// release), with TwinBytesPeak its high-water mark. DiffsTrimmed
+	// counts deferred diffs materialized by the twin budget rather than by
+	// demand: non-zero means laziness was cut short to bound memory.
 	DiffsCreated   int64
 	DiffsDeferred  int64
 	DiffCacheHits  int64
 	DiffsFlattened int64
+	DiffsTrimmed   int64
 	TwinBytesLive  int64
+	TwinBytesPeak  int64
 
 	// FlushedPages counts dirty pages pushed at eager release/barrier
 	// flush points.
@@ -123,7 +127,9 @@ type nodeStats struct {
 	diffsDeferred    atomic.Int64
 	diffCacheHits    atomic.Int64
 	diffsFlattened   atomic.Int64
+	diffsTrimmed     atomic.Int64
 	twinBytesLive    atomic.Int64
+	twinBytesPeak    atomic.Int64
 	flushedPages     atomic.Int64
 	invalsReceived   atomic.Int64
 	updatesReceived  atomic.Int64
@@ -163,7 +169,9 @@ func (s *nodeStats) snapshot() Stats {
 		DiffsDeferred:    s.diffsDeferred.Load(),
 		DiffCacheHits:    s.diffCacheHits.Load(),
 		DiffsFlattened:   s.diffsFlattened.Load(),
+		DiffsTrimmed:     s.diffsTrimmed.Load(),
 		TwinBytesLive:    s.twinBytesLive.Load(),
+		TwinBytesPeak:    s.twinBytesPeak.Load(),
 		FlushedPages:     s.flushedPages.Load(),
 		InvalsReceived:   s.invalsReceived.Load(),
 		UpdatesReceived:  s.updatesReceived.Load(),
@@ -305,11 +313,11 @@ type Node struct {
 
 func newNode(s *System, id mem.ProcID) *Node {
 	n := &Node{
-		sys:      s,
-		id:       id,
-		ep:       s.tr.Endpoint(int(id)),
-		locks:    make(map[mem.LockID]*lockLocal),
-		mgrLast:  make(map[mem.LockID]mem.ProcID),
+		sys:       s,
+		id:        id,
+		ep:        s.tr.Endpoint(int(id)),
+		locks:     make(map[mem.LockID]*lockLocal),
+		mgrLast:   make(map[mem.LockID]mem.ProcID),
 		barCh:     make(chan *wire.Msg, s.cfg.Procs),
 		gcCh:      make(chan *wire.Msg, s.cfg.Procs),
 		reclassCh: make(chan *wire.Msg, s.cfg.Procs),
@@ -476,26 +484,55 @@ func (n *Node) register(seq uint64, dst mem.ProcID) chan *wire.Msg {
 // wraps ErrRPCTimeout, never ErrClosed, so callers and tests can tell a
 // hung peer from a clean teardown.
 func (n *Node) await(dst mem.ProcID, seq uint64, ch chan *wire.Msg) (*wire.Msg, error) {
-	var timeout <-chan time.Time
-	if d := n.sys.cfg.RPCTimeout; d > 0 {
-		t := time.NewTimer(d)
-		defer t.Stop()
-		timeout = t.C
-	}
-	select {
-	case m, ok := <-ch:
-		return n.awaited(dst, seq, m, ok)
-	case <-timeout:
+	m, ok, timedOut := n.recvTimed(ch)
+	if timedOut {
 		if !n.abandon(seq) {
 			// The response (or a failure) won the race: it is in the
 			// buffered channel, or the send that follows the waiter's
 			// removal is instants away.
-			m, ok := <-ch
+			m, ok = <-ch
 			return n.awaited(dst, seq, m, ok)
 		}
 		return nil, fmt.Errorf("dsm: node %d: rpc seq %d to node %d: no response within %v: %w",
 			n.id, seq, dst, n.sys.cfg.RPCTimeout, ErrRPCTimeout)
 	}
+	return n.awaited(dst, seq, m, ok)
+}
+
+// rpcTimers recycles the RPCTimeout timers, one per parked receive
+// otherwise. go.mod's language version gives timers the Go 1.23
+// semantics: nothing is delivered after Stop, so a recycled timer cannot
+// fire a stale tick into its next user.
+var rpcTimers sync.Pool
+
+// recvTimed receives from ch, giving up after the configured RPCTimeout
+// (never, when it is zero); timedOut reports that it gave up. A message
+// already buffered is taken without arming a timer.
+func (n *Node) recvTimed(ch chan *wire.Msg) (m *wire.Msg, ok, timedOut bool) {
+	d := n.sys.cfg.RPCTimeout
+	if d <= 0 {
+		m, ok = <-ch
+		return m, ok, false
+	}
+	select {
+	case m, ok = <-ch:
+		return m, ok, false
+	default:
+	}
+	t, _ := rpcTimers.Get().(*time.Timer)
+	if t == nil {
+		t = time.NewTimer(d)
+	} else {
+		t.Reset(d)
+	}
+	select {
+	case m, ok = <-ch:
+	case <-t.C:
+		timedOut = true
+	}
+	t.Stop()
+	rpcTimers.Put(t)
+	return m, ok, timedOut
 }
 
 // awaited interprets a response channel read.
@@ -740,22 +777,15 @@ func (n *Node) deliverResponse(m *wire.Msg) {
 // a master collecting from a dead peer must unblock and surface a
 // descriptive error, exactly like a parked rpc.
 func (n *Node) collect(ch chan *wire.Msg, what string) (*wire.Msg, error) {
-	var timeout <-chan time.Time
-	if d := n.sys.cfg.RPCTimeout; d > 0 {
-		t := time.NewTimer(d)
-		defer t.Stop()
-		timeout = t.C
-	}
-	select {
-	case m, ok := <-ch:
-		if !ok || m == nil {
-			return nil, fmt.Errorf("dsm: node %d: %s: %w", n.id, what, ErrClosed)
-		}
-		return m, nil
-	case <-timeout:
+	m, ok, timedOut := n.recvTimed(ch)
+	if timedOut {
 		return nil, fmt.Errorf("dsm: node %d: %s: no arrival within %v: %w",
 			n.id, what, n.sys.cfg.RPCTimeout, ErrRPCTimeout)
 	}
+	if !ok || m == nil {
+		return nil, fmt.Errorf("dsm: node %d: %s: %w", n.id, what, ErrClosed)
+	}
+	return m, nil
 }
 
 // dispatchKey maps a frame to its serialization domain: page-keyed

@@ -81,8 +81,11 @@ func (s *System) registerMetrics(r *obs.Registry) {
 		nodeCounter("dsm_node_diffs_deferred_total", "interval closes that deferred diff creation", n.stats.diffsDeferred.Load)
 		nodeCounter("dsm_node_diff_cache_hits_total", "diff serves reusing a cached wire encoding", n.stats.diffCacheHits.Load)
 		nodeCounter("dsm_node_diffs_flattened_total", "diffs elided by multi-interval flattening", n.stats.diffsFlattened.Load)
+		nodeCounter("dsm_node_diffs_trimmed_total", "deferred diffs materialized by the twin budget", n.stats.diffsTrimmed.Load)
 		r.GaugeFunc(fmt.Sprintf("dsm_node_twin_bytes_live{node=%q}", node),
 			"bytes currently held in live twins", func() float64 { return float64(n.stats.twinBytesLive.Load()) })
+		r.GaugeFunc(fmt.Sprintf("dsm_node_twin_bytes_peak{node=%q}", node),
+			"high-water mark of bytes held in live twins", func() float64 { return float64(n.stats.twinBytesPeak.Load()) })
 		nodeCounter("dsm_node_flushed_pages_total", "dirty pages pushed at eager flush points", n.stats.flushedPages.Load)
 		nodeCounter("dsm_node_invals_received_total", "invalidations applied", n.stats.invalsReceived.Load)
 		nodeCounter("dsm_node_updates_received_total", "release-time updates applied", n.stats.updatesReceived.Load)

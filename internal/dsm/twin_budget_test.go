@@ -1,0 +1,287 @@
+package dsm
+
+import (
+	"bytes"
+	"testing"
+
+	"repro/internal/mem"
+	"repro/internal/vc"
+)
+
+// Tests for the deferred-twin budget (twinBudget, trimTwinsLocked): the
+// budget bounds what a node parks between GC epochs, a trimmed slot
+// serves exactly the diff demand would have made, and below the budget
+// the lazy pipeline is untouched.
+
+const (
+	budgetPageSize = 4096
+	// budgetPages is enough distinct pages to overrun the budget by a
+	// fifth when each is written once and never collected.
+	budgetPages = twinBudget/budgetPageSize + twinBudget/budgetPageSize/5
+)
+
+func newBudgetSys(t *testing.T, cfg Config) *System {
+	t.Helper()
+	cfg.SpaceSize = budgetPages * budgetPageSize
+	cfg.PageSize = budgetPageSize
+	cfg.Mode = LazyInvalidate
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := s.Close(); err != nil {
+			t.Errorf("Close: %v", err)
+		}
+	})
+	return s
+}
+
+func liEngine(n *Node) *lazyEngine { return n.rt.engines[LazyInvalidate].(*lazyEngine) }
+
+// writeEveryPage has n close one interval per page under lock 0, and
+// checks the budget after every close when check is set.
+func writeEveryPage(t *testing.T, n *Node, check bool) {
+	t.Helper()
+	e := liEngine(n)
+	for pg := 0; pg < budgetPages; pg++ {
+		if err := n.Acquire(0); err != nil {
+			t.Fatal(err)
+		}
+		if err := n.WriteUint64(mem.Addr(pg*budgetPageSize+8), uint64(pg)+1); err != nil {
+			t.Fatal(err)
+		}
+		if err := n.Release(0); err != nil {
+			t.Fatal(err)
+		}
+		if !check {
+			continue
+		}
+		// One interval dirties one page here, so that is the overshoot a
+		// close may leave behind.
+		if live := n.Stats().TwinBytesLive; live > twinBudget+budgetPageSize {
+			t.Fatalf("after %d intervals: %d twin bytes live, budget is %d", pg+1, live, twinBudget)
+		}
+		e.mu.Lock()
+		queued := len(e.parked)
+		e.mu.Unlock()
+		if limit := 2*(twinBudget/budgetPageSize) + 64 + 1; queued > limit {
+			t.Fatalf("after %d intervals: %d queue entries, want at most %d", pg+1, queued, limit)
+		}
+	}
+}
+
+// readEveryPage has n fault every page under lock 0 and returns what it
+// read.
+func readEveryPage(t *testing.T, n *Node) []byte {
+	t.Helper()
+	if err := n.Acquire(0); err != nil {
+		t.Fatal(err)
+	}
+	image := make([]byte, budgetPages*budgetPageSize)
+	if err := n.Read(image, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Release(0); err != nil {
+		t.Fatal(err)
+	}
+	return image
+}
+
+// TestTwinBudgetBoundsParkedTwins: one writer closes more intervals on
+// distinct pages than the budget holds twins for, nobody reads and GC
+// never runs — live twin bytes and the queue stay bounded all the way,
+// and the counters say the budget did it.
+func TestTwinBudgetBoundsParkedTwins(t *testing.T) {
+	s := newBudgetSys(t, Config{Procs: 2})
+	n := s.Node(0)
+	writeEveryPage(t, n, true)
+	st := n.Stats()
+	if want := int64(budgetPages - twinBudget/budgetPageSize); st.DiffsTrimmed != want {
+		t.Errorf("DiffsTrimmed = %d, want %d (every twin past the budget)", st.DiffsTrimmed, want)
+	}
+	if st.DiffsCreated != st.DiffsTrimmed {
+		t.Errorf("DiffsCreated = %d with no reader, want the %d trimmed ones only", st.DiffsCreated, st.DiffsTrimmed)
+	}
+	if st.TwinBytesPeak <= twinBudget || st.TwinBytesPeak > twinBudget+budgetPageSize {
+		t.Errorf("TwinBytesPeak = %d, want just past the budget of %d", st.TwinBytesPeak, twinBudget)
+	}
+}
+
+// TestTrimmedSlotsServeTheSameDiffs: after the writer overran the budget
+// a reader faults every page. Against a run that diffs eagerly at every
+// close, the reader sees the same bytes and the cluster sends the same
+// number of messages: a trimmed slot is served like any other.
+func TestTrimmedSlotsServeTheSameDiffs(t *testing.T) {
+	run := func(eager bool) (image []byte, msgs, trimmed int64) {
+		s := newBudgetSys(t, Config{Procs: 2, EagerDiffs: eager})
+		writeEveryPage(t, s.Node(0), false)
+		image = readEveryPage(t, s.Node(1))
+		return image, s.NetStats().Messages, s.Node(0).Stats().DiffsTrimmed
+	}
+	lazyImage, lazyMsgs, trimmed := run(false)
+	eagerImage, eagerMsgs, _ := run(true)
+	if trimmed == 0 {
+		t.Fatal("the lazy run never trimmed: the test does not reach the budget")
+	}
+	if !bytes.Equal(lazyImage, eagerImage) {
+		t.Error("reader's image differs between the budgeted lazy run and the eager-diff run")
+	}
+	if lazyMsgs != eagerMsgs {
+		t.Errorf("budgeted lazy run sent %d messages, eager-diff run %d", lazyMsgs, eagerMsgs)
+	}
+}
+
+// TestTrimRacesWritersOfPendingPages: the slot the budget trims is the
+// page's pending one — its target is still the live page — while a
+// second goroutine of the node keeps writing those pages, capturing
+// twins that re-target the same slots. Whichever side wins each stripe,
+// a reader must find both goroutines' last writes. Run under -race.
+func TestTrimRacesWritersOfPendingPages(t *testing.T) {
+	s := newBudgetSys(t, Config{Procs: 2, GoroutinesPerNode: 2})
+	const passes = 2
+	// Goroutine g writes word g of every page, under its own lock.
+	driveSlots(t, []*System{s}, 2, func(n *Node, slot int) error {
+		if n.ID() != 0 {
+			return nil
+		}
+		g := slot
+		for pass := 1; pass <= passes; pass++ {
+			for pg := 0; pg < budgetPages; pg++ {
+				if err := n.Acquire(mem.LockID(g)); err != nil {
+					return err
+				}
+				if err := n.WriteUint64(mem.Addr(pg*budgetPageSize+8*g), uint64(pass)<<32|uint64(pg)); err != nil {
+					return err
+				}
+				if err := n.Release(mem.LockID(g)); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	})
+	if s.Node(0).Stats().DiffsTrimmed == 0 {
+		t.Fatal("the writers never tripped the budget")
+	}
+	r := s.Node(1)
+	for g := 0; g < 2; g++ {
+		if err := r.Acquire(mem.LockID(g)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for pg := 0; pg < budgetPages; pg++ {
+		for g := 0; g < 2; g++ {
+			got, err := r.ReadUint64(mem.Addr(pg*budgetPageSize + 8*g))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := uint64(passes)<<32 | uint64(pg); got != want {
+				t.Fatalf("page %d word %d = %#x, want %#x", pg, g, got, want)
+			}
+		}
+	}
+}
+
+// TestBelowBudgetNothingIsDiffed: the hit-private shape — every node
+// rewrites 16 pages it homes, 8 rounds, one GC at the end — parks 128
+// twins per node, far below the budget: no diff is ever created, none
+// trimmed, and GC leaves neither twins nor queue entries behind.
+func TestBelowBudgetNothingIsDiffed(t *testing.T) {
+	const procs, slab, rounds = 4, 16, 8
+	s := newBudgetSys(t, Config{Procs: procs, GCEveryBarriers: rounds})
+	driveSlots(t, []*System{s}, 1, func(n *Node, _ int) error {
+		for round := 1; round <= rounds; round++ {
+			for i := 0; i < slab; i++ {
+				pg := i*procs + int(n.ID()) // block placement: homed here
+				if err := n.WriteUint64(mem.Addr(pg*budgetPageSize), uint64(round)); err != nil {
+					return err
+				}
+			}
+			if err := n.Barrier(0); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	for _, n := range s.Local() {
+		st := n.Stats()
+		if st.DiffsDeferred != slab*rounds || st.DiffsCreated != 0 || st.DiffsTrimmed != 0 {
+			t.Errorf("node %d: %d deferred, %d created, %d trimmed; want %d, 0, 0",
+				n.ID(), st.DiffsDeferred, st.DiffsCreated, st.DiffsTrimmed, slab*rounds)
+		}
+		if st.TwinBytesPeak != slab*rounds*budgetPageSize || st.TwinBytesLive != 0 {
+			t.Errorf("node %d: twin bytes peak %d live %d; want %d and 0",
+				n.ID(), st.TwinBytesPeak, st.TwinBytesLive, slab*rounds*budgetPageSize)
+		}
+		e := liEngine(n)
+		e.mu.Lock()
+		if len(e.parked) != 0 {
+			t.Errorf("node %d: %d queue entries survive GC", n.ID(), len(e.parked))
+		}
+		e.mu.Unlock()
+	}
+}
+
+// TestServedSlotsLeaveTheQueue: below the budget and without GC, slots a
+// reader has been served must not pile up in the queue for the life of
+// the run.
+func TestServedSlotsLeaveTheQueue(t *testing.T) {
+	s := newBudgetSys(t, Config{Procs: 2})
+	w, r := s.Node(0), s.Node(1)
+	const rounds = 1000
+	for round := 1; round <= rounds; round++ {
+		for _, n := range []*Node{w, r} {
+			if err := n.Acquire(0); err != nil {
+				t.Fatal(err)
+			}
+			v, err := n.ReadUint64(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n == r && v != uint64(round) {
+				t.Fatalf("round %d: reader saw %d", round, v)
+			}
+			if n == w {
+				err = n.WriteUint64(0, uint64(round))
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := n.Release(0); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	e := liEngine(w)
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if len(e.parked) > 64+2 {
+		t.Errorf("%d queue entries after %d served intervals, want at most %d", len(e.parked), rounds, 64+2)
+	}
+}
+
+// TestForgedFloorClockGrantsEverything: a requester clock with an entry
+// below "knows nothing" is treated like a missing one, not used as an
+// index.
+func TestForgedFloorClockGrantsEverything(t *testing.T) {
+	s := newBudgetSys(t, Config{Procs: 2})
+	n := s.Node(0)
+	for i := 0; i < 3; i++ {
+		if err := n.Acquire(0); err != nil {
+			t.Fatal(err)
+		}
+		if err := n.WriteUint64(0, uint64(i)); err != nil {
+			t.Fatal(err)
+		}
+		if err := n.Release(0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e := liEngine(n)
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if got := len(e.intervalsSinceLocked(vc.VC{-7, 1 << 30})); got != 3 {
+		t.Errorf("forged floor clock was granted %d intervals, want all 3", got)
+	}
+}

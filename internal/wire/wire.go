@@ -568,28 +568,44 @@ func Decode(b []byte) (*Msg, error) {
 }
 
 // intervalList decodes a count-prefixed interval block (the inverse of
-// appendIntervalList), with the same hostile-count bounds as before.
+// appendIntervalList). A sizing pass walks the block first — every count
+// checked against the bytes actually present, as before — so the
+// records, their clocks and their page lists are three exact
+// allocations per block, whatever the record count; each record's VC
+// and Pages are capacity-limited windows of the shared slabs.
 func (d *decoder) intervalList() []IntervalRec {
-	nivs := d.countItems("interval", 16)
-	var out []IntervalRec
-	for i := int32(0); i < nivs && d.err == nil; i++ {
-		var iv IntervalRec
+	nivs := int(d.countItems("interval", 16))
+	start := d.off
+	nclock, npage := 0, 0
+	for i := 0; i < nivs && d.err == nil; i++ {
+		d.bytes(8) // proc, index: skipped, bounds-checked
+		vn := int(d.count("interval clock", 64))
+		d.bytes(4 * vn)
+		pn := int(d.countItems("interval page", 4))
+		d.bytes(4 * pn)
+		nclock, npage = nclock+vn, npage+pn
+	}
+	if nivs == 0 || d.err != nil {
+		return nil
+	}
+	d.off = start
+	out := make([]IntervalRec, nivs)
+	clocks := make(vc.VC, nclock)
+	pages := make([]mem.PageID, npage)
+	for i := range out {
+		iv := &out[i]
 		iv.Proc = mem.ProcID(d.i32())
 		iv.Index = d.i32()
-		vn := d.count("interval clock", 64)
-		iv.VC = make(vc.VC, vn)
+		vn := int(d.i32())
+		iv.VC, clocks = clocks[:vn:vn], clocks[vn:]
 		for k := range iv.VC {
 			iv.VC[k] = d.i32()
 		}
-		pn := d.countItems("interval page", 4)
-		iv.Pages = make([]mem.PageID, pn)
+		pn := int(d.i32())
+		iv.Pages, pages = pages[:pn:pn], pages[pn:]
 		for k := range iv.Pages {
 			iv.Pages[k] = mem.PageID(d.i32())
 		}
-		if d.err != nil {
-			break
-		}
-		out = append(out, iv)
 	}
 	return out
 }

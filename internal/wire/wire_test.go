@@ -84,6 +84,42 @@ func TestIntervalsRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDecodedIntervalsShareSlabsSafely: a block's records are decoded
+// into shared slabs — a fixed number of allocations however many
+// records — yet stay independent: appending to one record's clock or
+// page list must not reach into its neighbour's.
+func TestDecodedIntervalsShareSlabsSafely(t *testing.T) {
+	build := func(n int) []byte {
+		m := &Msg{Kind: KLockGrant}
+		for i := 0; i < n; i++ {
+			m.Intervals = append(m.Intervals, IntervalRec{
+				Proc: 1, Index: int32(i), VC: vc.VC{int32(i), 7}, Pages: []mem.PageID{mem.PageID(i), 9},
+			})
+		}
+		return m.EncodeAppend(nil)
+	}
+	got, err := Decode(build(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = append(got.Intervals[0].VC, 99)
+	_ = append(got.Intervals[0].Pages, 99)
+	if want := (IntervalRec{Proc: 1, Index: 1, VC: vc.VC{1, 7}, Pages: []mem.PageID{1, 9}}); !reflect.DeepEqual(got.Intervals[1], want) {
+		t.Fatalf("appending to record 0 changed record 1: %+v", got.Intervals[1])
+	}
+	small, large := build(4), build(400)
+	allocs := func(b []byte) float64 {
+		return testing.AllocsPerRun(20, func() {
+			if _, err := Decode(b); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if a, b := allocs(small), allocs(large); a != b {
+		t.Errorf("decoding 4 records takes %v allocations, 400 records %v: want the same", a, b)
+	}
+}
+
 func TestDiffsRoundTrip(t *testing.T) {
 	d := mkDiff(t, 64, 4, 5, 20)
 	m := &Msg{
@@ -194,8 +230,8 @@ func TestSectionsRoundTrip(t *testing.T) {
 func TestDecodeRejectsGarbage(t *testing.T) {
 	cases := [][]byte{
 		nil,
-		make([]byte, 10),               // short header
-		make([]byte, 24),               // kind 0
+		make([]byte, 10), // short header
+		make([]byte, 24), // kind 0
 		append((&Msg{Kind: KLockReq}).EncodeAppend(nil), 0xff), // trailing bytes
 	}
 	for i, b := range cases {
