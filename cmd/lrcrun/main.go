@@ -76,7 +76,7 @@ func run(args []string, out io.Writer) error {
 	fs.SetOutput(out)
 	var (
 		demo       = fs.String("demo", "", "demo program: counter, stencil, queue")
-		app        = fs.String("app", "", "workload to run on the runtime ("+strings.Join(workload.Names, ", ")+") or \"all\"")
+		app        = fs.String("app", "", "workload to run on the runtime ("+strings.Join(workload.Names, ", ")+") or \"all\"; traffic is printed next to the simulator's for the same trace, whose bytes are the paper's fixed-width accounting — the live codec is compact and may undercut it")
 		mode       = fs.String("mode", "LI", "protocol mode: "+dsm.ModeNames())
 		modemap    = fs.String("modemap", "", "per-page protocol routing, e.g. pg0-31=SC,rest=LU (overrides -mode; modes: "+dsm.ModeNames()+")")
 		adapt      = fs.Int("adapt", 0, "reclassify page sharing patterns and re-route pages every N barriers (0 = off)")

@@ -479,7 +479,7 @@ func (e *eagerEngine) adoptPage(pg mem.PageID, data []byte) {
 func (e *eagerEngine) preBarrier() error                 { return e.flush() }
 func (e *eagerEngine) barrierEntry()                     {}
 func (e *eagerEngine) arrive(arrive *wire.Msg)           {}
-func (e *eagerEngine) masterAbsorb(m *wire.Msg)          {}
+func (e *eagerEngine) masterAbsorb(arrivals []*wire.Msg) {}
 func (e *eagerEngine) exit(m, exit *wire.Msg)            {}
 func (e *eagerEngine) onExit(exit *wire.Msg) error       { return nil }
 func (e *eagerEngine) postBarrier(b mem.BarrierID) error { return nil }

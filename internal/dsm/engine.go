@@ -95,8 +95,9 @@ type engine interface {
 	barrierEntry()
 	// arrive fills a non-master node's arrival payload.
 	arrive(arrive *wire.Msg)
-	// masterAbsorb absorbs one arrival's payload at the master.
-	masterAbsorb(m *wire.Msg)
+	// masterAbsorb absorbs the payloads of all arrivals at the master,
+	// once every one of them is in.
+	masterAbsorb(arrivals []*wire.Msg)
 	// exit fills the exit payload answering arrival m.
 	exit(m, exit *wire.Msg)
 	// onExit absorbs the exit payload at a non-master node.

@@ -1,7 +1,6 @@
 package dsm
 
 import (
-	"encoding/binary"
 	"strings"
 	"testing"
 	"time"
@@ -90,7 +89,7 @@ func TestCorruptTCPFramesSurfaceOnClose(t *testing.T) {
 	}
 
 	inject := s1.tr.Endpoint(1)
-	// Garbage bytes in message position (unknown kind 0xffff).
+	// Garbage bytes in message position (unknown kind 0xff).
 	garbage := make([]byte, 24)
 	for i := range garbage {
 		garbage[i] = 0xff
@@ -98,13 +97,9 @@ func TestCorruptTCPFramesSurfaceOnClose(t *testing.T) {
 	// A batch header whose sub-frames are lies.
 	badBatch := wire.AppendBatchHeader(nil, 2)
 	badBatch = append(badBatch, 0xde, 0xad, 0xbe, 0xef)
-	// A compressed header over bytes that are not a flate stream.
-	badZ := make([]byte, 32)
-	binary.LittleEndian.PutUint16(badZ[0:], uint16(wire.KCompressed))
-	binary.LittleEndian.PutUint32(badZ[12:], 24)
-	for i := 24; i < len(badZ); i++ {
-		badZ[i] = 0xff
-	}
+	// A compressed header (kind byte, inner length 24) over bytes that
+	// are not a flate stream.
+	badZ := []byte{byte(wire.KCompressed), 24, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}
 	for _, frame := range [][]byte{garbage, badBatch, badZ} {
 		if err := inject.Send(0, frame); err != nil {
 			t.Fatal(err)

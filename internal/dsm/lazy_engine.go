@@ -602,33 +602,28 @@ func (e *lazyEngine) validate(pg mem.PageID) error {
 			}
 			return out[i].Index < out[j].Index
 		})
-		missing := make(map[mem.ProcID][]wire.Want)
-		for _, id := range out {
-			if e.diffs[id][pg] != nil {
-				continue
-			}
-			missing[id.Proc] = append(missing[id.Proc], wire.Want{Page: pg, Proc: id.Proc, Index: id.Index})
-		}
+		reqs := e.missingDiffReqsLocked(nil, pg, out)
 		e.mu.Unlock()
 
-		// Fetch missing diffs from their creators (no locks held).
-		if len(missing) > 0 {
-			creators := make([]mem.ProcID, 0, len(missing))
-			for c := range missing {
-				creators = append(creators, c)
+		// Fetch missing diffs from their creators (no locks held): all
+		// creators at once, one round trip instead of one per creator.
+		if len(reqs) > 0 {
+			var resps []*wire.Msg
+			var err error
+			if len(reqs) == 1 {
+				resps = make([]*wire.Msg, 1)
+				resps[0], err = n.rpc(reqs[0].dst, reqs[0].m)
+			} else {
+				resps, err = n.rpcAll(reqs)
 			}
-			sort.Slice(creators, func(i, j int) bool { return creators[i] < creators[j] })
-			for _, c := range creators {
-				resp, err := n.rpc(c, &wire.Msg{
-					Kind: wire.KDiffReq, Seq: n.nextSeq(), A: int32(n.id), B: int32(e.modeID()), Wants: missing[c],
-				})
-				if err != nil {
-					return err
-				}
-				e.mu.Lock()
+			if err != nil {
+				return err
+			}
+			e.mu.Lock()
+			for _, resp := range resps {
 				e.storeDiffRecsLocked(resp.Diffs, true)
-				e.mu.Unlock()
 			}
+			e.mu.Unlock()
 		}
 
 		// Apply. If fresh notices for this page landed while we were
@@ -708,6 +703,31 @@ func clockSum(v vc.VC) int64 {
 		s += int64(x)
 	}
 	return s
+}
+
+// missingDiffReqsLocked appends to reqs one KDiffReq per creator for the
+// diffs of page pg's outstanding intervals the retained store lacks,
+// creators ascending, each creator's wants in the order of out. Caller
+// holds e.mu.
+func (e *lazyEngine) missingDiffReqsLocked(reqs []outMsg, pg mem.PageID, out []core.IntervalID) []outMsg {
+	var wants []wire.Want
+	for _, id := range out {
+		if e.diffs[id][pg] == nil {
+			wants = append(wants, wire.Want{Page: pg, Proc: id.Proc, Index: id.Index})
+		}
+	}
+	slices.SortStableFunc(wants, func(a, b wire.Want) int { return cmp.Compare(a.Proc, b.Proc) })
+	for len(wants) > 0 {
+		k := 1
+		for k < len(wants) && wants[k].Proc == wants[0].Proc {
+			k++
+		}
+		reqs = append(reqs, outMsg{dst: wants[0].Proc, m: &wire.Msg{
+			Kind: wire.KDiffReq, Seq: e.n.nextSeq(), A: int32(e.n.id), B: int32(e.modeID()), Wants: wants[:k:k],
+		}})
+		wants = wants[k:]
+	}
+	return reqs
 }
 
 // storeDiffRecsLocked enters received diff records into the retained
@@ -824,24 +844,7 @@ func (e *lazyEngine) prefetchDiffs(pages []mem.PageID) error {
 		}
 		appliedSnap := pc.applied.Clone()
 		pmu.Unlock()
-		out := e.log.Outstanding(pg, appliedSnap, e.v, n.id)
-		missing := make(map[mem.ProcID][]wire.Want)
-		for _, id := range out {
-			if e.diffs[id][pg] != nil {
-				continue
-			}
-			missing[id.Proc] = append(missing[id.Proc], wire.Want{Page: pg, Proc: id.Proc, Index: id.Index})
-		}
-		creators := make([]mem.ProcID, 0, len(missing))
-		for c := range missing {
-			creators = append(creators, c)
-		}
-		sort.Slice(creators, func(i, j int) bool { return creators[i] < creators[j] })
-		for _, c := range creators {
-			reqs = append(reqs, outMsg{dst: c, m: &wire.Msg{
-				Kind: wire.KDiffReq, Seq: n.nextSeq(), A: int32(n.id), B: int32(e.modeID()), Wants: missing[c],
-			}})
-		}
+		reqs = e.missingDiffReqsLocked(reqs, pg, e.log.Outstanding(pg, appliedSnap, e.v, n.id))
 	}
 	e.mu.Unlock()
 	if len(reqs) == 0 {
@@ -988,17 +991,41 @@ func (e *lazyEngine) barrierEntry() {
 	e.mu.Unlock()
 }
 
+// arrive ships this node's clock and its OWN intervals since the last
+// barrier. Every interval has one creator and every creator arrives, so
+// the master still receives the union — once, not once per node that
+// learned of it through a lock chain.
 func (e *lazyEngine) arrive(arrive *wire.Msg) {
 	e.mu.Lock()
 	arrive.VC = e.v.Clone()
-	arrive.Intervals = e.intervalsSinceLocked(e.lastEpoch)
+	floor := e.v.Clone()
+	floor[e.n.id] = e.lastEpoch[e.n.id]
+	arrive.Intervals = e.intervalsSinceLocked(floor)
 	e.mu.Unlock()
 }
 
-func (e *lazyEngine) masterAbsorb(m *wire.Msg) {
+// masterAbsorb absorbs every arrival in one critical section. An own-only
+// arrival is not closed under happened-before — it can carry (p,k) while
+// the (q,j) its clock covers rides q's arrival — so the log must not be
+// observable between two of them: a grant built from it then would export
+// (p,k) alone, and the acquirer would later apply (q,j)'s older diff over
+// (p,k)'s bytes.
+func (e *lazyEngine) masterAbsorb(arrivals []*wire.Msg) {
 	e.mu.Lock()
-	e.fresh = append(e.fresh, e.absorbIntervalsLocked(m.Intervals)...)
-	e.mu.Unlock()
+	defer e.mu.Unlock()
+	for _, m := range arrivals {
+		arriver := mem.ProcID(m.B)
+		own := slices.DeleteFunc(m.Intervals, func(rec wire.IntervalRec) bool {
+			if rec.Proc == arriver {
+				return false
+			}
+			// Only the creator ships an interval; anything else is forged.
+			e.n.noteErr("barrier arrival", fmt.Errorf("arrival of node %d carries interval p%d/%d of another processor",
+				arriver, rec.Proc, rec.Index))
+			return true
+		})
+		e.fresh = append(e.fresh, e.absorbIntervalsLocked(own)...)
+	}
 }
 
 func (e *lazyEngine) exit(m, exit *wire.Msg) {

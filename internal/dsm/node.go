@@ -694,12 +694,15 @@ func (n *Node) rpcAll(reqs []outMsg) ([]*wire.Msg, error) {
 		}
 	}
 	var flushErr error
-	failed := make(map[mem.ProcID]bool)
+	var failed map[mem.ProcID]bool // allocated on the first flush error
 	for _, r := range reqs {
 		if failed[r.dst] {
 			continue
 		}
 		if err := n.out.flushDst(r.dst); err != nil {
+			if failed == nil {
+				failed = make(map[mem.ProcID]bool)
+			}
 			failed[r.dst] = true
 			if flushErr == nil {
 				flushErr = err

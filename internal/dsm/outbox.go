@@ -1,7 +1,6 @@
 package dsm
 
 import (
-	"encoding/binary"
 	stdnet "net"
 	"sync"
 	"sync/atomic"
@@ -25,7 +24,7 @@ import (
 // engine (Config.Flush):
 //
 //   - Thresholds: crossing MaxMsgs staged messages or MaxBytes of
-//     estimated encoding flushes the destination at once, bounding
+//     encoding flushes the destination at once, bounding
 //     batch size and staging memory.
 //   - Nagle-style delay: an rpc requester — which is about to block for
 //     its response anyway — holds its destination open for up to Delay
@@ -90,9 +89,9 @@ type outbox struct {
 type outDest struct {
 	mu   sync.Mutex
 	pend []*wire.Msg
-	// staged estimates the pending messages' total encoded size
-	// (wire.Msg.SizeHint), maintained under mu for the MaxBytes
-	// threshold.
+	// staged is the pending messages' total encoded size
+	// (wire.Msg.SizeHint), maintained under mu while a MaxBytes
+	// threshold is set.
 	staged int
 	// kickCh broadcasts "stop holding this destination" to Nagle
 	// sleepers: created lazily by the first sleeper, closed (and
@@ -145,10 +144,12 @@ func (o *outbox) stage(dst mem.ProcID, m *wire.Msg) {
 	d := &o.dsts[dst]
 	d.mu.Lock()
 	d.pend = append(d.pend, m)
-	d.staged += m.SizeHint()
 	d.count.Store(int32(len(d.pend)))
-	hit := (o.policy.MaxMsgs > 0 && len(d.pend) >= o.policy.MaxMsgs) ||
-		(o.policy.MaxBytes > 0 && d.staged >= o.policy.MaxBytes)
+	hit := o.policy.MaxMsgs > 0 && len(d.pend) >= o.policy.MaxMsgs
+	if o.policy.MaxBytes > 0 {
+		d.staged += m.SizeHint()
+		hit = hit || d.staged >= o.policy.MaxBytes
+	}
 	if hit {
 		d.kickLocked()
 	}
@@ -334,21 +335,20 @@ func (o *outbox) flushDst(dst mem.ProcID) error {
 		return nil
 	}
 
-	// Batch frame: header plus every message length-prefixed, encoded
-	// back to back into one pooled buffer, then lent to the transport as
-	// one vectored send — frames[0] the header, each later element one
-	// message, so the transport accounts the batch without parsing it.
+	// Batch frame: header plus every message length-prefixed
+	// (wire.AppendBatched), encoded back to back into one pooled buffer,
+	// then lent to the transport as one vectored send — frames[0] the
+	// header, each later element one message, so the transport accounts
+	// the batch without parsing it.
 	buf := wire.AppendBatchHeader(wire.GetBuf(), len(pend))
 	hdrEnd := len(buf)
 	ends := d.ends[:0]
 	for _, m := range pend {
-		start := len(buf)
-		buf = append(buf, 0, 0, 0, 0)
-		buf = m.EncodeAppend(buf)
-		binary.LittleEndian.PutUint32(buf[start:], uint32(len(buf)-start-4))
+		var size int
+		buf, size = wire.AppendBatched(buf, m)
 		ends = append(ends, len(buf))
 		if remote {
-			n.stats.countSent(m.Kind, len(buf)-start-4)
+			n.stats.countSent(m.Kind, size)
 		}
 	}
 	d.ends = ends

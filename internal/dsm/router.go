@@ -401,10 +401,16 @@ func (r *router) arrive(arrive *wire.Msg) {
 	}
 }
 
-func (r *router) masterAbsorb(m *wire.Msg) {
-	r.checkSections("barrier arrival", m, mem.ProcID(m.B))
+func (r *router) masterAbsorb(arrivals []*wire.Msg) {
+	for _, m := range arrivals {
+		r.checkSections("barrier arrival", m, mem.ProcID(m.B))
+	}
+	views := make([]*wire.Msg, len(arrivals))
 	for _, mode := range r.order {
-		r.engines[mode].masterAbsorb(sectionView(m, mode))
+		for i, m := range arrivals {
+			views[i] = sectionView(m, mode)
+		}
+		r.engines[mode].masterAbsorb(views)
 	}
 }
 

@@ -225,7 +225,7 @@ func (e *scEngine) adoptPage(pg mem.PageID, data []byte) {
 func (e *scEngine) preBarrier() error                 { return nil }
 func (e *scEngine) barrierEntry()                     {}
 func (e *scEngine) arrive(arrive *wire.Msg)           {}
-func (e *scEngine) masterAbsorb(m *wire.Msg)          {}
+func (e *scEngine) masterAbsorb(arrivals []*wire.Msg) {}
 func (e *scEngine) exit(m, exit *wire.Msg)            {}
 func (e *scEngine) onExit(exit *wire.Msg) error       { return nil }
 func (e *scEngine) postBarrier(b mem.BarrierID) error { return nil }

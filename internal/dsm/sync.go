@@ -259,9 +259,7 @@ func (n *Node) clusterBarrier(b mem.BarrierID) error {
 			}
 			arrivals = append(arrivals, m)
 		}
-		for _, m := range arrivals {
-			n.e.masterAbsorb(m)
-		}
+		n.e.masterAbsorb(arrivals)
 		var exitData []byte
 		if exchangeDue {
 			st := &adaptState{epoch: n.rt.epoch.Load()}

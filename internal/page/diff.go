@@ -4,13 +4,15 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"sync/atomic"
 )
 
-// Wire-size model for diffs, shared by the simulator's byte accounting and
-// the live runtime's message encoder. A diff on the wire carries a 16-byte
-// header (page id, creating interval, run count) plus, per run, an 8-byte
-// (offset, length) descriptor and the run's payload bytes.
+// Wire-size model for diffs: the simulator's byte accounting. A modeled
+// diff carries a 16-byte header (page id, creating interval, run count)
+// plus, per run, an 8-byte (offset, length) descriptor and the run's
+// payload bytes. The live runtime's encoding of the same fields is
+// varint-coded and smaller (AppendWireBody); the payload term is equal.
 const (
 	// DiffHeaderBytes is the fixed per-diff header size on the wire.
 	DiffHeaderBytes = 16
@@ -77,9 +79,8 @@ func (t *Twin) Release() bool {
 type Diff struct {
 	runs []Run
 	data [][]byte
-	// enc caches the diff's wire body — run count plus per-run headers
-	// and payloads, exactly the bytes the message encoder would produce —
-	// built at most once per diff and reused verbatim by every subsequent
+	// enc caches the diff's wire body (AppendWireBody's output), built at
+	// most once per diff and reused verbatim by every subsequent
 	// serve. Atomic because concurrent handler workers may race to build
 	// it; the first store wins and the losers drop their copy.
 	enc atomic.Pointer[[]byte]
@@ -224,15 +225,50 @@ func (d *Diff) WireSize() int {
 }
 
 // WireBody returns the cached wire body, or nil when none has been built
-// yet. The body is the run count followed by each run's (offset, length)
-// descriptor and payload — everything the encoder writes after the
-// per-record header.
+// yet. The body is everything the message encoder writes after a diff
+// record's (page, proc, index) header; see AppendWireBody for the layout.
 func (d *Diff) WireBody() []byte {
 	if p := d.enc.Load(); p != nil {
 		return *p
 	}
 	return nil
 }
+
+// AppendWireBody appends the diff's wire body to buf: the run count,
+// then per run its offset, its length and its payload bytes, every
+// number an unsigned varint (a run of a 4 KiB page costs 2-4 descriptor
+// bytes, not the model's RunHeaderBytes). This is the one definition of
+// the layout: the message encoder (internal/wire) appends these bytes
+// and its decoder parses them. A cached body is spliced verbatim; an
+// uncached diff is walked, with no caching side effect — the engine
+// decides which diffs are worth caching via EnsureWireBody.
+func (d *Diff) AppendWireBody(buf []byte) []byte {
+	if p := d.enc.Load(); p != nil {
+		return append(buf, *p...)
+	}
+	buf = binary.AppendUvarint(buf, uint64(len(d.runs)))
+	for i, r := range d.runs {
+		buf = binary.AppendUvarint(buf, uint64(uint32(r.Off)))
+		buf = binary.AppendUvarint(buf, uint64(uint32(r.Len)))
+		buf = append(buf, d.data[i]...)
+	}
+	return buf
+}
+
+// WireBodySize returns the exact number of bytes AppendWireBody appends.
+func (d *Diff) WireBodySize() int {
+	if p := d.enc.Load(); p != nil {
+		return len(*p)
+	}
+	n := uvarintLen(uint64(len(d.runs)))
+	for _, r := range d.runs {
+		n += uvarintLen(uint64(uint32(r.Off))) + uvarintLen(uint64(uint32(r.Len))) + int(r.Len)
+	}
+	return n
+}
+
+// uvarintLen returns the length of x's unsigned varint encoding.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
 // EnsureWireBody returns the diff's wire body, building and caching it on
 // first use so every later serve of the same diff appends one immutable
@@ -241,17 +277,7 @@ func (d *Diff) EnsureWireBody() []byte {
 	if p := d.enc.Load(); p != nil {
 		return *p
 	}
-	body := make([]byte, 0, 4+len(d.runs)*RunHeaderBytes+d.PayloadBytes())
-	var t [4]byte
-	binary.LittleEndian.PutUint32(t[:], uint32(len(d.runs)))
-	body = append(body, t[:]...)
-	for i, r := range d.runs {
-		binary.LittleEndian.PutUint32(t[:], uint32(r.Off))
-		body = append(body, t[:]...)
-		binary.LittleEndian.PutUint32(t[:], uint32(r.Len))
-		body = append(body, t[:]...)
-		body = append(body, d.data[i]...)
-	}
+	body := d.AppendWireBody(make([]byte, 0, d.WireBodySize()))
 	if d.enc.CompareAndSwap(nil, &body) {
 		return body
 	}

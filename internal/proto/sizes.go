@@ -2,10 +2,12 @@ package proto
 
 // Message-size model. The paper measures "amount of data"; to reproduce it
 // we need one explicit, documented model of what each protocol message
-// carries on the wire. Both the trace-driven simulator (which never
-// materializes page contents) and the live runtime's encoder
-// (internal/wire, which does) use these constants, and a test asserts the
-// encoder's real output sizes match the model.
+// carries on the wire. The trace-driven simulator (which never
+// materializes page contents) sizes every message with these constants.
+// The live runtime's encoder (internal/wire) does not imitate them: it
+// codes the same fields as varints and may undercut the model, which is a
+// fixed-width accounting, not a format (a root gate bounds live bytes
+// against it).
 //
 // All messages carry a fixed header (source, destination, type, length,
 // sequence number). Payloads:

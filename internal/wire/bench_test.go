@@ -1,9 +1,6 @@
 package wire
 
-import (
-	"encoding/binary"
-	"testing"
-)
+import "testing"
 
 // Codec micro-benches: CI runs these into BENCH_wire.json to track the
 // hot-path cost of the pooled append encoder and the batch framing
@@ -57,10 +54,7 @@ func BenchmarkWireEncodeBatched(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		buf := AppendBatchHeader(GetBuf(), 8)
 		for k := 0; k < 8; k++ {
-			start := len(buf)
-			buf = append(buf, 0, 0, 0, 0)
-			buf = m.EncodeAppend(buf)
-			binary.LittleEndian.PutUint32(buf[start:], uint32(len(buf)-start-4))
+			buf, _ = AppendBatched(buf, m)
 		}
 		PutBuf(buf)
 	}

@@ -2,7 +2,6 @@ package wire
 
 import (
 	"bytes"
-	"encoding/binary"
 	"math/rand"
 	"strings"
 	"testing"
@@ -81,23 +80,22 @@ func TestExpandRejectsHostile(t *testing.T) {
 	if !ok {
 		t.Fatal("sample frame did not compress")
 	}
-	corrupt32 := func(b []byte, off int, v uint32) []byte {
-		c := append([]byte(nil), b...)
-		binary.LittleEndian.PutUint32(c[off:], v)
-		return c
-	}
+	// The compressed frame after its kind byte and inner length, for
+	// splicing a different length in.
+	stream := z[1+len(uv(uint64(len(frame)))):]
+	claim := func(inner uint64) []byte { return cat([]byte{byte(KCompressed)}, uv(inner), stream) }
 	cases := []struct {
 		name string
 		in   []byte
 		want string
 	}{
-		{"short header", z[:headerBytes-1], "shorter than header"},
+		{"short header", z[:1], "shorter than header"},
 		{"not compressed", frame, "is not compressed"},
-		{"reserved field set", corrupt32(z, 4, 7), "non-zero reserved"},
-		{"inner length below header", corrupt32(z, 12, headerBytes-1), "implausible compressed frame inner length"},
-		{"inner length bomb", corrupt32(z, 12, MaxExpandedBytes+1), "implausible compressed frame inner length"},
-		{"inner length undershoots stream", corrupt32(z, 12, headerBytes), "inflates past its claimed"},
-		{"garbage stream", append(append([]byte(nil), z[:headerBytes]...), 0xff, 0xff, 0xff, 0xff), "compressed frame"},
+		{"non-minimal inner length", cat([]byte{byte(KCompressed), 0x88, 0x00}, stream), "non-minimal varint"},
+		{"inner length below header", claim(minMsgBytes - 1), "implausible compressed frame inner length"},
+		{"inner length bomb", claim(MaxExpandedBytes + 1), "implausible compressed frame inner length"},
+		{"inner length undershoots stream", claim(minMsgBytes), "inflates past its claimed"},
+		{"garbage stream", cat([]byte{byte(KCompressed)}, uv(uint64(len(frame))), []byte{0xff, 0xff, 0xff, 0xff}), "compressed frame"},
 		{"truncated stream", z[:len(z)-4], "compressed frame"},
 	}
 	for _, tc := range cases {

@@ -49,23 +49,46 @@ func sampleMsgs() []*Msg {
 	}
 }
 
-// TestDecodeMalformed: the table of hostile and truncated inputs the
-// socket path must reject with a descriptive error.
+// uv concatenates the unsigned varint encodings of vals; cat joins byte
+// strings. Hostile frames below are spelled out field by field with them.
+func uv(vals ...uint64) []byte {
+	var b []byte
+	for _, v := range vals {
+		b = binary.AppendUvarint(b, v)
+	}
+	return b
+}
+
+func cat(parts ...[]byte) []byte {
+	var b []byte
+	for _, p := range parts {
+		b = append(b, p...)
+	}
+	return b
+}
+
+// hdr is a message header: kind, presence byte, then seq 8, a 3, b 0.
+func hdr(k Kind, present byte) []byte { return []byte{byte(k), present, 8, 3, 0} }
+
+// TestDecodeMalformed: the table of hostile, truncated and non-canonical
+// inputs the socket path must reject with a descriptive error. An
+// accepted frame has exactly one encoding, so everything the encoder
+// would have spelled differently is refused too.
 func TestDecodeMalformed(t *testing.T) {
 	grant := sampleMsgs()[1].EncodeAppend(nil)
-	pageResp := sampleMsgs()[4].EncodeAppend(nil)
-	diffResp := sampleMsgs()[3].EncodeAppend(nil)
 	secGrant := sampleMsgs()[6].EncodeAppend(nil)
-
-	corrupt := func(b []byte, off int, v uint32) []byte {
+	setBits := func(b []byte, bits byte) []byte {
 		c := append([]byte(nil), b...)
-		binary.LittleEndian.PutUint32(c[off:], v)
+		c[1] |= bits
 		return c
 	}
-	corruptFlags := func(b []byte, bits uint32) []byte {
-		c := append([]byte(nil), b...)
-		binary.LittleEndian.PutUint32(c[20:], binary.LittleEndian.Uint32(c[20:])|bits)
-		return c
+	// One section, mode 0, with the given presence byte and body.
+	section := func(present byte, body ...[]byte) []byte {
+		return cat(hdr(KLockGrant, hasSections), uv(1, 0), []byte{present}, cat(body...))
+	}
+	// One diff record (page 4, proc 1, index 2) with the given body.
+	diff := func(body ...uint64) []byte {
+		return cat(hdr(KDiffResp, hasDiffs), uv(1, 4, 1, 2), uv(body...))
 	}
 
 	cases := []struct {
@@ -74,34 +97,59 @@ func TestDecodeMalformed(t *testing.T) {
 		want string // error substring
 	}{
 		{"empty", nil, "shorter than header"},
-		{"short header", make([]byte, headerBytes-1), "shorter than header"},
-		{"kind zero", make([]byte, headerBytes), "unknown message kind"},
-		{"kind out of range", corrupt(make([]byte, headerBytes+4), 0, 999), "unknown message kind"},
-		{"truncated after header", grant[:headerBytes], "truncated"},
-		{"truncated mid-clock", grant[:headerBytes+6], "truncated"},
-		{"truncated mid-intervals", grant[:len(grant)-7], "truncated"},
+		{"short header", make([]byte, minMsgBytes-1), "shorter than header"},
+		{"kind zero", make([]byte, minMsgBytes), "unknown message kind"},
+		{"kind out of range", []byte{0xe7, 0, 0, 0, 0, 0}, "unknown message kind"},
+		{"truncated after header", grant[:minMsgBytes], "truncated"},
+		{"truncated mid-clock", grant[:minMsgBytes+2], "truncated"},
+		{"truncated mid-intervals", grant[:len(grant)-3], "truncated"},
 		{"trailing garbage", append(append([]byte(nil), grant...), 0xff), "trailing"},
-		// Hostile counts: each claims far more items than the frame holds.
-		{"hostile clock count", corrupt(grant, headerBytes, 1<<30), "implausible clock count"},
-		{"negative clock count", corrupt(grant, headerBytes, 0xffffffff), "implausible clock count"},
-		{"hostile interval count", corrupt(grant, headerBytes+4+4*4, 1<<24), "implausible interval count"},
-		{"hostile data count", corrupt(pageResp[:len(pageResp)-128], len(pageResp)-132, 1<<31-1), "implausible data count"},
-		{"hostile run count", corrupt(diffResp, headerBytes+4+4+12, 1<<26), "implausible run count"},
-		{"negative run offset", corrupt(diffResp, headerBytes+4+4+12+4, 0x80000000), "negative run offset"},
-		{"negative run length", corrupt(diffResp, headerBytes+4+4+12+4+4, 0x80000000), "truncated payload"},
-		// Mode-tagged sections: forged header flags, hostile section
-		// counts, out-of-range mode ids, truncations inside a section.
-		{"unknown flag bits", corruptFlags(grant, 0x10), "unknown header flag bits"},
-		// The sectioned grant carries no top-level VC, so its four empty
-		// flat-section counts put the section count at headerBytes+16.
-		{"hostile section count", corrupt(secGrant, headerBytes+16, 1<<28), "implausible section count"},
-		{"negative section count", corrupt(secGrant, headerBytes+16, 0xffffffff), "implausible section count"},
-		{"hostile section mode", corrupt(secGrant, headerBytes+20, 4096), "implausible section mode"},
-		{"negative section mode", corrupt(secGrant, headerBytes+20, 0x80000000), "implausible section mode"},
-		{"hostile section clock count", corrupt(secGrant, headerBytes+24, 1<<20), "implausible section clock count"},
+		// Hostile counts: each claims far more items than the frame holds,
+		// at the smallest size an item can have.
+		{"hostile clock count", cat(hdr(KLockGrant, hasVC), uv(1<<30)), "implausible clock count"},
+		{"negative clock count", cat(hdr(KLockGrant, hasVC), uv(0xffffffff)), "implausible clock count"},
+		{"over-long clock", cat(hdr(KLockGrant, hasVC), uv(maxClock+1), make([]byte, maxClock+1)), "implausible clock count"},
+		{"hostile interval count", cat(hdr(KLockGrant, hasIntervals), uv(1<<24), make([]byte, 64)), "implausible interval count"},
+		{"interval count one past the bytes", cat(hdr(KLockGrant, hasIntervals), uv(3), make([]byte, 3*minIntervalBytes-1)), "implausible interval count"},
+		{"hostile interval clock count", cat(hdr(KLockGrant, hasIntervals), uv(1, 0, 0, maxClock+1), make([]byte, 128)), "implausible interval clock count"},
+		{"hostile diff count", cat(hdr(KDiffResp, hasDiffs), uv(1<<24), make([]byte, 64)), "implausible diff count"},
+		{"diff count one past the bytes", cat(hdr(KDiffResp, hasDiffs), uv(3), make([]byte, 3*minDiffBytes-1)), "implausible diff count"},
+		{"hostile want count", cat(hdr(KDiffReq, hasWants), uv(1<<24), make([]byte, 64)), "implausible want count"},
+		{"want count one past the bytes", cat(hdr(KDiffReq, hasWants), uv(3), make([]byte, 3*minWantBytes-1)), "implausible want count"},
+		{"hostile data count", cat(hdr(KPageResp, hasData), uv(1<<31-1), make([]byte, 8)), "implausible data count"},
+		{"hostile run count", diff(1 << 26), "implausible run count"},
+		{"run count one past the bytes", cat(diff(3), make([]byte, 3*minRunBytes-1)), "implausible run count"},
+		{"negative run offset", diff(1, 0x80000000, 0), "negative run offset"},
+		{"negative run length", diff(1, 0, 0x80000000), "truncated payload"},
+		// Presence bits: unknown ones, and known ones over nothing.
+		{"unknown flag bits", setBits(grant, 0x40), "unknown presence bits"},
+		{"presence bit over empty intervals", cat(hdr(KLockGrant, hasIntervals), uv(0)), "empty interval block"},
+		{"presence bit over empty diffs", cat(hdr(KDiffResp, hasDiffs), uv(0)), "empty diff block"},
+		{"presence bit over empty wants", cat(hdr(KDiffReq, hasWants), uv(0)), "empty want block"},
+		{"presence bit over empty data", cat(hdr(KPageResp, hasData), uv(0)), "empty data block"},
+		{"presence bit over empty section clock", section(hasVC, uv(0)), "empty section clock"},
+		{"unknown section presence bits", section(hasWants), "unknown section presence bits"},
+		// Varints: one encoding per value, and no value wider than its field.
+		{"non-minimal seq", []byte{byte(KLockReq), 0, 0x88, 0x00, 3, 0}, "non-minimal varint"},
+		{"non-minimal count", cat(hdr(KLockGrant, hasVC), []byte{0x82, 0x00, 1, 1}), "non-minimal varint"},
+		{"a overflows 32 bits", cat([]byte{byte(KLockReq), 0, 8}, uv(1<<32, 0)), "overflows its 32-bit field"},
+		{"clock entry overflows 32 bits", cat(hdr(KLockGrant, hasVC), uv(1, 1<<32)), "overflows its 32-bit field"},
+		{"seq overflows 64 bits", cat([]byte{byte(KLockReq), 0}, bytes.Repeat([]byte{0xff}, 10), []byte{0, 0}), "overflows 64 bits"},
+		{"seq of eleven bytes", cat([]byte{byte(KLockReq), 0}, bytes.Repeat([]byte{0x80}, 10), []byte{1, 0, 0}), "overflows 64 bits"},
+		// Mode-tagged sections: hostile section counts, out-of-range mode
+		// ids, truncations inside a section.
+		{"hostile section count", cat(hdr(KLockGrant, hasSections), uv(1<<28), make([]byte, 16)), "implausible section count"},
+		{"negative section count", cat(hdr(KLockGrant, hasSections), uv(0xffffffff), make([]byte, 16)), "implausible section count"},
+		{"section count one past the bytes", cat(hdr(KLockGrant, hasSections), uv(3), make([]byte, 3*minSectionBytes-1)), "implausible section count"},
+		{"hostile section mode", cat(hdr(KLockGrant, hasSections), uv(1, 4096), []byte{0}), "implausible section mode"},
+		{"negative section mode", cat(hdr(KLockGrant, hasSections), uv(1, 0x80000000), []byte{0}), "implausible section mode"},
+		{"hostile section clock count", section(hasVC, uv(1<<20)), "implausible clock count"},
 		{"truncated mid-section", secGrant[:len(secGrant)-5], "truncated"},
-		{"section flag without payload", corruptFlags(grant[:headerBytes+4+4*4+12], 0x2), "implausible"},
+		{"section flag without payload", hdr(KLockGrant, hasSections), "truncated"},
 		{"trailing bytes after sections", append(append([]byte(nil), secGrant...), 0xcc), "trailing"},
+		// Frame kinds are not messages.
+		{"batch in message position", cat(hdr(KBatch, 0)), "batch frame in message position"},
+		{"compressed frame in message position", cat(hdr(KCompressed, 0)), "compressed frame in message position"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -121,33 +169,33 @@ func TestDecodeMalformed(t *testing.T) {
 // be rejected with a descriptive error, before any allocation sized by
 // the lie.
 func TestDecodeBatchMalformed(t *testing.T) {
+	lockReq := sampleMsgs()[0].EncodeAppend(nil)
+	diffReq := sampleMsgs()[2].EncodeAppend(nil)
 	sane := appendBatch(nil, sampleMsgs()[0], sampleMsgs()[2])
-	nested := appendBatch(nil, sampleMsgs()[0], sampleMsgs()[2])
-	nested = appendBatchRaw(nil, [][]byte{sampleMsgs()[0].EncodeAppend(nil), nested})
+	nested := appendBatchRaw(2, lockReq, sane)
+	// The sane batch after its two header bytes, for splicing lies in.
+	body := sane[2:]
 
-	corrupt := func(b []byte, off int, v uint32) []byte {
-		c := append([]byte(nil), b...)
-		binary.LittleEndian.PutUint32(c[off:], v)
-		return c
-	}
 	cases := []struct {
 		name string
 		in   []byte
 		want string
 	}{
-		{"short header", sane[:headerBytes-1], "shorter than header"},
-		{"not a batch", sampleMsgs()[0].EncodeAppend(nil), "not a batch"},
-		{"count zero", corrupt(sane, 12, 0), "implausible batch count"},
-		{"count one", corrupt(sane, 12, 1), "implausible batch count"},
+		{"short header", sane[:1], "shorter than header"},
+		{"not a batch", lockReq, "not a batch"},
+		{"count zero", cat([]byte{byte(KBatch)}, uv(0), body), "implausible batch count"},
+		{"count one", cat([]byte{byte(KBatch)}, uv(1), body), "implausible batch count"},
 		// The hostile header: 2^30 claimed sub-messages in a tiny frame
 		// must fail the remaining-bytes bound, never size an allocation.
-		{"hostile count", corrupt(sane, 12, 1<<30), "implausible batch count"},
-		{"negative count", corrupt(sane, 12, 0xffffffff), "implausible batch count"},
-		{"nonzero reserved", corrupt(sane, 4, 7), "non-zero reserved"},
+		{"hostile count", cat([]byte{byte(KBatch)}, uv(1<<30), body), "implausible batch count"},
+		{"negative count", cat([]byte{byte(KBatch)}, uv(0xffffffff), body), "implausible batch count"},
+		{"count one past the bytes", cat([]byte{byte(KBatch)}, uv(3), make([]byte, 3*minBatchedBytes-1)), "implausible batch count"},
+		{"non-minimal count", cat([]byte{byte(KBatch), 0x82, 0x00}, body), "non-minimal varint"},
 		{"truncated sub-frame", sane[:len(sane)-3], "implausible batched frame length"},
-		{"sub-frame length overrun", corrupt(sane, headerBytes, 1 << 28), "implausible batched frame length"},
-		{"negative sub-frame length", corrupt(sane, headerBytes, 0xfffffff0), "implausible batched frame length"},
-		{"garbage sub-message", corrupt(sane, headerBytes+4, 999), "batched message 0"},
+		{"sub-frame length overrun", cat(appendBatchRaw(2, lockReq), uv(uint64(len(diffReq))+1), diffReq), "implausible batched frame length"},
+		{"negative sub-frame length", cat([]byte{byte(KBatch)}, uv(2, 0xfffffff0), body), "implausible batched frame length"},
+		{"non-minimal sub-frame length", cat([]byte{byte(KBatch)}, uv(2), []byte{0x80 | byte(len(lockReq)), 0x00}, body[1:]), "implausible batched frame length"},
+		{"garbage sub-message", appendBatchRaw(2, bytes.Repeat([]byte{0xe7}, len(lockReq)), diffReq), "batched message 0"},
 		{"nested batch", nested, "batch frame in message position"},
 		{"trailing bytes", append(append([]byte(nil), sane...), 0xff), "trailing bytes after batch"},
 	}
@@ -168,15 +216,12 @@ func TestDecodeBatchMalformed(t *testing.T) {
 	}
 }
 
-// appendBatchRaw frames pre-encoded payloads as a batch without
-// re-encoding them (for building hostile nested inputs).
-func appendBatchRaw(buf []byte, subs [][]byte) []byte {
-	buf = AppendBatchHeader(buf, len(subs))
+// appendBatchRaw frames pre-encoded payloads as a batch claiming count
+// sub-messages without re-encoding them (for building hostile inputs).
+func appendBatchRaw(count int, subs ...[]byte) []byte {
+	buf := AppendBatchHeader(nil, count)
 	for _, sub := range subs {
-		start := len(buf)
-		buf = append(buf, 0, 0, 0, 0)
-		buf = append(buf, sub...)
-		binary.LittleEndian.PutUint32(buf[start:], uint32(len(sub)))
+		buf = append(binary.AppendUvarint(buf, uint64(len(sub))), sub...)
 	}
 	return buf
 }
@@ -185,16 +230,14 @@ func appendBatchRaw(buf []byte, subs [][]byte) []byte {
 // pages must be rejected by the remaining-bytes bound, not by attempting
 // the allocation (this fails fast under the fuzzer's memory limits too).
 func TestDecodeHostileCountAllocation(t *testing.T) {
-	var b []byte
-	var h [headerBytes]byte
-	binary.LittleEndian.PutUint16(h[0:], uint16(KLockGrant))
-	b = append(b, h[:]...)
-	b = put32(b, 1)           // one interval
-	b = put32(b, 0)           // proc
-	b = put32(b, 0)           // index
-	b = put32(b, 0)           // clock len
-	b = put32(b, 1<<24-1)     // hostile page count
-	b = append(b, 0, 0, 0, 0) // four bytes of "pages"
+	b := cat(hdr(KLockGrant, hasIntervals),
+		uv(1),       // one interval
+		uv(0, 0, 0), // proc, index, clock len
+		uv(1<<24-1), // hostile page count
+		make([]byte, 16))
+	if len(b) > 30 {
+		t.Fatalf("hostile frame is %d bytes, want at most 30", len(b))
+	}
 	_, err := Decode(b)
 	if err == nil || !strings.Contains(err.Error(), "implausible interval page count") {
 		t.Fatalf("err = %v, want implausible interval page count", err)
@@ -226,7 +269,7 @@ func FuzzDecode(f *testing.F) {
 	}
 	// Truncations and corruptions of a rich message as extra seeds.
 	grant := sampleMsgs()[1].EncodeAppend(nil)
-	f.Add(grant[:headerBytes])
+	f.Add(grant[:minMsgBytes])
 	f.Add(grant[:len(grant)/2])
 	f.Add(append(append([]byte(nil), grant...), 0))
 	// Batch frames: a sane two-message batch and damaged variants, so the
@@ -252,6 +295,13 @@ func FuzzDecode(f *testing.F) {
 		f.Add(flipped)
 		PutBuf(z)
 	}
+	// Non-canonical spellings the decoder must refuse: a padded varint,
+	// a presence bit over an empty block, a record whose clock does not
+	// sit under the enclosing one (the zig-zag path).
+	f.Add([]byte{byte(KLockReq), 0, 0x88, 0x00, 3, 0})
+	f.Add(cat(hdr(KLockGrant, hasIntervals), uv(0)))
+	f.Add((&Msg{Kind: KLockGrant, Seq: 14, VC: vc.VC{1, 1},
+		Intervals: []IntervalRec{{Proc: 1, Index: 9, VC: vc.VC{-1, 9}, Pages: []mem.PageID{9, 2}}}}).EncodeAppend(nil))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		if IsCompressed(b) {
 			// Compressed frames expand first (the dispatch loop's routing):
@@ -276,16 +326,7 @@ func FuzzDecode(f *testing.F) {
 			if err != nil {
 				return
 			}
-			rebuild := func(ms []*Msg) []byte {
-				re := AppendBatchHeader(nil, len(ms))
-				for _, m := range ms {
-					start := len(re)
-					re = append(re, 0, 0, 0, 0)
-					re = m.EncodeAppend(re)
-					binary.LittleEndian.PutUint32(re[start:], uint32(len(re)-start-4))
-				}
-				return re
-			}
+			rebuild := func(ms []*Msg) []byte { return appendBatch(nil, ms...) }
 			re := rebuild(msgs)
 			msgs2, err := DecodeBatch(re)
 			if err != nil {

@@ -1,15 +1,57 @@
 // Package wire defines the on-the-wire message format of the live DSM
-// runtime (internal/dsm): a fixed 24-byte header followed by kind-specific
-// payload sections, encoded little-endian with explicit counts, so every
-// byte the runtime sends through simnet is accounted and decodable.
+// runtime (internal/dsm). This comment is the format's specification.
 //
 // The trace-driven simulator sizes messages with the closed-form model in
-// internal/proto; the runtime encodes real messages. The two agree on
-// header, lock, page, barrier and diff payload sizes; runtime interval
-// blocks additionally carry each interval's vector timestamp (4n bytes),
-// which the closed-form model's receiver is assumed to reconstruct — the
-// difference is measured and documented in EXPERIMENTS.md rather than
-// hidden.
+// internal/proto (a fixed 24-byte header, 4-byte fields, 8-byte interval
+// ids). That model is an accounting, not this format: the runtime encodes
+// the same fields compactly and may undercut it, and it ships what the
+// model assumes a receiver reconstructs (each interval's vector
+// timestamp).
+//
+// Every number is an unsigned LEB128 varint ("uv") unless noted. A 32-bit
+// field f travels as uv(uint32(f)), so any int32 round-trips and the
+// small non-negative values the protocol uses cost one byte. A message
+// is, in order:
+//
+//	block       encoding                                   bound enforced by Decode
+//	kind        1 byte                                     known kind; KBatch/KCompressed rejected here
+//	presence    1 byte, bit per block below that follows   unknown bits rejected
+//	seq a b     uv64, uv32, uv32
+//	VC          uv n, n entries uv32(x+1)                  n <= 64; bit set <=> Msg.VC != nil (n = 0 legal)
+//	Intervals   uv n, n records (below)                    1 <= n, 4n <= bytes left
+//	Diffs       uv n, n x (uv32 page, proc, index, body)   1 <= n, 4n <= bytes left
+//	Wants       uv n, n x (uv32 page, proc, index)         1 <= n, 3n <= bytes left
+//	Data        uv n, n bytes                              1 <= n <= bytes left
+//	Sections    uv n, n x (uv mode, presence byte with     2n <= bytes left; mode <= 255; bit set <=>
+//	            the VC/Intervals/Diffs bits, blocks)       Msg.Sections != nil; a section's VC has n >= 1
+//
+//	interval    uv32 proc, uv32 index,                     clock n <= 64
+//	record      uv n, n clock entries,
+//	            uv p, p pages: uv32(page - previous page)  p <= bytes left
+//	diff body   uv r, r x (uv32 off, uv32 len, len bytes)  2r <= bytes left; off < 2^31; len <= bytes left
+//
+// A record's clock entries are delta-coded when the enclosing message or
+// section carries a clock of the same length: entry k is the zig-zag
+// coding of base[k] - x in wrapping 32-bit arithmetic. The sender's clock
+// dominates every interval it ships, so these are one byte each; a record
+// that does not sit under the base still round-trips, at more bytes.
+// Without such a base the entries are absolute, uv32(x+1) like the VC
+// block (clock entries start at -1). Page lists are sorted in practice,
+// so the wrapping difference to the previous page (the first to 0) is
+// small; an unsorted list round-trips as well. The diff body is produced
+// by page.Diff.AppendWireBody.
+//
+// An accepted frame has exactly one encoding: varints must be minimal
+// and fit their field, a presence bit over an empty block is rejected
+// (except the two blocks whose emptiness differs from their absence, VC
+// and Sections), and trailing bytes are an error. Every count is checked
+// against the bytes remaining, at the smallest possible item size, before
+// it sizes an allocation.
+//
+// Frames: a payload is one message, or a batch frame — the KBatch byte,
+// uv count (>= 2), then count sub-frames of uv length + message — or a
+// compressed frame — the KCompressed byte, uv inner length, then a flate
+// stream inflating to exactly that many bytes of message or batch frame.
 package wire
 
 import (
@@ -18,11 +60,13 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
+	"math/bits"
+	"slices"
 	"sync"
 
 	"repro/internal/mem"
 	"repro/internal/page"
-	"repro/internal/proto"
 	"repro/internal/vc"
 )
 
@@ -104,15 +148,15 @@ const (
 	KReclassGo
 
 	// KBatch is a frame-level kind, not a protocol message: one batch
-	// frame carries A count-prefixed sub-messages coalesced by the
-	// sender's outbox for one destination. It appears only at the top of
+	// frame carries a counted run of length-prefixed sub-messages
+	// coalesced by the sender's outbox for one destination. It appears only at the top of
 	// a received payload (DecodeBatch); Decode rejects it in message
 	// position, which also forbids nested batches.
 	KBatch
 	// KCompressed is a frame-level kind wrapping one complete inner frame
-	// (a plain message or a batch) as a flate stream: a standard header
-	// with A = the inner frame's exact byte length, followed by the
-	// compressed bytes. Senders emit it only when the compressed form is
+	// (a plain message or a batch) as a flate stream: the kind byte and
+	// the inner frame's exact byte length, followed by the compressed
+	// bytes. Senders emit it only when the compressed form is
 	// strictly smaller (see Compress); receivers expand it back to the
 	// inner frame before routing (Expand). Nesting is rejected, as is the
 	// kind in message position.
@@ -213,10 +257,6 @@ type Msg struct {
 	Sections  []Section // per-engine payloads on shared sync messages
 }
 
-// header layout: kind(2) reserved(2) seq(8) a(4) b(4) counts(4) = 24 bytes
-// where counts packs presence bits; section counts are encoded inline.
-const headerBytes = proto.MsgHeaderBytes
-
 // maxPooledBuf caps the capacity of buffers the pool retains: a frame
 // that grew to carry an unusually large batch of page-sized diffs must
 // not pin that memory for the process lifetime.
@@ -259,195 +299,410 @@ func PutBuf(b []byte) {
 	}
 }
 
+// Presence bits: one per optional block, in wire order. A message uses
+// all six; a section's presence byte only the VC, Intervals and Diffs
+// bits. Anything else set is a decode error: an accepted frame must have
+// exactly one encoding, and unknown bits would otherwise be silently
+// dropped on the re-encode.
+const (
+	hasVC = 1 << iota
+	hasIntervals
+	hasDiffs
+	hasWants
+	hasData
+	hasSections
+
+	msgPresence     = hasSections<<1 - 1
+	sectionPresence = hasVC | hasIntervals | hasDiffs
+)
+
+// The kind travels as one byte.
+const _ = byte(kindLimit)
+
+// Smallest encodings, the item sizes hostile counts are checked against.
+const (
+	minMsgBytes      = 5 // kind, presence, seq, a, b
+	minIntervalBytes = 4 // proc, index, clock count, page count
+	minDiffBytes     = 4 // page, proc, index, run count
+	minRunBytes      = 2 // offset, length
+	minWantBytes     = 3 // page, proc, index
+	minSectionBytes  = 2 // mode, presence
+	// minBatchedBytes is a sub-frame: its length prefix and a message.
+	minBatchedBytes = 1 + minMsgBytes
+	// maxClock bounds a clock's entry count (Config.Procs is capped at 64).
+	maxClock = 64
+)
+
 // EncodeAppend appends the message's encoding to buf and returns the
 // extended slice — the append-style encoder of the hot send path: with a
 // pooled buffer (GetBuf) the steady state is zero-alloc, and several
-// messages append into one buffer to form a batch frame. (The former
-// Msg.Encode, which allocated a fresh uniquely-owned slice per message
-// even for tiny acks, is retired in its favor.)
+// messages append into one buffer to form a batch frame.
 func (m *Msg) EncodeAppend(buf []byte) []byte {
-	if need := m.encodedSizeHint(); cap(buf)-len(buf) < need {
-		grown := make([]byte, len(buf), len(buf)+need)
-		copy(grown, buf)
-		buf = grown
-	}
-	var h [headerBytes]byte
-	binary.LittleEndian.PutUint16(h[0:], uint16(m.Kind))
-	binary.LittleEndian.PutUint64(h[4:], m.Seq)
-	binary.LittleEndian.PutUint32(h[12:], uint32(m.A))
-	binary.LittleEndian.PutUint32(h[16:], uint32(m.B))
-	flags := uint32(0)
-	if m.VC != nil {
-		flags |= flagVC
-	}
-	if m.Sections != nil {
-		flags |= flagSections
-	}
-	binary.LittleEndian.PutUint32(h[20:], flags)
-	buf = append(buf, h[:]...)
-
-	if m.VC != nil {
-		buf = put32(buf, int32(len(m.VC)))
-		for _, x := range m.VC {
-			buf = put32(buf, x)
-		}
-	}
-	buf = appendIntervalList(buf, m.Intervals)
-	buf = appendDiffList(buf, m.Diffs)
-	buf = put32(buf, int32(len(m.Wants)))
-	for _, w := range m.Wants {
-		buf = put32(buf, int32(w.Page))
-		buf = put32(buf, int32(w.Proc))
-		buf = put32(buf, w.Index)
-	}
-	buf = put32(buf, int32(len(m.Data)))
-	buf = append(buf, m.Data...)
-	if m.Sections != nil {
-		buf = put32(buf, int32(len(m.Sections)))
-		for _, s := range m.Sections {
-			buf = put32(buf, int32(s.Mode))
-			buf = put32(buf, int32(len(s.VC)))
-			for _, x := range s.VC {
-				buf = put32(buf, x)
-			}
-			buf = appendIntervalList(buf, s.Intervals)
-			buf = appendDiffList(buf, s.Diffs)
-		}
-	}
-	return buf
+	// slices.Grow rounds a new buffer up to its allocation size class, so
+	// a recycled buffer also fits the next frame of about this size.
+	return m.appendTo(slices.Grow(buf, m.growHint()))
 }
 
-// Header flag bits. Anything else set is a decode error: an accepted
-// frame must have exactly one encoding, and unknown bits would otherwise
-// be silently dropped on the re-encode.
-const (
-	flagVC       = 1 << 0 // the top-level VC section is present
-	flagSections = 1 << 1 // the mode-tagged Sections block is present
-)
-
-// appendIntervalList encodes a count-prefixed interval block (shared by
-// the flat message body and each mode-tagged section).
-func appendIntervalList(buf []byte, ivs []IntervalRec) []byte {
-	buf = put32(buf, int32(len(ivs)))
-	for _, iv := range ivs {
-		buf = put32(buf, int32(iv.Proc))
-		buf = put32(buf, iv.Index)
-		buf = put32(buf, int32(len(iv.VC)))
-		for _, x := range iv.VC {
-			buf = put32(buf, x)
-		}
-		buf = put32(buf, int32(len(iv.Pages)))
-		for _, p := range iv.Pages {
-			buf = put32(buf, int32(p))
-		}
+// growHint estimates the encoding's length without walking clocks and
+// page lists: exact for the bulk (page data, diff bodies), a per-record
+// guess for the rest. One growth up front then covers a large frame;
+// append absorbs a short guess.
+func (m *Msg) growHint() int {
+	n := 32 + len(m.Data) + payloadHint(m.Intervals, m.Diffs)
+	for i := range m.Sections {
+		n += 16 + payloadHint(m.Sections[i].Intervals, m.Sections[i].Diffs)
 	}
-	return buf
+	return n
 }
 
-// appendDiffList encodes a count-prefixed diff block (shared by the flat
-// message body and each mode-tagged section).
-func appendDiffList(buf []byte, diffs []DiffRec) []byte {
-	buf = put32(buf, int32(len(diffs)))
+func payloadHint(ivs []IntervalRec, diffs []DiffRec) int {
+	n := 16 * len(ivs)
 	for _, d := range diffs {
-		buf = put32(buf, int32(d.Page))
-		buf = put32(buf, int32(d.Proc))
-		buf = put32(buf, d.Index)
-		// A diff served before carries its wire body pre-encoded (run
-		// count + run headers + payloads, byte-identical to the loop
-		// below); append it verbatim instead of re-walking the runs. The
-		// engine decides which diffs are worth caching via EnsureWireBody;
-		// one-shot encodes take the direct path with no caching side
-		// effect.
-		if body := d.Diff.WireBody(); body != nil {
-			buf = append(buf, body...)
-			continue
+		n += 8 + d.Diff.WireBodySize()
+	}
+	return n
+}
+
+// AppendBatched appends m as one sub-frame of a batch frame — its encoded
+// length, then the encoding — and returns that length with the buffer.
+func AppendBatched(buf []byte, m *Msg) (out []byte, size int) {
+	// One byte holds the length of most messages; a longer one has its
+	// encoding shifted up to make room once the length is known.
+	start := len(buf)
+	buf = m.EncodeAppend(append(buf, 0))
+	size = len(buf) - start - 1
+	if wider := lenLen(size) - 1; wider > 0 {
+		buf = append(buf, make([]byte, wider)...)
+		copy(buf[start+1+wider:], buf[start+1:start+1+size])
+	}
+	binary.PutUvarint(buf[start:], uint64(size))
+	return buf, size
+}
+
+func (m *Msg) appendTo(buf []byte) []byte {
+	present := payloadBits(m.VC != nil, m.Intervals, m.Diffs)
+	if len(m.Wants) > 0 {
+		present |= hasWants
+	}
+	if len(m.Data) > 0 {
+		present |= hasData
+	}
+	if m.Sections != nil {
+		present |= hasSections
+	}
+	buf = append(buf, byte(m.Kind), present)
+	buf = binary.AppendUvarint(buf, m.Seq)
+	buf = put32(buf, m.A)
+	buf = put32(buf, m.B)
+	buf = appendPayload(buf, present, m.VC, m.Intervals, m.Diffs)
+	if present&hasWants != 0 {
+		buf = putLen(buf, len(m.Wants))
+		for _, w := range m.Wants {
+			buf = put32(buf, int32(w.Page))
+			buf = put32(buf, int32(w.Proc))
+			buf = put32(buf, w.Index)
 		}
-		runs := d.Diff.Runs()
-		buf = put32(buf, int32(len(runs)))
-		for i, r := range runs {
-			buf = put32(buf, r.Off)
-			buf = put32(buf, r.Len)
-			buf = append(buf, d.Diff.RunData(i)...)
+	}
+	if present&hasData != 0 {
+		buf = putLen(buf, len(m.Data))
+		buf = append(buf, m.Data...)
+	}
+	if present&hasSections != 0 {
+		buf = putLen(buf, len(m.Sections))
+		for i := range m.Sections {
+			s := &m.Sections[i]
+			sp := payloadBits(len(s.VC) > 0, s.Intervals, s.Diffs)
+			buf = append(putLen(buf, int(s.Mode)), sp)
+			buf = appendPayload(buf, sp, s.VC, s.Intervals, s.Diffs)
 		}
 	}
 	return buf
 }
 
-func (m *Msg) encodedSizeHint() int {
-	n := headerBytes + 64
-	for _, d := range m.Diffs {
-		n += d.Diff.WireSize()
+// payloadBits returns the presence bits of the consistency payload a
+// message body and a section share.
+func payloadBits(clock bool, ivs []IntervalRec, diffs []DiffRec) byte {
+	var present byte
+	if clock {
+		present |= hasVC
 	}
-	n += len(m.Data)
-	n += len(m.Intervals) * 64
-	for _, s := range m.Sections {
-		n += 16 + 4*len(s.VC) + len(s.Intervals)*64
-		for _, d := range s.Diffs {
-			n += d.Diff.WireSize()
+	if len(ivs) > 0 {
+		present |= hasIntervals
+	}
+	if len(diffs) > 0 {
+		present |= hasDiffs
+	}
+	return present
+}
+
+// appendPayload encodes the blocks payloadBits announced.
+func appendPayload(buf []byte, present byte, clock vc.VC, ivs []IntervalRec, diffs []DiffRec) []byte {
+	if present&hasVC != 0 {
+		buf = putLen(buf, len(clock))
+		for _, x := range clock {
+			buf = put32(buf, x+1)
+		}
+	}
+	if present&hasIntervals != 0 {
+		buf = putLen(buf, len(ivs))
+		for i := range ivs {
+			buf = appendInterval(buf, &ivs[i], clock)
+		}
+	}
+	if present&hasDiffs != 0 {
+		buf = putLen(buf, len(diffs))
+		for _, d := range diffs {
+			buf = put32(buf, int32(d.Page))
+			buf = put32(buf, int32(d.Proc))
+			buf = put32(buf, d.Index)
+			buf = d.Diff.AppendWireBody(buf)
+		}
+	}
+	return buf
+}
+
+// appendInterval encodes one interval record; base is the enclosing
+// message or section clock its entries are delta-coded against.
+func appendInterval(buf []byte, iv *IntervalRec, base vc.VC) []byte {
+	buf = put32(buf, int32(iv.Proc))
+	buf = put32(buf, iv.Index)
+	buf = putLen(buf, len(iv.VC))
+	if len(base) == len(iv.VC) {
+		for k, x := range iv.VC {
+			buf = put32(buf, zigzag(base[k]-x))
+		}
+	} else {
+		for _, x := range iv.VC {
+			buf = put32(buf, x+1)
+		}
+	}
+	buf = putLen(buf, len(iv.Pages))
+	prev := mem.PageID(0)
+	for _, p := range iv.Pages {
+		buf = put32(buf, int32(p-prev))
+		prev = p
+	}
+	return buf
+}
+
+// zigzag folds a signed delta so small magnitudes of either sign encode
+// short; unzigzag inverts it. Both are bijections on 32-bit values.
+func zigzag(d int32) int32   { return d<<1 ^ d>>31 }
+func unzigzag(u int32) int32 { return int32(uint32(u)>>1) ^ -(u & 1) }
+
+// put32 appends a 32-bit field as uv(uint32(v)).
+func put32(b []byte, v int32) []byte {
+	if uint32(v) < 0x80 {
+		return append(b, byte(v))
+	}
+	return binary.AppendUvarint(b, uint64(uint32(v)))
+}
+
+func putLen(b []byte, n int) []byte { return binary.AppendUvarint(b, uint64(n)) }
+
+// SizeHint returns the exact length of the message's encoding, from the
+// same per-block arithmetic as the encoder, for byte-thresholded flush
+// policies. It walks every clock and page list; the encoder itself grows
+// its buffer by the cheaper growHint.
+func (m *Msg) SizeHint() int {
+	n := 2 + uvLen(m.Seq) + len32(m.A) + len32(m.B)
+	n += payloadSize(m.VC != nil, m.VC, m.Intervals, m.Diffs)
+	if len(m.Wants) > 0 {
+		n += lenLen(len(m.Wants))
+		for _, w := range m.Wants {
+			n += len32(int32(w.Page)) + len32(int32(w.Proc)) + len32(w.Index)
+		}
+	}
+	if len(m.Data) > 0 {
+		n += lenLen(len(m.Data)) + len(m.Data)
+	}
+	if m.Sections != nil {
+		n += lenLen(len(m.Sections))
+		for i := range m.Sections {
+			s := &m.Sections[i]
+			n += lenLen(int(s.Mode)) + 1 + payloadSize(len(s.VC) > 0, s.VC, s.Intervals, s.Diffs)
 		}
 	}
 	return n
 }
 
-// SizeHint is a cheap upper-bound estimate of the message's encoded
-// size, for byte-thresholded flush policies. It over-counts small
-// messages slightly (fixed slack instead of exact section sums) but
-// tracks the dominant payload terms — diffs, page data, intervals.
-func (m *Msg) SizeHint() int { return m.encodedSizeHint() }
-
-func put32(b []byte, v int32) []byte {
-	var t [4]byte
-	binary.LittleEndian.PutUint32(t[:], uint32(v))
-	return append(b, t[:]...)
+// payloadSize is appendPayload's size.
+func payloadSize(hasClock bool, clock vc.VC, ivs []IntervalRec, diffs []DiffRec) int {
+	n := 0
+	if hasClock {
+		n += lenLen(len(clock))
+		for _, x := range clock {
+			n += len32(x + 1)
+		}
+	}
+	if len(ivs) > 0 {
+		n += lenLen(len(ivs))
+		for i := range ivs {
+			iv := &ivs[i]
+			n += len32(int32(iv.Proc)) + len32(iv.Index) + lenLen(len(iv.VC)) + lenLen(len(iv.Pages))
+			if len(clock) == len(iv.VC) {
+				for k, x := range iv.VC {
+					n += len32(zigzag(clock[k] - x))
+				}
+			} else {
+				for _, x := range iv.VC {
+					n += len32(x + 1)
+				}
+			}
+			prev := mem.PageID(0)
+			for _, p := range iv.Pages {
+				n += len32(int32(p - prev))
+				prev = p
+			}
+		}
+	}
+	if len(diffs) > 0 {
+		n += lenLen(len(diffs))
+		for _, d := range diffs {
+			n += len32(int32(d.Page)) + len32(int32(d.Proc)) + len32(d.Index) + d.Diff.WireBodySize()
+		}
+	}
+	return n
 }
 
-// decoder walks an encoded buffer with bounds checking.
+// uvLen returns the length of x's unsigned varint encoding.
+func uvLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+func len32(v int32) int  { return uvLen(uint64(uint32(v))) }
+func lenLen(n int) int   { return uvLen(uint64(n)) }
+
+// decoder walks an encoded buffer with bounds checking. The first error
+// sticks and moves off to the end of the buffer, so every later read
+// fails its bounds check and returns zero.
 type decoder struct {
 	b   []byte
 	off int
 	err error
 }
 
-func (d *decoder) i32() int32 {
-	if d.err != nil {
-		return 0
+func (d *decoder) fail(format string, args ...any) {
+	if d.err == nil {
+		d.err = fmt.Errorf("wire: "+format, args...)
+		d.off = len(d.b)
 	}
-	if d.off+4 > len(d.b) {
-		d.err = fmt.Errorf("wire: truncated at offset %d", d.off)
-		return 0
-	}
-	v := int32(binary.LittleEndian.Uint32(d.b[d.off:]))
-	d.off += 4
-	return v
 }
 
-func (d *decoder) count(what string, limit int32) int32 {
-	n := d.i32()
+// uvarint reads one unsigned varint, rejecting encodings longer than
+// the value needs (an accepted frame has exactly one encoding) or wider
+// than 64 bits. The one-byte case is handled here, the rest in
+// uvarintSlow.
+func (d *decoder) uvarint() uint64 {
+	if d.off < len(d.b) {
+		if c := d.b[d.off]; c < 0x80 {
+			d.off++
+			return uint64(c)
+		}
+	}
+	return d.uvarintSlow()
+}
+
+func (d *decoder) uvarintSlow() uint64 {
 	if d.err != nil {
 		return 0
 	}
-	if n < 0 || n > limit {
+	var x uint64
+	for i := 0; i < binary.MaxVarintLen64; i++ {
+		if d.off+i >= len(d.b) {
+			d.fail("truncated at offset %d", len(d.b))
+			return 0
+		}
+		c := d.b[d.off+i]
+		if c < 0x80 {
+			if c == 0 {
+				d.fail("non-minimal varint at offset %d", d.off)
+				return 0
+			}
+			if i == binary.MaxVarintLen64-1 && c > 1 {
+				break
+			}
+			d.off += i + 1
+			return x | uint64(c)<<(7*i)
+		}
+		x |= uint64(c&0x7f) << (7 * i)
+	}
+	d.fail("varint overflows 64 bits at offset %d", d.off)
+	return 0
+}
+
+// u32 reads a varint that must fit a 32-bit field.
+func (d *decoder) u32() uint32 {
+	if d.off < len(d.b) {
+		if c := d.b[d.off]; c < 0x80 {
+			d.off++
+			return uint32(c)
+		}
+	}
+	return d.u32Slow()
+}
+
+func (d *decoder) u32Slow() uint32 {
+	x := d.uvarintSlow()
+	if x > math.MaxUint32 {
+		d.fail("varint %d overflows its 32-bit field", x)
+		return 0
+	}
+	return uint32(x)
+}
+
+func (d *decoder) i32() int32 { return int32(d.u32()) }
+
+// skip advances past n varints without interpreting them (the sizing
+// passes below; the decoding pass that follows validates each one).
+func (d *decoder) skip(n int) {
+	if d.err != nil {
+		return
+	}
+	for ; n > 0; n-- {
+		for {
+			if d.off >= len(d.b) {
+				d.fail("truncated at offset %d", d.off)
+				return
+			}
+			d.off++
+			if d.b[d.off-1] < 0x80 {
+				break
+			}
+		}
+	}
+}
+
+// count reads a small number — a clock's entry count, a section's mode —
+// bounded by limit.
+func (d *decoder) count(what string, limit int) int {
+	n := d.uvarint()
+	if n > uint64(limit) {
 		// Return 0, not n: callers size allocations by this value, and a
 		// hostile count must never reach a make().
-		d.err = fmt.Errorf("wire: implausible %s count %d", what, n)
+		d.fail("implausible %s %d", what, n)
 		return 0
 	}
-	return n
+	return int(n)
 }
 
-// countItems reads a section count and rejects any value whose items
-// could not possibly fit in the remaining bytes. Once frames arrive from
-// a real socket this is the allocation bound: a 30-byte hostile message
-// must not be able to claim 2^24 entries and make the decoder allocate
-// gigabytes before the truncation is noticed.
-func (d *decoder) countItems(what string, itemBytes int) int32 {
-	n := d.i32()
-	if d.err != nil {
+// countItems reads a count and rejects any value whose items could not
+// possibly fit in the remaining bytes. This is the allocation bound: a
+// 30-byte hostile message must not be able to claim 2^24 entries and
+// make the decoder allocate gigabytes before the truncation is noticed.
+func (d *decoder) countItems(what string, itemBytes int) int {
+	n := d.uvarint()
+	if n > uint64(len(d.b)-d.off)/uint64(itemBytes) {
+		d.fail("implausible %s count %d for %d remaining bytes", what, n, len(d.b)-d.off)
 		return 0
 	}
-	if n < 0 || int64(n)*int64(itemBytes) > int64(len(d.b)-d.off) {
-		d.err = fmt.Errorf("wire: implausible %s count %d for %d remaining bytes", what, n, len(d.b)-d.off)
-		return 0
+	return int(n)
+}
+
+// blockCount is countItems for a block whose presence bit was set: the
+// encoder never announces an empty block, so zero is a second encoding
+// of the block's absence and is rejected.
+func (d *decoder) blockCount(what string, itemBytes int) int {
+	n := d.countItems(what, itemBytes)
+	if n == 0 && d.err == nil {
+		d.fail("presence bit over an empty %s block", what)
 	}
 	return n
 }
@@ -456,8 +711,8 @@ func (d *decoder) bytes(n int) []byte {
 	if d.err != nil {
 		return nil
 	}
-	if n < 0 || d.off+n > len(d.b) {
-		d.err = fmt.Errorf("wire: truncated payload at offset %d (want %d bytes)", d.off, n)
+	if n < 0 || n > len(d.b)-d.off {
+		d.fail("truncated payload at offset %d (want %d bytes)", d.off, n)
 		return nil
 	}
 	out := d.b[d.off : d.off+n]
@@ -467,15 +722,10 @@ func (d *decoder) bytes(n int) []byte {
 
 // Decode parses an encoded message.
 func Decode(b []byte) (*Msg, error) {
-	if len(b) < headerBytes {
+	if len(b) < minMsgBytes {
 		return nil, fmt.Errorf("wire: message of %d bytes shorter than header", len(b))
 	}
-	m := &Msg{
-		Kind: Kind(binary.LittleEndian.Uint16(b[0:])),
-		Seq:  binary.LittleEndian.Uint64(b[4:]),
-		A:    int32(binary.LittleEndian.Uint32(b[12:])),
-		B:    int32(binary.LittleEndian.Uint32(b[16:])),
-	}
+	m := &Msg{Kind: Kind(b[0])}
 	if m.Kind == 0 || m.Kind >= kindLimit {
 		return nil, fmt.Errorf("wire: unknown message kind %d", m.Kind)
 	}
@@ -490,72 +740,47 @@ func Decode(b []byte) (*Msg, error) {
 		// Expand itself rejects a nested compressed frame.
 		return nil, fmt.Errorf("wire: compressed frame in message position")
 	}
-	flags := binary.LittleEndian.Uint32(b[20:])
-	if flags&^uint32(flagVC|flagSections) != 0 {
-		// Unknown flag bits would be silently dropped on re-encode; an
-		// accepted frame must have exactly one encoding.
-		return nil, fmt.Errorf("wire: unknown header flag bits %#x", flags)
+	present := b[1]
+	if present&^msgPresence != 0 {
+		return nil, fmt.Errorf("wire: unknown presence bits %#x", present)
 	}
-	d := &decoder{b: b, off: headerBytes}
-	if flags&flagVC != 0 {
-		n := d.count("clock", 64)
-		m.VC = make(vc.VC, n)
-		for i := range m.VC {
-			m.VC[i] = d.i32()
-		}
-	}
-	// Section counts are bounded by the bytes actually present (each
-	// interval is at least 16 bytes on the wire, each run 8, and so on),
-	// so hostile counts fail before any allocation sized by them.
-	m.Intervals = d.intervalList()
-	m.Diffs = d.diffList()
-	if d.err != nil {
-		return nil, d.err
-	}
-	nwants := d.countItems("want", 12)
-	for i := int32(0); i < nwants && d.err == nil; i++ {
-		m.Wants = append(m.Wants, Want{
-			Page:  mem.PageID(d.i32()),
-			Proc:  mem.ProcID(d.i32()),
-			Index: d.i32(),
-		})
-	}
-	ndata := d.countItems("data", 1)
-	if ndata > 0 {
-		payload := d.bytes(int(ndata))
-		if d.err == nil {
-			m.Data = make([]byte, ndata)
-			copy(m.Data, payload)
-		}
-	}
-	if flags&flagSections != 0 {
-		nsecs := d.countItems("section", 16)
-		if d.err == nil {
-			m.Sections = make([]Section, 0, nsecs)
-		}
-		for i := int32(0); i < nsecs && d.err == nil; i++ {
-			var s Section
-			mode := d.i32()
-			if d.err == nil && (mode < 0 || mode > 255) {
-				// Engine mode ids are tiny; anything bigger is a forgery or
-				// corruption. Semantically-unknown small ids decode fine and
-				// are rejected at the dsm layer (recorded-error-then-drop).
-				d.err = fmt.Errorf("wire: implausible section mode %d", mode)
-				break
+	d := &decoder{b: b, off: 2}
+	m.Seq = d.uvarint()
+	m.A = d.i32()
+	m.B = d.i32()
+	m.VC, m.Intervals, m.Diffs = d.payload(present, true)
+	if present&hasWants != 0 {
+		if n := d.blockCount("want", minWantBytes); n > 0 {
+			m.Wants = make([]Want, n)
+			for i := range m.Wants {
+				m.Wants[i] = Want{Page: mem.PageID(d.i32()), Proc: mem.ProcID(d.i32()), Index: d.i32()}
 			}
-			s.Mode = uint16(mode)
-			if vn := d.count("section clock", 64); vn > 0 {
-				s.VC = make(vc.VC, vn)
-				for k := range s.VC {
-					s.VC[k] = d.i32()
-				}
-			}
-			s.Intervals = d.intervalList()
-			s.Diffs = d.diffList()
+		}
+	}
+	if present&hasData != 0 {
+		if payload := d.bytes(d.blockCount("data", 1)); len(payload) > 0 {
+			data := make([]byte, len(payload))
+			copy(data, payload)
+			m.Data = data
+		}
+	}
+	if present&hasSections != 0 {
+		m.Sections = make([]Section, d.countItems("section", minSectionBytes))
+		for i := range m.Sections {
+			s := &m.Sections[i]
+			// Engine mode ids are tiny; anything bigger is a forgery or
+			// corruption. Semantically-unknown small ids decode fine and
+			// are rejected at the dsm layer (recorded-error-then-drop).
+			s.Mode = uint16(d.count("section mode", 255))
+			sp := d.bytes(1)
 			if d.err != nil {
 				break
 			}
-			m.Sections = append(m.Sections, s)
+			if sp[0]&^sectionPresence != 0 {
+				d.fail("unknown section presence bits %#x", sp[0])
+				break
+			}
+			s.VC, s.Intervals, s.Diffs = d.payload(sp[0], false)
 		}
 	}
 	if d.err != nil {
@@ -567,25 +792,51 @@ func Decode(b []byte) (*Msg, error) {
 	return m, nil
 }
 
-// intervalList decodes a count-prefixed interval block (the inverse of
-// appendIntervalList). A sizing pass walks the block first — every count
-// checked against the bytes actually present, as before — so the
-// records, their clocks and their page lists are three exact
-// allocations per block, whatever the record count; each record's VC
-// and Pages are capacity-limited windows of the shared slabs.
-func (d *decoder) intervalList() []IntervalRec {
-	nivs := int(d.countItems("interval", 16))
+// payload decodes the consistency blocks present announces (the inverse of
+// appendPayload). emptyClock says whether a present clock may have no
+// entries: a message's may (the bit tells an empty VC from a nil one), a
+// section's may not.
+func (d *decoder) payload(present byte, emptyClock bool) (clock vc.VC, ivs []IntervalRec, diffs []DiffRec) {
+	if present&hasVC != 0 {
+		n := d.count("clock count", maxClock)
+		if n == 0 && !emptyClock {
+			d.fail("presence bit over an empty section clock")
+		}
+		if d.err == nil {
+			clock = make(vc.VC, n)
+			for i := range clock {
+				clock[i] = d.i32() - 1
+			}
+		}
+	}
+	if present&hasIntervals != 0 {
+		ivs = d.intervalList(clock)
+	}
+	if present&hasDiffs != 0 {
+		diffs = d.diffList()
+	}
+	return clock, ivs, diffs
+}
+
+// intervalList decodes an interval block (the inverse of appendInterval
+// per record). A sizing pass walks the block first — every count checked
+// against the bytes actually present — so the records, their clocks and
+// their page lists are three exact allocations per block, whatever the
+// record count; each record's VC and Pages are capacity-limited windows
+// of the shared slabs.
+func (d *decoder) intervalList(base vc.VC) []IntervalRec {
+	nivs := d.blockCount("interval", minIntervalBytes)
 	start := d.off
 	nclock, npage := 0, 0
 	for i := 0; i < nivs && d.err == nil; i++ {
-		d.bytes(8) // proc, index: skipped, bounds-checked
-		vn := int(d.count("interval clock", 64))
-		d.bytes(4 * vn)
-		pn := int(d.countItems("interval page", 4))
-		d.bytes(4 * pn)
+		d.skip(2) // proc, index
+		vn := d.count("interval clock count", maxClock)
+		d.skip(vn)
+		pn := d.countItems("interval page", 1)
+		d.skip(pn)
 		nclock, npage = nclock+vn, npage+pn
 	}
-	if nivs == 0 || d.err != nil {
+	if d.err != nil {
 		return nil
 	}
 	d.off = start
@@ -596,59 +847,100 @@ func (d *decoder) intervalList() []IntervalRec {
 		iv := &out[i]
 		iv.Proc = mem.ProcID(d.i32())
 		iv.Index = d.i32()
-		vn := int(d.i32())
+		vn := int(d.u32())
+		if d.err != nil {
+			return nil
+		}
 		iv.VC, clocks = clocks[:vn:vn], clocks[vn:]
-		for k := range iv.VC {
-			iv.VC[k] = d.i32()
+		if len(base) == vn {
+			for k := range iv.VC {
+				iv.VC[k] = base[k] - unzigzag(d.i32())
+			}
+		} else {
+			for k := range iv.VC {
+				iv.VC[k] = d.i32() - 1
+			}
 		}
-		pn := int(d.i32())
+		pn := int(d.u32())
+		if d.err != nil {
+			return nil
+		}
 		iv.Pages, pages = pages[:pn:pn], pages[pn:]
+		prev := mem.PageID(0)
 		for k := range iv.Pages {
-			iv.Pages[k] = mem.PageID(d.i32())
+			prev += mem.PageID(d.i32())
+			iv.Pages[k] = prev
 		}
+	}
+	if d.err != nil {
+		return nil
 	}
 	return out
 }
 
-// diffList decodes a count-prefixed diff block (the inverse of
-// appendDiffList).
+// diffList decodes a diff block. Like intervalList it sizes the block
+// first, then decodes into one run slab, one payload-slice slab and one
+// byte slab per block: each diff's runs and each run's bytes are
+// capacity-limited windows of them. A block holding a single run — a
+// whole-page rewrite, typically — copies it on its own instead: an exact
+// allocation the runtime need not zero before the copy.
 func (d *decoder) diffList() []DiffRec {
-	ndiffs := d.countItems("diff", 16)
-	var out []DiffRec
-	for i := int32(0); i < ndiffs && d.err == nil; i++ {
-		var rec DiffRec
+	ndiffs := d.blockCount("diff", minDiffBytes)
+	start := d.off
+	nruns, nbytes := 0, 0
+	for i := 0; i < ndiffs && d.err == nil; i++ {
+		d.skip(3) // page, proc, index
+		rn := d.countItems("run", minRunBytes)
+		for k := 0; k < rn && d.err == nil; k++ {
+			if off := d.u32(); off > math.MaxInt32 {
+				// A negative offset would index backwards when the diff is
+				// applied; nothing legitimate encodes one.
+				d.fail("negative run offset %d", int32(off))
+			}
+			nbytes += len(d.bytes(int(d.u32())))
+		}
+		nruns += rn
+	}
+	if d.err != nil {
+		return nil
+	}
+	d.off = start
+	out := make([]DiffRec, ndiffs)
+	runs := make([]page.Run, nruns)
+	data := make([][]byte, nruns)
+	var slab []byte
+	if nruns > 1 {
+		slab = make([]byte, nbytes)
+	}
+	for i := range out {
+		rec := &out[i]
 		rec.Page = mem.PageID(d.i32())
 		rec.Proc = mem.ProcID(d.i32())
 		rec.Index = d.i32()
-		nruns := d.countItems("run", 8)
-		runs := make([]page.Run, 0, nruns)
-		data := make([][]byte, 0, nruns)
-		for k := int32(0); k < nruns && d.err == nil; k++ {
-			off := d.i32()
-			length := d.i32()
-			if d.err == nil && off < 0 {
-				// A negative offset would index backwards when the diff is
-				// applied; nothing legitimate encodes one.
-				d.err = fmt.Errorf("wire: negative run offset %d", off)
+		rn := int(d.u32())
+		for k := 0; k < rn; k++ {
+			runs[k].Off = d.i32()
+			payload := d.bytes(int(d.u32()))
+			runs[k].Len = int32(len(payload))
+			if nruns == 1 {
+				only := make([]byte, len(payload))
+				copy(only, payload)
+				data[k] = only
+				continue
 			}
-			payload := d.bytes(int(length))
-			if d.err != nil {
-				break
-			}
-			cp := make([]byte, length)
-			copy(cp, payload)
-			runs = append(runs, page.Run{Off: off, Len: length})
-			data = append(data, cp)
+			data[k] = slab[:len(payload):len(payload)]
+			slab = slab[copy(data[k], payload):]
 		}
-		if d.err == nil {
-			df, err := page.DiffFromRuns(runs, data)
-			if err != nil {
-				d.err = fmt.Errorf("wire: %v", err)
-				break
-			}
-			rec.Diff = df
-			out = append(out, rec)
+		df, err := page.DiffFromRuns(runs[:rn:rn], data[:rn:rn])
+		if err != nil {
+			d.fail("%v", err)
+			return nil
 		}
+		rec.Diff = df
+		runs, data = runs[rn:], data[rn:]
+	}
+	if d.err != nil {
+		return nil
 	}
 	return out
 }
@@ -656,29 +948,19 @@ func (d *decoder) diffList() []DiffRec {
 // --- batch frames ---
 //
 // A batch frame coalesces several messages for one destination into one
-// physical frame: a standard 24-byte header with Kind KBatch and A = the
-// sub-message count, followed by exactly A sub-frames, each a u32 length
-// prefix and one encoded message. The sender's outbox builds batches
-// append-style into one pooled buffer; the receiver's dispatch loop
-// unpacks them with DecodeBatch before routing each sub-message.
-
-// minBatchedBytes is the smallest possible sub-frame: the length prefix
-// plus an encoded message with four empty section counts. It bounds the
-// batch count a hostile header can claim, countItems-style.
-const minBatchedBytes = 4 + headerBytes + 16
+// physical frame: the KBatch byte and the sub-message count, followed by
+// exactly that many sub-frames, each a varint length and one encoded
+// message (AppendBatched). The sender's outbox builds batches append-style
+// into one pooled buffer; the receiver's dispatch loop unpacks them with
+// DecodeBatch before routing each sub-message.
 
 // AppendBatchHeader appends a batch frame header for count sub-messages.
 func AppendBatchHeader(buf []byte, count int) []byte {
-	var h [headerBytes]byte
-	binary.LittleEndian.PutUint16(h[0:], uint16(KBatch))
-	binary.LittleEndian.PutUint32(h[12:], uint32(count))
-	return append(buf, h[:]...)
+	return putLen(append(buf, byte(KBatch)), count)
 }
 
 // IsBatch reports whether the payload is a batch frame.
-func IsBatch(b []byte) bool {
-	return len(b) >= 2 && Kind(binary.LittleEndian.Uint16(b)) == KBatch
-}
+func IsBatch(b []byte) bool { return len(b) > 0 && Kind(b[0]) == KBatch }
 
 // DecodeBatch parses a batch frame into its messages. It enforces the
 // same hostility bounds as Decode: the claimed count must fit the bytes
@@ -686,45 +968,35 @@ func IsBatch(b []byte) bool {
 // must lie within the payload, nested batches are rejected (Decode
 // refuses KBatch in message position), and trailing bytes are an error.
 func DecodeBatch(b []byte) ([]*Msg, error) {
-	if len(b) < headerBytes {
+	if len(b) < 2 {
 		return nil, fmt.Errorf("wire: batch frame of %d bytes shorter than header", len(b))
 	}
 	if !IsBatch(b) {
-		return nil, fmt.Errorf("wire: frame of kind %v is not a batch", Kind(binary.LittleEndian.Uint16(b)))
+		return nil, fmt.Errorf("wire: frame of kind %v is not a batch", Kind(b[0]))
 	}
-	// The fixed header fields a batch does not use must be zero, so an
-	// accepted batch has exactly one encoding (the canonical-form
-	// property the fuzzer checks).
-	if binary.LittleEndian.Uint16(b[2:]) != 0 || binary.LittleEndian.Uint64(b[4:]) != 0 ||
-		binary.LittleEndian.Uint32(b[16:]) != 0 || binary.LittleEndian.Uint32(b[20:]) != 0 {
-		return nil, fmt.Errorf("wire: batch header carries non-zero reserved fields")
+	d := &decoder{b: b, off: 1}
+	count := d.countItems("batch", minBatchedBytes)
+	if d.err == nil && count < 2 {
+		// A batch of one would be a plain frame.
+		d.fail("implausible batch count %d", count)
 	}
-	count := int32(binary.LittleEndian.Uint32(b[12:]))
-	if count < 2 || int64(count)*minBatchedBytes > int64(len(b)-headerBytes) {
-		// A batch of one would be a plain frame; a hostile count must
-		// never size an allocation.
-		return nil, fmt.Errorf("wire: implausible batch count %d for %d remaining bytes", count, len(b)-headerBytes)
+	if d.err != nil {
+		return nil, d.err
 	}
 	msgs := make([]*Msg, 0, count)
-	off := headerBytes
-	for i := int32(0); i < count; i++ {
-		if off+4 > len(b) {
-			return nil, fmt.Errorf("wire: batch truncated at sub-message %d", i)
-		}
-		size := int32(binary.LittleEndian.Uint32(b[off:]))
-		off += 4
-		if size < 0 || int64(off)+int64(size) > int64(len(b)) {
+	for i := 0; i < count; i++ {
+		size := d.uvarint()
+		if d.err != nil || size > uint64(len(b)-d.off) {
 			return nil, fmt.Errorf("wire: implausible batched frame length %d at sub-message %d", size, i)
 		}
-		m, err := Decode(b[off : off+int(size)])
+		m, err := Decode(d.bytes(int(size)))
 		if err != nil {
 			return nil, fmt.Errorf("wire: batched message %d: %w", i, err)
 		}
 		msgs = append(msgs, m)
-		off += int(size)
 	}
-	if off != len(b) {
-		return nil, fmt.Errorf("wire: %d trailing bytes after batch", len(b)-off)
+	if d.off != len(b) {
+		return nil, fmt.Errorf("wire: %d trailing bytes after batch", len(b)-d.off)
 	}
 	return msgs, nil
 }
@@ -732,11 +1004,10 @@ func DecodeBatch(b []byte) ([]*Msg, error) {
 // --- compressed frames ---
 //
 // A compressed frame wraps one complete inner frame — a plain encoded
-// message or a whole batch frame — as a flate stream behind a standard
-// header: Kind KCompressed, A = the inner frame's exact length, every
-// other fixed field zero (the same canonical-form rule as batches). The
-// outbox compresses a built frame only when it is at least the
-// configured threshold AND the compressed form is strictly smaller, so
+// message or a whole batch frame — as a flate stream behind the
+// KCompressed byte and the inner frame's exact length. The outbox
+// compresses a built frame only when it is at least the configured
+// threshold AND the compressed form is strictly smaller, so
 // incompressible payloads (already-dense page data) ride uncompressed;
 // the receiver's dispatch loop expands the frame back before routing.
 // Transport byte counters see the compressed length, so the latency
@@ -768,9 +1039,7 @@ func (w *sliceWriter) Write(p []byte) (int, error) {
 }
 
 // IsCompressed reports whether the payload is a compressed frame.
-func IsCompressed(b []byte) bool {
-	return len(b) >= 2 && Kind(binary.LittleEndian.Uint16(b)) == KCompressed
-}
+func IsCompressed(b []byte) bool { return len(b) > 0 && Kind(b[0]) == KCompressed }
 
 // Compress wraps a complete encoded frame into a compressed frame in a
 // pooled buffer. It returns (nil, false) — emitting nothing — when the
@@ -778,7 +1047,7 @@ func IsCompressed(b []byte) bool {
 // sender can always prefer the returned frame when ok. The caller keeps
 // ownership of frame either way.
 func Compress(frame []byte) (compressed []byte, ok bool) {
-	sw := &sliceWriter{b: appendCompressedHeader(GetBuf(), len(frame))}
+	sw := &sliceWriter{b: putLen(append(GetBuf(), byte(KCompressed)), len(frame))}
 	zw := flateWriters.Get().(*flate.Writer)
 	zw.Reset(sw)
 	_, err := zw.Write(frame)
@@ -795,38 +1064,31 @@ func Compress(frame []byte) (compressed []byte, ok bool) {
 	return sw.b, true
 }
 
-func appendCompressedHeader(buf []byte, innerLen int) []byte {
-	var h [headerBytes]byte
-	binary.LittleEndian.PutUint16(h[0:], uint16(KCompressed))
-	binary.LittleEndian.PutUint32(h[12:], uint32(innerLen))
-	return append(buf, h[:]...)
-}
-
 // Expand inflates a compressed frame back into its inner frame, in a
 // pooled buffer the caller owns (recycle with PutBuf). It enforces the
 // hostility bounds of the other decoders: the claimed inner length is
 // capped (MaxExpandedBytes), the stream must inflate to exactly that
 // length, allocation grows with bytes actually produced rather than the
-// claim, reserved header fields must be zero, and a nested compressed
-// frame is rejected.
+// claim, and a nested compressed frame is rejected.
 func Expand(b []byte) ([]byte, error) {
-	if len(b) < headerBytes {
+	if len(b) < 2 {
 		return nil, fmt.Errorf("wire: compressed frame of %d bytes shorter than header", len(b))
 	}
 	if !IsCompressed(b) {
-		return nil, fmt.Errorf("wire: frame of kind %v is not compressed", Kind(binary.LittleEndian.Uint16(b)))
+		return nil, fmt.Errorf("wire: frame of kind %v is not compressed", Kind(b[0]))
 	}
-	if binary.LittleEndian.Uint16(b[2:]) != 0 || binary.LittleEndian.Uint64(b[4:]) != 0 ||
-		binary.LittleEndian.Uint32(b[16:]) != 0 || binary.LittleEndian.Uint32(b[20:]) != 0 {
-		return nil, fmt.Errorf("wire: compressed header carries non-zero reserved fields")
+	d := &decoder{b: b, off: 1}
+	claimed := d.uvarint()
+	if d.err != nil {
+		return nil, d.err
 	}
-	want := int(binary.LittleEndian.Uint32(b[12:]))
-	if want < headerBytes || want > MaxExpandedBytes {
-		return nil, fmt.Errorf("wire: implausible compressed frame inner length %d", want)
+	if claimed < minMsgBytes || claimed > MaxExpandedBytes {
+		return nil, fmt.Errorf("wire: implausible compressed frame inner length %d", claimed)
 	}
+	want := int(claimed)
 	zr := flateReaders.Get().(io.ReadCloser)
 	defer flateReaders.Put(zr)
-	if err := zr.(flate.Resetter).Reset(bytes.NewReader(b[headerBytes:]), nil); err != nil {
+	if err := zr.(flate.Resetter).Reset(bytes.NewReader(b[d.off:]), nil); err != nil {
 		return nil, fmt.Errorf("wire: compressed frame: %v", err)
 	}
 	out := GetBuf()

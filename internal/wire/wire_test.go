@@ -2,7 +2,7 @@ package wire
 
 import (
 	"bytes"
-	"encoding/binary"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -52,10 +52,16 @@ func TestVCRoundTrip(t *testing.T) {
 	}
 }
 
+// TestNilVCStaysNil: the VC and Sections presence bits tell an absent
+// block from an empty one, so nil and empty both survive the codec.
 func TestNilVCStaysNil(t *testing.T) {
 	m := &Msg{Kind: KPageReq, A: 3}
-	if got := roundTrip(t, m); got.VC != nil {
-		t.Fatalf("VC = %v, want nil", got.VC)
+	if got := roundTrip(t, m); got.VC != nil || got.Sections != nil {
+		t.Fatalf("VC = %v, Sections = %v, want nil", got.VC, got.Sections)
+	}
+	m = &Msg{Kind: KPageReq, A: 3, VC: vc.VC{}, Sections: []Section{}}
+	if got := roundTrip(t, m); got.VC == nil || len(got.VC) != 0 || got.Sections == nil || len(got.Sections) != 0 {
+		t.Fatalf("VC = %#v, Sections = %#v, want empty and non-nil", got.VC, got.Sections)
 	}
 }
 
@@ -148,6 +154,49 @@ func TestDiffsRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDecodedDiffsShareSlabsSafely: a diff block's runs and payload bytes
+// are decoded into per-block slabs — the same number of allocations for
+// three runs as for three hundred — yet each run's bytes stay a window
+// of their own: appending to one must not reach into the next.
+func TestDecodedDiffsShareSlabsSafely(t *testing.T) {
+	build := func(runs int) []byte {
+		var writes []int
+		for i := 0; i < runs; i++ {
+			writes = append(writes, 8*i) // every other word: one run each
+		}
+		d := mkDiff(t, 4096, writes...)
+		if d.NumRuns() != runs {
+			t.Fatalf("built %d runs, want %d", d.NumRuns(), runs)
+		}
+		return (&Msg{Kind: KDiffResp, Diffs: []DiffRec{
+			{Page: 1, Proc: 2, Index: 3, Diff: d}, {Page: 2, Proc: 2, Index: 3, Diff: d},
+		}}).EncodeAppend(nil)
+	}
+	got, err := Decode(build(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := got.Diffs[0].Diff
+	_ = append(first.RunData(0), 0xEE)
+	if b := first.RunData(1); b[0] != 0xAB {
+		t.Fatalf("appending to run 0 changed run 1: % x", b)
+	}
+	target := make([]byte, 4096)
+	if err := got.Diffs[1].Diff.Apply(target); err != nil || target[16] != 0xAB {
+		t.Fatalf("second diff of the block applies wrongly: %v, byte 16 = %#x", err, target[16])
+	}
+	allocs := func(b []byte) float64 {
+		return testing.AllocsPerRun(20, func() {
+			if _, err := Decode(b); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if a, b := allocs(build(3)), allocs(build(300)); a != b {
+		t.Errorf("decoding 3-run diffs takes %v allocations, 300-run diffs %v: want the same", a, b)
+	}
+}
+
 // Encoding a diff whose wire body is cached must produce bytes identical
 // to the direct encode path — the cache is a pure reuse, not a format.
 func TestCachedWireBodyEncodesIdentically(t *testing.T) {
@@ -217,10 +266,10 @@ func TestSectionsRoundTrip(t *testing.T) {
 	if !bytes.Equal(got.EncodeAppend(nil), enc) {
 		t.Fatal("re-encoding a sectioned message changed bytes")
 	}
-	// A message without sections must not grow: the flag gates the block.
+	// A message without sections must not grow: the bit gates the block.
 	plain := &Msg{Kind: KPageReq}
-	if gotLen := len(plain.EncodeAppend(nil)); gotLen != 24+16 {
-		t.Errorf("sectionless message = %d bytes, want 40", gotLen)
+	if gotLen := len(plain.EncodeAppend(nil)); gotLen != minMsgBytes {
+		t.Errorf("sectionless message = %d bytes, want %d", gotLen, minMsgBytes)
 	}
 	if rt := roundTrip(t, plain); rt.Sections != nil {
 		t.Errorf("sectionless message decoded with Sections = %v", rt.Sections)
@@ -230,8 +279,8 @@ func TestSectionsRoundTrip(t *testing.T) {
 func TestDecodeRejectsGarbage(t *testing.T) {
 	cases := [][]byte{
 		nil,
-		make([]byte, 10), // short header
-		make([]byte, 24), // kind 0
+		make([]byte, minMsgBytes-1), // short header
+		make([]byte, minMsgBytes),   // kind 0
 		append((&Msg{Kind: KLockReq}).EncodeAppend(nil), 0xff), // trailing bytes
 	}
 	for i, b := range cases {
@@ -244,7 +293,7 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 		Kind: KLockGrant, VC: vc.VC{1, 2},
 		Intervals: []IntervalRec{{Proc: 0, Index: 0, VC: vc.VC{0, 0}, Pages: []mem.PageID{1}}},
 	}).EncodeAppend(nil)
-	for cut := 24; cut < len(full); cut++ {
+	for cut := 0; cut < len(full); cut++ {
 		if _, err := Decode(full[:cut]); err == nil {
 			t.Errorf("truncation at %d accepted", cut)
 		}
@@ -332,12 +381,171 @@ func TestPropEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
-func TestHeaderSizeMatchesModel(t *testing.T) {
-	// An empty message carries exactly the modeled header plus the four
-	// empty section counts (16 bytes): the runtime's fixed framing.
-	m := &Msg{Kind: KPageReq}
-	if got := len(m.EncodeAppend(nil)); got != 24+16 {
-		t.Errorf("empty message = %d bytes, want 40", got)
+// TestRoundTripExtremes: the codec never depends on the values being
+// the small, dominated, sorted ones the protocol produces. Any int32 in
+// any field round-trips — ids and indices through the wrapping casts,
+// clock entries through x+1, record clocks that do not sit under the
+// enclosing clock through the zig-zag delta, unsorted page lists through
+// the wrapping page delta — with and without an enclosing clock of equal
+// length.
+func TestRoundTripExtremes(t *testing.T) {
+	extremes := []int32{math.MinInt32, math.MinInt32 + 1, -2, -1, 0, 1, 63, 64, 127, 128, 1 << 20, math.MaxInt32 - 1, math.MaxInt32}
+	pick := func(r *rand.Rand) int32 {
+		if r.Intn(3) == 0 {
+			return int32(r.Uint32())
+		}
+		return extremes[r.Intn(len(extremes))]
+	}
+	clock := func(r *rand.Rand, n int) vc.VC {
+		v := make(vc.VC, n)
+		for i := range v {
+			v[i] = pick(r)
+		}
+		return v
+	}
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		n := 1 + r.Intn(5)
+		recs := func() []IntervalRec {
+			var out []IntervalRec
+			for i := r.Intn(4); i > 0; i-- {
+				iv := IntervalRec{Proc: mem.ProcID(pick(r)), Index: pick(r)}
+				// Mostly the enclosing clock's length (delta-coded when one
+				// is present), sometimes not (absolute).
+				iv.VC = clock(r, n-r.Intn(2))
+				for k := r.Intn(4); k > 0; k-- {
+					iv.Pages = append(iv.Pages, mem.PageID(pick(r)))
+				}
+				out = append(out, iv)
+			}
+			return out
+		}
+		m := &Msg{Kind: KLockGrant, Seq: r.Uint64(), A: pick(r), B: pick(r), Intervals: recs()}
+		if r.Intn(2) == 0 {
+			m.VC = clock(r, n)
+		}
+		for i := r.Intn(3); i > 0; i-- {
+			m.Wants = append(m.Wants, Want{Page: mem.PageID(pick(r)), Proc: mem.ProcID(pick(r)), Index: pick(r)})
+		}
+		for i := r.Intn(3); i > 0; i-- {
+			sec := Section{Mode: uint16(r.Intn(256)), Intervals: recs()}
+			if r.Intn(2) == 0 {
+				sec.VC = clock(r, n)
+			}
+			m.Sections = append(m.Sections, sec)
+		}
+		enc := m.EncodeAppend(nil)
+		if len(enc) != m.SizeHint() {
+			t.Logf("SizeHint %d, encoded %d", m.SizeHint(), len(enc))
+			return false
+		}
+		got, err := Decode(enc)
+		if err != nil {
+			t.Log(err)
+			return false
+		}
+		// nil and empty page lists are one encoding; compare through a
+		// re-encode, then field by field for what the bytes cannot tell.
+		if !bytes.Equal(got.EncodeAppend(nil), enc) {
+			return false
+		}
+		same := func(a, b []IntervalRec) bool {
+			if len(a) != len(b) {
+				return false
+			}
+			for i := range a {
+				if a[i].Proc != b[i].Proc || a[i].Index != b[i].Index ||
+					!reflect.DeepEqual(a[i].VC, b[i].VC) || len(a[i].Pages) != len(b[i].Pages) {
+					return false
+				}
+				for k := range a[i].Pages {
+					if a[i].Pages[k] != b[i].Pages[k] {
+						return false
+					}
+				}
+			}
+			return true
+		}
+		if got.Seq != m.Seq || got.A != m.A || got.B != m.B || !reflect.DeepEqual(got.VC, m.VC) ||
+			!reflect.DeepEqual(got.Wants, m.Wants) || !same(got.Intervals, m.Intervals) ||
+			len(got.Sections) != len(m.Sections) {
+			return false
+		}
+		for i := range m.Sections {
+			if got.Sections[i].Mode != m.Sections[i].Mode || !reflect.DeepEqual(got.Sections[i].VC, m.Sections[i].VC) ||
+				!same(got.Sections[i].Intervals, m.Sections[i].Intervals) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestSizeHintExact: SizeHint is the encoded length, for every sample —
+// cached and uncached diff bodies included. The outbox's byte threshold
+// counts it and AppendBatched writes it as the sub-frame length.
+func TestSizeHintExact(t *testing.T) {
+	for _, m := range sampleMsgs() {
+		if got, want := m.SizeHint(), len(m.EncodeAppend(nil)); got != want {
+			t.Errorf("%v: SizeHint = %d, encoded length %d", m.Kind, got, want)
+		}
+	}
+	d := mkDiff(t, 4096, 4, 5, 200, 3000)
+	m := &Msg{Kind: KDiffResp, Seq: 1 << 40, Diffs: []DiffRec{{Page: 300, Proc: 3, Index: 1000, Diff: d}}}
+	direct := m.SizeHint()
+	d.EnsureWireBody()
+	if cached, want := m.SizeHint(), len(m.EncodeAppend(nil)); direct != want || cached != want {
+		t.Errorf("diff response: SizeHint %d direct, %d cached, encoded length %d", direct, cached, want)
+	}
+}
+
+// TestGoldenSizes pins the encoded size of each message kind as the
+// runtime builds it at 4 procs, with two-byte sequence numbers, interval
+// indices and clock entries in the hundreds and a page id past 127. A
+// field added to the consistency plane moves these numbers; the bounds
+// are the ones the traffic gates rest on (the paper's write notice is
+// the model's 20 bytes per one-page interval; a fixed-width record cost
+// 36).
+func TestGoldenSizes(t *testing.T) {
+	const lazy = 0 // a lazy engine's section tag, as the router emits it
+	clock := vc.VC{900, 412, 655, 130}
+	rec := IntervalRec{Proc: 2, Index: 650, VC: vc.VC{880, 400, 650, 128}, Pages: []mem.PageID{300}}
+	diff := mkDiff(t, 4096, 1024) // one 4-byte run
+	cases := []struct {
+		name string
+		msg  *Msg
+		want int
+		max  int
+	}{
+		{"bare ack", &Msg{Kind: KUpdateAck, Seq: 1000, A: 7}, 6, 8},
+		{"lock request", &Msg{Kind: KLockReq, Seq: 1000, A: 5, B: 3,
+			Sections: []Section{{Mode: lazy, VC: clock}}}, 18, 20},
+		{"lock grant, one notice", &Msg{Kind: KLockGrant, Seq: 1000, A: 5,
+			Sections: []Section{{Mode: lazy, VC: clock, Intervals: []IntervalRec{rec}}}}, 30, 32},
+		{"diff request, one want", &Msg{Kind: KDiffReq, Seq: 1000, A: 3,
+			Wants: []Want{{Page: 300, Proc: 2, Index: 650}}}, 12, 12},
+		{"diff response, one 4-byte run", &Msg{Kind: KDiffResp, Seq: 1000,
+			Diffs: []DiffRec{{Page: 300, Proc: 2, Index: 650, Diff: diff}}}, 20, 20},
+		{"page request", &Msg{Kind: KPageReq, Seq: 1000, A: 300, B: 3}, 7, 8},
+		{"page response", &Msg{Kind: KPageResp, Seq: 1000, A: 300, VC: clock, Data: make([]byte, 4096)}, 4114, 4116},
+		{"barrier arrival, one own interval", &Msg{Kind: KBarrierArrive, Seq: 1000, A: 9, B: 3,
+			Sections: []Section{{Mode: lazy, VC: clock, Intervals: []IntervalRec{rec}}}}, 30, 32},
+		{"gc ready", &Msg{Kind: KGCReady, Seq: 1000, A: 9, B: 3}, 6, 8},
+	}
+	for _, tc := range cases {
+		got := len(tc.msg.EncodeAppend(nil))
+		if got != tc.want || got > tc.max {
+			t.Errorf("%s = %d bytes, want %d (bound %d)", tc.name, got, tc.want, tc.max)
+		}
+	}
+	if got := len(appendInterval(nil, &rec, clock)); got != 11 || got > 12 {
+		t.Errorf("one-page interval record = %d bytes, want 11 (bound 12)", got)
+	}
+	if got := len(AppendBatchHeader(nil, 3)); got != 2 {
+		t.Errorf("batch header = %d bytes, want 2", got)
 	}
 }
 
@@ -347,10 +555,7 @@ func TestHeaderSizeMatchesModel(t *testing.T) {
 func appendBatch(buf []byte, msgs ...*Msg) []byte {
 	buf = AppendBatchHeader(buf, len(msgs))
 	for _, m := range msgs {
-		start := len(buf)
-		buf = append(buf, 0, 0, 0, 0)
-		buf = m.EncodeAppend(buf)
-		binary.LittleEndian.PutUint32(buf[start:], uint32(len(buf)-start-4))
+		buf, _ = AppendBatched(buf, m)
 	}
 	return buf
 }
