@@ -1,0 +1,129 @@
+package repro_test
+
+import (
+	"bytes"
+	"fmt"
+	"runtime"
+	"sync"
+	"testing"
+
+	"repro"
+)
+
+// Diff-plane allocation gate: in the paper's protocol the data that moves
+// is diffs, so the runtime should allocate about one buffer per diff it
+// creates — the diff's wire body — and nothing per hop after that: the
+// encoder appends the body into a recycled frame, the receiver's decoded
+// diff borrows that frame, the miss applies it from there and lets the
+// frame go. The program is lrcbench's barrier-slab: four nodes, each
+// rewrites every byte of its four 4 KiB pages, then after a barrier reads
+// the twelve others (under LI a miss and a whole-page diff each; under EU
+// the barrier pushed them already). When every received run was copied
+// out of its frame and every served diff encoded into a second buffer,
+// LI allocated 2.14 bytes per byte on the wire.
+
+const (
+	diffGateProcs     = 4
+	diffGateSlabPages = 4
+	diffGatePageSize  = 4096
+	diffGatePages     = diffGateProcs * diffGateSlabPages
+	diffGateWarmup    = 40
+	diffGateSteps     = 200
+	// diffGateAllocRatio bounds LI's allocated bytes over wire bytes.
+	diffGateAllocRatio = 1.1
+)
+
+// diffGateContents fills buf with page pg as written in step s; a rewrite
+// changes every byte.
+func diffGateContents(buf []byte, pg, s int) {
+	for i := range buf {
+		buf[i] = byte(pg*31+i) ^ byte(s+1)
+	}
+}
+
+// runDiffGate runs the program for warmup+steps steps and returns the
+// bytes allocated and the bytes the interconnect moved, per measured
+// step. Every read is checked.
+func runDiffGate(t *testing.T, mode repro.DSMMode) (allocPerStep, wirePerStep float64) {
+	t.Helper()
+	sys, err := repro.NewDSM(repro.DSMConfig{
+		Procs: diffGateProcs, SpaceSize: diffGatePages * diffGatePageSize, PageSize: diffGatePageSize,
+		Mode: mode, GCEveryBarriers: 8,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := sys.Close(); err != nil {
+			t.Errorf("%v: Close: %v", mode, err)
+		}
+	}()
+	run := func(from, to int) {
+		var wg sync.WaitGroup
+		errs := make([]error, diffGateProcs)
+		for id := 0; id < diffGateProcs; id++ {
+			wg.Add(1)
+			go func(id int) {
+				defer wg.Done()
+				n := sys.Node(id)
+				want, got := make([]byte, diffGatePageSize), make([]byte, diffGatePageSize)
+				errs[id] = func() error {
+					for s := from; s < to; s++ {
+						for k := 0; k < diffGateSlabPages; k++ {
+							pg := id*diffGateSlabPages + k
+							diffGateContents(want, pg, s)
+							if err := n.Write(repro.Addr(pg*diffGatePageSize), want); err != nil {
+								return err
+							}
+						}
+						if err := n.Barrier(0); err != nil {
+							return err
+						}
+						for k := diffGateSlabPages; k < diffGatePages; k++ {
+							pg := (id*diffGateSlabPages + k) % diffGatePages
+							if err := n.Read(got, repro.Addr(pg*diffGatePageSize)); err != nil {
+								return err
+							}
+							if diffGateContents(want, pg, s); !bytes.Equal(got, want) {
+								return fmt.Errorf("step %d: node %d read a wrong page %d", s, id, pg)
+							}
+						}
+						if err := n.Barrier(1); err != nil {
+							return err
+						}
+					}
+					return nil
+				}()
+			}(id)
+		}
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				t.Fatalf("%v: %v", mode, err)
+			}
+		}
+	}
+	run(0, diffGateWarmup) // cold misses, pools and free lists filling
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	net0 := sys.NetStats()
+	run(diffGateWarmup, diffGateWarmup+diffGateSteps)
+	runtime.ReadMemStats(&after)
+	net1 := sys.NetStats()
+	return float64(after.TotalAlloc-before.TotalAlloc) / diffGateSteps,
+		float64(net1.Bytes-net0.Bytes) / diffGateSteps
+}
+
+func TestDiffPlaneAllocGate(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation gate runs 240 whole-cluster steps per protocol; skipped in short mode")
+	}
+	for _, mode := range []repro.DSMMode{repro.LazyInvalidate, repro.EagerUpdate} {
+		alloc, wire := runDiffGate(t, mode)
+		ratio := alloc / wire
+		t.Logf("%v: %.0f B allocated over %.0f B on the wire per step = %.2f", mode, alloc, wire, ratio)
+		if mode == repro.LazyInvalidate && ratio > diffGateAllocRatio {
+			t.Errorf("LI allocates %.2f bytes per wire byte, want at most %.2f", ratio, diffGateAllocRatio)
+		}
+	}
+}

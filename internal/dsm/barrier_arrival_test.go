@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/framebuf"
 	"repro/internal/mem"
 	"repro/internal/vc"
 	"repro/internal/wire"
@@ -190,7 +191,7 @@ func TestForgedArrivalIntervalsRecordedNotAbsorbed(t *testing.T) {
 			{Proc: 1, Index: 0, VC: vc.VC{-1, 0}, Pages: []mem.PageID{2}},
 		},
 	}}}
-	if err := peer.Endpoint(1).Send(0, arrive.EncodeAppend(wire.GetBuf())); err != nil {
+	if err := peer.Endpoint(1).Send(0, arrive.EncodeAppend(framebuf.Get())); err != nil {
 		t.Fatal(err)
 	}
 	if err := <-barErr; err != nil {

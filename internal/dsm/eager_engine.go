@@ -199,6 +199,7 @@ func (e *eagerEngine) installPage(m *wire.Msg) bool {
 			panic(fmt.Sprintf("dsm: node %d: lifting uncommitted writes off page %d: %v", n.id, pg, err))
 		}
 		n.stats.diffsCreated.Add(1)
+		pc.twin.Release()
 		pc.twin = page.NewTwin(m.Data)
 		pc.data = m.Data
 		if err := du.Apply(pc.data); err != nil {
@@ -375,6 +376,7 @@ func (e *eagerEngine) flushPages(cand []mem.PageID) error {
 		}
 		needBase := !pc.valid
 		d, err := page.MakeDiff(pc.twin, pc.data)
+		pc.twin.Release()
 		pc.twin = nil
 		pmu.Unlock()
 		if err != nil {
@@ -411,7 +413,11 @@ func (e *eagerEngine) flushPages(cand []mem.PageID) error {
 		reqs[i] = outMsg{dst: n.homeOf(p.fs.pg), m: p.req}
 	}
 	e.flightMu.Unlock()
-	_, err := n.rpcAll(reqs)
+	dones, err := n.rpcAll(reqs)
+	for _, done := range dones {
+		// applyFlushDone consumed the write-backs on the shard worker.
+		done.Frame.Release()
+	}
 	if err != nil {
 		// Unacknowledged flushes will never reconcile; drop their
 		// in-flight entries (acknowledged ones were already consumed by
@@ -445,6 +451,9 @@ func (e *eagerEngine) release()                      {}
 func (e *eagerEngine) dropPage(pg mem.PageID) {
 	pmu := e.n.pageLock(pg)
 	pmu.Lock()
+	if pc := e.pages[pg]; pc != nil && pc.twin != nil {
+		pc.twin.Release()
+	}
 	e.pages[pg] = nil
 	pmu.Unlock()
 	e.dirtyMu.Lock()
@@ -491,6 +500,9 @@ func (e *eagerEngine) handle(m *wire.Msg, src mem.ProcID) bool {
 	case wire.KPageReq:
 		go e.servePageReq(m)
 	case wire.KFlushReq:
+		// The transaction outlives this handler and re-encodes the
+		// request's diffs (EU): it holds the frame until it is done.
+		m.Frame.Retain()
 		go e.serveFlushReq(m)
 	case wire.KFetch:
 		e.serveFetch(m, src)
@@ -573,6 +585,7 @@ func (e *eagerEngine) servePageReq(m *wire.Msg) {
 // becomes the owner, and the reply carries the reconciliation the
 // flusher must apply. The directory lock is held across all of it.
 func (e *eagerEngine) serveFlushReq(m *wire.Msg) {
+	defer m.Frame.Release()
 	n := e.n
 	pg := mem.PageID(m.A)
 	flusher := mem.ProcID(m.B)
@@ -628,8 +641,10 @@ func (e *eagerEngine) serveFlushReq(m *wire.Msg) {
 			Kind: kind, Seq: n.nextSeq(), A: m.A, Diffs: diffs,
 		}})
 	}
+	var acks []*wire.Msg
 	if len(reqs) > 0 {
-		acks, err := n.rpcAll(reqs)
+		var err error
+		acks, err = n.rpcAll(reqs)
 		if err != nil {
 			n.noteErr(fmt.Sprintf("flush fan-out for page %d", pg), err)
 			return
@@ -650,6 +665,10 @@ func (e *eagerEngine) serveFlushReq(m *wire.Msg) {
 	}
 	d.copyset |= 1 << uint(flusher)
 	n.noteErr(fmt.Sprintf("flush done to %d", flusher), n.send(flusher, done))
+	for _, ack := range acks {
+		// The write-backs riding done were encoded by the send above.
+		ack.Frame.Release()
+	}
 }
 
 // serveFetch answers the home's request for this owner's committed page
@@ -683,9 +702,18 @@ func (e *eagerEngine) serveFetch(m *wire.Msg, src mem.ProcID) {
 	n.stage(src, &wire.Msg{Kind: wire.KFetchResp, Seq: m.Seq, A: m.A, Data: data})
 }
 
-// applyInval drops this node's copy (EI). If a critical section has
-// buffered modifications to the page, their diff rides the ack back to
-// the home — this node is no longer responsible for flushing them.
+// applyInval invalidates this node's copy (EI). If a critical section
+// has buffered modifications to the page, their diff rides the ack back
+// to the home (Munin's false-sharing write-back) — but the twin stays,
+// and with it this node's duty to flush those words at its own release.
+// The write-back alone does not order them before the lock hand-off: it
+// reaches the new owner through the flusher's still-open transaction,
+// while the section's release, finding no twin, used to send nothing,
+// wait for nothing, and pass the lock to an acquirer that could still
+// read the word from a copy the transaction had not yet invalidated or
+// reconciled — a lost update. The release-time flush (needBase: the copy
+// is invalid) runs as its own directory transaction, behind the one that
+// invalidated us, so every copy is current or gone before the lock moves.
 func (e *eagerEngine) applyInval(m *wire.Msg, src mem.ProcID) {
 	n := e.n
 	pg := mem.PageID(m.A)
@@ -702,7 +730,6 @@ func (e *eagerEngine) applyInval(m *wire.Msg, src mem.ProcID) {
 			if err == nil && !d.Empty() {
 				ack.Diffs = append(ack.Diffs, wire.DiffRec{Page: pg, Diff: d})
 			}
-			pc.twin = nil
 			n.stats.diffsCreated.Add(1)
 		}
 		pc.valid = false
@@ -749,6 +776,7 @@ func (e *eagerEngine) applyUpdate(m *wire.Msg, src mem.ProcID) {
 					n.noteErr("update", fmt.Errorf("diff for page %d twin does not apply: %w", pg, err))
 					break
 				}
+				pc.twin.Release()
 				pc.twin = page.NewTwin(patched)
 			}
 			n.stats.updatesReceived.Add(1)
@@ -844,6 +872,7 @@ func (e *eagerEngine) applyFlushDone(m *wire.Msg) bool {
 				fail("reinstating uncommitted writes on", err)
 			}
 		}
+		pc.twin.Release()
 		pc.twin = page.NewTwin(committed)
 	}
 	pc.valid = true

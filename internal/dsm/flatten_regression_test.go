@@ -1,6 +1,7 @@
 package dsm
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/core"
@@ -96,7 +97,7 @@ func TestFlatCacheBounded(t *testing.T) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	for i := 0; i < flatCacheMax; i++ {
-		e.flat[flatKey{pg: pg, first: int32(1000 + i), last: int32(2000 + i)}] = emptyDiff
+		e.flat[flatKey{pg: pg, first: int32(1000 + i), last: int32(2000 + i)}] = &flatEntry{d: emptyDiff}
 	}
 	tail := []wire.Want{
 		{Page: pg, Proc: 0, Index: 1},
@@ -121,7 +122,8 @@ func TestFlatCacheBounded(t *testing.T) {
 // the plain head (losing the merged members' bytes) or the plain member
 // (re-applying its stale bytes over the head's merge).
 func TestStoreDiffRecsReplacesOnFlatGroup(t *testing.T) {
-	s, err := New(Config{Procs: 2, SpaceSize: 8 * 1024, PageSize: 1024, Mode: LazyInvalidate})
+	// LU: the one engine that stores received diffs (as clones).
+	s, err := New(Config{Procs: 2, SpaceSize: 8 * 1024, PageSize: 1024, Mode: LazyUpdate})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +132,8 @@ func TestStoreDiffRecsReplacesOnFlatGroup(t *testing.T) {
 			t.Errorf("Close: %v", err)
 		}
 	}()
-	e := s.Node(0).rt.engines[LazyInvalidate].(*lazyEngine)
+	e := s.Node(0).rt.engines[LazyUpdate].(*lazyEngine)
+	same := func(a, b *page.Diff) bool { return bytes.Equal(a.EnsureWireBody(), b.EnsureWireBody()) }
 	mkDiff := func(word int, val byte) *page.Diff {
 		base := make([]byte, 1024)
 		cur := append([]byte(nil), base...)
@@ -165,9 +168,9 @@ func TestStoreDiffRecsReplacesOnFlatGroup(t *testing.T) {
 		{Page: pg, Proc: 1, Index: 1, Diff: flatHead},
 		{Page: pg, Proc: 1, Index: 2, Diff: emptyDiff},
 	}, true)
-	if got := slotOf(1, 1); got.d != flatHead || !got.flat {
-		t.Errorf("head slot kept the piggybacked plain diff (d==flatHead=%t flat=%t)",
-			got.d == flatHead, got.flat)
+	if got := slotOf(1, 1); !same(got.d, flatHead) || got.d == flatHead || !got.flat {
+		t.Errorf("head slot is not a clone of the flat head (same=%t aliased=%t flat=%t)",
+			same(got.d, flatHead), got.d == flatHead, got.flat)
 	}
 	if got := slotOf(1, 2); got == nil || !got.d.Empty() || !got.flat {
 		t.Errorf("member slot not stored as an empty flat record: %+v", got)
@@ -181,7 +184,7 @@ func TestStoreDiffRecsReplacesOnFlatGroup(t *testing.T) {
 		{Page: pg, Proc: 1, Index: 3, Diff: flatHead2},
 		{Page: pg, Proc: 1, Index: 4, Diff: emptyDiff},
 	}, true)
-	if got := slotOf(1, 4); got.d == plainMember || !got.d.Empty() || !got.flat {
+	if got := slotOf(1, 4); !got.d.Empty() || !got.flat {
 		t.Errorf("member slot kept the piggybacked plain diff (empty=%t flat=%t)",
 			got.d.Empty(), got.flat)
 	}

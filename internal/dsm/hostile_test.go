@@ -5,7 +5,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/framebuf"
 	"repro/internal/mem"
+	"repro/internal/page"
 	"repro/internal/transport/tcp"
 	"repro/internal/wire"
 )
@@ -174,7 +176,7 @@ func TestHostileSectionsRecordedNotPanic(t *testing.T) {
 				t.Fatal(err)
 			}
 			msg := &wire.Msg{Kind: wire.KLockReq, Seq: 99, A: 0, B: 1, Sections: tc.sections}
-			if err := s.tr.Endpoint(1).Send(0, msg.EncodeAppend(wire.GetBuf())); err != nil {
+			if err := s.tr.Endpoint(1).Send(0, msg.EncodeAppend(framebuf.Get())); err != nil {
 				t.Fatal(err)
 			}
 			waitNodeErr(t, s.Node(0), tc.want)
@@ -190,6 +192,13 @@ func TestHostileSectionsRecordedNotPanic(t *testing.T) {
 // kinds the engine does not speak — exercise each engine's handler-side
 // validation: the cause is recorded for Close and the frame dropped.
 func TestForgedFramesRecordedNotPanic(t *testing.T) {
+	// A diff for frames that borrow their receive buffer: whatever the
+	// handler makes of the message, its frame must be let go exactly once.
+	forged, err := page.DiffFromRuns([]page.Run{{Off: 8, Len: 4}}, [][]byte{{1, 2, 3, 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	diffs := []wire.DiffRec{{Page: 0, Proc: 1, Index: 1, Diff: forged}}
 	cases := []struct {
 		name string
 		mode Mode
@@ -223,6 +232,19 @@ func TestForgedFramesRecordedNotPanic(t *testing.T) {
 		{"response nobody awaits", LazyUpdate,
 			&wire.Msg{Kind: wire.KDiffResp, Seq: 424242},
 			"response routing"},
+		{"diffs nobody asked for", LazyInvalidate,
+			&wire.Msg{Kind: wire.KDiffResp, Seq: 424242, Diffs: diffs},
+			"response routing"},
+		{"update beyond the space", EagerUpdate,
+			&wire.Msg{Kind: wire.KUpdate, Seq: 99, A: 1 << 20, Diffs: diffs},
+			"update of invalid page"},
+		{"flush carrying a diff from an invalid flusher", EagerUpdate,
+			&wire.Msg{Kind: wire.KFlushReq, Seq: 99, A: 0, B: 77, Diffs: diffs},
+			"flush request"},
+		{"lock request smuggling diffs", LazyInvalidate,
+			&wire.Msg{Kind: wire.KLockReq, Seq: 99, A: 0, B: 77,
+				Sections: []wire.Section{{Mode: uint16(LazyInvalidate), Diffs: diffs}}},
+			"lock request"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -231,7 +253,7 @@ func TestForgedFramesRecordedNotPanic(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer s.Close()
-			if err := s.tr.Endpoint(1).Send(0, tc.msg.EncodeAppend(wire.GetBuf())); err != nil {
+			if err := s.tr.Endpoint(1).Send(0, tc.msg.EncodeAppend(framebuf.Get())); err != nil {
 				t.Fatal(err)
 			}
 			waitNodeErr(t, s.Node(0), tc.want)

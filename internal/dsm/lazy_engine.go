@@ -49,9 +49,9 @@ type lazyEngine struct {
 	lastEpoch vc.VC
 	episodes  int
 	// flat caches flattened diffs built by handleDiffReq, keyed by the
-	// merged index range, so repeat requesters reuse one merge (and its
-	// encoded wire body). Dropped wholesale when GC discards diffs.
-	flat map[flatKey]*page.Diff
+	// merged index range, so repeat requesters reuse one merge. Dropped
+	// wholesale when GC discards diffs.
+	flat map[flatKey]*flatEntry
 	// fresh accumulates the interval records learned during the current
 	// barrier rendezvous, for postBarrier's invalidation step.
 	fresh []wire.IntervalRec
@@ -90,12 +90,19 @@ type lazyPage struct {
 // diffSlot is one retained diff in the store: either materialized (d set)
 // or deferred (base twin captured, diff not yet computed). A deferred
 // slot's target contents are the target twin if set, else the live page
-// data (the slot is then the page's pending slot). All fields are
-// guarded by the slot's page stripe; the store map itself is under e.mu.
+// data (the slot is then the page's pending slot). The store holds this
+// node's own intervals' diffs and, under LU only, clones of the foreign
+// diffs it received — what a later lock grant piggybacks; LI applies a
+// fetched diff out of its response and keeps nothing. Fields are guarded
+// by the slot's page stripe unless noted; the store map itself is under
+// e.mu.
 type diffSlot struct {
 	d      *page.Diff
 	base   *page.Twin
 	target *page.Twin
+	// served is set by the slot's first serve (Stats.DiffCacheHits counts
+	// the later ones). Guarded by e.mu.
+	served bool
 	// flat marks a slot received as part of a flattened response group.
 	// Its diff is positionally entangled with the rest of the group
 	// (the head carries every member's bytes, the members are empty),
@@ -126,10 +133,17 @@ type flatKey struct {
 	first, last int32
 }
 
-// flatCacheMax caps e.flat: each entry pins a merged diff plus its
-// encoded wire body (up to ~2 page-sizes), and runs whose barrier GC is
-// disabled would otherwise grow the cache by one entry per distinct
-// served range for the life of the process.
+// flatEntry is one cached flattened diff with its served flag (see
+// diffSlot.served).
+type flatEntry struct {
+	d      *page.Diff
+	served bool
+}
+
+// flatCacheMax caps e.flat: each entry pins a merged diff (up to a page
+// of body), and runs whose barrier GC is disabled would otherwise grow
+// the cache by one entry per distinct served range for the life of the
+// process.
 const flatCacheMax = 256
 
 func newLazyEngine(n *Node, update bool) *lazyEngine {
@@ -141,7 +155,7 @@ func newLazyEngine(n *Node, update bool) *lazyEngine {
 		log:        core.NewLog(n.sys.cfg.Procs),
 		diffs:      make(map[core.IntervalID]map[mem.PageID]*diffSlot),
 		lastEpoch:  vc.New(n.sys.cfg.Procs),
-		flat:       make(map[flatKey]*page.Diff),
+		flat:       make(map[flatKey]*flatEntry),
 		dirty:      make(map[mem.PageID]struct{}),
 		pages:      make([]*lazyPage, n.sys.layout.NumPages()),
 	}
@@ -203,14 +217,15 @@ func (e *lazyEngine) materializeSlot(pc *lazyPage, slot *diffSlot, pg mem.PageID
 	e.n.stats.diffsCreated.Add(1)
 }
 
-// serveDiff prepares a diff for the encoder: the wire body is built once
-// (EnsureWireBody) and every reuse counts as a cache hit.
-func (e *lazyEngine) serveDiff(d *page.Diff) *page.Diff {
-	if d.WireBody() != nil {
+// noteServe counts one serve of a diff towards Stats.DiffCacheHits:
+// every serve after the first reuses the body the first one shipped —
+// a diff is its wire body, so there is nothing to rebuild. served is the
+// diff's flag in its store or cache entry. Caller holds e.mu.
+func (e *lazyEngine) noteServe(served *bool) {
+	if *served {
 		e.n.stats.diffCacheHits.Add(1)
 	}
-	d.EnsureWireBody()
-	return d
+	*served = true
 }
 
 // emptyDiff is the shared placeholder for the merged members of a
@@ -508,22 +523,56 @@ func (e *lazyEngine) invalidateForLocked(fresh []wire.IntervalRec) []mem.PageID 
 
 // --- data movement ---
 
-// validate brings page pg's local copy up to date: a cold copy is
-// fetched from the page's home, then every outstanding diff is collected
-// (from the local store or its creator) and applied in happened-before
-// order (§4.3.3). Miss service serializes per page under the miss lock;
-// concurrent faulting goroutines coalesce onto one transaction. Callers
-// must hold no engine or stripe locks.
+// fetchedDiffs is the diff responses a miss holds while it brings its
+// page current. Their diffs borrow the responses' frames, so a plan's
+// steps are applied straight out of the receive buffers — across
+// replans, which only fetch what the held responses and the retained
+// store still lack — and the frames are released when the miss
+// completes.
+type fetchedDiffs []*wire.Msg
+
+// find returns the held diff of interval id on page pg, or nil.
+func (f fetchedDiffs) find(pg mem.PageID, id core.IntervalID) *page.Diff {
+	for _, resp := range f {
+		for i := range resp.Diffs {
+			if r := &resp.Diffs[i]; r.Page == pg && r.Proc == id.Proc && r.Index == id.Index {
+				return r.Diff
+			}
+		}
+	}
+	return nil
+}
+
+func (f fetchedDiffs) release() {
+	for _, resp := range f {
+		resp.Frame.Release()
+	}
+}
+
+// validate brings page pg's local copy up to date; the valid-copy check
+// is the access hit path. Callers must hold no engine or stripe locks.
 func (e *lazyEngine) validate(pg mem.PageID) error {
-	n := e.n
-	pmu := n.pageLock(pg)
+	pmu := e.n.pageLock(pg)
 	pmu.Lock()
 	if pc := e.pages[pg]; pc != nil && pc.valid {
 		pmu.Unlock()
 		return nil
 	}
 	pmu.Unlock()
+	return e.serviceMiss(pg, nil)
+}
 
+// serviceMiss is validate's miss path: a cold copy is fetched from the
+// page's home, then every outstanding diff is collected — from held (what
+// a prefetch already fetched for this page; serviceMiss owns and releases
+// it), from the retained store, or from its creator — and applied in
+// happened-before order (§4.3.3). Miss service serializes per page under
+// the miss lock; concurrent faulting goroutines coalesce onto one
+// transaction.
+func (e *lazyEngine) serviceMiss(pg mem.PageID, held fetchedDiffs) error {
+	n := e.n
+	defer func() { held.release() }()
+	pmu := n.pageLock(pg)
 	mmu := n.missLock(pg)
 	mmu.Lock()
 	defer mmu.Unlock()
@@ -602,7 +651,7 @@ func (e *lazyEngine) validate(pg mem.PageID) error {
 			}
 			return out[i].Index < out[j].Index
 		})
-		reqs := e.missingDiffReqsLocked(nil, pg, out)
+		reqs := e.missingDiffReqsLocked(nil, pg, out, held)
 		e.mu.Unlock()
 
 		// Fetch missing diffs from their creators (no locks held): all
@@ -619,20 +668,22 @@ func (e *lazyEngine) validate(pg mem.PageID) error {
 			if err != nil {
 				return err
 			}
-			e.mu.Lock()
-			for _, resp := range resps {
-				e.storeDiffRecsLocked(resp.Diffs, true)
-			}
-			e.mu.Unlock()
+			held = append(held, resps...)
+			e.noteFetched(resps)
 		}
 
-		// Apply. If fresh notices for this page landed while we were
-		// fetching (generation moved), the plan is stale: replan.
-		// Outstanding excludes this node's own intervals, so every step
-		// comes from a fetched or piggybacked slot — always materialized.
-		e.mu.Lock()
+		// Resolve the plan's steps. A held response wins over the store:
+		// it carries exactly what this miss asked for, and a flattened
+		// group in it must be applied whole (see storeDiffRecsLocked) even
+		// if a plain diff of one member reached the store meanwhile.
+		// Outstanding excludes this node's own intervals, so a step from
+		// the store is a received diff — always materialized.
 		steps := make([]*page.Diff, len(out))
+		e.mu.Lock()
 		for i, id := range out {
+			if steps[i] = held.find(pg, id); steps[i] != nil {
+				continue
+			}
 			if slot := e.diffs[id][pg]; slot != nil {
 				steps[i] = slot.d
 			}
@@ -643,6 +694,8 @@ func (e *lazyEngine) validate(pg mem.PageID) error {
 		}
 		e.mu.Unlock()
 
+		// Apply. If fresh notices for this page landed while we were
+		// fetching (generation moved), the plan is stale: replan.
 		pmu.Lock()
 		pc = e.pages[pg]
 		if pc.gen != genSnap {
@@ -697,6 +750,24 @@ func (e *lazyEngine) validate(pg mem.PageID) error {
 	}
 }
 
+// noteFetched accounts a burst of diff responses. LI is done with a
+// fetched diff once the miss holding its response has applied it; under
+// LU the diffs also enter the retained store, cloned, because later lock
+// grants piggyback them.
+func (e *lazyEngine) noteFetched(resps []*wire.Msg) {
+	if !e.update {
+		for _, resp := range resps {
+			e.n.stats.diffsFetched.Add(int64(len(resp.Diffs)))
+		}
+		return
+	}
+	e.mu.Lock()
+	for _, resp := range resps {
+		e.storeDiffRecsLocked(resp.Diffs, true)
+	}
+	e.mu.Unlock()
+}
+
 func clockSum(v vc.VC) int64 {
 	var s int64
 	for _, x := range v {
@@ -706,13 +777,13 @@ func clockSum(v vc.VC) int64 {
 }
 
 // missingDiffReqsLocked appends to reqs one KDiffReq per creator for the
-// diffs of page pg's outstanding intervals the retained store lacks,
-// creators ascending, each creator's wants in the order of out. Caller
-// holds e.mu.
-func (e *lazyEngine) missingDiffReqsLocked(reqs []outMsg, pg mem.PageID, out []core.IntervalID) []outMsg {
+// diffs of page pg's outstanding intervals that neither the retained
+// store nor the held responses supply, creators ascending, each creator's
+// wants in the order of out. Caller holds e.mu.
+func (e *lazyEngine) missingDiffReqsLocked(reqs []outMsg, pg mem.PageID, out []core.IntervalID, held fetchedDiffs) []outMsg {
 	var wants []wire.Want
 	for _, id := range out {
-		if e.diffs[id][pg] == nil {
+		if e.diffs[id][pg] == nil && held.find(pg, id) == nil {
 			wants = append(wants, wire.Want{Page: pg, Proc: id.Proc, Index: id.Index})
 		}
 	}
@@ -730,9 +801,10 @@ func (e *lazyEngine) missingDiffReqsLocked(reqs []outMsg, pg mem.PageID, out []c
 	return reqs
 }
 
-// storeDiffRecsLocked enters received diff records into the retained
-// store. Caller holds e.mu; fetched counts the records as wire fetches
-// (false for LU piggybacks).
+// storeDiffRecsLocked enters received diff records into LU's retained
+// store, as clones: the records borrow a frame that is released long
+// before a later grant piggybacks them. Caller holds e.mu; fetched counts
+// the records as wire fetches (false for piggybacks).
 //
 // Flattened response groups are detected here so their slots are marked
 // unforwardable: a flattened serve is a run of records for one (page,
@@ -791,29 +863,37 @@ func (e *lazyEngine) storeDiffRecsLocked(recs []wire.DiffRec, fetched bool) {
 		existing, ok := e.diffs[id][rec.Page]
 		switch {
 		case !ok:
-			e.diffs[id][rec.Page] = &diffSlot{d: rec.Diff, flat: flat[i]}
+			e.diffs[id][rec.Page] = &diffSlot{d: rec.Diff.Clone(), flat: flat[i]}
 			if fetched {
 				e.n.stats.diffsFetched.Add(1)
 			}
 		case flat[i] && rec.Proc != e.n.id && existing.d != nil:
-			e.diffs[id][rec.Page] = &diffSlot{d: rec.Diff, flat: true}
+			e.diffs[id][rec.Page] = &diffSlot{d: rec.Diff.Clone(), flat: true}
 		}
 	}
 }
 
-// revalidate runs validate over a list of pages (LU's acquire/barrier-time
+// revalidate brings a list of pages current (LU's acquire/barrier-time
 // update step and the GC epoch's bulk validation). With more than one
 // page the outstanding diffs are prefetched first as one grouped burst,
 // so the per-page requests to each creator leave in one batch frame
-// instead of one frame per page.
+// instead of one frame per page; each page's miss is then handed the
+// responses fetched for it.
 func (e *lazyEngine) revalidate(pages []mem.PageID) error {
+	var pre map[mem.PageID]fetchedDiffs
 	if len(pages) > 1 {
-		if err := e.prefetchDiffs(pages); err != nil {
+		var err error
+		if pre, err = e.prefetchDiffs(pages); err != nil {
 			return err
 		}
 	}
 	for _, pg := range pages {
-		if err := e.validate(pg); err != nil {
+		held := pre[pg]
+		delete(pre, pg)
+		if err := e.serviceMiss(pg, held); err != nil {
+			for _, rest := range pre {
+				rest.release()
+			}
 			return err
 		}
 	}
@@ -825,12 +905,12 @@ func (e *lazyEngine) revalidate(pages []mem.PageID) error {
 // the requests sequential validation would send, so message counts are
 // unchanged — staged together through the outbox, so all requests to
 // one creator coalesce into one frame and all creators answer
-// concurrently. Fetched diffs enter the retained store; validate()
-// then finds them locally and re-plans authoritatively (fresh notices
-// landing meanwhile just make it fetch the remainder as usual). Cold
-// pages are skipped: their plan depends on the applied clock the home's
-// copy arrives with.
-func (e *lazyEngine) prefetchDiffs(pages []mem.PageID) error {
+// concurrently. The responses are returned by page; each page's miss
+// then finds its diffs in them and re-plans authoritatively (fresh
+// notices landing meanwhile just make it fetch the remainder as usual).
+// Cold pages are skipped: their plan depends on the applied clock the
+// home's copy arrives with.
+func (e *lazyEngine) prefetchDiffs(pages []mem.PageID) (map[mem.PageID]fetchedDiffs, error) {
 	n := e.n
 	var reqs []outMsg
 	e.mu.Lock()
@@ -844,22 +924,23 @@ func (e *lazyEngine) prefetchDiffs(pages []mem.PageID) error {
 		}
 		appliedSnap := pc.applied.Clone()
 		pmu.Unlock()
-		reqs = e.missingDiffReqsLocked(reqs, pg, e.log.Outstanding(pg, appliedSnap, e.v, n.id))
+		reqs = e.missingDiffReqsLocked(reqs, pg, e.log.Outstanding(pg, appliedSnap, e.v, n.id), nil)
 	}
 	e.mu.Unlock()
 	if len(reqs) == 0 {
-		return nil
+		return nil, nil
 	}
 	resps, err := n.rpcAll(reqs)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	e.mu.Lock()
-	for _, resp := range resps {
-		e.storeDiffRecsLocked(resp.Diffs, true)
+	e.noteFetched(resps)
+	pre := make(map[mem.PageID]fetchedDiffs)
+	for i, resp := range resps {
+		pg := reqs[i].m.Wants[0].Page
+		pre[pg] = append(pre[pg], resp)
 	}
-	e.mu.Unlock()
-	return nil
+	return pre, nil
 }
 
 // --- engine interface: accesses ---
@@ -949,8 +1030,9 @@ func (e *lazyEngine) grant(req, grant *wire.Msg) {
 				}
 				d := slot.d
 				pmu.Unlock()
+				e.noteServe(&slot.served)
 				grant.Diffs = append(grant.Diffs, wire.DiffRec{
-					Page: pg, Proc: id.Proc, Index: id.Index, Diff: e.serveDiff(d),
+					Page: pg, Proc: id.Proc, Index: id.Index, Diff: d,
 				})
 			}
 		}
@@ -960,9 +1042,12 @@ func (e *lazyEngine) grant(req, grant *wire.Msg) {
 func (e *lazyEngine) onGrant(grant *wire.Msg) error {
 	e.mu.Lock()
 	fresh := e.absorbIntervalsLocked(grant.Intervals)
-	// Piggybacked diffs (LU grants) enter the retained-diff store; the
-	// revalidation below then fetches only what is still missing.
-	e.storeDiffRecsLocked(grant.Diffs, false)
+	if e.update {
+		// Piggybacked diffs enter the retained-diff store; the revalidation
+		// below then fetches only what is still missing. (An LI grant
+		// carries none, and LI keeps none.)
+		e.storeDiffRecsLocked(grant.Diffs, false)
+	}
 	affected := e.invalidateForLocked(fresh)
 	e.mu.Unlock()
 
@@ -1186,7 +1271,7 @@ func (e *lazyEngine) runGC(b mem.BarrierID) error {
 	}
 	// Flattened serves merge only pre-epoch intervals their requesters
 	// still needed; the epoch retires them with the diffs they merged.
-	e.flat = make(map[flatKey]*page.Diff)
+	e.flat = make(map[flatKey]*flatEntry)
 	e.sweepParkedLocked()
 	n.stats.gcRuns.Add(1)
 	return nil
@@ -1295,6 +1380,7 @@ func (e *lazyEngine) handleDiffReq(m *wire.Msg, src mem.ProcID) {
 	// whole request — a partial answer would install a torn page.
 	// Deferred local slots materialize here, on first serve.
 	diffs := make([]*page.Diff, len(m.Wants))
+	slots := make([]*diffSlot, len(m.Wants))
 	for i, w := range m.Wants {
 		id := core.IntervalID{Proc: w.Proc, Index: w.Index}
 		if !n.validPage(w.Page) {
@@ -1322,7 +1408,7 @@ func (e *lazyEngine) handleDiffReq(m *wire.Msg, src mem.ProcID) {
 		if slot.d == nil {
 			e.materializeSlot(e.pages[w.Page], slot, w.Page)
 		}
-		diffs[i] = slot.d
+		diffs[i], slots[i] = slot.d, slot
 		pmu.Unlock()
 	}
 
@@ -1344,8 +1430,9 @@ func (e *lazyEngine) handleDiffReq(m *wire.Msg, src mem.ProcID) {
 		group := m.Wants[i:j]
 		if len(group) >= 2 && w.Proc == n.id {
 			if flat := e.flattenGroupLocked(group, diffs[i:j]); flat != nil {
+				e.noteServe(&flat.served)
 				resp.Diffs = append(resp.Diffs, wire.DiffRec{
-					Page: w.Page, Proc: w.Proc, Index: w.Index, Diff: e.serveDiff(flat),
+					Page: w.Page, Proc: w.Proc, Index: w.Index, Diff: flat.d,
 				})
 				for _, g := range group[1:] {
 					resp.Diffs = append(resp.Diffs, wire.DiffRec{
@@ -1358,9 +1445,10 @@ func (e *lazyEngine) handleDiffReq(m *wire.Msg, src mem.ProcID) {
 			}
 		}
 		for k := i; k < j; k++ {
+			e.noteServe(&slots[k].served)
 			resp.Diffs = append(resp.Diffs, wire.DiffRec{
 				Page: m.Wants[k].Page, Proc: m.Wants[k].Proc, Index: m.Wants[k].Index,
-				Diff: e.serveDiff(diffs[k]),
+				Diff: diffs[k],
 			})
 		}
 		i = j
@@ -1373,10 +1461,9 @@ func (e *lazyEngine) handleDiffReq(m *wire.Msg, src mem.ProcID) {
 
 // flattenGroupLocked merges the diffs of a same-page ascending run of
 // this node's own intervals into one, or returns nil when the merge is
-// unsound. Results are cached by index range so repeat requesters (and
-// their encoded wire bodies) are served from one merge. Caller holds
-// e.mu.
-func (e *lazyEngine) flattenGroupLocked(group []wire.Want, diffs []*page.Diff) *page.Diff {
+// unsound. Results are cached by index range so repeat requesters are
+// served from one merge. Caller holds e.mu.
+func (e *lazyEngine) flattenGroupLocked(group []wire.Want, diffs []*page.Diff) *flatEntry {
 	first, last := group[0].Index, group[len(group)-1].Index
 	member := make(map[int32]bool, len(group))
 	for _, g := range group {
@@ -1398,7 +1485,7 @@ func (e *lazyEngine) flattenGroupLocked(group []wire.Want, diffs []*page.Diff) *
 	if flat, ok := e.flat[key]; ok {
 		return flat
 	}
-	flat, err := page.FlattenDiffs(diffs, e.n.sys.layout.PageSize())
+	merged, err := page.FlattenDiffs(diffs, e.n.sys.layout.PageSize())
 	if err != nil {
 		// Own diffs are well-formed, so this cannot happen; serve the
 		// group unflattened rather than fail the request.
@@ -1414,6 +1501,7 @@ func (e *lazyEngine) flattenGroupLocked(group []wire.Want, diffs []*page.Diff) *
 			break
 		}
 	}
+	flat := &flatEntry{d: merged}
 	e.flat[key] = flat
 	return flat
 }

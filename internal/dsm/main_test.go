@@ -1,0 +1,17 @@
+package dsm
+
+import (
+	"os"
+	"testing"
+
+	"repro/internal/framebuf"
+)
+
+// TestMain runs the package's tests under poison-on-release: a released
+// frame or page buffer is overwritten before it can be reused, so a diff,
+// twin or payload still read after its release turns into garbage bytes
+// the differential, torture and chaos oracles catch on the spot.
+func TestMain(m *testing.M) {
+	framebuf.SetPoison(true)
+	os.Exit(m.Run())
+}

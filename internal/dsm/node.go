@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/framebuf"
 	"repro/internal/mem"
 	"repro/internal/obs"
 	"repro/internal/transport"
@@ -49,9 +50,11 @@ type Stats struct {
 	// Diff data plane (lazy engines): DiffsCreated counts MakeDiff
 	// executions (eager engines tick it too, at their flush points),
 	// DiffsDeferred counts interval closes that kept the twin instead of
-	// diffing, DiffCacheHits counts serves satisfied by a previously
-	// encoded wire body, DiffsFlattened counts diffs elided by merging a
-	// multi-interval fetch into one flattened diff, and TwinBytesLive
+	// diffing, DiffCacheHits counts serves of a diff after its first (the
+	// body the first serve shipped is reused as is), DiffsFlattened counts
+	// diffs elided by merging a multi-interval fetch into one flattened
+	// diff, DiffsFetched counts diff records received in answer to a
+	// request (piggybacked ones are not fetched), and TwinBytesLive
 	// gauges the bytes currently held in live twins (capture minus final
 	// release), with TwinBytesPeak its high-water mark. DiffsTrimmed
 	// counts deferred diffs materialized by the twin budget rather than by
@@ -735,7 +738,10 @@ func (n *Node) rpcAll(reqs []outMsg) ([]*wire.Msg, error) {
 }
 
 // deliverResponse hands a response message to the requester parked in
-// rpc. Engines that intercept their responses in handle (installs and
+// rpc, which owns a reference to the response's frame from then on and
+// releases it once it has consumed the diffs (m.Frame.Release; a caller
+// that ignores its responses may leave that to the garbage collector).
+// Engines that intercept their responses in handle (installs and
 // flush reconciliations apply on the page's shard queue to stay in
 // directory order) call this after processing. A response nobody waits
 // for is a protocol error surfaced through System.Close — unless the
@@ -755,6 +761,9 @@ func (n *Node) deliverResponse(m *wire.Msg) {
 	}
 	n.waiterMu.Unlock()
 	if ok {
+		// The waiter becomes a holder of the frame the response borrows,
+		// next to whoever is delivering it.
+		m.Frame.Retain()
 		w.ch <- m
 		return
 	}
@@ -814,11 +823,11 @@ func dispatchKey(m *wire.Msg) uint32 {
 // fanning them out to the worker pool. A compressed frame is expanded
 // first; a batch frame is unpacked and its messages dispatched in
 // order, so the per-page shard FIFO the directory invariants rely on is
-// exactly the sender's staging order. Decoding copies everything out of
-// the payload, so the frame buffer is recycled immediately — the
-// receive half of the pooled zero-copy pipeline. Barrier arrivals and
-// the collective-exchange responses are handled inline (they only park
-// on rendezvous channels or wake rpc waiters).
+// exactly the sender's staging order. Decoded diffs borrow the frame
+// (internal/wire's Ownership section), so its lifetime follows them: see
+// attachFrame. Barrier arrivals and the collective-exchange responses
+// are handled inline (they only park on rendezvous channels or wake rpc
+// waiters).
 //
 // A frame that fails to expand or decode came off the wire from a
 // remote peer, so it is not a local invariant violation: the error is
@@ -833,7 +842,7 @@ func (n *Node) dispatchLoop() {
 		}
 		if wire.IsCompressed(payload) {
 			inner, err := wire.Expand(payload)
-			wire.PutBuf(payload)
+			framebuf.Put(payload)
 			if err != nil {
 				n.noteErr("inbound frame", fmt.Errorf("corrupt compressed frame from %d: %w", src, err))
 				continue
@@ -842,28 +851,56 @@ func (n *Node) dispatchLoop() {
 		}
 		if wire.IsBatch(payload) {
 			msgs, err := wire.DecodeBatch(payload)
-			wire.PutBuf(payload)
 			if err != nil {
+				framebuf.Put(payload)
 				n.noteErr("inbound frame", fmt.Errorf("undecodable batch frame from %d: %w", src, err))
 				continue
 			}
+			attachFrame(payload, msgs...)
 			for _, m := range msgs {
 				n.dispatchMsg(m, mem.ProcID(src))
 			}
 			continue
 		}
 		m, err := wire.Decode(payload)
-		wire.PutBuf(payload)
 		if err != nil {
+			framebuf.Put(payload)
 			n.noteErr("inbound frame", fmt.Errorf("undecodable frame from %d: %w", src, err))
 			continue
 		}
+		attachFrame(payload, m)
 		n.dispatchMsg(m, mem.ProcID(src))
 	}
 }
 
+// attachFrame settles the lifetime of a received frame once its messages
+// are decoded: recycled at once when none of them borrows it, otherwise
+// shared by the borrowers through one counted reference (Msg.Frame),
+// which each of them — and everyone it is handed on to — releases when
+// done with its diffs.
+func attachFrame(payload []byte, msgs ...*wire.Msg) {
+	borrowers := 0
+	for _, m := range msgs {
+		if m.HasDiffs() {
+			borrowers++
+		}
+	}
+	if borrowers == 0 {
+		framebuf.Put(payload)
+		return
+	}
+	ref := framebuf.NewRef(payload, borrowers)
+	for _, m := range msgs {
+		if m.HasDiffs() {
+			m.Frame = ref
+		}
+	}
+}
+
 // dispatchMsg routes one decoded message: rendezvous kinds inline,
-// everything else onto its serialized shard queue.
+// everything else onto its serialized shard queue. The rendezvous kinds
+// carry no diffs; a forged one that does keeps its frame until the
+// garbage collector takes both.
 func (n *Node) dispatchMsg(m *wire.Msg, src mem.ProcID) {
 	if n.traceOn() {
 		n.emit("recv", m.Kind.String(), int64(src))
@@ -891,26 +928,44 @@ func (n *Node) dispatchMsg(m *wire.Msg, src mem.ProcID) {
 // while a burst of frames was queued leave together — coalesced per
 // destination — and at idle every frame's responses flush before the
 // worker blocks again, so deferral never delays a response the sender
-// is waiting on.
+// is waiting on. It is also where the worker lets go of the frames its
+// burst borrowed: after the handlers ran and after everything they
+// staged was encoded. (A handler that hands its message on — to an rpc
+// waiter, to a serving goroutine — retains the frame for the new holder
+// first.)
 func (n *Node) worker(q chan inFrame) {
 	defer n.workerWG.Done()
-	for f := range q {
+	var held []*framebuf.Ref
+	process := func(f inFrame) {
 		n.process(f.m, f.src)
 		n.out.noteCompleted(f.src)
+		if f.m.Frame != nil {
+			held = append(held, f.m.Frame)
+		}
+	}
+	flush := func() {
+		n.noteErr("outbox flush", n.out.flushAll())
+		for i, fr := range held {
+			fr.Release()
+			held[i] = nil
+		}
+		held = held[:0]
+	}
+	for f := range q {
+		process(f)
 		for drained := false; !drained; {
 			select {
 			case f2, ok := <-q:
 				if !ok {
-					n.noteErr("outbox flush", n.out.flushAll())
+					flush()
 					return
 				}
-				n.process(f2.m, f2.src)
-				n.out.noteCompleted(f2.src)
+				process(f2)
 			default:
 				drained = true
 			}
 		}
-		n.noteErr("outbox flush", n.out.flushAll())
+		flush()
 	}
 }
 

@@ -79,7 +79,7 @@ func (s *System) registerMetrics(r *obs.Registry) {
 		nodeCounter("dsm_node_diffs_discarded_total", "diffs discarded by GC", n.stats.diffsDiscarded.Load)
 		nodeCounter("dsm_node_diffs_created_total", "diffs computed (MakeDiff executions)", n.stats.diffsCreated.Load)
 		nodeCounter("dsm_node_diffs_deferred_total", "interval closes that deferred diff creation", n.stats.diffsDeferred.Load)
-		nodeCounter("dsm_node_diff_cache_hits_total", "diff serves reusing a cached wire encoding", n.stats.diffCacheHits.Load)
+		nodeCounter("dsm_node_diff_cache_hits_total", "diff serves after the diff's first", n.stats.diffCacheHits.Load)
 		nodeCounter("dsm_node_diffs_flattened_total", "diffs elided by multi-interval flattening", n.stats.diffsFlattened.Load)
 		nodeCounter("dsm_node_diffs_trimmed_total", "deferred diffs materialized by the twin budget", n.stats.diffsTrimmed.Load)
 		r.GaugeFunc(fmt.Sprintf("dsm_node_twin_bytes_live{node=%q}", node),

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/framebuf"
 	"repro/internal/mem"
 	"repro/internal/transport"
 	"repro/internal/wire"
@@ -60,7 +61,7 @@ import (
 // the queue.
 //
 // Encoding is pooled and append-style: a flush encodes its messages
-// back to back into one wire.GetBuf buffer (steady-state the payload
+// back to back into one framebuf.Get buffer (steady-state the payload
 // bytes are never reallocated) and hands it to the transport — ownership
 // transfers on a single-frame Send; a batch is lent to SendBatch as
 // vectored sub-slices and recycled here after the transport has written
@@ -312,7 +313,7 @@ func (o *outbox) flushDst(dst mem.ProcID) error {
 
 	if !o.batch || len(pend) == 1 {
 		for _, m := range pend {
-			buf := m.EncodeAppend(wire.GetBuf())
+			buf := m.EncodeAppend(framebuf.Get())
 			if remote {
 				n.stats.countSent(m.Kind, len(buf))
 				n.stats.sentFrames.Add(1)
@@ -320,7 +321,7 @@ func (o *outbox) flushDst(dst mem.ProcID) error {
 			if z, ok := o.compress(remote, buf); ok {
 				// Ownership of z passes to the transport; buf stays ours.
 				err := transport.SendCompressed(n.ep, int(dst), 1, len(buf), z)
-				wire.PutBuf(buf)
+				framebuf.Put(buf)
 				if err != nil {
 					return poison(err)
 				}
@@ -340,7 +341,7 @@ func (o *outbox) flushDst(dst mem.ProcID) error {
 	// then lent to the transport as one vectored send — frames[0] the
 	// header, each later element one message, so the transport accounts
 	// the batch without parsing it.
-	buf := wire.AppendBatchHeader(wire.GetBuf(), len(pend))
+	buf := wire.AppendBatchHeader(framebuf.Get(), len(pend))
 	hdrEnd := len(buf)
 	ends := d.ends[:0]
 	for _, m := range pend {
@@ -358,7 +359,7 @@ func (o *outbox) flushDst(dst mem.ProcID) error {
 	}
 	if z, ok := o.compress(remote, buf); ok {
 		err := transport.SendCompressed(n.ep, int(dst), len(pend), len(buf), z)
-		wire.PutBuf(buf)
+		framebuf.Put(buf)
 		return poison(err)
 	}
 	frames := d.bufs[:0]
@@ -372,7 +373,7 @@ func (o *outbox) flushDst(dst mem.ProcID) error {
 	err := transport.SendBatch(n.ep, int(dst), frames)
 	// The batch buffer was only lent (the transport wrote or copied it);
 	// recycle it.
-	wire.PutBuf(buf)
+	framebuf.Put(buf)
 	return poison(err)
 }
 

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/framebuf"
 	"repro/internal/transport/tcp"
 	"repro/internal/wire"
 )
@@ -159,7 +160,7 @@ func TestForgedHomeDeltasRecordedNotApplied(t *testing.T) {
 		Kind: wire.KBarrierExit, Seq: arrive.Seq, A: arrive.A,
 		Data: encodeExitPlan(1, nil, []homeDelta{{pg: 0, home: 1}, {pg: 0, home: 0}}),
 	}
-	if err := master.Endpoint(0).Send(1, exit.EncodeAppend(wire.GetBuf())); err != nil {
+	if err := master.Endpoint(0).Send(1, exit.EncodeAppend(framebuf.Get())); err != nil {
 		t.Fatal(err)
 	}
 	if err := <-barErr; err != nil {
@@ -198,7 +199,7 @@ func TestForgedClaimsRecordedNotApplied(t *testing.T) {
 		Kind: wire.KBarrierArrive, Seq: 5, A: 0, B: 1,
 		Data: encodeExchange(0, nil, []homeClaim{{pg: 0, score: 9}, {pg: 0, score: 2}}),
 	}
-	if err := peer.Endpoint(1).Send(0, arrive.EncodeAppend(wire.GetBuf())); err != nil {
+	if err := peer.Endpoint(1).Send(0, arrive.EncodeAppend(framebuf.Get())); err != nil {
 		t.Fatal(err)
 	}
 	if err := <-barErr; err != nil {

@@ -88,7 +88,11 @@ func (n *Node) Acquire(l mem.LockID) error {
 			ll.cached = true
 			n.lockMu.Unlock()
 			n.emit("sync", "cs-enter", int64(l))
-			return n.e.onGrant(grant)
+			// An LU grant's piggybacked diffs borrow its frame; onGrant
+			// has stored its clones by the time it returns.
+			err = n.e.onGrant(grant)
+			grant.Frame.Release()
+			return err
 		}
 		// Held (or being acquired) by another local goroutine: park until
 		// a release hands the lock over or sends it away, then retry.
@@ -381,7 +385,12 @@ func (n *Node) handleLockReq(m *wire.Msg) {
 	n.lockMu.Unlock()
 	// The forward carries the requester's consistency payload through —
 	// both the flat VC (legacy single-payload form) and the mode-tagged
-	// sections each resident engine stamped in acquireStart.
+	// sections each resident engine stamped in acquireStart. Those hold
+	// clocks only; diffs a forged request smuggles in would borrow a frame
+	// the staged forward can outlive, so they are cut here.
+	for i := range m.Sections {
+		m.Sections[i].Diffs = nil
+	}
 	fwd := &wire.Msg{Kind: wire.KLockFwd, Seq: m.Seq, A: m.A, B: m.B, VC: m.VC, Sections: m.Sections}
 	n.stage(prev, fwd)
 }

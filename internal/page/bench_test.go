@@ -89,9 +89,8 @@ func BenchmarkMakeDiff(b *testing.B) {
 	})
 }
 
-// BenchmarkDiffServe measures re-serving one diff to many requesters:
-// cold rebuilds the wire body every time (the pre-cache behavior),
-// cached reuses the one EnsureWireBody buffer.
+// BenchmarkDiffServe measures serving one diff to a requester: a diff is
+// its wire body, so a serve is one append of that buffer into the frame.
 func BenchmarkDiffServe(b *testing.B) {
 	tw, cur := sparsePage(7)
 	d, err := MakeDiff(tw, cur)
@@ -99,36 +98,27 @@ func BenchmarkDiffServe(b *testing.B) {
 		b.Fatal(err)
 	}
 	buf := make([]byte, 0, d.WireSize())
-	b.Run("cold", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			fresh, _ := DiffFromRuns(d.Runs(), d.data)
-			buf = append(buf[:0], fresh.EnsureWireBody()...)
-		}
-	})
-	b.Run("cached", func(b *testing.B) {
-		d.EnsureWireBody()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			buf = append(buf[:0], d.EnsureWireBody()...)
-		}
-	})
+	for i := 0; i < b.N; i++ {
+		buf = d.AppendWireBody(buf[:0])
+	}
 	_ = buf
 }
 
-// The serve-from-cache path must not allocate: once the wire body is
-// built, every further serve is a single append into the frame buffer.
+// Serving a diff must not allocate, from the first serve on: the wire
+// body is laid out when the diff is made, and every serve is a single
+// append of it into the frame buffer.
 func TestDiffServeFromCacheAllocs(t *testing.T) {
 	tw, cur := sparsePage(7)
 	d, err := MakeDiff(tw, cur)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.EnsureWireBody()
 	buf := make([]byte, 0, 2*d.WireSize())
 	allocs := testing.AllocsPerRun(100, func() {
 		buf = append(buf[:0], d.EnsureWireBody()...)
+		buf = d.AppendWireBody(buf)
 	})
 	if allocs != 0 {
-		t.Fatalf("serve-from-cache allocated %.1f objects per op, want 0", allocs)
+		t.Fatalf("serving a diff allocated %.1f objects per op, want 0", allocs)
 	}
 }

@@ -74,32 +74,33 @@ func (t *Twin) Release() bool {
 // Diff is a run-length encoding of the difference between a twin and the
 // current contents of a page: the set of word-aligned byte runs that
 // changed, together with their new values. A diff is immutable once
-// built; the cached wire body (see EnsureWireBody) may be attached
-// lazily, which is the one field with interior mutability.
+// built.
+//
+// A diff has one payload representation: its wire body (the layout
+// AppendWireBody documents), held in a single buffer, with each run's
+// data a window of that buffer. MakeDiff, FlattenDiffs and DiffFromRuns
+// lay the body out once, in an exactly sized allocation the diff owns;
+// the wire decoder builds the diff over the received frame's bytes
+// instead (DiffFromWire), and such a diff borrows the frame — Clone is
+// the one way to keep it past the frame's release.
 type Diff struct {
 	runs []Run
-	data [][]byte
-	// enc caches the diff's wire body (AppendWireBody's output), built at
-	// most once per diff and reused verbatim by every subsequent
-	// serve. Atomic because concurrent handler workers may race to build
-	// it; the first store wins and the losers drop their copy.
-	enc atomic.Pointer[[]byte]
+	data [][]byte // data[i] is run i's payload, a window of body
+	body []byte   // nil for a diff without runs
 }
 
 // MakeDiff computes the diff between twin and current, which must be the
 // same length. Comparison is word-granular: any word containing a changed
 // byte is included whole, and adjacent changed words coalesce into runs.
 // The scan is word-wide — chunked equality for the long unchanged
-// stretches, 64-bit compares refined to the 4-byte word boundary — and
-// all run payloads share one pooled backing buffer.
+// stretches, 64-bit compares refined to the 4-byte word boundary.
 func MakeDiff(twin *Twin, current []byte) (*Diff, error) {
 	if len(current) != len(twin.data) {
 		return nil, fmt.Errorf("page: diff length mismatch: twin %d bytes, page %d bytes", len(twin.data), len(current))
 	}
 	a, b := twin.data, current
 	n := len(current)
-	d := &Diff{}
-	total := 0
+	var runs []Run
 	i := 0
 	for i < n {
 		i = nextChangedWord(a, b, i, n)
@@ -108,21 +109,46 @@ func MakeDiff(twin *Twin, current []byte) (*Diff, error) {
 		}
 		start := i
 		i = nextUnchangedWord(a, b, i+wordSize, n)
-		d.runs = append(d.runs, Run{Off: int32(start), Len: int32(i - start)})
-		total += i - start
+		runs = append(runs, Run{Off: int32(start), Len: int32(i - start)})
 	}
-	if total > 0 {
-		back := getBuf(total)
-		d.data = make([][]byte, len(d.runs))
-		off := 0
-		for k, r := range d.runs {
-			p := back[off : off+int(r.Len) : off+int(r.Len)]
-			copy(p, b[r.Off:int(r.Off)+int(r.Len)])
-			d.data[k] = p
-			off += int(r.Len)
-		}
+	return layOut(runs, func(k int) []byte { return b[runs[k].Off:runs[k].End()] }), nil
+}
+
+// layOut builds the diff of runs, copying run k's bytes from payload(k)
+// (which must be runs[k].Len long) into a freshly allocated, exactly
+// sized wire body.
+func layOut(runs []Run, payload func(k int) []byte) *Diff {
+	d := &Diff{runs: runs}
+	if len(runs) == 0 {
+		return d
 	}
-	return d, nil
+	size := uvarintLen(uint64(len(runs)))
+	for _, r := range runs {
+		size += uvarintLen(uint64(uint32(r.Off))) + uvarintLen(uint64(uint32(r.Len))) + int(r.Len)
+	}
+	body := binary.AppendUvarint(make([]byte, 0, size), uint64(len(runs)))
+	for k, r := range runs {
+		body = binary.AppendUvarint(body, uint64(uint32(r.Off)))
+		body = binary.AppendUvarint(body, uint64(uint32(r.Len)))
+		body = append(body, payload(k)...)
+	}
+	d.body, d.data = body, windows(body, runs)
+	return d
+}
+
+// windows returns each run's payload as a capacity-limited window of
+// body, which must be the wire body of runs in its canonical
+// (minimal-varint) spelling — the only one either constructor admits.
+func windows(body []byte, runs []Run) [][]byte {
+	data := make([][]byte, len(runs))
+	pos := uvarintLen(uint64(len(runs)))
+	for k, r := range runs {
+		pos += uvarintLen(uint64(uint32(r.Off))) + uvarintLen(uint64(uint32(r.Len)))
+		end := pos + int(r.Len)
+		data[k] = body[pos:end:end]
+		pos = end
+	}
+	return data
 }
 
 // nextChangedWord returns the smallest word-aligned offset >= i whose
@@ -224,64 +250,46 @@ func (d *Diff) WireSize() int {
 	return DiffHeaderBytes + len(d.runs)*RunHeaderBytes + d.PayloadBytes()
 }
 
-// WireBody returns the cached wire body, or nil when none has been built
-// yet. The body is everything the message encoder writes after a diff
-// record's (page, proc, index) header; see AppendWireBody for the layout.
-func (d *Diff) WireBody() []byte {
-	if p := d.enc.Load(); p != nil {
-		return *p
+// emptyBody is the wire body of a diff without runs: a zero run count.
+var emptyBody = []byte{0}
+
+// EnsureWireBody returns the diff's wire body: everything the message
+// encoder writes after a diff record's (page, proc, index) header. It is
+// the diff's own buffer, not a copy; callers must not mutate it.
+func (d *Diff) EnsureWireBody() []byte {
+	if d.body == nil {
+		return emptyBody
 	}
-	return nil
+	return d.body
 }
 
-// AppendWireBody appends the diff's wire body to buf: the run count,
-// then per run its offset, its length and its payload bytes, every
-// number an unsigned varint (a run of a 4 KiB page costs 2-4 descriptor
-// bytes, not the model's RunHeaderBytes). This is the one definition of
-// the layout: the message encoder (internal/wire) appends these bytes
-// and its decoder parses them. A cached body is spliced verbatim; an
-// uncached diff is walked, with no caching side effect — the engine
-// decides which diffs are worth caching via EnsureWireBody.
+// AppendWireBody appends the diff's wire body to buf. This comment is
+// the one definition of the layout: the run count, then per run its
+// offset, its length and its payload bytes, every number an unsigned
+// varint (a run of a 4 KiB page costs 2-4 descriptor bytes, not the
+// model's RunHeaderBytes). The message encoder (internal/wire) appends
+// these bytes and its decoder parses them; layOut writes them.
 func (d *Diff) AppendWireBody(buf []byte) []byte {
-	if p := d.enc.Load(); p != nil {
-		return append(buf, *p...)
-	}
-	buf = binary.AppendUvarint(buf, uint64(len(d.runs)))
-	for i, r := range d.runs {
-		buf = binary.AppendUvarint(buf, uint64(uint32(r.Off)))
-		buf = binary.AppendUvarint(buf, uint64(uint32(r.Len)))
-		buf = append(buf, d.data[i]...)
-	}
-	return buf
+	return append(buf, d.EnsureWireBody()...)
 }
 
 // WireBodySize returns the exact number of bytes AppendWireBody appends.
-func (d *Diff) WireBodySize() int {
-	if p := d.enc.Load(); p != nil {
-		return len(*p)
-	}
-	n := uvarintLen(uint64(len(d.runs)))
-	for _, r := range d.runs {
-		n += uvarintLen(uint64(uint32(r.Off))) + uvarintLen(uint64(uint32(r.Len))) + int(r.Len)
-	}
-	return n
-}
+func (d *Diff) WireBodySize() int { return len(d.EnsureWireBody()) }
 
 // uvarintLen returns the length of x's unsigned varint encoding.
 func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
-// EnsureWireBody returns the diff's wire body, building and caching it on
-// first use so every later serve of the same diff appends one immutable
-// buffer instead of re-walking runs and payloads.
-func (d *Diff) EnsureWireBody() []byte {
-	if p := d.enc.Load(); p != nil {
-		return *p
+// Clone returns a copy of the diff that owns its body. A decoded diff
+// borrows the frame it arrived in; whoever keeps one past the frame's
+// release keeps a Clone instead. The run table is shared: it is
+// immutable and never part of a frame.
+func (d *Diff) Clone() *Diff {
+	c := &Diff{runs: d.runs}
+	if d.body != nil {
+		c.body = append([]byte(nil), d.body...)
+		c.data = windows(c.body, c.runs)
 	}
-	body := d.AppendWireBody(make([]byte, 0, d.WireBodySize()))
-	if d.enc.CompareAndSwap(nil, &body) {
-		return body
-	}
-	return *d.enc.Load()
+	return c
 }
 
 // Apply merges the diff into the page contents in place. Later diffs
@@ -313,23 +321,47 @@ func (d *Diff) Ranges() *RangeSet {
 	return s
 }
 
-// DiffFromRuns constructs a diff directly from runs and payloads; used by
-// the wire decoder. Each payload must match its run's length and declare
-// a non-negative offset (the same rejection the decoder applies, repeated
-// here so no constructor path can build a diff Apply must refuse).
+// DiffFromRuns constructs a diff from explicit runs and payloads, copying
+// the payloads into a body the diff owns. Each payload must match its
+// run's length and declare a non-negative offset, so no constructor path
+// can build a diff Apply must refuse.
 func DiffFromRuns(runs []Run, data [][]byte) (*Diff, error) {
+	if err := checkRuns(runs, data); err != nil {
+		return nil, err
+	}
+	return layOut(runs, func(k int) []byte { return data[k] }), nil
+}
+
+// DiffFromWire constructs a diff over an encoded wire body without
+// copying it — the wire decoder's constructor. body must be the
+// AppendWireBody layout of runs in its canonical (minimal-varint)
+// spelling and data[k] the window of body holding run k's payload; the
+// decoder has established both, and only the run table is re-checked
+// here. The diff borrows body: see Clone. A diff without runs borrows
+// nothing.
+func DiffFromWire(body []byte, runs []Run, data [][]byte) (*Diff, error) {
+	if err := checkRuns(runs, data); err != nil {
+		return nil, err
+	}
+	if len(runs) == 0 {
+		return &Diff{}, nil
+	}
+	return &Diff{runs: runs, data: data, body: body}, nil
+}
+
+func checkRuns(runs []Run, data [][]byte) error {
 	if len(runs) != len(data) {
-		return nil, fmt.Errorf("page: %d runs but %d payloads", len(runs), len(data))
+		return fmt.Errorf("page: %d runs but %d payloads", len(runs), len(data))
 	}
 	for i, r := range runs {
 		if int(r.Len) != len(data[i]) {
-			return nil, fmt.Errorf("page: run %d declares %d bytes but payload has %d", i, r.Len, len(data[i]))
+			return fmt.Errorf("page: run %d declares %d bytes but payload has %d", i, r.Len, len(data[i]))
 		}
 		if r.Off < 0 {
-			return nil, fmt.Errorf("page: run %d has negative offset %d", i, r.Off)
+			return fmt.Errorf("page: run %d has negative offset %d", i, r.Off)
 		}
 	}
-	return &Diff{runs: runs, data: data}, nil
+	return nil
 }
 
 // EstimateDiffWireSize returns the wire size a diff would have for a

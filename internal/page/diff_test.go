@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/framebuf"
 )
 
 func TestMakeDiffEmpty(t *testing.T) {
@@ -84,6 +86,87 @@ func TestApplyOutOfRange(t *testing.T) {
 	}
 	if err := d.Apply(make([]byte, 64)); err == nil {
 		t.Fatal("out-of-range apply not rejected")
+	}
+}
+
+// TestDiffIsItsWireBody: MakeDiff lays the wire body out once — run
+// count, then offset, length and bytes per run, all varints — and the
+// runs' data are windows of that one buffer, not copies beside it.
+func TestDiffIsItsWireBody(t *testing.T) {
+	data := make([]byte, 4096)
+	tw := NewTwin(data)
+	data[8], data[300], data[301] = 1, 2, 3
+	d, err := MakeDiff(tw, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []byte{2, 8, 4, 1, 0, 0, 0, 0xac, 0x02, 4, 2, 3, 0, 0}
+	body := d.EnsureWireBody()
+	if !bytes.Equal(body, want) {
+		t.Fatalf("wire body = % x, want % x", body, want)
+	}
+	if len(body) != d.WireBodySize() || !bytes.Equal(d.AppendWireBody(nil), body) {
+		t.Error("WireBodySize / AppendWireBody disagree with the body")
+	}
+	if &d.RunData(0)[0] != &body[3] || &d.RunData(1)[0] != &body[10] {
+		t.Error("run data is not a window of the wire body")
+	}
+	if got := (&Diff{}).EnsureWireBody(); !bytes.Equal(got, []byte{0}) {
+		t.Errorf("empty diff's wire body = % x, want a zero run count", got)
+	}
+}
+
+// TestCloneOwnsItsBody: a diff built over borrowed bytes reads whatever
+// those bytes become; its Clone does not, and is otherwise the same diff.
+func TestCloneOwnsItsBody(t *testing.T) {
+	src, err := DiffFromRuns([]Run{{Off: 4, Len: 4}, {Off: 200, Len: 2}}, [][]byte{{1, 2, 3, 4}, {9, 9}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := append([]byte(nil), src.EnsureWireBody()...)
+	borrowed, err := DiffFromWire(frame, src.Runs(), [][]byte{frame[3:7:7], frame[10:12:12]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clone := borrowed.Clone()
+	for i := range frame {
+		frame[i] = 0xDB
+	}
+	want, got := make([]byte, 256), make([]byte, 256)
+	if err := src.Apply(want); err != nil {
+		t.Fatal(err)
+	}
+	if err := clone.Apply(got); err != nil || !bytes.Equal(got, want) {
+		t.Errorf("clone applies differently once the borrowed bytes changed (err %v)", err)
+	}
+	if !bytes.Equal(clone.EnsureWireBody(), src.EnsureWireBody()) {
+		t.Error("clone's wire body differs from the original's")
+	}
+	if err := borrowed.Apply(got); err != nil || got[4] != 0xDB {
+		t.Errorf("borrowing diff did not follow its bytes (err %v, byte 4 = %#x)", err, got[4])
+	}
+	if c := (&Diff{}).Clone(); !c.Empty() {
+		t.Error("clone of an empty diff is not empty")
+	}
+	if d, err := DiffFromWire([]byte{0}, nil, nil); err != nil || d.EnsureWireBody()[0] != 0 || &d.EnsureWireBody()[0] == &frame[0] {
+		t.Errorf("a diff without runs must borrow nothing (err %v)", err)
+	}
+}
+
+// TestReleasedTwinIsPoisoned: under poison-on-release the pool scribbles
+// a twin's buffer at its last release — and only then — so anything still
+// reading it diverges at once.
+func TestReleasedTwinIsPoisoned(t *testing.T) {
+	framebuf.SetPoison(true)
+	defer framebuf.SetPoison(false)
+	tw := NewTwin(bytes.Repeat([]byte{7}, 1024))
+	view := tw.Data()
+	tw.Retain()
+	if tw.Release() || view[0] != 7 {
+		t.Fatal("twin scribbled while a reference was still held")
+	}
+	if !tw.Release() || !bytes.Equal(view, bytes.Repeat([]byte{framebuf.PoisonByte}, 1024)) {
+		t.Fatalf("last release did not poison the buffer: % x...", view[:8])
 	}
 }
 

@@ -10,9 +10,9 @@ import "fmt"
 // byte takes its value from the latest diff that wrote it.
 //
 // The merge replays the diffs onto a pooled scratch page and then reads
-// the union ranges back out; stale scratch bytes outside the union are
-// never read. The scratch is returned to the pool before FlattenDiffs
-// returns; the output diff owns a fresh pooled backing.
+// the union ranges back out into the output diff's own body; stale
+// scratch bytes outside the union are never read. The scratch is
+// returned to the pool before FlattenDiffs returns.
 func FlattenDiffs(diffs []*Diff, pageSize int) (*Diff, error) {
 	scratch := getBuf(pageSize)
 	defer putBuf(scratch)
@@ -25,18 +25,6 @@ func FlattenDiffs(diffs []*Diff, pageSize int) (*Diff, error) {
 			union.AddRun(r)
 		}
 	}
-	out := &Diff{runs: append([]Run(nil), union.Runs()...)}
-	total := union.Bytes()
-	if total > 0 {
-		back := getBuf(total)
-		out.data = make([][]byte, len(out.runs))
-		off := 0
-		for k, r := range out.runs {
-			p := back[off : off+int(r.Len) : off+int(r.Len)]
-			copy(p, scratch[r.Off:int(r.Off)+int(r.Len)])
-			out.data[k] = p
-			off += int(r.Len)
-		}
-	}
-	return out, nil
+	runs := append([]Run(nil), union.Runs()...)
+	return layOut(runs, func(k int) []byte { return scratch[runs[k].Off:runs[k].End()] }), nil
 }

@@ -1,25 +1,32 @@
 package page
 
-// Size-classed buffer freelists for the diff data plane, in the same
-// typed-freelist idiom the wire codec uses for frame buffers: a buffered
+import "repro/internal/framebuf"
+
+// Size-classed buffer freelists for page-sized scratch, in the same
+// typed-freelist idiom internal/framebuf uses for frame buffers: a buffered
 // channel per class, non-blocking get/put, so recycling never contends
-// harder than a failed channel operation. Twins dominate the traffic —
-// every write-notice capture copies a full page, and the lazy engine
-// returns each twin's buffer at its final release — so the pool mostly
-// circulates page-sized buffers, with diff backings and flatten scratch
-// drawing from the smaller classes.
+// harder than a failed channel operation. Twins are the traffic — every
+// write-notice capture copies a full page, and the engines return each
+// twin's buffer at its final release — with FlattenDiffs' scratch page
+// the only other user, so a steady workload's captures are all served
+// from the pool.
 //
 // Ownership discipline: a buffer may be recycled only by its sole owner.
 // Twins are refcounted (Twin.Release) and recycled at the last release;
-// FlattenDiffs returns its scratch before returning; diff backings are
-// drawn from the pool but retired to the garbage collector instead,
-// because a served diff may still be referenced by a staged wire frame
-// when the GC epoch discards it.
+// FlattenDiffs returns its scratch before returning. Diffs are not
+// pooled: a diff owns one exactly sized buffer — its wire body, which
+// its runs index into — and that buffer is retired to the garbage
+// collector, because a served diff may still be referenced by a staged
+// message when its store entry is discarded. (A decoded diff owns no
+// buffer at all; it borrows its frame, see Diff.Clone.)
+//
+// Under internal/framebuf's poison-on-release test mode putBuf overwrites
+// the buffer first, so a twin released while something still reads it
+// fails the differential tests at once.
 
 const (
 	// minPoolShift..maxPoolShift bound the pooled classes: 64 B to 64 KiB
-	// in powers of two, covering run payloads up to the largest page size
-	// the runtime configures.
+	// in powers of two, covering every page size the runtime configures.
 	minPoolShift = 6
 	maxPoolShift = 16
 	numClasses   = maxPoolShift - minPoolShift + 1
@@ -74,6 +81,7 @@ func putBuf(b []byte) {
 	if c < 0 || cap(b) != 1<<(minPoolShift+c) {
 		return
 	}
+	framebuf.Poison(b[:cap(b)])
 	select {
 	case bufClasses[c] <- b[:cap(b)]:
 	default:

@@ -183,7 +183,8 @@ func (e *Endpoint) Send(dst int, payload []byte) error {
 // concatenation arrives as a single Recv payload, and the traffic
 // counters record len(frames)-1 messages in one frame, so the latency
 // model charges the fixed per-message cost once for the whole batch (the
-// frame buffers are borrowed; the delivered payload is a copy).
+// frame buffers are borrowed; the delivered payload is a copy, in a
+// buffer from the free list the receiver returns it to).
 func (e *Endpoint) SendBatch(dst int, frames stdnet.Buffers) error {
 	if dst < 0 || dst >= e.net.n {
 		return fmt.Errorf("simnet: destination %d outside [0,%d)", dst, e.net.n)
@@ -196,14 +197,8 @@ func (e *Endpoint) SendBatch(dst int, frames stdnet.Buffers) error {
 		return ErrClosed
 	default:
 	}
-	total := 0
-	for _, f := range frames {
-		total += len(f)
-	}
-	payload := make([]byte, 0, total)
-	for _, f := range frames {
-		payload = append(payload, f...)
-	}
+	payload := transport.Concat(frames)
+	total := len(payload)
 	if dst != e.id {
 		msgs := int64(len(frames) - 1)
 		e.net.msgs.Add(msgs)

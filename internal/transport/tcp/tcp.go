@@ -32,6 +32,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/framebuf"
 	"repro/internal/transport"
 )
 
@@ -290,7 +291,9 @@ func (t *Transport) serveConn(c net.Conn) {
 			t.noteErr(fmt.Errorf("tcp: endpoint %d: stream from %d: frame of %d bytes exceeds limit %d", t.self, src, size, MaxFrameBytes))
 			return
 		}
-		payload := make([]byte, size)
+		// From the free list the receiver returns frames to: the steady
+		// state reads into recycled buffers.
+		payload := framebuf.GetLen(int(size))
 		if _, err := io.ReadFull(c, payload); err != nil {
 			t.noteErr(fmt.Errorf("tcp: endpoint %d: stream from %d truncated mid-frame: %w", t.self, src, err))
 			return
@@ -398,8 +401,10 @@ func (t *Transport) writeFrame(s *sender, dst int, size int, payload ...[]byte) 
 
 // Send delivers payload to endpoint dst over the per-peer stream,
 // dialing it on first use. Loopback delivery bypasses the socket and
-// counts no traffic. Ownership of payload transfers to the transport
-// (the loopback path enqueues the buffer itself).
+// counts no traffic. Ownership of payload transfers to the transport:
+// the loopback path enqueues the buffer itself, the stream path recycles
+// it into the frame free list once it is written — the list the read
+// loops draw from, so a steady exchange allocates no frame at either end.
 func (t *Transport) Send(dst int, payload []byte) error {
 	if dst < 0 || dst >= len(t.peers) {
 		return fmt.Errorf("tcp: destination %d outside [0,%d)", dst, len(t.peers))
@@ -430,6 +435,7 @@ func (t *Transport) Send(dst int, payload []byte) error {
 	t.frames.Add(1)
 	t.bytes.Add(int64(len(payload)))
 	t.rawBytes.Add(int64(len(payload)))
+	framebuf.Put(payload)
 	return nil
 }
 
@@ -456,10 +462,7 @@ func (t *Transport) SendBatch(dst int, frames net.Buffers) error {
 		total += len(f)
 	}
 	if dst == t.self {
-		payload := make([]byte, 0, total)
-		for _, f := range frames {
-			payload = append(payload, f...)
-		}
+		payload := transport.Concat(frames)
 		select {
 		case t.recvq <- frame{src: t.self, payload: payload}:
 			return nil
@@ -525,6 +528,7 @@ func (t *Transport) SendCompressed(dst, msgs, rawBytes int, payload []byte) erro
 	}
 	t.bytes.Add(int64(len(payload)))
 	t.rawBytes.Add(int64(rawBytes))
+	framebuf.Put(payload)
 	return nil
 }
 

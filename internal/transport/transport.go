@@ -24,6 +24,8 @@ import (
 	"errors"
 	"net"
 	"time"
+
+	"repro/internal/framebuf"
 )
 
 // Stats is a snapshot of traffic counters for the endpoints a Transport
@@ -108,15 +110,23 @@ func SendBatch(ep Endpoint, dst int, frames net.Buffers) error {
 	if bs, ok := ep.(BatchSender); ok {
 		return bs.SendBatch(dst, frames)
 	}
+	return ep.Send(dst, Concat(frames))
+}
+
+// Concat joins a batch's frames into the one payload a receiver sees,
+// for delivery paths that cannot hand the borrowed frames over as they
+// are. The buffer comes from the frame free list the receiver returns
+// payloads to.
+func Concat(frames net.Buffers) []byte {
 	total := 0
 	for _, f := range frames {
 		total += len(f)
 	}
-	buf := make([]byte, 0, total)
+	buf := framebuf.GetLen(total)[:0]
 	for _, f := range frames {
 		buf = append(buf, f...)
 	}
-	return ep.Send(dst, buf)
+	return buf
 }
 
 // CompressedSender is the compressed-frame extension an Endpoint may

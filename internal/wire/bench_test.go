@@ -1,6 +1,10 @@
 package wire
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/framebuf"
+)
 
 // Codec micro-benches: CI runs these into BENCH_wire.json to track the
 // hot-path cost of the pooled append encoder and the batch framing
@@ -18,8 +22,8 @@ func BenchmarkWireEncodeAppendPooled(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf := m.EncodeAppend(GetBuf())
-		PutBuf(buf)
+		buf := m.EncodeAppend(framebuf.Get())
+		framebuf.Put(buf)
 	}
 }
 
@@ -52,11 +56,11 @@ func BenchmarkWireEncodeBatched(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf := AppendBatchHeader(GetBuf(), 8)
+		buf := AppendBatchHeader(framebuf.Get(), 8)
 		for k := 0; k < 8; k++ {
 			buf, _ = AppendBatched(buf, m)
 		}
-		PutBuf(buf)
+		framebuf.Put(buf)
 	}
 }
 
@@ -68,8 +72,8 @@ func BenchmarkWireEncodeUnbatched(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for k := 0; k < 8; k++ {
-			buf := m.EncodeAppend(GetBuf())
-			PutBuf(buf)
+			buf := m.EncodeAppend(framebuf.Get())
+			framebuf.Put(buf)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/framebuf"
 	"repro/internal/mem"
 	"repro/internal/page"
 	"repro/internal/vc"
@@ -260,9 +261,10 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
-// FuzzDecode: Decode must never panic, and anything it accepts must
+// FuzzDecode: Decode must never panic, anything it accepts must
 // re-encode into bytes Decode accepts again (a stable codec: accepted
-// input implies a canonical representation).
+// input implies a canonical representation), and the diffs it returns
+// must stay inside the windows of the frame they borrow.
 func FuzzDecode(f *testing.F) {
 	for _, m := range sampleMsgs() {
 		f.Add(m.EncodeAppend(nil))
@@ -293,7 +295,7 @@ func FuzzDecode(f *testing.F) {
 		flipped := append([]byte(nil), z...)
 		flipped[len(flipped)/2] ^= 0x40
 		f.Add(flipped)
-		PutBuf(z)
+		framebuf.Put(z)
 	}
 	// Non-canonical spellings the decoder must refuse: a padded varint,
 	// a presence bit over an empty block, a record whose clock does not
@@ -315,7 +317,7 @@ func FuzzDecode(f *testing.F) {
 				t.Fatal("Expand returned a nested compressed frame")
 			}
 			b = append([]byte(nil), inner...)
-			PutBuf(inner)
+			framebuf.Put(inner)
 		}
 		if IsBatch(b) {
 			// Batch frames go through DecodeBatch (the dispatch loop's
@@ -340,6 +342,24 @@ func FuzzDecode(f *testing.F) {
 		m, err := Decode(b)
 		if err != nil {
 			return // rejected: fine, as long as it did not panic
+		}
+		// Decoded diffs borrow b, each window capacity-limited to itself:
+		// growing one must reallocate, never write into the frame.
+		pristine := append([]byte(nil), b...)
+		grow := func(recs []DiffRec) {
+			for _, rec := range recs {
+				_ = append(rec.Diff.EnsureWireBody(), 0xEE)
+				for i := 0; i < rec.Diff.NumRuns(); i++ {
+					_ = append(rec.Diff.RunData(i), 0xEE)
+				}
+			}
+		}
+		grow(m.Diffs)
+		for _, s := range m.Sections {
+			grow(s.Diffs)
+		}
+		if !bytes.Equal(b, pristine) {
+			t.Fatal("a borrowed slice reaches outside its window of the frame")
 		}
 		enc := m.EncodeAppend(nil)
 		m2, err := Decode(enc)

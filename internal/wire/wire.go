@@ -52,6 +52,37 @@
 // uv count (>= 2), then count sub-frames of uv length + message — or a
 // compressed frame — the KCompressed byte, uv inner length, then a flate
 // stream inflating to exactly that many bytes of message or batch frame.
+//
+// # Ownership
+//
+// Decode and DecodeBatch copy everything out of the frame except diff
+// payloads. Clocks, interval records, wants and Msg.Data are owned by
+// the decoded message and outlive the frame (a page ship's Data becomes
+// the receiver's page copy as is). A decoded DiffRec's Diff borrows: its
+// wire body and every run's bytes are capacity-limited windows of the
+// frame the message was decoded from, so a 4 KiB diff response is decoded
+// without allocating or touching a payload byte, applies straight out of
+// the receive buffer, and re-encodes (a home relaying an update) as one
+// copy of the same bytes. A diff without runs borrows nothing.
+//
+// The borrow lasts as long as the frame does. Whoever received the frame
+// decides that: internal/dsm's dispatch loop recycles a frame at once
+// when no message decoded from it carries diffs (Msg.HasDiffs), and
+// otherwise attaches a framebuf.Ref to each such message (Msg.Frame; the
+// messages of a batch share one). Every holder that keeps the message
+// past its handler — an rpc waiter handed a response, a goroutine serving
+// a request — retains the reference first and releases it when it has
+// consumed the diffs: applied them, or re-encoded them into an outgoing
+// message that has been flushed. Never releasing is always safe, the
+// garbage collector reclaims the frame; releasing early is the one bug,
+// and internal/framebuf's poison-on-release mode turns it into garbage
+// bytes the differential tests catch.
+//
+// page.Diff.Clone is mandatory wherever a decoded diff is stored for
+// something that runs after the release: the runtime has one such place,
+// the LU engine's retained-diff store, whose entries are piggybacked on
+// later lock grants. Nothing else may keep a DiffRec, a *page.Diff or a
+// RunData slice of a received message.
 package wire
 
 import (
@@ -65,6 +96,7 @@ import (
 	"slices"
 	"sync"
 
+	"repro/internal/framebuf"
 	"repro/internal/mem"
 	"repro/internal/page"
 	"repro/internal/vc"
@@ -255,48 +287,25 @@ type Msg struct {
 	Wants     []Want
 	Data      []byte    // page contents (KPageResp)
 	Sections  []Section // per-engine payloads on shared sync messages
+
+	// Frame is the received frame a decoded message's diffs borrow, set by
+	// the receiver when HasDiffs (see the package doc's Ownership
+	// section); nil otherwise. Not encoded.
+	Frame *framebuf.Ref
 }
 
-// maxPooledBuf caps the capacity of buffers the pool retains: a frame
-// that grew to carry an unusually large batch of page-sized diffs must
-// not pin that memory for the process lifetime.
-const maxPooledBuf = 1 << 20
-
-// bufFree is a typed free list of frame buffers: a buffered channel
-// whose ring buffer stores the []byte headers directly. The previous
-// sync.Pool boxed each non-pointer Put into an interface, re-allocating
-// a 24-byte slice header per recycled frame; the channel moves the
-// header by value, so the steady state is genuinely zero-alloc. The
-// slot count bounds how many idle buffers stay pinned; overflow is
-// dropped for the GC, underflow falls back to a fresh allocation.
-var bufFree = make(chan []byte, 512)
-
-// GetBuf returns an empty frame buffer from the free list. Encode into
-// it with EncodeAppend; hand it to the transport (which takes ownership
-// on Send) or return it with PutBuf. Steady-state the payload bytes are
-// never reallocated — buffers cycle sender -> transport -> receiver ->
-// free list — and recycling itself allocates nothing.
-func GetBuf() []byte {
-	select {
-	case b := <-bufFree:
-		return b
-	default:
-		return make([]byte, 0, 512)
+// HasDiffs reports whether the message carries diff records, flat or in a
+// section — for a decoded message, whether it borrows its frame.
+func (m *Msg) HasDiffs() bool {
+	if len(m.Diffs) > 0 {
+		return true
 	}
-}
-
-// PutBuf returns a frame buffer to the free list. The caller must not
-// touch b afterwards. Any byte slice may be recycled here (received
-// payloads included, whatever allocated them); oversized buffers are
-// dropped, as is everything beyond the free list's capacity.
-func PutBuf(b []byte) {
-	if cap(b) == 0 || cap(b) > maxPooledBuf {
-		return
+	for i := range m.Sections {
+		if len(m.Sections[i].Diffs) > 0 {
+			return true
+		}
 	}
-	select {
-	case bufFree <- b[:0]:
-	default:
-	}
+	return false
 }
 
 // Presence bits: one per optional block, in wire order. A message uses
@@ -335,7 +344,7 @@ const (
 
 // EncodeAppend appends the message's encoding to buf and returns the
 // extended slice — the append-style encoder of the hot send path: with a
-// pooled buffer (GetBuf) the steady state is zero-alloc, and several
+// pooled buffer (framebuf.Get) the steady state is zero-alloc, and several
 // messages append into one buffer to form a batch frame.
 func (m *Msg) EncodeAppend(buf []byte) []byte {
 	// slices.Grow rounds a new buffer up to its allocation size class, so
@@ -720,7 +729,8 @@ func (d *decoder) bytes(n int) []byte {
 	return out
 }
 
-// Decode parses an encoded message.
+// Decode parses an encoded message. The message's diffs borrow b (the
+// package doc's Ownership section); everything else is copied out.
 func Decode(b []byte) (*Msg, error) {
 	if len(b) < minMsgBytes {
 		return nil, fmt.Errorf("wire: message of %d bytes shorter than header", len(b))
@@ -879,15 +889,15 @@ func (d *decoder) intervalList(base vc.VC) []IntervalRec {
 }
 
 // diffList decodes a diff block. Like intervalList it sizes the block
-// first, then decodes into one run slab, one payload-slice slab and one
-// byte slab per block: each diff's runs and each run's bytes are
-// capacity-limited windows of them. A block holding a single run — a
-// whole-page rewrite, typically — copies it on its own instead: an exact
-// allocation the runtime need not zero before the copy.
+// first — every run's offset and length checked against the bytes present
+// — then decodes into one run slab and one payload-window slab per block.
+// No payload byte is copied: each diff's wire body and each run's data
+// are capacity-limited windows of the frame being decoded (the package
+// doc's Ownership section says who may hold them for how long).
 func (d *decoder) diffList() []DiffRec {
 	ndiffs := d.blockCount("diff", minDiffBytes)
 	start := d.off
-	nruns, nbytes := 0, 0
+	nruns := 0
 	for i := 0; i < ndiffs && d.err == nil; i++ {
 		d.skip(3) // page, proc, index
 		rn := d.countItems("run", minRunBytes)
@@ -897,7 +907,7 @@ func (d *decoder) diffList() []DiffRec {
 				// applied; nothing legitimate encodes one.
 				d.fail("negative run offset %d", int32(off))
 			}
-			nbytes += len(d.bytes(int(d.u32())))
+			d.bytes(int(d.u32()))
 		}
 		nruns += rn
 	}
@@ -908,30 +918,20 @@ func (d *decoder) diffList() []DiffRec {
 	out := make([]DiffRec, ndiffs)
 	runs := make([]page.Run, nruns)
 	data := make([][]byte, nruns)
-	var slab []byte
-	if nruns > 1 {
-		slab = make([]byte, nbytes)
-	}
 	for i := range out {
 		rec := &out[i]
 		rec.Page = mem.PageID(d.i32())
 		rec.Proc = mem.ProcID(d.i32())
 		rec.Index = d.i32()
+		body := d.off
 		rn := int(d.u32())
 		for k := 0; k < rn; k++ {
 			runs[k].Off = d.i32()
 			payload := d.bytes(int(d.u32()))
 			runs[k].Len = int32(len(payload))
-			if nruns == 1 {
-				only := make([]byte, len(payload))
-				copy(only, payload)
-				data[k] = only
-				continue
-			}
-			data[k] = slab[:len(payload):len(payload)]
-			slab = slab[copy(data[k], payload):]
+			data[k] = payload[:len(payload):len(payload)]
 		}
-		df, err := page.DiffFromRuns(runs[:rn:rn], data[:rn:rn])
+		df, err := page.DiffFromWire(d.b[body:d.off:d.off], runs[:rn:rn], data[:rn:rn])
 		if err != nil {
 			d.fail("%v", err)
 			return nil
@@ -962,11 +962,12 @@ func AppendBatchHeader(buf []byte, count int) []byte {
 // IsBatch reports whether the payload is a batch frame.
 func IsBatch(b []byte) bool { return len(b) > 0 && Kind(b[0]) == KBatch }
 
-// DecodeBatch parses a batch frame into its messages. It enforces the
-// same hostility bounds as Decode: the claimed count must fit the bytes
-// actually present before anything is allocated by it, every sub-frame
-// must lie within the payload, nested batches are rejected (Decode
-// refuses KBatch in message position), and trailing bytes are an error.
+// DecodeBatch parses a batch frame into its messages, whose diffs borrow
+// b exactly as Decode's do. It enforces the same hostility bounds as
+// Decode: the claimed count must fit the bytes actually present before
+// anything is allocated by it, every sub-frame must lie within the
+// payload, nested batches are rejected (Decode refuses KBatch in message
+// position), and trailing bytes are an error.
 func DecodeBatch(b []byte) ([]*Msg, error) {
 	if len(b) < 2 {
 		return nil, fmt.Errorf("wire: batch frame of %d bytes shorter than header", len(b))
@@ -1047,7 +1048,7 @@ func IsCompressed(b []byte) bool { return len(b) > 0 && Kind(b[0]) == KCompresse
 // sender can always prefer the returned frame when ok. The caller keeps
 // ownership of frame either way.
 func Compress(frame []byte) (compressed []byte, ok bool) {
-	sw := &sliceWriter{b: putLen(append(GetBuf(), byte(KCompressed)), len(frame))}
+	sw := &sliceWriter{b: putLen(append(framebuf.Get(), byte(KCompressed)), len(frame))}
 	zw := flateWriters.Get().(*flate.Writer)
 	zw.Reset(sw)
 	_, err := zw.Write(frame)
@@ -1058,14 +1059,14 @@ func Compress(frame []byte) (compressed []byte, ok bool) {
 	if err != nil || len(sw.b) >= len(frame) {
 		// sliceWriter never fails, so err is theoretical; the size gate is
 		// the common exit for dense payloads.
-		PutBuf(sw.b)
+		framebuf.Put(sw.b)
 		return nil, false
 	}
 	return sw.b, true
 }
 
 // Expand inflates a compressed frame back into its inner frame, in a
-// pooled buffer the caller owns (recycle with PutBuf). It enforces the
+// pooled buffer the caller owns (recycle with framebuf.Put). It enforces the
 // hostility bounds of the other decoders: the claimed inner length is
 // capped (MaxExpandedBytes), the stream must inflate to exactly that
 // length, allocation grows with bytes actually produced rather than the
@@ -1091,7 +1092,7 @@ func Expand(b []byte) ([]byte, error) {
 	if err := zr.(flate.Resetter).Reset(bytes.NewReader(b[d.off:]), nil); err != nil {
 		return nil, fmt.Errorf("wire: compressed frame: %v", err)
 	}
-	out := GetBuf()
+	out := framebuf.Get()
 	for {
 		if len(out) == cap(out) {
 			out = append(out, 0)[:len(out)]
@@ -1099,24 +1100,24 @@ func Expand(b []byte) ([]byte, error) {
 		n, err := zr.Read(out[len(out):cap(out)])
 		out = out[:len(out)+n]
 		if len(out) > want {
-			PutBuf(out)
+			framebuf.Put(out)
 			return nil, fmt.Errorf("wire: compressed frame inflates past its claimed %d bytes", want)
 		}
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
-			PutBuf(out)
+			framebuf.Put(out)
 			return nil, fmt.Errorf("wire: compressed frame: %v", err)
 		}
 	}
 	if len(out) != want {
 		got := len(out)
-		PutBuf(out)
+		framebuf.Put(out)
 		return nil, fmt.Errorf("wire: compressed frame inflates to %d bytes, header claims %d", got, want)
 	}
 	if IsCompressed(out) {
-		PutBuf(out)
+		framebuf.Put(out)
 		return nil, fmt.Errorf("wire: nested compressed frame")
 	}
 	return out, nil

@@ -5,9 +5,11 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/framebuf"
 	"repro/internal/mem"
 	"repro/internal/page"
 	"repro/internal/vc"
@@ -154,10 +156,11 @@ func TestDiffsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDecodedDiffsShareSlabsSafely: a diff block's runs and payload bytes
-// are decoded into per-block slabs — the same number of allocations for
-// three runs as for three hundred — yet each run's bytes stay a window
-// of their own: appending to one must not reach into the next.
+// TestDecodedDiffsShareSlabsSafely: a diff block's run tables are decoded
+// into per-block slabs — the same number of allocations for three runs
+// as for three hundred — and each run's bytes are a window of the frame,
+// capacity-limited to the run: appending to one must not write into the
+// frame behind it.
 func TestDecodedDiffsShareSlabsSafely(t *testing.T) {
 	build := func(runs int) []byte {
 		var writes []int
@@ -172,14 +175,20 @@ func TestDecodedDiffsShareSlabsSafely(t *testing.T) {
 			{Page: 1, Proc: 2, Index: 3, Diff: d}, {Page: 2, Proc: 2, Index: 3, Diff: d},
 		}}).EncodeAppend(nil)
 	}
-	got, err := Decode(build(3))
+	frame := build(3)
+	pristine := append([]byte(nil), frame...)
+	got, err := Decode(frame)
 	if err != nil {
 		t.Fatal(err)
 	}
 	first := got.Diffs[0].Diff
 	_ = append(first.RunData(0), 0xEE)
+	_ = append(first.EnsureWireBody(), 0xEE)
+	if !bytes.Equal(frame, pristine) {
+		t.Fatalf("appending to a borrowed window wrote into the frame:\n was %x\n now %x", pristine, frame)
+	}
 	if b := first.RunData(1); b[0] != 0xAB {
-		t.Fatalf("appending to run 0 changed run 1: % x", b)
+		t.Fatalf("run 1 reads % x", b)
 	}
 	target := make([]byte, 4096)
 	if err := got.Diffs[1].Diff.Apply(target); err != nil || target[16] != 0xAB {
@@ -197,25 +206,97 @@ func TestDecodedDiffsShareSlabsSafely(t *testing.T) {
 	}
 }
 
-// Encoding a diff whose wire body is cached must produce bytes identical
-// to the direct encode path — the cache is a pure reuse, not a format.
+// TestDecodeBorrowsFrame pins the codec's ownership rule for diffs: a
+// decoded run's data is the frame's own bytes, decoding a 4 KiB diff
+// response allocates nothing of payload size, and a Clone — the one way
+// to keep a diff past its frame — survives the frame's poisoned release
+// while the borrowing diff reads the poison.
+func TestDecodeBorrowsFrame(t *testing.T) {
+	const size = 4096
+	base, cur := make([]byte, size), make([]byte, size)
+	for i := range cur {
+		cur[i] = byte(i) | 1 // every word changes: one 4 KiB run
+	}
+	d, err := page.MakeDiff(page.NewTwin(base), cur)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp := &Msg{Kind: KDiffResp, Seq: 43, Diffs: []DiffRec{{Page: 3, Proc: 1, Index: 7, Diff: d}}}
+	frame := resp.EncodeAppend(framebuf.Get())
+	m, err := Decode(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !m.HasDiffs() {
+		t.Fatal("decoded diff response reports no diffs")
+	}
+	got := m.Diffs[0].Diff
+	if got.NumRuns() != 1 || len(got.RunData(0)) != size {
+		t.Fatalf("decoded %d runs, first %d bytes", got.NumRuns(), len(got.RunData(0)))
+	}
+	// The payload is the frame's tail; the run must be those very bytes.
+	if &got.RunData(0)[0] != &frame[len(frame)-size] {
+		t.Error("decoded run data does not alias the frame")
+	}
+
+	var before, after runtime.MemStats
+	const rounds = 200
+	runtime.ReadMemStats(&before)
+	for i := 0; i < rounds; i++ {
+		if _, err := Decode(frame); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / rounds; per >= size/4 {
+		t.Errorf("decoding a %d-byte diff response allocates %d bytes, want message and run-table overhead only", size, per)
+	}
+
+	clone := got.Clone()
+	framebuf.SetPoison(true)
+	defer framebuf.SetPoison(false)
+	framebuf.Put(frame) // the release: poisoned, then back on the free list
+	page1, page2 := make([]byte, size), make([]byte, size)
+	if err := clone.Apply(page1); err != nil || !bytes.Equal(page1, cur) {
+		t.Errorf("clone does not survive its frame's release (err %v)", err)
+	}
+	if err := got.Apply(page2); err != nil || !bytes.Equal(page2, bytes.Repeat([]byte{framebuf.PoisonByte}, size)) {
+		t.Errorf("borrowing diff still reads payload after a poisoned release (err %v)", err)
+	}
+	if enc := (&Msg{Kind: KDiffResp, Seq: 43, Diffs: []DiffRec{{Page: 3, Proc: 1, Index: 7, Diff: clone}}}).EncodeAppend(nil); !bytes.Equal(enc, resp.EncodeAppend(nil)) {
+		t.Error("clone re-encodes differently from the original diff")
+	}
+}
+
+// A diff is its wire body: the encoder appends exactly those bytes, a
+// decoded diff — whose body is the received frame's — and its Clone
+// re-encode to the identical frame, and encoding twice changes nothing.
 func TestCachedWireBodyEncodesIdentically(t *testing.T) {
-	mk := func() *Msg {
-		d := mkDiff(t, 64, 4, 5, 20, 33)
-		return &Msg{Kind: KDiffResp, Seq: 9, A: 1,
-			Diffs: []DiffRec{{Page: 5, Proc: 2, Index: 3, Diff: d}}}
+	d := mkDiff(t, 64, 4, 5, 20, 33)
+	m := &Msg{Kind: KDiffResp, Seq: 9, A: 1,
+		Diffs: []DiffRec{{Page: 5, Proc: 2, Index: 3, Diff: d}}}
+	a := m.EncodeAppend(nil)
+	if body := d.EnsureWireBody(); !bytes.HasSuffix(a, body) || len(body) != d.WireBodySize() {
+		t.Fatalf("frame does not end in the diff's %d-byte wire body:\n frame %x\n body  %x", d.WireBodySize(), a, body)
 	}
-	fresh := mk()
-	cached := mk()
-	cached.Diffs[0].Diff.EnsureWireBody()
-	a := fresh.EncodeAppend(nil)
-	b := cached.EncodeAppend(nil)
-	if !bytes.Equal(a, b) {
-		t.Fatalf("cached-body encode differs:\n direct %x\n cached %x", a, b)
+	if b := m.EncodeAppend(nil); !bytes.Equal(a, b) {
+		t.Fatal("second encode differs from first")
 	}
-	// And again from the same cached diff, to cover the repeat-serve path.
-	if c := cached.EncodeAppend(nil); !bytes.Equal(b, c) {
-		t.Fatal("second cached encode differs from first")
+	dec, err := Decode(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b := dec.EncodeAppend(nil); !bytes.Equal(a, b) {
+		t.Fatalf("borrowing diff re-encodes differently:\n sent %x\n back %x", a, b)
+	}
+	dec.Diffs[0].Diff = dec.Diffs[0].Diff.Clone()
+	if b := dec.EncodeAppend(nil); !bytes.Equal(a, b) {
+		t.Fatalf("cloned diff re-encodes differently:\n sent %x\n back %x", a, b)
+	}
+	// A diff without runs has no body of its own and still encodes.
+	empty := &Msg{Kind: KDiffResp, Diffs: []DiffRec{{Page: 1, Diff: &page.Diff{}}}}
+	if dec, err := Decode(empty.EncodeAppend(nil)); err != nil || !dec.Diffs[0].Diff.Empty() {
+		t.Fatalf("empty diff round trip: %v", err)
 	}
 }
 
@@ -484,8 +565,8 @@ func TestRoundTripExtremes(t *testing.T) {
 	}
 }
 
-// TestSizeHintExact: SizeHint is the encoded length, for every sample —
-// cached and uncached diff bodies included. The outbox's byte threshold
+// TestSizeHintExact: SizeHint is the encoded length, for every sample.
+// The outbox's byte threshold
 // counts it and AppendBatched writes it as the sub-frame length.
 func TestSizeHintExact(t *testing.T) {
 	for _, m := range sampleMsgs() {
@@ -495,10 +576,8 @@ func TestSizeHintExact(t *testing.T) {
 	}
 	d := mkDiff(t, 4096, 4, 5, 200, 3000)
 	m := &Msg{Kind: KDiffResp, Seq: 1 << 40, Diffs: []DiffRec{{Page: 300, Proc: 3, Index: 1000, Diff: d}}}
-	direct := m.SizeHint()
-	d.EnsureWireBody()
-	if cached, want := m.SizeHint(), len(m.EncodeAppend(nil)); direct != want || cached != want {
-		t.Errorf("diff response: SizeHint %d direct, %d cached, encoded length %d", direct, cached, want)
+	if got, want := m.SizeHint(), len(m.EncodeAppend(nil)); got != want {
+		t.Errorf("diff response: SizeHint = %d, encoded length %d", got, want)
 	}
 }
 
@@ -566,7 +645,7 @@ func TestBatchRoundTrip(t *testing.T) {
 		{Kind: KDiffReq, Seq: 2, A: 1, Wants: []Want{{Page: 4, Proc: 1, Index: 2}}},
 		{Kind: KPageResp, Seq: 3, A: 9, VC: vc.VC{1, 2}, Data: []byte{5, 6, 7}},
 	}
-	b := appendBatch(GetBuf(), msgs...)
+	b := appendBatch(framebuf.Get(), msgs...)
 	if !IsBatch(b) {
 		t.Fatal("batch frame not recognized")
 	}
@@ -582,7 +661,7 @@ func TestBatchRoundTrip(t *testing.T) {
 			t.Errorf("batched message %d changed across the codec", i)
 		}
 	}
-	PutBuf(b)
+	framebuf.Put(b)
 }
 
 func TestEncodeAppendComposes(t *testing.T) {
@@ -592,24 +671,9 @@ func TestEncodeAppendComposes(t *testing.T) {
 	a := &Msg{Kind: KLockReq, Seq: 1, A: 2, B: 3}
 	b := &Msg{Kind: KInval, Seq: 4, A: 5}
 	ae, be := a.EncodeAppend(nil), b.EncodeAppend(nil)
-	joint := b.EncodeAppend(a.EncodeAppend(GetBuf()))
+	joint := b.EncodeAppend(a.EncodeAppend(framebuf.Get()))
 	if !bytes.Equal(joint, append(append([]byte(nil), ae...), be...)) {
 		t.Fatal("EncodeAppend into a shared buffer diverges from standalone encodings")
 	}
-	PutBuf(joint)
-}
-
-func TestBufPoolRecycles(t *testing.T) {
-	b := GetBuf()
-	if len(b) != 0 {
-		t.Fatalf("GetBuf returned %d-byte buffer, want empty", len(b))
-	}
-	b = append(b, 1, 2, 3)
-	PutBuf(b)
-	// Oversized and zero-capacity buffers must be dropped, not pooled.
-	PutBuf(nil)
-	PutBuf(make([]byte, maxPooledBuf+1))
-	if got := GetBuf(); len(got) != 0 {
-		t.Fatalf("pooled buffer came back %d bytes long", len(got))
-	}
+	framebuf.Put(joint)
 }
