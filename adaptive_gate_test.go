@@ -63,8 +63,7 @@ func msgsPerCritsec(t testing.TB, name string, rc repro.RuntimeConfig) float64 {
 
 // TestAdaptiveTrafficGate: on at least one SPLASH workload, adaptive
 // routing must move no more messages per critical section than the best
-// protocol run uniformly. (Per-workload results are logged; the matching
-// benchmark records them in BENCH_adaptive.json.)
+// protocol run uniformly. (Per-workload results are logged.)
 func TestAdaptiveTrafficGate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("adaptive gate sweeps every protocol over several workloads; skipped in short mode")
@@ -92,7 +91,7 @@ func TestAdaptiveTrafficGate(t *testing.T) {
 
 // BenchmarkAdaptiveWorkloads emits the msgs/critsec series behind the
 // gate — every single-protocol run plus adaptive, per workload — as
-// benchmark metrics for the BENCH_adaptive.json artifact.
+// benchmark metrics.
 func BenchmarkAdaptiveWorkloads(b *testing.B) {
 	for _, name := range adaptiveWorkloads {
 		for _, m := range repro.DSMModes {

@@ -279,64 +279,8 @@ func benchRuntimeWorkload(b *testing.B, app string) {
 	}
 }
 
-// BenchmarkRuntimeCounter is the concurrency headline bench: the
-// migratory-counter pattern at a logical parallelism of eight
-// processors, across node shapes — gpn=1 is eight single-goroutine
-// nodes, gpn=4 two oversubscribed nodes of four goroutines, gpn=8 two
-// nodes of eight (sixteen processors: a single node would have no
-// interconnect to measure). Each processor performs b.N lock-protected
-// increments, so ns/op is directly comparable between gpn=1 and gpn=4;
-// oversubscribed shapes resolve most lock transfers as node-local
-// handoffs and must show the throughput gain (CI records gpn=1 vs gpn=4
-// in BENCH_runtime.json). msgs/critsec covers the timed increments only.
-func BenchmarkRuntimeCounter(b *testing.B) {
-	const procs = 8
-	for _, gpn := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("gpn=%d", gpn), func(b *testing.B) {
-			nodes := max(procs/gpn, 2)
-			d, err := repro.NewDSM(repro.DSMConfig{
-				Procs:             nodes,
-				SpaceSize:         64 * 1024,
-				PageSize:          1024,
-				Mode:              repro.LazyInvalidate,
-				GoroutinesPerNode: gpn,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer d.Close()
-			a := repro.NewArena(d.Layout())
-			counter := repro.NewVar[uint64](a)
-			lock := a.NewLock()
-			before := d.NetStats().Messages
-			b.ResetTimer()
-			var wg sync.WaitGroup
-			for _, n := range d.Local() {
-				for g := 0; g < gpn; g++ {
-					wg.Add(1)
-					go func(n *repro.Node) {
-						defer wg.Done()
-						for k := 0; k < b.N; k++ {
-							if err := repro.Locked(n, lock, func() error {
-								_, err := counter.Add(n, 1)
-								return err
-							}); err != nil {
-								b.Error(err)
-								return
-							}
-						}
-					}(n)
-				}
-			}
-			wg.Wait()
-			b.StopTimer()
-			crit := int64(nodes*gpn) * int64(b.N)
-			b.ReportMetric(float64(d.NetStats().Messages-before)/float64(crit), "msgs/critsec")
-		})
-	}
-}
-
-// BenchmarkRuntimeCounterObs is BenchmarkRuntimeCounter's gpn=1 shape
+// BenchmarkRuntimeCounterObs is the migratory-counter pattern on eight
+// single-goroutine nodes — each performs b.N lock-protected increments —
 // with the observability surface toggled: "off" is the baseline, "on"
 // registers every live metric series and attaches an enabled tracer. The
 // hooks are scrape-time callbacks plus nil-checked emit sites, so the
@@ -392,7 +336,6 @@ func BenchmarkRuntimeCounterObs(b *testing.B) {
 
 func BenchmarkRuntimeLocusRoute(b *testing.B) { benchRuntimeWorkload(b, "locusroute") }
 func BenchmarkRuntimeCholesky(b *testing.B)   { benchRuntimeWorkload(b, "cholesky") }
-func BenchmarkRuntimeMP3D(b *testing.B)       { benchRuntimeWorkload(b, "mp3d") }
 func BenchmarkRuntimeWater(b *testing.B)      { benchRuntimeWorkload(b, "water") }
 func BenchmarkRuntimePthor(b *testing.B)      { benchRuntimeWorkload(b, "pthor") }
 
@@ -432,12 +375,23 @@ func BenchmarkRuntimeBarrier(b *testing.B) {
 // in internal/transport — only that layer and dsm touch transport
 // implementations directly.)
 
-// BenchmarkRuntimeCounterTCP is BenchmarkRuntimeMigratoryCounter's hot
-// pattern on a real TCP cluster: end-to-end protocol cost over sockets.
-func BenchmarkRuntimeCounterTCP(b *testing.B) {
-	for _, m := range []repro.DSMMode{repro.LazyInvalidate, repro.SeqConsistent} {
+// BenchmarkRuntimeBatchedBarrierTCP is the outbox acceptance bench: a
+// barrier-heavy write-share pattern — every node rewrites its four
+// pages each round, takes one lock-protected critical section, and
+// synchronizes at a barrier — on a real loopback TCP cluster. Under LU
+// every barrier episode makes each node revalidate the other nodes'
+// twelve pages, and each creator's four diff requests leave in one
+// frame, so frames/critsec sits well below msgs/critsec
+// (TestBatchedFramesRegressionGate holds the ratio on this shape).
+func BenchmarkRuntimeBatchedBarrierTCP(b *testing.B) {
+	const (
+		procs        = 4
+		pagesPerNode = 4
+		pageSize     = 1024
+		regionPage   = 16 // write-share region: pages 16..31, page p homed at p%procs
+	)
+	for _, m := range repro.DSMModes {
 		b.Run(m.String(), func(b *testing.B) {
-			const procs = 4
 			trs, err := repro.NewLoopbackTCPCluster(procs)
 			if err != nil {
 				b.Fatal(err)
@@ -445,7 +399,8 @@ func BenchmarkRuntimeCounterTCP(b *testing.B) {
 			systems := make([]*repro.DSM, procs)
 			for i, tr := range trs {
 				systems[i], err = repro.NewDSM(repro.DSMConfig{
-					Procs: procs, SpaceSize: 64 * 1024, PageSize: 1024, Mode: m, Transport: tr,
+					Procs: procs, SpaceSize: 64 * 1024, PageSize: pageSize,
+					Mode: m, Transport: tr,
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -455,136 +410,73 @@ func BenchmarkRuntimeCounterTCP(b *testing.B) {
 			a := repro.NewArena(systems[0].Layout())
 			counter := repro.NewVar[uint64](a)
 			lock := a.NewLock()
-			b.ResetTimer()
-			var wg sync.WaitGroup
-			for i := 0; i < procs; i++ {
-				wg.Add(1)
-				go func(i int) {
-					defer wg.Done()
-					n := systems[i].Node(i)
-					for k := 0; k < b.N; k++ {
-						if err := repro.Locked(n, lock, func() error {
-							_, err := counter.Add(n, 1)
-							return err
-						}); err != nil {
-							b.Error(err)
-							return
-						}
-					}
-				}(i)
+			pageAddr := func(owner, j int) repro.Addr {
+				return repro.Addr((regionPage + j*procs + owner) * pageSize)
 			}
-			wg.Wait()
-		})
-	}
-}
-
-// BenchmarkRuntimeBatchedBarrierTCP is the outbox acceptance bench: a
-// barrier-heavy write-share pattern — every node rewrites its four
-// pages each round, takes one lock-protected critical section, and
-// synchronizes at a barrier — on a real loopback TCP cluster, with
-// frame batching on and off. Under LU every barrier episode makes each
-// node revalidate the other nodes' twelve pages: the per-(page,creator)
-// diff requests are identical either way (msgs/critsec must not move),
-// but with batching on each creator's four requests leave in one frame,
-// so frames/critsec must drop — CI records the series in
-// BENCH_wire.json, where batch=true LU must show at least 30% fewer
-// frames per critical section than batch=false.
-func BenchmarkRuntimeBatchedBarrierTCP(b *testing.B) {
-	const (
-		procs        = 4
-		pagesPerNode = 4
-		pageSize     = 1024
-		regionPage   = 16 // write-share region: pages 16..31, page p homed at p%procs
-	)
-	for _, m := range repro.DSMModes {
-		for _, noBatch := range []bool{false, true} {
-			b.Run(fmt.Sprintf("%s/batch=%t", m, !noBatch), func(b *testing.B) {
-				trs, err := repro.NewLoopbackTCPCluster(procs)
-				if err != nil {
-					b.Fatal(err)
+			var wg sync.WaitGroup
+			run := func(body func(i int, n *repro.Node) error) {
+				for i := 0; i < procs; i++ {
+					wg.Add(1)
+					go func(i int) {
+						defer wg.Done()
+						if err := body(i, systems[i].Node(i)); err != nil {
+							b.Error(err)
+						}
+					}(i)
 				}
-				systems := make([]*repro.DSM, procs)
-				for i, tr := range trs {
-					systems[i], err = repro.NewDSM(repro.DSMConfig{
-						Procs: procs, SpaceSize: 64 * 1024, PageSize: pageSize,
-						Mode: m, NoBatch: noBatch, Transport: tr,
-					})
-					if err != nil {
-						b.Fatal(err)
+				wg.Wait()
+			}
+			// Warm-up round: every node writes its pages, then caches
+			// every other node's, so the steady state measured below is
+			// revalidation traffic, not cold misses.
+			run(func(i int, n *repro.Node) error {
+				for j := 0; j < pagesPerNode; j++ {
+					if err := n.WriteUint64(pageAddr(i, j), 1); err != nil {
+						return err
 					}
-					defer systems[i].Close()
 				}
-				a := repro.NewArena(systems[0].Layout())
-				counter := repro.NewVar[uint64](a)
-				lock := a.NewLock()
-				pageAddr := func(owner, j int) repro.Addr {
-					return repro.Addr((regionPage + j*procs + owner) * pageSize)
+				if err := n.Barrier(0); err != nil {
+					return err
 				}
-				var wg sync.WaitGroup
-				run := func(body func(i int, n *repro.Node) error) {
-					for i := 0; i < procs; i++ {
-						wg.Add(1)
-						go func(i int) {
-							defer wg.Done()
-							if err := body(i, systems[i].Node(i)); err != nil {
-								b.Error(err)
-							}
-						}(i)
-					}
-					wg.Wait()
-				}
-				// Warm-up round: every node writes its pages, then caches
-				// every other node's, so the steady state measured below is
-				// revalidation traffic, not cold misses.
-				run(func(i int, n *repro.Node) error {
+				for owner := 0; owner < procs; owner++ {
 					for j := 0; j < pagesPerNode; j++ {
-						if err := n.WriteUint64(pageAddr(i, j), 1); err != nil {
+						if _, err := n.ReadUint64(pageAddr(owner, j)); err != nil {
 							return err
 						}
+					}
+				}
+				return n.Barrier(0)
+			})
+			b.ResetTimer()
+			run(func(i int, n *repro.Node) error {
+				for k := 0; k < b.N; k++ {
+					for j := 0; j < pagesPerNode; j++ {
+						if err := n.WriteUint64(pageAddr(i, j), uint64(k)+2); err != nil {
+							return err
+						}
+					}
+					if err := repro.Locked(n, lock, func() error {
+						_, err := counter.Add(n, 1)
+						return err
+					}); err != nil {
+						return err
 					}
 					if err := n.Barrier(0); err != nil {
 						return err
 					}
-					for owner := 0; owner < procs; owner++ {
-						for j := 0; j < pagesPerNode; j++ {
-							if _, err := n.ReadUint64(pageAddr(owner, j)); err != nil {
-								return err
-							}
-						}
-					}
-					return n.Barrier(0)
-				})
-				b.ResetTimer()
-				run(func(i int, n *repro.Node) error {
-					for k := 0; k < b.N; k++ {
-						for j := 0; j < pagesPerNode; j++ {
-							if err := n.WriteUint64(pageAddr(i, j), uint64(k)+2); err != nil {
-								return err
-							}
-						}
-						if err := repro.Locked(n, lock, func() error {
-							_, err := counter.Add(n, 1)
-							return err
-						}); err != nil {
-							return err
-						}
-						if err := n.Barrier(0); err != nil {
-							return err
-						}
-					}
-					return nil
-				})
-				b.StopTimer()
-				var st repro.TransportStats
-				for _, sys := range systems {
-					st.Add(sys.NetStats())
 				}
-				crit := float64(procs) * float64(b.N)
-				b.ReportMetric(float64(st.Messages)/crit, "msgs/critsec")
-				b.ReportMetric(float64(st.Frames)/crit, "frames/critsec")
-				b.ReportMetric(float64(st.Bytes)/crit, "B/critsec")
+				return nil
 			})
-		}
+			b.StopTimer()
+			var st repro.TransportStats
+			for _, sys := range systems {
+				st.Add(sys.NetStats())
+			}
+			crit := float64(procs) * float64(b.N)
+			b.ReportMetric(float64(st.Messages)/crit, "msgs/critsec")
+			b.ReportMetric(float64(st.Frames)/crit, "frames/critsec")
+			b.ReportMetric(float64(st.Bytes)/crit, "B/critsec")
+		})
 	}
 }
 

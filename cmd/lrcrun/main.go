@@ -83,7 +83,6 @@ func run(args []string, out io.Writer) error {
 		placement  = fs.String("placement", "block", "page placement policy: "+dsm.PlacementNames()+"; with -app, a comma list runs a per-policy traffic comparison")
 		migrate    = fs.Bool("migrate", false, "migrate page homes to their dominant writer on adaptive epochs (requires -adapt)")
 		statsJSON  = fs.Bool("statsjson", false, "emit the run's dsm.Stats (per-kind traffic and per-page routing counters) as JSON")
-		eagerDiffs = fs.Bool("eagerdiffs", false, "compute diffs eagerly at interval close in the lazy protocols (A/B baseline for the lazy diff pipeline; images and traffic identical)")
 		procs      = fs.Int("procs", 8, "number of logical processors (with -transport tcp, fixed to peer count × -gpn)")
 		gpn        = fs.Int("gpn", 1, "application goroutines per DSM node: gpn > 1 multiplexes the processors onto procs/gpn oversubscribed nodes")
 		iters      = fs.Int("iters", 100, "iterations per node (demos)")
@@ -92,11 +91,6 @@ func run(args []string, out io.Writer) error {
 		pageSize   = fs.Int("pagesize", 4096, "consistency page size in bytes")
 		gc         = fs.Int("gc", 0, "garbage-collect every N barriers (0 = off)")
 		transport  = fs.String("transport", "simnet", "interconnect: simnet (in-process) or tcp (cross-process; requires -peers)")
-		nobatch    = fs.Bool("nobatch", false, "disable outbox frame batching (every message travels as its own frame)")
-		flushMsgs  = fs.Int("flushmsgs", 0, "flush a destination's staged messages at this count (0 = structural flush points only)")
-		flushBytes = fs.Int("flushbytes", 0, "flush a destination's staged messages at this estimated byte total (0 = off)")
-		flushDelay = fs.Duration("flushdelay", 0, "Nagle-style hold: a requester keeps its destination open this long so concurrent traffic coalesces (0 = off)")
-		compress   = fs.Int("compress", 0, "compress outbound frames of at least this many bytes (0 = off)")
 		peers      = fs.String("peers", "", "comma-separated host:port of every node, in id order (-transport tcp)")
 		self       = fs.Int("self", 0, "this process's index into -peers (-transport tcp)")
 		metrics    = fs.String("metrics", "", "serve live observability on this address (host:port): /metrics Prometheus text, /statusz JSON, /trace Chrome JSON")
@@ -224,17 +218,9 @@ func run(args []string, out io.Writer) error {
 		return tr, nil
 	}
 
-	pipe := pipeCfg{
-		noBatch:     *nobatch,
-		flush:       dsm.FlushPolicy{MaxMsgs: *flushMsgs, MaxBytes: *flushBytes, Delay: *flushDelay},
-		compressMin: *compress,
-	}
-	if *nobatch && (pipe.flush != dsm.FlushPolicy{} || *compress != 0) {
-		return fmt.Errorf("-nobatch disables the outbox pipeline; -flushmsgs/-flushbytes/-flushdelay/-compress have no effect with it")
-	}
 	route := routeCfg{
 		modeMap: *modemap, adapt: *adapt, statsJSON: *statsJSON,
-		placements: placements, migrate: *migrate, eagerDiffs: *eagerDiffs,
+		placements: placements, migrate: *migrate,
 	}
 
 	switch {
@@ -245,27 +231,19 @@ func run(args []string, out io.Writer) error {
 			return fmt.Errorf("-app all runs one cluster per workload; start each -app separately under -transport tcp")
 		}
 		for _, name := range workload.Names {
-			if err := runWorkload(out, name, *procs, *gpn, *scale, *seed, m, *pageSize, *gc, pipe, route, ob, mkTransport); err != nil {
+			if err := runWorkload(out, name, *procs, *gpn, *scale, *seed, m, *pageSize, *gc, route, ob, mkTransport); err != nil {
 				return err
 			}
 		}
 		return nil
 	case *app != "":
-		return runWorkload(out, *app, *procs, *gpn, *scale, *seed, m, *pageSize, *gc, pipe, route, ob, mkTransport)
+		return runWorkload(out, *app, *procs, *gpn, *scale, *seed, m, *pageSize, *gc, route, ob, mkTransport)
 	default:
 		if *demo == "" {
 			*demo = "counter"
 		}
-		return runDemo(out, *demo, m, *procs, *gpn, *iters, *pageSize, *gc, pipe, route, ob, mkTransport)
+		return runDemo(out, *demo, m, *procs, *gpn, *iters, *pageSize, *gc, route, ob, mkTransport)
 	}
-}
-
-// pipeCfg carries the outbound-pipeline tuning (batching, flush policy,
-// compression) from the flags to the runtime configs.
-type pipeCfg struct {
-	noBatch     bool
-	flush       dsm.FlushPolicy
-	compressMin int
 }
 
 // routeCfg carries the per-page protocol routing and placement flags: a
@@ -278,7 +256,6 @@ type routeCfg struct {
 	placements []string
 	migrate    bool
 	statsJSON  bool
-	eagerDiffs bool
 }
 
 // traceRingCap bounds the protocol event ring: newest events win.
@@ -387,7 +364,7 @@ func parsePeers(s string) ([]string, error) {
 // With gpn > 1 the program's processors are multiplexed onto procs/gpn
 // oversubscribed nodes. Under TCP only the process hosting node 0 holds
 // the image; the others report their own traffic.
-func runWorkload(out io.Writer, name string, procs, gpn int, scale float64, seed int64, m dsm.Mode, pageSize, gc int, pipe pipeCfg, route routeCfg, ob *obsCfg, mkTransport func() (repro.Transport, error)) error {
+func runWorkload(out io.Writer, name string, procs, gpn int, scale float64, seed int64, m dsm.Mode, pageSize, gc int, route routeCfg, ob *obsCfg, mkTransport func() (repro.Transport, error)) error {
 	if procs%gpn != 0 {
 		return fmt.Errorf("-gpn %d does not divide -procs %d", gpn, procs)
 	}
@@ -416,8 +393,7 @@ func runWorkload(out io.Writer, name string, procs, gpn int, scale float64, seed
 		rc := workload.RuntimeConfig{
 			PageSize: pageSize, Mode: m, GCEveryBarriers: gc, GoroutinesPerNode: gpn,
 			ModeMap: route.modeMap, AdaptEveryBarriers: route.adapt,
-			Placement: pol, MigrateHomes: route.migrate, EagerDiffs: route.eagerDiffs,
-			NoBatch: pipe.noBatch, Flush: pipe.flush, CompressMin: pipe.compressMin,
+			Placement: pol, MigrateHomes: route.migrate,
 			RPCTimeout: ob.rpcTimeout, Metrics: ob.registry, Tracer: ob.tracer,
 		}
 		// Capture the run's systems so the report can include the final
@@ -455,8 +431,8 @@ func runWorkload(out io.Writer, name string, procs, gpn int, scale float64, seed
 		// verifies the image. (A placement comparison is simnet-only, so
 		// there is exactly one run here.)
 		fmt.Fprintf(out, "== %s: %d procs, mode %s, page %d: this process's nodes done ==\n", name, procs, m, pageSize)
-		fmt.Fprintf(out, "%-28s%12d%12d%12d%14d%14d   (this process's sends; bytes then wire bytes)\n",
-			"runtime", first.res.Net.Messages, first.res.Net.Frames, first.res.Net.Batches, first.res.Net.RawBytes, first.res.Net.Bytes)
+		fmt.Fprintf(out, "%-28s%12d%12d%12d%14d   (this process's sends: msgs, frames, batches, wire bytes)\n",
+			"runtime", first.res.Net.Messages, first.res.Net.Frames, first.res.Net.Batches, first.res.Net.Bytes)
 		if route.statsJSON {
 			return emitStatsJSON(out, first.report)
 		}
@@ -486,8 +462,7 @@ func runWorkload(out io.Writer, name string, procs, gpn int, scale float64, seed
 		fmt.Fprintf(out, "image: %d bytes, matches sequential reference under every placement\n", len(first.res.Image))
 	}
 	// Traffic table: live transport counters (messages vs the physical
-	// frames the outbox coalesced them into, logical bytes vs what frame
-	// compression actually put on the wire) next to the simulator's
+	// frames the outbox coalesced them into) next to the simulator's
 	// per-message model, normalized per critical section — one runtime
 	// row per placement policy when several are compared.
 	crit := int64(c.Acquires)
@@ -497,8 +472,8 @@ func runWorkload(out io.Writer, name string, procs, gpn int, scale float64, seed
 		}
 		return fmt.Sprintf("%.1f", float64(n)/float64(crit))
 	}
-	fmt.Fprintf(out, "%-28s%12s%12s%12s%14s%14s%14s%14s\n",
-		"", "msgs", "frames", "batches", "bytes", "wire bytes", "msgs/critsec", "wireB/critsec")
+	fmt.Fprintf(out, "%-28s%12s%12s%12s%14s%14s%14s\n",
+		"", "msgs", "frames", "batches", "wire bytes", "msgs/critsec", "wireB/critsec")
 	for _, r := range runs {
 		label := "runtime"
 		if len(runs) > 1 {
@@ -511,12 +486,12 @@ func runWorkload(out io.Writer, name string, procs, gpn int, scale float64, seed
 		if r.report.PageMigrations > 0 {
 			extra = fmt.Sprintf(", %d pages re-homed", r.report.PageMigrations)
 		}
-		fmt.Fprintf(out, "%-28s%12d%12d%12d%14d%14d%14s%14s   (est. wire time %v%s)\n",
-			label, r.res.Net.Messages, r.res.Net.Frames, r.res.Net.Batches, r.res.Net.RawBytes, r.res.Net.Bytes,
+		fmt.Fprintf(out, "%-28s%12d%12d%12d%14d%14s%14s   (est. wire time %v%s)\n",
+			label, r.res.Net.Messages, r.res.Net.Frames, r.res.Net.Batches, r.res.Net.Bytes,
 			perCrit(r.res.Net.Messages), perCrit(r.res.Net.Bytes), r.res.Elapsed, extra)
 	}
-	fmt.Fprintf(out, "%-28s%12d%12s%12s%14d%14s%14s%14s   (trace replay, %s)\n",
-		"simulator", st.TotalMessages(), "-", "-", st.TotalBytes(), "-", perCrit(st.TotalMessages()), perCrit(st.TotalBytes()), m)
+	fmt.Fprintf(out, "%-28s%12d%12s%12s%14d%14s%14s   (trace replay, %s)\n",
+		"simulator", st.TotalMessages(), "-", "-", st.TotalBytes(), perCrit(st.TotalMessages()), perCrit(st.TotalBytes()), m)
 	var misses, diffs, updates, intervals, invals, moves, migrations int64
 	var created, deferred, cacheHits, flattened, trimmed, twinBytes, twinPeak int64
 	for _, ns := range first.res.Nodes {
@@ -552,7 +527,7 @@ func runWorkload(out io.Writer, name string, procs, gpn int, scale float64, seed
 	return nil
 }
 
-func runDemo(out io.Writer, demo string, m dsm.Mode, procs, gpn, iters, pageSize, gc int, pipe pipeCfg, route routeCfg, ob *obsCfg, mkTransport func() (repro.Transport, error)) error {
+func runDemo(out io.Writer, demo string, m dsm.Mode, procs, gpn, iters, pageSize, gc int, route routeCfg, ob *obsCfg, mkTransport func() (repro.Transport, error)) error {
 	var body func(out io.Writer, d *repro.DSM, gpn, iters int) error
 	switch demo {
 	case "counter":
@@ -603,11 +578,7 @@ func runDemo(out io.Writer, demo string, m dsm.Mode, procs, gpn, iters, pageSize
 		Placement:          placement,
 		MigrateHomes:       route.migrate,
 		GCEveryBarriers:    gc,
-		EagerDiffs:         route.eagerDiffs,
 		GoroutinesPerNode:  gpn,
-		NoBatch:            pipe.noBatch,
-		Flush:              pipe.flush,
-		CompressMin:        pipe.compressMin,
 		RPCTimeout:         ob.rpcTimeout,
 		Metrics:            ob.registry,
 		Tracer:             ob.tracer,
@@ -624,8 +595,8 @@ func runDemo(out io.Writer, demo string, m dsm.Mode, procs, gpn, iters, pageSize
 	}
 	st := d.NetStats()
 	fmt.Fprintf(out, "demo=%s mode=%s procs=%d nodes=%d gpn=%d iters=%d\n", demo, m, procs, procs/gpn, gpn, iters)
-	fmt.Fprintf(out, "interconnect: %d messages in %d frames (%d batched), %d bytes (%d on the wire), estimated serial wire time %v\n",
-		st.Messages, st.Frames, st.Batches, st.RawBytes, st.Bytes, d.EstimateTime())
+	fmt.Fprintf(out, "interconnect: %d messages in %d frames (%d batched), %d bytes, estimated serial wire time %v\n",
+		st.Messages, st.Frames, st.Batches, st.Bytes, d.EstimateTime())
 	report := statsReport{
 		Program: "demo:" + demo, Mode: m.String(), ModeMap: route.modeMap, Adapt: route.adapt,
 		Placement: placementName, Migrate: route.migrate,

@@ -34,8 +34,7 @@ func TestRunDemoCounterOversubscribed(t *testing.T) {
 }
 
 // TestRunWorkloadTrafficTable: -app runs print the traffic table —
-// msgs, frames, batches, bytes per critical section — and -nobatch
-// collapses it back to one frame per message (the table still prints).
+// msgs, frames, batches, bytes per critical section.
 func TestRunWorkloadTrafficTable(t *testing.T) {
 	var out strings.Builder
 	if err := run([]string{"-app", "mp3d", "-procs", "4", "-scale", "0.05",
@@ -47,15 +46,6 @@ func TestRunWorkloadTrafficTable(t *testing.T) {
 		if !strings.Contains(got, want) {
 			t.Errorf("traffic table missing %q:\n%s", want, got)
 		}
-	}
-
-	var unbatched strings.Builder
-	if err := run([]string{"-app", "mp3d", "-procs", "4", "-scale", "0.05",
-		"-pagesize", "1024", "-mode", "LU", "-nobatch"}, &unbatched); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(unbatched.String(), "matches sequential reference") {
-		t.Errorf("-nobatch run did not verify:\n%s", unbatched.String())
 	}
 }
 
@@ -179,6 +169,17 @@ func TestRunErrors(t *testing.T) {
 	}
 	if err := run([]string{"-app", "water", "-demo", "counter"}, &out); err == nil {
 		t.Error("-app with -demo accepted")
+	}
+	if err := run([]string{"-placement", "rr"}, &out); err == nil {
+		t.Error("retired placement rr accepted")
+	} else if !strings.Contains(err.Error(), "block, first-touch") {
+		t.Errorf("placement error %v does not enumerate the supported set", err)
+	}
+	// The pipeline has one configuration: its former knobs are not flags.
+	for _, flag := range []string{"-nobatch", "-flushmsgs=2", "-flushbytes=2", "-flushdelay=1ms", "-compress=64", "-eagerdiffs"} {
+		if err := run([]string{flag}, &out); err == nil {
+			t.Errorf("retired flag %s accepted", flag)
+		}
 	}
 }
 

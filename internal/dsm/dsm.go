@@ -42,10 +42,9 @@
 // Ordinary accesses are performed through an explicit Read/Write API
 // rather than VM page protection: Go's runtime owns the process signal
 // handling and heap, so access *detection* is by API call, which leaves
-// the consistency protocol — the object of study — unchanged (see
-// DESIGN.md, substitutions). The typed layer applications program
-// against (allocator, Var/Array handles, lock and barrier objects) is
-// internal/shm.
+// the consistency protocol — the object of study — unchanged. The typed
+// layer applications program against (allocator, Var/Array handles, lock
+// and barrier objects) is internal/shm.
 //
 // Differences from the trace-driven simulator (internal/core et al.),
 // chosen for correctness and simplicity over exact Table 1 message
@@ -170,42 +169,6 @@ func ParseMode(s string) (Mode, error) {
 	return 0, fmt.Errorf("dsm: unknown mode %q (supported: %s)", s, ModeNames())
 }
 
-// FlushPolicy tunes when the outbox flushes a destination's staged
-// messages, beyond the structural flush points (immediate sends, rpc
-// bursts, shard-worker drains). The zero value changes nothing.
-//
-// MaxMsgs and MaxBytes cap how much may sit staged: crossing either
-// threshold flushes the destination immediately, bounding both batch
-// size and staging memory. Delay adds a Nagle-style bounded hold on the
-// requester side of an rpc: instead of flushing its request at once,
-// the requester (which is about to block for the response anyway)
-// holds the destination open for up to Delay so concurrent traffic
-// from other goroutines on the same node — the gpn>1 pattern —
-// coalesces into the same frame. The hold ends early when a threshold
-// trips, when another flusher empties the destination, or at shutdown;
-// the requester then flushes its own destination, so the outbox's
-// sticky-error routing (a failed flush surfaces to whoever staged for
-// the destination) is preserved.
-type FlushPolicy struct {
-	// MaxMsgs flushes a destination as soon as this many messages are
-	// staged for it (0 = no message threshold). 1 makes every stage
-	// flush immediately.
-	MaxMsgs int
-	// MaxBytes flushes a destination as soon as its staged messages'
-	// estimated encoded size reaches this many bytes (0 = no byte
-	// threshold).
-	MaxBytes int
-	// Delay is the Nagle-style bound on the requester-side hold
-	// described above (0 = requests flush immediately, today's
-	// behavior).
-	Delay time.Duration
-}
-
-// active reports whether any policy knob is set.
-func (p FlushPolicy) active() bool {
-	return p.MaxMsgs > 0 || p.MaxBytes > 0 || p.Delay > 0
-}
-
 // Config describes a DSM instance.
 type Config struct {
 	// Procs is the number of nodes (at most 64).
@@ -226,12 +189,11 @@ type Config struct {
 	// cluster must be configured with the same map.
 	ModeMap []Mode
 	// Placement selects the initial page→home assignment: block (the
-	// pg % Procs interleave, the default), rr (contiguous 4-page runs
-	// dealt round-robin) or first-touch (homes re-assigned at the first
-	// cluster barrier to the node that touched each page most). Every
-	// node of a cluster must be configured with the same policy; build
-	// one from the textual flag syntax with ParsePlacement. See
-	// placement.go.
+	// pg % Procs interleave, the default) or first-touch (homes
+	// re-assigned at the first cluster barrier to the node that touched
+	// each page most). Every node of a cluster must be configured with
+	// the same policy; build one from the textual flag syntax with
+	// ParsePlacement. See placement.go.
 	Placement Placement
 	// MigrateHomes enables dynamic home migration: on every adaptive
 	// classification epoch (so AdaptEveryBarriers must be > 0) the
@@ -259,12 +221,6 @@ type Config struct {
 	// merged clock, bounding memory (TreadMarks-style). Only the lazy
 	// protocols retain diffs; the eager and SC engines ignore it.
 	GCEveryBarriers int
-	// EagerDiffs makes the lazy engines compute each interval's diffs at
-	// interval close (the pre-lazy behavior) instead of deferring
-	// creation to the first serve. Message counts and memory images are
-	// identical either way — the toggle exists so the lazy-creation win
-	// is directly measurable (TestLazyDiffCreationGate compares the two).
-	EagerDiffs bool
 	// GoroutinesPerNode is the number of application goroutines that
 	// drive each node (0 and 1 mean one). Node methods are safe for
 	// concurrent use regardless; the knob sizes Node.Barrier's local
@@ -276,24 +232,6 @@ type Config struct {
 	// Latency configures the interconnect's time model for EstimateTime
 	// (zero value uses transport.DefaultLatency).
 	Latency LatencyModel
-	// NoBatch disables the outbox's frame coalescing: every protocol
-	// message travels as its own physical frame, as the pre-outbox
-	// runtime sent them. Protocol behavior and message counts are
-	// identical either way — the knob exists so benchmarks can report
-	// batched vs unbatched frame counts and wire-time estimates.
-	// NoBatch also disables Flush and CompressMin below.
-	NoBatch bool
-	// Flush configures the outbox's flush policy engine (thresholds and
-	// the Nagle-style delay). The zero value keeps the structural flush
-	// points only — today's immediate behavior. See FlushPolicy.
-	Flush FlushPolicy
-	// CompressMin enables frame compression: a built physical frame of
-	// at least CompressMin bytes is flate-compressed and sent as a
-	// wire.KCompressed frame when (and only when) that is strictly
-	// smaller. 0 disables compression. Message counts and semantics are
-	// unchanged; transport byte counters see post-compression sizes,
-	// with the logical size in TransportStats.RawBytes.
-	CompressMin int
 	// Transport supplies the interconnect. Nil builds the default
 	// in-process simulated network (internal/simnet) covering all Procs
 	// endpoints. A non-nil transport must span exactly Procs endpoints;
@@ -372,12 +310,6 @@ func New(cfg Config) (*System, error) {
 	if !cfg.Mode.Valid() {
 		return fail(fmt.Errorf("dsm: unknown mode %d (supported: %s)", int(cfg.Mode), ModeNames()))
 	}
-	if cfg.Flush.MaxMsgs < 0 || cfg.Flush.MaxBytes < 0 || cfg.Flush.Delay < 0 {
-		return fail(fmt.Errorf("dsm: negative flush policy %+v", cfg.Flush))
-	}
-	if cfg.CompressMin < 0 {
-		return fail(fmt.Errorf("dsm: negative compression threshold %d", cfg.CompressMin))
-	}
 	if cfg.AdaptEveryBarriers < 0 {
 		return fail(fmt.Errorf("dsm: negative adaptation interval %d", cfg.AdaptEveryBarriers))
 	}
@@ -428,7 +360,7 @@ func New(cfg Config) (*System, error) {
 		s.stopSampler = s.ring.SampleEvery(time.Second, func() obs.TrafficSample {
 			t := s.tr.Totals()
 			return obs.TrafficSample{Messages: t.Messages, Frames: t.Frames,
-				Batches: t.Batches, Bytes: t.Bytes, RawBytes: t.RawBytes}
+				Batches: t.Batches, Bytes: t.Bytes}
 		})
 	}
 	for _, n := range s.local {
@@ -533,12 +465,6 @@ func (s *System) ShutdownRaces() []error {
 	defer s.racesMu.Unlock()
 	return append([]error(nil), s.races...)
 }
-
-// The static per-page home function that lived here was retired by the
-// placement refactor: a page's home is now Node.homeOf — a per-page
-// table initialized by Config.Placement and re-written (under
-// Config.MigrateHomes) inside the quiescent reclassification
-// rendezvous. See placement.go and router.homeOf.
 
 // lockMgr returns the manager node of a lock.
 func (s *System) lockMgr(l mem.LockID) mem.ProcID {

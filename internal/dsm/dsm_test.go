@@ -2,6 +2,9 @@ package dsm
 
 import (
 	"fmt"
+	"math"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -487,6 +490,63 @@ func TestAPIErrors(t *testing.T) {
 	var b [8]byte
 	if err := n.Read(b[:], -4); err == nil {
 		t.Error("negative-address read accepted")
+	}
+}
+
+// TestOutOfRangeAccesses: every access that does not lie wholly inside
+// the space is an error — never a panic — including the address whose
+// end wraps past math.MaxInt64.
+func TestOutOfRangeAccesses(t *testing.T) {
+	const space = 8 * 1024
+	s, err := New(Config{Procs: 1, SpaceSize: space, PageSize: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	n := s.Node(0)
+	for _, tc := range []struct {
+		name string
+		addr mem.Addr
+		size int
+	}{
+		{"negative address", -4, 8},
+		{"one byte past the end", space - 7, 8},
+		{"longer than the space", 0, space + 1},
+		{"end wraps past MaxInt64", mem.Addr(math.MaxInt64 - 3), 8},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			buf := make([]byte, tc.size)
+			if err := n.Write(tc.addr, buf); err == nil || !strings.Contains(err.Error(), "outside space") {
+				t.Errorf("Write = %v, want an outside-space error", err)
+			}
+			if err := n.Read(buf, tc.addr); err == nil || !strings.Contains(err.Error(), "outside space") {
+				t.Errorf("Read = %v, want an outside-space error", err)
+			}
+		})
+	}
+	// The last in-range access still works.
+	if err := n.WriteUint64(space-8, 1); err != nil {
+		t.Errorf("write of the last word: %v", err)
+	}
+}
+
+// TestConfigSurface pins dsm.Config's exact field list. A new knob has
+// to edit this test — and say which two existing callers need different
+// values for it; a value only one caller sets is a constant.
+func TestConfigSurface(t *testing.T) {
+	want := []string{
+		"Procs", "SpaceSize", "PageSize", "Mode", "ModeMap", "Placement",
+		"MigrateHomes", "AdaptEveryBarriers", "GCEveryBarriers",
+		"GoroutinesPerNode", "Latency", "Transport", "RPCTimeout",
+		"Metrics", "Tracer",
+	}
+	typ := reflect.TypeOf(Config{})
+	var got []string
+	for i := 0; i < typ.NumField(); i++ {
+		got = append(got, typ.Field(i).Name)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("dsm.Config fields = %v\nwant %v", got, want)
 	}
 }
 

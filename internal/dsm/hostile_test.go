@@ -1,6 +1,7 @@
 package dsm
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -13,7 +14,7 @@ import (
 )
 
 // Hostile-peer hardening: anything a remote peer can put on the wire —
-// an undecodable frame, a corrupt compressed stream, a forged message
+// an undecodable frame, a frame of a retired kind, a forged message
 // with out-of-range ids or an unknown sequence — must be recorded and
 // dropped, surfacing through System.Close, never panicking the node.
 // (A panic here would let one corrupt or malicious peer take down every
@@ -22,26 +23,41 @@ import (
 // waitNodeErr polls until node n has recorded an error containing want.
 func waitNodeErr(t *testing.T, n *Node, want string) {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
+	waitFor(t, fmt.Sprintf("node %d to record an error containing %q", n.id, want), func() bool {
 		n.errMu.Lock()
+		defer n.errMu.Unlock()
 		for _, err := range n.errs {
 			if strings.Contains(err.Error(), want) {
-				n.errMu.Unlock()
-				return
+				return true
 			}
 		}
-		n.errMu.Unlock()
+		return false
+	})
+}
+
+// waitFor polls cond until it holds or the deadline passes.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
 		if time.Now().After(deadline) {
-			t.Fatalf("node %d never recorded an error containing %q", n.id, want)
+			t.Fatalf("timed out waiting for %s", what)
 		}
 		time.Sleep(time.Millisecond)
 	}
 }
 
+// retiredCompressedKind is the kind byte flate-compressed frames opened
+// with before they were removed: a frame that starts with it is an
+// unknown kind, recorded and dropped like any other.
+const (
+	retiredCompressedKind = 25
+	retiredKindErr        = "unknown message kind 25"
+)
+
 // TestCorruptTCPFramesSurfaceOnClose: corrupt frames injected into a
-// live loopback TCP cluster — garbage bytes, a damaged batch, a bogus
-// compressed stream — are recorded and dropped; the run terminates with
+// live loopback TCP cluster — garbage bytes, a damaged batch, a frame of
+// the retired compressed kind — are recorded and dropped; the run terminates with
 // the causes in System.Close's error instead of a decoder panic.
 func TestCorruptTCPFramesSurfaceOnClose(t *testing.T) {
 	cluster, err := tcp.NewLoopbackCluster(2)
@@ -99,9 +115,9 @@ func TestCorruptTCPFramesSurfaceOnClose(t *testing.T) {
 	// A batch header whose sub-frames are lies.
 	badBatch := wire.AppendBatchHeader(nil, 2)
 	badBatch = append(badBatch, 0xde, 0xad, 0xbe, 0xef)
-	// A compressed header (kind byte, inner length 24) over bytes that
-	// are not a flate stream.
-	badZ := []byte{byte(wire.KCompressed), 24, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}
+	// What used to be a compressed frame (kind byte, inner length 24,
+	// flate stream): the kind is retired, so it is one more unknown kind.
+	badZ := []byte{retiredCompressedKind, 24, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}
 	for _, frame := range [][]byte{garbage, badBatch, badZ} {
 		if err := inject.Send(0, frame); err != nil {
 			t.Fatal(err)
@@ -110,7 +126,7 @@ func TestCorruptTCPFramesSurfaceOnClose(t *testing.T) {
 	n0 := s0.Node(0)
 	waitNodeErr(t, n0, "undecodable frame from 1")
 	waitNodeErr(t, n0, "undecodable batch frame from 1")
-	waitNodeErr(t, n0, "corrupt compressed frame from 1")
+	waitNodeErr(t, n0, retiredKindErr)
 
 	// The node is still alive: the healthy peer keeps working.
 	if err := lockedWrite(s1.Node(1), 1024, 9); err != nil {
@@ -124,7 +140,7 @@ func TestCorruptTCPFramesSurfaceOnClose(t *testing.T) {
 	if cerr == nil {
 		t.Fatal("Close returned nil despite recorded hostile-frame errors")
 	}
-	for _, want := range []string{"undecodable frame", "undecodable batch frame", "corrupt compressed frame"} {
+	for _, want := range []string{"undecodable frame", "undecodable batch frame", retiredKindErr} {
 		if !strings.Contains(cerr.Error(), want) {
 			t.Errorf("Close error %q lost the %q cause", cerr, want)
 		}
@@ -208,6 +224,9 @@ func TestForgedFramesRecordedNotPanic(t *testing.T) {
 		{"unknown kind", SeqConsistent,
 			&wire.Msg{Kind: wire.KDiffReq, Seq: 99, Wants: []wire.Want{{Page: 0}}},
 			"unhandled message kind"},
+		{"retired compressed kind", LazyInvalidate,
+			&wire.Msg{Kind: retiredCompressedKind, Seq: 99},
+			retiredKindErr},
 		{"lock request from invalid requester", LazyInvalidate,
 			&wire.Msg{Kind: wire.KLockReq, Seq: 99, A: 0, B: 77},
 			"lock request"},

@@ -35,11 +35,6 @@ import (
 type lazyEngine struct {
 	n      *Node
 	update bool // LU: bring cached copies up to date at acquire time
-	// eagerDiffs restores eager diff creation at interval close (the
-	// pre-lazy behavior) for A/B measurement; deferral changes only when
-	// diffs are computed, never which messages flow, so the two settings
-	// are image- and message-identical.
-	eagerDiffs bool
 
 	// mu guards the interval machinery below.
 	mu        sync.Mutex
@@ -148,16 +143,15 @@ const flatCacheMax = 256
 
 func newLazyEngine(n *Node, update bool) *lazyEngine {
 	return &lazyEngine{
-		n:          n,
-		update:     update,
-		eagerDiffs: n.sys.cfg.EagerDiffs,
-		v:          vc.New(n.sys.cfg.Procs),
-		log:        core.NewLog(n.sys.cfg.Procs),
-		diffs:      make(map[core.IntervalID]map[mem.PageID]*diffSlot),
-		lastEpoch:  vc.New(n.sys.cfg.Procs),
-		flat:       make(map[flatKey]*flatEntry),
-		dirty:      make(map[mem.PageID]struct{}),
-		pages:      make([]*lazyPage, n.sys.layout.NumPages()),
+		n:         n,
+		update:    update,
+		v:         vc.New(n.sys.cfg.Procs),
+		log:       core.NewLog(n.sys.cfg.Procs),
+		diffs:     make(map[core.IntervalID]map[mem.PageID]*diffSlot),
+		lastEpoch: vc.New(n.sys.cfg.Procs),
+		flat:      make(map[flatKey]*flatEntry),
+		dirty:     make(map[mem.PageID]struct{}),
+		pages:     make([]*lazyPage, n.sys.layout.NumPages()),
 	}
 }
 
@@ -252,12 +246,11 @@ func (e *lazyEngine) modeID() Mode {
 
 // closeIntervalLocked ends the current interval: each dirtied page's
 // twin becomes a retained diff-store entry and the interval record with
-// its write notices enters the log. By default the diff itself is not
-// computed here — the slot keeps the twin as its base and the diff is
+// its write notices enters the log. The diff itself is not computed
+// here — the slot keeps the twin as its base and the diff is
 // materialized on the first serve, or when the twin budget trims the
 // slot, or never: a covered slot whose diff nobody fetched is discarded
-// at GC twin and all, which is the lazy-creation win. With EagerDiffs
-// the diff is computed immediately (A/B baseline). Caller holds e.mu.
+// at GC twin and all, which is the lazy-creation win. Caller holds e.mu.
 // With multiple application goroutines the node's interval contains
 // every local goroutine's writes since the last synchronization point —
 // the node is one processor to the protocol, exactly as a multi-threaded
@@ -287,27 +280,14 @@ func (e *lazyEngine) closeIntervalLocked() {
 			pmu.Unlock()
 			continue
 		}
-		var slot *diffSlot
-		if e.eagerDiffs {
-			d, err := page.MakeDiff(pc.twin, pc.data)
-			if err != nil {
-				pmu.Unlock()
-				panic(fmt.Sprintf("dsm: node %d: diffing page %d: %v", n.id, pg, err))
-			}
-			e.releaseTwin(pc.twin)
-			pc.twin = nil
-			slot = &diffSlot{d: d}
-			n.stats.diffsCreated.Add(1)
-		} else {
-			// The page table's twin reference transfers to the slot as the
-			// diff base; the post-interval contents stay live in pc.data
-			// until the next twin capture snapshots them (pending).
-			slot = &diffSlot{base: pc.twin}
-			pc.twin = nil
-			pc.pending = slot
-			e.parked = append(e.parked, parkedSlot{pg, slot})
-			n.stats.diffsDeferred.Add(1)
-		}
+		// The page table's twin reference transfers to the slot as the
+		// diff base; the post-interval contents stay live in pc.data
+		// until the next twin capture snapshots them (pending).
+		slot := &diffSlot{base: pc.twin}
+		pc.twin = nil
+		pc.pending = slot
+		e.parked = append(e.parked, parkedSlot{pg, slot})
+		n.stats.diffsDeferred.Add(1)
 		pmu.Unlock()
 		byPage[pg] = slot
 		pages = append(pages, pg)

@@ -49,9 +49,10 @@ type Stats struct {
 
 	// Diff data plane (lazy engines): DiffsCreated counts MakeDiff
 	// executions (eager engines tick it too, at their flush points),
-	// DiffsDeferred counts interval closes that kept the twin instead of
-	// diffing, DiffCacheHits counts serves of a diff after its first (the
-	// body the first serve shipped is reused as is), DiffsFlattened counts
+	// DiffsDeferred counts the pages interval closes parked with their
+	// twin instead of diffing (every one of them), DiffCacheHits counts
+	// serves of a diff after its first (the body the first serve shipped
+	// is reused as is), DiffsFlattened counts
 	// diffs elided by merging a multi-interval fetch into one flattened
 	// diff, DiffsFetched counts diff records received in answer to a
 	// request (piggybacked ones are not fetched), and TwinBytesLive
@@ -331,7 +332,7 @@ func newNode(s *System, id mem.ProcID) *Node {
 	for i := range n.queues {
 		n.queues[i] = make(chan inFrame, workerQueueCap)
 	}
-	n.out = newOutbox(n, !s.cfg.NoBatch)
+	n.out = newOutbox(n)
 	modes := s.cfg.ModeMap
 	if modes == nil {
 		modes = uniformModeMap(s.cfg.Mode, s.layout.NumPages())
@@ -652,16 +653,14 @@ func (n *Node) stage(dst mem.ProcID, m *wire.Msg) {
 
 // rpc sends m to dst and blocks for the response with the same Seq.
 // Any number of goroutines may have rpcs outstanding concurrently. The
-// request goes out on the outbox's rpc path: under a Nagle flush policy
-// the requester — about to park in await anyway — holds the destination
-// open briefly so concurrent same-destination traffic shares its frame.
+// requester is the flusher, so a failed flush surfaces to it directly.
 func (n *Node) rpc(dst mem.ProcID, m *wire.Msg) (*wire.Msg, error) {
 	if h := n.rpcHist; h != nil {
 		start := time.Now()
 		defer func() { h.Observe(time.Since(start).Seconds()) }()
 	}
 	ch := n.register(m.Seq, dst)
-	if err := n.out.sendRPC(dst, m); err != nil {
+	if err := n.out.send(dst, m); err != nil {
 		n.deregister(m.Seq)
 		return nil, err
 	}
@@ -686,15 +685,6 @@ func (n *Node) rpcAll(reqs []outMsg) ([]*wire.Msg, error) {
 	for i, r := range reqs {
 		chs[i] = n.register(r.m.Seq, r.dst)
 		n.out.stage(r.dst, r.m)
-	}
-	// One Nagle hold covers the whole group (per-destination holds would
-	// stack delays): any concurrent traffic that arrives during it joins
-	// the flushes below.
-	for _, r := range reqs {
-		if r.dst != n.id {
-			n.out.nagleWait(r.dst)
-			break
-		}
 	}
 	var flushErr error
 	var failed map[mem.ProcID]bool // allocated on the first flush error
@@ -820,34 +810,24 @@ func dispatchKey(m *wire.Msg) uint32 {
 }
 
 // dispatchLoop receives frames until the transport closes, decoding and
-// fanning them out to the worker pool. A compressed frame is expanded
-// first; a batch frame is unpacked and its messages dispatched in
-// order, so the per-page shard FIFO the directory invariants rely on is
-// exactly the sender's staging order. Decoded diffs borrow the frame
-// (internal/wire's Ownership section), so its lifetime follows them: see
-// attachFrame. Barrier arrivals and the collective-exchange responses
-// are handled inline (they only park on rendezvous channels or wake rpc
-// waiters).
+// fanning them out to the worker pool. A batch frame is unpacked and
+// its messages dispatched in order, so the per-page shard FIFO the
+// directory invariants rely on is exactly the sender's staging order.
+// Decoded diffs borrow the frame (internal/wire's Ownership section),
+// so its lifetime follows them: see attachFrame. Barrier arrivals and
+// the collective-exchange responses are handled inline (they only park
+// on rendezvous channels or wake rpc waiters).
 //
-// A frame that fails to expand or decode came off the wire from a
-// remote peer, so it is not a local invariant violation: the error is
-// recorded for System.Close and the frame dropped, rather than letting
-// one corrupt or hostile peer panic the node.
+// A frame that fails to decode came off the wire from a remote peer,
+// so it is not a local invariant violation: the error is recorded for
+// System.Close and the frame dropped, rather than letting one corrupt
+// or hostile peer panic the node.
 func (n *Node) dispatchLoop() {
 	for {
 		src, payload, ok := n.ep.Recv()
 		if !ok {
 			n.shutdown()
 			return
-		}
-		if wire.IsCompressed(payload) {
-			inner, err := wire.Expand(payload)
-			framebuf.Put(payload)
-			if err != nil {
-				n.noteErr("inbound frame", fmt.Errorf("corrupt compressed frame from %d: %w", src, err))
-				continue
-			}
-			payload = inner
 		}
 		if wire.IsBatch(payload) {
 			msgs, err := wire.DecodeBatch(payload)
@@ -1018,12 +998,18 @@ func (n *Node) shutdown() {
 
 // --- application API: memory ---
 
+// inSpace reports whether [addr, addr+size) lies inside [0, space). The
+// end is never computed: addr+size wraps for addr near math.MaxInt64.
+func inSpace(addr mem.Addr, size int, space mem.Addr) bool {
+	return mem.Addr(size) <= space && addr >= 0 && addr <= space-mem.Addr(size)
+}
+
 // Write copies data into the shared address space at addr. Safe for
 // concurrent use; writes to distinct pages proceed in parallel.
 func (n *Node) Write(addr mem.Addr, data []byte) error {
 	lay := n.sys.layout
-	if addr < 0 || addr+mem.Addr(len(data)) > lay.SpaceSize() {
-		return fmt.Errorf("dsm: write [%d,%d) outside space [0,%d)", addr, addr+mem.Addr(len(data)), lay.SpaceSize())
+	if !inSpace(addr, len(data), lay.SpaceSize()) {
+		return fmt.Errorf("dsm: write of %d bytes at %d outside space [0,%d)", len(data), addr, lay.SpaceSize())
 	}
 	off := 0
 	var err error
@@ -1042,8 +1028,8 @@ func (n *Node) Write(addr mem.Addr, data []byte) error {
 // parallel.
 func (n *Node) Read(buf []byte, addr mem.Addr) error {
 	lay := n.sys.layout
-	if addr < 0 || addr+mem.Addr(len(buf)) > lay.SpaceSize() {
-		return fmt.Errorf("dsm: read [%d,%d) outside space [0,%d)", addr, addr+mem.Addr(len(buf)), lay.SpaceSize())
+	if !inSpace(addr, len(buf), lay.SpaceSize()) {
+		return fmt.Errorf("dsm: read of %d bytes at %d outside space [0,%d)", len(buf), addr, lay.SpaceSize())
 	}
 	off := 0
 	var err error

@@ -60,8 +60,7 @@ func (s *System) registerMetrics(r *obs.Registry) {
 		func() int64 { return s.tr.Totals().Messages })
 	counter(sys("dsm_net_frames_total"), "physical frames sent", func() int64 { return s.tr.Totals().Frames })
 	counter(sys("dsm_net_batches_total"), "multi-message batch frames sent", func() int64 { return s.tr.Totals().Batches })
-	counter(sys("dsm_net_bytes_total"), "wire bytes sent (post-compression)", func() int64 { return s.tr.Totals().Bytes })
-	counter(sys("dsm_net_raw_bytes_total"), "logical bytes sent (pre-compression)", func() int64 { return s.tr.Totals().RawBytes })
+	counter(sys("dsm_net_bytes_total"), "wire bytes sent", func() int64 { return s.tr.Totals().Bytes })
 
 	for _, n := range s.local {
 		n := n
@@ -132,9 +131,6 @@ type Status struct {
 	AdaptEveryBarriers int                 `json:"adapt_every_barriers"`
 	GCEveryBarriers    int                 `json:"gc_every_barriers"`
 	RPCTimeout         string              `json:"rpc_timeout"`
-	NoBatch            bool                `json:"no_batch"`
-	Flush              FlushPolicy         `json:"flush"`
-	CompressMin        int                 `json:"compress_min"`
 	Net                TransportStats      `json:"net"`
 	EstWireTime        string              `json:"est_wire_time"`
 	Nodes              []NodeStatus        `json:"nodes"`
@@ -156,9 +152,6 @@ func (s *System) Status() Status {
 		AdaptEveryBarriers: s.cfg.AdaptEveryBarriers,
 		GCEveryBarriers:    s.cfg.GCEveryBarriers,
 		RPCTimeout:         s.cfg.RPCTimeout.String(),
-		NoBatch:            s.cfg.NoBatch,
-		Flush:              s.cfg.Flush,
-		CompressMin:        s.cfg.CompressMin,
 		Net:                s.tr.Totals(),
 		EstWireTime:        s.EstimateTime().String(),
 	}

@@ -4,7 +4,6 @@ import (
 	stdnet "net"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/framebuf"
 	"repro/internal/mem"
@@ -21,44 +20,20 @@ import (
 // one peer into a single batch frame: one physical hop, one fixed
 // network cost, paid once instead of per message.
 //
-// On top of the structural flush points sits a configurable policy
-// engine (Config.Flush):
-//
-//   - Thresholds: crossing MaxMsgs staged messages or MaxBytes of
-//     encoding flushes the destination at once, bounding
-//     batch size and staging memory.
-//   - Nagle-style delay: an rpc requester — which is about to block for
-//     its response anyway — holds its destination open for up to Delay
-//     before flushing, so concurrent request traffic from other
-//     application goroutines on the same node (the gpn>1 pattern)
-//     coalesces into the same frame instead of only at worker drain
-//     points. The hold ends early on a threshold kick, when another
-//     flusher empties the destination, or at shutdown; the requester
-//     then flushes its own destination itself, preserving the sticky
-//     error routing below.
-//   - Request-burst collector: replies a burst of requests from one
-//     peer produces are keyed to that peer — the dispatch loop counts
-//     each worker-bound frame against its source, workers count them
-//     back off as they complete, and the drain-point flushAll skips a
-//     peer while its count is up; the completion that takes it to zero
-//     performs the flush. A k-message request burst's replies therefore
-//     leave as one deterministic frame regardless of how the shard
-//     workers interleaved, instead of splitting on whichever worker
-//     drained first.
-//
-// A built physical frame of at least Config.CompressMin bytes is
-// flate-compressed (wire.Compress) and sent as one compressed frame
-// when that is strictly smaller; transports account post-compression
-// bytes as Bytes and the logical size as RawBytes, so the latency model
-// charges what actually crossed the wire.
+// Replies a burst of requests from one peer produces are keyed to that
+// peer (the request-burst collector): the dispatch loop counts each
+// worker-bound frame against its source, workers count them back off as
+// they complete, and the drain-point flushAll skips a peer while its
+// count is up; the completion that takes it to zero performs the flush.
+// A k-message request burst's replies therefore leave as one
+// deterministic frame regardless of how the shard workers interleaved,
+// instead of splitting on whichever worker drained first.
 //
 // Ordering: each destination has one FIFO stage queue, flushed while its
 // lock is held, so the per-(sender,receiver) FIFO order the directory
 // and install invariants rely on is exactly the staging order — mixing
 // deferred (worker) and immediate (application) sends to one peer can
-// never reorder them, it only decides how many frames they share. The
-// policy engine decides when a flush happens, never the order within
-// the queue.
+// never reorder them, it only decides how many frames they share.
 //
 // Encoding is pooled and append-style: a flush encodes its messages
 // back to back into one framebuf.Get buffer (steady-state the payload
@@ -74,14 +49,8 @@ import (
 // the gate). Staging from a goroutine with no such flush point would
 // strand the message.
 type outbox struct {
-	n     *Node
-	batch bool // coalesce multi-message flushes into batch frames
-	// policy and compressMin are Config.Flush and Config.CompressMin,
-	// zeroed when batching is off (NoBatch disables the whole policy
-	// engine: every message is its own immediate frame).
-	policy      FlushPolicy
-	compressMin int
-	dsts        []outDest
+	n    *Node
+	dsts []outDest
 }
 
 // outDest is one destination's stage queue plus flush scratch, all
@@ -90,14 +59,6 @@ type outbox struct {
 type outDest struct {
 	mu   sync.Mutex
 	pend []*wire.Msg
-	// staged is the pending messages' total encoded size
-	// (wire.Msg.SizeHint), maintained under mu while a MaxBytes
-	// threshold is set.
-	staged int
-	// kickCh broadcasts "stop holding this destination" to Nagle
-	// sleepers: created lazily by the first sleeper, closed (and
-	// cleared) when a threshold trips or a flush takes the queue.
-	kickCh chan struct{}
 	// count mirrors len(pend) for flushAll's lock-free skip of clean
 	// destinations; it is maintained under mu, so a staged message is
 	// always visible to its stager's own later flush.
@@ -127,49 +88,19 @@ type outDest struct {
 	ends []int
 }
 
-func newOutbox(n *Node, batch bool) *outbox {
-	o := &outbox{n: n, batch: batch, dsts: make([]outDest, n.sys.cfg.Procs)}
-	if batch {
-		o.policy = n.sys.cfg.Flush
-		o.compressMin = n.sys.cfg.CompressMin
-	}
-	return o
+func newOutbox(n *Node) *outbox {
+	return &outbox{n: n, dsts: make([]outDest, n.sys.cfg.Procs)}
 }
 
 // stage queues m for dst without sending it. The caller must guarantee
 // a flush follows: its own send/flushDst/flushAll, or — on a shard
-// worker — the worker's end-of-dispatch flush point. Crossing a policy
-// threshold flushes the destination inline (errors stay sticky for the
-// structural flush that follows) after kicking any Nagle sleepers.
+// worker — the worker's end-of-dispatch flush point.
 func (o *outbox) stage(dst mem.ProcID, m *wire.Msg) {
 	d := &o.dsts[dst]
 	d.mu.Lock()
 	d.pend = append(d.pend, m)
 	d.count.Store(int32(len(d.pend)))
-	hit := o.policy.MaxMsgs > 0 && len(d.pend) >= o.policy.MaxMsgs
-	if o.policy.MaxBytes > 0 {
-		d.staged += m.SizeHint()
-		hit = hit || d.staged >= o.policy.MaxBytes
-	}
-	if hit {
-		d.kickLocked()
-	}
 	d.mu.Unlock()
-	if hit {
-		// The threshold flush bounds batch size mid-burst. Its error (if
-		// any) is made sticky by flushDst, so the stager's own guaranteed
-		// flush point still observes it; nothing to handle here.
-		o.flushDst(dst)
-	}
-}
-
-// kickLocked wakes every Nagle sleeper holding this destination open.
-// Caller holds d.mu.
-func (d *outDest) kickLocked() {
-	if d.kickCh != nil {
-		close(d.kickCh)
-		d.kickCh = nil
-	}
 }
 
 // send stages m and immediately flushes its destination — the
@@ -181,60 +112,17 @@ func (o *outbox) send(dst mem.ProcID, m *wire.Msg) error {
 	return o.flushDst(dst)
 }
 
-// sendRPC stages a request and flushes its destination after the
-// Nagle-style hold (see FlushPolicy.Delay): the requester is the
-// flusher, so a failed flush surfaces to it directly — no waiter can be
-// stranded by a failed background flush, because there is none.
-func (o *outbox) sendRPC(dst mem.ProcID, m *wire.Msg) error {
-	o.stage(dst, m)
-	o.nagleWait(dst)
-	return o.flushDst(dst)
-}
-
-// nagleWait holds dst open for up to the policy delay so concurrent
-// traffic coalesces, returning early when a threshold kick fires, when
-// another flusher has already taken the queue (our message is on the
-// wire — waiting longer buys nothing), or at shutdown.
-func (o *outbox) nagleWait(dst mem.ProcID) {
-	if o.policy.Delay <= 0 || dst == o.n.id {
-		return
-	}
-	d := &o.dsts[dst]
-	d.mu.Lock()
-	if len(d.pend) == 0 || d.broken != nil {
-		d.mu.Unlock()
-		return
-	}
-	if d.kickCh == nil {
-		d.kickCh = make(chan struct{})
-	}
-	ch := d.kickCh
-	d.mu.Unlock()
-	t := time.NewTimer(o.policy.Delay)
-	defer t.Stop()
-	select {
-	case <-t.C:
-	case <-ch:
-	case <-o.n.closedCh:
-	}
-}
-
 // noteDispatched counts a worker-bound frame from src against the
 // collector gate (see outDest.inflight). The dispatch loop calls it
 // before enqueueing, so the count can never go negative.
 func (o *outbox) noteDispatched(src mem.ProcID) {
-	if o.batch {
-		o.dsts[src].inflight.Add(1)
-	}
+	o.dsts[src].inflight.Add(1)
 }
 
 // noteCompleted counts a processed frame back off src's collector gate;
 // the completion that zeroes the gate flushes the burst's accumulated
 // replies as one frame. Errors are recorded like any drain-point flush.
 func (o *outbox) noteCompleted(src mem.ProcID) {
-	if !o.batch {
-		return
-	}
 	if o.dsts[src].inflight.Add(-1) == 0 {
 		o.n.noteErr("outbox flush", o.flushDst(src))
 	}
@@ -253,7 +141,7 @@ func (o *outbox) flushAll() error {
 		if o.dsts[i].count.Load() == 0 {
 			continue
 		}
-		if o.batch && o.dsts[i].inflight.Load() > 0 {
+		if o.dsts[i].inflight.Load() > 0 {
 			continue
 		}
 		if err := o.flushDst(mem.ProcID(i)); err != nil && first == nil {
@@ -264,10 +152,9 @@ func (o *outbox) flushAll() error {
 }
 
 // flushDst encodes and sends everything staged for dst: one plain frame
-// for a single message (or with batching disabled), one batch frame for
-// several — compressed when the policy's size gate passes. The
-// destination lock is held across the transport send, so concurrent
-// flushes cannot reorder the stream.
+// for a single message, one batch frame for several. The destination
+// lock is held across the transport send, so concurrent flushes cannot
+// reorder the stream.
 func (o *outbox) flushDst(dst mem.ProcID) error {
 	n := o.n
 	d := &o.dsts[dst]
@@ -278,11 +165,7 @@ func (o *outbox) flushDst(dst mem.ProcID) error {
 	// messages (exactly like a failed Endpoint.Send always has) rather
 	// than leaving them staged for an accidental resend.
 	d.pend = pend[:0]
-	d.staged = 0
 	d.count.Store(0)
-	// Whatever was held for is leaving (or was already gone): sleepers
-	// holding this destination open can stop.
-	d.kickLocked()
 	defer func() {
 		for i := range pend {
 			pend[i] = nil // release Msg references held by the reused array
@@ -294,7 +177,8 @@ func (o *outbox) flushDst(dst mem.ProcID) error {
 	if len(pend) == 0 {
 		return nil
 	}
-	if remote := dst != n.id; remote && n.traceOn() {
+	remote := dst != n.id
+	if remote && n.traceOn() {
 		n.emit("send", "frame", int64(len(pend)))
 	}
 	// poison records a send failure and makes it sticky (see broken).
@@ -309,31 +193,17 @@ func (o *outbox) flushDst(dst mem.ProcID) error {
 		}
 		return err
 	}
-	remote := dst != n.id
 
-	if !o.batch || len(pend) == 1 {
-		for _, m := range pend {
-			buf := m.EncodeAppend(framebuf.Get())
-			if remote {
-				n.stats.countSent(m.Kind, len(buf))
-				n.stats.sentFrames.Add(1)
-			}
-			if z, ok := o.compress(remote, buf); ok {
-				// Ownership of z passes to the transport; buf stays ours.
-				err := transport.SendCompressed(n.ep, int(dst), 1, len(buf), z)
-				framebuf.Put(buf)
-				if err != nil {
-					return poison(err)
-				}
-				continue
-			}
-			// Ownership of buf passes to the transport (in-process
-			// delivery hands it to the receiver, which recycles it).
-			if err := n.ep.Send(int(dst), buf); err != nil {
-				return poison(err)
-			}
+	if len(pend) == 1 {
+		m := pend[0]
+		buf := m.EncodeAppend(framebuf.Get())
+		if remote {
+			n.stats.countSent(m.Kind, len(buf))
+			n.stats.sentFrames.Add(1)
 		}
-		return nil
+		// Ownership of buf passes to the transport (in-process delivery
+		// hands it to the receiver, which recycles it).
+		return poison(n.ep.Send(int(dst), buf))
 	}
 
 	// Batch frame: header plus every message length-prefixed
@@ -357,11 +227,6 @@ func (o *outbox) flushDst(dst mem.ProcID) error {
 		n.stats.sentFrames.Add(1)
 		n.stats.sentBatches.Add(1)
 	}
-	if z, ok := o.compress(remote, buf); ok {
-		err := transport.SendCompressed(n.ep, int(dst), len(pend), len(buf), z)
-		framebuf.Put(buf)
-		return poison(err)
-	}
 	frames := d.bufs[:0]
 	frames = append(frames, buf[:hdrEnd])
 	prev := hdrEnd
@@ -375,15 +240,4 @@ func (o *outbox) flushDst(dst mem.ProcID) error {
 	// recycle it.
 	framebuf.Put(buf)
 	return poison(err)
-}
-
-// compress applies the compression gate to a built frame: remote
-// destination, at least compressMin bytes, and strictly smaller
-// compressed. The returned frame (when ok) is a pooled buffer the
-// caller hands to the transport; the input frame remains the caller's.
-func (o *outbox) compress(remote bool, frame []byte) ([]byte, bool) {
-	if !remote || o.compressMin <= 0 || len(frame) < o.compressMin {
-		return nil, false
-	}
-	return wire.Compress(frame)
 }

@@ -13,11 +13,11 @@ import (
 // aggregation pattern: node 1 dirties four pages all homed at node 0
 // inside one critical section, so the release-time flush stages four
 // KFlushReqs for one destination.
-func runEagerMultiPageFlush(t *testing.T, noBatch bool) (Stats, TransportStats) {
+func runEagerMultiPageFlush(t *testing.T) (Stats, TransportStats) {
 	t.Helper()
 	s, err := New(Config{
 		Procs: 2, SpaceSize: 16 * 1024, PageSize: 1024,
-		Mode: EagerUpdate, NoBatch: noBatch,
+		Mode: EagerUpdate,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -37,7 +37,7 @@ func runEagerMultiPageFlush(t *testing.T, noBatch bool) (Stats, TransportStats) 
 	}
 	st := n.Stats()
 	net := s.NetStats()
-	// The values must be committed at the home regardless of batching.
+	// The values must be committed at the home.
 	h := s.Node(0)
 	for _, pg := range []int{0, 2, 4, 6} {
 		v, err := h.ReadUint64(mem.Addr(pg * 1024))
@@ -52,47 +52,33 @@ func runEagerMultiPageFlush(t *testing.T, noBatch bool) (Stats, TransportStats) 
 }
 
 // TestOutboxBatchesFlushBurst: the eager release's four same-home flush
-// requests leave as one batch frame with batching on, and as four
-// plain frames with it off — with identical message counts and final
-// memory either way.
+// requests leave as one batch frame — four messages, fewer frames — and
+// the node's outbox counters agree with the interconnect's.
 func TestOutboxBatchesFlushBurst(t *testing.T) {
-	batched, netB := runEagerMultiPageFlush(t, false)
-	unbatched, netU := runEagerMultiPageFlush(t, true)
+	st, net := runEagerMultiPageFlush(t)
 
-	if batched.KindMsgs[wire.KFlushReq] != 4 {
-		t.Errorf("flusher sent %d KFlushReqs, want 4", batched.KindMsgs[wire.KFlushReq])
+	if st.KindMsgs[wire.KFlushReq] != 4 {
+		t.Errorf("flusher sent %d KFlushReqs, want 4", st.KindMsgs[wire.KFlushReq])
 	}
-	if batched.SentMsgs == batched.SentFrames {
-		t.Errorf("batching coalesced nothing: %d msgs in %d frames", batched.SentMsgs, batched.SentFrames)
+	if st.SentFrames >= st.SentMsgs {
+		t.Errorf("the outbox coalesced nothing: %d msgs in %d frames", st.SentMsgs, st.SentFrames)
 	}
-	if batched.SentBatches == 0 {
-		t.Error("no batch frames sent with batching on")
+	if st.SentBatches == 0 {
+		t.Error("no batch frames sent")
 	}
-	if unbatched.SentMsgs != unbatched.SentFrames {
-		t.Errorf("NoBatch still coalesced: %d msgs in %d frames", unbatched.SentMsgs, unbatched.SentFrames)
+	if net.Frames >= net.Messages {
+		t.Errorf("interconnect saw %d messages in %d frames — expected fewer frames", net.Messages, net.Frames)
 	}
-	if unbatched.SentBatches != 0 {
-		t.Errorf("NoBatch sent %d batch frames", unbatched.SentBatches)
-	}
-	// Batching changes framing only: the protocol moves the same
-	// messages and the same payload bytes either way.
-	if netB.Messages != netU.Messages {
-		t.Errorf("batched run moved %d messages, unbatched %d", netB.Messages, netU.Messages)
-	}
-	if netB.Frames >= netU.Frames {
-		t.Errorf("batched run used %d frames, unbatched %d — expected fewer", netB.Frames, netU.Frames)
-	}
-	// The interconnect's view agrees with the node's outbox counters.
-	if netB.Batches == 0 {
+	if net.Batches == 0 {
 		t.Error("interconnect counted no batch frames")
 	}
 	// Per-kind byte accounting sums to the total outbound bytes.
 	var kindTotal int64
-	for _, b := range batched.KindBytes {
+	for _, b := range st.KindBytes {
 		kindTotal += b
 	}
-	if kindTotal != batched.SentBytes {
-		t.Errorf("per-kind bytes sum to %d, SentBytes = %d", kindTotal, batched.SentBytes)
+	if kindTotal != st.SentBytes {
+		t.Errorf("per-kind bytes sum to %d, SentBytes = %d", kindTotal, st.SentBytes)
 	}
 }
 
@@ -106,7 +92,7 @@ func TestOutboxPreservesFIFO(t *testing.T) {
 	raw := simnet.New(2)
 	defer raw.Close()
 	a, b := raw.Endpoint(0), raw.Endpoint(1)
-	o := &outbox{n: &Node{id: 0, ep: a}, batch: true, dsts: make([]outDest, 2)}
+	o := &outbox{n: &Node{id: 0, ep: a}, dsts: make([]outDest, 2)}
 
 	mk := func(seq uint64) *wire.Msg { return &wire.Msg{Kind: wire.KInval, Seq: seq, A: 1} }
 	o.stage(1, mk(1))
@@ -166,7 +152,7 @@ func (f *failEndpoint) Recv() (int, []byte, bool) { return 0, nil, false }
 // await forever while the error sits in the worker's log.
 func TestOutboxStickyFlushError(t *testing.T) {
 	broken := errors.New("peer stream broken")
-	o := &outbox{n: &Node{id: 0, ep: &failEndpoint{err: broken}}, batch: true, dsts: make([]outDest, 2)}
+	o := &outbox{n: &Node{id: 0, ep: &failEndpoint{err: broken}}, dsts: make([]outDest, 2)}
 
 	// The rpc path stages its request...
 	o.stage(1, &wire.Msg{Kind: wire.KLockReq, Seq: 1})

@@ -31,10 +31,6 @@ const (
 	// PlaceBlock interleaves single pages across the nodes:
 	// home(pg) = pg % Procs (the historical static assignment).
 	PlaceBlock Placement = iota
-	// PlaceRR deals contiguous rrRunPages-page runs to the nodes
-	// round-robin — a coarser interleaving than PlaceBlock's per-page
-	// modulo, so neighboring pages share a home.
-	PlaceRR
 	// PlaceFirstTouch starts from the block assignment and re-homes
 	// each page to the node that touched it most before the first
 	// cluster barrier (ties to the lowest node id). The claims are
@@ -45,17 +41,13 @@ const (
 	PlaceFirstTouch
 )
 
-// rrRunPages is the run length of the round-robin placement.
-const rrRunPages = 4
-
 var placementNames = map[Placement]string{
 	PlaceBlock:      "block",
-	PlaceRR:         "rr",
 	PlaceFirstTouch: "first-touch",
 }
 
 // Placements lists every supported placement policy.
-var Placements = []Placement{PlaceBlock, PlaceRR, PlaceFirstTouch}
+var Placements = []Placement{PlaceBlock, PlaceFirstTouch}
 
 // String returns the policy's flag name.
 func (p Placement) String() string {
@@ -81,7 +73,7 @@ func PlacementNames() string {
 	return strings.Join(names, ", ")
 }
 
-// ParsePlacement maps a policy name ("block", "rr", "first-touch") to
+// ParsePlacement maps a policy name ("block", "first-touch") to
 // its Placement. The empty string is the default block policy.
 func ParsePlacement(s string) (Placement, error) {
 	if s == "" {
@@ -95,18 +87,13 @@ func ParsePlacement(s string) (Placement, error) {
 	return 0, fmt.Errorf("dsm: unknown placement %q (supported: %s)", s, PlacementNames())
 }
 
-// initialHomes builds the policy's static page→home table.
-// PlaceFirstTouch starts from the block table; its exchange at the
-// first barrier refines it.
-func initialHomes(p Placement, numPages, procs int) []mem.ProcID {
+// initialHomes builds the static page→home table every policy starts
+// from: the block interleave. PlaceFirstTouch's exchange at the first
+// barrier refines it.
+func initialHomes(numPages, procs int) []mem.ProcID {
 	homes := make([]mem.ProcID, numPages)
 	for pg := range homes {
-		switch p {
-		case PlaceRR:
-			homes[pg] = mem.ProcID((pg / rrRunPages) % procs)
-		default: // PlaceBlock, PlaceFirstTouch
-			homes[pg] = mem.ProcID(pg % procs)
-		}
+		homes[pg] = mem.ProcID(pg % procs)
 	}
 	return homes
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/framebuf"
+	"repro/internal/mem"
 	"repro/internal/transport/tcp"
 	"repro/internal/wire"
 )
@@ -20,39 +21,31 @@ func TestParsePlacement(t *testing.T) {
 		in   string
 		want Placement
 	}{
-		{"", PlaceBlock}, {"block", PlaceBlock}, {"rr", PlaceRR}, {"first-touch", PlaceFirstTouch},
+		{"", PlaceBlock}, {"block", PlaceBlock}, {"first-touch", PlaceFirstTouch},
 	} {
 		got, err := ParsePlacement(tc.in)
 		if err != nil || got != tc.want {
 			t.Errorf("ParsePlacement(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
 		}
 	}
-	if _, err := ParsePlacement("best-fit"); err == nil {
-		t.Error("ParsePlacement accepted an unknown policy")
+	for _, in := range []string{"best-fit", "rr"} {
+		if _, err := ParsePlacement(in); err == nil || !strings.Contains(err.Error(), PlacementNames()) {
+			t.Errorf("ParsePlacement(%q) = %v, want an error naming the supported set", in, err)
+		}
 	}
 }
 
 func TestInitialHomes(t *testing.T) {
-	block := initialHomes(PlaceBlock, 8, 3)
-	for pg, h := range block {
+	// Every policy starts from the block table; first-touch's exchange
+	// refines it.
+	homes := initialHomes(8, 3)
+	for pg, h := range homes {
 		if int(h) != pg%3 {
-			t.Fatalf("block home(%d) = %d, want %d", pg, h, pg%3)
+			t.Fatalf("home(%d) = %d, want %d", pg, h, pg%3)
 		}
 	}
-	rr := initialHomes(PlaceRR, 16, 2)
-	for pg, h := range rr {
-		if want := (pg / rrRunPages) % 2; int(h) != want {
-			t.Fatalf("rr home(%d) = %d, want %d", pg, h, want)
-		}
-	}
-	// First-touch starts from the block table; the exchange refines it.
-	ft := initialHomes(PlaceFirstTouch, 8, 3)
-	for pg := range ft {
-		if ft[pg] != block[pg] {
-			t.Fatalf("first-touch initial home(%d) = %d, want block's %d", pg, ft[pg], block[pg])
-		}
-	}
-	if got, want := FormatHomeTable(rr[:8]), "pg0-3=0,pg4-7=1"; got != want {
+	runs := []mem.ProcID{0, 0, 0, 0, 1, 1, 1, 1}
+	if got, want := FormatHomeTable(runs), "pg0-3=0,pg4-7=1"; got != want {
 		t.Errorf("FormatHomeTable = %q, want %q", got, want)
 	}
 }

@@ -113,7 +113,7 @@ func newRouter(n *Node, modes []Mode, adaptive bool) *router {
 	for pg, m := range modes {
 		r.modeTab[pg].Store(int32(m))
 	}
-	for pg, h := range initialHomes(n.sys.cfg.Placement, numPages, n.sys.cfg.Procs) {
+	for pg, h := range initialHomes(numPages, n.sys.cfg.Procs) {
 		r.homeTab[pg].Store(int32(h))
 	}
 	// The engine constructors below read the home table through

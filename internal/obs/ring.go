@@ -6,16 +6,14 @@ import (
 )
 
 // TrafficSample is one interval's interconnect traffic delta: how many
-// logical messages, physical frames, batch frames, wire bytes and
-// pre-compression bytes moved during the sampling interval ending at
-// Unix.
+// logical messages, physical frames, batch frames and wire bytes moved
+// during the sampling interval ending at Unix.
 type TrafficSample struct {
 	Unix     int64 `json:"unix"`
 	Messages int64 `json:"messages"`
 	Frames   int64 `json:"frames"`
 	Batches  int64 `json:"batches"`
 	Bytes    int64 `json:"bytes"`
-	RawBytes int64 `json:"raw_bytes"`
 }
 
 func (a TrafficSample) sub(b TrafficSample) TrafficSample {
@@ -24,7 +22,6 @@ func (a TrafficSample) sub(b TrafficSample) TrafficSample {
 		Frames:   a.Frames - b.Frames,
 		Batches:  a.Batches - b.Batches,
 		Bytes:    a.Bytes - b.Bytes,
-		RawBytes: a.RawBytes - b.RawBytes,
 	}
 }
 

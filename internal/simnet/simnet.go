@@ -34,17 +34,15 @@ type Network struct {
 	n      int
 	queues []chan frame
 
-	msgs     atomic.Int64
-	frames   atomic.Int64
-	batches  atomic.Int64
-	bytes    atomic.Int64
-	rawBytes atomic.Int64
+	msgs    atomic.Int64
+	frames  atomic.Int64
+	batches atomic.Int64
+	bytes   atomic.Int64
 	// per-endpoint sent counters
-	sentMsgs     []atomic.Int64
-	sentFrames   []atomic.Int64
-	sentBatches  []atomic.Int64
-	sentBytes    []atomic.Int64
-	sentRawBytes []atomic.Int64
+	sentMsgs    []atomic.Int64
+	sentFrames  []atomic.Int64
+	sentBatches []atomic.Int64
+	sentBytes   []atomic.Int64
 
 	closeOnce sync.Once
 	closed    chan struct{}
@@ -69,14 +67,13 @@ func New(n int, opts ...Option) *Network {
 		panic(fmt.Sprintf("simnet: endpoint count %d must be positive", n))
 	}
 	net := &Network{
-		n:            n,
-		queues:       make([]chan frame, n),
-		sentMsgs:     make([]atomic.Int64, n),
-		sentFrames:   make([]atomic.Int64, n),
-		sentBatches:  make([]atomic.Int64, n),
-		sentBytes:    make([]atomic.Int64, n),
-		sentRawBytes: make([]atomic.Int64, n),
-		closed:       make(chan struct{}),
+		n:           n,
+		queues:      make([]chan frame, n),
+		sentMsgs:    make([]atomic.Int64, n),
+		sentFrames:  make([]atomic.Int64, n),
+		sentBatches: make([]atomic.Int64, n),
+		sentBytes:   make([]atomic.Int64, n),
+		closed:      make(chan struct{}),
 	}
 	for i := range net.queues {
 		net.queues[i] = make(chan frame, 4096)
@@ -117,23 +114,25 @@ func (net *Network) Close() error {
 
 // Totals returns the global traffic counters.
 func (net *Network) Totals() Stats {
+	bytes := net.bytes.Load()
 	return Stats{
 		Messages: net.msgs.Load(),
 		Frames:   net.frames.Load(),
 		Batches:  net.batches.Load(),
-		Bytes:    net.bytes.Load(),
-		RawBytes: net.rawBytes.Load(),
+		Bytes:    bytes,
+		RawBytes: bytes,
 	}
 }
 
 // SentBy returns endpoint i's send counters.
 func (net *Network) SentBy(i int) Stats {
+	bytes := net.sentBytes[i].Load()
 	return Stats{
 		Messages: net.sentMsgs[i].Load(),
 		Frames:   net.sentFrames[i].Load(),
 		Batches:  net.sentBatches[i].Load(),
-		Bytes:    net.sentBytes[i].Load(),
-		RawBytes: net.sentRawBytes[i].Load(),
+		Bytes:    bytes,
+		RawBytes: bytes,
 	}
 }
 
@@ -164,11 +163,9 @@ func (e *Endpoint) Send(dst int, payload []byte) error {
 		e.net.msgs.Add(1)
 		e.net.frames.Add(1)
 		e.net.bytes.Add(int64(len(payload)))
-		e.net.rawBytes.Add(int64(len(payload)))
 		e.net.sentMsgs[e.id].Add(1)
 		e.net.sentFrames[e.id].Add(1)
 		e.net.sentBytes[e.id].Add(int64(len(payload)))
-		e.net.sentRawBytes[e.id].Add(int64(len(payload)))
 	}
 	select {
 	case e.net.queues[dst] <- frame{src: e.id, payload: payload}:
@@ -205,12 +202,10 @@ func (e *Endpoint) SendBatch(dst int, frames stdnet.Buffers) error {
 		e.net.frames.Add(1)
 		e.net.batches.Add(1)
 		e.net.bytes.Add(int64(total))
-		e.net.rawBytes.Add(int64(total))
 		e.net.sentMsgs[e.id].Add(msgs)
 		e.net.sentFrames[e.id].Add(1)
 		e.net.sentBatches[e.id].Add(1)
 		e.net.sentBytes[e.id].Add(int64(total))
-		e.net.sentRawBytes[e.id].Add(int64(total))
 	}
 	select {
 	case e.net.queues[dst] <- frame{src: e.id, payload: payload}:
@@ -221,46 +216,6 @@ func (e *Endpoint) SendBatch(dst int, frames stdnet.Buffers) error {
 }
 
 var _ transport.BatchSender = (*Endpoint)(nil)
-
-// SendCompressed delivers one compressed frame carrying msgs logical
-// messages whose pre-compression encoding was rawBytes long. The wire
-// byte counters see the compressed length; RawBytes records the logical
-// size, so RawBytes-Bytes is the saving compression bought. Ownership
-// of payload transfers like Send.
-func (e *Endpoint) SendCompressed(dst, msgs, rawBytes int, payload []byte) error {
-	if dst < 0 || dst >= e.net.n {
-		return fmt.Errorf("simnet: destination %d outside [0,%d)", dst, e.net.n)
-	}
-	select {
-	case <-e.net.closed:
-		return ErrClosed
-	default:
-	}
-	if dst != e.id {
-		e.net.msgs.Add(int64(msgs))
-		e.net.frames.Add(1)
-		if msgs > 1 {
-			e.net.batches.Add(1)
-		}
-		e.net.bytes.Add(int64(len(payload)))
-		e.net.rawBytes.Add(int64(rawBytes))
-		e.net.sentMsgs[e.id].Add(int64(msgs))
-		e.net.sentFrames[e.id].Add(1)
-		if msgs > 1 {
-			e.net.sentBatches[e.id].Add(1)
-		}
-		e.net.sentBytes[e.id].Add(int64(len(payload)))
-		e.net.sentRawBytes[e.id].Add(int64(rawBytes))
-	}
-	select {
-	case e.net.queues[dst] <- frame{src: e.id, payload: payload}:
-		return nil
-	case <-e.net.closed:
-		return ErrClosed
-	}
-}
-
-var _ transport.CompressedSender = (*Endpoint)(nil)
 
 // Recv blocks until a payload arrives for this endpoint or the network
 // closes (ok=false).

@@ -11,9 +11,7 @@ import (
 
 // benchPingPong measures one round trip of a realistic runtime frame (an
 // encoded page-response message) between two endpoints — the
-// interconnect cost every protocol operation pays. CI runs these with
-// -bench 'BenchmarkTransport' into BENCH_transport.json to track
-// simnet-vs-TCP overhead.
+// interconnect cost every protocol operation pays, simnet vs TCP.
 func benchPingPong(b *testing.B, a, z transport.Endpoint) {
 	payload := (&wire.Msg{
 		Kind: wire.KPageResp, Seq: 1, A: 7, Data: make([]byte, 4096),

@@ -179,9 +179,9 @@ func parseProb(v string) (float64, error) {
 
 // Transport decorates an inner transport with the plan's faults. It
 // implements transport.Transport; its endpoints implement BatchSender
-// and CompressedSender by delegation, so the decorated stack keeps the
-// inner transport's framing and accounting (dropped frames never reach
-// the inner transport and are not accounted).
+// by delegation, so the decorated stack keeps the inner transport's
+// framing and accounting (dropped frames never reach the inner
+// transport and are not accounted).
 type Transport struct {
 	inner transport.Transport
 	plan  Plan
@@ -384,34 +384,6 @@ func (e *Endpoint) SendBatch(dst int, frames stdnet.Buffers) error {
 	}
 	if act.dup {
 		return transport.SendBatch(e.inner, dst, frames)
-	}
-	return nil
-}
-
-// SendCompressed applies the plan to a compressed frame.
-func (e *Endpoint) SendCompressed(dst, msgs, rawBytes int, payload []byte) error {
-	if dst == e.id {
-		return transport.SendCompressed(e.inner, dst, msgs, rawBytes, payload)
-	}
-	act, err := e.decide(dst)
-	if err != nil {
-		return err
-	}
-	if act.drop {
-		return nil
-	}
-	var dup []byte
-	if act.dup {
-		dup = append([]byte(nil), payload...)
-	}
-	if act.delay > 0 {
-		time.Sleep(act.delay)
-	}
-	if err := transport.SendCompressed(e.inner, dst, msgs, rawBytes, payload); err != nil {
-		return err
-	}
-	if dup != nil {
-		return transport.SendCompressed(e.inner, dst, msgs, rawBytes, dup)
 	}
 	return nil
 }

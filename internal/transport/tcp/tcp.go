@@ -113,11 +113,10 @@ type Transport struct {
 	closeOnce sync.Once
 	closeErr  error
 
-	msgs     atomic.Int64
-	frames   atomic.Int64
-	batches  atomic.Int64
-	bytes    atomic.Int64
-	rawBytes atomic.Int64
+	msgs    atomic.Int64
+	frames  atomic.Int64
+	batches atomic.Int64
+	bytes   atomic.Int64
 
 	senders []*sender
 
@@ -210,12 +209,13 @@ func (t *Transport) Addr() string { return t.ln.Addr().String() }
 // Totals returns this endpoint's send counters. Loopback sends are free,
 // matching the simulated interconnect's accounting.
 func (t *Transport) Totals() transport.Stats {
+	bytes := t.bytes.Load()
 	return transport.Stats{
 		Messages: t.msgs.Load(),
 		Frames:   t.frames.Load(),
 		Batches:  t.batches.Load(),
-		Bytes:    t.bytes.Load(),
-		RawBytes: t.rawBytes.Load(),
+		Bytes:    bytes,
+		RawBytes: bytes,
 	}
 }
 
@@ -434,7 +434,6 @@ func (t *Transport) Send(dst int, payload []byte) error {
 	t.msgs.Add(1)
 	t.frames.Add(1)
 	t.bytes.Add(int64(len(payload)))
-	t.rawBytes.Add(int64(len(payload)))
 	framebuf.Put(payload)
 	return nil
 }
@@ -483,56 +482,10 @@ func (t *Transport) SendBatch(dst int, frames net.Buffers) error {
 	t.frames.Add(1)
 	t.batches.Add(1)
 	t.bytes.Add(int64(total))
-	t.rawBytes.Add(int64(total))
 	return nil
 }
 
 var _ transport.BatchSender = (*Transport)(nil)
-
-// SendCompressed delivers one compressed frame carrying msgs logical
-// messages whose pre-compression encoding was rawBytes long, as a
-// single length-prefixed stream frame. The wire byte counter sees the
-// compressed length; RawBytes records the logical size. Ownership of
-// payload transfers like Send. Loopback enqueues the buffer itself and
-// counts no traffic.
-func (t *Transport) SendCompressed(dst, msgs, rawBytes int, payload []byte) error {
-	if dst < 0 || dst >= len(t.peers) {
-		return fmt.Errorf("tcp: destination %d outside [0,%d)", dst, len(t.peers))
-	}
-	select {
-	case <-t.closed:
-		return transport.ErrClosed
-	default:
-	}
-	if dst == t.self {
-		select {
-		case t.recvq <- frame{src: t.self, payload: payload}:
-			return nil
-		case <-t.closed:
-			return transport.ErrClosed
-		}
-	}
-	s := t.senders[dst]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.broken != nil {
-		return s.broken
-	}
-	if err := t.writeFrame(s, dst, len(payload), payload); err != nil {
-		return err
-	}
-	t.msgs.Add(int64(msgs))
-	t.frames.Add(1)
-	if msgs > 1 {
-		t.batches.Add(1)
-	}
-	t.bytes.Add(int64(len(payload)))
-	t.rawBytes.Add(int64(rawBytes))
-	framebuf.Put(payload)
-	return nil
-}
-
-var _ transport.CompressedSender = (*Transport)(nil)
 
 // Recv blocks until a payload arrives for this endpoint or the transport
 // closes (ok=false), draining frames already delivered first.

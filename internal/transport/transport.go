@@ -38,11 +38,9 @@ import (
 // Messages-vs-Frames is exactly the saving the outbox's coalescing buys:
 // each frame pays the fixed per-message network cost once.
 //
-// Bytes counts what actually crossed the wire; RawBytes counts the
-// logical (pre-compression) encoding. For uncompressed traffic the two
-// are equal, so RawBytes-vs-Bytes is exactly the saving frame
-// compression buys — and since the latency model charges Bytes, that
-// saving shows up in estimated wire time too.
+// Bytes counts what crossed the wire. RawBytes equals Bytes — frames
+// travel as encoded — and stays only because bench/lrcbench names the
+// field; the next benchmark PR drops it.
 type Stats struct {
 	Messages int64
 	Frames   int64
@@ -127,29 +125,6 @@ func Concat(frames net.Buffers) []byte {
 		buf = append(buf, f...)
 	}
 	return buf
-}
-
-// CompressedSender is the compressed-frame extension an Endpoint may
-// implement: payload is ONE physical frame (a wire.KCompressed frame)
-// carrying msgs logical messages whose pre-compression encoding was
-// rawBytes long. Accounting: msgs messages, one frame, one batch when
-// msgs > 1, len(payload) wire bytes, rawBytes raw bytes — so the
-// latency model charges post-compression bytes. Ownership of payload
-// transfers like Send.
-type CompressedSender interface {
-	SendCompressed(dst, msgs, rawBytes int, payload []byte) error
-}
-
-// SendCompressed is the default adapter over the optional
-// CompressedSender interface. An endpoint that does not implement it
-// still delivers the frame correctly via plain Send (the receiver
-// expands it regardless) but accounts it as one message of its wire
-// size, like any other opaque payload.
-func SendCompressed(ep Endpoint, dst, msgs, rawBytes int, payload []byte) error {
-	if cs, ok := ep.(CompressedSender); ok {
-		return cs.SendCompressed(dst, msgs, rawBytes, payload)
-	}
-	return ep.Send(dst, payload)
 }
 
 // Transport connects a DSM cluster's endpoints. One instance serves the

@@ -6,9 +6,9 @@ import (
 	"repro/internal/framebuf"
 )
 
-// Codec micro-benches: CI runs these into BENCH_wire.json to track the
-// hot-path cost of the pooled append encoder and the batch framing
-// (encode/decode per message, batched vs unbatched).
+// Codec micro-benches, run by CI: the hot-path cost of the pooled
+// append encoder and the batch framing (encode/decode per message, one
+// batch frame vs the same messages framed singly).
 
 // benchMsg is a representative mid-size frame: a lock grant with a
 // clock, two interval records and a diff — the LU hot-path message.

@@ -14,7 +14,7 @@
 // is, in order:
 //
 //	block       encoding                                   bound enforced by Decode
-//	kind        1 byte                                     known kind; KBatch/KCompressed rejected here
+//	kind        1 byte                                     known kind; KBatch rejected here
 //	presence    1 byte, bit per block below that follows   unknown bits rejected
 //	seq a b     uv64, uv32, uv32
 //	VC          uv n, n entries uv32(x+1)                  n <= 64; bit set <=> Msg.VC != nil (n = 0 legal)
@@ -49,9 +49,9 @@
 // it sizes an allocation.
 //
 // Frames: a payload is one message, or a batch frame — the KBatch byte,
-// uv count (>= 2), then count sub-frames of uv length + message — or a
-// compressed frame — the KCompressed byte, uv inner length, then a flate
-// stream inflating to exactly that many bytes of message or batch frame.
+// uv count (>= 2), then count sub-frames of uv length + message. There
+// is no other frame kind: the sender's outbox coalesces what is staged
+// for one destination into one batch, and the bytes travel as encoded.
 //
 // # Ownership
 //
@@ -86,15 +86,11 @@
 package wire
 
 import (
-	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
 	"math/bits"
 	"slices"
-	"sync"
 
 	"repro/internal/framebuf"
 	"repro/internal/mem"
@@ -185,14 +181,6 @@ const (
 	// a received payload (DecodeBatch); Decode rejects it in message
 	// position, which also forbids nested batches.
 	KBatch
-	// KCompressed is a frame-level kind wrapping one complete inner frame
-	// (a plain message or a batch) as a flate stream: the kind byte and
-	// the inner frame's exact byte length, followed by the compressed
-	// bytes. Senders emit it only when the compressed form is
-	// strictly smaller (see Compress); receivers expand it back to the
-	// inner frame before routing (Expand). Nesting is rejected, as is the
-	// kind in message position.
-	KCompressed
 	kindLimit
 )
 
@@ -212,7 +200,7 @@ var kindNames = map[Kind]string{
 	KFlushReq: "flushreq", KFlushDone: "flushdone",
 	KWriteReq: "writereq", KWriteResp: "writeresp",
 	KReclassReady: "reclassready", KReclassGo: "reclassgo",
-	KBatch: "batch", KCompressed: "compressed",
+	KBatch: "batch",
 }
 
 // IsResponse reports whether the kind answers an outstanding request and
@@ -509,74 +497,8 @@ func put32(b []byte, v int32) []byte {
 
 func putLen(b []byte, n int) []byte { return binary.AppendUvarint(b, uint64(n)) }
 
-// SizeHint returns the exact length of the message's encoding, from the
-// same per-block arithmetic as the encoder, for byte-thresholded flush
-// policies. It walks every clock and page list; the encoder itself grows
-// its buffer by the cheaper growHint.
-func (m *Msg) SizeHint() int {
-	n := 2 + uvLen(m.Seq) + len32(m.A) + len32(m.B)
-	n += payloadSize(m.VC != nil, m.VC, m.Intervals, m.Diffs)
-	if len(m.Wants) > 0 {
-		n += lenLen(len(m.Wants))
-		for _, w := range m.Wants {
-			n += len32(int32(w.Page)) + len32(int32(w.Proc)) + len32(w.Index)
-		}
-	}
-	if len(m.Data) > 0 {
-		n += lenLen(len(m.Data)) + len(m.Data)
-	}
-	if m.Sections != nil {
-		n += lenLen(len(m.Sections))
-		for i := range m.Sections {
-			s := &m.Sections[i]
-			n += lenLen(int(s.Mode)) + 1 + payloadSize(len(s.VC) > 0, s.VC, s.Intervals, s.Diffs)
-		}
-	}
-	return n
-}
-
-// payloadSize is appendPayload's size.
-func payloadSize(hasClock bool, clock vc.VC, ivs []IntervalRec, diffs []DiffRec) int {
-	n := 0
-	if hasClock {
-		n += lenLen(len(clock))
-		for _, x := range clock {
-			n += len32(x + 1)
-		}
-	}
-	if len(ivs) > 0 {
-		n += lenLen(len(ivs))
-		for i := range ivs {
-			iv := &ivs[i]
-			n += len32(int32(iv.Proc)) + len32(iv.Index) + lenLen(len(iv.VC)) + lenLen(len(iv.Pages))
-			if len(clock) == len(iv.VC) {
-				for k, x := range iv.VC {
-					n += len32(zigzag(clock[k] - x))
-				}
-			} else {
-				for _, x := range iv.VC {
-					n += len32(x + 1)
-				}
-			}
-			prev := mem.PageID(0)
-			for _, p := range iv.Pages {
-				n += len32(int32(p - prev))
-				prev = p
-			}
-		}
-	}
-	if len(diffs) > 0 {
-		n += lenLen(len(diffs))
-		for _, d := range diffs {
-			n += len32(int32(d.Page)) + len32(int32(d.Proc)) + len32(d.Index) + d.Diff.WireBodySize()
-		}
-	}
-	return n
-}
-
 // uvLen returns the length of x's unsigned varint encoding.
 func uvLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
-func len32(v int32) int  { return uvLen(uint64(uint32(v))) }
 func lenLen(n int) int   { return uvLen(uint64(n)) }
 
 // decoder walks an encoded buffer with bounds checking. The first error
@@ -743,12 +665,6 @@ func Decode(b []byte) (*Msg, error) {
 		// A batch is a frame, not a message: it is only legal at the top
 		// of a payload (DecodeBatch), which also forbids nested batches.
 		return nil, fmt.Errorf("wire: batch frame in message position")
-	}
-	if m.Kind == KCompressed {
-		// Same frame-not-message rule: compressed frames are expanded by
-		// the dispatch loop (Expand) before anything decodes messages, and
-		// Expand itself rejects a nested compressed frame.
-		return nil, fmt.Errorf("wire: compressed frame in message position")
 	}
 	present := b[1]
 	if present&^msgPresence != 0 {
@@ -1000,125 +916,4 @@ func DecodeBatch(b []byte) ([]*Msg, error) {
 		return nil, fmt.Errorf("wire: %d trailing bytes after batch", len(b)-d.off)
 	}
 	return msgs, nil
-}
-
-// --- compressed frames ---
-//
-// A compressed frame wraps one complete inner frame — a plain encoded
-// message or a whole batch frame — as a flate stream behind the
-// KCompressed byte and the inner frame's exact length. The outbox
-// compresses a built frame only when it is at least the configured
-// threshold AND the compressed form is strictly smaller, so
-// incompressible payloads (already-dense page data) ride uncompressed;
-// the receiver's dispatch loop expands the frame back before routing.
-// Transport byte counters see the compressed length, so the latency
-// model charges post-compression bytes.
-
-// MaxExpandedBytes bounds the inner-frame length a compressed header
-// may claim — the decompression-bomb bound, aligned with the TCP
-// transport's frame cap.
-const MaxExpandedBytes = 64 << 20
-
-var flateWriters = sync.Pool{New: func() any {
-	w, err := flate.NewWriter(io.Discard, flate.BestSpeed)
-	if err != nil {
-		panic(err) // only fails for an invalid level constant
-	}
-	return w
-}}
-
-var flateReaders = sync.Pool{New: func() any {
-	return flate.NewReader(bytes.NewReader(nil))
-}}
-
-// sliceWriter adapts an append-slice to io.Writer for the flate encoder.
-type sliceWriter struct{ b []byte }
-
-func (w *sliceWriter) Write(p []byte) (int, error) {
-	w.b = append(w.b, p...)
-	return len(p), nil
-}
-
-// IsCompressed reports whether the payload is a compressed frame.
-func IsCompressed(b []byte) bool { return len(b) > 0 && Kind(b[0]) == KCompressed }
-
-// Compress wraps a complete encoded frame into a compressed frame in a
-// pooled buffer. It returns (nil, false) — emitting nothing — when the
-// compressed form would not be strictly smaller than the original, so a
-// sender can always prefer the returned frame when ok. The caller keeps
-// ownership of frame either way.
-func Compress(frame []byte) (compressed []byte, ok bool) {
-	sw := &sliceWriter{b: putLen(append(framebuf.Get(), byte(KCompressed)), len(frame))}
-	zw := flateWriters.Get().(*flate.Writer)
-	zw.Reset(sw)
-	_, err := zw.Write(frame)
-	if err == nil {
-		err = zw.Close()
-	}
-	flateWriters.Put(zw)
-	if err != nil || len(sw.b) >= len(frame) {
-		// sliceWriter never fails, so err is theoretical; the size gate is
-		// the common exit for dense payloads.
-		framebuf.Put(sw.b)
-		return nil, false
-	}
-	return sw.b, true
-}
-
-// Expand inflates a compressed frame back into its inner frame, in a
-// pooled buffer the caller owns (recycle with framebuf.Put). It enforces the
-// hostility bounds of the other decoders: the claimed inner length is
-// capped (MaxExpandedBytes), the stream must inflate to exactly that
-// length, allocation grows with bytes actually produced rather than the
-// claim, and a nested compressed frame is rejected.
-func Expand(b []byte) ([]byte, error) {
-	if len(b) < 2 {
-		return nil, fmt.Errorf("wire: compressed frame of %d bytes shorter than header", len(b))
-	}
-	if !IsCompressed(b) {
-		return nil, fmt.Errorf("wire: frame of kind %v is not compressed", Kind(b[0]))
-	}
-	d := &decoder{b: b, off: 1}
-	claimed := d.uvarint()
-	if d.err != nil {
-		return nil, d.err
-	}
-	if claimed < minMsgBytes || claimed > MaxExpandedBytes {
-		return nil, fmt.Errorf("wire: implausible compressed frame inner length %d", claimed)
-	}
-	want := int(claimed)
-	zr := flateReaders.Get().(io.ReadCloser)
-	defer flateReaders.Put(zr)
-	if err := zr.(flate.Resetter).Reset(bytes.NewReader(b[d.off:]), nil); err != nil {
-		return nil, fmt.Errorf("wire: compressed frame: %v", err)
-	}
-	out := framebuf.Get()
-	for {
-		if len(out) == cap(out) {
-			out = append(out, 0)[:len(out)]
-		}
-		n, err := zr.Read(out[len(out):cap(out)])
-		out = out[:len(out)+n]
-		if len(out) > want {
-			framebuf.Put(out)
-			return nil, fmt.Errorf("wire: compressed frame inflates past its claimed %d bytes", want)
-		}
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			framebuf.Put(out)
-			return nil, fmt.Errorf("wire: compressed frame: %v", err)
-		}
-	}
-	if len(out) != want {
-		got := len(out)
-		framebuf.Put(out)
-		return nil, fmt.Errorf("wire: compressed frame inflates to %d bytes, header claims %d", got, want)
-	}
-	if IsCompressed(out) {
-		framebuf.Put(out)
-		return nil, fmt.Errorf("wire: nested compressed frame")
-	}
-	return out, nil
 }

@@ -17,7 +17,7 @@ import (
 // {protocol} × {goroutines-per-node} combination, and a TCP leg repeats
 // a slice of it over real sockets.
 
-var placementNames = []string{"block", "rr", "first-touch"}
+var placementNames = []string{"block", "first-touch"}
 
 func runPlacement(t *testing.T, name string, rc RuntimeConfig, procs int, scale float64) {
 	t.Helper()
@@ -39,7 +39,7 @@ func runPlacement(t *testing.T, name string, rc RuntimeConfig, procs int, scale 
 	}
 }
 
-// TestPlacementDifferential: {block, rr, first-touch} × {migration
+// TestPlacementDifferential: {block, first-touch} × {migration
 // off, on} × all five protocols × one and four goroutines per node,
 // byte-identical images throughout. Short mode trims the sweep to one
 // goroutine per node and the LI/EI/SC protocols.

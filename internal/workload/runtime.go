@@ -28,7 +28,7 @@ type RuntimeConfig struct {
 	// adaptive classification epoch re-routing pages by their observed
 	// sharing pattern (see dsm.Config.AdaptEveryBarriers; 0 disables).
 	AdaptEveryBarriers int
-	// Placement names the initial page→home policy ("block", "rr",
+	// Placement names the initial page→home policy ("block" or
 	// "first-touch"; empty means block — see dsm.ParsePlacement).
 	Placement string
 	// MigrateHomes re-homes pages to their dominant writer on adaptive
@@ -38,25 +38,9 @@ type RuntimeConfig struct {
 	// GCEveryBarriers enables the runtime's barrier-time garbage
 	// collection every k-th episode (0 disables).
 	GCEveryBarriers int
-	// EagerDiffs restores eager diff creation at interval close in the
-	// lazy engines (see dsm.Config.EagerDiffs). Images and message
-	// counts are identical either way.
-	EagerDiffs bool
 	// Latency configures the interconnect time model (zero value uses the
 	// runtime default).
 	Latency dsm.LatencyModel
-	// NoBatch disables the runtime's outbox frame coalescing (see
-	// dsm.Config.NoBatch); message counts and program semantics are
-	// identical either way.
-	NoBatch bool
-	// Flush tunes when the outbox flushes a destination beyond the
-	// structural flush points (see dsm.FlushPolicy). Zero value keeps
-	// the structural points only; ignored with NoBatch.
-	Flush dsm.FlushPolicy
-	// CompressMin compresses outbound physical frames of at least this
-	// many bytes (see dsm.Config.CompressMin). 0 disables; ignored with
-	// NoBatch.
-	CompressMin int
 	// GoroutinesPerNode multiplexes the program's logical processors over
 	// fewer DSM nodes: with k > 1 the cluster has NumProcs/k nodes
 	// (NumProcs must be divisible by k) and logical processor p runs as
@@ -261,11 +245,7 @@ func RunOnRuntime(p Program, rc RuntimeConfig) (*RuntimeResult, error) {
 			Placement:          placement,
 			MigrateHomes:       rc.MigrateHomes,
 			GCEveryBarriers:    rc.GCEveryBarriers,
-			EagerDiffs:         rc.EagerDiffs,
 			Latency:            rc.Latency,
-			NoBatch:            rc.NoBatch,
-			Flush:              rc.Flush,
-			CompressMin:        rc.CompressMin,
 			GoroutinesPerNode:  gpn,
 			RPCTimeout:         rc.RPCTimeout,
 			Metrics:            rc.Metrics,

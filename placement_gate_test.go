@@ -68,11 +68,11 @@ func TestMigrationTrafficGate(t *testing.T) {
 
 // BenchmarkPlacementPolicies emits the msgs/critsec series behind the
 // gate — every placement policy with migration off and on, per protocol
-// — as benchmark metrics for the BENCH_placement.json artifact.
+// — as benchmark metrics.
 func BenchmarkPlacementPolicies(b *testing.B) {
 	const name = "partition"
 	for _, m := range repro.DSMModes {
-		for _, placement := range []string{"block", "rr", "first-touch"} {
+		for _, placement := range []string{"block", "first-touch"} {
 			b.Run(name+"/"+m.String()+"/"+placement, func(b *testing.B) {
 				var v float64
 				for i := 0; i < b.N; i++ {

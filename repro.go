@@ -97,9 +97,6 @@ type (
 	// DSMMode selects the runtime's consistency protocol (LI, LU, EI,
 	// EU or SC).
 	DSMMode = dsm.Mode
-	// FlushPolicy tunes when the runtime's outbox flushes a destination:
-	// message/byte thresholds plus a Nagle-style requester-side hold.
-	FlushPolicy = dsm.FlushPolicy
 	// Node is one live DSM processor handle.
 	Node = dsm.Node
 	// NodeStats is a live node's accumulated protocol metrics, including
