@@ -626,9 +626,11 @@ func (n *Node) reclassRendezvous(b mem.BarrierID) error {
 	const master = 0
 	if n.id != master {
 		ready := &wire.Msg{Kind: wire.KReclassReady, Seq: n.nextSeq(), A: int32(b), B: int32(n.id)}
-		if _, err := n.rpc(mem.ProcID(master), ready); err != nil {
+		resp, err := n.rpc(mem.ProcID(master), ready)
+		if err != nil {
 			return fmt.Errorf("dsm: node %d: reclass rendezvous: %w", n.id, err)
 		}
+		resp.Release()
 		return nil
 	}
 	ready := make([]*wire.Msg, 0, n.sys.cfg.Procs-1)
@@ -639,6 +641,7 @@ func (n *Node) reclassRendezvous(b mem.BarrierID) error {
 		}
 		if int(m.A) != int(b) || !n.validProc(mem.ProcID(m.B)) {
 			n.noteErr("reclass rendezvous", fmt.Errorf("unexpected ready for barrier %d from %d", m.A, m.B))
+			m.Release()
 			continue
 		}
 		ready = append(ready, m)
@@ -646,6 +649,7 @@ func (n *Node) reclassRendezvous(b mem.BarrierID) error {
 	for _, m := range ready {
 		go2 := &wire.Msg{Kind: wire.KReclassGo, Seq: m.Seq, A: int32(b)}
 		n.send(mem.ProcID(m.B), go2)
+		m.Release()
 	}
 	return nil
 }

@@ -88,7 +88,7 @@ func TestOwnOnlyArrivalsDeliverTheWholeLog(t *testing.T) {
 			e := lazyOf(s.Node(i), mode)
 			var arrive wire.Msg
 			e.mu.Lock()
-			known := len(e.intervalsSinceLocked(e.lastEpoch))
+			known := len(e.intervalsSinceLocked(nil, e.lastEpoch))
 			e.mu.Unlock()
 			e.arrive(&arrive)
 			for _, rec := range arrive.Intervals {

@@ -102,6 +102,9 @@ var ErrClosed = transport.ErrClosed
 // a clean teardown.
 var ErrRPCTimeout = errors.New("dsm: rpc timeout")
 
+// maxProcs bounds Config.Procs: writer sets are 64-bit masks.
+const maxProcs = 64
+
 // Mode selects the consistency protocol a System runs.
 type Mode int
 
@@ -301,8 +304,8 @@ func New(cfg Config) (*System, error) {
 		}
 		return nil, err
 	}
-	if cfg.Procs <= 0 || cfg.Procs > 64 {
-		return fail(fmt.Errorf("dsm: processor count %d outside [1,64]", cfg.Procs))
+	if cfg.Procs <= 0 || cfg.Procs > maxProcs {
+		return fail(fmt.Errorf("dsm: processor count %d outside [1,%d]", cfg.Procs, maxProcs))
 	}
 	if cfg.GoroutinesPerNode < 0 || cfg.GoroutinesPerNode > 4096 {
 		return fail(fmt.Errorf("dsm: goroutines per node %d outside [0,4096]", cfg.GoroutinesPerNode))

@@ -159,9 +159,10 @@ func (e *eagerEngine) ensureValid(pg mem.PageID) error {
 
 	// The response is intercepted in handle: by the time rpc returns,
 	// the shard worker has installed the granted page.
-	_, err := n.rpc(n.homeOf(pg), &wire.Msg{
+	resp, err := n.rpc(n.homeOf(pg), &wire.Msg{
 		Kind: wire.KPageReq, Seq: n.nextSeq(), A: int32(pg), B: int32(n.id),
 	})
+	resp.Release()
 	return err
 }
 
@@ -313,7 +314,7 @@ func (e *eagerEngine) flushPages(cand []mem.PageID) error {
 	type pend struct {
 		fs   flushState
 		slot chan struct{}
-		req  *wire.Msg
+		req  wire.Msg
 	}
 	var pends []pend
 	// releaseSlots frees every claimed slot; called once whether the
@@ -389,7 +390,7 @@ func (e *eagerEngine) flushPages(cand []mem.PageID) error {
 			unclaim()
 			continue
 		}
-		req := &wire.Msg{Kind: wire.KFlushReq, Seq: n.nextSeq(), A: int32(pg), B: int32(n.id)}
+		req := wire.Msg{Kind: wire.KFlushReq, Seq: n.nextSeq(), A: int32(pg), B: int32(n.id)}
 		if needBase {
 			req.Data = []byte{1}
 		}
@@ -413,11 +414,8 @@ func (e *eagerEngine) flushPages(cand []mem.PageID) error {
 		reqs[i] = outMsg{dst: n.homeOf(p.fs.pg), m: p.req}
 	}
 	e.flightMu.Unlock()
-	dones, err := n.rpcAll(reqs)
-	for _, done := range dones {
-		// applyFlushDone consumed the write-backs on the shard worker.
-		done.Frame.Release()
-	}
+	dones, err := n.rpcAll(reqs, nil)
+	releaseAll(dones) // applyFlushDone consumed the write-backs on the shard worker
 	if err != nil {
 		// Unacknowledged flushes will never reconcile; drop their
 		// in-flight entries (acknowledged ones were already consumed by
@@ -498,11 +496,11 @@ func (e *eagerEngine) postBarrier(b mem.BarrierID) error { return nil }
 func (e *eagerEngine) handle(m *wire.Msg, src mem.ProcID) bool {
 	switch m.Kind {
 	case wire.KPageReq:
+		// The transaction outlives this handler: it holds the request.
+		m.Retain()
 		go e.servePageReq(m)
 	case wire.KFlushReq:
-		// The transaction outlives this handler and re-encodes the
-		// request's diffs (EU): it holds the frame until it is done.
-		m.Frame.Retain()
+		m.Retain()
 		go e.serveFlushReq(m)
 	case wire.KFetch:
 		e.serveFetch(m, src)
@@ -558,6 +556,7 @@ func (e *eagerEngine) ownerData(d *eagerDir, pg mem.PageID) ([]byte, error) {
 // copyset. The directory lock is held across the reply send so any
 // later invalidation or update follows the page ship in FIFO order.
 func (e *eagerEngine) servePageReq(m *wire.Msg) {
+	defer m.Release()
 	n := e.n
 	pg := mem.PageID(m.A)
 	requester := mem.ProcID(m.B)
@@ -585,7 +584,7 @@ func (e *eagerEngine) servePageReq(m *wire.Msg) {
 // becomes the owner, and the reply carries the reconciliation the
 // flusher must apply. The directory lock is held across all of it.
 func (e *eagerEngine) serveFlushReq(m *wire.Msg) {
-	defer m.Frame.Release()
+	defer m.Release()
 	n := e.n
 	pg := mem.PageID(m.A)
 	flusher := mem.ProcID(m.B)
@@ -637,14 +636,14 @@ func (e *eagerEngine) serveFlushReq(m *wire.Msg) {
 			diffs = m.Diffs
 		}
 		targets = append(targets, mem.ProcID(q))
-		reqs = append(reqs, outMsg{dst: mem.ProcID(q), m: &wire.Msg{
+		reqs = append(reqs, outMsg{dst: mem.ProcID(q), m: wire.Msg{
 			Kind: kind, Seq: n.nextSeq(), A: m.A, Diffs: diffs,
 		}})
 	}
 	var acks []*wire.Msg
 	if len(reqs) > 0 {
 		var err error
-		acks, err = n.rpcAll(reqs)
+		acks, err = n.rpcAll(reqs, nil)
 		if err != nil {
 			n.noteErr(fmt.Sprintf("flush fan-out for page %d", pg), err)
 			return
@@ -665,10 +664,7 @@ func (e *eagerEngine) serveFlushReq(m *wire.Msg) {
 	}
 	d.copyset |= 1 << uint(flusher)
 	n.noteErr(fmt.Sprintf("flush done to %d", flusher), n.send(flusher, done))
-	for _, ack := range acks {
-		// The write-backs riding done were encoded by the send above.
-		ack.Frame.Release()
-	}
+	releaseAll(acks) // the write-backs riding done were encoded by the send above
 }
 
 // serveFetch answers the home's request for this owner's committed page

@@ -154,5 +154,7 @@ func (n *Node) fetchFromOwner(owner mem.ProcID, pg mem.PageID) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return resp.Data, nil
+	data := resp.Data // owned by the decoded message, not by its shell
+	resp.Release()
+	return data, nil
 }

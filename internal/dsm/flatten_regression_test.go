@@ -45,7 +45,7 @@ func lazyEngineWithIntervals(t *testing.T) (*lazyEngine, mem.PageID, []*page.Dif
 	defer e.mu.Unlock()
 	for idx := int32(0); idx <= 2; idx++ {
 		id := core.IntervalID{Proc: 0, Index: idx}
-		slot := e.diffs[id][pg]
+		slot := e.slotLocked(id, pg)
 		if slot == nil {
 			t.Fatalf("no retained slot for own interval %d", idx)
 		}
@@ -148,22 +148,28 @@ func TestStoreDiffRecsReplacesOnFlatGroup(t *testing.T) {
 	}
 	pg := mem.PageID(0)
 	slotOf := func(p mem.ProcID, idx int32) *diffSlot {
-		return e.diffs[core.IntervalID{Proc: p, Index: idx}][pg]
+		return e.slotLocked(core.IntervalID{Proc: p, Index: idx}, pg)
 	}
-	preInsert := func(p mem.ProcID, idx int32, slot *diffSlot) {
-		id := core.IntervalID{Proc: p, Index: idx}
-		if e.diffs[id] == nil {
-			e.diffs[id] = make(map[mem.PageID]*diffSlot)
-		}
-		e.diffs[id][pg] = slot
+	preInsert := func(p mem.ProcID, idx int32, slot diffSlot) {
+		e.diffs[core.IntervalID{Proc: p, Index: idx}] = []diffSlot{slot}
 	}
 
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	// The store keeps slots parallel to the logged interval's page list:
+	// log the intervals the records below name, each writing the page.
+	for p, last := range []int32{2, 4} {
+		for idx := int32(0); idx <= last; idx++ {
+			e.v[p] = idx
+			e.log.Append(&core.Interval{
+				ID: core.IntervalID{Proc: mem.ProcID(p), Index: idx}, VC: e.v.Clone(), Pages: []mem.PageID{pg},
+			})
+		}
+	}
 
 	// Head pre-exists as a plain diff: the flat head must replace it.
 	plainHead, flatHead := mkDiff(0, 1), mkDiff(0, 2)
-	preInsert(1, 1, &diffSlot{d: plainHead})
+	preInsert(1, 1, diffSlot{held: true, d: plainHead})
 	e.storeDiffRecsLocked([]wire.DiffRec{
 		{Page: pg, Proc: 1, Index: 1, Diff: flatHead},
 		{Page: pg, Proc: 1, Index: 2, Diff: emptyDiff},
@@ -179,7 +185,7 @@ func TestStoreDiffRecsReplacesOnFlatGroup(t *testing.T) {
 	// Member pre-exists as a plain diff: the empty flat member must
 	// replace it so it is not re-applied over the head's merged bytes.
 	plainMember, flatHead2 := mkDiff(1, 3), mkDiff(1, 4)
-	preInsert(1, 4, &diffSlot{d: plainMember})
+	preInsert(1, 4, diffSlot{held: true, d: plainMember})
 	e.storeDiffRecsLocked([]wire.DiffRec{
 		{Page: pg, Proc: 1, Index: 3, Diff: flatHead2},
 		{Page: pg, Proc: 1, Index: 4, Diff: emptyDiff},
@@ -191,13 +197,13 @@ func TestStoreDiffRecsReplacesOnFlatGroup(t *testing.T) {
 
 	// Records claiming this node's own intervals never replace: a forged
 	// flat group must not clobber a deferred local slot.
-	own := &diffSlot{base: page.NewTwin(make([]byte, 1024))}
+	own := diffSlot{held: true, base: page.NewTwin(make([]byte, 1024))}
 	preInsert(0, 1, own)
 	e.storeDiffRecsLocked([]wire.DiffRec{
 		{Page: pg, Proc: 0, Index: 1, Diff: mkDiff(2, 5)},
 		{Page: pg, Proc: 0, Index: 2, Diff: emptyDiff},
 	}, true)
-	if got := slotOf(0, 1); got != own || got.d != nil || got.base == nil {
+	if got := slotOf(0, 1); got.d != nil || got.base != own.base {
 		t.Error("forged flat group replaced a deferred local slot")
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 
 	"repro/internal/core"
@@ -37,10 +36,13 @@ type lazyEngine struct {
 	update bool // LU: bring cached copies up to date at acquire time
 
 	// mu guards the interval machinery below.
-	mu        sync.Mutex
-	v         vc.VC
-	log       *core.Log
-	diffs     map[core.IntervalID]map[mem.PageID]*diffSlot
+	mu  sync.Mutex
+	v   vc.VC
+	log *core.Log
+	// diffs is the retained-diff store: an interval's slots, parallel to
+	// its sorted page list in the log (slotLocked); an LU entry for a
+	// foreign interval has empty slots where no diff was received.
+	diffs     map[core.IntervalID][]diffSlot
 	lastEpoch vc.VC
 	episodes  int
 	// flat caches flattened diffs built by handleDiffReq, keyed by the
@@ -56,7 +58,18 @@ type lazyEngine struct {
 	// slots still holding twins, not the run.
 	parked      []parkedSlot
 	parkedSweep int
-	cand        []mem.PageID // closeIntervalLocked's sorted-dirty-page scratch
+	// Scratch whose consumer finishes under the lock that filled it: under
+	// mu, closeIntervalLocked's sorted dirty pages, the records an acquire
+	// absorbed and the pages they notice; under the node's lockMu, held
+	// from grant until the grant is encoded, its clock and records; and the
+	// barrier leader's alone, the records of the arrival or exit it sends
+	// next.
+	cand       []mem.PageID
+	absorbed   []wire.IntervalRec
+	noticed    []mem.PageID
+	grantClock vc.VC
+	grantRecs  []wire.IntervalRec
+	barRecs    []wire.IntervalRec
 
 	// dirtyMu guards the current interval's dirty-page set (pages with a
 	// live twin). Leaf lock: taken with a page stripe or e.mu held,
@@ -95,6 +108,10 @@ type diffSlot struct {
 	d      *page.Diff
 	base   *page.Twin
 	target *page.Twin
+	// held says the store has this slot's diff, made or deferred: an LU
+	// entry for a foreign interval has blank slots for the pages whose diff
+	// never arrived. Set with the slot, under e.mu.
+	held bool
 	// served is set by the slot's first serve (Stats.DiffCacheHits counts
 	// the later ones). Guarded by e.mu.
 	served bool
@@ -116,8 +133,10 @@ type parkedSlot struct {
 // slots: past it, interval close materializes the oldest deferred diffs
 // (a sparse MakeDiff each) so memory follows the working set since the
 // last GC epoch instead of the run length. Below it nothing changes:
-// diffs are still made on demand only, or never when GC covers them.
-const twinBudget = 4 << 20
+// diffs are still made on demand only, or never when GC covers them. The
+// page pool retains as many bytes, so what a GC epoch releases is what
+// the next one captures.
+const twinBudget = page.PoolBytes
 
 // flatKey identifies a flattened serve group: this node's own intervals
 // on one page with indices in [first, last]. FlattenSafe only passes
@@ -147,7 +166,7 @@ func newLazyEngine(n *Node, update bool) *lazyEngine {
 		update:    update,
 		v:         vc.New(n.sys.cfg.Procs),
 		log:       core.NewLog(n.sys.cfg.Procs),
-		diffs:     make(map[core.IntervalID]map[mem.PageID]*diffSlot),
+		diffs:     make(map[core.IntervalID][]diffSlot),
 		lastEpoch: vc.New(n.sys.cfg.Procs),
 		flat:      make(map[flatKey]*flatEntry),
 		dirty:     make(map[mem.PageID]struct{}),
@@ -222,6 +241,22 @@ func (e *lazyEngine) noteServe(served *bool) {
 	*served = true
 }
 
+// slotLocked returns the store's slot for interval id's diff of page pg,
+// or nil when it holds none. Caller holds e.mu.
+func (e *lazyEngine) slotLocked(id core.IntervalID, pg mem.PageID) *diffSlot {
+	slots := e.diffs[id]
+	if slots == nil {
+		return nil
+	}
+	// A store entry's interval is in the log (own intervals are logged as
+	// they are stored, storeDiffRecsLocked checks).
+	i, ok := slices.BinarySearch(e.log.Get(id).Pages, pg)
+	if !ok || !slots[i].held {
+		return nil
+	}
+	return &slots[i]
+}
+
 // emptyDiff is the shared placeholder for the merged members of a
 // flattened response (the head rec carries their bytes).
 var emptyDiff = &page.Diff{}
@@ -270,7 +305,8 @@ func (e *lazyEngine) closeIntervalLocked() {
 	e.dirtyMu.Unlock()
 	slices.Sort(e.cand)
 
-	byPage := make(map[mem.PageID]*diffSlot, len(e.cand))
+	// Sized once: parked entries point into slots.
+	slots := make([]diffSlot, 0, len(e.cand))
 	pages := make([]mem.PageID, 0, len(e.cand))
 	for _, pg := range e.cand {
 		pmu := n.pageLock(pg)
@@ -283,13 +319,13 @@ func (e *lazyEngine) closeIntervalLocked() {
 		// The page table's twin reference transfers to the slot as the
 		// diff base; the post-interval contents stay live in pc.data
 		// until the next twin capture snapshots them (pending).
-		slot := &diffSlot{base: pc.twin}
+		slots = append(slots, diffSlot{held: true, base: pc.twin})
+		slot := &slots[len(slots)-1]
 		pc.twin = nil
 		pc.pending = slot
 		e.parked = append(e.parked, parkedSlot{pg, slot})
 		n.stats.diffsDeferred.Add(1)
 		pmu.Unlock()
-		byPage[pg] = slot
 		pages = append(pages, pg)
 	}
 	if len(pages) == 0 {
@@ -308,7 +344,7 @@ func (e *lazyEngine) closeIntervalLocked() {
 		}
 		pmu.Unlock()
 	}
-	e.diffs[id] = byPage
+	e.diffs[id] = slots
 	// No Mods: byte ranges size the simulator's diffs; these are real.
 	e.log.Append(&core.Interval{ID: id, VC: e.v.Clone(), Pages: pages})
 	n.stats.intervalsCreated.Add(1)
@@ -360,9 +396,9 @@ func (e *lazyEngine) sweepParkedLocked() {
 }
 
 // absorbIntervalsLocked merges received interval records into the log,
-// skipping already-known ones, and returns the genuinely new records.
-// Caller holds e.mu.
-func (e *lazyEngine) absorbIntervalsLocked(recs []wire.IntervalRec) []wire.IntervalRec {
+// skipping already-known ones, and appends the genuinely new records to
+// fresh. Caller holds e.mu.
+func (e *lazyEngine) absorbIntervalsLocked(fresh, recs []wire.IntervalRec) []wire.IntervalRec {
 	// Per-processor index order is required by the log. NoticesBetween
 	// emits records in that order already, so only a foreign sender's
 	// unordered list pays for a copy and a sort.
@@ -374,8 +410,7 @@ func (e *lazyEngine) absorbIntervalsLocked(recs []wire.IntervalRec) []wire.Inter
 		sorted = slices.Clone(recs)
 		slices.SortFunc(sorted, byProcIndex)
 	}
-	var fresh []wire.IntervalRec
-	for i, rec := range sorted {
+	for _, rec := range sorted {
 		// The records came off the wire: validate before touching the log.
 		// A processor id outside the cluster or an index that does not
 		// extend our high-water mark contiguously is the sender's
@@ -421,9 +456,6 @@ func (e *lazyEngine) absorbIntervalsLocked(recs []wire.IntervalRec) []wire.Inter
 		// e.v, so advance it per record to keep the dedupe correct for
 		// consecutive indices.
 		e.v[rec.Proc] = rec.Index
-		if fresh == nil {
-			fresh = make([]wire.IntervalRec, 0, len(sorted)-i)
-		}
 		fresh = append(fresh, rec)
 		// A write notice is the classifier's view of remote writers under
 		// the lazy protocols (no directory transaction ever reaches us).
@@ -447,9 +479,9 @@ func invalidPageIn(n *Node, pages []mem.PageID) *mem.PageID {
 	return nil
 }
 
-// intervalsSinceLocked collects wire records for every known interval
-// (r, k) with k > floor[r]. Caller holds e.mu.
-func (e *lazyEngine) intervalsSinceLocked(floor vc.VC) []wire.IntervalRec {
+// intervalsSinceLocked appends to recs a wire record for every known
+// interval (r, k) with k > floor[r]. Caller holds e.mu.
+func (e *lazyEngine) intervalsSinceLocked(recs []wire.IntervalRec, floor vc.VC) []wire.IntervalRec {
 	if len(floor) != len(e.v) || slices.Min(floor) < -1 {
 		// A legitimate acquirer always stamps its full clock; a missing,
 		// short or below-empty one is a forged request. Treat the sender as
@@ -458,7 +490,7 @@ func (e *lazyEngine) intervalsSinceLocked(floor vc.VC) []wire.IntervalRec {
 		floor = vc.New(len(e.v))
 	}
 	count, _ := e.log.NoticesBetween(floor, e.v, nil)
-	recs := make([]wire.IntervalRec, 0, count)
+	recs = slices.Grow(recs, count)
 	e.log.NoticesBetween(floor, e.v, func(iv *core.Interval) {
 		recs = append(recs, wire.IntervalRec{
 			Proc:  iv.ID.Proc,
@@ -474,30 +506,32 @@ func (e *lazyEngine) intervalsSinceLocked(floor vc.VC) []wire.IntervalRec {
 // cached valid copies of noticed pages become invalid (data retained as
 // the diff target), and every materialized copy's generation is bumped
 // so an in-flight validation replans against the now-larger log. It
-// returns the set of affected cached pages (used by LU to revalidate
-// immediately). Caller holds e.mu.
+// returns the affected cached pages, ascending: to LI, which only drops
+// them, in scratch good until e.mu is released; to LU, which revalidates
+// them after that, as a copy. Caller holds e.mu.
 func (e *lazyEngine) invalidateForLocked(fresh []wire.IntervalRec) []mem.PageID {
-	var affected []mem.PageID
-	seen := make(map[mem.PageID]bool)
+	e.noticed = e.noticed[:0]
 	for _, rec := range fresh {
-		for _, pg := range rec.Pages {
-			if seen[pg] {
-				continue
-			}
-			seen[pg] = true
-			pmu := e.n.pageLock(pg)
-			pmu.Lock()
-			if pc := e.pages[pg]; pc != nil {
-				pc.gen++
-				if pc.valid {
-					pc.valid = false
-					affected = append(affected, pg)
-				}
-			}
-			pmu.Unlock()
-		}
+		e.noticed = append(e.noticed, rec.Pages...)
 	}
-	sort.Slice(affected, func(i, j int) bool { return affected[i] < affected[j] })
+	slices.Sort(e.noticed)
+	e.noticed = slices.Compact(e.noticed)
+	affected := e.noticed[:0]
+	for _, pg := range e.noticed {
+		pmu := e.n.pageLock(pg)
+		pmu.Lock()
+		if pc := e.pages[pg]; pc != nil {
+			pc.gen++
+			if pc.valid {
+				pc.valid = false
+				affected = append(affected, pg)
+			}
+		}
+		pmu.Unlock()
+	}
+	if e.update {
+		return slices.Clone(affected)
+	}
 	return affected
 }
 
@@ -523,9 +557,10 @@ func (f fetchedDiffs) find(pg mem.PageID, id core.IntervalID) *page.Diff {
 	return nil
 }
 
-func (f fetchedDiffs) release() {
-	for _, resp := range f {
-		resp.Frame.Release()
+// releaseAll releases every message of a list its caller holds.
+func releaseAll(msgs []*wire.Msg) {
+	for _, m := range msgs {
+		m.Release()
 	}
 }
 
@@ -551,7 +586,18 @@ func (e *lazyEngine) validate(pg mem.PageID) error {
 // transaction.
 func (e *lazyEngine) serviceMiss(pg mem.PageID, held fetchedDiffs) error {
 	n := e.n
-	defer func() { held.release() }()
+	// The miss's transients live in its frame; a plan too big for them
+	// spills to the heap.
+	var (
+		clockBuf [2][maxProcs]int32
+		reqBuf   [4]outMsg
+		stepBuf  [8]*page.Diff
+		heldBuf  [4]*wire.Msg
+	)
+	if held == nil {
+		held = heldBuf[:0]
+	}
+	defer func() { releaseAll(held) }()
 	pmu := n.pageLock(pg)
 	mmu := n.missLock(pg)
 	mmu.Lock()
@@ -595,15 +641,17 @@ func (e *lazyEngine) serviceMiss(pg mem.PageID, held fetchedDiffs) error {
 				if err != nil {
 					return err
 				}
+				// The decoded page and clock are the copy's from here on.
 				applied := resp.VC
 				if applied == nil {
 					applied = vc.New(n.sys.cfg.Procs)
 				}
 				pmu.Lock()
 				if e.pages[pg] == nil {
-					e.pages[pg] = &lazyPage{data: resp.Data, applied: applied.Clone()}
+					e.pages[pg] = &lazyPage{data: resp.Data, applied: applied}
 				}
 				pmu.Unlock()
+				resp.Release()
 				n.stats.pagesFetched.Add(1)
 			}
 		}
@@ -613,43 +661,32 @@ func (e *lazyEngine) serviceMiss(pg mem.PageID, held fetchedDiffs) error {
 		e.mu.Lock()
 		pmu.Lock()
 		pc = e.pages[pg]
-		appliedSnap := pc.applied.Clone()
+		appliedSnap := append(vc.VC(clockBuf[0][:0]), pc.applied...)
 		genSnap := pc.gen
 		pmu.Unlock()
-		vSnap := e.v.Clone()
+		vSnap := append(vc.VC(clockBuf[1][:0]), e.v...)
 		out := e.log.Outstanding(pg, appliedSnap, e.v, n.id)
 		// Apply in a linear extension of happened-before: interval clock
 		// sums strictly increase along hb1 chains, and concurrent
 		// intervals touch disjoint words in properly-labeled programs.
-		sort.Slice(out, func(i, j int) bool {
-			si, sj := clockSum(e.log.Get(out[i]).VC), clockSum(e.log.Get(out[j]).VC)
-			if si != sj {
-				return si < sj
-			}
-			if out[i].Proc != out[j].Proc {
-				return out[i].Proc < out[j].Proc
-			}
-			return out[i].Index < out[j].Index
+		slices.SortFunc(out, func(a, b core.IntervalID) int {
+			return cmp.Or(
+				cmp.Compare(clockSum(e.log.Get(a).VC), clockSum(e.log.Get(b).VC)),
+				cmp.Compare(a.Proc, b.Proc),
+				cmp.Compare(a.Index, b.Index))
 		})
-		reqs := e.missingDiffReqsLocked(nil, pg, out, held)
+		reqs := e.missingDiffReqsLocked(reqBuf[:0], pg, out, held)
 		e.mu.Unlock()
 
 		// Fetch missing diffs from their creators (no locks held): all
 		// creators at once, one round trip instead of one per creator.
 		if len(reqs) > 0 {
-			var resps []*wire.Msg
+			fetched := len(held)
 			var err error
-			if len(reqs) == 1 {
-				resps = make([]*wire.Msg, 1)
-				resps[0], err = n.rpc(reqs[0].dst, reqs[0].m)
-			} else {
-				resps, err = n.rpcAll(reqs)
-			}
-			if err != nil {
+			if held, err = n.rpcAll(reqs, held); err != nil {
 				return err
 			}
-			held = append(held, resps...)
-			e.noteFetched(resps)
+			e.noteFetched(held[fetched:])
 		}
 
 		// Resolve the plan's steps. A held response wins over the store:
@@ -658,19 +695,18 @@ func (e *lazyEngine) serviceMiss(pg mem.PageID, held fetchedDiffs) error {
 		// if a plain diff of one member reached the store meanwhile.
 		// Outstanding excludes this node's own intervals, so a step from
 		// the store is a received diff — always materialized.
-		steps := make([]*page.Diff, len(out))
+		steps := stepBuf[:0]
 		e.mu.Lock()
-		for i, id := range out {
-			if steps[i] = held.find(pg, id); steps[i] != nil {
-				continue
+		for _, id := range out {
+			d := held.find(pg, id)
+			if slot := e.slotLocked(id, pg); d == nil && slot != nil {
+				d = slot.d
 			}
-			if slot := e.diffs[id][pg]; slot != nil {
-				steps[i] = slot.d
-			}
-			if steps[i] == nil {
+			if d == nil {
 				e.mu.Unlock()
 				return fmt.Errorf("dsm: node %d: diff %v for page %d unavailable", n.id, id, pg)
 			}
+			steps = append(steps, d)
 		}
 		e.mu.Unlock()
 
@@ -763,7 +799,7 @@ func clockSum(v vc.VC) int64 {
 func (e *lazyEngine) missingDiffReqsLocked(reqs []outMsg, pg mem.PageID, out []core.IntervalID, held fetchedDiffs) []outMsg {
 	var wants []wire.Want
 	for _, id := range out {
-		if e.diffs[id][pg] == nil && held.find(pg, id) == nil {
+		if e.slotLocked(id, pg) == nil && held.find(pg, id) == nil {
 			wants = append(wants, wire.Want{Page: pg, Proc: id.Proc, Index: id.Index})
 		}
 	}
@@ -773,7 +809,7 @@ func (e *lazyEngine) missingDiffReqsLocked(reqs []outMsg, pg mem.PageID, out []c
 		for k < len(wants) && wants[k].Proc == wants[0].Proc {
 			k++
 		}
-		reqs = append(reqs, outMsg{dst: wants[0].Proc, m: &wire.Msg{
+		reqs = append(reqs, outMsg{dst: wants[0].Proc, m: wire.Msg{
 			Kind: wire.KDiffReq, Seq: e.n.nextSeq(), A: int32(e.n.id), B: int32(e.modeID()), Wants: wants[:k:k],
 		}})
 		wants = wants[k:]
@@ -837,18 +873,30 @@ func (e *lazyEngine) storeDiffRecsLocked(recs []wire.DiffRec, fetched bool) {
 			continue
 		}
 		id := core.IntervalID{Proc: rec.Proc, Index: rec.Index}
-		if e.diffs[id] == nil {
-			e.diffs[id] = make(map[mem.PageID]*diffSlot)
+		// Every diff the protocol sends answers a plan made from the log,
+		// or rides the grant that carried its interval.
+		k, ok := 0, e.n.validProc(id.Proc) && id.Index >= 0 && e.v.Covers(int(id.Proc), id.Index)
+		if ok {
+			k, ok = slices.BinarySearch(e.log.Get(id).Pages, rec.Page)
 		}
-		existing, ok := e.diffs[id][rec.Page]
-		switch {
-		case !ok:
-			e.diffs[id][rec.Page] = &diffSlot{d: rec.Diff.Clone(), flat: flat[i]}
+		if !ok {
+			e.n.noteErr("diff store",
+				fmt.Errorf("diff record %v for page %d matches no logged write notice", id, rec.Page))
+			continue
+		}
+		slots := e.diffs[id]
+		if slots == nil {
+			slots = make([]diffSlot, len(e.log.Get(id).Pages))
+			e.diffs[id] = slots
+		}
+		switch existing := &slots[k]; {
+		case !existing.held:
+			slots[k] = diffSlot{held: true, d: rec.Diff.Clone(), flat: flat[i]}
 			if fetched {
 				e.n.stats.diffsFetched.Add(1)
 			}
 		case flat[i] && rec.Proc != e.n.id && existing.d != nil:
-			e.diffs[id][rec.Page] = &diffSlot{d: rec.Diff.Clone(), flat: true}
+			slots[k] = diffSlot{held: true, d: rec.Diff.Clone(), flat: true}
 		}
 	}
 }
@@ -872,7 +920,7 @@ func (e *lazyEngine) revalidate(pages []mem.PageID) error {
 		delete(pre, pg)
 		if err := e.serviceMiss(pg, held); err != nil {
 			for _, rest := range pre {
-				rest.release()
+				releaseAll(rest)
 			}
 			return err
 		}
@@ -910,7 +958,7 @@ func (e *lazyEngine) prefetchDiffs(pages []mem.PageID) (map[mem.PageID]fetchedDi
 	if len(reqs) == 0 {
 		return nil, nil
 	}
-	resps, err := n.rpcAll(reqs)
+	resps, err := n.rpcAll(reqs, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -978,9 +1026,10 @@ func (e *lazyEngine) acquireStart(req *wire.Msg) {
 func (e *lazyEngine) grant(req, grant *wire.Msg) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	recs := e.intervalsSinceLocked(req.VC)
-	grant.VC = e.v.Clone()
-	grant.Intervals = recs
+	// The caller encodes the grant before it lets go of lockMu.
+	e.grantRecs = e.intervalsSinceLocked(e.grantRecs[:0], req.VC)
+	e.grantClock = append(e.grantClock[:0], e.v...)
+	grant.VC, grant.Intervals = e.grantClock, e.grantRecs
 	if e.update {
 		// Piggyback every retained diff for the noticed intervals — the
 		// releaser supplies what it has (Figure 4's "l and x in a single
@@ -989,16 +1038,13 @@ func (e *lazyEngine) grant(req, grant *wire.Msg) {
 		// first serve); flat slots are skipped — their contents are only
 		// meaningful inside the response group they arrived in, so the
 		// acquirer fetches those intervals from the creator instead.
-		for _, rec := range recs {
+		for _, rec := range grant.Intervals {
 			id := core.IntervalID{Proc: rec.Proc, Index: rec.Index}
-			byPage := e.diffs[id]
-			pages := make([]mem.PageID, 0, len(byPage))
-			for pg := range byPage {
-				pages = append(pages, pg)
-			}
-			sort.Slice(pages, func(i, j int) bool { return pages[i] < pages[j] })
-			for _, pg := range pages {
-				slot := byPage[pg]
+			for _, pg := range rec.Pages {
+				slot := e.slotLocked(id, pg)
+				if slot == nil {
+					continue
+				}
 				pmu := e.n.pageLock(pg)
 				pmu.Lock()
 				if slot.flat {
@@ -1021,14 +1067,14 @@ func (e *lazyEngine) grant(req, grant *wire.Msg) {
 
 func (e *lazyEngine) onGrant(grant *wire.Msg) error {
 	e.mu.Lock()
-	fresh := e.absorbIntervalsLocked(grant.Intervals)
+	e.absorbed = e.absorbIntervalsLocked(e.absorbed[:0], grant.Intervals)
 	if e.update {
 		// Piggybacked diffs enter the retained-diff store; the revalidation
 		// below then fetches only what is still missing. (An LI grant
 		// carries none, and LI keeps none.)
 		e.storeDiffRecsLocked(grant.Diffs, false)
 	}
-	affected := e.invalidateForLocked(fresh)
+	affected := e.invalidateForLocked(e.absorbed)
 	e.mu.Unlock()
 
 	if e.update {
@@ -1052,7 +1098,7 @@ func (e *lazyEngine) preBarrier() error { return nil }
 func (e *lazyEngine) barrierEntry() {
 	e.mu.Lock()
 	e.closeIntervalLocked()
-	e.fresh = nil
+	e.fresh = e.fresh[:0]
 	e.mu.Unlock()
 }
 
@@ -1065,7 +1111,8 @@ func (e *lazyEngine) arrive(arrive *wire.Msg) {
 	arrive.VC = e.v.Clone()
 	floor := e.v.Clone()
 	floor[e.n.id] = e.lastEpoch[e.n.id]
-	arrive.Intervals = e.intervalsSinceLocked(floor)
+	e.barRecs = e.intervalsSinceLocked(e.barRecs[:0], floor)
+	arrive.Intervals = e.barRecs
 	e.mu.Unlock()
 }
 
@@ -1089,20 +1136,21 @@ func (e *lazyEngine) masterAbsorb(arrivals []*wire.Msg) {
 				arriver, rec.Proc, rec.Index))
 			return true
 		})
-		e.fresh = append(e.fresh, e.absorbIntervalsLocked(own)...)
+		e.fresh = e.absorbIntervalsLocked(e.fresh, own)
 	}
 }
 
 func (e *lazyEngine) exit(m, exit *wire.Msg) {
 	e.mu.Lock()
 	exit.VC = e.v.Clone()
-	exit.Intervals = e.intervalsSinceLocked(m.VC)
+	e.barRecs = e.intervalsSinceLocked(e.barRecs[:0], m.VC)
+	exit.Intervals = e.barRecs
 	e.mu.Unlock()
 }
 
 func (e *lazyEngine) onExit(exit *wire.Msg) error {
 	e.mu.Lock()
-	e.fresh = e.absorbIntervalsLocked(exit.Intervals)
+	e.fresh = e.absorbIntervalsLocked(e.fresh[:0], exit.Intervals)
 	e.mu.Unlock()
 	return nil
 }
@@ -1111,7 +1159,8 @@ func (e *lazyEngine) postBarrier(b mem.BarrierID) error {
 	n := e.n
 	e.mu.Lock()
 	affected := e.invalidateForLocked(e.fresh)
-	e.fresh = nil
+	clear(e.fresh)
+	e.fresh = e.fresh[:0]
 	e.lastEpoch = e.v.Clone()
 	e.episodes++
 	gcDue := n.sys.cfg.GCEveryBarriers > 0 && e.episodes%n.sys.cfg.GCEveryBarriers == 0
@@ -1209,16 +1258,18 @@ func (e *lazyEngine) runGC(b mem.BarrierID) error {
 			readies = append(readies, m)
 		}
 		for _, m := range readies {
-			done := &wire.Msg{Kind: wire.KGCDone, Seq: m.Seq, A: int32(b)}
-			if err := n.send(mem.ProcID(m.B), done); err != nil {
+			err := n.send(mem.ProcID(m.B), &wire.Msg{Kind: wire.KGCDone, Seq: m.Seq, A: int32(b)})
+			m.Release()
+			if err != nil {
 				return err
 			}
 		}
 	} else {
-		ready := &wire.Msg{Kind: wire.KGCReady, Seq: n.nextSeq(), A: int32(b), B: int32(n.id)}
-		if _, err := n.rpc(master, ready); err != nil {
+		done, err := n.rpc(master, &wire.Msg{Kind: wire.KGCReady, Seq: n.nextSeq(), A: int32(b), B: int32(n.id)})
+		if err != nil {
 			return err
 		}
+		done.Release()
 	}
 
 	e.mu.Lock()
@@ -1227,9 +1278,13 @@ func (e *lazyEngine) runGC(b mem.BarrierID) error {
 		if !epoch.Covers(int(id.Proc), id.Index) {
 			continue
 		}
-		byPage := e.diffs[id]
-		n.stats.diffsDiscarded.Add(int64(len(byPage)))
-		for pg, slot := range byPage {
+		slots := e.diffs[id]
+		for i, pg := range e.log.Get(id).Pages {
+			slot := &slots[i]
+			if !slot.held {
+				continue
+			}
+			n.stats.diffsDiscarded.Add(1)
 			pmu := n.pageLock(pg)
 			pmu.Lock()
 			if slot.d == nil {
@@ -1359,9 +1414,13 @@ func (e *lazyEngine) handleDiffReq(m *wire.Msg, src mem.ProcID) {
 	// fragment, is the requester's bug or malice: record it and drop the
 	// whole request — a partial answer would install a torn page.
 	// Deferred local slots materialize here, on first serve.
-	diffs := make([]*page.Diff, len(m.Wants))
-	slots := make([]*diffSlot, len(m.Wants))
-	for i, w := range m.Wants {
+	var (
+		diffBuf [8]*page.Diff
+		slotBuf [8]*diffSlot
+		recBuf  [8]wire.DiffRec
+	)
+	diffs, slots := diffBuf[:0], slotBuf[:0]
+	for _, w := range m.Wants {
 		id := core.IntervalID{Proc: w.Proc, Index: w.Index}
 		if !n.validPage(w.Page) {
 			e.mu.Unlock()
@@ -1369,7 +1428,7 @@ func (e *lazyEngine) handleDiffReq(m *wire.Msg, src mem.ProcID) {
 				fmt.Errorf("asked for diff %v on invalid page %d", id, w.Page))
 			return
 		}
-		slot := e.diffs[id][w.Page]
+		slot := e.slotLocked(id, w.Page)
 		if slot == nil {
 			e.mu.Unlock()
 			n.noteErr("diff request",
@@ -1388,7 +1447,7 @@ func (e *lazyEngine) handleDiffReq(m *wire.Msg, src mem.ProcID) {
 		if slot.d == nil {
 			e.materializeSlot(e.pages[w.Page], slot, w.Page)
 		}
-		diffs[i], slots[i] = slot.d, slot
+		diffs, slots = append(diffs, slot.d), append(slots, slot)
 		pmu.Unlock()
 	}
 
@@ -1399,7 +1458,7 @@ func (e *lazyEngine) handleDiffReq(m *wire.Msg, src mem.ProcID) {
 	// same page. The head record carries the merged bytes; the merged
 	// members ride along as empty records so the requester's plan stays
 	// complete (and marks them unforwardable, see storeDiffRecsLocked).
-	resp := &wire.Msg{Kind: wire.KDiffResp, Seq: m.Seq}
+	resp := wire.Msg{Kind: wire.KDiffResp, Seq: m.Seq, Diffs: recBuf[:0]}
 	for i := 0; i < len(m.Wants); {
 		w := m.Wants[i]
 		j := i + 1
@@ -1436,7 +1495,7 @@ func (e *lazyEngine) handleDiffReq(m *wire.Msg, src mem.ProcID) {
 	e.mu.Unlock()
 	// Staged: the shard worker's drain point flushes it, so a burst of
 	// diff requests from one prefetching peer answers in few frames.
-	n.stage(src, resp)
+	n.stage(src, &resp)
 }
 
 // flattenGroupLocked merges the diffs of a same-page ascending run of
@@ -1445,9 +1504,8 @@ func (e *lazyEngine) handleDiffReq(m *wire.Msg, src mem.ProcID) {
 // served from one merge. Caller holds e.mu.
 func (e *lazyEngine) flattenGroupLocked(group []wire.Want, diffs []*page.Diff) *flatEntry {
 	first, last := group[0].Index, group[len(group)-1].Index
-	member := make(map[int32]bool, len(group))
-	for _, g := range group {
-		member[g.Index] = true
+	member := func(k int32) bool {
+		return slices.ContainsFunc(group, func(g wire.Want) bool { return g.Index == k })
 	}
 	// Soundness is per-request, so FlattenSafe runs before the cache is
 	// consulted: the key is only the index range, and a want-group with a
@@ -1458,7 +1516,7 @@ func (e *lazyEngine) flattenGroupLocked(group []wire.Want, diffs []*page.Diff) *
 	// group that passes necessarily contains every own interval on the
 	// page in (first, last], so the range does determine the members and
 	// the cached entry fits. FlattenSafe is cheap next to the merge.
-	if !e.log.FlattenSafe(group[0].Page, e.n.id, first, last, func(k int32) bool { return member[k] }) {
+	if !e.log.FlattenSafe(group[0].Page, e.n.id, first, last, member) {
 		return nil
 	}
 	key := flatKey{pg: group[0].Page, first: first, last: last}
@@ -1497,7 +1555,7 @@ func (e *lazyEngine) handlePageReq(m *wire.Msg) {
 	}
 	pmu := n.pageLock(pg)
 	pmu.Lock()
-	resp := &wire.Msg{Kind: wire.KPageResp, Seq: m.Seq, A: m.A}
+	resp := wire.Msg{Kind: wire.KPageResp, Seq: m.Seq, A: m.A}
 	pc := e.pages[pg]
 	switch {
 	case pc == nil:
@@ -1507,12 +1565,12 @@ func (e *lazyEngine) handlePageReq(m *wire.Msg) {
 	case pc.twin != nil:
 		// Uncommitted writes in the current interval must not leak: the
 		// twin holds the committed contents.
-		resp.Data = append([]byte(nil), pc.twin.Data()...)
-		resp.VC = pc.applied.Clone()
+		resp.Data, resp.VC = pc.twin.Data(), pc.applied
 	default:
-		resp.Data = append([]byte(nil), pc.data...)
-		resp.VC = pc.applied.Clone()
+		resp.Data, resp.VC = pc.data, pc.applied
 	}
+	// Staging encodes: the copy's bytes go straight into the frame, under
+	// the stripe that keeps them still (the destination lock is a leaf).
+	n.stage(requester, &resp)
 	pmu.Unlock()
-	n.stage(requester, resp)
 }

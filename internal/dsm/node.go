@@ -10,6 +10,7 @@ import (
 	"repro/internal/framebuf"
 	"repro/internal/mem"
 	"repro/internal/obs"
+	"repro/internal/page"
 	"repro/internal/transport"
 	"repro/internal/vc"
 	"repro/internal/wire"
@@ -67,6 +68,9 @@ type Stats struct {
 	DiffsTrimmed   int64
 	TwinBytesLive  int64
 	TwinBytesPeak  int64
+	// TwinPoolMisses counts the twin captures the page pool had to allocate
+	// for. The pool is the process's: every node reports the same figure.
+	TwinPoolMisses int64
 
 	// FlushedPages counts dirty pages pushed at eager release/barrier
 	// flush points.
@@ -187,6 +191,7 @@ func (s *nodeStats) snapshot() Stats {
 		SentBatches:      s.sentBatches.Load(),
 		SentBytes:        s.sentBytes.Load(),
 	}
+	_, st.TwinPoolMisses = page.PoolStats()
 	for k := range s.kindMsgs {
 		st.KindMsgs[k] = s.kindMsgs[k].Load()
 		st.KindBytes[k] = s.kindBytes[k].Load()
@@ -283,7 +288,10 @@ type Node struct {
 
 	seqCtr   atomic.Uint64
 	waiterMu sync.Mutex
-	waiters  map[uint64]rpcWaiter
+	waiters  map[uint64]*rpcWaiter
+	// freeWaiters recycles rpc waiters (register takes, await returns);
+	// guarded by waiterMu.
+	freeWaiters []*rpcWaiter
 	// abandoned records seqs whose rpc gave up waiting (RPCTimeout), so
 	// the late response — which may still arrive — classifies as an
 	// expected race rather than a protocol error. Bounded; guarded by
@@ -325,7 +333,7 @@ func newNode(s *System, id mem.ProcID) *Node {
 		barCh:     make(chan *wire.Msg, s.cfg.Procs),
 		gcCh:      make(chan *wire.Msg, s.cfg.Procs),
 		reclassCh: make(chan *wire.Msg, s.cfg.Procs),
-		waiters:   make(map[uint64]rpcWaiter),
+		waiters:   make(map[uint64]*rpcWaiter),
 		queues:    make([]chan inFrame, handlerWorkers),
 		closedCh:  make(chan struct{}),
 	}
@@ -464,43 +472,105 @@ func (n *Node) validProc(p mem.ProcID) bool {
 // rpcWaiter is one parked rpc: its response channel (buffered, so a
 // delivery never blocks) and the destination the request went to, so a
 // send failure to that destination can fail exactly the waiters parked
-// on it.
+// on it. Whoever takes a waiter out of Node.waiters delivers to it exactly
+// once — a response, or nil for a failure (shutdown, dst's death, a
+// rejected response) — and await recycles it through Node.freeWaiters once
+// it has received that delivery; a waiter given up on is left to the
+// garbage collector.
 type rpcWaiter struct {
 	ch  chan *wire.Msg
 	dst mem.ProcID
 }
 
+// freedWaiter marks a waiter on the free list (in its dst): releasing it
+// again or delivering to it panics instead of corrupting its next rpc.
+const freedWaiter = mem.ProcID(-1 << 31)
+
 func (n *Node) nextSeq() uint64 { return n.seqCtr.Add(1) }
 
-func (n *Node) register(seq uint64, dst mem.ProcID) chan *wire.Msg {
-	ch := make(chan *wire.Msg, 1)
+func (n *Node) register(seq uint64, dst mem.ProcID) *rpcWaiter {
 	n.waiterMu.Lock()
-	n.waiters[seq] = rpcWaiter{ch: ch, dst: dst}
+	var w *rpcWaiter
+	if last := len(n.freeWaiters) - 1; last >= 0 {
+		w, n.freeWaiters = n.freeWaiters[last], n.freeWaiters[:last]
+	} else {
+		w = &rpcWaiter{ch: make(chan *wire.Msg, 1)}
+	}
+	w.dst = dst
+	n.waiters[seq] = w
 	n.waiterMu.Unlock()
-	return ch
+	return w
+}
+
+// deliver hands a waiter taken out of Node.waiters its one delivery.
+func (w *rpcWaiter) deliver(m *wire.Msg) {
+	if w.dst == freedWaiter {
+		panic("dsm: delivery to a released rpc waiter")
+	}
+	w.ch <- m
+}
+
+// unregister takes seq's waiter out of Node.waiters — its request failed
+// to leave, or timed out — and reports whether it was still there; false
+// means someone else took it and its delivery is in the channel or
+// instants away. After a timeout the seq is recorded as abandoned, so a
+// late response classifies as benign.
+func (n *Node) unregister(seq uint64, timedOut bool) bool {
+	n.waiterMu.Lock()
+	defer n.waiterMu.Unlock()
+	if _, ok := n.waiters[seq]; !ok {
+		return false
+	}
+	delete(n.waiters, seq)
+	if timedOut {
+		if n.abandoned == nil {
+			n.abandoned = make(map[uint64]struct{})
+		}
+		if len(n.abandoned) < 1024 {
+			n.abandoned[seq] = struct{}{}
+		}
+	}
+	return true
+}
+
+// freeWaiter recycles a waiter that has received its delivery.
+func (n *Node) freeWaiter(w *rpcWaiter) {
+	if w.dst == freedWaiter {
+		panic("dsm: rpc waiter released twice")
+	}
+	w.dst = freedWaiter
+	n.waiterMu.Lock()
+	n.freeWaiters = append(n.freeWaiters, w)
+	n.waiterMu.Unlock()
 }
 
 // await blocks for the response registered under seq, honoring the
-// configured RPCTimeout. A closed channel means the waiter was failed:
-// by shutdown (ErrClosed), or by dst's death (the recorded cause). On
+// configured RPCTimeout. A nil delivery means the waiter was failed: by
+// shutdown (ErrClosed), or by dst's death (the recorded cause). On
 // timeout the waiter is abandoned — a response that still arrives is
 // classified as an expected race, not a protocol error — and the error
 // wraps ErrRPCTimeout, never ErrClosed, so callers and tests can tell a
 // hung peer from a clean teardown.
-func (n *Node) await(dst mem.ProcID, seq uint64, ch chan *wire.Msg) (*wire.Msg, error) {
-	m, ok, timedOut := n.recvTimed(ch)
+func (n *Node) await(seq uint64, w *rpcWaiter) (*wire.Msg, error) {
+	dst := w.dst
+	m, _, timedOut := n.recvTimed(w.ch)
 	if timedOut {
-		if !n.abandon(seq) {
-			// The response (or a failure) won the race: it is in the
-			// buffered channel, or the send that follows the waiter's
-			// removal is instants away.
-			m, ok = <-ch
-			return n.awaited(dst, seq, m, ok)
+		if n.unregister(seq, true) {
+			return nil, fmt.Errorf("dsm: node %d: rpc seq %d to node %d: no response within %v: %w",
+				n.id, seq, dst, n.sys.cfg.RPCTimeout, ErrRPCTimeout)
 		}
-		return nil, fmt.Errorf("dsm: node %d: rpc seq %d to node %d: no response within %v: %w",
-			n.id, seq, dst, n.sys.cfg.RPCTimeout, ErrRPCTimeout)
+		// The response (or a failure) won the race.
+		m = <-w.ch
 	}
-	return n.awaited(dst, seq, m, ok)
+	n.freeWaiter(w)
+	if m == nil {
+		if cause := n.peerErr(dst); cause != nil {
+			return nil, fmt.Errorf("dsm: node %d: rpc seq %d to node %d: peer unreachable: %w",
+				n.id, seq, dst, cause)
+		}
+		return nil, fmt.Errorf("dsm: node %d: awaiting seq %d: %w", n.id, seq, ErrClosed)
+	}
+	return m, nil
 }
 
 // rpcTimers recycles the RPCTimeout timers, one per parked receive
@@ -539,37 +609,6 @@ func (n *Node) recvTimed(ch chan *wire.Msg) (m *wire.Msg, ok, timedOut bool) {
 	return m, ok, timedOut
 }
 
-// awaited interprets a response channel read.
-func (n *Node) awaited(dst mem.ProcID, seq uint64, m *wire.Msg, ok bool) (*wire.Msg, error) {
-	if !ok || m == nil {
-		if cause := n.peerErr(dst); cause != nil {
-			return nil, fmt.Errorf("dsm: node %d: rpc seq %d to node %d: peer unreachable: %w",
-				n.id, seq, dst, cause)
-		}
-		return nil, fmt.Errorf("dsm: node %d: awaiting seq %d: %w", n.id, seq, ErrClosed)
-	}
-	return m, nil
-}
-
-// abandon removes seq's waiter after a timeout, recording the seq so a
-// late response classifies as benign. It reports false when the waiter
-// was already gone — the response beat the timeout.
-func (n *Node) abandon(seq uint64) bool {
-	n.waiterMu.Lock()
-	defer n.waiterMu.Unlock()
-	if _, ok := n.waiters[seq]; !ok {
-		return false
-	}
-	delete(n.waiters, seq)
-	if n.abandoned == nil {
-		n.abandoned = make(map[uint64]struct{})
-	}
-	if len(n.abandoned) < 1024 {
-		n.abandoned[seq] = struct{}{}
-	}
-	return true
-}
-
 // peerFailed marks dst dead with its first send-failure cause and fails
 // every waiter parked on it: the paper's fail-stop model, propagated —
 // a node whose stream to a peer broke will never get its responses, so
@@ -587,17 +626,13 @@ func (n *Node) peerFailed(dst mem.ProcID, cause error) {
 	if !known {
 		n.deadPeers[dst] = cause
 	}
-	var chs []chan *wire.Msg
 	for seq, w := range n.waiters {
 		if w.dst == dst {
 			delete(n.waiters, seq)
-			chs = append(chs, w.ch)
+			w.deliver(nil)
 		}
 	}
 	n.waiterMu.Unlock()
-	for _, ch := range chs {
-		close(ch)
-	}
 	if !known {
 		n.noteErr("peer liveness", fmt.Errorf("node %d unreachable: %v", dst, cause))
 	}
@@ -608,12 +643,6 @@ func (n *Node) peerErr(dst mem.ProcID) error {
 	n.waiterMu.Lock()
 	defer n.waiterMu.Unlock()
 	return n.deadPeers[dst]
-}
-
-func (n *Node) deregister(seq uint64) {
-	n.waiterMu.Lock()
-	delete(n.waiters, seq)
-	n.waiterMu.Unlock()
 }
 
 // failWaiter unblocks the rpc waiter parked on seq with a failure (its
@@ -631,7 +660,7 @@ func (n *Node) failWaiter(seq uint64) {
 	}
 	n.waiterMu.Unlock()
 	if ok {
-		close(w.ch)
+		w.deliver(nil)
 	}
 }
 
@@ -651,86 +680,94 @@ func (n *Node) stage(dst mem.ProcID, m *wire.Msg) {
 	n.out.stage(dst, m)
 }
 
-// rpc sends m to dst and blocks for the response with the same Seq.
-// Any number of goroutines may have rpcs outstanding concurrently. The
-// requester is the flusher, so a failed flush surfaces to it directly.
+// rpc sends m to dst and blocks for the response with the same Seq,
+// which the caller holds from then on (wire.Msg.Release when done with
+// it). m is the caller's again as soon as it is sent. Any number of
+// goroutines may have rpcs outstanding concurrently. The requester is the
+// flusher, so a failed flush surfaces to it directly.
 func (n *Node) rpc(dst mem.ProcID, m *wire.Msg) (*wire.Msg, error) {
 	if h := n.rpcHist; h != nil {
 		start := time.Now()
 		defer func() { h.Observe(time.Since(start).Seconds()) }()
 	}
-	ch := n.register(m.Seq, dst)
+	seq := m.Seq
+	w := n.register(seq, dst)
 	if err := n.out.send(dst, m); err != nil {
-		n.deregister(m.Seq)
+		n.unregister(seq, false)
 		return nil, err
 	}
-	return n.await(dst, m.Seq, ch)
+	return n.await(seq, w)
 }
 
-// outMsg pairs a request with its destination for a grouped send.
+// outMsg is one request of a grouped send: the message by value, so a
+// group built in a local array never reaches the heap, its destination,
+// and — while rpcAll runs — its parked waiter.
 type outMsg struct {
 	dst mem.ProcID
-	m   *wire.Msg
+	m   wire.Msg
+	w   *rpcWaiter
 }
 
 // rpcAll issues a group of requests as one staged burst — every request
 // is staged before any flush, so requests to the same destination
-// coalesce into one batch frame — then blocks for all responses,
-// returned in request order. On a flush error the requests of the
-// destinations that failed are deregistered (a failed stream sends
-// nothing) and the first error is returned after the surviving
-// destinations' responses arrive, so no response is ever orphaned.
-func (n *Node) rpcAll(reqs []outMsg) ([]*wire.Msg, error) {
-	chs := make([]chan *wire.Msg, len(reqs))
-	for i, r := range reqs {
-		chs[i] = n.register(r.m.Seq, r.dst)
-		n.out.stage(r.dst, r.m)
+// coalesce into one batch frame — then blocks for all responses, which it
+// appends to resps in request order (the caller holds them). On a flush
+// error the requests of the destinations that failed are withdrawn (a
+// failed stream sends nothing) and the first error is returned after the
+// surviving destinations' responses arrived and were released, so no
+// response is ever orphaned.
+func (n *Node) rpcAll(reqs []outMsg, resps []*wire.Msg) ([]*wire.Msg, error) {
+	for i := range reqs {
+		r := &reqs[i]
+		r.w = n.register(r.m.Seq, r.dst)
+		n.out.stage(r.dst, &r.m)
 	}
-	var flushErr error
+	var firstErr error
 	var failed map[mem.ProcID]bool // allocated on the first flush error
-	for _, r := range reqs {
-		if failed[r.dst] {
+	for i := range reqs {
+		dst := reqs[i].dst
+		if failed[dst] {
 			continue
 		}
-		if err := n.out.flushDst(r.dst); err != nil {
+		if err := n.out.flushDst(dst); err != nil {
 			if failed == nil {
 				failed = make(map[mem.ProcID]bool)
 			}
-			failed[r.dst] = true
-			if flushErr == nil {
-				flushErr = err
+			failed[dst] = true
+			if firstErr == nil {
+				firstErr = err
 			}
 		}
 	}
-	resps := make([]*wire.Msg, len(reqs))
-	var awaitErr error
-	for i, r := range reqs {
+	got := len(resps)
+	for i := range reqs {
+		r := &reqs[i]
 		if failed[r.dst] {
-			n.deregister(r.m.Seq)
+			n.unregister(r.m.Seq, false)
 			continue
 		}
-		m, err := n.await(r.dst, r.m.Seq, chs[i])
+		m, err := n.await(r.m.Seq, r.w)
 		if err != nil {
-			if awaitErr == nil {
-				awaitErr = err
+			if firstErr == nil {
+				firstErr = err
 			}
 			continue
 		}
-		resps[i] = m
+		resps = append(resps, m)
 	}
-	if flushErr != nil {
-		return nil, flushErr
-	}
-	if awaitErr != nil {
-		return nil, awaitErr
+	if firstErr != nil {
+		for _, m := range resps[got:] {
+			m.Release()
+		}
+		return resps[:got], firstErr
 	}
 	return resps, nil
 }
 
 // deliverResponse hands a response message to the requester parked in
-// rpc, which owns a reference to the response's frame from then on and
-// releases it once it has consumed the diffs (m.Frame.Release; a caller
-// that ignores its responses may leave that to the garbage collector).
+// rpc, which holds a reference to it from then on — next to the caller's
+// own — and releases it once it has consumed the response (a caller that
+// ignores its responses may leave that to the garbage collector).
 // Engines that intercept their responses in handle (installs and
 // flush reconciliations apply on the page's shard queue to stay in
 // directory order) call this after processing. A response nobody waits
@@ -751,10 +788,8 @@ func (n *Node) deliverResponse(m *wire.Msg) {
 	}
 	n.waiterMu.Unlock()
 	if ok {
-		// The waiter becomes a holder of the frame the response borrows,
-		// next to whoever is delivering it.
-		m.Frame.Retain()
-		w.ch <- m
+		m.Retain()
+		w.deliver(m)
 		return
 	}
 	if late {
@@ -813,51 +848,51 @@ func dispatchKey(m *wire.Msg) uint32 {
 // fanning them out to the worker pool. A batch frame is unpacked and
 // its messages dispatched in order, so the per-page shard FIFO the
 // directory invariants rely on is exactly the sender's staging order.
-// Decoded diffs borrow the frame (internal/wire's Ownership section),
-// so its lifetime follows them: see attachFrame. Barrier arrivals and
-// the collective-exchange responses are handled inline (they only park
-// on rendezvous channels or wake rpc waiters).
+// Decoded messages are recycled shells whose diffs borrow the frame
+// (internal/wire's Ownership section); attachFrame ties the frame's
+// lifetime to theirs. Barrier arrivals and the collective-exchange
+// responses are handled inline (they only park on rendezvous channels or
+// wake rpc waiters).
 //
 // A frame that fails to decode came off the wire from a remote peer,
 // so it is not a local invariant violation: the error is recorded for
 // System.Close and the frame dropped, rather than letting one corrupt
 // or hostile peer panic the node.
 func (n *Node) dispatchLoop() {
+	var batch []*wire.Msg // reused from frame to frame
 	for {
 		src, payload, ok := n.ep.Recv()
 		if !ok {
 			n.shutdown()
 			return
 		}
+		var err error
+		what := "frame"
 		if wire.IsBatch(payload) {
-			msgs, err := wire.DecodeBatch(payload)
-			if err != nil {
-				framebuf.Put(payload)
-				n.noteErr("inbound frame", fmt.Errorf("undecodable batch frame from %d: %w", src, err))
-				continue
+			what = "batch frame"
+			batch, err = wire.DecodeBatchAppend(batch[:0], payload)
+		} else {
+			var m *wire.Msg
+			if m, err = wire.Decode(payload); err == nil {
+				batch = append(batch[:0], m)
 			}
-			attachFrame(payload, msgs...)
-			for _, m := range msgs {
-				n.dispatchMsg(m, mem.ProcID(src))
-			}
-			continue
 		}
-		m, err := wire.Decode(payload)
 		if err != nil {
 			framebuf.Put(payload)
-			n.noteErr("inbound frame", fmt.Errorf("undecodable frame from %d: %w", src, err))
+			n.noteErr("inbound frame", fmt.Errorf("undecodable %s from %d: %w", what, src, err))
 			continue
 		}
-		attachFrame(payload, m)
-		n.dispatchMsg(m, mem.ProcID(src))
+		attachFrame(payload, batch...)
+		for _, m := range batch {
+			n.dispatchMsg(m, mem.ProcID(src))
+		}
 	}
 }
 
 // attachFrame settles the lifetime of a received frame once its messages
 // are decoded: recycled at once when none of them borrows it, otherwise
 // shared by the borrowers through one counted reference (Msg.Frame),
-// which each of them — and everyone it is handed on to — releases when
-// done with its diffs.
+// which each of them drops when its last holder releases it.
 func attachFrame(payload []byte, msgs ...*wire.Msg) {
 	borrowers := 0
 	for _, m := range msgs {
@@ -877,10 +912,9 @@ func attachFrame(payload []byte, msgs ...*wire.Msg) {
 	}
 }
 
-// dispatchMsg routes one decoded message: rendezvous kinds inline,
-// everything else onto its serialized shard queue. The rendezvous kinds
-// carry no diffs; a forged one that does keeps its frame until the
-// garbage collector takes both.
+// dispatchMsg routes one decoded message: rendezvous kinds inline — the
+// collecting master holds an arrival from then on — everything else onto
+// its serialized shard queue, whose worker holds it.
 func (n *Node) dispatchMsg(m *wire.Msg, src mem.ProcID) {
 	if n.traceOn() {
 		n.emit("recv", m.Kind.String(), int64(src))
@@ -894,6 +928,7 @@ func (n *Node) dispatchMsg(m *wire.Msg, src mem.ProcID) {
 		n.reclassCh <- m
 	case wire.KBarrierExit, wire.KGCDone, wire.KReclassGo:
 		n.deliverResponse(m)
+		m.Release()
 	default:
 		// Count the frame against its source's collector gate before it
 		// can be processed, so the burst's replies flush as one frame when
@@ -908,29 +943,18 @@ func (n *Node) dispatchMsg(m *wire.Msg, src mem.ProcID) {
 // while a burst of frames was queued leave together — coalesced per
 // destination — and at idle every frame's responses flush before the
 // worker blocks again, so deferral never delays a response the sender
-// is waiting on. It is also where the worker lets go of the frames its
-// burst borrowed: after the handlers ran and after everything they
-// staged was encoded. (A handler that hands its message on — to an rpc
-// waiter, to a serving goroutine — retains the frame for the new holder
-// first.)
+// is waiting on. The worker lets go of a message as soon as its handler
+// returns: what the handler staged is encoded already, and a handler
+// that hands its message on — to an rpc waiter, to a serving goroutine,
+// to a lock's pending slot — retained it for the new holder first.
 func (n *Node) worker(q chan inFrame) {
 	defer n.workerWG.Done()
-	var held []*framebuf.Ref
 	process := func(f inFrame) {
 		n.process(f.m, f.src)
+		f.m.Release()
 		n.out.noteCompleted(f.src)
-		if f.m.Frame != nil {
-			held = append(held, f.m.Frame)
-		}
 	}
-	flush := func() {
-		n.noteErr("outbox flush", n.out.flushAll())
-		for i, fr := range held {
-			fr.Release()
-			held[i] = nil
-		}
-		held = held[:0]
-	}
+	flush := func() { n.noteErr("outbox flush", n.out.flushAll()) }
 	for f := range q {
 		process(f)
 		for drained := false; !drained; {
@@ -987,8 +1011,8 @@ func (n *Node) shutdown() {
 	close(n.closedCh)
 	n.waiterMu.Lock()
 	for seq, w := range n.waiters {
-		close(w.ch)
 		delete(n.waiters, seq)
+		w.deliver(nil)
 	}
 	n.waiterMu.Unlock()
 	close(n.barCh)
@@ -1011,16 +1035,18 @@ func (n *Node) Write(addr mem.Addr, data []byte) error {
 	if !inSpace(addr, len(data), lay.SpaceSize()) {
 		return fmt.Errorf("dsm: write of %d bytes at %d outside space [0,%d)", len(data), addr, lay.SpaceSize())
 	}
-	off := 0
-	var err error
-	lay.SplitRange(addr, len(data), func(pg mem.PageID, pgOff, count int) {
-		if err != nil {
-			return
+	// Page by page, with no closure and through the router's concrete type,
+	// so that the caller's buffer can stay on its stack: a hit allocates
+	// nothing.
+	for len(data) > 0 {
+		off := lay.Offset(addr)
+		count := min(len(data), lay.PageSize()-off)
+		if err := n.rt.writePage(lay.PageOf(addr), off, data[:count]); err != nil {
+			return err
 		}
-		err = n.e.writePage(pg, pgOff, data[off:off+count])
-		off += count
-	})
-	return err
+		addr, data = addr+mem.Addr(count), data[count:]
+	}
+	return nil
 }
 
 // Read copies len(buf) bytes of the shared address space at addr into
@@ -1031,16 +1057,15 @@ func (n *Node) Read(buf []byte, addr mem.Addr) error {
 	if !inSpace(addr, len(buf), lay.SpaceSize()) {
 		return fmt.Errorf("dsm: read of %d bytes at %d outside space [0,%d)", len(buf), addr, lay.SpaceSize())
 	}
-	off := 0
-	var err error
-	lay.SplitRange(addr, len(buf), func(pg mem.PageID, pgOff, count int) {
-		if err != nil {
-			return
+	for len(buf) > 0 { // as in Write
+		off := lay.Offset(addr)
+		count := min(len(buf), lay.PageSize()-off)
+		if err := n.rt.readPage(lay.PageOf(addr), off, buf[:count]); err != nil {
+			return err
 		}
-		err = n.e.readPage(pg, pgOff, buf[off:off+count])
-		off += count
-	})
-	return err
+		addr, buf = addr+mem.Addr(count), buf[count:]
+	}
+	return nil
 }
 
 // WriteUint64 stores a little-endian uint64 at addr.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/obs"
+	"repro/internal/page"
 	"repro/internal/wire"
 )
 
@@ -61,6 +62,8 @@ func (s *System) registerMetrics(r *obs.Registry) {
 	counter(sys("dsm_net_frames_total"), "physical frames sent", func() int64 { return s.tr.Totals().Frames })
 	counter(sys("dsm_net_batches_total"), "multi-message batch frames sent", func() int64 { return s.tr.Totals().Batches })
 	counter(sys("dsm_net_bytes_total"), "wire bytes sent", func() int64 { return s.tr.Totals().Bytes })
+	counter(sys("dsm_twin_pool_misses_total"), "page-pool buffers allocated rather than recycled (process-wide)",
+		func() int64 { _, misses := page.PoolStats(); return misses })
 
 	for _, n := range s.local {
 		n := n

@@ -1,6 +1,7 @@
 package dsm
 
 import (
+	"encoding/binary"
 	stdnet "net"
 	"sync"
 	"sync/atomic"
@@ -12,13 +13,16 @@ import (
 )
 
 // outbox is the node's unified outbound message pipeline: every protocol
-// message leaves through it. Senders stage typed messages per
-// destination and flush at well-defined points — immediately for
-// latency-critical singles (send), after a group of requests is staged
-// (rpcAll), or at the end of a shard-worker dispatch burst (the worker's
-// queue-empty transition) — and a flush coalesces everything staged for
-// one peer into a single batch frame: one physical hop, one fixed
-// network cost, paid once instead of per message.
+// message leaves through it. Staging a message ENCODES it, into the
+// destination's pooled frame, so what waits for a flush is bytes: the
+// message is dead the moment stage returns — its sender keeps it on the
+// stack or returns its shell to the free list — and nothing staged can
+// outlive a received frame its diffs borrowed. Senders flush at
+// well-defined points — immediately for latency-critical singles (send),
+// after a group of requests is staged (rpcAll), or at the end of a
+// shard-worker dispatch burst (the worker's queue-empty transition) — and
+// a flush sends everything staged for one peer as a single frame: one
+// physical hop, one fixed network cost, paid once instead of per message.
 //
 // Replies a burst of requests from one peer produces are keyed to that
 // peer (the request-burst collector): the dispatch loop counts each
@@ -29,18 +33,19 @@ import (
 // deterministic frame regardless of how the shard workers interleaved,
 // instead of splitting on whichever worker drained first.
 //
-// Ordering: each destination has one FIFO stage queue, flushed while its
-// lock is held, so the per-(sender,receiver) FIFO order the directory
+// Ordering: each destination has one frame, appended to and flushed while
+// its lock is held, so the per-(sender,receiver) FIFO order the directory
 // and install invariants rely on is exactly the staging order — mixing
 // deferred (worker) and immediate (application) sends to one peer can
 // never reorder them, it only decides how many frames they share.
 //
-// Encoding is pooled and append-style: a flush encodes its messages
-// back to back into one framebuf.Get buffer (steady-state the payload
-// bytes are never reallocated) and hands it to the transport — ownership
-// transfers on a single-frame Send; a batch is lent to SendBatch as
-// vectored sub-slices and recycled here after the transport has written
-// or copied it.
+// The frame comes from framebuf.Get (steady-state the payload bytes are
+// never reallocated). A lone message is staged as its plain encoding and
+// handed to the transport as is — ownership transfers on Send. A second
+// message turns the frame into a batch body (wire.AppendBatched
+// sub-frames; the first gets its length prefix then), which a flush lends
+// to SendBatch as vectored sub-slices behind a header kept beside it, and
+// recycles after the transport has written or copied it.
 //
 // Every staged message must be followed by a flush its stager is
 // responsible for: application-side paths flush inline (send, rpcAll),
@@ -53,13 +58,16 @@ type outbox struct {
 	dsts []outDest
 }
 
-// outDest is one destination's stage queue plus flush scratch, all
+// outDest is one destination's staged frame plus flush scratch, all
 // guarded by mu (a leaf lock: nothing else is acquired under it except
 // the transport's own internals inside Send).
 type outDest struct {
-	mu   sync.Mutex
-	pend []*wire.Msg
-	// count mirrors len(pend) for flushAll's lock-free skip of clean
+	mu sync.Mutex
+	// buf holds the staged messages' bytes: one plain encoding, or two and
+	// more length-prefixed sub-frames; ends[i] is where the i-th stops.
+	buf  []byte
+	ends []int
+	// count mirrors len(ends) for flushAll's lock-free skip of clean
 	// destinations; it is maintained under mu, so a staged message is
 	// always visible to its stager's own later flush.
 	count atomic.Int32
@@ -80,26 +88,38 @@ type outDest struct {
 	// park in await forever while the failure sat in the worker's
 	// noteErr.
 	broken error
-	// flush scratch, reused across flushes: the batch frame slices and
-	// sub-message end offsets. After a flush returns, bufs may hold
-	// stale references into a recycled buffer; the next flush overwrites
-	// them before any use.
+	// flush scratch, reused across flushes: the batch header and the
+	// vectored frame list. After a flush returns, bufs may hold stale
+	// references into a recycled buffer; the next flush overwrites them
+	// before any use.
+	hdr  [1 + binary.MaxVarintLen32]byte
 	bufs stdnet.Buffers
-	ends []int
 }
 
 func newOutbox(n *Node) *outbox {
 	return &outbox{n: n, dsts: make([]outDest, n.sys.cfg.Procs)}
 }
 
-// stage queues m for dst without sending it. The caller must guarantee
-// a flush follows: its own send/flushDst/flushAll, or — on a shard
-// worker — the worker's end-of-dispatch flush point.
+// stage encodes m into dst's frame without sending it; m is the caller's
+// again when stage returns. The caller must guarantee a flush follows:
+// its own send/flushDst/flushAll, or — on a shard worker — the worker's
+// end-of-dispatch flush point.
 func (o *outbox) stage(dst mem.ProcID, m *wire.Msg) {
 	d := &o.dsts[dst]
 	d.mu.Lock()
-	d.pend = append(d.pend, m)
-	d.count.Store(int32(len(d.pend)))
+	switch len(d.ends) {
+	case 0:
+		d.buf = m.EncodeAppend(framebuf.Get())
+	case 1:
+		// No longer alone: the plain first encoding becomes a sub-frame.
+		d.buf = wire.PrefixLength(d.buf)
+		d.ends[0] = len(d.buf)
+		fallthrough
+	default:
+		d.buf, _ = wire.AppendBatched(d.buf, m)
+	}
+	d.ends = append(d.ends, len(d.buf))
+	d.count.Store(int32(len(d.ends)))
 	d.mu.Unlock()
 }
 
@@ -151,35 +171,31 @@ func (o *outbox) flushAll() error {
 	return first
 }
 
-// flushDst encodes and sends everything staged for dst: one plain frame
-// for a single message, one batch frame for several. The destination
-// lock is held across the transport send, so concurrent flushes cannot
-// reorder the stream.
+// flushDst sends everything staged for dst: the plain frame of a single
+// message, one batch frame for several. The destination lock is held
+// across the transport send, so concurrent flushes cannot reorder the
+// stream.
 func (o *outbox) flushDst(dst mem.ProcID) error {
 	n := o.n
 	d := &o.dsts[dst]
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	pend := d.pend
-	// The queue empties before the send: a failed send drops its
+	buf, ends := d.buf, d.ends
+	// The frame empties before the send: a failed send drops its
 	// messages (exactly like a failed Endpoint.Send always has) rather
 	// than leaving them staged for an accidental resend.
-	d.pend = pend[:0]
+	d.buf, d.ends = nil, ends[:0]
 	d.count.Store(0)
-	defer func() {
-		for i := range pend {
-			pend[i] = nil // release Msg references held by the reused array
-		}
-	}()
 	if d.broken != nil {
+		framebuf.Put(buf)
 		return d.broken
 	}
-	if len(pend) == 0 {
+	if len(ends) == 0 {
 		return nil
 	}
 	remote := dst != n.id
 	if remote && n.traceOn() {
-		n.emit("send", "frame", int64(len(pend)))
+		n.emit("send", "frame", int64(len(ends)))
 	}
 	// poison records a send failure and makes it sticky (see broken).
 	// The first failure also propagates the peer's death to the node:
@@ -194,11 +210,9 @@ func (o *outbox) flushDst(dst mem.ProcID) error {
 		return err
 	}
 
-	if len(pend) == 1 {
-		m := pend[0]
-		buf := m.EncodeAppend(framebuf.Get())
+	if len(ends) == 1 {
 		if remote {
-			n.stats.countSent(m.Kind, len(buf))
+			n.stats.countSent(wire.Kind(buf[0]), len(buf))
 			n.stats.sentFrames.Add(1)
 		}
 		// Ownership of buf passes to the transport (in-process delivery
@@ -206,37 +220,27 @@ func (o *outbox) flushDst(dst mem.ProcID) error {
 		return poison(n.ep.Send(int(dst), buf))
 	}
 
-	// Batch frame: header plus every message length-prefixed
-	// (wire.AppendBatched), encoded back to back into one pooled buffer,
-	// then lent to the transport as one vectored send — frames[0] the
-	// header, each later element one message, so the transport accounts
-	// the batch without parsing it.
-	buf := wire.AppendBatchHeader(framebuf.Get(), len(pend))
-	hdrEnd := len(buf)
-	ends := d.ends[:0]
-	for _, m := range pend {
-		var size int
-		buf, size = wire.AppendBatched(buf, m)
-		ends = append(ends, len(buf))
+	// Batch frame: the header, then every staged sub-frame, lent to the
+	// transport as one vectored send — frames[0] the header, each later
+	// element one length-prefixed message, so the transport accounts the
+	// batch without parsing it.
+	frames := append(d.bufs[:0], wire.AppendBatchHeader(d.hdr[:0], len(ends)))
+	prev := 0
+	for _, e := range ends {
+		frames = append(frames, buf[prev:e])
 		if remote {
-			n.stats.countSent(m.Kind, size)
+			size, k := binary.Uvarint(buf[prev:e])
+			n.stats.countSent(wire.Kind(buf[prev+k]), int(size))
 		}
+		prev = e
 	}
-	d.ends = ends
+	d.bufs = frames
 	if remote {
 		n.stats.sentFrames.Add(1)
 		n.stats.sentBatches.Add(1)
 	}
-	frames := d.bufs[:0]
-	frames = append(frames, buf[:hdrEnd])
-	prev := hdrEnd
-	for _, e := range ends {
-		frames = append(frames, buf[prev:e])
-		prev = e
-	}
-	d.bufs = frames
 	err := transport.SendBatch(n.ep, int(dst), frames)
-	// The batch buffer was only lent (the transport wrote or copied it);
+	// The batch body was only lent (the transport wrote or copied it);
 	// recycle it.
 	framebuf.Put(buf)
 	return poison(err)

@@ -1,11 +1,16 @@
 package dsm
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
+	stdnet "net"
 	"testing"
 
+	"repro/internal/framebuf"
 	"repro/internal/mem"
 	"repro/internal/simnet"
+	"repro/internal/vc"
 	"repro/internal/wire"
 )
 
@@ -168,5 +173,98 @@ func TestOutboxStickyFlushError(t *testing.T) {
 	// Later sends to the destination fail fast too.
 	if err := o.send(1, &wire.Msg{Kind: wire.KLockReq, Seq: 2}); !errors.Is(err, broken) {
 		t.Fatalf("send after break = %v, want sticky send failure", err)
+	}
+}
+
+// captureEndpoint keeps the bytes of the last frame it was handed and
+// recycles the buffer, like a receiver that has consumed it.
+type captureEndpoint struct{ got []byte }
+
+func (c *captureEndpoint) ID() int                   { return 0 }
+func (c *captureEndpoint) Recv() (int, []byte, bool) { return 0, nil, false }
+func (c *captureEndpoint) Send(_ int, payload []byte) error {
+	c.got = append(c.got[:0], payload...)
+	framebuf.Put(payload)
+	return nil
+}
+func (c *captureEndpoint) SendBatch(_ int, frames stdnet.Buffers) error {
+	c.got = c.got[:0]
+	for _, f := range frames {
+		c.got = append(c.got, f...)
+	}
+	return nil
+}
+
+// stageGrant is a lock grant as a releaser sends it: a 4-entry clock and
+// one interval record.
+func stageGrant(seq uint64) *wire.Msg {
+	return &wire.Msg{
+		Kind: wire.KLockGrant, Seq: seq, A: 3, VC: vc.VC{4, 5, 6, 7},
+		Intervals: []wire.IntervalRec{{Proc: 1, Index: 5, VC: vc.VC{4, 5, 6, 6}, Pages: []mem.PageID{2, 9}}},
+	}
+}
+
+// TestStageEncodesAtStage: staging is encoding. What a flush sends is,
+// byte for byte, the plain encoding of a lone staged message and the batch
+// frame of several — the wire format did not move when the encoder did —
+// the message is the caller's again when stage returns (mutating it
+// afterwards changes nothing), and stage plus flush allocate nothing once
+// the frame free list is warm.
+func TestStageEncodesAtStage(t *testing.T) {
+	ep := &captureEndpoint{}
+	o := &outbox{n: &Node{id: 0, ep: ep}, dsts: make([]outDest, 2)}
+	for _, count := range []int{1, 3} {
+		var want []byte
+		if count > 1 {
+			want = wire.AppendBatchHeader(want, count)
+		}
+		for i := 0; i < count; i++ {
+			m := stageGrant(uint64(100 + i))
+			if count == 1 {
+				want = m.EncodeAppend(want)
+			} else {
+				want, _ = wire.AppendBatched(want, m)
+			}
+			o.stage(1, m)
+			m.Seq, m.VC[0], m.Intervals[0].Pages[0] = 0, -1, 77 // dead to the outbox
+		}
+		if err := o.flushDst(1); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(ep.got, want) {
+			t.Errorf("%d staged: flushed frame\n%x\nwant\n%x", count, ep.got, want)
+		}
+		msgs := []*wire.Msg{stageGrant(1), stageGrant(2), stageGrant(3)}[:count]
+		if allocs := testing.AllocsPerRun(200, func() {
+			for _, m := range msgs {
+				o.stage(1, m)
+			}
+			if err := o.flushDst(1); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Errorf("%d staged: stage + flush allocate %.1f objects per round, want 0", count, allocs)
+		}
+	}
+}
+
+// BenchmarkWireStageFlush is the outbox's half of the message path, next
+// to internal/wire's codec benches: one grant staged and flushed, and
+// three staged and flushed as a batch.
+func BenchmarkWireStageFlush(b *testing.B) {
+	for _, count := range []int{1, 3} {
+		b.Run(fmt.Sprintf("msgs=%d", count), func(b *testing.B) {
+			o := &outbox{n: &Node{id: 0, ep: &captureEndpoint{}}, dsts: make([]outDest, 2)}
+			msgs := []*wire.Msg{stageGrant(1), stageGrant(2), stageGrant(3)}[:count]
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, m := range msgs {
+					o.stage(1, m)
+				}
+				if err := o.flushDst(1); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -199,9 +199,20 @@ func (r *router) lazyResident(m Mode) engine {
 
 // --- access routing ---
 
+// readPage and writePage call the owning engine through its concrete
+// type: an interface call would make the caller's buffer escape, and
+// ReadUint64's eight bytes are the access hit path's only allocation.
+
 func (r *router) readPage(pg mem.PageID, off int, dst []byte) error {
 	r.ctr[pg].localReads.Add(1)
-	return r.engineFor(pg).readPage(pg, off, dst)
+	switch e := r.engineFor(pg).(type) {
+	case *lazyEngine:
+		return e.readPage(pg, off, dst)
+	case *eagerEngine:
+		return e.readPage(pg, off, dst)
+	default:
+		return e.(*scEngine).readPage(pg, off, dst)
+	}
 }
 
 func (r *router) writePage(pg mem.PageID, off int, src []byte) error {
@@ -210,7 +221,14 @@ func (r *router) writePage(pg mem.PageID, off int, src []byte) error {
 	bit := uint64(1) << r.n.id
 	c.writers.Or(bit)
 	c.writersEver.Or(bit)
-	return r.engineFor(pg).writePage(pg, off, src)
+	switch e := r.engineFor(pg).(type) {
+	case *lazyEngine:
+		return e.writePage(pg, off, src)
+	case *eagerEngine:
+		return e.writePage(pg, off, src)
+	default:
+		return e.(*scEngine).writePage(pg, off, src)
+	}
 }
 
 // --- handler routing ---
@@ -281,12 +299,21 @@ func (r *router) noteDiffApplied(pg mem.PageID) {
 
 // --- mode-tagged section fan-out ---
 
+// newScratch returns a message shell carrying m's header fields, for an
+// engine hook to fill with its section's payload or read it from (hooks
+// are interface calls: a literal would reach the heap with every call).
+func newScratch(m *wire.Msg) *wire.Msg {
+	v := wire.NewMsg()
+	v.Kind, v.Seq, v.A, v.B = m.Kind, m.Seq, m.A, m.B
+	return v
+}
+
 // sectionView builds engine mode's view of a received shared message:
 // header fields shared, consistency payload from exactly its section
 // (empty when the sender's engine had nothing to say — identical to the
 // pre-section single-mode message with no payload).
 func sectionView(m *wire.Msg, mode Mode) *wire.Msg {
-	v := &wire.Msg{Kind: m.Kind, Seq: m.Seq, A: m.A, B: m.B}
+	v := newScratch(m)
 	for i := range m.Sections {
 		if s := &m.Sections[i]; Mode(s.Mode) == mode {
 			v.VC, v.Intervals, v.Diffs = s.VC, s.Intervals, s.Diffs
@@ -297,15 +324,15 @@ func sectionView(m *wire.Msg, mode Mode) *wire.Msg {
 }
 
 // collectSection appends engine mode's scratch payload to out's sections
-// if the engine produced one.
+// if the engine produced one, and lets the scratch go.
 func collectSection(out *wire.Msg, mode Mode, scratch *wire.Msg) {
-	if scratch.VC == nil && len(scratch.Intervals) == 0 && len(scratch.Diffs) == 0 {
-		return
+	if scratch.VC != nil || len(scratch.Intervals) > 0 || len(scratch.Diffs) > 0 {
+		out.AppendSection(wire.Section{
+			Mode: uint16(mode), VC: scratch.VC,
+			Intervals: scratch.Intervals, Diffs: scratch.Diffs,
+		})
 	}
-	out.Sections = append(out.Sections, wire.Section{
-		Mode: uint16(mode), VC: scratch.VC,
-		Intervals: scratch.Intervals, Diffs: scratch.Diffs,
-	})
+	scratch.Release()
 }
 
 // checkSections validates a received message's mode tags: a section for
@@ -337,7 +364,7 @@ func (r *router) checkSections(op string, m *wire.Msg, src mem.ProcID) {
 
 func (r *router) acquireStart(req *wire.Msg) {
 	for _, m := range r.order {
-		scratch := &wire.Msg{Kind: req.Kind, Seq: req.Seq, A: req.A, B: req.B}
+		scratch := newScratch(req)
 		r.engines[m].acquireStart(scratch)
 		collectSection(req, m, scratch)
 	}
@@ -346,9 +373,10 @@ func (r *router) acquireStart(req *wire.Msg) {
 func (r *router) grant(req, grant *wire.Msg) {
 	r.checkSections("lock grant build", req, mem.ProcID(req.B))
 	for _, m := range r.order {
-		scratch := &wire.Msg{Kind: grant.Kind, Seq: grant.Seq, A: grant.A, B: grant.B}
-		r.engines[m].grant(sectionView(req, m), scratch)
+		view, scratch := sectionView(req, m), newScratch(grant)
+		r.engines[m].grant(view, scratch)
 		collectSection(grant, m, scratch)
+		view.Release()
 	}
 }
 
@@ -356,9 +384,11 @@ func (r *router) onGrant(grant *wire.Msg) error {
 	r.checkSections("lock grant", grant, mem.ProcID(grant.B))
 	var first error
 	for _, m := range r.order {
-		if err := r.engines[m].onGrant(sectionView(grant, m)); err != nil && first == nil {
+		view := sectionView(grant, m)
+		if err := r.engines[m].onGrant(view); err != nil && first == nil {
 			first = err
 		}
+		view.Release()
 	}
 	return first
 }
@@ -395,7 +425,7 @@ func (r *router) barrierEntry() {
 
 func (r *router) arrive(arrive *wire.Msg) {
 	for _, m := range r.order {
-		scratch := &wire.Msg{Kind: arrive.Kind, Seq: arrive.Seq, A: arrive.A, B: arrive.B}
+		scratch := newScratch(arrive)
 		r.engines[m].arrive(scratch)
 		collectSection(arrive, m, scratch)
 	}
@@ -411,14 +441,16 @@ func (r *router) masterAbsorb(arrivals []*wire.Msg) {
 			views[i] = sectionView(m, mode)
 		}
 		r.engines[mode].masterAbsorb(views)
+		releaseAll(views)
 	}
 }
 
 func (r *router) exit(m, exit *wire.Msg) {
 	for _, mode := range r.order {
-		scratch := &wire.Msg{Kind: exit.Kind, Seq: exit.Seq, A: exit.A, B: exit.B}
-		r.engines[mode].exit(sectionView(m, mode), scratch)
+		view, scratch := sectionView(m, mode), newScratch(exit)
+		r.engines[mode].exit(view, scratch)
 		collectSection(exit, mode, scratch)
+		view.Release()
 	}
 }
 
@@ -426,9 +458,11 @@ func (r *router) onExit(exit *wire.Msg) error {
 	r.checkSections("barrier exit", exit, mem.ProcID(exit.B))
 	var first error
 	for _, m := range r.order {
-		if err := r.engines[m].onExit(sectionView(exit, m)); err != nil && first == nil {
+		view := sectionView(exit, m)
+		if err := r.engines[m].onExit(view); err != nil && first == nil {
 			first = err
 		}
+		view.Release()
 	}
 	return first
 }

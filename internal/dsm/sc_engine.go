@@ -2,6 +2,7 @@ package dsm
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/mem"
@@ -104,12 +105,35 @@ func (e *scEngine) clock() vc.VC { return vc.New(e.n.sys.cfg.Procs) }
 
 // --- accesses ---
 
+// A hit is served on the caller's stack. A miss is completed by install,
+// on the page's shard worker, so it reads into, and writes from, a buffer
+// of its own: the caller's would have to live on the heap for every hit.
+
 func (e *scEngine) readPage(pg mem.PageID, off int, dst []byte) error {
-	return e.access(&scMiss{pg: pg, off: off, dst: dst}, wire.KPageReq)
+	if e.hit(&scMiss{pg: pg, off: off, dst: dst}) {
+		return nil
+	}
+	miss := &scMiss{pg: pg, off: off, dst: make([]byte, len(dst))}
+	err := e.access(miss, wire.KPageReq)
+	if err == nil {
+		copy(dst, miss.dst)
+	}
+	return err
 }
 
 func (e *scEngine) writePage(pg mem.PageID, off int, src []byte) error {
-	return e.access(&scMiss{pg: pg, off: off, src: src}, wire.KWriteReq)
+	if e.hit(&scMiss{pg: pg, off: off, src: src}) {
+		return nil
+	}
+	return e.access(&scMiss{pg: pg, off: off, src: slices.Clone(src)}, wire.KWriteReq)
+}
+
+// hit attempts the access against the local copy.
+func (e *scEngine) hit(miss *scMiss) bool {
+	pmu := e.n.pageLock(miss.pg)
+	pmu.Lock()
+	defer pmu.Unlock()
+	return e.tryLocal(miss)
 }
 
 // tryLocal attempts the access against the local copy; caller holds the
@@ -130,20 +154,13 @@ func (e *scEngine) tryLocal(miss *scMiss) bool {
 	return false
 }
 
-// access performs one read or write: against the local copy when its
-// mode suffices, otherwise through one directory transaction at the
-// home, with the blocked access completed by install when the grant
-// arrives (see the livelock discussion on scEngine).
+// access performs one read or write that missed: against the local copy
+// if a concurrent miss made its mode suffice, otherwise through one
+// directory transaction at the home, with the blocked access completed by
+// install when the grant arrives (see the livelock discussion on scEngine).
 func (e *scEngine) access(miss *scMiss, kind wire.Kind) error {
 	n := e.n
 	pmu := n.pageLock(miss.pg)
-	pmu.Lock()
-	if e.tryLocal(miss) {
-		pmu.Unlock()
-		return nil
-	}
-	pmu.Unlock()
-
 	mmu := n.missLock(miss.pg)
 	mmu.Lock()
 	defer mmu.Unlock()
@@ -161,9 +178,10 @@ func (e *scEngine) access(miss *scMiss, kind wire.Kind) error {
 		e.pending[miss.pg] = miss
 		pmu.Unlock()
 
-		_, err := n.rpc(n.homeOf(miss.pg), &wire.Msg{
+		resp, err := n.rpc(n.homeOf(miss.pg), &wire.Msg{
 			Kind: kind, Seq: n.nextSeq(), A: int32(miss.pg), B: int32(n.id),
 		})
+		resp.Release() // installed on the shard worker already
 		pmu.Lock()
 		e.pending[miss.pg] = nil
 		done := miss.done
@@ -235,8 +253,11 @@ func (e *scEngine) postBarrier(b mem.BarrierID) error { return nil }
 func (e *scEngine) handle(m *wire.Msg, src mem.ProcID) bool {
 	switch m.Kind {
 	case wire.KPageReq:
+		// The transaction outlives this handler: it holds the request.
+		m.Retain()
 		go e.serveReadReq(m)
 	case wire.KWriteReq:
+		m.Retain()
 		go e.serveWriteReq(m)
 	case wire.KFetch:
 		e.serveFetch(m, src)
@@ -328,6 +349,7 @@ func (e *scEngine) ownerData(d *scDir, pg mem.PageID) ([]byte, error) {
 // serveReadReq runs the home's read-miss transaction: the owner's data
 // ships to the requester, which joins the copyset.
 func (e *scEngine) serveReadReq(m *wire.Msg) {
+	defer m.Release()
 	n := e.n
 	pg := mem.PageID(m.A)
 	requester := mem.ProcID(m.B)
@@ -354,6 +376,7 @@ func (e *scEngine) serveReadReq(m *wire.Msg) {
 // copy, every other copy is invalidated with acknowledgment, and
 // ownership transfers to the writer.
 func (e *scEngine) serveWriteReq(m *wire.Msg) {
+	defer m.Release()
 	n := e.n
 	pg := mem.PageID(m.A)
 	requester := mem.ProcID(m.B)
@@ -387,15 +410,17 @@ func (e *scEngine) serveWriteReq(m *wire.Msg) {
 			continue
 		}
 		others &^= bit
-		reqs = append(reqs, outMsg{dst: mem.ProcID(q), m: &wire.Msg{
+		reqs = append(reqs, outMsg{dst: mem.ProcID(q), m: wire.Msg{
 			Kind: wire.KInval, Seq: n.nextSeq(), A: m.A,
 		}})
 	}
 	if len(reqs) > 0 {
-		if _, err := n.rpcAll(reqs); err != nil {
+		acks, err := n.rpcAll(reqs, nil)
+		if err != nil {
 			n.noteErr(fmt.Sprintf("invalidation fan-out for page %d", pg), err)
 			return
 		}
+		releaseAll(acks)
 	}
 	if d.owner != requester {
 		d.owner = requester

@@ -49,12 +49,8 @@ func (n *Node) Acquire(l mem.LockID) error {
 		n.lockMu.Lock()
 		ll := n.lockLocalState(l)
 		if !ll.held && !ll.acquiring {
-			req := &wire.Msg{
-				Kind: wire.KLockReq,
-				Seq:  n.nextSeq(),
-				A:    int32(l),
-				B:    int32(n.id),
-			}
+			req := wire.NewMsg() // a shell: the engine hook is an interface call
+			req.Kind, req.Seq, req.A, req.B = wire.KLockReq, n.nextSeq(), int32(l), int32(n.id)
 			// The acquire-time engine hook runs on every successful
 			// acquisition path, local handoffs included: under the lazy
 			// protocols an acquire delimits the current interval.
@@ -62,6 +58,7 @@ func (n *Node) Acquire(l mem.LockID) error {
 			if ll.cached {
 				ll.held = true
 				n.lockMu.Unlock()
+				req.Release()
 				n.emit("sync", "cs-enter", int64(l))
 				return nil
 			}
@@ -69,6 +66,7 @@ func (n *Node) Acquire(l mem.LockID) error {
 			n.lockMu.Unlock()
 
 			grant, err := n.rpc(n.sys.lockMgr(l), req)
+			req.Release()
 			if err != nil {
 				n.lockMu.Lock()
 				ll.acquiring = false
@@ -88,10 +86,10 @@ func (n *Node) Acquire(l mem.LockID) error {
 			ll.cached = true
 			n.lockMu.Unlock()
 			n.emit("sync", "cs-enter", int64(l))
-			// An LU grant's piggybacked diffs borrow its frame; onGrant
-			// has stored its clones by the time it returns.
+			// onGrant has absorbed the grant by the time it returns: the log
+			// has its records, LU's store clones of its piggybacked diffs.
 			err = n.e.onGrant(grant)
-			grant.Frame.Release()
+			grant.Release()
 			return err
 		}
 		// Held (or being acquired) by another local goroutine: park until
@@ -144,6 +142,7 @@ func (n *Node) Release(l mem.LockID) error {
 		ll.pending = nil
 		ll.cached = false
 		err = n.sendGrant(req)
+		req.Release()
 	}
 	if len(ll.waiters) > 0 {
 		if ll.cached {
@@ -166,13 +165,12 @@ func (n *Node) Release(l mem.LockID) error {
 // sendGrant builds and sends the lock grant for a forwarded request,
 // with the engine's consistency payload. Caller holds lockMu.
 func (n *Node) sendGrant(req *wire.Msg) error {
-	grant := &wire.Msg{
-		Kind: wire.KLockGrant,
-		Seq:  req.Seq,
-		A:    req.A,
-	}
+	grant := wire.NewMsg() // a shell: the engine hook is an interface call
+	grant.Kind, grant.Seq, grant.A = wire.KLockGrant, req.Seq, req.A
 	n.e.grant(req, grant)
-	return n.send(mem.ProcID(req.B), grant)
+	err := n.send(mem.ProcID(req.B), grant)
+	grant.Release()
+	return err
 }
 
 // --- application API: barriers ---
@@ -289,21 +287,22 @@ func (n *Node) clusterBarrier(b mem.BarrierID) error {
 			}
 			exitData = encodeExitPlan(newEpoch, routes, homes)
 		}
-		// Exit messages carry what each arriver lacks.
+		// Exit messages carry what each arriver lacks; an arrival is done
+		// with once it is answered.
 		for _, m := range arrivals {
-			exit := &wire.Msg{Kind: wire.KBarrierExit, Seq: m.Seq, A: int32(b), Data: exitData}
+			exit := wire.NewMsg()
+			exit.Kind, exit.Seq, exit.A, exit.Data = wire.KBarrierExit, m.Seq, int32(b), exitData
 			n.e.exit(m, exit)
-			if err := n.send(mem.ProcID(m.B), exit); err != nil {
+			err := n.send(mem.ProcID(m.B), exit)
+			exit.Release()
+			m.Release()
+			if err != nil {
 				return err
 			}
 		}
 	} else {
-		arrive := &wire.Msg{
-			Kind: wire.KBarrierArrive,
-			Seq:  n.nextSeq(),
-			A:    int32(b),
-			B:    int32(n.id),
-		}
+		arrive := wire.NewMsg()
+		arrive.Kind, arrive.Seq, arrive.A, arrive.B = wire.KBarrierArrive, n.nextSeq(), int32(b), int32(n.id)
 		if exchangeDue {
 			var deltas []counterDelta
 			if adaptDue {
@@ -318,9 +317,11 @@ func (n *Node) clusterBarrier(b mem.BarrierID) error {
 		n.e.barrierEntry()
 		n.e.arrive(arrive)
 		exit, err := n.rpc(master, arrive)
+		arrive.Release()
 		if err != nil {
 			return err
 		}
+		defer exit.Release()
 		if exchangeDue {
 			// An undecodable plan — or an invalid re-route set — must fail
 			// the barrier loudly: a node that silently skipped it would
@@ -377,22 +378,16 @@ func (n *Node) handleLockReq(m *wire.Msg) {
 	if !known {
 		// First acquisition anywhere: grant directly from the manager
 		// with no consistency payload.
-		grant := &wire.Msg{Kind: wire.KLockGrant, Seq: m.Seq, A: m.A}
 		n.lockMu.Unlock()
-		n.stage(requester, grant)
+		n.stage(requester, &wire.Msg{Kind: wire.KLockGrant, Seq: m.Seq, A: m.A})
 		return
 	}
 	n.lockMu.Unlock()
 	// The forward carries the requester's consistency payload through —
 	// both the flat VC (legacy single-payload form) and the mode-tagged
-	// sections each resident engine stamped in acquireStart. Those hold
-	// clocks only; diffs a forged request smuggles in would borrow a frame
-	// the staged forward can outlive, so they are cut here.
-	for i := range m.Sections {
-		m.Sections[i].Diffs = nil
-	}
-	fwd := &wire.Msg{Kind: wire.KLockFwd, Seq: m.Seq, A: m.A, B: m.B, VC: m.VC, Sections: m.Sections}
-	n.stage(prev, fwd)
+	// sections each resident engine stamped in acquireStart — encoded here
+	// and now, while the request it shares them with is still held.
+	n.stage(prev, &wire.Msg{Kind: wire.KLockFwd, Seq: m.Seq, A: m.A, B: m.B, VC: m.VC, Sections: m.Sections})
 }
 
 func (n *Node) handleLockFwd(m *wire.Msg) {
@@ -418,6 +413,7 @@ func (n *Node) handleLockFwd(m *wire.Msg) {
 				fmt.Errorf("two pending requests for lock %d", l))
 			return
 		}
+		m.Retain() // held by the lock until its release answers it
 		ll.pending = m
 		n.lockMu.Unlock()
 		return

@@ -278,7 +278,7 @@ func TestForgedFloorClockGrantsEverything(t *testing.T) {
 	e := liEngine(n)
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if got := len(e.intervalsSinceLocked(vc.VC{-7, 1 << 30})); got != 3 {
+	if got := len(e.intervalsSinceLocked(nil, vc.VC{-7, 1 << 30})); got != 3 {
 		t.Errorf("forged floor clock was granted %d intervals, want all 3", got)
 	}
 }

@@ -88,3 +88,18 @@ func BenchmarkWireDecodeBatched(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkWireDecodeShell is the steady receive path: decode into a
+// recycled shell, release it.
+func BenchmarkWireDecodeShell(b *testing.B) {
+	enc := benchMsg().EncodeAppend(nil)
+	b.SetBytes(int64(len(enc)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		m, err := Decode(enc)
+		if err != nil {
+			b.Fatal(err)
+		}
+		m.Release()
+	}
+}

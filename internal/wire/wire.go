@@ -65,24 +65,45 @@
 // the receive buffer, and re-encodes (a home relaying an update) as one
 // copy of the same bytes. A diff without runs borrows nothing.
 //
-// The borrow lasts as long as the frame does. Whoever received the frame
-// decides that: internal/dsm's dispatch loop recycles a frame at once
-// when no message decoded from it carries diffs (Msg.HasDiffs), and
+// The borrow lasts as long as the frame does, and the frame lasts as long
+// as the messages decoded from it: internal/dsm's dispatch loop recycles a
+// frame at once when no message in it carries diffs (Msg.HasDiffs), and
 // otherwise attaches a framebuf.Ref to each such message (Msg.Frame; the
-// messages of a batch share one). Every holder that keeps the message
-// past its handler — an rpc waiter handed a response, a goroutine serving
-// a request — retains the reference first and releases it when it has
-// consumed the diffs: applied them, or re-encoded them into an outgoing
-// message that has been flushed. Never releasing is always safe, the
-// garbage collector reclaims the frame; releasing early is the one bug,
-// and internal/framebuf's poison-on-release mode turns it into garbage
-// bytes the differential tests catch.
+// messages of a batch share one), which the message's last Release drops.
+// Never releasing is always safe, the garbage collector reclaims the
+// frame; releasing early is the one bug, and internal/framebuf's
+// poison-on-release mode turns it into garbage bytes the differential
+// tests catch.
 //
 // page.Diff.Clone is mandatory wherever a decoded diff is stored for
 // something that runs after the release: the runtime has one such place,
 // the LU engine's retained-diff store, whose entries are piggybacked on
 // later lock grants. Nothing else may keep a DiffRec, a *page.Diff or a
 // RunData slice of a received message.
+//
+// Messages: a Msg on the heap is a recycled shell. Decode fills one from
+// a free list and NewMsg hands one to a sender whose message must pass
+// through an interface call; a sender that can keep its message on the
+// stack writes a literal. A message is never queued for sending — the
+// outbox encodes it as it is staged — so a sender's message is dead when
+// the send returns, and only received ones change hands. A shell starts
+// with one reference, its creator's: the dispatch loop's, which passes to
+// the shard worker or the collecting barrier master the message is queued
+// for. A holder that outlives the one it got the message from retains it
+// first (Msg.Retain): an rpc waiter handed a response, a lock parking a
+// forwarded request until its release, a goroutine a handler spawned to
+// serve a request. Each holder makes ONE call when it is done, Msg.Release
+// — the worker when the handler returns, the waiter's rpc when it has
+// consumed the response, the master when it has answered the arrival — and
+// the last one drops the frame reference and returns the shell to the free
+// list. What is recycled is the shell alone: its scalar fields, its slice
+// headers, and Sections, whose first element lives in the shell. The
+// arrays the other slices point to — clocks, interval records, page lists,
+// wants, Data — are never reused: they belong to whoever absorbed them
+// (the interval log keeps decoded clocks and page lists, a page copy keeps
+// Data and its applied clock) and to the garbage collector otherwise.
+// Under poison-on-release a released shell reads as an invalid kind with
+// 0xDB scalars, and one Release too many panics, like framebuf.Ref.
 package wire
 
 import (
@@ -91,6 +112,7 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"sync/atomic"
 
 	"repro/internal/framebuf"
 	"repro/internal/mem"
@@ -280,6 +302,92 @@ type Msg struct {
 	// the receiver when HasDiffs (see the package doc's Ownership
 	// section); nil otherwise. Not encoded.
 	Frame *framebuf.Ref
+
+	// refs counts the holders of a recycled shell (NewMsg, Decode) — through
+	// sync/atomic's functions, not an atomic.Int32, because literals are
+	// copied by value; shell tells one from a literal, which Release leaves
+	// to the garbage collector; sec is where a shell keeps its first section
+	// (most messages that have any have one). None is encoded.
+	refs  int32
+	shell bool
+	sec   [1]Section
+}
+
+// freeMsgs is the shell free list, in internal/framebuf's typed-free-list
+// idiom: the ring stores pointers, so recycling allocates nothing;
+// overflow is dropped for the garbage collector, underflow allocates.
+var freeMsgs = make(chan *Msg, 1024)
+
+// poisonKind is the kind byte of a released shell under poison-on-release:
+// outside the valid range, so whoever dispatches on it fails.
+const poisonKind = Kind(framebuf.PoisonByte)
+
+// NewMsg returns an empty message shell with one reference. It is for a
+// message that must live on the heap — a decoded one, or one a sender
+// passes through an interface call; a sender that can keep its message on
+// the stack uses a literal. See the package doc's Ownership section.
+func NewMsg() *Msg {
+	var m *Msg
+	select {
+	case m = <-freeMsgs:
+		*m = Msg{}
+	default:
+		m = new(Msg)
+	}
+	m.refs, m.shell = 1, true
+	return m
+}
+
+// AppendSection appends s to m.Sections. A shell's first section lives in
+// the shell, so Sections is the shell's like the scalar fields are: it is
+// gone with the last Release, and nothing may keep it beyond.
+func (m *Msg) AppendSection(s Section) {
+	if m.Sections == nil && m.shell {
+		m.Sections = m.sec[:0]
+	}
+	m.Sections = append(m.Sections, s)
+}
+
+// Retain adds a reference for a holder that outlives the current one: a
+// handler that parks its message, or hands it to another goroutine. A
+// literal's references are its frame's.
+func (m *Msg) Retain() {
+	if m.shell {
+		atomic.AddInt32(&m.refs, 1)
+	} else {
+		m.Frame.Retain()
+	}
+}
+
+// Release drops one reference. The last one releases the frame the
+// message borrows and recycles the shell: every slice header is cleared,
+// so what the message decoded stays with whoever absorbed it and is never
+// reused. Dropping a message without releasing it is always safe;
+// releasing more often than retained panics. On a literal Release only
+// lets go of the frame; on nil it does nothing.
+func (m *Msg) Release() {
+	if m == nil {
+		return
+	}
+	if !m.shell {
+		m.Frame.Release()
+		return
+	}
+	switch n := atomic.AddInt32(&m.refs, -1); {
+	case n == 0:
+		m.Frame.Release()
+		*m = Msg{shell: true}
+		if framebuf.Poisoned() {
+			dead := uint64(framebuf.PoisonByte) * 0x0101010101010101
+			m.Kind, m.Seq, m.A, m.B = poisonKind, dead, int32(dead), int32(dead)
+		}
+		select {
+		case freeMsgs <- m:
+		default:
+		}
+	case n < 0:
+		panic("wire: message released more often than retained")
+	}
 }
 
 // HasDiffs reports whether the message carries diff records, flat or in a
@@ -374,6 +482,21 @@ func AppendBatched(buf []byte, m *Msg) (out []byte, size int) {
 	}
 	binary.PutUvarint(buf[start:], uint64(size))
 	return buf, size
+}
+
+// PrefixLength turns buf, which holds exactly one message's plain
+// encoding, into that message's batch sub-frame, as AppendBatched would
+// have appended it to an empty buffer: the encoding moves up to make room
+// for its length. A sender that encodes as it stages calls it when a
+// second message joins the first.
+func PrefixLength(buf []byte) []byte {
+	size := len(buf)
+	k := lenLen(size)
+	var room [binary.MaxVarintLen64]byte
+	buf = append(buf, room[:k]...)
+	copy(buf[k:], buf[:size])
+	binary.PutUvarint(buf, uint64(size))
+	return buf
 }
 
 func (m *Msg) appendTo(buf []byte) []byte {
@@ -651,24 +774,34 @@ func (d *decoder) bytes(n int) []byte {
 	return out
 }
 
-// Decode parses an encoded message. The message's diffs borrow b (the
+// Decode parses an encoded message into a recycled shell (NewMsg) the
+// caller holds the one reference to. The message's diffs borrow b (the
 // package doc's Ownership section); everything else is copied out.
 func Decode(b []byte) (*Msg, error) {
-	if len(b) < minMsgBytes {
-		return nil, fmt.Errorf("wire: message of %d bytes shorter than header", len(b))
+	m := NewMsg()
+	if err := m.decode(b); err != nil {
+		m.Release()
+		return nil, err
 	}
-	m := &Msg{Kind: Kind(b[0])}
+	return m, nil
+}
+
+func (m *Msg) decode(b []byte) error {
+	if len(b) < minMsgBytes {
+		return fmt.Errorf("wire: message of %d bytes shorter than header", len(b))
+	}
+	m.Kind = Kind(b[0])
 	if m.Kind == 0 || m.Kind >= kindLimit {
-		return nil, fmt.Errorf("wire: unknown message kind %d", m.Kind)
+		return fmt.Errorf("wire: unknown message kind %d", m.Kind)
 	}
 	if m.Kind == KBatch {
 		// A batch is a frame, not a message: it is only legal at the top
 		// of a payload (DecodeBatch), which also forbids nested batches.
-		return nil, fmt.Errorf("wire: batch frame in message position")
+		return fmt.Errorf("wire: batch frame in message position")
 	}
 	present := b[1]
 	if present&^msgPresence != 0 {
-		return nil, fmt.Errorf("wire: unknown presence bits %#x", present)
+		return fmt.Errorf("wire: unknown presence bits %#x", present)
 	}
 	d := &decoder{b: b, off: 2}
 	m.Seq = d.uvarint()
@@ -691,7 +824,11 @@ func Decode(b []byte) (*Msg, error) {
 		}
 	}
 	if present&hasSections != 0 {
-		m.Sections = make([]Section, d.countItems("section", minSectionBytes))
+		if n := d.countItems("section", minSectionBytes); n == 1 {
+			m.Sections = m.sec[:1]
+		} else {
+			m.Sections = make([]Section, n)
+		}
 		for i := range m.Sections {
 			s := &m.Sections[i]
 			// Engine mode ids are tiny; anything bigger is a forgery or
@@ -710,12 +847,12 @@ func Decode(b []byte) (*Msg, error) {
 		}
 	}
 	if d.err != nil {
-		return nil, d.err
+		return d.err
 	}
 	if d.off != len(b) {
-		return nil, fmt.Errorf("wire: %d trailing bytes", len(b)-d.off)
+		return fmt.Errorf("wire: %d trailing bytes", len(b)-d.off)
 	}
-	return m, nil
+	return nil
 }
 
 // payload decodes the consistency blocks present announces (the inverse of
@@ -723,20 +860,23 @@ func Decode(b []byte) (*Msg, error) {
 // entries: a message's may (the bit tells an empty VC from a nil one), a
 // section's may not.
 func (d *decoder) payload(present byte, emptyClock bool) (clock vc.VC, ivs []IntervalRec, diffs []DiffRec) {
+	var entries [maxClock]int32
+	n := 0
 	if present&hasVC != 0 {
-		n := d.count("clock count", maxClock)
+		n = d.count("clock count", maxClock)
 		if n == 0 && !emptyClock {
 			d.fail("presence bit over an empty section clock")
 		}
-		if d.err == nil {
-			clock = make(vc.VC, n)
-			for i := range clock {
-				clock[i] = d.i32() - 1
-			}
+		for i := 0; i < n; i++ {
+			entries[i] = d.i32() - 1
 		}
 	}
-	if present&hasIntervals != 0 {
-		ivs = d.intervalList(clock)
+	switch {
+	case present&hasIntervals != 0:
+		clock, ivs = d.intervalList(entries[:n], present&hasVC != 0)
+	case present&hasVC != 0 && d.err == nil:
+		clock = make(vc.VC, n)
+		copy(clock, entries[:n])
 	}
 	if present&hasDiffs != 0 {
 		diffs = d.diffList()
@@ -745,12 +885,14 @@ func (d *decoder) payload(present byte, emptyClock bool) (clock vc.VC, ivs []Int
 }
 
 // intervalList decodes an interval block (the inverse of appendInterval
-// per record). A sizing pass walks the block first — every count checked
-// against the bytes actually present — so the records, their clocks and
-// their page lists are three exact allocations per block, whatever the
-// record count; each record's VC and Pages are capacity-limited windows
-// of the shared slabs.
-func (d *decoder) intervalList(base vc.VC) []IntervalRec {
+// per record); base is the enclosing clock, hasBase whether there is one.
+// A sizing pass walks the block first — every count checked against the
+// bytes actually present — so the records, their clocks and their page
+// lists are three exact allocations per block, whatever the record count;
+// each record's VC and Pages are capacity-limited windows of the shared
+// slabs. The enclosing clock is returned as one more window of the clock
+// slab, ahead of the records'.
+func (d *decoder) intervalList(base vc.VC, hasBase bool) (vc.VC, []IntervalRec) {
 	nivs := d.blockCount("interval", minIntervalBytes)
 	start := d.off
 	nclock, npage := 0, 0
@@ -763,19 +905,24 @@ func (d *decoder) intervalList(base vc.VC) []IntervalRec {
 		nclock, npage = nclock+vn, npage+pn
 	}
 	if d.err != nil {
-		return nil
+		return nil, nil
 	}
 	d.off = start
 	out := make([]IntervalRec, nivs)
-	clocks := make(vc.VC, nclock)
+	clocks := make(vc.VC, len(base)+nclock)
 	pages := make([]mem.PageID, npage)
+	var clock vc.VC
+	if hasBase {
+		clock, clocks = clocks[:len(base):len(base)], clocks[len(base):]
+		copy(clock, base)
+	}
 	for i := range out {
 		iv := &out[i]
 		iv.Proc = mem.ProcID(d.i32())
 		iv.Index = d.i32()
 		vn := int(d.u32())
 		if d.err != nil {
-			return nil
+			return nil, nil
 		}
 		iv.VC, clocks = clocks[:vn:vn], clocks[vn:]
 		if len(base) == vn {
@@ -789,7 +936,7 @@ func (d *decoder) intervalList(base vc.VC) []IntervalRec {
 		}
 		pn := int(d.u32())
 		if d.err != nil {
-			return nil
+			return nil, nil
 		}
 		iv.Pages, pages = pages[:pn:pn], pages[pn:]
 		prev := mem.PageID(0)
@@ -799,9 +946,9 @@ func (d *decoder) intervalList(base vc.VC) []IntervalRec {
 		}
 	}
 	if d.err != nil {
-		return nil
+		return nil, nil
 	}
-	return out
+	return clock, out
 }
 
 // diffList decodes a diff block. Like intervalList it sizes the block
@@ -884,12 +1031,17 @@ func IsBatch(b []byte) bool { return len(b) > 0 && Kind(b[0]) == KBatch }
 // anything is allocated by it, every sub-frame must lie within the
 // payload, nested batches are rejected (Decode refuses KBatch in message
 // position), and trailing bytes are an error.
-func DecodeBatch(b []byte) ([]*Msg, error) {
+func DecodeBatch(b []byte) ([]*Msg, error) { return DecodeBatchAppend(nil, b) }
+
+// DecodeBatchAppend is DecodeBatch appending the messages to dst, for a
+// receive loop that reuses one list. On an error the shells decoded so far
+// are released and dst is returned as it came.
+func DecodeBatchAppend(dst []*Msg, b []byte) ([]*Msg, error) {
 	if len(b) < 2 {
-		return nil, fmt.Errorf("wire: batch frame of %d bytes shorter than header", len(b))
+		return dst, fmt.Errorf("wire: batch frame of %d bytes shorter than header", len(b))
 	}
 	if !IsBatch(b) {
-		return nil, fmt.Errorf("wire: frame of kind %v is not a batch", Kind(b[0]))
+		return dst, fmt.Errorf("wire: frame of kind %v is not a batch", Kind(b[0]))
 	}
 	d := &decoder{b: b, off: 1}
 	count := d.countItems("batch", minBatchedBytes)
@@ -898,22 +1050,28 @@ func DecodeBatch(b []byte) ([]*Msg, error) {
 		d.fail("implausible batch count %d", count)
 	}
 	if d.err != nil {
-		return nil, d.err
+		return dst, d.err
 	}
-	msgs := make([]*Msg, 0, count)
+	msgs := slices.Grow(dst, count)
+	fail := func(err error) ([]*Msg, error) {
+		for _, m := range msgs[len(dst):] {
+			m.Release()
+		}
+		return dst, err
+	}
 	for i := 0; i < count; i++ {
 		size := d.uvarint()
 		if d.err != nil || size > uint64(len(b)-d.off) {
-			return nil, fmt.Errorf("wire: implausible batched frame length %d at sub-message %d", size, i)
+			return fail(fmt.Errorf("wire: implausible batched frame length %d at sub-message %d", size, i))
 		}
 		m, err := Decode(d.bytes(int(size)))
 		if err != nil {
-			return nil, fmt.Errorf("wire: batched message %d: %w", i, err)
+			return fail(fmt.Errorf("wire: batched message %d: %w", i, err))
 		}
 		msgs = append(msgs, m)
 	}
 	if d.off != len(b) {
-		return nil, fmt.Errorf("wire: %d trailing bytes after batch", len(b)-d.off)
+		return fail(fmt.Errorf("wire: %d trailing bytes after batch", len(b)-d.off))
 	}
 	return msgs, nil
 }

@@ -657,3 +657,120 @@ func TestEncodeAppendComposes(t *testing.T) {
 	}
 	framebuf.Put(joint)
 }
+
+// shellGrant is a lock grant as a releaser sends it: a 4-entry clock and
+// one interval record.
+func shellGrant() *Msg {
+	return &Msg{
+		Kind: KLockGrant, Seq: 9, A: 3, VC: vc.VC{4, 5, 6, 7},
+		Intervals: []IntervalRec{{Proc: 1, Index: 5, VC: vc.VC{4, 5, 6, 6}, Pages: []mem.PageID{2, 9}}},
+	}
+}
+
+// TestDecodeFillsRecycledShell: Decode takes its message from the shell
+// free list and Release puts it back, so a steady receive path allocates
+// only the slices the message owns — here the interval records, the clock
+// slab (the message's clock is its first window) and the page slab — and
+// those survive the shell: whoever absorbed them keeps them.
+func TestDecodeFillsRecycledShell(t *testing.T) {
+	enc := shellGrant().EncodeAppend(nil)
+	m, err := Decode(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clock, recs := m.VC, m.Intervals
+	m.Release()
+	if m.VC != nil || m.Intervals != nil || m.Seq == 9 {
+		t.Errorf("released shell still holds its message: %+v", m)
+	}
+	if !reflect.DeepEqual(clock, vc.VC{4, 5, 6, 7}) || len(recs) != 1 ||
+		!reflect.DeepEqual(recs[0].VC, vc.VC{4, 5, 6, 6}) || !reflect.DeepEqual(recs[0].Pages, []mem.PageID{2, 9}) {
+		t.Errorf("decoded slices did not survive the shell's release: clock %v records %+v", clock, recs)
+	}
+	if again, err := Decode(enc); err != nil || again != m {
+		t.Errorf("Decode after Release built a new shell (%p, was %p), err %v", again, m, err)
+	} else {
+		again.Release()
+	}
+	if allocs := testing.AllocsPerRun(200, func() {
+		m, err := Decode(enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Release()
+	}); allocs > 3 {
+		t.Errorf("decoding a grant into a shell allocates %.1f objects, want at most its 3 owned slices", allocs)
+	}
+	// A message in the runtime's form, payload in one mode-tagged section,
+	// costs nothing more: the first section lives in the shell.
+	g := shellGrant()
+	sectioned := (&Msg{Kind: g.Kind, Seq: g.Seq, A: g.A,
+		Sections: []Section{{Mode: 1, VC: g.VC, Intervals: g.Intervals}}}).EncodeAppend(nil)
+	if allocs := testing.AllocsPerRun(200, func() {
+		m, err := Decode(sectioned)
+		if err != nil || len(m.Sections) != 1 || len(m.Sections[0].Intervals) != 1 {
+			t.Fatalf("sectioned grant: %+v, err %v", m, err)
+		}
+		m.Release()
+	}); allocs > 3 {
+		t.Errorf("decoding a sectioned grant into a shell allocates %.1f objects, want at most 3", allocs)
+	}
+}
+
+// TestMsgReferences: a retained shell survives its first release, a
+// literal is never recycled, and one release too many panics.
+func TestMsgReferences(t *testing.T) {
+	m := NewMsg()
+	m.Seq = 7
+	m.Retain()
+	m.Release()
+	if m.Seq != 7 {
+		t.Fatal("a shell with a holder left was recycled")
+	}
+	m.Release()
+	if m.Seq == 7 {
+		t.Fatal("the last release did not clear the shell")
+	}
+	lit := &Msg{Seq: 7, Frame: framebuf.NewRef(framebuf.Get(), 1)}
+	lit.Retain()
+	lit.Release()
+	lit.Release() // lets go of the frame, nothing else
+	if lit.Seq != 7 {
+		t.Errorf("releasing a literal cleared it: %+v", lit)
+	}
+	var none *Msg
+	none.Release()
+	defer func() {
+		if recover() == nil {
+			t.Error("releasing a shell more often than retained did not panic")
+		}
+	}()
+	m.Release()
+}
+
+// TestReleasedShellIsPoisoned: under poison-on-release a released shell
+// reads as garbage at once — an invalid kind, poison scalars, no slices —
+// rather than as whatever message it held, or holds next.
+func TestReleasedShellIsPoisoned(t *testing.T) {
+	framebuf.SetPoison(true)
+	defer framebuf.SetPoison(false)
+	m, err := Decode(shellGrant().EncodeAppend(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Release()
+	poison := uint64(framebuf.PoisonByte) * 0x0101010101010101
+	if m.Kind != Kind(framebuf.PoisonByte) || m.Kind < kindLimit || m.Seq != poison ||
+		m.A != int32(uint32(poison)) || m.B != m.A {
+		t.Errorf("released shell reads kind %v seq %#x a %#x b %#x, want the poison pattern", m.Kind, m.Seq, m.A, m.B)
+	}
+	if m.VC != nil || m.Intervals != nil || m.Diffs != nil || m.Wants != nil || m.Data != nil || m.Sections != nil || m.Frame != nil {
+		t.Errorf("released shell kept a slice or its frame: %+v", m)
+	}
+	// The next user gets it clean.
+	if again := NewMsg(); again != m || again.Kind != 0 || again.Seq != 0 || again.A != 0 {
+		t.Errorf("a shell taken off the free list is not clean: %+v", again)
+	} else {
+		again.Release()
+	}
+}
