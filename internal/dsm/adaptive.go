@@ -163,6 +163,12 @@ func (r *router) snapshotDeltas() []counterDelta {
 
 // --- wire payloads (opaque Msg.Data blobs, defensively decoded) ---
 
+// maxExchangeBytes bounds either barrier blob for a space of numPages: an
+// arrival names a page at most once per list (48-byte delta, 8-byte
+// claim), an exit plan less (12-byte re-route, 8-byte home). New holds it
+// to what one message's Data block may carry.
+func maxExchangeBytes(numPages int) int { return 12 + (48+8)*numPages }
+
 // encodeExchange packs a barrier arrival's placement/classification
 // payload: epoch, delta count, claim count, then the non-zero 48-byte
 // counter entries and the 8-byte first-touch claims. Deltas are present

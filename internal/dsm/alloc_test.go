@@ -5,8 +5,10 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/framebuf"
 	"repro/internal/mem"
 	"repro/internal/page"
+	"repro/internal/wire"
 )
 
 // TestAccessHitAllocatesNothing: an 8-byte read or write that hits — the
@@ -125,4 +127,44 @@ func TestTwinPoolCoversBudget(t *testing.T) {
 	if missed := after.TwinPoolMisses - before.TwinPoolMisses; missed != 0 {
 		t.Errorf("the last epoch's %d captures missed the pool %d times, want 0", gets1-gets0, missed)
 	}
+}
+
+// TestZeroPageServeAllocatesNothing: a node asked for a page it never
+// materialized answers from the system's one read-only zero page — no
+// 4 KiB of zeros made per request to be encoded away, no clock — under
+// every engine, and the answer is a few bytes long.
+func TestZeroPageServeAllocatesNothing(t *testing.T) {
+	allModes(t, func(t *testing.T, mode Mode) {
+		n := newSys(t, 2, mode).Node(0)
+		// Page 0 is homed at node 0 and untouched; node 1 asks.
+		req := &wire.Msg{Seq: 1, A: 0, B: 1}
+		var serve func()
+		switch e := n.rt.engineFor(0).(type) {
+		case *lazyEngine:
+			serve = func() { e.handlePageReq(req) }
+		case *eagerEngine:
+			serve = func() { e.serveFetch(req, 1) }
+		case *scEngine:
+			serve = func() { e.serveFetch(req, 1) }
+		}
+		d := &n.out.dsts[1]
+		size := 0
+		allocs := testing.AllocsPerRun(200, func() {
+			serve()
+			// Take the staged answer back instead of flushing it at a node
+			// that never asked.
+			d.mu.Lock()
+			size = len(d.buf)
+			framebuf.Put(d.buf)
+			d.buf, d.ends = nil, d.ends[:0]
+			d.count.Store(0)
+			d.mu.Unlock()
+		})
+		if allocs != 0 {
+			t.Errorf("serving a never-materialized page allocates %.1f objects, want 0", allocs)
+		}
+		if size == 0 || size > 16 {
+			t.Errorf("a zero page ships as %d bytes, want 1..16", size)
+		}
+	})
 }

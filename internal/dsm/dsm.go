@@ -77,6 +77,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/simnet"
 	"repro/internal/transport"
+	"repro/internal/wire"
 )
 
 // Transport is the interconnect abstraction the runtime runs over; see
@@ -276,6 +277,9 @@ type System struct {
 	tr     Transport
 	nodes  []*Node // indexed by proc id; nil for endpoints hosted elsewhere
 	local  []*Node // the nodes this System hosts, ascending id
+	// zeroPage is the initial image of every page, read-only: what a node
+	// serves for a page it never materialized (it encodes to three bytes).
+	zeroPage []byte
 
 	handlers  sync.WaitGroup
 	closeOnce sync.Once
@@ -329,6 +333,15 @@ func New(cfg Config) (*System, error) {
 	if err != nil {
 		return fail(err)
 	}
+	if cfg.PageSize > wire.MaxDataBytes {
+		return fail(fmt.Errorf("dsm: page size %d exceeds the %d bytes one message may carry (wire.MaxDataBytes): no page could be shipped",
+			cfg.PageSize, wire.MaxDataBytes))
+	}
+	if exchange := cfg.AdaptEveryBarriers > 0 || cfg.Placement == PlaceFirstTouch; exchange &&
+		maxExchangeBytes(layout.NumPages()) > wire.MaxDataBytes {
+		return fail(fmt.Errorf("dsm: %d pages: a barrier's adaptive/first-touch exchange could exceed the %d bytes one message may carry (wire.MaxDataBytes)",
+			layout.NumPages(), wire.MaxDataBytes))
+	}
 	if cfg.ModeMap != nil {
 		if err := validModeMap(cfg.ModeMap, layout.NumPages()); err != nil {
 			return fail(err)
@@ -341,10 +354,11 @@ func New(cfg Config) (*System, error) {
 		return fail(fmt.Errorf("dsm: transport spans %d endpoints, config wants %d", n, cfg.Procs))
 	}
 	s := &System{
-		cfg:    cfg,
-		layout: layout,
-		tr:     tr,
-		nodes:  make([]*Node, cfg.Procs),
+		cfg:      cfg,
+		layout:   layout,
+		tr:       tr,
+		nodes:    make([]*Node, cfg.Procs),
+		zeroPage: make([]byte, cfg.PageSize),
 	}
 	for _, id := range tr.Local() {
 		if id < 0 || id >= cfg.Procs {

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/mem"
+	"repro/internal/wire"
 )
 
 func newSys(t *testing.T, procs int, mode Mode) *System {
@@ -559,6 +560,16 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := New(Config{Procs: 2, SpaceSize: 4096, PageSize: 1000}); err == nil {
 		t.Error("bad page size accepted")
+	}
+	// What one message's Data block may carry bounds a page, and the
+	// barrier exchange of a space with too many pages.
+	if _, err := New(Config{Procs: 2, SpaceSize: 4 * wire.MaxDataBytes, PageSize: 2 * wire.MaxDataBytes}); err == nil ||
+		!strings.Contains(err.Error(), "no page could be shipped") {
+		t.Errorf("unshippable page size: err = %v", err)
+	}
+	manyPages := Config{Procs: 2, SpaceSize: 64 * (wire.MaxDataBytes/56 + 1), PageSize: 64, Placement: PlaceFirstTouch}
+	if _, err := New(manyPages); err == nil || !strings.Contains(err.Error(), "exchange could exceed") {
+		t.Errorf("unshippable first-touch exchange: err = %v", err)
 	}
 }
 

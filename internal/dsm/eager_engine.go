@@ -683,7 +683,7 @@ func (e *eagerEngine) serveFetch(m *wire.Msg, src mem.ProcID) {
 	case e.pages[pg] == nil && n.homeOf(pg) == n.id:
 		// We are the page's initial owner and nobody ever wrote it: the
 		// committed state is the zero page.
-		data = make([]byte, n.sys.layout.PageSize())
+		data = n.sys.zeroPage
 	case e.pages[pg] == nil:
 		// The home thinks we own a page we never held — its directory and
 		// our state disagree, which only a misbehaving (or hostile) peer
@@ -810,6 +810,11 @@ func (e *eagerEngine) applyFlushDone(m *wire.Msg) bool {
 	}
 	delete(e.inflight, m.Seq)
 	e.flightMu.Unlock()
+	if m.Data != nil && len(m.Data) != n.sys.layout.PageSize() {
+		n.noteErr("flush reconcile",
+			fmt.Errorf("base for page %d is %d bytes, want a whole page", fs.pg, len(m.Data)))
+		return false
+	}
 
 	pmu := n.pageLock(fs.pg)
 	pmu.Lock()

@@ -9,6 +9,7 @@ import (
 	"repro/internal/framebuf"
 	"repro/internal/mem"
 	"repro/internal/page"
+	"repro/internal/simnet"
 	"repro/internal/transport/tcp"
 	"repro/internal/wire"
 )
@@ -281,4 +282,135 @@ func TestForgedFramesRecordedNotPanic(t *testing.T) {
 			}
 		})
 	}
+}
+
+// soloTransport hosts only endpoint 0 of an in-process network, so a test
+// can play the rest of the cluster by hand.
+type soloTransport struct{ *simnet.Network }
+
+func (soloTransport) Local() []int { return []int{0} }
+
+// newSysWithFakePeer starts node 0 of a two-node cluster whose node 1 is
+// the test: every message node 0 sends it is answered with reply's result
+// under the request's sequence number (nil: no answer).
+func newSysWithFakePeer(t *testing.T, mode Mode, reply func(req *wire.Msg) *wire.Msg) *System {
+	t.Helper()
+	net := simnet.New(2)
+	s, err := New(Config{Procs: 2, SpaceSize: 8192, PageSize: 1024, Mode: mode,
+		Transport: soloTransport{net}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	peer := net.Endpoint(1)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			_, frame, ok := peer.Recv()
+			if !ok {
+				return
+			}
+			var reqs []*wire.Msg
+			var err error
+			if wire.IsBatch(frame) {
+				reqs, err = wire.DecodeBatch(frame)
+			} else {
+				var m *wire.Msg
+				m, err = wire.Decode(frame)
+				reqs = []*wire.Msg{m}
+			}
+			if err != nil {
+				t.Errorf("fake peer: %v", err)
+				return
+			}
+			for _, req := range reqs {
+				if resp := reply(req); resp != nil {
+					resp.Seq = req.Seq
+					if err := peer.Send(0, resp.EncodeAppend(framebuf.Get())); err != nil {
+						return // the system is closing
+					}
+				}
+			}
+		}
+	}()
+	t.Cleanup(func() {
+		s.Close()
+		<-done
+	})
+	return s
+}
+
+// TestForgedPageShipsRecordedNotInstalled: a page ship's expanded length
+// is the sender's word, and a response reaches its waiter by sequence
+// number alone. Whatever a faulty or hostile home answers a cold miss with
+// — a short page, no page, another kind, a clock of the wrong width, a
+// short reconciliation base — must fail the access with a recorded cause,
+// not become a page copy the next access slices past the end of.
+func TestForgedPageShipsRecordedNotInstalled(t *testing.T) {
+	const remote = mem.Addr(1024) // page 1, homed at the fake node 1
+	answer := func(resp wire.Msg) func(*wire.Msg) *wire.Msg {
+		return func(req *wire.Msg) *wire.Msg {
+			if req.Kind != wire.KPageReq {
+				return nil
+			}
+			r := resp
+			r.A = req.A
+			return &r
+		}
+	}
+	cases := []struct {
+		name  string
+		reply func(*wire.Msg) *wire.Msg
+	}{
+		{"short page", answer(wire.Msg{Kind: wire.KPageResp, Data: make([]byte, 100)})},
+		{"long page", answer(wire.Msg{Kind: wire.KPageResp, Data: make([]byte, 4096)})},
+		{"no page", answer(wire.Msg{Kind: wire.KPageResp})},
+		{"another kind", answer(wire.Msg{Kind: wire.KDiffResp, Data: make([]byte, 1024)})},
+		{"clock of the wrong width", answer(wire.Msg{Kind: wire.KPageResp, Data: make([]byte, 1024), VC: []int32{0, 0, 0}})},
+	}
+	for _, mode := range []Mode{LazyInvalidate, LazyUpdate} {
+		for _, tc := range cases {
+			t.Run(mode.String()+"/"+tc.name, func(t *testing.T) {
+				s := newSysWithFakePeer(t, mode, tc.reply)
+				n := s.Node(0)
+				if _, err := n.ReadUint64(remote); err == nil || !strings.Contains(err.Error(), "page install") {
+					t.Fatalf("read of a forged page = %v, want a page install error", err)
+				}
+				if err := n.WriteUint64(remote+1016, 1); err == nil {
+					t.Fatal("write to the page succeeded after its ship was refused")
+				}
+				if cerr := s.Close(); cerr == nil || !strings.Contains(cerr.Error(), "page install") {
+					t.Fatalf("Close = %v, want the recorded page install cause", cerr)
+				}
+			})
+		}
+	}
+
+	// The eager engines check the grant on its shard worker (the "page grant
+	// for impossible page" row above); their other whole-page transfer is
+	// the base a home sends a flusher whose copy was invalidated.
+	t.Run("EI/short flush base", func(t *testing.T) {
+		s := newSysWithFakePeer(t, EagerInvalidate, func(req *wire.Msg) *wire.Msg {
+			switch req.Kind {
+			case wire.KPageReq:
+				return &wire.Msg{Kind: wire.KPageResp, A: req.A, Data: make([]byte, 1024)}
+			case wire.KFlushReq:
+				return &wire.Msg{Kind: wire.KFlushDone, A: req.A, Data: make([]byte, 100)}
+			}
+			return nil
+		})
+		n := s.Node(0)
+		if err := n.Acquire(0); err != nil {
+			t.Fatal(err)
+		}
+		if err := n.WriteUint64(remote, 7); err != nil {
+			t.Fatal(err)
+		}
+		if err := n.Release(0); err == nil {
+			t.Fatal("release succeeded over a short reconciliation base")
+		}
+		if cerr := s.Close(); cerr == nil || !strings.Contains(cerr.Error(), "flush reconcile") {
+			t.Fatalf("Close = %v, want the recorded flush reconcile cause", cerr)
+		}
+	})
 }

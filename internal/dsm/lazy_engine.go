@@ -641,6 +641,18 @@ func (e *lazyEngine) serviceMiss(pg mem.PageID, held fetchedDiffs) error {
 				if err != nil {
 					return err
 				}
+				// rpc matches a response on its sequence number alone, and the
+				// sender chose the expanded length: nothing but this check
+				// keeps a faulty home's short page out of the page table,
+				// where the next access would slice past its end.
+				if resp.Kind != wire.KPageResp || len(resp.Data) != n.sys.layout.PageSize() ||
+					(resp.VC != nil && len(resp.VC) != n.sys.cfg.Procs) {
+					bad := fmt.Errorf("bad page grant from %d: %v for page %d, %d data bytes, %d-entry clock",
+						home, resp.Kind, pg, len(resp.Data), len(resp.VC))
+					resp.Release()
+					n.noteErr("page install", bad)
+					return fmt.Errorf("dsm: node %d: page install: %w", n.id, bad)
+				}
 				// The decoded page and clock are the copy's from here on.
 				applied := resp.VC
 				if applied == nil {
@@ -1559,9 +1571,9 @@ func (e *lazyEngine) handlePageReq(m *wire.Msg) {
 	pc := e.pages[pg]
 	switch {
 	case pc == nil:
-		// Never materialized here: the committed state is the zero page.
-		resp.Data = make([]byte, n.sys.layout.PageSize())
-		resp.VC = vc.New(n.sys.cfg.Procs)
+		// Never materialized here: the committed state is the zero page,
+		// and no clock says nothing was applied to it.
+		resp.Data = n.sys.zeroPage
 	case pc.twin != nil:
 		// Uncommitted writes in the current interval must not leak: the
 		// twin holds the committed contents.

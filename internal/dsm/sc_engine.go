@@ -449,7 +449,7 @@ func (e *scEngine) serveFetch(m *wire.Msg, src mem.ProcID) {
 	case pc == nil && n.homeOf(pg) == n.id:
 		// We are the page's initial owner and nobody ever wrote it: the
 		// committed state is the zero page.
-		data = make([]byte, n.sys.layout.PageSize())
+		data = n.sys.zeroPage
 	case pc == nil:
 		// The home thinks we own a page we never held — its directory and
 		// our state disagree, which only a misbehaving (or hostile) peer

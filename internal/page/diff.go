@@ -213,6 +213,86 @@ func nextUnchangedWord(a, b []byte, i, n int) int {
 	return n
 }
 
+// zeroWord is the granularity of the zero scan: whole-page transfers are
+// zero-suppressed in aligned 8-byte words (a gap that short already pays
+// for the run descriptor it costs), where diffs against a twin compare
+// 4-byte words.
+const zeroWord = 8
+
+// zeros is what the zero scan compares long stretches against.
+var zeros [1024]byte
+
+// NextNonZeroRun returns the first maximal run [start, end) of non-zero
+// words of b at or after offset i — the next run of b's diff against the
+// all-zero page, the initial image every copy starts from. Words are
+// aligned and 8 bytes long, a short final one counting whole; i must be a
+// multiple of 8 or len(b) — 0, or the end of the previous run.
+// When everything from i on is zero, start == end == len(b).
+func NextNonZeroRun(b []byte, i int) (start, end int) {
+	start = nextNonZeroWord(b, i)
+	if start == len(b) {
+		return start, start
+	}
+	return start, nextZeroWord(b, start+zeroWord)
+}
+
+// nextNonZeroWord returns the smallest word-aligned offset >= i whose word
+// has a non-zero byte, or len(b): nextChangedWord against the zero page,
+// without the zero page. Zero stretches go by in chunks, large then small
+// (bytes.Equal is word-wide or better), and 64-bit loads find the word.
+func nextNonZeroWord(b []byte, i int) int {
+	n := len(b)
+	for _, chunk := range [...]int{len(zeros), 64} {
+		for i+chunk <= n && bytes.Equal(b[i:i+chunk], zeros[:chunk]) {
+			i += chunk
+		}
+	}
+	for ; i+zeroWord <= n; i += zeroWord {
+		if binary.LittleEndian.Uint64(b[i:]) != 0 {
+			return i
+		}
+	}
+	if i < n && !bytes.Equal(b[i:n], zeros[:n-i]) {
+		return i
+	}
+	return n
+}
+
+// nextZeroWord returns the smallest word-aligned offset >= i whose word is
+// all zero, or len(b). A dense page walks this loop end to end — it is what
+// a page ship pays over a plain copy — so it leaps to the next zero byte
+// (bytes.IndexByte is vectorized; a zero word must hold one) and looks at
+// words only for a stretch from there. The stretch doubles each time it
+// finds none, which keeps data full of zero bytes but no zero words, small
+// integers say, at one unrolled load per word.
+func nextZeroWord(b []byte, i int) int {
+	n := len(b)
+	for stretch := 8 * zeroWord; i+zeroWord <= n; stretch *= 2 {
+		j := bytes.IndexByte(b[i:], 0)
+		if j < 0 {
+			return n
+		}
+		i += j &^ (zeroWord - 1)
+		stop := min(n, i+stretch)
+		for ; i+4*zeroWord <= stop; i += 4 * zeroWord {
+			w := b[i : i+4*zeroWord]
+			if binary.LittleEndian.Uint64(w) == 0 || binary.LittleEndian.Uint64(w[8:]) == 0 ||
+				binary.LittleEndian.Uint64(w[16:]) == 0 || binary.LittleEndian.Uint64(w[24:]) == 0 {
+				break
+			}
+		}
+		for ; i+zeroWord <= stop; i += zeroWord {
+			if binary.LittleEndian.Uint64(b[i:]) == 0 {
+				return i
+			}
+		}
+	}
+	if i < n && bytes.Equal(b[i:n], zeros[:n-i]) {
+		return i
+	}
+	return n
+}
+
 // wordEqual reports whether the word starting at off matches between a and
 // b, tolerating a short final word. Word-wide: one 32-bit compare for a
 // full word, bytes.Equal for the tail.

@@ -338,3 +338,41 @@ func TestPropEstimateMatchesRealDiff(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestNextNonZeroRunCoversExactlyNonZeroWords: walking a buffer run by run
+// visits every aligned 8-byte word with a non-zero byte and no other, in
+// maximal runs, for every length (short final words included) and from
+// long zero stretches down to single-word gaps.
+func TestNextNonZeroRunCoversExactlyNonZeroWords(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	for n := 0; n <= 600; n++ {
+		b := make([]byte, n)
+		for k := r.Intn(6); k > 0 && n > 0; k-- {
+			off := r.Intn(n)
+			for i := off; i < min(n, off+1+r.Intn(48)); i++ {
+				b[i] = byte(1 + r.Intn(255))
+			}
+		}
+		covered := make([]bool, n)
+		prevEnd := -1
+		for start, end := NextNonZeroRun(b, 0); start < n; start, end = NextNonZeroRun(b, end) {
+			if start%zeroWord != 0 || (end%zeroWord != 0 && end != n) || end <= start {
+				t.Fatalf("n=%d: run [%d,%d) is not a span of whole words", n, start, end)
+			}
+			if start <= prevEnd {
+				t.Fatalf("n=%d: run [%d,%d) touches the one ending at %d", n, start, end, prevEnd)
+			}
+			for i := start; i < end; i++ {
+				covered[i] = true
+			}
+			prevEnd = end
+		}
+		for w := 0; w < n; w += zeroWord {
+			word := b[w:min(n, w+zeroWord)]
+			nonZero := !bytes.Equal(word, make([]byte, len(word)))
+			if covered[w] != nonZero {
+				t.Fatalf("n=%d: word at %d non-zero=%v but covered=%v", n, w, nonZero, covered[w])
+			}
+		}
+	}
+}

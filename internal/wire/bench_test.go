@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/framebuf"
@@ -103,3 +104,67 @@ func BenchmarkWireDecodeShell(b *testing.B) {
 		m.Release()
 	}
 }
+
+// Page ships: a KPageResp with a 4 KiB Data block, encoded into a pooled
+// frame as the outbox stages it and decoded as the requester receives it.
+// Dense has no zero word (one run, the scan walks the whole page — the
+// cost over the plain append it replaced, which is the Append baseline);
+// DenseInts is dense with seven zero bytes in every word, the scan's slow
+// case; sparse is the water shape, sixteen 24-byte records at a 256-byte
+// stride; zero is a never-written page.
+
+func pageShip(data []byte) *Msg {
+	return &Msg{Kind: KPageResp, Seq: 1000, A: 300, Data: data}
+}
+
+func densePage() []byte { return bytes.Repeat([]byte{0xab}, 4096) }
+
+func benchEncodePage(b *testing.B, data []byte) {
+	m := pageShip(data)
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		framebuf.Put(m.EncodeAppend(framebuf.Get()))
+	}
+}
+
+func BenchmarkWireEncodePageDense(b *testing.B) { benchEncodePage(b, densePage()) }
+func BenchmarkWireEncodePageDenseInts(b *testing.B) {
+	benchEncodePage(b, bytes.Repeat([]byte{7, 0, 0, 0, 0, 0, 0, 0}, 512))
+}
+func BenchmarkWireEncodePageSparse(b *testing.B) { benchEncodePage(b, stridedPage(4096, 256, 24)) }
+func BenchmarkWireEncodePageZero(b *testing.B)   { benchEncodePage(b, make([]byte, 4096)) }
+
+// BenchmarkWireEncodePageAppend is the raw Data block this encoding
+// replaced — the same message with its page appended as is — the baseline
+// the dense page's scan is read against.
+func BenchmarkWireEncodePageAppend(b *testing.B) {
+	m, data := pageShip(nil), densePage()
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf := putLen(m.EncodeAppend(framebuf.Get()), len(data))
+		framebuf.Put(append(buf, data...))
+	}
+}
+
+// benchDecodePage must report one allocation: the page the receiver
+// installs (a ship that carries the copy's clock allocates that too).
+func benchDecodePage(b *testing.B, data []byte) {
+	enc := pageShip(data).EncodeAppend(nil)
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m, err := Decode(enc)
+		if err != nil {
+			b.Fatal(err)
+		}
+		m.Release()
+	}
+}
+
+func BenchmarkWireDecodePageDense(b *testing.B)  { benchDecodePage(b, densePage()) }
+func BenchmarkWireDecodePageSparse(b *testing.B) { benchDecodePage(b, stridedPage(4096, 256, 24)) }

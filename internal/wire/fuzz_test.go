@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -74,6 +75,42 @@ const retiredCompressedKind Kind = 25
 // hdr is a message header: kind, presence byte, then seq 8, a 3, b 0.
 func hdr(k Kind, present byte) []byte { return []byte{byte(k), present, 8, 3, 0} }
 
+// dataFrame is a page response whose Data block announces n expanded
+// bytes over the given body; run is one data run, descriptor and bytes.
+func dataFrame(n uint64, body ...[]byte) []byte {
+	return cat(hdr(KPageResp, hasData), uv(n), cat(body...))
+}
+
+func run(off, size uint64) []byte {
+	return cat(uv(off, size), bytes.Repeat([]byte{0xab}, int(size)))
+}
+
+// malformedData is every way a Data block can lie: about its expanded
+// length (the one number that sizes an allocation no frame length vouches
+// for), its run count, or where its runs land. TestDecodeMalformed holds
+// each to its error; FuzzDecode starts from them.
+var malformedData = []struct {
+	name string
+	in   []byte
+	want string // error substring
+}{
+	{"hostile data count", dataFrame(1<<31-1, make([]byte, 8)), "implausible data length"},
+	{"data length of 2^31 in ten bytes", dataFrame(1 << 31), "implausible data length"},
+	{"data length one past the limit", dataFrame(MaxDataBytes+1, uv(0)), "implausible data length"},
+	{"hostile data run count", dataFrame(64, uv(1<<24), make([]byte, 16)), "implausible data run count"},
+	{"data run count one past the bytes", dataFrame(64, uv(3), make([]byte, 3*minDataRunBytes-1)), "implausible data run count"},
+	{"data run past the length", dataFrame(64, uv(1), run(60, 8)), "past the announced 64 bytes"},
+	{"data run wrapping 32 bits", dataFrame(64, uv(1, 0xffffffff, 0xffffffff)), "past the announced 64 bytes"},
+	{"descending data runs", dataFrame(64, uv(2), run(32, 8), run(0, 8)), "overlaps or precedes"},
+	{"overlapping data runs", dataFrame(64, uv(2), run(0, 16), run(8, 16)), "overlaps or precedes"},
+	{"empty data run", dataFrame(64, uv(1, 8, 0), []byte{0xab}), "empty data run"},
+	{"truncated data run", dataFrame(64, uv(1, 0, 16), make([]byte, 8)), "truncated payload"},
+	{"non-minimal data run offset", dataFrame(64, uv(1), []byte{0x88, 0x00}, uv(8), make([]byte, 8)), "non-minimal varint"},
+	{"non-minimal data length", cat(hdr(KPageResp, hasData), []byte{0xc0, 0x00}, uv(0)), "non-minimal varint"},
+	{"trailing bytes after data", dataFrame(64, uv(1), run(8, 8), []byte{0xff}), "trailing"},
+	{"presence bit over empty data", dataFrame(0), "empty data block"},
+}
+
 // TestDecodeMalformed: the table of hostile, truncated and non-canonical
 // inputs the socket path must reject with a descriptive error. An
 // accepted frame has exactly one encoding, so everything the encoder
@@ -120,7 +157,6 @@ func TestDecodeMalformed(t *testing.T) {
 		{"diff count one past the bytes", cat(hdr(KDiffResp, hasDiffs), uv(3), make([]byte, 3*minDiffBytes-1)), "implausible diff count"},
 		{"hostile want count", cat(hdr(KDiffReq, hasWants), uv(1<<24), make([]byte, 64)), "implausible want count"},
 		{"want count one past the bytes", cat(hdr(KDiffReq, hasWants), uv(3), make([]byte, 3*minWantBytes-1)), "implausible want count"},
-		{"hostile data count", cat(hdr(KPageResp, hasData), uv(1<<31-1), make([]byte, 8)), "implausible data count"},
 		{"hostile run count", diff(1 << 26), "implausible run count"},
 		{"run count one past the bytes", cat(diff(3), make([]byte, 3*minRunBytes-1)), "implausible run count"},
 		{"negative run offset", diff(1, 0x80000000, 0), "negative run offset"},
@@ -130,7 +166,6 @@ func TestDecodeMalformed(t *testing.T) {
 		{"presence bit over empty intervals", cat(hdr(KLockGrant, hasIntervals), uv(0)), "empty interval block"},
 		{"presence bit over empty diffs", cat(hdr(KDiffResp, hasDiffs), uv(0)), "empty diff block"},
 		{"presence bit over empty wants", cat(hdr(KDiffReq, hasWants), uv(0)), "empty want block"},
-		{"presence bit over empty data", cat(hdr(KPageResp, hasData), uv(0)), "empty data block"},
 		{"presence bit over empty section clock", section(hasVC, uv(0)), "empty section clock"},
 		{"unknown section presence bits", section(hasWants), "unknown section presence bits"},
 		// Varints: one encoding per value, and no value wider than its field.
@@ -157,7 +192,7 @@ func TestDecodeMalformed(t *testing.T) {
 		// an unknown kind like any other.
 		{"compressed frame in message position", cat(hdr(retiredCompressedKind, 0)), "unknown message kind"},
 	}
-	for _, tc := range cases {
+	for _, tc := range append(cases, malformedData...) {
 		t.Run(tc.name, func(t *testing.T) {
 			m, err := Decode(tc.in)
 			if err == nil {
@@ -234,7 +269,9 @@ func appendBatchRaw(count int, subs ...[]byte) []byte {
 
 // TestDecodeHostileCountAllocation: a tiny frame claiming 2^24 interval
 // pages must be rejected by the remaining-bytes bound, not by attempting
-// the allocation (this fails fast under the fuzzer's memory limits too).
+// the allocation (this fails fast under the fuzzer's memory limits too) —
+// and one claiming 2^31 expanded data bytes by the bound that stands in
+// for it.
 func TestDecodeHostileCountAllocation(t *testing.T) {
 	b := cat(hdr(KLockGrant, hasIntervals),
 		uv(1),       // one interval
@@ -247,6 +284,37 @@ func TestDecodeHostileCountAllocation(t *testing.T) {
 	_, err := Decode(b)
 	if err == nil || !strings.Contains(err.Error(), "implausible interval page count") {
 		t.Fatalf("err = %v, want implausible interval page count", err)
+	}
+
+	// A Data block is zero-suppressed, so ten bytes can announce any
+	// expanded length and the bytes remaining bound nothing: 2^31 must be
+	// refused by MaxDataBytes before the buffer is allocated, and the
+	// largest admitted length costs that one buffer.
+	allocated := func(frame []byte) (uint64, error) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		m, err := Decode(frame)
+		runtime.ReadMemStats(&after)
+		m.Release()
+		return after.TotalAlloc - before.TotalAlloc, err
+	}
+	hostile := dataFrame(1 << 31)
+	if len(hostile) != 10 {
+		t.Fatalf("hostile data frame is %d bytes, want 10", len(hostile))
+	}
+	got, err := allocated(hostile)
+	if err == nil || !strings.Contains(err.Error(), "implausible data length") {
+		t.Fatalf("err = %v, want implausible data length", err)
+	}
+	if got > 4096 {
+		t.Errorf("refusing the frame allocated %d bytes", got)
+	}
+	got, err = allocated(dataFrame(MaxDataBytes, uv(0)))
+	if err != nil {
+		t.Fatalf("a zero block of the largest admitted length: %v", err)
+	}
+	if got < MaxDataBytes || got >= 2*MaxDataBytes {
+		t.Errorf("decoding %d zero bytes allocated %d, want the one buffer", MaxDataBytes, got)
 	}
 }
 
@@ -285,10 +353,10 @@ func FuzzDecode(f *testing.F) {
 	f.Add(batch)
 	f.Add(batch[:len(batch)-2])
 	f.Add(append(append([]byte(nil), batch...), 0xfe))
-	// A page-sized payload, alone and inside a batch, plus damaged
-	// variants: the multi-byte length prefixes and the Data block's bound
-	// check against the bytes left.
-	big := &Msg{Kind: KPageResp, Seq: 12, A: 1, Data: make([]byte, 1024)}
+	// A dense page-sized payload, alone and inside a batch, plus damaged
+	// variants: the multi-byte length prefixes and a run as long as the
+	// block.
+	big := &Msg{Kind: KPageResp, Seq: 12, A: 1, Data: bytes.Repeat([]byte{0x5a}, 1024)}
 	for _, frame := range [][]byte{big.EncodeAppend(nil), appendBatch(nil, sampleMsgs()[0], big)} {
 		f.Add(frame)
 		f.Add(frame[:len(frame)-3])
@@ -301,6 +369,13 @@ func FuzzDecode(f *testing.F) {
 	// sit under the enclosing one (the zig-zag path).
 	f.Add([]byte{byte(KLockReq), 0, 0x88, 0x00, 3, 0})
 	f.Add(cat(hdr(KLockGrant, hasIntervals), uv(0)))
+	// Data blocks: a sparse page, a run split finer than the encoder splits
+	// it (accepted; re-encodes merged), and every lie about length and runs.
+	f.Add(dataFrame(64, uv(2), run(8, 8), run(40, 24)))
+	f.Add(dataFrame(64, uv(2), run(8, 8), run(16, 8)))
+	for _, tc := range malformedData {
+		f.Add(tc.in)
+	}
 	f.Add((&Msg{Kind: KLockGrant, Seq: 14, VC: vc.VC{1, 1},
 		Intervals: []IntervalRec{{Proc: 1, Index: 9, VC: vc.VC{-1, 9}, Pages: []mem.PageID{9, 2}}}}).EncodeAppend(nil))
 	f.Fuzz(func(t *testing.T, b []byte) {

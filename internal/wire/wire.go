@@ -21,7 +21,7 @@
 //	Intervals   uv n, n records (below)                    1 <= n, 4n <= bytes left
 //	Diffs       uv n, n x (uv32 page, proc, index, body)   1 <= n, 4n <= bytes left
 //	Wants       uv n, n x (uv32 page, proc, index)         1 <= n, 3n <= bytes left
-//	Data        uv n, n bytes                              1 <= n <= bytes left
+//	Data        uv n, data body (below)                    1 <= n <= MaxDataBytes, before n sizes the buffer
 //	Sections    uv n, n x (uv mode, presence byte with     2n <= bytes left; mode <= 255; bit set <=>
 //	            the VC/Intervals/Diffs bits, blocks)       Msg.Sections != nil; a section's VC has n >= 1
 //
@@ -29,6 +29,17 @@
 //	record      uv n, n clock entries,
 //	            uv p, p pages: uv32(page - previous page)  p <= bytes left
 //	diff body   uv r, r x (uv32 off, uv32 len, len bytes)  2r <= bytes left; off < 2^31; len <= bytes left
+//	data body   uv r, r x (uv32 off, uv32 len, len bytes)  3r <= bytes left; len >= 1; off >= previous
+//	                                                       off + len; off + len <= n; len <= bytes left
+//
+// Data is n bytes travelling zero-suppressed: the data body is the diff
+// body grammar applied to the block's difference from n zero bytes, the
+// initial image of every page. Its runs are the maximal stretches of
+// non-zero aligned 8-byte words (a short final word counts as one), in
+// ascending order; the bytes between them are zero and do not travel.
+// A whole-page transfer is therefore a diff against the zero page: a
+// never-written page is three bytes, a page without a zero word costs four
+// bytes over its contents, and there is no raw form.
 //
 // A record's clock entries are delta-coded when the enclosing message or
 // section carries a clock of the same length: entry k is the zig-zag
@@ -44,9 +55,12 @@
 // An accepted frame has exactly one encoding: varints must be minimal
 // and fit their field, a presence bit over an empty block is rejected
 // (except the two blocks whose emptiness differs from their absence, VC
-// and Sections), and trailing bytes are an error. Every count is checked
-// against the bytes remaining, at the smallest possible item size, before
-// it sizes an allocation.
+// and Sections), and trailing bytes are an error. (The run tables are the
+// exception: a diff body's runs may overlap, and a data body split finer
+// than the encoder splits it decodes to the same bytes.) Every count is
+// checked against the bytes remaining, at the smallest possible item size,
+// before it sizes an allocation; the one length the frame cannot vouch
+// for, Data's expanded n, is checked against MaxDataBytes instead.
 //
 // Frames: a payload is one message, or a batch frame — the KBatch byte,
 // uv count (>= 2), then count sub-frames of uv length + message. There
@@ -430,6 +444,7 @@ const (
 	minIntervalBytes = 4 // proc, index, clock count, page count
 	minDiffBytes     = 4 // page, proc, index, run count
 	minRunBytes      = 2 // offset, length
+	minDataRunBytes  = 3 // offset, length, one byte: a data run is never empty
 	minWantBytes     = 3 // page, proc, index
 	minSectionBytes  = 2 // mode, presence
 	// minBatchedBytes is a sub-frame: its length prefix and a message.
@@ -437,6 +452,12 @@ const (
 	// maxClock bounds a clock's entry count (Config.Procs is capped at 64).
 	maxClock = 64
 )
+
+// MaxDataBytes bounds the expanded length of a Data block — a page copy or
+// a barrier's plan blob. Zero suppression means the frame's own length no
+// longer vouches for it, so Decode checks the announced length against
+// this before allocating; internal/dsm refuses a page size above it.
+const MaxDataBytes = 4 << 20
 
 // EncodeAppend appends the message's encoding to buf and returns the
 // extended slice — the append-style encoder of the hot send path: with a
@@ -471,17 +492,23 @@ func payloadHint(ivs []IntervalRec, diffs []DiffRec) int {
 // AppendBatched appends m as one sub-frame of a batch frame — its encoded
 // length, then the encoding — and returns that length with the buffer.
 func AppendBatched(buf []byte, m *Msg) (out []byte, size int) {
-	// One byte holds the length of most messages; a longer one has its
-	// encoding shifted up to make room once the length is known.
+	// One byte holds the length of most messages.
 	start := len(buf)
 	buf = m.EncodeAppend(append(buf, 0))
 	size = len(buf) - start - 1
-	if wider := lenLen(size) - 1; wider > 0 {
+	return setLen(buf, start, size), size
+}
+
+// setLen writes n as the varint at buf[at], where its first byte was
+// reserved before what follows was known; a wider varint moves what follows
+// up to make room.
+func setLen(buf []byte, at, n int) []byte {
+	if wider := lenLen(n) - 1; wider > 0 {
 		buf = append(buf, make([]byte, wider)...)
-		copy(buf[start+1+wider:], buf[start+1:start+1+size])
+		copy(buf[at+1+wider:], buf[at+1:len(buf)-wider])
 	}
-	binary.PutUvarint(buf[start:], uint64(size))
-	return buf, size
+	binary.PutUvarint(buf[at:], uint64(n))
+	return buf
 }
 
 // PrefixLength turns buf, which holds exactly one message's plain
@@ -524,8 +551,7 @@ func (m *Msg) appendTo(buf []byte) []byte {
 		}
 	}
 	if present&hasData != 0 {
-		buf = putLen(buf, len(m.Data))
-		buf = append(buf, m.Data...)
+		buf = appendData(buf, m.Data)
 	}
 	if present&hasSections != 0 {
 		buf = putLen(buf, len(m.Sections))
@@ -603,6 +629,24 @@ func appendInterval(buf []byte, iv *IntervalRec, base vc.VC) []byte {
 		prev = p
 	}
 	return buf
+}
+
+// appendData encodes the Data block: the expanded length, then the non-zero
+// words of data as the runs of a diff body — data's diff against the
+// all-zero initial image, scanned straight out of the sender's copy into
+// the frame. A run is split only where a whole zero word saves more than
+// the next run's descriptor costs, so a dense page pays one descriptor.
+func appendData(buf, data []byte) []byte {
+	buf = putLen(buf, len(data))
+	at := len(buf)
+	buf = append(buf, 0) // the run count; one byte holds most
+	runs := 0
+	for off, end := page.NextNonZeroRun(data, 0); off < len(data); off, end = page.NextNonZeroRun(data, end) {
+		buf = putLen(putLen(buf, off), end-off)
+		buf = append(buf, data[off:end]...)
+		runs++
+	}
+	return setLen(buf, at, runs)
 }
 
 // zigzag folds a signed delta so small magnitudes of either sign encode
@@ -817,11 +861,7 @@ func (m *Msg) decode(b []byte) error {
 		}
 	}
 	if present&hasData != 0 {
-		if payload := d.bytes(d.blockCount("data", 1)); len(payload) > 0 {
-			data := make([]byte, len(payload))
-			copy(data, payload)
-			m.Data = data
-		}
+		m.Data = d.data()
 	}
 	if present&hasSections != 0 {
 		if n := d.countItems("section", minSectionBytes); n == 1 {
@@ -882,6 +922,51 @@ func (d *decoder) payload(present byte, emptyClock bool) (clock vc.VC, ivs []Int
 		diffs = d.diffList()
 	}
 	return clock, ivs, diffs
+}
+
+// data decodes a Data block (the inverse of appendData) into the one
+// buffer the message owns. The announced length is the only number here
+// that sizes an allocation, and no frame is short enough to vouch for it —
+// an all-zero page is three bytes — so it answers to MaxDataBytes. Runs
+// must be non-empty, ascending, disjoint and inside the announced length;
+// what they leave out is zero.
+func (d *decoder) data() []byte {
+	n := d.uvarint()
+	switch {
+	case d.err != nil:
+		return nil
+	case n == 0:
+		d.fail("presence bit over an empty data block")
+		return nil
+	case n > MaxDataBytes:
+		d.fail("implausible data length %d (limit %d)", n, MaxDataBytes)
+		return nil
+	}
+	runs := d.countItems("data run", minDataRunBytes)
+	if d.err != nil {
+		return nil
+	}
+	out := make([]byte, n)
+	end := uint64(0)
+	for ; runs > 0; runs-- {
+		off, size := uint64(d.u32()), uint64(d.u32())
+		switch {
+		case d.err != nil:
+		case size == 0:
+			d.fail("empty data run at offset %d", off)
+		case off < end:
+			d.fail("data run at offset %d overlaps or precedes the run ending at %d", off, end)
+		case off+size > n:
+			d.fail("data run [%d,%d) past the announced %d bytes", off, off+size, n)
+		}
+		payload := d.bytes(int(size))
+		if d.err != nil {
+			return nil
+		}
+		copy(out[off:], payload)
+		end = off + size
+	}
+	return out
 }
 
 // intervalList decodes an interval block (the inverse of appendInterval

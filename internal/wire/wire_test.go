@@ -589,7 +589,16 @@ func TestGoldenSizes(t *testing.T) {
 		{"diff response, one 4-byte run", &Msg{Kind: KDiffResp, Seq: 1000,
 			Diffs: []DiffRec{{Page: 300, Proc: 2, Index: 650, Diff: diff}}}, 20, 20},
 		{"page request", &Msg{Kind: KPageReq, Seq: 1000, A: 300, B: 3}, 7, 8},
-		{"page response", &Msg{Kind: KPageResp, Seq: 1000, A: 300, VC: clock, Data: make([]byte, 4096)}, 4114, 4116},
+		// A page ship is the page's diff against the zero page: a dense
+		// page pays one run descriptor (4 bytes over the raw 4,114), a
+		// water-shaped one — sixteen 24-byte molecules at a 256-byte stride
+		// — ships its 384 used bytes, a never-written one nothing.
+		{"page response, dense", &Msg{Kind: KPageResp, Seq: 1000, A: 300, VC: clock,
+			Data: bytes.Repeat([]byte{0xab}, 4096)}, 4118, 4118},
+		{"page response, water-shaped", &Msg{Kind: KPageResp, Seq: 1000, A: 300, VC: clock,
+			Data: stridedPage(4096, 256, 24)}, 450, 480},
+		{"page response, zero page", &Msg{Kind: KPageResp, Seq: 1000, A: 300, VC: clock,
+			Data: make([]byte, 4096)}, 19, 24},
 		{"barrier arrival, one own interval", &Msg{Kind: KBarrierArrive, Seq: 1000, A: 9, B: 3,
 			Sections: []Section{{Mode: lazy, VC: clock, Intervals: []IntervalRec{rec}}}}, 30, 32},
 		{"gc ready", &Msg{Kind: KGCReady, Seq: 1000, A: 9, B: 3}, 6, 8},
@@ -605,6 +614,69 @@ func TestGoldenSizes(t *testing.T) {
 	}
 	if got := len(AppendBatchHeader(nil, 3)); got != 2 {
 		t.Errorf("batch header = %d bytes, want 2", got)
+	}
+}
+
+// stridedPage returns size bytes with the first used bytes of every stride
+// non-zero: the padded-record layout a DSM program uses against false
+// sharing.
+func stridedPage(size, stride, used int) []byte {
+	p := make([]byte, size)
+	for off := 0; off < size; off += stride {
+		for k := 0; k < used; k++ {
+			p[off+k] = 0xab
+		}
+	}
+	return p
+}
+
+// TestDataRoundTripsZeroSuppressed: whatever the buffer — all zero, dense,
+// sparse, any length with any tail — the Data block decodes to the same
+// bytes, and zero suppression never costs more than one run descriptor
+// over the length-prefixed raw bytes it replaced.
+func TestDataRoundTripsZeroSuppressed(t *testing.T) {
+	r := rand.New(rand.NewSource(19))
+	const maxLen = 8192
+	dense := make([]byte, maxLen)
+	for i := range dense {
+		dense[i] = byte(1 + r.Intn(255))
+	}
+	shapes := []struct {
+		name string
+		fill func(b []byte)
+	}{
+		{"zero", func(b []byte) {}},
+		{"dense", func(b []byte) { copy(b, dense) }},
+		// Random values, so some written bytes are themselves zero.
+		{"sparse", func(b []byte) {
+			for k := r.Intn(8); k >= 0; k-- {
+				off := r.Intn(len(b))
+				r.Read(b[off:min(len(b), off+1+r.Intn(40))])
+			}
+		}},
+		{"tail only", func(b []byte) { b[len(b)-1] = 7 }},
+	}
+	buf := make([]byte, maxLen)
+	var enc []byte
+	for n := 1; n <= maxLen; n++ {
+		for _, shape := range shapes {
+			data := buf[:n]
+			clear(data)
+			shape.fill(data)
+			enc = (&Msg{Kind: KPageResp, Data: data}).EncodeAppend(enc[:0])
+			raw := minMsgBytes + lenLen(n) + n
+			if len(enc) > raw+4 {
+				t.Fatalf("%s, %d bytes: encoded %d, raw %d", shape.name, n, len(enc), raw)
+			}
+			got, err := Decode(enc)
+			if err != nil {
+				t.Fatalf("%s, %d bytes: %v", shape.name, n, err)
+			}
+			if !bytes.Equal(got.Data, data) {
+				t.Fatalf("%s, %d bytes: decoded data differs", shape.name, n)
+			}
+			got.Release()
+		}
 	}
 }
 
