@@ -1,7 +1,9 @@
 package dsm
 
 import (
+	"bytes"
 	"encoding/binary"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -151,14 +153,9 @@ func TestZeroPageServeAllocatesNothing(t *testing.T) {
 		size := 0
 		allocs := testing.AllocsPerRun(200, func() {
 			serve()
-			// Take the staged answer back instead of flushing it at a node
-			// that never asked.
-			d.mu.Lock()
-			size = len(d.buf)
-			framebuf.Put(d.buf)
-			d.buf, d.ends = nil, d.ends[:0]
-			d.count.Store(0)
-			d.mu.Unlock()
+			buf := takeStaged(d)
+			size = len(buf)
+			framebuf.Put(buf)
 		})
 		if allocs != 0 {
 			t.Errorf("serving a never-materialized page allocates %.1f objects, want 0", allocs)
@@ -167,4 +164,166 @@ func TestZeroPageServeAllocatesNothing(t *testing.T) {
 			t.Errorf("a zero page ships as %d bytes, want 1..16", size)
 		}
 	})
+}
+
+// takeStaged takes back what is staged for d, instead of flushing it at a
+// node that never asked.
+func takeStaged(d *outDest) []byte {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	buf := d.buf
+	d.buf, d.ends = nil, d.ends[:0]
+	d.count.Store(0)
+	return buf
+}
+
+// allocatedBy returns the bytes the process allocated while f ran. The
+// clusters under test are idle but for what f drives, so this is f's own
+// bill, handler goroutines included. The gates below take the cheapest of
+// their runs: the frame list is FIFO and shared with every test before
+// them, so some runs grow a small frame to fit a page, and the gates are
+// on a run whose pools all hit.
+func allocatedBy(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// warmDiffPool leaves n bodies of a dense diff of a pageSize page in the
+// page pool, as a GC epoch leaves the bodies it discarded.
+func warmDiffPool(n, pageSize int) {
+	tw, cur := page.NewTwin(make([]byte, pageSize)), bytes.Repeat([]byte{1}, pageSize)
+	warm := make([]*page.Diff, n)
+	for i := range warm {
+		warm[i], _ = page.MakeDiff(tw, cur)
+	}
+	for _, d := range warm {
+		d.Release()
+	}
+	tw.Release()
+}
+
+// TestDenseDiffServeAllocatesNoBody: with a warm pool, the first serve of
+// a deferred dense 4 KiB diff — MakeDiff into a pooled body, the response
+// encoded into a pooled frame — allocates the diff's bookkeeping (its
+// struct, one run, one window) and nothing the size of a page: 120 B,
+// where a body made with make took it past 4,864 B.
+func TestDenseDiffServeAllocatesNoBody(t *testing.T) {
+	const pageSize, serves, bound = 4096, 50, 512
+	s, err := New(Config{Procs: 2, SpaceSize: 8 * pageSize, PageSize: pageSize, Mode: LazyInvalidate})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := s.Close(); err != nil {
+			t.Errorf("Close: %v", err)
+		}
+	}()
+	n := s.Node(0)
+	e := n.rt.engines[LazyInvalidate].(*lazyEngine)
+	pg := mem.PageID(0)
+	for n.homeOf(pg) != n.id {
+		pg++
+	}
+	warmDiffPool(serves, pageSize)
+	dst := &n.out.dsts[1]
+	buf := make([]byte, pageSize)
+	req := &wire.Msg{Kind: wire.KDiffReq, A: 1, Wants: make([]wire.Want, 1)}
+	least := ^uint64(0)
+	for i := 0; i < serves; i++ {
+		// A fresh interval rewrites every byte of the page; its diff stays
+		// deferred until the request below asks for it.
+		for k := range buf {
+			buf[k] = byte(i + 1)
+		}
+		if err := n.Write(s.Layout().Base(pg), buf); err != nil {
+			t.Fatal(err)
+		}
+		e.release()
+		req.Seq, req.Wants[0] = uint64(i), wire.Want{Page: pg, Proc: n.id, Index: e.clock()[n.id]}
+		made := n.Stats().DiffsCreated
+		spent := allocatedBy(func() { e.handleDiffReq(req, 1) })
+		if n.Stats().DiffsCreated != made+1 {
+			t.Fatal("the serve did not materialize a deferred diff")
+		}
+		staged := takeStaged(dst)
+		if len(staged) < pageSize {
+			t.Fatalf("the response is %d bytes, want a dense page's diff", len(staged))
+		}
+		framebuf.Put(staged)
+		least = min(least, spent)
+	}
+	if least >= bound {
+		t.Errorf("materializing and serving one dense %d-byte diff allocates %d B, want < %d", pageSize, least, bound)
+	} else {
+		t.Logf("%d B per materialize + serve", least)
+	}
+}
+
+// TestEagerFlushBurstAllocatesNoScratch: one EU release that dirtied four
+// dense pages cached at the three other nodes — four KFlushReqs in one
+// burst, four home transactions fanning twelve updates out — allocates, on
+// all four nodes together, the messages' bookkeeping: no diff body (pooled,
+// returned when the burst is acknowledged) and no []pend / []outMsg
+// scratch (bursts of up to four live in the flusher's and the homes'
+// frames). The two were 31 KB of this flush's 36 KB: four 4,864 B bodies,
+// and bursts appended a message at a time into slices grown from nil;
+// 4.3 KB is left.
+func TestEagerFlushBurstAllocatesNoScratch(t *testing.T) {
+	const procs, pages, pageSize, flushes, bound = 4, 4, 4096, 30, 8 << 10
+	s, err := New(Config{Procs: procs, SpaceSize: procs * pages * pageSize, PageSize: pageSize, Mode: EagerUpdate})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := s.Close(); err != nil {
+			t.Errorf("Close: %v", err)
+		}
+	}()
+	flusher := s.Node(0)
+	buf := make([]byte, pages*pageSize)
+	rewrite := func(i int) {
+		for k := range buf {
+			buf[k] = byte(i + 1)
+		}
+		if err := flusher.Write(0, buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	flush := func() {
+		if err := flusher.rt.preRelease(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rewrite(0)
+	flush()
+	got := make([]byte, len(buf))
+	for id := 1; id < procs; id++ {
+		if err := s.Node(id).Read(got, 0); err != nil { // join every copyset
+			t.Fatal(err)
+		}
+	}
+	warmDiffPool(pages, pageSize)
+	least := ^uint64(0)
+	for i := 1; i <= flushes; i++ {
+		rewrite(i)
+		before := flusher.Stats()
+		spent := allocatedBy(flush)
+		if after := flusher.Stats(); after.FlushedPages-before.FlushedPages != pages {
+			t.Fatalf("the flush pushed %d pages, want %d", after.FlushedPages-before.FlushedPages, pages)
+		}
+		least = min(least, spent)
+	}
+	for id := 1; id < procs; id++ {
+		if err := s.Node(id).Read(got, 0); err != nil || !bytes.Equal(got, buf) {
+			t.Fatalf("node %d does not hold the last flush (err %v)", id, err)
+		}
+	}
+	if least >= bound {
+		t.Errorf("one EU flush of %d dense pages to %d cachers allocates %d B, want < %d", pages, procs-1, least, bound)
+	} else {
+		t.Logf("%d B per flush", least)
+	}
 }

@@ -54,7 +54,8 @@ type eagerEngine struct {
 	pages []*eagerPage
 
 	// dirtyMu guards the current critical section's dirty-page set. Leaf
-	// lock after a page stripe.
+	// lock after a page stripe. Invariant: twin ≠ nil ⇒ page ∈ dirty ∪
+	// pages claimed by an open drain (a flush's cand).
 	dirtyMu sync.Mutex
 	dirty   map[mem.PageID]struct{}
 
@@ -206,6 +207,7 @@ func (e *eagerEngine) installPage(m *wire.Msg) bool {
 		if err := du.Apply(pc.data); err != nil {
 			panic(fmt.Sprintf("dsm: node %d: reinstating uncommitted writes on page %d: %v", n.id, pg, err))
 		}
+		du.Release()
 	} else {
 		pc.data = m.Data
 	}
@@ -232,18 +234,16 @@ func (e *eagerEngine) writePage(pg mem.PageID, off int, src []byte) error {
 	pmu := e.n.pageLock(pg)
 	pmu.Lock()
 	pc := e.pages[pg]
-	created := false
 	if pc.twin == nil {
 		pc.twin = page.NewTwin(pc.data)
-		created = true
-	}
-	copy(pc.data[off:off+len(src)], src)
-	pmu.Unlock()
-	if created {
+		// Registered under the stripe that made the twin, so a second local
+		// goroutine that finds the twin and releases flushes the page.
 		e.dirtyMu.Lock()
 		e.dirty[pg] = struct{}{}
 		e.dirtyMu.Unlock()
 	}
+	copy(pc.data[off:off+len(src)], src)
+	pmu.Unlock()
 	return nil
 }
 
@@ -316,7 +316,9 @@ func (e *eagerEngine) flushPages(cand []mem.PageID) error {
 		slot chan struct{}
 		req  wire.Msg
 	}
-	var pends []pend
+	var pendBuf [4]pend // the burst's scratch lives in the frame; a fifth page spills
+	var reqBuf [4]outMsg
+	pends, reqs := pendBuf[:0], reqBuf[:0]
 	// releaseSlots frees every claimed slot; called once whether the
 	// burst succeeds, fails, or is abandoned mid-claim.
 	releaseSlots := func() {
@@ -407,11 +409,10 @@ func (e *eagerEngine) flushPages(cand []mem.PageID) error {
 	// The shard workers apply each KFlushDone payload (write-backs, base
 	// data) before delivering it here; by the time rpcAll returns, this
 	// node's copies are the pages' authoritative state.
-	reqs := make([]outMsg, len(pends))
 	e.flightMu.Lock()
-	for i, p := range pends {
+	for _, p := range pends {
 		e.inflight[p.req.Seq] = p.fs
-		reqs[i] = outMsg{dst: n.homeOf(p.fs.pg), m: p.req}
+		reqs = append(reqs, outMsg{dst: n.homeOf(p.fs.pg), m: p.req})
 	}
 	e.flightMu.Unlock()
 	dones, err := n.rpcAll(reqs, nil)
@@ -428,7 +429,11 @@ func (e *eagerEngine) flushPages(cand []mem.PageID) error {
 	}
 	releaseSlots()
 	if err != nil {
+		// The diffs stay with the collector: a late KFlushDone may read one.
 		return err
+	}
+	for i := range pends {
+		pends[i].fs.diff.Release() // every reconciliation has applied it
 	}
 	n.stats.flushedPages.Add(int64(len(pends)))
 	return nil
@@ -621,8 +626,9 @@ func (e *eagerEngine) serveFlushReq(m *wire.Msg) {
 	// the whole exchange either way, so the transaction's position in
 	// each cacher's stream is unchanged.
 	others := d.copyset &^ (1 << uint(flusher))
-	var targets []mem.ProcID
-	var reqs []outMsg
+	var targetBuf [4]mem.ProcID // in the frame, like flushPages' burst
+	var reqBuf [4]outMsg
+	targets, reqs := targetBuf[:0], reqBuf[:0]
 	for q := 0; others != 0; q++ {
 		bit := uint64(1) << uint(q)
 		if others&bit == 0 {
@@ -733,6 +739,7 @@ func (e *eagerEngine) applyInval(m *wire.Msg, src mem.ProcID) {
 	pmu.Unlock()
 	n.stats.invalsReceived.Add(1)
 	n.stage(src, ack)
+	releaseDiffs(ack) // the write-back is in the frame
 }
 
 // applyUpdate applies a releaser's diff to this node's copy (EU). The
@@ -872,6 +879,7 @@ func (e *eagerEngine) applyFlushDone(m *wire.Msg) bool {
 			if err := uncommitted.Apply(pc.data); err != nil {
 				fail("reinstating uncommitted writes on", err)
 			}
+			uncommitted.Release()
 		}
 		pc.twin.Release()
 		pc.twin = page.NewTwin(committed)

@@ -73,7 +73,8 @@ type lazyEngine struct {
 
 	// dirtyMu guards the current interval's dirty-page set (pages with a
 	// live twin). Leaf lock: taken with a page stripe or e.mu held,
-	// never the other way around.
+	// never the other way around. Invariant: twin ≠ nil ⇒ page ∈ dirty ∪
+	// pages claimed by an open drain (closeIntervalLocked's cand).
 	dirtyMu sync.Mutex
 	dirty   map[mem.PageID]struct{}
 
@@ -564,6 +565,26 @@ func releaseAll(msgs []*wire.Msg) {
 	}
 }
 
+// releaseSteps drops a plan's counts on its steps.
+func releaseSteps(steps []*page.Diff) {
+	for _, d := range steps {
+		d.Release()
+	}
+}
+
+// releaseDiffs drops the counts the builder of m took on the diffs it
+// names, flat or in a section, once m is encoded.
+func releaseDiffs(m *wire.Msg) {
+	for _, r := range m.Diffs {
+		r.Diff.Release()
+	}
+	for i := range m.Sections {
+		for _, r := range m.Sections[i].Diffs {
+			r.Diff.Release()
+		}
+	}
+}
+
 // validate brings page pg's local copy up to date; the valid-copy check
 // is the access hit path. Callers must hold no engine or stripe locks.
 func (e *lazyEngine) validate(pg mem.PageID) error {
@@ -597,7 +618,10 @@ func (e *lazyEngine) serviceMiss(pg mem.PageID, held fetchedDiffs) error {
 	if held == nil {
 		held = heldBuf[:0]
 	}
-	defer func() { releaseAll(held) }()
+	// A plan step out of the store is applied after e.mu is dropped, on a
+	// count of its own (one out of a held response borrows, and counts nothing).
+	steps := stepBuf[:0]
+	defer func() { releaseAll(held); releaseSteps(steps) }()
 	pmu := n.pageLock(pg)
 	mmu := n.missLock(pg)
 	mmu.Lock()
@@ -707,7 +731,8 @@ func (e *lazyEngine) serviceMiss(pg mem.PageID, held fetchedDiffs) error {
 		// if a plain diff of one member reached the store meanwhile.
 		// Outstanding excludes this node's own intervals, so a step from
 		// the store is a received diff — always materialized.
-		steps := stepBuf[:0]
+		releaseSteps(steps)
+		steps = steps[:0]
 		e.mu.Lock()
 		for _, id := range out {
 			d := held.find(pg, id)
@@ -718,7 +743,7 @@ func (e *lazyEngine) serviceMiss(pg mem.PageID, held fetchedDiffs) error {
 				e.mu.Unlock()
 				return fmt.Errorf("dsm: node %d: diff %v for page %d unavailable", n.id, id, pg)
 			}
-			steps = append(steps, d)
+			steps = append(steps, d.Retain())
 		}
 		e.mu.Unlock()
 
@@ -908,6 +933,7 @@ func (e *lazyEngine) storeDiffRecsLocked(recs []wire.DiffRec, fetched bool) {
 				e.n.stats.diffsFetched.Add(1)
 			}
 		case flat[i] && rec.Proc != e.n.id && existing.d != nil:
+			existing.d.Release()
 			slots[k] = diffSlot{held: true, d: rec.Diff.Clone(), flat: true}
 		}
 	}
@@ -1003,7 +1029,6 @@ func (e *lazyEngine) writePage(pg mem.PageID, off int, src []byte) error {
 	pmu := e.n.pageLock(pg)
 	pmu.Lock()
 	pc := e.pages[pg]
-	created := false
 	if pc.twin == nil {
 		pc.twin = e.newTwin(pc.data)
 		if pc.pending != nil {
@@ -1014,15 +1039,14 @@ func (e *lazyEngine) writePage(pg mem.PageID, off int, src []byte) error {
 			pc.pending.target = pc.twin.Retain()
 			pc.pending = nil
 		}
-		created = true
-	}
-	copy(pc.data[off:off+len(src)], src)
-	pmu.Unlock()
-	if created {
+		// Registered under the stripe that made the twin: a second local
+		// goroutine that finds the twin and releases finds the page dirty.
 		e.dirtyMu.Lock()
 		e.dirty[pg] = struct{}{}
 		e.dirtyMu.Unlock()
 	}
+	copy(pc.data[off:off+len(src)], src)
+	pmu.Unlock()
 	return nil
 }
 
@@ -1070,7 +1094,7 @@ func (e *lazyEngine) grant(req, grant *wire.Msg) {
 				pmu.Unlock()
 				e.noteServe(&slot.served)
 				grant.Diffs = append(grant.Diffs, wire.DiffRec{
-					Page: pg, Proc: id.Proc, Index: id.Index, Diff: d,
+					Page: pg, Proc: id.Proc, Index: id.Index, Diff: d.Retain(), // sendGrant releases
 				})
 			}
 		}
@@ -1311,6 +1335,8 @@ func (e *lazyEngine) runGC(b mem.BarrierID) error {
 				} else if pc := e.pages[pg]; pc != nil && pc.pending == slot {
 					pc.pending = nil
 				}
+			} else {
+				slot.d.Release() // the store's count; a serve in flight has its own
 			}
 			pmu.Unlock()
 		}
@@ -1318,7 +1344,10 @@ func (e *lazyEngine) runGC(b mem.BarrierID) error {
 	}
 	// Flattened serves merge only pre-epoch intervals their requesters
 	// still needed; the epoch retires them with the diffs they merged.
-	e.flat = make(map[flatKey]*flatEntry)
+	for _, flat := range e.flat {
+		flat.d.Release()
+	}
+	clear(e.flat)
 	e.sweepParkedLocked()
 	n.stats.gcRuns.Add(1)
 	return nil
@@ -1483,7 +1512,7 @@ func (e *lazyEngine) handleDiffReq(m *wire.Msg, src mem.ProcID) {
 			if flat := e.flattenGroupLocked(group, diffs[i:j]); flat != nil {
 				e.noteServe(&flat.served)
 				resp.Diffs = append(resp.Diffs, wire.DiffRec{
-					Page: w.Page, Proc: w.Proc, Index: w.Index, Diff: flat.d,
+					Page: w.Page, Proc: w.Proc, Index: w.Index, Diff: flat.d.Retain(),
 				})
 				for _, g := range group[1:] {
 					resp.Diffs = append(resp.Diffs, wire.DiffRec{
@@ -1499,15 +1528,17 @@ func (e *lazyEngine) handleDiffReq(m *wire.Msg, src mem.ProcID) {
 			e.noteServe(&slots[k].served)
 			resp.Diffs = append(resp.Diffs, wire.DiffRec{
 				Page: m.Wants[k].Page, Proc: m.Wants[k].Proc, Index: m.Wants[k].Index,
-				Diff: diffs[k],
+				Diff: diffs[k].Retain(),
 			})
 		}
 		i = j
 	}
 	e.mu.Unlock()
 	// Staged: the shard worker's drain point flushes it, so a burst of
-	// diff requests from one prefetching peer answers in few frames.
+	// diff requests from one prefetching peer answers in few frames. The
+	// store may discard the diffs now: stage reads them on the counts above.
 	n.stage(src, &resp)
+	releaseDiffs(&resp)
 }
 
 // flattenGroupLocked merges the diffs of a same-page ascending run of
@@ -1546,7 +1577,8 @@ func (e *lazyEngine) flattenGroupLocked(group []wire.Want, diffs []*page.Diff) *
 		// The wholesale drop in runGC never runs with barrier GC disabled
 		// (GCEveryBarriers=0), so the cache bounds itself: evict an
 		// arbitrary entry (map order) — a re-merge costs one FlattenDiffs.
-		for k := range e.flat {
+		for k, old := range e.flat {
+			old.d.Release()
 			delete(e.flat, k)
 			break
 		}

@@ -1,11 +1,14 @@
 package dsm
 
 import (
+	"bytes"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/framebuf"
 	"repro/internal/mem"
 	"repro/internal/wire"
@@ -188,4 +191,124 @@ func TestWaiterReleaseIsMarked(t *testing.T) {
 		t.Errorf("register did not reuse the released waiter")
 	}
 	n.unregister(seq, false)
+}
+
+// parkedDiffServe is the fixture of the two tests below: node 1 makes a
+// diff, a request for it from node 2 is served by hand and parked between
+// the serve's locked section and its stage (the test holds the
+// destination's lock, which stage needs), and a barrier's GC epoch then
+// discards the diff from node 1's store. With early set the fixture
+// commits the bug a counted body allows — dropping a count while something
+// still reads on it — by releasing the parked response's count before it
+// is encoded. It returns the bytes the writer wrote, the frame the serve
+// staged, and what the serve's goroutine panicked with.
+func parkedDiffServe(t *testing.T, early bool) (want, frame []byte, panicked any) {
+	s, err := New(Config{Procs: 3, SpaceSize: 64 * 1024, PageSize: 1024, Mode: LazyInvalidate, GCEveryBarriers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := s.Close(); err != nil {
+			t.Errorf("Close: %v", err)
+		}
+	})
+	writer := s.Node(1)
+	e := writer.rt.engines[LazyInvalidate].(*lazyEngine)
+	// A page the writer homes — no other node materializes it at the epoch,
+	// so the parked serve is the diff's only reader — and a lock it manages.
+	pg := mem.PageID(0)
+	for writer.homeOf(pg) != writer.id {
+		pg++
+	}
+	const lock = mem.LockID(1)
+	want = bytes.Repeat([]byte{0x5A}, 1024)
+	for _, err := range []error{
+		writer.Acquire(lock), writer.Write(s.Layout().Base(pg), want), writer.Release(lock),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	id := core.IntervalID{Proc: writer.id, Index: e.clock()[writer.id]}
+
+	dst := &writer.out.dsts[2]
+	dst.mu.Lock()
+	served := make(chan any)
+	go func() {
+		defer func() { served <- recover() }()
+		e.handleDiffReq(&wire.Msg{Kind: wire.KDiffReq, Seq: 7, A: 2, Wants: []wire.Want{{Page: pg, Proc: id.Proc, Index: id.Index}}}, 2)
+	}()
+	// The serve makes the diff inside its locked section: once the diff
+	// exists and e.mu is free again, the serve is parked at stage.
+	for writer.Stats().DiffsCreated == 0 {
+		runtime.Gosched()
+	}
+	e.mu.Lock()
+	d := e.slotLocked(id, pg).d
+	e.mu.Unlock()
+	if early {
+		d.Release() // the bug: the response's count goes before the response is encoded
+	}
+
+	var wg sync.WaitGroup
+	for _, n := range s.Local() {
+		wg.Add(1)
+		go func(n *Node) {
+			defer wg.Done()
+			if err := n.Barrier(0); err != nil {
+				t.Error(err)
+			}
+		}(n)
+	}
+	wg.Wait()
+	e.mu.Lock()
+	gone := e.slotLocked(id, pg) == nil
+	e.mu.Unlock()
+	if st := writer.Stats(); st.GCRuns != 1 || !gone {
+		t.Fatalf("the epoch did not discard the diff: %d GC runs, slot gone %v", st.GCRuns, gone)
+	}
+
+	dst.mu.Unlock()
+	panicked = <-served
+	return want, takeStaged(dst), panicked
+}
+
+// TestDiffServeSurvivesGC: a diff response built before a GC epoch and
+// encoded after it still ships the diff's bytes — the serve took a count
+// under the engine lock, so the store's discard did not recycle the body.
+// Without handleDiffReq's Retain the frame below is poison.
+func TestDiffServeSurvivesGC(t *testing.T) {
+	want, frame, panicked := parkedDiffServe(t, false)
+	if panicked != nil {
+		t.Fatalf("the serve panicked: %v", panicked)
+	}
+	resp, err := wire.Decode(frame)
+	if err != nil || resp.Kind != wire.KDiffResp || len(resp.Diffs) != 1 {
+		t.Fatalf("staged response does not decode: %v (%+v)", err, resp)
+	}
+	got := make([]byte, len(want))
+	if err := resp.Diffs[0].Diff.Apply(got); err != nil || !bytes.Equal(got, want) {
+		t.Errorf("a diff served across its store's GC discard ships the wrong bytes (err %v, first byte %#x)", err, got[0])
+	}
+}
+
+// TestEarlyDiffReleaseIsCaught: the same serve with its count dropped
+// early. The epoch's discard is then the last release, the body goes back
+// to the pool poisoned, and the response encodes 0xDB where the diff was —
+// no requester can rebuild the writer's page from it — and the serve's own
+// release, one too many now, panics instead of recycling the body twice.
+func TestEarlyDiffReleaseIsCaught(t *testing.T) {
+	want, frame, panicked := parkedDiffServe(t, true)
+	if panicked == nil {
+		t.Error("releasing a diff more often than retained did not panic")
+	}
+	if n := bytes.Count(frame, []byte{framebuf.PoisonByte}); n < len(want) {
+		t.Errorf("a body released while a response still named it was encoded with %d poison bytes, want at least the %d of its payload", n, len(want))
+	}
+	if resp, err := wire.Decode(frame); err == nil && len(resp.Diffs) == 1 {
+		got := make([]byte, len(want))
+		if err := resp.Diffs[0].Diff.Apply(got); err == nil && bytes.Equal(got, want) {
+			t.Error("a diff encoded after its body's release still carried the writer's bytes: the oracle cannot see an early release")
+		}
+	}
 }

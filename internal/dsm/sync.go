@@ -169,6 +169,7 @@ func (n *Node) sendGrant(req *wire.Msg) error {
 	grant.Kind, grant.Seq, grant.A = wire.KLockGrant, req.Seq, req.A
 	n.e.grant(req, grant)
 	err := n.send(mem.ProcID(req.B), grant)
+	releaseDiffs(grant) // LU's piggyback, retained under the engine lock
 	grant.Release()
 	return err
 }

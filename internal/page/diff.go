@@ -78,15 +78,46 @@ func (t *Twin) Release() bool {
 //
 // A diff has one payload representation: its wire body (the layout
 // AppendWireBody documents), held in a single buffer, with each run's
-// data a window of that buffer. MakeDiff, FlattenDiffs and DiffFromRuns
-// lay the body out once, in an exactly sized allocation the diff owns;
-// the wire decoder builds the diff over the received frame's bytes
-// instead (DiffFromWire), and such a diff borrows the frame — Clone is
-// the one way to keep it past the frame's release.
+// data a window of that buffer. MakeDiff, FlattenDiffs, DiffFromRuns and
+// Clone lay the body out once, in a pooled buffer the diff owns as a
+// counted lease: it is made with one reference, whoever reads it beyond
+// the lock that pins its holder takes another (Retain), and the last
+// Release returns the body to the pool — Twin's contract, a recycling one.
+// The wire decoder builds the diff over the received frame's bytes
+// instead (DiffFromWire); such a diff borrows the frame, counts nothing,
+// and Clone is the one way to keep it past the frame's release.
 type Diff struct {
 	runs []Run
 	data [][]byte // data[i] is run i's payload, a window of body
 	body []byte   // nil for a diff without runs
+	// refs counts the holders of an owned body. A borrowed or empty diff
+	// owns none (owned false) and ignores Retain and Release.
+	owned bool
+	refs  atomic.Int32
+}
+
+// Retain adds a reference to an owned body and returns d.
+func (d *Diff) Retain() *Diff {
+	if d != nil && d.owned {
+		d.refs.Add(1)
+	}
+	return d
+}
+
+// Release drops one reference; the last one recycles the body, which
+// must not be read afterwards (it stays in place, so a stale reader sees
+// the pool's poison in test mode). A no-op on a borrowed, empty or nil
+// diff; releasing more often than retained panics.
+func (d *Diff) Release() {
+	if d == nil || !d.owned {
+		return
+	}
+	switch n := d.refs.Add(-1); {
+	case n == 0:
+		putBuf(d.body)
+	case n < 0:
+		panic("page: diff released more often than retained")
+	}
 }
 
 // MakeDiff computes the diff between twin and current, which must be the
@@ -115,18 +146,20 @@ func MakeDiff(twin *Twin, current []byte) (*Diff, error) {
 }
 
 // layOut builds the diff of runs, copying run k's bytes from payload(k)
-// (which must be runs[k].Len long) into a freshly allocated, exactly
-// sized wire body.
+// (which must be runs[k].Len long) into a pooled wire body the diff owns
+// with one reference.
 func layOut(runs []Run, payload func(k int) []byte) *Diff {
 	d := &Diff{runs: runs}
 	if len(runs) == 0 {
 		return d
 	}
+	d.owned = true
+	d.refs.Store(1)
 	size := uvarintLen(uint64(len(runs)))
 	for _, r := range runs {
 		size += uvarintLen(uint64(uint32(r.Off))) + uvarintLen(uint64(uint32(r.Len))) + int(r.Len)
 	}
-	body := binary.AppendUvarint(make([]byte, 0, size), uint64(len(runs)))
+	body := binary.AppendUvarint(getBuf(size)[:0], uint64(len(runs)))
 	for k, r := range runs {
 		body = binary.AppendUvarint(body, uint64(uint32(r.Off)))
 		body = binary.AppendUvarint(body, uint64(uint32(r.Len)))
@@ -359,15 +392,17 @@ func (d *Diff) WireBodySize() int { return len(d.EnsureWireBody()) }
 // uvarintLen returns the length of x's unsigned varint encoding.
 func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
-// Clone returns a copy of the diff that owns its body. A decoded diff
-// borrows the frame it arrived in; whoever keeps one past the frame's
-// release keeps a Clone instead. The run table is shared: it is
-// immutable and never part of a frame.
+// Clone returns a copy of the diff that owns its body, with one
+// reference. A decoded diff borrows the frame it arrived in; whoever
+// keeps one past the frame's release keeps a Clone instead. The run table
+// is shared: it is immutable and never part of a frame.
 func (d *Diff) Clone() *Diff {
 	c := &Diff{runs: d.runs}
 	if d.body != nil {
-		c.body = append([]byte(nil), d.body...)
+		c.body = append(getBuf(len(d.body))[:0], d.body...)
 		c.data = windows(c.body, c.runs)
+		c.owned = true
+		c.refs.Store(1)
 	}
 	return c
 }

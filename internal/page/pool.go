@@ -7,37 +7,41 @@ import (
 	"repro/internal/framebuf"
 )
 
-// Size-classed free lists for page-sized scratch: a mutex-guarded stack
-// per class, non-blocking get/put. Twins are the traffic — every
-// write-notice capture copies a full page, and the engines return each
-// twin's buffer at its final release — with FlattenDiffs' scratch page
-// the only other user.
+// Size-classed free lists for the data plane's buffers: a mutex-guarded
+// stack per class, non-blocking get/put. Twins and diff bodies are the
+// traffic — every write-notice capture copies a full page, every made,
+// flattened or cloned diff lays its wire body out in one buffer — with
+// FlattenDiffs' scratch page the only other user. A body's class follows
+// its data, not the page: a sparse diff takes 64 B, a dense 4 KiB one
+// (4,100 B with its run header) the 8 KiB class.
 //
 // Retention is bounded in bytes, not buffers: each class keeps up to
 // PoolBytes, the bytes of twins one node may park in deferred diff slots
 // (internal/dsm's twin budget is this constant). A garbage-collection
-// epoch releases everything a node parked at once, and the captures of the
-// next epoch take it all back, so a pool shallower than the budget drops
-// buffers at every epoch only to allocate them again. With the two equal,
-// a workload whose parked twins fit the budget captures from the pool
-// alone once it has been through one epoch; PoolStats counts the captures
-// that did not (a cluster of several nodes in one process shares the pool
-// and can still overflow it).
+// epoch releases everything a node parked or stored at once, and the
+// captures and diffs of the next epoch take it all back, so a pool
+// shallower than the budget drops buffers at every epoch only to allocate
+// them again. With the two equal, a workload whose parked twins fit the
+// budget captures from the pool alone once it has been through one epoch;
+// PoolStats counts the gets that did not (a cluster of several nodes in
+// one process shares the pool and can still overflow it).
 //
-// Ownership discipline: a buffer may be recycled only by its sole owner.
-// Twins are refcounted (Twin.Release) and recycled at the last release;
-// FlattenDiffs returns its scratch before returning. Diffs are not
-// pooled: a diff owns one exactly sized buffer — its wire body, which its
-// runs index into — so its size follows the data, not the page, and it has
-// no sole owner to recycle it: the store that made it, a flatten of it and
-// a response being encoded after the store's lock was dropped read the
-// same diff with no count between them. It is retired to the garbage
-// collector. (A decoded diff owns no buffer at all; it borrows its frame,
-// see Diff.Clone.)
+// Ownership discipline: a buffer is recycled by its last holder. Twins and
+// owned diffs are counted leases (Twin.Release, Diff.Release) recycled at
+// the last release; FlattenDiffs returns its scratch before returning. A
+// diff is made with one count, its maker's: internal/dsm's lazy store (a
+// slot, a flatten cache entry) drops it where the diff dies — the GC
+// epoch's discard, the cache's reset and eviction — and the eager engine,
+// whose diffs are made, used and dropped in one transaction, when the
+// transaction is acknowledged. A reader that outlives the lock pinning the
+// store's slot (a response or grant encoded after the engine lock is
+// dropped, a miss applying a stored diff) takes a count under that lock
+// and drops it when it has read. A decoded diff owns no buffer at all: it
+// borrows its frame and counts nothing, see Diff.Clone.
 //
 // Under internal/framebuf's poison-on-release test mode putBuf overwrites
-// the buffer first, so a twin released while something still reads it
-// fails the differential tests at once.
+// the buffer first, so a twin or body released while something still reads
+// it fails the differential tests at once.
 
 const (
 	// minPoolShift..maxPoolShift bound the pooled classes: 64 B to 64 KiB

@@ -12,6 +12,7 @@ package page
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -54,7 +55,9 @@ func (s *RangeSet) Add(off, n int) {
 		}
 		j++
 	}
-	s.runs = append(s.runs[:i], append([]Run{nr}, s.runs[j:]...)...)
+	// In place: runs [i, j) collapse into nr, and the slice grows only when
+	// a pure insert (i == j) finds it full.
+	s.runs = slices.Replace(s.runs, i, j, nr)
 }
 
 // AddRun inserts r into the set.

@@ -2,6 +2,7 @@ package page
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -196,5 +197,64 @@ func TestPropUnionIsBitwiseOr(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// addByRebuild is RangeSet.Add as it was before it inserted in place: the
+// same search and coalescing, the result spliced from fresh slices.
+func addByRebuild(runs []Run, off, n int) []Run {
+	if n <= 0 {
+		return runs
+	}
+	nr := Run{Off: int32(off), Len: int32(n)}
+	i := 0
+	for i < len(runs) && runs[i].End() < nr.Off {
+		i++
+	}
+	j := i
+	for ; j < len(runs) && runs[j].Off <= nr.End(); j++ {
+		lo, hi := min(nr.Off, runs[j].Off), max(nr.End(), runs[j].End())
+		nr = Run{Off: lo, Len: hi - lo}
+	}
+	return append(runs[:i:i], append([]Run{nr}, runs[j:]...)...)
+}
+
+// TestPropAddInPlaceMatchesRebuild: the in-place insert normalizes run for
+// run like the rebuild it replaced, over random add sequences — inserts at
+// either end, pure inserts, and adds that swallow several runs.
+func TestPropAddInPlaceMatchesRebuild(t *testing.T) {
+	const size = 4096
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		var s RangeSet
+		var ref []Run
+		for i := 0; i < 200; i++ {
+			off := r.Intn(size)
+			n := r.Intn(1 + min(size-off, 1<<uint(r.Intn(8)))) // mostly short, 0 included
+			s.Add(off, n)
+			ref = addByRebuild(ref, off, n)
+			if !slices.Equal(s.Runs(), ref) {
+				t.Logf("seed %d add %d [%d,%d): %v, rebuild gives %v", seed, i, off, off+n, s.Runs(), ref)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+}
+
+// BenchmarkRangeSetAdd fills a set with 256 disjoint runs in random order
+// — FlattenDiffs' union of sparse diffs — so almost every Add is a pure
+// insert. In place, a fill allocates only the slice's doublings.
+func BenchmarkRangeSetAdd(b *testing.B) {
+	offs := rand.New(rand.NewSource(1)).Perm(256)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		var s RangeSet
+		for _, o := range offs {
+			s.Add(o*16, 8)
+		}
 	}
 }
