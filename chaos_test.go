@@ -194,25 +194,25 @@ func TestKillMidCriticalSectionAllModes(t *testing.T) {
 }
 
 // runMigrationSweep drives the placement machinery under fire: every
-// node repeatedly writes a slab page of its own (enough writes per
-// barrier for the home migrator to claim it), takes one locked counter
-// increment, and joins a cluster barrier — with AdaptEveryBarriers=1
-// and MigrateHomes on, every barrier is a placement epoch, so a
-// fail-stop kill lands amid the exchange/rendezvous traffic. Same
-// outcome contract as runLockIncrement.
-func runMigrationSweep(procs int, m repro.DSMMode, rpcTimeout time.Duration, trs []repro.Transport, victim int) *lockIncrementOutcome {
+// node writes a slab page of its own — homed elsewhere by the block
+// interleave, so first-touch claims it — and joins the first cluster
+// barrier, whose exchange and hand-off rendezvous re-home the slabs; a
+// fail-stop kill a few frames into the victim's run lands amid that
+// traffic. The loop then goes on (locked counter increment, writes,
+// barrier) so a later kill still surfaces. Same outcome contract as
+// runLockIncrement, plus each surviving system's final home table.
+func runMigrationSweep(procs int, m repro.DSMMode, rpcTimeout time.Duration, trs []repro.Transport, victim int) (*lockIncrementOutcome, []string) {
 	out := &lockIncrementOutcome{}
 	systems := make([]*repro.DSM, 0, len(trs))
 	for i, tr := range trs {
 		d, err := repro.NewDSM(repro.DSMConfig{
-			Procs:              procs,
-			SpaceSize:          1 << 16,
-			PageSize:           1024,
-			Mode:               m,
-			RPCTimeout:         rpcTimeout,
-			AdaptEveryBarriers: 1,
-			MigrateHomes:       true,
-			Transport:          tr,
+			Procs:      procs,
+			SpaceSize:  1 << 16,
+			PageSize:   1024,
+			Mode:       m,
+			Placement:  dsm.PlaceFirstTouch,
+			RPCTimeout: rpcTimeout,
+			Transport:  tr,
 		})
 		if err != nil {
 			out.runErrs = append(out.runErrs, err)
@@ -248,13 +248,13 @@ func runMigrationSweep(procs int, m repro.DSMMode, rpcTimeout time.Duration, trs
 							return err
 						}
 					}
-					if err := repro.Locked(n, lock, func() error {
-						_, err := counter.Add(n, 1)
-						return err
-					}); err != nil {
+					if err := n.Barrier(0); err != nil {
 						return err
 					}
-					return n.Barrier(0)
+					return repro.Locked(n, lock, func() error {
+						_, err := counter.Add(n, 1)
+						return err
+					})
 				}
 				for {
 					select {
@@ -276,67 +276,95 @@ func runMigrationSweep(procs int, m repro.DSMMode, rpcTimeout time.Duration, trs
 		}
 	}
 	wg.Wait()
+	var homes []string
 	for _, d := range systems {
+		if !d.IsLocal(victim) {
+			homes = append(homes, d.Status().HomeTable)
+		}
 		if err := d.Close(); err != nil {
 			out.closeErrs = append(out.closeErrs, err)
 		}
 	}
-	return out
+	return out, homes
 }
 
-// TestKillMidMigrationEpochAllModes: a loopback TCP cluster running
-// home migration on every barrier loses a node mid-epoch — the victim
-// dies somewhere in the arrive/exit exchange or the reclassification
+// TestKillMidMigrationEpochAllModes: a loopback TCP cluster under
+// first-touch placement loses its barrier master during the first
+// barrier's hand-off — the kill points walk the victim's death through
+// the exits that carry the home plan and both ready/go rounds of the
 // rendezvous. For every protocol the survivors must surface a
 // descriptive error within RPCTimeout, never hang in the rendezvous
-// collect, and never apply a half-exchanged placement epoch.
+// collect, and never hold a half-applied home table.
 func TestKillMidMigrationEpochAllModes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("TCP kill matrix is not a -short test")
 	}
 	// Node 0 is the victim: barrier master AND placement planner, so its
-	// death hits the epoch machinery at its most central point.
+	// death hits the hand-off at its most central point.
 	const (
 		procs      = 3
 		victim     = 0
-		rpcTimeout = 3 * time.Second
+		rpcTimeout = time.Second // every cell waits one out
+		// A survivor's table is the block interleave or, whole, the plan
+		// that homes every slab at its writer.
+		blockTable  = "pg0=0,pg1=1,pg2=2,pg3=0,pg4=1,pg5=2"
+		handedTable = "pg0-1=0,pg2=1,pg3=2,pg4=1,pg5=2"
 	)
 	for _, m := range repro.DSMModes {
 		m := m
 		t.Run(m.String(), func(t *testing.T) {
 			t.Parallel()
-			trs, err := repro.NewLoopbackTCPCluster(procs)
-			if err != nil {
-				t.Fatal(err)
+			// The victim's frames 1-2 are slab miss traffic (its request, its
+			// answer to node 2's); 3-4 are its exits, 5-6 the round-1 gos,
+			// 7-8 the round-2 gos. It dies attempting the named frame: no
+			// exit out, no go out, one peer released into round 2, one peer
+			// released from the barrier.
+			for _, after := range []int{3, 5, 6, 8} {
+				after := after
+				t.Run(fmt.Sprintf("kill@%d", after), func(t *testing.T) {
+					t.Parallel()
+					trs, err := repro.NewLoopbackTCPCluster(procs)
+					if err != nil {
+						t.Fatal(err)
+					}
+					plan, err := repro.ParseFaultPlan(fmt.Sprintf("kill=%d@%d,seed=1", victim, after))
+					if err != nil {
+						t.Fatal(err)
+					}
+					trs[victim] = repro.WrapFaultTransport(trs[victim], plan)
+					var (
+						out   *lockIncrementOutcome
+						homes []string
+					)
+					withWatchdog(t, rpcTimeout+30*time.Second, "mid-hand-off kill run", func() {
+						out, homes = runMigrationSweep(procs, m, rpcTimeout, trs, victim)
+					})
+					for _, table := range homes {
+						if !strings.HasPrefix(table, blockTable) && !strings.HasPrefix(table, handedTable) {
+							t.Errorf("survivor holds a half-applied home table: %s", table)
+						}
+					}
+					err = out.all()
+					if err == nil {
+						t.Fatalf("killed peer produced no error: run and close both clean")
+					}
+					msg := err.Error()
+					if !strings.Contains(msg, "node") {
+						t.Errorf("error does not identify a node: %v", err)
+					}
+					descriptive := false
+					for _, kw := range []string{"timeout", "unreachable", "killed", "peer", "broken", "connection"} {
+						if strings.Contains(msg, kw) {
+							descriptive = true
+							break
+						}
+					}
+					if !descriptive {
+						t.Errorf("error does not describe the fault: %v", err)
+					}
+					t.Logf("mode %s surfaced: %v", m, firstLine(msg))
+				})
 			}
-			plan, err := repro.ParseFaultPlan(fmt.Sprintf("kill=%d@80,seed=1", victim))
-			if err != nil {
-				t.Fatal(err)
-			}
-			trs[victim] = repro.WrapFaultTransport(trs[victim], plan)
-			var out *lockIncrementOutcome
-			withWatchdog(t, rpcTimeout+30*time.Second, "mid-migration kill run", func() {
-				out = runMigrationSweep(procs, m, rpcTimeout, trs, victim)
-			})
-			err = out.all()
-			if err == nil {
-				t.Fatalf("killed peer produced no error: run and close both clean")
-			}
-			msg := err.Error()
-			if !strings.Contains(msg, "node") {
-				t.Errorf("error does not identify a node: %v", err)
-			}
-			descriptive := false
-			for _, kw := range []string{"timeout", "unreachable", "killed", "peer", "broken", "connection"} {
-				if strings.Contains(msg, kw) {
-					descriptive = true
-					break
-				}
-			}
-			if !descriptive {
-				t.Errorf("error does not describe the fault: %v", err)
-			}
-			t.Logf("mode %s surfaced: %v", m, firstLine(msg))
 		})
 	}
 }

@@ -79,10 +79,8 @@ func run(args []string, out io.Writer) error {
 		app        = fs.String("app", "", "workload to run on the runtime ("+strings.Join(workload.Names, ", ")+") or \"all\"; traffic is printed next to the simulator's for the same trace, whose bytes are the paper's fixed-width accounting — the live codec is compact and may undercut it")
 		mode       = fs.String("mode", "LI", "protocol mode: "+dsm.ModeNames())
 		modemap    = fs.String("modemap", "", "per-page protocol routing, e.g. pg0-31=SC,rest=LU (overrides -mode; modes: "+dsm.ModeNames()+")")
-		adapt      = fs.Int("adapt", 0, "reclassify page sharing patterns and re-route pages every N barriers (0 = off)")
 		placement  = fs.String("placement", "block", "page placement policy: "+dsm.PlacementNames()+"; with -app, a comma list runs a per-policy traffic comparison")
-		migrate    = fs.Bool("migrate", false, "migrate page homes to their dominant writer on adaptive epochs (requires -adapt)")
-		statsJSON  = fs.Bool("statsjson", false, "emit the run's dsm.Stats (per-kind traffic and per-page routing counters) as JSON")
+		statsJSON  = fs.Bool("statsjson", false, "emit the run's dsm.Stats (per-kind traffic and the pages routed off the default) as JSON")
 		procs      = fs.Int("procs", 8, "number of logical processors (with -transport tcp, fixed to peer count × -gpn)")
 		gpn        = fs.Int("gpn", 1, "application goroutines per DSM node: gpn > 1 multiplexes the processors onto procs/gpn oversubscribed nodes")
 		iters      = fs.Int("iters", 100, "iterations per node (demos)")
@@ -115,9 +113,6 @@ func run(args []string, out io.Writer) error {
 		if _, err := dsm.ParsePlacement(placements[i]); err != nil {
 			return err
 		}
-	}
-	if *migrate && *adapt == 0 {
-		return fmt.Errorf("-migrate needs -adapt N: home moves ride the adaptive exchange")
 	}
 
 	procsSet := false
@@ -218,10 +213,7 @@ func run(args []string, out io.Writer) error {
 		return tr, nil
 	}
 
-	route := routeCfg{
-		modeMap: *modemap, adapt: *adapt, statsJSON: *statsJSON,
-		placements: placements, migrate: *migrate,
-	}
+	route := routeCfg{modeMap: *modemap, statsJSON: *statsJSON, placements: placements}
 
 	switch {
 	case *app != "" && *demo != "":
@@ -247,14 +239,11 @@ func run(args []string, out io.Writer) error {
 }
 
 // routeCfg carries the per-page protocol routing and placement flags: a
-// static mode map, the adaptive reclassification period, the placement
-// policies to run (more than one means a per-policy comparison), the
-// home-migration toggle, and the JSON stats toggle.
+// static mode map, the placement policies to run (more than one means a
+// per-policy comparison), and the JSON stats toggle.
 type routeCfg struct {
 	modeMap    string
-	adapt      int
 	placements []string
-	migrate    bool
 	statsJSON  bool
 }
 
@@ -314,16 +303,14 @@ func (ob *obsCfg) dumpTrace() error {
 }
 
 // statsReport is the -statsjson output: the run's parameters, every local
-// node's dsm.Stats — per-kind traffic breakdown and the per-page routing
-// and access counters — the interconnect totals, and the latency model's
-// wire-time estimate for that traffic.
+// node's dsm.Stats — per-kind traffic breakdown and the pages routed off
+// the default — the interconnect totals, and the latency model's wire-time
+// estimate for that traffic.
 type statsReport struct {
 	Program        string             `json:"program"`
 	Mode           string             `json:"mode"`
 	ModeMap        string             `json:"modemap,omitempty"`
-	Adapt          int                `json:"adaptEveryBarriers,omitempty"`
 	Placement      string             `json:"placement,omitempty"`
-	Migrate        bool               `json:"migrateHomes,omitempty"`
 	HomeTable      string             `json:"homeTable,omitempty"`
 	PageMigrations int64              `json:"pageMigrations"`
 	Procs          int                `json:"procs"`
@@ -392,8 +379,7 @@ func runWorkload(out io.Writer, name string, procs, gpn int, scale float64, seed
 		}
 		rc := workload.RuntimeConfig{
 			PageSize: pageSize, Mode: m, GCEveryBarriers: gc, GoroutinesPerNode: gpn,
-			ModeMap: route.modeMap, AdaptEveryBarriers: route.adapt,
-			Placement: pol, MigrateHomes: route.migrate,
+			ModeMap: route.modeMap, Placement: pol,
 			RPCTimeout: ob.rpcTimeout, Metrics: ob.registry, Tracer: ob.tracer,
 		}
 		// Capture the run's systems so the report can include the final
@@ -411,8 +397,7 @@ func runWorkload(out io.Writer, name string, procs, gpn int, scale float64, seed
 			return err
 		}
 		report := statsReport{
-			Program: name, Mode: m.String(), ModeMap: route.modeMap, Adapt: route.adapt,
-			Placement: pol, Migrate: route.migrate,
+			Program: name, Mode: m.String(), ModeMap: route.modeMap, Placement: pol,
 			Procs: procs, Nodes: procs / gpn, Net: res.Net, Node: res.Nodes,
 			EstWireTime: res.Elapsed.String(), EstWireNS: res.Elapsed.Nanoseconds(),
 		}
@@ -478,9 +463,6 @@ func runWorkload(out io.Writer, name string, procs, gpn int, scale float64, seed
 		label := "runtime"
 		if len(runs) > 1 {
 			label = "runtime " + r.policy
-			if route.migrate {
-				label += "+migrate"
-			}
 		}
 		extra := ""
 		if r.report.PageMigrations > 0 {
@@ -569,20 +551,18 @@ func runDemo(out io.Writer, demo string, m dsm.Mode, procs, gpn, iters, pageSize
 		return err
 	}
 	d, err := repro.NewDSM(repro.DSMConfig{
-		Procs:              procs / gpn,
-		SpaceSize:          spaceSize,
-		PageSize:           pageSize,
-		Mode:               m,
-		ModeMap:            modeMap,
-		AdaptEveryBarriers: route.adapt,
-		Placement:          placement,
-		MigrateHomes:       route.migrate,
-		GCEveryBarriers:    gc,
-		GoroutinesPerNode:  gpn,
-		RPCTimeout:         ob.rpcTimeout,
-		Metrics:            ob.registry,
-		Tracer:             ob.tracer,
-		Transport:          tr,
+		Procs:             procs / gpn,
+		SpaceSize:         spaceSize,
+		PageSize:          pageSize,
+		Mode:              m,
+		ModeMap:           modeMap,
+		Placement:         placement,
+		GCEveryBarriers:   gc,
+		GoroutinesPerNode: gpn,
+		RPCTimeout:        ob.rpcTimeout,
+		Metrics:           ob.registry,
+		Tracer:            ob.tracer,
+		Transport:         tr,
 	})
 	if err != nil {
 		return err
@@ -598,8 +578,7 @@ func runDemo(out io.Writer, demo string, m dsm.Mode, procs, gpn, iters, pageSize
 	fmt.Fprintf(out, "interconnect: %d messages in %d frames (%d batched), %d bytes, estimated serial wire time %v\n",
 		st.Messages, st.Frames, st.Batches, st.Bytes, d.EstimateTime())
 	report := statsReport{
-		Program: "demo:" + demo, Mode: m.String(), ModeMap: route.modeMap, Adapt: route.adapt,
-		Placement: placementName, Migrate: route.migrate,
+		Program: "demo:" + demo, Mode: m.String(), ModeMap: route.modeMap, Placement: placementName,
 		HomeTable: d.Status().HomeTable,
 		Procs:     procs, Nodes: procs / gpn, Net: st,
 		EstWireTime: d.EstimateTime().String(), EstWireNS: int64(d.EstimateTime()),

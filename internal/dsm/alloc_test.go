@@ -3,6 +3,7 @@ package dsm
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"runtime"
 	"sync"
 	"testing"
@@ -42,6 +43,53 @@ func TestAccessHitAllocatesNothing(t *testing.T) {
 			t.Errorf("a write hit allocates %.1f objects, want 0", allocs)
 		}
 	})
+}
+
+// TestTouchTableLivesUntilFirstBarrier: an access ticks the router's
+// touch table only while first-touch is still collecting claims. Under
+// block placement the table is never allocated; under first-touch the
+// first cluster barrier takes it, and later accesses find nothing to
+// tick.
+func TestTouchTableLivesUntilFirstBarrier(t *testing.T) {
+	if s := newSys(t, 2, LazyInvalidate); s.Node(0).rt.touch.Load() != nil {
+		t.Error("block placement allocated a touch table")
+	}
+	s, err := New(Config{Procs: 2, SpaceSize: 8192, PageSize: 1024, Mode: LazyInvalidate, Placement: PlaceFirstTouch})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	run := func(n *Node) error {
+		addr := 1024 + 8*mem.Addr(n.ID()) // both nodes touch page 1
+		if err := n.WriteUint64(addr, 1); err != nil {
+			return err
+		}
+		touch := n.rt.touch.Load()
+		if touch == nil || (*touch)[1].Load() != 1 {
+			return errors.New("no touch recorded before the first barrier")
+		}
+		if err := n.Barrier(0); err != nil {
+			return err
+		}
+		if err := n.WriteUint64(addr, 2); err != nil {
+			return err
+		}
+		if n.rt.touch.Load() != nil || (*touch)[1].Load() != 1 {
+			return errors.New("the touch table outlived the first barrier")
+		}
+		return nil
+	}
+	var wg sync.WaitGroup
+	for _, n := range s.Local() {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := run(n); err != nil {
+				t.Errorf("node %d: %v", n.ID(), err)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestTwinPoolCoversBudget runs the lock-ring shape — every critical

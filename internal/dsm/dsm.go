@@ -69,6 +69,7 @@ package dsm
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -199,26 +200,6 @@ type Config struct {
 	// the same policy; build one from the textual flag syntax with
 	// ParsePlacement. See placement.go.
 	Placement Placement
-	// MigrateHomes enables dynamic home migration: on every adaptive
-	// classification epoch (so AdaptEveryBarriers must be > 0) the
-	// barrier master additionally re-homes pages to their dominant
-	// writer — with hysteresis, so homes don't ping-pong — and the home
-	// deltas ride the barrier exit beside the re-route set, applied in
-	// the same quiescent rendezvous. A flush or directory transaction
-	// that lands on a local home is loopback and costs no messages,
-	// which is what migration buys.
-	MigrateHomes bool
-	// AdaptEveryBarriers enables the adaptive classifier: every k-th
-	// cluster barrier, per-page access counters from all nodes are
-	// aggregated at the barrier master, each page's sharing pattern is
-	// classified (private / single-writer / migratory / falsely-shared)
-	// and pages are re-routed to the protocol that pattern favors. The
-	// mode table stays cluster-agreed: re-routes are decided by the
-	// master, distributed in the barrier exit, and applied by every node
-	// in a dedicated rendezvous before any application access resumes.
-	// 0 disables adaptation; the initial table is Mode/ModeMap either
-	// way.
-	AdaptEveryBarriers int
 	// GCEveryBarriers enables interval/diff garbage collection every k-th
 	// barrier episode (0 disables GC). GC validates every cached page,
 	// then discards the diffs of intervals covered by the barrier's
@@ -245,7 +226,7 @@ type Config struct {
 	// a failed New closes it before returning.
 	Transport Transport
 	// RPCTimeout bounds every blocking wait on a remote peer — rpc
-	// responses, and the master's barrier/GC/reclassification arrival
+	// responses, and the master's barrier/GC/hand-off arrival
 	// collection. When it elapses the operation fails wrapping
 	// ErrRPCTimeout, so a peer that died mid-critical-section surfaces
 	// as a descriptive System.Close error instead of hanging the run.
@@ -261,8 +242,8 @@ type Config struct {
 	// readable through System.Status. Serve it with obs.StartServer.
 	Metrics *obs.Registry
 	// Tracer, when non-nil, records protocol events (sends, receives,
-	// critical-section enter/exit, barrier episodes, adaptive
-	// reclassifications) into its bounded ring, dumpable as Chrome
+	// critical-section enter/exit, barrier episodes, first-touch
+	// migrations) into its bounded ring, dumpable as Chrome
 	// trace_event JSON. Nil disables tracing at one pointer check per
 	// site.
 	Tracer *obs.Tracer
@@ -317,14 +298,8 @@ func New(cfg Config) (*System, error) {
 	if !cfg.Mode.Valid() {
 		return fail(fmt.Errorf("dsm: unknown mode %d (supported: %s)", int(cfg.Mode), ModeNames()))
 	}
-	if cfg.AdaptEveryBarriers < 0 {
-		return fail(fmt.Errorf("dsm: negative adaptation interval %d", cfg.AdaptEveryBarriers))
-	}
 	if !cfg.Placement.Valid() {
 		return fail(fmt.Errorf("dsm: unknown placement %d (supported: %s)", int(cfg.Placement), PlacementNames()))
-	}
-	if cfg.MigrateHomes && cfg.AdaptEveryBarriers <= 0 {
-		return fail(errors.New("dsm: MigrateHomes needs AdaptEveryBarriers > 0 (migration decisions ride the adaptive exchange)"))
 	}
 	if cfg.RPCTimeout < 0 {
 		return fail(fmt.Errorf("dsm: negative rpc timeout %v", cfg.RPCTimeout))
@@ -337,15 +312,15 @@ func New(cfg Config) (*System, error) {
 		return fail(fmt.Errorf("dsm: page size %d exceeds the %d bytes one message may carry (wire.MaxDataBytes): no page could be shipped",
 			cfg.PageSize, wire.MaxDataBytes))
 	}
-	if exchange := cfg.AdaptEveryBarriers > 0 || cfg.Placement == PlaceFirstTouch; exchange &&
-		maxExchangeBytes(layout.NumPages()) > wire.MaxDataBytes {
-		return fail(fmt.Errorf("dsm: %d pages: a barrier's adaptive/first-touch exchange could exceed the %d bytes one message may carry (wire.MaxDataBytes)",
+	if cfg.Placement == PlaceFirstTouch && maxExchangeBytes(layout.NumPages()) > wire.MaxDataBytes {
+		return fail(fmt.Errorf("dsm: %d pages: the first barrier's first-touch exchange could exceed the %d bytes one message may carry (wire.MaxDataBytes)",
 			layout.NumPages(), wire.MaxDataBytes))
 	}
 	if cfg.ModeMap != nil {
 		if err := validModeMap(cfg.ModeMap, layout.NumPages()); err != nil {
 			return fail(err)
 		}
+		cfg.ModeMap = slices.Clone(cfg.ModeMap) // the routers read it for the life of the system
 	}
 	tr := cfg.Transport
 	if tr == nil {

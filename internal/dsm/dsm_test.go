@@ -537,9 +537,8 @@ func TestOutOfRangeAccesses(t *testing.T) {
 func TestConfigSurface(t *testing.T) {
 	want := []string{
 		"Procs", "SpaceSize", "PageSize", "Mode", "ModeMap", "Placement",
-		"MigrateHomes", "AdaptEveryBarriers", "GCEveryBarriers",
-		"GoroutinesPerNode", "Latency", "Transport", "RPCTimeout",
-		"Metrics", "Tracer",
+		"GCEveryBarriers", "GoroutinesPerNode", "Latency", "Transport",
+		"RPCTimeout", "Metrics", "Tracer",
 	}
 	typ := reflect.TypeOf(Config{})
 	var got []string
@@ -567,7 +566,7 @@ func TestConfigValidation(t *testing.T) {
 		!strings.Contains(err.Error(), "no page could be shipped") {
 		t.Errorf("unshippable page size: err = %v", err)
 	}
-	manyPages := Config{Procs: 2, SpaceSize: 64 * (wire.MaxDataBytes/56 + 1), PageSize: 64, Placement: PlaceFirstTouch}
+	manyPages := Config{Procs: 2, SpaceSize: 64 * (wire.MaxDataBytes/8 + 1), PageSize: 64, Placement: PlaceFirstTouch}
 	if _, err := New(manyPages); err == nil || !strings.Contains(err.Error(), "exchange could exceed") {
 		t.Errorf("unshippable first-touch exchange: err = %v", err)
 	}

@@ -2,7 +2,6 @@ package dsm
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/mem"
@@ -35,7 +34,7 @@ import (
 // owner copy).
 //
 // Concurrency: page copies, twins and generations are per-page state
-// under the node's striped lock table; the dirty-page set and the
+// under the node's striped lock table; the write set and the
 // in-flight flush bookkeeping live under small dedicated mutexes. With
 // multiple application goroutines per node a flush point must cover not
 // only the pages its own snapshot took but also every flush another
@@ -53,11 +52,9 @@ type eagerEngine struct {
 	// pages[i] is guarded by n.pageLock(i).
 	pages []*eagerPage
 
-	// dirtyMu guards the current critical section's dirty-page set. Leaf
-	// lock after a page stripe. Invariant: twin ≠ nil ⇒ page ∈ dirty ∪
-	// pages claimed by an open drain (a flush's cand).
-	dirtyMu sync.Mutex
-	dirty   map[mem.PageID]struct{}
+	// ws is the write set of the critical sections since the last flush
+	// point; each flush drains it into its own cand.
+	ws *writeSet
 
 	// flightMu guards the flush bookkeeping: in-flight flush payloads by
 	// request Seq (for the handler-side reconciliation), per-page flush
@@ -102,7 +99,7 @@ func newEagerEngine(n *Node, update bool) *eagerEngine {
 		n:           n,
 		update:      update,
 		pages:       make([]*eagerPage, n.sys.layout.NumPages()),
-		dirty:       make(map[mem.PageID]struct{}),
+		ws:          newWriteSet(),
 		inflight:    make(map[uint64]flushState),
 		flushing:    make(map[mem.PageID]chan struct{}),
 		doneTickets: make(map[uint64]bool),
@@ -236,11 +233,7 @@ func (e *eagerEngine) writePage(pg mem.PageID, off int, src []byte) error {
 	pc := e.pages[pg]
 	if pc.twin == nil {
 		pc.twin = page.NewTwin(pc.data)
-		// Registered under the stripe that made the twin, so a second local
-		// goroutine that finds the twin and releases flushes the page.
-		e.dirtyMu.Lock()
-		e.dirty[pg] = struct{}{}
-		e.dirtyMu.Unlock()
+		e.ws.add(pg)
 	}
 	copy(pc.data[off:off+len(src)], src)
 	pmu.Unlock()
@@ -257,27 +250,22 @@ func (e *eagerEngine) writePage(pg mem.PageID, off int, src []byte) error {
 // on this node before it is still propagating. Called from an
 // application goroutine without locks.
 func (e *eagerEngine) flush() error {
-	// Snapshot the dirty set and take a ticket atomically: every page a
+	// Drain the write set and take a ticket atomically: every page a
 	// local goroutine dirtied before this point is either in our
 	// snapshot or owned by an earlier-ticketed flush we will wait for.
 	e.flightMu.Lock()
 	ticket := e.nextTicket
 	e.nextTicket++
-	e.dirtyMu.Lock()
-	cand := make([]mem.PageID, 0, len(e.dirty))
-	for pg := range e.dirty {
-		cand = append(cand, pg)
-	}
-	e.dirty = make(map[mem.PageID]struct{})
-	e.dirtyMu.Unlock()
+	cand := e.ws.drain(nil)
 	e.flightMu.Unlock()
-	sort.Slice(cand, func(i, j int) bool { return cand[i] < cand[j] })
+	e.ws.check(e.n, func(pg mem.PageID) bool { return e.pages[pg] != nil && e.pages[pg].twin != nil })
 
 	err := e.flushPages(cand)
 	e.finishTicket(ticket)
 	if err != nil {
-		return err
+		return err // a burst abandoned mid-claim left twins behind: they stay claimed
 	}
+	e.ws.settle(cand)
 
 	// Wait for every earlier-ticketed flush point to finish.
 	e.flightMu.Lock()
@@ -447,7 +435,7 @@ func (e *eagerEngine) onGrant(grant *wire.Msg) error { return nil }
 func (e *eagerEngine) preRelease() error             { return e.flush() }
 func (e *eagerEngine) release()                      {}
 
-// dropPage and adoptPage run only in the quiescent reclassification
+// dropPage and adoptPage run only in the quiescent hand-off
 // rendezvous: no flush, fetch or directory transaction for the page is
 // in flight anywhere, so resetting the directory entry alongside the
 // copy cannot strand a peer.
@@ -459,9 +447,7 @@ func (e *eagerEngine) dropPage(pg mem.PageID) {
 	}
 	e.pages[pg] = nil
 	pmu.Unlock()
-	e.dirtyMu.Lock()
-	delete(e.dirty, pg)
-	e.dirtyMu.Unlock()
+	e.ws.drop(pg)
 	d := &e.dir[pg]
 	d.mu.Lock()
 	d.owner = e.n.homeOf(pg)
@@ -783,7 +769,6 @@ func (e *eagerEngine) applyUpdate(m *wire.Msg, src mem.ProcID) {
 				pc.twin = page.NewTwin(patched)
 			}
 			n.stats.updatesReceived.Add(1)
-			n.rt.noteDiffApplied(pg)
 		}
 	}
 	pmu.Unlock()
@@ -871,7 +856,6 @@ func (e *eagerEngine) applyFlushDone(m *wire.Msg) bool {
 			continue
 		}
 		n.stats.writeBacks.Add(1)
-		n.rt.noteDiffApplied(fs.pg)
 	}
 	if pc.twin != nil {
 		copy(pc.data, committed)

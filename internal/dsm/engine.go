@@ -49,11 +49,11 @@ import (
 //     node's lockMu held (grant also from a lock shard worker); barrier
 //     hooks are called by the barrier leader goroutine only; handle runs
 //     on a shard worker with per-page arrival order guaranteed.
-//   - dropPage and adoptPage are called only from the barrier-time
-//     reclassification rendezvous (adaptive.go), when every application
-//     goroutine cluster-wide is parked and no page traffic is in
-//     flight; they may mutate page state without coordination beyond
-//     the page stripe.
+//   - dropPage and adoptPage are called only from first-touch's
+//     barrier-time hand-off rendezvous (placement.go), when every
+//     application goroutine cluster-wide is parked and no page traffic
+//     is in flight; they may mutate page state without coordination
+//     beyond the page stripe.
 //   - Statistics tick through the node's atomic counters from any
 //     goroutine.
 type engine interface {
@@ -120,17 +120,16 @@ type engine interface {
 	// goroutines use Node.send/rpcAll, which flush themselves.
 	handle(m *wire.Msg, src mem.ProcID) bool
 
-	// dropPage surrenders page pg to another protocol: the engine
-	// forgets its copy, twin and ownership state for the page. Called
-	// only during the quiescent reclassification rendezvous, after the
-	// page was brought current at its home node.
+	// dropPage surrenders page pg's old home: the engine forgets its
+	// copy, twin and ownership state for the page. Called only during the
+	// quiescent hand-off rendezvous, after the page was brought current
+	// at its new home node.
 	dropPage(pg mem.PageID)
-	// adoptPage hands page pg to this engine. At the page's home node,
-	// data is the page's authoritative contents (adopted as a valid
-	// copy — owned, under the ownership protocols); elsewhere data is
-	// nil and the engine starts cold, faulting the page from its home on
-	// first use. Called only during the quiescent reclassification
-	// rendezvous.
+	// adoptPage restarts page pg under its new home. At that node, data
+	// is the page's authoritative contents (adopted as a valid copy —
+	// owned, under the ownership protocols); elsewhere data is nil and
+	// the engine starts cold, faulting the page from its home on first
+	// use. Called only during the quiescent hand-off rendezvous.
 	adoptPage(pg mem.PageID, data []byte)
 
 	// clock returns the node's vector time (zero for engines that do not

@@ -24,13 +24,13 @@ import (
 // log, retained-diff store — stays under one engine mutex (mu), taken
 // only at synchronization points and when a validation plans or applies
 // outstanding diffs. Which pages the current interval dirtied is
-// tracked in a dirty set (twin creation registers the page) so closing
+// tracked in the write set (twin creation registers the page) so closing
 // an interval does not need to sweep every page. A per-page generation
 // counter closes the plan/apply race: if fresh write notices for the
 // page land while a validation is fetching diffs, the apply step
 // observes the bumped generation and replans.
 //
-// Lock order: node.lockMu < e.mu < node.pageMu stripe < e.dirtyMu.
+// Lock order: node.lockMu < e.mu < node.pageMu stripe < e.ws.mu.
 type lazyEngine struct {
 	n      *Node
 	update bool // LU: bring cached copies up to date at acquire time
@@ -71,12 +71,9 @@ type lazyEngine struct {
 	grantRecs  []wire.IntervalRec
 	barRecs    []wire.IntervalRec
 
-	// dirtyMu guards the current interval's dirty-page set (pages with a
-	// live twin). Leaf lock: taken with a page stripe or e.mu held,
-	// never the other way around. Invariant: twin ≠ nil ⇒ page ∈ dirty ∪
-	// pages claimed by an open drain (closeIntervalLocked's cand).
-	dirtyMu sync.Mutex
-	dirty   map[mem.PageID]struct{}
+	// ws is the current interval's write set; closeIntervalLocked drains
+	// it into cand.
+	ws *writeSet
 
 	// pages[i] is guarded by n.pageLock(i).
 	pages []*lazyPage
@@ -170,7 +167,7 @@ func newLazyEngine(n *Node, update bool) *lazyEngine {
 		diffs:     make(map[core.IntervalID][]diffSlot),
 		lastEpoch: vc.New(n.sys.cfg.Procs),
 		flat:      make(map[flatKey]*flatEntry),
-		dirty:     make(map[mem.PageID]struct{}),
+		ws:        newWriteSet(),
 		pages:     make([]*lazyPage, n.sys.layout.NumPages()),
 	}
 }
@@ -293,18 +290,11 @@ func (e *lazyEngine) modeID() Mode {
 // processor is to the paper's model.
 func (e *lazyEngine) closeIntervalLocked() {
 	n := e.n
-	e.dirtyMu.Lock()
-	if len(e.dirty) == 0 {
-		e.dirtyMu.Unlock()
+	e.cand = e.ws.drain(e.cand)
+	e.ws.check(n, func(pg mem.PageID) bool { return e.pages[pg] != nil && e.pages[pg].twin != nil })
+	if len(e.cand) == 0 {
 		return
 	}
-	e.cand = e.cand[:0]
-	for pg := range e.dirty {
-		e.cand = append(e.cand, pg)
-	}
-	clear(e.dirty)
-	e.dirtyMu.Unlock()
-	slices.Sort(e.cand)
 
 	// Sized once: parked entries point into slots.
 	slots := make([]diffSlot, 0, len(e.cand))
@@ -329,6 +319,7 @@ func (e *lazyEngine) closeIntervalLocked() {
 		pmu.Unlock()
 		pages = append(pages, pg)
 	}
+	e.ws.settle(e.cand)
 	if len(pages) == 0 {
 		return
 	}
@@ -458,11 +449,6 @@ func (e *lazyEngine) absorbIntervalsLocked(fresh, recs []wire.IntervalRec) []wir
 		// consecutive indices.
 		e.v[rec.Proc] = rec.Index
 		fresh = append(fresh, rec)
-		// A write notice is the classifier's view of remote writers under
-		// the lazy protocols (no directory transaction ever reaches us).
-		for _, pg := range rec.Pages {
-			e.n.rt.noteRemoteWriter(pg, rec.Proc)
-		}
 	}
 	return fresh
 }
@@ -790,7 +776,6 @@ func (e *lazyEngine) serviceMiss(pg mem.PageID, held fetchedDiffs) error {
 				}
 			}
 			n.stats.diffsApplied.Add(1)
-			n.rt.noteDiffApplied(pg)
 		}
 		if patched != nil {
 			e.releaseTwin(pc.twin)
@@ -1039,11 +1024,7 @@ func (e *lazyEngine) writePage(pg mem.PageID, off int, src []byte) error {
 			pc.pending.target = pc.twin.Retain()
 			pc.pending = nil
 		}
-		// Registered under the stripe that made the twin: a second local
-		// goroutine that finds the twin and releases finds the page dirty.
-		e.dirtyMu.Lock()
-		e.dirty[pg] = struct{}{}
-		e.dirtyMu.Unlock()
+		e.ws.add(pg)
 	}
 	copy(pc.data[off:off+len(src)], src)
 	pmu.Unlock()
@@ -1243,9 +1224,7 @@ func (e *lazyEngine) runGC(b mem.BarrierID) error {
 	for pg := range e.pages {
 		pgid := mem.PageID(pg)
 		if n.rt.modeOf(pgid) != e.modeID() {
-			// Routed to another protocol: its history here is frozen (the
-			// re-route brought the page current at its home and dropped
-			// every copy), so GC neither validates nor materializes it.
+			// Routed to another protocol: nothing of it lives here.
 			continue
 		}
 		pmu := n.pageLock(pgid)
@@ -1392,7 +1371,7 @@ func (e *lazyEngine) checkGCInvariant(epoch vc.VC) error {
 // --- engine interface: page migration ---
 
 func (e *lazyEngine) dropPage(pg mem.PageID) {
-	// The reclassification runs after barrierEntry closed the interval,
+	// The hand-off runs after barrierEntry closed the interval,
 	// so no live twin exists; any retained diffs stay for GC to discard.
 	// A deferred diff still reading its target out of this copy's data
 	// must be materialized before the data goes away.
@@ -1403,9 +1382,7 @@ func (e *lazyEngine) dropPage(pg mem.PageID) {
 	}
 	e.pages[pg] = nil
 	pmu.Unlock()
-	e.dirtyMu.Lock()
-	delete(e.dirty, pg)
-	e.dirtyMu.Unlock()
+	e.ws.drop(pg)
 }
 
 func (e *lazyEngine) adoptPage(pg mem.PageID, data []byte) {
@@ -1414,7 +1391,7 @@ func (e *lazyEngine) adoptPage(pg mem.PageID, data []byte) {
 		// use, like any never-touched page.
 		return
 	}
-	// The post-barrier clock covers every pre-reroute interval, so a
+	// The post-barrier clock covers every pre-hand-off interval, so a
 	// copy stamped with it has nothing outstanding.
 	e.mu.Lock()
 	applied := e.v.Clone()

@@ -88,9 +88,8 @@ type Stats struct {
 	// node as a page home (eager and SC).
 	OwnershipMoves int64
 	// PageMigrations counts home-table moves that landed a page HERE:
-	// first-touch finalizations and dominant-writer migrations whose
-	// new home is this node (so the cluster-wide sum is the total
-	// number of re-homed pages).
+	// first-touch finalizations whose new home is this node (so the
+	// cluster-wide sum is the total number of re-homed pages).
 	PageMigrations int64
 
 	// Outbound traffic as the node's outbox handed it to the transport
@@ -110,10 +109,8 @@ type Stats struct {
 	KindMsgs  [wire.NumKinds]int64
 	KindBytes [wire.NumKinds]int64
 
-	// Pages is the per-page routing and access-counter snapshot (pages
-	// with no recorded activity are omitted): which protocol each page is
-	// currently routed to, its last adaptive classification, and the
-	// counters feeding the classifier.
+	// Pages lists the pages routed off the configured default: another
+	// protocol than Config.Mode, or a home other than the block one.
 	Pages []PageStat
 }
 
@@ -274,13 +271,9 @@ type Node struct {
 	// Barrier master state: arrivals delivered by the dispatch loop.
 	barCh chan *wire.Msg
 	gcCh  chan *wire.Msg
-	// reclassCh feeds the master's reclassification rendezvous
-	// (adaptive.go), exactly like gcCh feeds the GC exchange.
+	// reclassCh feeds the master's first-touch hand-off rendezvous
+	// (placement.go), exactly like gcCh feeds the GC exchange.
 	reclassCh chan *wire.Msg
-	// barCount counts cluster barriers this node has entered (leader
-	// goroutine only), to agree cluster-wide on which barriers double as
-	// classification epochs.
-	barCount int
 
 	// barMu guards the local two-level barrier episode.
 	barMu sync.Mutex
@@ -345,7 +338,7 @@ func newNode(s *System, id mem.ProcID) *Node {
 	if modes == nil {
 		modes = uniformModeMap(s.cfg.Mode, s.layout.NumPages())
 	}
-	n.rt = newRouter(n, modes, s.cfg.AdaptEveryBarriers > 0)
+	n.rt = newRouter(n, modes)
 	n.e = n.rt
 	return n
 }
@@ -358,9 +351,9 @@ func (n *Node) pageLock(pg mem.PageID) *sync.Mutex {
 // homeOf returns page pg's current home node: the directory entry
 // under the eager and SC engines, the cold-copy server under the lazy
 // ones. A lock-free read of the router's home table — initialized by
-// Config.Placement, re-written only inside the quiescent
-// reclassification rendezvous, so every node consults the same table
-// at a consistent epoch.
+// Config.Placement, re-written only inside first-touch's quiescent
+// hand-off rendezvous, so every node consults the same table at a
+// consistent epoch.
 func (n *Node) homeOf(pg mem.PageID) mem.ProcID {
 	return n.rt.homeOf(pg)
 }
@@ -383,9 +376,7 @@ func (n *Node) Stats() Stats {
 	return st
 }
 
-// PageModes returns the node's current per-page protocol routing (a
-// static configuration's map, or whatever the adaptive classifier has
-// re-routed to).
+// PageModes returns the node's per-page protocol routing.
 func (n *Node) PageModes() []Mode { return n.rt.pageModes() }
 
 // Clock returns a copy of the node's current vector clock (all zero
@@ -810,7 +801,7 @@ func (n *Node) deliverResponse(m *wire.Msg) {
 }
 
 // collect receives one rendezvous message (a barrier arrival, a GC or
-// reclassification ready) from ch, honoring the configured RPCTimeout:
+// hand-off ready) from ch, honoring the configured RPCTimeout:
 // a master collecting from a dead peer must unblock and surface a
 // descriptive error, exactly like a parked rpc.
 func (n *Node) collect(ch chan *wire.Msg, what string) (*wire.Msg, error) {

@@ -121,23 +121,21 @@ type NodeStatus struct {
 // per-page routing table, and the recent-traffic ring (present when
 // Config.Metrics enabled the sampler).
 type Status struct {
-	Procs              int                 `json:"procs"`
-	LocalNodes         []int               `json:"local_nodes"`
-	Mode               string              `json:"mode"`
-	PageSize           int                 `json:"page_size"`
-	NumPages           int                 `json:"num_pages"`
-	GoroutinesPerNode  int                 `json:"goroutines_per_node"`
-	Placement          string              `json:"placement"`
-	MigrateHomes       bool                `json:"migrate_homes"`
-	HomeTable          string              `json:"home_table"`
-	PageMigrations     int64               `json:"page_migrations"`
-	AdaptEveryBarriers int                 `json:"adapt_every_barriers"`
-	GCEveryBarriers    int                 `json:"gc_every_barriers"`
-	RPCTimeout         string              `json:"rpc_timeout"`
-	Net                TransportStats      `json:"net"`
-	EstWireTime        string              `json:"est_wire_time"`
-	Nodes              []NodeStatus        `json:"nodes"`
-	Traffic            []obs.TrafficSample `json:"traffic,omitempty"`
+	Procs             int                 `json:"procs"`
+	LocalNodes        []int               `json:"local_nodes"`
+	Mode              string              `json:"mode"`
+	PageSize          int                 `json:"page_size"`
+	NumPages          int                 `json:"num_pages"`
+	GoroutinesPerNode int                 `json:"goroutines_per_node"`
+	Placement         string              `json:"placement"`
+	HomeTable         string              `json:"home_table"`
+	PageMigrations    int64               `json:"page_migrations"`
+	GCEveryBarriers   int                 `json:"gc_every_barriers"`
+	RPCTimeout        string              `json:"rpc_timeout"`
+	Net               TransportStats      `json:"net"`
+	EstWireTime       string              `json:"est_wire_time"`
+	Nodes             []NodeStatus        `json:"nodes"`
+	Traffic           []obs.TrafficSample `json:"traffic,omitempty"`
 }
 
 // Status returns a live snapshot of the system for /statusz. Safe to
@@ -145,18 +143,16 @@ type Status struct {
 // and the routing table is the router's lock-free mode table.
 func (s *System) Status() Status {
 	st := Status{
-		Procs:              s.cfg.Procs,
-		Mode:               s.cfg.Mode.String(),
-		PageSize:           s.layout.PageSize(),
-		NumPages:           s.layout.NumPages(),
-		GoroutinesPerNode:  s.cfg.GoroutinesPerNode,
-		Placement:          s.cfg.Placement.String(),
-		MigrateHomes:       s.cfg.MigrateHomes,
-		AdaptEveryBarriers: s.cfg.AdaptEveryBarriers,
-		GCEveryBarriers:    s.cfg.GCEveryBarriers,
-		RPCTimeout:         s.cfg.RPCTimeout.String(),
-		Net:                s.tr.Totals(),
-		EstWireTime:        s.EstimateTime().String(),
+		Procs:             s.cfg.Procs,
+		Mode:              s.cfg.Mode.String(),
+		PageSize:          s.layout.PageSize(),
+		NumPages:          s.layout.NumPages(),
+		GoroutinesPerNode: s.cfg.GoroutinesPerNode,
+		Placement:         s.cfg.Placement.String(),
+		GCEveryBarriers:   s.cfg.GCEveryBarriers,
+		RPCTimeout:        s.cfg.RPCTimeout.String(),
+		Net:               s.tr.Totals(),
+		EstWireTime:       s.EstimateTime().String(),
 	}
 	for _, n := range s.local {
 		st.LocalNodes = append(st.LocalNodes, int(n.id))

@@ -1,28 +1,27 @@
 package dsm
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strings"
 
 	"repro/internal/mem"
+	"repro/internal/wire"
 )
 
 // Page placement: which node homes each page.
 //
 // A page's home is its directory entry under the eager and SC engines
 // and its cold-copy server (and GC materialization point) under the
-// lazy ones. Placement decides the initial assignment; when
-// Config.MigrateHomes is set the adaptive exchange additionally moves a
-// page's home to its dominant writer (see adaptive.go), because a flush
-// or directory transaction that lands on a local home is loopback —
-// free in the paper's message accounting.
+// lazy ones. A flush or directory transaction that lands on a local home
+// is loopback — free in the paper's message accounting — which is what
+// homing a page at the node that uses it buys.
 //
 // The home table itself lives on the router (one atomic entry per
 // page), read lock-free on every protocol operation and written only
-// inside the barrier-time reclassification rendezvous while every
-// application goroutine cluster-wide is parked — exactly the mode
-// table's discipline, so a page never has traffic in flight under two
-// homes at once.
+// inside the first barrier's hand-off rendezvous (below) while every
+// application goroutine cluster-wide is parked, so a page never has
+// traffic in flight under two homes at once.
 
 // Placement selects the initial page→home assignment policy.
 type Placement int
@@ -35,9 +34,9 @@ const (
 	// each page to the node that touched it most before the first
 	// cluster barrier (ties to the lowest node id). The claims are
 	// exchanged on the first barrier's arrive/exit payloads and applied
-	// in the quiescent reclassification rendezvous, so the whole
-	// cluster swaps tables at once. Pages untouched before the first
-	// barrier keep their block home.
+	// in the quiescent hand-off rendezvous, so the whole cluster swaps
+	// tables at once. Pages untouched before the first barrier keep
+	// their block home.
 	PlaceFirstTouch
 )
 
@@ -126,16 +125,256 @@ func FormatHomeTable(homes []mem.ProcID) string {
 	return b.String()
 }
 
+// First-touch hand-off. Under PlaceFirstTouch the first cluster barrier
+// carries each node's touch claims up to the barrier master in its
+// KBarrierArrive and the master's home moves down in every KBarrierExit
+// (opaque bytes in Msg.Data — the consistency sections are untouched).
+// Every node then applies the moves in a two-round ready/go rendezvous
+// (KReclassReady/KReclassGo, mirroring the GC rendezvous) before any
+// application goroutine leaves the barrier:
+//
+//	round 1 — every node brings the pages it will home AFTER the plan
+//	          current (a whole-page read pulls outstanding diffs or the
+//	          owner copy while every peer's old home is still routable);
+//	round 2 — purely local: each node drops the page, flips its home
+//	          table entry, and the new home adopts its bytes. The master
+//	          releases the cluster only after all nodes confirm, so no
+//	          node ever sees a page under two homes at once.
+//
+// The rendezvous costs 4(Procs-1) small messages and runs only when at
+// least one page moves.
+
 // homeDelta is one page's home change, as decided by the barrier master
-// and broadcast in the barrier exit beside the re-route set.
+// and broadcast in the barrier exit.
 type homeDelta struct {
 	pg   mem.PageID
 	home mem.ProcID
 }
 
-// homeClaim is one node's first-touch claim on a page: how much it
+// touchClaim is one node's first-touch claim on a page: how much it
 // touched the page before the first cluster barrier.
-type homeClaim struct {
+type touchClaim struct {
 	pg    mem.PageID
+	node  mem.ProcID
 	score uint32
+}
+
+// --- wire payloads (opaque Msg.Data blobs, defensively decoded) ---
+
+// maxExchangeBytes bounds either barrier blob for a space of numPages: a
+// count, then at most one 8-byte entry per page. New holds it to what one
+// message's Data block may carry.
+func maxExchangeBytes(numPages int) int { return 4 + 8*numPages }
+
+// encodeClaims packs a barrier arrival's first-touch payload: claim
+// count, then 8-byte (page, score) pairs.
+func encodeClaims(claims []touchClaim) []byte {
+	buf := binary.LittleEndian.AppendUint32(make([]byte, 0, 4+8*len(claims)), uint32(len(claims)))
+	for _, c := range claims {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(c.pg))
+		buf = binary.LittleEndian.AppendUint32(buf, c.score)
+	}
+	return buf
+}
+
+// exchangeEntries checks an exchange blob's framing before anything is
+// allocated for it — the count fits the space and the length is exactly
+// the count's — and returns the 8-byte entries.
+func exchangeEntries(what string, data []byte, numPages int) ([]byte, error) {
+	if len(data) < 4 {
+		return nil, fmt.Errorf("dsm: %s truncated at %d bytes", what, len(data))
+	}
+	n := binary.LittleEndian.Uint32(data)
+	if int(n) > numPages {
+		return nil, fmt.Errorf("dsm: %s counts %d entries for %d pages", what, n, numPages)
+	}
+	if want := 4 + 8*int(n); len(data) != want {
+		return nil, fmt.Errorf("dsm: %s is %d bytes, want %d for %d entries", what, len(data), want, n)
+	}
+	return data[4:], nil
+}
+
+// decodeClaims unpacks node's arrival payload into its first-touch
+// claims. Malformed payloads (truncated, hostile counts, out-of-range or
+// duplicated pages) return an error; the master records it and skips the
+// placement.
+func decodeClaims(data []byte, node mem.ProcID, numPages int) ([]touchClaim, error) {
+	entries, err := exchangeEntries("first-touch claims", data, numPages)
+	if err != nil {
+		return nil, err
+	}
+	n := len(entries) / 8
+	claims := make([]touchClaim, 0, n)
+	seen := make(map[uint32]bool, n)
+	for i := 0; i < n; i++ {
+		pg := binary.LittleEndian.Uint32(entries[8*i:])
+		if int(pg) >= numPages {
+			return nil, fmt.Errorf("dsm: first-touch claim %d names page %d of %d", i, pg, numPages)
+		}
+		if seen[pg] {
+			return nil, fmt.Errorf("dsm: first-touch payload claims page %d twice", pg)
+		}
+		seen[pg] = true
+		claims = append(claims, touchClaim{pg: mem.PageID(pg), node: node, score: binary.LittleEndian.Uint32(entries[8*i+4:])})
+	}
+	return claims, nil
+}
+
+// encodeHomePlan packs the master's decision for the barrier exit: home
+// delta count, then 8-byte (page, home) pairs.
+func encodeHomePlan(homes []homeDelta) []byte {
+	buf := binary.LittleEndian.AppendUint32(make([]byte, 0, 4+8*len(homes)), uint32(len(homes)))
+	for _, h := range homes {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(h.pg))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(h.home))
+	}
+	return buf
+}
+
+// decodeHomePlan unpacks a barrier exit's home plan. The exit comes from
+// the barrier master this node already trusts for barrier sequencing,
+// but the payload is still bounds-checked, with two failure severities:
+//
+//   - a structurally undecodable payload returns err and must fail the
+//     barrier loudly: the node cannot tell whether a hand-off follows;
+//   - an invalid entry (out-of-range page or node, overlapping deltas
+//     naming one page twice) returns homeErr with the deltas dropped:
+//     homes are a placement optimization, so a forged or corrupt delta
+//     is recorded and dropped, never applied and never fatal.
+func decodeHomePlan(data []byte, numPages, procs int) (homes []homeDelta, homeErr, err error) {
+	entries, err := exchangeEntries("home plan", data, numPages)
+	if err != nil {
+		return nil, nil, err
+	}
+	n := len(entries) / 8
+	homes = make([]homeDelta, 0, n)
+	seen := make(map[uint32]bool, n)
+	for i := 0; i < n; i++ {
+		pg := binary.LittleEndian.Uint32(entries[8*i:])
+		home := binary.LittleEndian.Uint32(entries[8*i+4:])
+		switch {
+		case int(pg) >= numPages:
+			return nil, fmt.Errorf("dsm: home delta %d names page %d of %d", i, pg, numPages), nil
+		case int(home) >= procs:
+			return nil, fmt.Errorf("dsm: home delta %d homes page %d at node %d of %d", i, pg, home, procs), nil
+		case seen[pg]:
+			return nil, fmt.Errorf("dsm: overlapping home deltas for page %d", pg), nil
+		}
+		seen[pg] = true
+		homes = append(homes, homeDelta{pg: mem.PageID(pg), home: mem.ProcID(home)})
+	}
+	return homes, nil, nil
+}
+
+// planFirstTouch resolves the cluster's first-touch claims into home
+// deltas (master only): each claimed page goes to its strongest toucher,
+// ties to the lowest node id; unclaimed pages keep their block home.
+func (r *router) planFirstTouch(claims []touchClaim) []homeDelta {
+	best := make(map[mem.PageID]touchClaim)
+	for _, c := range claims {
+		w, ok := best[c.pg]
+		if !ok || c.score > w.score || (c.score == w.score && c.node < w.node) {
+			best[c.pg] = c
+		}
+	}
+	var moves []homeDelta
+	for pg := range r.homeTab {
+		w, ok := best[mem.PageID(pg)]
+		if ok && w.node != r.homeOf(mem.PageID(pg)) {
+			moves = append(moves, homeDelta{pg: mem.PageID(pg), home: w.node})
+		}
+	}
+	return moves
+}
+
+// --- applying the plan ---
+
+// handOff runs the two-round rendezvous for a non-empty home plan. Every
+// node (master included) executes this after its barrier exit work, while
+// all application goroutines are still parked in Barrier.
+func (n *Node) handOff(b mem.BarrierID, homes []homeDelta) error {
+	r := n.rt
+	pageSize := n.sys.layout.PageSize()
+
+	// Round 1: bring every page this node homes AFTER the plan current.
+	// Peers' old homes are still fully routable, so this can pull
+	// outstanding diffs or fetch the owner copy over the network: the NEW
+	// home pulls the authoritative copy across before the old home
+	// surrenders its directory entry and cold-copy role.
+	scratch := make([]byte, pageSize)
+	for _, mv := range homes {
+		if mv.home != n.id {
+			continue
+		}
+		if err := r.engineFor(mv.pg).readPage(mv.pg, 0, scratch); err != nil {
+			return fmt.Errorf("dsm: node %d: hand-off fetch of page %d: %w", n.id, mv.pg, err)
+		}
+	}
+	if err := n.handOffRendezvous(b); err != nil {
+		return err
+	}
+
+	// Round 2: purely local — no page traffic is in flight anywhere in
+	// the cluster now. Re-read the new home's copy (valid after round 1,
+	// so this touches no socket), then flip the home table and drop/adopt
+	// per page. The table flips before the drop so the engines' directory
+	// resets (owner := home) land on the new home.
+	migrated := 0
+	for _, mv := range homes {
+		e := r.engineFor(mv.pg)
+		var data []byte
+		if mv.home == n.id {
+			data = make([]byte, pageSize)
+			if err := e.readPage(mv.pg, 0, data); err != nil {
+				return fmt.Errorf("dsm: node %d: hand-off local read of page %d: %w", n.id, mv.pg, err)
+			}
+			migrated++
+		}
+		r.homeTab[mv.pg].Store(int32(mv.home))
+		e.dropPage(mv.pg)
+		e.adoptPage(mv.pg, data)
+	}
+	if migrated > 0 {
+		n.stats.pageMigrations.Add(int64(migrated))
+		n.emit("place", "migrate", int64(migrated))
+	}
+	return n.handOffRendezvous(b)
+}
+
+// handOffRendezvous is one ready/go round over every node, shaped
+// exactly like the GC rendezvous: non-masters send KReclassReady and
+// block for the matching KReclassGo; the master collects Procs-1 readies
+// off reclassCh and releases them. Per-sender FIFO delivery keeps a
+// node's round-1 ready ahead of its round-2 ready, so the master never
+// needs to label rounds.
+func (n *Node) handOffRendezvous(b mem.BarrierID) error {
+	const master = 0
+	if n.id != master {
+		ready := &wire.Msg{Kind: wire.KReclassReady, Seq: n.nextSeq(), A: int32(b), B: int32(n.id)}
+		resp, err := n.rpc(mem.ProcID(master), ready)
+		if err != nil {
+			return fmt.Errorf("dsm: node %d: hand-off rendezvous: %w", n.id, err)
+		}
+		resp.Release()
+		return nil
+	}
+	ready := make([]*wire.Msg, 0, n.sys.cfg.Procs-1)
+	for len(ready) < n.sys.cfg.Procs-1 {
+		m, err := n.collect(n.reclassCh, "master: hand-off rendezvous")
+		if err != nil {
+			return err
+		}
+		if int(m.A) != int(b) || !n.validProc(mem.ProcID(m.B)) {
+			n.noteErr("hand-off rendezvous", fmt.Errorf("unexpected ready for barrier %d from %d", m.A, m.B))
+			m.Release()
+			continue
+		}
+		ready = append(ready, m)
+	}
+	for _, m := range ready {
+		go2 := &wire.Msg{Kind: wire.KReclassGo, Seq: m.Seq, A: int32(b)}
+		n.send(mem.ProcID(m.B), go2)
+		m.Release()
+	}
+	return nil
 }

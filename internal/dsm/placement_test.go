@@ -1,6 +1,7 @@
 package dsm
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -50,35 +51,48 @@ func TestInitialHomes(t *testing.T) {
 	}
 }
 
-// TestExitPlanDecodeSeverities: a structurally broken plan (or a bad
-// re-route) is a hard error; a bad home section is the soft, recorded-
-// and-dropped kind, with the re-routes surviving.
+// TestExitPlanDecodeSeverities: a structurally broken exchange payload is
+// a hard error, found before anything is allocated for its entries; a
+// well-framed home plan with an impossible entry is the soft, recorded-
+// and-dropped kind. A good plan round-trips.
 func TestExitPlanDecodeSeverities(t *testing.T) {
 	const numPages, procs = 8, 2
-	// Hard: truncation and hostile counts.
-	if _, _, _, _, err := decodeExitPlan([]byte{1, 2}, numPages, procs); err == nil {
-		t.Error("truncated plan decoded")
+	good := []homeDelta{{pg: 1, home: 1}, {pg: 6, home: 0}}
+	plan := encodeHomePlan(good)
+	if homes, homeErr, err := decodeHomePlan(plan, numPages, procs); err != nil || homeErr != nil || !slices.Equal(homes, good) {
+		t.Fatalf("round trip = %v, %v, %v; want %v", homes, homeErr, err, good)
 	}
-	if _, _, _, _, err := decodeExitPlan(encodeExitPlan(1, []reroute{{pg: 99, mode: SeqConsistent}}, nil), numPages, procs); err == nil {
-		t.Error("out-of-range re-route decoded")
+	// Hard: truncation, a count beyond the space, a count the length belies.
+	for name, data := range map[string][]byte{
+		"truncated header": {1, 2},
+		"truncated entry":  plan[:len(plan)-1],
+		"over-counted":     {0xff, 0xff, 0xff, 0x7f},
+		"under-counted":    append([]byte{1, 0, 0, 0}, plan[4:]...),
+	} {
+		if _, _, err := decodeHomePlan(data, numPages, procs); err == nil {
+			t.Errorf("%s plan decoded", name)
+		}
+		if _, err := decodeClaims(data, 1, numPages); err == nil {
+			t.Errorf("%s claims decoded", name)
+		}
 	}
-	// Soft: home sections naming impossible pages/nodes or overlapping.
+	// Soft: deltas naming impossible pages/nodes or overlapping.
 	for name, homes := range map[string][]homeDelta{
 		"page beyond the space": {{pg: 99, home: 1}},
 		"node beyond the ring":  {{pg: 1, home: 7}},
 		"overlapping deltas":    {{pg: 1, home: 1}, {pg: 1, home: 0}},
 	} {
-		routes := []reroute{{pg: 2, mode: SeqConsistent, cls: classPrivate}}
-		epoch, gotRoutes, gotHomes, homeErr, err := decodeExitPlan(encodeExitPlan(7, routes, homes), numPages, procs)
+		gotHomes, homeErr, err := decodeHomePlan(encodeHomePlan(homes), numPages, procs)
 		if err != nil {
 			t.Fatalf("%s: hard error %v, want soft homeErr", name, err)
 		}
 		if homeErr == nil || gotHomes != nil {
 			t.Errorf("%s: homeErr=%v homes=%v, want recorded-and-dropped", name, homeErr, gotHomes)
 		}
-		if epoch != 7 || len(gotRoutes) != 1 || gotRoutes[0].pg != 2 {
-			t.Errorf("%s: re-routes did not survive the dropped home section", name)
-		}
+	}
+	// Claims have one severity: the master skips the placement.
+	if _, err := decodeClaims(encodeClaims([]touchClaim{{pg: 99, score: 1}}), 1, numPages); err == nil {
+		t.Error("claim on a page beyond the space decoded")
 	}
 }
 
@@ -148,10 +162,10 @@ func TestForgedHomeDeltasRecordedNotApplied(t *testing.T) {
 			}
 		}
 	}
-	// The forged exit: valid epoch and framing, overlapping home deltas.
+	// The forged exit: valid framing, overlapping home deltas.
 	exit := &wire.Msg{
 		Kind: wire.KBarrierExit, Seq: arrive.Seq, A: arrive.A,
-		Data: encodeExitPlan(1, nil, []homeDelta{{pg: 0, home: 1}, {pg: 0, home: 0}}),
+		Data: encodeHomePlan([]homeDelta{{pg: 0, home: 1}, {pg: 0, home: 0}}),
 	}
 	if err := master.Endpoint(0).Send(1, exit.EncodeAppend(framebuf.Get())); err != nil {
 		t.Fatal(err)
@@ -173,8 +187,8 @@ func TestForgedHomeDeltasRecordedNotApplied(t *testing.T) {
 
 // TestForgedClaimsRecordedNotApplied: the arrival side of the same
 // boundary — a peer's exchange payload claiming one page twice is
-// recorded at the master and the whole placement epoch skipped, leaving
-// the home table untouched.
+// recorded at the master and the whole placement skipped, leaving the
+// home table untouched.
 func TestForgedClaimsRecordedNotApplied(t *testing.T) {
 	s, peer := puppetCluster(t, 1, Config{
 		SpaceSize: 8192, PageSize: 1024, Mode: EagerInvalidate, Placement: PlaceFirstTouch,
@@ -186,11 +200,11 @@ func TestForgedClaimsRecordedNotApplied(t *testing.T) {
 	go func() { barErr <- n.Barrier(0) }()
 
 	// A genuine node's claim snapshot has one entry per page;
-	// encodeExchange encodes whatever it is handed, so the forgery is
+	// encodeClaims encodes whatever it is handed, so the forgery is
 	// simply a duplicated claim.
 	arrive := &wire.Msg{
 		Kind: wire.KBarrierArrive, Seq: 5, A: 0, B: 1,
-		Data: encodeExchange(0, nil, []homeClaim{{pg: 0, score: 9}, {pg: 0, score: 2}}),
+		Data: encodeClaims([]touchClaim{{pg: 0, score: 9}, {pg: 0, score: 2}}),
 	}
 	if err := peer.Endpoint(1).Send(0, arrive.EncodeAppend(framebuf.Get())); err != nil {
 		t.Fatal(err)

@@ -2,6 +2,8 @@ package dsm
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/mem"
@@ -15,11 +17,8 @@ import (
 // message and every synchronization payload to the engine owning that
 // page. A single-mode system is simply a router with one resident.
 //
-// The mode table is the only mutable routing state. Reads are atomic and
-// lock-free (every access and handler dispatch consults it); writes
-// happen only inside the barrier-time reclassification rendezvous, while
-// every application goroutine cluster-wide is parked, so no page ever has
-// traffic in flight under two modes at once (see adaptive.go).
+// The mode table is fixed at construction (Config.Mode / Config.ModeMap);
+// the home table is the only mutable routing state (see placement.go).
 //
 // On shared synchronization messages (lock requests/grants, barrier
 // arrivals/exits) each resident engine's consistency payload travels as a
@@ -31,102 +30,44 @@ import (
 // GC exchange) must do so in the same order on every node.
 type router struct {
 	n *Node
-	// modeTab[pg] is the page's current protocol (a Mode), read on every
-	// access and handler dispatch.
-	modeTab []atomic.Int32
+	// modeTab[pg] is the page's protocol, read on every access and
+	// handler dispatch.
+	modeTab []Mode
 	// homeTab[pg] is the page's current home node, read on every
 	// protocol operation that addresses a home (directory transactions,
-	// cold fetches, flush targets). Initialized by Config.Placement and
-	// re-written only inside the quiescent reclassification rendezvous
-	// (first-touch finalization, home migration) — the mode table's
-	// exact discipline.
+	// cold fetches, flush targets). Starts as the block interleave and is
+	// re-written only inside first-touch's quiescent hand-off rendezvous.
 	homeTab []atomic.Int32
-	// classTab[pg] is the page's last classification (a pageClass), for
-	// stats; classUnknown before the first adaptive epoch.
-	classTab []atomic.Int32
 	// engines is indexed by Mode; nil entries are not resident. residents
 	// lists the non-nil ones in canonical order.
 	engines   [8]engine
 	order     []Mode
 	residents []engine
 
-	// ctr is the per-page access counter table feeding the adaptive
-	// classifier and the per-page stats surface.
-	ctr []pageCounter
-	// prevCtr is the previous classification epoch's counter snapshot
-	// (leader-only: touched by the barrier leader inside the adaptive
-	// exchange, never concurrently).
-	prevCtr []counterDelta
-	// epoch is the classification epoch, bumped in lockstep cluster-wide
-	// whenever a reclassification actually re-routes or re-homes pages.
-	// The barrier master validates every node reports the same epoch
-	// before trusting its counters.
-	epoch atomic.Uint32
-	// ftDone is set once the first-touch exchange has run (leader-only:
-	// touched by the barrier leader inside the cluster barrier, never
-	// concurrently). Always true for the static placements.
-	ftDone bool
-}
-
-// pageCounter is one page's live access counters. All fields are atomics:
-// application goroutines tick the local side, shard workers and directory
-// transactions tick the remote side, and snapshots never block protocol
-// work.
-type pageCounter struct {
-	localReads   atomic.Int64
-	localWrites  atomic.Int64
-	remoteReads  atomic.Int64 // reads served here for other nodes
-	remoteWrites atomic.Int64 // writes/flushes/notices from other nodes
-	diffs        atomic.Int64 // diffs and write-backs applied to this page
-	// writers is the bitmask of nodes observed writing since the last
-	// classification snapshot (swapped to zero there); writersEver is the
-	// cumulative mask for the stats surface.
-	writers     atomic.Uint64
-	writersEver atomic.Uint64
-}
-
-// counterDelta is one page's counter values over one classification
-// epoch, as shipped to the barrier master.
-type counterDelta struct {
-	localReads, localWrites   int64
-	remoteReads, remoteWrites int64
-	diffs                     int64
-	writers                   uint64
+	// touch counts this node's accesses per page for first-touch's claims.
+	// It exists only under PlaceFirstTouch and only until the first
+	// cluster barrier, whose leader takes it; from then on, and always
+	// under block placement, an access ticks nothing.
+	touch atomic.Pointer[[]atomic.Int64]
 }
 
 // newRouter builds the node's engine set for a per-page mode table.
-// With adaptation enabled the classifier's target protocols are resident
-// from the start even if no page initially routes to them, so a re-route
-// never has to construct (and somehow synchronize) a new engine
-// mid-run.
-func newRouter(n *Node, modes []Mode, adaptive bool) *router {
+func newRouter(n *Node, modes []Mode) *router {
 	numPages := n.sys.layout.NumPages()
-	r := &router{
-		n:        n,
-		modeTab:  make([]atomic.Int32, numPages),
-		homeTab:  make([]atomic.Int32, numPages),
-		classTab: make([]atomic.Int32, numPages),
-		ctr:      make([]pageCounter, numPages),
-		prevCtr:  make([]counterDelta, numPages),
-		ftDone:   n.sys.cfg.Placement != PlaceFirstTouch,
-	}
-	for pg, m := range modes {
-		r.modeTab[pg].Store(int32(m))
-	}
+	r := &router{n: n, modeTab: modes, homeTab: make([]atomic.Int32, numPages)}
 	for pg, h := range initialHomes(numPages, n.sys.cfg.Procs) {
 		r.homeTab[pg].Store(int32(h))
+	}
+	if n.sys.cfg.Placement == PlaceFirstTouch {
+		touch := make([]atomic.Int64, numPages)
+		r.touch.Store(&touch)
 	}
 	// The engine constructors below read the home table through
 	// n.homeOf (directory init), so the router must be reachable from
 	// the node before any engine is built.
 	n.rt = r
-	need := distinctModes(modes)
-	if adaptive {
-		need = append(need, adaptTargets...)
-		need = distinctModes(need)
-	}
-	r.order = need
-	for _, m := range need {
+	r.order = distinctModes(modes)
+	for _, m := range r.order {
 		var e engine
 		switch m {
 		case LazyInvalidate, LazyUpdate:
@@ -144,12 +85,10 @@ func newRouter(n *Node, modes []Mode, adaptive bool) *router {
 	return r
 }
 
-// modeOf returns page pg's current protocol.
-func (r *router) modeOf(pg mem.PageID) Mode {
-	return Mode(r.modeTab[pg].Load())
-}
+// modeOf returns page pg's protocol.
+func (r *router) modeOf(pg mem.PageID) Mode { return r.modeTab[pg] }
 
-// engineFor returns the engine currently owning page pg.
+// engineFor returns the engine owning page pg.
 func (r *router) engineFor(pg mem.PageID) engine {
 	return r.engines[r.modeOf(pg)]
 }
@@ -168,24 +107,29 @@ func (r *router) homes() []mem.ProcID {
 	return out
 }
 
-// snapshotClaims builds this node's first-touch claims: every page with
-// local activity before the first cluster barrier, scored by access
-// count. Called by the barrier leader goroutine only.
-func (r *router) snapshotClaims() []homeClaim {
-	var out []homeClaim
-	for pg := range r.ctr {
-		c := &r.ctr[pg]
-		n := c.localReads.Load() + c.localWrites.Load()
-		if n <= 0 {
-			continue
-		}
-		score := uint32(n)
-		if n > int64(^uint32(0)) {
-			score = ^uint32(0)
-		}
-		out = append(out, homeClaim{pg: mem.PageID(pg), score: score})
+// takeClaims retires the touch table and returns this node's first-touch
+// claims: every page it accessed before the first cluster barrier, scored
+// by access count. Nil, false once the table is gone. Called by the
+// barrier leader goroutine only.
+func (r *router) takeClaims() ([]touchClaim, bool) {
+	touch := r.touch.Swap(nil)
+	if touch == nil {
+		return nil, false
 	}
-	return out
+	var out []touchClaim
+	for pg := range *touch {
+		if n := (*touch)[pg].Load(); n > 0 {
+			out = append(out, touchClaim{pg: mem.PageID(pg), node: r.n.id, score: uint32(min(n, math.MaxUint32))})
+		}
+	}
+	return out, true
+}
+
+// noteTouch counts one access to pg while first-touch is still collecting.
+func (r *router) noteTouch(pg mem.PageID) {
+	if touch := r.touch.Load(); touch != nil {
+		(*touch)[pg].Add(1)
+	}
 }
 
 // lazyResident returns mode's engine if it is a resident lazy engine
@@ -204,7 +148,7 @@ func (r *router) lazyResident(m Mode) engine {
 // ReadUint64's eight bytes are the access hit path's only allocation.
 
 func (r *router) readPage(pg mem.PageID, off int, dst []byte) error {
-	r.ctr[pg].localReads.Add(1)
+	r.noteTouch(pg)
 	switch e := r.engineFor(pg).(type) {
 	case *lazyEngine:
 		return e.readPage(pg, off, dst)
@@ -216,11 +160,7 @@ func (r *router) readPage(pg mem.PageID, off int, dst []byte) error {
 }
 
 func (r *router) writePage(pg mem.PageID, off int, src []byte) error {
-	c := &r.ctr[pg]
-	c.localWrites.Add(1)
-	bit := uint64(1) << r.n.id
-	c.writers.Or(bit)
-	c.writersEver.Or(bit)
+	r.noteTouch(pg)
 	switch e := r.engineFor(pg).(type) {
 	case *lazyEngine:
 		return e.writePage(pg, off, src)
@@ -245,7 +185,6 @@ func (r *router) handle(m *wire.Msg, src mem.ProcID) bool {
 	case wire.KPageReq, wire.KPageResp, wire.KFetch, wire.KInval, wire.KUpdate,
 		wire.KFlushReq, wire.KFlushDone, wire.KWriteReq, wire.KWriteResp:
 		if pg, ok := pageOf(r.n.sys.layout, m.A); ok {
-			r.notePageTraffic(pg, m)
 			return r.engineFor(pg).handle(m, src)
 		}
 	case wire.KDiffReq:
@@ -259,42 +198,6 @@ func (r *router) handle(m *wire.Msg, src mem.ProcID) bool {
 		}
 	}
 	return false
-}
-
-// notePageTraffic ticks the remote-side access counters for an incoming
-// page-keyed message (ids already bounds-checked by the caller; the
-// writer id B is engine-validated later, so an out-of-range forgery is
-// merely not counted).
-func (r *router) notePageTraffic(pg mem.PageID, m *wire.Msg) {
-	c := &r.ctr[pg]
-	switch m.Kind {
-	case wire.KPageReq, wire.KFetch:
-		c.remoteReads.Add(1)
-	case wire.KWriteReq, wire.KFlushReq:
-		c.remoteWrites.Add(1)
-		if r.n.validProc(mem.ProcID(m.B)) {
-			bit := uint64(1) << uint(m.B)
-			c.writers.Or(bit)
-			c.writersEver.Or(bit)
-		}
-	}
-}
-
-// noteRemoteWriter records a write notice observed for page pg from
-// proc, for the classifier (called by the lazy engines while absorbing
-// interval records).
-func (r *router) noteRemoteWriter(pg mem.PageID, proc mem.ProcID) {
-	c := &r.ctr[pg]
-	c.remoteWrites.Add(1)
-	bit := uint64(1) << uint(proc)
-	c.writers.Or(bit)
-	c.writersEver.Or(bit)
-}
-
-// noteDiffApplied records a diff (or eager write-back/update) applied to
-// page pg — the false-sharing traffic signal.
-func (r *router) noteDiffApplied(pg mem.PageID) {
-	r.ctr[pg].diffs.Add(1)
 }
 
 // --- mode-tagged section fan-out ---
@@ -477,15 +380,10 @@ func (r *router) postBarrier(b mem.BarrierID) error {
 	return first
 }
 
-// --- page migration hooks ---
-
-func (r *router) dropPage(pg mem.PageID) {
-	r.engineFor(pg).dropPage(pg)
-}
-
-func (r *router) adoptPage(pg mem.PageID, data []byte) {
-	r.engineFor(pg).adoptPage(pg, data)
-}
+// dropPage and adoptPage complete the engine interface; the hand-off
+// calls the owning engine directly.
+func (r *router) dropPage(pg mem.PageID)               { r.engineFor(pg).dropPage(pg) }
+func (r *router) adoptPage(pg mem.PageID, data []byte) { r.engineFor(pg).adoptPage(pg, data) }
 
 // clock merges the resident engines' vector times (non-causal engines
 // report zeros, so a mixed node's clock is its lazy engines' joint
@@ -500,50 +398,24 @@ func (r *router) clock() vc.VC {
 
 // --- stats surface ---
 
-// PageStat is one page's routing state and access counters in a Stats
-// snapshot (pages with no recorded activity are omitted).
+// PageStat is one page's routing state in a Stats snapshot.
 type PageStat struct {
-	Page         int
-	Mode         string
-	Class        string
-	Home         int // current home node (directory / cold-copy server)
-	LocalReads   int64
-	LocalWrites  int64
-	RemoteReads  int64
-	RemoteWrites int64
-	DiffsApplied int64
-	Writers      uint64 // bitmask of nodes ever observed writing
+	Page int
+	Mode string
+	Home int // current home node (directory / cold-copy server)
 }
 
-// fillPageStats appends the per-page counter snapshot to a Stats value.
+// fillPageStats appends to a Stats value the pages routed off the
+// configured default: those a mode map gave another protocol than
+// Config.Mode and those first-touch moved off their block home.
 func (r *router) fillPageStats(st *Stats) {
-	for pg := range r.ctr {
-		c := &r.ctr[pg]
-		ps := PageStat{
-			Page:         pg,
-			Mode:         r.modeOf(mem.PageID(pg)).String(),
-			Class:        pageClass(r.classTab[pg].Load()).String(),
-			Home:         int(r.homeOf(mem.PageID(pg))),
-			LocalReads:   c.localReads.Load(),
-			LocalWrites:  c.localWrites.Load(),
-			RemoteReads:  c.remoteReads.Load(),
-			RemoteWrites: c.remoteWrites.Load(),
-			DiffsApplied: c.diffs.Load(),
-			Writers:      c.writersEver.Load(),
+	cfg := &r.n.sys.cfg
+	for pg, m := range r.modeTab {
+		if home := int(r.homeOf(mem.PageID(pg))); m != cfg.Mode || home != pg%cfg.Procs {
+			st.Pages = append(st.Pages, PageStat{Page: pg, Mode: m.String(), Home: home})
 		}
-		if ps.LocalReads == 0 && ps.LocalWrites == 0 && ps.RemoteReads == 0 &&
-			ps.RemoteWrites == 0 && ps.DiffsApplied == 0 && ps.Writers == 0 {
-			continue
-		}
-		st.Pages = append(st.Pages, ps)
 	}
 }
 
-// pageModes snapshots the current mode table.
-func (r *router) pageModes() []Mode {
-	out := make([]Mode, len(r.modeTab))
-	for pg := range r.modeTab {
-		out[pg] = Mode(r.modeTab[pg].Load())
-	}
-	return out
-}
+// pageModes returns a copy of the mode table.
+func (r *router) pageModes() []Mode { return slices.Clone(r.modeTab) }

@@ -205,7 +205,7 @@ func (e *scEngine) onGrant(grant *wire.Msg) error { return nil }
 func (e *scEngine) preRelease() error             { return nil }
 func (e *scEngine) release()                      {}
 
-// dropPage and adoptPage run only in the quiescent reclassification
+// dropPage and adoptPage run only in the quiescent hand-off
 // rendezvous; no access, miss or directory transaction for the page is
 // in flight anywhere.
 func (e *scEngine) dropPage(pg mem.PageID) {

@@ -221,31 +221,23 @@ func (n *Node) Barrier(b mem.BarrierID) error {
 }
 
 // clusterBarrier is the node-level barrier: the distributed rendezvous
-// through the master plus the engine's pre/post episode work. On
-// classification epochs (every AdaptEveryBarriers-th barrier) the
-// arrival and exit messages additionally carry the adaptive exchange in
-// their Data payload — per-page counter deltas up, the master's re-route
-// decision down — and a non-empty re-route set is applied in a dedicated
-// rendezvous before any application goroutine leaves the barrier (see
-// adaptive.go).
+// through the master plus the engine's pre/post episode work. Under
+// PlaceFirstTouch the first one's arrival and exit messages additionally
+// carry the placement exchange in their Data payload — touch claims up,
+// the master's home moves down — and a non-empty plan is applied in a
+// dedicated rendezvous before any application goroutine leaves the
+// barrier (see placement.go).
 func (n *Node) clusterBarrier(b mem.BarrierID) error {
 	n.emit("sync", "barrier-enter", int64(b))
 	if err := n.e.preBarrier(); err != nil {
 		return err
 	}
 
-	n.barCount++
-	adaptDue := n.sys.cfg.AdaptEveryBarriers > 0 &&
-		n.barCount%n.sys.cfg.AdaptEveryBarriers == 0
-	// The first-touch exchange rides the first cluster barrier only;
-	// every node computes ftDue from its own synchronized barrier count,
-	// so the whole cluster agrees which barrier carries the claims.
-	ftDue := !n.rt.ftDone
-	exchangeDue := adaptDue || ftDue
-
-	var routes []reroute
+	// The touch table is there to take at the first cluster barrier only,
+	// on every node alike, so the cluster agrees which barrier carries the
+	// claims.
+	claims, ftDue := n.rt.takeClaims()
 	var homes []homeDelta
-	newEpoch := uint32(0)
 
 	const master = mem.ProcID(0)
 	if n.id == master {
@@ -257,36 +249,29 @@ func (n *Node) clusterBarrier(b mem.BarrierID) error {
 			if err != nil {
 				return err
 			}
-			if mem.BarrierID(m.A) != b {
-				return fmt.Errorf("dsm: master: arrival for barrier %d during barrier %d", m.A, b)
+			if mem.BarrierID(m.A) != b || !n.validProc(mem.ProcID(m.B)) {
+				return fmt.Errorf("dsm: master: arrival for barrier %d from node %d during barrier %d", m.A, m.B, b)
 			}
 			arrivals = append(arrivals, m)
 		}
 		n.e.masterAbsorb(arrivals)
 		var exitData []byte
-		if exchangeDue {
-			st := &adaptState{epoch: n.rt.epoch.Load()}
+		if ftDue {
+			// One undecodable arrival skips the placement: homes planned from
+			// partial claims would be agreed, but not first-touch.
+			complete := true
 			for _, m := range arrivals {
-				n.absorbPeerExchange(st, m, adaptDue, ftDue)
-			}
-			newEpoch = st.epoch
-			if adaptDue {
-				st.nodes = append(st.nodes, n.id)
-				st.deltas = append(st.deltas, n.rt.snapshotDeltas())
-				newEpoch, routes = n.rt.classifyRoutes(st)
-			}
-			if ftDue {
-				for _, c := range n.rt.snapshotClaims() {
-					st.claims = append(st.claims, ftClaim{pg: c.pg, node: n.id, score: c.score})
+				peer, err := decodeClaims(m.Data, mem.ProcID(m.B), n.sys.layout.NumPages())
+				if err != nil {
+					n.noteErr("first-touch exchange", fmt.Errorf("node %d: %w", m.B, err))
+					complete = false
 				}
-				homes = n.rt.planFirstTouch(st)
-			} else if adaptDue && n.sys.cfg.MigrateHomes {
-				homes = n.rt.planHomeMoves(st)
+				claims = append(claims, peer...)
 			}
-			if len(homes) > 0 && newEpoch == st.epoch {
-				newEpoch = st.epoch + 1
+			if complete {
+				homes = n.rt.planFirstTouch(claims)
 			}
-			exitData = encodeExitPlan(newEpoch, routes, homes)
+			exitData = encodeHomePlan(homes)
 		}
 		// Exit messages carry what each arriver lacks; an arrival is done
 		// with once it is answered.
@@ -304,16 +289,8 @@ func (n *Node) clusterBarrier(b mem.BarrierID) error {
 	} else {
 		arrive := wire.NewMsg()
 		arrive.Kind, arrive.Seq, arrive.A, arrive.B = wire.KBarrierArrive, n.nextSeq(), int32(b), int32(n.id)
-		if exchangeDue {
-			var deltas []counterDelta
-			if adaptDue {
-				deltas = n.rt.snapshotDeltas()
-			}
-			var claims []homeClaim
-			if ftDue {
-				claims = n.rt.snapshotClaims()
-			}
-			arrive.Data = encodeExchange(n.rt.epoch.Load(), deltas, claims)
+		if ftDue {
+			arrive.Data = encodeClaims(claims)
 		}
 		n.e.barrierEntry()
 		n.e.arrive(arrive)
@@ -323,36 +300,26 @@ func (n *Node) clusterBarrier(b mem.BarrierID) error {
 			return err
 		}
 		defer exit.Release()
-		if exchangeDue {
-			// An undecodable plan — or an invalid re-route set — must fail
-			// the barrier loudly: a node that silently skipped it would
-			// route pages differently from the rest of the cluster. An
-			// invalid home-delta section is merely recorded and dropped
-			// (see decodeExitPlan); a home is a placement hint, and a
-			// dropped move leaves every table consistent.
+		if ftDue {
+			// An undecodable plan must fail the barrier loudly; an invalid
+			// home delta is merely recorded and the plan dropped (see
+			// decodeHomePlan): a home is a placement hint.
 			var homeErr error
-			newEpoch, routes, homes, homeErr, err = decodeExitPlan(
-				exit.Data, n.sys.layout.NumPages(), n.sys.cfg.Procs)
+			homes, homeErr, err = decodeHomePlan(exit.Data, n.sys.layout.NumPages(), n.sys.cfg.Procs)
 			if err != nil {
 				return fmt.Errorf("dsm: node %d: barrier %d: %w", n.id, b, err)
 			}
-			if homeErr != nil {
-				n.noteErr("home delta", homeErr)
-				homes = nil
-			}
+			n.noteErr("home delta", homeErr)
 		}
 		if err := n.e.onExit(exit); err != nil {
 			return err
 		}
 	}
-	if ftDue {
-		n.rt.ftDone = true
-	}
 	if err := n.e.postBarrier(b); err != nil {
 		return err
 	}
-	if len(routes) > 0 || len(homes) > 0 {
-		if err := n.applyReclass(b, routes, homes, newEpoch); err != nil {
+	if len(homes) > 0 {
+		if err := n.handOff(b, homes); err != nil {
 			return err
 		}
 	}

@@ -15,7 +15,7 @@ import (
 type Event struct {
 	NS   int64  // nanoseconds since the tracer started
 	Node int32  // processor id (Chrome renders it as the pid lane)
-	Cat  string // e.g. "sync", "recv", "send", "adapt"
+	Cat  string // e.g. "sync", "recv", "send", "place"
 	Name string // e.g. "cs-enter", "lockgrant", "frame"
 	Arg  int64
 }

@@ -202,12 +202,12 @@ const (
 	// KWriteResp: home -> requester granting ownership; Data carries the
 	// page contents unless the requester already holds a current copy.
 	KWriteResp
-	// KReclassReady: node -> barrier master during an adaptive
-	// reclassification epoch, signalling the node finished the current
-	// migration phase; KReclassGo: master -> nodes releasing the next
+	// KReclassReady: node -> barrier master during the first-touch
+	// hand-off at the first barrier, signalling the node finished the
+	// current phase; KReclassGo: master -> nodes releasing the next
 	// phase. A/B = barrier id, arriving node (ready only). Two
-	// ready/go rounds bracket a protocol re-route so no node resumes
-	// application work before every node has flipped its mode table.
+	// ready/go rounds bracket the home moves so no node resumes
+	// application work before every node has flipped its home table.
 	KReclassReady
 	KReclassGo
 

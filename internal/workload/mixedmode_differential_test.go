@@ -3,16 +3,13 @@ package workload
 import (
 	"bytes"
 	"testing"
-
-	"repro/internal/dsm"
 )
 
 // Mixed-mode differentials: per-page protocol routing is a performance
 // knob, not a semantics change. A properly-synchronized workload must
 // produce the same final shared-memory image whether the whole space runs
-// under one engine, pages are statically striped across several resident
-// engines, or the adaptive classifier re-routes pages between engines at
-// barrier epochs — at one goroutine per node and oversubscribed, over
+// under one engine or pages are statically striped across several
+// resident engines — at one goroutine per node and oversubscribed, over
 // simnet and (non-short) loopback TCP.
 
 // mixedMaps are static per-page assignments exercised by the differential:
@@ -74,84 +71,5 @@ func TestMixedModeDifferential(t *testing.T) {
 					mm.name, gpn, firstDiff(res.Image, ref.Image))
 			}
 		}
-	}
-}
-
-// TestAdaptiveDifferential runs the classifier live: every second cluster
-// barrier becomes a classification epoch that may re-route pages between
-// engines mid-run. The final image must still match the sequential
-// reference, the per-page stats must surface the classifications, and on
-// mp3d — whose particle region is partitioned by processor — at least one
-// privately-written page must have moved off the initial protocol.
-func TestAdaptiveDifferential(t *testing.T) {
-	const procs, scale = 4, 0.05
-	ref, err := ExecuteCached("mp3d", procs, scale, diffSeed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, gpn := range []int{1, 4} {
-		prog, err := New("mp3d", procs, scale, diffSeed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := RunOnRuntime(prog, RuntimeConfig{
-			PageSize: 1024, Mode: dsm.LazyInvalidate,
-			AdaptEveryBarriers: 2, GoroutinesPerNode: gpn,
-		})
-		if err != nil {
-			t.Fatalf("gpn=%d: %v", gpn, err)
-		}
-		if !bytes.Equal(res.Image, ref.Image) {
-			t.Errorf("gpn=%d: adaptive image diverges from reference (first diff at byte %d)",
-				gpn, firstDiff(res.Image, ref.Image))
-		}
-		assertClassified(t, res, "gpn", gpn)
-	}
-	if testing.Short() {
-		return
-	}
-	// TCP leg: classification epochs and page migrations over a real
-	// loopback cluster.
-	for _, gpn := range []int{1, 4} {
-		prog, err := New("mp3d", procs, scale, diffSeed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := RunOnRuntime(prog, RuntimeConfig{
-			PageSize: 1024, Mode: dsm.LazyInvalidate,
-			AdaptEveryBarriers: 2, GoroutinesPerNode: gpn,
-			Transports: tcpTransports(t, procs/gpn),
-		})
-		if err != nil {
-			t.Fatalf("tcp gpn=%d: %v", gpn, err)
-		}
-		if !bytes.Equal(res.Image, ref.Image) {
-			t.Errorf("tcp gpn=%d: adaptive image diverges from reference (first diff at byte %d)",
-				gpn, firstDiff(res.Image, ref.Image))
-		}
-		assertClassified(t, res, "tcp gpn", gpn)
-	}
-}
-
-// assertClassified checks the classifier's observable effects on the
-// barrier master's stats: some pages carry a sharing-pattern label and
-// some page left the initial LI protocol (mp3d's per-processor particle
-// pages classify as private and move to SC).
-func assertClassified(t *testing.T, res *RuntimeResult, leg string, gpn int) {
-	t.Helper()
-	classified, moved := 0, 0
-	for _, ps := range res.Nodes[0].Pages {
-		if ps.Class != "unknown" {
-			classified++
-		}
-		if ps.Mode != dsm.LazyInvalidate.String() {
-			moved++
-		}
-	}
-	if classified == 0 {
-		t.Errorf("%s=%d: no page carries a sharing classification on the barrier master", leg, gpn)
-	}
-	if moved == 0 {
-		t.Errorf("%s=%d: classifier re-routed no page off the initial protocol", leg, gpn)
 	}
 }

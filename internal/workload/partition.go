@@ -20,16 +20,12 @@ const partitionSlabAlign = 4096
 // flush-request/flush-done exchange with each dirty page's home at
 // every release and barrier even though there is no other cacher to
 // invalidate. Re-homing the slabs to their writers (first-touch
-// placement, or home migration under any placement) turns that
-// recurring exchange into free loopback — the workload exists to make
-// that difference measurable, and is what the migration traffic gate
-// runs on.
+// placement) turns that recurring exchange into free loopback — the
+// workload exists to make that difference measurable
+// (BenchmarkPlacementPolicies).
 //
 // The per-step sweep writes every other 64-byte chunk, so a 1KiB page
-// sees 8 writes per step: enough for the home migrator
-// (migrateMinWrites) while staying under the protocol classifier's
-// adaptMinAccesses — on the gate's configuration the slabs migrate
-// without being re-routed, isolating placement's contribution.
+// sees 8 writes per step.
 type Partition struct {
 	Procs  int
 	Chunks int // 64-byte chunks per processor slab

@@ -8,12 +8,11 @@ import (
 	"repro/internal/dsm"
 )
 
-// Placement differential matrix: page placement and home migration are
-// pure performance machinery — under every placement policy, with homes
-// migrating or pinned, every protocol must still produce a final image
-// byte-identical to the sequential reference. The matrix runs mp3d (the
-// multi-writer workload, the hardest on directory state) over the
-// in-process interconnect for every {placement} × {migration} ×
+// Placement differential matrix: page placement is pure performance
+// machinery — under every placement policy every protocol must still
+// produce a final image byte-identical to the sequential reference. The
+// matrix runs mp3d (the multi-writer workload, the hardest on directory
+// state) over the in-process interconnect for every {placement} ×
 // {protocol} × {goroutines-per-node} combination, and a TCP leg repeats
 // a slice of it over real sockets.
 
@@ -39,10 +38,12 @@ func runPlacement(t *testing.T, name string, rc RuntimeConfig, procs int, scale 
 	}
 }
 
-// TestPlacementDifferential: {block, first-touch} × {migration
-// off, on} × all five protocols × one and four goroutines per node,
-// byte-identical images throughout. Short mode trims the sweep to one
-// goroutine per node and the LI/EI/SC protocols.
+// TestPlacementDifferential: {block, first-touch} × all five protocols ×
+// one and four goroutines per node, byte-identical images throughout
+// (four goroutines under -race also cover the touch table's retirement at
+// the first barrier). Short mode trims the sweep to one goroutine per
+// node and the LI/EI/SC protocols. The ids keep the migrate=false segment
+// earlier runs recorded them under.
 func TestPlacementDifferential(t *testing.T) {
 	const procs, scale, pageSize = 4, 0.05, 1024
 	modes := dsm.Modes
@@ -52,33 +53,27 @@ func TestPlacementDifferential(t *testing.T) {
 		gpns = []int{1}
 	}
 	for _, placement := range placementNames {
-		for _, migrate := range []bool{false, true} {
-			for _, mode := range modes {
-				for _, gpn := range gpns {
-					rc := RuntimeConfig{
-						PageSize:          pageSize,
-						Mode:              mode,
-						Placement:         placement,
-						GoroutinesPerNode: gpn,
-					}
-					if migrate {
-						rc.AdaptEveryBarriers = 2
-						rc.MigrateHomes = true
-					}
-					t.Run(fmt.Sprintf("%s/migrate=%v/%s/gpn%d", placement, migrate, mode, gpn), func(t *testing.T) {
-						t.Parallel()
-						runPlacement(t, "mp3d", rc, procs, scale)
-					})
+		for _, mode := range modes {
+			for _, gpn := range gpns {
+				rc := RuntimeConfig{
+					PageSize:          pageSize,
+					Mode:              mode,
+					Placement:         placement,
+					GoroutinesPerNode: gpn,
 				}
+				t.Run(fmt.Sprintf("%s/migrate=false/%s/gpn%d", placement, mode, gpn), func(t *testing.T) {
+					t.Parallel()
+					runPlacement(t, "mp3d", rc, procs, scale)
+				})
 			}
 		}
 	}
 }
 
-// TestPlacementOverTCPTransport repeats the placement matrix's
-// migration-on slice over real loopback TCP sockets: with one System
-// (and one home table) per process, cluster-wide placement agreement
-// has to hold purely through the exchanged barrier payloads.
+// TestPlacementOverTCPTransport repeats a slice of the placement matrix
+// over real loopback TCP sockets: with one System (and one home table)
+// per process, cluster-wide placement agreement has to hold purely
+// through the exchanged barrier payloads.
 func TestPlacementOverTCPTransport(t *testing.T) {
 	if testing.Short() {
 		t.Skip("TCP placement sweep crosses real sockets; skipped in short mode")
@@ -90,12 +85,10 @@ func TestPlacementOverTCPTransport(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/%s", placement, mode), func(t *testing.T) {
 				t.Parallel()
 				runPlacement(t, "mp3d", RuntimeConfig{
-					PageSize:           pageSize,
-					Mode:               mode,
-					Placement:          placement,
-					AdaptEveryBarriers: 2,
-					MigrateHomes:       true,
-					Transports:         tcpTransports(t, procs),
+					PageSize:   pageSize,
+					Mode:       mode,
+					Placement:  placement,
+					Transports: tcpTransports(t, procs),
 				}, procs, scale)
 			})
 		}

@@ -24,17 +24,9 @@ type RuntimeConfig struct {
 	// instead of running everything under Mode: a dsm.ParseModeMap spec
 	// like "pg0-31=SC,rest=LU" over the space's pages.
 	ModeMap string
-	// AdaptEveryBarriers turns every k-th cluster barrier into an
-	// adaptive classification epoch re-routing pages by their observed
-	// sharing pattern (see dsm.Config.AdaptEveryBarriers; 0 disables).
-	AdaptEveryBarriers int
 	// Placement names the initial page→home policy ("block" or
 	// "first-touch"; empty means block — see dsm.ParsePlacement).
 	Placement string
-	// MigrateHomes re-homes pages to their dominant writer on adaptive
-	// epochs (requires AdaptEveryBarriers > 0; see
-	// dsm.Config.MigrateHomes).
-	MigrateHomes bool
 	// GCEveryBarriers enables the runtime's barrier-time garbage
 	// collection every k-th episode (0 disables).
 	GCEveryBarriers int
@@ -236,21 +228,19 @@ func RunOnRuntime(p Program, rc RuntimeConfig) (*RuntimeResult, error) {
 	}
 	for i, tr := range transports {
 		sys, err := dsm.New(dsm.Config{
-			Procs:              nodes,
-			SpaceSize:          cfg.SpaceSize,
-			PageSize:           rc.PageSize,
-			Mode:               rc.Mode,
-			ModeMap:            modeMap,
-			AdaptEveryBarriers: rc.AdaptEveryBarriers,
-			Placement:          placement,
-			MigrateHomes:       rc.MigrateHomes,
-			GCEveryBarriers:    rc.GCEveryBarriers,
-			Latency:            rc.Latency,
-			GoroutinesPerNode:  gpn,
-			RPCTimeout:         rc.RPCTimeout,
-			Metrics:            rc.Metrics,
-			Tracer:             rc.Tracer,
-			Transport:          tr,
+			Procs:             nodes,
+			SpaceSize:         cfg.SpaceSize,
+			PageSize:          rc.PageSize,
+			Mode:              rc.Mode,
+			ModeMap:           modeMap,
+			Placement:         placement,
+			GCEveryBarriers:   rc.GCEveryBarriers,
+			Latency:           rc.Latency,
+			GoroutinesPerNode: gpn,
+			RPCTimeout:        rc.RPCTimeout,
+			Metrics:           rc.Metrics,
+			Tracer:            rc.Tracer,
+			Transport:         tr,
 		})
 		if err != nil {
 			// dsm.New closed tr; close the systems already built and the

@@ -25,13 +25,13 @@ func TestLazyDiffCreationGate(t *testing.T) {
 		t.Skip("lazy-diff gate runs water under both lazy protocols; skipped in short mode")
 	}
 	const name = "water"
-	ref, err := repro.ExecuteWorkload(name, adaptProcs, adaptScale, adaptSeed)
+	ref, err := repro.ExecuteWorkload(name, gateProcs, gateScale, gateSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, m := range []repro.DSMMode{repro.LazyInvalidate, repro.LazyUpdate} {
-		res, err := repro.RunWorkloadOnRuntime(name, adaptProcs, adaptScale, adaptSeed,
-			repro.RuntimeConfig{PageSize: adaptPageSize, Mode: m, GCEveryBarriers: 2})
+		res, err := repro.RunWorkloadOnRuntime(name, gateProcs, gateScale, gateSeed,
+			repro.RuntimeConfig{PageSize: gatePageSize, Mode: m, GCEveryBarriers: 2})
 		if err != nil {
 			t.Fatal(err)
 		}

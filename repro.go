@@ -16,12 +16,9 @@
 //     end (the implementation the paper's §7 promises): goroutine-backed
 //     nodes exchanging write notices, twins, diffs, invalidations and
 //     page ships over a pluggable interconnect, with the consistency
-//     policy — LI, LU, EI, EU or SC — selected per instance, per page
-//     (DSMConfig.ModeMap routes each page to its own resident engine,
-//     several protocols coexisting in one cluster), or adaptively
-//     (DSMConfig.AdaptEveryBarriers classifies each page's observed
-//     sharing pattern at barrier epochs and re-routes it to the protocol
-//     that pattern favors). See NewDSM.
+//     policy — LI, LU, EI, EU or SC — selected per instance or per
+//     page (DSMConfig.ModeMap routes each page to its own resident
+//     engine, several protocols coexisting in one cluster). See NewDSM.
 //     Nodes are concurrently usable: any number of application
 //     goroutines may drive one node (DSMConfig.GoroutinesPerNode sizes
 //     the barrier rendezvous), with per-page sharded protocol state and
@@ -100,11 +97,9 @@ type (
 	// Node is one live DSM processor handle.
 	Node = dsm.Node
 	// NodeStats is a live node's accumulated protocol metrics, including
-	// the per-kind traffic breakdown and per-page routing counters.
+	// the per-kind traffic breakdown and the pages routed off the default.
 	NodeStats = dsm.Stats
-	// PageStat is one page's routing and access-counter snapshot: the
-	// protocol it is currently routed to, its last adaptive sharing
-	// classification, and its access counters.
+	// PageStat is one page's routing state: its protocol and its home.
 	PageStat = dsm.PageStat
 	// Transport is the runtime's pluggable interconnect: the simulated
 	// in-process network by default (DSMConfig.Transport nil), or a real

@@ -36,7 +36,7 @@ const (
 
 func TestWireBytesGate(t *testing.T) {
 	const name, mode = "water", repro.LazyInvalidate
-	ref, err := repro.ExecuteWorkload(name, adaptProcs, adaptScale, adaptSeed)
+	ref, err := repro.ExecuteWorkload(name, gateProcs, gateScale, gateSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestWireBytesGate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := repro.RunWorkloadOnRuntime(name, adaptProcs, adaptScale, adaptSeed,
+	res, err := repro.RunWorkloadOnRuntime(name, gateProcs, gateScale, gateSeed,
 		repro.RuntimeConfig{PageSize: wireGatePageSize, Mode: mode})
 	if err != nil {
 		t.Fatal(err)
