@@ -244,81 +244,18 @@ func (l *Log) Maximal(out []IntervalID) []IntervalID {
 	return maximal
 }
 
-// PlanBefore reports whether interval a is applied before interval b under
-// the runtime's linear extension of hb1: ascending clock sum, with
-// (processor, index) as the deterministic tiebreak. This is the single
-// source of apply order — the live engines sort their diff plans with it,
-// and FlattenSafe uses it to decide whether merged diffs would commute
-// past an interval that must sort between them.
-func PlanBefore(a, b *Interval) bool {
-	var sa, sb int32
-	for _, v := range a.VC {
-		sa += v
-	}
-	for _, v := range b.VC {
-		sb += v
-	}
-	if sa != sb {
-		return sa < sb
-	}
-	if a.ID.Proc != b.ID.Proc {
-		return a.ID.Proc < b.ID.Proc
-	}
-	return a.ID.Index < b.ID.Index
-}
-
-// FlattenSafe reports whether the intervals of processor creator with
-// indices in [first, last] selected by merged — all modifying page pg —
-// can be served as one flattened diff applied at first's plan position.
-//
-// The flattened diff carries last's bytes for every overlapping word, so
-// the merge is only sound if no other interval that the requester might
-// order between the components can write the same words. Two cases:
-//
-//   - An interval X happened-before last (X is covered by last's clock):
-//     X may overlap the components' words. If X sorts after first under
-//     PlanBefore, the merge would move the components' bytes across X —
-//     unsafe. X sorting before first is fine: it applies before the
-//     flattened diff either way. The creator's log provably contains
-//     every such X (it applied them while bringing its copy up to date
-//     before closing last), so this check is complete on the server.
-//
-//   - An interval concurrent with the components: for properly-labeled
-//     programs concurrent writers of the same page touch disjoint words
-//     (otherwise a data race), so it commutes with the merge.
-//
-// An unmerged interval of creator itself with index inside (first, last]
-// always breaks the merge: it sorts between the components by program
-// order and overlap cannot be ruled out.
-func (l *Log) FlattenSafe(pg mem.PageID, creator mem.ProcID, first, last int32, merged func(int32) bool) bool {
+// IndicesOn returns the indices, ascending, of processor q's intervals
+// that modified page pg and lie in [first, last]. The result aliases the
+// log's history.
+func (l *Log) IndicesOn(pg mem.PageID, q mem.ProcID, first, last int32) []int32 {
 	hist := l.byPage[pg]
 	if hist == nil {
-		return false
+		return nil
 	}
-	ia := l.Get(IntervalID{Proc: creator, Index: first})
-	ib := l.Get(IntervalID{Proc: creator, Index: last})
-	for q := 0; q < l.n; q++ {
-		// The intervals of q on the page that last's clock covers.
-		idxs := hist[q]
-		idxs = idxs[:sort.Search(len(idxs), func(i int) bool { return idxs[i] > ib.VC[q] })]
-		if mem.ProcID(q) == creator {
-			// Every own one after first must be merged.
-			after := sort.Search(len(idxs), func(i int) bool { return idxs[i] > first })
-			for _, k := range idxs[after:] {
-				if !merged(k) {
-					return false
-				}
-			}
-			continue
-		}
-		// Clock sums rise strictly with a processor's interval index, so if
-		// any covered interval of q sorts after first, the latest one does:
-		// test that one alone.
-		if n := len(idxs); n > 0 && PlanBefore(ia, l.ivs[q][idxs[n-1]]) {
-			return false
-		}
-	}
-	return true
+	idxs := hist[q]
+	lo := sort.Search(len(idxs), func(i int) bool { return idxs[i] >= first })
+	hi := sort.Search(len(idxs), func(i int) bool { return idxs[i] > last })
+	return idxs[lo:max(lo, hi)]
 }
 
 // Assignment maps a responder processor to the outstanding intervals whose

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/mem"
@@ -261,35 +262,6 @@ func TestModifiersOf(t *testing.T) {
 	}
 }
 
-// flattenSafeRef is FlattenSafe as first written: a linear scan of the
-// page's whole covered history. Kept as the oracle for the searched
-// version.
-func flattenSafeRef(l *Log, pg mem.PageID, creator mem.ProcID, first, last int32, merged func(int32) bool) bool {
-	hist := l.byPage[pg]
-	if hist == nil {
-		return false
-	}
-	ia := l.Get(IntervalID{Proc: creator, Index: first})
-	ib := l.Get(IntervalID{Proc: creator, Index: last})
-	for q := 0; q < l.n; q++ {
-		for _, k := range hist[q] {
-			if !ib.VC.Covers(q, k) {
-				break
-			}
-			if mem.ProcID(q) == creator {
-				if k <= first || merged(k) {
-					continue
-				}
-				return false
-			}
-			if x := l.ivs[q][k]; PlanBefore(ia, x) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // randomHB1Log builds an hb1-consistent log: processors close intervals
 // on random pages and learn each other's clocks by acquire-style merges,
 // so every interval's clock covers exactly what happened before it.
@@ -322,48 +294,26 @@ func randomHB1Log(rng *rand.Rand, procs, pages, events int) *Log {
 	return l
 }
 
-// TestFlattenSafeMatchesLinearScan compares FlattenSafe against the
-// linear-scan oracle on random hb1-consistent logs: multi-writer pages and
-// a single-writer page, full and gapped merged sets, first == last.
-func TestFlattenSafeMatchesLinearScan(t *testing.T) {
+// TestIndicesOnMatchesLinearScan compares IndicesOn with a scan of the
+// processor's whole interval list, on random logs: ranges that start or end
+// between, before and after the page's intervals, and empty ones.
+func TestIndicesOnMatchesLinearScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	safe, unsafe := 0, 0
-	for round := 0; round < 200; round++ {
-		procs := 2 + rng.Intn(4)
-		pages := 1 + rng.Intn(3)
+	for round := 0; round < 100; round++ {
+		procs, pages := 2+rng.Intn(4), 1+rng.Intn(3)
 		l := randomHB1Log(rng, procs, pages, 20+rng.Intn(120))
-		for pg, hist := range l.byPage {
-			for creator, idxs := range hist {
-				for trial := 0; trial < 8 && len(idxs) > 0; trial++ {
-					a, b := rng.Intn(len(idxs)), rng.Intn(len(idxs))
-					if a > b {
-						a, b = b, a
-					}
-					// Full membership, or each member dropped one time in four.
-					gapped := trial%2 == 1
-					member := make(map[int32]bool)
-					for _, k := range idxs[a : b+1] {
-						if !gapped || rng.Intn(4) != 0 {
-							member[k] = true
-						}
-					}
-					merged := func(k int32) bool { return member[k] }
-					got := l.FlattenSafe(pg, mem.ProcID(creator), idxs[a], idxs[b], merged)
-					want := flattenSafeRef(l, pg, mem.ProcID(creator), idxs[a], idxs[b], merged)
-					if got != want {
-						t.Fatalf("round %d: FlattenSafe(page %d, creator %d, [%d,%d], members %v) = %v, linear scan says %v",
-							round, pg, creator, idxs[a], idxs[b], member, got, want)
-					}
-					if got {
-						safe++
-					} else {
-						unsafe++
-					}
+		for trial := 0; trial < 50; trial++ {
+			pg, q := mem.PageID(rng.Intn(pages+1)), rng.Intn(procs)
+			first, last := int32(rng.Intn(40)-2), int32(rng.Intn(40)-2)
+			var want []int32
+			for _, iv := range l.ivs[q] {
+				if k := iv.ID.Index; first <= k && k <= last && slices.Contains(iv.Pages, pg) {
+					want = append(want, k)
 				}
 			}
+			if got := l.IndicesOn(pg, mem.ProcID(q), first, last); !slices.Equal(got, want) {
+				t.Fatalf("round %d: IndicesOn(page %d, proc %d, [%d,%d]) = %v, scan says %v", round, pg, q, first, last, got, want)
+			}
 		}
-	}
-	if safe < 100 || unsafe < 100 {
-		t.Fatalf("generator is lopsided: %d safe and %d unsafe cases", safe, unsafe)
 	}
 }

@@ -394,9 +394,9 @@ func (e *eagerEngine) flushPages(cand []mem.PageID) error {
 	}
 
 	// Stage the whole burst, flush once, await every reconciliation.
-	// The shard workers apply each KFlushDone payload (write-backs, base
-	// data) before delivering it here; by the time rpcAll returns, this
-	// node's copies are the pages' authoritative state.
+	// The shard workers apply each KFlushDone payload (base data) before
+	// delivering it here; by the time rpcAll returns, this node's copies
+	// are the pages' authoritative state.
 	e.flightMu.Lock()
 	for _, p := range pends {
 		e.inflight[p.req.Seq] = p.fs
@@ -404,7 +404,7 @@ func (e *eagerEngine) flushPages(cand []mem.PageID) error {
 	}
 	e.flightMu.Unlock()
 	dones, err := n.rpcAll(reqs, nil)
-	releaseAll(dones) // applyFlushDone consumed the write-backs on the shard worker
+	releaseAll(dones) // applyFlushDone consumed them on the shard worker
 	if err != nil {
 		// Unacknowledged flushes will never reconcile; drop their
 		// in-flight entries (acknowledged ones were already consumed by
@@ -570,9 +570,8 @@ func (e *eagerEngine) servePageReq(m *wire.Msg) {
 }
 
 // serveFlushReq runs the home's release transaction for one dirty page:
-// every other copyset member is invalidated (EI, their own buffered
-// modifications riding back on the acks) or updated (EU), the flusher
-// becomes the owner, and the reply carries the reconciliation the
+// every other copyset member is invalidated (EI) or updated (EU), the
+// flusher becomes the owner, and the reply carries the reconciliation the
 // flusher must apply. The directory lock is held across all of it.
 func (e *eagerEngine) serveFlushReq(m *wire.Msg) {
 	defer m.Release()
@@ -641,12 +640,8 @@ func (e *eagerEngine) serveFlushReq(m *wire.Msg) {
 			return
 		}
 		if !e.update {
-			for i, ack := range acks {
-				// The invalidated cachers' own buffered modifications
-				// ride the acks back to the new owner, in fixed cacher
-				// order.
-				done.Diffs = append(done.Diffs, ack.Diffs...)
-				d.copyset &^= 1 << uint(targets[i])
+			for _, q := range targets {
+				d.copyset &^= 1 << uint(q)
 			}
 		}
 	}
@@ -656,7 +651,7 @@ func (e *eagerEngine) serveFlushReq(m *wire.Msg) {
 	}
 	d.copyset |= 1 << uint(flusher)
 	n.noteErr(fmt.Sprintf("flush done to %d", flusher), n.send(flusher, done))
-	releaseAll(acks) // the write-backs riding done were encoded by the send above
+	releaseAll(acks)
 }
 
 // serveFetch answers the home's request for this owner's committed page
@@ -691,17 +686,17 @@ func (e *eagerEngine) serveFetch(m *wire.Msg, src mem.ProcID) {
 }
 
 // applyInval invalidates this node's copy (EI). If a critical section
-// has buffered modifications to the page, their diff rides the ack back
-// to the home (Munin's false-sharing write-back) — but the twin stays,
-// and with it this node's duty to flush those words at its own release.
-// The write-back alone does not order them before the lock hand-off: it
-// reaches the new owner through the flusher's still-open transaction,
-// while the section's release, finding no twin, used to send nothing,
-// wait for nothing, and pass the lock to an acquirer that could still
-// read the word from a copy the transaction had not yet invalidated or
-// reconciled — a lost update. The release-time flush (needBase: the copy
-// is invalid) runs as its own directory transaction, behind the one that
-// invalidated us, so every copy is current or gone before the lock moves.
+// has buffered modifications to the page, the twin stays, and with it
+// this node's duty to flush those words at its own release: shipping them
+// to the new owner on the ack instead (Munin's false-sharing write-back)
+// does not order them before the lock hand-off — they would travel through
+// the flusher's still-open transaction while the section's release,
+// finding no twin, sent nothing, waited for nothing, and passed the lock
+// to an acquirer that could still read the word from a copy the
+// transaction had not yet invalidated or reconciled — a lost update. The
+// release-time flush (needBase: the copy is invalid) runs as its own
+// directory transaction, behind the one that invalidated us, so every
+// copy is current or gone before the lock moves.
 func (e *eagerEngine) applyInval(m *wire.Msg, src mem.ProcID) {
 	n := e.n
 	pg := mem.PageID(m.A)
@@ -709,23 +704,14 @@ func (e *eagerEngine) applyInval(m *wire.Msg, src mem.ProcID) {
 		n.noteErr("invalidate", fmt.Errorf("invalidation of invalid page %d", pg))
 		return
 	}
-	ack := &wire.Msg{Kind: wire.KInvalAck, Seq: m.Seq, A: m.A}
 	pmu := n.pageLock(pg)
 	pmu.Lock()
 	if pc := e.pages[pg]; pc != nil {
-		if pc.twin != nil {
-			d, err := page.MakeDiff(pc.twin, pc.data)
-			if err == nil && !d.Empty() {
-				ack.Diffs = append(ack.Diffs, wire.DiffRec{Page: pg, Diff: d})
-			}
-			n.stats.diffsCreated.Add(1)
-		}
 		pc.valid = false
 	}
 	pmu.Unlock()
 	n.stats.invalsReceived.Add(1)
-	n.stage(src, ack)
-	releaseDiffs(ack) // the write-back is in the frame
+	n.stage(src, &wire.Msg{Kind: wire.KInvalAck, Seq: m.Seq, A: m.A})
 }
 
 // applyUpdate applies a releaser's diff to this node's copy (EU). The
@@ -777,17 +763,14 @@ func (e *eagerEngine) applyUpdate(m *wire.Msg, src mem.ProcID) {
 
 // applyFlushDone installs the home's reconciliation at the flusher: an
 // optional fresh base (when a concurrent flush had invalidated this
-// node's copy), this node's own flushed diff on top, then any
-// write-backs recovered from invalidated cachers.
+// node's copy) and this node's own flushed diff on top.
 //
 // With multiple application goroutines another critical section may
 // already have a fresh twin for the page when the reconciliation lands.
 // Its uncommitted writes live only in pc.data, so they are lifted off
 // as a diff first, the reconciliation builds the new committed state,
 // and the uncommitted writes are reinstated on top with the twin
-// rebased beneath them — otherwise a base copy would erase them, and
-// write-backs would later re-register as that critical section's own
-// modifications.
+// rebased beneath them — otherwise a base copy would erase them.
 // Returns false (recording the cause) for a reconciliation that matches
 // no in-flight flush — a remote peer's stray or forged KFlushDone — so
 // the caller fails rather than wakes any waiter on that seq.
@@ -845,17 +828,6 @@ func (e *eagerEngine) applyFlushDone(m *wire.Msg) bool {
 	// lost.
 	if err := fs.diff.Apply(committed); err != nil {
 		fail("reapplying flushed diff to", err)
-	}
-	for _, rec := range m.Diffs {
-		// Write-backs are other cachers' diffs relayed by the home — wire
-		// data, not a local invariant. One that does not fit the page is
-		// recorded and skipped; the rest of the reconciliation stands.
-		if err := rec.Diff.Apply(committed); err != nil {
-			n.noteErr("flush reconcile",
-				fmt.Errorf("write-back to page %d does not apply: %w", fs.pg, err))
-			continue
-		}
-		n.stats.writeBacks.Add(1)
 	}
 	if pc.twin != nil {
 		copy(pc.data, committed)

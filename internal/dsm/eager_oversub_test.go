@@ -12,8 +12,8 @@ import (
 // counter pattern that once broke EI at gpn>1: four locks guard four
 // uint64 words on ONE page, every goroutine of every node randomly
 // picks a lock and increments its word, with barrier rounds mixed in.
-// Early-committed neighbor words riding flushes, invalidation
-// write-backs and reconciliation bases all hit the same page while
+// Early-committed neighbor words riding flushes, invalidations
+// and reconciliation bases all hit the same page while
 // other local goroutines are mid-critical-section; every word must
 // still count exactly.
 //

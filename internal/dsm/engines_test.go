@@ -253,8 +253,8 @@ func TestGCHomeNeverTouchedPageRegression(t *testing.T) {
 
 // TestFalseSharingLockedCounters hammers disjoint lock-protected
 // counters that share one page: the eager engines must merge concurrent
-// critical sections' diffs (EI write-backs, EU updates landing on
-// twins), and SC must ping-pong ownership, without losing an increment.
+// critical sections' diffs (EI reconciliation bases, EU updates landing
+// on twins), and SC must ping-pong ownership, without losing an increment.
 func TestFalseSharingLockedCounters(t *testing.T) {
 	allModes(t, func(t *testing.T, mode Mode) {
 		const procs, iters, counters = 4, 15, 4

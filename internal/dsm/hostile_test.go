@@ -1,8 +1,10 @@
 package dsm
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -11,6 +13,7 @@ import (
 	"repro/internal/page"
 	"repro/internal/simnet"
 	"repro/internal/transport/tcp"
+	"repro/internal/vc"
 	"repro/internal/wire"
 )
 
@@ -413,4 +416,160 @@ func TestForgedPageShipsRecordedNotInstalled(t *testing.T) {
 			t.Fatalf("Close = %v, want the recorded flush reconcile cause", cerr)
 		}
 	})
+}
+
+// TestHostileRangeWantsRecordedNotServed: a range want names its members
+// by its two ends, so a creator serves one only when both are its own
+// intervals on the page and every interval between them is still held.
+// Anything else — another processor's range, an end that left the page
+// alone, a range running past the node's clock or into collected history,
+// and a sound want beside a bad one — is recorded and the whole request
+// dropped: nothing is answered, so nothing torn is installed.
+func TestHostileRangeWantsRecordedNotServed(t *testing.T) {
+	// Node 0 closes intervals 0..2 on page 1 and interval 3 on page 2.
+	cases := []struct {
+		name  string
+		gc    bool
+		wants []wire.Want
+		want  string
+	}{
+		{"another processor's intervals", false, []wire.Want{{Page: 1, Proc: 1, Index: 0, Span: 2}}, "not a run of this node's intervals"},
+		{"last interval is not on the page", false, []wire.Want{{Page: 1, Proc: 0, Index: 0, Span: 3}}, "not a run of this node's intervals"},
+		{"first interval is not on the page", false, []wire.Want{{Page: 2, Proc: 0, Index: 2, Span: 1}}, "not a run of this node's intervals"},
+		{"past the node's clock", false, []wire.Want{{Page: 1, Proc: 0, Index: 2, Span: 5}}, "not a run of this node's intervals"},
+		{"wraps the index", false, []wire.Want{{Page: 1, Proc: 0, Index: 2, Span: 1<<31 - 1}}, "not a run of this node's intervals"},
+		{"negative span", false, []wire.Want{{Page: 1, Proc: 0, Index: 2, Span: -2}}, "not a run of this node's intervals"},
+		{"invalid page", false, []wire.Want{{Page: 1 << 20, Proc: 0, Index: 0, Span: 2}}, "on invalid page"},
+		{"collected history", true, []wire.Want{{Page: 1, Proc: 0, Index: 0, Span: 2}}, "no longer held"},
+		{"a sound want beside a bad one", false, []wire.Want{{Page: 1, Proc: 0, Index: 0, Span: 2}, {Page: 1, Proc: 0, Index: 1, Span: 7}}, "not a run of this node's intervals"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := Config{Procs: 2, SpaceSize: 8192, PageSize: 1024, Mode: LazyInvalidate}
+			if tc.gc {
+				cfg.GCEveryBarriers = 1
+			}
+			s, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			n := s.Node(0)
+			for r := 0; r < 4; r++ {
+				addr := mem.Addr(1024 + 8*r)
+				if r == 3 {
+					addr = 2048
+				}
+				if err := n.Acquire(0); err != nil {
+					t.Fatal(err)
+				}
+				if err := n.WriteUint64(addr, uint64(100+r)); err != nil {
+					t.Fatal(err)
+				}
+				if err := n.Release(0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if tc.gc {
+				var wg sync.WaitGroup
+				for p := 0; p < 2; p++ {
+					wg.Add(1)
+					go func(n *Node) {
+						defer wg.Done()
+						if err := n.Barrier(0); err != nil {
+							t.Error(err)
+						}
+					}(s.Node(p))
+				}
+				wg.Wait()
+			}
+			// In memory, not through the codec, which refuses some of these
+			// before the engine sees them.
+			e := n.rt.engines[LazyInvalidate].(*lazyEngine)
+			sent := n.stats.kindMsgs[wire.KDiffResp].Load()
+			e.handleDiffReq(&wire.Msg{Kind: wire.KDiffReq, Seq: 99, A: 1, B: int32(LazyInvalidate), Wants: tc.wants}, 1)
+			if err := n.out.flushAll(); err != nil {
+				t.Fatal(err)
+			}
+			if got := n.stats.kindMsgs[wire.KDiffResp].Load(); got != sent {
+				t.Errorf("the refused request was answered: %d diff responses sent", got-sent)
+			}
+			if cerr := s.Close(); cerr == nil || !strings.Contains(cerr.Error(), tc.want) || !strings.Contains(cerr.Error(), "diff request") {
+				t.Fatalf("Close = %v, want the recorded diff request cause %q", cerr, tc.want)
+			}
+		})
+	}
+}
+
+// TestMismatchedDiffResponsesFailTheMiss: a response reaches its waiter by
+// sequence number alone and a miss finds a record by its want's position,
+// so whatever a faulty or hostile creator answers with that does not
+// answer the request — another kind, a record too few or too many, a
+// record for another page, processor or interval — must fail the access
+// with an error that names the peer, leave the copy invalid and untouched,
+// and surface at Close; the run ends, it does not hang.
+func TestMismatchedDiffResponsesFailTheMiss(t *testing.T) {
+	forged, err := page.DiffFromRuns([]page.Run{{Off: 8, Len: 4}}, [][]byte{{1, 2, 3, 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := func(pg mem.PageID, p mem.ProcID, idx int32) wire.DiffRec {
+		return wire.DiffRec{Page: pg, Proc: p, Index: idx, Diff: forged}
+	}
+	cases := []struct {
+		name string
+		resp wire.Msg
+	}{
+		{"another kind", wire.Msg{Kind: wire.KPageResp, Data: make([]byte, 1024)}},
+		{"no record", wire.Msg{Kind: wire.KDiffResp}},
+		{"a record too many", wire.Msg{Kind: wire.KDiffResp, Diffs: []wire.DiffRec{rec(0, 1, 0), rec(0, 1, 1)}}},
+		{"another interval", wire.Msg{Kind: wire.KDiffResp, Diffs: []wire.DiffRec{rec(0, 1, 1)}}},
+		{"another processor", wire.Msg{Kind: wire.KDiffResp, Diffs: []wire.DiffRec{rec(0, 0, 0)}}},
+		{"another page", wire.Msg{Kind: wire.KDiffResp, Diffs: []wire.DiffRec{rec(1, 1, 0)}}},
+	}
+	for _, mode := range []Mode{LazyInvalidate, LazyUpdate} {
+		for _, tc := range cases {
+			t.Run(mode.String()+"/"+tc.name, func(t *testing.T) {
+				// The fake node 1 holds lock 1 and grants it with the notice of
+				// its interval 0 on page 0, which node 0 homes and has read.
+				s := newSysWithFakePeer(t, mode, func(req *wire.Msg) *wire.Msg {
+					switch req.Kind {
+					case wire.KLockReq:
+						clock := vc.VC{-1, 0}
+						return &wire.Msg{Kind: wire.KLockGrant, A: req.A, Sections: []wire.Section{{Mode: uint16(mode), VC: clock,
+							Intervals: []wire.IntervalRec{{Proc: 1, Index: 0, VC: clock, Pages: []mem.PageID{0}}}}}}
+					case wire.KDiffReq:
+						if len(req.Wants) != 1 || req.Wants[0] != (wire.Want{Page: 0, Proc: 1, Index: 0}) {
+							t.Errorf("asked for %+v", req.Wants)
+						}
+						r := tc.resp
+						return &r
+					}
+					return nil
+				})
+				n := s.Node(0)
+				if err := n.WriteUint64(0, 7); err != nil {
+					t.Fatal(err)
+				}
+				// LU fetches at the acquire, LI at the access.
+				err := n.Acquire(1)
+				if err == nil {
+					_, err = n.ReadUint64(0)
+				}
+				if err == nil || !strings.Contains(err.Error(), "bad diff response from 1") {
+					t.Fatalf("miss over a mismatched response = %v, want a diff fetch error naming node 1", err)
+				}
+				e := n.rt.engines[mode].(*lazyEngine)
+				if pc := e.pages[0]; pc.valid || binary.LittleEndian.Uint64(pc.data) != 7 || pc.data[8] != 0 {
+					t.Errorf("the copy changed: valid=%t, first words % x", pc.valid, pc.data[:16])
+				}
+				if _, err := n.ReadUint64(0); err == nil {
+					t.Error("a second read of the page succeeded")
+				}
+				if cerr := s.Close(); cerr == nil || !strings.Contains(cerr.Error(), "diff fetch") {
+					t.Fatalf("Close = %v, want the recorded diff fetch cause", cerr)
+				}
+			})
+		}
+	}
 }

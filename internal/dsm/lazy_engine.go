@@ -45,8 +45,8 @@ type lazyEngine struct {
 	diffs     map[core.IntervalID][]diffSlot
 	lastEpoch vc.VC
 	episodes  int
-	// flat caches flattened diffs built by handleDiffReq, keyed by the
-	// merged index range, so repeat requesters reuse one merge. Dropped
+	// flat caches the merged diffs handleDiffReq built for range wants,
+	// keyed by the range, so repeat requesters reuse one merge. Dropped
 	// wholesale when GC discards diffs.
 	flat map[flatKey]*flatEntry
 	// fresh accumulates the interval records learned during the current
@@ -93,71 +93,6 @@ type lazyPage struct {
 	pending *diffSlot
 }
 
-// diffSlot is one retained diff in the store: either materialized (d set)
-// or deferred (base twin captured, diff not yet computed). A deferred
-// slot's target contents are the target twin if set, else the live page
-// data (the slot is then the page's pending slot). The store holds this
-// node's own intervals' diffs and, under LU only, clones of the foreign
-// diffs it received — what a later lock grant piggybacks; LI applies a
-// fetched diff out of its response and keeps nothing. Fields are guarded
-// by the slot's page stripe unless noted; the store map itself is under
-// e.mu.
-type diffSlot struct {
-	d      *page.Diff
-	base   *page.Twin
-	target *page.Twin
-	// held says the store has this slot's diff, made or deferred: an LU
-	// entry for a foreign interval has blank slots for the pages whose diff
-	// never arrived. Set with the slot, under e.mu.
-	held bool
-	// served is set by the slot's first serve (Stats.DiffCacheHits counts
-	// the later ones). Guarded by e.mu.
-	served bool
-	// flat marks a slot received as part of a flattened response group.
-	// Its diff is positionally entangled with the rest of the group
-	// (the head carries every member's bytes, the members are empty),
-	// so it is applied locally but never forwarded: not piggybacked on
-	// LU grants and never served to a peer.
-	flat bool
-}
-
-// parkedSlot is one entry of the deferred-slot queue.
-type parkedSlot struct {
-	pg   mem.PageID
-	slot *diffSlot
-}
-
-// twinBudget bounds the bytes of twins a node keeps parked in deferred
-// slots: past it, interval close materializes the oldest deferred diffs
-// (a sparse MakeDiff each) so memory follows the working set since the
-// last GC epoch instead of the run length. Below it nothing changes:
-// diffs are still made on demand only, or never when GC covers them. The
-// page pool retains as many bytes, so what a GC epoch releases is what
-// the next one captures.
-const twinBudget = page.PoolBytes
-
-// flatKey identifies a flattened serve group: this node's own intervals
-// on one page with indices in [first, last]. FlattenSafe only passes
-// when the group contains every own interval on the page in that range,
-// so the range determines the members.
-type flatKey struct {
-	pg          mem.PageID
-	first, last int32
-}
-
-// flatEntry is one cached flattened diff with its served flag (see
-// diffSlot.served).
-type flatEntry struct {
-	d      *page.Diff
-	served bool
-}
-
-// flatCacheMax caps e.flat: each entry pins a merged diff (up to a page
-// of body), and runs whose barrier GC is disabled would otherwise grow
-// the cache by one entry per distinct served range for the life of the
-// process.
-const flatCacheMax = 256
-
 func newLazyEngine(n *Node, update bool) *lazyEngine {
 	return &lazyEngine{
 		n:         n,
@@ -193,71 +128,6 @@ func (e *lazyEngine) releaseTwin(t *page.Twin) {
 		e.n.stats.twinBytesLive.Add(-size)
 	}
 }
-
-// materializeSlot computes a deferred slot's diff. Caller holds the
-// slot's page stripe; pc is the page's current copy (nil only if the
-// page was dropped, which materializes first, so a deferred slot always
-// still has its target contents). The base and any target twin are
-// released once the diff exists.
-func (e *lazyEngine) materializeSlot(pc *lazyPage, slot *diffSlot, pg mem.PageID) {
-	if slot.d != nil {
-		return
-	}
-	var cur []byte
-	switch {
-	case slot.target != nil:
-		cur = slot.target.Data()
-	case pc != nil:
-		cur = pc.data
-	default:
-		panic(fmt.Sprintf("dsm: node %d: deferred diff for page %d lost its target contents", e.n.id, pg))
-	}
-	d, err := page.MakeDiff(slot.base, cur)
-	if err != nil {
-		panic(fmt.Sprintf("dsm: node %d: diffing page %d: %v", e.n.id, pg, err))
-	}
-	slot.d = d
-	e.releaseTwin(slot.base)
-	slot.base = nil
-	if slot.target != nil {
-		e.releaseTwin(slot.target)
-		slot.target = nil
-	} else if pc != nil && pc.pending == slot {
-		pc.pending = nil
-	}
-	e.n.stats.diffsCreated.Add(1)
-}
-
-// noteServe counts one serve of a diff towards Stats.DiffCacheHits:
-// every serve after the first reuses the body the first one shipped —
-// a diff is its wire body, so there is nothing to rebuild. served is the
-// diff's flag in its store or cache entry. Caller holds e.mu.
-func (e *lazyEngine) noteServe(served *bool) {
-	if *served {
-		e.n.stats.diffCacheHits.Add(1)
-	}
-	*served = true
-}
-
-// slotLocked returns the store's slot for interval id's diff of page pg,
-// or nil when it holds none. Caller holds e.mu.
-func (e *lazyEngine) slotLocked(id core.IntervalID, pg mem.PageID) *diffSlot {
-	slots := e.diffs[id]
-	if slots == nil {
-		return nil
-	}
-	// A store entry's interval is in the log (own intervals are logged as
-	// they are stored, storeDiffRecsLocked checks).
-	i, ok := slices.BinarySearch(e.log.Get(id).Pages, pg)
-	if !ok || !slots[i].held {
-		return nil
-	}
-	return &slots[i]
-}
-
-// emptyDiff is the shared placeholder for the merged members of a
-// flattened response (the head rec carries their bytes).
-var emptyDiff = &page.Diff{}
 
 func (e *lazyEngine) clock() vc.VC {
 	e.mu.Lock()
@@ -341,50 +211,6 @@ func (e *lazyEngine) closeIntervalLocked() {
 	e.log.Append(&core.Interval{ID: id, VC: e.v.Clone(), Pages: pages})
 	n.stats.intervalsCreated.Add(1)
 	e.trimTwinsLocked()
-}
-
-// trimTwinsLocked enforces twinBudget once an interval is logged: while
-// the node holds more twin bytes than the budget, the oldest parked slot
-// that is still deferred is materialized, one at a time so each twin
-// goes back to the page pool as the next capture needs one. A trimmed
-// slot serves the same diff demand would have made (its target contents
-// are fixed from the moment it is parked), so no message changes. Caller
-// holds e.mu; stripes are taken under it, as handleDiffReq does.
-func (e *lazyEngine) trimTwinsLocked() {
-	n := e.n
-	i := 0
-	for ; i < len(e.parked) && n.stats.twinBytesLive.Load() > twinBudget; i++ {
-		p := e.parked[i]
-		e.parked[i] = parkedSlot{}
-		pmu := n.pageLock(p.pg)
-		pmu.Lock()
-		if p.slot.base != nil {
-			e.materializeSlot(e.pages[p.pg], p.slot, p.pg)
-			n.stats.diffsTrimmed.Add(1)
-		}
-		pmu.Unlock()
-	}
-	e.parked = e.parked[i:]
-	if len(e.parked) >= e.parkedSweep {
-		e.sweepParkedLocked()
-	}
-}
-
-// sweepParkedLocked drops queue entries whose slot no longer holds a
-// twin (served on demand, or collected). Caller holds e.mu.
-func (e *lazyEngine) sweepParkedLocked() {
-	live := e.parked[:0]
-	for _, p := range e.parked {
-		pmu := e.n.pageLock(p.pg)
-		pmu.Lock()
-		if p.slot.base != nil {
-			live = append(live, p)
-		}
-		pmu.Unlock()
-	}
-	clear(e.parked[len(live):])
-	e.parked = live
-	e.parkedSweep = 2*len(live) + 64
 }
 
 // absorbIntervalsLocked merges received interval records into the log,
@@ -522,54 +348,7 @@ func (e *lazyEngine) invalidateForLocked(fresh []wire.IntervalRec) []mem.PageID 
 	return affected
 }
 
-// --- data movement ---
-
-// fetchedDiffs is the diff responses a miss holds while it brings its
-// page current. Their diffs borrow the responses' frames, so a plan's
-// steps are applied straight out of the receive buffers — across
-// replans, which only fetch what the held responses and the retained
-// store still lack — and the frames are released when the miss
-// completes.
-type fetchedDiffs []*wire.Msg
-
-// find returns the held diff of interval id on page pg, or nil.
-func (f fetchedDiffs) find(pg mem.PageID, id core.IntervalID) *page.Diff {
-	for _, resp := range f {
-		for i := range resp.Diffs {
-			if r := &resp.Diffs[i]; r.Page == pg && r.Proc == id.Proc && r.Index == id.Index {
-				return r.Diff
-			}
-		}
-	}
-	return nil
-}
-
-// releaseAll releases every message of a list its caller holds.
-func releaseAll(msgs []*wire.Msg) {
-	for _, m := range msgs {
-		m.Release()
-	}
-}
-
-// releaseSteps drops a plan's counts on its steps.
-func releaseSteps(steps []*page.Diff) {
-	for _, d := range steps {
-		d.Release()
-	}
-}
-
-// releaseDiffs drops the counts the builder of m took on the diffs it
-// names, flat or in a section, once m is encoded.
-func releaseDiffs(m *wire.Msg) {
-	for _, r := range m.Diffs {
-		r.Diff.Release()
-	}
-	for i := range m.Sections {
-		for _, r := range m.Sections[i].Diffs {
-			r.Diff.Release()
-		}
-	}
-}
+// --- engine interface: accesses ---
 
 // validate brings page pg's local copy up to date; the valid-copy check
 // is the access hit path. Callers must hold no engine or stripe locks.
@@ -583,418 +362,6 @@ func (e *lazyEngine) validate(pg mem.PageID) error {
 	pmu.Unlock()
 	return e.serviceMiss(pg, nil)
 }
-
-// serviceMiss is validate's miss path: a cold copy is fetched from the
-// page's home, then every outstanding diff is collected — from held (what
-// a prefetch already fetched for this page; serviceMiss owns and releases
-// it), from the retained store, or from its creator — and applied in
-// happened-before order (§4.3.3). Miss service serializes per page under
-// the miss lock; concurrent faulting goroutines coalesce onto one
-// transaction.
-func (e *lazyEngine) serviceMiss(pg mem.PageID, held fetchedDiffs) error {
-	n := e.n
-	// The miss's transients live in its frame; a plan too big for them
-	// spills to the heap.
-	var (
-		clockBuf [2][maxProcs]int32
-		reqBuf   [4]outMsg
-		stepBuf  [8]*page.Diff
-		heldBuf  [4]*wire.Msg
-	)
-	if held == nil {
-		held = heldBuf[:0]
-	}
-	// A plan step out of the store is applied after e.mu is dropped, on a
-	// count of its own (one out of a held response borrows, and counts nothing).
-	steps := stepBuf[:0]
-	defer func() { releaseAll(held); releaseSteps(steps) }()
-	pmu := n.pageLock(pg)
-	mmu := n.missLock(pg)
-	mmu.Lock()
-	defer mmu.Unlock()
-
-	pmu.Lock()
-	if pc := e.pages[pg]; pc != nil && pc.valid {
-		pmu.Unlock()
-		return nil
-	}
-	pmu.Unlock()
-	// One application access, one miss — the replan loop below may run
-	// several plan/apply rounds for it.
-	n.stats.accessMisses.Add(1)
-
-	for {
-		pmu.Lock()
-		pc := e.pages[pg]
-		if pc != nil && pc.valid {
-			pmu.Unlock()
-			return nil
-		}
-		cold := pc == nil
-		pmu.Unlock()
-
-		if cold {
-			n.stats.coldMisses.Add(1)
-			if home := n.homeOf(pg); home == n.id {
-				pmu.Lock()
-				if e.pages[pg] == nil {
-					e.pages[pg] = &lazyPage{
-						data:    make([]byte, n.sys.layout.PageSize()),
-						applied: vc.New(n.sys.cfg.Procs),
-					}
-				}
-				pmu.Unlock()
-			} else {
-				resp, err := n.rpc(home, &wire.Msg{
-					Kind: wire.KPageReq, Seq: n.nextSeq(), A: int32(pg), B: int32(n.id),
-				})
-				if err != nil {
-					return err
-				}
-				// rpc matches a response on its sequence number alone, and the
-				// sender chose the expanded length: nothing but this check
-				// keeps a faulty home's short page out of the page table,
-				// where the next access would slice past its end.
-				if resp.Kind != wire.KPageResp || len(resp.Data) != n.sys.layout.PageSize() ||
-					(resp.VC != nil && len(resp.VC) != n.sys.cfg.Procs) {
-					bad := fmt.Errorf("bad page grant from %d: %v for page %d, %d data bytes, %d-entry clock",
-						home, resp.Kind, pg, len(resp.Data), len(resp.VC))
-					resp.Release()
-					n.noteErr("page install", bad)
-					return fmt.Errorf("dsm: node %d: page install: %w", n.id, bad)
-				}
-				// The decoded page and clock are the copy's from here on.
-				applied := resp.VC
-				if applied == nil {
-					applied = vc.New(n.sys.cfg.Procs)
-				}
-				pmu.Lock()
-				if e.pages[pg] == nil {
-					e.pages[pg] = &lazyPage{data: resp.Data, applied: applied}
-				}
-				pmu.Unlock()
-				resp.Release()
-				n.stats.pagesFetched.Add(1)
-			}
-		}
-
-		// Plan: what is outstanding between the copy's applied clock and
-		// the node's current knowledge?
-		e.mu.Lock()
-		pmu.Lock()
-		pc = e.pages[pg]
-		appliedSnap := append(vc.VC(clockBuf[0][:0]), pc.applied...)
-		genSnap := pc.gen
-		pmu.Unlock()
-		vSnap := append(vc.VC(clockBuf[1][:0]), e.v...)
-		out := e.log.Outstanding(pg, appliedSnap, e.v, n.id)
-		// Apply in a linear extension of happened-before: interval clock
-		// sums strictly increase along hb1 chains, and concurrent
-		// intervals touch disjoint words in properly-labeled programs.
-		slices.SortFunc(out, func(a, b core.IntervalID) int {
-			return cmp.Or(
-				cmp.Compare(clockSum(e.log.Get(a).VC), clockSum(e.log.Get(b).VC)),
-				cmp.Compare(a.Proc, b.Proc),
-				cmp.Compare(a.Index, b.Index))
-		})
-		reqs := e.missingDiffReqsLocked(reqBuf[:0], pg, out, held)
-		e.mu.Unlock()
-
-		// Fetch missing diffs from their creators (no locks held): all
-		// creators at once, one round trip instead of one per creator.
-		if len(reqs) > 0 {
-			fetched := len(held)
-			var err error
-			if held, err = n.rpcAll(reqs, held); err != nil {
-				return err
-			}
-			e.noteFetched(held[fetched:])
-		}
-
-		// Resolve the plan's steps. A held response wins over the store:
-		// it carries exactly what this miss asked for, and a flattened
-		// group in it must be applied whole (see storeDiffRecsLocked) even
-		// if a plain diff of one member reached the store meanwhile.
-		// Outstanding excludes this node's own intervals, so a step from
-		// the store is a received diff — always materialized.
-		releaseSteps(steps)
-		steps = steps[:0]
-		e.mu.Lock()
-		for _, id := range out {
-			d := held.find(pg, id)
-			if slot := e.slotLocked(id, pg); d == nil && slot != nil {
-				d = slot.d
-			}
-			if d == nil {
-				e.mu.Unlock()
-				return fmt.Errorf("dsm: node %d: diff %v for page %d unavailable", n.id, id, pg)
-			}
-			steps = append(steps, d.Retain())
-		}
-		e.mu.Unlock()
-
-		// Apply. If fresh notices for this page landed while we were
-		// fetching (generation moved), the plan is stale: replan.
-		pmu.Lock()
-		pc = e.pages[pg]
-		if pc.gen != genSnap {
-			pmu.Unlock()
-			continue
-		}
-		// A deferred diff of the latest local interval still reads its
-		// target contents out of pc.data; the remote diffs about to land
-		// there would be misattributed to it. Snapshot it now.
-		if pc.pending != nil && len(steps) > 0 {
-			e.materializeSlot(pc, pc.pending, pg)
-		}
-		// A concurrent local critical section may hold a live twin for
-		// this page (it kept writing through the invalidation, which is
-		// impossible at one goroutine per node: acquireStart's
-		// closeInterval would have consumed the twin first). The remote
-		// diffs must land on the twin too, or the section's eventual
-		// interval would re-register the remote words as its own — and a
-		// concurrent re-write by their true owner (reacquiring its lock
-		// through the cached local fast path, so it never learns of our
-		// interval) could then be reverted by the mis-attributed copy.
-		// The twin patch also keeps handlePageReq's committed view
-		// consistent with the applied clock stamped below. Proper
-		// programs guarantee the remote diffs and the section's own
-		// uncommitted words are disjoint.
-		var patched []byte
-		if pc.twin != nil && len(steps) > 0 {
-			patched = append([]byte(nil), pc.twin.Data()...)
-		}
-		for _, d := range steps {
-			if err := d.Apply(pc.data); err != nil {
-				pmu.Unlock()
-				return err
-			}
-			if patched != nil {
-				if err := d.Apply(patched); err != nil {
-					pmu.Unlock()
-					return err
-				}
-			}
-			n.stats.diffsApplied.Add(1)
-		}
-		if patched != nil {
-			e.releaseTwin(pc.twin)
-			pc.twin = e.newTwin(patched)
-		}
-		pc.valid = true
-		pc.applied.Max(vSnap)
-		pmu.Unlock()
-		return nil
-	}
-}
-
-// noteFetched accounts a burst of diff responses. LI is done with a
-// fetched diff once the miss holding its response has applied it; under
-// LU the diffs also enter the retained store, cloned, because later lock
-// grants piggyback them.
-func (e *lazyEngine) noteFetched(resps []*wire.Msg) {
-	if !e.update {
-		for _, resp := range resps {
-			e.n.stats.diffsFetched.Add(int64(len(resp.Diffs)))
-		}
-		return
-	}
-	e.mu.Lock()
-	for _, resp := range resps {
-		e.storeDiffRecsLocked(resp.Diffs, true)
-	}
-	e.mu.Unlock()
-}
-
-func clockSum(v vc.VC) int64 {
-	var s int64
-	for _, x := range v {
-		s += int64(x)
-	}
-	return s
-}
-
-// missingDiffReqsLocked appends to reqs one KDiffReq per creator for the
-// diffs of page pg's outstanding intervals that neither the retained
-// store nor the held responses supply, creators ascending, each creator's
-// wants in the order of out. Caller holds e.mu.
-func (e *lazyEngine) missingDiffReqsLocked(reqs []outMsg, pg mem.PageID, out []core.IntervalID, held fetchedDiffs) []outMsg {
-	var wants []wire.Want
-	for _, id := range out {
-		if e.slotLocked(id, pg) == nil && held.find(pg, id) == nil {
-			wants = append(wants, wire.Want{Page: pg, Proc: id.Proc, Index: id.Index})
-		}
-	}
-	slices.SortStableFunc(wants, func(a, b wire.Want) int { return cmp.Compare(a.Proc, b.Proc) })
-	for len(wants) > 0 {
-		k := 1
-		for k < len(wants) && wants[k].Proc == wants[0].Proc {
-			k++
-		}
-		reqs = append(reqs, outMsg{dst: wants[0].Proc, m: wire.Msg{
-			Kind: wire.KDiffReq, Seq: e.n.nextSeq(), A: int32(e.n.id), B: int32(e.modeID()), Wants: wants[:k:k],
-		}})
-		wants = wants[k:]
-	}
-	return reqs
-}
-
-// storeDiffRecsLocked enters received diff records into LU's retained
-// store, as clones: the records borrow a frame that is released long
-// before a later grant piggybacks them. Caller holds e.mu; fetched counts
-// the records as wire fetches (false for piggybacks).
-//
-// Flattened response groups are detected here so their slots are marked
-// unforwardable: a flattened serve is a run of records for one (page,
-// creator) where the head carries the merged bytes and the members are
-// empty. A legitimate unflattened response can also carry an empty diff
-// (an interval whose writes restored the original bytes), so the
-// heuristic can over-mark — that only costs a peer a direct fetch from
-// the creator, never correctness.
-//
-// A record outside a detected group never replaces an existing slot
-// (crucially not a local deferred one). A flattened group's records are
-// different: the group is positionally entangled — the head carries
-// every member's bytes — so if any of its slots already exists (the
-// interval's plain diff landed via an LU piggyback between the
-// requester's plan and this store), keeping the old slot would mix plain
-// and flat records: a kept plain head drops the merged members' bytes, a
-// kept plain member re-applies its stale bytes over the head's merge.
-// Such slots are replaced wholesale, so the stored group is exactly the
-// group served — sound whether the run is a true flattened serve or an
-// over-marked plain one (plain records are individually correct).
-// Records claiming this node's own intervals are exempt (the protocol
-// never returns them; a forged group must not clobber deferred local
-// slots). Remote slots are immutable after insertion and only ever read
-// under e.mu, so the swap here is ordered with every reader.
-func (e *lazyEngine) storeDiffRecsLocked(recs []wire.DiffRec, fetched bool) {
-	flat := make([]bool, len(recs))
-	for i := 0; i < len(recs); {
-		j := i + 1
-		for j < len(recs) && recs[j].Page == recs[i].Page && recs[j].Proc == recs[i].Proc {
-			j++
-		}
-		if j-i >= 2 {
-			for k := i + 1; k < j; k++ {
-				if recs[k].Diff.Empty() {
-					for m := i; m < j; m++ {
-						flat[m] = true
-					}
-					break
-				}
-			}
-		}
-		i = j
-	}
-	for i, rec := range recs {
-		if !e.n.validPage(rec.Page) {
-			// The page id indexes the stripe table when the slot is later
-			// piggybacked; an out-of-range one is the sender's corruption.
-			e.n.noteErr("diff store",
-				fmt.Errorf("diff record for invalid page %d", rec.Page))
-			continue
-		}
-		id := core.IntervalID{Proc: rec.Proc, Index: rec.Index}
-		// Every diff the protocol sends answers a plan made from the log,
-		// or rides the grant that carried its interval.
-		k, ok := 0, e.n.validProc(id.Proc) && id.Index >= 0 && e.v.Covers(int(id.Proc), id.Index)
-		if ok {
-			k, ok = slices.BinarySearch(e.log.Get(id).Pages, rec.Page)
-		}
-		if !ok {
-			e.n.noteErr("diff store",
-				fmt.Errorf("diff record %v for page %d matches no logged write notice", id, rec.Page))
-			continue
-		}
-		slots := e.diffs[id]
-		if slots == nil {
-			slots = make([]diffSlot, len(e.log.Get(id).Pages))
-			e.diffs[id] = slots
-		}
-		switch existing := &slots[k]; {
-		case !existing.held:
-			slots[k] = diffSlot{held: true, d: rec.Diff.Clone(), flat: flat[i]}
-			if fetched {
-				e.n.stats.diffsFetched.Add(1)
-			}
-		case flat[i] && rec.Proc != e.n.id && existing.d != nil:
-			existing.d.Release()
-			slots[k] = diffSlot{held: true, d: rec.Diff.Clone(), flat: true}
-		}
-	}
-}
-
-// revalidate brings a list of pages current (LU's acquire/barrier-time
-// update step and the GC epoch's bulk validation). With more than one
-// page the outstanding diffs are prefetched first as one grouped burst,
-// so the per-page requests to each creator leave in one batch frame
-// instead of one frame per page; each page's miss is then handed the
-// responses fetched for it.
-func (e *lazyEngine) revalidate(pages []mem.PageID) error {
-	var pre map[mem.PageID]fetchedDiffs
-	if len(pages) > 1 {
-		var err error
-		if pre, err = e.prefetchDiffs(pages); err != nil {
-			return err
-		}
-	}
-	for _, pg := range pages {
-		held := pre[pg]
-		delete(pre, pg)
-		if err := e.serviceMiss(pg, held); err != nil {
-			for _, rest := range pre {
-				releaseAll(rest)
-			}
-			return err
-		}
-	}
-	return nil
-}
-
-// prefetchDiffs batch-fetches the outstanding diffs for a set of pages
-// about to be revalidated: one KDiffReq per (page, creator) — exactly
-// the requests sequential validation would send, so message counts are
-// unchanged — staged together through the outbox, so all requests to
-// one creator coalesce into one frame and all creators answer
-// concurrently. The responses are returned by page; each page's miss
-// then finds its diffs in them and re-plans authoritatively (fresh
-// notices landing meanwhile just make it fetch the remainder as usual).
-// Cold pages are skipped: their plan depends on the applied clock the
-// home's copy arrives with.
-func (e *lazyEngine) prefetchDiffs(pages []mem.PageID) (map[mem.PageID]fetchedDiffs, error) {
-	n := e.n
-	var reqs []outMsg
-	e.mu.Lock()
-	for _, pg := range pages {
-		pmu := n.pageLock(pg)
-		pmu.Lock()
-		pc := e.pages[pg]
-		if pc == nil || pc.valid {
-			pmu.Unlock()
-			continue
-		}
-		appliedSnap := pc.applied.Clone()
-		pmu.Unlock()
-		reqs = e.missingDiffReqsLocked(reqs, pg, e.log.Outstanding(pg, appliedSnap, e.v, n.id), nil)
-	}
-	e.mu.Unlock()
-	if len(reqs) == 0 {
-		return nil, nil
-	}
-	resps, err := n.rpcAll(reqs, nil)
-	if err != nil {
-		return nil, err
-	}
-	e.noteFetched(resps)
-	pre := make(map[mem.PageID]fetchedDiffs)
-	for i, resp := range resps {
-		pg := reqs[i].m.Wants[0].Page
-		pre[pg] = append(pre[pg], resp)
-	}
-	return pre, nil
-}
-
-// --- engine interface: accesses ---
 
 func (e *lazyEngine) readPage(pg mem.PageID, off int, dst []byte) error {
 	if err := e.validate(pg); err != nil {
@@ -1052,9 +419,7 @@ func (e *lazyEngine) grant(req, grant *wire.Msg) {
 		// releaser supplies what it has (Figure 4's "l and x in a single
 		// message"); the acquirer fetches any remainder from creators.
 		// Deferred local diffs materialize here (the piggyback is their
-		// first serve); flat slots are skipped — their contents are only
-		// meaningful inside the response group they arrived in, so the
-		// acquirer fetches those intervals from the creator instead.
+		// first serve).
 		for _, rec := range grant.Intervals {
 			id := core.IntervalID{Proc: rec.Proc, Index: rec.Index}
 			for _, pg := range rec.Pages {
@@ -1064,10 +429,6 @@ func (e *lazyEngine) grant(req, grant *wire.Msg) {
 				}
 				pmu := e.n.pageLock(pg)
 				pmu.Lock()
-				if slot.flat {
-					pmu.Unlock()
-					continue
-				}
 				if slot.d == nil {
 					e.materializeSlot(e.pages[pg], slot, pg)
 				}
@@ -1089,7 +450,7 @@ func (e *lazyEngine) onGrant(grant *wire.Msg) error {
 		// Piggybacked diffs enter the retained-diff store; the revalidation
 		// below then fetches only what is still missing. (An LI grant
 		// carries none, and LI keeps none.)
-		e.storeDiffRecsLocked(grant.Diffs, false)
+		e.storeDiffRecsLocked(grant.Diffs)
 	}
 	affected := e.invalidateForLocked(e.absorbed)
 	e.mu.Unlock()
@@ -1289,45 +650,7 @@ func (e *lazyEngine) runGC(b mem.BarrierID) error {
 
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	for id := range e.diffs {
-		if !epoch.Covers(int(id.Proc), id.Index) {
-			continue
-		}
-		slots := e.diffs[id]
-		for i, pg := range e.log.Get(id).Pages {
-			slot := &slots[i]
-			if !slot.held {
-				continue
-			}
-			n.stats.diffsDiscarded.Add(1)
-			pmu := n.pageLock(pg)
-			pmu.Lock()
-			if slot.d == nil {
-				// A covered slot whose diff was never fetched: drop the
-				// twins without ever computing it — the deferred work the
-				// lazy pipeline saves outright.
-				e.releaseTwin(slot.base)
-				slot.base = nil
-				if slot.target != nil {
-					e.releaseTwin(slot.target)
-					slot.target = nil
-				} else if pc := e.pages[pg]; pc != nil && pc.pending == slot {
-					pc.pending = nil
-				}
-			} else {
-				slot.d.Release() // the store's count; a serve in flight has its own
-			}
-			pmu.Unlock()
-		}
-		delete(e.diffs, id)
-	}
-	// Flattened serves merge only pre-epoch intervals their requesters
-	// still needed; the epoch retires them with the diffs they merged.
-	for _, flat := range e.flat {
-		flat.d.Release()
-	}
-	clear(e.flat)
-	e.sweepParkedLocked()
+	e.discardLocked(epoch)
 	n.stats.gcRuns.Add(1)
 	return nil
 }
@@ -1421,148 +744,6 @@ func (e *lazyEngine) handle(m *wire.Msg, src mem.ProcID) bool {
 		return false
 	}
 	return true
-}
-
-func (e *lazyEngine) handleDiffReq(m *wire.Msg, src mem.ProcID) {
-	n := e.n
-	e.mu.Lock()
-	// Resolve every want before answering any: a request for a diff we
-	// never made (or already garbage collected out from under a peer
-	// that should have known), or for one we only hold as a flattened
-	// fragment, is the requester's bug or malice: record it and drop the
-	// whole request — a partial answer would install a torn page.
-	// Deferred local slots materialize here, on first serve.
-	var (
-		diffBuf [8]*page.Diff
-		slotBuf [8]*diffSlot
-		recBuf  [8]wire.DiffRec
-	)
-	diffs, slots := diffBuf[:0], slotBuf[:0]
-	for _, w := range m.Wants {
-		id := core.IntervalID{Proc: w.Proc, Index: w.Index}
-		if !n.validPage(w.Page) {
-			e.mu.Unlock()
-			n.noteErr("diff request",
-				fmt.Errorf("asked for diff %v on invalid page %d", id, w.Page))
-			return
-		}
-		slot := e.slotLocked(id, w.Page)
-		if slot == nil {
-			e.mu.Unlock()
-			n.noteErr("diff request",
-				fmt.Errorf("asked for diff %v page %d this node does not hold", id, w.Page))
-			return
-		}
-		pmu := n.pageLock(w.Page)
-		pmu.Lock()
-		if slot.flat {
-			pmu.Unlock()
-			e.mu.Unlock()
-			n.noteErr("diff request",
-				fmt.Errorf("asked for diff %v page %d held only as a flattened fragment", id, w.Page))
-			return
-		}
-		if slot.d == nil {
-			e.materializeSlot(e.pages[w.Page], slot, w.Page)
-		}
-		diffs, slots = append(diffs, slot.d), append(slots, slot)
-		pmu.Unlock()
-	}
-
-	// Serve, flattening where sound: a run of wants for several of this
-	// node's own intervals on one page merges into a single diff applied
-	// at the first interval's plan position, when FlattenSafe proves no
-	// interval the requester might order between the members writes the
-	// same page. The head record carries the merged bytes; the merged
-	// members ride along as empty records so the requester's plan stays
-	// complete (and marks them unforwardable, see storeDiffRecsLocked).
-	resp := wire.Msg{Kind: wire.KDiffResp, Seq: m.Seq, Diffs: recBuf[:0]}
-	for i := 0; i < len(m.Wants); {
-		w := m.Wants[i]
-		j := i + 1
-		for j < len(m.Wants) && m.Wants[j].Page == w.Page && m.Wants[j].Proc == w.Proc &&
-			m.Wants[j].Index > m.Wants[j-1].Index {
-			j++
-		}
-		group := m.Wants[i:j]
-		if len(group) >= 2 && w.Proc == n.id {
-			if flat := e.flattenGroupLocked(group, diffs[i:j]); flat != nil {
-				e.noteServe(&flat.served)
-				resp.Diffs = append(resp.Diffs, wire.DiffRec{
-					Page: w.Page, Proc: w.Proc, Index: w.Index, Diff: flat.d.Retain(),
-				})
-				for _, g := range group[1:] {
-					resp.Diffs = append(resp.Diffs, wire.DiffRec{
-						Page: g.Page, Proc: g.Proc, Index: g.Index, Diff: emptyDiff,
-					})
-				}
-				n.stats.diffsFlattened.Add(int64(len(group) - 1))
-				i = j
-				continue
-			}
-		}
-		for k := i; k < j; k++ {
-			e.noteServe(&slots[k].served)
-			resp.Diffs = append(resp.Diffs, wire.DiffRec{
-				Page: m.Wants[k].Page, Proc: m.Wants[k].Proc, Index: m.Wants[k].Index,
-				Diff: diffs[k].Retain(),
-			})
-		}
-		i = j
-	}
-	e.mu.Unlock()
-	// Staged: the shard worker's drain point flushes it, so a burst of
-	// diff requests from one prefetching peer answers in few frames. The
-	// store may discard the diffs now: stage reads them on the counts above.
-	n.stage(src, &resp)
-	releaseDiffs(&resp)
-}
-
-// flattenGroupLocked merges the diffs of a same-page ascending run of
-// this node's own intervals into one, or returns nil when the merge is
-// unsound. Results are cached by index range so repeat requesters are
-// served from one merge. Caller holds e.mu.
-func (e *lazyEngine) flattenGroupLocked(group []wire.Want, diffs []*page.Diff) *flatEntry {
-	first, last := group[0].Index, group[len(group)-1].Index
-	member := func(k int32) bool {
-		return slices.ContainsFunc(group, func(g wire.Want) bool { return g.Index == k })
-	}
-	// Soundness is per-request, so FlattenSafe runs before the cache is
-	// consulted: the key is only the index range, and a want-group with a
-	// gap (the requester already holds a middle interval's diff, say from
-	// an LU piggyback) must not be handed the full-membership merge a
-	// previous requester populated — applying its separately-held middle
-	// diff after that head would overwrite the last interval's bytes. A
-	// group that passes necessarily contains every own interval on the
-	// page in (first, last], so the range does determine the members and
-	// the cached entry fits. FlattenSafe is cheap next to the merge.
-	if !e.log.FlattenSafe(group[0].Page, e.n.id, first, last, member) {
-		return nil
-	}
-	key := flatKey{pg: group[0].Page, first: first, last: last}
-	if flat, ok := e.flat[key]; ok {
-		return flat
-	}
-	merged, err := page.FlattenDiffs(diffs, e.n.sys.layout.PageSize())
-	if err != nil {
-		// Own diffs are well-formed, so this cannot happen; serve the
-		// group unflattened rather than fail the request.
-		e.n.noteErr("diff flatten", err)
-		return nil
-	}
-	if len(e.flat) >= flatCacheMax {
-		// The wholesale drop in runGC never runs with barrier GC disabled
-		// (GCEveryBarriers=0), so the cache bounds itself: evict an
-		// arbitrary entry (map order) — a re-merge costs one FlattenDiffs.
-		for k, old := range e.flat {
-			old.d.Release()
-			delete(e.flat, k)
-			break
-		}
-	}
-	flat := &flatEntry{d: merged}
-	e.flat[key] = flat
-	return flat
 }
 
 func (e *lazyEngine) handlePageReq(m *wire.Msg) {

@@ -1,0 +1,503 @@
+package dsm
+
+import (
+	"cmp"
+	"fmt"
+	"math"
+	"slices"
+
+	"repro/internal/core"
+	"repro/internal/mem"
+	"repro/internal/page"
+	"repro/internal/vc"
+	"repro/internal/wire"
+)
+
+// fetched is one diff request a miss made and the response it holds:
+// record i of resp answers want i, which the miss checked before it kept
+// the pair (answers).
+type fetched struct {
+	wants []wire.Want
+	resp  *wire.Msg
+}
+
+// fetchedDiffs is the diff responses a miss holds while it brings its
+// page current. Their diffs borrow the responses' frames, so a plan's
+// steps are applied straight out of the receive buffers — across
+// replans, which only fetch what the held responses and the retained
+// store still lack — and the frames are released when the miss
+// completes.
+type fetchedDiffs []fetched
+
+// find looks for interval id of page pg among the held responses. The
+// first interval of a want has the want's record — for a range, the merge
+// of all its members; a later member of a range is supplied (ok) by that
+// merge and has no diff of its own.
+func (f fetchedDiffs) find(pg mem.PageID, id core.IntervalID) (d *page.Diff, ok bool) {
+	for _, h := range f {
+		for i, w := range h.wants {
+			if w.Page != pg || w.Proc != id.Proc || id.Index < w.Index || id.Index-w.Index > w.Span {
+				continue
+			}
+			if id.Index == w.Index {
+				return h.resp.Diffs[i].Diff, true
+			}
+			return nil, true
+		}
+	}
+	return nil, false
+}
+
+// release releases the held responses.
+func (f fetchedDiffs) release() {
+	for _, h := range f {
+		h.resp.Release()
+	}
+}
+
+// releaseAll releases every message of a list its caller holds.
+func releaseAll(msgs []*wire.Msg) {
+	for _, m := range msgs {
+		m.Release()
+	}
+}
+
+// releaseSteps drops a plan's counts on its steps.
+func releaseSteps(steps []*page.Diff) {
+	for _, d := range steps {
+		d.Release()
+	}
+}
+
+// serviceMiss is validate's miss path: a cold copy is fetched from the
+// page's home, then every outstanding diff is collected — from held (what
+// a prefetch already fetched for this page; serviceMiss owns and releases
+// it), from the retained store, or from its creator — and applied in
+// happened-before order (§4.3.3). Miss service serializes per page under
+// the miss lock; concurrent faulting goroutines coalesce onto one
+// transaction.
+func (e *lazyEngine) serviceMiss(pg mem.PageID, held fetchedDiffs) error {
+	n := e.n
+	// The miss's transients live in its frame; a plan too big for them
+	// spills to the heap.
+	var (
+		clockBuf [2][maxProcs]int32
+		reqBuf   [4]outMsg
+		stepBuf  [8]*page.Diff
+		heldBuf  [4]fetched
+	)
+	if len(held) == 0 {
+		held = heldBuf[:0]
+	}
+	// A plan step out of the store is applied after e.mu is dropped, on a
+	// count of its own (one out of a held response borrows, and counts nothing).
+	steps := stepBuf[:0]
+	defer func() { held.release(); releaseSteps(steps) }()
+	pmu := n.pageLock(pg)
+	mmu := n.missLock(pg)
+	mmu.Lock()
+	defer mmu.Unlock()
+
+	pmu.Lock()
+	if pc := e.pages[pg]; pc != nil && pc.valid {
+		pmu.Unlock()
+		return nil
+	}
+	pmu.Unlock()
+	// One application access, one miss — the replan loop below may run
+	// several plan/apply rounds for it.
+	n.stats.accessMisses.Add(1)
+
+	for {
+		pmu.Lock()
+		pc := e.pages[pg]
+		if pc != nil && pc.valid {
+			pmu.Unlock()
+			return nil
+		}
+		cold := pc == nil
+		pmu.Unlock()
+
+		if cold {
+			n.stats.coldMisses.Add(1)
+			if home := n.homeOf(pg); home == n.id {
+				pmu.Lock()
+				if e.pages[pg] == nil {
+					e.pages[pg] = &lazyPage{
+						data:    make([]byte, n.sys.layout.PageSize()),
+						applied: vc.New(n.sys.cfg.Procs),
+					}
+				}
+				pmu.Unlock()
+			} else {
+				resp, err := n.rpc(home, &wire.Msg{
+					Kind: wire.KPageReq, Seq: n.nextSeq(), A: int32(pg), B: int32(n.id),
+				})
+				if err != nil {
+					return err
+				}
+				// rpc matches a response on its sequence number alone, and the
+				// sender chose the expanded length: nothing but this check
+				// keeps a faulty home's short page out of the page table,
+				// where the next access would slice past its end.
+				if resp.Kind != wire.KPageResp || len(resp.Data) != n.sys.layout.PageSize() ||
+					(resp.VC != nil && len(resp.VC) != n.sys.cfg.Procs) {
+					bad := fmt.Errorf("bad page grant from %d: %v for page %d, %d data bytes, %d-entry clock",
+						home, resp.Kind, pg, len(resp.Data), len(resp.VC))
+					resp.Release()
+					n.noteErr("page install", bad)
+					return fmt.Errorf("dsm: node %d: page install: %w", n.id, bad)
+				}
+				// The decoded page and clock are the copy's from here on.
+				applied := resp.VC
+				if applied == nil {
+					applied = vc.New(n.sys.cfg.Procs)
+				}
+				pmu.Lock()
+				if e.pages[pg] == nil {
+					e.pages[pg] = &lazyPage{data: resp.Data, applied: applied}
+				}
+				pmu.Unlock()
+				resp.Release()
+				n.stats.pagesFetched.Add(1)
+			}
+		}
+
+		// Plan: what is outstanding between the copy's applied clock and
+		// the node's current knowledge?
+		e.mu.Lock()
+		pmu.Lock()
+		pc = e.pages[pg]
+		appliedSnap := append(vc.VC(clockBuf[0][:0]), pc.applied...)
+		genSnap := pc.gen
+		pmu.Unlock()
+		vSnap := append(vc.VC(clockBuf[1][:0]), e.v...)
+		out := e.planLocked(pg, appliedSnap)
+		reqs := e.missingDiffReqsLocked(reqBuf[:0], pg, out, held)
+		e.mu.Unlock()
+
+		// Fetch missing diffs from their creators (no locks held): all
+		// creators at once, one round trip instead of one per creator.
+		if len(reqs) > 0 {
+			var err error
+			if held, err = e.fetch(reqs, held); err != nil {
+				return err
+			}
+		}
+
+		releaseSteps(steps)
+		var err error
+		e.mu.Lock()
+		steps, err = e.stepsLocked(steps[:0], pg, out, held)
+		e.mu.Unlock()
+		if err != nil {
+			return err
+		}
+
+		// Apply. If fresh notices for this page landed while we were
+		// fetching (generation moved), the plan is stale: replan.
+		pmu.Lock()
+		pc = e.pages[pg]
+		if pc.gen != genSnap {
+			pmu.Unlock()
+			continue
+		}
+		// A deferred diff of the latest local interval still reads its
+		// target contents out of pc.data; the remote diffs about to land
+		// there would be misattributed to it. Snapshot it now.
+		if pc.pending != nil && len(steps) > 0 {
+			e.materializeSlot(pc, pc.pending, pg)
+		}
+		// A concurrent local critical section may hold a live twin for
+		// this page (it kept writing through the invalidation, which is
+		// impossible at one goroutine per node: acquireStart's
+		// closeInterval would have consumed the twin first). The remote
+		// diffs must land on the twin too, or the section's eventual
+		// interval would re-register the remote words as its own — and a
+		// concurrent re-write by their true owner (reacquiring its lock
+		// through the cached local fast path, so it never learns of our
+		// interval) could then be reverted by the mis-attributed copy.
+		// The twin patch also keeps handlePageReq's committed view
+		// consistent with the applied clock stamped below. Proper
+		// programs guarantee the remote diffs and the section's own
+		// uncommitted words are disjoint.
+		var patched []byte
+		if pc.twin != nil && len(steps) > 0 {
+			patched = append([]byte(nil), pc.twin.Data()...)
+		}
+		for _, d := range steps {
+			if err := d.Apply(pc.data); err != nil {
+				pmu.Unlock()
+				return err
+			}
+			if patched != nil {
+				if err := d.Apply(patched); err != nil {
+					pmu.Unlock()
+					return err
+				}
+			}
+			n.stats.diffsApplied.Add(1)
+		}
+		if patched != nil {
+			e.releaseTwin(pc.twin)
+			pc.twin = e.newTwin(patched)
+		}
+		pc.valid = true
+		pc.applied.Max(vSnap)
+		pmu.Unlock()
+		return nil
+	}
+}
+
+// planLocked returns the intervals whose diffs a copy of page pg with the
+// given applied clock lacks, in the order they are applied: a linear
+// extension of happened-before — interval clock sums strictly increase
+// along hb1 chains, and concurrent intervals touch disjoint words in
+// properly-labeled programs. Caller holds e.mu.
+func (e *lazyEngine) planLocked(pg mem.PageID, applied vc.VC) []core.IntervalID {
+	out := e.log.Outstanding(pg, applied, e.v, e.n.id)
+	slices.SortFunc(out, func(a, b core.IntervalID) int {
+		return cmp.Or(
+			cmp.Compare(clockSum(e.log.Get(a).VC), clockSum(e.log.Get(b).VC)),
+			cmp.Compare(a.Proc, b.Proc),
+			cmp.Compare(a.Index, b.Index))
+	})
+	return out
+}
+
+func clockSum(v vc.VC) int64 {
+	var s int64
+	for _, x := range v {
+		s += int64(x)
+	}
+	return s
+}
+
+// missingDiffReqsLocked appends to reqs one KDiffReq per creator for the
+// steps of plan out (planLocked's, for page pg) that neither the retained
+// store nor the held responses supply, creators ascending. A creator's
+// consecutive missing steps are asked for as one range want, answered by
+// one merged diff that is applied at the first one's step — so a step m
+// joins the run its creator has open only if that moves m's bytes past
+// nothing they may share a word with:
+//
+//   - not past a step of the same creator that is supplied already: the
+//     merge would not hold it, and it may rewrite what the run's earlier
+//     members wrote;
+//   - not past another creator's step that the plan orders after the run's
+//     first and m's clock covers: it happened before m, so m may have
+//     overwritten it. One that m's clock does not cover is concurrent with
+//     m (the plan orders nothing after m that m follows), and concurrent
+//     intervals share no word in a properly-labeled program.
+//
+// The log is closed under happened-before whenever e.mu is held, so every
+// interval that happened before m is in the plan or already in the copy,
+// and a replan, which only learns of intervals that do not precede the
+// ones it knew, never invalidates a range it holds. Caller holds e.mu.
+func (e *lazyEngine) missingDiffReqsLocked(reqs []outMsg, pg mem.PageID, out []core.IntervalID, held fetchedDiffs) []outMsg {
+	var wants []wire.Want
+	// after[p] is the first step of creator p, by index, that the plan puts
+	// after the first step of the open run: a clock covers any of p's steps
+	// there if it covers that one.
+	var after [maxProcs]int32
+	for q := range e.v {
+		first, open := len(wants), false
+		for i, id := range out {
+			if int(id.Proc) != q {
+				if open {
+					after[id.Proc] = min(after[id.Proc], id.Index)
+				}
+				continue
+			}
+			if _, ok := held.find(pg, id); ok || e.slotLocked(id, pg) != nil {
+				open = false
+				continue
+			}
+			if open && !coversAny(e.log.Get(id).VC, after[:len(e.v)]) {
+				run := &wants[len(wants)-1]
+				run.Span = id.Index - run.Index
+				continue
+			}
+			if wants == nil {
+				// Sized once, from what of the plan is left.
+				wants = make([]wire.Want, 0, len(out)-i)
+			}
+			wants = append(wants, wire.Want{Page: pg, Proc: id.Proc, Index: id.Index})
+			open = true
+			for p := range e.v {
+				after[p] = math.MaxInt32
+			}
+		}
+		if len(wants) > first {
+			reqs = append(reqs, outMsg{dst: mem.ProcID(q), m: wire.Msg{
+				Kind: wire.KDiffReq, Seq: e.n.nextSeq(), A: int32(e.n.id), B: int32(e.modeID()), Wants: wants[first:len(wants):len(wants)],
+			}})
+		}
+	}
+	return reqs
+}
+
+// stepsLocked appends to steps the diffs that carry out plan out, in its
+// order, each on a count of its own. A held response wins over the store:
+// it carries exactly what this miss asked for, and a merged range in it is
+// applied whole, at its first member's step, even if a plain diff of a
+// later member reached the store meanwhile (an LU piggyback) — that
+// member's bytes are in the merge, and it gets no step. Outstanding
+// excludes this node's own intervals, so a step from the store is a
+// received diff — always materialized. Caller holds e.mu.
+func (e *lazyEngine) stepsLocked(steps []*page.Diff, pg mem.PageID, out []core.IntervalID, held fetchedDiffs) ([]*page.Diff, error) {
+	for _, id := range out {
+		d, ok := held.find(pg, id)
+		if slot := e.slotLocked(id, pg); !ok && slot != nil {
+			d, ok = slot.d, true
+		}
+		if !ok {
+			return steps, fmt.Errorf("dsm: node %d: diff %v for page %d unavailable", e.n.id, id, pg)
+		}
+		if d != nil {
+			steps = append(steps, d.Retain())
+		}
+	}
+	return steps, nil
+}
+
+// coversAny reports whether clock v covers interval steps[p] of some
+// processor p.
+func coversAny(v vc.VC, steps []int32) bool {
+	for p, k := range steps {
+		if v.Covers(p, k) {
+			return true
+		}
+	}
+	return false
+}
+
+// fetch sends a miss's diff requests and adds the responses to held, once
+// each is known to answer its request; if one does not, nothing of the
+// burst is kept or stored and the miss fails.
+func (e *lazyEngine) fetch(reqs []outMsg, held fetchedDiffs) (fetchedDiffs, error) {
+	n := e.n
+	var respBuf [4]*wire.Msg
+	resps, err := n.rpcAll(reqs, respBuf[:0])
+	if err != nil {
+		return held, err
+	}
+	for i, resp := range resps {
+		if err := answers(resp, reqs[i].m.Wants); err != nil {
+			releaseAll(resps)
+			bad := fmt.Errorf("bad diff response from %d: %w", reqs[i].dst, err)
+			n.noteErr("diff fetch", bad)
+			return held, fmt.Errorf("dsm: node %d: diff fetch: %w", n.id, bad)
+		}
+	}
+	fresh := len(held)
+	held = slices.Grow(held, len(resps))
+	for i, resp := range resps {
+		held = append(held, fetched{wants: reqs[i].m.Wants, resp: resp})
+	}
+	e.noteFetched(held[fresh:])
+	return held, nil
+}
+
+// answers checks a response against the wants it claims to answer: rpc
+// matches a response on its sequence number alone, and the miss finds a
+// record by its want's position, so a response of another kind or shape
+// would put one interval's bytes at another's step.
+func answers(resp *wire.Msg, wants []wire.Want) error {
+	if resp.Kind != wire.KDiffResp || len(resp.Diffs) != len(wants) {
+		return fmt.Errorf("%v with %d records for %d wants", resp.Kind, len(resp.Diffs), len(wants))
+	}
+	for i, w := range wants {
+		if r := resp.Diffs[i]; r.Page != w.Page || r.Proc != w.Proc || r.Index != w.Index {
+			return fmt.Errorf("record %d is diff %d/%d of page %d, want %d/%d of page %d",
+				i, r.Proc, r.Index, r.Page, w.Proc, w.Index, w.Page)
+		}
+	}
+	return nil
+}
+
+// noteFetched accounts a burst of diff responses. LI is done with a
+// fetched diff once the miss holding its response has applied it; under
+// LU the diffs of single intervals also enter the retained store, cloned,
+// because later lock grants piggyback them. A merged range is no
+// interval's diff: it is applied out of its frame and never kept.
+func (e *lazyEngine) noteFetched(held fetchedDiffs) {
+	for _, h := range held {
+		e.n.stats.diffsFetched.Add(int64(len(h.resp.Diffs)))
+	}
+	if !e.update {
+		return
+	}
+	e.mu.Lock()
+	for _, h := range held {
+		for i, w := range h.wants {
+			if w.Span == 0 {
+				e.storeDiffRecsLocked(h.resp.Diffs[i : i+1])
+			}
+		}
+	}
+	e.mu.Unlock()
+}
+
+// revalidate brings a list of pages current (LU's acquire/barrier-time
+// update step and the GC epoch's bulk validation). With more than one
+// page the outstanding diffs are prefetched first as one grouped burst,
+// so the per-page requests to each creator leave in one batch frame
+// instead of one frame per page; each page's miss is then handed the
+// responses fetched for it.
+func (e *lazyEngine) revalidate(pages []mem.PageID) error {
+	var pre fetchedDiffs
+	if len(pages) > 1 {
+		var err error
+		if pre, err = e.prefetchDiffs(pages); err != nil {
+			return err
+		}
+	}
+	for _, pg := range pages {
+		// The prefetch asked in the order of pages.
+		k := 0
+		for k < len(pre) && pre[k].wants[0].Page == pg {
+			k++
+		}
+		held := pre[:k:k]
+		pre = pre[k:]
+		if err := e.serviceMiss(pg, held); err != nil {
+			pre.release()
+			return err
+		}
+	}
+	return nil
+}
+
+// prefetchDiffs batch-fetches the outstanding diffs for a set of pages
+// about to be revalidated: one KDiffReq per (page, creator) — exactly
+// the requests sequential validation would send, so message counts are
+// unchanged — staged together through the outbox, so all requests to
+// one creator coalesce into one frame and all creators answer
+// concurrently. The responses are returned in the order of pages; each
+// page's miss then finds its diffs in them and re-plans authoritatively (fresh
+// notices landing meanwhile just make it fetch the remainder as usual).
+// Cold pages are skipped: their plan depends on the applied clock the
+// home's copy arrives with.
+func (e *lazyEngine) prefetchDiffs(pages []mem.PageID) (fetchedDiffs, error) {
+	n := e.n
+	var reqs []outMsg
+	e.mu.Lock()
+	for _, pg := range pages {
+		pmu := n.pageLock(pg)
+		pmu.Lock()
+		pc := e.pages[pg]
+		if pc == nil || pc.valid {
+			pmu.Unlock()
+			continue
+		}
+		appliedSnap := pc.applied.Clone()
+		pmu.Unlock()
+		reqs = e.missingDiffReqsLocked(reqs, pg, e.planLocked(pg, appliedSnap), nil)
+	}
+	e.mu.Unlock()
+	if len(reqs) == 0 {
+		return nil, nil
+	}
+	return e.fetch(reqs, nil)
+}

@@ -1,0 +1,391 @@
+package dsm
+
+import (
+	"fmt"
+	"slices"
+
+	"repro/internal/core"
+	"repro/internal/mem"
+	"repro/internal/page"
+	"repro/internal/vc"
+	"repro/internal/wire"
+)
+
+// diffSlot is one retained diff in the store: either materialized (d set)
+// or deferred (base twin captured, diff not yet computed). A deferred
+// slot's target contents are the target twin if set, else the live page
+// data (the slot is then the page's pending slot). The store holds this
+// node's own intervals' diffs and, under LU only, clones of the foreign
+// diffs it received — what a later lock grant piggybacks; LI applies a
+// fetched diff out of its response and keeps nothing. Fields are guarded
+// by the slot's page stripe unless noted; the store map itself is under
+// e.mu.
+type diffSlot struct {
+	d      *page.Diff
+	base   *page.Twin
+	target *page.Twin
+	// held says the store has this slot's diff, made or deferred: an LU
+	// entry for a foreign interval has blank slots for the pages whose diff
+	// never arrived. Set with the slot, under e.mu.
+	held bool
+	// served is set by the slot's first serve (Stats.DiffCacheHits counts
+	// the later ones). Guarded by e.mu.
+	served bool
+}
+
+// parkedSlot is one entry of the deferred-slot queue.
+type parkedSlot struct {
+	pg   mem.PageID
+	slot *diffSlot
+}
+
+// twinBudget bounds the bytes of twins a node keeps parked in deferred
+// slots: past it, interval close materializes the oldest deferred diffs
+// (a sparse MakeDiff each) so memory follows the working set since the
+// last GC epoch instead of the run length. Below it nothing changes:
+// diffs are still made on demand only, or never when GC covers them. The
+// page pool retains as many bytes, so what a GC epoch releases is what
+// the next one captures.
+const twinBudget = page.PoolBytes
+
+// flatKey identifies a merged serve: every interval of this node on one
+// page with its index in [first, last], both of which wrote the page —
+// what a range want names.
+type flatKey struct {
+	pg          mem.PageID
+	first, last int32
+}
+
+// flatEntry is one cached merged diff with its served flag (see
+// diffSlot.served).
+type flatEntry struct {
+	d      *page.Diff
+	served bool
+}
+
+// flatCacheMax caps e.flat: each entry pins a merged diff (up to a page
+// of body), and runs whose barrier GC is disabled would otherwise grow
+// the cache by one entry per distinct served range for the life of the
+// process.
+const flatCacheMax = 256
+
+// materializeSlot computes a deferred slot's diff. Caller holds the
+// slot's page stripe; pc is the page's current copy (nil only if the
+// page was dropped, which materializes first, so a deferred slot always
+// still has its target contents). The base and any target twin are
+// released once the diff exists.
+func (e *lazyEngine) materializeSlot(pc *lazyPage, slot *diffSlot, pg mem.PageID) {
+	if slot.d != nil {
+		return
+	}
+	var cur []byte
+	switch {
+	case slot.target != nil:
+		cur = slot.target.Data()
+	case pc != nil:
+		cur = pc.data
+	default:
+		panic(fmt.Sprintf("dsm: node %d: deferred diff for page %d lost its target contents", e.n.id, pg))
+	}
+	d, err := page.MakeDiff(slot.base, cur)
+	if err != nil {
+		panic(fmt.Sprintf("dsm: node %d: diffing page %d: %v", e.n.id, pg, err))
+	}
+	slot.d = d
+	e.releaseTwin(slot.base)
+	slot.base = nil
+	if slot.target != nil {
+		e.releaseTwin(slot.target)
+		slot.target = nil
+	} else if pc != nil && pc.pending == slot {
+		pc.pending = nil
+	}
+	e.n.stats.diffsCreated.Add(1)
+}
+
+// noteServe counts one serve of a diff towards Stats.DiffCacheHits:
+// every serve after the first reuses the body the first one shipped —
+// a diff is its wire body, so there is nothing to rebuild. served is the
+// diff's flag in its store or cache entry. Caller holds e.mu.
+func (e *lazyEngine) noteServe(served *bool) {
+	if *served {
+		e.n.stats.diffCacheHits.Add(1)
+	}
+	*served = true
+}
+
+// slotLocked returns the store's slot for interval id's diff of page pg,
+// or nil when it holds none. Caller holds e.mu.
+func (e *lazyEngine) slotLocked(id core.IntervalID, pg mem.PageID) *diffSlot {
+	slots := e.diffs[id]
+	if slots == nil {
+		return nil
+	}
+	// A store entry's interval is in the log (own intervals are logged as
+	// they are stored, storeDiffRecsLocked checks).
+	i, ok := slices.BinarySearch(e.log.Get(id).Pages, pg)
+	if !ok || !slots[i].held {
+		return nil
+	}
+	return &slots[i]
+}
+
+// trimTwinsLocked enforces twinBudget once an interval is logged: while
+// the node holds more twin bytes than the budget, the oldest parked slot
+// that is still deferred is materialized, one at a time so each twin
+// goes back to the page pool as the next capture needs one. A trimmed
+// slot serves the same diff demand would have made (its target contents
+// are fixed from the moment it is parked), so no message changes. Caller
+// holds e.mu; stripes are taken under it, as handleDiffReq does.
+func (e *lazyEngine) trimTwinsLocked() {
+	n := e.n
+	i := 0
+	for ; i < len(e.parked) && n.stats.twinBytesLive.Load() > twinBudget; i++ {
+		p := e.parked[i]
+		e.parked[i] = parkedSlot{}
+		pmu := n.pageLock(p.pg)
+		pmu.Lock()
+		if p.slot.base != nil {
+			e.materializeSlot(e.pages[p.pg], p.slot, p.pg)
+			n.stats.diffsTrimmed.Add(1)
+		}
+		pmu.Unlock()
+	}
+	e.parked = e.parked[i:]
+	if len(e.parked) >= e.parkedSweep {
+		e.sweepParkedLocked()
+	}
+}
+
+// sweepParkedLocked drops queue entries whose slot no longer holds a
+// twin (served on demand, or collected). Caller holds e.mu.
+func (e *lazyEngine) sweepParkedLocked() {
+	live := e.parked[:0]
+	for _, p := range e.parked {
+		pmu := e.n.pageLock(p.pg)
+		pmu.Lock()
+		if p.slot.base != nil {
+			live = append(live, p)
+		}
+		pmu.Unlock()
+	}
+	clear(e.parked[len(live):])
+	e.parked = live
+	e.parkedSweep = 2*len(live) + 64
+}
+
+// storeDiffRecsLocked enters received diff records, each one interval's
+// diff, into LU's retained store, as clones: the records borrow a frame
+// that is released long before a later grant piggybacks them. A record
+// never replaces a slot the store holds (crucially not a local deferred
+// one). Caller holds e.mu.
+func (e *lazyEngine) storeDiffRecsLocked(recs []wire.DiffRec) {
+	for _, rec := range recs {
+		if !e.n.validPage(rec.Page) {
+			// The page id indexes the stripe table when the slot is later
+			// piggybacked; an out-of-range one is the sender's corruption.
+			e.n.noteErr("diff store",
+				fmt.Errorf("diff record for invalid page %d", rec.Page))
+			continue
+		}
+		id := core.IntervalID{Proc: rec.Proc, Index: rec.Index}
+		// Every diff the protocol sends answers a plan made from the log,
+		// or rides the grant that carried its interval.
+		k, ok := 0, e.n.validProc(id.Proc) && id.Index >= 0 && e.v.Covers(int(id.Proc), id.Index)
+		if ok {
+			k, ok = slices.BinarySearch(e.log.Get(id).Pages, rec.Page)
+		}
+		if !ok {
+			e.n.noteErr("diff store",
+				fmt.Errorf("diff record %v for page %d matches no logged write notice", id, rec.Page))
+			continue
+		}
+		slots := e.diffs[id]
+		if slots == nil {
+			slots = make([]diffSlot, len(e.log.Get(id).Pages))
+			e.diffs[id] = slots
+		}
+		if !slots[k].held {
+			slots[k] = diffSlot{held: true, d: rec.Diff.Clone()}
+		}
+	}
+}
+
+// discardLocked is the GC epoch's discard: every retained diff of an
+// interval the epoch covers goes, and with them the merges of such diffs.
+// Caller holds e.mu.
+func (e *lazyEngine) discardLocked(epoch vc.VC) {
+	n := e.n
+	for id := range e.diffs {
+		if !epoch.Covers(int(id.Proc), id.Index) {
+			continue
+		}
+		slots := e.diffs[id]
+		for i, pg := range e.log.Get(id).Pages {
+			slot := &slots[i]
+			if !slot.held {
+				continue
+			}
+			n.stats.diffsDiscarded.Add(1)
+			pmu := n.pageLock(pg)
+			pmu.Lock()
+			if slot.d == nil {
+				// A covered slot whose diff was never fetched: drop the
+				// twins without ever computing it — the deferred work the
+				// lazy pipeline saves outright.
+				e.releaseTwin(slot.base)
+				slot.base = nil
+				if slot.target != nil {
+					e.releaseTwin(slot.target)
+					slot.target = nil
+				} else if pc := e.pages[pg]; pc != nil && pc.pending == slot {
+					pc.pending = nil
+				}
+			} else {
+				slot.d.Release() // the store's count; a serve in flight has its own
+			}
+			pmu.Unlock()
+		}
+		delete(e.diffs, id)
+	}
+	// Merged serves merge only pre-epoch intervals their requesters
+	// still needed; the epoch retires them with the diffs they merged.
+	for _, flat := range e.flat {
+		flat.d.Release()
+	}
+	clear(e.flat)
+	e.sweepParkedLocked()
+}
+
+// releaseDiffs drops the counts the builder of m took on the diffs it
+// names, flat or in a section, once m is encoded.
+func releaseDiffs(m *wire.Msg) {
+	for _, r := range m.Diffs {
+		r.Diff.Release()
+	}
+	for i := range m.Sections {
+		for _, r := range m.Sections[i].Diffs {
+			r.Diff.Release()
+		}
+	}
+}
+
+func (e *lazyEngine) handleDiffReq(m *wire.Msg, src mem.ProcID) {
+	n := e.n
+	var recBuf [8]wire.DiffRec
+	resp := wire.Msg{Kind: wire.KDiffResp, Seq: m.Seq, Diffs: recBuf[:0]}
+	e.mu.Lock()
+	// Record i answers want i. A want this node cannot answer — a diff it
+	// never made (or already garbage collected out from under a peer that
+	// should have known), a range that is not a run of its own intervals
+	// on the page — is the requester's bug or malice: record it and drop
+	// the whole request, a partial answer would install a torn page.
+	for _, w := range m.Wants {
+		d, err := e.serveLocked(w)
+		if err != nil {
+			e.mu.Unlock()
+			releaseDiffs(&resp)
+			n.noteErr("diff request", err)
+			return
+		}
+		resp.Diffs = append(resp.Diffs, wire.DiffRec{Page: w.Page, Proc: w.Proc, Index: w.Index, Diff: d})
+	}
+	e.mu.Unlock()
+	// Staged: the shard worker's drain point flushes it, so a burst of
+	// diff requests from one prefetching peer answers in few frames. The
+	// store may discard the diffs now: stage reads them on serveLocked's
+	// counts.
+	n.stage(src, &resp)
+	releaseDiffs(&resp)
+}
+
+// serveLocked returns the diff that answers want w, on a count the caller
+// drops once the response is encoded. A deferred local slot materializes
+// here, on its first serve. Caller holds e.mu.
+func (e *lazyEngine) serveLocked(w wire.Want) (*page.Diff, error) {
+	n := e.n
+	id := core.IntervalID{Proc: w.Proc, Index: w.Index}
+	if !n.validPage(w.Page) {
+		return nil, fmt.Errorf("asked for diff %v on invalid page %d", id, w.Page)
+	}
+	if w.Span != 0 {
+		return e.mergedLocked(w)
+	}
+	slot := e.slotLocked(id, w.Page)
+	if slot == nil {
+		return nil, fmt.Errorf("asked for diff %v page %d this node does not hold", id, w.Page)
+	}
+	pmu := n.pageLock(w.Page)
+	pmu.Lock()
+	if slot.d == nil {
+		e.materializeSlot(e.pages[w.Page], slot, w.Page)
+	}
+	d := slot.d
+	pmu.Unlock()
+	e.noteServe(&slot.served)
+	return d.Retain(), nil
+}
+
+// mergedLocked serves range want w: the merge, last writer wins, of this
+// node's diffs of w.Page in its intervals w.Index through w.Index+w.Span.
+// The requester applies it where its plan has the first of them (see
+// missingDiffReqsLocked for why it may); the range must start and end at
+// intervals of this node that wrote the page, so that it names the same
+// intervals to both sides, and every one of them must still be held.
+// Merges are cached by range so repeat requesters are served from one.
+// Caller holds e.mu.
+func (e *lazyEngine) mergedLocked(w wire.Want) (*page.Diff, error) {
+	n := e.n
+	last := w.Index + w.Span
+	var idxs []int32
+	if w.Proc == n.id {
+		idxs = e.log.IndicesOn(w.Page, n.id, w.Index, last)
+	}
+	if len(idxs) == 0 || idxs[0] != w.Index || idxs[len(idxs)-1] != last {
+		return nil, fmt.Errorf("asked for diffs %d/%d..%d of page %d, not a run of this node's intervals on the page",
+			w.Proc, w.Index, last, w.Page)
+	}
+	key := flatKey{pg: w.Page, first: w.Index, last: last}
+	flat := e.flat[key]
+	if flat == nil {
+		// Not cached (GC retires the cache with the store, so a cached range
+		// is held): merge what the store holds.
+		var diffBuf [8]*page.Diff
+		diffs := diffBuf[:0]
+		pmu := n.pageLock(w.Page)
+		pmu.Lock()
+		for _, k := range idxs {
+			slot := e.slotLocked(core.IntervalID{Proc: n.id, Index: k}, w.Page)
+			if slot == nil {
+				pmu.Unlock()
+				return nil, fmt.Errorf("asked for diffs %d/%d..%d of page %d, of which %d is no longer held",
+					w.Proc, w.Index, last, w.Page, k)
+			}
+			if slot.d == nil {
+				e.materializeSlot(e.pages[w.Page], slot, w.Page)
+			}
+			diffs = append(diffs, slot.d)
+		}
+		pmu.Unlock()
+		merged, err := page.FlattenDiffs(diffs, n.sys.layout.PageSize())
+		if err != nil {
+			// Own diffs are well-formed, so this cannot happen.
+			return nil, fmt.Errorf("merging diffs %d/%d..%d of page %d: %w", w.Proc, w.Index, last, w.Page, err)
+		}
+		if len(e.flat) >= flatCacheMax {
+			// The wholesale drop in discardLocked never runs with barrier GC
+			// disabled (GCEveryBarriers=0), so the cache bounds itself: evict an
+			// arbitrary entry (map order) — a re-merge costs one FlattenDiffs.
+			for k, old := range e.flat {
+				old.d.Release()
+				delete(e.flat, k)
+				break
+			}
+		}
+		flat = &flatEntry{d: merged}
+		e.flat[key] = flat
+	}
+	e.noteServe(&flat.served)
+	n.stats.diffsFlattened.Add(int64(len(idxs) - 1))
+	return flat.d.Retain(), nil
+}

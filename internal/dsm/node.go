@@ -53,10 +53,12 @@ type Stats struct {
 	// DiffsDeferred counts the pages interval closes parked with their
 	// twin instead of diffing (every one of them), DiffCacheHits counts
 	// serves of a diff after its first (the body the first serve shipped
-	// is reused as is), DiffsFlattened counts
-	// diffs elided by merging a multi-interval fetch into one flattened
-	// diff, DiffsFetched counts diff records received in answer to a
-	// request (piggybacked ones are not fetched), and TwinBytesLive
+	// is reused as is), DiffsFlattened counts the diffs a creator merged
+	// away answering range wants (members - 1 per merged serve),
+	// DiffsFetched counts diff records received in answer to a request,
+	// one per want whether it names one interval or a range (piggybacked
+	// ones are not fetched; DiffsApplied counts the diffs a miss applied,
+	// a merged range once), and TwinBytesLive
 	// gauges the bytes currently held in live twins (capture minus final
 	// release), with TwinBytesPeak its high-water mark. DiffsTrimmed
 	// counts deferred diffs materialized by the twin budget rather than by
@@ -81,9 +83,6 @@ type Stats struct {
 	// UpdatesReceived counts release-time diffs applied to this node's
 	// copies (EU).
 	UpdatesReceived int64
-	// WriteBacks counts EI false-sharing diffs this node's flushes
-	// recovered from invalidated cachers.
-	WriteBacks int64
 	// OwnershipMoves counts directory owner changes processed at this
 	// node as a page home (eager and SC).
 	OwnershipMoves int64
@@ -138,7 +137,6 @@ type nodeStats struct {
 	flushedPages     atomic.Int64
 	invalsReceived   atomic.Int64
 	updatesReceived  atomic.Int64
-	writeBacks       atomic.Int64
 	ownershipMoves   atomic.Int64
 	pageMigrations   atomic.Int64
 
@@ -180,7 +178,6 @@ func (s *nodeStats) snapshot() Stats {
 		FlushedPages:     s.flushedPages.Load(),
 		InvalsReceived:   s.invalsReceived.Load(),
 		UpdatesReceived:  s.updatesReceived.Load(),
-		WriteBacks:       s.writeBacks.Load(),
 		OwnershipMoves:   s.ownershipMoves.Load(),
 		PageMigrations:   s.pageMigrations.Load(),
 		SentMsgs:         s.sentMsgs.Load(),

@@ -91,7 +91,6 @@ func (s *System) registerMetrics(r *obs.Registry) {
 		nodeCounter("dsm_node_flushed_pages_total", "dirty pages pushed at eager flush points", n.stats.flushedPages.Load)
 		nodeCounter("dsm_node_invals_received_total", "invalidations applied", n.stats.invalsReceived.Load)
 		nodeCounter("dsm_node_updates_received_total", "release-time updates applied", n.stats.updatesReceived.Load)
-		nodeCounter("dsm_node_write_backs_total", "EI false-sharing write-backs recovered", n.stats.writeBacks.Load)
 		nodeCounter("dsm_node_ownership_moves_total", "directory ownership transfers", n.stats.ownershipMoves.Load)
 		nodeCounter("dsm_node_page_migrations_total", "pages re-homed to this node", n.stats.pageMigrations.Load)
 		nodeCounter("dsm_node_sent_msgs_total", "outbound logical messages", n.stats.sentMsgs.Load)

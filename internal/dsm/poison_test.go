@@ -61,24 +61,25 @@ func TestEarlyReleaseIsCaught(t *testing.T) {
 		// last release is the shard worker's, whenever it drains).
 		e := reader.rt.engines[LazyInvalidate].(*lazyEngine)
 		pre, err := e.prefetchDiffs([]mem.PageID{pg})
-		if err != nil || len(pre[pg]) != 1 {
-			t.Fatalf("prefetch: %d responses for the page, err %v", len(pre[pg]), err)
+		if err != nil || len(pre) != 1 {
+			t.Fatalf("prefetch: %d responses for the page, err %v", len(pre), err)
 		}
-		frame := pre[pg][0].EncodeAppend(framebuf.Get())
-		releaseAll(pre[pg])
+		wants := pre[0].wants
+		frame := pre[0].resp.EncodeAppend(framebuf.Get())
+		pre.release()
 		resp, err := wire.Decode(frame)
 		if err != nil {
 			t.Fatal(err)
 		}
 		attachFrame(frame, resp)
-		held := fetchedDiffs{resp}
+		held := fetchedDiffs{{wants, resp}}
 		if early {
 			// The bug: the frame goes before the miss has applied its
 			// diffs. (The miss gets a stand-in without the reference, so
 			// its own, correct, release has nothing left to do.)
 			diffs := resp.Diffs // the shell forgets them when it is released
-			releaseAll(held)
-			held = fetchedDiffs{&wire.Msg{Kind: wire.KDiffResp, Diffs: diffs}}
+			held.release()
+			held = fetchedDiffs{{wants, &wire.Msg{Kind: wire.KDiffResp, Diffs: diffs}}}
 		}
 		if err := e.serviceMiss(pg, held); err != nil {
 			t.Fatal(err)

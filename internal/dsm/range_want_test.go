@@ -1,0 +1,334 @@
+package dsm
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/mem"
+	"repro/internal/page"
+	"repro/internal/vc"
+	"repro/internal/wire"
+)
+
+// lazyEngineWithIntervals builds a 2-proc LI system in which node 0 has
+// closed three write intervals (indices 0..2) on one page, and returns
+// the engine and the page.
+func lazyEngineWithIntervals(t *testing.T) (*lazyEngine, mem.PageID) {
+	t.Helper()
+	s, err := New(Config{Procs: 2, SpaceSize: 8 * 1024, PageSize: 1024, Mode: LazyInvalidate})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := s.Close(); err != nil {
+			t.Errorf("Close: %v", err)
+		}
+	})
+	n := s.Node(0)
+	const addr = mem.Addr(1024) // page 1
+	for r := 0; r < 3; r++ {
+		if err := n.Acquire(0); err != nil {
+			t.Fatal(err)
+		}
+		if err := n.WriteUint64(addr+mem.Addr(8*r), uint64(100+r)); err != nil {
+			t.Fatal(err)
+		}
+		if err := n.Release(0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return n.rt.engines[LazyInvalidate].(*lazyEngine), 1
+}
+
+// TestFlatCacheBounded: with barrier GC disabled the discard's wholesale
+// drop never runs, so a range serve that inserts into a full e.flat must
+// evict rather than grow without bound.
+func TestFlatCacheBounded(t *testing.T) {
+	e, pg := lazyEngineWithIntervals(t)
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for i := 0; i < flatCacheMax; i++ {
+		e.flat[flatKey{pg: pg, first: int32(1000 + i), last: int32(2000 + i)}] = &flatEntry{d: &page.Diff{}}
+	}
+	d, err := e.mergedLocked(wire.Want{Page: pg, Proc: 0, Index: 1, Span: 1})
+	if err != nil {
+		t.Fatalf("serving range 1..2: %v", err)
+	}
+	d.Release()
+	if len(e.flat) > flatCacheMax {
+		t.Errorf("flat cache grew to %d entries, cap is %d", len(e.flat), flatCacheMax)
+	}
+	if _, ok := e.flat[flatKey{pg: pg, first: 1, last: 2}]; !ok {
+		t.Error("fresh merge was not cached after eviction")
+	}
+}
+
+// planEngine returns node 0's LU engine of a fresh cluster (LU: the engine
+// with a store of received diffs) for a test that writes its log, clock
+// and store by hand under e.mu.
+func planEngine(t *testing.T, procs int) *lazyEngine {
+	t.Helper()
+	s, err := New(Config{Procs: procs, SpaceSize: 8 * 1024, PageSize: 1024, Mode: LazyUpdate})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := s.Close(); err != nil {
+			t.Errorf("Close: %v", err)
+		}
+	})
+	return s.Node(0).rt.engines[LazyUpdate].(*lazyEngine)
+}
+
+// logInterval appends processor p's next interval, closed at clock, to the
+// engine's log and knowledge.
+func logInterval(e *lazyEngine, p mem.ProcID, clock vc.VC, pages ...mem.PageID) core.IntervalID {
+	id := core.IntervalID{Proc: p, Index: clock[p]}
+	e.log.Append(&core.Interval{ID: id, VC: clock.Clone(), Pages: pages})
+	e.v[p] = id.Index
+	return id
+}
+
+// wordDiff returns a diff that sets the given 8-byte words of a page to val.
+func wordDiff(t *testing.T, val byte, words ...int) *page.Diff {
+	t.Helper()
+	runs, data := make([]page.Run, len(words)), make([][]byte, len(words))
+	for i, w := range words {
+		runs[i], data[i] = page.Run{Off: int32(8 * w), Len: 8}, bytes.Repeat([]byte{val}, 8)
+	}
+	d, err := page.DiffFromRuns(runs, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// wantsOf lists the wants of a miss's requests, which go to their creators.
+func wantsOf(t *testing.T, reqs []outMsg) []wire.Want {
+	t.Helper()
+	var wants []wire.Want
+	for _, r := range reqs {
+		for _, w := range r.m.Wants {
+			if w.Proc != r.dst {
+				t.Errorf("want %+v sent to node %d", w, r.dst)
+			}
+			wants = append(wants, w)
+		}
+	}
+	return wants
+}
+
+// TestMissPlanWants: the rule that decides which of a plan's missing steps
+// travel as one range want, a row per clause. Node 0 of four plans page 0;
+// a history is a list of intervals, creator and clock, in log order.
+func TestMissPlanWants(t *testing.T) {
+	const pg, other = mem.PageID(0), mem.PageID(1)
+	type iv struct {
+		p     mem.ProcID
+		clock vc.VC
+		pages []mem.PageID
+	}
+	on := []mem.PageID{pg}
+	cases := []struct {
+		name    string
+		history []iv
+		stored  []core.IntervalID // single diffs LU's store already has
+		held    []wire.Want       // wants a response is held for
+		want    []wire.Want
+	}{
+		{"an uninterrupted run is one want",
+			[]iv{{1, vc.VC{-1, 0, -1, -1}, on}, {1, vc.VC{-1, 1, -1, -1}, on}, {1, vc.VC{-1, 2, -1, -1}, on}},
+			nil, nil,
+			[]wire.Want{{Page: pg, Proc: 1, Index: 0, Span: 2}}},
+		{"a range spans the creator's intervals that left the page alone",
+			[]iv{{1, vc.VC{-1, 0, -1, -1}, on}, {1, vc.VC{-1, 1, -1, -1}, []mem.PageID{other}}, {1, vc.VC{-1, 2, -1, -1}, on}},
+			nil, nil,
+			[]wire.Want{{Page: pg, Proc: 1, Index: 0, Span: 2}}},
+		{"another creator's step in between that the member's clock covers splits the run",
+			// 2/0 saw 1/0 and 1/1 saw 2/0: the chain is the plan, and 1/1
+			// may overwrite 2/0.
+			[]iv{{1, vc.VC{-1, 0, -1, -1}, on}, {2, vc.VC{-1, 0, 0, -1}, on}, {1, vc.VC{-1, 1, 0, -1}, on}},
+			nil, nil,
+			[]wire.Want{{Page: pg, Proc: 1, Index: 0}, {Page: pg, Proc: 1, Index: 1}, {Page: pg, Proc: 2, Index: 0}}},
+		{"one that is concurrent with the member does not",
+			// 2/0 knows nobody and nobody knows it; the plan puts it between
+			// 1/0 and 1/1 (equal clock sums order by processor).
+			[]iv{{1, vc.VC{-1, 0, -1, -1}, on}, {2, vc.VC{-1, -1, 0, -1}, on}, {1, vc.VC{-1, 1, -1, -1}, on}},
+			nil, nil,
+			[]wire.Want{{Page: pg, Proc: 1, Index: 0, Span: 1}, {Page: pg, Proc: 2, Index: 0}}},
+		{"a later member covering it splits where it starts to, not before",
+			[]iv{{1, vc.VC{-1, 0, -1, -1}, on}, {2, vc.VC{-1, -1, 0, -1}, on}, {1, vc.VC{-1, 1, -1, -1}, on}, {1, vc.VC{-1, 2, 0, -1}, on}},
+			nil, nil,
+			[]wire.Want{{Page: pg, Proc: 1, Index: 0, Span: 1}, {Page: pg, Proc: 1, Index: 2}, {Page: pg, Proc: 2, Index: 0}}},
+		{"a member the store has is never ranged across",
+			[]iv{{1, vc.VC{-1, 0, -1, -1}, on}, {1, vc.VC{-1, 1, -1, -1}, on}, {1, vc.VC{-1, 2, -1, -1}, on}},
+			[]core.IntervalID{{Proc: 1, Index: 1}}, nil,
+			[]wire.Want{{Page: pg, Proc: 1, Index: 0}, {Page: pg, Proc: 1, Index: 2}}},
+		{"a replan over a held range asks only for what is new",
+			[]iv{{1, vc.VC{-1, 0, -1, -1}, on}, {1, vc.VC{-1, 1, -1, -1}, on}, {1, vc.VC{-1, 2, -1, -1}, on}, {1, vc.VC{-1, 3, -1, -1}, on}},
+			nil, []wire.Want{{Page: pg, Proc: 1, Index: 0, Span: 1}},
+			[]wire.Want{{Page: pg, Proc: 1, Index: 2, Span: 1}}},
+		{"nothing missing, nothing asked",
+			[]iv{{1, vc.VC{-1, 0, -1, -1}, on}, {1, vc.VC{-1, 1, -1, -1}, on}},
+			nil, []wire.Want{{Page: pg, Proc: 1, Index: 0, Span: 1}},
+			nil},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			e := planEngine(t, 4)
+			e.mu.Lock()
+			defer e.mu.Unlock()
+			for _, h := range tc.history {
+				logInterval(e, h.p, h.clock, h.pages...)
+			}
+			for _, id := range tc.stored {
+				e.storeDiffRecsLocked([]wire.DiffRec{{Page: pg, Proc: id.Proc, Index: id.Index, Diff: wordDiff(t, 1, 0)}})
+			}
+			var held fetchedDiffs
+			if tc.held != nil {
+				resp := &wire.Msg{Kind: wire.KDiffResp}
+				for _, w := range tc.held {
+					resp.Diffs = append(resp.Diffs, wire.DiffRec{Page: w.Page, Proc: w.Proc, Index: w.Index, Diff: wordDiff(t, 2, 0)})
+				}
+				held = fetchedDiffs{{wants: tc.held, resp: resp}}
+			}
+			out := e.planLocked(pg, vc.New(4))
+			got := wantsOf(t, e.missingDiffReqsLocked(nil, pg, out, held))
+			if !reflect.DeepEqual(got, tc.want) {
+				t.Errorf("plan %v asks for\n  %+v, want\n  %+v", out, got, tc.want)
+			}
+		})
+	}
+}
+
+// TestRangePlanMatchesSingleSteps is the property the rule must have: on a
+// random history that is closed under happened-before and whose concurrent
+// intervals write disjoint words (every word's writers form a chain), a
+// plan carried out with its ranges merged — by the creator's rule, from
+// the range alone — leaves the page as the same plan does one interval's
+// diff at a time. Copies start at a random consistent cut, and the store
+// holds a random few single diffs, so runs open and close mid-history.
+func TestRangePlanMatchesSingleSteps(t *testing.T) {
+	const (
+		procs, words = 5, 12
+		pg, other    = mem.PageID(0), mem.PageID(1)
+		pageSize     = 1024
+	)
+	e := planEngine(t, procs)
+	rng := rand.New(rand.NewSource(1))
+	ranged, split := 0, 0
+	for round := 0; round < 300; round++ {
+		e.mu.Lock()
+		e.log, e.v, e.diffs = core.NewLog(procs), vc.New(procs), make(map[core.IntervalID][]diffSlot)
+		// Processors 1.. write; 0 is the reader. A processor may write a word
+		// only if it has seen the word's last writer.
+		clocks := make([]vc.VC, procs)
+		for p := range clocks {
+			clocks[p] = vc.New(procs)
+		}
+		diffs := make(map[core.IntervalID]*page.Diff)
+		var lastWriter [words]*core.IntervalID
+		cut := vc.New(procs)
+		for ev, events := 0, 10+rng.Intn(60); ev < events; ev++ {
+			p := 1 + rng.Intn(procs-1)
+			if rng.Intn(4) == 0 {
+				clocks[p].Max(clocks[1+rng.Intn(procs-1)])
+				continue
+			}
+			if rng.Intn(events) == 0 {
+				cut = clocks[p].Clone()
+			}
+			var mine []int
+			for w := range lastWriter {
+				if lw := lastWriter[w]; (lw == nil || clocks[p].Covers(int(lw.Proc), lw.Index)) && rng.Intn(3) == 0 {
+					mine = append(mine, w)
+				}
+			}
+			clocks[p].Tick(p)
+			if len(mine) == 0 {
+				logInterval(e, mem.ProcID(p), clocks[p], other)
+				continue
+			}
+			id := logInterval(e, mem.ProcID(p), clocks[p], pg)
+			diffs[id] = wordDiff(t, byte(1+len(diffs)), mine...)
+			for _, w := range mine {
+				lastWriter[w] = &id
+			}
+		}
+		apply := func(img []byte, steps []*page.Diff) {
+			for _, d := range steps {
+				if err := d.Apply(img); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		single := func(out []core.IntervalID) (steps []*page.Diff) {
+			for _, id := range out {
+				steps = append(steps, diffs[id])
+			}
+			return steps
+		}
+		// The copy at the cut: everything the cut covers, singly.
+		var covered []core.IntervalID
+		for _, id := range e.planLocked(pg, vc.New(procs)) {
+			if cut.Covers(int(id.Proc), id.Index) {
+				covered = append(covered, id)
+			}
+		}
+		base := make([]byte, pageSize)
+		apply(base, single(covered))
+
+		out := e.planLocked(pg, cut)
+		for _, id := range out {
+			if rng.Intn(8) == 0 {
+				e.storeDiffRecsLocked([]wire.DiffRec{{Page: pg, Proc: id.Proc, Index: id.Index, Diff: diffs[id]}})
+			}
+		}
+		// Play the creators: a range is answered from the range alone.
+		var held fetchedDiffs
+		for _, r := range e.missingDiffReqsLocked(nil, pg, out, nil) {
+			resp := &wire.Msg{Kind: wire.KDiffResp}
+			for _, w := range r.m.Wants {
+				var members []*page.Diff
+				for _, k := range e.log.IndicesOn(w.Page, w.Proc, w.Index, w.Index+w.Span) {
+					members = append(members, diffs[core.IntervalID{Proc: w.Proc, Index: k}])
+				}
+				d := members[0]
+				if w.Span > 0 {
+					ranged++
+					var err error
+					if d, err = page.FlattenDiffs(members, pageSize); err != nil {
+						t.Fatal(err)
+					}
+				}
+				resp.Diffs = append(resp.Diffs, wire.DiffRec{Page: w.Page, Proc: w.Proc, Index: w.Index, Diff: d})
+			}
+			if len(r.m.Wants) > 1 {
+				split++
+			}
+			if err := answers(resp, r.m.Wants); err != nil {
+				t.Fatal(err)
+			}
+			held = append(held, fetched{wants: r.m.Wants, resp: resp})
+		}
+		steps, err := e.stepsLocked(nil, pg, out, held)
+		e.mu.Unlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, got := bytes.Clone(base), bytes.Clone(base)
+		apply(want, single(out))
+		apply(got, steps)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("round %d: plan %v from cut %v: merged ranges leave\n%s, single steps\n%s",
+				round, out, cut, fmt.Sprint(got[:8*words]), fmt.Sprint(want[:8*words]))
+		}
+	}
+	if ranged < 100 || split < 100 {
+		t.Fatalf("generator is lopsided: %d ranges, %d creators asked for more than one want", ranged, split)
+	}
+}

@@ -33,7 +33,7 @@ func sampleMsgs() []*Msg {
 				{Proc: 2, Index: 5, VC: vc.VC{0, 0, 5, 0}, Pages: []mem.PageID{1, 2, 9}},
 				{Proc: 0, Index: 1, VC: vc.VC{2, 0, 0, 0}, Pages: nil},
 			}},
-		{Kind: KDiffReq, Seq: 9, A: 1, Wants: []Want{{Page: 4, Proc: 1, Index: 2}}},
+		{Kind: KDiffReq, Seq: 9, A: 1, Wants: []Want{{Page: 4, Proc: 1, Index: 2}, {Page: 4, Proc: 1, Index: 7, Span: 55}}},
 		{Kind: KDiffResp, Seq: 9, Diffs: []DiffRec{{Page: 4, Proc: 1, Index: 2, Diff: diff}}},
 		{Kind: KPageResp, Seq: 10, A: 4, Data: bytes.Repeat([]byte{0xab}, 128)},
 		{Kind: KBarrierArrive, Seq: 11, A: 0, B: 2, VC: vc.VC{9, 9, 9, 9}},
@@ -157,6 +157,12 @@ func TestDecodeMalformed(t *testing.T) {
 		{"diff count one past the bytes", cat(hdr(KDiffResp, hasDiffs), uv(3), make([]byte, 3*minDiffBytes-1)), "implausible diff count"},
 		{"hostile want count", cat(hdr(KDiffReq, hasWants), uv(1<<24), make([]byte, 64)), "implausible want count"},
 		{"want count one past the bytes", cat(hdr(KDiffReq, hasWants), uv(3), make([]byte, 3*minWantBytes-1)), "implausible want count"},
+		// A want's span (the low bit of the processor field says one follows)
+		// is positive and ends at an index an int32 holds.
+		{"want span of zero", cat(hdr(KDiffReq, hasWants), uv(1, 4, 1<<1|1, 2, 0)), "with span 0"},
+		{"negative want span", cat(hdr(KDiffReq, hasWants), uv(1, 4, 1<<1|1, 2, 0xffffffff)), "with span -1"},
+		{"want range overflows its index", cat(hdr(KDiffReq, hasWants), uv(1, 4, 1<<1|1, 0x7fffffff, 1)), "with span 1"},
+		{"want processor overflows 32 bits", cat(hdr(KDiffReq, hasWants), uv(1, 4, 1<<33, 2)), "overflows its 32-bit field"},
 		{"hostile run count", diff(1 << 26), "implausible run count"},
 		{"run count one past the bytes", cat(diff(3), make([]byte, 3*minRunBytes-1)), "implausible run count"},
 		{"negative run offset", diff(1, 0x80000000, 0), "negative run offset"},

@@ -20,7 +20,8 @@
 //	VC          uv n, n entries uv32(x+1)                  n <= 64; bit set <=> Msg.VC != nil (n = 0 legal)
 //	Intervals   uv n, n records (below)                    1 <= n, 4n <= bytes left
 //	Diffs       uv n, n x (uv32 page, proc, index, body)   1 <= n, 4n <= bytes left
-//	Wants       uv n, n x (uv32 page, proc, index)         1 <= n, 3n <= bytes left
+//	Wants       uv n, n x (uv32 page, uv proc<<1|s,        1 <= n, 3n <= bytes left; proc fits 32 bits;
+//	            uv32 index, and if s: uv32 span)           1 <= span, index + span <= 2^31 - 1
 //	Data        uv n, data body (below)                    1 <= n <= MaxDataBytes, before n sizes the buffer
 //	Sections    uv n, n x (uv mode, presence byte with     2n <= bytes left; mode <= 255; bit set <=>
 //	            the VC/Intervals/Diffs bits, blocks)       Msg.Sections != nil; a section's VC has n >= 1
@@ -40,6 +41,18 @@
 // A whole-page transfer is therefore a diff against the zero page: a
 // never-written page is three bytes, a page without a zero word costs four
 // bytes over its contents, and there is no raw form.
+//
+// A want names one interval's diff of a page, or with a span the diffs the
+// processor made of the page in intervals index through index + span, both
+// of which wrote it. The span bit s rides the processor field — processor
+// ids are below 64, so a plain want costs what it did before there were
+// ranges, at the price of a 33-bit field where every other is 32 — and a
+// span travels only when it is not zero, so each want has one encoding. A
+// Diffs record is one interval's diff of a page, except in the answer to
+// a range want: a KDiffResp carries one record per want, in the request's
+// order, and the one that answers a range is the merge of the range's
+// diffs, last writer wins, under the range's first index. No record is
+// empty on another's behalf.
 //
 // A record's clock entries are delta-coded when the enclosing message or
 // section carries a clock of the same length: entry k is the zig-zag
@@ -145,10 +158,11 @@ const (
 	// KLockGrant: holder -> requester, with clock, intervals and (LU)
 	// piggybacked diffs. A = lock id.
 	KLockGrant
-	// KDiffReq: requester -> responder, listing wanted (page, interval)
-	// diffs. A = requester.
+	// KDiffReq: requester -> responder, listing wanted (page, interval or
+	// interval range) diffs. A = requester.
 	KDiffReq
-	// KDiffResp: responder -> requester with the diffs.
+	// KDiffResp: responder -> requester with the diffs, one record per
+	// want, in the request's order.
 	KDiffResp
 	// KPageReq: requester -> page home. A/B = page id, requester.
 	KPageReq
@@ -177,9 +191,7 @@ const (
 	KFetchResp
 	// KInval: home -> cacher, invalidating its copy. A = page id.
 	KInval
-	// KInvalAck: cacher -> home; under EI it carries the cacher's own
-	// buffered modifications back as a diff (Munin's false-sharing
-	// write-back), so they are not lost with the invalidated copy.
+	// KInvalAck: cacher -> home.
 	KInvalAck
 	// KUpdate: home -> cacher with a releaser's diff (EU). A = page id.
 	KUpdate
@@ -192,9 +204,9 @@ const (
 	// flusher is still in the copyset.
 	KFlushReq
 	// KFlushDone: home -> releaser once every other cacher was invalidated
-	// (EI) or updated (EU): Diffs carries EI write-backs, Data carries a
-	// reconciliation base when the flusher's own copy had been invalidated
-	// by a concurrent flush of the same page.
+	// (EI) or updated (EU): Data carries a reconciliation base when the
+	// flusher's own copy had been invalidated by a concurrent flush of the
+	// same page.
 	KFlushDone
 	// KWriteReq: requester -> page home asking for exclusive write
 	// ownership (SC). A/B = page id, requester.
@@ -268,7 +280,8 @@ type IntervalRec struct {
 	Pages []mem.PageID
 }
 
-// DiffRec carries one interval's diff for one page.
+// DiffRec carries one interval's diff for one page — or, answering a range
+// want, the merge of the range's diffs under the range's first index.
 type DiffRec struct {
 	Page  mem.PageID
 	Proc  mem.ProcID
@@ -276,11 +289,16 @@ type DiffRec struct {
 	Diff  *page.Diff
 }
 
-// Want names one (page, interval) diff a requester needs.
+// Want names the diff a requester needs: that of interval Index of
+// processor Proc on Page, or, with Span > 0, the one merge of every diff
+// Proc made of Page in intervals Index through Index+Span, both of which
+// wrote the page. A response answers want i with record i, named (Page,
+// Proc, Index).
 type Want struct {
 	Page  mem.PageID
 	Proc  mem.ProcID
 	Index int32
+	Span  int32
 }
 
 // Section is one protocol engine's consistency payload on a shared
@@ -546,8 +564,17 @@ func (m *Msg) appendTo(buf []byte) []byte {
 		buf = putLen(buf, len(m.Wants))
 		for _, w := range m.Wants {
 			buf = put32(buf, int32(w.Page))
-			buf = put32(buf, int32(w.Proc))
+			// The span bit rides the processor field: a plain want costs
+			// what it did without one.
+			proc := uint64(uint32(w.Proc)) << 1
+			if w.Span != 0 {
+				proc |= 1
+			}
+			buf = binary.AppendUvarint(buf, proc)
 			buf = put32(buf, w.Index)
+			if w.Span != 0 {
+				buf = put32(buf, w.Span)
+			}
 		}
 	}
 	if present&hasData != 0 {
@@ -856,7 +883,7 @@ func (m *Msg) decode(b []byte) error {
 		if n := d.blockCount("want", minWantBytes); n > 0 {
 			m.Wants = make([]Want, n)
 			for i := range m.Wants {
-				m.Wants[i] = Want{Page: mem.PageID(d.i32()), Proc: mem.ProcID(d.i32()), Index: d.i32()}
+				m.Wants[i] = d.want()
 			}
 		}
 	}
@@ -893,6 +920,24 @@ func (m *Msg) decode(b []byte) error {
 		return fmt.Errorf("wire: %d trailing bytes", len(b)-d.off)
 	}
 	return nil
+}
+
+// want decodes one want. A span travels only when it is not zero, so a zero
+// under the span bit is a second encoding of the plain want; a range must
+// end at an index an int32 holds.
+func (d *decoder) want() Want {
+	w := Want{Page: mem.PageID(d.i32())}
+	proc := d.uvarint()
+	if proc>>1 > math.MaxUint32 {
+		d.fail("want processor %d overflows its 32-bit field", proc>>1)
+	}
+	w.Proc, w.Index = mem.ProcID(uint32(proc>>1)), d.i32()
+	if proc&1 != 0 {
+		if w.Span = d.i32(); w.Span <= 0 || int64(w.Index)+int64(w.Span) > math.MaxInt32 {
+			d.fail("want %d/%d with span %d", w.Proc, w.Index, w.Span)
+		}
+	}
+	return w
 }
 
 // payload decodes the consistency blocks present announces (the inverse of

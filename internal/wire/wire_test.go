@@ -303,7 +303,7 @@ func TestCachedWireBodyEncodesIdentically(t *testing.T) {
 func TestWantsAndDataRoundTrip(t *testing.T) {
 	m := &Msg{
 		Kind:  KDiffReq,
-		Wants: []Want{{Page: 1, Proc: 2, Index: 3}, {Page: 4, Proc: 5, Index: 6}},
+		Wants: []Want{{Page: 1, Proc: 2, Index: 3}, {Page: 4, Proc: 5, Index: 6, Span: 7}},
 		Data:  []byte{1, 2, 3, 4, 5},
 	}
 	got := roundTrip(t, m)
@@ -506,7 +506,12 @@ func TestRoundTripExtremes(t *testing.T) {
 			m.VC = clock(r, n)
 		}
 		for i := r.Intn(3); i > 0; i-- {
-			m.Wants = append(m.Wants, Want{Page: mem.PageID(pick(r)), Proc: mem.ProcID(pick(r)), Index: pick(r)})
+			w := Want{Page: mem.PageID(pick(r)), Proc: mem.ProcID(pick(r)), Index: pick(r)}
+			if room := math.MaxInt32 - int64(w.Index); room > 0 && r.Intn(2) == 0 {
+				// Any range that ends at an index an int32 holds.
+				w.Span = int32(1 + r.Int63n(min(room, math.MaxInt32)))
+			}
+			m.Wants = append(m.Wants, w)
 		}
 		for i := r.Intn(3); i > 0; i-- {
 			sec := Section{Mode: uint16(r.Intn(256)), Intervals: recs()}
@@ -588,6 +593,13 @@ func TestGoldenSizes(t *testing.T) {
 			Wants: []Want{{Page: 300, Proc: 2, Index: 650}}}, 12, 12},
 		{"diff response, one 4-byte run", &Msg{Kind: KDiffResp, Seq: 1000,
 			Diffs: []DiffRec{{Page: 300, Proc: 2, Index: 650, Diff: diff}}}, 20, 20},
+		// A run of 56 intervals of one processor on one page (what a
+		// splash-water miss asks for): one range want, answered by one
+		// merged record (the row above), next to a want per interval.
+		{"diff request, a 56-interval range", &Msg{Kind: KDiffReq, Seq: 1000, A: 3,
+			Wants: []Want{{Page: 300, Proc: 2, Index: 650, Span: 55}}}, 13, 13},
+		{"diff request, the 56 singly", &Msg{Kind: KDiffReq, Seq: 1000, A: 3,
+			Wants: perInterval(Want{Page: 300, Proc: 2, Index: 650}, 56)}, 287, 287},
 		{"page request", &Msg{Kind: KPageReq, Seq: 1000, A: 300, B: 3}, 7, 8},
 		// A page ship is the page's diff against the zero page: a dense
 		// page pays one run descriptor (4 bytes over the raw 4,114), a
@@ -615,6 +627,16 @@ func TestGoldenSizes(t *testing.T) {
 	if got := len(AppendBatchHeader(nil, 3)); got != 2 {
 		t.Errorf("batch header = %d bytes, want 2", got)
 	}
+}
+
+// perInterval returns n plain wants for n consecutive intervals from w's.
+func perInterval(w Want, n int) []Want {
+	wants := make([]Want, n)
+	for i := range wants {
+		wants[i] = w
+		wants[i].Index += int32(i)
+	}
+	return wants
 }
 
 // stridedPage returns size bytes with the first used bytes of every stride

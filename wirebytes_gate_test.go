@@ -24,8 +24,9 @@ import (
 const (
 	// wireGatePageSize is lrcrun's default page size.
 	wireGatePageSize = 4096
-	// wireGateModelRatio bounds live bytes over model bytes (measures 0.37).
-	wireGateModelRatio = 0.50
+	// wireGateModelRatio bounds live bytes over model bytes (measures
+	// 0.26-0.30).
+	wireGateModelRatio = 0.35
 	// wireGatePageRespBytes bounds the mean encoded page response: a
 	// quarter of the page it expands to.
 	wireGatePageRespBytes = 1024
