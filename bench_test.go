@@ -546,9 +546,9 @@ func BenchmarkOutstandingLookup(b *testing.B) {
 			clock[p] = k
 			var mods page.RangeSet
 			mods.Add(int(k)*8, 8)
-			log.Append(&core.Interval{
+			log.Append(core.Interval{
 				ID:    core.IntervalID{Proc: mem.ProcID(p), Index: k},
-				VC:    clock.Clone(),
+				VC:    clock,
 				Pages: []mem.PageID{mem.PageID(k % 8)},
 				Mods:  []*page.RangeSet{&mods},
 			})

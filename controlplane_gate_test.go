@@ -32,16 +32,22 @@ const (
 	ctlGatePrivBase = ctlGateLocks * ctlGateSpacing
 	ctlGatePrivate  = 16
 	ctlGateGCEvery  = 8
-	// Two GC epochs fill the pools and free lists; the measured steps span
-	// two more.
-	ctlGateWarmup = 2 * ctlGateGCEvery
-	ctlGateSteps  = 16
+	// Four GC epochs fill the pools, the free lists and the interval slabs
+	// the message shells keep; the measured steps span four more, from step
+	// 32 to step 64, so every index list of the interval log, which grow by
+	// doubling and in lockstep on a ring, doubles exactly once inside the
+	// window whatever its length per step.
+	ctlGateWarmup = 4 * ctlGateGCEvery
+	ctlGateSteps  = 32
 	// ctlGateBytesPerSection bounds the bytes allocated per critical
-	// section: 1.15 x the 3,050 B this tree measures (2,995-3,076 over
-	// GOMAXPROCS 1, 2 and 8), and 0.31 x the 11,300-11,700 B its parent
-	// did. What is left is what a section keeps: two interval records at
-	// their creator and three receivers each, and the diff it served.
-	ctlGateBytesPerSection = 3500
+	// section: 1.11 x the 2,075 B this tree measures (2,039-2,074 over
+	// GOMAXPROCS 1, 2 and 8), and 0.75 x the 3,015-3,112 B its parent does
+	// over the same window. What is left is what a section keeps or hands
+	// on: its two interval records in the log's chunks and index lists at
+	// their creator and three receivers each (about 60 B a copy), the diff
+	// it served with its slots and decoded run tables, and the request
+	// that fetched it.
+	ctlGateBytesPerSection = 2300
 )
 
 // ctlGateRecordAt fills buf with record l after k updates; every byte
@@ -137,7 +143,7 @@ func runControlPlaneGate(t *testing.T) float64 {
 
 func TestControlPlaneAllocGate(t *testing.T) {
 	if testing.Short() {
-		t.Skip("allocation gate runs 32 whole-cluster steps; skipped in short mode")
+		t.Skip("allocation gate runs 64 whole-cluster steps; skipped in short mode")
 	}
 	perSection := runControlPlaneGate(t)
 	t.Logf("%.0f B allocated per critical section", perSection)

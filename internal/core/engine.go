@@ -239,12 +239,7 @@ func (e *Engine) closeInterval(p mem.ProcID) {
 		mods[i] = ps.cur[pg]
 	}
 	idx := ps.v.Tick(int(p))
-	e.log.Append(&Interval{
-		ID:    IntervalID{Proc: p, Index: idx},
-		VC:    ps.v.Clone(),
-		Pages: pages,
-		Mods:  mods,
-	})
+	e.log.Append(Interval{ID: IntervalID{Proc: p, Index: idx}, VC: ps.v, Pages: pages, Mods: mods})
 	e.stats.IntervalsCreated++
 	ps.cur = make(map[mem.PageID]*page.RangeSet)
 }
@@ -282,7 +277,7 @@ func (e *Engine) Acquire(p mem.ProcID, l mem.LockID) {
 	// Write notices the acquirer lacks, piggybacked on the grant.
 	var newPages []mem.PageID
 	seen := make(map[mem.PageID]bool)
-	intervals, notices := e.log.NoticesBetween(ps.v, qs.v, func(iv *Interval) {
+	intervals, notices := e.log.NoticesBetween(ps.v, qs.v, func(iv Interval) {
 		for _, pg := range iv.Pages {
 			if !seen[pg] {
 				seen[pg] = true
@@ -470,7 +465,7 @@ func (e *Engine) Barrier(arrivals []mem.ProcID, b mem.BarrierID) {
 		}
 	}
 	episodePages := make(map[mem.PageID][]mem.ProcID) // page -> modifier procs (episode-new)
-	e.log.NoticesBetween(minSent, mergedV, func(iv *Interval) {
+	e.log.NoticesBetween(minSent, mergedV, func(iv Interval) {
 		for _, pg := range iv.Pages {
 			mods := episodePages[pg]
 			if len(mods) == 0 || mods[len(mods)-1] != iv.ID.Proc {

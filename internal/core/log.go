@@ -27,7 +27,9 @@ func (id IntervalID) String() string { return fmt.Sprintf("%d/%d", id.Proc, id.I
 
 // Interval is the record of one closed interval: its vector timestamp and
 // the pages it modified (the write notices), with the modified byte ranges
-// retained for diff sizing.
+// retained for diff sizing. It is a value: what Log.Get and
+// Log.NoticesBetween hand out is a view whose slices are read-only windows
+// of the log's storage.
 type Interval struct {
 	ID IntervalID
 	// VC is the creating processor's vector clock at the instant the
@@ -42,11 +44,11 @@ type Interval struct {
 
 // NumNotices returns the number of write notices the interval contributes
 // (one per modified page).
-func (iv *Interval) NumNotices() int { return len(iv.Pages) }
+func (iv Interval) NumNotices() int { return len(iv.Pages) }
 
 // ModsFor returns the modified ranges for page p, or nil if the interval
 // did not modify p.
-func (iv *Interval) ModsFor(p mem.PageID) *page.RangeSet {
+func (iv Interval) ModsFor(p mem.PageID) *page.RangeSet {
 	i := sort.Search(len(iv.Pages), func(i int) bool { return iv.Pages[i] >= p })
 	if i < len(iv.Pages) && iv.Pages[i] == p && iv.Mods != nil {
 		return iv.Mods[i]
@@ -60,19 +62,58 @@ func (iv *Interval) ModsFor(p mem.PageID) *page.RangeSet {
 // and derives each node's view from its clock, which is equivalent because
 // write-notice propagation maintains the invariant that a node covered by
 // interval j's timestamp also knows every interval that happened before j.
+//
+// The log owns its records. Each processor's intervals live by value in a
+// list of fixed-size chunks: a chunk holds the clocks of per consecutive
+// intervals at a fixed stride of n entries (so a record needs no clock
+// header) and one page-list window per record, carved from a slab the
+// processor's chunks fill in turn. A chunk is made at the first append
+// that needs it and is never moved or regrown, so a window handed out stays
+// good for the life of the log, appending costs no table growth, and a
+// later garbage-collection epoch can drop whole chunks (ROADMAP item 6(d);
+// nothing is dropped today). A chunk is sized in bytes, not records: its
+// record count falls as the clock stride grows, so a 64-processor log does
+// not reserve megabytes per processor before its first barrier.
 type Log struct {
-	n   int
-	ivs [][]*Interval // [proc][index]
+	n     int
+	per   int       // records per chunk
+	procs []procLog // [proc]
 	// byPage[p][q] lists the interval indices of processor q that modified
 	// page p, ascending (append order per processor is index order).
 	byPage map[mem.PageID][][]int32
 }
 
+// procLog is one processor's intervals: chunk c holds indices [c*per,
+// (c+1)*per).
+type procLog struct {
+	count  int32
+	chunks []*chunk
+	slab   []mem.PageID // unused tail of the slab page lists are carved from
+}
+
+type chunk struct {
+	clocks []int32        // per records of n entries each
+	pages  [][]mem.PageID // per windows of a page slab
+	// mods is parallel to pages once an interval of the chunk brought
+	// ranges (the simulator's do, the live runtime's never).
+	mods [][]*page.RangeSet
+}
+
+const (
+	// chunkBytes sizes a chunk's clock and page-window arrays together.
+	chunkBytes = 4 << 10
+	// slabPages is the page-id slab a processor's lists are carved from; a
+	// longer list gets a slab of its own size.
+	slabPages = 256
+)
+
 // NewLog creates an empty log for n processors.
 func NewLog(n int) *Log {
+	const window = 24 // a page list's slice header
 	return &Log{
 		n:      n,
-		ivs:    make([][]*Interval, n),
+		per:    max(8, chunkBytes/(4*n+window)),
+		procs:  make([]procLog, n),
 		byPage: make(map[mem.PageID][][]int32),
 	}
 }
@@ -80,34 +121,100 @@ func NewLog(n int) *Log {
 // NumProcs returns the number of processors the log covers.
 func (l *Log) NumProcs() int { return l.n }
 
-// Append stores a newly closed interval. The interval's index must be the
-// next index for its processor.
-func (l *Log) Append(iv *Interval) {
-	p := int(iv.ID.Proc)
-	if int(iv.ID.Index) != len(l.ivs[p]) {
-		panic(fmt.Sprintf("core: appending interval %v but processor %d has %d intervals", iv.ID, p, len(l.ivs[p])))
+// Append stores a newly closed interval, whose index must be the next one
+// for its processor and whose clock must have one entry per processor. The
+// clock and the page list are copied in: the caller may reuse both at once.
+// Mods, which only the simulator supplies, is kept as handed over.
+func (l *Log) Append(iv Interval) {
+	if int(iv.ID.Proc) < 0 || int(iv.ID.Proc) >= l.n {
+		panic(fmt.Sprintf("core: appending interval %v to a log of %d processors", iv.ID, l.n))
 	}
-	l.ivs[p] = append(l.ivs[p], iv)
+	pl := &l.procs[iv.ID.Proc]
+	if iv.ID.Index != pl.count {
+		panic(fmt.Sprintf("core: appending interval %v but processor %d has %d intervals", iv.ID, iv.ID.Proc, pl.count))
+	}
+	if len(iv.VC) != l.n {
+		panic(fmt.Sprintf("core: appending interval %v with a %d-entry clock to a log of %d processors", iv.ID, len(iv.VC), l.n))
+	}
+	k := int(pl.count) % l.per
+	if k == 0 {
+		pl.chunks = append(pl.chunks, &chunk{
+			clocks: make([]int32, l.per*l.n),
+			pages:  make([][]mem.PageID, l.per),
+		})
+	}
+	c := pl.chunks[len(pl.chunks)-1]
+	copy(c.clocks[k*l.n:], iv.VC)
+	c.pages[k] = pl.carve(iv.Pages)
+	if iv.Mods != nil {
+		if c.mods == nil {
+			c.mods = make([][]*page.RangeSet, l.per)
+		}
+		c.mods[k] = iv.Mods
+	}
+	pl.count++
 	for _, pg := range iv.Pages {
 		hist := l.byPage[pg]
 		if hist == nil {
 			hist = make([][]int32, l.n)
 			l.byPage[pg] = hist
 		}
-		hist[p] = append(hist[p], iv.ID.Index)
+		hist[iv.ID.Proc] = appendDoubling(hist[iv.ID.Proc], iv.ID.Index)
 	}
 }
 
-// Get returns the interval with the given id, which must exist.
-func (l *Log) Get(id IntervalID) *Interval {
-	return l.ivs[id.Proc][id.Index]
+// carve copies pages into the processor's slab and returns the copy as a
+// capacity-limited window.
+func (pl *procLog) carve(pages []mem.PageID) []mem.PageID {
+	n := len(pages)
+	if n > len(pl.slab) {
+		pl.slab = make([]mem.PageID, max(n, slabPages))
+	}
+	w := pl.slab[:n:n]
+	pl.slab = pl.slab[n:]
+	copy(w, pages)
+	return w
+}
+
+// appendDoubling is append for a list that only ever grows: the runtime's
+// append grows a large slice by a quarter, which over a list's life
+// allocates about five times its final size; doubling allocates twice it.
+func appendDoubling(s []int32, x int32) []int32 {
+	if len(s) == cap(s) {
+		s = append(make([]int32, 0, max(4, 2*cap(s))), s...)
+	}
+	return append(s, x)
+}
+
+// Get returns the interval with the given id, which must exist. The
+// result's VC and Pages are capacity-limited windows of the log's storage:
+// they stay valid, and must not be written.
+func (l *Log) Get(id IntervalID) Interval {
+	if int(id.Proc) < 0 || int(id.Proc) >= l.n || id.Index < 0 || id.Index >= l.procs[id.Proc].count {
+		panic(fmt.Sprintf("core: interval %v is not in the log", id))
+	}
+	return l.at(id.Proc, id.Index)
+}
+
+// at is Get for an index known to be stored.
+func (l *Log) at(p mem.ProcID, idx int32) Interval {
+	c, k := l.procs[p].chunks[int(idx)/l.per], int(idx)%l.per
+	iv := Interval{
+		ID:    IntervalID{Proc: p, Index: idx},
+		VC:    c.clocks[k*l.n : (k+1)*l.n : (k+1)*l.n],
+		Pages: c.pages[k],
+	}
+	if c.mods != nil {
+		iv.Mods = c.mods[k]
+	}
+	return iv
 }
 
 // Count returns the total number of intervals stored.
 func (l *Log) Count() int {
 	total := 0
-	for _, s := range l.ivs {
-		total += len(s)
+	for i := range l.procs {
+		total += int(l.procs[i].count)
 	}
 	return total
 }
@@ -115,15 +222,13 @@ func (l *Log) Count() int {
 // NoticesBetween invokes fn for every interval (r, k) with from[r] < k <=
 // to[r] — the intervals a processor whose clock is `from` learns about from
 // one whose clock is `to`. It returns the total interval and notice counts
-// (for message sizing).
-func (l *Log) NoticesBetween(from, to vc.VC, fn func(iv *Interval)) (intervals, notices int) {
+// (for message sizing). fn gets a value, like Get's: a pointer to a
+// temporary would reach the heap once per record.
+func (l *Log) NoticesBetween(from, to vc.VC, fn func(iv Interval)) (intervals, notices int) {
 	for r := 0; r < l.n; r++ {
-		lo, hi := from[r], to[r]
-		if hi > int32(len(l.ivs[r]))-1 {
-			hi = int32(len(l.ivs[r])) - 1
-		}
-		for k := lo + 1; k <= hi; k++ {
-			iv := l.ivs[r][k]
+		hi := min(to[r], l.procs[r].count-1)
+		for k := from[r] + 1; k <= hi; k++ {
+			iv := l.at(mem.ProcID(r), k)
 			intervals++
 			notices += iv.NumNotices()
 			if fn != nil {

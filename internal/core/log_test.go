@@ -1,8 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/mem"
@@ -12,13 +15,13 @@ import (
 
 // mkInterval builds an interval modifying the given pages with one 8-byte
 // run each.
-func mkInterval(p mem.ProcID, idx int32, clock vc.VC, pages ...mem.PageID) *Interval {
+func mkInterval(p mem.ProcID, idx int32, clock vc.VC, pages ...mem.PageID) Interval {
 	mods := make([]*page.RangeSet, len(pages))
 	for i := range mods {
 		mods[i] = &page.RangeSet{}
 		mods[i].Add(0, 8)
 	}
-	return &Interval{
+	return Interval{
 		ID:    IntervalID{Proc: p, Index: idx},
 		VC:    clock,
 		Pages: pages,
@@ -30,11 +33,65 @@ func TestLogAppendAndGet(t *testing.T) {
 	l := NewLog(2)
 	iv := mkInterval(0, 0, vc.VC{0, -1}, 3)
 	l.Append(iv)
-	if got := l.Get(IntervalID{0, 0}); got != iv {
-		t.Fatal("Get did not return the appended interval")
+	// The log copies the clock and the page list in: the caller may reuse
+	// both at once.
+	want := Interval{ID: iv.ID, VC: iv.VC.Clone(), Pages: slices.Clone(iv.Pages), Mods: iv.Mods}
+	iv.VC[0], iv.Pages[0] = 77, 77
+	if got := l.Get(IntervalID{0, 0}); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Get = %+v, want the interval as appended, %+v", got, want)
 	}
 	if l.Count() != 1 {
 		t.Fatalf("Count = %d, want 1", l.Count())
+	}
+}
+
+// mustPanic runs fn and fails unless it panics with a message containing
+// every one of parts.
+func mustPanic(t *testing.T, fn func(), parts ...string) {
+	t.Helper()
+	defer func() {
+		t.Helper()
+		msg := fmt.Sprint(recover())
+		for _, part := range parts {
+			if !strings.Contains(msg, part) {
+				t.Errorf("panic %q does not name %q", msg, part)
+			}
+		}
+	}()
+	fn()
+	t.Error("did not panic")
+}
+
+// TestLogPanicsNameTheirCause: a clock that is not n entries would corrupt
+// fixed-stride storage and an id the log does not hold has no record to
+// hand out; both are the caller's bug and say which interval it was.
+func TestLogPanicsNameTheirCause(t *testing.T) {
+	l := NewLog(3)
+	l.Append(mkInterval(1, 0, vc.VC{-1, 0, -1}, 3))
+	mustPanic(t, func() { l.Append(mkInterval(1, 1, vc.VC{-1, 1}, 3)) }, "1/1", "2-entry clock", "3 processors")
+	mustPanic(t, func() { l.Append(mkInterval(3, 0, vc.VC{-1, -1, -1}, 3)) }, "3/0", "3 processors")
+	mustPanic(t, func() { l.Get(IntervalID{1, 1}) }, "1/1", "not in the log")
+	mustPanic(t, func() { l.Get(IntervalID{1, -1}) }, "1/-1")
+	mustPanic(t, func() { l.Get(IntervalID{7, 0}) }, "7/0")
+	if l.Count() != 1 {
+		t.Fatalf("Count = %d after rejected appends, want 1", l.Count())
+	}
+}
+
+// TestLogWindowsAreCapacityLimited: what Get hands out is a window of the
+// log's storage, so appending to one must reallocate, not run into the
+// neighbouring record.
+func TestLogWindowsAreCapacityLimited(t *testing.T) {
+	l := NewLog(2)
+	l.Append(mkInterval(0, 0, vc.VC{0, -1}, 3, 4))
+	l.Append(mkInterval(0, 1, vc.VC{1, -1}, 5))
+	a := l.Get(IntervalID{0, 0})
+	if cap(a.VC) != len(a.VC) || cap(a.Pages) != len(a.Pages) {
+		t.Fatalf("window capacities %d/%d exceed lengths %d/%d", cap(a.VC), cap(a.Pages), len(a.VC), len(a.Pages))
+	}
+	_, _ = append(a.VC, 99), append(a.Pages, 99)
+	if b := l.Get(IntervalID{0, 1}); !slices.Equal(b.VC, vc.VC{1, -1}) || !slices.Equal(b.Pages, []mem.PageID{5}) {
+		t.Fatalf("appending to interval 0/0's windows reached 0/1: %+v", b)
 	}
 }
 
@@ -55,7 +112,7 @@ func TestNoticesBetween(t *testing.T) {
 	l.Append(mkInterval(1, 0, vc.VC{-1, 0}, 3))
 
 	var seen []IntervalID
-	intervals, notices := l.NoticesBetween(vc.VC{-1, -1}, vc.VC{1, 0}, func(iv *Interval) {
+	intervals, notices := l.NoticesBetween(vc.VC{-1, -1}, vc.VC{1, 0}, func(iv Interval) {
 		seen = append(seen, iv.ID)
 	})
 	if intervals != 3 {
@@ -265,21 +322,29 @@ func TestModifiersOf(t *testing.T) {
 // randomHB1Log builds an hb1-consistent log: processors close intervals
 // on random pages and learn each other's clocks by acquire-style merges,
 // so every interval's clock covers exactly what happened before it.
-// soloPage is written by processor 0 only (creator-only history).
-func randomHB1Log(rng *rand.Rand, procs, pages, events int) *Log {
+// soloPage is written by processor 0 only (creator-only history). per, if
+// not zero, overrides the records a chunk holds, so short logs cross chunk
+// boundaries. The second result is the reference the log is compared with:
+// the same records, one heap object each, in a slice per processor.
+func randomHB1Log(rng *rand.Rand, procs, pages, events, per int) (*Log, [][]Interval) {
 	const soloPage = 0
 	l := NewLog(procs)
+	if per > 0 {
+		l.per = per
+	}
+	ref := make([][]Interval, procs)
 	clocks := make([]vc.VC, procs)
 	for p := range clocks {
 		clocks[p] = vc.New(procs)
 	}
+	var pgs []mem.PageID
 	for e := 0; e < events; e++ {
 		p := rng.Intn(procs)
 		if rng.Intn(3) == 0 {
 			clocks[p].Max(clocks[rng.Intn(procs)])
 			continue
 		}
-		var pgs []mem.PageID
+		pgs = pgs[:0]
 		for pg := 0; pg < pages; pg++ {
 			if (pg != soloPage || p == 0) && rng.Intn(2) == 0 {
 				pgs = append(pgs, mem.PageID(pg))
@@ -288,10 +353,13 @@ func randomHB1Log(rng *rand.Rand, procs, pages, events int) *Log {
 		if len(pgs) == 0 {
 			continue
 		}
-		idx := clocks[p].Tick(p)
-		l.Append(&Interval{ID: IntervalID{Proc: mem.ProcID(p), Index: idx}, VC: clocks[p].Clone(), Pages: pgs})
+		id := IntervalID{Proc: mem.ProcID(p), Index: clocks[p].Tick(p)}
+		// The log is handed the generator's own clock and page scratch, both
+		// rewritten by the next event: Append copies.
+		l.Append(Interval{ID: id, VC: clocks[p], Pages: pgs})
+		ref[p] = append(ref[p], Interval{ID: id, VC: clocks[p].Clone(), Pages: slices.Clone(pgs)})
 	}
-	return l
+	return l, ref
 }
 
 // TestIndicesOnMatchesLinearScan compares IndicesOn with a scan of the
@@ -301,12 +369,12 @@ func TestIndicesOnMatchesLinearScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for round := 0; round < 100; round++ {
 		procs, pages := 2+rng.Intn(4), 1+rng.Intn(3)
-		l := randomHB1Log(rng, procs, pages, 20+rng.Intn(120))
+		l, ref := randomHB1Log(rng, procs, pages, 20+rng.Intn(120), rng.Intn(4))
 		for trial := 0; trial < 50; trial++ {
 			pg, q := mem.PageID(rng.Intn(pages+1)), rng.Intn(procs)
 			first, last := int32(rng.Intn(40)-2), int32(rng.Intn(40)-2)
 			var want []int32
-			for _, iv := range l.ivs[q] {
+			for _, iv := range ref[q] {
 				if k := iv.ID.Index; first <= k && k <= last && slices.Contains(iv.Pages, pg) {
 					want = append(want, k)
 				}
@@ -315,5 +383,138 @@ func TestIndicesOnMatchesLinearScan(t *testing.T) {
 				t.Fatalf("round %d: IndicesOn(page %d, proc %d, [%d,%d]) = %v, scan says %v", round, pg, q, first, last, got, want)
 			}
 		}
+	}
+}
+
+// TestChunkedLogMatchesReference drives every reader of the log against the
+// naive slice-of-records reference on random hb1-closed logs whose chunks
+// hold one to a few records (so each processor's intervals cross several
+// chunk boundaries) and on default-sized chunks.
+func TestChunkedLogMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	for round := 0; round < 60; round++ {
+		procs, pages := 2+rng.Intn(4), 1+rng.Intn(4)
+		l, ref := randomHB1Log(rng, procs, pages, 30+rng.Intn(200), rng.Intn(5))
+		total := 0
+		top := vc.New(procs)
+		for q := range ref {
+			total += len(ref[q])
+			top[q] = int32(len(ref[q])) - 1
+			for _, want := range ref[q] {
+				if got := l.Get(want.ID); !reflect.DeepEqual(got, want) {
+					t.Fatalf("round %d: Get(%v) = %+v, reference has %+v", round, want.ID, got, want)
+				}
+			}
+		}
+		if l.Count() != total {
+			t.Fatalf("round %d: Count = %d, reference holds %d", round, l.Count(), total)
+		}
+		vcOf := func(id IntervalID) vc.VC { return ref[id.Proc][id.Index].VC }
+		for trial := 0; trial < 40; trial++ {
+			// Two clocks of the log: a random interval's (what its creator
+			// knew), and the same or another's as what has been applied.
+			known, applied := top, vc.New(procs)
+			if q := rng.Intn(procs); len(ref[q]) > 0 && trial > 0 {
+				known = ref[q][rng.Intn(len(ref[q]))].VC
+			}
+			if q := rng.Intn(procs); len(ref[q]) > 0 && rng.Intn(2) == 0 {
+				applied = ref[q][rng.Intn(len(ref[q]))].VC
+			}
+
+			var got, want []Interval
+			gi, gn := l.NoticesBetween(applied, known, func(iv Interval) { got = append(got, iv) })
+			wn := 0
+			for q := range ref {
+				for k := applied[q] + 1; k <= known[q]; k++ {
+					want = append(want, ref[q][k])
+					wn += len(ref[q][k].Pages)
+				}
+			}
+			if gi != len(want) || gn != wn || !reflect.DeepEqual(got, want) {
+				t.Fatalf("round %d: NoticesBetween(%v, %v) = %d intervals, %d notices, %+v; reference has %d, %d, %+v",
+					round, applied, known, gi, gn, got, len(want), wn, want)
+			}
+
+			pg, self := mem.PageID(rng.Intn(pages+1)), mem.ProcID(rng.Intn(procs))
+			var out []IntervalID
+			for q := range ref {
+				for k := applied[q] + 1; k <= known[q] && mem.ProcID(q) != self; k++ {
+					if slices.Contains(ref[q][k].Pages, pg) {
+						out = append(out, ref[q][k].ID)
+					}
+				}
+			}
+			if got := l.Outstanding(pg, applied, known, self); !slices.Equal(got, out) {
+				t.Fatalf("round %d: Outstanding(page %d, %v, %v, self %d) = %v, reference has %v", round, pg, applied, known, self, got, out)
+			}
+			if got := l.HasOutstanding(pg, applied, known, self); got != (len(out) > 0) {
+				t.Fatalf("round %d: HasOutstanding = %v beside outstanding set %v", round, got, out)
+			}
+
+			// The reference assignment: the maximal members are those no
+			// other member's clock covers, ascending by processor, and each
+			// takes what it covers and no earlier one took.
+			var wantAsn []Assignment
+			taken := map[IntervalID]bool{}
+			for _, m := range out {
+				if slices.ContainsFunc(out, func(d IntervalID) bool { return d != m && vcOf(d).Covers(int(m.Proc), m.Index) }) {
+					continue
+				}
+				a := Assignment{Responder: m.Proc}
+				for _, id := range out {
+					if !taken[id] && (id == m || vcOf(m).Covers(int(id.Proc), id.Index)) {
+						a.Intervals, taken[id] = append(a.Intervals, id), true
+					}
+				}
+				wantAsn = append(wantAsn, a)
+			}
+			if got := l.AssignResponders(out); !reflect.DeepEqual(got, wantAsn) {
+				t.Fatalf("round %d: AssignResponders(%v) = %v, reference has %v", round, out, got, wantAsn)
+			}
+		}
+	}
+}
+
+// TestLogKeepsModsPerChunk: ranges are stored only in chunks where an
+// interval brought them, and an interval without them reads nil beside one
+// with.
+func TestLogKeepsModsPerChunk(t *testing.T) {
+	l := NewLog(1)
+	l.per = 2
+	for k := int32(0); k < 6; k++ {
+		iv := mkInterval(0, k, vc.VC{k}, mem.PageID(k))
+		if k != 3 {
+			iv.Mods = nil
+		}
+		l.Append(iv)
+	}
+	for k := int32(0); k < 6; k++ {
+		if got := l.Get(IntervalID{0, k}).ModsFor(mem.PageID(k)); (got != nil) != (k == 3) {
+			t.Errorf("interval 0/%d: ModsFor = %v", k, got)
+		}
+	}
+	for c, ch := range l.procs[0].chunks {
+		if (ch.mods != nil) != (c == 1) {
+			t.Errorf("chunk %d: mods table present = %v", c, ch.mods != nil)
+		}
+	}
+}
+
+// BenchmarkLogAppend reports what the log allocates per appended interval
+// (chunks, page slabs and index lists, amortized) from a caller that reuses
+// its clock and page list, at a small and at the largest cluster.
+func BenchmarkLogAppend(b *testing.B) {
+	for _, procs := range []int{4, 64} {
+		b.Run(fmt.Sprintf("procs=%d", procs), func(b *testing.B) {
+			b.ReportAllocs()
+			l := NewLog(procs)
+			clock := vc.New(procs)
+			pages := make([]mem.PageID, 2)
+			for i := 0; i < b.N; i++ {
+				p := i % procs
+				pages[0], pages[1] = mem.PageID(i%61), mem.PageID(61+i%67)
+				l.Append(Interval{ID: IntervalID{Proc: mem.ProcID(p), Index: clock.Tick(p)}, VC: clock, Pages: pages})
+			}
+		})
 	}
 }

@@ -24,10 +24,10 @@ import (
 func lazyOf(n *Node, mode Mode) *lazyEngine { return n.rt.engines[mode].(*lazyEngine) }
 
 // logOf snapshots every interval in e's log, in (proc, index) order.
-func logOf(e *lazyEngine) (clock vc.VC, ivs []*core.Interval) {
+func logOf(e *lazyEngine) (clock vc.VC, ivs []core.Interval) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.log.NoticesBetween(vc.New(len(e.v)), e.v, func(iv *core.Interval) { ivs = append(ivs, iv) })
+	e.log.NoticesBetween(vc.New(len(e.v)), e.v, func(iv core.Interval) { ivs = append(ivs, iv) })
 	return e.v.Clone(), ivs
 }
 
@@ -141,7 +141,7 @@ func TestOwnOnlyArrivalsDeliverTheWholeLog(t *testing.T) {
 				t.Fatalf("clock after the barrier = %v, want every entry %d", wantClock, 2*rounds-1)
 			}
 		}
-		creators := make([][]*core.Interval, procs)
+		creators := make([][]core.Interval, procs)
 		for i := range creators {
 			_, creators[i] = logOf(lazyOf(s.Node(i), mode))
 		}

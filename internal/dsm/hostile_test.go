@@ -3,11 +3,13 @@ package dsm
 import (
 	"encoding/binary"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/framebuf"
 	"repro/internal/mem"
 	"repro/internal/page"
@@ -370,6 +372,10 @@ func TestForgedPageShipsRecordedNotInstalled(t *testing.T) {
 		{"no page", answer(wire.Msg{Kind: wire.KPageResp})},
 		{"another kind", answer(wire.Msg{Kind: wire.KDiffResp, Data: make([]byte, 1024)})},
 		{"clock of the wrong width", answer(wire.Msg{Kind: wire.KPageResp, Data: make([]byte, 1024), VC: []int32{0, 0, 0}})},
+		// A clock decoded beside an interval block lives in the message's
+		// shell, which the page copy that kept it would outlive.
+		{"clock beside an interval block", answer(wire.Msg{Kind: wire.KPageResp, Data: make([]byte, 1024), VC: []int32{0, -1},
+			Intervals: []wire.IntervalRec{{Proc: 1, Index: 0, VC: vc.VC{-1, 0}, Pages: []mem.PageID{1}}}})},
 	}
 	for _, mode := range []Mode{LazyInvalidate, LazyUpdate} {
 		for _, tc := range cases {
@@ -416,6 +422,84 @@ func TestForgedPageShipsRecordedNotInstalled(t *testing.T) {
 			t.Fatalf("Close = %v, want the recorded flush reconcile cause", cerr)
 		}
 	})
+}
+
+// TestForgedIntervalRecordsRecordedNotAbsorbed: an interval record off the
+// wire is validated before the log sees it — the log stores clocks at a
+// fixed stride and panics on a short one, and every later reader indexes
+// with a record's processor and pages. Each kind of bad record, arriving on
+// a lock grant or a barrier exit beside a sound one, is recorded for Close
+// and skipped: it leaves no trace in the log or the node's clock, the sound
+// record is absorbed, and the synchronization completes.
+func TestForgedIntervalRecordsRecordedNotAbsorbed(t *testing.T) {
+	sound := wire.IntervalRec{Proc: 0, Index: 0, VC: vc.VC{0, -1}, Pages: []mem.PageID{2}}
+	cases := []struct {
+		name string
+		bad  wire.IntervalRec
+		want string
+	}{
+		{"processor outside the cluster", wire.IntervalRec{Proc: 5, Index: 0, VC: vc.VC{0, -1}, Pages: []mem.PageID{1}},
+			"interval record for invalid processor 5"},
+		{"short clock", wire.IntervalRec{Proc: 0, Index: 1, VC: vc.VC{1}, Pages: []mem.PageID{1}},
+			"interval record p0/1 carries a 1-entry clock (cluster has 2)"},
+		{"long clock", wire.IntervalRec{Proc: 0, Index: 1, VC: vc.VC{1, -1, -1}, Pages: []mem.PageID{1}},
+			"interval record p0/1 carries a 3-entry clock (cluster has 2)"},
+		{"page outside the space", wire.IntervalRec{Proc: 0, Index: 1, VC: vc.VC{1, -1}, Pages: []mem.PageID{1, 99}},
+			"interval record p0/1 names invalid page 99"},
+		{"index past the high-water mark", wire.IntervalRec{Proc: 0, Index: 3, VC: vc.VC{3, -1}, Pages: []mem.PageID{1}},
+			"interval gap for p0: have 0, got 3"},
+	}
+	// The carriers: node 1 acquires a lock the puppet manages, or arrives at
+	// a barrier the puppet is master of, and is answered with the records.
+	carriers := []struct {
+		name          string
+		request, kind wire.Kind
+		sync          func(n *Node) error
+	}{
+		{"grant", wire.KLockReq, wire.KLockGrant, func(n *Node) error { return n.Acquire(0) }},
+		{"barrier exit", wire.KBarrierArrive, wire.KBarrierExit, func(n *Node) error { return n.Barrier(0) }},
+	}
+	for _, mode := range []Mode{LazyInvalidate, LazyUpdate} {
+		for _, via := range carriers {
+			for _, tc := range cases {
+				t.Run(fmt.Sprintf("%v/%s/%s", mode, via.name, tc.name), func(t *testing.T) {
+					s, puppet := puppetCluster(t, 0, Config{SpaceSize: 8192, PageSize: 1024, Mode: mode})
+					n := s.Node(1)
+					done := make(chan error, 1)
+					go func() { done <- via.sync(n) }()
+					var req *wire.Msg
+					for req == nil {
+						for _, m := range recvMsgs(t, puppet.Endpoint(0)) {
+							if m.Kind == via.request {
+								req = m
+							}
+						}
+					}
+					// The bad record first: an unsorted block is sorted before
+					// it is absorbed, a sorted one is taken as it comes.
+					answer := &wire.Msg{Kind: via.kind, Seq: req.Seq, A: req.A, Sections: []wire.Section{{
+						Mode: uint16(mode), VC: vc.VC{3, -1}, Intervals: []wire.IntervalRec{tc.bad, sound},
+					}}}
+					if err := puppet.Endpoint(0).Send(1, answer.EncodeAppend(framebuf.Get())); err != nil {
+						t.Fatal(err)
+					}
+					if err := <-done; err != nil {
+						t.Fatalf("%s failed over a droppable forged record: %v", via.name, err)
+					}
+					waitNodeErr(t, n, tc.want)
+					e := lazyOf(n, mode)
+					clock, ivs := logOf(e)
+					if !reflect.DeepEqual(clock, vc.VC{0, -1}) || e.log.Count() != 1 || len(ivs) != 1 ||
+						ivs[0].ID != (core.IntervalID{Proc: 0, Index: 0}) || !reflect.DeepEqual(ivs[0].Pages, sound.Pages) {
+						t.Errorf("clock %v, log of %d intervals %+v: want only the sound p0/0 absorbed", clock, e.log.Count(), ivs)
+					}
+					if cerr := s.Close(); cerr == nil || !strings.Contains(cerr.Error(), "interval absorb") || !strings.Contains(cerr.Error(), tc.want) {
+						t.Fatalf("Close = %v, want the recorded interval absorb cause %q", cerr, tc.want)
+					}
+				})
+			}
+		}
+	}
 }
 
 // TestHostileRangeWantsRecordedNotServed: a range want names its members

@@ -49,9 +49,9 @@ type lazyEngine struct {
 	// keyed by the range, so repeat requesters reuse one merge. Dropped
 	// wholesale when GC discards diffs.
 	flat map[flatKey]*flatEntry
-	// fresh accumulates the interval records learned during the current
-	// barrier rendezvous, for postBarrier's invalidation step.
-	fresh []wire.IntervalRec
+	// fresh accumulates the pages noticed by the intervals learned during
+	// the current barrier rendezvous, for postBarrier's invalidation step.
+	fresh []mem.PageID
 	// parked queues deferred slots oldest first for trimTwinsLocked.
 	// Entries whose slot was since served or collected are swept out at
 	// GC and when the queue reaches parkedSweep, so its length follows the
@@ -59,13 +59,12 @@ type lazyEngine struct {
 	parked      []parkedSlot
 	parkedSweep int
 	// Scratch whose consumer finishes under the lock that filled it: under
-	// mu, closeIntervalLocked's sorted dirty pages, the records an acquire
-	// absorbed and the pages they notice; under the node's lockMu, held
+	// mu, closeIntervalLocked's sorted dirty pages and the pages the
+	// intervals an acquire absorbed notice; under the node's lockMu, held
 	// from grant until the grant is encoded, its clock and records; and the
 	// barrier leader's alone, the records of the arrival or exit it sends
 	// next.
 	cand       []mem.PageID
-	absorbed   []wire.IntervalRec
 	noticed    []mem.PageID
 	grantClock vc.VC
 	grantRecs  []wire.IntervalRec
@@ -166,10 +165,10 @@ func (e *lazyEngine) closeIntervalLocked() {
 		return
 	}
 
-	// Sized once: parked entries point into slots.
+	// Sized once: parked entries point into slots. The pages that had a
+	// twin move to the front of cand, in order: the interval's page list.
 	slots := make([]diffSlot, 0, len(e.cand))
-	pages := make([]mem.PageID, 0, len(e.cand))
-	for _, pg := range e.cand {
+	for i, pg := range e.cand {
 		pmu := n.pageLock(pg)
 		pmu.Lock()
 		pc := e.pages[pg]
@@ -187,8 +186,9 @@ func (e *lazyEngine) closeIntervalLocked() {
 		e.parked = append(e.parked, parkedSlot{pg, slot})
 		n.stats.diffsDeferred.Add(1)
 		pmu.Unlock()
-		pages = append(pages, pg)
+		e.cand[i], e.cand[len(slots)-1] = e.cand[len(slots)-1], pg
 	}
+	pages := e.cand[:len(slots)]
 	e.ws.settle(e.cand)
 	if len(pages) == 0 {
 		return
@@ -207,16 +207,18 @@ func (e *lazyEngine) closeIntervalLocked() {
 		pmu.Unlock()
 	}
 	e.diffs[id] = slots
-	// No Mods: byte ranges size the simulator's diffs; these are real.
-	e.log.Append(&core.Interval{ID: id, VC: e.v.Clone(), Pages: pages})
+	// No Mods: byte ranges size the simulator's diffs; these are real. The
+	// log copies the clock and the page scratch in.
+	e.log.Append(core.Interval{ID: id, VC: e.v, Pages: pages})
 	n.stats.intervalsCreated.Add(1)
 	e.trimTwinsLocked()
 }
 
 // absorbIntervalsLocked merges received interval records into the log,
-// skipping already-known ones, and appends the genuinely new records to
-// fresh. Caller holds e.mu.
-func (e *lazyEngine) absorbIntervalsLocked(fresh, recs []wire.IntervalRec) []wire.IntervalRec {
+// skipping already-known ones, and appends the pages the genuinely new
+// records notice to fresh. Nothing of recs is kept: it may die with the
+// message it came in. Caller holds e.mu.
+func (e *lazyEngine) absorbIntervalsLocked(fresh []mem.PageID, recs []wire.IntervalRec) []mem.PageID {
 	// Per-processor index order is required by the log. NoticesBetween
 	// emits records in that order already, so only a foreign sender's
 	// unordered list pays for a copy and a sort.
@@ -241,9 +243,8 @@ func (e *lazyEngine) absorbIntervalsLocked(fresh, recs []wire.IntervalRec) []wir
 			continue
 		}
 		if len(rec.VC) != len(e.v) {
-			// The record's clock is stored and later compared entrywise
-			// (GC covers checks, diff ordering): a wrong-length clock
-			// would panic there, so reject it at the wire boundary.
+			// The log stores clocks at a fixed stride and panics on any
+			// other length, so reject it at the wire boundary.
 			e.n.noteErr("interval absorb",
 				fmt.Errorf("interval record p%d/%d carries a %d-entry clock (cluster has %d)",
 					rec.Proc, rec.Index, len(rec.VC), len(e.v)))
@@ -263,9 +264,9 @@ func (e *lazyEngine) absorbIntervalsLocked(fresh, recs []wire.IntervalRec) []wir
 					rec.Proc, e.v[rec.Proc], rec.Index))
 			continue
 		}
-		// The decoded clock and page list belong to the log from here on:
-		// the message they arrived in is dropped after absorption.
-		e.log.Append(&core.Interval{
+		// The log copies the decoded clock and page list: they go back to
+		// the message's shell when it is released.
+		e.log.Append(core.Interval{
 			ID:    core.IntervalID{Proc: rec.Proc, Index: rec.Index},
 			VC:    rec.VC,
 			Pages: rec.Pages,
@@ -274,7 +275,7 @@ func (e *lazyEngine) absorbIntervalsLocked(fresh, recs []wire.IntervalRec) []wir
 		// e.v, so advance it per record to keep the dedupe correct for
 		// consecutive indices.
 		e.v[rec.Proc] = rec.Index
-		fresh = append(fresh, rec)
+		fresh = append(fresh, rec.Pages...)
 	}
 	return fresh
 }
@@ -304,7 +305,7 @@ func (e *lazyEngine) intervalsSinceLocked(recs []wire.IntervalRec, floor vc.VC) 
 	}
 	count, _ := e.log.NoticesBetween(floor, e.v, nil)
 	recs = slices.Grow(recs, count)
-	e.log.NoticesBetween(floor, e.v, func(iv *core.Interval) {
+	e.log.NoticesBetween(floor, e.v, func(iv core.Interval) {
 		recs = append(recs, wire.IntervalRec{
 			Proc:  iv.ID.Proc,
 			Index: iv.ID.Index,
@@ -315,22 +316,20 @@ func (e *lazyEngine) intervalsSinceLocked(recs []wire.IntervalRec, floor vc.VC) 
 	return recs
 }
 
-// invalidateForLocked applies LI semantics for freshly learned intervals:
-// cached valid copies of noticed pages become invalid (data retained as
-// the diff target), and every materialized copy's generation is bumped
-// so an in-flight validation replans against the now-larger log. It
-// returns the affected cached pages, ascending: to LI, which only drops
-// them, in scratch good until e.mu is released; to LU, which revalidates
-// them after that, as a copy. Caller holds e.mu.
-func (e *lazyEngine) invalidateForLocked(fresh []wire.IntervalRec) []mem.PageID {
-	e.noticed = e.noticed[:0]
-	for _, rec := range fresh {
-		e.noticed = append(e.noticed, rec.Pages...)
-	}
-	slices.Sort(e.noticed)
-	e.noticed = slices.Compact(e.noticed)
-	affected := e.noticed[:0]
-	for _, pg := range e.noticed {
+// invalidateForLocked applies LI semantics for freshly learned intervals,
+// given the pages they notice (absorbIntervalsLocked's list, which it
+// sorts and reuses): cached valid copies of noticed pages become invalid
+// (data retained as the diff target), and every materialized copy's
+// generation is bumped so an in-flight validation replans against the
+// now-larger log. It returns the affected cached pages, ascending: to LI,
+// which only drops them, in the caller's scratch, good until e.mu is
+// released; to LU, which revalidates them after that, as a copy. Caller
+// holds e.mu.
+func (e *lazyEngine) invalidateForLocked(noticed []mem.PageID) []mem.PageID {
+	slices.Sort(noticed)
+	noticed = slices.Compact(noticed)
+	affected := noticed[:0]
+	for _, pg := range noticed {
 		pmu := e.n.pageLock(pg)
 		pmu.Lock()
 		if pc := e.pages[pg]; pc != nil {
@@ -445,14 +444,14 @@ func (e *lazyEngine) grant(req, grant *wire.Msg) {
 
 func (e *lazyEngine) onGrant(grant *wire.Msg) error {
 	e.mu.Lock()
-	e.absorbed = e.absorbIntervalsLocked(e.absorbed[:0], grant.Intervals)
+	e.noticed = e.absorbIntervalsLocked(e.noticed[:0], grant.Intervals)
 	if e.update {
 		// Piggybacked diffs enter the retained-diff store; the revalidation
 		// below then fetches only what is still missing. (An LI grant
 		// carries none, and LI keeps none.)
 		e.storeDiffRecsLocked(grant.Diffs)
 	}
-	affected := e.invalidateForLocked(e.absorbed)
+	affected := e.invalidateForLocked(e.noticed)
 	e.mu.Unlock()
 
 	if e.update {
@@ -537,7 +536,6 @@ func (e *lazyEngine) postBarrier(b mem.BarrierID) error {
 	n := e.n
 	e.mu.Lock()
 	affected := e.invalidateForLocked(e.fresh)
-	clear(e.fresh)
 	e.fresh = e.fresh[:0]
 	e.lastEpoch = e.v.Clone()
 	e.episodes++

@@ -139,11 +139,13 @@ func (e *lazyEngine) serviceMiss(pg mem.PageID, held fetchedDiffs) error {
 				// rpc matches a response on its sequence number alone, and the
 				// sender chose the expanded length: nothing but this check
 				// keeps a faulty home's short page out of the page table,
-				// where the next access would slice past its end.
+				// where the next access would slice past its end. A clock that
+				// arrives beside an interval block is the shell's, not the
+				// copy's to keep, and no home sends one.
 				if resp.Kind != wire.KPageResp || len(resp.Data) != n.sys.layout.PageSize() ||
-					(resp.VC != nil && len(resp.VC) != n.sys.cfg.Procs) {
-					bad := fmt.Errorf("bad page grant from %d: %v for page %d, %d data bytes, %d-entry clock",
-						home, resp.Kind, pg, len(resp.Data), len(resp.VC))
+					(resp.VC != nil && len(resp.VC) != n.sys.cfg.Procs) || len(resp.Intervals) > 0 {
+					bad := fmt.Errorf("bad page grant from %d: %v for page %d, %d data bytes, %d-entry clock, %d interval records",
+						home, resp.Kind, pg, len(resp.Data), len(resp.VC), len(resp.Intervals))
 					resp.Release()
 					n.noteErr("page install", bad)
 					return fmt.Errorf("dsm: node %d: page install: %w", n.id, bad)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -157,6 +158,77 @@ func TestEarlyMsgReleaseIsCaught(t *testing.T) {
 		}
 		if err := s.Close(); err != nil {
 			t.Errorf("Close: %v", err)
+		}
+	}
+}
+
+// TestEarlyGrantReleaseIsCaught commits the bug the shell's interval slabs
+// allow — keeping a grant's interval records past the grant's release — on
+// purpose, and checks that the value oracle and the protocol's validation
+// both see it: the kept records read as poison, so their write notices are
+// recorded as forged and never absorbed, and the acquirer's cached copy of
+// the page the critical section rewrote stays stale. The same grant
+// absorbed before its release invalidates the copy and the read fetches
+// the writer's value, so the verdict is the release's doing.
+func TestEarlyGrantReleaseIsCaught(t *testing.T) {
+	const addr, lock = mem.Addr(2048), mem.LockID(3)
+	for _, early := range []bool{false, true} {
+		s := newSys(t, 2, LazyInvalidate)
+		reader, writer := s.Node(0), s.Node(1)
+		if _, err := reader.ReadUint64(addr); err != nil {
+			t.Fatal(err)
+		}
+		want := uint64(0x1122334455667788)
+		for _, err := range []error{writer.Acquire(lock), writer.WriteUint64(addr, want), writer.Release(lock)} {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		// The lock transfer by hand: the reader's request, the grant the
+		// writer builds for it (sendGrant's steps), and the grant as the
+		// reader's dispatch loop decodes it.
+		req := wire.NewMsg()
+		req.Kind, req.A, req.B = wire.KLockReq, int32(lock), int32(reader.id)
+		reader.e.acquireStart(req)
+		writer.lockMu.Lock()
+		built := wire.NewMsg()
+		built.Kind, built.A = wire.KLockGrant, int32(lock)
+		writer.e.grant(req, built)
+		frame := built.EncodeAppend(framebuf.Get())
+		writer.lockMu.Unlock()
+		built.Release()
+		req.Release()
+		grant, err := wire.Decode(frame)
+		if err != nil || len(grant.Sections) != 1 || len(grant.Sections[0].Intervals) != 1 {
+			t.Fatalf("decoded grant %+v, err %v: want one section with the writer's interval", grant, err)
+		}
+		if early {
+			// The bug: the records are read after the shell they live in
+			// has gone back to the free list.
+			kept := &wire.Msg{Kind: grant.Kind, A: grant.A, Sections: slices.Clone(grant.Sections)}
+			grant.Release()
+			grant = kept
+		}
+		err = reader.e.onGrant(grant)
+		grant.Release()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := reader.ReadUint64(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		errs := reader.takeErrs()
+		switch {
+		case !early && (got != want || len(errs) != 0):
+			t.Errorf("grant absorbed in order: read %#x (want %#x), recorded %v", got, want, errs)
+		case early && got == want:
+			t.Error("records read after their grant's release still invalidated the page: the oracle cannot see an early release")
+		case early && (len(errs) != 1 || !strings.Contains(errs[0].Error(), "interval record for invalid processor")):
+			t.Errorf("records read after their grant's release were absorbed as if intact: recorded %v", errs)
+		}
+		if clock := lazyOf(reader, LazyInvalidate).clock(); early != (clock[writer.id] == -1) {
+			t.Errorf("early=%v: reader's clock after the grant is %v", early, clock)
 		}
 	}
 }

@@ -88,7 +88,7 @@ func planEngine(t *testing.T, procs int) *lazyEngine {
 // engine's log and knowledge.
 func logInterval(e *lazyEngine, p mem.ProcID, clock vc.VC, pages ...mem.PageID) core.IntervalID {
 	id := core.IntervalID{Proc: p, Index: clock[p]}
-	e.log.Append(&core.Interval{ID: id, VC: clock.Clone(), Pages: pages})
+	e.log.Append(core.Interval{ID: id, VC: clock, Pages: pages})
 	e.v[p] = id.Index
 	return id
 }

@@ -10,7 +10,7 @@ import (
 // comparison, per-run payload allocation, end-of-page clamp.
 func byteLoopMakeDiff(twin *Twin, current []byte) (*Diff, error) {
 	byteWordEqual := func(a, b []byte, off, n int) bool {
-		end := off + wordSize
+		end := off + WordSize
 		if end > n {
 			end = n
 		}
@@ -27,14 +27,14 @@ func byteLoopMakeDiff(twin *Twin, current []byte) (*Diff, error) {
 	i := 0
 	for i < n {
 		for i < n && byteWordEqual(a, b, i, n) {
-			i += wordSize
+			i += WordSize
 		}
 		if i >= n {
 			break
 		}
 		start := i
 		for i < n && !byteWordEqual(a, b, i, n) {
-			i += wordSize
+			i += WordSize
 		}
 		end := i
 		if end > n {

@@ -18,10 +18,12 @@ const (
 	DiffHeaderBytes = 16
 	// RunHeaderBytes is the per-run descriptor size on the wire.
 	RunHeaderBytes = 8
-	// wordSize is the diffing granularity: diffs are computed word by
+	// WordSize is the diffing granularity: diffs are computed word by
 	// word, as in Munin and TreadMarks, so sub-word writes dilate to a
-	// whole word.
-	wordSize = 4
+	// whole word — and two writers of one word, under different locks or
+	// none, can carry each other's stale bytes. internal/shm's allocator
+	// keeps distinct handles out of one word for that reason.
+	WordSize = 4
 )
 
 // Twin is a pristine copy of a page's contents, taken at the first write
@@ -139,7 +141,7 @@ func MakeDiff(twin *Twin, current []byte) (*Diff, error) {
 			break
 		}
 		start := i
-		i = nextUnchangedWord(a, b, i+wordSize, n)
+		i = nextUnchangedWord(a, b, i+WordSize, n)
 		runs = append(runs, Run{Off: int32(start), Len: int32(i - start)})
 	}
 	return layOut(runs, func(k int) []byte { return b[runs[k].Off:runs[k].End()] }), nil
@@ -200,17 +202,17 @@ func nextChangedWord(a, b []byte, i, n int) int {
 		y := binary.LittleEndian.Uint64(b[i:])
 		if x != y {
 			if uint32(x) == uint32(y) {
-				return i + wordSize
+				return i + WordSize
 			}
 			return i
 		}
 		i += 8
 	}
-	for i+wordSize <= n {
+	for i+WordSize <= n {
 		if binary.LittleEndian.Uint32(a[i:]) != binary.LittleEndian.Uint32(b[i:]) {
 			return i
 		}
-		i += wordSize
+		i += WordSize
 	}
 	if i < n && !bytes.Equal(a[i:n], b[i:n]) {
 		return i
@@ -230,15 +232,15 @@ func nextUnchangedWord(a, b []byte, i, n int) int {
 			return i
 		}
 		if x>>32 == y>>32 {
-			return i + wordSize
+			return i + WordSize
 		}
 		i += 8
 	}
-	for i+wordSize <= n {
+	for i+WordSize <= n {
 		if binary.LittleEndian.Uint32(a[i:]) == binary.LittleEndian.Uint32(b[i:]) {
 			return i
 		}
-		i += wordSize
+		i += WordSize
 	}
 	if i < n && bytes.Equal(a[i:n], b[i:n]) {
 		return i
@@ -330,7 +332,7 @@ func nextZeroWord(b []byte, i int) int {
 // b, tolerating a short final word. Word-wide: one 32-bit compare for a
 // full word, bytes.Equal for the tail.
 func wordEqual(a, b []byte, off, n int) bool {
-	if off+wordSize <= n {
+	if off+WordSize <= n {
 		return binary.LittleEndian.Uint32(a[off:]) == binary.LittleEndian.Uint32(b[off:])
 	}
 	return bytes.Equal(a[off:n], b[off:n])
@@ -490,8 +492,8 @@ func EstimateDiffWireSize(mods *RangeSet) int {
 	}
 	var dilated RangeSet
 	for _, r := range mods.Runs() {
-		start := int(r.Off) &^ (wordSize - 1)
-		end := (int(r.End()) + wordSize - 1) &^ (wordSize - 1)
+		start := int(r.Off) &^ (WordSize - 1)
+		end := (int(r.End()) + WordSize - 1) &^ (WordSize - 1)
 		dilated.Add(start, end-start)
 	}
 	return DiffHeaderBytes + dilated.NumRuns()*RunHeaderBytes + dilated.Bytes()

@@ -31,6 +31,20 @@
 // node's handles at once (size dsm.Config.GoroutinesPerNode when more
 // than one uses Barrier), contending for Locks by node-local handoff.
 //
+// Distinct handles never share a diff word. The runtime's multiple-writer
+// protocol merges concurrent writers of one page word by word
+// (page.WordSize bytes): a write narrower than a word travels as its whole
+// word, so two values in one word written under different locks — or one
+// of them under none, before a barrier — can overwrite each other with a
+// stale view. Every address an Arena hands out (Alloc, and so NewVar,
+// NewArray, NewStridedArray, NewBytes, NewBytesArray) therefore starts on
+// a word boundary at least, whatever alignment was asked for, and what is
+// left of a handle's last word stays unused. Elements inside one dense
+// Array[byte] (or a Bytes region) still share words: writers of
+// neighbouring elements need one lock, or a stride of a word or more.
+// Handles at explicit addresses (VarAt, ArrayAt, BytesAt) are their
+// owner's to lay out.
+//
 // Mem is satisfied by *dsm.Node. The allocator panics on exhaustion:
 // schema construction is deterministic start-up code, and an address
 // space that cannot hold the program's data is a configuration bug, not
@@ -43,6 +57,7 @@ import (
 	"unsafe"
 
 	"repro/internal/mem"
+	"repro/internal/page"
 )
 
 // Mem is the raw access surface the typed handles drive: the subset of
@@ -298,10 +313,11 @@ func NewArena(l *mem.Layout) *Arena {
 	return &Arena{pageSize: l.PageSize(), size: l.SpaceSize()}
 }
 
-// Alloc reserves size bytes at the given power-of-two alignment and
-// returns their base address. It panics when the space is exhausted or
-// the alignment is invalid: the schema is deterministic start-up code,
-// so either is a configuration bug.
+// Alloc reserves size bytes at the given power-of-two alignment, raised to
+// the diff word (page.WordSize) when smaller so that no two allocations
+// share a word, and returns their base address. It panics when the space is
+// exhausted or the alignment is invalid: the schema is deterministic
+// start-up code, so either is a configuration bug.
 func (a *Arena) Alloc(size, align int) mem.Addr {
 	if size <= 0 {
 		panic(fmt.Sprintf("shm: allocation of %d bytes", size))
@@ -309,6 +325,7 @@ func (a *Arena) Alloc(size, align int) mem.Addr {
 	if align <= 0 || align&(align-1) != 0 {
 		panic(fmt.Sprintf("shm: alignment %d is not a positive power of two", align))
 	}
+	align = max(align, page.WordSize)
 	base := (a.next + mem.Addr(align-1)) &^ mem.Addr(align-1)
 	if base+mem.Addr(size) > a.size {
 		panic(fmt.Sprintf("shm: arena exhausted: allocating %d bytes at %d exceeds space of %d", size, base, a.size))

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/dsm"
 	"repro/internal/mem"
+	"repro/internal/page"
 )
 
 // flatMem is a single-process Mem over a plain byte slice, for testing
@@ -104,6 +105,48 @@ func TestArenaLayout(t *testing.T) {
 	NewVar[byte](b)
 	if got := NewVar[uint64](b); got != v2 {
 		t.Errorf("replayed schema diverged: %v vs %v", got, v2)
+	}
+}
+
+// TestHandlesNeverShareADiffWord: the runtime merges concurrent writers of
+// a page word by word, so two handles in one word — a byte array's tail and
+// the unaligned blob behind it, say — can overwrite each other under
+// different locks. Over a mixed schema, whatever alignment the handle asks
+// for, no two handles' byte ranges fall in one word.
+func TestHandlesNeverShareADiffWord(t *testing.T) {
+	a := testArena(t, 8192, 1024)
+	type span struct {
+		name      string
+		base, end mem.Addr // [base, end)
+	}
+	var spans []span
+	add := func(name string, base mem.Addr, size int) {
+		spans = append(spans, span{name, base, base + mem.Addr(size)})
+	}
+	add("total", NewVar[uint64](a).Addr(), 8)
+	flags := NewArray[byte](a, 3)
+	add("flags", flags.Base(), 3)
+	add("blob", NewBytes(a, 16).Addr(), 16)
+	add("flag", NewVar[byte](a).Addr(), 1)
+	add("odd blob", NewBytes(a, 5).Addr(), 5)
+	strided := NewStridedArray[byte](a, 3, 3)
+	add("strided bytes", strided.Base(), 2*3+1)
+	regions := NewBytesArray(a, 3, 2, 5)
+	add("regions", regions.At(0).Addr(), 2*5+2)
+	add("raw", a.Alloc(1, 1), 1)
+	add("raw pair", a.Alloc(2, 2), 2)
+	add("counter", NewVar[uint64](a).Addr(), 8)
+
+	word := func(addr mem.Addr) mem.Addr { return addr / page.WordSize }
+	for i, s := range spans {
+		if s.base%page.WordSize != 0 {
+			t.Errorf("%s starts at %d, inside a diff word", s.name, s.base)
+		}
+		if i > 0 {
+			if prev := spans[i-1]; word(prev.end-1) >= word(s.base) {
+				t.Errorf("%s [%d,%d) and %s [%d,%d) share diff word %d", prev.name, prev.base, prev.end, s.name, s.base, s.end, word(s.base))
+			}
+		}
 	}
 }
 

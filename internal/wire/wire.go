@@ -83,9 +83,13 @@
 // # Ownership
 //
 // Decode and DecodeBatch copy everything out of the frame except diff
-// payloads. Clocks, interval records, wants and Msg.Data are owned by
-// the decoded message and outlive the frame (a page ship's Data becomes
-// the receiver's page copy as is). A decoded DiffRec's Diff borrows: its
+// payloads, so nothing but a diff needs the frame. Wants, Msg.Data and the
+// clock of a message or section without an interval block are allocations
+// of their own that outlive the message (a page ship's Data and clock
+// become the receiver's page copy and its applied clock as they are).
+// Interval records, their clocks and page lists, and the clock of the
+// message or section that carries them belong to the message's shell and
+// die with it — see Messages below. A decoded DiffRec's Diff borrows: its
 // wire body and every run's bytes are capacity-limited windows of the
 // frame the message was decoded from, so a 4 KiB diff response is decoded
 // without allocating or touching a payload byte, applies straight out of
@@ -123,14 +127,23 @@
 // — the worker when the handler returns, the waiter's rpc when it has
 // consumed the response, the master when it has answered the arrival — and
 // the last one drops the frame reference and returns the shell to the free
-// list. What is recycled is the shell alone: its scalar fields, its slice
-// headers, and Sections, whose first element lives in the shell. The
-// arrays the other slices point to — clocks, interval records, page lists,
-// wants, Data — are never reused: they belong to whoever absorbed them
-// (the interval log keeps decoded clocks and page lists, a page copy keeps
-// Data and its applied clock) and to the garbage collector otherwise.
-// Under poison-on-release a released shell reads as an invalid kind with
-// 0xDB scalars, and one Release too many panics, like framebuf.Ref.
+// list. What is recycled is the shell: its scalar fields, its slice
+// headers, Sections, whose first element lives in the shell, and the
+// interval slabs — the records, clocks and page lists of the first interval
+// block decoded into it that fits keepSlabBytes per slab, with the
+// enclosing message or section clock as the clock slab's first window. The
+// next Decode into the shell fills them in place, so nothing may read a
+// decoded IntervalRec, its VC or Pages, or the clock beside an interval
+// block after the message's last Release: whoever needs one longer copies
+// it first (the interval log, core.Log.Append, copies what it is handed;
+// nothing in internal/dsm keeps one). A block past the bound, or a later
+// block of the same message, is allocated for that message and left to the
+// garbage collector, like the arrays that are never reused: Wants, Data and
+// a clock without a block belong to whoever absorbed them (a page copy
+// keeps the Data and applied clock of a KPageResp) and to the garbage
+// collector otherwise. Under poison-on-release a released shell reads as
+// an invalid kind with 0xDB scalars and its kept slabs as 0xDB entries,
+// and one Release too many panics, like framebuf.Ref.
 package wire
 
 import (
@@ -140,6 +153,7 @@ import (
 	"math/bits"
 	"slices"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/framebuf"
 	"repro/internal/mem"
@@ -339,10 +353,60 @@ type Msg struct {
 	// sync/atomic's functions, not an atomic.Int32, because literals are
 	// copied by value; shell tells one from a literal, which Release leaves
 	// to the garbage collector; sec is where a shell keeps its first section
-	// (most messages that have any have one). None is encoded.
+	// (most messages that have any have one); slabs is what a shell keeps of
+	// its first interval block. None is encoded.
 	refs  int32
 	shell bool
 	sec   [1]Section
+	slabs intervalSlabs
+}
+
+// intervalSlabs is the storage of an interval block decoded into a shell —
+// the records, their clocks behind the enclosing one, their page lists —
+// which the shell keeps across Release for the next Decode to fill in
+// place. taken says a block of this message, the first that fits, has
+// claimed them: a later block of the same message allocates its own.
+type intervalSlabs struct {
+	recs   []IntervalRec
+	clocks []int32
+	pages  []mem.PageID
+	taken  bool
+}
+
+// keepSlabBytes bounds each of the three slabs a released shell keeps. A
+// lock grant's block is a few hundred bytes; a barrier exit's thousand
+// records are allocated for that message and dropped with it, all three
+// slabs, so a kept record never points into storage the bound does not
+// cover.
+const (
+	keepSlabBytes = 4 << 10
+	keepRecs      = keepSlabBytes / int(unsafe.Sizeof(IntervalRec{}))
+	keepWords     = keepSlabBytes / 4 // clock entries, page ids
+)
+
+// fit returns n <= limit elements of the kept slab, which grows by
+// doubling up to limit when it is too small. The result is never nil: an
+// empty clock is not an absent one.
+func fit[T any](kept *[]T, n, limit int) []T {
+	if *kept == nil || n > cap(*kept) {
+		*kept = make([]T, n, min(max(n, 2*cap(*kept)), limit))
+	}
+	return (*kept)[:n]
+}
+
+// poison overwrites the kept slabs: a record, clock or page list held past
+// the message's last Release reads as garbage.
+func (k *intervalSlabs) poison(dead int32) {
+	recs, clocks, pages := k.recs[:cap(k.recs)], k.clocks[:cap(k.clocks)], k.pages[:cap(k.pages)]
+	for i := range recs {
+		recs[i] = IntervalRec{Proc: mem.ProcID(dead), Index: dead}
+	}
+	for i := range clocks {
+		clocks[i] = dead
+	}
+	for i := range pages {
+		pages[i] = mem.PageID(dead)
+	}
 }
 
 // freeMsgs is the shell free list, in internal/framebuf's typed-free-list
@@ -362,7 +426,7 @@ func NewMsg() *Msg {
 	var m *Msg
 	select {
 	case m = <-freeMsgs:
-		*m = Msg{}
+		*m = Msg{slabs: m.slabs}
 	default:
 		m = new(Msg)
 	}
@@ -393,8 +457,9 @@ func (m *Msg) Retain() {
 
 // Release drops one reference. The last one releases the frame the
 // message borrows and recycles the shell: every slice header is cleared,
-// so what the message decoded stays with whoever absorbed it and is never
-// reused. Dropping a message without releasing it is always safe;
+// and of what they pointed to only the interval slabs are reused — the rest
+// stays with whoever absorbed it. Dropping a message without releasing it
+// is always safe;
 // releasing more often than retained panics. On a literal Release only
 // lets go of the frame; on nil it does nothing.
 func (m *Msg) Release() {
@@ -408,10 +473,12 @@ func (m *Msg) Release() {
 	switch n := atomic.AddInt32(&m.refs, -1); {
 	case n == 0:
 		m.Frame.Release()
-		*m = Msg{shell: true}
+		m.slabs.taken = false
+		*m = Msg{shell: true, slabs: m.slabs}
 		if framebuf.Poisoned() {
 			dead := uint64(framebuf.PoisonByte) * 0x0101010101010101
 			m.Kind, m.Seq, m.A, m.B = poisonKind, dead, int32(dead), int32(dead)
+			m.slabs.poison(int32(dead))
 		}
 		select {
 		case freeMsgs <- m:
@@ -702,6 +769,9 @@ type decoder struct {
 	b   []byte
 	off int
 	err error
+	// slabs is the decoded message's kept interval storage (a batch
+	// frame's decoder, which decodes no message itself, has none).
+	slabs *intervalSlabs
 }
 
 func (d *decoder) fail(format string, args ...any) {
@@ -846,8 +916,9 @@ func (d *decoder) bytes(n int) []byte {
 }
 
 // Decode parses an encoded message into a recycled shell (NewMsg) the
-// caller holds the one reference to. The message's diffs borrow b (the
-// package doc's Ownership section); everything else is copied out.
+// caller holds the one reference to. The message's diffs borrow b and its
+// interval block is the shell's (the package doc's Ownership section);
+// everything else is copied out.
 func Decode(b []byte) (*Msg, error) {
 	m := NewMsg()
 	if err := m.decode(b); err != nil {
@@ -874,7 +945,7 @@ func (m *Msg) decode(b []byte) error {
 	if present&^msgPresence != 0 {
 		return fmt.Errorf("wire: unknown presence bits %#x", present)
 	}
-	d := &decoder{b: b, off: 2}
+	d := &decoder{b: b, off: 2, slabs: &m.slabs}
 	m.Seq = d.uvarint()
 	m.A = d.i32()
 	m.B = d.i32()
@@ -1018,10 +1089,13 @@ func (d *decoder) data() []byte {
 // per record); base is the enclosing clock, hasBase whether there is one.
 // A sizing pass walks the block first — every count checked against the
 // bytes actually present — so the records, their clocks and their page
-// lists are three exact allocations per block, whatever the record count;
-// each record's VC and Pages are capacity-limited windows of the shared
-// slabs. The enclosing clock is returned as one more window of the clock
-// slab, ahead of the records'.
+// lists are three slabs per block, whatever the record count; each
+// record's VC and Pages are capacity-limited windows of the shared slabs.
+// The enclosing clock is returned as one more window of the clock slab,
+// ahead of the records'. A message's first block fills the slabs its shell
+// kept from an earlier message where they are large enough, so a grant
+// decodes without allocating; the slabs, the returned clock included, then
+// die with the shell (the package doc's Ownership section).
 func (d *decoder) intervalList(base vc.VC, hasBase bool) (vc.VC, []IntervalRec) {
 	nivs := d.blockCount("interval", minIntervalBytes)
 	start := d.off
@@ -1038,9 +1112,15 @@ func (d *decoder) intervalList(base vc.VC, hasBase bool) (vc.VC, []IntervalRec) 
 		return nil, nil
 	}
 	d.off = start
-	out := make([]IntervalRec, nivs)
-	clocks := make(vc.VC, len(base)+nclock)
-	pages := make([]mem.PageID, npage)
+	var out []IntervalRec
+	var clocks []int32
+	var pages []mem.PageID
+	if k := d.slabs; !k.taken && nivs <= keepRecs && len(base)+nclock <= keepWords && npage <= keepWords {
+		k.taken = true
+		out, clocks, pages = fit(&k.recs, nivs, keepRecs), fit(&k.clocks, len(base)+nclock, keepWords), fit(&k.pages, npage, keepWords)
+	} else {
+		out, clocks, pages = make([]IntervalRec, nivs), make([]int32, len(base)+nclock), make([]mem.PageID, npage)
+	}
 	var clock vc.VC
 	if hasBase {
 		clock, clocks = clocks[:len(base):len(base)], clocks[len(base):]

@@ -92,10 +92,24 @@ func TestIntervalsRoundTrip(t *testing.T) {
 	}
 }
 
+// drainShells empties the shell free list, so the next Decode and Release
+// cycle the one shell a test looks at.
+func drainShells() {
+	for {
+		select {
+		case <-freeMsgs:
+		default:
+			return
+		}
+	}
+}
+
 // TestDecodedIntervalsShareSlabsSafely: a block's records are decoded
-// into shared slabs — a fixed number of allocations however many
-// records — yet stay independent: appending to one record's clock or
-// page list must not reach into its neighbour's.
+// into shared slabs yet stay independent — appending to one record's clock
+// or page list must not reach into its neighbour's — and the slabs are the
+// shell's: a block inside the keep bound fills what the shell kept of an
+// earlier message and allocates nothing, a block beyond it allocates its
+// three slabs for this message alone.
 func TestDecodedIntervalsShareSlabsSafely(t *testing.T) {
 	build := func(n int) []byte {
 		m := &Msg{Kind: KLockGrant}
@@ -115,16 +129,35 @@ func TestDecodedIntervalsShareSlabsSafely(t *testing.T) {
 	if want := (IntervalRec{Proc: 1, Index: 1, VC: vc.VC{1, 7}, Pages: []mem.PageID{1, 9}}); !reflect.DeepEqual(got.Intervals[1], want) {
 		t.Fatalf("appending to record 0 changed record 1: %+v", got.Intervals[1])
 	}
-	small, large := build(4), build(400)
-	allocs := func(b []byte) float64 {
+	got.Release()
+
+	drainShells()
+	small, large := build(keepRecs), build(keepRecs+1)
+	var shell *Msg
+	allocs := func(b []byte, n int) float64 {
 		return testing.AllocsPerRun(20, func() {
-			if _, err := Decode(b); err != nil {
-				t.Fatal(err)
+			m, err := Decode(b)
+			if err != nil || len(m.Intervals) != n || m.Intervals[n-1].Index != int32(n-1) {
+				t.Fatalf("decoded %d records, err %v", len(m.Intervals), err)
 			}
+			shell = m
+			m.Release()
 		})
 	}
-	if a, b := allocs(small), allocs(large); a != b {
-		t.Errorf("decoding 4 records takes %v allocations, 400 records %v: want the same", a, b)
+	if a := allocs(small, keepRecs); a != 0 {
+		t.Errorf("decoding a block inside the keep bound into a recycled shell takes %v allocations, want 0", a)
+	}
+	kept := shell.slabs
+	if a := allocs(large, keepRecs+1); a != 3 {
+		t.Errorf("decoding a block beyond the keep bound takes %v allocations, want its 3 slabs", a)
+	}
+	if k := shell.slabs; cap(k.recs) != cap(kept.recs) || cap(k.clocks) != cap(kept.clocks) || cap(k.pages) != cap(kept.pages) ||
+		cap(k.recs) > keepRecs || cap(k.clocks) > keepWords || cap(k.pages) > keepWords {
+		t.Errorf("the shell kept slabs of %d records, %d clock entries, %d pages after a block beyond the bound (before it: %d, %d, %d; bound %d, %d, %d)",
+			cap(k.recs), cap(k.clocks), cap(k.pages), cap(kept.recs), cap(kept.clocks), cap(kept.pages), keepRecs, keepWords, keepWords)
+	}
+	if a := allocs(small, keepRecs); a != 0 {
+		t.Errorf("after a large block a small one takes %v allocations, want 0", a)
 	}
 }
 
@@ -762,24 +795,24 @@ func shellGrant() *Msg {
 }
 
 // TestDecodeFillsRecycledShell: Decode takes its message from the shell
-// free list and Release puts it back, so a steady receive path allocates
-// only the slices the message owns — here the interval records, the clock
-// slab (the message's clock is its first window) and the page slab — and
-// those survive the shell: whoever absorbed them keeps them.
+// free list and Release puts it back, interval slabs included — the
+// records, the clock slab (the message's clock is its first window) and
+// the page slab — so a steady receive path decodes a grant without
+// allocating. Nothing a grant decoded survives its shell.
 func TestDecodeFillsRecycledShell(t *testing.T) {
+	drainShells()
 	enc := shellGrant().EncodeAppend(nil)
 	m, err := Decode(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	clock, recs := m.VC, m.Intervals
+	if !reflect.DeepEqual(m.VC, vc.VC{4, 5, 6, 7}) || len(m.Intervals) != 1 ||
+		!reflect.DeepEqual(m.Intervals[0].VC, vc.VC{4, 5, 6, 6}) || !reflect.DeepEqual(m.Intervals[0].Pages, []mem.PageID{2, 9}) {
+		t.Errorf("decoded clock %v records %+v", m.VC, m.Intervals)
+	}
 	m.Release()
 	if m.VC != nil || m.Intervals != nil || m.Seq == 9 {
 		t.Errorf("released shell still holds its message: %+v", m)
-	}
-	if !reflect.DeepEqual(clock, vc.VC{4, 5, 6, 7}) || len(recs) != 1 ||
-		!reflect.DeepEqual(recs[0].VC, vc.VC{4, 5, 6, 6}) || !reflect.DeepEqual(recs[0].Pages, []mem.PageID{2, 9}) {
-		t.Errorf("decoded slices did not survive the shell's release: clock %v records %+v", clock, recs)
 	}
 	if again, err := Decode(enc); err != nil || again != m {
 		t.Errorf("Decode after Release built a new shell (%p, was %p), err %v", again, m, err)
@@ -792,8 +825,8 @@ func TestDecodeFillsRecycledShell(t *testing.T) {
 			t.Fatal(err)
 		}
 		m.Release()
-	}); allocs > 3 {
-		t.Errorf("decoding a grant into a shell allocates %.1f objects, want at most its 3 owned slices", allocs)
+	}); allocs > 1 {
+		t.Errorf("decoding a grant into a shell allocates %.1f objects, want at most 1: its slabs are the shell's", allocs)
 	}
 	// A message in the runtime's form, payload in one mode-tagged section,
 	// costs nothing more: the first section lives in the shell.
@@ -806,8 +839,8 @@ func TestDecodeFillsRecycledShell(t *testing.T) {
 			t.Fatalf("sectioned grant: %+v, err %v", m, err)
 		}
 		m.Release()
-	}); allocs > 3 {
-		t.Errorf("decoding a sectioned grant into a shell allocates %.1f objects, want at most 3", allocs)
+	}); allocs > 1 {
+		t.Errorf("decoding a sectioned grant into a shell allocates %.1f objects, want at most 1", allocs)
 	}
 }
 
@@ -844,16 +877,47 @@ func TestMsgReferences(t *testing.T) {
 
 // TestReleasedShellIsPoisoned: under poison-on-release a released shell
 // reads as garbage at once — an invalid kind, poison scalars, no slices —
-// rather than as whatever message it held, or holds next.
+// rather than as whatever message it held, or holds next; and so do the
+// interval slabs it keeps, through whatever a holder kept of them: the
+// records, a record's clock and page list, and the message or section
+// clock that is the clock slab's first window.
 func TestReleasedShellIsPoisoned(t *testing.T) {
 	framebuf.SetPoison(true)
 	defer framebuf.SetPoison(false)
-	m, err := Decode(shellGrant().EncodeAppend(nil))
+	drainShells()
+	poison := uint64(framebuf.PoisonByte) * 0x0101010101010101
+	dead := int32(uint32(poison))
+	g := shellGrant()
+	sectioned := &Msg{Kind: g.Kind, Seq: g.Seq, A: g.A, Sections: []Section{{Mode: 1, VC: g.VC, Intervals: g.Intervals}}}
+	for name, enc := range map[string][]byte{"flat": g.EncodeAppend(nil), "sectioned": sectioned.EncodeAppend(nil)} {
+		m, err := Decode(enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		clock, recs := m.VC, m.Intervals
+		if len(m.Sections) == 1 {
+			clock, recs = m.Sections[0].VC, m.Sections[0].Intervals
+		}
+		recClock, recPages := recs[0].VC, recs[0].Pages
+		m.Retain()
+		m.Release()
+		if !reflect.DeepEqual(clock, vc.VC{4, 5, 6, 7}) || recs[0].Proc != 1 || !reflect.DeepEqual(recClock, vc.VC{4, 5, 6, 6}) ||
+			!reflect.DeepEqual(recPages, []mem.PageID{2, 9}) {
+			t.Errorf("%s: a message with a holder left reads clock %v record %+v", name, clock, recs[0])
+		}
+		m.Release()
+		if !reflect.DeepEqual(clock, vc.VC{dead, dead, dead, dead}) || !reflect.DeepEqual(recClock, vc.VC{dead, dead, dead, dead}) ||
+			!reflect.DeepEqual(recPages, []mem.PageID{mem.PageID(dead), mem.PageID(dead)}) ||
+			recs[0].Proc != mem.ProcID(dead) || recs[0].Index != dead || recs[0].VC != nil || recs[0].Pages != nil {
+			t.Errorf("%s: held past the last release, clock %v record clock %v pages %v record %+v: want the poison pattern",
+				name, clock, recClock, recPages, recs[0])
+		}
+	}
+	m, err := Decode(g.EncodeAppend(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
 	m.Release()
-	poison := uint64(framebuf.PoisonByte) * 0x0101010101010101
 	if m.Kind != Kind(framebuf.PoisonByte) || m.Kind < kindLimit || m.Seq != poison ||
 		m.A != int32(uint32(poison)) || m.B != m.A {
 		t.Errorf("released shell reads kind %v seq %#x a %#x b %#x, want the poison pattern", m.Kind, m.Seq, m.A, m.B)
