@@ -78,9 +78,8 @@ func run(args []string, out io.Writer) error {
 		demo       = fs.String("demo", "", "demo program: counter, stencil, queue")
 		app        = fs.String("app", "", "workload to run on the runtime ("+strings.Join(workload.Names, ", ")+") or \"all\"; traffic is printed next to the simulator's for the same trace, whose bytes are the paper's fixed-width accounting — the live codec is compact and may undercut it")
 		mode       = fs.String("mode", "LI", "protocol mode: "+dsm.ModeNames())
-		modemap    = fs.String("modemap", "", "per-page protocol routing, e.g. pg0-31=SC,rest=LU (overrides -mode; modes: "+dsm.ModeNames()+")")
 		placement  = fs.String("placement", "block", "page placement policy: "+dsm.PlacementNames()+"; with -app, a comma list runs a per-policy traffic comparison")
-		statsJSON  = fs.Bool("statsjson", false, "emit the run's dsm.Stats (per-kind traffic and the pages routed off the default) as JSON")
+		statsJSON  = fs.Bool("statsjson", false, "emit the run's dsm.Stats (per-kind traffic and the re-homed pages) as JSON")
 		procs      = fs.Int("procs", 8, "number of logical processors (with -transport tcp, fixed to peer count × -gpn)")
 		gpn        = fs.Int("gpn", 1, "application goroutines per DSM node: gpn > 1 multiplexes the processors onto procs/gpn oversubscribed nodes")
 		iters      = fs.Int("iters", 100, "iterations per node (demos)")
@@ -213,7 +212,7 @@ func run(args []string, out io.Writer) error {
 		return tr, nil
 	}
 
-	route := routeCfg{modeMap: *modemap, statsJSON: *statsJSON, placements: placements}
+	route := routeCfg{statsJSON: *statsJSON, placements: placements}
 
 	switch {
 	case *app != "" && *demo != "":
@@ -238,11 +237,10 @@ func run(args []string, out io.Writer) error {
 	}
 }
 
-// routeCfg carries the per-page protocol routing and placement flags: a
-// static mode map, the placement policies to run (more than one means a
-// per-policy comparison), and the JSON stats toggle.
+// routeCfg carries the placement and reporting flags: the placement
+// policies to run (more than one means a per-policy comparison), and the
+// JSON stats toggle.
 type routeCfg struct {
-	modeMap    string
 	placements []string
 	statsJSON  bool
 }
@@ -303,13 +301,12 @@ func (ob *obsCfg) dumpTrace() error {
 }
 
 // statsReport is the -statsjson output: the run's parameters, every local
-// node's dsm.Stats — per-kind traffic breakdown and the pages routed off
-// the default — the interconnect totals, and the latency model's wire-time
-// estimate for that traffic.
+// node's dsm.Stats — per-kind traffic breakdown and the re-homed pages —
+// the interconnect totals, and the latency model's wire-time estimate for
+// that traffic.
 type statsReport struct {
 	Program        string             `json:"program"`
 	Mode           string             `json:"mode"`
-	ModeMap        string             `json:"modemap,omitempty"`
 	Placement      string             `json:"placement,omitempty"`
 	HomeTable      string             `json:"homeTable,omitempty"`
 	PageMigrations int64              `json:"pageMigrations"`
@@ -379,11 +376,10 @@ func runWorkload(out io.Writer, name string, procs, gpn int, scale float64, seed
 		}
 		rc := workload.RuntimeConfig{
 			PageSize: pageSize, Mode: m, GCEveryBarriers: gc, GoroutinesPerNode: gpn,
-			ModeMap: route.modeMap, Placement: pol,
-			RPCTimeout: ob.rpcTimeout, Metrics: ob.registry, Tracer: ob.tracer,
+			Placement: pol, RPCTimeout: ob.rpcTimeout, Metrics: ob.registry, Tracer: ob.tracer,
 		}
 		// Capture the run's systems so the report can include the final
-		// home table (read from the routers' atomics after the run).
+		// home table (read from the nodes' atomics after the run).
 		var systems []*dsm.System
 		rc.OnSystems = func(ss []*dsm.System) {
 			systems = ss
@@ -397,7 +393,7 @@ func runWorkload(out io.Writer, name string, procs, gpn int, scale float64, seed
 			return err
 		}
 		report := statsReport{
-			Program: name, Mode: m.String(), ModeMap: route.modeMap, Placement: pol,
+			Program: name, Mode: m.String(), Placement: pol,
 			Procs: procs, Nodes: procs / gpn, Net: res.Net, Node: res.Nodes,
 			EstWireTime: res.Elapsed.String(), EstWireNS: res.Elapsed.Nanoseconds(),
 		}
@@ -537,15 +533,6 @@ func runDemo(out io.Writer, demo string, m dsm.Mode, procs, gpn, iters, pageSize
 		placementName = route.placements[0]
 	}
 	const spaceSize = 1 << 20
-	var modeMap []dsm.Mode
-	if route.modeMap != "" {
-		numPages := (spaceSize + pageSize - 1) / pageSize
-		var err error
-		modeMap, err = dsm.ParseModeMap(route.modeMap, numPages)
-		if err != nil {
-			return err
-		}
-	}
 	tr, err := mkTransport()
 	if err != nil {
 		return err
@@ -555,7 +542,6 @@ func runDemo(out io.Writer, demo string, m dsm.Mode, procs, gpn, iters, pageSize
 		SpaceSize:         spaceSize,
 		PageSize:          pageSize,
 		Mode:              m,
-		ModeMap:           modeMap,
 		Placement:         placement,
 		GCEveryBarriers:   gc,
 		GoroutinesPerNode: gpn,
@@ -578,7 +564,7 @@ func runDemo(out io.Writer, demo string, m dsm.Mode, procs, gpn, iters, pageSize
 	fmt.Fprintf(out, "interconnect: %d messages in %d frames (%d batched), %d bytes, estimated serial wire time %v\n",
 		st.Messages, st.Frames, st.Batches, st.Bytes, d.EstimateTime())
 	report := statsReport{
-		Program: "demo:" + demo, Mode: m.String(), ModeMap: route.modeMap, Placement: placementName,
+		Program: "demo:" + demo, Mode: m.String(), Placement: placementName,
 		HomeTable: d.Status().HomeTable,
 		Procs:     procs, Nodes: procs / gpn, Net: st,
 		EstWireTime: d.EstimateTime().String(), EstWireNS: int64(d.EstimateTime()),

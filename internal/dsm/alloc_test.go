@@ -45,13 +45,13 @@ func TestAccessHitAllocatesNothing(t *testing.T) {
 	})
 }
 
-// TestTouchTableLivesUntilFirstBarrier: an access ticks the router's
-// touch table only while first-touch is still collecting claims. Under
-// block placement the table is never allocated; under first-touch the
-// first cluster barrier takes it, and later accesses find nothing to
+// TestTouchTableLivesUntilFirstBarrier: an access ticks the home table's
+// touch counts only while first-touch is still collecting claims. Under
+// block placement the counts are never allocated; under first-touch the
+// first cluster barrier takes them, and later accesses find nothing to
 // tick.
 func TestTouchTableLivesUntilFirstBarrier(t *testing.T) {
-	if s := newSys(t, 2, LazyInvalidate); s.Node(0).rt.touch.Load() != nil {
+	if s := newSys(t, 2, LazyInvalidate); s.Node(0).homes.touch.Load() != nil {
 		t.Error("block placement allocated a touch table")
 	}
 	s, err := New(Config{Procs: 2, SpaceSize: 8192, PageSize: 1024, Mode: LazyInvalidate, Placement: PlaceFirstTouch})
@@ -64,7 +64,7 @@ func TestTouchTableLivesUntilFirstBarrier(t *testing.T) {
 		if err := n.WriteUint64(addr, 1); err != nil {
 			return err
 		}
-		touch := n.rt.touch.Load()
+		touch := n.homes.touch.Load()
 		if touch == nil || (*touch)[1].Load() != 1 {
 			return errors.New("no touch recorded before the first barrier")
 		}
@@ -74,7 +74,7 @@ func TestTouchTableLivesUntilFirstBarrier(t *testing.T) {
 		if err := n.WriteUint64(addr, 2); err != nil {
 			return err
 		}
-		if n.rt.touch.Load() != nil || (*touch)[1].Load() != 1 {
+		if n.homes.touch.Load() != nil || (*touch)[1].Load() != 1 {
 			return errors.New("the touch table outlived the first barrier")
 		}
 		return nil
@@ -189,7 +189,7 @@ func TestZeroPageServeAllocatesNothing(t *testing.T) {
 		// Page 0 is homed at node 0 and untouched; node 1 asks.
 		req := &wire.Msg{Seq: 1, A: 0, B: 1}
 		var serve func()
-		switch e := n.rt.engineFor(0).(type) {
+		switch e := n.e.(type) {
 		case *lazyEngine:
 			serve = func() { e.handlePageReq(req) }
 		case *eagerEngine:
@@ -270,7 +270,7 @@ func TestDenseDiffServeAllocatesNoBody(t *testing.T) {
 		}
 	}()
 	n := s.Node(0)
-	e := n.rt.engines[LazyInvalidate].(*lazyEngine)
+	e := n.e.(*lazyEngine)
 	pg := mem.PageID(0)
 	for n.homeOf(pg) != n.id {
 		pg++
@@ -341,7 +341,7 @@ func TestEagerFlushBurstAllocatesNoScratch(t *testing.T) {
 		}
 	}
 	flush := func() {
-		if err := flusher.rt.preRelease(); err != nil {
+		if err := flusher.e.preRelease(); err != nil {
 			t.Fatal(err)
 		}
 	}

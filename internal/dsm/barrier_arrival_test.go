@@ -20,8 +20,8 @@ import (
 // processor's interval is a forgery; and no grant ever exports a log that
 // is not closed under happened-before.
 
-// lazyOf returns node n's resident lazy engine for mode.
-func lazyOf(n *Node, mode Mode) *lazyEngine { return n.rt.engines[mode].(*lazyEngine) }
+// lazyOf returns node n's engine, an LI or LU one.
+func lazyOf(n *Node) *lazyEngine { return n.e.(*lazyEngine) }
 
 // logOf snapshots every interval in e's log, in (proc, index) order.
 func logOf(e *lazyEngine) (clock vc.VC, ivs []core.Interval) {
@@ -85,7 +85,7 @@ func TestOwnOnlyArrivalsDeliverTheWholeLog(t *testing.T) {
 		// What each node would send now: its own intervals, fewer than it
 		// knows of.
 		for i := 1; i < procs; i++ {
-			e := lazyOf(s.Node(i), mode)
+			e := lazyOf(s.Node(i))
 			var arrive wire.Msg
 			e.mu.Lock()
 			known := len(e.intervalsSinceLocked(nil, e.lastEpoch))
@@ -135,7 +135,7 @@ func TestOwnOnlyArrivalsDeliverTheWholeLog(t *testing.T) {
 		}
 
 		// Every node holds every interval, each equal to its creator's.
-		wantClock, _ := logOf(lazyOf(s.Node(0), mode))
+		wantClock, _ := logOf(lazyOf(s.Node(0)))
 		for p := range wantClock {
 			if wantClock[p] != 2*rounds-1 {
 				t.Fatalf("clock after the barrier = %v, want every entry %d", wantClock, 2*rounds-1)
@@ -143,10 +143,10 @@ func TestOwnOnlyArrivalsDeliverTheWholeLog(t *testing.T) {
 		}
 		creators := make([][]core.Interval, procs)
 		for i := range creators {
-			_, creators[i] = logOf(lazyOf(s.Node(i), mode))
+			_, creators[i] = logOf(lazyOf(s.Node(i)))
 		}
 		for i := 0; i < procs; i++ {
-			e := lazyOf(s.Node(i), mode)
+			e := lazyOf(s.Node(i))
 			clock, ivs := logOf(e)
 			if !reflect.DeepEqual(clock, wantClock) {
 				t.Errorf("node %d clock = %v, want %v", i, clock, wantClock)
@@ -199,7 +199,7 @@ func TestForgedArrivalIntervalsRecordedNotAbsorbed(t *testing.T) {
 	}
 	const want = "carries interval p0/0 of another processor"
 	waitNodeErr(t, n, want)
-	clock, ivs := logOf(lazyOf(n, LazyInvalidate))
+	clock, ivs := logOf(lazyOf(n))
 	if !reflect.DeepEqual(clock, vc.VC{-1, 0}) || len(ivs) != 1 || ivs[0].ID != (core.IntervalID{Proc: 1, Index: 0}) {
 		t.Errorf("master clock %v, log %v: want only the arriver's own p1/0 absorbed", clock, ivs)
 	}
@@ -261,8 +261,8 @@ func TestGrantDuringPendingArrivalsStaysClosed(t *testing.T) {
 	if err := lockedAdd(straggler, masters, 1024, 1); err != nil {
 		t.Fatal(err)
 	}
-	checkLogClosed(t, lazyOf(master, LazyInvalidate))
-	checkLogClosed(t, lazyOf(straggler, LazyInvalidate))
+	checkLogClosed(t, lazyOf(master))
+	checkLogClosed(t, lazyOf(straggler))
 
 	for _, i := range []int{0, 1, 2} {
 		arriveAll(i)
@@ -273,7 +273,7 @@ func TestGrantDuringPendingArrivalsStaysClosed(t *testing.T) {
 		t.Error(err)
 	}
 	for i := 0; i < procs; i++ {
-		checkLogClosed(t, lazyOf(s.Node(i), LazyInvalidate))
+		checkLogClosed(t, lazyOf(s.Node(i)))
 		if v, err := s.Node(i).ReadUint64(0); err != nil || v != 2 {
 			t.Errorf("node %d reads the chained word = %d, %v; want 2", i, v, err)
 		}

@@ -69,7 +69,6 @@ package dsm
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -182,17 +181,10 @@ type Config struct {
 	SpaceSize mem.Addr
 	// PageSize is the consistency granularity (a power of two).
 	PageSize int
-	// Mode selects the consistency protocol (LI, LU, EI, EU or SC) for
-	// every page not assigned otherwise by ModeMap.
+	// Mode selects the consistency protocol (LI, LU, EI, EU or SC). Every
+	// node of a cluster must run the same one: a peer's synchronization
+	// payload tagged with another mode is recorded and dropped.
 	Mode Mode
-	// ModeMap assigns a protocol per page (index = page id): engines for
-	// every distinct mode coexist in each node and the router dispatches
-	// page accesses, handler traffic and synchronization payloads to the
-	// engine owning each page. Nil runs every page under Mode. Non-nil
-	// maps must cover exactly the layout's pages with valid modes (build
-	// one from the textual syntax with ParseModeMap). Every node of a
-	// cluster must be configured with the same map.
-	ModeMap []Mode
 	// Placement selects the initial page→home assignment: block (the
 	// pg % Procs interleave, the default) or first-touch (homes
 	// re-assigned at the first cluster barrier to the node that touched
@@ -315,12 +307,6 @@ func New(cfg Config) (*System, error) {
 	if cfg.Placement == PlaceFirstTouch && maxExchangeBytes(layout.NumPages()) > wire.MaxDataBytes {
 		return fail(fmt.Errorf("dsm: %d pages: the first barrier's first-touch exchange could exceed the %d bytes one message may carry (wire.MaxDataBytes)",
 			layout.NumPages(), wire.MaxDataBytes))
-	}
-	if cfg.ModeMap != nil {
-		if err := validModeMap(cfg.ModeMap, layout.NumPages()); err != nil {
-			return fail(err)
-		}
-		cfg.ModeMap = slices.Clone(cfg.ModeMap) // the routers read it for the life of the system
 	}
 	tr := cfg.Transport
 	if tr == nil {

@@ -531,12 +531,46 @@ func TestOutOfRangeAccesses(t *testing.T) {
 	}
 }
 
+func TestParseMode(t *testing.T) {
+	for _, m := range Modes {
+		got, err := ParseMode(m.String())
+		if err != nil || got != m {
+			t.Errorf("ParseMode(%q) = %v, %v", m.String(), got, err)
+		}
+	}
+	for _, bad := range []string{"", "li", "XX", "LI ", "LazyInvalidate"} {
+		_, err := ParseMode(bad)
+		if err == nil {
+			t.Errorf("ParseMode(%q) succeeded", bad)
+			continue
+		}
+		if !strings.Contains(err.Error(), "unknown mode") || !strings.Contains(err.Error(), ModeNames()) {
+			t.Errorf("ParseMode(%q) error %q does not name the supported modes", bad, err)
+		}
+	}
+}
+
+func TestModeNames(t *testing.T) {
+	names := ModeNames()
+	for _, want := range []string{"LI", "LU", "EI", "EU", "SC"} {
+		if !strings.Contains(names, want) {
+			t.Errorf("ModeNames() = %q, missing %s", names, want)
+		}
+	}
+	if got := Mode(99).String(); got != "Mode(99)" {
+		t.Errorf("Mode(99).String() = %q", got)
+	}
+	if Mode(99).Valid() {
+		t.Error("Mode(99) reported valid")
+	}
+}
+
 // TestConfigSurface pins dsm.Config's exact field list. A new knob has
 // to edit this test — and say which two existing callers need different
 // values for it; a value only one caller sets is a constant.
 func TestConfigSurface(t *testing.T) {
 	want := []string{
-		"Procs", "SpaceSize", "PageSize", "Mode", "ModeMap", "Placement",
+		"Procs", "SpaceSize", "PageSize", "Mode", "Placement",
 		"GCEveryBarriers", "GoroutinesPerNode", "Latency", "Transport",
 		"RPCTimeout", "Metrics", "Tracer",
 	}

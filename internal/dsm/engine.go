@@ -13,37 +13,25 @@ import (
 // movement, the consistency payload of lock grants and barrier messages,
 // and release/barrier-time propagation.
 //
-// Since the per-page routing refactor a node hosts SEVERAL engines at
-// once behind a router (router.go): each page is owned by exactly one
-// resident engine, the router consults its atomic mode table on every
-// access and handler dispatch, and the shared synchronization messages
-// carry one mode-tagged wire.Section per resident. Engines never see
-// each other — each receives only traffic for its own pages and only its
-// own section of a grant or barrier payload — so they are written
-// exactly as if they were the node's sole protocol.
+// A node runs exactly one engine, the one Config.Mode names, for every
+// page. The hooks read and write a synchronization message's flat
+// VC/Intervals/Diffs; the Node carries that payload on the wire as one
+// section tagged with the mode (sync.go), so an engine never sees the
+// payload of a peer that runs another protocol.
 //
-// Concurrency contract (the shard-aware contract replacing the old
-// single-mutex *Locked convention), extended for multi-engine residency:
+// Concurrency contract:
 //
 //   - Per-page state lives under the node's striped lock table
 //     (Node.pageLock); engines take the stripe for exactly the page they
 //     touch and never hold it across a blocking operation, so
-//     independent pages fault, install and diff in parallel. The stripe
-//     tables are NODE-level: two resident engines touching the same
-//     stripe index serialize against each other, which is safe (stripes
-//     are leaf locks) and keeps a page's stripe identity stable across a
-//     protocol re-route.
+//     independent pages fault, install and diff in parallel. Stripes are
+//     leaf locks.
 //   - Miss service — the blocking protocol transaction that brings a
 //     page current — serializes per page under Node.missLock; handler
 //     work never takes a miss lock, so it can always drain.
 //   - Engine-global synchronization state (the lazy engine's vector
 //     clock, interval log and diff store) lives under an engine-private
-//     mutex ordered after lockMu and before the page stripes. Each
-//     resident has its OWN engine mutex; no code path takes two engines'
-//     mutexes at once (the router fans hooks out sequentially, in
-//     canonical Mode order cluster-wide, so even hooks that rendezvous
-//     internally — two lazy engines each running a GC exchange — cannot
-//     cross-deadlock).
+//     mutex ordered after lockMu and before the page stripes.
 //   - Every method may be called from multiple application goroutines
 //     concurrently. acquireStart, grant and release are called with the
 //     node's lockMu held (grant also from a lock shard worker); barrier

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"reflect"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -153,12 +154,12 @@ func TestCorruptTCPFramesSurfaceOnClose(t *testing.T) {
 	}
 }
 
-// TestHostileSectionsRecordedNotPanic: mode-tagged consistency sections
-// are validated against the node's resident engines. A section claiming a
-// protocol this node does not host (whether a plausible mode id or one
-// far outside the engine table) and a duplicated mode tag are forgeries:
-// each is recorded and dropped while the rest of the message still
-// applies — the lock is still granted, the node stays alive.
+// TestHostileSectionsRecordedNotPanic: a synchronization message's
+// section is validated against the node's own protocol. A section tagged
+// with another mode (a real protocol or an id outside every table), a
+// second section and a clock of the wrong width are forgeries: each is
+// recorded and dropped while the rest of the message still applies — the
+// lock is still granted, the node stays alive.
 func TestHostileSectionsRecordedNotPanic(t *testing.T) {
 	cases := []struct {
 		name     string
@@ -166,9 +167,9 @@ func TestHostileSectionsRecordedNotPanic(t *testing.T) {
 		want     string
 	}{
 		{"non-resident mode", []wire.Section{{Mode: uint16(EagerInvalidate)}},
-			"section for non-resident mode"},
+			"section for mode EI on an LU node"},
 		{"mode beyond the engine table", []wire.Section{{Mode: 0x7f}},
-			"section for non-resident mode"},
+			"section for mode Mode(127) on an LU node"},
 		{"duplicate mode sections", []wire.Section{{Mode: uint16(LazyUpdate)}, {Mode: uint16(LazyUpdate)}},
 			"duplicate section for mode"},
 		{"truncated section clock", []wire.Section{{Mode: uint16(LazyUpdate), VC: []int32{3}}},
@@ -176,13 +177,7 @@ func TestHostileSectionsRecordedNotPanic(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			// A mixed-mode node hosting SC and LU: EI is a real protocol
-			// but not resident here.
-			modes, err := ParseModeMap("pg0-3=SC,rest=LU", 8)
-			if err != nil {
-				t.Fatal(err)
-			}
-			s, err := New(Config{Procs: 2, SpaceSize: 8192, PageSize: 1024, ModeMap: modes})
+			s, err := New(Config{Procs: 2, SpaceSize: 8192, PageSize: 1024, Mode: LazyUpdate})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -202,8 +197,91 @@ func TestHostileSectionsRecordedNotPanic(t *testing.T) {
 				t.Fatal(err)
 			}
 			waitNodeErr(t, s.Node(0), tc.want)
+			waitFor(t, "the lock to be granted to node 1", func() bool {
+				return s.Node(0).stats.kindMsgs[wire.KLockGrant].Load() == 1
+			})
 			if cerr := s.Close(); cerr == nil || !strings.Contains(cerr.Error(), tc.want) {
 				t.Fatalf("Close = %v, want the recorded %q cause", cerr, tc.want)
+			}
+		})
+	}
+}
+
+// foreignSection matches the error a node records for a section tagged
+// with another protocol than its own.
+var foreignSection = regexp.MustCompile(`section for (non-resident mode|mode \S+ on an \S+ node)`)
+
+// TestMismatchedModesFailLoudly: the section tag is the one thing that
+// tells a node its peer runs another protocol — LI and LU speak the same
+// message kinds. Two Systems over loopback TCP configured with different
+// modes run a program that writes, meets at a barrier, reads the peer's
+// page, passes a lock and meets again. Whatever each side makes of the
+// other's traffic, the run ends within the RPC timeouts, nothing panics,
+// and at least one side's Close names the foreign section.
+func TestMismatchedModesFailLoudly(t *testing.T) {
+	for _, pair := range [][2]Mode{{LazyInvalidate, LazyUpdate}, {LazyInvalidate, EagerUpdate}, {SeqConsistent, LazyInvalidate}} {
+		t.Run(pair[0].String()+"-"+pair[1].String(), func(t *testing.T) {
+			cluster, err := tcp.NewLoopbackCluster(2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			systems := make([]*System, 2)
+			for i := range systems {
+				systems[i], err = New(Config{Procs: 2, SpaceSize: 8192, PageSize: 1024, Mode: pair[i],
+					RPCTimeout: 2 * time.Second, Transport: cluster[i]})
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			program := func(n *Node) error {
+				own, peer := mem.Addr(1024*n.ID()), mem.Addr(1024*(1-n.ID()))
+				if err := n.WriteUint64(own, 1); err != nil {
+					return err
+				}
+				if err := n.Barrier(0); err != nil {
+					return err
+				}
+				if _, err := n.ReadUint64(peer); err != nil {
+					return err
+				}
+				if err := n.Acquire(0); err != nil {
+					return err
+				}
+				if err := n.WriteUint64(4096, uint64(n.ID())); err != nil {
+					return err
+				}
+				if err := n.Release(0); err != nil {
+					return err
+				}
+				return n.Barrier(1)
+			}
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				var wg sync.WaitGroup
+				for _, s := range systems {
+					wg.Add(1)
+					go func(n *Node) {
+						defer wg.Done()
+						program(n) // failing is expected; hanging is not
+					}(s.Local()[0])
+				}
+				wg.Wait()
+			}()
+			select {
+			case <-done:
+			case <-time.After(30 * time.Second):
+				t.Error("the mismatched run did not end within its RPC timeouts")
+			}
+			named := false
+			for _, s := range systems {
+				if cerr := s.Close(); cerr != nil && foreignSection.MatchString(cerr.Error()) {
+					named = true
+				}
+			}
+			<-done
+			if !named {
+				t.Error("neither side's Close names a foreign section")
 			}
 		})
 	}
@@ -487,7 +565,7 @@ func TestForgedIntervalRecordsRecordedNotAbsorbed(t *testing.T) {
 						t.Fatalf("%s failed over a droppable forged record: %v", via.name, err)
 					}
 					waitNodeErr(t, n, tc.want)
-					e := lazyOf(n, mode)
+					e := lazyOf(n)
 					clock, ivs := logOf(e)
 					if !reflect.DeepEqual(clock, vc.VC{0, -1}) || e.log.Count() != 1 || len(ivs) != 1 ||
 						ivs[0].ID != (core.IntervalID{Proc: 0, Index: 0}) || !reflect.DeepEqual(ivs[0].Pages, sound.Pages) {
@@ -569,9 +647,9 @@ func TestHostileRangeWantsRecordedNotServed(t *testing.T) {
 			}
 			// In memory, not through the codec, which refuses some of these
 			// before the engine sees them.
-			e := n.rt.engines[LazyInvalidate].(*lazyEngine)
+			e := n.e.(*lazyEngine)
 			sent := n.stats.kindMsgs[wire.KDiffResp].Load()
-			e.handleDiffReq(&wire.Msg{Kind: wire.KDiffReq, Seq: 99, A: 1, B: int32(LazyInvalidate), Wants: tc.wants}, 1)
+			e.handleDiffReq(&wire.Msg{Kind: wire.KDiffReq, Seq: 99, A: 1, Wants: tc.wants}, 1)
 			if err := n.out.flushAll(); err != nil {
 				t.Fatal(err)
 			}
@@ -619,12 +697,20 @@ func TestMismatchedDiffResponsesFailTheMiss(t *testing.T) {
 				s := newSysWithFakePeer(t, mode, func(req *wire.Msg) *wire.Msg {
 					switch req.Kind {
 					case wire.KLockReq:
+						// The requester's clock travels in its one section: no
+						// top-level clock for a manager to forward.
+						if req.VC != nil || len(req.Sections) != 1 || Mode(req.Sections[0].Mode) != mode || len(req.Sections[0].VC) != 2 {
+							t.Errorf("lock request carries VC %v, sections %+v: want one %v section with the clock", req.VC, req.Sections, mode)
+						}
 						clock := vc.VC{-1, 0}
 						return &wire.Msg{Kind: wire.KLockGrant, A: req.A, Sections: []wire.Section{{Mode: uint16(mode), VC: clock,
 							Intervals: []wire.IntervalRec{{Proc: 1, Index: 0, VC: clock, Pages: []mem.PageID{0}}}}}}
 					case wire.KDiffReq:
 						if len(req.Wants) != 1 || req.Wants[0] != (wire.Want{Page: 0, Proc: 1, Index: 0}) {
 							t.Errorf("asked for %+v", req.Wants)
+						}
+						if req.B != 0 {
+							t.Errorf("diff request carries B = %d, want 0", req.B)
 						}
 						r := tc.resp
 						return &r
@@ -643,7 +729,7 @@ func TestMismatchedDiffResponsesFailTheMiss(t *testing.T) {
 				if err == nil || !strings.Contains(err.Error(), "bad diff response from 1") {
 					t.Fatalf("miss over a mismatched response = %v, want a diff fetch error naming node 1", err)
 				}
-				e := n.rt.engines[mode].(*lazyEngine)
+				e := n.e.(*lazyEngine)
 				if pc := e.pages[0]; pc.valid || binary.LittleEndian.Uint64(pc.data) != 7 || pc.data[8] != 0 {
 					t.Errorf("the copy changed: valid=%t, first words % x", pc.valid, pc.data[:16])
 				}

@@ -134,16 +134,6 @@ func (e *lazyEngine) clock() vc.VC {
 	return e.v.Clone()
 }
 
-// modeID is the engine's routing identity: a node can host LI and LU
-// side by side, and diff requests carry this tag so each reaches the
-// store that retains its diffs.
-func (e *lazyEngine) modeID() Mode {
-	if e.update {
-		return LazyUpdate
-	}
-	return LazyInvalidate
-}
-
 // --- interval management ---
 
 // closeIntervalLocked ends the current interval: each dirtied page's
@@ -582,10 +572,6 @@ func (e *lazyEngine) runGC(b mem.BarrierID) error {
 	var toValidate []mem.PageID
 	for pg := range e.pages {
 		pgid := mem.PageID(pg)
-		if n.rt.modeOf(pgid) != e.modeID() {
-			// Routed to another protocol: nothing of it lives here.
-			continue
-		}
 		pmu := n.pageLock(pgid)
 		pmu.Lock()
 		pc := e.pages[pg]
@@ -664,9 +650,6 @@ func (e *lazyEngine) checkGCInvariant(epoch vc.VC) error {
 	defer e.mu.Unlock()
 	for pg := range e.pages {
 		pgid := mem.PageID(pg)
-		if n.rt.modeOf(pgid) != e.modeID() {
-			continue
-		}
 		pmu := n.pageLock(pgid)
 		pmu.Lock()
 		pc := e.pages[pg]

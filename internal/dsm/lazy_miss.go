@@ -332,7 +332,7 @@ func (e *lazyEngine) missingDiffReqsLocked(reqs []outMsg, pg mem.PageID, out []c
 		}
 		if len(wants) > first {
 			reqs = append(reqs, outMsg{dst: mem.ProcID(q), m: wire.Msg{
-				Kind: wire.KDiffReq, Seq: e.n.nextSeq(), A: int32(e.n.id), B: int32(e.modeID()), Wants: wants[first:len(wants):len(wants)],
+				Kind: wire.KDiffReq, Seq: e.n.nextSeq(), A: int32(e.n.id), Wants: wants[first:len(wants):len(wants)],
 			}})
 		}
 	}

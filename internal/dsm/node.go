@@ -108,8 +108,8 @@ type Stats struct {
 	KindMsgs  [wire.NumKinds]int64
 	KindBytes [wire.NumKinds]int64
 
-	// Pages lists the pages routed off the configured default: another
-	// protocol than Config.Mode, or a home other than the block one.
+	// Pages lists the pages first-touch re-homed: those whose home is no
+	// longer the block one.
 	Pages []PageStat
 }
 
@@ -233,11 +233,10 @@ type Node struct {
 	sys *System
 	id  mem.ProcID
 	ep  transport.Endpoint
-	// e is the node's engine entry point — always the router, which owns
-	// the per-page mode table and fans out to the resident protocol
-	// engines; rt is the same object with its concrete type.
-	e  engine
-	rt *router
+	// e is the node's protocol engine, the one Config.Mode names.
+	e engine
+	// homes is the page→home table (placement.go).
+	homes homeTable
 	// out is the unified outbound pipeline: every protocol send stages
 	// through it, and flush points (immediate sends, grouped rpcAll
 	// flushes, worker drain transitions) coalesce same-destination
@@ -331,12 +330,16 @@ func newNode(s *System, id mem.ProcID) *Node {
 		n.queues[i] = make(chan inFrame, workerQueueCap)
 	}
 	n.out = newOutbox(n)
-	modes := s.cfg.ModeMap
-	if modes == nil {
-		modes = uniformModeMap(s.cfg.Mode, s.layout.NumPages())
+	// The engines read the home table as they build their directories.
+	n.homes.init(s.layout.NumPages(), s.cfg.Procs, s.cfg.Placement == PlaceFirstTouch)
+	switch m := s.cfg.Mode; m {
+	case LazyInvalidate, LazyUpdate:
+		n.e = newLazyEngine(n, m == LazyUpdate)
+	case EagerInvalidate, EagerUpdate:
+		n.e = newEagerEngine(n, m == EagerUpdate)
+	default:
+		n.e = newSCEngine(n)
 	}
-	n.rt = newRouter(n, modes)
-	n.e = n.rt
 	return n
 }
 
@@ -347,12 +350,12 @@ func (n *Node) pageLock(pg mem.PageID) *sync.Mutex {
 
 // homeOf returns page pg's current home node: the directory entry
 // under the eager and SC engines, the cold-copy server under the lazy
-// ones. A lock-free read of the router's home table — initialized by
+// ones. A lock-free read of the home table — initialized by
 // Config.Placement, re-written only inside first-touch's quiescent
 // hand-off rendezvous, so every node consults the same table at a
 // consistent epoch.
 func (n *Node) homeOf(pg mem.PageID) mem.ProcID {
-	return n.rt.homeOf(pg)
+	return n.homes.of(pg)
 }
 
 // missLock returns the stripe serializing miss service for page pg.
@@ -369,12 +372,9 @@ func (n *Node) ID() mem.ProcID { return n.id }
 // of monotone counters, not a transaction).
 func (n *Node) Stats() Stats {
 	st := n.stats.snapshot()
-	n.rt.fillPageStats(&st)
+	st.Pages = n.homes.moved(n.sys.cfg.Procs)
 	return st
 }
-
-// PageModes returns the node's per-page protocol routing.
-func (n *Node) PageModes() []Mode { return n.rt.pageModes() }
 
 // Clock returns a copy of the node's current vector clock (all zero
 // entries under the eager and SC engines, which do not track causality).
@@ -1023,13 +1023,13 @@ func (n *Node) Write(addr mem.Addr, data []byte) error {
 	if !inSpace(addr, len(data), lay.SpaceSize()) {
 		return fmt.Errorf("dsm: write of %d bytes at %d outside space [0,%d)", len(data), addr, lay.SpaceSize())
 	}
-	// Page by page, with no closure and through the router's concrete type,
+	// Page by page, with no closure and through the engine's concrete type,
 	// so that the caller's buffer can stay on its stack: a hit allocates
 	// nothing.
 	for len(data) > 0 {
 		off := lay.Offset(addr)
 		count := min(len(data), lay.PageSize()-off)
-		if err := n.rt.writePage(lay.PageOf(addr), off, data[:count]); err != nil {
+		if err := n.writePage(lay.PageOf(addr), off, data[:count]); err != nil {
 			return err
 		}
 		addr, data = addr+mem.Addr(count), data[count:]
@@ -1048,12 +1048,40 @@ func (n *Node) Read(buf []byte, addr mem.Addr) error {
 	for len(buf) > 0 { // as in Write
 		off := lay.Offset(addr)
 		count := min(len(buf), lay.PageSize()-off)
-		if err := n.rt.readPage(lay.PageOf(addr), off, buf[:count]); err != nil {
+		if err := n.readPage(lay.PageOf(addr), off, buf[:count]); err != nil {
 			return err
 		}
 		addr, buf = addr+mem.Addr(count), buf[count:]
 	}
 	return nil
+}
+
+// readPage and writePage call the engine through its concrete type: an
+// interface call would make the caller's buffer escape, and ReadUint64's
+// eight bytes are the access hit path's only allocation.
+
+func (n *Node) readPage(pg mem.PageID, off int, dst []byte) error {
+	n.homes.noteTouch(pg)
+	switch e := n.e.(type) {
+	case *lazyEngine:
+		return e.readPage(pg, off, dst)
+	case *eagerEngine:
+		return e.readPage(pg, off, dst)
+	default:
+		return e.(*scEngine).readPage(pg, off, dst)
+	}
+}
+
+func (n *Node) writePage(pg mem.PageID, off int, src []byte) error {
+	n.homes.noteTouch(pg)
+	switch e := n.e.(type) {
+	case *lazyEngine:
+		return e.writePage(pg, off, src)
+	case *eagerEngine:
+		return e.writePage(pg, off, src)
+	default:
+		return e.(*scEngine).writePage(pg, off, src)
+	}
 }
 
 // WriteUint64 stores a little-endian uint64 at addr.

@@ -116,9 +116,9 @@ type NodeStatus struct {
 }
 
 // Status is the /statusz snapshot: the live configuration, interconnect
-// totals with their wire-time estimate, each local node's counters and
-// per-page routing table, and the recent-traffic ring (present when
-// Config.Metrics enabled the sampler).
+// totals with their wire-time estimate, each local node's counters, the
+// home table, and the recent-traffic ring (present when Config.Metrics
+// enabled the sampler).
 type Status struct {
 	Procs             int                 `json:"procs"`
 	LocalNodes        []int               `json:"local_nodes"`
@@ -139,7 +139,7 @@ type Status struct {
 
 // Status returns a live snapshot of the system for /statusz. Safe to
 // call concurrently with a running workload: counters are atomic reads
-// and the routing table is the router's lock-free mode table.
+// and the home table is read lock-free.
 func (s *System) Status() Status {
 	st := Status{
 		Procs:             s.cfg.Procs,
@@ -162,7 +162,7 @@ func (s *System) Status() Status {
 	if len(s.local) > 0 {
 		// Home tables are cluster-agreed (they only change inside the
 		// quiescent rendezvous), so any local node's snapshot serves.
-		st.HomeTable = FormatHomeTable(s.local[0].rt.homes())
+		st.HomeTable = FormatHomeTable(s.local[0].homes.snapshot())
 	}
 	if s.ring != nil {
 		st.Traffic = s.ring.Recent()

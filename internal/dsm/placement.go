@@ -3,7 +3,9 @@ package dsm
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"strings"
+	"sync/atomic"
 
 	"repro/internal/mem"
 	"repro/internal/wire"
@@ -16,12 +18,91 @@ import (
 // lazy ones. A flush or directory transaction that lands on a local home
 // is loopback — free in the paper's message accounting — which is what
 // homing a page at the node that uses it buys.
+
+// homeTable is a node's page→home map: one atomic entry per page, read
+// lock-free on every protocol operation that addresses a home (directory
+// transactions, cold fetches, flush targets) and written only inside the
+// first barrier's hand-off rendezvous (below) while every application
+// goroutine cluster-wide is parked, so a page never has traffic in flight
+// under two homes at once.
 //
-// The home table itself lives on the router (one atomic entry per
-// page), read lock-free on every protocol operation and written only
-// inside the first barrier's hand-off rendezvous (below) while every
-// application goroutine cluster-wide is parked, so a page never has
-// traffic in flight under two homes at once.
+// touch counts the node's accesses per page for first-touch's claims. It
+// exists only under PlaceFirstTouch and only until the first cluster
+// barrier, whose leader takes it; from then on, and always under block
+// placement, an access ticks nothing.
+type homeTable struct {
+	home  []atomic.Int32
+	touch atomic.Pointer[[]atomic.Int64]
+}
+
+// init starts the table at the block interleave every policy begins from,
+// with a touch table when first-touch will refine it.
+func (h *homeTable) init(numPages, procs int, firstTouch bool) {
+	h.home = make([]atomic.Int32, numPages)
+	for pg, home := range initialHomes(numPages, procs) {
+		h.home[pg].Store(int32(home))
+	}
+	if firstTouch {
+		touch := make([]atomic.Int64, numPages)
+		h.touch.Store(&touch)
+	}
+}
+
+// of returns page pg's current home node.
+func (h *homeTable) of(pg mem.PageID) mem.ProcID {
+	return mem.ProcID(h.home[pg].Load())
+}
+
+// snapshot copies the current table.
+func (h *homeTable) snapshot() []mem.ProcID {
+	out := make([]mem.ProcID, len(h.home))
+	for pg := range h.home {
+		out[pg] = h.of(mem.PageID(pg))
+	}
+	return out
+}
+
+// noteTouch counts one access to pg while first-touch is still collecting.
+func (h *homeTable) noteTouch(pg mem.PageID) {
+	if touch := h.touch.Load(); touch != nil {
+		(*touch)[pg].Add(1)
+	}
+}
+
+// takeClaims retires the touch table and returns node self's first-touch
+// claims: every page it accessed before the first cluster barrier, scored
+// by access count. Nil, false once the table is gone. Called by the
+// barrier leader goroutine only.
+func (h *homeTable) takeClaims(self mem.ProcID) ([]touchClaim, bool) {
+	touch := h.touch.Swap(nil)
+	if touch == nil {
+		return nil, false
+	}
+	var out []touchClaim
+	for pg := range *touch {
+		if n := (*touch)[pg].Load(); n > 0 {
+			out = append(out, touchClaim{pg: mem.PageID(pg), node: self, score: uint32(min(n, math.MaxUint32))})
+		}
+	}
+	return out, true
+}
+
+// PageStat is one re-homed page in a Stats snapshot.
+type PageStat struct {
+	Page int
+	Home int // current home node (directory / cold-copy server)
+}
+
+// moved returns the pages first-touch moved off their block home.
+func (h *homeTable) moved(procs int) []PageStat {
+	var out []PageStat
+	for pg := range h.home {
+		if home := int(h.of(mem.PageID(pg))); home != pg%procs {
+			out = append(out, PageStat{Page: pg, Home: home})
+		}
+	}
+	return out
+}
 
 // Placement selects the initial page→home assignment policy.
 type Placement int
@@ -97,8 +178,8 @@ func initialHomes(numPages, procs int) []mem.ProcID {
 	return homes
 }
 
-// FormatHomeTable renders a home table in the mode map's run-length
-// syntax ("pg0-3=0,pg4-7=1,..."), for /statusz and -statsjson.
+// FormatHomeTable renders a home table as run-length page ranges
+// ("pg0-3=0,pg4-7=1,..."), for /statusz and -statsjson.
 func FormatHomeTable(homes []mem.ProcID) string {
 	if len(homes) == 0 {
 		return ""
@@ -269,7 +350,7 @@ func decodeHomePlan(data []byte, numPages, procs int) (homes []homeDelta, homeEr
 // planFirstTouch resolves the cluster's first-touch claims into home
 // deltas (master only): each claimed page goes to its strongest toucher,
 // ties to the lowest node id; unclaimed pages keep their block home.
-func (r *router) planFirstTouch(claims []touchClaim) []homeDelta {
+func (h *homeTable) planFirstTouch(claims []touchClaim) []homeDelta {
 	best := make(map[mem.PageID]touchClaim)
 	for _, c := range claims {
 		w, ok := best[c.pg]
@@ -278,9 +359,9 @@ func (r *router) planFirstTouch(claims []touchClaim) []homeDelta {
 		}
 	}
 	var moves []homeDelta
-	for pg := range r.homeTab {
+	for pg := range h.home {
 		w, ok := best[mem.PageID(pg)]
-		if ok && w.node != r.homeOf(mem.PageID(pg)) {
+		if ok && w.node != h.of(mem.PageID(pg)) {
 			moves = append(moves, homeDelta{pg: mem.PageID(pg), home: w.node})
 		}
 	}
@@ -293,7 +374,6 @@ func (r *router) planFirstTouch(claims []touchClaim) []homeDelta {
 // node (master included) executes this after its barrier exit work, while
 // all application goroutines are still parked in Barrier.
 func (n *Node) handOff(b mem.BarrierID, homes []homeDelta) error {
-	r := n.rt
 	pageSize := n.sys.layout.PageSize()
 
 	// Round 1: bring every page this node homes AFTER the plan current.
@@ -306,7 +386,7 @@ func (n *Node) handOff(b mem.BarrierID, homes []homeDelta) error {
 		if mv.home != n.id {
 			continue
 		}
-		if err := r.engineFor(mv.pg).readPage(mv.pg, 0, scratch); err != nil {
+		if err := n.e.readPage(mv.pg, 0, scratch); err != nil {
 			return fmt.Errorf("dsm: node %d: hand-off fetch of page %d: %w", n.id, mv.pg, err)
 		}
 	}
@@ -321,18 +401,17 @@ func (n *Node) handOff(b mem.BarrierID, homes []homeDelta) error {
 	// resets (owner := home) land on the new home.
 	migrated := 0
 	for _, mv := range homes {
-		e := r.engineFor(mv.pg)
 		var data []byte
 		if mv.home == n.id {
 			data = make([]byte, pageSize)
-			if err := e.readPage(mv.pg, 0, data); err != nil {
+			if err := n.e.readPage(mv.pg, 0, data); err != nil {
 				return fmt.Errorf("dsm: node %d: hand-off local read of page %d: %w", n.id, mv.pg, err)
 			}
 			migrated++
 		}
-		r.homeTab[mv.pg].Store(int32(mv.home))
-		e.dropPage(mv.pg)
-		e.adoptPage(mv.pg, data)
+		n.homes.home[mv.pg].Store(int32(mv.home))
+		n.e.dropPage(mv.pg)
+		n.e.adoptPage(mv.pg, data)
 	}
 	if migrated > 0 {
 		n.stats.pageMigrations.Add(int64(migrated))

@@ -149,7 +149,7 @@ func TestForgedHomeDeltasRecordedNotApplied(t *testing.T) {
 		SpaceSize: 8192, PageSize: 1024, Mode: EagerInvalidate, Placement: PlaceFirstTouch,
 	})
 	n := s.Node(1)
-	before := n.rt.homes()
+	before := n.homes.snapshot()
 
 	barErr := make(chan error, 1)
 	go func() { barErr <- n.Barrier(0) }()
@@ -174,7 +174,7 @@ func TestForgedHomeDeltasRecordedNotApplied(t *testing.T) {
 		t.Fatalf("barrier failed over a droppable home section: %v", err)
 	}
 	waitNodeErr(t, n, "overlapping home deltas")
-	after := n.rt.homes()
+	after := n.homes.snapshot()
 	for pg := range before {
 		if before[pg] != after[pg] {
 			t.Fatalf("forged home delta applied: page %d moved %d -> %d", pg, before[pg], after[pg])
@@ -194,7 +194,7 @@ func TestForgedClaimsRecordedNotApplied(t *testing.T) {
 		SpaceSize: 8192, PageSize: 1024, Mode: EagerInvalidate, Placement: PlaceFirstTouch,
 	})
 	n := s.Node(0)
-	before := n.rt.homes()
+	before := n.homes.snapshot()
 
 	barErr := make(chan error, 1)
 	go func() { barErr <- n.Barrier(0) }()
@@ -213,7 +213,7 @@ func TestForgedClaimsRecordedNotApplied(t *testing.T) {
 		t.Fatalf("master barrier failed over a droppable claim payload: %v", err)
 	}
 	waitNodeErr(t, n, "claims page 0 twice")
-	after := n.rt.homes()
+	after := n.homes.snapshot()
 	for pg := range before {
 		if before[pg] != after[pg] {
 			t.Fatalf("forged claim applied: page %d moved %d -> %d", pg, before[pg], after[pg])

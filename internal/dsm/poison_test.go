@@ -60,7 +60,7 @@ func TestEarlyReleaseIsCaught(t *testing.T) {
 		// move the response into a frame this goroutine alone holds, so
 		// that its release poisons it here and now (the fetched frame's
 		// last release is the shard worker's, whenever it drains).
-		e := reader.rt.engines[LazyInvalidate].(*lazyEngine)
+		e := reader.e.(*lazyEngine)
 		pre, err := e.prefetchDiffs([]mem.PageID{pg})
 		if err != nil || len(pre) != 1 {
 			t.Fatalf("prefetch: %d responses for the page, err %v", len(pre), err)
@@ -190,10 +190,13 @@ func TestEarlyGrantReleaseIsCaught(t *testing.T) {
 		req := wire.NewMsg()
 		req.Kind, req.A, req.B = wire.KLockReq, int32(lock), int32(reader.id)
 		reader.e.acquireStart(req)
+		reader.sealSection(req)
 		writer.lockMu.Lock()
 		built := wire.NewMsg()
 		built.Kind, built.A = wire.KLockGrant, int32(lock)
+		writer.openSection("lock grant build", req, reader.id)
 		writer.e.grant(req, built)
+		writer.sealSection(built)
 		frame := built.EncodeAppend(framebuf.Get())
 		writer.lockMu.Unlock()
 		built.Release()
@@ -209,6 +212,7 @@ func TestEarlyGrantReleaseIsCaught(t *testing.T) {
 			grant.Release()
 			grant = kept
 		}
+		reader.openSection("lock grant", grant, writer.id)
 		err = reader.e.onGrant(grant)
 		grant.Release()
 		if err != nil {
@@ -227,7 +231,7 @@ func TestEarlyGrantReleaseIsCaught(t *testing.T) {
 		case early && (len(errs) != 1 || !strings.Contains(errs[0].Error(), "interval record for invalid processor")):
 			t.Errorf("records read after their grant's release were absorbed as if intact: recorded %v", errs)
 		}
-		if clock := lazyOf(reader, LazyInvalidate).clock(); early != (clock[writer.id] == -1) {
+		if clock := lazyOf(reader).clock(); early != (clock[writer.id] == -1) {
 			t.Errorf("early=%v: reader's clock after the grant is %v", early, clock)
 		}
 	}
@@ -286,7 +290,7 @@ func parkedDiffServe(t *testing.T, early bool) (want, frame []byte, panicked any
 		}
 	})
 	writer := s.Node(1)
-	e := writer.rt.engines[LazyInvalidate].(*lazyEngine)
+	e := writer.e.(*lazyEngine)
 	// A page the writer homes — no other node materializes it at the epoch,
 	// so the parked serve is the diff's only reader — and a lock it manages.
 	pg := mem.PageID(0)

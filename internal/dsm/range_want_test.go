@@ -41,7 +41,7 @@ func lazyEngineWithIntervals(t *testing.T) (*lazyEngine, mem.PageID) {
 			t.Fatal(err)
 		}
 	}
-	return n.rt.engines[LazyInvalidate].(*lazyEngine), 1
+	return n.e.(*lazyEngine), 1
 }
 
 // TestFlatCacheBounded: with barrier GC disabled the discard's wholesale
@@ -81,7 +81,7 @@ func planEngine(t *testing.T, procs int) *lazyEngine {
 			t.Errorf("Close: %v", err)
 		}
 	})
-	return s.Node(0).rt.engines[LazyUpdate].(*lazyEngine)
+	return s.Node(0).e.(*lazyEngine)
 }
 
 // logInterval appends processor p's next interval, closed at clock, to the

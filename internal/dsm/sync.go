@@ -20,6 +20,56 @@ import (
 // of §4.2 — no protocol traffic); a barrier's last local arriver runs
 // the cluster exchange on behalf of the node and releases the rest.
 
+// --- the protocol tag ---
+//
+// Every lock request, lock grant and barrier message carries the engine's
+// consistency payload as one wire.Section tagged with the sender's Mode
+// (an engine with nothing to say sends none). A receiver accepts only its
+// own mode: that check is the one place a cluster whose Systems disagree
+// on Config.Mode surfaces — LI and LU speak the same message kinds, so
+// nothing else would notice. The engine hooks read and write the
+// message's flat VC/Intervals/Diffs; sealSection and openSection move the
+// payload between those and the section.
+
+// sealSection moves the payload an engine hook left in m's flat fields
+// into m's one section.
+func (n *Node) sealSection(m *wire.Msg) {
+	if m.VC != nil || len(m.Intervals) > 0 || len(m.Diffs) > 0 {
+		m.AppendSection(wire.Section{
+			Mode: uint16(n.sys.cfg.Mode), VC: m.VC,
+			Intervals: m.Intervals, Diffs: m.Diffs,
+		})
+		m.VC, m.Intervals, m.Diffs = nil, nil, nil
+	}
+}
+
+// openSection is sealSection's inverse on a received message: its section
+// becomes the flat payload the engine hooks read, and nothing else does
+// (no section is an empty payload). A section for another mode, a second
+// one, or one whose clock does not match the cluster is a forgery, a
+// corruption or a misconfigured peer: recorded and dropped (op names the
+// message for the error).
+func (n *Node) openSection(op string, m *wire.Msg, src mem.ProcID) {
+	mode, procs := n.sys.cfg.Mode, n.sys.cfg.Procs
+	m.VC, m.Intervals, m.Diffs = nil, nil, nil
+	opened := false
+	for _, s := range m.Sections {
+		switch {
+		case Mode(s.Mode) != mode:
+			n.noteErr(op, fmt.Errorf("section for mode %v on an %v node, from %d", Mode(s.Mode), mode, src))
+		case opened:
+			n.noteErr(op, fmt.Errorf("duplicate section for mode %v from %d", mode, src))
+		case len(s.VC) != 0 && len(s.VC) != procs:
+			n.noteErr(op, fmt.Errorf("section for mode %v from %d carries a %d-entry clock (cluster has %d)",
+				mode, src, len(s.VC), procs))
+		default:
+			m.VC, m.Intervals, m.Diffs = s.VC, s.Intervals, s.Diffs
+			opened = true
+		}
+	}
+	m.Sections = nil
+}
+
 // --- application API: locks ---
 
 // lockLocalState returns (creating if needed) lock l's local record.
@@ -55,6 +105,7 @@ func (n *Node) Acquire(l mem.LockID) error {
 			// acquisition path, local handoffs included: under the lazy
 			// protocols an acquire delimits the current interval.
 			n.e.acquireStart(req)
+			n.sealSection(req)
 			if ll.cached {
 				ll.held = true
 				n.lockMu.Unlock()
@@ -88,6 +139,7 @@ func (n *Node) Acquire(l mem.LockID) error {
 			n.emit("sync", "cs-enter", int64(l))
 			// onGrant has absorbed the grant by the time it returns: the log
 			// has its records, LU's store clones of its piggybacked diffs.
+			n.openSection("lock grant", grant, mem.ProcID(grant.B))
 			err = n.e.onGrant(grant)
 			grant.Release()
 			return err
@@ -167,7 +219,9 @@ func (n *Node) Release(l mem.LockID) error {
 func (n *Node) sendGrant(req *wire.Msg) error {
 	grant := wire.NewMsg() // a shell: the engine hook is an interface call
 	grant.Kind, grant.Seq, grant.A = wire.KLockGrant, req.Seq, req.A
+	n.openSection("lock grant build", req, mem.ProcID(req.B))
 	n.e.grant(req, grant)
+	n.sealSection(grant)
 	err := n.send(mem.ProcID(req.B), grant)
 	releaseDiffs(grant) // LU's piggyback, retained under the engine lock
 	grant.Release()
@@ -236,7 +290,7 @@ func (n *Node) clusterBarrier(b mem.BarrierID) error {
 	// The touch table is there to take at the first cluster barrier only,
 	// on every node alike, so the cluster agrees which barrier carries the
 	// claims.
-	claims, ftDue := n.rt.takeClaims()
+	claims, ftDue := n.homes.takeClaims(n.id)
 	var homes []homeDelta
 
 	const master = mem.ProcID(0)
@@ -252,6 +306,7 @@ func (n *Node) clusterBarrier(b mem.BarrierID) error {
 			if mem.BarrierID(m.A) != b || !n.validProc(mem.ProcID(m.B)) {
 				return fmt.Errorf("dsm: master: arrival for barrier %d from node %d during barrier %d", m.A, m.B, b)
 			}
+			n.openSection("barrier arrival", m, mem.ProcID(m.B))
 			arrivals = append(arrivals, m)
 		}
 		n.e.masterAbsorb(arrivals)
@@ -269,7 +324,7 @@ func (n *Node) clusterBarrier(b mem.BarrierID) error {
 				claims = append(claims, peer...)
 			}
 			if complete {
-				homes = n.rt.planFirstTouch(claims)
+				homes = n.homes.planFirstTouch(claims)
 			}
 			exitData = encodeHomePlan(homes)
 		}
@@ -279,6 +334,7 @@ func (n *Node) clusterBarrier(b mem.BarrierID) error {
 			exit := wire.NewMsg()
 			exit.Kind, exit.Seq, exit.A, exit.Data = wire.KBarrierExit, m.Seq, int32(b), exitData
 			n.e.exit(m, exit)
+			n.sealSection(exit)
 			err := n.send(mem.ProcID(m.B), exit)
 			exit.Release()
 			m.Release()
@@ -294,6 +350,7 @@ func (n *Node) clusterBarrier(b mem.BarrierID) error {
 		}
 		n.e.barrierEntry()
 		n.e.arrive(arrive)
+		n.sealSection(arrive)
 		exit, err := n.rpc(master, arrive)
 		arrive.Release()
 		if err != nil {
@@ -311,6 +368,7 @@ func (n *Node) clusterBarrier(b mem.BarrierID) error {
 			}
 			n.noteErr("home delta", homeErr)
 		}
+		n.openSection("barrier exit", exit, mem.ProcID(exit.B))
 		if err := n.e.onExit(exit); err != nil {
 			return err
 		}
@@ -351,11 +409,10 @@ func (n *Node) handleLockReq(m *wire.Msg) {
 		return
 	}
 	n.lockMu.Unlock()
-	// The forward carries the requester's consistency payload through —
-	// both the flat VC (legacy single-payload form) and the mode-tagged
-	// sections each resident engine stamped in acquireStart — encoded here
-	// and now, while the request it shares them with is still held.
-	n.stage(prev, &wire.Msg{Kind: wire.KLockFwd, Seq: m.Seq, A: m.A, B: m.B, VC: m.VC, Sections: m.Sections})
+	// The forward carries the requester's section through unopened —
+	// encoded here and now, while the request it shares it with is still
+	// held.
+	n.stage(prev, &wire.Msg{Kind: wire.KLockFwd, Seq: m.Seq, A: m.A, B: m.B, Sections: m.Sections})
 }
 
 func (n *Node) handleLockFwd(m *wire.Msg) {

@@ -38,13 +38,11 @@ func newBudgetSys(t *testing.T, cfg Config) *System {
 	return s
 }
 
-func liEngine(n *Node) *lazyEngine { return n.rt.engines[LazyInvalidate].(*lazyEngine) }
-
 // writeEveryPage has n close one interval per page under lock 0, and
 // checks the budget after every close when check is set.
 func writeEveryPage(t *testing.T, n *Node, check bool) {
 	t.Helper()
-	e := liEngine(n)
+	e := lazyOf(n)
 	for pg := 0; pg < budgetPages; pg++ {
 		if err := n.Acquire(0); err != nil {
 			t.Fatal(err)
@@ -211,7 +209,7 @@ func TestBelowBudgetNothingIsDiffed(t *testing.T) {
 			t.Errorf("node %d: twin bytes peak %d live %d; want %d and 0",
 				n.ID(), st.TwinBytesPeak, st.TwinBytesLive, slab*rounds*budgetPageSize)
 		}
-		e := liEngine(n)
+		e := lazyOf(n)
 		e.mu.Lock()
 		if len(e.parked) != 0 {
 			t.Errorf("node %d: %d queue entries survive GC", n.ID(), len(e.parked))
@@ -250,7 +248,7 @@ func TestServedSlotsLeaveTheQueue(t *testing.T) {
 			}
 		}
 	}
-	e := liEngine(w)
+	e := lazyOf(w)
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if len(e.parked) > 64+2 {
@@ -275,7 +273,7 @@ func TestForgedFloorClockGrantsEverything(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	e := liEngine(n)
+	e := lazyOf(n)
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if got := len(e.intervalsSinceLocked(nil, vc.VC{-7, 1 << 30})); got != 3 {

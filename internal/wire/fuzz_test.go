@@ -37,8 +37,8 @@ func sampleMsgs() []*Msg {
 		{Kind: KDiffResp, Seq: 9, Diffs: []DiffRec{{Page: 4, Proc: 1, Index: 2, Diff: diff}}},
 		{Kind: KPageResp, Seq: 10, A: 4, Data: bytes.Repeat([]byte{0xab}, 128)},
 		{Kind: KBarrierArrive, Seq: 11, A: 0, B: 2, VC: vc.VC{9, 9, 9, 9}},
-		// Mode-tagged sections: a mixed-mode lock grant carrying two
-		// engines' consistency payloads side by side.
+		// Mode-tagged sections: a lock grant carrying two payloads side
+		// by side (the runtime sends one; the codec takes any number).
 		{Kind: KLockGrant, Seq: 12, A: 3, Sections: []Section{
 			{Mode: 0, VC: vc.VC{1, 2, 3, 4},
 				Intervals: []IntervalRec{{Proc: 1, Index: 2, VC: vc.VC{0, 2, 0, 0}, Pages: []mem.PageID{7}}}},

@@ -172,8 +172,8 @@ const (
 	// KLockGrant: holder -> requester, with clock, intervals and (LU)
 	// piggybacked diffs. A = lock id.
 	KLockGrant
-	// KDiffReq: requester -> responder, listing wanted (page, interval or
-	// interval range) diffs. A = requester.
+	// KDiffReq: requester -> creator, listing wanted (page, interval or
+	// interval range) diffs. A = requester; B unused.
 	KDiffReq
 	// KDiffResp: responder -> requester with the diffs, one record per
 	// want, in the request's order.
@@ -315,14 +315,13 @@ type Want struct {
 	Span  int32
 }
 
-// Section is one protocol engine's consistency payload on a shared
-// synchronization message. With per-page protocol routing several engines
-// coexist in one node, and a lock grant or barrier message carries each
-// resident engine's state — lazy write notices and clocks next to
-// eager/SC traffic — as mode-tagged sections instead of the flat
-// VC/Intervals/Diffs fields. Mode is the dsm-layer protocol id (small;
-// the decoder bounds it at 255 and the dsm layer rejects ids it does not
-// host, recorded-error-then-drop).
+// Section is the sender's protocol tag and consistency payload on a
+// runtime synchronization message: a lock request, grant or forward, or a
+// barrier arrival or exit carries its engine's clock, write notices and
+// piggybacked diffs in one section, not in the flat VC/Intervals/Diffs
+// fields. Mode is the dsm-layer protocol id (small; the decoder bounds it
+// at 255, and the dsm layer records and drops a section whose mode is not
+// the receiver's own).
 type Section struct {
 	Mode      uint16
 	VC        vc.VC

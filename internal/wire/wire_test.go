@@ -607,7 +607,7 @@ func TestRoundTripExtremes(t *testing.T) {
 // the model's 20 bytes per one-page interval; a fixed-width record cost
 // 36).
 func TestGoldenSizes(t *testing.T) {
-	const lazy = 0 // a lazy engine's section tag, as the router emits it
+	const lazy = 0 // LI's section tag, as the runtime emits it
 	clock := vc.VC{900, 412, 655, 130}
 	rec := IntervalRec{Proc: 2, Index: 650, VC: vc.VC{880, 400, 650, 128}, Pages: []mem.PageID{300}}
 	diff := mkDiff(t, 4096, 1024) // one 4-byte run

@@ -20,10 +20,6 @@ type RuntimeConfig struct {
 	PageSize int
 	// Mode selects the consistency protocol (LI, LU, EI, EU or SC).
 	Mode dsm.Mode
-	// ModeMap, when non-empty, routes each page to its own protocol
-	// instead of running everything under Mode: a dsm.ParseModeMap spec
-	// like "pg0-31=SC,rest=LU" over the space's pages.
-	ModeMap string
 	// Placement names the initial page→home policy ("block" or
 	// "first-touch"; empty means block — see dsm.ParsePlacement).
 	Placement string
@@ -206,20 +202,6 @@ func RunOnRuntime(p Program, rc RuntimeConfig) (*RuntimeResult, error) {
 		}
 		return nil, fmt.Errorf("workload %s on runtime (%s): %w", p.Name(), rc.Mode, err)
 	}
-	var modeMap []dsm.Mode
-	if rc.ModeMap != "" {
-		numPages := (cfg.SpaceSize + mem.Addr(rc.PageSize) - 1) / mem.Addr(rc.PageSize)
-		var err error
-		modeMap, err = dsm.ParseModeMap(rc.ModeMap, int(numPages))
-		if err != nil {
-			for _, tr := range transports {
-				if tr != nil {
-					tr.Close()
-				}
-			}
-			return nil, fmt.Errorf("workload %s on runtime (%s): %w", p.Name(), rc.Mode, err)
-		}
-	}
 	systems := make([]*dsm.System, 0, len(transports))
 	closeAll := func() {
 		for _, sys := range systems {
@@ -232,7 +214,6 @@ func RunOnRuntime(p Program, rc RuntimeConfig) (*RuntimeResult, error) {
 			SpaceSize:         cfg.SpaceSize,
 			PageSize:          rc.PageSize,
 			Mode:              rc.Mode,
-			ModeMap:           modeMap,
 			Placement:         placement,
 			GCEveryBarriers:   rc.GCEveryBarriers,
 			Latency:           rc.Latency,

@@ -16,10 +16,9 @@
 //     end (the implementation the paper's §7 promises): goroutine-backed
 //     nodes exchanging write notices, twins, diffs, invalidations and
 //     page ships over a pluggable interconnect, with the consistency
-//     policy — LI, LU, EI, EU or SC — selected per instance or per
-//     page (DSMConfig.ModeMap routes each page to its own resident
-//     engine, several protocols coexisting in one cluster). See NewDSM.
-//     Nodes are concurrently usable: any number of application
+//     policy — LI, LU, EI, EU or SC — selected per instance
+//     (DSMConfig.Mode; every node of a cluster runs the same one). See
+//     NewDSM. Nodes are concurrently usable: any number of application
 //     goroutines may drive one node (DSMConfig.GoroutinesPerNode sizes
 //     the barrier rendezvous), with per-page sharded protocol state and
 //     node-local lock handoff, so programs run oversubscribed —
@@ -97,9 +96,9 @@ type (
 	// Node is one live DSM processor handle.
 	Node = dsm.Node
 	// NodeStats is a live node's accumulated protocol metrics, including
-	// the per-kind traffic breakdown and the pages routed off the default.
+	// the per-kind traffic breakdown and the pages first-touch re-homed.
 	NodeStats = dsm.Stats
-	// PageStat is one page's routing state: its protocol and its home.
+	// PageStat is one re-homed page: its id and its home.
 	PageStat = dsm.PageStat
 	// Transport is the runtime's pluggable interconnect: the simulated
 	// in-process network by default (DSMConfig.Transport nil), or a real
@@ -202,18 +201,6 @@ var DSMModes = dsm.Modes
 
 // ParseDSMMode maps a protocol name to its live runtime mode.
 func ParseDSMMode(s string) (DSMMode, error) { return dsm.ParseMode(s) }
-
-// ParseDSMModeMap parses a per-page protocol assignment like
-// "pg0-31=SC,rest=LU" into a numPages-long mode slice for
-// DSMConfig.ModeMap: protocols coexist in one cluster, each page routed
-// to the engine named for it. Every page must be assigned exactly once.
-func ParseDSMModeMap(spec string, numPages int) ([]DSMMode, error) {
-	return dsm.ParseModeMap(spec, numPages)
-}
-
-// FormatDSMModeMap renders a mode slice back into the compact syntax
-// ParseDSMModeMap accepts.
-func FormatDSMModeMap(modes []DSMMode) string { return dsm.FormatModeMap(modes) }
 
 // Protocols lists the four protocols of the paper's evaluation.
 var Protocols = sim.ProtocolNames
