@@ -1,7 +1,7 @@
 // Command lrcrun runs programs on the live DSM runtime (the
 // implementation the paper's §7 promises) under any of the five
 // protocols of the paper's evaluation — LI, LU, EI, EU or SC — and
-// reports the interconnect traffic and estimated communication time.
+// reports the interconnect traffic.
 //
 // It runs either a small demonstration pattern (-demo) or one of the five
 // SPLASH-structure workloads (-app). Workloads execute on genuinely
@@ -302,8 +302,7 @@ func (ob *obsCfg) dumpTrace() error {
 
 // statsReport is the -statsjson output: the run's parameters, every local
 // node's dsm.Stats — per-kind traffic breakdown and the re-homed pages —
-// the interconnect totals, and the latency model's wire-time estimate for
-// that traffic.
+// and the interconnect totals.
 type statsReport struct {
 	Program        string             `json:"program"`
 	Mode           string             `json:"mode"`
@@ -313,8 +312,6 @@ type statsReport struct {
 	Procs          int                `json:"procs"`
 	Nodes          int                `json:"nodes"`
 	Net            dsm.TransportStats `json:"net"`
-	EstWireTime    string             `json:"estWireTime"`
-	EstWireNS      int64              `json:"estWireNs"`
 	Node           []dsm.Stats        `json:"nodeStats"`
 }
 
@@ -395,7 +392,6 @@ func runWorkload(out io.Writer, name string, procs, gpn int, scale float64, seed
 		report := statsReport{
 			Program: name, Mode: m.String(), Placement: pol,
 			Procs: procs, Nodes: procs / gpn, Net: res.Net, Node: res.Nodes,
-			EstWireTime: res.Elapsed.String(), EstWireNS: res.Elapsed.Nanoseconds(),
 		}
 		for _, ns := range res.Nodes {
 			report.PageMigrations += ns.PageMigrations
@@ -462,11 +458,11 @@ func runWorkload(out io.Writer, name string, procs, gpn int, scale float64, seed
 		}
 		extra := ""
 		if r.report.PageMigrations > 0 {
-			extra = fmt.Sprintf(", %d pages re-homed", r.report.PageMigrations)
+			extra = fmt.Sprintf("   (%d pages re-homed)", r.report.PageMigrations)
 		}
-		fmt.Fprintf(out, "%-28s%12d%12d%12d%14d%14s%14s   (est. wire time %v%s)\n",
+		fmt.Fprintf(out, "%-28s%12d%12d%12d%14d%14s%14s%s\n",
 			label, r.res.Net.Messages, r.res.Net.Frames, r.res.Net.Batches, r.res.Net.Bytes,
-			perCrit(r.res.Net.Messages), perCrit(r.res.Net.Bytes), r.res.Elapsed, extra)
+			perCrit(r.res.Net.Messages), perCrit(r.res.Net.Bytes), extra)
 	}
 	fmt.Fprintf(out, "%-28s%12d%12s%12s%14d%14s%14s   (trace replay, %s)\n",
 		"simulator", st.TotalMessages(), "-", "-", st.TotalBytes(), perCrit(st.TotalMessages()), perCrit(st.TotalBytes()), m)
@@ -561,13 +557,12 @@ func runDemo(out io.Writer, demo string, m dsm.Mode, procs, gpn, iters, pageSize
 	}
 	st := d.NetStats()
 	fmt.Fprintf(out, "demo=%s mode=%s procs=%d nodes=%d gpn=%d iters=%d\n", demo, m, procs, procs/gpn, gpn, iters)
-	fmt.Fprintf(out, "interconnect: %d messages in %d frames (%d batched), %d bytes, estimated serial wire time %v\n",
-		st.Messages, st.Frames, st.Batches, st.Bytes, d.EstimateTime())
+	fmt.Fprintf(out, "interconnect: %d messages in %d frames (%d batched), %d bytes\n",
+		st.Messages, st.Frames, st.Batches, st.Bytes)
 	report := statsReport{
 		Program: "demo:" + demo, Mode: m.String(), Placement: placementName,
 		HomeTable: d.Status().HomeTable,
 		Procs:     procs, Nodes: procs / gpn, Net: st,
-		EstWireTime: d.EstimateTime().String(), EstWireNS: int64(d.EstimateTime()),
 	}
 	for _, n := range d.Local() {
 		ns := n.Stats()

@@ -144,8 +144,7 @@ func main() {
 	}
 	fmt.Printf("nbody: %d molecules, %d steps on %d nodes\n", molecules, steps, procs)
 	fmt.Printf("global potential sum: %d\n", sum)
-	fmt.Printf("interconnect: %d messages, %d KB, estimated wire time %v\n",
-		st.Messages, st.Bytes/1024, d.EstimateTime())
+	fmt.Printf("interconnect: %d messages, %d KB\n", st.Messages, st.Bytes/1024)
 	fmt.Printf("gc: %d runs, %d diffs discarded\n", gcRuns, discarded)
 }
 

@@ -193,9 +193,9 @@ func TestZeroPageServeAllocatesNothing(t *testing.T) {
 		case *lazyEngine:
 			serve = func() { e.handlePageReq(req) }
 		case *eagerEngine:
-			serve = func() { e.serveFetch(req, 1) }
+			serve = func() { e.dir.serveFetch(req, 1) }
 		case *scEngine:
-			serve = func() { e.serveFetch(req, 1) }
+			serve = func() { e.dir.serveFetch(req, 1) }
 		}
 		d := &n.out.dsts[1]
 		size := 0

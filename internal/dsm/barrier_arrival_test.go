@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/framebuf"
@@ -280,5 +281,78 @@ func TestGrantDuringPendingArrivalsStaysClosed(t *testing.T) {
 		if v, err := s.Node(i).ReadUint64(1024); err != nil || v != 2 {
 			t.Errorf("node %d reads the master's word = %d, %v; want 2", i, v, err)
 		}
+	}
+}
+
+// TestForgedRendezvousRecordedNotCounted: the master counts one message
+// per peer in each rendezvous round — a barrier's arrivals, a GC round's
+// readies. A message naming a node outside the cluster or the master
+// itself is recorded and dropped, the round keeps waiting, and the real
+// peer's message is the one answered.
+func TestForgedRendezvousRecordedNotCounted(t *testing.T) {
+	cases := []struct {
+		name   string
+		gc     bool // the forgery targets the GC round after the barrier
+		forged wire.Msg
+		answer wire.Kind
+		want   string
+	}{
+		{"GC ready from node 7", true, wire.Msg{Kind: wire.KGCReady, Seq: 6, A: 0, B: 7},
+			wire.KGCDone, "gcready claiming node 7 dropped"},
+		{"arrival claiming node 0", false, wire.Msg{Kind: wire.KBarrierArrive, Seq: 6, A: 0, B: 0},
+			wire.KBarrierExit, "arrive claiming node 0 dropped"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := Config{SpaceSize: 8192, PageSize: 1024, Mode: LazyInvalidate}
+			if tc.gc {
+				cfg.GCEveryBarriers = 1
+			}
+			s, peer := puppetCluster(t, 1, cfg)
+			n, ep := s.Node(0), peer.Endpoint(1)
+			barErr := make(chan error, 1)
+			go func() { barErr <- n.Barrier(0) }()
+			if tc.gc {
+				puppetSend(t, ep, 0, &wire.Msg{Kind: wire.KBarrierArrive, Seq: 5, A: 0, B: 1})
+				awaitReply(t, ep, wire.KBarrierExit, 5)
+			}
+			puppetSend(t, ep, 0, &tc.forged)
+			puppetSend(t, ep, 0, &wire.Msg{Kind: tc.forged.Kind, Seq: 7, A: 0, B: 1})
+			awaitReply(t, ep, tc.answer, 7)
+			if err := <-barErr; err != nil {
+				t.Fatalf("master barrier failed over a droppable forgery: %v", err)
+			}
+			waitNodeErr(t, n, tc.want)
+			if cerr := s.Close(); cerr == nil || !strings.Contains(cerr.Error(), tc.want) {
+				t.Fatalf("Close = %v, want the recorded %q cause", cerr, tc.want)
+			}
+		})
+	}
+}
+
+// TestRendezvousFloodAtNonMasterIsDropped: rendezvous messages are handed
+// to the master's collecting round by the dispatch loop itself, so one
+// that reaches any other node — here four forged arrivals, more than the
+// channel holds — is recorded and dropped instead of blocking the loop:
+// the node still serves a lock exchange, and Close returns naming the drop.
+func TestRendezvousFloodAtNonMasterIsDropped(t *testing.T) {
+	s, master := puppetCluster(t, 0, Config{SpaceSize: 8192, PageSize: 1024, Mode: LazyInvalidate})
+	ep := master.Endpoint(0)
+	for i := 0; i < 4; i++ {
+		puppetSend(t, ep, 1, &wire.Msg{Kind: wire.KBarrierArrive, Seq: uint64(10 + i), A: 0, B: 0})
+	}
+	// Lock 1 is managed by node 1, which grants a first request directly.
+	puppetSend(t, ep, 1, &wire.Msg{Kind: wire.KLockReq, Seq: 20, A: 1, B: 0})
+	awaitReply(t, ep, wire.KLockGrant, 20)
+	const want = "arrive from 0 dropped: this node is not the barrier master"
+	closed := make(chan error, 1)
+	go func() { closed <- s.Close() }()
+	select {
+	case cerr := <-closed:
+		if cerr == nil || !strings.Contains(cerr.Error(), want) {
+			t.Fatalf("Close = %v, want the recorded %q cause", cerr, want)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close did not return within 5 s")
 	}
 }

@@ -1,0 +1,265 @@
+package dsm
+
+import (
+	"fmt"
+	"math/bits"
+	"sync"
+
+	"repro/internal/mem"
+	"repro/internal/wire"
+)
+
+// directory is the per-page home directory of the eager engines (§3's
+// Munin-style write-shared protocol) and the SC baseline (§6's Ivy). A
+// page's home keeps its entry — the owner, whose copy is the committed
+// one, and the copyset of nodes holding a copy — and runs the two
+// transactions that read or change it:
+//
+//   - the copy transaction (KPageReq): the owner's copy travels home ->
+//     requester, which joins the copyset (serveCopy);
+//   - the ownership transaction (KFlushReq under EI/EU, KWriteReq under
+//     SC): every other copy is invalidated (EI, SC) or updated with the
+//     sender's diffs (EU), each acknowledged, the sender becomes the owner,
+//     and the reply carries the owner's copy as a base when the sender's
+//     own cannot be trusted (serveOwnership).
+//
+// Ordering: a transaction holds its entry's lock from its first send to
+// its last, and every send happens inside this file, so the transport's
+// FIFO delivery plus the receiver's per-page shard queue present each node
+// the directory's decisions in order: a cacher installs a page ship before
+// it processes the invalidation or update that follows it. Engines install
+// grants on the shard worker as they arrive, never after an rpc wakeup, so
+// the copyset always matches what each node holds.
+//
+// The owner side — a home's fetch or invalidation arriving at a node — is
+// here too (serveFetch, serveInval); the engine supplies only what it does
+// to its own copy (holder).
+type directory struct {
+	n       *Node
+	copies  holder
+	entries []dirEntry // used only for pages homed here
+}
+
+// holder is a directory engine's own copy of each page, as the owner side
+// of a transaction sees it. Both methods run under pg's stripe.
+type holder interface {
+	// committedLocked returns a copy of this node's committed contents of
+	// pg, false if it holds none.
+	committedLocked(pg mem.PageID) ([]byte, bool)
+	// invalidateLocked takes away this node's access to its copy of pg.
+	invalidateLocked(pg mem.PageID)
+}
+
+// dirEntry is one page's directory entry at its home.
+type dirEntry struct {
+	mu      sync.Mutex
+	owner   mem.ProcID
+	copyset uint64
+}
+
+func newDirectory(n *Node, copies holder) *directory {
+	d := &directory{n: n, copies: copies, entries: make([]dirEntry, n.sys.layout.NumPages())}
+	for pg := range d.entries {
+		d.entries[pg].owner = n.homeOf(mem.PageID(pg))
+	}
+	return d
+}
+
+// handle serves the kinds both directory engines speak: the copy
+// transaction on its own goroutine (it waits on the owner), the owner
+// side inline on the page's shard worker.
+func (d *directory) handle(m *wire.Msg, src mem.ProcID) bool {
+	switch m.Kind {
+	case wire.KPageReq:
+		m.Retain() // the transaction outlives this handler
+		go d.serveCopy(m)
+	case wire.KFetch:
+		d.serveFetch(m, src)
+	case wire.KInval:
+		d.serveInval(m, src)
+	default:
+		return false
+	}
+	return true
+}
+
+// lock validates the page and sender of request m (op names it in
+// errors) and returns the page's entry locked; nil, with the cause
+// recorded, for ids outside every table.
+func (d *directory) lock(op string, m *wire.Msg) (*dirEntry, mem.PageID, mem.ProcID) {
+	pg, from := mem.PageID(m.A), mem.ProcID(m.B)
+	if !d.n.validPage(pg) || !d.n.validProc(from) {
+		d.n.noteErr(op, fmt.Errorf("bad ids in request: page %d requester %d", pg, from))
+		return nil, pg, from
+	}
+	e := &d.entries[pg]
+	e.mu.Lock()
+	return e, pg, from
+}
+
+// serveCopy runs the copy transaction for request m.
+func (d *directory) serveCopy(m *wire.Msg) {
+	defer m.Release()
+	n := d.n
+	e, pg, to := d.lock("page request", m)
+	if e == nil {
+		return
+	}
+	defer e.mu.Unlock()
+	data, err := d.fetch(e, pg)
+	if err != nil {
+		n.noteErr(fmt.Sprintf("page %d owner fetch", pg), err)
+		return
+	}
+	e.copyset |= 1 << uint(to)
+	resp := &wire.Msg{Kind: wire.KPageResp, Seq: m.Seq, A: m.A, Data: data}
+	n.noteErr(fmt.Sprintf("page response to %d", to), n.send(to, resp))
+}
+
+// serveOwnership runs the ownership transaction for request m, answering
+// with a message of kind resp; op names the request in errors. update
+// pushes m's diffs to the other cachers instead of invalidating them.
+//
+// The reply carries the owner's copy as a base when the sender is not in
+// the copyset — an SC write miss, or an eager flusher that a concurrent
+// flush of the same page invalidated after it took its diff — or when the
+// request asks for one with a non-empty Data section (an eager flusher
+// whose copy was invalid at flush time). The sender re-applies its own
+// diff on top, so every committed word survives.
+func (d *directory) serveOwnership(m *wire.Msg, op string, resp wire.Kind, update bool) {
+	defer m.Release()
+	n := d.n
+	e, pg, to := d.lock(op, m)
+	if e == nil {
+		return
+	}
+	defer e.mu.Unlock()
+	reply := &wire.Msg{Kind: resp, Seq: m.Seq, A: m.A}
+	if e.copyset&(1<<uint(to)) == 0 || len(m.Data) > 0 {
+		data, err := d.fetch(e, pg)
+		if err != nil {
+			n.noteErr(fmt.Sprintf("page %d owner fetch", pg), err)
+			return
+		}
+		reply.Data = data
+	}
+	if err := d.fanOut(e, pg, to, update, m.Diffs); err != nil {
+		n.noteErr(fmt.Sprintf("fan-out for page %d", pg), err)
+		return
+	}
+	if e.owner != to {
+		e.owner = to
+		n.stats.ownershipMoves.Add(1)
+	}
+	e.copyset |= 1 << uint(to)
+	n.noteErr(fmt.Sprintf("%v to %d", resp, to), n.send(to, reply))
+}
+
+// fanOut invalidates every copy of pg in e's copyset but except's — or,
+// with update, applies diffs to it — as one grouped burst: every request
+// staged before a single flush, every acknowledgment awaited concurrently.
+// An invalidated copy leaves the copyset.
+func (d *directory) fanOut(e *dirEntry, pg mem.PageID, except mem.ProcID, update bool, diffs []wire.DiffRec) error {
+	n := d.n
+	others := e.copyset &^ (1 << uint(except))
+	kind := wire.KInval
+	if update {
+		kind = wire.KUpdate
+	} else {
+		diffs = nil
+	}
+	var reqBuf [4]outMsg // a burst of up to four lives in the frame
+	reqs := reqBuf[:0]
+	for rest := others; rest != 0; rest &= rest - 1 {
+		reqs = append(reqs, outMsg{dst: mem.ProcID(bits.TrailingZeros64(rest)), m: wire.Msg{
+			Kind: kind, Seq: n.nextSeq(), A: int32(pg), Diffs: diffs,
+		}})
+	}
+	if len(reqs) == 0 {
+		return nil
+	}
+	acks, err := n.rpcAll(reqs, nil)
+	if err != nil {
+		return err
+	}
+	releaseAll(acks)
+	if !update {
+		e.copyset &^= others
+	}
+	return nil
+}
+
+// fetch obtains pg's committed contents from e's owner; the caller holds
+// e's lock. It always travels as a KFetch, even when the home is itself
+// the owner: a previous transaction's grant to this node may still be
+// queued on the page's shard, and reading memory directly would jump
+// ahead of it and serve pre-grant data. The loopback message queues
+// behind every install in flight, so the shard worker answers with the
+// page in directory order (loopback costs no simulated traffic).
+func (d *directory) fetch(e *dirEntry, pg mem.PageID) ([]byte, error) {
+	resp, err := d.n.rpc(e.owner, &wire.Msg{Kind: wire.KFetch, Seq: d.n.nextSeq(), A: int32(pg)})
+	if err != nil {
+		return nil, err
+	}
+	data := resp.Data // owned by the decoded message, not by its shell
+	resp.Release()
+	return data, nil
+}
+
+// reset restarts pg's entry under its current home, with the home holding
+// the only copy if held. Called only from first-touch's quiescent hand-off
+// (adoptPage), with no transaction in flight anywhere.
+func (d *directory) reset(pg mem.PageID, held bool) {
+	e := &d.entries[pg]
+	e.mu.Lock()
+	e.owner, e.copyset = d.n.homeOf(pg), 0
+	if held {
+		e.copyset = 1 << uint(d.n.id)
+	}
+	e.mu.Unlock()
+}
+
+// serveFetch answers a home's fetch of this owner's committed copy, inline
+// on the page's shard worker.
+func (d *directory) serveFetch(m *wire.Msg, src mem.ProcID) {
+	n := d.n
+	pg := mem.PageID(m.A)
+	if !n.validPage(pg) {
+		n.noteErr("owner fetch", fmt.Errorf("fetch of invalid page %d", pg))
+		return
+	}
+	pmu := n.pageLock(pg)
+	pmu.Lock()
+	data, held := d.copies.committedLocked(pg)
+	pmu.Unlock()
+	if !held {
+		if n.homeOf(pg) != n.id {
+			// The home thinks we own a page we never held: only a
+			// misbehaving (or hostile) peer can cause that. Drop the fetch;
+			// the record surfaces via Close.
+			n.noteErr("owner fetch", fmt.Errorf("fetch of page %d this node never held", pg))
+			return
+		}
+		// The page's initial owner, and nobody ever wrote it: the
+		// committed state is the zero page.
+		data = n.sys.zeroPage
+	}
+	n.stage(src, &wire.Msg{Kind: wire.KFetchResp, Seq: m.Seq, A: m.A, Data: data})
+}
+
+// serveInval applies a home's invalidation to this node's copy, inline on
+// the page's shard worker, and acknowledges it.
+func (d *directory) serveInval(m *wire.Msg, src mem.ProcID) {
+	n := d.n
+	pg := mem.PageID(m.A)
+	if !n.validPage(pg) {
+		n.noteErr("invalidate", fmt.Errorf("invalidation of invalid page %d", pg))
+		return
+	}
+	pmu := n.pageLock(pg)
+	pmu.Lock()
+	d.copies.invalidateLocked(pg)
+	pmu.Unlock()
+	n.stats.invalsReceived.Add(1)
+	n.stage(src, &wire.Msg{Kind: wire.KInvalAck, Seq: m.Seq, A: m.A})
+}

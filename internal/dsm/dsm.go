@@ -88,9 +88,6 @@ type Transport = transport.Transport
 // TransportStats is a snapshot of interconnect traffic counters.
 type TransportStats = transport.Stats
 
-// LatencyModel estimates communication time from message/byte counts.
-type LatencyModel = transport.LatencyModel
-
 // ErrClosed is the shutdown error protocol operations wrap after the
 // interconnect closes.
 var ErrClosed = transport.ErrClosed
@@ -206,9 +203,6 @@ type Config struct {
 	// all are released when the cluster barrier completes. Locks contend
 	// node-locally by handoff (no extra protocol traffic).
 	GoroutinesPerNode int
-	// Latency configures the interconnect's time model for EstimateTime
-	// (zero value uses transport.DefaultLatency).
-	Latency LatencyModel
 	// Transport supplies the interconnect. Nil builds the default
 	// in-process simulated network (internal/simnet) covering all Procs
 	// endpoints. A non-nil transport must span exactly Procs endpoints;
@@ -384,23 +378,6 @@ func (s *System) Layout() *mem.Layout { return s.layout }
 // System's transport instance (the whole cluster under the default
 // in-process transport, this process's sends under TCP).
 func (s *System) NetStats() TransportStats { return s.tr.Totals() }
-
-// latency returns the configured time model, defaulting like the
-// pre-transport runtime did.
-func (s *System) latency() LatencyModel {
-	if s.cfg.Latency == (LatencyModel{}) {
-		return transport.DefaultLatency
-	}
-	return s.cfg.Latency
-}
-
-// EstimateTime applies the latency model to the traffic so far. The
-// fixed per-message cost is charged once per physical frame: a batch of
-// coalesced messages pays it once, which is how the outbox's savings
-// appear in simulated wire time.
-func (s *System) EstimateTime() time.Duration {
-	return s.latency().EstimateStats(s.tr.Totals())
-}
 
 // Close shuts the interconnect down and surfaces both any transport
 // teardown error (a dead TCP peer's broken stream) and any protocol send

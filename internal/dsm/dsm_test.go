@@ -571,7 +571,7 @@ func TestModeNames(t *testing.T) {
 func TestConfigSurface(t *testing.T) {
 	want := []string{
 		"Procs", "SpaceSize", "PageSize", "Mode", "Placement",
-		"GCEveryBarriers", "GoroutinesPerNode", "Latency", "Transport",
+		"GCEveryBarriers", "GoroutinesPerNode", "Transport",
 		"RPCTimeout", "Metrics", "Tracer",
 	}
 	typ := reflect.TypeOf(Config{})
@@ -635,9 +635,6 @@ func TestStatsAndClock(t *testing.T) {
 	}
 	if s.NumProcs() != 2 || s.Layout().PageSize() != 1024 {
 		t.Error("system accessors wrong")
-	}
-	if s.EstimateTime() <= 0 {
-		t.Error("EstimateTime not positive after traffic")
 	}
 }
 

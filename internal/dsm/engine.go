@@ -101,47 +101,26 @@ type engine interface {
 	// the kind is not one of the engine's. It runs on the shard worker
 	// serializing the message's page (directory-order installs happen
 	// here) and must not block the worker: work that waits for responses
-	// (the home-side directory transactions of the eager and SC engines)
-	// is spawned onto its own goroutine. Responses produced inline defer
+	// (the home directory's transactions, directory.go, which the eager
+	// and SC engines share) is spawned onto its own goroutine. Responses produced inline defer
 	// through Node.stage — the worker's drain point flushes them, so a
 	// queued burst answers in coalesced frames — while spawned
 	// goroutines use Node.send/rpcAll, which flush themselves.
 	handle(m *wire.Msg, src mem.ProcID) bool
 
 	// dropPage surrenders page pg's old home: the engine forgets its
-	// copy, twin and ownership state for the page. Called only during the
-	// quiescent hand-off rendezvous, after the page was brought current
-	// at its new home node.
+	// copy and twin of the page. Called only during the quiescent hand-off
+	// rendezvous, after the page was brought current at its new home node.
 	dropPage(pg mem.PageID)
-	// adoptPage restarts page pg under its new home. At that node, data
-	// is the page's authoritative contents (adopted as a valid copy —
-	// owned, under the ownership protocols); elsewhere data is nil and
-	// the engine starts cold, faulting the page from its home on first
-	// use. Called only during the quiescent hand-off rendezvous.
+	// adoptPage restarts page pg under its new home, right after
+	// dropPage. At that node, data is the page's authoritative contents
+	// (adopted as a valid copy — owned, under the directory engines,
+	// which reset the page's entry here); elsewhere data is nil and the
+	// engine starts cold, faulting the page from its home on first use.
+	// Called only during the quiescent hand-off rendezvous.
 	adoptPage(pg mem.PageID, data []byte)
 
 	// clock returns the node's vector time (zero for engines that do not
 	// track causality).
 	clock() vc.VC
-}
-
-// fetchFromOwner obtains a page's contents from its current owner on
-// behalf of a home-directory transaction (the eager and SC engines; the
-// caller holds the page's directory lock).
-//
-// The fetch always travels as a KFetch message, even when the home is
-// itself the owner: a previous transaction's grant to this node may
-// still be queued on the page's shard, and a direct in-memory read
-// would jump ahead of it and serve pre-grant data. The loopback message
-// queues behind every in-flight install, so the shard worker answers
-// with the page in directory order (loopback costs no simulated
-// traffic).
-func (n *Node) fetchFromOwner(owner mem.ProcID, pg mem.PageID) ([]byte, error) {
-	resp, err := n.rpc(owner, &wire.Msg{Kind: wire.KFetch, Seq: n.nextSeq(), A: int32(pg)})
-	if err != nil {
-		return nil, err
-	}
-	data := resp.Data // owned by the decoded message, not by its shell
-	resp.Release()
-	return data, nil
 }

@@ -311,6 +311,14 @@ func TestForgedFramesRecordedNotPanic(t *testing.T) {
 		{"retired compressed kind", LazyInvalidate,
 			&wire.Msg{Kind: retiredCompressedKind, Seq: 99},
 			retiredKindErr},
+		// The first-touch hand-off's own ready/go bytes, retired when its
+		// rounds moved onto KGCReady/KGCDone.
+		{"retired hand-off ready kind", LazyInvalidate,
+			&wire.Msg{Kind: 22, Seq: 99, A: 0, B: 1},
+			"unknown message kind 22"},
+		{"retired hand-off go kind", EagerInvalidate,
+			&wire.Msg{Kind: 23, Seq: 99, A: 0},
+			"unknown message kind 23"},
 		{"lock request from invalid requester", LazyInvalidate,
 			&wire.Msg{Kind: wire.KLockReq, Seq: 99, A: 0, B: 77},
 			"lock request"},
@@ -322,7 +330,7 @@ func TestForgedFramesRecordedNotPanic(t *testing.T) {
 			"page request"},
 		{"sc read request from invalid requester", SeqConsistent,
 			&wire.Msg{Kind: wire.KPageReq, Seq: 99, A: 0, B: 77},
-			"read request"},
+			"page request"},
 		{"page grant for impossible page", EagerInvalidate,
 			&wire.Msg{Kind: wire.KPageResp, Seq: 99, A: 1 << 20, Data: make([]byte, 1024)},
 			"page install"},

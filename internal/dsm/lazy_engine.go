@@ -604,32 +604,8 @@ func (e *lazyEngine) runGC(b mem.BarrierID) error {
 
 	// Readiness round through the master, so no node truncates while
 	// another still needs pre-epoch diffs.
-	const master = mem.ProcID(0)
-	if n.id == master {
-		readies := make([]*wire.Msg, 0, n.sys.cfg.Procs-1)
-		for len(readies) < n.sys.cfg.Procs-1 {
-			m, err := n.collect(n.gcCh, "master: GC round")
-			if err != nil {
-				return err
-			}
-			if mem.BarrierID(m.A) != b {
-				return fmt.Errorf("dsm: master: GC ready for barrier %d during %d", m.A, b)
-			}
-			readies = append(readies, m)
-		}
-		for _, m := range readies {
-			err := n.send(mem.ProcID(m.B), &wire.Msg{Kind: wire.KGCDone, Seq: m.Seq, A: int32(b)})
-			m.Release()
-			if err != nil {
-				return err
-			}
-		}
-	} else {
-		done, err := n.rpc(master, &wire.Msg{Kind: wire.KGCReady, Seq: n.nextSeq(), A: int32(b), B: int32(n.id)})
-		if err != nil {
-			return err
-		}
-		done.Release()
+	if err := n.rendezvous(b, "GC round"); err != nil {
+		return err
 	}
 
 	e.mu.Lock()

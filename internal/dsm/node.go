@@ -264,12 +264,10 @@ type Node struct {
 
 	stats nodeStats
 
-	// Barrier master state: arrivals delivered by the dispatch loop.
+	// Barrier master state, fed by the dispatch loop (park): barrier
+	// arrivals, and the readies of the post-barrier rendezvous rounds.
 	barCh chan *wire.Msg
 	gcCh  chan *wire.Msg
-	// reclassCh feeds the master's first-touch hand-off rendezvous
-	// (placement.go), exactly like gcCh feeds the GC exchange.
-	reclassCh chan *wire.Msg
 
 	// barMu guards the local two-level barrier episode.
 	barMu sync.Mutex
@@ -314,17 +312,16 @@ type Node struct {
 
 func newNode(s *System, id mem.ProcID) *Node {
 	n := &Node{
-		sys:       s,
-		id:        id,
-		ep:        s.tr.Endpoint(int(id)),
-		locks:     make(map[mem.LockID]*lockLocal),
-		mgrLast:   make(map[mem.LockID]mem.ProcID),
-		barCh:     make(chan *wire.Msg, s.cfg.Procs),
-		gcCh:      make(chan *wire.Msg, s.cfg.Procs),
-		reclassCh: make(chan *wire.Msg, s.cfg.Procs),
-		waiters:   make(map[uint64]*rpcWaiter),
-		queues:    make([]chan inFrame, handlerWorkers),
-		closedCh:  make(chan struct{}),
+		sys:      s,
+		id:       id,
+		ep:       s.tr.Endpoint(int(id)),
+		locks:    make(map[mem.LockID]*lockLocal),
+		mgrLast:  make(map[mem.LockID]mem.ProcID),
+		barCh:    make(chan *wire.Msg, s.cfg.Procs),
+		gcCh:     make(chan *wire.Msg, s.cfg.Procs),
+		waiters:  make(map[uint64]*rpcWaiter),
+		queues:   make([]chan inFrame, handlerWorkers),
+		closedCh: make(chan struct{}),
 	}
 	for i := range n.queues {
 		n.queues[i] = make(chan inFrame, workerQueueCap)
@@ -660,7 +657,7 @@ func (n *Node) send(dst mem.ProcID, m *wire.Msg) error {
 	return n.out.send(dst, m)
 }
 
-// stage defers m on the outbox without flushing. Only shard-worker
+// stage defers m on the outbox without a flush. Only shard-worker
 // inline handlers may use it: the worker's end-of-dispatch drain is the
 // guaranteed flush point, so under load a burst of responses to one
 // peer leaves as one batch frame, and at idle the flush is immediate.
@@ -797,8 +794,8 @@ func (n *Node) deliverResponse(m *wire.Msg) {
 		fmt.Errorf("unexpected response seq %d kind %v", m.Seq, m.Kind))
 }
 
-// collect receives one rendezvous message (a barrier arrival, a GC or
-// hand-off ready) from ch, honoring the configured RPCTimeout:
+// collect receives one rendezvous message (a barrier arrival or a
+// post-barrier ready) from ch, honoring the configured RPCTimeout:
 // a master collecting from a dead peer must unblock and surface a
 // descriptive error, exactly like a parked rpc.
 func (n *Node) collect(ch chan *wire.Msg, what string) (*wire.Msg, error) {
@@ -901,20 +898,18 @@ func attachFrame(payload []byte, msgs ...*wire.Msg) {
 }
 
 // dispatchMsg routes one decoded message: rendezvous kinds inline — the
-// collecting master holds an arrival from then on — everything else onto
-// its serialized shard queue, whose worker holds it.
+// collecting master holds an arrival from then on (park) — everything else
+// onto its serialized shard queue, whose worker holds it.
 func (n *Node) dispatchMsg(m *wire.Msg, src mem.ProcID) {
 	if n.traceOn() {
 		n.emit("recv", m.Kind.String(), int64(src))
 	}
 	switch m.Kind {
 	case wire.KBarrierArrive:
-		n.barCh <- m
+		n.park(n.barCh, m, src)
 	case wire.KGCReady:
-		n.gcCh <- m
-	case wire.KReclassReady:
-		n.reclassCh <- m
-	case wire.KBarrierExit, wire.KGCDone, wire.KReclassGo:
+		n.park(n.gcCh, m, src)
+	case wire.KBarrierExit, wire.KGCDone:
 		n.deliverResponse(m)
 		m.Release()
 	default:
@@ -1005,7 +1000,6 @@ func (n *Node) shutdown() {
 	n.waiterMu.Unlock()
 	close(n.barCh)
 	close(n.gcCh)
-	close(n.reclassCh)
 }
 
 // --- application API: memory ---

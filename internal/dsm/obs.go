@@ -98,7 +98,9 @@ func (s *System) registerMetrics(r *obs.Registry) {
 		nodeCounter("dsm_node_sent_batches_total", "outbound batch frames", n.stats.sentBatches.Load)
 		nodeCounter("dsm_node_sent_bytes_total", "outbound payload bytes", n.stats.sentBytes.Load)
 		for k := wire.Kind(1); int(k) < wire.NumKinds; k++ {
-			k := k
+			if !k.Known() {
+				continue // a retired kind
+			}
 			counter(fmt.Sprintf("dsm_node_kind_msgs_total{node=%q,kind=%q}", node, k.String()),
 				"outbound messages by wire kind", n.stats.kindMsgs[k].Load)
 			counter(fmt.Sprintf("dsm_node_kind_bytes_total{node=%q,kind=%q}", node, k.String()),
@@ -116,9 +118,8 @@ type NodeStatus struct {
 }
 
 // Status is the /statusz snapshot: the live configuration, interconnect
-// totals with their wire-time estimate, each local node's counters, the
-// home table, and the recent-traffic ring (present when Config.Metrics
-// enabled the sampler).
+// totals, each local node's counters, the home table, and the
+// recent-traffic ring (present when Config.Metrics enabled the sampler).
 type Status struct {
 	Procs             int                 `json:"procs"`
 	LocalNodes        []int               `json:"local_nodes"`
@@ -132,7 +133,6 @@ type Status struct {
 	GCEveryBarriers   int                 `json:"gc_every_barriers"`
 	RPCTimeout        string              `json:"rpc_timeout"`
 	Net               TransportStats      `json:"net"`
-	EstWireTime       string              `json:"est_wire_time"`
 	Nodes             []NodeStatus        `json:"nodes"`
 	Traffic           []obs.TrafficSample `json:"traffic,omitempty"`
 }
@@ -151,7 +151,6 @@ func (s *System) Status() Status {
 		GCEveryBarriers:   s.cfg.GCEveryBarriers,
 		RPCTimeout:        s.cfg.RPCTimeout.String(),
 		Net:               s.tr.Totals(),
-		EstWireTime:       s.EstimateTime().String(),
 	}
 	for _, n := range s.local {
 		st.LocalNodes = append(st.LocalNodes, int(n.id))

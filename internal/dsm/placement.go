@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/mem"
-	"repro/internal/wire"
 )
 
 // Page placement: which node homes each page.
@@ -210,8 +209,8 @@ func FormatHomeTable(homes []mem.ProcID) string {
 // carries each node's touch claims up to the barrier master in its
 // KBarrierArrive and the master's home moves down in every KBarrierExit
 // (opaque bytes in Msg.Data — the consistency sections are untouched).
-// Every node then applies the moves in a two-round ready/go rendezvous
-// (KReclassReady/KReclassGo, mirroring the GC rendezvous) before any
+// Every node then applies the moves in two ready/go rounds of the
+// post-barrier rendezvous (Node.rendezvous, the GC's too) before any
 // application goroutine leaves the barrier:
 //
 //	round 1 — every node brings the pages it will home AFTER the plan
@@ -390,7 +389,7 @@ func (n *Node) handOff(b mem.BarrierID, homes []homeDelta) error {
 			return fmt.Errorf("dsm: node %d: hand-off fetch of page %d: %w", n.id, mv.pg, err)
 		}
 	}
-	if err := n.handOffRendezvous(b); err != nil {
+	if err := n.rendezvous(b, "hand-off round 1"); err != nil {
 		return err
 	}
 
@@ -417,43 +416,5 @@ func (n *Node) handOff(b mem.BarrierID, homes []homeDelta) error {
 		n.stats.pageMigrations.Add(int64(migrated))
 		n.emit("place", "migrate", int64(migrated))
 	}
-	return n.handOffRendezvous(b)
-}
-
-// handOffRendezvous is one ready/go round over every node, shaped
-// exactly like the GC rendezvous: non-masters send KReclassReady and
-// block for the matching KReclassGo; the master collects Procs-1 readies
-// off reclassCh and releases them. Per-sender FIFO delivery keeps a
-// node's round-1 ready ahead of its round-2 ready, so the master never
-// needs to label rounds.
-func (n *Node) handOffRendezvous(b mem.BarrierID) error {
-	const master = 0
-	if n.id != master {
-		ready := &wire.Msg{Kind: wire.KReclassReady, Seq: n.nextSeq(), A: int32(b), B: int32(n.id)}
-		resp, err := n.rpc(mem.ProcID(master), ready)
-		if err != nil {
-			return fmt.Errorf("dsm: node %d: hand-off rendezvous: %w", n.id, err)
-		}
-		resp.Release()
-		return nil
-	}
-	ready := make([]*wire.Msg, 0, n.sys.cfg.Procs-1)
-	for len(ready) < n.sys.cfg.Procs-1 {
-		m, err := n.collect(n.reclassCh, "master: hand-off rendezvous")
-		if err != nil {
-			return err
-		}
-		if int(m.A) != int(b) || !n.validProc(mem.ProcID(m.B)) {
-			n.noteErr("hand-off rendezvous", fmt.Errorf("unexpected ready for barrier %d from %d", m.A, m.B))
-			m.Release()
-			continue
-		}
-		ready = append(ready, m)
-	}
-	for _, m := range ready {
-		go2 := &wire.Msg{Kind: wire.KReclassGo, Seq: m.Seq, A: int32(b)}
-		n.send(mem.ProcID(m.B), go2)
-		m.Release()
-	}
-	return nil
+	return n.rendezvous(b, "hand-off round 2")
 }

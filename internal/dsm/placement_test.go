@@ -4,9 +4,11 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/framebuf"
 	"repro/internal/mem"
+	"repro/internal/transport"
 	"repro/internal/transport/tcp"
 	"repro/internal/wire"
 )
@@ -124,18 +126,63 @@ func recvMsgs(t *testing.T, ep interface {
 	if !ok {
 		t.Fatal("transport closed under the puppet endpoint")
 	}
-	if wire.IsBatch(payload) {
-		msgs, err := wire.DecodeBatch(payload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return msgs
-	}
-	m, err := wire.Decode(payload)
+	msgs, err := decodeFrame(payload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return []*wire.Msg{m}
+	return msgs
+}
+
+// decodeFrame expands one physical frame into its messages.
+func decodeFrame(payload []byte) ([]*wire.Msg, error) {
+	if wire.IsBatch(payload) {
+		return wire.DecodeBatch(payload)
+	}
+	m, err := wire.Decode(payload)
+	if err != nil {
+		return nil, err
+	}
+	return []*wire.Msg{m}, nil
+}
+
+// puppetSend sends m from the puppet endpoint to node dst.
+func puppetSend(t *testing.T, ep transport.Endpoint, dst int, m *wire.Msg) {
+	t.Helper()
+	if err := ep.Send(dst, m.EncodeAppend(framebuf.Get())); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// awaitReply reads the puppet endpoint until a message of the given kind
+// and seq arrives, failing the test after 5 s: a node that never answers
+// is the failure, not a hang.
+func awaitReply(t *testing.T, ep transport.Endpoint, kind wire.Kind, seq uint64) {
+	t.Helper()
+	got := make(chan bool, 1)
+	go func() {
+		for {
+			_, payload, ok := ep.Recv()
+			if !ok {
+				got <- false
+				return
+			}
+			msgs, _ := decodeFrame(payload)
+			for _, m := range msgs {
+				if m.Kind == kind && m.Seq == seq {
+					got <- true
+					return
+				}
+			}
+		}
+	}()
+	select {
+	case ok := <-got:
+		if !ok {
+			t.Fatalf("transport closed before %v seq %d arrived", kind, seq)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatalf("no %v seq %d within 5 s", kind, seq)
+	}
 }
 
 // TestForgedHomeDeltasRecordedNotApplied: a barrier exit whose home

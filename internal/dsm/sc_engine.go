@@ -3,7 +3,6 @@ package dsm
 import (
 	"fmt"
 	"slices"
-	"sync"
 
 	"repro/internal/mem"
 	"repro/internal/vc"
@@ -12,50 +11,40 @@ import (
 
 // scEngine implements the sequentially consistent Ivy-style baseline
 // (paper §6 related work): single writer, write-invalidate, whole-page
-// shipping. Each page has a static directory at its home tracking the
-// owner and the copyset. A read miss joins the copyset with a read-only
-// copy fetched from the owner (which downgrades to read mode); a write
-// requires exclusive ownership — the home invalidates every other copy,
-// each invalidation acknowledged, and transfers ownership to the writer.
-// Locks and barriers cost the same messages as under the RC protocols
-// but carry no consistency payload.
+// shipping. Each page's home keeps its directory entry (directory.go):
+// the owner and the copyset. A read miss joins the copyset with a
+// read-only copy fetched from the owner (which downgrades to read mode);
+// a write requires exclusive ownership — the home invalidates every other
+// copy, each invalidation acknowledged, and transfers ownership to the
+// writer. Locks and barriers cost the same messages as under the RC
+// protocols but carry no consistency payload.
 //
-// Ordering: the home holds the page's directory mutex across each
-// transaction, including every send, so the transport's FIFO delivery
-// plus the receiver's per-page shard queue present each node the
-// directory's decisions in order. Page installs happen on the page's
-// *shard worker* as the grant arrives — never on the application
-// goroutine after a wakeup — so a node's page state always reflects the
-// directory-order prefix it has received, and an owner can always serve
-// a fetch.
-//
-// The access that missed completes at install time too, on the shard
-// worker, while the granted copy is still current in directory order —
-// before any later invalidation or fetch for that page can be
-// processed. Completing it on the application goroutine after the rpc
-// wakeup instead (the obvious structure) re-opens a window in which a
-// concurrent writer's revocation lands first; re-checking and
-// re-requesting is correct but livelocks into page ping-pong under
-// contention once the transport has real latency: over TCP, two writers
-// of one page can burn millions of whole-page ships making no progress.
-// With install-time completion a miss costs exactly one directory
-// transaction — Ivy's per-access cost that the paper's Table 1
-// quantifies.
+// Page installs happen on the page's *shard worker* as the grant arrives,
+// in directory order, and the access that missed completes there too,
+// while the granted copy is still current — before any later
+// invalidation or fetch for that page can be processed. Completing it on
+// the application goroutine after the rpc wakeup instead (the obvious
+// structure) re-opens a window in which a concurrent writer's revocation
+// lands first; re-checking and re-requesting is correct but livelocks
+// into page ping-pong under contention once the transport has real
+// latency: over TCP, two writers of one page can burn millions of
+// whole-page ships making no progress. With install-time completion a
+// miss costs exactly one directory transaction — Ivy's per-access cost
+// that the paper's Table 1 quantifies.
 //
 // Concurrency: page copies and the per-page pending-miss slot are
 // guarded by the node's striped lock table; miss service serializes per
 // page under the miss lock, so at most one miss per page is in flight
 // per node and concurrent faulting goroutines coalesce behind it.
 type scEngine struct {
-	n *Node
+	n   *Node
+	dir *directory
 
 	// pages[i] and pending[i] are guarded by n.pageLock(i). pending[i]
 	// is the one in-flight miss for page i (the miss lock admits at most
 	// one), completed by install on the page's shard worker.
 	pages   []*scPage
 	pending []*scMiss
-
-	dir []scDir // directory entries; used only for pages homed here
 }
 
 // scMiss is one blocked access: dst non-nil for a read miss, src
@@ -81,23 +70,13 @@ type scPage struct {
 	mode scAccess
 }
 
-// scDir is one page's directory entry at its home.
-type scDir struct {
-	mu      sync.Mutex
-	owner   mem.ProcID
-	copyset uint64
-}
-
 func newSCEngine(n *Node) *scEngine {
 	e := &scEngine{
 		n:       n,
 		pages:   make([]*scPage, n.sys.layout.NumPages()),
 		pending: make([]*scMiss, n.sys.layout.NumPages()),
-		dir:     make([]scDir, n.sys.layout.NumPages()),
 	}
-	for pg := range e.dir {
-		e.dir[pg].owner = n.homeOf(mem.PageID(pg))
-	}
+	e.dir = newDirectory(n, e)
 	return e
 }
 
@@ -214,19 +193,10 @@ func (e *scEngine) dropPage(pg mem.PageID) {
 	e.pages[pg] = nil
 	e.pending[pg] = nil
 	pmu.Unlock()
-	d := &e.dir[pg]
-	d.mu.Lock()
-	d.owner = e.n.homeOf(pg)
-	d.copyset = 0
-	d.mu.Unlock()
 }
 
 func (e *scEngine) adoptPage(pg mem.PageID, data []byte) {
-	d := &e.dir[pg]
-	d.mu.Lock()
-	d.owner = e.n.homeOf(pg)
-	d.copyset = 0
-	d.mu.Unlock()
+	e.dir.reset(pg, data != nil)
 	if data == nil {
 		// Non-home: miss through the home's directory on first use.
 		return
@@ -235,9 +205,6 @@ func (e *scEngine) adoptPage(pg mem.PageID, data []byte) {
 	pmu.Lock()
 	e.pages[pg] = &scPage{data: append([]byte(nil), data...), mode: scWrite}
 	pmu.Unlock()
-	d.mu.Lock()
-	d.copyset = 1 << uint(e.n.id)
-	d.mu.Unlock()
 }
 
 func (e *scEngine) preBarrier() error                 { return nil }
@@ -252,17 +219,9 @@ func (e *scEngine) postBarrier(b mem.BarrierID) error { return nil }
 
 func (e *scEngine) handle(m *wire.Msg, src mem.ProcID) bool {
 	switch m.Kind {
-	case wire.KPageReq:
-		// The transaction outlives this handler: it holds the request.
-		m.Retain()
-		go e.serveReadReq(m)
 	case wire.KWriteReq:
-		m.Retain()
-		go e.serveWriteReq(m)
-	case wire.KFetch:
-		e.serveFetch(m, src)
-	case wire.KInval:
-		e.applyInval(m, src)
+		m.Retain() // the transaction outlives this handler
+		go e.dir.serveOwnership(m, "write request", wire.KWriteResp, false)
 	case wire.KPageResp:
 		// Intercepted response: install the read copy on the page's
 		// shard worker, in directory order, before any later
@@ -280,7 +239,7 @@ func (e *scEngine) handle(m *wire.Msg, src mem.ProcID) bool {
 			e.n.failWaiter(m.Seq)
 		}
 	default:
-		return false
+		return e.dir.handle(m, src)
 	}
 	return true
 }
@@ -338,149 +297,23 @@ func (e *scEngine) install(m *wire.Msg, mode scAccess) bool {
 	return true
 }
 
-// ownerData obtains the current contents of pg from its owner via
-// Node.fetchFromOwner (see there for the loopback ordering rule). The
-// owner downgrades its copy to read mode as it serves: it may keep
-// reading, but the next write must re-acquire exclusivity.
-func (e *scEngine) ownerData(d *scDir, pg mem.PageID) ([]byte, error) {
-	return e.n.fetchFromOwner(d.owner, pg)
-}
-
-// serveReadReq runs the home's read-miss transaction: the owner's data
-// ships to the requester, which joins the copyset.
-func (e *scEngine) serveReadReq(m *wire.Msg) {
-	defer m.Release()
-	n := e.n
-	pg := mem.PageID(m.A)
-	requester := mem.ProcID(m.B)
-	if !n.validPage(pg) || !n.validProc(requester) {
-		n.noteErr("read request",
-			fmt.Errorf("bad ids in request: page %d requester %d", pg, requester))
-		return
-	}
-	d := &e.dir[pg]
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	data, err := e.ownerData(d, pg)
-	if err != nil {
-		n.noteErr(fmt.Sprintf("page %d owner fetch", pg), err)
-		return
-	}
-	d.copyset |= 1 << uint(requester)
-	resp := &wire.Msg{Kind: wire.KPageResp, Seq: m.Seq, A: m.A, Data: data}
-	n.noteErr(fmt.Sprintf("page response to %d", requester), n.send(requester, resp))
-}
-
-// serveWriteReq runs the home's write-miss/upgrade transaction: data
-// ships from the owner unless the requester already holds a current
-// copy, every other copy is invalidated with acknowledgment, and
-// ownership transfers to the writer.
-func (e *scEngine) serveWriteReq(m *wire.Msg) {
-	defer m.Release()
-	n := e.n
-	pg := mem.PageID(m.A)
-	requester := mem.ProcID(m.B)
-	if !n.validPage(pg) || !n.validProc(requester) {
-		n.noteErr("write request",
-			fmt.Errorf("bad ids in request: page %d requester %d", pg, requester))
-		return
-	}
-	d := &e.dir[pg]
-	d.mu.Lock()
-	defer d.mu.Unlock()
-
-	resp := &wire.Msg{Kind: wire.KWriteResp, Seq: m.Seq, A: m.A}
-	if d.copyset&(1<<uint(requester)) == 0 {
-		data, err := e.ownerData(d, pg)
-		if err != nil {
-			n.noteErr(fmt.Sprintf("page %d owner fetch", pg), err)
-			return
-		}
-		resp.Data = data
-	}
-	// Invalidate every other copy as one grouped burst: all requests
-	// staged before a single flush, all acknowledgments awaited
-	// concurrently (the directory lock is held across the exchange, so
-	// ordering at each cacher is unchanged).
-	others := d.copyset &^ (1 << uint(requester))
-	var reqs []outMsg
-	for q := 0; others != 0; q++ {
-		bit := uint64(1) << uint(q)
-		if others&bit == 0 {
-			continue
-		}
-		others &^= bit
-		reqs = append(reqs, outMsg{dst: mem.ProcID(q), m: wire.Msg{
-			Kind: wire.KInval, Seq: n.nextSeq(), A: m.A,
-		}})
-	}
-	if len(reqs) > 0 {
-		acks, err := n.rpcAll(reqs, nil)
-		if err != nil {
-			n.noteErr(fmt.Sprintf("invalidation fan-out for page %d", pg), err)
-			return
-		}
-		releaseAll(acks)
-	}
-	if d.owner != requester {
-		d.owner = requester
-		n.stats.ownershipMoves.Add(1)
-	}
-	d.copyset = 1 << uint(requester)
-
-	n.noteErr(fmt.Sprintf("write grant to %d", requester), n.send(requester, resp))
-}
-
-// serveFetch answers the home's request for this owner's page contents,
-// downgrading a writable copy to read mode. Runs inline on the page's
-// shard worker.
-func (e *scEngine) serveFetch(m *wire.Msg, src mem.ProcID) {
-	n := e.n
-	pg := mem.PageID(m.A)
-	if !n.validPage(pg) {
-		n.noteErr("owner fetch", fmt.Errorf("fetch of invalid page %d", pg))
-		return
-	}
-	pmu := n.pageLock(pg)
-	pmu.Lock()
+// committedLocked returns a copy of this node's page contents for the
+// home, downgrading a writable copy to read mode: the owner may keep
+// reading, but its next write must re-acquire exclusivity.
+func (e *scEngine) committedLocked(pg mem.PageID) ([]byte, bool) {
 	pc := e.pages[pg]
-	var data []byte
-	switch {
-	case pc == nil && n.homeOf(pg) == n.id:
-		// We are the page's initial owner and nobody ever wrote it: the
-		// committed state is the zero page.
-		data = n.sys.zeroPage
-	case pc == nil:
-		// The home thinks we own a page we never held — its directory and
-		// our state disagree, which only a misbehaving (or hostile) peer
-		// can cause. Drop the fetch; the record surfaces via Close.
-		pmu.Unlock()
-		n.noteErr("owner fetch", fmt.Errorf("fetch of page %d this node never held", pg))
-		return
-	default:
-		if pc.mode == scWrite {
-			pc.mode = scRead
-		}
-		data = append([]byte(nil), pc.data...)
+	if pc == nil {
+		return nil, false
 	}
-	pmu.Unlock()
-	n.stage(src, &wire.Msg{Kind: wire.KFetchResp, Seq: m.Seq, A: m.A, Data: data})
+	if pc.mode == scWrite {
+		pc.mode = scRead
+	}
+	return append([]byte(nil), pc.data...), true
 }
 
-// applyInval drops this node's copy.
-func (e *scEngine) applyInval(m *wire.Msg, src mem.ProcID) {
-	n := e.n
-	pg := mem.PageID(m.A)
-	if !n.validPage(pg) {
-		n.noteErr("invalidate", fmt.Errorf("invalidation of invalid page %d", pg))
-		return
-	}
-	pmu := n.pageLock(pg)
-	pmu.Lock()
+// invalidateLocked drops this node's access to its copy.
+func (e *scEngine) invalidateLocked(pg mem.PageID) {
 	if pc := e.pages[pg]; pc != nil {
 		pc.mode = scNone
 	}
-	pmu.Unlock()
-	n.stats.invalsReceived.Add(1)
-	n.stage(src, &wire.Msg{Kind: wire.KInvalAck, Seq: m.Seq, A: m.A})
 }

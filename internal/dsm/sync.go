@@ -293,21 +293,14 @@ func (n *Node) clusterBarrier(b mem.BarrierID) error {
 	claims, ftDue := n.homes.takeClaims(n.id)
 	var homes []homeDelta
 
-	const master = mem.ProcID(0)
 	if n.id == master {
 		n.e.barrierEntry()
-		// Collect the other nodes' arrivals.
-		arrivals := make([]*wire.Msg, 0, n.sys.cfg.Procs-1)
-		for len(arrivals) < n.sys.cfg.Procs-1 {
-			m, err := n.collect(n.barCh, fmt.Sprintf("master: barrier %d", b))
-			if err != nil {
-				return err
-			}
-			if mem.BarrierID(m.A) != b || !n.validProc(mem.ProcID(m.B)) {
-				return fmt.Errorf("dsm: master: arrival for barrier %d from node %d during barrier %d", m.A, m.B, b)
-			}
+		arrivals, err := n.collectRound(n.barCh, b, fmt.Sprintf("master: barrier %d", b))
+		if err != nil {
+			return err
+		}
+		for _, m := range arrivals {
 			n.openSection("barrier arrival", m, mem.ProcID(m.B))
-			arrivals = append(arrivals, m)
 		}
 		n.e.masterAbsorb(arrivals)
 		var exitData []byte
@@ -382,6 +375,93 @@ func (n *Node) clusterBarrier(b mem.BarrierID) error {
 		}
 	}
 	n.emit("sync", "barrier-exit", int64(b))
+	return nil
+}
+
+// --- the master's rendezvous ---
+
+// master is the barrier master: it collects every barrier arrival and
+// every ready of the post-barrier rendezvous rounds.
+const master = mem.ProcID(0)
+
+// park hands a rendezvous message from the dispatch loop to the master's
+// collecting round. Legitimate traffic never has more than Procs-1 of
+// them pending on a channel, and only at the master: a message that
+// reaches another node, or finds its channel full, is a forgery or a
+// confused peer, recorded and dropped instead of wedging the dispatch
+// loop.
+func (n *Node) park(ch chan *wire.Msg, m *wire.Msg, src mem.ProcID) {
+	why := "this node is not the barrier master"
+	if n.id == master {
+		select {
+		case ch <- m:
+			return
+		default:
+			why = fmt.Sprintf("%d already pending", cap(ch))
+		}
+	}
+	n.noteErr("rendezvous", fmt.Errorf("%v from %d dropped: %s", m.Kind, src, why))
+	m.Release()
+}
+
+// collectRound collects one message per non-master node off ch for
+// barrier b (what names the round in errors), honoring RPCTimeout. A
+// message naming a node outside the cluster, the master itself, or a node
+// already counted this round is recorded and dropped, and the round keeps
+// waiting for the real one; one for another barrier fails the round. The
+// caller holds the returned messages.
+func (n *Node) collectRound(ch chan *wire.Msg, b mem.BarrierID, what string) ([]*wire.Msg, error) {
+	got := make([]*wire.Msg, 0, n.sys.cfg.Procs-1)
+	var counted uint64
+	for len(got) < n.sys.cfg.Procs-1 {
+		m, err := n.collect(ch, what)
+		if err != nil {
+			releaseAll(got)
+			return nil, err
+		}
+		from := mem.ProcID(m.B)
+		switch {
+		case from == master || !n.validProc(from) || counted&(1<<uint(from)) != 0:
+			n.noteErr(what, fmt.Errorf("%v claiming node %d dropped: not a peer yet to arrive", m.Kind, from))
+			m.Release()
+			continue
+		case mem.BarrierID(m.A) != b:
+			releaseAll(append(got, m))
+			return nil, fmt.Errorf("dsm: %s: %v for barrier %d from node %d", what, m.Kind, m.A, from)
+		}
+		counted |= 1 << uint(from)
+		got = append(got, m)
+	}
+	return got, nil
+}
+
+// rendezvous is one ready/go round over every node after barrier b, for
+// the lazy engines' GC discard and both rounds of first-touch's hand-off
+// (what names it): a non-master sends KGCReady and blocks for the
+// matching KGCDone; the master collects a ready from every other node,
+// then releases them all. Per-sender FIFO delivery keeps a node's readies
+// in round order, so rounds need no label.
+func (n *Node) rendezvous(b mem.BarrierID, what string) error {
+	if n.id != master {
+		done, err := n.rpc(master, &wire.Msg{Kind: wire.KGCReady, Seq: n.nextSeq(), A: int32(b), B: int32(n.id)})
+		if err != nil {
+			return fmt.Errorf("dsm: node %d: %s: %w", n.id, what, err)
+		}
+		done.Release()
+		return nil
+	}
+	readies, err := n.collectRound(n.gcCh, b, "master: "+what)
+	if err != nil {
+		return err
+	}
+	for i, m := range readies {
+		err := n.send(mem.ProcID(m.B), &wire.Msg{Kind: wire.KGCDone, Seq: m.Seq, A: int32(b)})
+		m.Release()
+		if err != nil {
+			releaseAll(readies[i+1:])
+			return err
+		}
+	}
 	return nil
 }
 

@@ -178,10 +178,9 @@ func (e *Endpoint) Send(dst int, payload []byte) error {
 // SendBatch delivers a batch — frames[0] the caller's batch header, each
 // later element one logical message — to dst as ONE network hop: the
 // concatenation arrives as a single Recv payload, and the traffic
-// counters record len(frames)-1 messages in one frame, so the latency
-// model charges the fixed per-message cost once for the whole batch (the
-// frame buffers are borrowed; the delivered payload is a copy, in a
-// buffer from the free list the receiver returns it to).
+// counters record len(frames)-1 messages in one frame (the frame buffers
+// are borrowed; the delivered payload is a copy, in a buffer from the
+// free list the receiver returns it to).
 func (e *Endpoint) SendBatch(dst int, frames stdnet.Buffers) error {
 	if dst < 0 || dst >= e.net.n {
 		return fmt.Errorf("simnet: destination %d outside [0,%d)", dst, e.net.n)

@@ -235,18 +235,6 @@ func TestBatchedDeliveryOneHop(t *testing.T) {
 		t.Fatalf("totals = %+v, want %+v", tot, want)
 	}
 
-	// The latency model must charge the per-message cost ONCE for the
-	// batch: 1 frame and ~1KB, not 3 fixed costs.
-	model := transport.LatencyModel{PerMessage: time.Millisecond, PerKByte: 100 * time.Microsecond}
-	got := model.EstimateStats(tot)
-	want1 := 1*time.Millisecond + 100*time.Microsecond
-	if got != want1 {
-		t.Fatalf("batched estimate = %v, want %v (one per-frame cost + per-byte cost)", got, want1)
-	}
-	if unbatched := model.Estimate(tot.Messages, tot.Bytes); unbatched <= got {
-		t.Fatalf("unbatched estimate %v should exceed batched %v", unbatched, got)
-	}
-
 	// A loopback batch moves no counters, like loopback sends.
 	if err := bs.SendBatch(0, [][]byte{hdr, m1}); err != nil {
 		t.Fatal(err)

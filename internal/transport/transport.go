@@ -23,7 +23,6 @@ package transport
 import (
 	"errors"
 	"net"
-	"time"
 
 	"repro/internal/framebuf"
 )
@@ -88,9 +87,8 @@ type Endpoint interface {
 // format — frames[0] is the batch header, every later element exactly
 // one length-prefixed logical message), delivered to dst as a single
 // physical hop: one Recv payload at the receiver, one length-prefixed
-// write syscall on a real transport, one fixed latency cost on the
-// simulated one. Accounting: len(frames)-1 messages, one frame, one
-// batch.
+// write syscall on a real transport, one hop on the simulated one.
+// Accounting: len(frames)-1 messages, one frame, one batch.
 //
 // Unlike Send, the frame buffers are only borrowed: the transport must
 // copy or write them before returning, and the caller may reuse them
@@ -146,45 +144,4 @@ type Transport interface {
 	// peer surfaces instead of vanishing. Close is idempotent; every call
 	// returns the same error.
 	Close() error
-}
-
-// LatencyModel estimates the wire time of messages: a fixed per-message
-// latency plus a bandwidth term. The defaults approximate the 1992-era
-// networks the paper targets (kernel traps, interrupts and protocol
-// stacks make software DSM messages expensive, §1).
-type LatencyModel struct {
-	// PerMessage is the fixed cost of any message.
-	PerMessage time.Duration
-	// PerKByte is the additional cost per 1024 payload bytes.
-	PerKByte time.Duration
-}
-
-// DefaultLatency is a millisecond-class software DSM message cost.
-var DefaultLatency = LatencyModel{PerMessage: time.Millisecond, PerKByte: 100 * time.Microsecond}
-
-// Cost returns the estimated time on the wire for one message of the
-// given size.
-func (m LatencyModel) Cost(bytes int) time.Duration {
-	return m.PerMessage + time.Duration(int64(m.PerKByte)*int64(bytes)/1024)
-}
-
-// Estimate returns the estimated serial wire time for a message/byte
-// total (messages do overlap in a real system; this is the upper bound
-// used in EXPERIMENTS.md when relating counts to time).
-func (m LatencyModel) Estimate(messages, bytes int64) time.Duration {
-	return time.Duration(messages)*m.PerMessage + time.Duration(bytes/1024)*m.PerKByte
-}
-
-// EstimateStats estimates the serial wire time of a traffic snapshot,
-// charging the fixed per-message cost once per physical frame: a batch
-// of k coalesced messages pays one fixed cost plus its bytes — how
-// message-count savings become wall-clock savings in simulated time.
-// Snapshots from sources that predate frame counting fall back to the
-// message count.
-func (m LatencyModel) EstimateStats(s Stats) time.Duration {
-	frames := s.Frames
-	if frames == 0 {
-		frames = s.Messages
-	}
-	return m.Estimate(frames, s.Bytes)
 }

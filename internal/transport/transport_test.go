@@ -1,40 +1,12 @@
 package transport
 
-import (
-	"testing"
-	"time"
-)
-
-func TestLatencyModel(t *testing.T) {
-	m := LatencyModel{PerMessage: time.Millisecond, PerKByte: 100 * time.Microsecond}
-	if got := m.Cost(2048); got != time.Millisecond+200*time.Microsecond {
-		t.Errorf("Cost = %v", got)
-	}
-	if got := m.Estimate(10, 10240); got != 10*time.Millisecond+time.Millisecond {
-		t.Errorf("Estimate = %v", got)
-	}
-}
+import "testing"
 
 func TestStatsAdd(t *testing.T) {
 	s := Stats{Messages: 3, Bytes: 100}
 	s.Add(Stats{Messages: 2, Bytes: 50})
 	if s.Messages != 5 || s.Bytes != 150 {
 		t.Errorf("Add = %+v", s)
-	}
-}
-
-func TestEstimateStats(t *testing.T) {
-	m := LatencyModel{PerMessage: time.Millisecond, PerKByte: 100 * time.Microsecond}
-	// Frames gate the fixed cost: 8 messages coalesced into 2 frames pay
-	// 2 fixed costs.
-	s := Stats{Messages: 8, Frames: 2, Bytes: 2048}
-	if got, want := m.EstimateStats(s), 2*time.Millisecond+200*time.Microsecond; got != want {
-		t.Errorf("EstimateStats = %v, want %v", got, want)
-	}
-	// Pre-frame-counting snapshots fall back to the message count.
-	old := Stats{Messages: 8, Bytes: 2048}
-	if got, want := m.EstimateStats(old), 8*time.Millisecond+200*time.Microsecond; got != want {
-		t.Errorf("EstimateStats fallback = %v, want %v", got, want)
 	}
 }
 

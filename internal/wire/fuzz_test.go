@@ -68,9 +68,14 @@ func cat(parts ...[]byte) []byte {
 	return b
 }
 
-// retiredCompressedKind is the kind byte flate-compressed frames opened
-// with before they were removed; a peer still sending it is refused.
-const retiredCompressedKind Kind = 25
+// Retired kind bytes a peer may still send, each refused as unknown: the
+// first-touch hand-off's own ready/go pair (its rounds ride KGCReady /
+// KGCDone now) and the one flate-compressed frames opened with.
+const (
+	retiredHandOffReady   Kind = 22
+	retiredHandOffGo      Kind = 23
+	retiredCompressedKind Kind = 25
+)
 
 // hdr is a message header: kind, presence byte, then seq 8, a 3, b 0.
 func hdr(k Kind, present byte) []byte { return []byte{byte(k), present, 8, 3, 0} }
@@ -116,6 +121,9 @@ var malformedData = []struct {
 // accepted frame has exactly one encoding, so everything the encoder
 // would have spelled differently is refused too.
 func TestDecodeMalformed(t *testing.T) {
+	if KBatch != 24 {
+		t.Fatalf("KBatch is byte %d, want 24: retiring a kind must not move the batch frame's first byte", KBatch)
+	}
 	grant := sampleMsgs()[1].EncodeAppend(nil)
 	secGrant := sampleMsgs()[6].EncodeAppend(nil)
 	setBits := func(b []byte, bits byte) []byte {
@@ -196,7 +204,10 @@ func TestDecodeMalformed(t *testing.T) {
 		{"batch in message position", cat(hdr(KBatch, 0)), "batch frame in message position"},
 		// The retired compressed-frame kind byte (the one after KBatch) is
 		// an unknown kind like any other.
-		{"compressed frame in message position", cat(hdr(retiredCompressedKind, 0)), "unknown message kind"},
+		{"compressed frame in message position", cat(hdr(retiredCompressedKind, 0)), "unknown message kind 25"},
+		// So are the hand-off's retired ready/go bytes, below KBatch's.
+		{"retired hand-off ready", cat(hdr(retiredHandOffReady, 0)), "unknown message kind 22"},
+		{"retired hand-off go", cat(hdr(retiredHandOffGo, 0)), "unknown message kind 23"},
 	}
 	for _, tc := range append(cases, malformedData...) {
 		t.Run(tc.name, func(t *testing.T) {

@@ -189,13 +189,18 @@ const (
 	// KBarrierExit: master -> node with merged clock and intervals.
 	// A = barrier id.
 	KBarrierExit
-	// KGCReady: node -> master after validating its pages for log
-	// truncation; KGCDone: master -> nodes to truncate. A = barrier id.
+	// KGCReady: node -> barrier master, ready for the next step of a
+	// post-barrier rendezvous (the lazy engines' GC discard, either round
+	// of the first-touch hand-off); KGCDone: master -> node, go. A/B =
+	// barrier id, arriving node (ready only).
 	KGCReady
 	KGCDone
 
-	// Kinds below serve the eager (EI/EU) and sequentially-consistent (SC)
-	// engines, whose directories live at each page's home.
+	// Kinds below serve the home directory the eager (EI/EU) and
+	// sequentially-consistent (SC) engines share (internal/dsm's
+	// directory.go): KPageReq/KPageResp are its copy transaction,
+	// KFlushReq/KFlushDone (EI/EU) and KWriteReq/KWriteResp (SC) its
+	// ownership transaction, the kinds below the owner and cacher sides.
 
 	// KFetch: home -> current owner, asking for a page's committed
 	// contents on behalf of a requester. A = page id. Under SC the owner
@@ -219,8 +224,8 @@ const (
 	KFlushReq
 	// KFlushDone: home -> releaser once every other cacher was invalidated
 	// (EI) or updated (EU): Data carries a reconciliation base when the
-	// flusher's own copy had been invalidated by a concurrent flush of the
-	// same page.
+	// flusher asked for one or is no longer in the copyset (a concurrent
+	// flush of the same page invalidated its copy).
 	KFlushDone
 	// KWriteReq: requester -> page home asking for exclusive write
 	// ownership (SC). A/B = page id, requester.
@@ -228,20 +233,17 @@ const (
 	// KWriteResp: home -> requester granting ownership; Data carries the
 	// page contents unless the requester already holds a current copy.
 	KWriteResp
-	// KReclassReady: node -> barrier master during the first-touch
-	// hand-off at the first barrier, signalling the node finished the
-	// current phase; KReclassGo: master -> nodes releasing the next
-	// phase. A/B = barrier id, arriving node (ready only). Two
-	// ready/go rounds bracket the home moves so no node resumes
-	// application work before every node has flipped its home table.
-	KReclassReady
-	KReclassGo
+	// Kinds 22 and 23 are retired: the first-touch hand-off's own ready/go
+	// pair, whose rounds now ride KGCReady/KGCDone. Decode refuses them as
+	// unknown kinds.
+	_
+	_
 
 	// KBatch is a frame-level kind, not a protocol message: one batch
 	// frame carries a counted run of length-prefixed sub-messages
-	// coalesced by the sender's outbox for one destination. It appears only at the top of
-	// a received payload (DecodeBatch); Decode rejects it in message
-	// position, which also forbids nested batches.
+	// coalesced by the sender's outbox for one destination. It appears
+	// only at the top of a received payload (DecodeBatch); Decode rejects
+	// it in message position, which also forbids nested batches.
 	KBatch
 	kindLimit
 )
@@ -250,7 +252,7 @@ const (
 // indexed by Kind below NumKinds.
 const NumKinds = int(kindLimit)
 
-var kindNames = map[Kind]string{
+var kindNames = [kindLimit]string{
 	KLockReq: "lockreq", KLockFwd: "lockfwd", KLockGrant: "lockgrant",
 	KDiffReq: "diffreq", KDiffResp: "diffresp",
 	KPageReq: "pagereq", KPageResp: "pageresp",
@@ -261,7 +263,6 @@ var kindNames = map[Kind]string{
 	KUpdate: "update", KUpdateAck: "updateack",
 	KFlushReq: "flushreq", KFlushDone: "flushdone",
 	KWriteReq: "writereq", KWriteResp: "writeresp",
-	KReclassReady: "reclassready", KReclassGo: "reclassgo",
 	KBatch: "batch",
 }
 
@@ -270,17 +271,20 @@ var kindNames = map[Kind]string{
 func (k Kind) IsResponse() bool {
 	switch k {
 	case KLockGrant, KDiffResp, KPageResp, KBarrierExit, KGCDone,
-		KFetchResp, KInvalAck, KUpdateAck, KFlushDone, KWriteResp,
-		KReclassGo:
+		KFetchResp, KInvalAck, KUpdateAck, KFlushDone, KWriteResp:
 		return true
 	}
 	return false
 }
 
+// Known reports whether k is a kind of this format: neither zero, nor
+// retired, nor past the last.
+func (k Kind) Known() bool { return k < kindLimit && kindNames[k] != "" }
+
 // String returns the kind's mnemonic.
 func (k Kind) String() string {
-	if s, ok := kindNames[k]; ok {
-		return s
+	if k.Known() {
+		return kindNames[k]
 	}
 	return fmt.Sprintf("Kind(%d)", uint16(k))
 }
@@ -932,7 +936,7 @@ func (m *Msg) decode(b []byte) error {
 		return fmt.Errorf("wire: message of %d bytes shorter than header", len(b))
 	}
 	m.Kind = Kind(b[0])
-	if m.Kind == 0 || m.Kind >= kindLimit {
+	if !m.Kind.Known() {
 		return fmt.Errorf("wire: unknown message kind %d", m.Kind)
 	}
 	if m.Kind == KBatch {

@@ -179,9 +179,6 @@ func TestRuntimeResultShape(t *testing.T) {
 	if intervals == 0 {
 		t.Error("no intervals created across all nodes")
 	}
-	if res.Elapsed <= 0 {
-		t.Error("non-positive interconnect time estimate")
-	}
 }
 
 // outOfRange is a buggy program whose processor 1 accesses past the end of

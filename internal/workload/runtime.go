@@ -11,7 +11,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/shm"
 	"repro/internal/trace"
-	"repro/internal/transport"
 )
 
 // RuntimeConfig configures a workload execution on the live DSM runtime.
@@ -26,9 +25,6 @@ type RuntimeConfig struct {
 	// GCEveryBarriers enables the runtime's barrier-time garbage
 	// collection every k-th episode (0 disables).
 	GCEveryBarriers int
-	// Latency configures the interconnect time model (zero value uses the
-	// runtime default).
-	Latency dsm.LatencyModel
 	// GoroutinesPerNode multiplexes the program's logical processors over
 	// fewer DSM nodes: with k > 1 the cluster has NumProcs/k nodes
 	// (NumProcs must be divisible by k) and logical processor p runs as
@@ -79,8 +75,6 @@ type RuntimeResult struct {
 	// Net is the interconnect's message/byte totals across this run's
 	// transports, including the closing barriers and the image read-out.
 	Net dsm.TransportStats
-	// Elapsed is the interconnect time model's estimate for the traffic.
-	Elapsed time.Duration
 	// Nodes holds each node's protocol counters, indexed by node id
 	// (zero-valued for nodes hosted by other processes). With
 	// GoroutinesPerNode > 1 there are NumProcs/GoroutinesPerNode nodes,
@@ -216,7 +210,6 @@ func RunOnRuntime(p Program, rc RuntimeConfig) (*RuntimeResult, error) {
 			Mode:              rc.Mode,
 			Placement:         placement,
 			GCEveryBarriers:   rc.GCEveryBarriers,
-			Latency:           rc.Latency,
 			GoroutinesPerNode: gpn,
 			RPCTimeout:        rc.RPCTimeout,
 			Metrics:           rc.Metrics,
@@ -320,13 +313,6 @@ func RunOnRuntime(p Program, rc RuntimeConfig) (*RuntimeResult, error) {
 			res.Nodes[node.ID()] = node.Stats()
 		}
 	}
-	lat := rc.Latency
-	if lat == (dsm.LatencyModel{}) {
-		lat = transport.DefaultLatency
-	}
-	// Charged per physical frame: batching's message coalescing shows up
-	// in the wire-time estimate, not just the frame counts.
-	res.Elapsed = lat.EstimateStats(res.Net)
 	// Surface protocol and transport teardown errors (e.g. an
 	// undeliverable lock grant, a peer's broken stream): a clean run must
 	// close cleanly.

@@ -106,8 +106,6 @@ type (
 	Transport = dsm.Transport
 	// TransportStats is a snapshot of interconnect traffic counters.
 	TransportStats = dsm.TransportStats
-	// LatencyModel estimates communication time from message/byte counts.
-	LatencyModel = dsm.LatencyModel
 	// WorkloadResult is a lockstep workload execution: the trace plus the
 	// reference memory image.
 	WorkloadResult = workload.Result
