@@ -40,14 +40,15 @@ const (
 	ctlGateWarmup = 4 * ctlGateGCEvery
 	ctlGateSteps  = 32
 	// ctlGateBytesPerSection bounds the bytes allocated per critical
-	// section: 1.11 x the 2,075 B this tree measures (2,039-2,074 over
-	// GOMAXPROCS 1, 2 and 8), and 0.75 x the 3,015-3,112 B its parent does
-	// over the same window. What is left is what a section keeps or hands
-	// on: its two interval records in the log's chunks and index lists at
-	// their creator and three receivers each (about 60 B a copy), the diff
-	// it served with its slots and decoded run tables, and the request
-	// that fetched it.
-	ctlGateBytesPerSection = 2300
+	// section: 1.13 x the highest of fifteen runs over GOMAXPROCS 1, 2 and 8
+	// (1,155-1,244 B), and 0.67 x the 2,084 B its parent measures, which
+	// decoded each received diff into records, a header and run tables of
+	// its own and grew the GC revalidation's request list from nil. What is
+	// left is what a section keeps or hands on: its two interval records in
+	// the log's chunks and index lists at their creator and three receivers
+	// each (about 60 B a copy), the diff it served with its slots, and the
+	// wants of the miss that fetched it.
+	ctlGateBytesPerSection = 1400
 )
 
 // ctlGateRecordAt fills buf with record l after k updates; every byte

@@ -90,9 +90,11 @@ func (e *lazyEngine) serviceMiss(pg mem.PageID, held fetchedDiffs) error {
 		held = heldBuf[:0]
 	}
 	// A plan step out of the store is applied after e.mu is dropped, on a
-	// count of its own (one out of a held response borrows, and counts nothing).
+	// count of its own (one out of a held response borrows, and counts
+	// nothing). The steps go first: a borrowed one is a header in a held
+	// response's shell, which the next Decode refills once it is released.
 	steps := stepBuf[:0]
-	defer func() { held.release(); releaseSteps(steps) }()
+	defer func() { releaseSteps(steps); held.release() }()
 	pmu := n.pageLock(pg)
 	mmu := n.missLock(pg)
 	mmu.Lock()
@@ -277,7 +279,15 @@ func clockSum(v vc.VC) int64 {
 
 // missingDiffReqsLocked appends to reqs one KDiffReq per creator for the
 // steps of plan out (planLocked's, for page pg) that neither the retained
-// store nor the held responses supply, creators ascending. A creator's
+// store nor the held responses supply, creators ascending: the requests of
+// missingWantsLocked's wants. Caller holds e.mu.
+func (e *lazyEngine) missingDiffReqsLocked(reqs []outMsg, pg mem.PageID, out []core.IntervalID, held fetchedDiffs) []outMsg {
+	return e.diffReqs(reqs, e.missingWantsLocked(nil, pg, out, held))
+}
+
+// missingWantsLocked appends to wants the wants for the steps of plan out
+// (planLocked's, for page pg) that neither the retained store nor the held
+// responses supply, grouped by creator, creators ascending. A creator's
 // consecutive missing steps are asked for as one range want, answered by
 // one merged diff that is applied at the first one's step — so a step m
 // joins the run its creator has open only if that moves m's bytes past
@@ -296,15 +306,14 @@ func clockSum(v vc.VC) int64 {
 // interval that happened before m is in the plan or already in the copy,
 // and a replan, which only learns of intervals that do not precede the
 // ones it knew, never invalidates a range it holds. Caller holds e.mu.
-func (e *lazyEngine) missingDiffReqsLocked(reqs []outMsg, pg mem.PageID, out []core.IntervalID, held fetchedDiffs) []outMsg {
-	var wants []wire.Want
+func (e *lazyEngine) missingWantsLocked(wants []wire.Want, pg mem.PageID, out []core.IntervalID, held fetchedDiffs) []wire.Want {
 	// after[p] is the first step of creator p, by index, that the plan puts
 	// after the first step of the open run: a clock covers any of p's steps
 	// there if it covers that one.
 	var after [maxProcs]int32
 	for q := range e.v {
-		first, open := len(wants), false
-		for i, id := range out {
+		open := false
+		for _, id := range out {
 			if int(id.Proc) != q {
 				if open {
 					after[id.Proc] = min(after[id.Proc], id.Index)
@@ -320,9 +329,10 @@ func (e *lazyEngine) missingDiffReqsLocked(reqs []outMsg, pg mem.PageID, out []c
 				run.Span = id.Index - run.Index
 				continue
 			}
-			if wants == nil {
-				// Sized once, from what of the plan is left.
-				wants = make([]wire.Want, 0, len(out)-i)
+			if len(wants) == cap(wants) {
+				// A step is asked for at most once, so the page grows the
+				// list at most once.
+				wants = slices.Grow(wants, len(out))
 			}
 			wants = append(wants, wire.Want{Page: pg, Proc: id.Proc, Index: id.Index})
 			open = true
@@ -330,13 +340,37 @@ func (e *lazyEngine) missingDiffReqsLocked(reqs []outMsg, pg mem.PageID, out []c
 				after[p] = math.MaxInt32
 			}
 		}
-		if len(wants) > first {
-			reqs = append(reqs, outMsg{dst: mem.ProcID(q), m: wire.Msg{
-				Kind: wire.KDiffReq, Seq: e.n.nextSeq(), A: int32(e.n.id), Wants: wants[first:len(wants):len(wants)],
-			}})
-		}
+	}
+	return wants
+}
+
+// diffReqs appends to reqs, grown once, one KDiffReq for each run of wants
+// that share a page and a creator — each list missingWantsLocked appended,
+// of distinct pages — with that run as its wants.
+func (e *lazyEngine) diffReqs(reqs []outMsg, wants []wire.Want) []outMsg {
+	n := 0
+	for rest := wants; len(rest) > 0; rest = rest[creatorRun(rest):] {
+		n++
+	}
+	reqs = slices.Grow(reqs, n)
+	for len(wants) > 0 {
+		k := creatorRun(wants)
+		reqs = append(reqs, outMsg{dst: wants[0].Proc, m: wire.Msg{
+			Kind: wire.KDiffReq, Seq: e.n.nextSeq(), A: int32(e.n.id), Wants: wants[:k:k],
+		}})
+		wants = wants[k:]
 	}
 	return reqs
+}
+
+// creatorRun returns the length of the run of wants at the head of a
+// non-empty list that share its first want's page and creator.
+func creatorRun(wants []wire.Want) int {
+	k := 1
+	for k < len(wants) && wants[k].Page == wants[0].Page && wants[k].Proc == wants[0].Proc {
+		k++
+	}
+	return k
 }
 
 // stepsLocked appends to steps the diffs that carry out plan out, in its
@@ -471,19 +505,23 @@ func (e *lazyEngine) revalidate(pages []mem.PageID) error {
 	return nil
 }
 
-// prefetchDiffs batch-fetches the outstanding diffs for a set of pages
-// about to be revalidated: one KDiffReq per (page, creator) — exactly
+// prefetchDiffs batch-fetches the outstanding diffs for a set of distinct
+// pages about to be revalidated: one KDiffReq per (page, creator) — exactly
 // the requests sequential validation would send, so message counts are
 // unchanged — staged together through the outbox, so all requests to
 // one creator coalesce into one frame and all creators answer
-// concurrently. The responses are returned in the order of pages; each
-// page's miss then finds its diffs in them and re-plans authoritatively (fresh
-// notices landing meanwhile just make it fetch the remainder as usual).
-// Cold pages are skipped: their plan depends on the applied clock the
-// home's copy arrives with.
+// concurrently. Every page's wants are planned into one list first, so
+// the requests are laid out once. The responses are returned in the order
+// of pages; each page's miss then finds its diffs in them and re-plans
+// authoritatively (fresh notices landing meanwhile just make it fetch the
+// remainder as usual). Cold pages are skipped: their plan depends on the
+// applied clock the home's copy arrives with.
 func (e *lazyEngine) prefetchDiffs(pages []mem.PageID) (fetchedDiffs, error) {
 	n := e.n
-	var reqs []outMsg
+	var (
+		wants    []wire.Want
+		clockBuf [maxProcs]int32
+	)
 	e.mu.Lock()
 	for _, pg := range pages {
 		pmu := n.pageLock(pg)
@@ -493,13 +531,13 @@ func (e *lazyEngine) prefetchDiffs(pages []mem.PageID) (fetchedDiffs, error) {
 			pmu.Unlock()
 			continue
 		}
-		appliedSnap := pc.applied.Clone()
+		appliedSnap := append(vc.VC(clockBuf[:0]), pc.applied...)
 		pmu.Unlock()
-		reqs = e.missingDiffReqsLocked(reqs, pg, e.planLocked(pg, appliedSnap), nil)
+		wants = e.missingWantsLocked(wants, pg, e.planLocked(pg, appliedSnap), nil)
 	}
 	e.mu.Unlock()
-	if len(reqs) == 0 {
+	if len(wants) == 0 {
 		return nil, nil
 	}
-	return e.fetch(reqs, nil)
+	return e.fetch(e.diffReqs(nil, wants), nil)
 }

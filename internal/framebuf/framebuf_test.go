@@ -81,6 +81,36 @@ func TestRefCounts(t *testing.T) {
 	r.Release()
 }
 
+// TestRefIsRecycled: the last release puts the Ref itself on its free list
+// and the next NewRef hands it out again, so a steady stream of received
+// frames allocates no Ref; a recycled Ref released once too often still
+// panics.
+func TestRefIsRecycled(t *testing.T) {
+	drain()
+	for len(freeRefs) > 0 {
+		<-freeRefs
+	}
+	r := NewRef(Get(), 1)
+	r.Release()
+	again := NewRef(Get(), 2)
+	if again != r {
+		t.Fatal("NewRef after a last release did not reuse the released Ref")
+	}
+	again.Release()
+	again.Release()
+	if a := testing.AllocsPerRun(100, func() { NewRef(Get(), 1).Release() }); a != 0 {
+		t.Errorf("a frame's Ref allocates %v objects, want 0", a)
+	}
+	recycled := NewRef(Get(), 1)
+	recycled.Release()
+	defer func() {
+		if recover() == nil {
+			t.Error("releasing a recycled Ref once too often did not panic")
+		}
+	}()
+	recycled.Release()
+}
+
 // Poison-on-release overwrites the whole buffer, not just its length,
 // before it re-enters the list; off, the bytes are left alone.
 func TestPoisonOnRelease(t *testing.T) {

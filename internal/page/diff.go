@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync/atomic"
 )
 
@@ -85,9 +86,11 @@ func (t *Twin) Release() bool {
 // counted lease: it is made with one reference, whoever reads it beyond
 // the lock that pins its holder takes another (Retain), and the last
 // Release returns the body to the pool — Twin's contract, a recycling one.
-// The wire decoder builds the diff over the received frame's bytes
-// instead (DiffFromWire); such a diff borrows the frame, counts nothing,
-// and Clone is the one way to keep it past the frame's release.
+// The wire decoder fills a header its message keeps over the received
+// frame's bytes instead (SetWire): such a diff borrows the frame, and its
+// run table and payload windows the message's storage, counts nothing,
+// and is reused for another diff once the message is released — Clone is
+// the one way to keep it longer.
 type Diff struct {
 	runs []Run
 	data [][]byte // data[i] is run i's payload, a window of body
@@ -395,11 +398,11 @@ func (d *Diff) WireBodySize() int { return len(d.EnsureWireBody()) }
 func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
 // Clone returns a copy of the diff that owns its body, with one
-// reference. A decoded diff borrows the frame it arrived in; whoever
-// keeps one past the frame's release keeps a Clone instead. The run table
-// is shared: it is immutable and never part of a frame.
+// reference. A decoded diff borrows the frame it arrived in, and its run
+// table the message it was decoded into; whoever keeps one past the
+// message's release keeps a Clone instead, which copies both.
 func (d *Diff) Clone() *Diff {
-	c := &Diff{runs: d.runs}
+	c := &Diff{runs: slices.Clone(d.runs)}
 	if d.body != nil {
 		c.body = append(getBuf(len(d.body))[:0], d.body...)
 		c.data = windows(c.body, c.runs)
@@ -449,21 +452,25 @@ func DiffFromRuns(runs []Run, data [][]byte) (*Diff, error) {
 	return layOut(runs, func(k int) []byte { return data[k] }), nil
 }
 
-// DiffFromWire constructs a diff over an encoded wire body without
-// copying it — the wire decoder's constructor. body must be the
-// AppendWireBody layout of runs in its canonical (minimal-varint)
-// spelling and data[k] the window of body holding run k's payload; the
-// decoder has established both, and only the run table is re-checked
-// here. The diff borrows body: see Clone. A diff without runs borrows
-// nothing.
-func DiffFromWire(body []byte, runs []Run, data [][]byte) (*Diff, error) {
+// SetWire makes d, in place, the diff of an encoded wire body without
+// copying it — the wire decoder's initializer, which fills a header the
+// decoded message keeps. body must be the AppendWireBody layout of runs in
+// its canonical (minimal-varint) spelling and data[k] the window of body
+// holding run k's payload; the decoder has established both, and only the
+// run table is re-checked here. The diff borrows body, runs and data: see
+// Clone. A diff without runs borrows nothing. On an error d is left as it
+// was. Whatever d held before is dropped, not released: SetWire is for a
+// header that owns nothing.
+func (d *Diff) SetWire(body []byte, runs []Run, data [][]byte) error {
 	if err := checkRuns(runs, data); err != nil {
-		return nil, err
+		return err
 	}
 	if len(runs) == 0 {
-		return &Diff{}, nil
+		*d = Diff{}
+		return nil
 	}
-	return &Diff{runs: runs, data: data, body: body}, nil
+	*d = Diff{runs: runs, data: data, body: body}
+	return nil
 }
 
 func checkRuns(runs []Run, data [][]byte) error {

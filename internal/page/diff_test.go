@@ -124,8 +124,8 @@ func TestCloneOwnsItsBody(t *testing.T) {
 		t.Fatal(err)
 	}
 	frame := append([]byte(nil), src.EnsureWireBody()...)
-	borrowed, err := DiffFromWire(frame, src.Runs(), [][]byte{frame[3:7:7], frame[10:12:12]})
-	if err != nil {
+	borrowed := new(Diff)
+	if err := borrowed.SetWire(frame, src.Runs(), [][]byte{frame[3:7:7], frame[10:12:12]}); err != nil {
 		t.Fatal(err)
 	}
 	clone := borrowed.Clone()
@@ -148,8 +148,15 @@ func TestCloneOwnsItsBody(t *testing.T) {
 	if c := (&Diff{}).Clone(); !c.Empty() {
 		t.Error("clone of an empty diff is not empty")
 	}
-	if d, err := DiffFromWire([]byte{0}, nil, nil); err != nil || d.EnsureWireBody()[0] != 0 || &d.EnsureWireBody()[0] == &frame[0] {
+	// SetWire fills a header in place: refilled without runs, the same
+	// header forgets the frame.
+	if err := borrowed.SetWire([]byte{0}, nil, nil); err != nil || !borrowed.Empty() ||
+		borrowed.EnsureWireBody()[0] != 0 || &borrowed.EnsureWireBody()[0] == &frame[0] {
 		t.Errorf("a diff without runs must borrow nothing (err %v)", err)
+	}
+	// A run table that does not match its payloads leaves the header alone.
+	if err := borrowed.SetWire(frame, src.Runs(), nil); err == nil || !borrowed.Empty() {
+		t.Errorf("SetWire over mismatched runs: err %v, header now has %d runs", err, borrowed.NumRuns())
 	}
 }
 

@@ -81,8 +81,8 @@ func TestDiffLeaseCounts(t *testing.T) {
 	}()
 
 	frame := []byte{1, 8, 4, 1, 2, 3, 4}
-	borrowed, err := DiffFromWire(frame, []Run{{Off: 8, Len: 4}}, [][]byte{frame[3:7:7]})
-	if err != nil {
+	borrowed := new(Diff)
+	if err := borrowed.SetWire(frame, []Run{{Off: 8, Len: 4}}, [][]byte{frame[3:7:7]}); err != nil {
 		t.Fatal(err)
 	}
 	empty, err := MakeDiff(tw, tw.Data())
@@ -111,8 +111,8 @@ func TestCloneOfBorrowedDiffIsPooled(t *testing.T) {
 		t.Fatal(err)
 	}
 	frame := append([]byte(nil), src.EnsureWireBody()...)
-	borrowed, err := DiffFromWire(frame, src.Runs(), windows(frame, src.Runs()))
-	if err != nil {
+	borrowed := new(Diff)
+	if err := borrowed.SetWire(frame, src.Runs(), windows(frame, src.Runs())); err != nil {
 		t.Fatal(err)
 	}
 	borrowed.Clone().Release() // warm the body's class

@@ -83,16 +83,18 @@ type frame struct {
 // Fail-stop (every later send returns the original error) keeps a dead
 // peer loud instead of corrupting directory order.
 //
-// prefix and bufs are the vectored-write scratch (guarded by mu): each
-// frame goes out as one writev of the length prefix plus the payload
+// prefix, vec and bufs are the vectored-write scratch (guarded by mu):
+// each frame goes out as one writev of the length prefix plus the payload
 // buffers, so the hot path copies nothing and issues one syscall per
-// frame — batched or not.
+// frame — batched or not. vec keeps the vector's backing array from frame
+// to frame; bufs is the header the write consumes.
 type sender struct {
 	addr   string
 	mu     sync.Mutex
 	conn   net.Conn
 	broken error
 	prefix [4]byte
+	vec    net.Buffers
 	bufs   net.Buffers
 }
 
@@ -389,8 +391,11 @@ func (t *Transport) writeFrame(s *sender, dst int, size int, payload ...[]byte) 
 		return err
 	}
 	binary.LittleEndian.PutUint32(s.prefix[:], uint32(size))
-	s.bufs = append(s.bufs[:0], s.prefix[:])
-	s.bufs = append(s.bufs, payload...)
+	s.vec = append(append(s.vec[:0], s.prefix[:]), payload...)
+	// WriteTo advances the header it is called on to the end of the
+	// vector, so it gets a copy; it also nils what it wrote, so vec pins no
+	// payload once the frame is out.
+	s.bufs = s.vec
 	if _, err := s.bufs.WriteTo(c); err != nil {
 		c.Close()
 		s.conn = nil

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/framebuf"
 	"repro/internal/transport"
 )
 
@@ -41,6 +42,37 @@ func TestSendRecv(t *testing.T) {
 	src, payload, ok = ts[0].Recv()
 	if !ok || src != 1 || string(payload) != "back" {
 		t.Fatalf("Recv = %d %q %v", src, payload, ok)
+	}
+}
+
+// TestSteadySendsAllocateNothing: a steady stream of frames to a peer, plain
+// and batched, allocates nothing per frame — the vectored write reuses its
+// vector, and the payload cycles sender, stream, receiver, free list.
+func TestSteadySendsAllocateNothing(t *testing.T) {
+	ts := cluster(t, 2)
+	msg := []byte("a steady-state frame")
+	batch := net.Buffers{[]byte("HH"), msg, msg}
+	plain, batched := string(msg), "HH"+string(msg)+string(msg)
+	recv := func(want string) {
+		if _, p, ok := ts[1].Recv(); !ok || string(p) != want {
+			t.Fatalf("Recv = %q ok=%v, want %q", p, ok, want)
+		} else {
+			framebuf.Put(p)
+		}
+	}
+	round := func() {
+		if err := ts[0].Send(1, append(framebuf.Get(), msg...)); err != nil {
+			t.Fatal(err)
+		}
+		recv(plain)
+		if err := ts[0].SendBatch(1, batch); err != nil {
+			t.Fatal(err)
+		}
+		recv(batched)
+	}
+	round() // the dial, and the vector's first growth
+	if a := testing.AllocsPerRun(200, round); a != 0 {
+		t.Errorf("a plain frame and a batch to a peer allocate %v objects, want 0", a)
 	}
 }
 

@@ -83,34 +83,37 @@
 // # Ownership
 //
 // Decode and DecodeBatch copy everything out of the frame except diff
-// payloads, so nothing but a diff needs the frame. Wants, Msg.Data and the
-// clock of a message or section without an interval block are allocations
-// of their own that outlive the message (a page ship's Data and clock
-// become the receiver's page copy and its applied clock as they are).
-// Interval records, their clocks and page lists, and the clock of the
-// message or section that carries them belong to the message's shell and
-// die with it — see Messages below. A decoded DiffRec's Diff borrows: its
-// wire body and every run's bytes are capacity-limited windows of the
-// frame the message was decoded from, so a 4 KiB diff response is decoded
-// without allocating or touching a payload byte, applies straight out of
-// the receive buffer, and re-encodes (a home relaying an update) as one
-// copy of the same bytes. A diff without runs borrows nothing.
+// payloads, so nothing but a diff needs the frame. Msg.Data and the clock
+// of a message or section without an interval block are allocations of
+// their own that outlive the message (a page ship's Data and clock become
+// the receiver's page copy and its applied clock as they are). Everything
+// else a message decodes belongs to its shell and dies with it — see
+// Messages below: interval records, their clocks and page lists, the clock
+// of the message or section that carries them, diff records, the diff
+// headers they point to with their run tables and payload windows, and
+// wants. A decoded DiffRec's Diff borrows as well: its wire body and every
+// run's bytes are capacity-limited windows of the frame the message was
+// decoded from, so a 4 KiB diff response is decoded without allocating or
+// touching a payload byte, applies straight out of the receive buffer, and
+// re-encodes (a home relaying an update) as one copy of the same bytes. A
+// diff without runs borrows nothing.
 //
-// The borrow lasts as long as the frame does, and the frame lasts as long
-// as the messages decoded from it: internal/dsm's dispatch loop recycles a
-// frame at once when no message in it carries diffs (Msg.HasDiffs), and
-// otherwise attaches a framebuf.Ref to each such message (Msg.Frame; the
-// messages of a batch share one), which the message's last Release drops.
-// Never releasing is always safe, the garbage collector reclaims the
-// frame; releasing early is the one bug, and internal/framebuf's
-// poison-on-release mode turns it into garbage bytes the differential
-// tests catch.
+// The frame lasts as long as the messages decoded from it: internal/dsm's
+// dispatch loop recycles a frame at once when no message in it carries
+// diffs (Msg.HasDiffs), and otherwise attaches a framebuf.Ref to each such
+// message (Msg.Frame; the messages of a batch share one), which the
+// message's last Release drops. Never releasing is always safe, the
+// garbage collector reclaims the frame; releasing early is the one bug,
+// and internal/framebuf's poison-on-release mode turns it into garbage the
+// differential tests catch.
 //
 // page.Diff.Clone is mandatory wherever a decoded diff is stored for
 // something that runs after the release: the runtime has one such place,
 // the LU engine's retained-diff store, whose entries are piggybacked on
 // later lock grants. Nothing else may keep a DiffRec, a *page.Diff or a
-// RunData slice of a received message.
+// RunData slice of a received message: a stale *page.Diff does not merely
+// dangle over a recycled frame, it is a header the shell reuses for the
+// next message's diff.
 //
 // Messages: a Msg on the heap is a recycled shell. Decode fills one from
 // a free list and NewMsg hands one to a sender whose message must pass
@@ -128,22 +131,26 @@
 // consumed the response, the master when it has answered the arrival — and
 // the last one drops the frame reference and returns the shell to the free
 // list. What is recycled is the shell: its scalar fields, its slice
-// headers, Sections, whose first element lives in the shell, and the
-// interval slabs — the records, clocks and page lists of the first interval
-// block decoded into it that fits keepSlabBytes per slab, with the
-// enclosing message or section clock as the clock slab's first window. The
-// next Decode into the shell fills them in place, so nothing may read a
-// decoded IntervalRec, its VC or Pages, or the clock beside an interval
-// block after the message's last Release: whoever needs one longer copies
-// it first (the interval log, core.Log.Append, copies what it is handed;
-// nothing in internal/dsm keeps one). A block past the bound, or a later
+// headers, Sections, whose first element lives in the shell, and its slabs,
+// each bounded by keepSlabBytes: those of the first interval block decoded
+// into it — records, clocks and page lists, with the enclosing message or
+// section clock as the clock slab's first window — those of the first diff
+// block — records, diff headers, runs and payload windows — and the wants.
+// The next Decode into the shell fills them in place, so nothing may read a
+// decoded IntervalRec, its VC or Pages, the clock beside an interval block,
+// a DiffRec, its Diff, or a Want after the message's last Release: whoever
+// needs one longer copies it first (the interval log, core.Log.Append,
+// copies what it is handed; the LU store clones a diff; a diff request is
+// served before its handler returns). A block past the bound, or a later
 // block of the same message, is allocated for that message and left to the
-// garbage collector, like the arrays that are never reused: Wants, Data and
-// a clock without a block belong to whoever absorbed them (a page copy
-// keeps the Data and applied clock of a KPageResp) and to the garbage
-// collector otherwise. Under poison-on-release a released shell reads as
-// an invalid kind with 0xDB scalars and its kept slabs as 0xDB entries,
-// and one Release too many panics, like framebuf.Ref.
+// garbage collector, like the arrays that are never reused: Data and a
+// clock without a block belong to whoever absorbed them (a page copy keeps
+// the Data and applied clock of a KPageResp) and to the garbage collector
+// otherwise. Under poison-on-release a released shell reads as an invalid
+// kind with 0xDB scalars, its kept records, clocks, page lists and wants
+// as 0xDB entries, and a kept diff header as runs at a negative offset,
+// which page.Diff.Apply refuses; one Release too many panics, like
+// framebuf.Ref.
 package wire
 
 import (
@@ -354,21 +361,35 @@ type Msg struct {
 
 	// refs counts the holders of a recycled shell (NewMsg, Decode) — through
 	// sync/atomic's functions, not an atomic.Int32, because literals are
-	// copied by value; shell tells one from a literal, which Release leaves
-	// to the garbage collector; sec is where a shell keeps its first section
-	// (most messages that have any have one); slabs is what a shell keeps of
-	// its first interval block. None is encoded.
-	refs  int32
-	shell bool
-	sec   [1]Section
-	slabs intervalSlabs
+	// copied by value; kept is the storage a shell keeps across Release, and
+	// nil on a literal, which Release leaves to the garbage collector. It
+	// sits behind a pointer so that a literal, or a request a sender builds
+	// by value, carries none of it. Neither is encoded.
+	refs int32
+	kept *kept
+}
+
+// kept is what a shell keeps across Release for the next Decode to fill in
+// place: its first section (most messages that have any have one) and the
+// storage of the first interval block, the first diff block and the wants
+// block decoded into it.
+type kept struct {
+	sec       [1]Section
+	intervals intervalSlabs
+	diffs     diffSlabs
+	wants     []Want
+}
+
+// shell allocates a message and its kept storage together.
+type shell struct {
+	m Msg
+	k kept
 }
 
 // intervalSlabs is the storage of an interval block decoded into a shell —
-// the records, their clocks behind the enclosing one, their page lists —
-// which the shell keeps across Release for the next Decode to fill in
-// place. taken says a block of this message, the first that fits, has
-// claimed them: a later block of the same message allocates its own.
+// the records, their clocks behind the enclosing one, their page lists.
+// taken says a block of this message, the first that fits, has claimed
+// them: a later block of the same message allocates its own.
 type intervalSlabs struct {
 	recs   []IntervalRec
 	clocks []int32
@@ -376,39 +397,83 @@ type intervalSlabs struct {
 	taken  bool
 }
 
-// keepSlabBytes bounds each of the three slabs a released shell keeps. A
-// lock grant's block is a few hundred bytes; a barrier exit's thousand
-// records are allocated for that message and dropped with it, all three
-// slabs, so a kept record never points into storage the bound does not
-// cover.
+// diffSlabs is the storage of a diff block decoded into a shell — the
+// records, the diff header each record points to, the run tables and the
+// payload windows the headers borrow (the payloads are the frame's). taken
+// is intervalSlabs' flag.
+type diffSlabs struct {
+	recs  []DiffRec
+	hdrs  []page.Diff
+	runs  []page.Run
+	data  [][]byte
+	taken bool
+}
+
+// keepSlabBytes bounds each slab a released shell keeps. A lock grant's
+// interval block is a few hundred bytes, a diff response's block a few
+// records of a few runs; a barrier exit's thousand records are allocated
+// for that message and dropped with it, every slab of the block, so a kept
+// record never points into storage the bound does not cover.
 const (
 	keepSlabBytes = 4 << 10
 	keepRecs      = keepSlabBytes / int(unsafe.Sizeof(IntervalRec{}))
-	keepWords     = keepSlabBytes / 4 // clock entries, page ids
+	keepWords     = keepSlabBytes / 4                               // clock entries, page ids
+	keepDiffs     = keepSlabBytes / int(unsafe.Sizeof(page.Diff{})) // diff records and their headers
+	keepRuns      = keepSlabBytes / int(unsafe.Sizeof([]byte(nil))) // runs and their payload windows
+	keepWants     = keepSlabBytes / int(unsafe.Sizeof(Want{}))
 )
 
 // fit returns n <= limit elements of the kept slab, which grows by
-// doubling up to limit when it is too small. The result is never nil: an
-// empty clock is not an absent one.
+// doubling up to limit when it is too small, and leaves the slab n long.
+// The result is never nil: an empty clock is not an absent one.
 func fit[T any](kept *[]T, n, limit int) []T {
 	if *kept == nil || n > cap(*kept) {
 		*kept = make([]T, n, min(max(n, 2*cap(*kept)), limit))
 	}
-	return (*kept)[:n]
+	*kept = (*kept)[:n]
+	return *kept
 }
 
-// poison overwrites the kept slabs: a record, clock or page list held past
-// the message's last Release reads as garbage.
-func (k *intervalSlabs) poison(dead int32) {
-	recs, clocks, pages := k.recs[:cap(k.recs)], k.clocks[:cap(k.clocks)], k.pages[:cap(k.pages)]
+// release readies what a released shell keeps for the next Decode. The
+// diff headers and windows of the last block are cleared, so that a shell
+// on the free list pins no frame — except under poison-on-release, which
+// leaves the headers for poison to turn into garbage.
+func (k *kept) release(poisoned bool, dead int32) {
+	k.sec = [1]Section{}
+	if k.diffs.taken && !poisoned {
+		clear(k.diffs.hdrs)
+		clear(k.diffs.data)
+	}
+	k.intervals.taken, k.diffs.taken = false, false
+	if poisoned {
+		k.poison(dead)
+	}
+}
+
+// poison overwrites the kept slabs, so that whatever a holder kept past the
+// message's last Release reads as garbage: records, clocks, page lists and
+// wants read dead values, and a kept diff header — whose windows still
+// point into the frame, poisoned at its own release — is refused by
+// page.Diff.Apply, its runs starting at a negative offset.
+func (k *kept) poison(dead int32) {
+	iv, df := &k.intervals, &k.diffs
+	fill(iv.recs, IntervalRec{Proc: mem.ProcID(dead), Index: dead})
+	fill(iv.clocks, dead)
+	fill(iv.pages, mem.PageID(dead))
+	// A kept record still points to its header, which the runs poison.
+	recs := df.recs[:cap(df.recs)]
 	for i := range recs {
-		recs[i] = IntervalRec{Proc: mem.ProcID(dead), Index: dead}
+		recs[i].Page, recs[i].Proc, recs[i].Index = mem.PageID(dead), mem.ProcID(dead), dead
 	}
-	for i := range clocks {
-		clocks[i] = dead
-	}
-	for i := range pages {
-		pages[i] = mem.PageID(dead)
+	fill(df.runs, page.Run{Off: dead, Len: dead})
+	fill(k.wants, Want{Page: mem.PageID(dead), Proc: mem.ProcID(dead), Index: dead, Span: dead})
+}
+
+// fill sets every element of s, up to its capacity, to x.
+func fill[T any](s []T, x T) {
+	s = s[:cap(s)]
+	for i := range s {
+		s[i] = x
 	}
 }
 
@@ -426,23 +491,23 @@ const poisonKind = Kind(framebuf.PoisonByte)
 // passes through an interface call; a sender that can keep its message on
 // the stack uses a literal. See the package doc's Ownership section.
 func NewMsg() *Msg {
-	var m *Msg
 	select {
-	case m = <-freeMsgs:
-		*m = Msg{slabs: m.slabs}
+	case m := <-freeMsgs:
+		*m = Msg{refs: 1, kept: m.kept}
+		return m
 	default:
-		m = new(Msg)
+		s := new(shell)
+		s.m.refs, s.m.kept = 1, &s.k
+		return &s.m
 	}
-	m.refs, m.shell = 1, true
-	return m
 }
 
 // AppendSection appends s to m.Sections. A shell's first section lives in
 // the shell, so Sections is the shell's like the scalar fields are: it is
 // gone with the last Release, and nothing may keep it beyond.
 func (m *Msg) AppendSection(s Section) {
-	if m.Sections == nil && m.shell {
-		m.Sections = m.sec[:0]
+	if m.Sections == nil && m.kept != nil {
+		m.Sections = m.kept.sec[:0]
 	}
 	m.Sections = append(m.Sections, s)
 }
@@ -451,7 +516,7 @@ func (m *Msg) AppendSection(s Section) {
 // handler that parks its message, or hands it to another goroutine. A
 // literal's references are its frame's.
 func (m *Msg) Retain() {
-	if m.shell {
+	if m.kept != nil {
 		atomic.AddInt32(&m.refs, 1)
 	} else {
 		m.Frame.Retain()
@@ -460,29 +525,30 @@ func (m *Msg) Retain() {
 
 // Release drops one reference. The last one releases the frame the
 // message borrows and recycles the shell: every slice header is cleared,
-// and of what they pointed to only the interval slabs are reused — the rest
-// stays with whoever absorbed it. Dropping a message without releasing it
-// is always safe;
+// and of what they pointed to the slabs of its first interval block, its
+// first diff block and its wants are reused — the rest stays with whoever
+// absorbed it. Dropping a message without releasing it is always safe;
 // releasing more often than retained panics. On a literal Release only
 // lets go of the frame; on nil it does nothing.
 func (m *Msg) Release() {
 	if m == nil {
 		return
 	}
-	if !m.shell {
+	if m.kept == nil {
 		m.Frame.Release()
 		return
 	}
 	switch n := atomic.AddInt32(&m.refs, -1); {
 	case n == 0:
 		m.Frame.Release()
-		m.slabs.taken = false
-		*m = Msg{shell: true, slabs: m.slabs}
-		if framebuf.Poisoned() {
-			dead := uint64(framebuf.PoisonByte) * 0x0101010101010101
+		k := m.kept
+		*m = Msg{kept: k}
+		dead := uint64(framebuf.PoisonByte) * 0x0101010101010101
+		poisoned := framebuf.Poisoned()
+		if poisoned {
 			m.Kind, m.Seq, m.A, m.B = poisonKind, dead, int32(dead), int32(dead)
-			m.slabs.poison(int32(dead))
 		}
+		k.release(poisoned, int32(dead))
 		select {
 		case freeMsgs <- m:
 		default:
@@ -772,9 +838,9 @@ type decoder struct {
 	b   []byte
 	off int
 	err error
-	// slabs is the decoded message's kept interval storage (a batch
-	// frame's decoder, which decodes no message itself, has none).
-	slabs *intervalSlabs
+	// kept is the decoded message's kept storage (a batch frame's decoder,
+	// which decodes no message itself, has none).
+	kept *kept
 }
 
 func (d *decoder) fail(format string, args ...any) {
@@ -948,17 +1014,19 @@ func (m *Msg) decode(b []byte) error {
 	if present&^msgPresence != 0 {
 		return fmt.Errorf("wire: unknown presence bits %#x", present)
 	}
-	d := &decoder{b: b, off: 2, slabs: &m.slabs}
+	d := &decoder{b: b, off: 2, kept: m.kept}
 	m.Seq = d.uvarint()
 	m.A = d.i32()
 	m.B = d.i32()
 	m.VC, m.Intervals, m.Diffs = d.payload(present, true)
 	if present&hasWants != 0 {
-		if n := d.blockCount("want", minWantBytes); n > 0 {
+		if n := d.blockCount("want", minWantBytes); n > keepWants {
 			m.Wants = make([]Want, n)
-			for i := range m.Wants {
-				m.Wants[i] = d.want()
-			}
+		} else if n > 0 {
+			m.Wants = fit(&m.kept.wants, n, keepWants)
+		}
+		for i := range m.Wants {
+			m.Wants[i] = d.want()
 		}
 	}
 	if present&hasData != 0 {
@@ -966,7 +1034,7 @@ func (m *Msg) decode(b []byte) error {
 	}
 	if present&hasSections != 0 {
 		if n := d.countItems("section", minSectionBytes); n == 1 {
-			m.Sections = m.sec[:1]
+			m.Sections = m.kept.sec[:1]
 		} else {
 			m.Sections = make([]Section, n)
 		}
@@ -1118,7 +1186,7 @@ func (d *decoder) intervalList(base vc.VC, hasBase bool) (vc.VC, []IntervalRec) 
 	var out []IntervalRec
 	var clocks []int32
 	var pages []mem.PageID
-	if k := d.slabs; !k.taken && nivs <= keepRecs && len(base)+nclock <= keepWords && npage <= keepWords {
+	if k := &d.kept.intervals; !k.taken && nivs <= keepRecs && len(base)+nclock <= keepWords && npage <= keepWords {
 		k.taken = true
 		out, clocks, pages = fit(&k.recs, nivs, keepRecs), fit(&k.clocks, len(base)+nclock, keepWords), fit(&k.pages, npage, keepWords)
 	} else {
@@ -1166,10 +1234,14 @@ func (d *decoder) intervalList(base vc.VC, hasBase bool) (vc.VC, []IntervalRec) 
 
 // diffList decodes a diff block. Like intervalList it sizes the block
 // first — every run's offset and length checked against the bytes present
-// — then decodes into one run slab and one payload-window slab per block.
-// No payload byte is copied: each diff's wire body and each run's data
-// are capacity-limited windows of the frame being decoded (the package
-// doc's Ownership section says who may hold them for how long).
+// — then decodes into four slabs per block: the records, the diff headers
+// they point to, the runs and the payload windows, each header's a
+// capacity-limited window of the last two. No payload byte is copied: each
+// diff's wire body and each run's data are capacity-limited windows of the
+// frame being decoded. A message's first block fills the slabs its shell
+// kept where they are large enough, so a diff response decodes without
+// allocating; the slabs then die with the shell, and the frame with its
+// last holder (the package doc's Ownership section).
 func (d *decoder) diffList() []DiffRec {
 	ndiffs := d.blockCount("diff", minDiffBytes)
 	start := d.off
@@ -1191,9 +1263,20 @@ func (d *decoder) diffList() []DiffRec {
 		return nil
 	}
 	d.off = start
-	out := make([]DiffRec, ndiffs)
-	runs := make([]page.Run, nruns)
-	data := make([][]byte, nruns)
+	var (
+		out  []DiffRec
+		hdrs []page.Diff
+		runs []page.Run
+		data [][]byte
+	)
+	if k := &d.kept.diffs; !k.taken && ndiffs <= keepDiffs && nruns <= keepRuns {
+		k.taken = true
+		out, hdrs = fit(&k.recs, ndiffs, keepDiffs), fit(&k.hdrs, ndiffs, keepDiffs)
+		runs, data = fit(&k.runs, nruns, keepRuns), fit(&k.data, nruns, keepRuns)
+	} else {
+		out, hdrs = make([]DiffRec, ndiffs), make([]page.Diff, ndiffs)
+		runs, data = make([]page.Run, nruns), make([][]byte, nruns)
+	}
 	for i := range out {
 		rec := &out[i]
 		rec.Page = mem.PageID(d.i32())
@@ -1207,12 +1290,11 @@ func (d *decoder) diffList() []DiffRec {
 			runs[k].Len = int32(len(payload))
 			data[k] = payload[:len(payload):len(payload)]
 		}
-		df, err := page.DiffFromWire(d.b[body:d.off:d.off], runs[:rn:rn], data[:rn:rn])
-		if err != nil {
+		if err := hdrs[i].SetWire(d.b[body:d.off:d.off], runs[:rn:rn], data[:rn:rn]); err != nil {
 			d.fail("%v", err)
 			return nil
 		}
-		rec.Diff = df
+		rec.Diff = &hdrs[i]
 		runs, data = runs[rn:], data[rn:]
 	}
 	if d.err != nil {

@@ -147,11 +147,11 @@ func TestDecodedIntervalsShareSlabsSafely(t *testing.T) {
 	if a := allocs(small, keepRecs); a != 0 {
 		t.Errorf("decoding a block inside the keep bound into a recycled shell takes %v allocations, want 0", a)
 	}
-	kept := shell.slabs
+	kept := shell.kept.intervals
 	if a := allocs(large, keepRecs+1); a != 3 {
 		t.Errorf("decoding a block beyond the keep bound takes %v allocations, want its 3 slabs", a)
 	}
-	if k := shell.slabs; cap(k.recs) != cap(kept.recs) || cap(k.clocks) != cap(kept.clocks) || cap(k.pages) != cap(kept.pages) ||
+	if k := shell.kept.intervals; cap(k.recs) != cap(kept.recs) || cap(k.clocks) != cap(kept.clocks) || cap(k.pages) != cap(kept.pages) ||
 		cap(k.recs) > keepRecs || cap(k.clocks) > keepWords || cap(k.pages) > keepWords {
 		t.Errorf("the shell kept slabs of %d records, %d clock entries, %d pages after a block beyond the bound (before it: %d, %d, %d; bound %d, %d, %d)",
 			cap(k.recs), cap(k.clocks), cap(k.pages), cap(kept.recs), cap(kept.clocks), cap(kept.pages), keepRecs, keepWords, keepWords)
@@ -826,28 +826,148 @@ func TestDecodeFillsRecycledShell(t *testing.T) {
 	} else {
 		again.Release()
 	}
-	if allocs := testing.AllocsPerRun(200, func() {
-		m, err := Decode(enc)
+	// A message in the runtime's form, payload in one mode-tagged section,
+	// costs nothing more: the first section lives in the shell. A diff
+	// response's records, headers, runs and payload windows, and a diff
+	// request's wants, are the shell's too.
+	g := shellGrant()
+	for _, tc := range []struct {
+		name string
+		m    *Msg
+	}{
+		{"grant", g},
+		{"sectioned grant", &Msg{Kind: g.Kind, Seq: g.Seq, A: g.A, Sections: []Section{{Mode: 1, VC: g.VC, Intervals: g.Intervals}}}},
+		{"diff response of 1", shellDiffResp(t, 1, false)},
+		{"diff response of 4", shellDiffResp(t, 4, false)},
+		{"sectioned diff response of 1", shellDiffResp(t, 1, true)},
+		{"sectioned diff response of 4", shellDiffResp(t, 4, true)},
+		{"diff request", shellDiffReq()},
+	} {
+		enc := tc.m.EncodeAppend(nil)
+		drainShells()
+		if m, err := Decode(enc); err != nil || !bytes.Equal(m.EncodeAppend(nil), enc) {
+			t.Errorf("%s: decoded %+v, err %v: does not re-encode as sent", tc.name, m, err)
+		} else {
+			m.Release()
+		}
+		if allocs := testing.AllocsPerRun(200, func() {
+			m, err := Decode(enc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.Release()
+		}); allocs != 0 {
+			t.Errorf("decoding a %s into a shell allocates %.1f objects, want 0: its slabs are the shell's", tc.name, allocs)
+		}
+	}
+}
+
+// shellDiffResp is a diff response as a creator sends it: n records of two
+// runs each, flat or in one section.
+func shellDiffResp(t *testing.T, n int, sectioned bool) *Msg {
+	m := &Msg{Kind: KDiffResp, Seq: 11}
+	var recs []DiffRec
+	for i := 0; i < n; i++ {
+		recs = append(recs, DiffRec{Page: mem.PageID(i), Proc: 2, Index: int32(i), Diff: mkDiff(t, 1024, 0, 4, 8, 512+i)})
+	}
+	if sectioned {
+		m.Sections = []Section{{Mode: 1, Diffs: recs}}
+	} else {
+		m.Diffs = recs
+	}
+	return m
+}
+
+// shellDiffReq is a miss's diff request: a plain want and a range want.
+func shellDiffReq() *Msg {
+	return &Msg{Kind: KDiffReq, Seq: 12, A: 1, Wants: []Want{{Page: 1, Proc: 2, Index: 3}, {Page: 1, Proc: 2, Index: 5, Span: 2}}}
+}
+
+// TestBatchReceiveAllocatesNothing: the steady receive path of a batch
+// frame — two diff responses decoded into shells, one frame reference
+// attached to both, both released — allocates nothing: the shells with
+// their slabs, the Ref and the frame buffer all come back for the next.
+func TestBatchReceiveAllocatesNothing(t *testing.T) {
+	drainShells()
+	enc := appendBatch(nil, shellDiffResp(t, 1, false), shellDiffResp(t, 4, true))
+	var msgs []*Msg
+	recv := func() {
+		frame := append(framebuf.Get(), enc...)
+		var err error
+		if msgs, err = DecodeBatchAppend(msgs[:0], frame); err != nil || len(msgs) != 2 || !msgs[1].HasDiffs() {
+			t.Fatalf("decoded %d messages, err %v", len(msgs), err)
+		}
+		ref := framebuf.NewRef(frame, len(msgs))
+		for _, m := range msgs {
+			m.Frame = ref
+		}
+		for _, m := range msgs {
+			m.Release()
+		}
+	}
+	recv()
+	if a := testing.AllocsPerRun(200, recv); a != 0 {
+		t.Errorf("receiving a two-message batch of diff responses allocates %v objects, want 0", a)
+	}
+}
+
+// TestDiffBlockPastTheBound: a diff block the shell does not keep — one with
+// more runs than the bound, or a message's second block — still decodes to
+// the diffs that were sent, into four slabs of its own, and leaves the
+// shell's kept slabs as they were for the next message.
+func TestDiffBlockPastTheBound(t *testing.T) {
+	var writes []int
+	for i := 0; i <= keepRuns; i++ {
+		writes = append(writes, 8*i) // every other word: one run each
+	}
+	big := mkDiff(t, 8*(keepRuns+1), writes...)
+	small := mkDiff(t, 1024, 0, 512)
+	for _, tc := range []struct {
+		name string
+		m    *Msg
+	}{
+		{"a block past the bound", &Msg{Kind: KDiffResp, Diffs: []DiffRec{{Page: 1, Proc: 2, Index: 3, Diff: big}}}},
+		{"a second block", &Msg{Kind: KLockGrant, Diffs: []DiffRec{{Page: 1, Proc: 2, Index: 3, Diff: small}},
+			Sections: []Section{{Mode: 1, Diffs: []DiffRec{{Page: 4, Proc: 1, Index: 0, Diff: small}}}}}},
+	} {
+		enc := tc.m.EncodeAppend(nil)
+		drainShells()
+		warm := shellDiffResp(t, 4, false).EncodeAppend(nil)
+		m, err := Decode(warm)
 		if err != nil {
 			t.Fatal(err)
 		}
 		m.Release()
-	}); allocs > 1 {
-		t.Errorf("decoding a grant into a shell allocates %.1f objects, want at most 1: its slabs are the shell's", allocs)
-	}
-	// A message in the runtime's form, payload in one mode-tagged section,
-	// costs nothing more: the first section lives in the shell.
-	g := shellGrant()
-	sectioned := (&Msg{Kind: g.Kind, Seq: g.Seq, A: g.A,
-		Sections: []Section{{Mode: 1, VC: g.VC, Intervals: g.Intervals}}}).EncodeAppend(nil)
-	if allocs := testing.AllocsPerRun(200, func() {
-		m, err := Decode(sectioned)
-		if err != nil || len(m.Sections) != 1 || len(m.Sections[0].Intervals) != 1 {
-			t.Fatalf("sectioned grant: %+v, err %v", m, err)
+		kept := m.kept.diffs
+		if m, err = Decode(enc); err != nil || !bytes.Equal(m.EncodeAppend(nil), enc) {
+			t.Fatalf("%s: decoded %+v, err %v: does not re-encode as sent", tc.name, m, err)
+		}
+		last := m.Diffs[len(m.Diffs)-1]
+		if len(m.Sections) == 1 {
+			last = m.Sections[0].Diffs[0]
+		}
+		want, got := make([]byte, 2048), make([]byte, 2048)
+		if err := tc.m.Diffs[len(tc.m.Diffs)-1].Diff.Apply(want); err != nil {
+			t.Fatal(err)
+		}
+		if err := last.Diff.Apply(got); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("%s applies differently from what was sent (err %v)", tc.name, err)
 		}
 		m.Release()
-	}); allocs > 1 {
-		t.Errorf("decoding a sectioned grant into a shell allocates %.1f objects, want at most 1", allocs)
+		if k := m.kept.diffs; cap(k.recs) != cap(kept.recs) || cap(k.hdrs) != cap(kept.hdrs) ||
+			cap(k.runs) != cap(kept.runs) || cap(k.data) != cap(kept.data) {
+			t.Errorf("%s: the shell's kept slabs changed size: %d/%d/%d/%d, were %d/%d/%d/%d", tc.name,
+				cap(k.recs), cap(k.hdrs), cap(k.runs), cap(k.data), cap(kept.recs), cap(kept.hdrs), cap(kept.runs), cap(kept.data))
+		}
+		if a := testing.AllocsPerRun(20, func() {
+			m, err := Decode(enc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.Release()
+		}); a != 4 {
+			t.Errorf("decoding %s takes %v allocations, want its 4 slabs", tc.name, a)
+		}
 	}
 }
 
@@ -937,5 +1057,66 @@ func TestReleasedShellIsPoisoned(t *testing.T) {
 		t.Errorf("a shell taken off the free list is not clean: %+v", again)
 	} else {
 		again.Release()
+	}
+}
+
+// TestReleasedDiffSlabsArePoisoned: under poison-on-release, what a holder
+// kept of a diff response past its last Release is garbage at once — the
+// records read the poison pattern, a kept *page.Diff is refused by Apply,
+// its runs starting at a negative offset, and its payload, the frame's,
+// reads 0xDB — and so are a diff request's wants. Without the last release
+// the same holder reads the diff that was sent, and so does a Clone after
+// it.
+func TestReleasedDiffSlabsArePoisoned(t *testing.T) {
+	framebuf.SetPoison(true)
+	defer framebuf.SetPoison(false)
+	poison := uint64(framebuf.PoisonByte) * 0x0101010101010101
+	dead := int32(uint32(poison))
+	for _, sectioned := range []bool{false, true} {
+		drainShells()
+		sent := shellDiffResp(t, 4, sectioned)
+		frame := sent.EncodeAppend(framebuf.Get())
+		m, err := Decode(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Frame = framebuf.NewRef(frame, 1)
+		recs, want := m.Diffs, sent.Diffs
+		if sectioned {
+			recs, want = m.Sections[0].Diffs, sent.Sections[0].Diffs
+		}
+		d, payload := recs[3].Diff, recs[3].Diff.RunData(0)
+		wantPage, got := make([]byte, 1024), make([]byte, 1024)
+		if err := want[3].Diff.Apply(wantPage); err != nil {
+			t.Fatal(err)
+		}
+		m.Retain()
+		m.Release()
+		if err := d.Apply(got); err != nil || !bytes.Equal(got, wantPage) || recs[3].Page != 3 {
+			t.Errorf("sectioned=%v: a response with a holder left applies differently (err %v) or reads record %+v", sectioned, err, recs[3])
+		}
+		clone := d.Clone()
+		m.Release()
+		if err := d.Apply(make([]byte, 1024)); err == nil {
+			t.Errorf("sectioned=%v: a diff held past its response's release still applies", sectioned)
+		}
+		if err := clone.Apply(got); err != nil || !bytes.Equal(got, wantPage) {
+			t.Errorf("sectioned=%v: a Clone does not survive its response's release (err %v)", sectioned, err)
+		}
+		if !bytes.Equal(payload, bytes.Repeat([]byte{framebuf.PoisonByte}, len(payload))) {
+			t.Errorf("sectioned=%v: a payload held past its response's release reads % x, want poison", sectioned, payload)
+		}
+		if r := recs[3]; r.Page != mem.PageID(dead) || r.Proc != mem.ProcID(dead) || r.Index != dead {
+			t.Errorf("sectioned=%v: a record held past its response's release reads %+v, want the poison pattern", sectioned, r)
+		}
+	}
+	m, err := Decode(shellDiffReq().EncodeAppend(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wants := m.Wants
+	m.Release()
+	if w := wants[1]; w != (Want{Page: mem.PageID(dead), Proc: mem.ProcID(dead), Index: dead, Span: dead}) {
+		t.Errorf("a want held past its request's release reads %+v, want the poison pattern", w)
 	}
 }
