@@ -557,7 +557,7 @@ func BenchmarkOutstandingLookup(b *testing.B) {
 	applied := vc.New(16)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		log.Outstanding(3, applied, clock, 0)
+		log.Outstanding(nil, 3, applied, clock, 0)
 	}
 }
 

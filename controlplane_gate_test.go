@@ -32,23 +32,22 @@ const (
 	ctlGatePrivBase = ctlGateLocks * ctlGateSpacing
 	ctlGatePrivate  = 16
 	ctlGateGCEvery  = 8
-	// Four GC epochs fill the pools, the free lists and the interval slabs
-	// the message shells keep; the measured steps span four more, from step
-	// 32 to step 64, so every index list of the interval log, which grow by
-	// doubling and in lockstep on a ring, doubles exactly once inside the
-	// window whatever its length per step.
+	// Four GC epochs fill the pools, the free lists, the slabs the message
+	// shells keep and the interval log's chunk free list and index lists,
+	// which every epoch sweeps; the measured steps span four more, from step
+	// 32 to step 64.
 	ctlGateWarmup = 4 * ctlGateGCEvery
 	ctlGateSteps  = 32
 	// ctlGateBytesPerSection bounds the bytes allocated per critical
 	// section: 1.13 x the highest of fifteen runs over GOMAXPROCS 1, 2 and 8
-	// (1,155-1,244 B), and 0.67 x the 2,084 B its parent measures, which
-	// decoded each received diff into records, a header and run tables of
-	// its own and grew the GC revalidation's request list from nil. What is
-	// left is what a section keeps or hands on: its two interval records in
-	// the log's chunks and index lists at their creator and three receivers
-	// each (about 60 B a copy), the diff it served with its slots, and the
-	// wants of the miss that fetched it.
-	ctlGateBytesPerSection = 1400
+	// (645-733 B), and 0.68-0.71 x the 1,165-1,222 B its parent measures, whose
+	// interval log kept every record it was handed — chunks, page windows
+	// and index lists at the creator and three receivers, about 60 B a copy.
+	// The log now recycles what a GC epoch sweeps, so what is left is what a
+	// section hands on: the diff it served, made into a run table and
+	// payload windows, the slots that held it, and the wants and request of
+	// the miss that fetched it.
+	ctlGateBytesPerSection = 830
 )
 
 // ctlGateRecordAt fills buf with record l after k updates; every byte

@@ -180,7 +180,7 @@ func (e *Engine) miss(p mem.ProcID, ps *procState, pg mem.PageID) {
 	if cold {
 		e.stats.ColdMisses++
 	}
-	out := e.log.Outstanding(pg, e.appliedOf(ps, pg), ps.v, p)
+	out := e.log.Outstanding(nil, pg, e.appliedOf(ps, pg), ps.v, p)
 	if len(out) == 0 {
 		// No modifications to collect. A retained invalid copy can simply
 		// be revalidated; a cold page is fetched whole from its manager
@@ -332,7 +332,7 @@ func (e *Engine) updateAtAcquire(p mem.ProcID, ps *procState, releaser mem.ProcI
 		if ps.status[pg] != psValid {
 			continue
 		}
-		out := e.log.Outstanding(pg, e.appliedOf(ps, pg), ps.v, p)
+		out := e.log.Outstanding(nil, pg, e.appliedOf(ps, pg), ps.v, p)
 		if len(out) == 0 {
 			continue
 		}
@@ -514,7 +514,7 @@ func (e *Engine) updateAtBarrier(pages []mem.PageID, mergedV vc.VC) {
 			if qp.status[pg] != psValid {
 				continue
 			}
-			out := e.log.Outstanding(pg, e.appliedOf(qp, pg), qp.v, mem.ProcID(q))
+			out := e.log.Outstanding(nil, pg, e.appliedOf(qp, pg), qp.v, mem.ProcID(q))
 			if len(out) == 0 {
 				continue
 			}

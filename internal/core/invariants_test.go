@@ -154,7 +154,7 @@ func TestOutstandingConsistentWithNotices(t *testing.T) {
 		for pg := 0; pg < lay.NumPages(); pg++ {
 			pgid := mem.PageID(pg)
 			applied := e.appliedOf(ps, pgid)
-			got := log.Outstanding(pgid, applied, ps.v, mem.ProcID(p))
+			got := log.Outstanding(nil, pgid, applied, ps.v, mem.ProcID(p))
 			want := map[IntervalID]bool{}
 			for q := 0; q < 4; q++ {
 				if q == p {

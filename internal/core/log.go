@@ -9,8 +9,10 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
+	"repro/internal/framebuf"
 	"repro/internal/mem"
 	"repro/internal/page"
 	"repro/internal/vc"
@@ -29,7 +31,7 @@ func (id IntervalID) String() string { return fmt.Sprintf("%d/%d", id.Proc, id.I
 // the pages it modified (the write notices), with the modified byte ranges
 // retained for diff sizing. It is a value: what Log.Get and
 // Log.NoticesBetween hand out is a view whose slices are read-only windows
-// of the log's storage.
+// of the log's storage, valid until the Log.Sweep that covers the interval.
 type Interval struct {
 	ID IntervalID
 	// VC is the creating processor's vector clock at the instant the
@@ -56,66 +58,77 @@ func (iv Interval) ModsFor(p mem.PageID) *page.RangeSet {
 	return nil
 }
 
-// Log is the append-only store of closed intervals, indexed by processor
-// and by modified page. In a real distributed system each node holds the
-// subset of the log its vector clock covers; the simulator keeps one log
-// and derives each node's view from its clock, which is equivalent because
+// Log is the store of closed intervals, indexed by processor and by
+// modified page. In a real distributed system each node holds the subset
+// of the log its vector clock covers; the simulator keeps one log and
+// derives each node's view from its clock, which is equivalent because
 // write-notice propagation maintains the invariant that a node covered by
 // interval j's timestamp also knows every interval that happened before j.
 //
 // The log owns its records. Each processor's intervals live by value in a
 // list of fixed-size chunks: a chunk holds the clocks of per consecutive
 // intervals at a fixed stride of n entries (so a record needs no clock
-// header) and one page-list window per record, carved from a slab the
-// processor's chunks fill in turn. A chunk is made at the first append
-// that needs it and is never moved or regrown, so a window handed out stays
-// good for the life of the log, appending costs no table growth, and a
-// later garbage-collection epoch can drop whole chunks (ROADMAP item 6(d);
-// nothing is dropped today). A chunk is sized in bytes, not records: its
-// record count falls as the clock stride grows, so a 64-processor log does
-// not reserve megabytes per processor before its first barrier.
+// header) and one page-id array its records' lists are appended to, record
+// k's being pages[ends[k-1]:ends[k]] — a 4-byte offset per record, not a
+// slice header. A chunk is sized in bytes, not records: its record count
+// falls as the clock stride grows, so a 64-processor log does not reserve
+// megabytes per processor before its first barrier.
+//
+// History is bounded by Sweep, which a garbage-collection epoch calls with
+// its clock: each processor's floor rises to the epoch's entry, and the
+// log answers only above it — Get panics on a swept interval,
+// NoticesBetween starts at the floor, and the page index lists are trimmed
+// in place to the indices above it. A chunk whose every index a sweep
+// covers goes to a free list the log owns, which Append takes chunks from
+// before it makes one, so a log swept every epoch allocates nothing once
+// its chunks, free list and index lists have grown to an epoch's history.
+// The simulator never sweeps.
 type Log struct {
 	n     int
 	per   int       // records per chunk
 	procs []procLog // [proc]
-	// byPage[p][q] lists the interval indices of processor q that modified
-	// page p, ascending (append order per processor is index order).
+	// byPage[p][q] lists the interval indices of processor q above its
+	// floor that modified page p, ascending (append order per processor is
+	// index order).
 	byPage map[mem.PageID][][]int32
+	free   []*chunk // chunks a sweep freed, for Append to reuse
 }
 
-// procLog is one processor's intervals: chunk c holds indices [c*per,
-// (c+1)*per).
+// procLog is one processor's intervals: chunk c holds indices
+// [(dropped+c)*per, (dropped+c+1)*per).
 type procLog struct {
-	count  int32
-	chunks []*chunk
-	slab   []mem.PageID // unused tail of the slab page lists are carved from
+	count   int32 // intervals appended
+	floor   int32 // highest swept index, -1 before the first sweep
+	dropped int   // chunks freed by sweeps
+	chunks  []*chunk
 }
 
 type chunk struct {
-	clocks []int32        // per records of n entries each
-	pages  [][]mem.PageID // per windows of a page slab
-	// mods is parallel to pages once an interval of the chunk brought
-	// ranges (the simulator's do, the live runtime's never).
+	clocks []int32      // per records of n entries each
+	ends   []int32      // [per]: record k's pages end at pages[ends[k]]
+	pages  []mem.PageID // the records' page lists, back to back
+	// mods is parallel to the records once an interval of the chunk
+	// brought ranges (the simulator's do, the live runtime's never).
 	mods [][]*page.RangeSet
 }
 
-const (
-	// chunkBytes sizes a chunk's clock and page-window arrays together.
-	chunkBytes = 4 << 10
-	// slabPages is the page-id slab a processor's lists are carved from; a
-	// longer list gets a slab of its own size.
-	slabPages = 256
-)
+// chunkBytes sizes a chunk's clock and page-list storage together, at one
+// page per record.
+const chunkBytes = 4 << 10
 
 // NewLog creates an empty log for n processors.
 func NewLog(n int) *Log {
-	const window = 24 // a page list's slice header
-	return &Log{
+	const record = 8 // a record's page-list end and one page id
+	l := &Log{
 		n:      n,
-		per:    max(8, chunkBytes/(4*n+window)),
+		per:    max(8, chunkBytes/(4*n+record)),
 		procs:  make([]procLog, n),
 		byPage: make(map[mem.PageID][][]int32),
 	}
+	for i := range l.procs {
+		l.procs[i].floor = -1
+	}
+	return l
 }
 
 // NumProcs returns the number of processors the log covers.
@@ -138,14 +151,12 @@ func (l *Log) Append(iv Interval) {
 	}
 	k := int(pl.count) % l.per
 	if k == 0 {
-		pl.chunks = append(pl.chunks, &chunk{
-			clocks: make([]int32, l.per*l.n),
-			pages:  make([][]mem.PageID, l.per),
-		})
+		pl.chunks = append(pl.chunks, l.newChunk())
 	}
 	c := pl.chunks[len(pl.chunks)-1]
 	copy(c.clocks[k*l.n:], iv.VC)
-	c.pages[k] = pl.carve(iv.Pages)
+	c.pages = append(c.pages, iv.Pages...)
+	c.ends[k] = int32(len(c.pages))
 	if iv.Mods != nil {
 		if c.mods == nil {
 			c.mods = make([][]*page.RangeSet, l.per)
@@ -163,17 +174,20 @@ func (l *Log) Append(iv Interval) {
 	}
 }
 
-// carve copies pages into the processor's slab and returns the copy as a
-// capacity-limited window.
-func (pl *procLog) carve(pages []mem.PageID) []mem.PageID {
-	n := len(pages)
-	if n > len(pl.slab) {
-		pl.slab = make([]mem.PageID, max(n, slabPages))
+// newChunk returns an empty chunk, the last one a sweep freed if there is
+// one.
+func (l *Log) newChunk() *chunk {
+	if k := len(l.free) - 1; k >= 0 {
+		c := l.free[k]
+		l.free[k] = nil
+		l.free = l.free[:k]
+		return c
 	}
-	w := pl.slab[:n:n]
-	pl.slab = pl.slab[n:]
-	copy(w, pages)
-	return w
+	return &chunk{
+		clocks: make([]int32, l.per*l.n),
+		ends:   make([]int32, l.per),
+		pages:  make([]mem.PageID, 0, l.per),
+	}
 }
 
 // appendDoubling is append for a list that only ever grows: the runtime's
@@ -186,23 +200,96 @@ func appendDoubling(s []int32, x int32) []int32 {
 	return append(s, x)
 }
 
-// Get returns the interval with the given id, which must exist. The
-// result's VC and Pages are capacity-limited windows of the log's storage:
-// they stay valid, and must not be written.
+// Sweep collects every interval floor covers: processor q's floor rises to
+// floor[q] (never past its last interval, never back down), each page's
+// index lists lose the indices at or below it in place, and a chunk whose
+// every index is at or below it goes to the free list. What Get handed out
+// for a swept interval is not valid after the sweep: under
+// internal/framebuf's poison-on-release mode a freed chunk's clocks and
+// page ids are overwritten at once, and reusing it overwrites them anyway.
+func (l *Log) Sweep(floor vc.VC) {
+	if len(floor) != l.n {
+		panic(fmt.Sprintf("core: sweeping a log of %d processors with a %d-entry clock", l.n, len(floor)))
+	}
+	moved := false
+	for q := range l.procs {
+		pl := &l.procs[q]
+		f := min(floor[q], pl.count-1)
+		if f <= pl.floor {
+			continue
+		}
+		pl.floor, moved = f, true
+		gone := 0
+		for gone < len(pl.chunks) && (pl.dropped+gone+1)*l.per-1 <= int(f) {
+			l.free = append(l.free, pl.chunks[gone].reset())
+			gone++
+		}
+		kept := copy(pl.chunks, pl.chunks[gone:])
+		clear(pl.chunks[kept:])
+		pl.chunks = pl.chunks[:kept]
+		pl.dropped += gone
+	}
+	if !moved {
+		return
+	}
+	for _, hist := range l.byPage {
+		for q, idxs := range hist {
+			if k, _ := slices.BinarySearch(idxs, l.procs[q].floor+1); k > 0 {
+				hist[q] = idxs[:copy(idxs, idxs[k:])]
+			}
+		}
+	}
+}
+
+// reset empties a chunk for reuse, poisoning what it held first when
+// internal/framebuf's poison-on-release mode is on, and returns it.
+func (c *chunk) reset() *chunk {
+	if framebuf.Poisoned() {
+		dead := uint32(framebuf.PoisonByte) * 0x01010101
+		fill(c.clocks, int32(dead))
+		fill(c.pages[:cap(c.pages)], mem.PageID(dead))
+	}
+	c.pages, c.mods = c.pages[:0], nil
+	return c
+}
+
+func fill[T any](s []T, x T) {
+	for i := range s {
+		s[i] = x
+	}
+}
+
+// Floor returns the index of processor q's last swept interval, -1 if none
+// has been swept.
+func (l *Log) Floor(q mem.ProcID) int32 { return l.procs[q].floor }
+
+// Get returns the interval with the given id, which must be in the log and
+// above its processor's floor. The result's VC and Pages are
+// capacity-limited windows of the log's storage: they stay valid until the
+// sweep that covers the interval, and must not be written.
 func (l *Log) Get(id IntervalID) Interval {
 	if int(id.Proc) < 0 || int(id.Proc) >= l.n || id.Index < 0 || id.Index >= l.procs[id.Proc].count {
 		panic(fmt.Sprintf("core: interval %v is not in the log", id))
 	}
+	if f := l.procs[id.Proc].floor; id.Index <= f {
+		panic(fmt.Sprintf("core: interval %v was swept (processor %d's floor is %d)", id, id.Proc, f))
+	}
 	return l.at(id.Proc, id.Index)
 }
 
-// at is Get for an index known to be stored.
+// at is Get for an index known to be stored above the floor.
 func (l *Log) at(p mem.ProcID, idx int32) Interval {
-	c, k := l.procs[p].chunks[int(idx)/l.per], int(idx)%l.per
+	pl := &l.procs[p]
+	c, k := pl.chunks[int(idx)/l.per-pl.dropped], int(idx)%l.per
+	var lo int32
+	if k > 0 {
+		lo = c.ends[k-1]
+	}
+	hi := c.ends[k]
 	iv := Interval{
 		ID:    IntervalID{Proc: p, Index: idx},
 		VC:    c.clocks[k*l.n : (k+1)*l.n : (k+1)*l.n],
-		Pages: c.pages[k],
+		Pages: c.pages[lo:hi:hi],
 	}
 	if c.mods != nil {
 		iv.Mods = c.mods[k]
@@ -210,24 +297,27 @@ func (l *Log) at(p mem.ProcID, idx int32) Interval {
 	return iv
 }
 
-// Count returns the total number of intervals stored.
+// Count returns the number of intervals the log holds: those above the
+// floors.
 func (l *Log) Count() int {
 	total := 0
 	for i := range l.procs {
-		total += int(l.procs[i].count)
+		total += int(l.procs[i].count - 1 - l.procs[i].floor)
 	}
 	return total
 }
 
-// NoticesBetween invokes fn for every interval (r, k) with from[r] < k <=
-// to[r] — the intervals a processor whose clock is `from` learns about from
-// one whose clock is `to`. It returns the total interval and notice counts
-// (for message sizing). fn gets a value, like Get's: a pointer to a
-// temporary would reach the heap once per record.
+// NoticesBetween invokes fn for every interval (r, k) the log holds with
+// from[r] < k <= to[r] — the intervals a processor whose clock is `from`
+// learns about from one whose clock is `to`, from the floor up. It returns
+// the total interval and notice counts (for message sizing). fn gets a
+// value, like Get's: a pointer to a temporary would reach the heap once per
+// record.
 func (l *Log) NoticesBetween(from, to vc.VC, fn func(iv Interval)) (intervals, notices int) {
 	for r := 0; r < l.n; r++ {
-		hi := min(to[r], l.procs[r].count-1)
-		for k := from[r] + 1; k <= hi; k++ {
+		pl := &l.procs[r]
+		hi := min(to[r], pl.count-1)
+		for k := max(from[r], pl.floor) + 1; k <= hi; k++ {
 			iv := l.at(mem.ProcID(r), k)
 			intervals++
 			notices += iv.NumNotices()
@@ -239,17 +329,17 @@ func (l *Log) NoticesBetween(from, to vc.VC, fn func(iv Interval)) (intervals, n
 	return intervals, notices
 }
 
-// Outstanding returns the ids of every interval that modified page pg,
-// is known to the inquiring processor (index <= known[creator]), and is
-// not yet reflected in its copy (index > applied[creator]). self is the
-// inquiring processor: its own intervals are never outstanding, because a
+// Outstanding appends to out the ids of every interval above the floor
+// that modified page pg, is known to the inquiring processor (index <=
+// known[creator]), and is not yet reflected in its copy (index >
+// applied[creator]), and returns the extended list. self is the inquiring
+// processor: its own intervals are never outstanding, because a
 // processor's own writes are always present in its own copy.
-func (l *Log) Outstanding(pg mem.PageID, applied, known vc.VC, self mem.ProcID) []IntervalID {
+func (l *Log) Outstanding(out []IntervalID, pg mem.PageID, applied, known vc.VC, self mem.ProcID) []IntervalID {
 	hist := l.byPage[pg]
 	if hist == nil {
-		return nil
+		return out
 	}
-	var out []IntervalID
 	for q := 0; q < l.n; q++ {
 		if mem.ProcID(q) == self {
 			continue
@@ -293,8 +383,8 @@ func (l *Log) HasOutstanding(pg mem.PageID, applied, known vc.VC, self mem.ProcI
 	return false
 }
 
-// ModifiersOf returns, for page pg, the processors with any interval in
-// the byPage history (ever-modifiers), used by ablations and diagnostics.
+// ModifiersOf returns, for page pg, the processors with an interval above
+// their floor that modified it.
 func (l *Log) ModifiersOf(pg mem.PageID) []mem.ProcID {
 	hist := l.byPage[pg]
 	if hist == nil {
@@ -350,8 +440,8 @@ func (l *Log) Maximal(out []IntervalID) []IntervalID {
 }
 
 // IndicesOn returns the indices, ascending, of processor q's intervals
-// that modified page pg and lie in [first, last]. The result aliases the
-// log's history.
+// above its floor that modified page pg and lie in [first, last]. The
+// result aliases the log's history until the next Append or Sweep.
 func (l *Log) IndicesOn(pg mem.PageID, q mem.ProcID, first, last int32) []int32 {
 	hist := l.byPage[pg]
 	if hist == nil {

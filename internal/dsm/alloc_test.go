@@ -92,77 +92,90 @@ func TestTouchTableLivesUntilFirstBarrier(t *testing.T) {
 	wg.Wait()
 }
 
-// TestTwinPoolCoversBudget runs the lock-ring shape — every critical
-// section twins a shared page and a private one, every interval parks its
-// twins until the GC epoch, and the epoch releases them all at once —
-// over three epochs. The parked twins stay far below the twin budget, and
-// the page pool keeps as many bytes as the budget, so once the pool has
-// been through an epoch every capture is served from it: the last epoch
-// must not miss once. (A pool 128 buffers deep dropped most of what an
-// epoch released and allocated it again over the next steps.)
-func TestTwinPoolCoversBudget(t *testing.T) {
-	const (
-		procs, locks, pageSize = 4, 32, 4096
-		spacing                = pageSize / 4
-		privBase               = locks * spacing
-		gcEvery                = 8
-	)
+// The lock-ring shape: every critical section rewrites a 64-byte record,
+// four to a page, under its lock, and then a word of the node's private
+// page; a barrier ends every step.
+const (
+	ringProcs, ringLocks, ringPageSize = 4, 32, 4096
+	ringSpacing                        = ringPageSize / 4
+	ringPrivBase                       = ringLocks * ringSpacing
+)
+
+// newRingSys returns a lock-ring cluster that collects every gcEvery
+// barriers.
+func newRingSys(t *testing.T, gcEvery int) *System {
+	t.Helper()
 	s, err := New(Config{
-		Procs: procs, SpaceSize: privBase + procs*pageSize, PageSize: pageSize,
+		Procs: ringProcs, SpaceSize: ringPrivBase + ringProcs*ringPageSize, PageSize: ringPageSize,
 		Mode: LazyInvalidate, GCEveryBarriers: gcEvery,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() {
+	t.Cleanup(func() {
 		if err := s.Close(); err != nil {
 			t.Errorf("Close: %v", err)
 		}
-	}()
-	// One node at a time runs its critical sections, then all meet at the
-	// barrier: every node has released its epoch's twins before the next
-	// capture, so the pool's demand is the same in every epoch.
-	epoch := func(first int) {
-		for step := first; step < first+gcEvery; step++ {
-			for id := 0; id < procs; id++ {
-				n := s.Node(id)
-				var rec [64]byte
-				for m := 0; m < locks/procs; m++ {
-					l := (id+step)%procs + procs*m
-					binary.LittleEndian.PutUint64(rec[:], uint64(step+1))
-					err := n.Acquire(mem.LockID(l))
-					if err == nil {
-						err = n.Write(mem.Addr(l*spacing), rec[:])
-					}
-					if err == nil {
-						err = n.Release(mem.LockID(l))
-					}
-					if err == nil {
-						err = n.WriteUint64(mem.Addr(privBase+id*pageSize+8*m), uint64(step))
-					}
-					if err != nil {
-						t.Fatal(err)
-					}
+	})
+	return s
+}
+
+// ringSteps runs steps [first, last) of the lock ring, one node at a time
+// (every node has released its step's twins before the next capture, so
+// each step asks the same of the pools), all nodes meeting at the barrier.
+func ringSteps(t *testing.T, s *System, first, last int) {
+	t.Helper()
+	for step := first; step < last; step++ {
+		for id := 0; id < ringProcs; id++ {
+			n := s.Node(id)
+			var rec [64]byte
+			for m := 0; m < ringLocks/ringProcs; m++ {
+				l := (id+step)%ringProcs + ringProcs*m
+				binary.LittleEndian.PutUint64(rec[:], uint64(step+1))
+				err := n.Acquire(mem.LockID(l))
+				if err == nil {
+					err = n.Write(mem.Addr(l*ringSpacing), rec[:])
+				}
+				if err == nil {
+					err = n.Release(mem.LockID(l))
+				}
+				if err == nil {
+					err = n.WriteUint64(mem.Addr(ringPrivBase+id*ringPageSize+8*m), uint64(step))
+				}
+				if err != nil {
+					t.Fatal(err)
 				}
 			}
-			var wg sync.WaitGroup
-			for id := 0; id < procs; id++ {
-				wg.Add(1)
-				go func(n *Node) {
-					defer wg.Done()
-					if err := n.Barrier(0); err != nil {
-						t.Error(err)
-					}
-				}(s.Node(id))
-			}
-			wg.Wait()
 		}
+		var wg sync.WaitGroup
+		for id := 0; id < ringProcs; id++ {
+			wg.Add(1)
+			go func(n *Node) {
+				defer wg.Done()
+				if err := n.Barrier(0); err != nil {
+					t.Error(err)
+				}
+			}(s.Node(id))
+		}
+		wg.Wait()
 	}
-	epoch(0)
-	epoch(gcEvery)
+}
+
+// TestTwinPoolCoversBudget runs the lock ring over three epochs: every
+// critical section twins a shared page and a private one, every interval
+// parks its twins until the GC epoch, and the epoch releases them all at
+// once. The parked twins stay far below the twin budget, and the page pool
+// keeps as many bytes as the budget, so once the pool has been through an
+// epoch every capture is served from it: the last epoch must not miss
+// once. (A pool 128 buffers deep dropped most of what an epoch released
+// and allocated it again over the next steps.)
+func TestTwinPoolCoversBudget(t *testing.T) {
+	const gcEvery = 8
+	s := newRingSys(t, gcEvery)
+	ringSteps(t, s, 0, 2*gcEvery)
 	before := s.Node(0).Stats()
 	gets0, _ := page.PoolStats()
-	epoch(2 * gcEvery)
+	ringSteps(t, s, 2*gcEvery, 3*gcEvery)
 	after := s.Node(0).Stats()
 	gets1, _ := page.PoolStats()
 	if after.GCRuns != 3 {
@@ -176,6 +189,40 @@ func TestTwinPoolCoversBudget(t *testing.T) {
 	}
 	if missed := after.TwinPoolMisses - before.TwinPoolMisses; missed != 0 {
 		t.Errorf("the last epoch's %d captures missed the pool %d times, want 0", gets1-gets0, missed)
+	}
+}
+
+// TestLogFlatInRunLength: a GC epoch sweeps the interval log, so what a
+// node's log holds follows the history since the last epoch, not the run.
+// The lock ring runs for 8 and for 64 epochs and one step past the last;
+// every node's log then holds that one step's intervals, the same number
+// after both runs, where an unswept log would hold eight times as many
+// after the longer one.
+func TestLogFlatInRunLength(t *testing.T) {
+	const gcEvery = 2
+	held := func(epochs int) []int {
+		s := newRingSys(t, gcEvery)
+		ringSteps(t, s, 0, epochs*gcEvery+1)
+		counts := make([]int, ringProcs)
+		for id := range counts {
+			e := lazyOf(s.Node(id))
+			if runs := s.Node(id).Stats().GCRuns; runs != int64(epochs) {
+				t.Fatalf("node %d ran %d GC epochs, want %d", id, runs, epochs)
+			}
+			e.mu.Lock()
+			counts[id] = e.log.Count()
+			e.mu.Unlock()
+		}
+		return counts
+	}
+	short, long := held(8), held(64)
+	// A step closes two intervals per critical section: the record's at its
+	// release, the private word's at the next acquire or the barrier.
+	bound := 2 * ringLocks
+	for id := range short {
+		if short[id] != long[id] || long[id] == 0 || long[id] > bound {
+			t.Errorf("node %d's log holds %d intervals after 8 epochs and %d after 64, want the same, at most %d", id, short[id], long[id], bound)
+		}
 	}
 }
 

@@ -24,6 +24,12 @@ import (
 // lazyOf returns node n's engine, an LI or LU one.
 func lazyOf(n *Node) *lazyEngine { return n.e.(*lazyEngine) }
 
+// planLocked is appendPlanLocked into a list of its own: the plan a miss
+// of page pg makes from a copy with the given applied clock.
+func (e *lazyEngine) planLocked(pg mem.PageID, applied vc.VC) []core.IntervalID {
+	return e.appendPlanLocked(nil, pg, applied)
+}
+
 // logOf snapshots every interval in e's log, in (proc, index) order.
 func logOf(e *lazyEngine) (clock vc.VC, ivs []core.Interval) {
 	e.mu.Lock()

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"regexp"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -610,7 +611,7 @@ func TestHostileRangeWantsRecordedNotServed(t *testing.T) {
 		{"wraps the index", false, []wire.Want{{Page: 1, Proc: 0, Index: 2, Span: 1<<31 - 1}}, "not a run of this node's intervals"},
 		{"negative span", false, []wire.Want{{Page: 1, Proc: 0, Index: 2, Span: -2}}, "not a run of this node's intervals"},
 		{"invalid page", false, []wire.Want{{Page: 1 << 20, Proc: 0, Index: 0, Span: 2}}, "on invalid page"},
-		{"collected history", true, []wire.Want{{Page: 1, Proc: 0, Index: 0, Span: 2}}, "no longer held"},
+		{"collected history", true, []wire.Want{{Page: 1, Proc: 0, Index: 0, Span: 2}}, "from collected history"},
 		{"a sound want beside a bad one", false, []wire.Want{{Page: 1, Proc: 0, Index: 0, Span: 2}, {Page: 1, Proc: 0, Index: 1, Span: 7}}, "not a run of this node's intervals"},
 	}
 	for _, tc := range cases {
@@ -668,6 +669,121 @@ func TestHostileRangeWantsRecordedNotServed(t *testing.T) {
 				t.Fatalf("Close = %v, want the recorded diff request cause %q", cerr, tc.want)
 			}
 		})
+	}
+}
+
+// TestCollectedHistoryRecordedNotServed: a GC epoch sweeps the records of
+// the intervals it covers out of the log, so remote input that names one —
+// a want, a diff record LU would store, a lock request or a barrier
+// arrival whose clock lies below the swept floor — has nothing to be
+// checked against. Each is recorded, never a panic: a want or a diff
+// record into collected history is refused, and a grant or an exit built
+// for a forged clock is served from the floor.
+func TestCollectedHistoryRecordedNotServed(t *testing.T) {
+	// Node 0 closes intervals 0..3 on page 1, a GC epoch sweeps them, and it
+	// closes interval 4, the one record above the floor.
+	cases := []struct {
+		name, want string
+		// exports says hostile builds a message, whose interval records it
+		// returns: they must be exactly the one above the floor.
+		exports bool
+		hostile func(n *Node, e *lazyEngine) []wire.IntervalRec
+	}{
+		{"a want into collected history", "asked for diff 0/1 of page 1 from collected history",
+			false, func(n *Node, e *lazyEngine) []wire.IntervalRec {
+				e.handleDiffReq(&wire.Msg{Kind: wire.KDiffReq, Seq: 99, A: 1, Wants: []wire.Want{{Page: 1, Proc: 0, Index: 1}}}, 1)
+				return nil
+			}},
+		{"a range want into collected history", "asked for diff 0/2 of page 1 from collected history",
+			false, func(n *Node, e *lazyEngine) []wire.IntervalRec {
+				e.handleDiffReq(&wire.Msg{Kind: wire.KDiffReq, Seq: 99, A: 1, Wants: []wire.Want{{Page: 1, Proc: 0, Index: 2, Span: 2}}}, 1)
+				return nil
+			}},
+		{"a diff record of a collected interval", "diff record 0/3 for page 1 names collected history",
+			false, func(n *Node, e *lazyEngine) []wire.IntervalRec {
+				d, err := page.DiffFromRuns([]page.Run{{Off: 8, Len: 8}}, [][]byte{make([]byte, 8)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				e.mu.Lock()
+				defer e.mu.Unlock()
+				e.storeDiffRecsLocked([]wire.DiffRec{{Page: 1, Proc: 0, Index: 3, Diff: d}})
+				if e.diffs[core.IntervalID{Proc: 0, Index: 3}] != nil {
+					t.Error("the store took a diff of a collected interval")
+				}
+				return nil
+			}},
+		{"a lock request below the floor", "forged clock <-1,-1> lies below the collected floor 3 of processor 0",
+			true, func(n *Node, e *lazyEngine) []wire.IntervalRec {
+				var grant wire.Msg
+				n.lockMu.Lock()
+				defer n.lockMu.Unlock()
+				e.grant(&wire.Msg{Kind: wire.KLockReq, VC: vc.VC{-1, -1}}, &grant)
+				return slices.Clone(grant.Intervals)
+			}},
+		{"a barrier arrival below the floor", "forged clock <2,-1> lies below the collected floor 3 of processor 0",
+			true, func(n *Node, e *lazyEngine) []wire.IntervalRec {
+				var exit wire.Msg
+				e.exit(&wire.Msg{Kind: wire.KBarrierArrive, VC: vc.VC{2, -1}}, &exit)
+				return slices.Clone(exit.Intervals)
+			}},
+	}
+	for _, mode := range []Mode{LazyInvalidate, LazyUpdate} {
+		for _, tc := range cases {
+			t.Run(mode.String()+"/"+tc.name, func(t *testing.T) {
+				s, err := New(Config{Procs: 2, SpaceSize: 8192, PageSize: 1024, Mode: mode, GCEveryBarriers: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer s.Close()
+				n := s.Node(0)
+				section := func(r int) {
+					t.Helper()
+					if err := n.Acquire(0); err != nil {
+						t.Fatal(err)
+					}
+					if err := n.WriteUint64(mem.Addr(1024+8*r), uint64(100+r)); err != nil {
+						t.Fatal(err)
+					}
+					if err := n.Release(0); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for r := 0; r < 4; r++ {
+					section(r)
+				}
+				var wg sync.WaitGroup
+				for p := 0; p < 2; p++ {
+					wg.Add(1)
+					go func(n *Node) {
+						defer wg.Done()
+						if err := n.Barrier(0); err != nil {
+							t.Error(err)
+						}
+					}(s.Node(p))
+				}
+				wg.Wait()
+				section(4)
+				e := lazyOf(n)
+				if e.log.Floor(0) != 3 || e.log.Count() != 1 {
+					t.Fatalf("after the epoch the log's floor is %d and it holds %d intervals, want 3 and 1", e.log.Floor(0), e.log.Count())
+				}
+				sent := n.stats.kindMsgs[wire.KDiffResp].Load()
+				recs := tc.hostile(n, e)
+				if err := n.out.flushAll(); err != nil {
+					t.Fatal(err)
+				}
+				if got := n.stats.kindMsgs[wire.KDiffResp].Load(); got != sent {
+					t.Errorf("the refused request was answered: %d diff responses sent", got-sent)
+				}
+				if tc.exports && (len(recs) != 1 || recs[0].Proc != 0 || recs[0].Index != 4) {
+					t.Errorf("exported %+v, want p0/4 alone: served from the floor", recs)
+				}
+				if cerr := s.Close(); cerr == nil || !strings.Contains(cerr.Error(), tc.want) {
+					t.Fatalf("Close = %v, want the recorded cause %q", cerr, tc.want)
+				}
+			})
+		}
 	}
 }
 

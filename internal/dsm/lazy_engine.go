@@ -283,8 +283,8 @@ func invalidPageIn(n *Node, pages []mem.PageID) *mem.PageID {
 	return nil
 }
 
-// intervalsSinceLocked appends to recs a wire record for every known
-// interval (r, k) with k > floor[r]. Caller holds e.mu.
+// intervalsSinceLocked appends to recs a wire record for every interval
+// (r, k) the log holds with k > floor[r]. Caller holds e.mu.
 func (e *lazyEngine) intervalsSinceLocked(recs []wire.IntervalRec, floor vc.VC) []wire.IntervalRec {
 	if len(floor) != len(e.v) || slices.Min(floor) < -1 {
 		// A legitimate acquirer always stamps its full clock; a missing,
@@ -292,6 +292,12 @@ func (e *lazyEngine) intervalsSinceLocked(recs []wire.IntervalRec, floor vc.VC) 
 		// knowing nothing — over-granting is safe, indexing with a forged
 		// clock is not.
 		floor = vc.New(len(e.v))
+	} else if q := e.belowFloorLocked(floor); q >= 0 {
+		// Every node's clock covers the last GC epoch once it has left the
+		// barrier that ran it, so one that does not is forged. The log
+		// answers from its floor.
+		e.n.noteErr("interval export", fmt.Errorf("forged clock %v lies below the collected floor %d of processor %d",
+			floor, e.log.Floor(mem.ProcID(q)), q))
 	}
 	count, _ := e.log.NoticesBetween(floor, e.v, nil)
 	recs = slices.Grow(recs, count)
@@ -304,6 +310,18 @@ func (e *lazyEngine) intervalsSinceLocked(recs []wire.IntervalRec, floor vc.VC) 
 		})
 	})
 	return recs
+}
+
+// belowFloorLocked returns a processor whose entry in clock v lies below
+// the log's floor, or -1 if v covers every swept interval. Caller holds
+// e.mu.
+func (e *lazyEngine) belowFloorLocked(v vc.VC) int {
+	for q, k := range v {
+		if k < e.log.Floor(mem.ProcID(q)) {
+			return q
+		}
+	}
+	return -1
 }
 
 // invalidateForLocked applies LI semantics for freshly learned intervals,
@@ -548,8 +566,9 @@ func (e *lazyEngine) postBarrier(b mem.BarrierID) error {
 // materializes pages with modification history so later cold misses can
 // be served without pre-epoch diffs), confirms readiness through the
 // master, then discards the diffs of every interval the epoch clock
-// covers. Interval records are retained (they are small); diff payloads
-// are the memory that matters.
+// covers and sweeps their records out of the log, whose floor rises to
+// the epoch: what a node keeps is bounded by the history since the last
+// epoch, not the run.
 //
 // runGC runs on the barrier leader while the node's other application
 // goroutines are parked in the local barrier rendezvous, so the only
@@ -557,14 +576,15 @@ func (e *lazyEngine) postBarrier(b mem.BarrierID) error {
 //
 // The barrier rendezvous that precedes runGC is what pushes every write
 // notice to every node — the master absorbs all arrivals before building
-// exits, so each home's log lists every pre-epoch modifier of its pages.
-// Validation must therefore leave every copy this node serves — its own
-// caches and its homed pages — with an applied clock that dominates the
-// epoch: any copy served with a smaller clock would send a later
-// requester to a creator for diffs the epoch discarded (the creator
-// panics on such requests, by design). checkGCInvariant enforces
-// this before any diff is dropped, turning a would-be remote panic into
-// a local descriptive error.
+// exits, so each home's log lists every modifier of its pages since the
+// last epoch. Validation must therefore leave every copy this node serves —
+// its own caches and its homed pages — with an applied clock that
+// dominates the epoch: any copy served with a smaller clock would send a
+// later requester to a creator for diffs the epoch discarded (the creator
+// refuses such requests as collected history), and would plan from
+// records the sweep removed. checkGCInvariant enforces this before any
+// diff is dropped, turning a would-be remote failure into a local
+// descriptive error.
 func (e *lazyEngine) runGC(b mem.BarrierID) error {
 	n := e.n
 	e.mu.Lock()
@@ -581,6 +601,9 @@ func (e *lazyEngine) runGC(b mem.BarrierID) error {
 		case pc == nil && n.homeOf(pgid) == n.id && len(e.log.ModifiersOf(pgid)) > 0:
 			// A home that never touched its page materializes it now:
 			// after the discard no one could reconstruct it from diffs.
+			// The log only knows modifiers since its floor, which is
+			// enough: a home whose page has swept history materialized it
+			// at the epoch that swept it.
 			toValidate = append(toValidate, pgid)
 		case pc != nil && pc.valid && !pc.applied.Dominates(epoch):
 			// Valid but stamped before the epoch: force a refresh so the

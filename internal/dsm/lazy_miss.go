@@ -82,6 +82,7 @@ func (e *lazyEngine) serviceMiss(pg mem.PageID, held fetchedDiffs) error {
 	// spills to the heap.
 	var (
 		clockBuf [2][maxProcs]int32
+		planBuf  [8]core.IntervalID
 		reqBuf   [4]outMsg
 		stepBuf  [8]*page.Diff
 		heldBuf  [4]fetched
@@ -176,7 +177,7 @@ func (e *lazyEngine) serviceMiss(pg mem.PageID, held fetchedDiffs) error {
 		genSnap := pc.gen
 		pmu.Unlock()
 		vSnap := append(vc.VC(clockBuf[1][:0]), e.v...)
-		out := e.planLocked(pg, appliedSnap)
+		out := e.appendPlanLocked(planBuf[:0], pg, appliedSnap)
 		reqs := e.missingDiffReqsLocked(reqBuf[:0], pg, out, held)
 		e.mu.Unlock()
 
@@ -253,14 +254,14 @@ func (e *lazyEngine) serviceMiss(pg mem.PageID, held fetchedDiffs) error {
 	}
 }
 
-// planLocked returns the intervals whose diffs a copy of page pg with the
-// given applied clock lacks, in the order they are applied: a linear
-// extension of happened-before — interval clock sums strictly increase
-// along hb1 chains, and concurrent intervals touch disjoint words in
-// properly-labeled programs. Caller holds e.mu.
-func (e *lazyEngine) planLocked(pg mem.PageID, applied vc.VC) []core.IntervalID {
-	out := e.log.Outstanding(pg, applied, e.v, e.n.id)
-	slices.SortFunc(out, func(a, b core.IntervalID) int {
+// appendPlanLocked appends to plan the intervals whose diffs a copy of
+// page pg with the given applied clock lacks, in the order they are
+// applied: a linear extension of happened-before — interval clock sums
+// strictly increase along hb1 chains, and concurrent intervals touch
+// disjoint words in properly-labeled programs. Caller holds e.mu.
+func (e *lazyEngine) appendPlanLocked(plan []core.IntervalID, pg mem.PageID, applied vc.VC) []core.IntervalID {
+	out := e.log.Outstanding(plan, pg, applied, e.v, e.n.id)
+	slices.SortFunc(out[len(plan):], func(a, b core.IntervalID) int {
 		return cmp.Or(
 			cmp.Compare(clockSum(e.log.Get(a).VC), clockSum(e.log.Get(b).VC)),
 			cmp.Compare(a.Proc, b.Proc),
@@ -521,6 +522,7 @@ func (e *lazyEngine) prefetchDiffs(pages []mem.PageID) (fetchedDiffs, error) {
 	var (
 		wants    []wire.Want
 		clockBuf [maxProcs]int32
+		planBuf  [8]core.IntervalID
 	)
 	e.mu.Lock()
 	for _, pg := range pages {
@@ -533,7 +535,7 @@ func (e *lazyEngine) prefetchDiffs(pages []mem.PageID) (fetchedDiffs, error) {
 		}
 		appliedSnap := append(vc.VC(clockBuf[:0]), pc.applied...)
 		pmu.Unlock()
-		wants = e.missingWantsLocked(wants, pg, e.planLocked(pg, appliedSnap), nil)
+		wants = e.missingWantsLocked(wants, pg, e.appendPlanLocked(planBuf[:0], pg, appliedSnap), nil)
 	}
 	e.mu.Unlock()
 	if len(wants) == 0 {

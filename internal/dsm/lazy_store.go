@@ -189,6 +189,13 @@ func (e *lazyEngine) storeDiffRecsLocked(recs []wire.DiffRec) {
 			continue
 		}
 		id := core.IntervalID{Proc: rec.Proc, Index: rec.Index}
+		if e.collectedLocked(id) {
+			// A GC epoch swept the interval's record: no plan asks for it and
+			// no grant carries it any more.
+			e.n.noteErr("diff store",
+				fmt.Errorf("diff record %v for page %d names collected history", id, rec.Page))
+			continue
+		}
 		// Every diff the protocol sends answers a plan made from the log,
 		// or rides the grant that carried its interval.
 		k, ok := 0, e.n.validProc(id.Proc) && id.Index >= 0 && e.v.Covers(int(id.Proc), id.Index)
@@ -211,9 +218,16 @@ func (e *lazyEngine) storeDiffRecsLocked(recs []wire.DiffRec) {
 	}
 }
 
+// collectedLocked reports whether interval id is at or below the log's
+// floor: a GC epoch swept its record, and its diffs went with it. Caller
+// holds e.mu.
+func (e *lazyEngine) collectedLocked(id core.IntervalID) bool {
+	return e.n.validProc(id.Proc) && id.Index <= e.log.Floor(id.Proc)
+}
+
 // discardLocked is the GC epoch's discard: every retained diff of an
-// interval the epoch covers goes, and with them the merges of such diffs.
-// Caller holds e.mu.
+// interval the epoch covers goes, and with them the merges of such diffs;
+// then the log sweeps the intervals' records. Caller holds e.mu.
 func (e *lazyEngine) discardLocked(epoch vc.VC) {
 	n := e.n
 	for id := range e.diffs {
@@ -255,6 +269,7 @@ func (e *lazyEngine) discardLocked(epoch vc.VC) {
 	}
 	clear(e.flat)
 	e.sweepParkedLocked()
+	e.log.Sweep(epoch)
 }
 
 // releaseDiffs drops the counts the builder of m took on the diffs it
@@ -307,6 +322,9 @@ func (e *lazyEngine) serveLocked(w wire.Want) (*page.Diff, error) {
 	id := core.IntervalID{Proc: w.Proc, Index: w.Index}
 	if !n.validPage(w.Page) {
 		return nil, fmt.Errorf("asked for diff %v on invalid page %d", id, w.Page)
+	}
+	if e.collectedLocked(id) {
+		return nil, fmt.Errorf("asked for diff %v of page %d from collected history", id, w.Page)
 	}
 	if w.Span != 0 {
 		return e.mergedLocked(w)
