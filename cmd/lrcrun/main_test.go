@@ -170,6 +170,11 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-app", "water", "-demo", "counter"}, &out); err == nil {
 		t.Error("-app with -demo accepted")
 	}
+	if err := run([]string{"-demo", "counter", "-gc", "-1"}, &out); err == nil {
+		t.Error("negative -gc accepted")
+	} else if !strings.Contains(err.Error(), "GCEveryBarriers") {
+		t.Errorf("-gc error %v does not name the field", err)
+	}
 	if err := run([]string{"-placement", "rr"}, &out); err == nil {
 		t.Error("retired placement rr accepted")
 	} else if !strings.Contains(err.Error(), "block, first-touch") {

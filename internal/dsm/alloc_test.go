@@ -232,26 +232,8 @@ func TestLogFlatInRunLength(t *testing.T) {
 // every engine, and the answer is a few bytes long.
 func TestZeroPageServeAllocatesNothing(t *testing.T) {
 	allModes(t, func(t *testing.T, mode Mode) {
-		n := newSys(t, 2, mode).Node(0)
 		// Page 0 is homed at node 0 and untouched; node 1 asks.
-		req := &wire.Msg{Seq: 1, A: 0, B: 1}
-		var serve func()
-		switch e := n.e.(type) {
-		case *lazyEngine:
-			serve = func() { e.handlePageReq(req) }
-		case *eagerEngine:
-			serve = func() { e.dir.serveFetch(req, 1) }
-		case *scEngine:
-			serve = func() { e.dir.serveFetch(req, 1) }
-		}
-		d := &n.out.dsts[1]
-		size := 0
-		allocs := testing.AllocsPerRun(200, func() {
-			serve()
-			buf := takeStaged(d)
-			size = len(buf)
-			framebuf.Put(buf)
-		})
+		allocs, size := pageServeAllocs(newSys(t, 2, mode).Node(0))
 		if allocs != 0 {
 			t.Errorf("serving a never-materialized page allocates %.1f objects, want 0", allocs)
 		}
@@ -259,6 +241,53 @@ func TestZeroPageServeAllocatesNothing(t *testing.T) {
 			t.Errorf("a zero page ships as %d bytes, want 1..16", size)
 		}
 	})
+}
+
+// TestWrittenPageServeAllocatesNothing: a node asked for a page it holds
+// and wrote — its owner, under the directory engines — stages a view of
+// its committed contents under the page's stripe instead of copying the
+// page per request, under every engine, also while a later write is still
+// uncommitted (the view is then the twin).
+func TestWrittenPageServeAllocatesNothing(t *testing.T) {
+	allModes(t, func(t *testing.T, mode Mode) {
+		s := newSys(t, 2, mode)
+		n, pageSize := s.Node(0), s.Layout().PageSize()
+		must(t, n.Acquire(0))
+		must(t, n.Write(0, bytes.Repeat([]byte{0x5A}, pageSize)))
+		must(t, n.Release(0))
+		must(t, n.WriteUint64(8, 1))
+		allocs, size := pageServeAllocs(n)
+		if allocs != 0 {
+			t.Errorf("serving a written page allocates %.1f objects, want 0", allocs)
+		}
+		if size < pageSize {
+			t.Errorf("a written page ships as %d bytes, want its contents", size)
+		}
+	})
+}
+
+// pageServeAllocs has n answer node 1's request for page 0 the way its
+// engine does — the lazy page request, the directory's owner-side fetch —
+// and returns the objects one answer allocates and its staged size.
+func pageServeAllocs(n *Node) (allocs float64, size int) {
+	req := &wire.Msg{Seq: 1, A: 0, B: 1}
+	var serve func()
+	switch e := n.e.(type) {
+	case *lazyEngine:
+		serve = func() { e.handlePageReq(req) }
+	case *eagerEngine:
+		serve = func() { e.dir.serveFetch(req, 1) }
+	case *scEngine:
+		serve = func() { e.dir.serveFetch(req, 1) }
+	}
+	d := &n.out.dsts[1]
+	allocs = testing.AllocsPerRun(200, func() {
+		serve()
+		buf := takeStaged(d)
+		size = len(buf)
+		framebuf.Put(buf)
+	})
+	return allocs, size
 }
 
 // takeStaged takes back what is staged for d, instead of flushing it at a

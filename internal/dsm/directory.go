@@ -43,8 +43,8 @@ type directory struct {
 // holder is a directory engine's own copy of each page, as the owner side
 // of a transaction sees it. Both methods run under pg's stripe.
 type holder interface {
-	// committedLocked returns a copy of this node's committed contents of
-	// pg, false if it holds none.
+	// committedLocked returns this node's committed contents of pg, a view
+	// good under the stripe; false if it holds none.
 	committedLocked(pg mem.PageID) ([]byte, bool)
 	// invalidateLocked takes away this node's access to its copy of pg.
 	invalidateLocked(pg mem.PageID)
@@ -230,20 +230,22 @@ func (d *directory) serveFetch(m *wire.Msg, src mem.ProcID) {
 	}
 	pmu := n.pageLock(pg)
 	pmu.Lock()
+	defer pmu.Unlock()
 	data, held := d.copies.committedLocked(pg)
-	pmu.Unlock()
+	if !held && n.homeOf(pg) != n.id {
+		// The home thinks we own a page we never held: only a misbehaving
+		// (or hostile) peer can cause that. Drop the fetch; the record
+		// surfaces via Close.
+		n.noteErr("owner fetch", fmt.Errorf("fetch of page %d this node never held", pg))
+		return
+	}
 	if !held {
-		if n.homeOf(pg) != n.id {
-			// The home thinks we own a page we never held: only a
-			// misbehaving (or hostile) peer can cause that. Drop the fetch;
-			// the record surfaces via Close.
-			n.noteErr("owner fetch", fmt.Errorf("fetch of page %d this node never held", pg))
-			return
-		}
 		// The page's initial owner, and nobody ever wrote it: the
 		// committed state is the zero page.
 		data = n.sys.zeroPage
 	}
+	// Staging encodes: the copy's bytes go straight into the frame, under
+	// the stripe that keeps them still (the destination lock is a leaf).
 	n.stage(src, &wire.Msg{Kind: wire.KFetchResp, Seq: m.Seq, A: m.A, Data: data})
 }
 

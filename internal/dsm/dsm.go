@@ -290,6 +290,9 @@ func New(cfg Config) (*System, error) {
 	if cfg.RPCTimeout < 0 {
 		return fail(fmt.Errorf("dsm: negative rpc timeout %v", cfg.RPCTimeout))
 	}
+	if cfg.GCEveryBarriers < 0 {
+		return fail(fmt.Errorf("dsm: negative GCEveryBarriers %d (0 disables GC)", cfg.GCEveryBarriers))
+	}
 	layout, err := mem.NewLayout(cfg.SpaceSize, cfg.PageSize)
 	if err != nil {
 		return fail(err)

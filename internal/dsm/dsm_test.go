@@ -604,6 +604,11 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(manyPages); err == nil || !strings.Contains(err.Error(), "exchange could exceed") {
 		t.Errorf("unshippable first-touch exchange: err = %v", err)
 	}
+	// A negative GC period is a mistake, not a way to say "off".
+	if _, err := New(Config{Procs: 2, SpaceSize: 4096, PageSize: 512, GCEveryBarriers: -1}); err == nil ||
+		!strings.Contains(err.Error(), "GCEveryBarriers") {
+		t.Errorf("negative GC period: err = %v", err)
+	}
 }
 
 func TestStatsAndClock(t *testing.T) {

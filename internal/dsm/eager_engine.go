@@ -32,8 +32,9 @@ type eagerEngine struct {
 	update bool // EU: push diffs; EI: push invalidations
 	dir    *directory
 
-	// pages[i] is guarded by n.pageLock(i).
-	pages []*eagerPage
+	// pages[i] is guarded by n.pageLock(i); its twin is present while a
+	// critical section since the last flush wrote the page.
+	pages []*pageCopy
 
 	// ws is the write set of the critical sections since the last flush
 	// point; each flush drains it.
@@ -48,13 +49,6 @@ type eagerEngine struct {
 	inflight map[uint64]flushState
 }
 
-// eagerPage is a node's local copy of one page, guarded by its stripe.
-type eagerPage struct {
-	data  []byte
-	valid bool
-	twin  *page.Twin
-}
-
 type flushState struct {
 	pg   mem.PageID
 	diff *page.Diff
@@ -64,7 +58,7 @@ func newEagerEngine(n *Node, update bool) *eagerEngine {
 	e := &eagerEngine{
 		n:        n,
 		update:   update,
-		pages:    make([]*eagerPage, n.sys.layout.NumPages()),
+		pages:    make([]*pageCopy, n.sys.layout.NumPages()),
 		ws:       newWriteSet(),
 		inflight: make(map[uint64]flushState),
 	}
@@ -127,11 +121,9 @@ func (e *eagerEngine) ensureValid(pg mem.PageID) error {
 // installPage applies a granted page at the requester, on the page's
 // shard worker, so the install happens in directory order: every
 // invalidation or update the home sent before this ship has already
-// been applied, and any sent after will be. If a concurrent local
-// critical section is mid-flight on the stale copy, its uncommitted
-// writes are lifted off and reinstated on top of the fetched data with
-// the twin rebased beneath them — the words belong to locks that
-// section holds, so no newer committed values for them can exist.
+// been applied, and any sent after will be. The fetched data lands as the
+// committed contents: a concurrent local critical section mid-flight on
+// the stale copy keeps its uncommitted writes on top (pageCopy.land).
 //
 // Returns false (recording the cause) for a grant that cannot be
 // installed — bad page id or wrong-size data — so the caller fails the
@@ -149,24 +141,11 @@ func (e *eagerEngine) installPage(m *wire.Msg) bool {
 	defer pmu.Unlock()
 	pc := e.pages[pg]
 	if pc == nil {
-		pc = &eagerPage{}
+		pc = &pageCopy{}
 		e.pages[pg] = pc
 	}
-	if pc.twin != nil {
-		du, err := page.MakeDiff(pc.twin, pc.data)
-		if err != nil {
-			panic(fmt.Sprintf("dsm: node %d: lifting uncommitted writes off page %d: %v", n.id, pg, err))
-		}
-		n.stats.diffsCreated.Add(1)
-		pc.twin.Release()
-		pc.twin = page.NewTwin(m.Data)
-		pc.data = m.Data
-		if err := du.Apply(pc.data); err != nil {
-			panic(fmt.Sprintf("dsm: node %d: reinstating uncommitted writes on page %d: %v", n.id, pg, err))
-		}
-		du.Release()
-	} else {
-		pc.data = m.Data
+	if err := pc.land(n, m.Data, nil); err != nil {
+		panic(fmt.Sprintf("dsm: node %d: installing page %d: %v", n.id, pg, err))
 	}
 	pc.valid = true
 	n.stats.pagesFetched.Add(1)
@@ -190,12 +169,7 @@ func (e *eagerEngine) writePage(pg mem.PageID, off int, src []byte) error {
 	}
 	pmu := e.n.pageLock(pg)
 	pmu.Lock()
-	pc := e.pages[pg]
-	if pc.twin == nil {
-		pc.twin = page.NewTwin(pc.data)
-		e.ws.add(pg)
-	}
-	copy(pc.data[off:off+len(src)], src)
+	e.pages[pg].write(e.n, e.ws, pg, off, src)
 	pmu.Unlock()
 	return nil
 }
@@ -212,7 +186,7 @@ func (e *eagerEngine) flush() error {
 	e.flushMu.Lock()
 	defer e.flushMu.Unlock()
 	cand := e.ws.drain(nil)
-	e.ws.check(e.n, func(pg mem.PageID) bool { return e.pages[pg] != nil && e.pages[pg].twin != nil })
+	e.ws.check(e.n, func(pg mem.PageID) bool { return e.pages[pg] != nil && e.pages[pg].twinned() })
 	if err := e.flushPages(cand); err != nil {
 		return err // a burst abandoned mid-way left twins behind: they stay claimed
 	}
@@ -245,14 +219,14 @@ func (e *eagerEngine) flushPages(cand []mem.PageID) error {
 		pmu := n.pageLock(pg)
 		pmu.Lock()
 		pc := e.pages[pg]
-		if pc == nil || pc.twin == nil {
+		if pc == nil || !pc.twinned() {
 			pmu.Unlock()
 			continue
 		}
 		needBase := !pc.valid
-		d, err := page.MakeDiff(pc.twin, pc.data)
-		pc.twin.Release()
-		pc.twin = nil
+		twin := pc.take()
+		d, err := page.MakeDiff(twin, pc.data)
+		n.releaseTwin(twin)
 		pmu.Unlock()
 		if err != nil {
 			return err
@@ -320,8 +294,8 @@ func (e *eagerEngine) release()                      {}
 func (e *eagerEngine) dropPage(pg mem.PageID) {
 	pmu := e.n.pageLock(pg)
 	pmu.Lock()
-	if pc := e.pages[pg]; pc != nil && pc.twin != nil {
-		pc.twin.Release()
+	if pc := e.pages[pg]; pc != nil {
+		pc.drop(e.n)
 	}
 	e.pages[pg] = nil
 	pmu.Unlock()
@@ -336,7 +310,7 @@ func (e *eagerEngine) adoptPage(pg mem.PageID, data []byte) {
 	}
 	pmu := e.n.pageLock(pg)
 	pmu.Lock()
-	e.pages[pg] = &eagerPage{data: append([]byte(nil), data...), valid: true}
+	e.pages[pg] = &pageCopy{data: append([]byte(nil), data...), valid: true}
 	pmu.Unlock()
 }
 
@@ -360,40 +334,27 @@ func (e *eagerEngine) handle(m *wire.Msg, src mem.ProcID) bool {
 	case wire.KPageResp:
 		// Intercepted response: install the granted page on the page's
 		// shard worker, in directory order, then wake the faulting
-		// application goroutine. A rejected grant fails the waiter
-		// instead (the cause is already in noteErr).
-		if e.installPage(m) {
-			e.n.deliverResponse(m)
-		} else {
-			e.n.failWaiter(m.Seq)
-		}
+		// application goroutine.
+		e.n.answerWaiter(m, e.installPage(m))
 	case wire.KFlushDone:
 		// Intercepted response: apply the home's reconciliation on the
 		// page's shard worker so it is in place before any later
 		// directory message for the page arrives, then wake the
 		// application goroutine whose flush it answers.
-		if e.applyFlushDone(m) {
-			e.n.deliverResponse(m)
-		} else {
-			e.n.failWaiter(m.Seq)
-		}
+		e.n.answerWaiter(m, e.applyFlushDone(m))
 	default:
 		return e.dir.handle(m, src)
 	}
 	return true
 }
 
-// committedLocked returns a copy of this node's committed contents of pg:
-// the twin if a critical section is mid-write, the page data otherwise.
+// committedLocked returns a view of this node's committed contents of pg,
+// without the writes of a critical section still in flight.
 func (e *eagerEngine) committedLocked(pg mem.PageID) ([]byte, bool) {
-	pc := e.pages[pg]
-	switch {
-	case pc == nil:
-		return nil, false
-	case pc.twin != nil:
-		return append([]byte(nil), pc.twin.Data()...), true
+	if pc := e.pages[pg]; pc != nil {
+		return pc.committed(), true
 	}
-	return append([]byte(nil), pc.data...), true
+	return nil, false
 }
 
 // invalidateLocked invalidates this node's copy (EI). If a critical
@@ -414,9 +375,9 @@ func (e *eagerEngine) invalidateLocked(pg mem.PageID) {
 	}
 }
 
-// applyUpdate applies a releaser's diff to this node's copy (EU). The
-// diff also lands on the twin, if one exists, so a concurrent critical
-// section's own eventual diff carries only its own modifications.
+// applyUpdate lands a releaser's diffs on this node's committed contents
+// (EU), so a concurrent critical section's own eventual diff carries only
+// its own modifications: the update's words must not re-register as ours.
 func (e *eagerEngine) applyUpdate(m *wire.Msg, src mem.ProcID) {
 	n := e.n
 	pg := mem.PageID(m.A)
@@ -426,35 +387,23 @@ func (e *eagerEngine) applyUpdate(m *wire.Msg, src mem.ProcID) {
 	}
 	pmu := n.pageLock(pg)
 	pmu.Lock()
-	pc := e.pages[pg]
-	if pc == nil || !pc.valid {
-		// Unreachable with shard-ordered installs (an EU copy in the
-		// copyset is always installed before the home can send it an
-		// update); tolerated defensively — the ack still flows.
-	} else {
-		for _, rec := range m.Diffs {
-			// The diffs came off the wire: one that does not fit the page
-			// is the sender's corruption, not our invariant — record it,
-			// stop applying this update, and still ack so the releaser's
-			// transaction completes.
-			if err := rec.Diff.Apply(pc.data); err != nil {
-				n.noteErr("update", fmt.Errorf("diff for page %d does not apply: %w", pg, err))
-				break
-			}
-			if pc.twin != nil {
-				// Land the diff on the twin too, so a concurrent critical
-				// section's own eventual diff carries only its own
-				// modifications (the update's words must not re-register
-				// as ours).
-				patched := append([]byte(nil), pc.twin.Data()...)
-				if err := rec.Diff.Apply(patched); err != nil {
-					n.noteErr("update", fmt.Errorf("diff for page %d twin does not apply: %w", pg, err))
-					break
+	// A missing or invalid copy is unreachable with shard-ordered installs
+	// (an EU copy in the copyset is installed before the home can update
+	// it); tolerated defensively. A diff that does not fit the page is the
+	// sender's corruption, recorded. Either way the ack still flows, so the
+	// releaser's transaction completes.
+	if pc := e.pages[pg]; pc != nil && pc.valid {
+		if err := pc.land(n, nil, func(committed []byte) error {
+			for _, rec := range m.Diffs {
+				if err := rec.Diff.Apply(committed); err != nil {
+					return err
 				}
-				pc.twin.Release()
-				pc.twin = page.NewTwin(patched)
 			}
-			n.stats.updatesReceived.Add(1)
+			return nil
+		}); err != nil {
+			n.noteErr("update", fmt.Errorf("diff for page %d does not apply: %w", pg, err))
+		} else {
+			n.stats.updatesReceived.Add(int64(len(m.Diffs)))
 		}
 	}
 	pmu.Unlock()
@@ -463,17 +412,13 @@ func (e *eagerEngine) applyUpdate(m *wire.Msg, src mem.ProcID) {
 
 // applyFlushDone installs the home's reconciliation at the flusher: an
 // optional fresh base (when a concurrent flush had invalidated this
-// node's copy) and this node's own flushed diff on top.
-//
-// With multiple application goroutines another critical section may
-// already have a fresh twin for the page when the reconciliation lands.
-// Its uncommitted writes live only in pc.data, so they are lifted off
-// as a diff first, the reconciliation builds the new committed state,
-// and the uncommitted writes are reinstated on top with the twin
-// rebased beneath them — otherwise a base copy would erase them.
-// Returns false (recording the cause) for a reconciliation that matches
-// no in-flight flush — a remote peer's stray or forged KFlushDone — so
-// the caller fails rather than wakes any waiter on that seq.
+// node's copy) and this node's own flushed diff on top. Both land on the
+// committed contents: another critical section that already has a fresh
+// twin for the page keeps its uncommitted writes on top, where a base
+// copied over the data would erase them. Returns false (recording the
+// cause) for a reconciliation that matches no in-flight flush — a remote
+// peer's stray or forged KFlushDone — so the caller fails rather than
+// wakes any waiter on that seq.
 func (e *eagerEngine) applyFlushDone(m *wire.Msg) bool {
 	n := e.n
 	e.flightMu.Lock()
@@ -495,27 +440,6 @@ func (e *eagerEngine) applyFlushDone(m *wire.Msg) bool {
 	pmu.Lock()
 	defer pmu.Unlock()
 	pc := e.pages[fs.pg]
-
-	fail := func(what string, err error) {
-		panic(fmt.Sprintf("dsm: node %d: %s page %d: %v", n.id, what, fs.pg, err))
-	}
-	var uncommitted *page.Diff
-	committed := pc.data
-	if pc.twin != nil {
-		// A concurrent critical section started after our flush snapshot:
-		// its writes sit in pc.data, its twin holds the committed state
-		// they started from (which already includes our flushed writes).
-		du, err := page.MakeDiff(pc.twin, pc.data)
-		if err != nil {
-			fail("lifting uncommitted writes off", err)
-		}
-		n.stats.diffsCreated.Add(1)
-		uncommitted = du
-		committed = append([]byte(nil), pc.twin.Data()...)
-	}
-	if m.Data != nil {
-		copy(committed, m.Data)
-	}
 	// Reassert the flushed diff unconditionally, not just over a fresh
 	// base: our flush transaction is the latest directory event for
 	// these words, but the local copy may have been replaced while the
@@ -526,19 +450,8 @@ func (e *eagerEngine) applyFlushDone(m *wire.Msg) bool {
 	// directory-ordered before our transaction, so putting our words
 	// back is always correct — and without it they would be silently
 	// lost.
-	if err := fs.diff.Apply(committed); err != nil {
-		fail("reapplying flushed diff to", err)
-	}
-	if pc.twin != nil {
-		copy(pc.data, committed)
-		if uncommitted != nil {
-			if err := uncommitted.Apply(pc.data); err != nil {
-				fail("reinstating uncommitted writes on", err)
-			}
-			uncommitted.Release()
-		}
-		pc.twin.Release()
-		pc.twin = page.NewTwin(committed)
+	if err := pc.land(n, m.Data, fs.diff.Apply); err != nil {
+		panic(fmt.Sprintf("dsm: node %d: reapplying flushed diff to page %d: %v", n.id, fs.pg, err))
 	}
 	pc.valid = true
 	return true

@@ -25,7 +25,10 @@ import (
 //     (Node.pageLock); engines take the stripe for exactly the page they
 //     touch and never hold it across a blocking operation, so
 //     independent pages fault, install and diff in parallel. Stripes are
-//     leaf locks.
+//     leaf locks. A twinning engine's (LI/LU/EI/EU) copy is a pageCopy
+//     (writeset.go), the only code that touches a twin: outside bytes
+//     reach a copy only through its land, which keeps the twin the
+//     committed contents under a concurrent local writer.
 //   - Miss service — the blocking protocol transaction that brings a
 //     page current — serializes per page under Node.missLock; handler
 //     work never takes a miss lock, so it can always drain.
@@ -49,8 +52,9 @@ type engine interface {
 	// the local copy current enough for the protocol's guarantees.
 	readPage(pg mem.PageID, off int, dst []byte) error
 	// writePage copies src into page pg at off, first obtaining whatever
-	// access the protocol requires (a twin under the multiple-writer
-	// protocols, exclusive ownership under SC).
+	// access the protocol requires (a valid copy whose first write captures
+	// the twin under the multiple-writer protocols, exclusive ownership
+	// under SC).
 	writePage(pg mem.PageID, off int, src []byte) error
 
 	// acquireStart runs as an Acquire begins (lockMu held): the lazy
@@ -109,8 +113,9 @@ type engine interface {
 	handle(m *wire.Msg, src mem.ProcID) bool
 
 	// dropPage surrenders page pg's old home: the engine forgets its
-	// copy and twin of the page. Called only during the quiescent hand-off
-	// rendezvous, after the page was brought current at its new home node.
+	// copy of the page, releasing any twin. Called only during the quiescent
+	// hand-off rendezvous, after the page was brought current at its new
+	// home node.
 	dropPage(pg mem.PageID)
 	// adoptPage restarts page pg under its new home, right after
 	// dropPage. At that node, data is the page's authoritative contents

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/mem"
-	"repro/internal/page"
 	"repro/internal/vc"
 	"repro/internal/wire"
 )
@@ -52,12 +51,9 @@ type lazyEngine struct {
 	// fresh accumulates the pages noticed by the intervals learned during
 	// the current barrier rendezvous, for postBarrier's invalidation step.
 	fresh []mem.PageID
-	// parked queues deferred slots oldest first for trimTwinsLocked.
-	// Entries whose slot was since served or collected are swept out at
-	// GC and when the queue reaches parkedSweep, so its length follows the
-	// slots still holding twins, not the run.
-	parked      []parkedSlot
-	parkedSweep int
+	// trimFrom is this node's oldest interval trimTwinsLocked may still
+	// find deferred slots in: its cursor, raised past the log's floor at GC.
+	trimFrom int32
 	// Scratch whose consumer finishes under the lock that filled it: under
 	// mu, closeIntervalLocked's sorted dirty pages and the pages the
 	// intervals an acquire absorbed notice; under the node's lockMu, held
@@ -78,13 +74,12 @@ type lazyEngine struct {
 	pages []*lazyPage
 }
 
-// lazyPage is a node's local copy of one page, guarded by its stripe.
+// lazyPage is a node's local copy of one page, guarded by its stripe; its
+// twin is present while the current interval has writes.
 type lazyPage struct {
-	data    []byte
-	valid   bool
-	applied vc.VC      // modifications reflected in data
-	twin    *page.Twin // present while the current interval has writes
-	gen     uint64     // bumped whenever fresh notices target this page
+	pageCopy
+	applied vc.VC  // modifications reflected in data
+	gen     uint64 // bumped whenever fresh notices target this page
 	// pending is the deferred diff slot of this node's latest closed
 	// interval on the page, while its post-interval contents still live
 	// in data (no snapshot taken yet). The next twin capture or any
@@ -103,28 +98,6 @@ func newLazyEngine(n *Node, update bool) *lazyEngine {
 		flat:      make(map[flatKey]*flatEntry),
 		ws:        newWriteSet(),
 		pages:     make([]*lazyPage, n.sys.layout.NumPages()),
-	}
-}
-
-// newTwin and releaseTwin wrap twin capture and release with the
-// TwinBytesLive gauge: the gauge rises at capture and falls at the last
-// release, when the buffer returns to the page pool.
-func (e *lazyEngine) newTwin(contents []byte) *page.Twin {
-	t := page.NewTwin(contents)
-	st := &e.n.stats
-	live := st.twinBytesLive.Add(int64(t.Len()))
-	for {
-		peak := st.twinBytesPeak.Load()
-		if live <= peak || st.twinBytesPeak.CompareAndSwap(peak, live) {
-			return t
-		}
-	}
-}
-
-func (e *lazyEngine) releaseTwin(t *page.Twin) {
-	size := int64(t.Len())
-	if t.Release() {
-		e.n.stats.twinBytesLive.Add(-size)
 	}
 }
 
@@ -150,30 +123,27 @@ func (e *lazyEngine) clock() vc.VC {
 func (e *lazyEngine) closeIntervalLocked() {
 	n := e.n
 	e.cand = e.ws.drain(e.cand)
-	e.ws.check(n, func(pg mem.PageID) bool { return e.pages[pg] != nil && e.pages[pg].twin != nil })
+	e.ws.check(n, func(pg mem.PageID) bool { return e.pages[pg] != nil && e.pages[pg].twinned() })
 	if len(e.cand) == 0 {
 		return
 	}
 
-	// Sized once: parked entries point into slots. The pages that had a
+	// Sized once: pending pointers point into slots. The pages that had a
 	// twin move to the front of cand, in order: the interval's page list.
 	slots := make([]diffSlot, 0, len(e.cand))
 	for i, pg := range e.cand {
 		pmu := n.pageLock(pg)
 		pmu.Lock()
 		pc := e.pages[pg]
-		if pc == nil || pc.twin == nil {
+		if pc == nil || !pc.twinned() {
 			pmu.Unlock()
 			continue
 		}
 		// The page table's twin reference transfers to the slot as the
 		// diff base; the post-interval contents stay live in pc.data
 		// until the next twin capture snapshots them (pending).
-		slots = append(slots, diffSlot{held: true, base: pc.twin})
-		slot := &slots[len(slots)-1]
-		pc.twin = nil
-		pc.pending = slot
-		e.parked = append(e.parked, parkedSlot{pg, slot})
+		slots = append(slots, diffSlot{held: true, base: pc.take()})
+		pc.pending = &slots[len(slots)-1]
 		n.stats.diffsDeferred.Add(1)
 		pmu.Unlock()
 		e.cand[i], e.cand[len(slots)-1] = e.cand[len(slots)-1], pg
@@ -388,19 +358,14 @@ func (e *lazyEngine) writePage(pg mem.PageID, off int, src []byte) error {
 	pmu := e.n.pageLock(pg)
 	pmu.Lock()
 	pc := e.pages[pg]
-	if pc.twin == nil {
-		pc.twin = e.newTwin(pc.data)
-		if pc.pending != nil {
-			// The fresh twin is a snapshot of the page exactly as the
-			// pending interval left it: it becomes the deferred diff's
-			// target (shared with the page table — twins are immutable),
-			// deferring the diff past this new interval for free.
-			pc.pending.target = pc.twin.Retain()
-			pc.pending = nil
-		}
-		e.ws.add(pg)
+	if t := pc.write(e.n, e.ws, pg, off, src); t != nil && pc.pending != nil {
+		// The fresh twin is a snapshot of the page exactly as the pending
+		// interval left it: it becomes the deferred diff's target (shared
+		// with the page table — twins are immutable), deferring the diff
+		// past this new interval for free.
+		pc.pending.target = t.Retain()
+		pc.pending = nil
 	}
-	copy(pc.data[off:off+len(src)], src)
 	pmu.Unlock()
 	return nil
 }
@@ -434,13 +399,7 @@ func (e *lazyEngine) grant(req, grant *wire.Msg) {
 				if slot == nil {
 					continue
 				}
-				pmu := e.n.pageLock(pg)
-				pmu.Lock()
-				if slot.d == nil {
-					e.materializeSlot(e.pages[pg], slot, pg)
-				}
-				d := slot.d
-				pmu.Unlock()
+				d := e.diffOf(slot, pg)
 				e.noteServe(&slot.served)
 				grant.Diffs = append(grant.Diffs, wire.DiffRec{
 					Page: pg, Proc: id.Proc, Index: id.Index, Diff: d.Retain(), // sendGrant releases
@@ -701,13 +660,9 @@ func (e *lazyEngine) adoptPage(pg mem.PageID, data []byte) {
 	e.mu.Unlock()
 	pmu := e.n.pageLock(pg)
 	pmu.Lock()
-	if old := e.pages[pg]; old != nil && old.pending != nil {
-		e.materializeSlot(old, old.pending, pg)
-	}
-	e.pages[pg] = &lazyPage{
-		data:    append([]byte(nil), data...),
-		valid:   true,
-		applied: applied,
+	e.pages[pg] = &lazyPage{ // dropPage made any pending diff of the old copy
+		pageCopy: pageCopy{data: append([]byte(nil), data...), valid: true},
+		applied:  applied,
 	}
 	pmu.Unlock()
 }
@@ -738,18 +693,12 @@ func (e *lazyEngine) handlePageReq(m *wire.Msg) {
 	pmu := n.pageLock(pg)
 	pmu.Lock()
 	resp := wire.Msg{Kind: wire.KPageResp, Seq: m.Seq, A: m.A}
-	pc := e.pages[pg]
-	switch {
-	case pc == nil:
+	if pc := e.pages[pg]; pc != nil {
+		resp.Data, resp.VC = pc.committed(), pc.applied
+	} else {
 		// Never materialized here: the committed state is the zero page,
 		// and no clock says nothing was applied to it.
 		resp.Data = n.sys.zeroPage
-	case pc.twin != nil:
-		// Uncommitted writes in the current interval must not leak: the
-		// twin holds the committed contents.
-		resp.Data, resp.VC = pc.twin.Data(), pc.applied
-	default:
-		resp.Data, resp.VC = pc.data, pc.applied
 	}
 	// Staging encodes: the copy's bytes go straight into the frame, under
 	// the stripe that keeps them still (the destination lock is a leaf).

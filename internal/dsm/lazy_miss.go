@@ -127,8 +127,8 @@ func (e *lazyEngine) serviceMiss(pg mem.PageID, held fetchedDiffs) error {
 				pmu.Lock()
 				if e.pages[pg] == nil {
 					e.pages[pg] = &lazyPage{
-						data:    make([]byte, n.sys.layout.PageSize()),
-						applied: vc.New(n.sys.cfg.Procs),
+						pageCopy: pageCopy{data: make([]byte, n.sys.layout.PageSize())},
+						applied:  vc.New(n.sys.cfg.Procs),
 					}
 				}
 				pmu.Unlock()
@@ -160,7 +160,7 @@ func (e *lazyEngine) serviceMiss(pg mem.PageID, held fetchedDiffs) error {
 				}
 				pmu.Lock()
 				if e.pages[pg] == nil {
-					e.pages[pg] = &lazyPage{data: resp.Data, applied: applied}
+					e.pages[pg] = &lazyPage{pageCopy: pageCopy{data: resp.Data}, applied: applied}
 				}
 				pmu.Unlock()
 				resp.Release()
@@ -207,45 +207,30 @@ func (e *lazyEngine) serviceMiss(pg mem.PageID, held fetchedDiffs) error {
 			pmu.Unlock()
 			continue
 		}
-		// A deferred diff of the latest local interval still reads its
-		// target contents out of pc.data; the remote diffs about to land
-		// there would be misattributed to it. Snapshot it now.
-		if pc.pending != nil && len(steps) > 0 {
-			e.materializeSlot(pc, pc.pending, pg)
-		}
-		// A concurrent local critical section may hold a live twin for
-		// this page (it kept writing through the invalidation, which is
-		// impossible at one goroutine per node: acquireStart's
-		// closeInterval would have consumed the twin first). The remote
-		// diffs must land on the twin too, or the section's eventual
-		// interval would re-register the remote words as its own — and a
-		// concurrent re-write by their true owner (reacquiring its lock
-		// through the cached local fast path, so it never learns of our
-		// interval) could then be reverted by the mis-attributed copy.
-		// The twin patch also keeps handlePageReq's committed view
-		// consistent with the applied clock stamped below. Proper
-		// programs guarantee the remote diffs and the section's own
-		// uncommitted words are disjoint.
-		var patched []byte
-		if pc.twin != nil && len(steps) > 0 {
-			patched = append([]byte(nil), pc.twin.Data()...)
-		}
-		for _, d := range steps {
-			if err := d.Apply(pc.data); err != nil {
+		// The remote diffs land on the committed contents, after a deferred
+		// diff still reading its target out of pc.data is made (it would
+		// claim them). A local section that kept writing through the
+		// invalidation (only at gpn > 1) keeps a twin that land rebases:
+		// its interval must not re-register the remote words as its own,
+		// or a cached-lock re-write by their owner could be reverted by the
+		// misattributed copy, and handlePageReq's committed view must match
+		// the applied clock stamped below.
+		if len(steps) > 0 {
+			if pc.pending != nil {
+				e.materializeSlot(pc, pc.pending, pg)
+			}
+			if err := pc.land(n, nil, func(committed []byte) error {
+				for _, d := range steps {
+					if err := d.Apply(committed); err != nil {
+						return err
+					}
+				}
+				return nil
+			}); err != nil {
 				pmu.Unlock()
 				return err
 			}
-			if patched != nil {
-				if err := d.Apply(patched); err != nil {
-					pmu.Unlock()
-					return err
-				}
-			}
-			n.stats.diffsApplied.Add(1)
-		}
-		if patched != nil {
-			e.releaseTwin(pc.twin)
-			pc.twin = e.newTwin(patched)
+			n.stats.diffsApplied.Add(int64(len(steps)))
 		}
 		pc.valid = true
 		pc.applied.Max(vSnap)

@@ -33,12 +33,6 @@ type diffSlot struct {
 	served bool
 }
 
-// parkedSlot is one entry of the deferred-slot queue.
-type parkedSlot struct {
-	pg   mem.PageID
-	slot *diffSlot
-}
-
 // twinBudget bounds the bytes of twins a node keeps parked in deferred
 // slots: past it, interval close materializes the oldest deferred diffs
 // (a sparse MakeDiff each) so memory follows the working set since the
@@ -92,15 +86,30 @@ func (e *lazyEngine) materializeSlot(pc *lazyPage, slot *diffSlot, pg mem.PageID
 		panic(fmt.Sprintf("dsm: node %d: diffing page %d: %v", e.n.id, pg, err))
 	}
 	slot.d = d
-	e.releaseTwin(slot.base)
+	e.dropTwins(pc, slot)
+	e.n.stats.diffsCreated.Add(1)
+}
+
+// dropTwins releases a deferred slot's base and target twins, and pc's
+// pending pointer to it. Caller holds the slot's page stripe.
+func (e *lazyEngine) dropTwins(pc *lazyPage, slot *diffSlot) {
+	e.n.releaseTwin(slot.base)
 	slot.base = nil
 	if slot.target != nil {
-		e.releaseTwin(slot.target)
+		e.n.releaseTwin(slot.target)
 		slot.target = nil
 	} else if pc != nil && pc.pending == slot {
 		pc.pending = nil
 	}
-	e.n.stats.diffsCreated.Add(1)
+}
+
+// diffOf returns slot's diff, made now under pg's stripe if deferred.
+func (e *lazyEngine) diffOf(slot *diffSlot, pg mem.PageID) *page.Diff {
+	pmu := e.n.pageLock(pg)
+	pmu.Lock()
+	defer pmu.Unlock()
+	e.materializeSlot(e.pages[pg], slot, pg)
+	return slot.d
 }
 
 // noteServe counts one serve of a diff towards Stats.DiffCacheHits:
@@ -131,47 +140,32 @@ func (e *lazyEngine) slotLocked(id core.IntervalID, pg mem.PageID) *diffSlot {
 }
 
 // trimTwinsLocked enforces twinBudget once an interval is logged: while
-// the node holds more twin bytes than the budget, the oldest parked slot
-// that is still deferred is materialized, one at a time so each twin
-// goes back to the page pool as the next capture needs one. A trimmed
-// slot serves the same diff demand would have made (its target contents
-// are fixed from the moment it is parked), so no message changes. Caller
-// holds e.mu; stripes are taken under it, as handleDiffReq does.
+// the node holds more twin bytes than the budget, the oldest slot that is
+// still deferred — this node's intervals in close order from the trimFrom
+// cursor, each one's pages in order — is materialized, one at a time so
+// each twin goes back to the page pool as the next capture needs one. A
+// trimmed slot serves the same diff demand would have made (its target
+// contents are fixed from the moment its interval closed), so no message
+// changes. Caller holds e.mu; stripes are taken under it, as
+// handleDiffReq does.
 func (e *lazyEngine) trimTwinsLocked() {
 	n := e.n
-	i := 0
-	for ; i < len(e.parked) && n.stats.twinBytesLive.Load() > twinBudget; i++ {
-		p := e.parked[i]
-		e.parked[i] = parkedSlot{}
-		pmu := n.pageLock(p.pg)
-		pmu.Lock()
-		if p.slot.base != nil {
-			e.materializeSlot(e.pages[p.pg], p.slot, p.pg)
-			n.stats.diffsTrimmed.Add(1)
+	for ; n.stats.twinBytesLive.Load() > twinBudget && e.trimFrom <= e.v[n.id]; e.trimFrom++ {
+		id := core.IntervalID{Proc: n.id, Index: e.trimFrom}
+		slots := e.diffs[id]
+		for i, pg := range e.log.Get(id).Pages {
+			if n.stats.twinBytesLive.Load() <= twinBudget {
+				return
+			}
+			pmu := n.pageLock(pg)
+			pmu.Lock()
+			if slots[i].base != nil {
+				e.materializeSlot(e.pages[pg], &slots[i], pg)
+				n.stats.diffsTrimmed.Add(1)
+			}
+			pmu.Unlock()
 		}
-		pmu.Unlock()
 	}
-	e.parked = e.parked[i:]
-	if len(e.parked) >= e.parkedSweep {
-		e.sweepParkedLocked()
-	}
-}
-
-// sweepParkedLocked drops queue entries whose slot no longer holds a
-// twin (served on demand, or collected). Caller holds e.mu.
-func (e *lazyEngine) sweepParkedLocked() {
-	live := e.parked[:0]
-	for _, p := range e.parked {
-		pmu := e.n.pageLock(p.pg)
-		pmu.Lock()
-		if p.slot.base != nil {
-			live = append(live, p)
-		}
-		pmu.Unlock()
-	}
-	clear(e.parked[len(live):])
-	e.parked = live
-	e.parkedSweep = 2*len(live) + 64
 }
 
 // storeDiffRecsLocked enters received diff records, each one interval's
@@ -247,14 +241,7 @@ func (e *lazyEngine) discardLocked(epoch vc.VC) {
 				// A covered slot whose diff was never fetched: drop the
 				// twins without ever computing it — the deferred work the
 				// lazy pipeline saves outright.
-				e.releaseTwin(slot.base)
-				slot.base = nil
-				if slot.target != nil {
-					e.releaseTwin(slot.target)
-					slot.target = nil
-				} else if pc := e.pages[pg]; pc != nil && pc.pending == slot {
-					pc.pending = nil
-				}
+				e.dropTwins(e.pages[pg], slot)
 			} else {
 				slot.d.Release() // the store's count; a serve in flight has its own
 			}
@@ -268,8 +255,8 @@ func (e *lazyEngine) discardLocked(epoch vc.VC) {
 		flat.d.Release()
 	}
 	clear(e.flat)
-	e.sweepParkedLocked()
 	e.log.Sweep(epoch)
+	e.trimFrom = max(e.trimFrom, e.log.Floor(n.id)+1)
 }
 
 // releaseDiffs drops the counts the builder of m took on the diffs it
@@ -333,13 +320,7 @@ func (e *lazyEngine) serveLocked(w wire.Want) (*page.Diff, error) {
 	if slot == nil {
 		return nil, fmt.Errorf("asked for diff %v page %d this node does not hold", id, w.Page)
 	}
-	pmu := n.pageLock(w.Page)
-	pmu.Lock()
-	if slot.d == nil {
-		e.materializeSlot(e.pages[w.Page], slot, w.Page)
-	}
-	d := slot.d
-	pmu.Unlock()
+	d := e.diffOf(slot, w.Page)
 	e.noteServe(&slot.served)
 	return d.Retain(), nil
 }
@@ -379,9 +360,7 @@ func (e *lazyEngine) mergedLocked(w wire.Want) (*page.Diff, error) {
 				return nil, fmt.Errorf("asked for diffs %d/%d..%d of page %d, of which %d is no longer held",
 					w.Proc, w.Index, last, w.Page, k)
 			}
-			if slot.d == nil {
-				e.materializeSlot(e.pages[w.Page], slot, w.Page)
-			}
+			e.materializeSlot(e.pages[w.Page], slot, w.Page)
 			diffs = append(diffs, slot.d)
 		}
 		pmu.Unlock()

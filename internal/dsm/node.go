@@ -48,21 +48,22 @@ type Stats struct {
 	GCRuns           int64
 	DiffsDiscarded   int64
 
-	// Diff data plane (lazy engines): DiffsCreated counts MakeDiff
-	// executions (eager engines tick it too, at their flush points),
-	// DiffsDeferred counts the pages interval closes parked with their
-	// twin instead of diffing (every one of them), DiffCacheHits counts
+	// Diff data plane: DiffsCreated counts MakeDiff executions (the eager
+	// engines' at their flush points, and every land that lifts a live
+	// twin's writes), the rest are the lazy engines': DiffsDeferred counts
+	// the pages interval closes parked with their twin instead of diffing
+	// (every one of them), DiffCacheHits counts
 	// serves of a diff after its first (the body the first serve shipped
 	// is reused as is), DiffsFlattened counts the diffs a creator merged
 	// away answering range wants (members - 1 per merged serve),
 	// DiffsFetched counts diff records received in answer to a request,
 	// one per want whether it names one interval or a range (piggybacked
 	// ones are not fetched; DiffsApplied counts the diffs a miss applied,
-	// a merged range once), and TwinBytesLive
-	// gauges the bytes currently held in live twins (capture minus final
-	// release), with TwinBytesPeak its high-water mark. DiffsTrimmed
-	// counts deferred diffs materialized by the twin budget rather than by
-	// demand: non-zero means laziness was cut short to bound memory.
+	// a merged range once), DiffsTrimmed counts deferred diffs materialized
+	// by the twin budget rather than by demand (non-zero means laziness was
+	// cut short to bound memory). TwinBytesLive gauges the bytes held in
+	// live twins, lazy and eager (capture minus final release), with
+	// TwinBytesPeak its high-water mark.
 	DiffsCreated   int64
 	DiffsDeferred  int64
 	DiffCacheHits  int64
@@ -646,6 +647,17 @@ func (n *Node) failWaiter(seq uint64) {
 	n.waiterMu.Unlock()
 	if ok {
 		w.deliver(nil)
+	}
+}
+
+// answerWaiter wakes the waiter of a response its engine intercepted with
+// the response once installed, and fails it over one the engine rejected
+// (the cause is already in noteErr).
+func (n *Node) answerWaiter(m *wire.Msg, installed bool) {
+	if installed {
+		n.deliverResponse(m)
+	} else {
+		n.failWaiter(m.Seq)
 	}
 }
 

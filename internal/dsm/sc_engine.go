@@ -225,19 +225,10 @@ func (e *scEngine) handle(m *wire.Msg, src mem.ProcID) bool {
 	case wire.KPageResp:
 		// Intercepted response: install the read copy on the page's
 		// shard worker, in directory order, before any later
-		// invalidation can be processed. A rejected grant fails the
-		// waiter instead (the cause is already in noteErr).
-		if e.install(m, scRead) {
-			e.n.deliverResponse(m)
-		} else {
-			e.n.failWaiter(m.Seq)
-		}
+		// invalidation can be processed.
+		e.n.answerWaiter(m, e.install(m, scRead))
 	case wire.KWriteResp:
-		if e.install(m, scWrite) {
-			e.n.deliverResponse(m)
-		} else {
-			e.n.failWaiter(m.Seq)
-		}
+		e.n.answerWaiter(m, e.install(m, scWrite))
 	default:
 		return e.dir.handle(m, src)
 	}
@@ -263,41 +254,29 @@ func (e *scEngine) install(m *wire.Msg, mode scAccess) bool {
 	pmu := n.pageLock(pg)
 	pmu.Lock()
 	defer pmu.Unlock()
-	var pc *scPage
-	if m.Data != nil {
-		pc = &scPage{data: m.Data, mode: mode}
-		e.pages[pg] = pc
+	// An upgrade grant (no data) means the directory saw us in the copyset,
+	// so a current read copy must be installed here (copyset membership
+	// without an installed copy only exists while our own fetch is in
+	// flight, and the miss lock admits one miss per page at a time). A
+	// grant that violates that came from a confused or hostile peer —
+	// reject it.
+	switch pc := e.pages[pg]; {
+	case m.Data != nil:
+		e.pages[pg] = &scPage{data: m.Data, mode: mode}
 		n.stats.pagesFetched.Add(1)
-	} else {
-		// Upgrade grant: the directory saw us in the copyset, so a current
-		// read copy must be installed here (copyset membership without an
-		// installed copy only exists while our own fetch is in flight, and
-		// the miss lock admits one miss per page at a time). A grant that
-		// violates that came from a confused or hostile peer — reject it.
-		pc = e.pages[pg]
-		if pc == nil {
-			n.noteErr("page install",
-				fmt.Errorf("upgrade grant for page %d without a local copy", pg))
-			return false
-		}
+	case pc != nil:
 		pc.mode = mode
+	default:
+		n.noteErr("page install", fmt.Errorf("upgrade grant for page %d without a local copy", pg))
+		return false
 	}
-	miss := e.pending[pg]
-	if miss == nil || miss.done {
-		return true
-	}
-	switch {
-	case miss.dst != nil && pc.mode >= scRead:
-		copy(miss.dst, pc.data[miss.off:miss.off+len(miss.dst)])
-		miss.done = true
-	case miss.src != nil && pc.mode == scWrite:
-		copy(pc.data[miss.off:miss.off+len(miss.src)], miss.src)
-		miss.done = true
+	if miss := e.pending[pg]; miss != nil && !miss.done {
+		miss.done = e.tryLocal(miss)
 	}
 	return true
 }
 
-// committedLocked returns a copy of this node's page contents for the
+// committedLocked returns a view of this node's page contents for the
 // home, downgrading a writable copy to read mode: the owner may keep
 // reading, but its next write must re-acquire exclusivity.
 func (e *scEngine) committedLocked(pg mem.PageID) ([]byte, bool) {
@@ -308,7 +287,7 @@ func (e *scEngine) committedLocked(pg mem.PageID) ([]byte, bool) {
 	if pc.mode == scWrite {
 		pc.mode = scRead
 	}
-	return append([]byte(nil), pc.data...), true
+	return pc.data, true
 }
 
 // invalidateLocked drops this node's access to its copy.

@@ -7,7 +7,120 @@ import (
 
 	"repro/internal/framebuf"
 	"repro/internal/mem"
+	"repro/internal/page"
 )
+
+// pageCopy is a twinning engine's (lazy or eager) copy of one page, guarded
+// by its stripe, and the only code that touches its twin. The twin holds
+// the page's committed contents; data holds those contents plus the
+// uncommitted writes of the current interval (lazy) or critical sections
+// since the last flush (eager). Without a twin the two are the same bytes.
+// Everything that changes the committed contents goes through land, so the
+// invariant holds whatever a concurrent local writer is doing.
+type pageCopy struct {
+	data  []byte
+	valid bool
+	twin  *page.Twin // present from the first write to the next commit point
+}
+
+// write copies src into the copy at off. The first write since the last
+// commit point captures the twin first, registering pg with ws; write
+// returns that fresh twin (nil if one was live), good under the stripe.
+func (pc *pageCopy) write(n *Node, ws *writeSet, pg mem.PageID, off int, src []byte) (fresh *page.Twin) {
+	if pc.twin == nil {
+		pc.twin = n.newTwin(pc.data)
+		fresh = pc.twin
+		ws.add(pg)
+	}
+	copy(pc.data[off:off+len(src)], src)
+	return fresh
+}
+
+// twinned reports whether uncommitted writes are live.
+func (pc *pageCopy) twinned() bool { return pc.twin != nil }
+
+// committed returns the copy's committed contents, a view good under the
+// stripe: uncommitted writes must not leak to another node.
+func (pc *pageCopy) committed() []byte {
+	if pc.twin != nil {
+		return pc.twin.Data()
+	}
+	return pc.data
+}
+
+// take ends the uncommitted writes at a commit point, handing the caller
+// the twin's reference (nil if nothing was written): data is now committed.
+func (pc *pageCopy) take() (t *page.Twin) {
+	t, pc.twin = pc.twin, nil
+	return t
+}
+
+// drop releases the twin of a copy the caller is discarding.
+func (pc *pageCopy) drop(n *Node) {
+	if t := pc.take(); t != nil {
+		n.releaseTwin(t)
+	}
+}
+
+// land lands outside bytes on the committed contents: base, when non-nil,
+// replaces them (the copy keeps the buffer), and apply, when non-nil, then
+// patches them. Without a twin that is data itself. With one, the
+// uncommitted words are lifted off as a diff, the new committed state is
+// built, the twin is rebased beneath it and the words are reinstated on
+// top — the words belong to a local section that holds their locks, so no
+// newer committed value for them exists. An error from apply leaves the
+// copy as it was, provided apply leaves its argument alone when it fails
+// (Diff.Apply checks every run before it moves a byte).
+func (pc *pageCopy) land(n *Node, base []byte, apply func(committed []byte) error) error {
+	committed, lifted := base, (*page.Diff)(nil)
+	if pc.twin != nil {
+		var err error
+		if lifted, err = page.MakeDiff(pc.twin, pc.data); err != nil {
+			return fmt.Errorf("lifting uncommitted writes: %w", err)
+		}
+		defer lifted.Release()
+		n.stats.diffsCreated.Add(1)
+		if committed == nil {
+			committed = slices.Clone(pc.twin.Data())
+		}
+	} else if committed == nil {
+		committed = pc.data
+	}
+	if apply != nil {
+		if err := apply(committed); err != nil {
+			return err
+		}
+	}
+	pc.data = committed
+	if lifted == nil {
+		return nil
+	}
+	n.releaseTwin(pc.twin)
+	pc.twin = n.newTwin(committed)
+	return lifted.Apply(pc.data)
+}
+
+// newTwin and releaseTwin wrap twin capture and release with the
+// TwinBytesLive gauge: the gauge rises at capture and falls at the last
+// release, when the buffer returns to the page pool.
+func (n *Node) newTwin(contents []byte) *page.Twin {
+	t := page.NewTwin(contents)
+	st := &n.stats
+	live := st.twinBytesLive.Add(int64(t.Len()))
+	for {
+		peak := st.twinBytesPeak.Load()
+		if live <= peak || st.twinBytesPeak.CompareAndSwap(peak, live) {
+			return t
+		}
+	}
+}
+
+func (n *Node) releaseTwin(t *page.Twin) {
+	size := int64(t.Len())
+	if t.Release() {
+		n.stats.twinBytesLive.Add(-size)
+	}
+}
 
 // writeSet is the write-capture state of a twinning engine (lazy or
 // eager): the pages twinned since the last drain, so an interval close or
