@@ -11,6 +11,7 @@ import (
 	"repro/internal/framebuf"
 	"repro/internal/mem"
 	"repro/internal/page"
+	"repro/internal/testenv"
 	"repro/internal/vc"
 )
 
@@ -559,12 +560,13 @@ func TestLogKeepsModsPerChunk(t *testing.T) {
 	}
 }
 
-// TestSweptLogAllocatesNothing: once a sweep has freed a chunk, Append
+// TestSweptLogAllocatesNothingGate: once a sweep has freed a chunk, Append
 // takes its chunks from the free list and its index lists have the
 // capacity the sweep trimmed them to, so appending allocates nothing; and
 // a sweep — floors, freed chunks, trimmed lists — allocates nothing
 // either.
-func TestSweptLogAllocatesNothing(t *testing.T) {
+func TestSweptLogAllocatesNothingGate(t *testing.T) {
+	testenv.SkipAllocGate(t)
 	const procs = 4
 	l := NewLog(procs)
 	clock, floor := vc.New(procs), vc.New(procs)

@@ -11,14 +11,16 @@ import (
 	"repro/internal/framebuf"
 	"repro/internal/mem"
 	"repro/internal/page"
+	"repro/internal/testenv"
 	"repro/internal/wire"
 )
 
-// TestAccessHitAllocatesNothing: an 8-byte read or write that hits — the
+// TestAccessHitAllocatesNothingGate: an 8-byte read or write that hits — the
 // operation an application performs millions of times between two
 // synchronization points — touches the heap under no engine. The write
 // hits are to a page the interval has already twinned.
-func TestAccessHitAllocatesNothing(t *testing.T) {
+func TestAccessHitAllocatesNothingGate(t *testing.T) {
+	testenv.SkipAllocGate(t)
 	allModes(t, func(t *testing.T, mode Mode) {
 		n := newSys(t, 2, mode).Node(0)
 		const addr = mem.Addr(1024 + 16)
@@ -161,7 +163,7 @@ func ringSteps(t *testing.T, s *System, first, last int) {
 	}
 }
 
-// TestTwinPoolCoversBudget runs the lock ring over three epochs: every
+// TestTwinPoolCoversBudgetGate runs the lock ring over three epochs: every
 // critical section twins a shared page and a private one, every interval
 // parks its twins until the GC epoch, and the epoch releases them all at
 // once. The parked twins stay far below the twin budget, and the page pool
@@ -169,7 +171,8 @@ func ringSteps(t *testing.T, s *System, first, last int) {
 // epoch every capture is served from it: the last epoch must not miss
 // once. (A pool 128 buffers deep dropped most of what an epoch released
 // and allocated it again over the next steps.)
-func TestTwinPoolCoversBudget(t *testing.T) {
+func TestTwinPoolCoversBudgetGate(t *testing.T) {
+	testenv.SkipAllocGate(t)
 	const gcEvery = 8
 	s := newRingSys(t, gcEvery)
 	ringSteps(t, s, 0, 2*gcEvery)
@@ -226,11 +229,12 @@ func TestLogFlatInRunLength(t *testing.T) {
 	}
 }
 
-// TestZeroPageServeAllocatesNothing: a node asked for a page it never
+// TestZeroPageServeAllocatesNothingGate: a node asked for a page it never
 // materialized answers from the system's one read-only zero page — no
 // 4 KiB of zeros made per request to be encoded away, no clock — under
 // every engine, and the answer is a few bytes long.
-func TestZeroPageServeAllocatesNothing(t *testing.T) {
+func TestZeroPageServeAllocatesNothingGate(t *testing.T) {
+	testenv.SkipAllocGate(t)
 	allModes(t, func(t *testing.T, mode Mode) {
 		// Page 0 is homed at node 0 and untouched; node 1 asks.
 		allocs, size := pageServeAllocs(newSys(t, 2, mode).Node(0))
@@ -243,12 +247,13 @@ func TestZeroPageServeAllocatesNothing(t *testing.T) {
 	})
 }
 
-// TestWrittenPageServeAllocatesNothing: a node asked for a page it holds
+// TestWrittenPageServeAllocatesNothingGate: a node asked for a page it holds
 // and wrote — its owner, under the directory engines — stages a view of
 // its committed contents under the page's stripe instead of copying the
 // page per request, under every engine, also while a later write is still
 // uncommitted (the view is then the twin).
-func TestWrittenPageServeAllocatesNothing(t *testing.T) {
+func TestWrittenPageServeAllocatesNothingGate(t *testing.T) {
+	testenv.SkipAllocGate(t)
 	allModes(t, func(t *testing.T, mode Mode) {
 		s := newSys(t, 2, mode)
 		n, pageSize := s.Node(0), s.Layout().PageSize()
@@ -329,12 +334,13 @@ func warmDiffPool(n, pageSize int) {
 	tw.Release()
 }
 
-// TestDenseDiffServeAllocatesNoBody: with a warm pool, the first serve of
+// TestDenseDiffServeAllocatesNoBodyGate: with a warm pool, the first serve of
 // a deferred dense 4 KiB diff — MakeDiff into a pooled body, the response
 // encoded into a pooled frame — allocates the diff's bookkeeping (its
 // struct, one run, one window) and nothing the size of a page: 120 B,
 // where a body made with make took it past 4,864 B.
-func TestDenseDiffServeAllocatesNoBody(t *testing.T) {
+func TestDenseDiffServeAllocatesNoBodyGate(t *testing.T) {
+	testenv.SkipAllocGate(t)
 	const pageSize, serves, bound = 4096, 50, 512
 	s, err := New(Config{Procs: 2, SpaceSize: 8 * pageSize, PageSize: pageSize, Mode: LazyInvalidate})
 	if err != nil {
@@ -386,7 +392,7 @@ func TestDenseDiffServeAllocatesNoBody(t *testing.T) {
 	}
 }
 
-// TestEagerFlushBurstAllocatesNoScratch: one EU release that dirtied four
+// TestEagerFlushBurstAllocatesNoScratchGate: one EU release that dirtied four
 // dense pages cached at the three other nodes — four KFlushReqs in one
 // burst, four home transactions fanning twelve updates out — allocates, on
 // all four nodes together, the messages' bookkeeping: no diff body (pooled,
@@ -395,7 +401,8 @@ func TestDenseDiffServeAllocatesNoBody(t *testing.T) {
 // frames). The two were 31 KB of this flush's 36 KB: four 4,864 B bodies,
 // and bursts appended a message at a time into slices grown from nil;
 // 4.3 KB is left.
-func TestEagerFlushBurstAllocatesNoScratch(t *testing.T) {
+func TestEagerFlushBurstAllocatesNoScratchGate(t *testing.T) {
+	testenv.SkipAllocGate(t)
 	const procs, pages, pageSize, flushes, bound = 4, 4, 4096, 30, 8 << 10
 	s, err := New(Config{Procs: procs, SpaceSize: procs * pages * pageSize, PageSize: pageSize, Mode: EagerUpdate})
 	if err != nil {

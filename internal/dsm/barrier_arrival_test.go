@@ -67,12 +67,12 @@ func lockedAdd(n *Node, l mem.LockID, addr mem.Addr, delta uint64) error {
 	return n.Release(l)
 }
 
-// TestOwnOnlyArrivalsDeliverTheWholeLog: four nodes pass two locks round
+// TestOwnOnlyArrivalsDeliverTheWholeLogRepro: four nodes pass two locks round
 // so each learns several of the others' intervals, then meet at a
 // barrier. Each arrival names only its sender's intervals although the
 // sender knows more; the barrier still costs 2(n-1) messages and leaves
 // every node with every interval, byte for byte the creator's record.
-func TestOwnOnlyArrivalsDeliverTheWholeLog(t *testing.T) {
+func TestOwnOnlyArrivalsDeliverTheWholeLogRepro(t *testing.T) {
 	bothModes(t, func(t *testing.T, mode Mode) {
 		const procs, rounds = 4, 3
 		s := newSys(t, procs, mode)
@@ -181,11 +181,11 @@ func TestOwnOnlyArrivalsDeliverTheWholeLog(t *testing.T) {
 	})
 }
 
-// TestForgedArrivalIntervalsRecordedNotAbsorbed: only its creator ships
+// TestForgedArrivalIntervalsRecordedNotAbsorbedRepro: only its creator ships
 // an interval, so an arrival naming another processor's is recorded and
 // that record dropped — the master's view of that processor must not
 // come from a third party — while the arriver's own record still lands.
-func TestForgedArrivalIntervalsRecordedNotAbsorbed(t *testing.T) {
+func TestForgedArrivalIntervalsRecordedNotAbsorbedRepro(t *testing.T) {
 	s, peer := puppetCluster(t, 1, Config{SpaceSize: 8192, PageSize: 1024, Mode: LazyInvalidate})
 	n := s.Node(0)
 	barErr := make(chan error, 1)
@@ -215,14 +215,14 @@ func TestForgedArrivalIntervalsRecordedNotAbsorbed(t *testing.T) {
 	}
 }
 
-// TestGrantDuringPendingArrivalsStaysClosed: an own-only arrival is not
+// TestGrantDuringPendingArrivalsStaysClosedRepro: an own-only arrival is not
 // closed under happened-before, so the master must not let its log be
 // seen part-way through a barrier's arrivals. Here node 3 has arrived —
 // with an interval stamped after one of node 2's, which node 2 has not
 // yet delivered — when a straggler goroutine of node 1 asks the master's
 // handler for a lock. Whatever that grant teaches node 1 must be closed:
 // it may name node 3's interval only together with node 2's.
-func TestGrantDuringPendingArrivalsStaysClosed(t *testing.T) {
+func TestGrantDuringPendingArrivalsStaysClosedRepro(t *testing.T) {
 	const procs, gpn = 4, 2
 	s, err := New(Config{Procs: procs, SpaceSize: 64 * 1024, PageSize: 1024, Mode: LazyInvalidate, GoroutinesPerNode: gpn})
 	if err != nil {

@@ -12,10 +12,10 @@ import (
 	"repro/internal/wire"
 )
 
-// TestFalseSharedLockedCountersOversubscribed is the distilled mp3d
-// counter pattern that once broke EI at gpn>1: four locks guard four
-// uint64 words on ONE page, every goroutine of every node randomly
-// picks a lock and increments its word, with barrier rounds mixed in.
+// TestLostUpdateRepro is the distilled mp3d counter pattern that once
+// broke EI at gpn>1: four locks guard four uint64 words on ONE page,
+// every goroutine of every node randomly picks a lock and increments its
+// word, with barrier rounds mixed in.
 // Early-committed neighbor words riding flushes, invalidations
 // and reconciliation bases all hit the same page while
 // other local goroutines are mid-critical-section; every word must
@@ -29,7 +29,7 @@ import (
 // item 1 (a twin made under the stripe, its page registered dirty after
 // it) was told apart from a missing notice or a wrong diff. A final
 // delta cannot do that.
-func TestFalseSharedLockedCountersOversubscribed(t *testing.T) {
+func TestLostUpdateRepro(t *testing.T) {
 	const procs, gpn, locks = 2, 4, 4
 	rounds := 3
 	iters := tortureParams(t)

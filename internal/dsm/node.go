@@ -679,21 +679,18 @@ func (n *Node) stage(dst mem.ProcID, m *wire.Msg) {
 
 // rpc sends m to dst and blocks for the response with the same Seq,
 // which the caller holds from then on (wire.Msg.Release when done with
-// it). m is the caller's again as soon as it is sent. Any number of
-// goroutines may have rpcs outstanding concurrently. The requester is the
-// flusher, so a failed flush surfaces to it directly.
+// it): a group of one, so that rpcAll is the one send and await path. m
+// is the caller's again as soon as it is sent. Any number of goroutines
+// may have rpcs outstanding concurrently. The requester is the flusher,
+// so a failed flush surfaces to it directly.
 func (n *Node) rpc(dst mem.ProcID, m *wire.Msg) (*wire.Msg, error) {
-	if h := n.rpcHist; h != nil {
-		start := time.Now()
-		defer func() { h.Observe(time.Since(start).Seconds()) }()
-	}
-	seq := m.Seq
-	w := n.register(seq, dst)
-	if err := n.out.send(dst, m); err != nil {
-		n.unregister(seq, false)
+	req := [1]outMsg{{dst: dst, m: *m}}
+	var resp [1]*wire.Msg
+	got, err := n.rpcAll(req[:], resp[:0])
+	if err != nil {
 		return nil, err
 	}
-	return n.await(seq, w)
+	return got[0], nil
 }
 
 // outMsg is one request of a grouped send: the message by value, so a
@@ -712,8 +709,14 @@ type outMsg struct {
 // error the requests of the destinations that failed are withdrawn (a
 // failed stream sends nothing) and the first error is returned after the
 // surviving destinations' responses arrived and were released, so no
-// response is ever orphaned.
+// response is ever orphaned. With metrics configured, each awaited
+// request's wait, from the group's first staging to its response, is one
+// rpcHist observation.
 func (n *Node) rpcAll(reqs []outMsg, resps []*wire.Msg) ([]*wire.Msg, error) {
+	var start time.Time
+	if n.rpcHist != nil {
+		start = time.Now()
+	}
 	for i := range reqs {
 		r := &reqs[i]
 		r.w = n.register(r.m.Seq, r.dst)
@@ -744,6 +747,9 @@ func (n *Node) rpcAll(reqs []outMsg, resps []*wire.Msg) ([]*wire.Msg, error) {
 			continue
 		}
 		m, err := n.await(r.m.Seq, r.w)
+		if h := n.rpcHist; h != nil {
+			h.Observe(time.Since(start).Seconds())
+		}
 		if err != nil {
 			if firstErr == nil {
 				firstErr = err

@@ -10,6 +10,7 @@ import (
 	"repro/internal/framebuf"
 	"repro/internal/mem"
 	"repro/internal/simnet"
+	"repro/internal/testenv"
 	"repro/internal/vc"
 	"repro/internal/wire"
 )
@@ -207,9 +208,8 @@ func stageGrant(seq uint64) *wire.Msg {
 // TestStageEncodesAtStage: staging is encoding. What a flush sends is,
 // byte for byte, the plain encoding of a lone staged message and the batch
 // frame of several — the wire format did not move when the encoder did —
-// the message is the caller's again when stage returns (mutating it
-// afterwards changes nothing), and stage plus flush allocate nothing once
-// the frame free list is warm.
+// and the message is the caller's again when stage returns (mutating it
+// afterwards changes nothing).
 func TestStageEncodesAtStage(t *testing.T) {
 	ep := &captureEndpoint{}
 	o := &outbox{n: &Node{id: 0, ep: ep}, dsts: make([]outDest, 2)}
@@ -234,6 +234,15 @@ func TestStageEncodesAtStage(t *testing.T) {
 		if !bytes.Equal(ep.got, want) {
 			t.Errorf("%d staged: flushed frame\n%x\nwant\n%x", count, ep.got, want)
 		}
+	}
+}
+
+// TestStageFlushAllocatesNothingGate: staging and flushing one message,
+// or a batch of three, allocates nothing once the frame free list is warm.
+func TestStageFlushAllocatesNothingGate(t *testing.T) {
+	testenv.SkipAllocGate(t)
+	o := &outbox{n: &Node{id: 0, ep: &captureEndpoint{}}, dsts: make([]outDest, 2)}
+	for _, count := range []int{1, 3} {
 		msgs := []*wire.Msg{stageGrant(1), stageGrant(2), stageGrant(3)}[:count]
 		if allocs := testing.AllocsPerRun(200, func() {
 			for _, m := range msgs {

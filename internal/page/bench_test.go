@@ -3,6 +3,8 @@ package page
 import (
 	"math/rand"
 	"testing"
+
+	"repro/internal/testenv"
 )
 
 // byteLoopMakeDiff is the pre-kernel MakeDiff, kept verbatim as the
@@ -107,7 +109,8 @@ func BenchmarkDiffServe(b *testing.B) {
 // Serving a diff must not allocate, from the first serve on: the wire
 // body is laid out when the diff is made, and every serve is a single
 // append of it into the frame buffer.
-func TestDiffServeFromCacheAllocs(t *testing.T) {
+func TestDiffServeFromCacheAllocsGate(t *testing.T) {
+	testenv.SkipAllocGate(t)
 	tw, cur := sparsePage(7)
 	d, err := MakeDiff(tw, cur)
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/framebuf"
+	"repro/internal/testenv"
 )
 
 // densePage and its twin differ in every word; sparsePage (bench_test.go)
@@ -14,10 +15,11 @@ func densePage() (*Twin, []byte) {
 	return NewTwin(make([]byte, 4096)), cur
 }
 
-// TestDiffBodiesRecycle: a made diff's body is a lease on a pooled
+// TestDiffBodiesRecycleGate: a made diff's body is a lease on a pooled
 // buffer, so making and releasing diffs of one shape asks the allocator
 // for a body once.
-func TestDiffBodiesRecycle(t *testing.T) {
+func TestDiffBodiesRecycleGate(t *testing.T) {
+	testenv.SkipAllocGate(t)
 	sparseTwin, sparseCur := sparsePage(3)
 	denseTwin, denseCur := densePage()
 	for _, c := range []struct {

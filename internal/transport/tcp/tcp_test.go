@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/framebuf"
+	"repro/internal/testenv"
 	"repro/internal/transport"
 )
 
@@ -45,10 +46,11 @@ func TestSendRecv(t *testing.T) {
 	}
 }
 
-// TestSteadySendsAllocateNothing: a steady stream of frames to a peer, plain
+// TestSteadySendsAllocateNothingGate: a steady stream of frames to a peer, plain
 // and batched, allocates nothing per frame — the vectored write reuses its
 // vector, and the payload cycles sender, stream, receiver, free list.
-func TestSteadySendsAllocateNothing(t *testing.T) {
+func TestSteadySendsAllocateNothingGate(t *testing.T) {
+	testenv.SkipAllocGate(t)
 	ts := cluster(t, 2)
 	msg := []byte("a steady-state frame")
 	batch := net.Buffers{[]byte("HH"), msg, msg}

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/mem"
 	"repro/internal/page"
+	"repro/internal/testenv"
 	"repro/internal/vc"
 )
 
@@ -284,12 +285,13 @@ func appendBatchRaw(count int, subs ...[]byte) []byte {
 	return buf
 }
 
-// TestDecodeHostileCountAllocation: a tiny frame claiming 2^24 interval
+// TestDecodeHostileCountAllocationGate: a tiny frame claiming 2^24 interval
 // pages must be rejected by the remaining-bytes bound, not by attempting
 // the allocation (this fails fast under the fuzzer's memory limits too) —
 // and one claiming 2^31 expanded data bytes by the bound that stands in
 // for it.
-func TestDecodeHostileCountAllocation(t *testing.T) {
+func TestDecodeHostileCountAllocationGate(t *testing.T) {
+	testenv.SkipAllocGate(t)
 	b := cat(hdr(KLockGrant, hasIntervals),
 		uv(1),       // one interval
 		uv(0, 0, 0), // proc, index, clock len

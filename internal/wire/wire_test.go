@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
-	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -107,20 +106,10 @@ func drainShells() {
 // TestDecodedIntervalsShareSlabsSafely: a block's records are decoded
 // into shared slabs yet stay independent — appending to one record's clock
 // or page list must not reach into its neighbour's — and the slabs are the
-// shell's: a block inside the keep bound fills what the shell kept of an
-// earlier message and allocates nothing, a block beyond it allocates its
-// three slabs for this message alone.
+// shell's: a block beyond the keep bound gets slabs for this message alone
+// and leaves the shell's kept slabs as they were.
 func TestDecodedIntervalsShareSlabsSafely(t *testing.T) {
-	build := func(n int) []byte {
-		m := &Msg{Kind: KLockGrant}
-		for i := 0; i < n; i++ {
-			m.Intervals = append(m.Intervals, IntervalRec{
-				Proc: 1, Index: int32(i), VC: vc.VC{int32(i), 7}, Pages: []mem.PageID{mem.PageID(i), 9},
-			})
-		}
-		return m.EncodeAppend(nil)
-	}
-	got, err := Decode(build(2))
+	got, err := Decode(intervalBlock(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,33 +121,31 @@ func TestDecodedIntervalsShareSlabsSafely(t *testing.T) {
 	got.Release()
 
 	drainShells()
-	small, large := build(keepRecs), build(keepRecs+1)
-	var shell *Msg
-	allocs := func(b []byte, n int) float64 {
-		return testing.AllocsPerRun(20, func() {
-			m, err := Decode(b)
-			if err != nil || len(m.Intervals) != n || m.Intervals[n-1].Index != int32(n-1) {
-				t.Fatalf("decoded %d records, err %v", len(m.Intervals), err)
-			}
-			shell = m
-			m.Release()
-		})
+	decode := func(n int) *Msg {
+		m, err := Decode(intervalBlock(n))
+		if err != nil || len(m.Intervals) != n || m.Intervals[n-1].Index != int32(n-1) {
+			t.Fatalf("decoded %d records, err %v", len(m.Intervals), err)
+		}
+		m.Release()
+		return m
 	}
-	if a := allocs(small, keepRecs); a != 0 {
-		t.Errorf("decoding a block inside the keep bound into a recycled shell takes %v allocations, want 0", a)
-	}
-	kept := shell.kept.intervals
-	if a := allocs(large, keepRecs+1); a != 3 {
-		t.Errorf("decoding a block beyond the keep bound takes %v allocations, want its 3 slabs", a)
-	}
-	if k := shell.kept.intervals; cap(k.recs) != cap(kept.recs) || cap(k.clocks) != cap(kept.clocks) || cap(k.pages) != cap(kept.pages) ||
+	kept := decode(keepRecs).kept.intervals
+	if k := decode(keepRecs + 1).kept.intervals; cap(k.recs) != cap(kept.recs) || cap(k.clocks) != cap(kept.clocks) || cap(k.pages) != cap(kept.pages) ||
 		cap(k.recs) > keepRecs || cap(k.clocks) > keepWords || cap(k.pages) > keepWords {
 		t.Errorf("the shell kept slabs of %d records, %d clock entries, %d pages after a block beyond the bound (before it: %d, %d, %d; bound %d, %d, %d)",
 			cap(k.recs), cap(k.clocks), cap(k.pages), cap(kept.recs), cap(kept.clocks), cap(kept.pages), keepRecs, keepWords, keepWords)
 	}
-	if a := allocs(small, keepRecs); a != 0 {
-		t.Errorf("after a large block a small one takes %v allocations, want 0", a)
+}
+
+// intervalBlock is a grant carrying n two-page interval records.
+func intervalBlock(n int) []byte {
+	m := &Msg{Kind: KLockGrant}
+	for i := 0; i < n; i++ {
+		m.Intervals = append(m.Intervals, IntervalRec{
+			Proc: 1, Index: int32(i), VC: vc.VC{int32(i), 7}, Pages: []mem.PageID{mem.PageID(i), 9},
+		})
 	}
+	return m.EncodeAppend(nil)
 }
 
 func TestDiffsRoundTrip(t *testing.T) {
@@ -190,25 +177,11 @@ func TestDiffsRoundTrip(t *testing.T) {
 }
 
 // TestDecodedDiffsShareSlabsSafely: a diff block's run tables are decoded
-// into per-block slabs — the same number of allocations for three runs
-// as for three hundred — and each run's bytes are a window of the frame,
+// into per-block slabs, and each run's bytes are a window of the frame,
 // capacity-limited to the run: appending to one must not write into the
 // frame behind it.
 func TestDecodedDiffsShareSlabsSafely(t *testing.T) {
-	build := func(runs int) []byte {
-		var writes []int
-		for i := 0; i < runs; i++ {
-			writes = append(writes, 8*i) // every other word: one run each
-		}
-		d := mkDiff(t, 4096, writes...)
-		if d.NumRuns() != runs {
-			t.Fatalf("built %d runs, want %d", d.NumRuns(), runs)
-		}
-		return (&Msg{Kind: KDiffResp, Diffs: []DiffRec{
-			{Page: 1, Proc: 2, Index: 3, Diff: d}, {Page: 2, Proc: 2, Index: 3, Diff: d},
-		}}).EncodeAppend(nil)
-	}
-	frame := build(3)
+	frame := sparseDiffResp(t, 3)
 	pristine := append([]byte(nil), frame...)
 	got, err := Decode(frame)
 	if err != nil {
@@ -227,34 +200,31 @@ func TestDecodedDiffsShareSlabsSafely(t *testing.T) {
 	if err := got.Diffs[1].Diff.Apply(target); err != nil || target[16] != 0xAB {
 		t.Fatalf("second diff of the block applies wrongly: %v, byte 16 = %#x", err, target[16])
 	}
-	allocs := func(b []byte) float64 {
-		return testing.AllocsPerRun(20, func() {
-			if _, err := Decode(b); err != nil {
-				t.Fatal(err)
-			}
-		})
+}
+
+// sparseDiffResp is a diff response of two records sharing one 4 KiB diff
+// made of the given number of one-word runs, one every other word.
+func sparseDiffResp(t *testing.T, runs int) []byte {
+	var writes []int
+	for i := 0; i < runs; i++ {
+		writes = append(writes, 8*i) // every other word: one run each
 	}
-	if a, b := allocs(build(3)), allocs(build(300)); a != b {
-		t.Errorf("decoding 3-run diffs takes %v allocations, 300-run diffs %v: want the same", a, b)
+	d := mkDiff(t, 4096, writes...)
+	if d.NumRuns() != runs {
+		t.Fatalf("built %d runs, want %d", d.NumRuns(), runs)
 	}
+	return (&Msg{Kind: KDiffResp, Diffs: []DiffRec{
+		{Page: 1, Proc: 2, Index: 3, Diff: d}, {Page: 2, Proc: 2, Index: 3, Diff: d},
+	}}).EncodeAppend(nil)
 }
 
 // TestDecodeBorrowsFrame pins the codec's ownership rule for diffs: a
-// decoded run's data is the frame's own bytes, decoding a 4 KiB diff
-// response allocates nothing of payload size, and a Clone — the one way
+// decoded run's data is the frame's own bytes, and a Clone — the one way
 // to keep a diff past its frame — survives the frame's poisoned release
 // while the borrowing diff reads the poison.
 func TestDecodeBorrowsFrame(t *testing.T) {
-	const size = 4096
-	base, cur := make([]byte, size), make([]byte, size)
-	for i := range cur {
-		cur[i] = byte(i) | 1 // every word changes: one 4 KiB run
-	}
-	d, err := page.MakeDiff(page.NewTwin(base), cur)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp := &Msg{Kind: KDiffResp, Seq: 43, Diffs: []DiffRec{{Page: 3, Proc: 1, Index: 7, Diff: d}}}
+	resp, cur := denseDiffResp(t)
+	size := len(cur)
 	frame := resp.EncodeAppend(framebuf.Get())
 	m, err := Decode(frame)
 	if err != nil {
@@ -272,19 +242,6 @@ func TestDecodeBorrowsFrame(t *testing.T) {
 		t.Error("decoded run data does not alias the frame")
 	}
 
-	var before, after runtime.MemStats
-	const rounds = 200
-	runtime.ReadMemStats(&before)
-	for i := 0; i < rounds; i++ {
-		if _, err := Decode(frame); err != nil {
-			t.Fatal(err)
-		}
-	}
-	runtime.ReadMemStats(&after)
-	if per := (after.TotalAlloc - before.TotalAlloc) / rounds; per >= size/4 {
-		t.Errorf("decoding a %d-byte diff response allocates %d bytes, want message and run-table overhead only", size, per)
-	}
-
 	clone := got.Clone()
 	framebuf.SetPoison(true)
 	defer framebuf.SetPoison(false)
@@ -299,6 +256,21 @@ func TestDecodeBorrowsFrame(t *testing.T) {
 	if enc := (&Msg{Kind: KDiffResp, Seq: 43, Diffs: []DiffRec{{Page: 3, Proc: 1, Index: 7, Diff: clone}}}).EncodeAppend(nil); !bytes.Equal(enc, resp.EncodeAppend(nil)) {
 		t.Error("clone re-encodes differently from the original diff")
 	}
+}
+
+// denseDiffResp is a diff response carrying one 4 KiB run, and the page
+// the run rebuilds.
+func denseDiffResp(t *testing.T) (*Msg, []byte) {
+	const size = 4096
+	base, cur := make([]byte, size), make([]byte, size)
+	for i := range cur {
+		cur[i] = byte(i) | 1 // every word changes: one 4 KiB run
+	}
+	d, err := page.MakeDiff(page.NewTwin(base), cur)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &Msg{Kind: KDiffResp, Seq: 43, Diffs: []DiffRec{{Page: 3, Proc: 1, Index: 7, Diff: d}}}, cur
 }
 
 // A diff is its wire body: the encoder appends exactly those bytes, a
@@ -606,14 +578,14 @@ func TestRoundTripExtremes(t *testing.T) {
 	}
 }
 
-// TestGoldenSizes pins the encoded size of each message kind as the
+// TestGoldenSizesGate pins the encoded size of each message kind as the
 // runtime builds it at 4 procs, with two-byte sequence numbers, interval
 // indices and clock entries in the hundreds and a page id past 127. A
 // field added to the consistency plane moves these numbers; the bounds
 // are the ones the traffic gates rest on (the paper's write notice is
 // the model's 20 bytes per one-page interval; a fixed-width record cost
 // 36).
-func TestGoldenSizes(t *testing.T) {
+func TestGoldenSizesGate(t *testing.T) {
 	const lazy = 0 // LI's section tag, as the runtime emits it
 	clock := vc.VC{900, 412, 655, 130}
 	rec := IntervalRec{Proc: 2, Index: 650, VC: vc.VC{880, 400, 650, 128}, Pages: []mem.PageID{300}}
@@ -802,10 +774,9 @@ func shellGrant() *Msg {
 }
 
 // TestDecodeFillsRecycledShell: Decode takes its message from the shell
-// free list and Release puts it back, interval slabs included — the
-// records, the clock slab (the message's clock is its first window) and
-// the page slab — so a steady receive path decodes a grant without
-// allocating. Nothing a grant decoded survives its shell.
+// free list and Release puts it back, so the next Decode fills the same
+// shell. Nothing a grant decoded survives its shell, and each of the
+// runtime's messages decodes into a recycled shell as it was sent.
 func TestDecodeFillsRecycledShell(t *testing.T) {
 	drainShells()
 	enc := shellGrant().EncodeAppend(nil)
@@ -826,23 +797,7 @@ func TestDecodeFillsRecycledShell(t *testing.T) {
 	} else {
 		again.Release()
 	}
-	// A message in the runtime's form, payload in one mode-tagged section,
-	// costs nothing more: the first section lives in the shell. A diff
-	// response's records, headers, runs and payload windows, and a diff
-	// request's wants, are the shell's too.
-	g := shellGrant()
-	for _, tc := range []struct {
-		name string
-		m    *Msg
-	}{
-		{"grant", g},
-		{"sectioned grant", &Msg{Kind: g.Kind, Seq: g.Seq, A: g.A, Sections: []Section{{Mode: 1, VC: g.VC, Intervals: g.Intervals}}}},
-		{"diff response of 1", shellDiffResp(t, 1, false)},
-		{"diff response of 4", shellDiffResp(t, 4, false)},
-		{"sectioned diff response of 1", shellDiffResp(t, 1, true)},
-		{"sectioned diff response of 4", shellDiffResp(t, 4, true)},
-		{"diff request", shellDiffReq()},
-	} {
+	for _, tc := range shellMsgs(t) {
 		enc := tc.m.EncodeAppend(nil)
 		drainShells()
 		if m, err := Decode(enc); err != nil || !bytes.Equal(m.EncodeAppend(nil), enc) {
@@ -850,15 +805,29 @@ func TestDecodeFillsRecycledShell(t *testing.T) {
 		} else {
 			m.Release()
 		}
-		if allocs := testing.AllocsPerRun(200, func() {
-			m, err := Decode(enc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			m.Release()
-		}); allocs != 0 {
-			t.Errorf("decoding a %s into a shell allocates %.1f objects, want 0: its slabs are the shell's", tc.name, allocs)
-		}
+	}
+}
+
+// namedMsg is a test case: a message and what to call it.
+type namedMsg struct {
+	name string
+	m    *Msg
+}
+
+// shellMsgs are the messages a receive path decodes most: a lock grant,
+// flat and in the runtime's form with its payload in one mode-tagged
+// section, diff responses of one and four records, flat and sectioned,
+// and a diff request.
+func shellMsgs(t *testing.T) []namedMsg {
+	g := shellGrant()
+	return []namedMsg{
+		{"grant", g},
+		{"sectioned grant", &Msg{Kind: g.Kind, Seq: g.Seq, A: g.A, Sections: []Section{{Mode: 1, VC: g.VC, Intervals: g.Intervals}}}},
+		{"diff response of 1", shellDiffResp(t, 1, false)},
+		{"diff response of 4", shellDiffResp(t, 4, false)},
+		{"sectioned diff response of 1", shellDiffResp(t, 1, true)},
+		{"sectioned diff response of 4", shellDiffResp(t, 4, true)},
+		{"diff request", shellDiffReq()},
 	}
 }
 
@@ -883,53 +852,12 @@ func shellDiffReq() *Msg {
 	return &Msg{Kind: KDiffReq, Seq: 12, A: 1, Wants: []Want{{Page: 1, Proc: 2, Index: 3}, {Page: 1, Proc: 2, Index: 5, Span: 2}}}
 }
 
-// TestBatchReceiveAllocatesNothing: the steady receive path of a batch
-// frame — two diff responses decoded into shells, one frame reference
-// attached to both, both released — allocates nothing: the shells with
-// their slabs, the Ref and the frame buffer all come back for the next.
-func TestBatchReceiveAllocatesNothing(t *testing.T) {
-	drainShells()
-	enc := appendBatch(nil, shellDiffResp(t, 1, false), shellDiffResp(t, 4, true))
-	var msgs []*Msg
-	recv := func() {
-		frame := append(framebuf.Get(), enc...)
-		var err error
-		if msgs, err = DecodeBatchAppend(msgs[:0], frame); err != nil || len(msgs) != 2 || !msgs[1].HasDiffs() {
-			t.Fatalf("decoded %d messages, err %v", len(msgs), err)
-		}
-		ref := framebuf.NewRef(frame, len(msgs))
-		for _, m := range msgs {
-			m.Frame = ref
-		}
-		for _, m := range msgs {
-			m.Release()
-		}
-	}
-	recv()
-	if a := testing.AllocsPerRun(200, recv); a != 0 {
-		t.Errorf("receiving a two-message batch of diff responses allocates %v objects, want 0", a)
-	}
-}
-
 // TestDiffBlockPastTheBound: a diff block the shell does not keep — one with
 // more runs than the bound, or a message's second block — still decodes to
-// the diffs that were sent, into four slabs of its own, and leaves the
-// shell's kept slabs as they were for the next message.
+// the diffs that were sent, into slabs of its own, and leaves the shell's
+// kept slabs as they were for the next message.
 func TestDiffBlockPastTheBound(t *testing.T) {
-	var writes []int
-	for i := 0; i <= keepRuns; i++ {
-		writes = append(writes, 8*i) // every other word: one run each
-	}
-	big := mkDiff(t, 8*(keepRuns+1), writes...)
-	small := mkDiff(t, 1024, 0, 512)
-	for _, tc := range []struct {
-		name string
-		m    *Msg
-	}{
-		{"a block past the bound", &Msg{Kind: KDiffResp, Diffs: []DiffRec{{Page: 1, Proc: 2, Index: 3, Diff: big}}}},
-		{"a second block", &Msg{Kind: KLockGrant, Diffs: []DiffRec{{Page: 1, Proc: 2, Index: 3, Diff: small}},
-			Sections: []Section{{Mode: 1, Diffs: []DiffRec{{Page: 4, Proc: 1, Index: 0, Diff: small}}}}}},
-	} {
+	for _, tc := range pastTheBoundMsgs(t) {
 		enc := tc.m.EncodeAppend(nil)
 		drainShells()
 		warm := shellDiffResp(t, 4, false).EncodeAppend(nil)
@@ -959,15 +887,22 @@ func TestDiffBlockPastTheBound(t *testing.T) {
 			t.Errorf("%s: the shell's kept slabs changed size: %d/%d/%d/%d, were %d/%d/%d/%d", tc.name,
 				cap(k.recs), cap(k.hdrs), cap(k.runs), cap(k.data), cap(kept.recs), cap(kept.hdrs), cap(kept.runs), cap(kept.data))
 		}
-		if a := testing.AllocsPerRun(20, func() {
-			m, err := Decode(enc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			m.Release()
-		}); a != 4 {
-			t.Errorf("decoding %s takes %v allocations, want its 4 slabs", tc.name, a)
-		}
+	}
+}
+
+// pastTheBoundMsgs carry a diff block the shell does not keep: one with
+// more runs than the bound, and a message's second block.
+func pastTheBoundMsgs(t *testing.T) []namedMsg {
+	var writes []int
+	for i := 0; i <= keepRuns; i++ {
+		writes = append(writes, 8*i) // every other word: one run each
+	}
+	big := mkDiff(t, 8*(keepRuns+1), writes...)
+	small := mkDiff(t, 1024, 0, 512)
+	return []namedMsg{
+		{"a block past the bound", &Msg{Kind: KDiffResp, Diffs: []DiffRec{{Page: 1, Proc: 2, Index: 3, Diff: big}}}},
+		{"a second block", &Msg{Kind: KLockGrant, Diffs: []DiffRec{{Page: 1, Proc: 2, Index: 3, Diff: small}},
+			Sections: []Section{{Mode: 1, Diffs: []DiffRec{{Page: 4, Proc: 1, Index: 0, Diff: small}}}}}},
 	}
 }
 

@@ -125,10 +125,12 @@ func TestFacadeWorkloadRuntime(t *testing.T) {
 	}
 }
 
-// TestFacadeTypedSHM drives the public typed shared-memory surface: an
+// TestFacadeTypedSHMRepro drives the public typed shared-memory surface: an
 // Arena schema with Var/Array/Bytes handles, Locked critical sections
-// and a Barrier, against a live DSM.
-func TestFacadeTypedSHM(t *testing.T) {
+// and a Barrier, against a live DSM. Run many times under -race, it
+// reproduces a flag read as 0 if handles ever share a diff word again: a
+// flag stored under the lock must survive a neighbour's unlocked store.
+func TestFacadeTypedSHMRepro(t *testing.T) {
 	d, err := repro.NewDSM(repro.DSMConfig{
 		Procs: 3, SpaceSize: 32 * 1024, PageSize: 1024, Mode: repro.EagerUpdate,
 	})
