@@ -122,44 +122,137 @@ func newRingSys(t *testing.T, gcEvery int) *System {
 	return s
 }
 
-// ringSteps runs steps [first, last) of the lock ring, one node at a time
-// (every node has released its step's twins before the next capture, so
-// each step asks the same of the pools), all nodes meeting at the barrier.
+// ringSteps runs steps [first, last) of the lock ring (ringDriver.steps).
 func ringSteps(t *testing.T, s *System, first, last int) {
 	t.Helper()
-	for step := first; step < last; step++ {
-		for id := 0; id < ringProcs; id++ {
-			n := s.Node(id)
-			var rec [64]byte
-			for m := 0; m < ringLocks/ringProcs; m++ {
-				l := (id+step)%ringProcs + ringProcs*m
-				binary.LittleEndian.PutUint64(rec[:], uint64(step+1))
-				err := n.Acquire(mem.LockID(l))
-				if err == nil {
-					err = n.Write(mem.Addr(l*ringSpacing), rec[:])
-				}
-				if err == nil {
-					err = n.Release(mem.LockID(l))
-				}
-				if err == nil {
-					err = n.WriteUint64(mem.Addr(ringPrivBase+id*ringPageSize+8*m), uint64(step))
-				}
-				if err != nil {
-					t.Fatal(err)
+	newRingDriver(t, s).steps(t, first, last)
+}
+
+// ringDriver runs the lock ring on one goroutine per node that lives as
+// long as the test, so that driving the ring allocates nothing of its own.
+// A node is sent a step to run that step's critical sections, or
+// ringBarrier to enter the barrier, and answers on done.
+type ringDriver struct {
+	cmds []chan int
+	done chan error
+}
+
+const ringBarrier = -1
+
+func newRingDriver(t *testing.T, s *System) *ringDriver {
+	d := &ringDriver{done: make(chan error)}
+	for id := 0; id < ringProcs; id++ {
+		cmds := make(chan int)
+		d.cmds = append(d.cmds, cmds)
+		go func(n *Node) {
+			for step := range cmds {
+				if step == ringBarrier {
+					d.done <- n.Barrier(0)
+				} else {
+					d.done <- ringSections(n, step)
 				}
 			}
+		}(s.Node(id))
+	}
+	t.Cleanup(func() {
+		for _, cmds := range d.cmds {
+			close(cmds)
 		}
-		var wg sync.WaitGroup
-		for id := 0; id < ringProcs; id++ {
-			wg.Add(1)
-			go func(n *Node) {
-				defer wg.Done()
-				if err := n.Barrier(0); err != nil {
-					t.Error(err)
-				}
-			}(s.Node(id))
+	})
+	return d
+}
+
+// steps runs steps [first, last): one node at a time runs its critical
+// sections (every node has released its step's twins before the next
+// capture, so each step asks the same of the pools), then all nodes meet
+// at the barrier.
+func (d *ringDriver) steps(t *testing.T, first, last int) {
+	t.Helper()
+	for step := first; step < last; step++ {
+		for _, cmds := range d.cmds {
+			cmds <- step
+			if err := <-d.done; err != nil {
+				t.Fatal(err)
+			}
 		}
-		wg.Wait()
+		for _, cmds := range d.cmds {
+			cmds <- ringBarrier
+		}
+		for range d.cmds {
+			if err := <-d.done; err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// ringSections runs node n's critical sections of step: each takes a lock
+// from its last holder, rewrites the lock's record — the grant's write
+// notice invalidated the page, so the write misses — and releases it, which
+// closes the record's interval; a private word written after it opens the
+// next.
+func ringSections(n *Node, step int) error {
+	var rec [64]byte
+	binary.LittleEndian.PutUint64(rec[:], uint64(step+1))
+	for m := 0; m < ringLocks/ringProcs; m++ {
+		l := (int(n.id)+step)%ringProcs + ringProcs*m
+		err := n.Acquire(mem.LockID(l))
+		if err == nil {
+			err = n.Write(mem.Addr(l*ringSpacing), rec[:])
+		}
+		if err == nil {
+			err = n.Release(mem.LockID(l))
+		}
+		if err == nil {
+			err = n.WriteUint64(mem.Addr(ringPrivBase+int(n.id)*ringPageSize+8*m), uint64(step))
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// TestCriticalSectionAllocatesNothingGate counts the objects a critical
+// section allocates once the lock ring is warm: each takes a lock from
+// another node (a grant carrying write notices), misses on the record the
+// notices invalidated (a diff request and response), writes it (twin
+// capture) and releases (an interval close with its slot array), and every
+// fourth barrier runs a GC epoch (the bulk validation's prefetch, the
+// discard and the sweep). Each of those recycles what it builds — twin and
+// diff leases, slot arrays, want and request lists, message shells and
+// their clocks — so a critical section allocates nothing. What a warm
+// epoch may still allocate is a message shell's interval slab growing to
+// the largest block it has decoded: 0-4 objects after 48 epochs, on a
+// loaded box too. The bound, one object per 10 critical sections, is
+// crossed by any per-operation allocation (a slot array made per interval
+// close measures 2 per critical section).
+func TestCriticalSectionAllocatesNothingGate(t *testing.T) {
+	testenv.SkipAllocGate(t)
+	const gcEvery, warmEpochs = 4, 48
+	s := newRingSys(t, gcEvery)
+	d := newRingDriver(t, s)
+	step := 0
+	epoch := func() {
+		d.steps(t, step, step+gcEvery)
+		step += gcEvery
+	}
+	for range warmEpochs {
+		epoch()
+	}
+	before := s.Node(0).Stats()
+	allocs := testing.AllocsPerRun(4, epoch)
+	after := s.Node(0).Stats()
+	if after.GCRuns-before.GCRuns != 5 || after.AccessMisses == before.AccessMisses ||
+		after.IntervalsCreated == before.IntervalsCreated || after.DiffsFetched == before.DiffsFetched {
+		t.Fatalf("the measured epochs ran %d GC epochs, %d misses, %d intervals, %d fetched diffs on node 0: want 5 and more than none",
+			after.GCRuns-before.GCRuns, after.AccessMisses-before.AccessMisses,
+			after.IntervalsCreated-before.IntervalsCreated, after.DiffsFetched-before.DiffsFetched)
+	}
+	if perCS := allocs / (gcEvery * ringLocks); perCS > 0.1 {
+		t.Errorf("a warm critical section allocates %.3f objects (%.0f per epoch of %d), want 0", perCS, allocs, gcEvery*ringLocks)
+	} else {
+		t.Logf("%.0f objects per epoch of %d critical sections", allocs, gcEvery*ringLocks)
 	}
 }
 
@@ -335,13 +428,13 @@ func warmDiffPool(n, pageSize int) {
 }
 
 // TestDenseDiffServeAllocatesNoBodyGate: with a warm pool, the first serve of
-// a deferred dense 4 KiB diff — MakeDiff into a pooled body, the response
-// encoded into a pooled frame — allocates the diff's bookkeeping (its
-// struct, one run, one window) and nothing the size of a page: 120 B,
-// where a body made with make took it past 4,864 B.
+// a deferred dense 4 KiB diff — MakeDiff into a pooled lease, the response
+// encoded into a pooled frame — allocates nothing: the lease brings the
+// diff's header, run table and window with its body. A header made per
+// diff measured 120 B, and a body made with make took it past 4,864 B.
 func TestDenseDiffServeAllocatesNoBodyGate(t *testing.T) {
 	testenv.SkipAllocGate(t)
-	const pageSize, serves, bound = 4096, 50, 512
+	const pageSize, serves, bound = 4096, 50, 64
 	s, err := New(Config{Procs: 2, SpaceSize: 8 * pageSize, PageSize: pageSize, Mode: LazyInvalidate})
 	if err != nil {
 		t.Fatal(err)
@@ -395,15 +488,16 @@ func TestDenseDiffServeAllocatesNoBodyGate(t *testing.T) {
 // TestEagerFlushBurstAllocatesNoScratchGate: one EU release that dirtied four
 // dense pages cached at the three other nodes — four KFlushReqs in one
 // burst, four home transactions fanning twelve updates out — allocates, on
-// all four nodes together, the messages' bookkeeping: no diff body (pooled,
-// returned when the burst is acknowledged) and no []pend / []outMsg
-// scratch (bursts of up to four live in the flusher's and the homes'
-// frames). The two were 31 KB of this flush's 36 KB: four 4,864 B bodies,
-// and bursts appended a message at a time into slices grown from nil;
-// 4.3 KB is left.
+// all four nodes together, only the goroutine each flush request starts at
+// its home: 128 B. No diff body or header (a lease, returned when the burst
+// is acknowledged), no burst scratch (requests and acknowledgements live in
+// the flusher's and the homes' frames, the drained pages and diff records
+// in the flush's scratch). Bodies and bursts grown from nil were 31 KB of
+// this flush's 36 KB; headers, diff records and acknowledgement lists made
+// per flush measure 1,048 B.
 func TestEagerFlushBurstAllocatesNoScratchGate(t *testing.T) {
 	testenv.SkipAllocGate(t)
-	const procs, pages, pageSize, flushes, bound = 4, 4, 4096, 30, 8 << 10
+	const procs, pages, pageSize, flushes, bound = 4, 4, 4096, 30, 256
 	s, err := New(Config{Procs: procs, SpaceSize: procs * pages * pageSize, PageSize: pageSize, Mode: EagerUpdate})
 	if err != nil {
 		t.Fatal(err)

@@ -112,8 +112,9 @@ func (d *directory) serveCopy(m *wire.Msg) {
 		return
 	}
 	e.copyset |= 1 << uint(to)
-	resp := &wire.Msg{Kind: wire.KPageResp, Seq: m.Seq, A: m.A, Data: data}
-	n.noteErr(fmt.Sprintf("page response to %d", to), n.send(to, resp))
+	if err := n.send(to, &wire.Msg{Kind: wire.KPageResp, Seq: m.Seq, A: m.A, Data: data}); err != nil {
+		n.noteErr(fmt.Sprintf("page response to %d", to), err)
+	}
 }
 
 // serveOwnership runs the ownership transaction for request m, answering
@@ -152,7 +153,9 @@ func (d *directory) serveOwnership(m *wire.Msg, op string, resp wire.Kind, updat
 		n.stats.ownershipMoves.Add(1)
 	}
 	e.copyset |= 1 << uint(to)
-	n.noteErr(fmt.Sprintf("%v to %d", resp, to), n.send(to, reply))
+	if err := n.send(to, reply); err != nil {
+		n.noteErr(fmt.Sprintf("%v to %d", resp, to), err)
+	}
 }
 
 // fanOut invalidates every copy of pg in e's copyset but except's — or,
@@ -168,7 +171,11 @@ func (d *directory) fanOut(e *dirEntry, pg mem.PageID, except mem.ProcID, update
 	} else {
 		diffs = nil
 	}
-	var reqBuf [4]outMsg // a burst of up to four lives in the frame
+	// A burst of up to four, and its acknowledgements, live in the frame.
+	var (
+		reqBuf [4]outMsg
+		ackBuf [4]*wire.Msg
+	)
 	reqs := reqBuf[:0]
 	for rest := others; rest != 0; rest &= rest - 1 {
 		reqs = append(reqs, outMsg{dst: mem.ProcID(bits.TrailingZeros64(rest)), m: wire.Msg{
@@ -178,7 +185,7 @@ func (d *directory) fanOut(e *dirEntry, pg mem.PageID, except mem.ProcID, update
 	if len(reqs) == 0 {
 		return nil
 	}
-	acks, err := n.rpcAll(reqs, nil)
+	acks, err := n.rpcAll(reqs, ackBuf[:0])
 	if err != nil {
 		return err
 	}

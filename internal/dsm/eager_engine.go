@@ -42,16 +42,31 @@ type eagerEngine struct {
 
 	// flushMu is held by the one flush in flight. Releases queued on it
 	// group-commit: the next holder drains every page dirtied meanwhile.
+	// cand, the pages it drained, and pends, its burst, are its scratch.
 	flushMu sync.Mutex
+	cand    []mem.PageID
+	pends   []pend
 	// flightMu guards inflight, the payloads of the flush in flight by
 	// request Seq, for the handler-side reconciliation (applyFlushDone).
 	flightMu sync.Mutex
 	inflight map[uint64]flushState
 }
 
+// baseWanted is a KFlushReq's Data when the flusher's copy is invalid:
+// any non-empty section asks the home for a reconciliation base.
+var baseWanted = []byte{1}
+
 type flushState struct {
 	pg   mem.PageID
 	diff *page.Diff
+}
+
+// pend is one page of a flush burst: its in-flight state, its request, and
+// under EU the request's one diff record, which the request points to.
+type pend struct {
+	fs  flushState
+	req wire.Msg
+	rec [1]wire.DiffRec
 }
 
 func newEagerEngine(n *Node, update bool) *eagerEngine {
@@ -185,12 +200,12 @@ func (e *eagerEngine) writePage(pg mem.PageID, off int, src []byte) error {
 func (e *eagerEngine) flush() error {
 	e.flushMu.Lock()
 	defer e.flushMu.Unlock()
-	cand := e.ws.drain(nil)
+	e.cand = e.ws.drain(e.cand)
 	e.ws.check(e.n, func(pg mem.PageID) bool { return e.pages[pg] != nil && e.pages[pg].twinned() })
-	if err := e.flushPages(cand); err != nil {
+	if err := e.flushPages(e.cand); err != nil {
 		return err // a burst abandoned mid-way left twins behind: they stay claimed
 	}
-	e.ws.settle(cand)
+	e.ws.settle(e.cand)
 	return nil
 }
 
@@ -201,13 +216,15 @@ func (e *eagerEngine) flush() error {
 // concurrently instead of one blocking round trip per page.
 func (e *eagerEngine) flushPages(cand []mem.PageID) error {
 	n := e.n
-	type pend struct {
-		fs  flushState
-		req wire.Msg
-	}
-	var pendBuf [4]pend // the burst's scratch lives in the frame; a fifth page spills
-	var reqBuf [4]outMsg
-	pends, reqs := pendBuf[:0], reqBuf[:0]
+	// The burst's requests and acknowledgements live in the frame, a fifth
+	// page spilling; its pages, which the requests point into, in the
+	// flush's scratch.
+	var (
+		reqBuf  [4]outMsg
+		doneBuf [4]*wire.Msg
+	)
+	pends, reqs := e.pends[:0], reqBuf[:0]
+	defer func() { e.pends = pends[:0] }()
 	for _, pg := range cand {
 		// If our copy is invalid at flush time (a critical section may keep
 		// writing through an invalidation), the reconciliation must carry
@@ -237,12 +254,9 @@ func (e *eagerEngine) flushPages(cand []mem.PageID) error {
 		}
 		req := wire.Msg{Kind: wire.KFlushReq, Seq: n.nextSeq(), A: int32(pg), B: int32(n.id)}
 		if needBase {
-			req.Data = []byte{1}
+			req.Data = baseWanted
 		}
-		if e.update {
-			req.Diffs = []wire.DiffRec{{Page: pg, Diff: d}}
-		}
-		pends = append(pends, pend{fs: flushState{pg: pg, diff: d}, req: req})
+		pends = append(pends, pend{fs: flushState{pg: pg, diff: d}, req: req, rec: [1]wire.DiffRec{{Page: pg, Diff: d}}})
 	}
 	if len(pends) == 0 {
 		return nil
@@ -253,12 +267,16 @@ func (e *eagerEngine) flushPages(cand []mem.PageID) error {
 	// delivering it here; by the time rpcAll returns, this node's copies
 	// are the pages' authoritative state.
 	e.flightMu.Lock()
-	for _, p := range pends {
+	for i := range pends {
+		p := &pends[i]
+		if e.update {
+			p.req.Diffs = p.rec[:]
+		}
 		e.inflight[p.req.Seq] = p.fs
 		reqs = append(reqs, outMsg{dst: n.homeOf(p.fs.pg), m: p.req})
 	}
 	e.flightMu.Unlock()
-	dones, err := n.rpcAll(reqs, nil)
+	dones, err := n.rpcAll(reqs, doneBuf[:0])
 	releaseAll(dones) // applyFlushDone consumed them on the shard worker
 	if err != nil {
 		// Unacknowledged flushes will never reconcile; drop their

@@ -459,8 +459,7 @@ func TestForgedPageShipsRecordedNotInstalled(t *testing.T) {
 		{"no page", answer(wire.Msg{Kind: wire.KPageResp})},
 		{"another kind", answer(wire.Msg{Kind: wire.KDiffResp, Data: make([]byte, 1024)})},
 		{"clock of the wrong width", answer(wire.Msg{Kind: wire.KPageResp, Data: make([]byte, 1024), VC: []int32{0, 0, 0}})},
-		// A clock decoded beside an interval block lives in the message's
-		// shell, which the page copy that kept it would outlive.
+		// No home ships interval records with a page.
 		{"clock beside an interval block", answer(wire.Msg{Kind: wire.KPageResp, Data: make([]byte, 1024), VC: []int32{0, -1},
 			Intervals: []wire.IntervalRec{{Proc: 1, Index: 0, VC: vc.VC{-1, 0}, Pages: []mem.PageID{1}}}})},
 	}

@@ -47,24 +47,34 @@ type lazyEngine struct {
 	// flat caches the merged diffs handleDiffReq built for range wants,
 	// keyed by the range, so repeat requesters reuse one merge. Dropped
 	// wholesale when GC discards diffs.
-	flat map[flatKey]*flatEntry
+	flat map[flatKey]flatEntry
 	// fresh accumulates the pages noticed by the intervals learned during
 	// the current barrier rendezvous, for postBarrier's invalidation step.
 	fresh []mem.PageID
 	// trimFrom is this node's oldest interval trimTwinsLocked may still
 	// find deferred slots in: its cursor, raised past the log's floor at GC.
 	trimFrom int32
+	// slots recycles the slot arrays the GC epoch's discard frees for the
+	// next epoch's intervals. Guarded by mu.
+	slots slotPool
+	// missWants[s] is the want list of the miss holding miss lock s.
+	missWants [pageShards][]wire.Want
 	// Scratch whose consumer finishes under the lock that filled it: under
 	// mu, closeIntervalLocked's sorted dirty pages and the pages the
 	// intervals an acquire absorbed notice; under the node's lockMu, held
 	// from grant until the grant is encoded, its clock and records; and the
-	// barrier leader's alone, the records of the arrival or exit it sends
-	// next.
+	// barrier leader's alone, the floor and records of the arrival or exit
+	// it sends next, and the GC epoch's clock, pages to validate and
+	// prefetch.
 	cand       []mem.PageID
 	noticed    []mem.PageID
 	grantClock vc.VC
 	grantRecs  []wire.IntervalRec
+	barFloor   vc.VC
 	barRecs    []wire.IntervalRec
+	gcEpoch    vc.VC
+	gcPages    []mem.PageID
+	pre        prefetch
 
 	// ws is the current interval's write set; closeIntervalLocked drains
 	// it into cand.
@@ -95,7 +105,7 @@ func newLazyEngine(n *Node, update bool) *lazyEngine {
 		log:       core.NewLog(n.sys.cfg.Procs),
 		diffs:     make(map[core.IntervalID][]diffSlot),
 		lastEpoch: vc.New(n.sys.cfg.Procs),
-		flat:      make(map[flatKey]*flatEntry),
+		flat:      make(map[flatKey]flatEntry),
 		ws:        newWriteSet(),
 		pages:     make([]*lazyPage, n.sys.layout.NumPages()),
 	}
@@ -130,7 +140,7 @@ func (e *lazyEngine) closeIntervalLocked() {
 
 	// Sized once: pending pointers point into slots. The pages that had a
 	// twin move to the front of cand, in order: the interval's page list.
-	slots := make([]diffSlot, 0, len(e.cand))
+	slots := e.slots.get(len(e.cand))[:0]
 	for i, pg := range e.cand {
 		pmu := n.pageLock(pg)
 		pmu.Lock()
@@ -151,6 +161,7 @@ func (e *lazyEngine) closeIntervalLocked() {
 	pages := e.cand[:len(slots)]
 	e.ws.settle(e.cand)
 	if len(pages) == 0 {
+		e.slots.put(slots)
 		return
 	}
 	idx := e.v.Tick(int(n.id))
@@ -375,7 +386,7 @@ func (e *lazyEngine) writePage(pg mem.PageID, off int, src []byte) error {
 func (e *lazyEngine) acquireStart(req *wire.Msg) {
 	e.mu.Lock()
 	e.closeIntervalLocked()
-	req.VC = e.v.Clone()
+	req.SetClock(e.v)
 	e.mu.Unlock()
 }
 
@@ -422,7 +433,10 @@ func (e *lazyEngine) onGrant(grant *wire.Msg) error {
 	e.mu.Unlock()
 
 	if e.update {
-		return e.revalidate(affected)
+		// Another local goroutine's acquire may be revalidating too: this one
+		// prefetches into storage of its own.
+		var pf prefetch
+		return e.revalidate(affected, &pf)
 	}
 	return nil
 }
@@ -452,10 +466,10 @@ func (e *lazyEngine) barrierEntry() {
 // learned of it through a lock chain.
 func (e *lazyEngine) arrive(arrive *wire.Msg) {
 	e.mu.Lock()
-	arrive.VC = e.v.Clone()
-	floor := e.v.Clone()
-	floor[e.n.id] = e.lastEpoch[e.n.id]
-	e.barRecs = e.intervalsSinceLocked(e.barRecs[:0], floor)
+	arrive.SetClock(e.v)
+	e.barFloor = append(e.barFloor[:0], e.v...)
+	e.barFloor[e.n.id] = e.lastEpoch[e.n.id]
+	e.barRecs = e.intervalsSinceLocked(e.barRecs[:0], e.barFloor)
 	arrive.Intervals = e.barRecs
 	e.mu.Unlock()
 }
@@ -486,7 +500,7 @@ func (e *lazyEngine) masterAbsorb(arrivals []*wire.Msg) {
 
 func (e *lazyEngine) exit(m, exit *wire.Msg) {
 	e.mu.Lock()
-	exit.VC = e.v.Clone()
+	exit.SetClock(e.v)
 	e.barRecs = e.intervalsSinceLocked(e.barRecs[:0], m.VC)
 	exit.Intervals = e.barRecs
 	e.mu.Unlock()
@@ -504,13 +518,13 @@ func (e *lazyEngine) postBarrier(b mem.BarrierID) error {
 	e.mu.Lock()
 	affected := e.invalidateForLocked(e.fresh)
 	e.fresh = e.fresh[:0]
-	e.lastEpoch = e.v.Clone()
+	e.lastEpoch = append(e.lastEpoch[:0], e.v...)
 	e.episodes++
 	gcDue := n.sys.cfg.GCEveryBarriers > 0 && e.episodes%n.sys.cfg.GCEveryBarriers == 0
 	e.mu.Unlock()
 
 	if e.update {
-		if err := e.revalidate(affected); err != nil {
+		if err := e.revalidate(affected, &e.pre); err != nil {
 			return err
 		}
 	}
@@ -547,8 +561,8 @@ func (e *lazyEngine) postBarrier(b mem.BarrierID) error {
 func (e *lazyEngine) runGC(b mem.BarrierID) error {
 	n := e.n
 	e.mu.Lock()
-	epoch := e.lastEpoch.Clone()
-	var toValidate []mem.PageID
+	e.gcEpoch = append(e.gcEpoch[:0], e.lastEpoch...)
+	epoch, toValidate := e.gcEpoch, e.gcPages[:0]
 	for pg := range e.pages {
 		pgid := mem.PageID(pg)
 		pmu := n.pageLock(pgid)
@@ -575,9 +589,10 @@ func (e *lazyEngine) runGC(b mem.BarrierID) error {
 		}
 		pmu.Unlock()
 	}
+	e.gcPages = toValidate
 	e.mu.Unlock()
 
-	if err := e.revalidate(toValidate); err != nil {
+	if err := e.revalidate(toValidate, &e.pre); err != nil {
 		return err
 	}
 	if err := e.checkGCInvariant(epoch); err != nil {

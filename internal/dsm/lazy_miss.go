@@ -84,6 +84,7 @@ func (e *lazyEngine) serviceMiss(pg mem.PageID, held fetchedDiffs) error {
 		clockBuf [2][maxProcs]int32
 		planBuf  [8]core.IntervalID
 		reqBuf   [4]outMsg
+		respBuf  [4]*wire.Msg
 		stepBuf  [8]*page.Diff
 		heldBuf  [4]fetched
 	)
@@ -100,6 +101,12 @@ func (e *lazyEngine) serviceMiss(pg mem.PageID, held fetchedDiffs) error {
 	mmu := n.missLock(pg)
 	mmu.Lock()
 	defer mmu.Unlock()
+	// The wants live in the list the miss lock guards, not in the frame: a
+	// request or held response that points into the frame would move it to
+	// the heap. Every round's wants accumulate, because the held responses
+	// of earlier rounds are found by theirs.
+	kept := &e.missWants[uint32(pg)%pageShards]
+	wants := (*kept)[:0]
 
 	pmu.Lock()
 	if pc := e.pages[pg]; pc != nil && pc.valid {
@@ -142,9 +149,8 @@ func (e *lazyEngine) serviceMiss(pg mem.PageID, held fetchedDiffs) error {
 				// rpc matches a response on its sequence number alone, and the
 				// sender chose the expanded length: nothing but this check
 				// keeps a faulty home's short page out of the page table,
-				// where the next access would slice past its end. A clock that
-				// arrives beside an interval block is the shell's, not the
-				// copy's to keep, and no home sends one.
+				// where the next access would slice past its end. No home
+				// sends interval records with a page.
 				if resp.Kind != wire.KPageResp || len(resp.Data) != n.sys.layout.PageSize() ||
 					(resp.VC != nil && len(resp.VC) != n.sys.cfg.Procs) || len(resp.Intervals) > 0 {
 					bad := fmt.Errorf("bad page grant from %d: %v for page %d, %d data bytes, %d-entry clock, %d interval records",
@@ -153,13 +159,12 @@ func (e *lazyEngine) serviceMiss(pg mem.PageID, held fetchedDiffs) error {
 					n.noteErr("page install", bad)
 					return fmt.Errorf("dsm: node %d: page install: %w", n.id, bad)
 				}
-				// The decoded page and clock are the copy's from here on.
-				applied := resp.VC
-				if applied == nil {
-					applied = vc.New(n.sys.cfg.Procs)
-				}
+				// The decoded page is the copy's from here on; the clock is the
+				// shell's, so the copy keeps a copy (none: nothing applied).
 				pmu.Lock()
 				if e.pages[pg] == nil {
+					applied := vc.New(n.sys.cfg.Procs)
+					copy(applied, resp.VC)
 					e.pages[pg] = &lazyPage{pageCopy: pageCopy{data: resp.Data}, applied: applied}
 				}
 				pmu.Unlock()
@@ -178,14 +183,17 @@ func (e *lazyEngine) serviceMiss(pg mem.PageID, held fetchedDiffs) error {
 		pmu.Unlock()
 		vSnap := append(vc.VC(clockBuf[1][:0]), e.v...)
 		out := e.appendPlanLocked(planBuf[:0], pg, appliedSnap)
-		reqs := e.missingDiffReqsLocked(reqBuf[:0], pg, out, held)
+		asked := len(wants)
+		wants = e.missingWantsLocked(wants, pg, out, held)
+		*kept = wants
+		reqs := e.diffReqs(reqBuf[:0], wants[asked:])
 		e.mu.Unlock()
 
 		// Fetch missing diffs from their creators (no locks held): all
 		// creators at once, one round trip instead of one per creator.
 		if len(reqs) > 0 {
 			var err error
-			if held, err = e.fetch(reqs, held); err != nil {
+			if held, err = e.fetch(reqs, held, respBuf[:0]); err != nil {
 				return err
 			}
 		}
@@ -261,14 +269,6 @@ func clockSum(v vc.VC) int64 {
 		s += int64(x)
 	}
 	return s
-}
-
-// missingDiffReqsLocked appends to reqs one KDiffReq per creator for the
-// steps of plan out (planLocked's, for page pg) that neither the retained
-// store nor the held responses supply, creators ascending: the requests of
-// missingWantsLocked's wants. Caller holds e.mu.
-func (e *lazyEngine) missingDiffReqsLocked(reqs []outMsg, pg mem.PageID, out []core.IntervalID, held fetchedDiffs) []outMsg {
-	return e.diffReqs(reqs, e.missingWantsLocked(nil, pg, out, held))
 }
 
 // missingWantsLocked appends to wants the wants for the steps of plan out
@@ -396,11 +396,11 @@ func coversAny(v vc.VC, steps []int32) bool {
 
 // fetch sends a miss's diff requests and adds the responses to held, once
 // each is known to answer its request; if one does not, nothing of the
-// burst is kept or stored and the miss fails.
-func (e *lazyEngine) fetch(reqs []outMsg, held fetchedDiffs) (fetchedDiffs, error) {
+// burst is kept or stored and the miss fails. The responses are gathered
+// in resps, the caller's storage.
+func (e *lazyEngine) fetch(reqs []outMsg, held fetchedDiffs, resps []*wire.Msg) (fetchedDiffs, error) {
 	n := e.n
-	var respBuf [4]*wire.Msg
-	resps, err := n.rpcAll(reqs, respBuf[:0])
+	resps, err := n.rpcAll(reqs, resps[:0])
 	if err != nil {
 		return held, err
 	}
@@ -464,14 +464,14 @@ func (e *lazyEngine) noteFetched(held fetchedDiffs) {
 // revalidate brings a list of pages current (LU's acquire/barrier-time
 // update step and the GC epoch's bulk validation). With more than one
 // page the outstanding diffs are prefetched first as one grouped burst,
-// so the per-page requests to each creator leave in one batch frame
-// instead of one frame per page; each page's miss is then handed the
-// responses fetched for it.
-func (e *lazyEngine) revalidate(pages []mem.PageID) error {
+// planned into pf, so the per-page requests to each creator leave in one
+// batch frame instead of one frame per page; each page's miss is then
+// handed the responses fetched for it.
+func (e *lazyEngine) revalidate(pages []mem.PageID, pf *prefetch) error {
 	var pre fetchedDiffs
 	if len(pages) > 1 {
 		var err error
-		if pre, err = e.prefetchDiffs(pages); err != nil {
+		if pre, err = e.prefetchDiffs(pages, pf); err != nil {
 			return err
 		}
 	}
@@ -491,6 +491,18 @@ func (e *lazyEngine) revalidate(pages []mem.PageID) error {
 	return nil
 }
 
+// prefetch is the storage a grouped prefetch plans into — its wants, their
+// requests, the responses as they arrive and as the misses hold them — and
+// keeps for the next. The barrier leader's (lazyEngine.pre) serves every
+// epoch's bulk validation, which it runs alone; an acquire, which may run
+// beside another, prefetches into one of its own.
+type prefetch struct {
+	wants []wire.Want
+	reqs  []outMsg
+	resps []*wire.Msg
+	held  fetchedDiffs
+}
+
 // prefetchDiffs batch-fetches the outstanding diffs for a set of distinct
 // pages about to be revalidated: one KDiffReq per (page, creator) — exactly
 // the requests sequential validation would send, so message counts are
@@ -498,17 +510,17 @@ func (e *lazyEngine) revalidate(pages []mem.PageID) error {
 // one creator coalesce into one frame and all creators answer
 // concurrently. Every page's wants are planned into one list first, so
 // the requests are laid out once. The responses are returned in the order
-// of pages; each page's miss then finds its diffs in them and re-plans
-// authoritatively (fresh notices landing meanwhile just make it fetch the
-// remainder as usual). Cold pages are skipped: their plan depends on the
-// applied clock the home's copy arrives with.
-func (e *lazyEngine) prefetchDiffs(pages []mem.PageID) (fetchedDiffs, error) {
+// of pages, in pf's storage; each page's miss then finds its diffs in them
+// and re-plans authoritatively (fresh notices landing meanwhile just make
+// it fetch the remainder as usual). Cold pages are skipped: their plan
+// depends on the applied clock the home's copy arrives with.
+func (e *lazyEngine) prefetchDiffs(pages []mem.PageID, pf *prefetch) (fetchedDiffs, error) {
 	n := e.n
 	var (
-		wants    []wire.Want
 		clockBuf [maxProcs]int32
 		planBuf  [8]core.IntervalID
 	)
+	pf.wants = pf.wants[:0]
 	e.mu.Lock()
 	for _, pg := range pages {
 		pmu := n.pageLock(pg)
@@ -520,11 +532,15 @@ func (e *lazyEngine) prefetchDiffs(pages []mem.PageID) (fetchedDiffs, error) {
 		}
 		appliedSnap := append(vc.VC(clockBuf[:0]), pc.applied...)
 		pmu.Unlock()
-		wants = e.missingWantsLocked(wants, pg, e.appendPlanLocked(planBuf[:0], pg, appliedSnap), nil)
+		pf.wants = e.missingWantsLocked(pf.wants, pg, e.appendPlanLocked(planBuf[:0], pg, appliedSnap), nil)
 	}
 	e.mu.Unlock()
-	if len(wants) == 0 {
+	if len(pf.wants) == 0 {
 		return nil, nil
 	}
-	return e.fetch(e.diffReqs(nil, wants), nil)
+	pf.reqs = e.diffReqs(pf.reqs[:0], pf.wants)
+	pf.resps = slices.Grow(pf.resps[:0], len(pf.reqs))
+	var err error
+	pf.held, err = e.fetch(pf.reqs, pf.held[:0], pf.resps)
+	return pf.held, err
 }

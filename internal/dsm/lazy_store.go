@@ -2,9 +2,11 @@ package dsm
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"repro/internal/core"
+	"repro/internal/framebuf"
 	"repro/internal/mem"
 	"repro/internal/page"
 	"repro/internal/vc"
@@ -31,6 +33,48 @@ type diffSlot struct {
 	// served is set by the slot's first serve (Stats.DiffCacheHits counts
 	// the later ones). Guarded by e.mu.
 	served bool
+}
+
+// deadSlot is what a recycled slot array holds in test builds (poison
+// mode): held, yet with neither a diff nor a twin, which no live slot is —
+// a stale pointer into the array (a page's pending slot) panics at its
+// first materialization, and checkPendingLocked reports it at once.
+var deadSlot = diffSlot{held: true, served: true}
+
+// slotPool recycles interval slot arrays by power-of-two capacity: the GC
+// epoch's discard puts back the array of every interval it covers, and the
+// intervals of the next epoch — closeIntervalLocked's, LU's received ones
+// — take them again. An array comes back zeroed.
+type slotPool [32][][]diffSlot
+
+// get returns a zeroed array of n slots.
+func (p *slotPool) get(n int) []diffSlot {
+	c := bits.Len(uint(max(n, 1) - 1))
+	if free := p[c]; len(free) > 0 {
+		s := free[len(free)-1][:n]
+		free[len(free)-1] = nil
+		p[c] = free[:len(free)-1]
+		if framebuf.Poisoned() {
+			clear(s)
+		}
+		return s
+	}
+	return make([]diffSlot, n, 1<<c)
+}
+
+// put recycles an array get returned: zeroed, or in test builds poisoned
+// with deadSlot until get hands it out again.
+func (p *slotPool) put(s []diffSlot) {
+	s = s[:cap(s)]
+	if framebuf.Poisoned() {
+		for i := range s {
+			s[i] = deadSlot
+		}
+	} else {
+		clear(s)
+	}
+	c := bits.Len(uint(len(s) - 1))
+	p[c] = append(p[c], s)
 }
 
 // twinBudget bounds the bytes of twins a node keeps parked in deferred
@@ -203,7 +247,7 @@ func (e *lazyEngine) storeDiffRecsLocked(recs []wire.DiffRec) {
 		}
 		slots := e.diffs[id]
 		if slots == nil {
-			slots = make([]diffSlot, len(e.log.Get(id).Pages))
+			slots = e.slots.get(len(e.log.Get(id).Pages))
 			e.diffs[id] = slots
 		}
 		if !slots[k].held {
@@ -220,8 +264,9 @@ func (e *lazyEngine) collectedLocked(id core.IntervalID) bool {
 }
 
 // discardLocked is the GC epoch's discard: every retained diff of an
-// interval the epoch covers goes, and with them the merges of such diffs;
-// then the log sweeps the intervals' records. Caller holds e.mu.
+// interval the epoch covers goes, its slot array back to the pool, and with
+// them the merges of such diffs; then the log sweeps the intervals'
+// records. Caller holds e.mu.
 func (e *lazyEngine) discardLocked(epoch vc.VC) {
 	n := e.n
 	for id := range e.diffs {
@@ -247,7 +292,11 @@ func (e *lazyEngine) discardLocked(epoch vc.VC) {
 			}
 			pmu.Unlock()
 		}
+		e.slots.put(slots)
 		delete(e.diffs, id)
+	}
+	if framebuf.Poisoned() {
+		e.checkPendingLocked()
 	}
 	// Merged serves merge only pre-epoch intervals their requesters
 	// still needed; the epoch retires them with the diffs they merged.
@@ -257,6 +306,24 @@ func (e *lazyEngine) discardLocked(epoch vc.VC) {
 	clear(e.flat)
 	e.log.Sweep(epoch)
 	e.trimFrom = max(e.trimFrom, e.log.Floor(n.id)+1)
+}
+
+// checkPendingLocked asserts, in test builds, that no page's pending slot
+// lies in an array the discard recycled: the write that next snapshots the
+// page would plant its twin in whatever interval takes the array again.
+// Such a slot reads deadSlot until then. A violation is a recorded error
+// that fails the run at Close, like writeSet.check's. Caller holds e.mu.
+func (e *lazyEngine) checkPendingLocked() {
+	n := e.n
+	for stripe := range n.pageMu { // one lock per stripe, not per page
+		n.pageMu[stripe].Lock()
+		for pg := mem.PageID(stripe); n.validPage(pg); pg += pageShards {
+			if pc := e.pages[pg]; pc != nil && pc.pending != nil && *pc.pending == deadSlot {
+				n.noteErr("diff store", fmt.Errorf("page %d's pending slot lies in a recycled slot array", pg))
+			}
+		}
+		n.pageMu[stripe].Unlock()
+	}
 }
 
 // releaseDiffs drops the counts the builder of m took on the diffs it
@@ -328,7 +395,7 @@ func (e *lazyEngine) serveLocked(w wire.Want) (*page.Diff, error) {
 // mergedLocked serves range want w: the merge, last writer wins, of this
 // node's diffs of w.Page in its intervals w.Index through w.Index+w.Span.
 // The requester applies it where its plan has the first of them (see
-// missingDiffReqsLocked for why it may); the range must start and end at
+// missingWantsLocked for why it may); the range must start and end at
 // intervals of this node that wrote the page, so that it names the same
 // intervals to both sides, and every one of them must still be held.
 // Merges are cached by range so repeat requesters are served from one.
@@ -345,8 +412,8 @@ func (e *lazyEngine) mergedLocked(w wire.Want) (*page.Diff, error) {
 			w.Proc, w.Index, last, w.Page)
 	}
 	key := flatKey{pg: w.Page, first: w.Index, last: last}
-	flat := e.flat[key]
-	if flat == nil {
+	flat, cached := e.flat[key]
+	if !cached {
 		// Not cached (GC retires the cache with the store, so a cached range
 		// is held): merge what the store holds.
 		var diffBuf [8]*page.Diff
@@ -379,10 +446,10 @@ func (e *lazyEngine) mergedLocked(w wire.Want) (*page.Diff, error) {
 				break
 			}
 		}
-		flat = &flatEntry{d: merged}
-		e.flat[key] = flat
+		flat = flatEntry{d: merged}
 	}
 	e.noteServe(&flat.served)
+	e.flat[key] = flat
 	n.stats.diffsFlattened.Add(int64(len(idxs) - 1))
 	return flat.d.Retain(), nil
 }

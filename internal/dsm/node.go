@@ -266,9 +266,11 @@ type Node struct {
 	stats nodeStats
 
 	// Barrier master state, fed by the dispatch loop (park): barrier
-	// arrivals, and the readies of the post-barrier rendezvous rounds.
-	barCh chan *wire.Msg
-	gcCh  chan *wire.Msg
+	// arrivals, and the readies of the post-barrier rendezvous rounds;
+	// collected holds a round's messages (collectRound).
+	barCh     chan *wire.Msg
+	gcCh      chan *wire.Msg
+	collected []*wire.Msg
 
 	// barMu guards the local two-level barrier episode.
 	barMu sync.Mutex
@@ -694,12 +696,12 @@ func (n *Node) rpc(dst mem.ProcID, m *wire.Msg) (*wire.Msg, error) {
 }
 
 // outMsg is one request of a grouped send: the message by value, so a
-// group built in a local array never reaches the heap, its destination,
-// and — while rpcAll runs — its parked waiter.
+// group built in a local array never reaches the heap, and its destination.
+// Nothing rpcAll reads out of a group leaks, so neither do the lists a
+// request's slices point to (a miss's wants, a flush's diff record).
 type outMsg struct {
 	dst mem.ProcID
 	m   wire.Msg
-	w   *rpcWaiter
 }
 
 // rpcAll issues a group of requests as one staged burst — every request
@@ -717,9 +719,14 @@ func (n *Node) rpcAll(reqs []outMsg, resps []*wire.Msg) ([]*wire.Msg, error) {
 	if n.rpcHist != nil {
 		start = time.Now()
 	}
+	// The parked waiters, in request order. Kept apart from reqs: a waiter
+	// read out of a request would make everything the request points to
+	// escape with it.
+	var waiterBuf [32]*rpcWaiter
+	waiters := waiterBuf[:0]
 	for i := range reqs {
 		r := &reqs[i]
-		r.w = n.register(r.m.Seq, r.dst)
+		waiters = append(waiters, n.register(r.m.Seq, r.dst))
 		n.out.stage(r.dst, &r.m)
 	}
 	var firstErr error
@@ -746,7 +753,7 @@ func (n *Node) rpcAll(reqs []outMsg, resps []*wire.Msg) ([]*wire.Msg, error) {
 			n.unregister(r.m.Seq, false)
 			continue
 		}
-		m, err := n.await(r.m.Seq, r.w)
+		m, err := n.await(r.m.Seq, waiters[i])
 		if h := n.rpcHist; h != nil {
 			h.Observe(time.Since(start).Seconds())
 		}
@@ -810,22 +817,6 @@ func (n *Node) deliverResponse(m *wire.Msg) {
 	}
 	n.noteErr("response routing",
 		fmt.Errorf("unexpected response seq %d kind %v", m.Seq, m.Kind))
-}
-
-// collect receives one rendezvous message (a barrier arrival or a
-// post-barrier ready) from ch, honoring the configured RPCTimeout:
-// a master collecting from a dead peer must unblock and surface a
-// descriptive error, exactly like a parked rpc.
-func (n *Node) collect(ch chan *wire.Msg, what string) (*wire.Msg, error) {
-	m, ok, timedOut := n.recvTimed(ch)
-	if timedOut {
-		return nil, fmt.Errorf("dsm: node %d: %s: no arrival within %v: %w",
-			n.id, what, n.sys.cfg.RPCTimeout, ErrRPCTimeout)
-	}
-	if !ok || m == nil {
-		return nil, fmt.Errorf("dsm: node %d: %s: %w", n.id, what, ErrClosed)
-	}
-	return m, nil
 }
 
 // dispatchKey maps a frame to its serialization domain: page-keyed

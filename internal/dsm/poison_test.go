@@ -62,7 +62,7 @@ func TestEarlyReleaseIsCaught(t *testing.T) {
 		// that its release poisons it here and now (the fetched frame's
 		// last release is the shard worker's, whenever it drains).
 		e := reader.e.(*lazyEngine)
-		pre, err := e.prefetchDiffs([]mem.PageID{pg})
+		pre, err := e.prefetchDiffs([]mem.PageID{pg}, new(prefetch))
 		if err != nil || len(pre) != 1 {
 			t.Fatalf("prefetch: %d responses for the page, err %v", len(pre), err)
 		}
@@ -231,6 +231,73 @@ func TestEarlyGrantReleaseIsCaught(t *testing.T) {
 		}
 		if clock := lazyOf(reader).clock(); early != (clock[writer.id] == -1) {
 			t.Errorf("early=%v: reader's clock after the grant is %v", early, clock)
+		}
+	}
+}
+
+// TestPendingIntoRecycledSlotsIsCaught commits the bug the recycled slot
+// arrays allow — a page whose pending pointer still leads into the slots of
+// an interval the GC epoch discarded, where its next twin capture would
+// land in whatever interval takes the array next — on purpose, and checks
+// that the discard reports it: the array reads deadSlot once recycled. The
+// same epoch without the stale pointer records nothing.
+func TestPendingIntoRecycledSlotsIsCaught(t *testing.T) {
+	const addr, pg, lock = mem.Addr(1024), mem.PageID(1), mem.LockID(0)
+	for _, stale := range []bool{false, true} {
+		s, err := New(Config{Procs: 2, SpaceSize: 8 * 1024, PageSize: 1024, Mode: LazyInvalidate, GCEveryBarriers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := s.Node(0)
+		for _, err := range []error{n.Acquire(lock), n.WriteUint64(addr, 1), n.Release(lock)} {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		e := lazyOf(n)
+		pmu := n.pageLock(pg)
+		if stale {
+			// The bug: the slot's diff is made, which ends the page's pending
+			// claim on it, and the page is pointed back at it anyway.
+			e.mu.Lock()
+			pmu.Lock()
+			pc := e.pages[pg]
+			slot := pc.pending
+			if slot == nil {
+				t.Fatal("the closed interval left no pending slot")
+			}
+			e.materializeSlot(pc, slot, pg)
+			pc.pending = slot
+			pmu.Unlock()
+			e.mu.Unlock()
+		}
+		var wg sync.WaitGroup
+		for _, m := range s.Local() {
+			wg.Add(1)
+			go func(m *Node) {
+				defer wg.Done()
+				if err := m.Barrier(0); err != nil {
+					t.Error(err)
+				}
+			}(m)
+		}
+		wg.Wait()
+		if runs := n.Stats().GCRuns; runs != 1 {
+			t.Fatalf("%d GC epochs ran, want 1", runs)
+		}
+		errs := n.takeErrs()
+		const want = "pending slot lies in a recycled slot array"
+		if stale && (len(errs) != 1 || !strings.Contains(errs[0].Error(), want)) {
+			t.Errorf("a pending slot in a recycled array was not reported: recorded %v, want one error containing %q", errs, want)
+		}
+		if !stale && len(errs) != 0 {
+			t.Errorf("an epoch without a stale pending slot recorded %v", errs)
+		}
+		pmu.Lock()
+		e.pages[pg].pending = nil
+		pmu.Unlock()
+		if err := s.Close(); err != nil {
+			t.Errorf("Close: %v", err)
 		}
 	}
 }

@@ -52,7 +52,7 @@ func TestFlatCacheBounded(t *testing.T) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	for i := 0; i < flatCacheMax; i++ {
-		e.flat[flatKey{pg: pg, first: int32(1000 + i), last: int32(2000 + i)}] = &flatEntry{d: &page.Diff{}}
+		e.flat[flatKey{pg: pg, first: int32(1000 + i), last: int32(2000 + i)}] = flatEntry{d: &page.Diff{}}
 	}
 	d, err := e.mergedLocked(wire.Want{Page: pg, Proc: 0, Index: 1, Span: 1})
 	if err != nil {
@@ -203,6 +203,13 @@ func TestMissPlanWants(t *testing.T) {
 			}
 		})
 	}
+}
+
+// missingDiffReqsLocked is one round of a miss's requests: those of the
+// wants for the steps of plan out that neither the store nor held supply.
+// Caller holds e.mu.
+func (e *lazyEngine) missingDiffReqsLocked(reqs []outMsg, pg mem.PageID, out []core.IntervalID, held fetchedDiffs) []outMsg {
+	return e.diffReqs(reqs, e.missingWantsLocked(nil, pg, out, held))
 }
 
 // TestRangePlanMatchesSingleSteps is the property the rule must have: on a

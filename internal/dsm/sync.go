@@ -295,7 +295,7 @@ func (n *Node) clusterBarrier(b mem.BarrierID) error {
 
 	if n.id == master {
 		n.e.barrierEntry()
-		arrivals, err := n.collectRound(n.barCh, b, fmt.Sprintf("master: barrier %d", b))
+		arrivals, err := n.collectRound(n.barCh, b, "arrivals")
 		if err != nil {
 			return err
 		}
@@ -405,29 +405,38 @@ func (n *Node) park(ch chan *wire.Msg, m *wire.Msg, src mem.ProcID) {
 }
 
 // collectRound collects one message per non-master node off ch for
-// barrier b (what names the round in errors), honoring RPCTimeout. A
-// message naming a node outside the cluster, the master itself, or a node
-// already counted this round is recorded and dropped, and the round keeps
-// waiting for the real one; one for another barrier fails the round. The
-// caller holds the returned messages.
+// barrier b (what names the round in errors, which alone format it),
+// honoring RPCTimeout: a master collecting from a dead peer must unblock
+// and surface a descriptive error, exactly like a parked rpc. A message
+// naming a node outside the cluster, the master itself, or a node already
+// counted this round is recorded and dropped, and the round keeps waiting
+// for the real one; one for another barrier fails the round. The caller
+// holds the returned messages, in the node's collected list: the barrier
+// leader's alone, good until its next round.
 func (n *Node) collectRound(ch chan *wire.Msg, b mem.BarrierID, what string) ([]*wire.Msg, error) {
-	got := make([]*wire.Msg, 0, n.sys.cfg.Procs-1)
+	got := n.collected[:0]
+	defer func() { n.collected = got[:0] }()
 	var counted uint64
 	for len(got) < n.sys.cfg.Procs-1 {
-		m, err := n.collect(ch, what)
-		if err != nil {
+		m, ok, timedOut := n.recvTimed(ch)
+		switch {
+		case timedOut:
 			releaseAll(got)
-			return nil, err
+			return nil, fmt.Errorf("dsm: node %d: master: %s at barrier %d: no arrival within %v: %w",
+				n.id, what, b, n.sys.cfg.RPCTimeout, ErrRPCTimeout)
+		case !ok || m == nil:
+			releaseAll(got)
+			return nil, fmt.Errorf("dsm: node %d: master: %s at barrier %d: %w", n.id, what, b, ErrClosed)
 		}
 		from := mem.ProcID(m.B)
 		switch {
 		case from == master || !n.validProc(from) || counted&(1<<uint(from)) != 0:
-			n.noteErr(what, fmt.Errorf("%v claiming node %d dropped: not a peer yet to arrive", m.Kind, from))
+			n.noteErr("master: "+what, fmt.Errorf("%v claiming node %d dropped: not a peer yet to arrive", m.Kind, from))
 			m.Release()
 			continue
 		case mem.BarrierID(m.A) != b:
 			releaseAll(append(got, m))
-			return nil, fmt.Errorf("dsm: %s: %v for barrier %d from node %d", what, m.Kind, m.A, from)
+			return nil, fmt.Errorf("dsm: master: %s at barrier %d: %v for barrier %d from node %d", what, b, m.Kind, m.A, from)
 		}
 		counted |= 1 << uint(from)
 		got = append(got, m)
@@ -450,7 +459,7 @@ func (n *Node) rendezvous(b mem.BarrierID, what string) error {
 		done.Release()
 		return nil
 	}
-	readies, err := n.collectRound(n.gcCh, b, "master: "+what)
+	readies, err := n.collectRound(n.gcCh, b, what)
 	if err != nil {
 		return err
 	}
@@ -525,5 +534,7 @@ func (n *Node) handleLockFwd(m *wire.Msg) {
 	}
 	err := n.sendGrant(m)
 	n.lockMu.Unlock()
-	n.noteErr(fmt.Sprintf("lock %d grant to %d", l, mem.ProcID(m.B)), err)
+	if err != nil {
+		n.noteErr(fmt.Sprintf("lock %d grant to %d", l, mem.ProcID(m.B)), err)
+	}
 }

@@ -102,7 +102,7 @@ func (pc *pageCopy) land(n *Node, base []byte, apply func(committed []byte) erro
 
 // newTwin and releaseTwin wrap twin capture and release with the
 // TwinBytesLive gauge: the gauge rises at capture and falls at the last
-// release, when the buffer returns to the page pool.
+// release, when the twin returns to the page pool.
 func (n *Node) newTwin(contents []byte) *page.Twin {
 	t := page.NewTwin(contents)
 	st := &n.stats

@@ -236,6 +236,10 @@ func TestServerEndpoints(t *testing.T) {
 	if body := get("/trace"); !strings.Contains(body, "cs-enter") {
 		t.Errorf("/trace missing event:\n%s", body)
 	}
+	// A profile is a gzipped protobuf.
+	if body := get("/debug/pprof/allocs"); !strings.HasPrefix(body, "\x1f\x8b") {
+		t.Errorf("/debug/pprof/allocs is not a gzipped profile: %d bytes starting %q", len(body), body[:min(len(body), 8)])
+	}
 }
 
 func BenchmarkCounterInc(b *testing.B) {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"time"
 )
 
@@ -29,7 +30,9 @@ type Server struct {
 }
 
 // StartServer listens on addr (e.g. ":9091" or "127.0.0.1:0") and
-// serves /metrics, /statusz and /trace. Close shuts it down.
+// serves /metrics, /statusz and /trace, and the Go runtime's profiles
+// under /debug/pprof/ (go tool pprof http://addr/debug/pprof/allocs
+// profiles a live node). Close shuts it down.
 func StartServer(addr string, cfg ServerConfig) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -62,6 +65,13 @@ func StartServer(addr string, cfg ServerConfig) (*Server, error) {
 		w.Header().Set("Content-Type", "application/json")
 		cfg.Tracer.WriteChromeJSON(w)
 	})
+	// On this mux, not http.DefaultServeMux, where importing the package
+	// also registers them.
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	s := &Server{
 		ln: ln,
 		srv: &http.Server{

@@ -76,7 +76,7 @@ func BenchmarkMakeDiff(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			_ = d
+			d.Release()
 		}
 	})
 	b.Run("byteloop-baseline", func(b *testing.B) {

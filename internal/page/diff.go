@@ -5,8 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
-	"slices"
-	"sync/atomic"
 )
 
 // Wire-size model for diffs: the simulator's byte accounting. A modeled
@@ -31,31 +29,28 @@ const (
 // after the page became writable, so that the processor's modifications
 // can later be recovered as a diff (current XOR twin, run-length encoded).
 //
-// Twins are reference-counted: the lazy engine shares one twin between
-// the page table and a deferred diff (the snapshot a not-yet-computed
-// diff will be computed against), and the buffer returns to the
-// size-classed pool at the last Release. A twin that is never released
-// is simply reclaimed by the garbage collector — Release is a recycling
-// contract, not a correctness one — but after releasing its reference a
-// holder must not touch the twin again.
-type Twin struct {
-	data []byte
-	refs atomic.Int32
-}
+// Twins are reference-counted leases (pool.go): the lazy engine shares
+// one twin between the page table and a deferred diff (the snapshot a
+// not-yet-computed diff will be computed against), and the twin — header
+// and buffer — returns to the size-classed pool at the last Release. A
+// twin that is never released is simply reclaimed by the garbage
+// collector — Release is a recycling contract, not a correctness one — but
+// after releasing its reference a holder must not touch the twin again:
+// the next capture reuses it.
+type Twin lease
 
 // NewTwin captures a twin of the given page contents with one reference.
 func NewTwin(contents []byte) *Twin {
-	t := &Twin{data: getBuf(len(contents))}
-	copy(t.data, contents)
-	t.refs.Store(1)
-	return t
+	l := getLease(len(contents))
+	copy(l.buf, contents)
+	return (*Twin)(l)
 }
 
 // Len returns the page size the twin covers.
-func (t *Twin) Len() int { return len(t.data) }
+func (t *Twin) Len() int { return len(t.buf) }
 
 // Data exposes the twin's bytes; callers must not mutate them.
-func (t *Twin) Data() []byte { return t.data }
+func (t *Twin) Data() []byte { return t.buf }
 
 // Retain adds a reference and returns t.
 func (t *Twin) Retain() *Twin {
@@ -63,16 +58,10 @@ func (t *Twin) Retain() *Twin {
 	return t
 }
 
-// Release drops one reference. The last release recycles the buffer into
+// Release drops one reference. The last release recycles the twin into
 // the pool and returns true; the twin must not be used afterwards.
-func (t *Twin) Release() bool {
-	if t.refs.Add(-1) == 0 {
-		putBuf(t.data)
-		t.data = nil
-		return true
-	}
-	return false
-}
+// Releasing more often than retained panics.
+func (t *Twin) Release() bool { return (*lease)(t).release() }
 
 // Diff is a run-length encoding of the difference between a twin and the
 // current contents of a page: the set of word-aligned byte runs that
@@ -82,26 +71,23 @@ func (t *Twin) Release() bool {
 // A diff has one payload representation: its wire body (the layout
 // AppendWireBody documents), held in a single buffer, with each run's
 // data a window of that buffer. MakeDiff, FlattenDiffs, DiffFromRuns and
-// Clone lay the body out once, in a pooled buffer the diff owns as a
-// counted lease: it is made with one reference, whoever reads it beyond
+// Clone lay the body out once, in a lease off the pool (pool.go) that
+// brings the header, the buffer and the capacity of a run table and its
+// windows: the diff is made with one reference, whoever reads it beyond
 // the lock that pins its holder takes another (Retain), and the last
-// Release returns the body to the pool — Twin's contract, a recycling one.
-// The wire decoder fills a header its message keeps over the received
-// frame's bytes instead (SetWire): such a diff borrows the frame, and its
-// run table and payload windows the message's storage, counts nothing,
-// and is reused for another diff once the message is released — Clone is
-// the one way to keep it longer.
-type Diff struct {
-	runs []Run
-	data [][]byte // data[i] is run i's payload, a window of body
-	body []byte   // nil for a diff without runs
-	// refs counts the holders of an owned body. A borrowed or empty diff
-	// owns none (owned false) and ignores Retain and Release.
-	owned bool
-	refs  atomic.Int32
-}
+// Release returns the whole lease to the pool — Twin's contract, a
+// recycling one. A diff without runs is the one shared empty diff, which
+// owns nothing. The wire decoder fills a header its message keeps over the
+// received frame's bytes instead (SetWire): such a diff borrows the frame,
+// and its run table and payload windows the message's storage, counts
+// nothing, and is reused for another diff once the message is released —
+// Clone is the one way to keep it longer.
+type Diff lease
 
-// Retain adds a reference to an owned body and returns d.
+// emptyDiff is every made diff without runs: immutable, owning nothing.
+var emptyDiff = &Diff{}
+
+// Retain adds a reference to an owned diff and returns d.
 func (d *Diff) Retain() *Diff {
 	if d != nil && d.owned {
 		d.refs.Add(1)
@@ -109,21 +95,20 @@ func (d *Diff) Retain() *Diff {
 	return d
 }
 
-// Release drops one reference; the last one recycles the body, which
-// must not be read afterwards (it stays in place, so a stale reader sees
-// the pool's poison in test mode). A no-op on a borrowed, empty or nil
-// diff; releasing more often than retained panics.
+// Release drops one reference; the last one recycles the diff, which must
+// not be read afterwards — the next diff reuses its header and body, and
+// in test mode the pool poisons both first. A no-op on a borrowed, empty or
+// nil diff; releasing more often than retained panics.
 func (d *Diff) Release() {
-	if d == nil || !d.owned {
-		return
-	}
-	switch n := d.refs.Add(-1); {
-	case n == 0:
-		putBuf(d.body)
-	case n < 0:
-		panic("page: diff released more often than retained")
+	if d != nil && d.owned {
+		(*lease)(d).release()
 	}
 }
+
+// maxFrameRuns is how many runs MakeDiff collects in its frame before the
+// list spills to the heap; layOut then copies them into the lease's own
+// table.
+const maxFrameRuns = 64
 
 // MakeDiff computes the diff between twin and current, which must be the
 // same length. Comparison is word-granular: any word containing a changed
@@ -131,12 +116,13 @@ func (d *Diff) Release() {
 // The scan is word-wide — chunked equality for the long unchanged
 // stretches, 64-bit compares refined to the 4-byte word boundary.
 func MakeDiff(twin *Twin, current []byte) (*Diff, error) {
-	if len(current) != len(twin.data) {
-		return nil, fmt.Errorf("page: diff length mismatch: twin %d bytes, page %d bytes", len(twin.data), len(current))
+	if len(current) != len(twin.buf) {
+		return nil, fmt.Errorf("page: diff length mismatch: twin %d bytes, page %d bytes", len(twin.buf), len(current))
 	}
-	a, b := twin.data, current
+	a, b := twin.buf, current
 	n := len(current)
-	var runs []Run
+	var runBuf [maxFrameRuns]Run
+	runs := runBuf[:0]
 	i := 0
 	for i < n {
 		i = nextChangedWord(a, b, i, n)
@@ -147,43 +133,46 @@ func MakeDiff(twin *Twin, current []byte) (*Diff, error) {
 		i = nextUnchangedWord(a, b, i+WordSize, n)
 		runs = append(runs, Run{Off: int32(start), Len: int32(i - start)})
 	}
-	return layOut(runs, func(k int) []byte { return b[runs[k].Off:runs[k].End()] }), nil
+	return layOutPage(runs, b), nil
 }
 
-// layOut builds the diff of runs, copying run k's bytes from payload(k)
-// (which must be runs[k].Len long) into a pooled wire body the diff owns
-// with one reference.
+// layOutPage is layOut for runs whose payloads are their own bytes of src.
+func layOutPage(runs []Run, src []byte) *Diff {
+	return layOut(runs, func(k int) []byte { return src[runs[k].Off:runs[k].End()] })
+}
+
+// layOut builds the diff of runs, copying the run table into a lease off
+// the pool and run k's bytes from payload(k) (which must be runs[k].Len
+// long) into its wire body; the diff holds the lease with one reference.
 func layOut(runs []Run, payload func(k int) []byte) *Diff {
-	d := &Diff{runs: runs}
 	if len(runs) == 0 {
-		return d
+		return emptyDiff
 	}
-	d.owned = true
-	d.refs.Store(1)
 	size := uvarintLen(uint64(len(runs)))
 	for _, r := range runs {
 		size += uvarintLen(uint64(uint32(r.Off))) + uvarintLen(uint64(uint32(r.Len))) + int(r.Len)
 	}
-	body := binary.AppendUvarint(getBuf(size)[:0], uint64(len(runs)))
+	l := getLease(size)
+	body := binary.AppendUvarint(l.buf[:0], uint64(len(runs)))
 	for k, r := range runs {
 		body = binary.AppendUvarint(body, uint64(uint32(r.Off)))
 		body = binary.AppendUvarint(body, uint64(uint32(r.Len)))
 		body = append(body, payload(k)...)
 	}
-	d.body, d.data = body, windows(body, runs)
-	return d
+	l.buf, l.runs = body, append(l.runs, runs...)
+	l.data = windows(l.data, body, l.runs)
+	return (*Diff)(l)
 }
 
-// windows returns each run's payload as a capacity-limited window of
-// body, which must be the wire body of runs in its canonical
+// windows appends to data each run's payload as a capacity-limited window
+// of body, which must be the wire body of runs in its canonical
 // (minimal-varint) spelling — the only one either constructor admits.
-func windows(body []byte, runs []Run) [][]byte {
-	data := make([][]byte, len(runs))
+func windows(data [][]byte, body []byte, runs []Run) [][]byte {
 	pos := uvarintLen(uint64(len(runs)))
-	for k, r := range runs {
+	for _, r := range runs {
 		pos += uvarintLen(uint64(uint32(r.Off))) + uvarintLen(uint64(uint32(r.Len)))
 		end := pos + int(r.Len)
-		data[k] = body[pos:end:end]
+		data = append(data, body[pos:end:end])
 		pos = end
 	}
 	return data
@@ -375,10 +364,10 @@ var emptyBody = []byte{0}
 // encoder writes after a diff record's (page, proc, index) header. It is
 // the diff's own buffer, not a copy; callers must not mutate it.
 func (d *Diff) EnsureWireBody() []byte {
-	if d.body == nil {
+	if d.buf == nil {
 		return emptyBody
 	}
-	return d.body
+	return d.buf
 }
 
 // AppendWireBody appends the diff's wire body to buf. This comment is
@@ -397,19 +386,19 @@ func (d *Diff) WireBodySize() int { return len(d.EnsureWireBody()) }
 // uvarintLen returns the length of x's unsigned varint encoding.
 func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
-// Clone returns a copy of the diff that owns its body, with one
-// reference. A decoded diff borrows the frame it arrived in, and its run
-// table the message it was decoded into; whoever keeps one past the
-// message's release keeps a Clone instead, which copies both.
+// Clone returns a copy of the diff in a lease of its own, with one
+// reference (the empty diff for one without runs). A decoded diff borrows
+// the frame it arrived in, and its run table the message it was decoded
+// into; whoever keeps one past the message's release keeps a Clone
+// instead, which copies both.
 func (d *Diff) Clone() *Diff {
-	c := &Diff{runs: slices.Clone(d.runs)}
-	if d.body != nil {
-		c.body = append(getBuf(len(d.body))[:0], d.body...)
-		c.data = windows(c.body, c.runs)
-		c.owned = true
-		c.refs.Store(1)
+	if len(d.runs) == 0 {
+		return emptyDiff
 	}
-	return c
+	l := getLease(len(d.buf))
+	l.buf, l.runs = append(l.buf[:0], d.buf...), append(l.runs, d.runs...)
+	l.data = windows(l.data, l.buf, l.runs)
+	return (*Diff)(l)
 }
 
 // Apply merges the diff into the page contents in place. Later diffs
@@ -442,7 +431,7 @@ func (d *Diff) Ranges() *RangeSet {
 }
 
 // DiffFromRuns constructs a diff from explicit runs and payloads, copying
-// the payloads into a body the diff owns. Each payload must match its
+// both into a lease the diff owns. Each payload must match its
 // run's length and declare a non-negative offset, so no constructor path
 // can build a diff Apply must refuse.
 func DiffFromRuns(runs []Run, data [][]byte) (*Diff, error) {
@@ -469,7 +458,7 @@ func (d *Diff) SetWire(body []byte, runs []Run, data [][]byte) error {
 		*d = Diff{}
 		return nil
 	}
-	*d = Diff{runs: runs, data: data, body: body}
+	*d = Diff{runs: runs, data: data, buf: body}
 	return nil
 }
 

@@ -10,21 +10,24 @@ import "fmt"
 // byte takes its value from the latest diff that wrote it.
 //
 // The merge replays the diffs onto a pooled scratch page and then reads
-// the union ranges back out into the output diff's own body; stale
-// scratch bytes outside the union are never read. The scratch is
-// returned to the pool before FlattenDiffs returns.
+// the union ranges back out into the output diff's own lease; stale
+// scratch bytes outside the union are never read. The union is built in
+// the scratch lease's run table, which keeps its capacity for the next
+// merge, and the scratch is returned to the pool before FlattenDiffs
+// returns.
 func FlattenDiffs(diffs []*Diff, pageSize int) (*Diff, error) {
-	scratch := getBuf(pageSize)
-	defer putBuf(scratch)
-	union := &RangeSet{}
+	scratch := getLease(pageSize)
+	defer putLease(scratch)
+	union := RangeSet{runs: scratch.runs}
 	for k, d := range diffs {
-		if err := d.Apply(scratch); err != nil {
+		if err := d.Apply(scratch.buf); err != nil {
 			return nil, fmt.Errorf("page: flatten diff %d: %w", k, err)
 		}
 		for _, r := range d.runs {
 			union.AddRun(r)
 		}
 	}
-	runs := append([]Run(nil), union.Runs()...)
-	return layOut(runs, func(k int) []byte { return scratch[runs[k].Off:runs[k].End()] }), nil
+	flat := layOutPage(union.runs, scratch.buf)
+	scratch.runs = union.runs
+	return flat, nil
 }

@@ -50,6 +50,61 @@ func TestDiffBodiesRecycleGate(t *testing.T) {
 	}
 }
 
+// TestLeasesRecycleWholeGate: the pool recycles a lease — the twin or diff
+// header with its buffer, its run table and its payload windows — so a
+// steady-state capture, diff and merge, each released when done, allocates
+// nothing at all.
+func TestLeasesRecycleWholeGate(t *testing.T) {
+	testenv.SkipAllocGate(t)
+	sparseTwin, sparseCur := sparsePage(3)
+	_, denseCur := densePage()
+	round := func() {
+		tw := NewTwin(sparseCur)
+		sparse, err := MakeDiff(sparseTwin, sparseCur)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dense, err := MakeDiff(tw, denseCur)
+		if err != nil {
+			t.Fatal(err)
+		}
+		flat, err := FlattenDiffs([]*Diff{sparse, dense}, len(denseCur))
+		if err != nil || flat.Empty() || sparse.Empty() || dense.Empty() {
+			t.Fatalf("flatten of a sparse and a dense diff: err %v", err)
+		}
+		flat.Release()
+		dense.Release()
+		sparse.Release()
+		tw.Release()
+	}
+	round()
+	if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
+		t.Errorf("a released capture, two diffs and their merge allocate %.1f objects, want 0", allocs)
+	}
+}
+
+// TestReleasedLeaseIsPoisoned: under poison-on-release a read through a
+// twin or a diff after its last release fails at once, before the next
+// capture or diff reuses the header: the twin reads poison, and the diff's
+// runs start at a negative offset, which Apply refuses.
+func TestReleasedLeaseIsPoisoned(t *testing.T) {
+	framebuf.SetPoison(true)
+	defer framebuf.SetPoison(false)
+	tw, cur := densePage()
+	d, err := MakeDiff(tw, cur)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Release()
+	if err := d.Apply(make([]byte, len(cur))); err == nil {
+		t.Error("a released diff still applies")
+	}
+	tw.Release()
+	if data := tw.Data(); len(data) != len(cur) || data[0] != framebuf.PoisonByte {
+		t.Errorf("a released twin reads %d bytes starting %#x, want poison", len(data), data[0])
+	}
+}
+
 // TestDiffLeaseCounts: the body goes back at the last release and not
 // before, one release too many panics, and a diff that owns no body —
 // borrowed, empty, nil — ignores both calls.
@@ -114,7 +169,7 @@ func TestCloneOfBorrowedDiffIsPooled(t *testing.T) {
 	}
 	frame := append([]byte(nil), src.EnsureWireBody()...)
 	borrowed := new(Diff)
-	if err := borrowed.SetWire(frame, src.Runs(), windows(frame, src.Runs())); err != nil {
+	if err := borrowed.SetWire(frame, src.Runs(), windows(nil, frame, src.Runs())); err != nil {
 		t.Fatal(err)
 	}
 	borrowed.Clone().Release() // warm the body's class

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/framebuf"
 	"repro/internal/testenv"
+	"repro/internal/vc"
 )
 
 // TestDecodeAllocationsGate: what one Decode allocates, shape by shape. A
@@ -83,6 +84,31 @@ func TestDecodeAllocationsGate(t *testing.T) {
 			t.Errorf("decoding a %d-byte diff response allocates %d bytes, want message and run-table overhead only", len(cur), per)
 		}
 	})
+}
+
+// TestSetClockAllocatesNothingGate: a sender's clock is copied into the
+// storage its shell keeps, so stamping a recycled shell allocates nothing,
+// and the message's clock is a copy, not the sender's.
+func TestSetClockAllocatesNothingGate(t *testing.T) {
+	testenv.SkipAllocGate(t)
+	drainShells()
+	v := vc.VC{1, 2, 3, 4}
+	stamp := func() {
+		m := NewMsg()
+		m.SetClock(v)
+		m.Release()
+	}
+	stamp()
+	if a := testing.AllocsPerRun(200, stamp); a != 0 {
+		t.Errorf("stamping a recycled shell with a clock allocates %.1f objects, want 0", a)
+	}
+	m := NewMsg()
+	defer m.Release()
+	m.SetClock(v)
+	v[0] = 9
+	if m.VC[0] != 1 || len(m.VC) != len(v) {
+		t.Errorf("the message's clock %v follows the sender's %v", m.VC, v)
+	}
 }
 
 // TestBatchReceiveAllocatesNothingGate: the steady receive path of a batch

@@ -83,15 +83,14 @@
 // # Ownership
 //
 // Decode and DecodeBatch copy everything out of the frame except diff
-// payloads, so nothing but a diff needs the frame. Msg.Data and the clock
-// of a message or section without an interval block are allocations of
-// their own that outlive the message (a page ship's Data and clock become
-// the receiver's page copy and its applied clock as they are). Everything
-// else a message decodes belongs to its shell and dies with it — see
-// Messages below: interval records, their clocks and page lists, the clock
-// of the message or section that carries them, diff records, the diff
-// headers they point to with their run tables and payload windows, and
-// wants. A decoded DiffRec's Diff borrows as well: its wire body and every
+// payloads, so nothing but a diff needs the frame. Msg.Data is an
+// allocation of its own that outlives the message (a page ship's Data
+// becomes the receiver's page copy as it is). Everything else a message
+// decodes belongs to its shell and dies with it — see Messages below:
+// clocks, interval records with their clocks and page lists, diff records,
+// the diff headers they point to with their run tables and payload
+// windows, and wants; a page ship's clock is copied by the copy that keeps
+// it. A decoded DiffRec's Diff borrows as well: its wire body and every
 // run's bytes are capacity-limited windows of the frame the message was
 // decoded from, so a 4 KiB diff response is decoded without allocating or
 // touching a payload byte, applies straight out of the receive buffer, and
@@ -132,24 +131,26 @@
 // the last one drops the frame reference and returns the shell to the free
 // list. What is recycled is the shell: its scalar fields, its slice
 // headers, Sections, whose first element lives in the shell, and its slabs,
-// each bounded by keepSlabBytes: those of the first interval block decoded
-// into it — records, clocks and page lists, with the enclosing message or
-// section clock as the clock slab's first window — those of the first diff
-// block — records, diff headers, runs and payload windows — and the wants.
-// The next Decode into the shell fills them in place, so nothing may read a
-// decoded IntervalRec, its VC or Pages, the clock beside an interval block,
-// a DiffRec, its Diff, or a Want after the message's last Release: whoever
-// needs one longer copies it first (the interval log, core.Log.Append,
-// copies what it is handed; the LU store clones a diff; a diff request is
-// served before its handler returns). A block past the bound, or a later
-// block of the same message, is allocated for that message and left to the
-// garbage collector, like the arrays that are never reused: Data and a
-// clock without a block belong to whoever absorbed them (a page copy keeps
-// the Data and applied clock of a KPageResp) and to the garbage collector
-// otherwise. Under poison-on-release a released shell reads as an invalid
-// kind with 0xDB scalars, its kept records, clocks, page lists and wants
-// as 0xDB entries, and a kept diff header as runs at a negative offset,
-// which page.Diff.Apply refuses; one Release too many panics, like
+// each bounded by keepSlabBytes: the first clock decoded without an
+// interval block, or the clock a sender copied in (SetClock); those of the
+// first interval block decoded into it — records, clocks and page lists,
+// with the enclosing message or section clock as the clock slab's first
+// window — those of the first diff block — records, diff headers, runs and
+// payload windows — and the wants. The next Decode into the shell fills
+// them in place, so nothing may read a decoded clock, an IntervalRec, its
+// VC or Pages, a DiffRec, its Diff, or a Want after the message's last
+// Release: whoever needs one longer copies it first (the interval log,
+// core.Log.Append, copies what it is handed; a page copy copies the
+// applied clock of its KPageResp; the LU store clones a diff; a diff
+// request is served before its handler returns). A block past the bound,
+// or a later block or clock of the same message, is allocated for that
+// message and left to the garbage collector, like Data, the one array that
+// is never reused: it belongs to whoever absorbed it (a page copy keeps
+// the Data of a KPageResp) and to the garbage collector otherwise. Under
+// poison-on-release a released shell reads as an invalid kind with 0xDB
+// scalars, its kept clocks, records, page lists and wants as 0xDB entries,
+// and a kept diff header as runs at a negative offset, which
+// page.Diff.Apply refuses; one Release too many panics, like
 // framebuf.Ref.
 package wire
 
@@ -371,13 +372,23 @@ type Msg struct {
 
 // kept is what a shell keeps across Release for the next Decode to fill in
 // place: its first section (most messages that have any have one) and the
-// storage of the first interval block, the first diff block and the wants
-// block decoded into it.
+// storage of the first clock without an interval block, the first interval
+// block, the first diff block and the wants block decoded into it.
 type kept struct {
 	sec       [1]Section
+	clock     clockSlab
 	intervals intervalSlabs
 	diffs     diffSlabs
 	wants     []Want
+}
+
+// clockSlab is the storage of a clock decoded into a shell without an
+// interval block beside it (one with a block is that block's first clock
+// window), or of the clock a sender copies in with SetClock. taken says a
+// clock of this message has claimed it: a later one allocates its own.
+type clockSlab struct {
+	entries []int32
+	taken   bool
 }
 
 // shell allocates a message and its kept storage together.
@@ -444,7 +455,7 @@ func (k *kept) release(poisoned bool, dead int32) {
 		clear(k.diffs.hdrs)
 		clear(k.diffs.data)
 	}
-	k.intervals.taken, k.diffs.taken = false, false
+	k.clock.taken, k.intervals.taken, k.diffs.taken = false, false, false
 	if poisoned {
 		k.poison(dead)
 	}
@@ -457,6 +468,7 @@ func (k *kept) release(poisoned bool, dead int32) {
 // page.Diff.Apply, its runs starting at a negative offset.
 func (k *kept) poison(dead int32) {
 	iv, df := &k.intervals, &k.diffs
+	fill(k.clock.entries, dead)
 	fill(iv.recs, IntervalRec{Proc: mem.ProcID(dead), Index: dead})
 	fill(iv.clocks, dead)
 	fill(iv.pages, mem.PageID(dead))
@@ -500,6 +512,20 @@ func NewMsg() *Msg {
 		s.m.refs, s.m.kept = 1, &s.k
 		return &s.m
 	}
+}
+
+// SetClock sets m.VC to a copy of v, in the storage a shell keeps across
+// Release when v fits it: a sender's clock then costs nothing, and like a
+// decoded clock it is the shell's, gone with the last Release. A literal,
+// which keeps nothing, gets a copy of its own.
+func (m *Msg) SetClock(v vc.VC) {
+	if m.kept == nil || m.kept.clock.taken || len(v) > maxClock {
+		m.VC = append(make(vc.VC, 0, len(v)), v...)
+		return
+	}
+	m.kept.clock.taken = true
+	m.VC = fit(&m.kept.clock.entries, len(v), maxClock)
+	copy(m.VC, v)
 }
 
 // AppendSection appends s to m.Sections. A shell's first section lives in
@@ -1102,13 +1128,28 @@ func (d *decoder) payload(present byte, emptyClock bool) (clock vc.VC, ivs []Int
 	case present&hasIntervals != 0:
 		clock, ivs = d.intervalList(entries[:n], present&hasVC != 0)
 	case present&hasVC != 0 && d.err == nil:
-		clock = make(vc.VC, n)
-		copy(clock, entries[:n])
+		clock = d.clock(entries[:n])
 	}
 	if present&hasDiffs != 0 {
 		diffs = d.diffList()
 	}
 	return clock, ivs, diffs
+}
+
+// clock returns a copy of a clock decoded without an interval block, in
+// the clock slab the shell kept when no clock of this message has claimed
+// it, and allocated otherwise. It is never nil: an empty clock is not an
+// absent one.
+func (d *decoder) clock(entries []int32) vc.VC {
+	var clock vc.VC
+	if k := &d.kept.clock; !k.taken {
+		k.taken = true
+		clock = fit(&k.entries, len(entries), maxClock)
+	} else {
+		clock = make(vc.VC, len(entries))
+	}
+	copy(clock, entries)
+	return clock[:len(entries):len(entries)]
 }
 
 // data decodes a Data block (the inverse of appendData) into the one

@@ -820,7 +820,7 @@ type namedMsg struct {
 // and a diff request.
 func shellMsgs(t *testing.T) []namedMsg {
 	g := shellGrant()
-	return []namedMsg{
+	return append([]namedMsg{
 		{"grant", g},
 		{"sectioned grant", &Msg{Kind: g.Kind, Seq: g.Seq, A: g.A, Sections: []Section{{Mode: 1, VC: g.VC, Intervals: g.Intervals}}}},
 		{"diff response of 1", shellDiffResp(t, 1, false)},
@@ -828,6 +828,16 @@ func shellMsgs(t *testing.T) []namedMsg {
 		{"sectioned diff response of 1", shellDiffResp(t, 1, true)},
 		{"sectioned diff response of 4", shellDiffResp(t, 4, true)},
 		{"diff request", shellDiffReq()},
+	}, clockMsgs()...)
+}
+
+// clockMsgs carry a clock without an interval block: a lock request's, in
+// its section, and a clock of its own.
+func clockMsgs() []namedMsg {
+	clock := vc.VC{4, 5, 6, 7}
+	return []namedMsg{
+		{"lock request", &Msg{Kind: KLockReq, Seq: 13, A: 3, B: 1, Sections: []Section{{Mode: 1, VC: clock}}}},
+		{"bare clock", &Msg{Kind: KLockGrant, Seq: 14, A: 3, VC: clock}},
 	}
 }
 
@@ -973,6 +983,21 @@ func TestReleasedShellIsPoisoned(t *testing.T) {
 			recs[0].Proc != mem.ProcID(dead) || recs[0].Index != dead || recs[0].VC != nil || recs[0].Pages != nil {
 			t.Errorf("%s: held past the last release, clock %v record clock %v pages %v record %+v: want the poison pattern",
 				name, clock, recClock, recPages, recs[0])
+		}
+	}
+	// A clock without an interval block is the shell's as well.
+	for _, tc := range clockMsgs() {
+		m, err := Decode(tc.m.EncodeAppend(nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		clock := m.VC
+		if len(m.Sections) == 1 {
+			clock = m.Sections[0].VC
+		}
+		m.Release()
+		if !reflect.DeepEqual(clock, vc.VC{dead, dead, dead, dead}) {
+			t.Errorf("%s: a clock held past the last release reads %v, want the poison pattern", tc.name, clock)
 		}
 	}
 	m, err := Decode(g.EncodeAppend(nil))

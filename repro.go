@@ -260,8 +260,9 @@ func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
 func NewTracer(capacity int) *Tracer { return obs.NewTracer(capacity) }
 
 // StartObsServer serves the observability endpoints on addr: /metrics
-// (Prometheus text), /statusz (JSON), /trace (Chrome trace_event JSON).
-// Nil config pieces disable their endpoint.
+// (Prometheus text), /statusz (JSON), /trace (Chrome trace_event JSON) and
+// the Go runtime's profiles under /debug/pprof/. Nil config pieces disable
+// their endpoint.
 func StartObsServer(addr string, r *MetricsRegistry, status func() any, t *Tracer) (*ObsServer, error) {
 	return obs.StartServer(addr, obs.ServerConfig{Registry: r, Status: status, Tracer: t})
 }
