@@ -71,6 +71,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/mem"
@@ -247,6 +248,10 @@ type System struct {
 	// zeroPage is the initial image of every page, read-only: what a node
 	// serves for a page it never materialized (it encodes to three bytes).
 	zeroPage []byte
+	// twinBytes is the bytes of twins the local nodes hold live together,
+	// the gauge twinBudget bounds: the nodes draw their twins from one page
+	// pool.
+	twinBytes atomic.Int64
 
 	handlers  sync.WaitGroup
 	closeOnce sync.Once

@@ -707,8 +707,8 @@ func TestCollectedHistoryRecordedNotServed(t *testing.T) {
 				e.mu.Lock()
 				defer e.mu.Unlock()
 				e.storeDiffRecsLocked([]wire.DiffRec{{Page: 1, Proc: 0, Index: 3, Diff: d}})
-				if e.diffs[core.IntervalID{Proc: 0, Index: 3}] != nil {
-					t.Error("the store took a diff of a collected interval")
+				if held := heldCells(e.store[0]); held != 1 {
+					t.Errorf("processor 0's ring holds %d intervals, want interval 4's alone: the store took a diff of a collected interval", held)
 				}
 				return nil
 			}},

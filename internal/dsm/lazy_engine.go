@@ -38,10 +38,11 @@ type lazyEngine struct {
 	mu  sync.Mutex
 	v   vc.VC
 	log *core.Log
-	// diffs is the retained-diff store: an interval's slots, parallel to
-	// its sorted page list in the log (slotLocked); an LU entry for a
-	// foreign interval has empty slots where no diff was received.
-	diffs     map[core.IntervalID][]diffSlot
+	// store is the retained-diff store, one ring per processor
+	// (slotRing): an interval's slots, parallel to its sorted page list in
+	// the log (slotLocked); an LU entry for a foreign interval has blank
+	// slots where no diff was received.
+	store     []slotRing
 	lastEpoch vc.VC
 	episodes  int
 	// flat caches the merged diffs handleDiffReq built for range wants,
@@ -54,9 +55,6 @@ type lazyEngine struct {
 	// trimFrom is this node's oldest interval trimTwinsLocked may still
 	// find deferred slots in: its cursor, raised past the log's floor at GC.
 	trimFrom int32
-	// slots recycles the slot arrays the GC epoch's discard frees for the
-	// next epoch's intervals. Guarded by mu.
-	slots slotPool
 	// missWants[s] is the want list of the miss holding miss lock s.
 	missWants [pageShards][]wire.Want
 	// Scratch whose consumer finishes under the lock that filled it: under
@@ -103,7 +101,7 @@ func newLazyEngine(n *Node, update bool) *lazyEngine {
 		update:    update,
 		v:         vc.New(n.sys.cfg.Procs),
 		log:       core.NewLog(n.sys.cfg.Procs),
-		diffs:     make(map[core.IntervalID][]diffSlot),
+		store:     make([]slotRing, n.sys.cfg.Procs),
 		lastEpoch: vc.New(n.sys.cfg.Procs),
 		flat:      make(map[flatKey]flatEntry),
 		ws:        newWriteSet(),
@@ -138,9 +136,11 @@ func (e *lazyEngine) closeIntervalLocked() {
 		return
 	}
 
-	// Sized once: pending pointers point into slots. The pages that had a
-	// twin move to the front of cand, in order: the interval's page list.
-	slots := e.slots.get(len(e.cand))[:0]
+	// The slots go to the store's cell for the interval's index, sized
+	// once: pending pointers point into them. The pages that had a twin
+	// move to the front of cand, in order: the interval's page list.
+	cell := e.store[n.id].cell(e.v[n.id]+1, e.log.Floor(n.id))
+	slots := occupy(*cell, len(e.cand))[:0]
 	for i, pg := range e.cand {
 		pmu := n.pageLock(pg)
 		pmu.Lock()
@@ -160,9 +160,9 @@ func (e *lazyEngine) closeIntervalLocked() {
 	}
 	pages := e.cand[:len(slots)]
 	e.ws.settle(e.cand)
+	*cell = slots
 	if len(pages) == 0 {
-		e.slots.put(slots)
-		return
+		return // the cell stays vacant, for the next interval
 	}
 	idx := e.v.Tick(int(n.id))
 	id := core.IntervalID{Proc: n.id, Index: idx}
@@ -177,7 +177,6 @@ func (e *lazyEngine) closeIntervalLocked() {
 		}
 		pmu.Unlock()
 	}
-	e.diffs[id] = slots
 	// No Mods: byte ranges size the simulator's diffs; these are real. The
 	// log copies the clock and the page scratch in.
 	e.log.Append(core.Interval{ID: id, VC: e.v, Pages: pages})

@@ -35,37 +35,63 @@ type diffSlot struct {
 	served bool
 }
 
-// deadSlot is what a recycled slot array holds in test builds (poison
-// mode): held, yet with neither a diff nor a twin, which no live slot is —
-// a stale pointer into the array (a page's pending slot) panics at its
-// first materialization, and checkPendingLocked reports it at once.
+// deadSlot is what a swept slot array holds in test builds (poison mode):
+// held, yet with neither a diff nor a twin, which no live slot is — a
+// stale pointer into the array (a page's pending slot) panics at its first
+// materialization, and checkPendingLocked reports it at once.
 var deadSlot = diffSlot{held: true, served: true}
 
-// slotPool recycles interval slot arrays by power-of-two capacity: the GC
-// epoch's discard puts back the array of every interval it covers, and the
-// intervals of the next epoch — closeIntervalLocked's, LU's received ones
-// — take them again. An array comes back zeroed.
-type slotPool [32][][]diffSlot
+// slotRing is one processor's part of the retained-diff store: the slot
+// array of its interval k, parallel to the interval's page list in the
+// log, is cell k mod len(ring). The ring spans the indices (floor,
+// floor+len(ring)], floor being the log's swept floor for the processor —
+// never the first index stored, because LU stores a foreign processor's
+// intervals out of order — and its length is a power of two, doubled when
+// an index past the span is stored. A vacant cell has length 0. A swept
+// cell keeps its array's capacity for the interval that lands there next,
+// so once the ring and its arrays have grown to an epoch's history the
+// store allocates nothing. Guarded by e.mu.
+type slotRing [][]diffSlot
 
-// get returns a zeroed array of n slots.
-func (p *slotPool) get(n int) []diffSlot {
-	c := bits.Len(uint(max(n, 1) - 1))
-	if free := p[c]; len(free) > 0 {
-		s := free[len(free)-1][:n]
-		free[len(free)-1] = nil
-		p[c] = free[:len(free)-1]
-		if framebuf.Poisoned() {
-			clear(s)
-		}
-		return s
+// at returns the cell of index k, empty when the ring holds nothing for k.
+func (r slotRing) at(k, floor int32) []diffSlot {
+	if k <= floor || int64(k)-int64(floor) > int64(len(r)) {
+		return nil
 	}
-	return make([]diffSlot, n, 1<<c)
+	return r[int(k)&(len(r)-1)]
 }
 
-// put recycles an array get returned: zeroed, or in test builds poisoned
-// with deadSlot until get hands it out again.
-func (p *slotPool) put(s []diffSlot) {
-	s = s[:cap(s)]
+// cell returns the cell of index k > floor, growing the ring to span it.
+// Growing moves slice headers only: a pending pointer into a cell's array
+// stays valid.
+func (r *slotRing) cell(k, floor int32) *[]diffSlot {
+	for int64(k)-int64(floor) > int64(len(*r)) {
+		old := *r
+		*r = make(slotRing, max(8, 2*len(old)))
+		for i := floor + 1; i <= floor+int32(len(old)); i++ {
+			(*r)[int(i)&(len(*r)-1)] = old[int(i)&(len(old)-1)]
+		}
+	}
+	return &(*r)[int(k)&(len(*r)-1)]
+}
+
+// occupy returns vacant cell c's array as n zeroed slots, reusing its
+// capacity when that suffices.
+func occupy(c []diffSlot, n int) []diffSlot {
+	if cap(c) < n {
+		return make([]diffSlot, n, 1<<bits.Len(uint(n-1)))
+	}
+	s := c[:n]
+	if framebuf.Poisoned() {
+		clear(s)
+	}
+	return s
+}
+
+// vacate empties a swept cell, keeping its array: zeroed, or in test
+// builds filled with deadSlot until occupy hands it out again.
+func vacate(c *[]diffSlot) {
+	s := (*c)[:cap(*c)]
 	if framebuf.Poisoned() {
 		for i := range s {
 			s[i] = deadSlot
@@ -73,17 +99,19 @@ func (p *slotPool) put(s []diffSlot) {
 	} else {
 		clear(s)
 	}
-	c := bits.Len(uint(len(s) - 1))
-	p[c] = append(p[c], s)
+	*c = s[:0]
 }
 
-// twinBudget bounds the bytes of twins a node keeps parked in deferred
-// slots: past it, interval close materializes the oldest deferred diffs
-// (a sparse MakeDiff each) so memory follows the working set since the
-// last GC epoch instead of the run length. Below it nothing changes:
+// twinBudget bounds the bytes of twins a System's nodes keep live
+// together, parked in deferred slots or capturing the current interval:
+// past it, interval close materializes the closing node's oldest deferred
+// diffs (a sparse MakeDiff each) so memory follows the working set since
+// the last GC epoch instead of the run length. Below it nothing changes:
 // diffs are still made on demand only, or never when GC covers them. The
-// page pool retains as many bytes, so what a GC epoch releases is what
-// the next one captures.
+// budget is per System, not per node, because its nodes share the page
+// pool, which keeps as many bytes of each size class: what a GC epoch
+// releases is what the next one captures, however many nodes the System
+// hosts.
 const twinBudget = page.PoolBytes
 
 // flatKey identifies a merged serve: every interval of this node on one
@@ -167,11 +195,20 @@ func (e *lazyEngine) noteServe(served *bool) {
 	*served = true
 }
 
+// slotsLocked returns interval id's slot array in the store, empty when
+// the store holds none. Caller holds e.mu.
+func (e *lazyEngine) slotsLocked(id core.IntervalID) []diffSlot {
+	if !e.n.validProc(id.Proc) {
+		return nil
+	}
+	return e.store[id.Proc].at(id.Index, e.log.Floor(id.Proc))
+}
+
 // slotLocked returns the store's slot for interval id's diff of page pg,
 // or nil when it holds none. Caller holds e.mu.
 func (e *lazyEngine) slotLocked(id core.IntervalID, pg mem.PageID) *diffSlot {
-	slots := e.diffs[id]
-	if slots == nil {
+	slots := e.slotsLocked(id)
+	if len(slots) == 0 {
 		return nil
 	}
 	// A store entry's interval is in the log (own intervals are logged as
@@ -184,21 +221,21 @@ func (e *lazyEngine) slotLocked(id core.IntervalID, pg mem.PageID) *diffSlot {
 }
 
 // trimTwinsLocked enforces twinBudget once an interval is logged: while
-// the node holds more twin bytes than the budget, the oldest slot that is
-// still deferred — this node's intervals in close order from the trimFrom
-// cursor, each one's pages in order — is materialized, one at a time so
-// each twin goes back to the page pool as the next capture needs one. A
-// trimmed slot serves the same diff demand would have made (its target
-// contents are fixed from the moment its interval closed), so no message
-// changes. Caller holds e.mu; stripes are taken under it, as
+// the System's nodes hold more twin bytes than the budget, this node's
+// oldest slot that is still deferred — its intervals in close order from
+// the trimFrom cursor, each one's pages in order — is materialized, one at
+// a time so each twin goes back to the page pool as the next capture needs
+// one. A trimmed slot serves the same diff demand would have made (its
+// target contents are fixed from the moment its interval closed), so no
+// message changes. Caller holds e.mu; stripes are taken under it, as
 // handleDiffReq does.
 func (e *lazyEngine) trimTwinsLocked() {
 	n := e.n
-	for ; n.stats.twinBytesLive.Load() > twinBudget && e.trimFrom <= e.v[n.id]; e.trimFrom++ {
+	for ; n.sys.twinBytes.Load() > twinBudget && e.trimFrom <= e.v[n.id]; e.trimFrom++ {
 		id := core.IntervalID{Proc: n.id, Index: e.trimFrom}
-		slots := e.diffs[id]
+		slots := e.slotsLocked(id)
 		for i, pg := range e.log.Get(id).Pages {
-			if n.stats.twinBytesLive.Load() <= twinBudget {
+			if n.sys.twinBytes.Load() <= twinBudget {
 				return
 			}
 			pmu := n.pageLock(pg)
@@ -236,21 +273,22 @@ func (e *lazyEngine) storeDiffRecsLocked(recs []wire.DiffRec) {
 		}
 		// Every diff the protocol sends answers a plan made from the log,
 		// or rides the grant that carried its interval.
+		var pages []mem.PageID
 		k, ok := 0, e.n.validProc(id.Proc) && id.Index >= 0 && e.v.Covers(int(id.Proc), id.Index)
 		if ok {
-			k, ok = slices.BinarySearch(e.log.Get(id).Pages, rec.Page)
+			pages = e.log.Get(id).Pages
+			k, ok = slices.BinarySearch(pages, rec.Page)
 		}
 		if !ok {
 			e.n.noteErr("diff store",
 				fmt.Errorf("diff record %v for page %d matches no logged write notice", id, rec.Page))
 			continue
 		}
-		slots := e.diffs[id]
-		if slots == nil {
-			slots = e.slots.get(len(e.log.Get(id).Pages))
-			e.diffs[id] = slots
+		cell := e.store[id.Proc].cell(id.Index, e.log.Floor(id.Proc))
+		if len(*cell) == 0 {
+			*cell = occupy(*cell, len(pages))
 		}
-		if !slots[k].held {
+		if slots := *cell; !slots[k].held {
 			slots[k] = diffSlot{held: true, d: rec.Diff.Clone()}
 		}
 	}
@@ -264,36 +302,38 @@ func (e *lazyEngine) collectedLocked(id core.IntervalID) bool {
 }
 
 // discardLocked is the GC epoch's discard: every retained diff of an
-// interval the epoch covers goes, its slot array back to the pool, and with
-// them the merges of such diffs; then the log sweeps the intervals'
-// records. Caller holds e.mu.
+// interval the epoch covers goes, its cell vacated, and with them the
+// merges of such diffs; then the log sweeps the intervals' records, which
+// raises the floors the rings span from. Caller holds e.mu.
 func (e *lazyEngine) discardLocked(epoch vc.VC) {
 	n := e.n
-	for id := range e.diffs {
-		if !epoch.Covers(int(id.Proc), id.Index) {
-			continue
-		}
-		slots := e.diffs[id]
-		for i, pg := range e.log.Get(id).Pages {
-			slot := &slots[i]
-			if !slot.held {
+	for p, ring := range e.store {
+		floor := e.log.Floor(mem.ProcID(p))
+		for k := floor + 1; k <= min(epoch[p], floor+int32(len(ring))); k++ {
+			cell := &ring[int(k)&(len(ring)-1)]
+			if len(*cell) == 0 {
 				continue
 			}
-			n.stats.diffsDiscarded.Add(1)
-			pmu := n.pageLock(pg)
-			pmu.Lock()
-			if slot.d == nil {
-				// A covered slot whose diff was never fetched: drop the
-				// twins without ever computing it — the deferred work the
-				// lazy pipeline saves outright.
-				e.dropTwins(e.pages[pg], slot)
-			} else {
-				slot.d.Release() // the store's count; a serve in flight has its own
+			for i, pg := range e.log.Get(core.IntervalID{Proc: mem.ProcID(p), Index: k}).Pages {
+				slot := &(*cell)[i]
+				if !slot.held {
+					continue
+				}
+				n.stats.diffsDiscarded.Add(1)
+				pmu := n.pageLock(pg)
+				pmu.Lock()
+				if slot.d == nil {
+					// A covered slot whose diff was never fetched: drop the
+					// twins without ever computing it — the deferred work the
+					// lazy pipeline saves outright.
+					e.dropTwins(e.pages[pg], slot)
+				} else {
+					slot.d.Release() // the store's count; a serve in flight has its own
+				}
+				pmu.Unlock()
 			}
-			pmu.Unlock()
+			vacate(cell)
 		}
-		e.slots.put(slots)
-		delete(e.diffs, id)
 	}
 	if framebuf.Poisoned() {
 		e.checkPendingLocked()
@@ -309,8 +349,8 @@ func (e *lazyEngine) discardLocked(epoch vc.VC) {
 }
 
 // checkPendingLocked asserts, in test builds, that no page's pending slot
-// lies in an array the discard recycled: the write that next snapshots the
-// page would plant its twin in whatever interval takes the array again.
+// lies in an array the discard vacated: the write that next snapshots the
+// page would plant its twin in whatever interval lands in the cell next.
 // Such a slot reads deadSlot until then. A violation is a recorded error
 // that fails the run at Close, like writeSet.check's. Caller holds e.mu.
 func (e *lazyEngine) checkPendingLocked() {

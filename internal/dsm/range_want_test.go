@@ -230,7 +230,7 @@ func TestRangePlanMatchesSingleSteps(t *testing.T) {
 	ranged, split := 0, 0
 	for round := 0; round < 300; round++ {
 		e.mu.Lock()
-		e.log, e.v, e.diffs = core.NewLog(procs), vc.New(procs), make(map[core.IntervalID][]diffSlot)
+		e.log, e.v, e.store = core.NewLog(procs), vc.New(procs), make([]slotRing, procs)
 		// Processors 1.. write; 0 is the reader. A processor may write a word
 		// only if it has seen the word's last writer.
 		clocks := make([]vc.VC, procs)

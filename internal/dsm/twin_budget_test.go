@@ -10,14 +10,15 @@ import (
 )
 
 // Tests for the deferred-twin budget (twinBudget, trimTwinsLocked): the
-// budget bounds what a node parks between GC epochs, a trimmed slot
-// serves exactly the diff demand would have made, and below the budget
-// the lazy pipeline is untouched.
+// budget bounds what a System's nodes park together between GC epochs, a
+// trimmed slot serves exactly the diff demand would have made, and below
+// the budget the lazy pipeline is untouched.
 
 const (
 	budgetPageSize = 4096
 	// budgetPages is enough distinct pages to overrun the budget by a
-	// fifth when each is written once and never collected.
+	// fifth when each is written once and never collected, by one node or
+	// by all of a System's nodes between them.
 	budgetPages = twinBudget/budgetPageSize + twinBudget/budgetPageSize/5
 )
 
@@ -55,9 +56,9 @@ func writeEveryPage(t *testing.T, n *Node, check bool) {
 		if !check {
 			continue
 		}
-		// One interval dirties one page here, so that is the overshoot a
-		// close may leave behind.
-		if live := n.Stats().TwinBytesLive; live > twinBudget+budgetPageSize {
+		// One interval dirties one page here, and the close trims it off
+		// again once the System is over the budget.
+		if live := n.sys.twinBytes.Load(); live > twinBudget {
 			t.Fatalf("after %d intervals: %d twin bytes live, budget is %d", pg+1, live, twinBudget)
 		}
 	}
@@ -82,8 +83,9 @@ func readEveryPage(t *testing.T, n *Node) []byte {
 
 // TestTwinBudgetBoundsParkedTwins: one writer closes more intervals on
 // distinct pages than the budget holds twins for, nobody reads and GC
-// never runs — live twin bytes stay bounded all the way, and the counters
-// say the budget did it, trimming exactly the twins past it.
+// never runs — the System's live twin bytes stay bounded all the way, and
+// the counters say the budget did it, trimming exactly the twins past it.
+// The writer's own gauge peaks one capture past the budget.
 func TestTwinBudgetBoundsParkedTwins(t *testing.T) {
 	s := newBudgetSys(t, Config{Procs: 2})
 	n := s.Node(0)
@@ -97,6 +99,54 @@ func TestTwinBudgetBoundsParkedTwins(t *testing.T) {
 	}
 	if st.TwinBytesPeak <= twinBudget || st.TwinBytesPeak > twinBudget+budgetPageSize {
 		t.Errorf("TwinBytesPeak = %d, want just past the budget of %d", st.TwinBytesPeak, twinBudget)
+	}
+}
+
+// TestTwinBudgetIsPerSystem: the budget counts a System's twins together,
+// since its nodes share the page pool, and each System's apart. Four nodes
+// that each close a quarter of budgetPages intervals, one after the other,
+// each park far less than the budget, yet together they trim exactly the
+// twins past it — the last node its own, as its closes take the System over
+// the budget. A second such System in the same process, run while the
+// first still parks its twins, trims exactly as many.
+func TestTwinBudgetIsPerSystem(t *testing.T) {
+	const procs = 4
+	want := int64(budgetPages - twinBudget/budgetPageSize)
+	run := func(s *System) {
+		t.Helper()
+		for _, n := range s.Local() {
+			// Block placement: the node homes the pages it writes, and it
+			// manages the lock it writes them under, so nothing is sent.
+			l := mem.LockID(n.ID())
+			for pg := int(n.ID()); pg < budgetPages; pg += procs {
+				for _, err := range []error{n.Acquire(l), n.WriteUint64(mem.Addr(pg*budgetPageSize+8), uint64(pg)+1), n.Release(l)} {
+					if err != nil {
+						t.Fatal(err)
+					}
+				}
+				if live := s.twinBytes.Load(); live > twinBudget {
+					t.Fatalf("node %d, page %d: the System holds %d twin bytes, budget is %d", n.ID(), pg, live, twinBudget)
+				}
+			}
+		}
+		var trimmed, own int64
+		for _, n := range s.Local() {
+			st := n.Stats()
+			trimmed += st.DiffsTrimmed
+			own = max(own, st.TwinBytesPeak)
+		}
+		if trimmed != want {
+			t.Errorf("the System's nodes trimmed %d diffs together, want %d (every twin past the budget)", trimmed, want)
+		}
+		if own > twinBudget/2 {
+			t.Errorf("a node parked %d twin bytes: the run was meant to stay far below the budget of %d on every node", own, twinBudget)
+		}
+	}
+	first := newBudgetSys(t, Config{Procs: procs})
+	run(first)
+	run(newBudgetSys(t, Config{Procs: procs}))
+	if live := first.twinBytes.Load(); live != twinBudget {
+		t.Errorf("the first System holds %d twin bytes after the second ran, want the budget of %d", live, twinBudget)
 	}
 }
 
@@ -173,8 +223,8 @@ func TestTrimRacesWritersOfPendingPages(t *testing.T) {
 
 // TestBelowBudgetNothingIsDiffed: the hit-private shape — every node
 // rewrites 16 pages it homes, 8 rounds, one GC at the end — parks 128
-// twins per node, far below the budget: no diff is ever created, none
-// trimmed, and GC leaves no twin behind.
+// twins per node, half the budget across the System's four: no diff is
+// ever created, none trimmed, and GC leaves no twin behind.
 func TestBelowBudgetNothingIsDiffed(t *testing.T) {
 	const procs, slab, rounds = 4, 16, 8
 	s := newBudgetSys(t, Config{Procs: procs, GCEveryBarriers: rounds})

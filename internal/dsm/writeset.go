@@ -100,11 +100,13 @@ func (pc *pageCopy) land(n *Node, base []byte, apply func(committed []byte) erro
 	return lifted.Apply(pc.data)
 }
 
-// newTwin and releaseTwin wrap twin capture and release with the
-// TwinBytesLive gauge: the gauge rises at capture and falls at the last
-// release, when the twin returns to the page pool.
+// newTwin and releaseTwin wrap twin capture and release with the node's
+// TwinBytesLive gauge and the System's, which twinBudget bounds: the
+// gauges rise at capture and fall at the last release, when the twin
+// returns to the page pool.
 func (n *Node) newTwin(contents []byte) *page.Twin {
 	t := page.NewTwin(contents)
+	n.sys.twinBytes.Add(int64(t.Len()))
 	st := &n.stats
 	live := st.twinBytesLive.Add(int64(t.Len()))
 	for {
@@ -119,6 +121,7 @@ func (n *Node) releaseTwin(t *page.Twin) {
 	size := int64(t.Len())
 	if t.Release() {
 		n.stats.twinBytesLive.Add(-size)
+		n.sys.twinBytes.Add(-size)
 	}
 }
 

@@ -9,7 +9,7 @@
 // interface Ctx, which has two backends:
 //
 //   - the lockstep trace generator (Execute/Generate in this file): every
-//     "processor" is a goroutine resumed one at a time by a miniature
+//     "processor" is a coroutine resumed one at a time by a miniature
 //     scheduler that serializes all shared accesses into one legal,
 //     globally-ordered trace for the protocol simulator (internal/sim),
 //     while materializing the value semantics of package trace into a flat
@@ -33,6 +33,7 @@ package workload
 import (
 	"encoding/binary"
 	"fmt"
+	"iter"
 
 	"repro/internal/mem"
 	"repro/internal/trace"
@@ -124,8 +125,8 @@ const (
 	opDone
 )
 
+// yieldMsg is one operation a processor asks the scheduler for.
 type yieldMsg struct {
-	proc int
 	kind opKind
 	addr mem.Addr
 	size int32
@@ -133,19 +134,45 @@ type yieldMsg struct {
 	val  uint64
 }
 
-// genCtx is the lockstep backend's Ctx: operations are handed to the
-// scheduler and block until granted; replies carry observed values.
+// genCtx is the lockstep backend's Ctx: a processor's body runs as a
+// coroutine that yields each operation to the scheduler and is resumed
+// once the scheduler has granted it, with the observed value in reply.
 type genCtx struct {
-	proc int
-	g    *generator
+	proc, numProcs int
+	yield          func(yieldMsg) bool
+	reply          *uint64
 }
 
+// stopped is what an operation panics with when the scheduler has stopped
+// its processor (Execute returned early): the body unwinds to the seq
+// wrapper, which recovers it, so the coroutine ends instead of blocking.
+type stopped struct{}
+
 func (c *genCtx) Proc() int     { return c.proc }
-func (c *genCtx) NumProcs() int { return c.g.cfg.NumProcs }
+func (c *genCtx) NumProcs() int { return c.numProcs }
 
 func (c *genCtx) op(k opKind, addr mem.Addr, size int32, sync int32, val uint64) uint64 {
-	c.g.yield <- yieldMsg{proc: c.proc, kind: k, addr: addr, size: size, sync: sync, val: val}
-	return <-c.g.resume[c.proc]
+	if !c.yield(yieldMsg{kind: k, addr: addr, size: size, sync: sync, val: val}) {
+		panic(stopped{})
+	}
+	return *c.reply
+}
+
+// seq returns the processor's body as the sequence of operations it asks
+// for, ended by opDone.
+func (c *genCtx) seq(p Program) iter.Seq[yieldMsg] {
+	return func(yield func(yieldMsg) bool) {
+		defer func() {
+			if r := recover(); r != nil {
+				if _, ok := r.(stopped); !ok {
+					panic(r)
+				}
+			}
+		}()
+		c.yield = yield
+		p.Proc(c)
+		yield(yieldMsg{kind: opDone})
+	}
 }
 
 func (c *genCtx) Read(addr mem.Addr, size int)   { c.op(opRead, addr, int32(size), 0, 0) }
@@ -164,12 +191,6 @@ func (c *genCtx) Acquire(l int) { c.op(opAcquire, 0, 0, int32(l), 0) }
 func (c *genCtx) Release(l int) { c.op(opRelease, 0, 0, int32(l), 0) }
 func (c *genCtx) Barrier(b int) { c.op(opBarrier, 0, 0, int32(b), 0) }
 
-type generator struct {
-	cfg    Config
-	resume []chan uint64
-	yield  chan yieldMsg
-}
-
 // Generate executes the program on the lockstep scheduler and returns the
 // resulting validated trace.
 func Generate(p Program) (*trace.Trace, error) {
@@ -187,27 +208,21 @@ func Generate(p Program) (*trace.Trace, error) {
 // — applying their value semantics to the image — in the order operations
 // are granted, so lock nesting and barrier episodes in the trace are
 // correct by construction. Given a fixed seed, execution is fully
-// deterministic.
+// deterministic. Every processor is a coroutine (iter.Pull) that runs only
+// while the scheduler waits for its next operation, and every return
+// stops them all, errors included.
 func Execute(p Program) (*Result, error) {
 	cfg := p.Config()
 	if cfg.NumProcs <= 0 || cfg.NumProcs > 64 {
 		return nil, fmt.Errorf("workload %s: processor count %d outside [1,64]", p.Name(), cfg.NumProcs)
 	}
-	g := &generator{
-		cfg:    cfg,
-		resume: make([]chan uint64, cfg.NumProcs),
-		yield:  make(chan yieldMsg),
-	}
-	for i := range g.resume {
-		g.resume[i] = make(chan uint64)
-	}
-	for i := 0; i < cfg.NumProcs; i++ {
-		go func(id int) {
-			ctx := &genCtx{proc: id, g: g}
-			<-g.resume[id] // wait for first scheduling slot
-			p.Proc(ctx)
-			g.yield <- yieldMsg{proc: id, kind: opDone}
-		}(i)
+	reply := make([]uint64, cfg.NumProcs) // value delivered on next resume
+	resume := make([]func() (yieldMsg, bool), cfg.NumProcs)
+	for i := range resume {
+		ctx := &genCtx{proc: i, numProcs: cfg.NumProcs, reply: &reply[i]}
+		var stop func()
+		resume[i], stop = iter.Pull(ctx.seq(p))
+		defer stop()
 	}
 
 	t := &trace.Trace{
@@ -232,10 +247,9 @@ func Execute(p Program) (*Result, error) {
 		stDone
 	)
 	state := make([]int, cfg.NumProcs)
-	reply := make([]uint64, cfg.NumProcs) // value delivered on next resume
-	lockHolder := make(map[int32]int)     // lock -> holder
-	lockQueue := make(map[int32][]int)    // lock -> FIFO waiters
-	barWaiters := make(map[int32][]int)   // barrier -> arrived & parked
+	lockHolder := make(map[int32]int)   // lock -> holder
+	lockQueue := make(map[int32][]int)  // lock -> FIFO waiters
+	barWaiters := make(map[int32][]int) // barrier -> arrived & parked
 	active := cfg.NumProcs
 
 	// The resumed processor runs until its next yield; operations are
@@ -255,49 +269,47 @@ func Execute(p Program) (*Result, error) {
 			return nil, fmt.Errorf("workload %s: deadlock: %d processors active but none runnable", p.Name(), active)
 		}
 		next = (picked + 1) % cfg.NumProcs
-		g.resume[picked] <- reply[picked]
+		// A body ends by yielding opDone and is never resumed after it, so
+		// every resume yields.
+		y, _ := resume[picked]()
 		reply[picked] = 0
-		y := <-g.yield
-		if y.proc != picked {
-			return nil, fmt.Errorf("workload %s: scheduler resumed p%d but p%d yielded", p.Name(), picked, y.proc)
-		}
 		if y.kind <= opAdd64 {
 			// Bounds-check ordinary accesses before touching the image, so
 			// a workload bug surfaces as a descriptive error rather than a
 			// slice panic.
 			if y.size <= 0 || y.addr < 0 || y.addr+mem.Addr(y.size) > cfg.SpaceSize {
 				return nil, fmt.Errorf("workload %s: p%d access [%d,%d) outside space [0,%d)",
-					p.Name(), y.proc, y.addr, y.addr+mem.Addr(y.size), cfg.SpaceSize)
+					p.Name(), picked, y.addr, y.addr+mem.Addr(y.size), cfg.SpaceSize)
 			}
 		}
 		switch y.kind {
 		case opRead:
-			emit(trace.Event{Kind: trace.Read, Proc: mem.ProcID(y.proc), Addr: y.addr, Size: y.size})
+			emit(trace.Event{Kind: trace.Read, Proc: mem.ProcID(picked), Addr: y.addr, Size: y.size})
 		case opWrite:
-			emit(trace.Event{Kind: trace.Write, Proc: mem.ProcID(y.proc), Addr: y.addr, Size: y.size})
+			emit(trace.Event{Kind: trace.Write, Proc: mem.ProcID(picked), Addr: y.addr, Size: y.size})
 		case opUpdate:
-			emit(trace.Event{Kind: trace.Update, Proc: mem.ProcID(y.proc), Addr: y.addr, Size: y.size})
+			emit(trace.Event{Kind: trace.Update, Proc: mem.ProcID(picked), Addr: y.addr, Size: y.size})
 		case opSet64:
-			emit(trace.Event{Kind: trace.SetVal, Proc: mem.ProcID(y.proc), Addr: y.addr, Size: 8, Val: y.val})
+			emit(trace.Event{Kind: trace.SetVal, Proc: mem.ProcID(picked), Addr: y.addr, Size: 8, Val: y.val})
 		case opGet64:
-			emit(trace.Event{Kind: trace.Read, Proc: mem.ProcID(y.proc), Addr: y.addr, Size: 8})
+			emit(trace.Event{Kind: trace.Read, Proc: mem.ProcID(picked), Addr: y.addr, Size: 8})
 			// The value is delivered on the proc's next scheduling slot.
-			reply[y.proc] = binary.LittleEndian.Uint64(image[y.addr:])
+			reply[picked] = binary.LittleEndian.Uint64(image[y.addr:])
 		case opAdd64:
-			reply[y.proc] = emit(trace.Event{Kind: trace.AddVal, Proc: mem.ProcID(y.proc), Addr: y.addr, Size: 8, Val: y.val})
+			reply[picked] = emit(trace.Event{Kind: trace.AddVal, Proc: mem.ProcID(picked), Addr: y.addr, Size: 8, Val: y.val})
 		case opAcquire:
 			if _, held := lockHolder[y.sync]; held {
-				lockQueue[y.sync] = append(lockQueue[y.sync], y.proc)
-				state[y.proc] = stBlocked
+				lockQueue[y.sync] = append(lockQueue[y.sync], picked)
+				state[picked] = stBlocked
 			} else {
-				lockHolder[y.sync] = y.proc
-				emit(trace.Event{Kind: trace.Acquire, Proc: mem.ProcID(y.proc), Sync: y.sync})
+				lockHolder[y.sync] = picked
+				emit(trace.Event{Kind: trace.Acquire, Proc: mem.ProcID(picked), Sync: y.sync})
 			}
 		case opRelease:
-			if h, held := lockHolder[y.sync]; !held || h != y.proc {
-				return nil, fmt.Errorf("workload %s: p%d releases lock %d it does not hold", p.Name(), y.proc, y.sync)
+			if h, held := lockHolder[y.sync]; !held || h != picked {
+				return nil, fmt.Errorf("workload %s: p%d releases lock %d it does not hold", p.Name(), picked, y.sync)
 			}
-			emit(trace.Event{Kind: trace.Release, Proc: mem.ProcID(y.proc), Sync: y.sync})
+			emit(trace.Event{Kind: trace.Release, Proc: mem.ProcID(picked), Sync: y.sync})
 			delete(lockHolder, y.sync)
 			if q := lockQueue[y.sync]; len(q) > 0 {
 				w := q[0]
@@ -307,8 +319,8 @@ func Execute(p Program) (*Result, error) {
 				state[w] = stRunnable
 			}
 		case opBarrier:
-			emit(trace.Event{Kind: trace.Barrier, Proc: mem.ProcID(y.proc), Sync: y.sync})
-			arr := append(barWaiters[y.sync], y.proc)
+			emit(trace.Event{Kind: trace.Barrier, Proc: mem.ProcID(picked), Sync: y.sync})
+			arr := append(barWaiters[y.sync], picked)
 			if len(arr) == cfg.NumProcs {
 				for _, w := range arr {
 					state[w] = stRunnable
@@ -316,10 +328,10 @@ func Execute(p Program) (*Result, error) {
 				delete(barWaiters, y.sync)
 			} else {
 				barWaiters[y.sync] = arr
-				state[y.proc] = stBlocked
+				state[picked] = stBlocked
 			}
 		case opDone:
-			state[y.proc] = stDone
+			state[picked] = stDone
 			active--
 		}
 	}
