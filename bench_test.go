@@ -396,10 +396,11 @@ func BenchmarkRuntimeBarrier(b *testing.B) {
 // implementations directly.)
 
 // BenchmarkRuntimeBatchedBarrierTCP is the outbox acceptance bench: the
-// write-share pattern (see writeShare) under every protocol, where each
-// creator's diff requests leave in one frame, so frames/critsec sits well
-// below msgs/critsec (TestRuntimeGate's frames row holds the ratio). The
-// counts include the warm-up round.
+// write-share pattern (see writeShare) under every protocol. Under the
+// eager protocols what one peer is sent in a release's burst shares
+// frames, so frames/critsec sits well below msgs/critsec (TestRuntimeGate's
+// frames row holds EU's); under the lazy ones a round already asks each
+// creator once. The counts include the warm-up round.
 func BenchmarkRuntimeBatchedBarrierTCP(b *testing.B) {
 	for _, m := range repro.DSMModes {
 		b.Run(m.String(), func(b *testing.B) {

@@ -491,8 +491,9 @@ func TestChaosPartitionCleanError(t *testing.T) {
 
 // TestMetricsLiveDuringRun is the live-observability acceptance
 // criterion: scraping /metrics while a run is in flight reports nonzero
-// per-kind message counters, /statusz serves the live snapshot, and
-// concurrent NetStats/Status snapshots race cleanly with the run.
+// per-kind message counters, the fault histograms have observations,
+// /statusz serves the live snapshot, and concurrent NetStats/Status
+// snapshots race cleanly with the run.
 func TestMetricsLiveDuringRun(t *testing.T) {
 	reg := repro.NewMetricsRegistry()
 	tracer := repro.NewTracer(1 << 14)
@@ -584,7 +585,7 @@ poll:
 		case <-deadline:
 			t.Fatal("run did not finish")
 		case <-time.After(5 * time.Millisecond):
-			if hasNonzeroKindCounter(get("/metrics")) {
+			if hasNonzero(get("/metrics"), "dsm_node_kind_msgs_total{") {
 				sawLive = true
 				break poll
 			}
@@ -600,8 +601,13 @@ poll:
 		t.Fatal("run moved no messages; metrics assertion is vacuous")
 	}
 	body := get("/metrics")
-	if !hasNonzeroKindCounter(body) {
+	if !hasNonzero(body, "dsm_node_kind_msgs_total{") {
 		t.Fatalf("no nonzero dsm_node_kind_msgs_total series in /metrics:\n%s", body)
+	}
+	for _, fam := range []string{"dsm_node_miss_seconds", "dsm_node_miss_pages"} {
+		if !hasNonzero(body, fam+"_count{") {
+			t.Errorf("no fault observed in the %s histogram", fam)
+		}
 	}
 	if !sawLive {
 		t.Log("run finished before the first successful scrape; counters verified post-run")
@@ -612,7 +618,7 @@ poll:
 	if !strings.Contains(body, "dsm_node_rpc_seconds_bucket") {
 		t.Error("missing rpc latency histogram")
 	}
-	for _, want := range []string{"dsm_node_twin_bytes_peak", "dsm_node_diffs_trimmed_total"} {
+	for _, want := range []string{"dsm_node_twin_bytes_peak", "dsm_node_diffs_trimmed_total", "dsm_node_pages_aggregated_total"} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing the twin-budget series %s", want)
 		}
@@ -629,11 +635,11 @@ poll:
 	}
 }
 
-// hasNonzeroKindCounter reports whether a /metrics body contains a
-// per-kind message counter with a nonzero value.
-func hasNonzeroKindCounter(body string) bool {
+// hasNonzero reports whether a /metrics body contains a series whose name
+// starts with prefix with a nonzero value.
+func hasNonzero(body, prefix string) bool {
 	for _, line := range strings.Split(body, "\n") {
-		if !strings.HasPrefix(line, "dsm_node_kind_msgs_total{") {
+		if !strings.HasPrefix(line, prefix) {
 			continue
 		}
 		fields := strings.Fields(line)

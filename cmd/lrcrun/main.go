@@ -467,7 +467,7 @@ func runWorkload(out io.Writer, name string, procs, gpn int, scale float64, seed
 	fmt.Fprintf(out, "%-28s%12d%12s%12s%14d%14s%14s   (trace replay, %s)\n",
 		"simulator", st.TotalMessages(), "-", "-", st.TotalBytes(), perCrit(st.TotalMessages()), perCrit(st.TotalBytes()), m)
 	var misses, diffs, updates, intervals, invals, moves, migrations int64
-	var created, deferred, cacheHits, flattened, trimmed, twinBytes, twinPeak int64
+	var created, deferred, cacheHits, flattened, trimmed, aggregated, twinBytes, twinPeak int64
 	for _, ns := range first.res.Nodes {
 		misses += ns.AccessMisses
 		diffs += ns.DiffsApplied
@@ -481,13 +481,14 @@ func runWorkload(out io.Writer, name string, procs, gpn int, scale float64, seed
 		cacheHits += ns.DiffCacheHits
 		flattened += ns.DiffsFlattened
 		trimmed += ns.DiffsTrimmed
+		aggregated += ns.PagesAggregated
 		twinBytes += ns.TwinBytesLive
 		twinPeak = max(twinPeak, ns.TwinBytesPeak)
 	}
 	fmt.Fprintf(out, "nodes: %d access misses, %d diffs applied, %d updates, %d intervals, %d invalidations, %d ownership moves, %d page migrations\n",
 		misses, diffs, updates, intervals, invals, moves, migrations)
-	fmt.Fprintf(out, "diff plane: %d created (%d trimmed by the twin budget), %d deferred, %d cache hits, %d flattened away, twin bytes: %d live at exit, %d peak on one node\n\n",
-		created, trimmed, deferred, cacheHits, flattened, twinBytes, twinPeak)
+	fmt.Fprintf(out, "diff plane: %d created (%d trimmed by the twin budget), %d deferred, %d cache hits, %d flattened away, %d pages aggregated into faults, twin bytes: %d live at exit, %d peak on one node\n\n",
+		created, trimmed, deferred, cacheHits, flattened, aggregated, twinBytes, twinPeak)
 	if route.statsJSON {
 		for _, r := range runs {
 			if err := emitStatsJSON(out, r.report); err != nil {

@@ -1,0 +1,190 @@
+package dsm
+
+import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"sync"
+	"testing"
+
+	"repro/internal/mem"
+	"repro/internal/wire"
+)
+
+// onEvery runs body on every node of s at once and fails t with the first
+// error.
+func onEvery(t *testing.T, s *System, body func(n *Node) error) {
+	t.Helper()
+	var wg sync.WaitGroup
+	errs := make([]error, s.cfg.Procs)
+	for id := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[id] = body(s.Node(id))
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// slabPage fills buf with page pg as written in step st; a rewrite changes
+// every byte.
+func slabPage(buf []byte, pg, st int) {
+	for i := range buf {
+		buf[i] = byte(pg*31+i) ^ byte(st+1)
+	}
+}
+
+// TestMissAggregationGate runs the barrier-slab pattern under LI: four
+// nodes each rewrite their four pages, meet at a barrier, and read the
+// other twelve. A reader lacks one interval of each of the three other
+// creators, and each names all four of its creator's pages, so a step's
+// three faults bring the twelve pages current with one KDiffReq to each
+// creator: per reader and step 3 requests, 12 diffs fetched, 3 faults and
+// 9 aggregated pages, where asking page by page sends 12 requests. Every
+// read checks the page, and at the end every node's image is the one the
+// last step wrote.
+func TestMissAggregationGate(t *testing.T) {
+	const procs, slab, pages, pageSize, warmup, steps = 4, 4, 16, 1024, 2, 8
+	s, err := New(Config{Procs: procs, SpaceSize: pages * pageSize, PageSize: pageSize, Mode: LazyInvalidate})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := s.Close(); err != nil {
+			t.Errorf("Close: %v", err)
+		}
+	})
+	run := func(from, to int) {
+		onEvery(t, s, func(n *Node) error {
+			id := int(n.ID())
+			want, got := make([]byte, pageSize), make([]byte, pageSize)
+			for st := from; st < to; st++ {
+				for k := range slab {
+					pg := id*slab + k
+					slabPage(want, pg, st)
+					if err := n.Write(mem.Addr(pg*pageSize), want); err != nil {
+						return err
+					}
+				}
+				if err := n.Barrier(0); err != nil {
+					return err
+				}
+				for k := slab; k < pages; k++ {
+					pg := (id*slab + k) % pages
+					if err := n.Read(got, mem.Addr(pg*pageSize)); err != nil {
+						return err
+					}
+					if slabPage(want, pg, st); !bytes.Equal(got, want) {
+						return fmt.Errorf("step %d: node %d read a wrong page %d", st, id, pg)
+					}
+				}
+				if err := n.Barrier(1); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+	}
+	run(0, warmup) // the first step's copies are cold
+	before := make([]Stats, procs)
+	for id := range before {
+		before[id] = s.Node(id).Stats()
+	}
+	run(warmup, warmup+steps)
+	for id := range before {
+		a, b := s.Node(id).Stats(), before[id]
+		got := [4]int64{a.KindMsgs[wire.KDiffReq] - b.KindMsgs[wire.KDiffReq], a.DiffsFetched - b.DiffsFetched,
+			a.AccessMisses - b.AccessMisses, a.PagesAggregated - b.PagesAggregated}
+		if want := [4]int64{3 * steps, 12 * steps, 3 * steps, 9 * steps}; got != want {
+			t.Errorf("node %d over %d steps: %d diff requests, %d diffs fetched, %d faults, %d aggregated pages; want %v",
+				id, steps, got[0], got[1], got[2], got[3], want)
+		}
+	}
+	onEvery(t, s, func(n *Node) error {
+		img, want := make([]byte, pages*pageSize), make([]byte, pages*pageSize)
+		for pg := range pages {
+			slabPage(want[pg*pageSize:(pg+1)*pageSize], pg, warmup+steps-1)
+		}
+		if err := n.Read(img, 0); err != nil {
+			return err
+		}
+		if !bytes.Equal(img, want) {
+			return fmt.Errorf("node %d's image differs from the last step's", n.ID())
+		}
+		return nil
+	})
+}
+
+// TestAggregationAddsNoRequest: node 1 writes pages A, B, C and D in one
+// interval and node 2 writes B concurrently. Node 0 holds copies of A, B
+// and D and has never touched C. Its fault on A asks node 1 alone, once,
+// and takes D along; B, which needs node 2 as well, stays invalid and adds
+// no request; C, which node 0 has no copy of, is not fetched.
+func TestAggregationAddsNoRequest(t *testing.T) {
+	const pageSize = 1024
+	const pgA, pgB, pgC, pgD = mem.PageID(1), mem.PageID(2), mem.PageID(4), mem.PageID(5)
+	addr := func(pg mem.PageID, word int) mem.Addr { return mem.Addr(int(pg)*pageSize + 8*word) }
+	s := newSys(t, 3, LazyInvalidate)
+	r, w1, w2 := s.Node(0), s.Node(1), s.Node(2)
+	for _, pg := range []mem.PageID{pgA, pgB, pgD} {
+		if _, err := r.ReadUint64(addr(pg, 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	barrier := func() {
+		onEvery(t, s, func(n *Node) error { return n.Barrier(0) })
+	}
+	barrier()
+	for _, pg := range []mem.PageID{pgA, pgB, pgC, pgD} {
+		must(t, w1.WriteUint64(addr(pg, 0), 100+uint64(pg)))
+	}
+	must(t, w2.WriteUint64(addr(pgB, 1), 7))
+	barrier()
+
+	before := r.Stats()
+	if v, err := r.ReadUint64(addr(pgA, 0)); err != nil || v != 100+uint64(pgA) {
+		t.Fatalf("read A = %d, %v", v, err)
+	}
+	after := r.Stats()
+	if reqs := after.KindMsgs[wire.KDiffReq] - before.KindMsgs[wire.KDiffReq]; reqs != 1 {
+		t.Errorf("the fault on A sent %d diff requests, want 1 (node 1's)", reqs)
+	}
+	if got := after.PagesAggregated - before.PagesAggregated; got != 1 {
+		t.Errorf("the fault on A aggregated %d pages, want 1 (D)", got)
+	}
+	if got := after.PagesFetched - before.PagesFetched; got != 0 {
+		t.Errorf("the fault on A fetched %d whole pages, want none", got)
+	}
+	e := r.e.(*lazyEngine)
+	if e.isValid(pgB) || !e.isValid(pgD) {
+		t.Errorf("after the fault on A: B valid %t, D valid %t; want B invalid and D valid", e.isValid(pgB), e.isValid(pgD))
+	}
+	pmu := r.pageLock(pgC)
+	pmu.Lock()
+	cold := e.pages[pgC] == nil
+	pmu.Unlock()
+	if !cold {
+		t.Error("the fault on A materialized C, which node 0 never touched")
+	}
+
+	// D is current: reading it is a hit. B faults and asks both writers.
+	before = r.Stats()
+	if v, err := r.ReadUint64(addr(pgD, 0)); err != nil || v != 100+uint64(pgD) {
+		t.Fatalf("read D = %d, %v", v, err)
+	}
+	var b [16]byte
+	must(t, r.Read(b[:], addr(pgB, 0)))
+	if v0, v1 := binary.LittleEndian.Uint64(b[:]), binary.LittleEndian.Uint64(b[8:]); v0 != 100+uint64(pgB) || v1 != 7 {
+		t.Errorf("read B = %d, %d; want %d, 7", v0, v1, 100+uint64(pgB))
+	}
+	after = r.Stats()
+	if faults, reqs := after.AccessMisses-before.AccessMisses, after.KindMsgs[wire.KDiffReq]-before.KindMsgs[wire.KDiffReq]; faults != 1 || reqs != 2 {
+		t.Errorf("reading D then B: %d faults, %d diff requests; want 1 and 2", faults, reqs)
+	}
+}

@@ -54,6 +54,10 @@
 //     them until garbage collection) rather than from hb-maximal
 //     modifiers, and interval records on the wire carry their vector
 //     timestamps;
+//   - lazy diffs are fetched by round, one request per creator for every
+//     page the round brings current, and an LI access fault brings along
+//     the invalid sibling pages its intervals also wrote, where the paper
+//     fetches page by page at each access miss;
 //   - eager flushes issue one message exchange per (page, cacher) rather
 //     than merging all traffic to one destination into a single message
 //     (the outbox does coalesce same-destination messages into shared

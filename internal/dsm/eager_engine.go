@@ -3,6 +3,7 @@ package dsm
 import (
 	"fmt"
 	"sync"
+	"time"
 
 	"repro/internal/mem"
 	"repro/internal/page"
@@ -123,6 +124,10 @@ func (e *eagerEngine) ensureValid(pg mem.PageID) error {
 		n.stats.coldMisses.Add(1)
 	}
 	pmu.Unlock()
+	var start time.Time
+	if n.missHist != nil {
+		start = time.Now()
+	}
 
 	// The response is intercepted in handle: by the time rpc returns,
 	// the shard worker has installed the granted page.
@@ -130,6 +135,9 @@ func (e *eagerEngine) ensureValid(pg mem.PageID) error {
 		Kind: wire.KPageReq, Seq: n.nextSeq(), A: int32(pg), B: int32(n.id),
 	})
 	resp.Release()
+	if err == nil && n.missHist != nil {
+		n.observeMiss(start, 1)
+	}
 	return err
 }
 

@@ -31,7 +31,9 @@ import (
 //     committed contents under a concurrent local writer.
 //   - Miss service — the blocking protocol transaction that brings a
 //     page current — serializes per page under Node.missLock; handler
-//     work never takes a miss lock, so it can always drain.
+//     work never takes a miss lock, so it can always drain, and a
+//     goroutine holds at most one (a lazy fault applies its sibling pages
+//     after it let go of its own page's).
 //   - Engine-global synchronization state (the lazy engine's vector
 //     clock, interval log and diff store) lives under an engine-private
 //     mutex ordered after lockMu and before the page stripes.

@@ -790,9 +790,10 @@ func TestCollectedHistoryRecordedNotServed(t *testing.T) {
 // sequence number alone and a miss finds a record by its want's position,
 // so whatever a faulty or hostile creator answers with that does not
 // answer the request — another kind, a record too few or too many, a
-// record for another page, processor or interval — must fail the access
-// with an error that names the peer, leave the copy invalid and untouched,
-// and surface at Close; the run ends, it does not hang.
+// record for another page, processor or interval, the records of a
+// two-page request in the wrong order — must fail the access with an error
+// that names the peer, leave every copy invalid and untouched, and surface
+// at Close; the run ends, it does not hang.
 func TestMismatchedDiffResponsesFailTheMiss(t *testing.T) {
 	forged, err := page.DiffFromRuns([]page.Run{{Off: 8, Len: 4}}, [][]byte{{1, 2, 3, 4}})
 	if err != nil {
@@ -802,21 +803,34 @@ func TestMismatchedDiffResponsesFailTheMiss(t *testing.T) {
 		return wire.DiffRec{Page: pg, Proc: p, Index: idx, Diff: forged}
 	}
 	cases := []struct {
-		name string
-		resp wire.Msg
+		name  string
+		pages []mem.PageID // the pages the fake interval wrote; nil is page 0 alone
+		resp  wire.Msg
 	}{
-		{"another kind", wire.Msg{Kind: wire.KPageResp, Data: make([]byte, 1024)}},
-		{"no record", wire.Msg{Kind: wire.KDiffResp}},
-		{"a record too many", wire.Msg{Kind: wire.KDiffResp, Diffs: []wire.DiffRec{rec(0, 1, 0), rec(0, 1, 1)}}},
-		{"another interval", wire.Msg{Kind: wire.KDiffResp, Diffs: []wire.DiffRec{rec(0, 1, 1)}}},
-		{"another processor", wire.Msg{Kind: wire.KDiffResp, Diffs: []wire.DiffRec{rec(0, 0, 0)}}},
-		{"another page", wire.Msg{Kind: wire.KDiffResp, Diffs: []wire.DiffRec{rec(1, 1, 0)}}},
+		{"another kind", nil, wire.Msg{Kind: wire.KPageResp, Data: make([]byte, 1024)}},
+		{"no record", nil, wire.Msg{Kind: wire.KDiffResp}},
+		{"a record too many", nil, wire.Msg{Kind: wire.KDiffResp, Diffs: []wire.DiffRec{rec(0, 1, 0), rec(0, 1, 1)}}},
+		{"another interval", nil, wire.Msg{Kind: wire.KDiffResp, Diffs: []wire.DiffRec{rec(0, 1, 1)}}},
+		{"another processor", nil, wire.Msg{Kind: wire.KDiffResp, Diffs: []wire.DiffRec{rec(0, 0, 0)}}},
+		{"another page", nil, wire.Msg{Kind: wire.KDiffResp, Diffs: []wire.DiffRec{rec(1, 1, 0)}}},
+		// One request asks for both pages' diffs — LI's fault on page 0 takes
+		// page 2 along as its sibling, LU revalidates both — and the answer
+		// carries them swapped.
+		{"two-page records swapped", []mem.PageID{0, 2}, wire.Msg{Kind: wire.KDiffResp, Diffs: []wire.DiffRec{rec(2, 1, 0), rec(0, 1, 0)}}},
 	}
 	for _, mode := range []Mode{LazyInvalidate, LazyUpdate} {
 		for _, tc := range cases {
 			t.Run(mode.String()+"/"+tc.name, func(t *testing.T) {
+				pages := tc.pages
+				if pages == nil {
+					pages = []mem.PageID{0}
+				}
+				var wants []wire.Want
+				for _, pg := range pages {
+					wants = append(wants, wire.Want{Page: pg, Proc: 1, Index: 0})
+				}
 				// The fake node 1 holds lock 1 and grants it with the notice of
-				// its interval 0 on page 0, which node 0 homes and has read.
+				// its interval 0 on the pages, which node 0 homes and has written.
 				s := newSysWithFakePeer(t, mode, func(req *wire.Msg) *wire.Msg {
 					switch req.Kind {
 					case wire.KLockReq:
@@ -827,10 +841,10 @@ func TestMismatchedDiffResponsesFailTheMiss(t *testing.T) {
 						}
 						clock := vc.VC{-1, 0}
 						return &wire.Msg{Kind: wire.KLockGrant, A: req.A, Sections: []wire.Section{{Mode: uint16(mode), VC: clock,
-							Intervals: []wire.IntervalRec{{Proc: 1, Index: 0, VC: clock, Pages: []mem.PageID{0}}}}}}
+							Intervals: []wire.IntervalRec{{Proc: 1, Index: 0, VC: clock, Pages: pages}}}}}
 					case wire.KDiffReq:
-						if len(req.Wants) != 1 || req.Wants[0] != (wire.Want{Page: 0, Proc: 1, Index: 0}) {
-							t.Errorf("asked for %+v", req.Wants)
+						if !slices.Equal(req.Wants, wants) {
+							t.Errorf("asked for %+v, want %+v", req.Wants, wants)
 						}
 						if req.B != 0 {
 							t.Errorf("diff request carries B = %d, want 0", req.B)
@@ -841,8 +855,10 @@ func TestMismatchedDiffResponsesFailTheMiss(t *testing.T) {
 					return nil
 				})
 				n := s.Node(0)
-				if err := n.WriteUint64(0, 7); err != nil {
-					t.Fatal(err)
+				for _, pg := range pages {
+					if err := n.WriteUint64(mem.Addr(pg)*1024, 7); err != nil {
+						t.Fatal(err)
+					}
 				}
 				// LU fetches at the acquire, LI at the access.
 				err := n.Acquire(1)
@@ -853,8 +869,10 @@ func TestMismatchedDiffResponsesFailTheMiss(t *testing.T) {
 					t.Fatalf("miss over a mismatched response = %v, want a diff fetch error naming node 1", err)
 				}
 				e := n.e.(*lazyEngine)
-				if pc := e.pages[0]; pc.valid || binary.LittleEndian.Uint64(pc.data) != 7 || pc.data[8] != 0 {
-					t.Errorf("the copy changed: valid=%t, first words % x", pc.valid, pc.data[:16])
+				for _, pg := range pages {
+					if pc := e.pages[pg]; pc.valid || binary.LittleEndian.Uint64(pc.data) != 7 || pc.data[8] != 0 {
+						t.Errorf("page %d's copy changed: valid=%t, first words % x", pg, pc.valid, pc.data[:16])
+					}
 				}
 				if _, err := n.ReadUint64(0); err == nil {
 					t.Error("a second read of the page succeeded")

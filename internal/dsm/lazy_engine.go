@@ -15,7 +15,13 @@ import (
 // lazyEngine implements lazy release consistency (§4): intervals, twins,
 // diffs and vector clocks. Write notices ride lock grants and barrier
 // messages; diffs are fetched from their creators at access misses (LI)
-// or acquire time (LU).
+// or acquire time (LU). Fetching is by round, not by page: a round — an
+// LI fault, an LU revalidation, the GC epoch's bulk validation — plans
+// every page it brings current first and sends each creator one KDiffReq
+// for all of them. An LI fault brings with its page the siblings its
+// outstanding intervals also wrote, when they need no other creator, so a
+// reader of a creator's several pages asks it once, where the paper's
+// per-page fetch asks once per page.
 //
 // Concurrency: page copies and their twins are per-page state under the
 // node's striped lock table, so independent pages are read, written and
@@ -57,13 +63,15 @@ type lazyEngine struct {
 	trimFrom int32
 	// missWants[s] is the want list of the miss holding miss lock s.
 	missWants [pageShards][]wire.Want
+	// spare is the free list of round scratch (takePrefetch): faults,
+	// revalidations and the GC epoch's bulk validation plan into it.
+	spare chan *prefetch
 	// Scratch whose consumer finishes under the lock that filled it: under
 	// mu, closeIntervalLocked's sorted dirty pages and the pages the
 	// intervals an acquire absorbed notice; under the node's lockMu, held
 	// from grant until the grant is encoded, its clock and records; and the
 	// barrier leader's alone, the floor and records of the arrival or exit
-	// it sends next, and the GC epoch's clock, pages to validate and
-	// prefetch.
+	// it sends next, and the GC epoch's clock and pages to validate.
 	cand       []mem.PageID
 	noticed    []mem.PageID
 	grantClock vc.VC
@@ -72,7 +80,6 @@ type lazyEngine struct {
 	barRecs    []wire.IntervalRec
 	gcEpoch    vc.VC
 	gcPages    []mem.PageID
-	pre        prefetch
 
 	// ws is the current interval's write set; closeIntervalLocked drains
 	// it into cand.
@@ -104,6 +111,7 @@ func newLazyEngine(n *Node, update bool) *lazyEngine {
 		store:     make([]slotRing, n.sys.cfg.Procs),
 		lastEpoch: vc.New(n.sys.cfg.Procs),
 		flat:      make(map[flatKey]flatEntry),
+		spare:     make(chan *prefetch, spareRounds),
 		ws:        newWriteSet(),
 		pages:     make([]*lazyPage, n.sys.layout.NumPages()),
 	}
@@ -338,16 +346,13 @@ func (e *lazyEngine) invalidateForLocked(noticed []mem.PageID) []mem.PageID {
 // --- engine interface: accesses ---
 
 // validate brings page pg's local copy up to date; the valid-copy check
-// is the access hit path. Callers must hold no engine or stripe locks.
+// is the access hit path, and a miss is a fault, which brings pg's
+// siblings current with it. Callers must hold no engine or stripe locks.
 func (e *lazyEngine) validate(pg mem.PageID) error {
-	pmu := e.n.pageLock(pg)
-	pmu.Lock()
-	if pc := e.pages[pg]; pc != nil && pc.valid {
-		pmu.Unlock()
+	if e.isValid(pg) {
 		return nil
 	}
-	pmu.Unlock()
-	return e.serviceMiss(pg, nil)
+	return e.fault(pg)
 }
 
 func (e *lazyEngine) readPage(pg mem.PageID, off int, dst []byte) error {
@@ -432,10 +437,7 @@ func (e *lazyEngine) onGrant(grant *wire.Msg) error {
 	e.mu.Unlock()
 
 	if e.update {
-		// Another local goroutine's acquire may be revalidating too: this one
-		// prefetches into storage of its own.
-		var pf prefetch
-		return e.revalidate(affected, &pf)
+		return e.revalidate(affected)
 	}
 	return nil
 }
@@ -523,7 +525,7 @@ func (e *lazyEngine) postBarrier(b mem.BarrierID) error {
 	e.mu.Unlock()
 
 	if e.update {
-		if err := e.revalidate(affected, &e.pre); err != nil {
+		if err := e.revalidate(affected); err != nil {
 			return err
 		}
 	}
@@ -591,7 +593,7 @@ func (e *lazyEngine) runGC(b mem.BarrierID) error {
 	e.gcPages = toValidate
 	e.mu.Unlock()
 
-	if err := e.revalidate(toValidate, &e.pre); err != nil {
+	if err := e.revalidate(toValidate); err != nil {
 		return err
 	}
 	if err := e.checkGCInvariant(epoch); err != nil {

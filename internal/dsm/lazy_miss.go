@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/mem"
@@ -55,6 +56,16 @@ func (f fetchedDiffs) release() {
 	}
 }
 
+// retain takes a count on every held response for one more holder, and
+// returns the list capacity-limited, so that what the holder appends never
+// lands in the others' storage.
+func (f fetchedDiffs) retain() fetchedDiffs {
+	for _, h := range f {
+		h.resp.Retain()
+	}
+	return f[:len(f):len(f)]
+}
+
 // releaseAll releases every message of a list its caller holds.
 func releaseAll(msgs []*wire.Msg) {
 	for _, m := range msgs {
@@ -69,14 +80,37 @@ func releaseSteps(steps []*page.Diff) {
 	}
 }
 
-// serviceMiss is validate's miss path: a cold copy is fetched from the
-// page's home, then every outstanding diff is collected — from held (what
-// a prefetch already fetched for this page; serviceMiss owns and releases
+// serviceMiss brings page pg current under its miss lock, handed held (the
+// responses a round already fetched, which it owns and releases), and
+// reports whether it found the copy invalid: false means a concurrent miss
+// brought it current first.
+func (e *lazyEngine) serviceMiss(pg mem.PageID, held fetchedDiffs) (bool, error) {
+	mmu := e.n.missLock(pg)
+	mmu.Lock()
+	defer mmu.Unlock()
+	if e.isValid(pg) {
+		held.release()
+		return false, nil
+	}
+	return true, e.serviceMissLocked(pg, held)
+}
+
+// isValid reports whether the node holds a valid copy of page pg.
+func (e *lazyEngine) isValid(pg mem.PageID) bool {
+	pmu := e.n.pageLock(pg)
+	pmu.Lock()
+	defer pmu.Unlock()
+	pc := e.pages[pg]
+	return pc != nil && pc.valid
+}
+
+// serviceMissLocked brings page pg current: a cold copy is fetched from
+// the page's home, then every outstanding diff is collected — from held
+// (what the round already fetched; serviceMissLocked owns and releases
 // it), from the retained store, or from its creator — and applied in
-// happened-before order (§4.3.3). Miss service serializes per page under
-// the miss lock; concurrent faulting goroutines coalesce onto one
-// transaction.
-func (e *lazyEngine) serviceMiss(pg mem.PageID, held fetchedDiffs) error {
+// happened-before order (§4.3.3). The caller holds pg's miss lock, so
+// concurrent faulting goroutines coalesce onto one transaction.
+func (e *lazyEngine) serviceMissLocked(pg mem.PageID, held fetchedDiffs) error {
 	n := e.n
 	// The miss's transients live in its frame; a plan too big for them
 	// spills to the heap.
@@ -98,9 +132,6 @@ func (e *lazyEngine) serviceMiss(pg mem.PageID, held fetchedDiffs) error {
 	steps := stepBuf[:0]
 	defer func() { releaseSteps(steps); held.release() }()
 	pmu := n.pageLock(pg)
-	mmu := n.missLock(pg)
-	mmu.Lock()
-	defer mmu.Unlock()
 	// The wants live in the list the miss lock guards, not in the frame: a
 	// request or held response that points into the frame would move it to
 	// the heap. Every round's wants accumulate, because the held responses
@@ -108,16 +139,7 @@ func (e *lazyEngine) serviceMiss(pg mem.PageID, held fetchedDiffs) error {
 	kept := &e.missWants[uint32(pg)%pageShards]
 	wants := (*kept)[:0]
 
-	pmu.Lock()
-	if pc := e.pages[pg]; pc != nil && pc.valid {
-		pmu.Unlock()
-		return nil
-	}
-	pmu.Unlock()
-	// One application access, one miss — the replan loop below may run
-	// several plan/apply rounds for it.
-	n.stats.accessMisses.Add(1)
-
+	// The replan loop below may run several plan/apply rounds.
 	for {
 		pmu.Lock()
 		pc := e.pages[pg]
@@ -331,8 +353,10 @@ func (e *lazyEngine) missingWantsLocked(wants []wire.Want, pg mem.PageID, out []
 }
 
 // diffReqs appends to reqs, grown once, one KDiffReq for each run of wants
-// that share a page and a creator — each list missingWantsLocked appended,
-// of distinct pages — with that run as its wants.
+// that share a creator, with that run as its wants. A list ordered by
+// creator — one page's, as missingWantsLocked appends it, or a round's, as
+// prefetchDiffs sorts it — thus asks each creator once, for every page at
+// a time: a creator serves any mix of pages in one response.
 func (e *lazyEngine) diffReqs(reqs []outMsg, wants []wire.Want) []outMsg {
 	n := 0
 	for rest := wants; len(rest) > 0; rest = rest[creatorRun(rest):] {
@@ -350,10 +374,11 @@ func (e *lazyEngine) diffReqs(reqs []outMsg, wants []wire.Want) []outMsg {
 }
 
 // creatorRun returns the length of the run of wants at the head of a
-// non-empty list that share its first want's page and creator.
+// non-empty list that share its first want's creator, whatever their
+// pages.
 func creatorRun(wants []wire.Want) int {
 	k := 1
-	for k < len(wants) && wants[k].Page == wants[0].Page && wants[k].Proc == wants[0].Proc {
+	for k < len(wants) && wants[k].Proc == wants[0].Proc {
 		k++
 	}
 	return k
@@ -461,83 +486,225 @@ func (e *lazyEngine) noteFetched(held fetchedDiffs) {
 	e.mu.Unlock()
 }
 
-// revalidate brings a list of pages current (LU's acquire/barrier-time
-// update step and the GC epoch's bulk validation). With more than one
-// page the outstanding diffs are prefetched first as one grouped burst,
-// planned into pf, so the per-page requests to each creator leave in one
-// batch frame instead of one frame per page; each page's miss is then
-// handed the responses fetched for it.
-func (e *lazyEngine) revalidate(pages []mem.PageID, pf *prefetch) error {
-	var pre fetchedDiffs
-	if len(pages) > 1 {
-		var err error
-		if pre, err = e.prefetchDiffs(pages, pf); err != nil {
-			return err
-		}
-	}
-	for _, pg := range pages {
-		// The prefetch asked in the order of pages.
-		k := 0
-		for k < len(pre) && pre[k].wants[0].Page == pg {
-			k++
-		}
-		held := pre[:k:k]
-		pre = pre[k:]
-		if err := e.serviceMiss(pg, held); err != nil {
-			pre.release()
-			return err
-		}
-	}
-	return nil
-}
-
-// prefetch is the storage a grouped prefetch plans into — its wants, their
-// requests, the responses as they arrive and as the misses hold them — and
-// keeps for the next. The barrier leader's (lazyEngine.pre) serves every
-// epoch's bulk validation, which it runs alone; an acquire, which may run
-// beside another, prefetches into one of its own.
-type prefetch struct {
-	wants []wire.Want
-	reqs  []outMsg
-	resps []*wire.Msg
-	held  fetchedDiffs
-}
-
-// prefetchDiffs batch-fetches the outstanding diffs for a set of distinct
-// pages about to be revalidated: one KDiffReq per (page, creator) — exactly
-// the requests sequential validation would send, so message counts are
-// unchanged — staged together through the outbox, so all requests to
-// one creator coalesce into one frame and all creators answer
-// concurrently. Every page's wants are planned into one list first, so
-// the requests are laid out once. The responses are returned in the order
-// of pages, in pf's storage; each page's miss then finds its diffs in them
-// and re-plans authoritatively (fresh notices landing meanwhile just make
-// it fetch the remainder as usual). Cold pages are skipped: their plan
-// depends on the applied clock the home's copy arrives with.
-func (e *lazyEngine) prefetchDiffs(pages []mem.PageID, pf *prefetch) (fetchedDiffs, error) {
+// fault services an application's miss on page pg and brings pg's
+// siblings (planFaultLocked) current with it, in one round: one KDiffReq to
+// each creator for all the pages, where validating page by page asks a
+// creator once per page. pg's miss lock is held while its round is
+// planned, fetched and applied, so concurrent faults on pg coalesce onto
+// one round; each sibling is then applied under its own. A fault counts
+// one access miss; the siblings it finds invalid count as aggregated
+// pages.
+func (e *lazyEngine) fault(pg mem.PageID) error {
 	n := e.n
-	var (
-		clockBuf [maxProcs]int32
-		planBuf  [8]core.IntervalID
-	)
-	pf.wants = pf.wants[:0]
+	mmu := n.missLock(pg)
+	mmu.Lock()
+	if e.isValid(pg) { // a concurrent fault brought it current
+		mmu.Unlock()
+		return nil
+	}
+	var start time.Time
+	if n.missHist != nil {
+		start = time.Now()
+	}
+	n.stats.accessMisses.Add(1)
+	pf := e.takePrefetch()
 	e.mu.Lock()
-	for _, pg := range pages {
-		pmu := n.pageLock(pg)
-		pmu.Lock()
-		pc := e.pages[pg]
-		if pc == nil || pc.valid {
-			pmu.Unlock()
+	e.planFaultLocked(pf, pg)
+	e.mu.Unlock()
+	held, err := e.prefetchDiffs(pf)
+	if err == nil {
+		err = e.serviceMissLocked(pg, held.retain())
+	}
+	mmu.Unlock()
+	aggregated := 0
+	if err == nil {
+		aggregated, err = e.serveEach(pf.pages[1:], held)
+	}
+	held.release()
+	e.putPrefetch(pf)
+	n.stats.pagesAggregated.Add(int64(aggregated))
+	if err == nil && n.missHist != nil {
+		n.observeMiss(start, 1+aggregated)
+	}
+	return err
+}
+
+// planFaultLocked plans a fault on page pg into pf: pf.pages is pg, then
+// its siblings, and pf.wants what they need from creators. A sibling is a
+// page q that
+//
+//   - an interval of pg's plan wrote (its log record names q),
+//   - the node holds an invalid copy of — never a cold one: a cold copy's
+//     plan waits for the clock the home's copy arrives with, and a page the
+//     node never touched is not fetched for it,
+//   - and whose every want goes to a creator pg's own wants ask.
+//
+// So a fault adds wants to requests its page sends anyway, never a request
+// or a destination. A cold pg has no plan yet, and no siblings: its miss
+// fetches the copy and asks alone. Caller holds e.mu.
+func (e *lazyEngine) planFaultLocked(pf *prefetch, pg mem.PageID) {
+	pf.pages = append(pf.pages[:0], pg)
+	var ok bool
+	if pf.wants, ok = e.pageWantsLocked(pf.wants[:0], pg, &pf.plan); !ok {
+		return
+	}
+	var asked uint64 // the creators pg's wants ask, by bit
+	for _, w := range pf.wants {
+		asked |= 1 << w.Proc
+	}
+	if asked == 0 {
+		return
+	}
+	cand := pf.cand[:0]
+	for _, id := range pf.plan {
+		cand = append(cand, e.log.Get(id).Pages...)
+	}
+	slices.Sort(cand)
+	pf.cand = slices.Compact(cand)
+	for _, q := range pf.cand {
+		if q == pg {
 			continue
 		}
-		appliedSnap := append(vc.VC(clockBuf[:0]), pc.applied...)
-		pmu.Unlock()
-		pf.wants = e.missingWantsLocked(pf.wants, pg, e.appendPlanLocked(planBuf[:0], pg, appliedSnap), nil)
+		k := len(pf.wants)
+		if pf.wants, ok = e.pageWantsLocked(pf.wants, q, &pf.sib); !ok {
+			continue
+		}
+		if asksOnly(pf.wants[k:], asked) {
+			pf.pages = append(pf.pages, q)
+		} else {
+			pf.wants = pf.wants[:k]
+		}
 	}
-	e.mu.Unlock()
+}
+
+// asksOnly reports whether every want goes to a creator in the set asked,
+// by bit.
+func asksOnly(wants []wire.Want, asked uint64) bool {
+	for _, w := range wants {
+		if asked&(1<<w.Proc) == 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// pageWantsLocked appends to wants what page pg's copy needs from creators
+// — the steps of its plan, made into *plan, that the store does not supply
+// (missingWantsLocked) — and reports whether the node holds an invalid copy
+// of pg to plan for: a valid one needs nothing, a cold one's plan waits for
+// the clock the home's copy arrives with. Caller holds e.mu.
+func (e *lazyEngine) pageWantsLocked(wants []wire.Want, pg mem.PageID, plan *[]core.IntervalID) ([]wire.Want, bool) {
+	var clockBuf [maxProcs]int32
+	pmu := e.n.pageLock(pg)
+	pmu.Lock()
+	pc := e.pages[pg]
+	if pc == nil || pc.valid {
+		pmu.Unlock()
+		return wants, false
+	}
+	applied := append(vc.VC(clockBuf[:0]), pc.applied...)
+	pmu.Unlock()
+	*plan = e.appendPlanLocked((*plan)[:0], pg, applied)
+	return e.missingWantsLocked(wants, pg, *plan, nil), true
+}
+
+// revalidate brings a list of pages current (LU's acquire/barrier-time
+// update step and the GC epoch's bulk validation) in one round, planned
+// into scratch from the engine's free list: with more than one page their
+// outstanding diffs are prefetched first, one KDiffReq to each creator for
+// all the pages, and each page's miss is handed the responses. Neither
+// counts as an access miss: no application access faulted.
+func (e *lazyEngine) revalidate(pages []mem.PageID) error {
+	var pre fetchedDiffs
+	pf := e.takePrefetch()
+	defer e.putPrefetch(pf)
+	if len(pages) > 1 {
+		pf.wants = pf.wants[:0]
+		e.mu.Lock()
+		for _, pg := range pages {
+			pf.wants, _ = e.pageWantsLocked(pf.wants, pg, &pf.plan)
+		}
+		e.mu.Unlock()
+		var err error
+		if pre, err = e.prefetchDiffs(pf); err != nil {
+			return err
+		}
+	}
+	_, err := e.serveEach(pages, pre)
+	pre.release()
+	return err
+}
+
+// serveEach brings each of pages current with a miss of its own, handing
+// each the held responses on a count of its own — one response answers
+// wants of several pages — and returns how many of them it found invalid.
+// The caller keeps, and releases, its own count on held.
+func (e *lazyEngine) serveEach(pages []mem.PageID, held fetchedDiffs) (int, error) {
+	brought := 0
+	for _, pg := range pages {
+		ok, err := e.serviceMiss(pg, held.retain())
+		if err != nil {
+			return brought, err
+		}
+		if ok {
+			brought++
+		}
+	}
+	return brought, nil
+}
+
+// prefetch is the storage a round plans into — the pages a fault brings
+// current, the plans it makes, its candidate siblings, its wants, their
+// requests, the responses as they arrive and as the misses hold them — and
+// keeps for the next round that takes it from the engine's free list
+// (takePrefetch): several rounds may run at once, a fault beside an
+// acquire or another goroutine's fault.
+type prefetch struct {
+	pages     []mem.PageID
+	plan, sib []core.IntervalID
+	cand      []mem.PageID
+	wants     []wire.Want
+	reqs      []outMsg
+	resps     []*wire.Msg
+	held      fetchedDiffs
+}
+
+// spareRounds bounds the engine's free list of round scratch: a node runs
+// about as many rounds at once as it has faulting goroutines.
+const spareRounds = 8
+
+// takePrefetch returns round scratch from the engine's free list, or new
+// scratch when the list is empty.
+func (e *lazyEngine) takePrefetch() *prefetch {
+	select {
+	case pf := <-e.spare:
+		return pf
+	default:
+		return new(prefetch)
+	}
+}
+
+// putPrefetch returns a round's scratch to the free list, or drops it when
+// the list is full.
+func (e *lazyEngine) putPrefetch(pf *prefetch) {
+	select {
+	case e.spare <- pf:
+	default:
+	}
+}
+
+// prefetchDiffs fetches the wants planned into pf as one burst: ordered by
+// creator, page order kept within one, so that each creator is sent one
+// KDiffReq for all the round's pages — fewer requests than validating page
+// by page, which asks a creator once per page — and all creators answer
+// concurrently. The responses are returned in pf's storage; each page's
+// miss then finds its diffs in them and re-plans authoritatively (fresh
+// notices landing meanwhile just make it fetch the remainder as usual).
+func (e *lazyEngine) prefetchDiffs(pf *prefetch) (fetchedDiffs, error) {
 	if len(pf.wants) == 0 {
 		return nil, nil
 	}
+	slices.SortStableFunc(pf.wants, func(a, b wire.Want) int { return cmp.Compare(a.Proc, b.Proc) })
 	pf.reqs = e.diffReqs(pf.reqs[:0], pf.wants)
 	pf.resps = slices.Grow(pf.resps[:0], len(pf.reqs))
 	var err error

@@ -39,7 +39,15 @@ const (
 // eager ones flush at releases, SC ships whole pages and transfers
 // ownership.
 type Stats struct {
+	// AccessMisses counts application accesses that found their page's
+	// copy invalid: one per fault, however many pages it brought current.
+	// PagesAggregated counts the other pages an LI fault brought current in
+	// the same round (its siblings, lazyEngine.fault). A lazy engine's
+	// acquire-time and GC-epoch revalidations are no faults and count in
+	// neither; ColdMisses counts every copy a miss found missing, a GC
+	// epoch's materialization of a homed page included.
 	AccessMisses     int64
+	PagesAggregated  int64
 	ColdMisses       int64
 	DiffsApplied     int64
 	DiffsFetched     int64
@@ -121,6 +129,7 @@ type Stats struct {
 // page transaction.
 type nodeStats struct {
 	accessMisses     atomic.Int64
+	pagesAggregated  atomic.Int64
 	coldMisses       atomic.Int64
 	diffsApplied     atomic.Int64
 	diffsFetched     atomic.Int64
@@ -162,6 +171,7 @@ func (s *nodeStats) countSent(k wire.Kind, bytes int) {
 func (s *nodeStats) snapshot() Stats {
 	st := Stats{
 		AccessMisses:     s.accessMisses.Load(),
+		PagesAggregated:  s.pagesAggregated.Load(),
 		ColdMisses:       s.coldMisses.Load(),
 		DiffsApplied:     s.diffsApplied.Load(),
 		DiffsFetched:     s.diffsFetched.Load(),
@@ -302,8 +312,13 @@ type Node struct {
 
 	// rpcHist, when metrics are configured, observes each rpc's
 	// wall-clock wait (seconds). Nil otherwise — the nil check is the
-	// entire hot-path cost.
-	rpcHist *obs.Histogram
+	// entire hot-path cost. missHist and missPages, configured with it,
+	// observe each application fault's service time (seconds) and the
+	// pages it brought current (observeMiss); their one check sits on the
+	// miss path, behind the hit check.
+	rpcHist   *obs.Histogram
+	missHist  *obs.Histogram
+	missPages *obs.Histogram
 
 	// queues feed the handler worker pool; closed (by the dispatch loop)
 	// on shutdown. closedCh unblocks local waiters — lock queues and

@@ -2,6 +2,7 @@ package dsm
 
 import (
 	"fmt"
+	"time"
 
 	"repro/internal/obs"
 	"repro/internal/page"
@@ -22,6 +23,21 @@ const trafficRingLen = 120
 // rpcBuckets lays out the rpc latency histogram: 50µs to ~6.5s.
 var rpcBuckets = obs.ExpBuckets(50e-6, 4, 9)
 
+// missBuckets lays out the fault latency histogram: 5µs (a miss served from
+// local state) to ~1.3s; missPageBuckets the pages per fault, 1 to 64.
+var (
+	missBuckets     = obs.ExpBuckets(5e-6, 4, 10)
+	missPageBuckets = obs.ExpBuckets(1, 2, 7)
+)
+
+// observeMiss records one application fault that began at start and
+// brought pages pages current. Call sites check n.missHist first: a fault
+// is only timed when the histograms exist.
+func (n *Node) observeMiss(start time.Time, pages int) {
+	n.missHist.Observe(time.Since(start).Seconds())
+	n.missPages.Observe(float64(pages))
+}
+
 // traceOn reports whether trace events are being recorded, for call
 // sites that would otherwise build an event argument for nothing.
 // Nil-safe for unit tests that build a bare Node without a System.
@@ -39,9 +55,9 @@ func (n *Node) emit(cat, name string, arg int64) {
 
 // registerMetrics publishes the system's live counters into r:
 // interconnect totals, per-node protocol counters, per-kind outbound
-// traffic, and an rpc latency histogram per node (the one series that
-// is observation-based rather than a callback; Node.rpc observes into
-// it only when it exists).
+// traffic, and per node the rpc latency and fault histograms (the series
+// that are observation-based rather than callbacks; rpcAll and the
+// engines' miss paths observe into them only when they exist).
 func (s *System) registerMetrics(r *obs.Registry) {
 	counter := func(name, help string, fn func() int64) {
 		r.CounterFunc(name, help, func() float64 { return float64(fn()) })
@@ -71,7 +87,8 @@ func (s *System) registerMetrics(r *obs.Registry) {
 		nodeCounter := func(fam, help string, fn func() int64) {
 			counter(fmt.Sprintf("%s{node=%q}", fam, node), help, fn)
 		}
-		nodeCounter("dsm_node_access_misses_total", "page access misses", n.stats.accessMisses.Load)
+		nodeCounter("dsm_node_access_misses_total", "application faults: accesses that found their page's copy invalid", n.stats.accessMisses.Load)
+		nodeCounter("dsm_node_pages_aggregated_total", "pages an LI fault brought current beside its own (siblings)", n.stats.pagesAggregated.Load)
 		nodeCounter("dsm_node_cold_misses_total", "cold (first-touch) misses", n.stats.coldMisses.Load)
 		nodeCounter("dsm_node_diffs_applied_total", "diffs applied to local copies", n.stats.diffsApplied.Load)
 		nodeCounter("dsm_node_diffs_fetched_total", "diffs fetched from creators", n.stats.diffsFetched.Load)
@@ -108,6 +125,10 @@ func (s *System) registerMetrics(r *obs.Registry) {
 		}
 		n.rpcHist = r.Histogram(fmt.Sprintf("dsm_node_rpc_seconds{node=%q}", node),
 			"rpc round-trip wait", rpcBuckets)
+		n.missHist = r.Histogram(fmt.Sprintf("dsm_node_miss_seconds{node=%q}", node),
+			"application fault service: cold fetch, diff round trip and apply", missBuckets)
+		n.missPages = r.Histogram(fmt.Sprintf("dsm_node_miss_pages{node=%q}", node),
+			"pages an application fault brought current", missPageBuckets)
 	}
 }
 

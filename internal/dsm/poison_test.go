@@ -62,7 +62,11 @@ func TestEarlyReleaseIsCaught(t *testing.T) {
 		// that its release poisons it here and now (the fetched frame's
 		// last release is the shard worker's, whenever it drains).
 		e := reader.e.(*lazyEngine)
-		pre, err := e.prefetchDiffs([]mem.PageID{pg}, new(prefetch))
+		pf := new(prefetch)
+		e.mu.Lock()
+		pf.wants, _ = e.pageWantsLocked(nil, pg, &pf.plan)
+		e.mu.Unlock()
+		pre, err := e.prefetchDiffs(pf)
 		if err != nil || len(pre) != 1 {
 			t.Fatalf("prefetch: %d responses for the page, err %v", len(pre), err)
 		}
@@ -83,7 +87,7 @@ func TestEarlyReleaseIsCaught(t *testing.T) {
 			held.release()
 			held = fetchedDiffs{{wants, &wire.Msg{Kind: wire.KDiffResp, Diffs: diffs}}}
 		}
-		err = e.serviceMiss(pg, held)
+		_, err = e.serviceMiss(pg, held)
 		if early {
 			if err == nil || !strings.Contains(err.Error(), "exceeds page size") {
 				t.Errorf("a miss over a diff applied after its response's release = %v, want Apply's refusal", err)

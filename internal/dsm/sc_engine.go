@@ -3,6 +3,7 @@ package dsm
 import (
 	"fmt"
 	"slices"
+	"time"
 
 	"repro/internal/mem"
 	"repro/internal/vc"
@@ -150,6 +151,10 @@ func (e *scEngine) access(miss *scMiss, kind wire.Kind) error {
 			pmu.Unlock()
 			return nil
 		}
+		var start time.Time
+		if n.missHist != nil {
+			start = time.Now()
+		}
 		n.stats.accessMisses.Add(1)
 		if e.pages[miss.pg] == nil {
 			n.stats.coldMisses.Add(1)
@@ -169,6 +174,9 @@ func (e *scEngine) access(miss *scMiss, kind wire.Kind) error {
 			return err
 		}
 		if done {
+			if n.missHist != nil {
+				n.observeMiss(start, 1)
+			}
 			return nil
 		}
 		// Unreachable with the current grants (every response installs a
