@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -19,7 +20,8 @@ import (
 // transport faults: benign perturbations (delay, duplication) must not
 // change the computed image, and fatal ones (fail-stop kill, partition)
 // must surface as descriptive errors within Config.RPCTimeout instead of
-// hanging the cluster.
+// hanging the cluster. Delay runs as a fault column of internal/workload's
+// differential matrix.
 
 // lockIncrementOutcome is one faulted lock-increment run: the joined
 // protocol/teardown error (nil for a clean run) and the recorded final
@@ -170,25 +172,7 @@ func TestKillMidCriticalSectionAllModes(t *testing.T) {
 			withWatchdog(t, rpcTimeout+30*time.Second, "kill run", func() {
 				out = runLockIncrement(procs, 1<<30, m, rpcTimeout, trs, victim)
 			})
-			err = out.all()
-			if err == nil {
-				t.Fatalf("killed peer produced no error: run and close both clean")
-			}
-			msg := err.Error()
-			if !strings.Contains(msg, "node") {
-				t.Errorf("error does not identify a node: %v", err)
-			}
-			descriptive := false
-			for _, kw := range []string{"timeout", "unreachable", "killed", "peer", "broken", "connection"} {
-				if strings.Contains(msg, kw) {
-					descriptive = true
-					break
-				}
-			}
-			if !descriptive {
-				t.Errorf("error does not describe the fault: %v", err)
-			}
-			t.Logf("mode %s surfaced: %v", m, firstLine(msg))
+			requireFaultError(t, m, out.all())
 		})
 	}
 }
@@ -344,29 +328,29 @@ func TestKillMidMigrationEpochAllModes(t *testing.T) {
 							t.Errorf("survivor holds a half-applied home table: %s", table)
 						}
 					}
-					err = out.all()
-					if err == nil {
-						t.Fatalf("killed peer produced no error: run and close both clean")
-					}
-					msg := err.Error()
-					if !strings.Contains(msg, "node") {
-						t.Errorf("error does not identify a node: %v", err)
-					}
-					descriptive := false
-					for _, kw := range []string{"timeout", "unreachable", "killed", "peer", "broken", "connection"} {
-						if strings.Contains(msg, kw) {
-							descriptive = true
-							break
-						}
-					}
-					if !descriptive {
-						t.Errorf("error does not describe the fault: %v", err)
-					}
-					t.Logf("mode %s surfaced: %v", m, firstLine(msg))
+					requireFaultError(t, m, out.all())
 				})
 			}
 		})
 	}
+}
+
+// requireFaultError fails unless a faulted run's error names a node and
+// describes the fault.
+func requireFaultError(t *testing.T, m repro.DSMMode, err error) {
+	t.Helper()
+	if err == nil {
+		t.Fatalf("killed peer produced no error: run and close both clean")
+	}
+	msg := err.Error()
+	if !strings.Contains(msg, "node") {
+		t.Errorf("error does not identify a node: %v", err)
+	}
+	if !slices.ContainsFunc([]string{"timeout", "unreachable", "killed", "peer", "broken", "connection"},
+		func(kw string) bool { return strings.Contains(msg, kw) }) {
+		t.Errorf("error does not describe the fault: %v", err)
+	}
+	t.Logf("mode %s surfaced: %v", m, firstLine(msg))
 }
 
 func firstLine(s string) string {
@@ -374,45 +358,6 @@ func firstLine(s string) string {
 		return s[:i] + " ..."
 	}
 	return s
-}
-
-// TestChaosDelayDifferential: delay and jitter reorder nothing (per-peer
-// FIFO is preserved) and lose nothing, so every protocol must compute
-// the identical image it computes on the pristine network.
-func TestChaosDelayDifferential(t *testing.T) {
-	const (
-		name  = "water"
-		procs = 4
-		scale = 0.05
-		seed  = int64(7)
-	)
-	ref, err := repro.ExecuteWorkload(name, procs, scale, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := repro.ParseFaultPlan("delay=100us,jitter=100us,seed=3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, m := range repro.DSMModes {
-		m := m
-		t.Run(m.String(), func(t *testing.T) {
-			t.Parallel()
-			tr := repro.WrapFaultTransport(repro.NewSimNetTransport(procs), plan)
-			res, err := repro.RunWorkloadOnRuntime(name, procs, scale, seed, repro.RuntimeConfig{
-				PageSize:   1024,
-				Mode:       m,
-				RPCTimeout: 2 * time.Minute,
-				Transports: []repro.Transport{tr},
-			})
-			if err != nil {
-				t.Fatalf("delay-only faults must not fail a run: %v", err)
-			}
-			if !bytes.Equal(res.Image, ref.Image) {
-				t.Fatalf("image diverges from reference under delay-only faults")
-			}
-		})
-	}
 }
 
 // TestChaosDropDupSafety characterizes lossy faults: dropped or

@@ -33,37 +33,6 @@ func TestRunDemoCounterOversubscribed(t *testing.T) {
 	}
 }
 
-// TestRunWorkloadTrafficTable: -app runs print the traffic table —
-// msgs, frames, batches, bytes per critical section.
-func TestRunWorkloadTrafficTable(t *testing.T) {
-	var out strings.Builder
-	if err := run([]string{"-app", "mp3d", "-procs", "4", "-scale", "0.05",
-		"-pagesize", "1024", "-mode", "LU"}, &out); err != nil {
-		t.Fatal(err)
-	}
-	got := out.String()
-	for _, want := range []string{"msgs", "frames", "batches", "wire bytes", "wireB/critsec", "runtime", "simulator"} {
-		if !strings.Contains(got, want) {
-			t.Errorf("traffic table missing %q:\n%s", want, got)
-		}
-	}
-}
-
-func TestRunWorkloadOversubscribed(t *testing.T) {
-	var out strings.Builder
-	err := run([]string{"-app", "mp3d", "-procs", "4", "-gpn", "4", "-scale", "0.05",
-		"-pagesize", "1024", "-mode", "EI"}, &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := out.String()
-	for _, want := range []string{"4 procs on 1 nodes", "matches sequential reference"} {
-		if !strings.Contains(got, want) {
-			t.Errorf("output missing %q:\n%s", want, got)
-		}
-	}
-}
-
 func TestGPNFlagErrors(t *testing.T) {
 	for _, args := range [][]string{
 		{"-demo", "counter", "-procs", "4", "-gpn", "3"},
@@ -88,56 +57,37 @@ func TestRunDemoQueueLU(t *testing.T) {
 	}
 }
 
+// TestRunWorkloadOnRuntime runs -app on the live runtime, one row per
+// flag it takes: every run must verify its image against the sequential
+// reference, never print DIVERGES, and print the row's lines — the
+// per-node counters, the -mode and -gpn shape, the traffic table of
+// msgs, frames, batches and bytes per critical section.
 func TestRunWorkloadOnRuntime(t *testing.T) {
-	var out strings.Builder
-	err := run([]string{"-app", "locusroute", "-procs", "4", "-scale", "0.05",
-		"-pagesize", "1024", "-mode", "LU"}, &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := out.String()
-	for _, want := range []string{
-		"== locusroute", "matches sequential reference",
-		"runtime", "simulator", "access misses",
+	for _, tc := range []struct {
+		args []string
+		want []string
+	}{
+		{[]string{"-app", "locusroute", "-mode", "LU"}, []string{"== locusroute", "runtime", "simulator", "access misses"}},
+		{[]string{"-app", "mp3d", "-mode", "LU"}, []string{"msgs", "frames", "batches", "wire bytes", "wireB/critsec", "runtime", "simulator"}},
+		{[]string{"-app", "mp3d", "-gc", "2"}, nil},
+		{[]string{"-app", "mp3d", "-mode", "SC"}, []string{"mode SC", "runtime", "simulator", "ownership moves"}},
+		{[]string{"-app", "mp3d", "-gpn", "4", "-mode", "EI"}, []string{"4 procs on 1 nodes"}},
 	} {
-		if !strings.Contains(got, want) {
-			t.Errorf("output missing %q:\n%s", want, got)
-		}
-	}
-	if strings.Contains(got, "DIVERGES") {
-		t.Errorf("image diverged:\n%s", got)
-	}
-}
-
-func TestRunWorkloadWithGC(t *testing.T) {
-	var out strings.Builder
-	err := run([]string{"-app", "mp3d", "-procs", "4", "-scale", "0.05",
-		"-pagesize", "1024", "-gc", "2"}, &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "matches sequential reference") {
-		t.Errorf("output:\n%s", out.String())
-	}
-}
-
-// TestRunWorkloadSC runs a workload live under the SC baseline and checks
-// that live interconnect totals are reported next to the simulator's.
-func TestRunWorkloadSC(t *testing.T) {
-	var out strings.Builder
-	err := run([]string{"-app", "mp3d", "-mode", "SC", "-procs", "4", "-scale", "0.05",
-		"-pagesize", "1024"}, &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := out.String()
-	for _, want := range []string{
-		"mode SC", "matches sequential reference",
-		"runtime", "simulator", "ownership moves",
-	} {
-		if !strings.Contains(got, want) {
-			t.Errorf("output missing %q:\n%s", want, got)
-		}
+		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {
+			var out strings.Builder
+			if err := run(append([]string{"-procs", "4", "-scale", "0.05", "-pagesize", "1024"}, tc.args...), &out); err != nil {
+				t.Fatal(err)
+			}
+			got := out.String()
+			if strings.Contains(got, "DIVERGES") {
+				t.Errorf("image diverged:\n%s", got)
+			}
+			for _, want := range append(tc.want, "matches sequential reference") {
+				if !strings.Contains(got, want) {
+					t.Errorf("output missing %q:\n%s", want, got)
+				}
+			}
+		})
 	}
 }
 

@@ -2,10 +2,10 @@ package dsm
 
 import (
 	"bytes"
-	"fmt"
 	"sync"
 	"testing"
 
+	"repro/internal/hb"
 	"repro/internal/mem"
 	"repro/internal/transport/tcp"
 )
@@ -13,8 +13,8 @@ import (
 // Concurrent-access torture tests for the sharded node core: N
 // application goroutines per node hammer disjoint and false-shared
 // pages under every protocol engine, over the in-process network and
-// over loopback TCP, and the final shared-memory images must be exactly
-// what the program's synchronization promises — run these under -race
+// over loopback TCP, and every read must return what the program's
+// synchronization promises (hb.Check) — run these under -race
 // to sweep the striped page state, the shard queues and the two-level
 // lock/barrier machinery.
 
@@ -78,7 +78,7 @@ func driveSlots(t *testing.T, systems []*System, gpn int, body func(n *Node, slo
 }
 
 // TestConcurrentDisjointPages: every goroutine owns a private page and
-// rewrites it each round; after each barrier every goroutine audits its
+// rewrites it each round; after each barrier every goroutine reads its
 // right neighbor's page. Independent pages must fault, install and diff
 // in parallel without bleeding into each other.
 func TestConcurrentDisjointPages(t *testing.T) {
@@ -88,12 +88,13 @@ func TestConcurrentDisjointPages(t *testing.T) {
 		s := newSysGPN(t, procs, gpn, mode)
 		slots := procs * gpn
 		pageSz := s.Layout().PageSize()
-		pattern := func(slot, round int) byte { return byte(slot*31 + round*7 + 1) }
-		driveSlots(t, []*System{s}, gpn, func(n *Node, slot int) error {
+		logs := hb.NewLogs(slots)
+		driveSlots(t, []*System{s}, gpn, func(node *Node, slot int) error {
+			n := recNode{node, logs[slot]}
 			buf := make([]byte, pageSz)
 			for k := 0; k < iters; k++ {
 				for i := range buf {
-					buf[i] = pattern(slot, k)
+					buf[i] = byte(slot*31 + k*7 + 1)
 				}
 				if err := n.Write(mem.Addr(slot*pageSz), buf); err != nil {
 					return err
@@ -101,15 +102,8 @@ func TestConcurrentDisjointPages(t *testing.T) {
 				if err := n.Barrier(0); err != nil {
 					return err
 				}
-				nb := (slot + 1) % slots
-				if err := n.Read(buf, mem.Addr(nb*pageSz)); err != nil {
+				if err := n.Read(buf, mem.Addr((slot+1)%slots*pageSz)); err != nil {
 					return err
-				}
-				for i, b := range buf {
-					if b != pattern(nb, k) {
-						return fmt.Errorf("%s: slot %d round %d: neighbor %d byte %d = %#x, want %#x",
-							mode, slot, k, nb, i, b, pattern(nb, k))
-					}
 				}
 				if err := n.Barrier(1); err != nil {
 					return err
@@ -117,6 +111,7 @@ func TestConcurrentDisjointPages(t *testing.T) {
 			}
 			return nil
 		})
+		checkHistory(t, logs, hb.RaceFree)
 	})
 }
 
@@ -124,14 +119,16 @@ func TestConcurrentDisjointPages(t *testing.T) {
 // of a single shared page and bumps it each round — the multiple-writer
 // protocols must merge the concurrent same-page writes (twins + diffs),
 // SC must serialize them — and after each barrier every goroutine
-// audits the whole word array.
+// reads the whole word array.
 func TestConcurrentFalseSharedPage(t *testing.T) {
 	const procs, gpn = 4, 4
 	iters := tortureParams(t)
 	allModes(t, func(t *testing.T, mode Mode) {
 		s := newSysGPN(t, procs, gpn, mode)
 		slots := procs * gpn
-		driveSlots(t, []*System{s}, gpn, func(n *Node, slot int) error {
+		logs := hb.NewLogs(slots)
+		driveSlots(t, []*System{s}, gpn, func(node *Node, slot int) error {
+			n := recNode{node, logs[slot]}
 			for k := 0; k < iters; k++ {
 				if err := n.WriteUint64(mem.Addr(slot*8), uint64(slot+1)*uint64(k+1)); err != nil {
 					return err
@@ -140,13 +137,8 @@ func TestConcurrentFalseSharedPage(t *testing.T) {
 					return err
 				}
 				for sl := 0; sl < slots; sl++ {
-					v, err := n.ReadUint64(mem.Addr(sl * 8))
-					if err != nil {
+					if _, err := n.ReadUint64(mem.Addr(sl * 8)); err != nil {
 						return err
-					}
-					if want := uint64(sl+1) * uint64(k+1); v != want {
-						return fmt.Errorf("%s: slot %d round %d: word %d = %d, want %d",
-							mode, slot, k, sl, v, want)
 					}
 				}
 				if err := n.Barrier(1); err != nil {
@@ -155,13 +147,15 @@ func TestConcurrentFalseSharedPage(t *testing.T) {
 			}
 			return nil
 		})
+		checkHistory(t, logs, hb.RaceFree)
 	})
 }
 
 // TestConcurrentLockedCounters: all goroutines of all nodes hammer a
 // shared counter under one lock (pure migratory data, local handoffs
 // interleaved with remote transfers) while also bumping a false-shared
-// per-slot tally under a second lock; both must come out exact.
+// per-slot tally under a second lock; both must come out exact, which
+// slot 0's reads past the last barrier check.
 func TestConcurrentLockedCounters(t *testing.T) {
 	const procs, gpn = 4, 4
 	iters := tortureParams(t)
@@ -169,7 +163,9 @@ func TestConcurrentLockedCounters(t *testing.T) {
 		s := newSysGPN(t, procs, gpn, mode)
 		slots := procs * gpn
 		const counterAddr, tallyBase = 0, 4096
-		driveSlots(t, []*System{s}, gpn, func(n *Node, slot int) error {
+		logs := hb.NewLogs(slots)
+		driveSlots(t, []*System{s}, gpn, func(node *Node, slot int) error {
+			n := recNode{node, logs[slot]}
 			for k := 0; k < iters; k++ {
 				if err := n.Acquire(0); err != nil {
 					return err
@@ -200,39 +196,31 @@ func TestConcurrentLockedCounters(t *testing.T) {
 			}
 			return n.Barrier(0)
 		})
-		n0 := s.Node(0)
-		v, err := n0.ReadUint64(counterAddr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := uint64(slots * iters); v != want {
-			t.Fatalf("%s: counter = %d, want %d", mode, v, want)
-		}
+		n0 := recNode{s.Node(0), logs[0]}
+		_, err := n0.ReadUint64(counterAddr)
+		must(t, err)
 		for sl := 0; sl < slots; sl++ {
-			v, err := n0.ReadUint64(mem.Addr(tallyBase + sl*8))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want := uint64(2 * iters); v != want {
-				t.Fatalf("%s: tally %d = %d, want %d", mode, sl, v, want)
-			}
+			_, err := n0.ReadUint64(mem.Addr(tallyBase + sl*8))
+			must(t, err)
 		}
+		checkHistory(t, logs, hb.RaceFree)
 	})
 }
 
 // TestConcurrentImageIdentical: the disjoint + false-shared mix, ending
-// with a full-space read-out on node 0 that must be byte-identical to
-// the locally computed expectation under every mode — the dsm-level
-// analogue of the workload differential harness.
+// with a full-space read-out on node 0 — checked as slot 0's read past
+// the last barrier — that must also be byte-identical across modes: the
+// dsm-level analogue of the workload differential matrix.
 func TestConcurrentImageIdentical(t *testing.T) {
 	const procs, gpn = 4, 2
 	iters := tortureParams(t)
 	var images [][]byte
 	allModes(t, func(t *testing.T, mode Mode) {
 		s := newSysGPN(t, procs, gpn, mode)
-		slots := procs * gpn
 		pageSz := s.Layout().PageSize()
-		driveSlots(t, []*System{s}, gpn, func(n *Node, slot int) error {
+		logs := hb.NewLogs(procs * gpn)
+		driveSlots(t, []*System{s}, gpn, func(node *Node, slot int) error {
+			n := recNode{node, logs[slot]}
 			for k := 0; k < iters; k++ {
 				// Private page, then a false-shared word on page 0.
 				row := make([]byte, 64)
@@ -252,22 +240,8 @@ func TestConcurrentImageIdentical(t *testing.T) {
 			return nil
 		})
 		img := make([]byte, s.Layout().SpaceSize())
-		if err := s.Node(0).Read(img, 0); err != nil {
-			t.Fatal(err)
-		}
-		want := make([]byte, len(img))
-		for slot := 0; slot < slots; slot++ {
-			for i := 0; i < 64; i++ {
-				want[(1+slot)*pageSz+i] = byte(slot ^ (iters - 1 + i))
-			}
-			v := uint64(slot)<<8 | uint64(iters-1)
-			for i := 0; i < 8; i++ {
-				want[slot*8+i] = byte(v >> (8 * i))
-			}
-		}
-		if !bytes.Equal(img, want) {
-			t.Fatalf("%s: final image diverges from expectation", mode)
-		}
+		must(t, recNode{s.Node(0), logs[0]}.Read(img, 0))
+		checkHistory(t, logs, hb.RaceFree)
 		images = append(images, img)
 	})
 	for i := 1; i < len(images); i++ {
@@ -299,37 +273,6 @@ func TestConcurrentOverTCP(t *testing.T) {
 			}
 			defer systems[i].Close()
 		}
-		slots := procs * gpn
-		driveSlots(t, systems, gpn, func(n *Node, slot int) error {
-			for k := 0; k < iters; k++ {
-				if err := n.Acquire(0); err != nil {
-					return err
-				}
-				v, err := n.ReadUint64(0)
-				if err != nil {
-					return err
-				}
-				if err := n.WriteUint64(0, v+1); err != nil {
-					return err
-				}
-				if err := n.Release(0); err != nil {
-					return err
-				}
-			}
-			if err := n.Barrier(0); err != nil {
-				return err
-			}
-			if slot == 0 {
-				v, err := n.ReadUint64(0)
-				if err != nil {
-					return err
-				}
-				if want := uint64(slots * iters); v != want {
-					return fmt.Errorf("%s over tcp: counter = %d, want %d", mode, v, want)
-				}
-			}
-			// Hold every process alive until the audit read was served.
-			return n.Barrier(1)
-		})
+		countUnderLock(t, systems, gpn, 0, 0, iters)
 	})
 }

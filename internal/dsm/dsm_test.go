@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/hb"
 	"repro/internal/mem"
 	"repro/internal/wire"
 )
@@ -129,42 +130,24 @@ func must(t *testing.T, err error) {
 func TestBarrierPropagatesWrites(t *testing.T) {
 	allModes(t, func(t *testing.T, mode Mode) {
 		s := newSys(t, 4, mode)
-		var wg sync.WaitGroup
-		errs := make([]error, 4)
-		for i := 0; i < 4; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				n := s.Node(i)
-				// Everyone writes its slot, synchronizes, then checks all.
-				if err := n.WriteUint64(mem.Addr(i*2048), uint64(100+i)); err != nil {
-					errs[i] = err
-					return
-				}
-				if err := n.Barrier(0); err != nil {
-					errs[i] = err
-					return
-				}
-				for k := 0; k < 4; k++ {
-					v, err := n.ReadUint64(mem.Addr(k * 2048))
-					if err != nil {
-						errs[i] = err
-						return
-					}
-					if v != uint64(100+k) {
-						errs[i] = fmt.Errorf("node %d read slot %d = %d, want %d", i, k, v, 100+k)
-						return
-					}
-				}
-				errs[i] = n.Barrier(0)
-			}(i)
-		}
-		wg.Wait()
-		for i, err := range errs {
-			if err != nil {
-				t.Errorf("node %d: %v", i, err)
+		logs := hb.NewLogs(4)
+		// Everyone writes its slot, synchronizes, then reads all.
+		driveSlots(t, []*System{s}, 1, func(node *Node, i int) error {
+			n := recNode{node, logs[i]}
+			if err := n.WriteUint64(mem.Addr(i*2048), uint64(100+i)); err != nil {
+				return err
 			}
-		}
+			if err := n.Barrier(0); err != nil {
+				return err
+			}
+			for k := 0; k < 4; k++ {
+				if _, err := n.ReadUint64(mem.Addr(k * 2048)); err != nil {
+					return err
+				}
+			}
+			return n.Barrier(0)
+		})
+		checkHistory(t, logs, hb.RaceFree)
 	})
 }
 
@@ -174,93 +157,33 @@ func TestMultipleWritersFalseSharing(t *testing.T) {
 	// merge).
 	allModes(t, func(t *testing.T, mode Mode) {
 		s := newSys(t, 2, mode)
-		var wg sync.WaitGroup
-		errs := make([]error, 2)
-		for i := 0; i < 2; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				n := s.Node(i)
-				if err := n.WriteUint64(mem.Addr(i*512), uint64(i+1)); err != nil {
-					errs[i] = err
-					return
-				}
-				if err := n.Barrier(0); err != nil {
-					errs[i] = err
-					return
-				}
-				a, err := n.ReadUint64(0)
-				if err != nil {
-					errs[i] = err
-					return
-				}
-				b, err := n.ReadUint64(512)
-				if err != nil {
-					errs[i] = err
-					return
-				}
-				if a != 1 || b != 2 {
-					errs[i] = fmt.Errorf("node %d sees %d,%d, want 1,2", i, a, b)
-				}
-			}(i)
-		}
-		wg.Wait()
-		for i, err := range errs {
-			if err != nil {
-				t.Errorf("node %d: %v", i, err)
+		logs := hb.NewLogs(2)
+		driveSlots(t, []*System{s}, 1, func(node *Node, i int) error {
+			n := recNode{node, logs[i]}
+			if err := n.WriteUint64(mem.Addr(i*512), uint64(i+1)); err != nil {
+				return err
 			}
-		}
+			if err := n.Barrier(0); err != nil {
+				return err
+			}
+			for _, a := range []mem.Addr{0, 512} {
+				if _, err := n.ReadUint64(a); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		checkHistory(t, logs, hb.RaceFree)
 	})
 }
 
 func TestMigratoryCounter(t *testing.T) {
 	// The paper's Figure 3/4 pattern: every node repeatedly locks,
-	// increments a shared counter, unlocks. The final value proves every
-	// increment saw its predecessor.
+	// increments a shared counter, unlocks; every increment must see its
+	// predecessor.
 	allModes(t, func(t *testing.T, mode Mode) {
-		const procs, iters = 8, 25
-		s := newSys(t, procs, mode)
-		var wg sync.WaitGroup
-		errs := make([]error, procs)
-		for i := 0; i < procs; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				n := s.Node(i)
-				for k := 0; k < iters; k++ {
-					if err := n.Acquire(3); err != nil {
-						errs[i] = err
-						return
-					}
-					v, err := n.ReadUint64(4096)
-					if err != nil {
-						errs[i] = err
-						return
-					}
-					if err := n.WriteUint64(4096, v+1); err != nil {
-						errs[i] = err
-						return
-					}
-					if err := n.Release(3); err != nil {
-						errs[i] = err
-						return
-					}
-				}
-			}(i)
-		}
-		wg.Wait()
-		for i, err := range errs {
-			if err != nil {
-				t.Fatalf("node %d: %v", i, err)
-			}
-		}
-		must(t, s.Node(0).Acquire(3))
-		v, err := s.Node(0).ReadUint64(4096)
-		must(t, err)
-		if v != procs*iters {
-			t.Fatalf("counter = %d, want %d", v, procs*iters)
-		}
-		must(t, s.Node(0).Release(3))
+		s := newSys(t, 8, mode)
+		countUnderLock(t, []*System{s}, 1, 3, 4096, 25)
 		if s.NetStats().Messages == 0 {
 			t.Error("no messages counted on the interconnect")
 		}
@@ -415,50 +338,7 @@ func TestLockContentionQueues(t *testing.T) {
 	// Many nodes race for one lock simultaneously; every critical section
 	// must be atomic.
 	allModes(t, func(t *testing.T, mode Mode) {
-		const procs, iters = 6, 10
-		s := newSys(t, procs, mode)
-		var wg sync.WaitGroup
-		errs := make([]error, procs)
-		for i := 0; i < procs; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				n := s.Node(i)
-				for k := 0; k < iters; k++ {
-					if err := n.Acquire(5); err != nil {
-						errs[i] = err
-						return
-					}
-					v, err := n.ReadUint64(0)
-					if err != nil {
-						errs[i] = err
-						return
-					}
-					if err := n.WriteUint64(0, v+1); err != nil {
-						errs[i] = err
-						return
-					}
-					if err := n.Release(5); err != nil {
-						errs[i] = err
-						return
-					}
-				}
-			}(i)
-		}
-		wg.Wait()
-		for i, err := range errs {
-			if err != nil {
-				t.Fatalf("node %d: %v", i, err)
-			}
-		}
-		n := s.Node(procs - 1)
-		must(t, n.Acquire(5))
-		v, err := n.ReadUint64(0)
-		must(t, err)
-		if v != procs*iters {
-			t.Fatalf("counter = %d, want %d", v, procs*iters)
-		}
-		must(t, n.Release(5))
+		countUnderLock(t, []*System{newSys(t, 6, mode)}, 1, 5, 0, 10)
 	})
 }
 

@@ -3,11 +3,11 @@ package dsm
 import (
 	"encoding/binary"
 	"math/rand"
-	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/framebuf"
+	"repro/internal/hb"
 	"repro/internal/mem"
 	"repro/internal/wire"
 )
@@ -21,29 +21,23 @@ import (
 // other local goroutines are mid-critical-section; every word must
 // still count exactly.
 //
-// The oracle is a shadow of each word kept beside the DSM (the DSM lock
-// serializes its holders; the mutex is for the race detector), compared
-// at every read inside the critical section. A lost update therefore
-// shows up as the first stale read right after the hand-off that lost
-// it, named with the reader and the last writer — which is how ROADMAP
-// item 1 (a twin made under the stripe, its page registered dirty after
-// it) was told apart from a missing notice or a wrong diff. A final
-// delta cannot do that.
+// Every goroutine records its history and hb.Check judges it: a read of a
+// word must return what the lock's previous holder wrote, so a lost
+// update shows up as the first stale read after the hand-off that lost
+// it, with the reader's and the writer's hb1 clocks — which is how a twin
+// made under the stripe, its page registered dirty after it, was told
+// apart from a missing notice or a wrong diff. A final delta cannot do
+// that. Every word is read and written only under its lock, so the
+// history is race-free.
 func TestLostUpdateRepro(t *testing.T) {
 	const procs, gpn, locks = 2, 4, 4
 	rounds := 3
 	iters := tortureParams(t)
-	type shadow struct {
-		mu                sync.Mutex
-		val               uint64
-		slot, round, iter int // the last writer's
-		node              mem.ProcID
-	}
 	allModes(t, func(t *testing.T, mode Mode) {
 		s := newSysGPN(t, procs, gpn, mode)
-		var shadows [locks]shadow
-		var stale sync.Once
-		driveSlots(t, []*System{s}, gpn, func(n *Node, slot int) error {
+		logs := hb.NewLogs(procs * gpn)
+		driveSlots(t, []*System{s}, gpn, func(node *Node, slot int) error {
+			n := recNode{node, logs[slot]}
 			rng := rand.New(rand.NewSource(int64(slot)*7919 + 17))
 			for r := 0; r < rounds; r++ {
 				for k := 0; k < iters; k++ {
@@ -55,20 +49,6 @@ func TestLostUpdateRepro(t *testing.T) {
 					if err != nil {
 						return err
 					}
-					sh := &shadows[l]
-					sh.mu.Lock()
-					if v != sh.val {
-						stale.Do(func() {
-							t.Errorf("%s: first stale read: slot %d (node %d) round %d iter %d holds lock %d and reads %d, "+
-								"but slot %d (node %d) wrote %d in round %d iter %d and released",
-								mode, slot, n.ID(), r, k, l, v, sh.slot, sh.node, sh.val, sh.round, sh.iter)
-						})
-						// Carry on from the true value: later reads are then
-						// judged on their own hand-off, and the run ends.
-						v = sh.val
-					}
-					sh.val, sh.slot, sh.node, sh.round, sh.iter = v+1, slot, n.ID(), r, k
-					sh.mu.Unlock()
 					if err := n.WriteUint64(mem.Addr(int(l)*8), v+1); err != nil {
 						return err
 					}
@@ -82,16 +62,15 @@ func TestLostUpdateRepro(t *testing.T) {
 			}
 			return nil
 		})
-		n0 := s.Node(0)
-		for l := range shadows {
-			v, err := n0.ReadUint64(mem.Addr(l * 8))
-			if err != nil {
+		// Slot 0 lives on node 0 and has passed the last barrier: its
+		// reads of the words now follow every increment in hb1.
+		n0 := recNode{s.Node(0), logs[0]}
+		for l := 0; l < locks; l++ {
+			if _, err := n0.ReadUint64(mem.Addr(l * 8)); err != nil {
 				t.Fatal(err)
 			}
-			if want := shadows[l].val; v != want {
-				t.Errorf("%s: after the last barrier counter %d = %d, want %d", mode, l, v, want)
-			}
 		}
+		checkHistory(t, logs, hb.RaceFree)
 	})
 }
 

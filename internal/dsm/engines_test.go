@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/hb"
 	"repro/internal/mem"
 )
 
@@ -84,52 +85,10 @@ func TestLockChainContention(t *testing.T) {
 			}
 		}()
 		const l = mem.LockID(7)
-		var wg sync.WaitGroup
-		errs := make([]error, procs)
-		for i := 0; i < procs; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				n := s.Node(i)
-				for k := 0; k < iters; k++ {
-					if err := n.Acquire(l); err != nil {
-						errs[i] = err
-						return
-					}
-					v, err := n.ReadUint64(0)
-					if err != nil {
-						errs[i] = err
-						return
-					}
-					if err := n.WriteUint64(0, v+1); err != nil {
-						errs[i] = err
-						return
-					}
-					if err := n.Release(l); err != nil {
-						errs[i] = err
-						return
-					}
-				}
-			}(i)
-		}
-		wg.Wait()
-		for i, err := range errs {
-			if err != nil {
-				t.Fatalf("node %d: %v", i, err)
-			}
-		}
-
-		// The storm is over: whoever held the lock last reacquires it
-		// locally (the `cached` path) — no lock messages may travel.
-		// Find the last holder by acquiring once from node 0 first.
+		countUnderLock(t, []*System{s}, 1, l, 0, iters)
+		// The storm is over and node 0 took the lock last: it reacquires
+		// it locally (the `cached` path) — no lock messages may travel.
 		n := s.Node(0)
-		must(t, n.Acquire(l))
-		v, err := n.ReadUint64(0)
-		must(t, err)
-		if v != procs*iters {
-			t.Fatalf("counter = %d, want %d (lost a critical section in the chain)", v, procs*iters)
-		}
-		must(t, n.Release(l))
 		before := s.NetStats().Messages
 		must(t, n.Acquire(l))
 		must(t, n.Release(l))
@@ -267,50 +226,33 @@ func TestFalseSharingLockedCounters(t *testing.T) {
 				t.Errorf("Close: %v", err)
 			}
 		}()
-		var wg sync.WaitGroup
-		errs := make([]error, procs)
-		for i := 0; i < procs; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				n := s.Node(i)
-				for k := 0; k < iters; k++ {
-					c := (i + k) % counters
-					if err := n.Acquire(mem.LockID(c)); err != nil {
-						errs[i] = err
-						return
-					}
-					v, err := n.ReadUint64(mem.Addr(c * 512))
-					if err != nil {
-						errs[i] = err
-						return
-					}
-					if err := n.WriteUint64(mem.Addr(c*512), v+1); err != nil {
-						errs[i] = err
-						return
-					}
-					if err := n.Release(mem.LockID(c)); err != nil {
-						errs[i] = err
-						return
-					}
+		logs := hb.NewLogs(procs)
+		driveSlots(t, []*System{s}, 1, func(node *Node, i int) error {
+			n := recNode{node, logs[i]}
+			for k := 0; k < iters; k++ {
+				c := (i + k) % counters
+				if err := n.Acquire(mem.LockID(c)); err != nil {
+					return err
 				}
-				errs[i] = n.Barrier(0)
-			}(i)
-		}
-		wg.Wait()
-		for i, err := range errs {
-			if err != nil {
-				t.Fatalf("node %d: %v", i, err)
+				v, err := n.ReadUint64(mem.Addr(c * 512))
+				if err != nil {
+					return err
+				}
+				if err := n.WriteUint64(mem.Addr(c*512), v+1); err != nil {
+					return err
+				}
+				if err := n.Release(mem.LockID(c)); err != nil {
+					return err
+				}
 			}
-		}
-		n := s.Node(0)
+			return n.Barrier(0)
+		})
+		n := recNode{s.Node(0), logs[0]}
 		for c := 0; c < counters; c++ {
-			v, err := n.ReadUint64(mem.Addr(c * 512))
+			_, err := n.ReadUint64(mem.Addr(c * 512))
 			must(t, err)
-			if v != uint64(procs*iters/counters) {
-				t.Errorf("counter %d = %d, want %d", c, v, procs*iters/counters)
-			}
 		}
+		checkHistory(t, logs, hb.RaceFree)
 	})
 }
 

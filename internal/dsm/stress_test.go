@@ -5,14 +5,18 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/hb"
 	"repro/internal/mem"
 )
 
 // TestRandomizedStress runs every node through a random mix of
 // lock-protected shared-counter updates, owner-private writes, barrier
-// rounds and cross-node reads, then checks every verifiable quantity:
-// counter totals, each node's private region, and the interconnect's
-// accounting.
+// rounds and cross-node reads, and hb.Check judges every read. A
+// cross-node read races with the owner's writes of the current round, so
+// it may return the previous round's value or the concurrent write; each
+// round writes distinct values (i*1000+round*16+slot), so one two rounds
+// old fails. The counters are read under their locks, so each read must
+// return the last increment.
 func TestRandomizedStress(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress test in -short mode")
@@ -35,16 +39,15 @@ func TestRandomizedStress(t *testing.T) {
 		counterAddr := func(k int) mem.Addr { return mem.Addr(k * 1024) }
 		privAddr := func(i, slot int) mem.Addr { return mem.Addr(64*1024 + i*4096 + slot*8) }
 
-		incs := make([][]int, procs) // per node, per counter
+		logs := hb.NewLogs(procs)
 		var wg sync.WaitGroup
 		errs := make([]error, procs)
 		for i := 0; i < procs; i++ {
-			incs[i] = make([]int, counters)
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
 				rng := rand.New(rand.NewSource(int64(i) + 100))
-				n := s.Node(i)
+				n := recNode{s.Node(i), logs[i]}
 				for round := 0; round < rounds; round++ {
 					for op := 0; op < 10; op++ {
 						switch rng.Intn(3) {
@@ -67,7 +70,6 @@ func TestRandomizedStress(t *testing.T) {
 								errs[i] = err
 								return
 							}
-							incs[i][k]++
 						case 1: // private write
 							slot := rng.Intn(16)
 							if err := n.WriteUint64(privAddr(i, slot), uint64(i*1000+round*16+slot)); err != nil {
@@ -96,30 +98,26 @@ func TestRandomizedStress(t *testing.T) {
 			}
 		}
 
-		// Verify counters.
-		n := s.Node(0)
+		// Node 0, past the last barrier, reads each counter under its lock.
+		n := recNode{s.Node(0), logs[0]}
 		for k := 0; k < counters; k++ {
-			want := uint64(0)
-			for i := 0; i < procs; i++ {
-				want += uint64(incs[i][k])
-			}
 			must(t, n.Acquire(mem.LockID(k)))
-			got, err := n.ReadUint64(counterAddr(k))
+			_, err := n.ReadUint64(counterAddr(k))
 			must(t, err)
 			must(t, n.Release(mem.LockID(k)))
-			if got != want {
-				t.Errorf("counter %d = %d, want %d", k, got, want)
-			}
 		}
+		st := checkHistory(t, logs, hb.AllowRaces)
+		t.Logf("%d reads checked, %d racy", st.Reads, st.Races)
 		if s.NetStats().Messages == 0 {
 			t.Error("stress run produced no interconnect traffic")
 		}
 	})
 }
 
-// TestSequentialConsistencyForProperlyLabeled replays the same properly-
-// labeled program on the live DSM and on a plain sequential in-memory
-// model; per Gharachorloo et al. (paper §2), results must coincide.
+// TestSequentialConsistencyForProperlyLabeled: per Gharachorloo et al.
+// (paper §2), a properly-labeled program observes what a sequential
+// memory would show it — which, for a race-free history, is exactly
+// every read returning its hb1-maximal write.
 func TestSequentialConsistencyForProperlyLabeled(t *testing.T) {
 	allModes(t, func(t *testing.T, mode Mode) {
 		const procs = 4
@@ -127,66 +125,45 @@ func TestSequentialConsistencyForProperlyLabeled(t *testing.T) {
 
 		// The program: round-robin token passing through locks; each node
 		// appends its id to a shared log at the cursor, all protected by
-		// one lock. The final log must equal the sequential order of
-		// acquisitions, which the counter makes verifiable.
+		// one lock. Every observer then reads the whole log under the
+		// lock: a lost or torn append is a stale read.
 		total := 24
-		var wg sync.WaitGroup
-		errs := make([]error, procs)
-		for i := 0; i < procs; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				n := s.Node(i)
-				for {
-					if err := n.Acquire(0); err != nil {
-						errs[i] = err
-						return
-					}
-					cur, err := n.ReadUint64(0)
-					if err != nil {
-						errs[i] = err
-						return
-					}
-					if cur >= uint64(total) {
-						errs[i] = n.Release(0)
-						return
-					}
-					// Append our id at the cursor and advance.
-					if err := n.WriteUint64(mem.Addr(8+8*cur), uint64(i)+1); err != nil {
-						errs[i] = err
-						return
-					}
-					if err := n.WriteUint64(0, cur+1); err != nil {
-						errs[i] = err
-						return
-					}
-					if err := n.Release(0); err != nil {
-						errs[i] = err
-						return
-					}
+		logs := hb.NewLogs(procs)
+		driveSlots(t, []*System{s}, 1, func(node *Node, i int) error {
+			n := recNode{node, logs[i]}
+			for {
+				if err := n.Acquire(0); err != nil {
+					return err
 				}
-			}(i)
-		}
-		wg.Wait()
-		for i, err := range errs {
-			if err != nil {
-				t.Fatalf("node %d: %v", i, err)
+				cur, err := n.ReadUint64(0)
+				if err != nil {
+					return err
+				}
+				if cur >= uint64(total) {
+					return n.Release(0)
+				}
+				// Append our id at the cursor and advance.
+				if err := n.WriteUint64(mem.Addr(8+8*cur), uint64(i)+1); err != nil {
+					return err
+				}
+				if err := n.WriteUint64(0, cur+1); err != nil {
+					return err
+				}
+				if err := n.Release(0); err != nil {
+					return err
+				}
 			}
-		}
-		// Every slot must hold exactly one node id (no lost or torn
-		// appends), observed identically from every node.
+		})
 		for obs := 0; obs < procs; obs++ {
-			n := s.Node(obs)
+			n := recNode{s.Node(obs), logs[obs]}
 			must(t, n.Acquire(0))
 			for k := 0; k < total; k++ {
-				v, err := n.ReadUint64(mem.Addr(8 + 8*k))
+				_, err := n.ReadUint64(mem.Addr(8 + 8*k))
 				must(t, err)
-				if v < 1 || v > procs {
-					t.Fatalf("observer %d: slot %d = %d, want a node id in [1,%d]", obs, k, v, procs)
-				}
 			}
 			must(t, n.Release(0))
 		}
+		checkHistory(t, logs, hb.RaceFree)
 	})
 }
 

@@ -3,7 +3,6 @@ package dsm
 import (
 	"errors"
 	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/simnet"
@@ -126,47 +125,7 @@ func TestCounterOverTCPCluster(t *testing.T) {
 			}
 		}()
 
-		var wg sync.WaitGroup
-		errs := make([]error, procs)
-		for i := 0; i < procs; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				n := systems[i].Node(i)
-				for k := 0; k < iters; k++ {
-					if errs[i] = n.Acquire(0); errs[i] != nil {
-						return
-					}
-					v, err := n.ReadUint64(0)
-					if err != nil {
-						errs[i] = err
-						return
-					}
-					if errs[i] = n.WriteUint64(0, v+1); errs[i] != nil {
-						return
-					}
-					if errs[i] = n.Release(0); errs[i] != nil {
-						return
-					}
-				}
-				errs[i] = n.Barrier(0)
-			}(i)
-		}
-		wg.Wait()
-		for i, err := range errs {
-			if err != nil {
-				t.Fatalf("node %d: %v", i, err)
-			}
-		}
-
-		n := systems[0].Node(0)
-		must(t, n.Acquire(0))
-		v, err := n.ReadUint64(0)
-		must(t, err)
-		must(t, n.Release(0))
-		if v != procs*iters {
-			t.Fatalf("counter = %d, want %d", v, procs*iters)
-		}
+		countUnderLock(t, systems, 1, 0, 0, iters)
 		// Real traffic crossed the sockets (loopback sends are free, and
 		// the nodes live in different systems).
 		var total int64

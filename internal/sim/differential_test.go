@@ -173,12 +173,14 @@ func TestReplayImageMatchesWorkloadTraces(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, protoName := range AllProtocolNames {
-			img, err := ReplayImage(ref.Trace, protoName, 1024, proto.Options{}, false)
-			if err != nil {
-				t.Fatalf("%s/%s: %v", name, protoName, err)
-			}
-			if !bytes.Equal(img, ref.Image) {
-				t.Errorf("%s/%s: image diverges from reference", name, protoName)
+			for _, ps := range []int{512, 1024} {
+				img, err := ReplayImage(ref.Trace, protoName, ps, proto.Options{}, false)
+				if err != nil {
+					t.Fatalf("%s/%s/%d: %v", name, protoName, ps, err)
+				}
+				if !bytes.Equal(img, ref.Image) {
+					t.Errorf("%s/%s/%d: image diverges from reference", name, protoName, ps)
+				}
 			}
 		}
 	}
