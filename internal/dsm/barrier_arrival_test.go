@@ -3,23 +3,21 @@ package dsm
 import (
 	"fmt"
 	"reflect"
-	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/core"
-	"repro/internal/framebuf"
 	"repro/internal/mem"
 	"repro/internal/vc"
 	"repro/internal/wire"
 )
 
 // Barrier arrivals carry the arriver's own intervals only. These tests
-// pin the three properties that rests on: the master still ends up with
-// the union and hands every node the whole log; an arrival naming another
-// processor's interval is a forgery; and no grant ever exports a log that
-// is not closed under happened-before.
+// pin two of the three properties that rests on: the master still ends up
+// with the union and hands every node the whole log, and no grant ever
+// exports a log that is not closed under happened-before. The third, that
+// an arrival naming another processor's interval is a forgery, is a row of
+// the hostile-peer table (TestForgedArrivalIntervalsRecordedNotAbsorbedRepro).
 
 // lazyOf returns node n's engine, an LI or LU one.
 func lazyOf(n *Node) *lazyEngine { return n.e.(*lazyEngine) }
@@ -181,40 +179,6 @@ func TestOwnOnlyArrivalsDeliverTheWholeLogRepro(t *testing.T) {
 	})
 }
 
-// TestForgedArrivalIntervalsRecordedNotAbsorbedRepro: only its creator ships
-// an interval, so an arrival naming another processor's is recorded and
-// that record dropped — the master's view of that processor must not
-// come from a third party — while the arriver's own record still lands.
-func TestForgedArrivalIntervalsRecordedNotAbsorbedRepro(t *testing.T) {
-	s, peer := puppetCluster(t, 1, Config{SpaceSize: 8192, PageSize: 1024, Mode: LazyInvalidate})
-	n := s.Node(0)
-	barErr := make(chan error, 1)
-	go func() { barErr <- n.Barrier(0) }()
-
-	arrive := &wire.Msg{Kind: wire.KBarrierArrive, Seq: 5, A: 0, B: 1, Sections: []wire.Section{{
-		Mode: uint16(LazyInvalidate), VC: vc.VC{0, 0},
-		Intervals: []wire.IntervalRec{
-			{Proc: 0, Index: 0, VC: vc.VC{0, -1}, Pages: []mem.PageID{3}}, // the master's own, forged
-			{Proc: 1, Index: 0, VC: vc.VC{-1, 0}, Pages: []mem.PageID{2}},
-		},
-	}}}
-	if err := peer.Endpoint(1).Send(0, arrive.EncodeAppend(framebuf.Get())); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-barErr; err != nil {
-		t.Fatalf("master barrier failed over a droppable forged record: %v", err)
-	}
-	const want = "carries interval p0/0 of another processor"
-	waitNodeErr(t, n, want)
-	clock, ivs := logOf(lazyOf(n))
-	if !reflect.DeepEqual(clock, vc.VC{-1, 0}) || len(ivs) != 1 || ivs[0].ID != (core.IntervalID{Proc: 1, Index: 0}) {
-		t.Errorf("master clock %v, log %v: want only the arriver's own p1/0 absorbed", clock, ivs)
-	}
-	if cerr := s.Close(); cerr == nil || !strings.Contains(cerr.Error(), want) {
-		t.Fatalf("Close = %v, want the recorded forged-arrival cause", cerr)
-	}
-}
-
 // TestGrantDuringPendingArrivalsStaysClosedRepro: an own-only arrival is not
 // closed under happened-before, so the master must not let its log be
 // seen part-way through a barrier's arrivals. Here node 3 has arrived —
@@ -287,78 +251,5 @@ func TestGrantDuringPendingArrivalsStaysClosedRepro(t *testing.T) {
 		if v, err := s.Node(i).ReadUint64(1024); err != nil || v != 2 {
 			t.Errorf("node %d reads the master's word = %d, %v; want 2", i, v, err)
 		}
-	}
-}
-
-// TestForgedRendezvousRecordedNotCounted: the master counts one message
-// per peer in each rendezvous round — a barrier's arrivals, a GC round's
-// readies. A message naming a node outside the cluster or the master
-// itself is recorded and dropped, the round keeps waiting, and the real
-// peer's message is the one answered.
-func TestForgedRendezvousRecordedNotCounted(t *testing.T) {
-	cases := []struct {
-		name   string
-		gc     bool // the forgery targets the GC round after the barrier
-		forged wire.Msg
-		answer wire.Kind
-		want   string
-	}{
-		{"GC ready from node 7", true, wire.Msg{Kind: wire.KGCReady, Seq: 6, A: 0, B: 7},
-			wire.KGCDone, "gcready claiming node 7 dropped"},
-		{"arrival claiming node 0", false, wire.Msg{Kind: wire.KBarrierArrive, Seq: 6, A: 0, B: 0},
-			wire.KBarrierExit, "arrive claiming node 0 dropped"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			cfg := Config{SpaceSize: 8192, PageSize: 1024, Mode: LazyInvalidate}
-			if tc.gc {
-				cfg.GCEveryBarriers = 1
-			}
-			s, peer := puppetCluster(t, 1, cfg)
-			n, ep := s.Node(0), peer.Endpoint(1)
-			barErr := make(chan error, 1)
-			go func() { barErr <- n.Barrier(0) }()
-			if tc.gc {
-				puppetSend(t, ep, 0, &wire.Msg{Kind: wire.KBarrierArrive, Seq: 5, A: 0, B: 1})
-				awaitReply(t, ep, wire.KBarrierExit, 5)
-			}
-			puppetSend(t, ep, 0, &tc.forged)
-			puppetSend(t, ep, 0, &wire.Msg{Kind: tc.forged.Kind, Seq: 7, A: 0, B: 1})
-			awaitReply(t, ep, tc.answer, 7)
-			if err := <-barErr; err != nil {
-				t.Fatalf("master barrier failed over a droppable forgery: %v", err)
-			}
-			waitNodeErr(t, n, tc.want)
-			if cerr := s.Close(); cerr == nil || !strings.Contains(cerr.Error(), tc.want) {
-				t.Fatalf("Close = %v, want the recorded %q cause", cerr, tc.want)
-			}
-		})
-	}
-}
-
-// TestRendezvousFloodAtNonMasterIsDropped: rendezvous messages are handed
-// to the master's collecting round by the dispatch loop itself, so one
-// that reaches any other node — here four forged arrivals, more than the
-// channel holds — is recorded and dropped instead of blocking the loop:
-// the node still serves a lock exchange, and Close returns naming the drop.
-func TestRendezvousFloodAtNonMasterIsDropped(t *testing.T) {
-	s, master := puppetCluster(t, 0, Config{SpaceSize: 8192, PageSize: 1024, Mode: LazyInvalidate})
-	ep := master.Endpoint(0)
-	for i := 0; i < 4; i++ {
-		puppetSend(t, ep, 1, &wire.Msg{Kind: wire.KBarrierArrive, Seq: uint64(10 + i), A: 0, B: 0})
-	}
-	// Lock 1 is managed by node 1, which grants a first request directly.
-	puppetSend(t, ep, 1, &wire.Msg{Kind: wire.KLockReq, Seq: 20, A: 1, B: 0})
-	awaitReply(t, ep, wire.KLockGrant, 20)
-	const want = "arrive from 0 dropped: this node is not the barrier master"
-	closed := make(chan error, 1)
-	go func() { closed <- s.Close() }()
-	select {
-	case cerr := <-closed:
-		if cerr == nil || !strings.Contains(cerr.Error(), want) {
-			t.Fatalf("Close = %v, want the recorded %q cause", cerr, want)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Close did not return within 5 s")
 	}
 }

@@ -83,13 +83,13 @@ func (d *directory) handle(m *wire.Msg, src mem.ProcID) bool {
 	return true
 }
 
-// lock validates the page and sender of request m (op names it in
-// errors) and returns the page's entry locked; nil, with the cause
-// recorded, for ids outside every table.
+// lock validates the page of request m (op names it in errors; its B is
+// its sender, checkSender) and returns the page's entry locked; nil, with
+// the cause recorded, for a page outside the space.
 func (d *directory) lock(op string, m *wire.Msg) (*dirEntry, mem.PageID, mem.ProcID) {
 	pg, from := mem.PageID(m.A), mem.ProcID(m.B)
-	if !d.n.validPage(pg) || !d.n.validProc(from) {
-		d.n.noteErr(op, fmt.Errorf("bad ids in request: page %d requester %d", pg, from))
+	if !d.n.validPage(pg) {
+		d.n.noteErr(op, fmt.Errorf("request for invalid page %d from %d", pg, from))
 		return nil, pg, from
 	}
 	e := &d.entries[pg]

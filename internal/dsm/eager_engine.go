@@ -130,10 +130,15 @@ func (e *eagerEngine) ensureValid(pg mem.PageID) error {
 	}
 
 	// The response is intercepted in handle: by the time rpc returns,
-	// the shard worker has installed the granted page.
+	// the shard worker has installed the granted page — the one it names.
 	resp, err := n.rpc(n.homeOf(pg), &wire.Msg{
 		Kind: wire.KPageReq, Seq: n.nextSeq(), A: int32(pg), B: int32(n.id),
 	})
+	if err == nil && mem.PageID(resp.A) != pg {
+		bad := fmt.Errorf("grant for page %d answers the miss of page %d", resp.A, pg)
+		n.noteErr("page install", bad)
+		err = fmt.Errorf("dsm: node %d: page install: %w", n.id, bad)
+	}
 	resp.Release()
 	if err == nil && n.missHist != nil {
 		n.observeMiss(start, 1)

@@ -85,8 +85,9 @@ func TestLostUpdateRepro(t *testing.T) {
 func TestReleaseWaitsForTheFlushCarryingItsWrites(t *testing.T) {
 	for _, mode := range []Mode{EagerInvalidate, EagerUpdate} {
 		t.Run(mode.String(), func(t *testing.T) {
-			s, home := puppetCluster(t, 1, Config{SpaceSize: 8192, PageSize: 1024, Mode: mode, GoroutinesPerNode: 2})
-			n, ep := s.Node(0), home.Endpoint(1)
+			s, ep := newPuppetSys(t, Config{Procs: 2, SpaceSize: 8192, PageSize: 1024, Mode: mode, GoroutinesPerNode: 2}, 1)
+			defer s.Close()
+			n := s.Node(0)
 			// The puppet homes page 1: it ships the page on a miss and hands
 			// the test every flush, unanswered. The buffer has room for
 			// flushes the test does not expect, so it can report them.
@@ -137,7 +138,7 @@ func TestReleaseWaitsForTheFlushCarryingItsWrites(t *testing.T) {
 				t.Fatalf("B's release returned (%v) while the flush carrying its write was unacknowledged", err)
 			case <-time.After(100 * time.Millisecond):
 			}
-			puppetSend(t, ep, 0, &wire.Msg{Kind: wire.KFlushDone, Seq: req.Seq, A: req.A})
+			ep.Send(0, (&wire.Msg{Kind: wire.KFlushDone, Seq: req.Seq, A: req.A}).EncodeAppend(framebuf.Get()))
 			for name, rel := range map[string]chan error{"A": relA, "B": relB} {
 				select {
 				case err := <-rel:

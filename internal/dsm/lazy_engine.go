@@ -80,6 +80,10 @@ type lazyEngine struct {
 	barRecs    []wire.IntervalRec
 	gcEpoch    vc.VC
 	gcPages    []mem.PageID
+	// Under mu: absorbIntervalsLocked's bound on a received record's clock,
+	// and masterAbsorb's batch, each arrival's own records.
+	reach   vc.VC
+	arrived [][]wire.IntervalRec
 
 	// ws is the current interval's write set; closeIntervalLocked drains
 	// it into cand.
@@ -192,17 +196,32 @@ func (e *lazyEngine) closeIntervalLocked() {
 	e.trimTwinsLocked()
 }
 
-// absorbIntervalsLocked merges received interval records into the log,
-// skipping already-known ones, and appends the pages the genuinely new
-// records notice to fresh. Nothing of recs is kept: it may die with the
-// message it came in. Caller holds e.mu.
-func (e *lazyEngine) absorbIntervalsLocked(fresh []mem.PageID, recs []wire.IntervalRec) []mem.PageID {
+// absorbIntervalsLocked merges a batch of received interval record lists
+// into the log, skipping already-known records, and appends the pages the
+// genuinely new records notice to fresh. Nothing of the lists is kept: they
+// may die with the messages they came in. Caller holds e.mu.
+func (e *lazyEngine) absorbIntervalsLocked(fresh []mem.PageID, batch ...[]wire.IntervalRec) []mem.PageID {
+	// A record's clock may name only intervals the node knows, or will once
+	// the batch is in: an honest batch is closed under happened-before.
+	e.reach = append(e.reach[:0], e.v...)
+	for _, recs := range batch {
+		for _, rec := range recs {
+			if rec.Proc >= 0 && int(rec.Proc) < len(e.reach) {
+				e.reach[rec.Proc] = max(e.reach[rec.Proc], rec.Index)
+			}
+		}
+	}
+	for _, recs := range batch {
+		fresh = e.absorbListLocked(fresh, recs)
+	}
+	return fresh
+}
+
+// absorbListLocked is absorbIntervalsLocked for one list. Caller holds e.mu.
+func (e *lazyEngine) absorbListLocked(fresh []mem.PageID, recs []wire.IntervalRec) []mem.PageID {
 	// Per-processor index order is required by the log. NoticesBetween
 	// emits records in that order already, so only a foreign sender's
 	// unordered list pays for a copy and a sort.
-	byProcIndex := func(a, b wire.IntervalRec) int {
-		return cmp.Or(cmp.Compare(a.Proc, b.Proc), cmp.Compare(a.Index, b.Index))
-	}
 	sorted := recs
 	if !slices.IsSortedFunc(recs, byProcIndex) {
 		sorted = slices.Clone(recs)
@@ -236,6 +255,12 @@ func (e *lazyEngine) absorbIntervalsLocked(fresh []mem.PageID, recs []wire.Inter
 		if e.v.Covers(int(rec.Proc), rec.Index) {
 			continue // already known
 		}
+		if rec.VC[rec.Proc] != rec.Index || !e.reach.Dominates(rec.VC) {
+			e.n.noteErr("interval absorb",
+				fmt.Errorf("interval record p%d/%d is stamped %v, past what its batch and the node know (%v)",
+					rec.Proc, rec.Index, rec.VC, e.reach))
+			continue
+		}
 		if e.v[rec.Proc] != rec.Index-1 {
 			e.n.noteErr("interval absorb",
 				fmt.Errorf("interval gap for p%d: have %d, got %d",
@@ -256,6 +281,11 @@ func (e *lazyEngine) absorbIntervalsLocked(fresh []mem.PageID, recs []wire.Inter
 		fresh = append(fresh, rec.Pages...)
 	}
 	return fresh
+}
+
+// byProcIndex orders interval records as the log takes them.
+func byProcIndex(a, b wire.IntervalRec) int {
+	return cmp.Or(cmp.Compare(a.Proc, b.Proc), cmp.Compare(a.Index, b.Index))
 }
 
 // invalidPageIn returns the first page id in pages that is not a valid
@@ -475,18 +505,19 @@ func (e *lazyEngine) arrive(arrive *wire.Msg) {
 	e.mu.Unlock()
 }
 
-// masterAbsorb absorbs every arrival in one critical section. An own-only
-// arrival is not closed under happened-before — it can carry (p,k) while
-// the (q,j) its clock covers rides q's arrival — so the log must not be
-// observable between two of them: a grant built from it then would export
-// (p,k) alone, and the acquirer would later apply (q,j)'s older diff over
-// (p,k)'s bytes.
+// masterAbsorb absorbs every arrival as one batch, in one critical
+// section. An own-only arrival is not closed under happened-before — it can
+// carry (p,k) while the (q,j) its clock covers rides q's arrival — so the
+// log must not be observable between two of them: a grant built from it
+// then would export (p,k) alone, and the acquirer would later apply
+// (q,j)'s older diff over (p,k)'s bytes. The batch, like a grant's, is.
 func (e *lazyEngine) masterAbsorb(arrivals []*wire.Msg) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	e.arrived = e.arrived[:0]
 	for _, m := range arrivals {
 		arriver := mem.ProcID(m.B)
-		own := slices.DeleteFunc(m.Intervals, func(rec wire.IntervalRec) bool {
+		e.arrived = append(e.arrived, slices.DeleteFunc(m.Intervals, func(rec wire.IntervalRec) bool {
 			if rec.Proc == arriver {
 				return false
 			}
@@ -494,9 +525,9 @@ func (e *lazyEngine) masterAbsorb(arrivals []*wire.Msg) {
 			e.n.noteErr("barrier arrival", fmt.Errorf("arrival of node %d carries interval p%d/%d of another processor",
 				arriver, rec.Proc, rec.Index))
 			return true
-		})
-		e.fresh = e.absorbIntervalsLocked(e.fresh, own)
+		}))
 	}
+	e.fresh = e.absorbIntervalsLocked(e.fresh, e.arrived...)
 }
 
 func (e *lazyEngine) exit(m, exit *wire.Msg) {
@@ -700,10 +731,9 @@ func (e *lazyEngine) handle(m *wire.Msg, src mem.ProcID) bool {
 func (e *lazyEngine) handlePageReq(m *wire.Msg) {
 	n := e.n
 	pg := mem.PageID(m.A)
-	requester := mem.ProcID(m.B)
-	if !n.validPage(pg) || !n.validProc(requester) {
-		n.noteErr("page request",
-			fmt.Errorf("bad ids in request: page %d requester %d", pg, requester))
+	requester := mem.ProcID(m.B) // its sender (checkSender)
+	if !n.validPage(pg) {
+		n.noteErr("page request", fmt.Errorf("request for invalid page %d from %d", pg, requester))
 		return
 	}
 	pmu := n.pageLock(pg)

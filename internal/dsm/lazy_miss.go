@@ -168,12 +168,11 @@ func (e *lazyEngine) serviceMissLocked(pg mem.PageID, held fetchedDiffs) error {
 				if err != nil {
 					return err
 				}
-				// rpc matches a response on its sequence number alone, and the
-				// sender chose the expanded length: nothing but this check
+				// The sender chose the expanded length: nothing but this check
 				// keeps a faulty home's short page out of the page table,
 				// where the next access would slice past its end. No home
 				// sends interval records with a page.
-				if resp.Kind != wire.KPageResp || len(resp.Data) != n.sys.layout.PageSize() ||
+				if len(resp.Data) != n.sys.layout.PageSize() ||
 					(resp.VC != nil && len(resp.VC) != n.sys.cfg.Procs) || len(resp.Intervals) > 0 {
 					bad := fmt.Errorf("bad page grant from %d: %v for page %d, %d data bytes, %d-entry clock, %d interval records",
 						home, resp.Kind, pg, len(resp.Data), len(resp.VC), len(resp.Intervals))
@@ -446,12 +445,12 @@ func (e *lazyEngine) fetch(reqs []outMsg, held fetchedDiffs, resps []*wire.Msg) 
 	return held, nil
 }
 
-// answers checks a response against the wants it claims to answer: rpc
-// matches a response on its sequence number alone, and the miss finds a
-// record by its want's position, so a response of another kind or shape
-// would put one interval's bytes at another's step.
+// answers checks a diff response against the wants it claims to answer
+// (deliverResponse has checked its kind): the miss finds a record by its
+// want's position, so a response of another shape would put one
+// interval's bytes at another's step.
 func answers(resp *wire.Msg, wants []wire.Want) error {
-	if resp.Kind != wire.KDiffResp || len(resp.Diffs) != len(wants) {
+	if len(resp.Diffs) != len(wants) {
 		return fmt.Errorf("%v with %d records for %d wants", resp.Kind, len(resp.Diffs), len(wants))
 	}
 	for i, w := range wants {

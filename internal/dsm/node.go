@@ -481,8 +481,9 @@ func (n *Node) validProc(p mem.ProcID) bool {
 // it has received that delivery; a waiter given up on is left to the
 // garbage collector.
 type rpcWaiter struct {
-	ch  chan *wire.Msg
-	dst mem.ProcID
+	ch   chan *wire.Msg
+	dst  mem.ProcID
+	want wire.Kind // the response kind the request takes
 }
 
 // freedWaiter marks a waiter on the free list (in its dst): releasing it
@@ -491,7 +492,8 @@ const freedWaiter = mem.ProcID(-1 << 31)
 
 func (n *Node) nextSeq() uint64 { return n.seqCtr.Add(1) }
 
-func (n *Node) register(seq uint64, dst mem.ProcID) *rpcWaiter {
+// register parks a waiter for the response to a request of kind req to dst.
+func (n *Node) register(seq uint64, dst mem.ProcID, req wire.Kind) *rpcWaiter {
 	n.waiterMu.Lock()
 	var w *rpcWaiter
 	if last := len(n.freeWaiters) - 1; last >= 0 {
@@ -499,7 +501,10 @@ func (n *Node) register(seq uint64, dst mem.ProcID) *rpcWaiter {
 	} else {
 		w = &rpcWaiter{ch: make(chan *wire.Msg, 1)}
 	}
-	w.dst = dst
+	w.dst, w.want = dst, req+1 // every response kind follows its request's
+	if req == wire.KLockReq {
+		w.want = wire.KLockGrant // from the holder, past the manager's forward
+	}
 	n.waiters[seq] = w
 	n.waiterMu.Unlock()
 	return w
@@ -549,7 +554,8 @@ func (n *Node) freeWaiter(w *rpcWaiter) {
 
 // await blocks for the response registered under seq, honoring the
 // configured RPCTimeout. A nil delivery means the waiter was failed: by
-// shutdown (ErrClosed), or by dst's death (the recorded cause). On
+// shutdown (ErrClosed), by dst's death (the recorded cause), or by the
+// engine refusing the response (failWaiter). On
 // timeout the waiter is abandoned — a response that still arrives is
 // classified as an expected race, not a protocol error — and the error
 // wraps ErrRPCTimeout, never ErrClosed, so callers and tests can tell a
@@ -571,7 +577,13 @@ func (n *Node) await(seq uint64, w *rpcWaiter) (*wire.Msg, error) {
 			return nil, fmt.Errorf("dsm: node %d: rpc seq %d to node %d: peer unreachable: %w",
 				n.id, seq, dst, cause)
 		}
-		return nil, fmt.Errorf("dsm: node %d: awaiting seq %d: %w", n.id, seq, ErrClosed)
+		select {
+		case <-n.closedCh:
+			return nil, fmt.Errorf("dsm: node %d: awaiting seq %d: %w", n.id, seq, ErrClosed)
+		default:
+			// failWaiter: the engine refused the response and recorded why.
+			return nil, fmt.Errorf("dsm: node %d: rpc seq %d to node %d: response refused", n.id, seq, dst)
+		}
 	}
 	return m, nil
 }
@@ -741,7 +753,7 @@ func (n *Node) rpcAll(reqs []outMsg, resps []*wire.Msg) ([]*wire.Msg, error) {
 	waiters := waiterBuf[:0]
 	for i := range reqs {
 		r := &reqs[i]
-		waiters = append(waiters, n.register(r.m.Seq, r.dst))
+		waiters = append(waiters, n.register(r.m.Seq, r.dst, r.m.Kind))
 		n.out.stage(r.dst, &r.m)
 	}
 	var firstErr error
@@ -804,6 +816,16 @@ func (n *Node) deliverResponse(m *wire.Msg) {
 	w, ok := n.waiters[m.Seq]
 	if ok {
 		delete(n.waiters, m.Seq)
+	}
+	if ok && w.want != m.Kind {
+		// A waiter is found by sequence number alone: a response of another
+		// kind would wake it over a page never installed, a flush never
+		// reconciled. Once delivered to, the waiter is its rpc's again.
+		want := w.want
+		n.waiterMu.Unlock()
+		w.deliver(nil)
+		n.noteErr("response routing", fmt.Errorf("%v answers seq %d, which awaits %v", m.Kind, m.Seq, want))
+		return
 	}
 	var late bool
 	if !ok {
@@ -928,6 +950,11 @@ func (n *Node) dispatchMsg(m *wire.Msg, src mem.ProcID) {
 	if n.traceOn() {
 		n.emit("recv", m.Kind.String(), int64(src))
 	}
+	if err := n.checkSender(m, src); err != nil {
+		n.noteErr("sender identity", err)
+		m.Release()
+		return
+	}
 	switch m.Kind {
 	case wire.KBarrierArrive:
 		n.park(n.barCh, m, src)
@@ -943,6 +970,30 @@ func (n *Node) dispatchMsg(m *wire.Msg, src mem.ProcID) {
 		n.out.noteDispatched(src)
 		n.queues[dispatchKey(m)%handlerWorkers] <- inFrame{m: m, src: src}
 	}
+}
+
+// checkSender holds a message's claimed identity to the endpoint it came
+// from, the one id a peer cannot forge: a request that names its sender
+// in B must come from that node, a barrier exit or GC go from the master,
+// and a lock forward from the lock's manager. Everything after dispatch
+// trusts these fields — a master counts an arrival by B, a manager grants
+// and a home ships to B, a waiter wakes on whichever exit carries its seq.
+func (n *Node) checkSender(m *wire.Msg, src mem.ProcID) error {
+	switch m.Kind {
+	case wire.KLockReq, wire.KBarrierArrive, wire.KGCReady, wire.KPageReq, wire.KWriteReq, wire.KFlushReq:
+		if mem.ProcID(m.B) != src {
+			return fmt.Errorf("%v claims node %d but came from %d", m.Kind, m.B, src)
+		}
+	case wire.KBarrierExit, wire.KGCDone:
+		if src != master {
+			return fmt.Errorf("%v from %d dropped: only the barrier master %d sends it", m.Kind, src, master)
+		}
+	case wire.KLockFwd:
+		if mgr := n.sys.lockMgr(mem.LockID(m.A)); src != mgr {
+			return fmt.Errorf("%v of lock %d from %d dropped: only its manager %d forwards it", m.Kind, m.A, src, mgr)
+		}
+	}
+	return nil
 }
 
 // worker drains one serialized frame queue. The queue-empty transition

@@ -124,7 +124,7 @@ func TestEarlyMsgReleaseIsCaught(t *testing.T) {
 		// Receive the request as the dispatch loop would, then play the
 		// shard worker: process it, flush what it staged.
 		seq := requester.nextSeq()
-		w := requester.register(seq, mgr.id)
+		w := requester.register(seq, mgr.id, wire.KLockReq)
 		frame := (&wire.Msg{Kind: wire.KLockReq, Seq: seq, A: lock, B: int32(requester.id)}).EncodeAppend(framebuf.Get())
 		m, err := wire.Decode(frame)
 		if err != nil {
@@ -321,7 +321,7 @@ func TestWaiterReleaseIsMarked(t *testing.T) {
 		f()
 	}
 	seq := n.nextSeq()
-	w := n.register(seq, 1)
+	w := n.register(seq, 1, wire.KLockReq)
 	n.failWaiter(seq)
 	if _, err := n.await(seq, w); err == nil {
 		t.Fatal("a failed waiter's await returned no error")
@@ -333,7 +333,7 @@ func TestWaiterReleaseIsMarked(t *testing.T) {
 	mustPanic("a delivery to a released waiter", func() { w.deliver(nil) })
 	// The next rpc gets the same waiter back, unmarked.
 	seq = n.nextSeq()
-	if w2 := n.register(seq, 1); w2 != w || w2.dst != 1 {
+	if w2 := n.register(seq, 1, wire.KLockReq); w2 != w || w2.dst != 1 {
 		t.Errorf("register did not reuse the released waiter")
 	}
 	n.unregister(seq, false)

@@ -67,6 +67,20 @@ func TestFlatCacheBounded(t *testing.T) {
 	}
 }
 
+// TestServeRefusesSpansTheCodecRefuses: a negative span or one that wraps
+// the index never leaves the codec, but serveLocked does not rely on it.
+func TestServeRefusesSpansTheCodecRefuses(t *testing.T) {
+	e, pg := lazyEngineWithIntervals(t)
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for _, span := range []int32{-2, 1<<31 - 1} {
+		if d, err := e.serveLocked(wire.Want{Page: pg, Proc: 0, Index: 2, Span: span}); err == nil {
+			d.Release()
+			t.Errorf("span %d from interval 2 was served", span)
+		}
+	}
+}
+
 // planEngine returns node 0's LU engine of a fresh cluster (LU: the engine
 // with a store of received diffs) for a test that writes its log, clock
 // and store by hand under e.mu.

@@ -407,10 +407,10 @@ func (n *Node) park(ch chan *wire.Msg, m *wire.Msg, src mem.ProcID) {
 // collectRound collects one message per non-master node off ch for
 // barrier b (what names the round in errors, which alone format it),
 // honoring RPCTimeout: a master collecting from a dead peer must unblock
-// and surface a descriptive error, exactly like a parked rpc. A message
-// naming a node outside the cluster, the master itself, or a node already
-// counted this round is recorded and dropped, and the round keeps waiting
-// for the real one; one for another barrier fails the round. The caller
+// and surface a descriptive error, exactly like a parked rpc. A message's
+// B is its sender (checkSender); a second one from a node already counted
+// this round is recorded and dropped, and the round keeps waiting for the
+// others; one for another barrier fails the round. The caller
 // holds the returned messages, in the node's collected list: the barrier
 // leader's alone, good until its next round.
 func (n *Node) collectRound(ch chan *wire.Msg, b mem.BarrierID, what string) ([]*wire.Msg, error) {
@@ -430,8 +430,8 @@ func (n *Node) collectRound(ch chan *wire.Msg, b mem.BarrierID, what string) ([]
 		}
 		from := mem.ProcID(m.B)
 		switch {
-		case from == master || !n.validProc(from) || counted&(1<<uint(from)) != 0:
-			n.noteErr("master: "+what, fmt.Errorf("%v claiming node %d dropped: not a peer yet to arrive", m.Kind, from))
+		case counted&(1<<uint(from)) != 0:
+			n.noteErr("master: "+what, fmt.Errorf("second %v from node %d this round dropped", m.Kind, from))
 			m.Release()
 			continue
 		case mem.BarrierID(m.A) != b:
@@ -481,12 +481,7 @@ func (n *Node) rendezvous(b mem.BarrierID, what string) error {
 // lock traffic through this manager coalesces per destination.
 func (n *Node) handleLockReq(m *wire.Msg) {
 	l := mem.LockID(m.A)
-	requester := mem.ProcID(m.B)
-	if !n.validProc(requester) {
-		n.noteErr("lock request",
-			fmt.Errorf("lock %d request from invalid requester %d", l, requester))
-		return
-	}
+	requester := mem.ProcID(m.B) // its sender (checkSender)
 	n.lockMu.Lock()
 	prev, known := n.mgrLast[l]
 	n.mgrLast[l] = requester
