@@ -78,38 +78,21 @@ func TestLostUpdateRepro(t *testing.T) {
 // a flush carries every local goroutine's writes to the page, not just its
 // own. Goroutine B writes word 2 of page 1 under lock 2, goroutine A word
 // 0 under lock 0; A's release drains both into one flush, whose
-// acknowledgment the puppet home withholds. B's release then has nothing
+// acknowledgment the tap on its home withholds. B's release then has nothing
 // of its own to push, but must not return — its word is not yet at the
 // home, so the next holder of lock 2 could miss it — until the flush that
 // carries it is acknowledged.
 func TestReleaseWaitsForTheFlushCarryingItsWrites(t *testing.T) {
 	for _, mode := range []Mode{EagerInvalidate, EagerUpdate} {
 		t.Run(mode.String(), func(t *testing.T) {
-			s, ep := newPuppetSys(t, Config{Procs: 2, SpaceSize: 8192, PageSize: 1024, Mode: mode, GoroutinesPerNode: 2}, 1)
+			s, tp := newTapSys(t, Config{Procs: 2, SpaceSize: 8192, PageSize: 1024, Mode: mode, GoroutinesPerNode: 2}, 1)
 			defer s.Close()
 			n := s.Node(0)
-			// The puppet homes page 1: it ships the page on a miss and hands
-			// the test every flush, unanswered. The buffer has room for
-			// flushes the test does not expect, so it can report them.
-			flushes := make(chan *wire.Msg, 4)
-			go func() {
-				for {
-					_, payload, ok := ep.Recv()
-					if !ok {
-						return
-					}
-					msgs, _ := decodeFrame(payload)
-					for _, m := range msgs {
-						switch m.Kind {
-						case wire.KPageReq:
-							resp := &wire.Msg{Kind: wire.KPageResp, Seq: m.Seq, A: m.A, Data: make([]byte, 1024)}
-							ep.Send(0, resp.EncodeAppend(framebuf.Get()))
-						case wire.KFlushReq:
-							flushes <- m
-						}
-					}
-				}
-			}()
+			// Node 1 homes page 1 behind a tap that swallows the first flush,
+			// which the test answers; a second one it would report.
+			tp.mu.Lock()
+			tp.swaps = []step{{op: opSwap, arg: byte(wire.KFlushReq)}}
+			tp.mu.Unlock()
 			const page1 = mem.Addr(1024)
 			must(t, n.Acquire(2)) // B
 			must(t, n.WriteUint64(page1+16, 0xB))
@@ -117,12 +100,8 @@ func TestReleaseWaitsForTheFlushCarryingItsWrites(t *testing.T) {
 			must(t, n.WriteUint64(page1, 0xA))
 			relA := make(chan error, 1)
 			go func() { relA <- n.Release(0) }()
-			var req *wire.Msg
-			select {
-			case req = <-flushes:
-			case <-time.After(5 * time.Second):
-				t.Fatal("A's release sent no flush")
-			}
+			waitFor(t, "A's release to send a flush", func() bool { return len(tp.received(wire.KFlushReq)) > 0 })
+			req := tp.received(wire.KFlushReq)[0]
 			if mode == EagerUpdate {
 				img := make([]byte, 1024)
 				if len(req.Diffs) != 1 || req.Diffs[0].Diff.Apply(img) != nil ||
@@ -138,7 +117,7 @@ func TestReleaseWaitsForTheFlushCarryingItsWrites(t *testing.T) {
 				t.Fatalf("B's release returned (%v) while the flush carrying its write was unacknowledged", err)
 			case <-time.After(100 * time.Millisecond):
 			}
-			ep.Send(0, (&wire.Msg{Kind: wire.KFlushDone, Seq: req.Seq, A: req.A}).EncodeAppend(framebuf.Get()))
+			tp.Endpoint.Send(0, (&wire.Msg{Kind: wire.KFlushDone, Seq: req.Seq, A: req.A}).EncodeAppend(framebuf.Get()))
 			for name, rel := range map[string]chan error{"A": relA, "B": relB} {
 				select {
 				case err := <-rel:
@@ -149,10 +128,8 @@ func TestReleaseWaitsForTheFlushCarryingItsWrites(t *testing.T) {
 					t.Fatalf("%s's release did not return once the flush was acknowledged", name)
 				}
 			}
-			select {
-			case m := <-flushes:
-				t.Errorf("a second flush (page %d): B's release had no write of its own left to push", m.A)
-			default:
+			if fl := tp.received(wire.KFlushReq); len(fl) > 1 {
+				t.Errorf("a second flush (page %d): B's release had no write of its own left to push", fl[1].A)
 			}
 			if err := s.Close(); err != nil {
 				t.Errorf("Close: %v", err)

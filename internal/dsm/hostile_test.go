@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"encoding/binary"
 	"errors"
+	"flag"
 	"fmt"
 	"maps"
 	"regexp"
@@ -11,7 +12,6 @@ import (
 	"slices"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -32,11 +32,13 @@ import (
 // the right image or a cause recorded for System.Close, never in a panic,
 // a hang or a silently wrong page.
 //
-// One harness plays the peer. The puppet holds one endpoint of a simnet
-// cluster whose other nodes one System hosts; they run a fixed program
-// phase by phase while the puppet runs a script of sends and answers and,
-// where the script says nothing, plays an honest minimal peer.
-// TestHostilePeer's table and FuzzPeer's inputs are such scripts.
+// One harness plays the peer. The puppet is one node of a simnet cluster
+// one System hosts: a real node that runs only the program's barriers, an
+// honest minimal peer, behind a tap on its endpoint through which a script
+// speaks for it — sending frames, swapping a message it gets or sends for
+// another, preempting a waiting rpc — while the other nodes run a fixed
+// program phase by phase. TestHostilePeer's table and FuzzPeer's inputs
+// are such scripts.
 
 // waitFor polls cond until it holds or the deadline passes.
 func waitFor(t *testing.T, what string, cond func() bool) {
@@ -134,7 +136,7 @@ func TestMismatchedModesFailLoudly(t *testing.T) {
 
 // The cluster: three nodes, eight 1 KiB pages homed pg % 3. The puppet is
 // node 0 (barrier master, manager of lock 0) or node 2. Node 1 homes the
-// pages the program shares (1, 4, 7); the other real node, r, reads the
+// pages the program shares (1, 4, 7); the other program node, r, reads the
 // puppet's page pid+3 cold and writes it under lock 1: a copyset of one.
 const (
 	peerProcs    = 3
@@ -142,7 +144,7 @@ const (
 	peerDeadline = 12 * peerTimeout // for any call or Close: past it the run hangs
 	withGC       = 8                // mode byte flags: GCEveryBarriers = 1,
 	withFT       = 16               // first-touch placement
-	ownMode      = 100              // a section mode that stands for the row's
+	ownMode      = 100              // a section mode that stands for the run's
 )
 
 // phase is a point of the program a script step is armed at.
@@ -158,10 +160,13 @@ const (
 	numPhases
 )
 
-// step is one script entry: opSend sends frame to node arg as its phase
-// starts, opAnswer replies with it to the next request of kind arg that
-// reaches the puppet, opPreempt sends it to node arg once that node waits
-// on an rpc. An answer or preempt gets the rpc's seq patched in.
+// step is one script entry, armed as its phase starts. opSend sends frame
+// to node arg as the puppet. opSwap swallows the next message of kind arg
+// to or from the puppet and puts frame in its place: back to the sender of
+// one the puppet got, on to the receiver of one it sent (an empty frame
+// just drops it). opPreempt sends frame to node arg once that node waits
+// on an rpc for a response of the frame's kind. A swap or preempt gets the
+// swallowed or awaited seq patched in.
 type step struct {
 	op    byte
 	at    phase
@@ -171,14 +176,14 @@ type step struct {
 
 const (
 	opSend = iota
-	opAnswer
+	opSwap
 	opPreempt
 	numOps
 )
 
 func send(at phase, to int, m *wire.Msg) step { return step{opSend, at, byte(to), m.EncodeAppend(nil)} }
-func answer(at phase, k wire.Kind, m *wire.Msg) step {
-	return step{opAnswer, at, byte(k), m.EncodeAppend(nil)}
+func swap(at phase, k wire.Kind, m *wire.Msg) step {
+	return step{opSwap, at, byte(k), m.EncodeAppend(nil)}
 }
 func preempt(at phase, to int, m *wire.Msg) step {
 	return step{opPreempt, at, byte(to), m.EncodeAppend(nil)}
@@ -187,12 +192,12 @@ func sec(v vc.VC, ivs ...wire.IntervalRec) []wire.Section {
 	return []wire.Section{{Mode: ownMode, VC: v, Intervals: ivs}}
 }
 
-// patch re-encodes frame with seq (unless 0) and ownMode sections in mode;
-// a frame that does not decode is left as is.
+// patch re-encodes frame with seq (unless 0) and ownMode sections in mode,
+// into a buffer of its own; a frame that does not decode is copied as is.
 func patch(frame []byte, seq uint64, mode Mode) []byte {
 	m, err := wire.Decode(slices.Clone(frame))
 	if err != nil {
-		return frame
+		return append(framebuf.Get(), frame...)
 	}
 	defer m.Release()
 	m.Seq = cmp.Or(seq, m.Seq)
@@ -201,7 +206,7 @@ func patch(frame []byte, seq uint64, mode Mode) []byte {
 			m.Sections[i].Mode = uint16(mode)
 		}
 	}
-	return m.EncodeAppend(nil)
+	return m.EncodeAppend(framebuf.Get())
 }
 
 // encodeScript is FuzzPeer's form of a script: op, phase, arg and a
@@ -222,28 +227,6 @@ func decodeScript(b []byte) (steps []step) {
 	return steps
 }
 
-// puppetNet is an in-process network whose System hosts all but the puppet.
-type puppetNet struct {
-	*simnet.Network
-	puppet int
-}
-
-func (p puppetNet) Local() []int {
-	return slices.DeleteFunc(p.Network.Local(), func(i int) bool { return i == p.puppet })
-}
-
-// newPuppetSys starts a System on every node but pid and returns pid's raw
-// endpoint. The caller closes the System.
-func newPuppetSys(t testing.TB, cfg Config, pid int) (*System, transport.Endpoint) {
-	net := simnet.New(cfg.Procs)
-	cfg.Transport = puppetNet{net, pid}
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s, net.Endpoint(pid)
-}
-
 // decodeFrame expands one physical frame into its messages.
 func decodeFrame(b []byte) ([]*wire.Msg, error) {
 	if wire.IsBatch(b) {
@@ -253,172 +236,125 @@ func decodeFrame(b []byte) ([]*wire.Msg, error) {
 	return []*wire.Msg{m}, err
 }
 
-// puppet plays node id. Where the script says nothing it is an honest
-// minimal peer: it arrives at each barrier with no payload, or as master
-// answers a full round with exits relaying the arrivals' intervals; it
-// sends its GC and hand-off readies; it grants the locks it manages, first
-// request first, forwards later ones to the last holder, and grants a lock
-// forwarded to it; it ships zeros for its page, acknowledges flushes,
-// invalidations and updates, and answers a diff request with empty diffs.
-type puppet struct {
-	id   int
-	cfg  Config
-	ep   transport.Endpoint
-	seq  atomic.Uint64
-	done chan struct{}
-
-	mu      sync.Mutex
-	answers []step      // armed
-	got     []*wire.Msg // every message received, held until close
-
-	round   map[wire.Kind][]pending // the rest: the puppet goroutine's; a master's round so far
-	last    map[int32]int           // each lock's last holder
-	shipped map[[2]int32]bool       // (page, node) copies shipped
-	readies int                     // readies still to send
-	exits   int
-	log     []wire.IntervalRec // the arrivals' intervals
+// tap is the puppet's endpoint: it keeps every message the puppet gets and
+// carries out the armed swaps.
+type tap struct {
+	transport.Endpoint
+	mode  Mode
+	mu    sync.Mutex
+	swaps []step
+	got   []*wire.Msg // held until the run is closed
+	from  int         // Recv's: the sender of the frames in next,
+	next  [][]byte    // what is left of a frame a swap split
 }
 
-// pending is a collected rendezvous message; answered if the script did.
-type pending struct {
-	src      int
-	seq      uint64
-	answered bool
-	clock    vc.VC
+// tapNet is simnet with one endpoint behind a tap.
+type tapNet struct {
+	*simnet.Network
+	tap *tap
 }
 
-func (p *puppet) send(dst int, frame []byte) { p.ep.Send(dst, append(framebuf.Get(), frame...)) }
-
-// reply answers request m from src with the armed answer for its kind, or
-// else with r (if any) to dst, and reports whether the script answered.
-func (p *puppet) reply(src int, m *wire.Msg, dst int, r *wire.Msg) bool {
-	p.mu.Lock()
-	i := slices.IndexFunc(p.answers, func(s step) bool { return wire.Kind(s.arg) == m.Kind })
-	var s step
-	if i >= 0 {
-		s = p.answers[i]
-		p.answers = slices.Delete(p.answers, i, i+1)
+func (n tapNet) Endpoint(i int) transport.Endpoint {
+	if i == n.tap.ID() {
+		return n.tap
 	}
-	p.mu.Unlock()
-	if i >= 0 {
-		p.send(src, patch(s.frame, m.Seq, p.cfg.Mode))
-	} else if r != nil {
-		r.Seq = cmp.Or(r.Seq, m.Seq)
-		p.send(dst, r.EncodeAppend(nil))
-	}
-	return i >= 0
+	return n.Network.Endpoint(i)
 }
 
-func (p *puppet) run() {
-	defer close(p.done)
-	for src, payload, ok := p.ep.Recv(); ok; src, payload, ok = p.ep.Recv() {
-		msgs, _ := decodeFrame(payload)
-		for _, m := range slices.DeleteFunc(msgs, func(m *wire.Msg) bool { return m == nil }) {
-			p.mu.Lock()
-			p.got = append(p.got, m)
-			p.mu.Unlock()
-			p.serve(m, src)
+// newTapSys starts a System over simnet with node pid behind a tap. The
+// caller closes the System.
+func newTapSys(t testing.TB, cfg Config, pid int) (*System, *tap) {
+	net := simnet.New(cfg.Procs)
+	tp := &tap{Endpoint: net.Endpoint(pid), mode: cfg.Mode}
+	cfg.Transport = tapNet{net, tp}
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s, tp
+}
+
+func (t *tap) Recv() (int, []byte, bool) {
+	for len(t.next) == 0 {
+		src, frame, ok := t.Endpoint.Recv()
+		if !ok {
+			return src, frame, ok
+		}
+		next, back := t.pass(true, frame)
+		t.from, t.next = src, next
+		for _, f := range back {
+			t.Endpoint.Send(src, f)
 		}
 	}
+	f := t.next[0]
+	t.next = t.next[1:]
+	return t.from, f, true
 }
 
-func (p *puppet) serve(m *wire.Msg, src int) {
-	lazy := p.cfg.Mode <= LazyUpdate
-	switch m.Kind {
-	case wire.KBarrierArrive, wire.KGCReady: // at the master
-		a := pending{src, m.Seq, p.reply(src, m, 0, nil), nil}
-		for _, s := range m.Sections {
-			a.clock, p.log = s.VC, append(p.log, s.Intervals...)
+func (t *tap) Send(dst int, frame []byte) error {
+	out, _ := t.pass(false, frame)
+	for _, f := range out {
+		if err := t.Endpoint.Send(dst, f); err != nil {
+			return err
 		}
-		if p.round[m.Kind] = append(p.round[m.Kind], a); len(p.round[m.Kind]) < p.cfg.Procs-1 {
-			return
-		}
-		for _, a := range p.round[m.Kind] {
-			r := &wire.Msg{Kind: wire.KGCDone, Seq: a.seq, A: m.A}
-			if m.Kind == wire.KBarrierArrive {
-				r.Kind, r.Data, r.Sections = wire.KBarrierExit, encodeHomePlan(nil), p.exitFor(a.clock)
+	}
+	return nil
+}
+
+// pass returns what goes on of a frame the puppet got (in) or sent — the
+// frame, or once a swap took one of its messages, the others one frame
+// each with a sent message's stand-in in its place — and the stand-ins
+// that go back to a got frame's sender.
+func (t *tap) pass(in bool, frame []byte) (out, back [][]byte) {
+	msgs, err := decodeFrame(slices.Clone(frame))
+	if err != nil {
+		return [][]byte{frame}, nil
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	swapped := false
+	for _, m := range msgs {
+		f, to := m.EncodeAppend(framebuf.Get()), &out
+		if i := slices.IndexFunc(t.swaps, func(s step) bool { return wire.Kind(s.arg) == m.Kind }); i >= 0 {
+			f, swapped = patch(t.swaps[i].frame, m.Seq, t.mode), true
+			t.swaps = slices.Delete(t.swaps, i, i+1)
+			if in {
+				to = &back
 			}
-			if !a.answered {
-				p.send(a.src, r.EncodeAppend(nil))
-			}
 		}
-		p.round[m.Kind] = nil
-	case wire.KBarrierExit, wire.KGCDone: // at a non-master
-		if m.Kind == wire.KBarrierExit {
-			p.exits++
-			if homes, _, _ := decodeHomePlan(m.Data, 8, p.cfg.Procs); p.exits == 1 && len(homes) > 0 {
-				p.readies += 2
-			}
-			if lazy && p.cfg.GCEveryBarriers > 0 {
-				p.readies++
-			}
+		if len(f) > 0 {
+			*to = append(*to, f)
 		}
-		if p.readies > 0 {
-			p.readies--
-			p.send(0, (&wire.Msg{Kind: wire.KGCReady, Seq: p.seq.Add(1), A: m.A, B: int32(p.id)}).EncodeAppend(nil))
-		}
-	case wire.KLockReq:
-		prev, held := p.last[m.A]
-		if p.last[m.A] = src; held {
-			p.reply(src, m, prev, &wire.Msg{Kind: wire.KLockFwd, A: m.A, B: m.B, Sections: m.Sections})
+		if in {
+			t.got = append(t.got, m)
 		} else {
-			p.reply(src, m, src, &wire.Msg{Kind: wire.KLockGrant, A: m.A})
+			m.Release()
 		}
-	case wire.KLockFwd:
-		p.reply(src, m, int(m.B), &wire.Msg{Kind: wire.KLockGrant, A: m.A})
-	case wire.KPageReq, wire.KFlushReq, wire.KWriteReq, wire.KInval, wire.KUpdate:
-		r, key := &wire.Msg{Kind: m.Kind + 1, A: m.A}, [2]int32{m.A, int32(src)} // the response kind follows
-		if (m.Kind == wire.KPageReq || m.Kind >= wire.KFlushReq) && (!p.shipped[key] || len(m.Data) > 0) {
-			r.Data = make([]byte, p.cfg.PageSize)
-		}
-		if !p.reply(src, m, src, r) {
-			p.shipped[key] = true
-		}
-	case wire.KDiffReq:
-		r := &wire.Msg{Kind: wire.KDiffResp}
-		for _, w := range m.Wants {
-			r.Diffs = append(r.Diffs, wire.DiffRec{Page: w.Page, Proc: w.Proc, Index: w.Index, Diff: empty})
-		}
-		p.reply(src, m, src, r)
-	default:
-		p.reply(src, m, src, nil)
 	}
+	if !swapped {
+		return [][]byte{frame}, nil
+	}
+	return out, back
 }
 
-var empty, _ = page.DiffFromRuns(nil, nil)
-
-// exitFor is an honest lazy master's exit section for an arriver of clock
-// v: every interval the arrivals carried that v does not cover.
-func (p *puppet) exitFor(v vc.VC) []wire.Section {
-	if p.cfg.Mode > LazyUpdate {
-		return nil
-	}
-	clock, recs := vc.New(p.cfg.Procs), []wire.IntervalRec(nil)
-	for _, r := range p.log {
-		if clock[r.Proc] = max(clock[r.Proc], r.Index); len(v) != len(clock) || r.Index > v[r.Proc] {
-			recs = append(recs, r)
-		}
-	}
-	slices.SortFunc(recs, byProcIndex)
-	return []wire.Section{{Mode: uint16(p.cfg.Mode), VC: clock, Intervals: recs}}
-}
-
-// received returns the messages of kind k the puppet has received.
-func (p *puppet) received(k wire.Kind) []*wire.Msg {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return slices.DeleteFunc(slices.Clone(p.got), func(m *wire.Msg) bool { return m.Kind != k })
+// received returns the messages of kind k the puppet has got.
+func (t *tap) received(k wire.Kind) []*wire.Msg {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return slices.DeleteFunc(slices.Clone(t.got), func(m *wire.Msg) bool { return m.Kind != k })
 }
 
 // peerRun is one run of the program against a puppet.
 type peerRun struct {
 	s         *System
-	p         *puppet
-	h, r      *Node // node 1; the other real node
+	tap       *tap
+	pid       int
+	h, r      *Node // node 1; the other program node
 	mu        sync.Mutex
 	errs      []error // every failed call
 	cold, own uint64  // r's reads of page 1 and of the puppet's page
 	lockReads map[mem.LockID][]uint64
+	wrote     map[mem.ProcID]uint64 // each node's write of lock 1's counter
 }
 
 func (pr *peerRun) note(errs ...error) {
@@ -437,13 +373,16 @@ func (pr *peerRun) lockedAdd(n *Node, l mem.LockID, addr mem.Addr) {
 	if acquired {
 		var v uint64
 		if v, err = n.ReadUint64(addr); err == nil {
+			err = n.WriteUint64(addr, v+1)
 			pr.mu.Lock()
 			pr.lockReads[l] = append(pr.lockReads[l], v)
+			if l == 1 && err == nil {
+				pr.wrote[n.id] = v + 1
+			}
 			pr.mu.Unlock()
-			err = n.WriteUint64(addr, v+1)
 		}
 		if err == nil && n == pr.r && l == 1 {
-			err = n.WriteUint64(mem.Addr(pr.p.id+3)*1024+8, 3)
+			err = n.WriteUint64(mem.Addr(pr.pid+3)*1024+8, 3)
 		}
 	}
 	if rel := n.Release(l); acquired {
@@ -452,37 +391,42 @@ func (pr *peerRun) lockedAdd(n *Node, l mem.LockID, addr mem.Addr) {
 	pr.note(err)
 }
 
-// program runs phase at on real node n.
+// program runs phase at on node n; the puppet runs the barriers alone.
 func (pr *peerRun) program(n *Node, at phase) {
 	switch {
+	case at == atBarrier0 || at == atBarrier1:
+		pr.note(n.Barrier(mem.BarrierID(at / atBarrier1)))
+	case int(n.id) == pr.pid:
 	case at == atStart && n == pr.h:
 		pr.note(n.WriteUint64(1024, 0x1111))
 	case at == atStart:
 		pr.note(n.WriteUint64(4096, 0x2222))
-	case at == atBarrier0 || at == atBarrier1:
-		pr.note(n.Barrier(mem.BarrierID(at / atBarrier1)))
 	case at == atRead && n == pr.r:
 		v, err := n.ReadUint64(1024)
-		w, err2 := n.ReadUint64(mem.Addr(pr.p.id+3) * 1024)
+		w, err2 := n.ReadUint64(mem.Addr(pr.pid+3) * 1024)
 		pr.note(err, err2)
 		pr.mu.Lock()
 		pr.cold, pr.own = v, w
 		pr.mu.Unlock()
 	case at == atLocks:
 		pr.lockedAdd(n, 1, 7168)
-		pr.lockedAdd(n, mem.LockID(pr.p.id), 7176)
+		pr.lockedAdd(n, mem.LockID(pr.pid), 7176)
 	}
 }
 
-// preempt sends st's frame once its node waits on an rpc, with that rpc's
-// seq, and reports whether it did.
+// preempt sends st's frame once its node waits on an rpc for a response of
+// the frame's kind, with that rpc's seq, and reports whether it did.
 func (pr *peerRun) preempt(st step) bool {
-	n := pr.s.Node(int(st.arg) % peerProcs)
+	n, seq := pr.s.Node(int(st.arg)%peerProcs), uint64(0)
 	n.waiterMu.Lock()
-	seq := slices.Max(append(slices.Collect(maps.Keys(n.waiters)), 0))
+	for s, w := range n.waiters {
+		if len(st.frame) > 0 && w.want == wire.Kind(st.frame[0]) {
+			seq = max(seq, s)
+		}
+	}
 	n.waiterMu.Unlock()
 	if seq != 0 {
-		pr.p.send(int(n.id), patch(st.frame, seq, pr.s.cfg.Mode))
+		pr.tap.Endpoint.Send(int(n.id), patch(st.frame, seq, pr.s.cfg.Mode))
 	}
 	return seq != 0
 }
@@ -491,45 +435,41 @@ func (pr *peerRun) preempt(st step) bool {
 // puppet running script, failing t if a phase misses the deadline. The
 // caller checks the run and closes it.
 func runPeer(t *testing.T, cfg Config, pid int, script []step) *peerRun {
-	s, ep := newPuppetSys(t, cfg, pid)
-	p := &puppet{id: pid, cfg: cfg, ep: ep, done: make(chan struct{}), round: map[wire.Kind][]pending{}, last: map[int32]int{}, shipped: map[[2]int32]bool{}}
-	pr := &peerRun{s: s, p: p, h: s.Node(1), r: s.Node(2 - pid), lockReads: map[mem.LockID][]uint64{}}
-	go p.run()
+	s, tp := newTapSys(t, cfg, pid)
+	pr := &peerRun{s: s, tap: tp, pid: pid, h: s.Node(1), r: s.Node(2 - pid), lockReads: map[mem.LockID][]uint64{}, wrote: map[mem.ProcID]uint64{}}
 	for at := atStart; at < numPhases; at++ {
 		var preempts []step
-		arrive := (at == atBarrier0 || at == atBarrier1) && pid != 0
 		for _, st := range script {
 			switch dst := int(st.arg) % cfg.Procs; {
 			case st.at != at:
-			case st.op == opAnswer:
-				p.mu.Lock()
-				p.answers = append(p.answers, st)
-				p.mu.Unlock()
+			case st.op == opSwap:
+				tp.mu.Lock()
+				tp.swaps = append(tp.swaps, st)
+				tp.mu.Unlock()
 			case dst == pid:
 			case st.op == opPreempt:
 				preempts = append(preempts, st)
 			default:
-				p.send(dst, st.frame)
-				// The script's arrival for the puppet stands in for its own.
-				if ms, err := decodeFrame(slices.Clone(st.frame)); err == nil && ms[0].Kind == wire.KBarrierArrive && int(ms[0].B) == pid {
-					arrive = false
-				}
+				tp.Endpoint.Send(dst, patch(st.frame, 0, cfg.Mode))
 			}
 		}
 		if at == atEnd {
 			break
 		}
 		var wg sync.WaitGroup
-		for _, n := range s.Local() {
+		start := func(n *Node) {
 			wg.Add(1)
 			go func() { defer wg.Done(); pr.program(n, at) }()
+		}
+		for _, n := range s.Local() {
+			if int(n.id) != pid {
+				start(n)
+			}
 		}
 		for giveUp := time.Now().Add(peerTimeout); len(preempts) > 0 && time.Now().Before(giveUp); time.Sleep(100 * time.Microsecond) {
 			preempts = slices.DeleteFunc(preempts, pr.preempt)
 		}
-		if arrive { // last, so a preempted node waits in the barrier
-			p.send(0, (&wire.Msg{Kind: wire.KBarrierArrive, Seq: p.seq.Add(1), A: int32(at / atBarrier1), B: int32(pid), Data: encodeClaims(nil)}).EncodeAppend(nil))
-		}
+		start(s.Node(pid)) // last, so a preempted node still waits in the barrier
 		done := make(chan struct{})
 		go func() { wg.Wait(); close(done) }()
 		select {
@@ -555,7 +495,6 @@ func (pr *peerRun) close(t *testing.T) error {
 	case <-time.After(peerDeadline):
 		t.Fatalf("hang: System.Close did not return within %v", peerDeadline)
 	}
-	<-pr.p.done
 	if err != nil && strings.Contains(err.Error(), "write set") {
 		t.Errorf("Close = %v: the write-set check failed", err)
 	}
@@ -564,13 +503,16 @@ func (pr *peerRun) close(t *testing.T) error {
 			checkLogClosed(t, e)
 		}
 	}
-	for _, m := range pr.p.got {
+	pr.tap.mu.Lock()
+	defer pr.tap.mu.Unlock()
+	for _, m := range pr.tap.got {
 		if mode := pr.s.cfg.Mode; mode <= LazyUpdate && (m.Kind == wire.KDiffReq && m.B != 0 || m.Kind == wire.KLockReq &&
 			(m.VC != nil || len(m.Sections) != 1 || Mode(m.Sections[0].Mode) != mode || len(m.Sections[0].VC) != peerProcs)) {
 			t.Errorf("the puppet got %v with B %d, clock %v, sections %+v", m.Kind, m.B, m.VC, m.Sections)
 		}
 		m.Release()
 	}
+	pr.tap.got = nil
 	return err
 }
 
@@ -580,7 +522,7 @@ func (pr *peerRun) checkImage(t *testing.T) {
 	if pr.cold != 0x1111 || pr.own != 0 {
 		t.Errorf("cold reads = %#x, %#x; want 0x1111, 0", pr.cold, pr.own)
 	}
-	for _, l := range []mem.LockID{1, mem.LockID(pr.p.id)} {
+	for _, l := range []mem.LockID{1, mem.LockID(pr.pid)} {
 		if got := slices.Sorted(slices.Values(pr.lockReads[l])); !slices.Equal(got, []uint64{0, 1}) {
 			t.Errorf("lock %d's counter read %v, want 0 and 1", l, got)
 		}
@@ -634,7 +576,7 @@ func frameRow(name string, modes []Mode, want string, m *wire.Msg) hostileRow {
 // wantsRow sends node 1, after the program, a diff request for wants it
 // must refuse whole.
 func wantsRow(name string, modes []Mode, flags byte, want string, wants ...wire.Want) hostileRow {
-	return hostileRow{name: name, modes: modes, pid: 2, flags: flags, want: want, check: noneReceived(wire.KDiffResp), script: []step{send(atEnd, 1, &wire.Msg{Kind: wire.KDiffReq, Seq: 99, A: 2, Wants: wants})}}
+	return hostileRow{name: name, modes: modes, pid: 2, flags: flags, want: want, check: unanswered, script: []step{send(atEnd, 1, &wire.Msg{Kind: wire.KDiffReq, Seq: 99, A: 2, Wants: wants})}}
 }
 
 // sectionRow asks node 1, lock 1's manager, for the lock after the program
@@ -644,20 +586,22 @@ func sectionRow(name, want string, sections ...wire.Section) hostileRow {
 	return hostileRow{name: name, modes: lu, pid: 2, want: want, check: granted, script: []step{send(atEnd, 1, &wire.Msg{Kind: wire.KLockReq, Seq: 99, A: 1, B: 2, Sections: sections})}}
 }
 
-// shipRow answers r's cold read of the puppet's page with m.
+// shipRow answers r's cold read of the puppet's page with m, and its write
+// of the page under lock 1 again.
 func shipRow(name string, m wire.Msg) hostileRow {
 	m.A = 5
-	return hostileRow{name: name, modes: lazyModes, pid: 2, want: "page install", fails: "page install", check: noShortCopy, script: []step{answer(atRead, wire.KPageReq, &m)}}
+	want, fails := "page install", "page install"
+	if m.Kind != wire.KPageResp { // refused before the install sees it
+		want, fails = "diffresp answers seq", "response refused"
+	}
+	return hostileRow{name: name, modes: lazyModes, pid: 2, want: want, fails: fails, check: refusedTwice(fails), script: []step{swap(atRead, wire.KPageReq, &m), swap(atLocks, wire.KPageReq, &m)}}
 }
 
-// intervalRows answer, as lock 0's manager or as the barrier master, with
-// a bad interval record beside a sound one: only the sound one may land.
+// intervalRows grant lock 0 as its manager, or let node 1 out of barrier 0
+// in the master's stead, with a bad interval record beside a sound one:
+// only the sound one may land.
 func intervalRows() (rows []hostileRow) {
-	for _, via := range []struct {
-		name      string
-		at        phase
-		req, kind wire.Kind
-	}{{"grant", atLocks, wire.KLockReq, wire.KLockGrant}, {"barrier exit", atBarrier0, wire.KBarrierArrive, wire.KBarrierExit}} {
+	for _, kind := range []wire.Kind{wire.KLockGrant, wire.KBarrierExit} {
 		for _, c := range []struct {
 			name, want string
 			bad        wire.IntervalRec
@@ -667,8 +611,15 @@ func intervalRows() (rows []hostileRow) {
 			{"long clock", "interval record p0/1 carries a 4-entry clock (cluster has 3)", wire.IntervalRec{Index: 1, VC: vc.VC{1, -1, -1, -1}, Pages: []mem.PageID{1}}},
 			{"page outside the space", "interval record p0/1 names invalid page 99", wire.IntervalRec{Index: 1, VC: vc.VC{1, -1, -1}, Pages: []mem.PageID{1, 99}}},
 			{"index past the high-water mark", "interval gap for p0: have 0, got 3", wire.IntervalRec{Index: 3, VC: vc.VC{3, -1, -1}, Pages: []mem.PageID{1}}},
+			// FuzzPeer finding: a clock that names intervals nobody sent.
+			{"clock past what the node knows", "interval record p0/1 is stamped <1,9,-1>", wire.IntervalRec{Index: 1, VC: vc.VC{1, 9, -1}, Pages: []mem.PageID{1}}},
 		} { // the bad record first: a block is sorted before it is absorbed
-			rows = append(rows, hostileRow{name: via.name + "/" + c.name, modes: lazyModes, want: c.want, check: soundOnly, script: []step{answer(via.at, via.req, &wire.Msg{Kind: via.kind, Sections: sec(vc.VC{3, -1, -1}, c.bad, sound)})}})
+			m := &wire.Msg{Kind: kind, Sections: sec(vc.VC{3, -1, -1}, c.bad, sound)}
+			st, name := swap(atLocks, wire.KLockReq, m), "grant/"
+			if kind == wire.KBarrierExit {
+				st, name = preempt(atBarrier0, 1, m), "barrier exit/"
+			}
+			rows = append(rows, hostileRow{name: name + c.name, modes: lazyModes, want: c.want, check: soundOnly, script: []step{st}})
 		}
 	}
 	return rows
@@ -677,8 +628,9 @@ func intervalRows() (rows []hostileRow) {
 var sound = wire.IntervalRec{VC: vc.VC{0, -1, -1}, Pages: []mem.PageID{2}}
 
 // mismatchRows grant lock 0 with the puppet's interval 0 on page 7 (and
-// page 1), then answer the diff request with a response that does not
-// answer it.
+// page 1), then answer the diff request for it with a response that does
+// not answer it, and the next two (LU's revalidation at barrier 1, the
+// check's second read) with no record.
 func mismatchRows() (rows []hostileRow) {
 	p7 := []mem.PageID{7}
 	for _, c := range []struct {
@@ -702,8 +654,8 @@ func mismatchRows() (rows []hostileRow) {
 		if c.diffs == nil { // refused before the miss sees it
 			resp, want, fails = &wire.Msg{Kind: wire.KPageResp, Data: make([]byte, 1024)}, "pageresp answers seq", "response refused"
 		}
-		notice := wire.IntervalRec{VC: vc.VC{0, -1, -1}, Pages: c.pages}
-		rows = append(rows, hostileRow{name: c.name, modes: c.modes, want: want, fails: fails, check: page7Untouched, script: []step{answer(atLocks, wire.KLockReq, &wire.Msg{Kind: wire.KLockGrant, Sections: sec(vc.VC{0, -1, -1}, notice)}), answer(atLocks, wire.KDiffReq, resp)}})
+		notice, none := wire.IntervalRec{VC: vc.VC{0, -1, -1}, Pages: c.pages}, &wire.Msg{Kind: wire.KDiffResp}
+		rows = append(rows, hostileRow{name: c.name, modes: c.modes, want: want, fails: fails, check: requesterIntact, script: []step{swap(atLocks, wire.KLockReq, &wire.Msg{Kind: wire.KLockGrant, Sections: sec(vc.VC{0, -1, -1}, notice)}), swap(atLocks, wire.KDiffReq, resp), swap(atLocks, wire.KDiffReq, none), swap(atLocks, wire.KDiffReq, none)}})
 	}
 	return rows
 }
@@ -720,9 +672,16 @@ var hostileRows = map[string][]hostileRow{
 		// page's grant may wake a miss over a page never installed (FuzzPeer
 		// findings).
 		{name: "a page request answered with another kind", modes: []Mode{EagerInvalidate, SeqConsistent}, want: "diffresp answers seq", fails: "response refused",
-			script: []step{answer(atRead, wire.KPageReq, &wire.Msg{Kind: wire.KDiffResp})}},
+			script: []step{swap(atRead, wire.KPageReq, &wire.Msg{Kind: wire.KDiffResp})}},
 		{name: "a page grant for another page", modes: []Mode{EagerInvalidate, EagerUpdate}, pid: 2, want: "grant for page 1 answers the miss of page 5", fails: "answers the miss of page 5",
-			script: []step{answer(atRead, wire.KPageReq, &wire.Msg{Kind: wire.KPageResp, A: 1, Data: make([]byte, 1024)})}},
+			script: []step{swap(atRead, wire.KPageReq, &wire.Msg{Kind: wire.KPageResp, A: 1, Data: make([]byte, 1024)})}},
+		// FuzzPeer finding: the arriver that took a forged exit holds back at
+		// barrier 1 what it thinks the master has, and the records stamped
+		// after those must wait for them, not leave the master's log
+		// unclosed. Its GC ready of barrier 0 then fails the master's GC
+		// round at barrier 1, an error that must name it, not a released
+		// shell.
+		{name: "an arrival answered in the master's stead", modes: lazyModes, flags: withGC, want: "interval gap for p", fails: "GC round at barrier 1: gcready for barrier 0", script: []step{swap(atBarrier0, wire.KBarrierArrive, &wire.Msg{Kind: wire.KBarrierExit})}},
 		{name: "forward from a non-manager", modes: li, pid: 2, want: "lockfwd of lock 1 from 2 dropped: only its manager 1 forwards it", script: []step{send(atEnd, 0, &wire.Msg{Kind: wire.KLockFwd, Seq: 99, A: 1, B: 2})}},
 	},
 	"TestCorruptTCPFramesSurfaceOnClose": {
@@ -758,13 +717,12 @@ var hostileRows = map[string][]hostileRow{
 		shipRow("short page", wire.Msg{Kind: wire.KPageResp, Data: make([]byte, 100)}),
 		shipRow("long page", wire.Msg{Kind: wire.KPageResp, Data: make([]byte, 4096)}),
 		shipRow("no page", wire.Msg{Kind: wire.KPageResp}),
-		{name: "another kind", modes: lazyModes, pid: 2, want: "diffresp answers seq", fails: "response refused", check: noShortCopy,
-			script: []step{answer(atRead, wire.KPageReq, &wire.Msg{Kind: wire.KDiffResp, Data: make([]byte, 1024)})}},
+		shipRow("another kind", wire.Msg{Kind: wire.KDiffResp, Data: make([]byte, 1024)}),
 		shipRow("clock of the wrong width", wire.Msg{Kind: wire.KPageResp, Data: make([]byte, 1024), VC: vc.VC{0, 0, 0, 0}}),
 		// No home ships interval records with a page.
 		shipRow("clock beside an interval block", wire.Msg{Kind: wire.KPageResp, Data: make([]byte, 1024), VC: vc.VC{-1, -1, 0}, Intervals: []wire.IntervalRec{{Proc: 2, VC: vc.VC{-1, -1, 0}, Pages: []mem.PageID{5}}}}),
 		// An eager flusher's reconciliation base is a whole-page transfer too.
-		{name: "EI/short flush base", modes: ei, pid: 2, want: "flush reconcile", fails: "response refused", script: []step{answer(atLocks, wire.KFlushReq, &wire.Msg{Kind: wire.KFlushDone, A: 5, Data: make([]byte, 100)})}},
+		{name: "EI/short flush base", modes: ei, pid: 2, want: "flush reconcile", fails: "response refused", script: []step{swap(atLocks, wire.KFlushReq, &wire.Msg{Kind: wire.KFlushDone, A: 5, Data: make([]byte, 100)})}},
 	},
 	"TestForgedIntervalRecordsRecordedNotAbsorbed": intervalRows(),
 	"TestHostileRangeWantsRecordedNotServed": {
@@ -784,14 +742,15 @@ var hostileRows = map[string][]hostileRow{
 		wantsRow("a want into collected history", lazyModes, withGC, "asked for diff 1/1 of page 7 from collected history", wire.Want{Page: 7, Proc: 1, Index: 1}),
 		wantsRow("a range want into collected history", lazyModes, withGC, "asked for diff 1/1 of page 7 from collected history", wire.Want{Page: 7, Proc: 1, Index: 1, Span: 1}),
 		// Barrier 0's epoch swept node 0's interval 0. LI keeps no received diff.
-		{name: "LI/a diff record of a collected interval", modes: li, pid: 2, flags: withGC, script: collectedGrant},
-		{name: "LU/a diff record of a collected interval", modes: lu, pid: 2, flags: withGC, script: collectedGrant, want: "diff record 0/0 for page 4 names collected history"},
+		{name: "LI/a diff record of a collected interval", modes: li, pid: 2, flags: withGC, check: storeKnown, script: collectedGrant},
+		{name: "LU/a diff record of a collected interval", modes: lu, pid: 2, flags: withGC, check: storeKnown, script: collectedGrant, want: "diff record 0/0 for page 4 names collected history"},
 		{name: "a lock request below the floor", modes: lazyModes, pid: 2, flags: withGC, want: "forged clock <-1,-1,-1> lies below the collected floor", check: servedFromFloor(wire.KLockGrant, 2), script: []step{send(atEnd, 1, &wire.Msg{Kind: wire.KLockReq, Seq: 99, A: 1, B: 2, Sections: sec(vc.VC{-1, -1, -1})})}},
-		{name: "a barrier arrival below the floor", modes: lazyModes, pid: 2, flags: withGC, want: "forged clock <-1,-1,-1> lies below the collected floor", check: servedFromFloor(wire.KBarrierExit, 0), script: []step{send(atBarrier1, 0, &wire.Msg{Kind: wire.KBarrierArrive, Seq: 7, A: 1, B: 2, Sections: sec(vc.VC{-1, -1, -1})})}},
+		// The puppet's own arrival at barrier 1 claims to know nothing.
+		{name: "a barrier arrival below the floor", modes: lazyModes, pid: 2, flags: withGC, want: "forged clock <-1,-1,-1> lies below the collected floor", check: servedFromFloor(wire.KBarrierExit, 0), script: []step{swap(atBarrier1, wire.KBarrierArrive, &wire.Msg{Kind: wire.KBarrierArrive, A: 1, B: 2, Sections: sec(vc.VC{-1, -1, -1})})}},
 	},
 	"TestMismatchedDiffResponsesFailTheMiss": mismatchRows(),
 	"TestForgedArrivalIntervalsRecordedNotAbsorbedRepro": {
-		{name: "the master's interval in an arrival", modes: li, pid: 2, want: "carries interval p0/0 of another processor", check: mastersOwn, script: []step{send(atBarrier0, 0, &wire.Msg{Kind: wire.KBarrierArrive, Seq: 5, B: 2, Sections: sec(vc.VC{-1, -1, 0},
+		{name: "the master's interval in an arrival", modes: li, pid: 2, want: "carries interval p0/0 of another processor", check: mastersOwn, script: []step{swap(atBarrier0, wire.KBarrierArrive, &wire.Msg{Kind: wire.KBarrierArrive, B: 2, Sections: sec(vc.VC{-1, -1, 0},
 			wire.IntervalRec{VC: vc.VC{0, -1, -1}, Pages: []mem.PageID{3}}, wire.IntervalRec{Proc: 2, VC: vc.VC{-1, -1, 0}, Pages: []mem.PageID{2}})})}},
 	},
 	"TestForgedRendezvousRecordedNotCounted": {
@@ -802,39 +761,44 @@ var hostileRows = map[string][]hostileRow{
 		{name: "four arrivals at node 1", modes: li, image: true, want: "arrive from 0 dropped: this node is not the barrier master", script: slices.Repeat([]step{send(atStart, 1, &wire.Msg{Kind: wire.KBarrierArrive, Seq: 10})}, 4)},
 	},
 	"TestForgedHomeDeltasRecordedNotApplied": {
-		{name: "overlapping home deltas", modes: ei, flags: withFT, want: "overlapping home deltas", check: homesUnmoved, script: []step{answer(atBarrier0, wire.KBarrierArrive, &wire.Msg{Kind: wire.KBarrierExit, Data: encodeHomePlan([]homeDelta{{pg: 0, home: 1}, {pg: 0, home: 0}})})}},
+		// Node 1 drops the plan and leaves; the others' hand-off of the honest
+		// plan waits for it in vain.
+		{name: "overlapping home deltas", modes: ei, flags: withFT, want: "overlapping home deltas", fails: "hand-off round 1", check: page0Stays, script: []step{preempt(atBarrier0, 1, &wire.Msg{Kind: wire.KBarrierExit, Data: encodeHomePlan([]homeDelta{{pg: 0, home: 1}, {pg: 0, home: 0}})})}},
 	},
 	"TestForgedClaimsRecordedNotApplied": {
-		{name: "a page claimed twice", modes: ei, pid: 2, flags: withFT, want: "claims page 0 twice", check: homesUnmoved, script: []step{send(atBarrier0, 0, &wire.Msg{Kind: wire.KBarrierArrive, Seq: 5, B: 2, Data: encodeClaims([]touchClaim{{pg: 0, score: 9}, {pg: 0, score: 2}})})}},
+		{name: "a page claimed twice", modes: ei, pid: 2, flags: withFT, want: "claims page 0 twice", check: page0Stays, script: []step{swap(atBarrier0, wire.KBarrierArrive, &wire.Msg{Kind: wire.KBarrierArrive, B: 2, Data: encodeClaims([]touchClaim{{pg: 0, score: 9}, {pg: 0, score: 2}})})}},
 	},
 }
 
 // collectedGrant grants the puppet's lock with node 0's diff of interval 0.
-var collectedGrant = []step{answer(atLocks, wire.KLockReq, &wire.Msg{Kind: wire.KLockGrant, A: 2, Sections: []wire.Section{{Mode: ownMode, Diffs: []wire.DiffRec{rec(4, 0, 0)}}}})}
+var collectedGrant = []step{swap(atLocks, wire.KLockReq, &wire.Msg{Kind: wire.KLockGrant, A: 2, Sections: []wire.Section{{Mode: ownMode, Diffs: []wire.DiffRec{rec(4, 0, 0)}}}})}
 
 // --- row checks, run before Close ---
 
-func noneReceived(k wire.Kind) func(t *testing.T, pr *peerRun) {
-	return func(t *testing.T, pr *peerRun) {
-		if got := pr.p.received(k); len(got) > 0 {
-			t.Errorf("the refused request was answered: %d %v sent", len(got), k)
+// unanswered: no response to the puppet's request (seq 99) came back. It
+// closes the run first, so a response still in flight is counted.
+func unanswered(t *testing.T, pr *peerRun) {
+	pr.s.Close()
+	for _, m := range pr.tap.received(wire.KDiffResp) {
+		if m.Seq == 99 {
+			t.Errorf("the refused request was answered with %d diffs", len(m.Diffs))
 		}
 	}
 }
 
 func granted(t *testing.T, pr *peerRun) {
-	waitFor(t, "the lock to be granted to the puppet", func() bool { return len(pr.p.received(wire.KLockGrant)) > 0 })
+	waitFor(t, "the lock to be granted to the puppet", func() bool { return len(pr.tap.received(wire.KLockGrant)) > 0 })
 }
 
 // servedFromFloor checks that the last message of kind k the puppet gets
-// exports no real node's interval at or below floor.
+// exports no program node's interval at or below floor.
 func servedFromFloor(k wire.Kind, floor int32) func(t *testing.T, pr *peerRun) {
 	return func(t *testing.T, pr *peerRun) {
-		waitFor(t, fmt.Sprintf("a %v at the puppet", k), func() bool { return len(pr.p.received(k)) > 0 })
-		got := pr.p.received(k)
+		waitFor(t, fmt.Sprintf("a %v at the puppet", k), func() bool { return len(pr.tap.received(k)) > 0 })
+		got := pr.tap.received(k)
 		for _, s := range got[len(got)-1].Sections {
 			for _, r := range s.Intervals {
-				if r.Proc != 2 && r.Index <= floor {
+				if int(r.Proc) != pr.pid && r.Index <= floor {
 					t.Errorf("%v exports %d/%d, at or below the floor %d", k, r.Proc, r.Index, floor)
 				}
 			}
@@ -842,12 +806,19 @@ func servedFromFloor(k wire.Kind, floor int32) func(t *testing.T, pr *peerRun) {
 	}
 }
 
-func noShortCopy(t *testing.T, pr *peerRun) {
-	pmu := pr.r.pageLock(5)
-	pmu.Lock()
-	defer pmu.Unlock()
-	if pc := lazyOf(pr.r).pages[5]; pc != nil && len(pc.data) != 1024 {
-		t.Errorf("a %d-byte copy of page 5 was installed", len(pc.data))
+// refusedTwice: r's read of the puppet's page and its write of it both
+// failed naming what, and no copy other than a whole page was installed.
+func refusedTwice(what string) func(t *testing.T, pr *peerRun) {
+	return func(t *testing.T, pr *peerRun) {
+		if n := len(slices.DeleteFunc(slices.Clone(pr.errs), func(err error) bool { return !strings.Contains(err.Error(), what) })); n != 2 {
+			t.Errorf("%d calls failed naming %q, want the read and the write: %v", n, what, pr.errs)
+		}
+		pmu := pr.r.pageLock(5)
+		pmu.Lock()
+		defer pmu.Unlock()
+		if pc := lazyOf(pr.r).pages[5]; pc != nil && len(pc.data) != 1024 {
+			t.Errorf("a %d-byte copy of page 5 was installed", len(pc.data))
+		}
 	}
 }
 
@@ -868,25 +839,41 @@ func soundOnly(t *testing.T, pr *peerRun) {
 	}
 }
 
-// page7Untouched: the copy the refused response was for stays invalid, and
-// no copy took the forged bytes.
-func page7Untouched(t *testing.T, pr *peerRun) {
-	invalid := 0
+// requesterIntact: the node the forged grant went to keeps its copy of
+// page 7 invalid, holding its own counter write and not the forged bytes,
+// and a second read of the page fails too.
+func requesterIntact(t *testing.T, pr *peerRun) {
+	n := pr.s.Node(int(pr.tap.received(wire.KLockReq)[0].B))
+	pmu := n.pageLock(7)
+	pmu.Lock()
+	pc := lazyOf(n).pages[7]
+	if pc == nil {
+		t.Errorf("node %d holds no copy of page 7", n.id)
+	} else if pc.valid || binary.LittleEndian.Uint64(pc.data) != pr.wrote[n.id] || binary.LittleEndian.Uint32(pc.data[16:]) != 0 {
+		t.Errorf("node %d's copy of page 7: valid %t, bytes % x; want invalid, its write %d and no forged bytes", n.id, pc.valid, pc.data[:20], pr.wrote[n.id])
+	}
+	pmu.Unlock()
+	if _, err := n.ReadUint64(7176); err == nil {
+		t.Error("a second read of page 7 succeeded")
+	}
+}
+
+// storeKnown: a node's diff store holds cells only for intervals above the
+// floor that its clock covers; a diff of a collected interval lands in a
+// cell past both.
+func storeKnown(t *testing.T, pr *peerRun) {
 	for _, n := range pr.s.Local() {
-		pmu := n.pageLock(7)
-		pmu.Lock()
-		if pc := lazyOf(n).pages[7]; pc != nil {
-			if !pc.valid {
-				invalid++
-			}
-			if binary.LittleEndian.Uint32(pc.data[16:]) != 0 {
-				t.Errorf("node %d's copy of page 7 took the forged bytes % x", n.id, pc.data[16:20])
+		e := lazyOf(n)
+		e.mu.Lock()
+		for p, ring := range e.store {
+			floor := e.log.Floor(mem.ProcID(p))
+			for k := floor + 1; k <= floor+int32(len(ring)); k++ {
+				if len(ring.at(k, floor)) > 0 && k > e.v[p] {
+					t.Errorf("node %d stores a cell for %d/%d past its clock %v", n.id, p, k, e.v)
+				}
 			}
 		}
-		pmu.Unlock()
-	}
-	if invalid == 0 {
-		t.Error("no copy of page 7 stayed invalid")
+		e.mu.Unlock()
 	}
 }
 
@@ -911,27 +898,23 @@ func mastersOwn(t *testing.T, pr *peerRun) {
 	}
 }
 
-func homesUnmoved(t *testing.T, pr *peerRun) {
+// page0Stays: no node moved page 0, the page the forgery names, and node
+// 1's calls succeeded.
+func page0Stays(t *testing.T, pr *peerRun) {
+	if i := slices.IndexFunc(pr.errs, func(err error) bool { return strings.Contains(err.Error(), "node 1:") }); i >= 0 {
+		t.Errorf("node 1's call failed: %v", pr.errs[i])
+	}
 	for _, n := range pr.s.Local() {
-		if got := n.homes.snapshot(); !slices.Equal(got, initialHomes(8, peerProcs)) {
-			t.Errorf("node %d's home table moved: %v", n.id, got)
+		if home := n.homes.snapshot()[0]; home != 0 {
+			t.Errorf("node %d homes page 0 at node %d", n.id, home)
 		}
 	}
 }
 
 // --- runners ---
 
-// steps is the row's script under mode.
-func (row hostileRow) steps(mode Mode) []step {
-	steps := slices.Clone(row.script)
-	for i := range steps {
-		steps[i].frame = patch(steps[i].frame, 0, mode)
-	}
-	return steps
-}
-
 func (row hostileRow) run(t *testing.T, mode Mode) {
-	pr := runPeer(t, peerConfig(byte(mode)|row.flags), row.pid, row.steps(mode))
+	pr := runPeer(t, peerConfig(byte(mode)|row.flags), row.pid, row.script)
 	if row.want != "" {
 		waitFor(t, fmt.Sprintf("a node to record %q", row.want), func() bool {
 			return slices.ContainsFunc(pr.s.Local(), func(n *Node) bool {
@@ -997,7 +980,7 @@ func FuzzPeer(f *testing.F) {
 	for _, test := range slices.Sorted(maps.Keys(hostileRows)) {
 		for _, row := range hostileRows[test] {
 			for _, mode := range row.modes {
-				f.Add(byte(mode)|row.flags, byte(row.pid/2), encodeScript(row.steps(mode)))
+				f.Add(byte(mode)|row.flags, byte(row.pid/2), encodeScript(row.script))
 			}
 		}
 	}
@@ -1005,18 +988,35 @@ func FuzzPeer(f *testing.F) {
 		f.Add(b, byte(0), []byte(nil))
 		f.Add(b, byte(1), []byte(nil))
 	}
+	// The seeds run side by side, so their goroutines are counted together;
+	// while fuzzing, runs take turns and each is counted.
+	fuzzing := flag.Lookup("test.fuzz").Value.String() != ""
+	if before := runtime.NumGoroutine(); !fuzzing {
+		f.Cleanup(func() { settle(f, before) })
+	}
 	f.Fuzz(func(t *testing.T, mode, pid byte, script []byte) {
 		before, steps := runtime.NumGoroutine(), decodeScript(script)
+		if !fuzzing {
+			t.Parallel()
+		}
 		pr := runPeer(t, peerConfig(mode), int(pid%2)*(peerProcs-1), steps)
 		if err, calls := pr.close(t), errors.Join(pr.errs...); len(steps) == 0 && (err != nil || calls != nil) {
 			t.Errorf("honest run: Close = %v, calls failed: %v", err, calls)
 		} else if len(steps) == 0 {
 			pr.checkImage(t)
 		}
-		for deadline := time.Now().Add(peerDeadline); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
-			if time.Now().After(deadline) {
-				t.Fatalf("%d goroutines before the run, %d after", before, runtime.NumGoroutine())
-			}
+		if fuzzing {
+			settle(t, before)
 		}
 	})
+}
+
+// settle waits for the goroutine count to fall back to before.
+func settle(tb testing.TB, before int) {
+	for deadline := time.Now().Add(peerDeadline); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			tb.Errorf("%d goroutines before the runs, %d after", before, runtime.NumGoroutine())
+			return
+		}
+	}
 }

@@ -80,10 +80,9 @@ type lazyEngine struct {
 	barRecs    []wire.IntervalRec
 	gcEpoch    vc.VC
 	gcPages    []mem.PageID
-	// Under mu: absorbIntervalsLocked's bound on a received record's clock,
-	// and masterAbsorb's batch, each arrival's own records.
-	reach   vc.VC
-	arrived [][]wire.IntervalRec
+	// Under mu: absorbIntervalsLocked's records waiting for their causal
+	// past, scratch kept across calls.
+	pending []wire.IntervalRec
 
 	// ws is the current interval's write set; closeIntervalLocked drains
 	// it into cand.
@@ -201,86 +200,95 @@ func (e *lazyEngine) closeIntervalLocked() {
 // genuinely new records notice to fresh. Nothing of the lists is kept: they
 // may die with the messages they came in. Caller holds e.mu.
 func (e *lazyEngine) absorbIntervalsLocked(fresh []mem.PageID, batch ...[]wire.IntervalRec) []mem.PageID {
-	// A record's clock may name only intervals the node knows, or will once
-	// the batch is in: an honest batch is closed under happened-before.
-	e.reach = append(e.reach[:0], e.v...)
+	// The records came off the wire: validate before touching the log. A
+	// processor id outside the cluster, a clock of another width or a page
+	// outside the space is the sender's corruption, so record it and skip
+	// the record rather than panic, before the log absorbs it.
+	pending := e.pending[:0]
 	for _, recs := range batch {
 		for _, rec := range recs {
-			if rec.Proc >= 0 && int(rec.Proc) < len(e.reach) {
-				e.reach[rec.Proc] = max(e.reach[rec.Proc], rec.Index)
+			if rec.Proc < 0 || int(rec.Proc) >= len(e.v) {
+				e.n.noteErr("interval absorb",
+					fmt.Errorf("interval record for invalid processor %d", rec.Proc))
+				continue
+			}
+			if len(rec.VC) != len(e.v) {
+				// The log stores clocks at a fixed stride and panics on any
+				// other length, so reject it at the wire boundary.
+				e.n.noteErr("interval absorb",
+					fmt.Errorf("interval record p%d/%d carries a %d-entry clock (cluster has %d)",
+						rec.Proc, rec.Index, len(rec.VC), len(e.v)))
+				continue
+			}
+			if bad := invalidPageIn(e.n, rec.Pages); bad != nil {
+				e.n.noteErr("interval absorb",
+					fmt.Errorf("interval record p%d/%d names invalid page %d", rec.Proc, rec.Index, *bad))
+				continue
+			}
+			if !e.v.Covers(int(rec.Proc), rec.Index) {
+				pending = append(pending, rec)
 			}
 		}
 	}
-	for _, recs := range batch {
-		fresh = e.absorbListLocked(fresh, recs)
+	// Per-processor index order is required by the log, and NoticesBetween
+	// emits records in it. A record goes in once it extends its processor's
+	// run and the node knows everything else its clock names, so the log
+	// stays closed under happened-before; an honest batch is, and goes in
+	// whole, most of it on the first pass.
+	if !slices.IsSortedFunc(pending, byProcIndex) {
+		slices.SortFunc(pending, byProcIndex)
 	}
+	gathered := len(pending)
+	for progress := true; progress; {
+		progress = false
+		kept := pending[:0]
+		for _, rec := range pending {
+			if rec.Index != e.v[rec.Proc]+1 || rec.VC[rec.Proc] != rec.Index || !e.knowsBesides(rec) {
+				kept = append(kept, rec)
+				continue
+			}
+			// The log copies the decoded clock and page list: they go back to
+			// the message's shell when it is released.
+			e.log.Append(core.Interval{
+				ID:    core.IntervalID{Proc: rec.Proc, Index: rec.Index},
+				VC:    rec.VC,
+				Pages: rec.Pages,
+			})
+			// Track per-processor high-water mark in our clock: Covers uses
+			// e.v, so advance it per record to keep the dedupe correct for
+			// consecutive indices.
+			e.v[rec.Proc] = rec.Index
+			fresh = append(fresh, rec.Pages...)
+			progress = true
+		}
+		pending = kept
+	}
+	for _, rec := range pending {
+		switch {
+		case e.v.Covers(int(rec.Proc), rec.Index): // a duplicate
+		case rec.Index != e.v[rec.Proc]+1:
+			e.n.noteErr("interval absorb",
+				fmt.Errorf("interval gap for p%d: have %d, got %d", rec.Proc, e.v[rec.Proc], rec.Index))
+		default:
+			e.n.noteErr("interval absorb",
+				fmt.Errorf("interval record p%d/%d is stamped %v, past what its batch and the node know (%v)",
+					rec.Proc, rec.Index, rec.VC, e.v))
+		}
+	}
+	clear(pending[:gathered]) // the records point into their messages' slabs
+	e.pending = pending[:0]
 	return fresh
 }
 
-// absorbListLocked is absorbIntervalsLocked for one list. Caller holds e.mu.
-func (e *lazyEngine) absorbListLocked(fresh []mem.PageID, recs []wire.IntervalRec) []mem.PageID {
-	// Per-processor index order is required by the log. NoticesBetween
-	// emits records in that order already, so only a foreign sender's
-	// unordered list pays for a copy and a sort.
-	sorted := recs
-	if !slices.IsSortedFunc(recs, byProcIndex) {
-		sorted = slices.Clone(recs)
-		slices.SortFunc(sorted, byProcIndex)
+// knowsBesides reports whether the node knows every interval rec's clock
+// names but rec's own. Caller holds e.mu.
+func (e *lazyEngine) knowsBesides(rec wire.IntervalRec) bool {
+	for q, k := range rec.VC {
+		if q != int(rec.Proc) && k > e.v[q] {
+			return false
+		}
 	}
-	for _, rec := range sorted {
-		// The records came off the wire: validate before touching the log.
-		// A processor id outside the cluster or an index that does not
-		// extend our high-water mark contiguously is the sender's
-		// corruption (the protocol always ships complete notice sets), so
-		// record it and skip the record rather than panic — and crucially
-		// before the log absorbs it, so a rejected record leaves no trace.
-		if rec.Proc < 0 || int(rec.Proc) >= len(e.v) {
-			e.n.noteErr("interval absorb",
-				fmt.Errorf("interval record for invalid processor %d", rec.Proc))
-			continue
-		}
-		if len(rec.VC) != len(e.v) {
-			// The log stores clocks at a fixed stride and panics on any
-			// other length, so reject it at the wire boundary.
-			e.n.noteErr("interval absorb",
-				fmt.Errorf("interval record p%d/%d carries a %d-entry clock (cluster has %d)",
-					rec.Proc, rec.Index, len(rec.VC), len(e.v)))
-			continue
-		}
-		if bad := invalidPageIn(e.n, rec.Pages); bad != nil {
-			e.n.noteErr("interval absorb",
-				fmt.Errorf("interval record p%d/%d names invalid page %d", rec.Proc, rec.Index, *bad))
-			continue
-		}
-		if e.v.Covers(int(rec.Proc), rec.Index) {
-			continue // already known
-		}
-		if rec.VC[rec.Proc] != rec.Index || !e.reach.Dominates(rec.VC) {
-			e.n.noteErr("interval absorb",
-				fmt.Errorf("interval record p%d/%d is stamped %v, past what its batch and the node know (%v)",
-					rec.Proc, rec.Index, rec.VC, e.reach))
-			continue
-		}
-		if e.v[rec.Proc] != rec.Index-1 {
-			e.n.noteErr("interval absorb",
-				fmt.Errorf("interval gap for p%d: have %d, got %d",
-					rec.Proc, e.v[rec.Proc], rec.Index))
-			continue
-		}
-		// The log copies the decoded clock and page list: they go back to
-		// the message's shell when it is released.
-		e.log.Append(core.Interval{
-			ID:    core.IntervalID{Proc: rec.Proc, Index: rec.Index},
-			VC:    rec.VC,
-			Pages: rec.Pages,
-		})
-		// Track per-processor high-water mark in our clock: Covers uses
-		// e.v, so advance it per record to keep the dedupe correct for
-		// consecutive indices.
-		e.v[rec.Proc] = rec.Index
-		fresh = append(fresh, rec.Pages...)
-	}
-	return fresh
+	return true
 }
 
 // byProcIndex orders interval records as the log takes them.
@@ -514,10 +522,11 @@ func (e *lazyEngine) arrive(arrive *wire.Msg) {
 func (e *lazyEngine) masterAbsorb(arrivals []*wire.Msg) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.arrived = e.arrived[:0]
+	var buf [16][]wire.IntervalRec // each arrival's own records
+	batch := buf[:0]
 	for _, m := range arrivals {
 		arriver := mem.ProcID(m.B)
-		e.arrived = append(e.arrived, slices.DeleteFunc(m.Intervals, func(rec wire.IntervalRec) bool {
+		batch = append(batch, slices.DeleteFunc(m.Intervals, func(rec wire.IntervalRec) bool {
 			if rec.Proc == arriver {
 				return false
 			}
@@ -527,7 +536,7 @@ func (e *lazyEngine) masterAbsorb(arrivals []*wire.Msg) {
 			return true
 		}))
 	}
-	e.fresh = e.absorbIntervalsLocked(e.fresh, e.arrived...)
+	e.fresh = e.absorbIntervalsLocked(e.fresh, batch...)
 }
 
 func (e *lazyEngine) exit(m, exit *wire.Msg) {

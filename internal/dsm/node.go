@@ -973,11 +973,14 @@ func (n *Node) dispatchMsg(m *wire.Msg, src mem.ProcID) {
 }
 
 // checkSender holds a message's claimed identity to the endpoint it came
-// from, the one id a peer cannot forge: a request that names its sender
-// in B must come from that node, a barrier exit or GC go from the master,
-// and a lock forward from the lock's manager. Everything after dispatch
-// trusts these fields — a master counts an arrival by B, a manager grants
-// and a home ships to B, a waiter wakes on whichever exit carries its seq.
+// from: a request that names its sender in B must come from that node, a
+// barrier exit or GC go from the master, and a lock forward from the
+// lock's manager. Everything after dispatch trusts these fields — a master
+// counts an arrival by B, a manager grants and a home ships to B, a waiter
+// wakes on whichever exit carries its seq. The check is only as good as
+// the transport's src: simnet's is the sending endpoint, but TCP takes it
+// from the stream's hello, which nothing authenticates, so over TCP it
+// binds a message to the identity its stream claims.
 func (n *Node) checkSender(m *wire.Msg, src mem.ProcID) error {
 	switch m.Kind {
 	case wire.KLockReq, wire.KBarrierArrive, wire.KGCReady, wire.KPageReq, wire.KWriteReq, wire.KFlushReq:

@@ -408,11 +408,12 @@ func (n *Node) park(ch chan *wire.Msg, m *wire.Msg, src mem.ProcID) {
 // barrier b (what names the round in errors, which alone format it),
 // honoring RPCTimeout: a master collecting from a dead peer must unblock
 // and surface a descriptive error, exactly like a parked rpc. A message's
-// B is its sender (checkSender); a second one from a node already counted
-// this round is recorded and dropped, and the round keeps waiting for the
-// others; one for another barrier fails the round. The caller
-// holds the returned messages, in the node's collected list: the barrier
-// leader's alone, good until its next round.
+// B is its sender (checkSender); one claiming the master, which only a
+// transport that lets a peer take the master's id delivers, or a second
+// one from a node already counted this round is recorded and dropped, and
+// the round keeps waiting for the others; one for another barrier fails
+// the round. The caller holds the returned messages, in the node's
+// collected list: the barrier leader's alone, good until its next round.
 func (n *Node) collectRound(ch chan *wire.Msg, b mem.BarrierID, what string) ([]*wire.Msg, error) {
 	got := n.collected[:0]
 	defer func() { n.collected = got[:0] }()
@@ -430,13 +431,14 @@ func (n *Node) collectRound(ch chan *wire.Msg, b mem.BarrierID, what string) ([]
 		}
 		from := mem.ProcID(m.B)
 		switch {
-		case counted&(1<<uint(from)) != 0:
-			n.noteErr("master: "+what, fmt.Errorf("second %v from node %d this round dropped", m.Kind, from))
+		case from == master || counted&(1<<uint(from)) != 0:
+			n.noteErr("master: "+what, fmt.Errorf("%v from node %d dropped: the master's own or a second this round", m.Kind, from))
 			m.Release()
 			continue
 		case mem.BarrierID(m.A) != b:
+			err := fmt.Errorf("dsm: master: %s at barrier %d: %v for barrier %d from node %d", what, b, m.Kind, m.A, from)
 			releaseAll(append(got, m))
-			return nil, fmt.Errorf("dsm: master: %s at barrier %d: %v for barrier %d from node %d", what, b, m.Kind, m.A, from)
+			return nil, err
 		}
 		counted |= 1 << uint(from)
 		got = append(got, m)
