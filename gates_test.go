@@ -107,11 +107,12 @@ var gateRows = []gateRow{
 	// The data that moves is diffs, so nothing the size of the data is
 	// allocated: a made diff is a lease on a pooled buffer, the encoder
 	// appends it into a recycled frame, the receiver's diff borrows that
-	// frame. What is left is warm-up and the eager home's transaction: under
-	// LI the interval log's chunks growing their page lists to four-page
-	// records, under EU frames growing to fit a burst and the goroutine each
-	// flush request starts at its home. The bounds are 1.5 x the highest of
-	// fifteen runs over GOMAXPROCS 1, 2 and 8 (LI 0.0069, EU 0.019);
+	// frame. What is left is warm-up: under LI the interval log's chunks
+	// growing their page lists to four-page records, under EU frames growing
+	// to fit a burst (0.0009 since a home serves an update inline; a
+	// goroutine per page at its home measured up to 0.019). The bounds are
+	// 1.5 x the highest of fifteen runs over GOMAXPROCS 1, 2 and 8 (LI
+	// 0.0069, EU 0.019);
 	// headers, slot arrays and request lists made per operation measure LI
 	// 0.031 and EU 0.047, received diffs decoded into storage of their own
 	// 0.08-0.09, bodies made by make 0.48-0.73, runs copied out of the frame
@@ -122,13 +123,25 @@ var gateRows = []gateRow{
 	{"diff-plane-EU", barrierSlab, repro.EagerUpdate, repro.RuntimeConfig{PageSize: 4096, GCEveryBarriers: 8}, []gateCheck{
 		{"alloc_per_wire_byte", "<=", 0.029},
 	}},
-	// The outbox coalesces: without it every message is its own frame. Under
-	// EU each release pushes a node's rewritten pages to every copy, and what
-	// one peer is sent in the burst shares frames. The bound is 1.14 x the
-	// highest of fifteen runs over GOMAXPROCS 1, 2 and 8 (24.2-26.4 frames
-	// per critical section); a stage that flushes at once measures 33.8-33.9.
-	// LU's revalidation has nothing left to coalesce: it asks each creator
-	// once, one message to each peer, whether the outbox batches or not.
+	// EU merges a release per destination, as Munin does and the model
+	// (internal/eager) charges: each writer sends each of the three other
+	// nodes one update carrying all four of its pages, and gets one
+	// acknowledgement — 24 messages a step — beside the two barriers' 12.
+	// A flush through each page's home, which updates the other copies,
+	// measured 108.
+	{"eu-merge", barrierSlab, repro.EagerUpdate, repro.RuntimeConfig{PageSize: 4096, GCEveryBarriers: 8}, []gateCheck{
+		{"msgs_per_step", "<=", 36},
+	}},
+	// The outbox coalesces: without it every message is its own frame. The
+	// bound is 1.14 x the highest of fifteen runs over GOMAXPROCS 1, 2 and 8
+	// when EU pushed a release page by page through the homes (24.2-26.4
+	// frames per critical section; a stage that flushed at once, 33.8-33.9).
+	// EU now merges a release per destination, which leaves little to
+	// coalesce: 10.1 frames with the outbox batching and without it, so the
+	// row bounds frames but no longer tells whether the outbox batches
+	// (TestOutboxBatchesFlushBurst/EI does). LU's revalidation has nothing
+	// left to coalesce either: it asks each creator once, one message to
+	// each peer, whether the outbox batches or not.
 	{"frames", writeShareTCP, repro.EagerUpdate, repro.RuntimeConfig{PageSize: 1024}, []gateCheck{
 		{"messages", ">", 0},
 		{"frames_per_critsec", "<=", 30},
@@ -361,7 +374,8 @@ func slabContents(buf []byte, pg, s int) {
 // byte of their four pages, then after a barrier read and check the twelve
 // others (under LI a miss and a whole-page diff each; under EU the barrier
 // pushed them already). After 40 steps it reports the bytes allocated over
-// the bytes the interconnect moved in the next 200.
+// the bytes the interconnect moved in the next 200, and the messages per
+// step.
 func barrierSlab(t *testing.T, rc repro.RuntimeConfig) gateMetrics {
 	testenv.SkipAllocGate(t)
 	const procs, slab, pages, warmup, steps = 4, 4, 16, 40, 200
@@ -404,7 +418,10 @@ func barrierSlab(t *testing.T, rc repro.RuntimeConfig) gateMetrics {
 	net0 := sys.NetStats()
 	alloc := allocatedBy(func() { run(warmup, warmup+steps) })
 	net1 := sys.NetStats()
-	return gateMetrics{"alloc_per_wire_byte": alloc / float64(net1.Bytes-net0.Bytes)}
+	return gateMetrics{
+		"alloc_per_wire_byte": alloc / float64(net1.Bytes-net0.Bytes),
+		"msgs_per_step":       float64(net1.Messages-net0.Messages) / steps,
+	}
 }
 
 // writeShareTCP runs the write-share pattern's warm-up and reports the

@@ -566,15 +566,17 @@ func TestDenseDiffServeAllocatesNoBodyGate(t *testing.T) {
 }
 
 // TestEagerFlushBurstAllocatesNoScratchGate: one EU release that dirtied four
-// dense pages cached at the three other nodes — four KFlushReqs in one
-// burst, four home transactions fanning twelve updates out — allocates, on
-// all four nodes together, only the goroutine each flush request starts at
-// its home: 128 B. No diff body or header (a lease, returned when the burst
-// is acknowledged), no burst scratch (requests and acknowledgements live in
-// the flusher's and the homes' frames, the drained pages and diff records
-// in the flush's scratch). Bodies and bursts grown from nil were 31 KB of
-// this flush's 36 KB; headers, diff records and acknowledgement lists made
-// per flush measure 1,048 B.
+// dense pages cached at the three other nodes — one merged update to each of
+// them carrying all four pages, each applied inline, a page's home among
+// them — allocates nothing on all four nodes together. No diff body or
+// header (a lease, returned when the burst is acknowledged), no burst
+// scratch (updates and acknowledgements live in the flusher's and the
+// receivers' frames, the drained pages and the records by destination in
+// the flush's scratch), no goroutine (a home spawns one only to forward an
+// update to copies its writer did not know of). Bodies and bursts grown from
+// nil were 31 KB of this flush's 36 KB; headers, diff records and
+// acknowledgement lists made per flush measure 1,048 B, and a goroutine per
+// page at its home, the route through the home before updates merged, 128 B.
 func TestEagerFlushBurstAllocatesNoScratchGate(t *testing.T) {
 	testenv.SkipAllocGate(t)
 	const procs, pages, pageSize, flushes, bound = 4, 4, 4096, 30, 256

@@ -2,6 +2,8 @@ package dsm
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 	"sync"
 	"time"
 
@@ -16,18 +18,27 @@ import (
 // modifications as twins until a release or barrier, then pushes them to
 // every other cacher of each dirty page — invalidations (EI) or diffs
 // (EU) — and blocks until all are acknowledged. Each page's home keeps
-// its directory entry (directory.go): the owner, which is the last
-// flusher, and the copyset. An access miss ships the whole page from the
-// owner through the home.
+// its directory entry (directory.go).
 //
-// Concurrency: page copies and twins are per-page state under the node's
-// striped lock table, and the write set has its own leaf mutex. One flush
-// is in flight per node (flushMu): a flush point holds it across drain,
-// burst and acknowledgment, so a release never returns while a write made
-// on its node before it is still propagating — another local goroutine's
-// write is in this drain or in the flush that held the mutex before — and
-// two flushes of one page reach its home in write order (EU cachers apply
-// them in arrival order).
+// EI runs a directory transaction per dirty page: the flush goes to the
+// home, which invalidates the other copies and makes the flusher the
+// owner; a miss ships the page from the owner through the home. EU merges
+// a flush per destination, as Munin merges "all writes going to the same
+// destination": every node it must reach — each dirty page's home, and
+// the copies its hint names — gets one update carrying a diff for each of
+// its pages and returns one acknowledgement. The home owns its pages: it
+// lands each diff on its own copy, which its ships are served from,
+// forwards the diff to the copies the writer's hint missed, and names
+// them in its acknowledgement. A diff that reaches a copy before the
+// copy's ship waits for the ship (parked).
+//
+// Concurrency: page copies, twins and the EU copy state are per-page state
+// under the node's striped lock table, and the write set has its own leaf
+// mutex. One flush is in flight per node (flushMu): a flush point holds it
+// across drain, burst and acknowledgment, so a release never returns while
+// a write made on its node before it is still propagating — another local
+// goroutine's write is in this drain or in the flush that held the mutex
+// before — and two flushes of one page reach every copy in write order.
 type eagerEngine struct {
 	n      *Node
 	update bool // EU: push diffs; EI: push invalidations
@@ -37,17 +48,31 @@ type eagerEngine struct {
 	// critical section since the last flush wrote the page.
 	pages []*pageCopy
 
+	// EU copy state, each entry under its page's stripe. hints[pg] is the
+	// copies of pg this node knows of — the first ones to join pg's
+	// copyset at its home, this node among them — learned from the home's
+	// ship and acknowledgements; a flush sends them its diff directly.
+	// fetching[pg] is set while a miss of pg awaits the ship, and
+	// parked[pg] holds the diffs that reached the page meanwhile, in
+	// arrival order, for the install to apply.
+	hints    []uint64
+	fetching []bool
+	parked   [][]*page.Diff
+
 	// ws is the write set of the critical sections since the last flush
 	// point; each flush drains it.
 	ws *writeSet
 
 	// flushMu is held by the one flush in flight. Releases queued on it
 	// group-commit: the next holder drains every page dirtied meanwhile.
-	// cand, the pages it drained, and pends, its burst, are its scratch.
+	// cand, the pages it drained, pends, an EI burst, and out and made, an
+	// EU burst's records by destination and its diffs, are its scratch.
 	flushMu sync.Mutex
 	cand    []mem.PageID
 	pends   []pend
-	// flightMu guards inflight, the payloads of the flush in flight by
+	out     [][]wire.DiffRec
+	made    []*page.Diff
+	// flightMu guards inflight, the payloads of the EI flush in flight by
 	// request Seq, for the handler-side reconciliation (applyFlushDone).
 	flightMu sync.Mutex
 	inflight map[uint64]flushState
@@ -62,23 +87,27 @@ type flushState struct {
 	diff *page.Diff
 }
 
-// pend is one page of a flush burst: its in-flight state, its request, and
-// under EU the request's one diff record, which the request points to.
+// pend is one page of an EI flush burst: its in-flight state and its
+// request.
 type pend struct {
 	fs  flushState
 	req wire.Msg
-	rec [1]wire.DiffRec
 }
 
 func newEagerEngine(n *Node, update bool) *eagerEngine {
+	numPages := n.sys.layout.NumPages()
 	e := &eagerEngine{
 		n:        n,
 		update:   update,
-		pages:    make([]*pageCopy, n.sys.layout.NumPages()),
+		pages:    make([]*pageCopy, numPages),
 		ws:       newWriteSet(),
 		inflight: make(map[uint64]flushState),
 	}
-	e.dir = newDirectory(n, e)
+	if update {
+		e.hints, e.fetching, e.parked = make([]uint64, numPages), make([]bool, numPages), make([][]*page.Diff, numPages)
+		e.out = make([][]wire.DiffRec, n.sys.cfg.Procs)
+	}
+	e.dir = newDirectory(n, e, update)
 	return e
 }
 
@@ -87,17 +116,18 @@ func (e *eagerEngine) clock() vc.VC { return vc.New(e.n.sys.cfg.Procs) }
 // --- accesses ---
 
 // ensureValid obtains a copy of pg, fetching it from the owner through
-// the home's directory on a miss. All misses go through the message
-// path, including the home's own (loopback is free), so the directory
-// transaction order is the single source of truth. Miss service
-// serializes per page under the miss lock, and the granted page is
-// installed by the page's shard worker as the response arrives — in
-// directory order, never abandoned — so the home's copyset always
+// the home's directory on a miss. Under EI all misses go through the
+// message path, including the home's own (loopback is free), so the
+// directory transaction order is the single source of truth; under EU the
+// home owns the page, and its first access makes its copy, the zero page.
+// Miss service serializes per page under the miss lock, and the granted
+// page is installed by the page's shard worker as the response arrives —
+// in directory order, never abandoned — so the home's copyset always
 // matches what this node actually holds. An invalidation that lands
-// directly behind the install leaves the copy invalid again; that is
-// the same staleness window an eagerly-consistent access always had
-// between validation and use, and the flush path reports it (see
-// flushPages' needBase).
+// directly behind the install leaves the copy invalid again; that is the
+// same staleness window an eagerly-consistent access always had between
+// validation and use, and the flush path reports it (see flushPages'
+// needBase).
 func (e *eagerEngine) ensureValid(pg mem.PageID) error {
 	n := e.n
 	pmu := n.pageLock(pg)
@@ -119,9 +149,17 @@ func (e *eagerEngine) ensureValid(pg mem.PageID) error {
 		pmu.Unlock()
 		return nil
 	}
+	if e.update && n.homeOf(pg) == n.id {
+		e.ownLocked(pg)
+		pmu.Unlock()
+		return nil
+	}
 	n.stats.accessMisses.Add(1)
 	if pc == nil {
 		n.stats.coldMisses.Add(1)
+	}
+	if e.update {
+		e.fetching[pg] = true
 	}
 	pmu.Unlock()
 	var start time.Time
@@ -146,12 +184,25 @@ func (e *eagerEngine) ensureValid(pg mem.PageID) error {
 	return err
 }
 
+// ownLocked returns the EU home's own copy of pg, made on first use: a
+// page nobody has written is the zero page.
+func (e *eagerEngine) ownLocked(pg mem.PageID) *pageCopy {
+	pc := e.pages[pg]
+	if pc == nil {
+		pc = &pageCopy{data: make([]byte, e.n.sys.layout.PageSize()), valid: true}
+		e.pages[pg] = pc
+	}
+	return pc
+}
+
 // installPage applies a granted page at the requester, on the page's
-// shard worker, so the install happens in directory order: every
-// invalidation or update the home sent before this ship has already
-// been applied, and any sent after will be. The fetched data lands as the
-// committed contents: a concurrent local critical section mid-flight on
-// the stale copy keeps its uncommitted writes on top (pageCopy.land).
+// shard worker. Under EI that is directory order: every invalidation the
+// home sent before this ship has already been applied, and any sent after
+// will be. Under EU the diffs that overtook the ship land on it in arrival
+// order: the ship holds none of them (directory.absorb). The fetched data
+// lands as the committed contents: a concurrent local critical section
+// mid-flight on the stale copy keeps its uncommitted writes on top
+// (pageCopy.land).
 //
 // Returns false (recording the cause) for a grant that cannot be
 // installed — bad page id or wrong-size data — so the caller fails the
@@ -177,7 +228,43 @@ func (e *eagerEngine) installPage(m *wire.Msg) bool {
 	}
 	pc.valid = true
 	n.stats.pagesFetched.Add(1)
+	if e.update {
+		for _, d := range e.parked[pg] {
+			if err := e.landLocked(pc, d); err != nil {
+				n.noteErr("update", fmt.Errorf("parked diff for page %d does not apply: %w", pg, err))
+			}
+			d.Release()
+		}
+		e.parked[pg], e.fetching[pg] = nil, false
+	}
 	return true
+}
+
+// learn adds the copies an EU home's message m names in its Wants — a
+// ship's copyset, or those an acknowledgement's update missed — to the
+// hints of their pages, recording any want that names no page home homes
+// or no node.
+func (e *eagerEngine) learn(m *wire.Msg, home mem.ProcID) {
+	n := e.n
+	for _, w := range m.Wants {
+		if !n.validPage(w.Page) || n.homeOf(w.Page) != home || w.Proc < 0 || int(w.Proc) >= n.sys.cfg.Procs {
+			n.noteErr("copyset", fmt.Errorf("%v from %d names node %d a copy of page %d", m.Kind, home, w.Proc, w.Page))
+			continue
+		}
+		pmu := n.pageLock(w.Page)
+		pmu.Lock()
+		e.hints[w.Page] |= 1 << uint(w.Proc)
+		pmu.Unlock()
+	}
+}
+
+// landLocked applies diff d to this node's copy pc, under its stripe.
+func (e *eagerEngine) landLocked(pc *pageCopy, d *page.Diff) error {
+	if err := pc.land(e.n, nil, d.Apply); err != nil {
+		return err
+	}
+	e.n.stats.updatesReceived.Add(1)
+	return nil
 }
 
 func (e *eagerEngine) readPage(pg mem.PageID, off int, dst []byte) error {
@@ -204,34 +291,66 @@ func (e *eagerEngine) writePage(pg mem.PageID, off int, src []byte) error {
 
 // --- flush: the release/barrier-time propagation of §3 ---
 
-// flush commits this node's buffered modifications and pushes them
-// through each dirty page's home to every other cacher, blocking until
-// the home has invalidated (EI) or updated (EU) them all. flushMu is
-// held throughout, so a flush that finds the write set drained by the one
-// before it still returns only once that one has been acknowledged.
-// Called from an application goroutine without locks.
+// flush commits this node's buffered modifications and pushes them to
+// every other cacher, blocking until each is invalidated (EI) or updated
+// (EU). flushMu is held throughout, so a flush that finds the write set
+// drained by the one before it still returns only once that one has been
+// acknowledged. Called from an application goroutine without locks.
 func (e *eagerEngine) flush() error {
 	e.flushMu.Lock()
 	defer e.flushMu.Unlock()
 	e.cand = e.ws.drain(e.cand)
 	e.ws.check(e.n, func(pg mem.PageID) bool { return e.pages[pg] != nil && e.pages[pg].twinned() })
-	if err := e.flushPages(e.cand); err != nil {
+	push := e.flushPages
+	if e.update {
+		push = e.pushUpdates
+	}
+	if err := push(e.cand); err != nil {
 		return err // a burst abandoned mid-way left twins behind: they stay claimed
 	}
 	e.ws.settle(e.cand)
 	return nil
 }
 
-// flushPages diffs and pushes every candidate page through its home as
-// ONE grouped burst: all KFlushReqs are staged before a single outbox
-// flush, so a release that dirtied several pages with a common home sends
-// them in one batch frame, and every home's directory transaction runs
+// commit ends the uncommitted writes to pg at a flush point and returns
+// their diff — nil when the page has none or they changed nothing — and,
+// read with it, whether the copy was invalid and the page's hint (EU).
+func (e *eagerEngine) commit(pg mem.PageID) (d *page.Diff, invalid bool, hint uint64, err error) {
+	n := e.n
+	pmu := n.pageLock(pg)
+	pmu.Lock()
+	pc := e.pages[pg]
+	if pc == nil || !pc.twinned() {
+		pmu.Unlock()
+		return nil, false, 0, nil
+	}
+	invalid = !pc.valid
+	if e.update {
+		hint = e.hints[pg]
+	}
+	twin := pc.take()
+	d, err = page.MakeDiff(twin, pc.data)
+	n.releaseTwin(twin)
+	pmu.Unlock()
+	if err != nil {
+		return nil, false, 0, err
+	}
+	n.stats.diffsCreated.Add(1)
+	if d.Empty() {
+		return nil, false, 0, nil
+	}
+	return d, invalid, hint, nil
+}
+
+// flushPages pushes every candidate page through its home (EI) as ONE
+// grouped burst: all KFlushReqs are staged before a single outbox flush,
+// so a release that dirtied several pages with a common home sends them in
+// one batch frame, and every home's directory transaction runs
 // concurrently instead of one blocking round trip per page.
 func (e *eagerEngine) flushPages(cand []mem.PageID) error {
 	n := e.n
 	// The burst's requests and acknowledgements live in the frame, a fifth
-	// page spilling; its pages, which the requests point into, in the
-	// flush's scratch.
+	// page spilling; its pages in the flush's scratch.
 	var (
 		reqBuf  [4]outMsg
 		doneBuf [4]*wire.Msg
@@ -246,30 +365,18 @@ func (e *eagerEngine) flushPages(cand []mem.PageID) error {
 		// the home's copyset equal to what we actually hold, so the home's
 		// own check covers this too — the explicit flag (a non-empty Data
 		// section on KFlushReq) is defense in depth at one byte of cost.
-		pmu := n.pageLock(pg)
-		pmu.Lock()
-		pc := e.pages[pg]
-		if pc == nil || !pc.twinned() {
-			pmu.Unlock()
-			continue
-		}
-		needBase := !pc.valid
-		twin := pc.take()
-		d, err := page.MakeDiff(twin, pc.data)
-		n.releaseTwin(twin)
-		pmu.Unlock()
+		d, needBase, _, err := e.commit(pg)
 		if err != nil {
 			return err
 		}
-		n.stats.diffsCreated.Add(1)
-		if d.Empty() {
+		if d == nil {
 			continue
 		}
 		req := wire.Msg{Kind: wire.KFlushReq, Seq: n.nextSeq(), A: int32(pg), B: int32(n.id)}
 		if needBase {
 			req.Data = baseWanted
 		}
-		pends = append(pends, pend{fs: flushState{pg: pg, diff: d}, req: req, rec: [1]wire.DiffRec{{Page: pg, Diff: d}}})
+		pends = append(pends, pend{fs: flushState{pg: pg, diff: d}, req: req})
 	}
 	if len(pends) == 0 {
 		return nil
@@ -282,9 +389,6 @@ func (e *eagerEngine) flushPages(cand []mem.PageID) error {
 	e.flightMu.Lock()
 	for i := range pends {
 		p := &pends[i]
-		if e.update {
-			p.req.Diffs = p.rec[:]
-		}
 		e.inflight[p.req.Seq] = p.fs
 		reqs = append(reqs, outMsg{dst: n.homeOf(p.fs.pg), m: p.req})
 	}
@@ -310,6 +414,78 @@ func (e *eagerEngine) flushPages(cand []mem.PageID) error {
 	return nil
 }
 
+// pushUpdates diffs every candidate page and sends each node it must reach
+// ONE update (EU) carrying a record for every page it should see: a page's
+// home, always, and every other copy its hint names. A record bound for
+// the home carries in Index the number of copies the hint names, so the
+// home forwards the diff to those that joined since and names them in its
+// acknowledgement, which the next flush reaches directly. The burst is
+// staged before a single flush and every acknowledgement awaited together.
+func (e *eagerEngine) pushUpdates(cand []mem.PageID) error {
+	n := e.n
+	made := e.made[:0]
+	defer func() {
+		for j := range e.out {
+			clear(e.out[j])
+			e.out[j] = e.out[j][:0]
+		}
+		for _, d := range made {
+			d.Release() // staging encoded every update that carries it
+		}
+		clear(made)
+		e.made = made[:0]
+	}()
+	for _, pg := range cand {
+		d, _, hint, err := e.commit(pg)
+		if err != nil {
+			return err
+		}
+		if d == nil {
+			continue
+		}
+		made = append(made, d)
+		home, known := n.homeOf(pg), int32(bits.OnesCount64(hint))
+		if home == n.id {
+			hint = e.dir.members(pg) // read after the diff: a later ship holds it
+		}
+		for rest := (hint | 1<<uint(home)) &^ (1 << uint(n.id)); rest != 0; rest &= rest - 1 {
+			j := mem.ProcID(bits.TrailingZeros64(rest))
+			rec := wire.DiffRec{Page: pg, Proc: n.id, Diff: d}
+			if j == home {
+				rec.Index = known
+			}
+			e.out[j] = append(e.out[j], rec)
+		}
+	}
+	// One update and one acknowledgement per destination live in the frame,
+	// a fifth destination spilling.
+	var (
+		reqBuf [4]outMsg
+		ackBuf [4]*wire.Msg
+	)
+	reqs := e.updates(reqBuf[:0], e.out)
+	acks, err := n.rpcAll(reqs, ackBuf[:0])
+	if err != nil {
+		return err
+	}
+	for i, ack := range acks {
+		e.learn(ack, reqs[i].dst)
+		ack.Release()
+	}
+	n.stats.flushedPages.Add(int64(len(made)))
+	return nil
+}
+
+// updates appends to reqs one update to each node out has records for.
+func (e *eagerEngine) updates(reqs []outMsg, out [][]wire.DiffRec) []outMsg {
+	for j, recs := range out {
+		if len(recs) > 0 {
+			reqs = append(reqs, outMsg{dst: mem.ProcID(j), m: wire.Msg{Kind: wire.KUpdate, Seq: e.n.nextSeq(), Diffs: recs}})
+		}
+	}
+	return reqs
+}
+
 // --- lock and barrier hooks: flush at every release point ---
 
 func (e *eagerEngine) acquireStart(req *wire.Msg)    {}
@@ -321,7 +497,8 @@ func (e *eagerEngine) release()                      {}
 // dropPage and adoptPage run only in the quiescent hand-off
 // rendezvous: no flush, fetch or directory transaction for the page is
 // in flight anywhere, so resetting the directory entry alongside the
-// copy cannot strand a peer.
+// copy cannot strand a peer. The only time an EU copy leaves its copyset,
+// it takes the page's hint along: the new home's copyset starts empty.
 func (e *eagerEngine) dropPage(pg mem.PageID) {
 	pmu := e.n.pageLock(pg)
 	pmu.Lock()
@@ -329,6 +506,9 @@ func (e *eagerEngine) dropPage(pg mem.PageID) {
 		pc.drop(e.n)
 	}
 	e.pages[pg] = nil
+	if e.update {
+		e.hints[pg], e.fetching[pg] = 0, false
+	}
 	pmu.Unlock()
 	e.ws.drop(pg)
 }
@@ -356,18 +536,21 @@ func (e *eagerEngine) postBarrier(b mem.BarrierID) error { return nil }
 // --- handler side ---
 
 func (e *eagerEngine) handle(m *wire.Msg, src mem.ProcID) bool {
-	switch m.Kind {
-	case wire.KFlushReq:
-		m.Retain() // the transaction outlives this handler
-		go e.dir.serveOwnership(m, "flush request", wire.KFlushDone, e.update)
-	case wire.KUpdate:
-		e.applyUpdate(m, src)
-	case wire.KPageResp:
+	switch {
+	case m.Kind == wire.KPageResp:
 		// Intercepted response: install the granted page on the page's
-		// shard worker, in directory order, then wake the faulting
-		// application goroutine.
-		e.n.answerWaiter(m, e.installPage(m))
-	case wire.KFlushDone:
+		// shard worker, then wake the faulting application goroutine.
+		ok := e.installPage(m)
+		if ok && e.update {
+			e.learn(m, src)
+		}
+		e.n.answerWaiter(m, ok)
+	case e.update && m.Kind == wire.KUpdate:
+		e.applyUpdate(m, src)
+	case !e.update && m.Kind == wire.KFlushReq:
+		m.Retain() // the transaction outlives this handler
+		go e.dir.serveOwnership(m, "flush request", wire.KFlushDone)
+	case !e.update && m.Kind == wire.KFlushDone:
 		// Intercepted response: apply the home's reconciliation on the
 		// page's shard worker so it is in place before any later
 		// directory message for the page arrives, then wake the
@@ -406,39 +589,96 @@ func (e *eagerEngine) invalidateLocked(pg mem.PageID) {
 	}
 }
 
-// applyUpdate lands a releaser's diffs on this node's committed contents
-// (EU), so a concurrent critical section's own eventual diff carries only
-// its own modifications: the update's words must not re-register as ours.
+// applyUpdate lands a writer's merged update (EU) record by record and
+// acknowledges it once. A record of a page this node homes lands on the
+// home's copy, and the copies the writer's hint missed are sent it before
+// the acknowledgement, which names them; that is the only case that waits,
+// on a goroutine of its own. Any other record lands on this node's copy,
+// or waits in parked for the ship of a page whose miss is in flight: a
+// writer that knows this node as a copy may reach it before its ship
+// does. Diffs land on the committed contents, so a concurrent critical
+// section's own eventual diff carries only its own modifications.
 func (e *eagerEngine) applyUpdate(m *wire.Msg, src mem.ProcID) {
 	n := e.n
-	pg := mem.PageID(m.A)
-	if !n.validPage(pg) {
-		n.noteErr("update", fmt.Errorf("update of invalid page %d", pg))
-		return
-	}
-	pmu := n.pageLock(pg)
-	pmu.Lock()
-	// A missing or invalid copy is unreachable with shard-ordered installs
-	// (an EU copy in the copyset is installed before the home can update
-	// it); tolerated defensively. A diff that does not fit the page is the
-	// sender's corruption, recorded. Either way the ack still flows, so the
-	// releaser's transaction completes.
-	if pc := e.pages[pg]; pc != nil && pc.valid {
-		if err := pc.land(n, nil, func(committed []byte) error {
-			for _, rec := range m.Diffs {
-				if err := rec.Diff.Apply(committed); err != nil {
-					return err
-				}
+	var (
+		missedBuf [8]wire.Want
+		missed    = missedBuf[:0]
+		fwd       [][]wire.DiffRec // by destination, made by the first forward
+	)
+	for _, rec := range m.Diffs {
+		pg := rec.Page
+		switch {
+		case !n.validPage(pg):
+			n.noteErr("update", fmt.Errorf("update of invalid page %d from %d", pg, src))
+		case n.homeOf(pg) == n.id:
+			later, err := e.dir.absorb(pg, rec.Index, func() error {
+				pmu := n.pageLock(pg)
+				pmu.Lock()
+				defer pmu.Unlock()
+				return e.landLocked(e.ownLocked(pg), rec.Diff)
+			})
+			if err != nil {
+				n.noteErr("update", fmt.Errorf("update of page %d from %d: %w", pg, src, err))
+				continue
 			}
-			return nil
-		}); err != nil {
-			n.noteErr("update", fmt.Errorf("diff for page %d does not apply: %w", pg, err))
-		} else {
-			n.stats.updatesReceived.Add(int64(len(m.Diffs)))
+			for _, j := range later {
+				missed = append(missed, wire.Want{Page: pg, Proc: j})
+				if j == src {
+					continue
+				}
+				if fwd == nil {
+					fwd = make([][]wire.DiffRec, n.sys.cfg.Procs)
+				}
+				fwd[j] = append(fwd[j], wire.DiffRec{Page: pg, Proc: rec.Proc, Diff: rec.Diff})
+			}
+		default:
+			e.landCopy(pg, rec.Diff, src)
 		}
 	}
-	pmu.Unlock()
-	n.stage(src, &wire.Msg{Kind: wire.KUpdateAck, Seq: m.Seq, A: m.A})
+	if fwd == nil {
+		n.stage(src, &wire.Msg{Kind: wire.KUpdateAck, Seq: m.Seq, Wants: missed})
+		return
+	}
+	m.Retain() // the forwards borrow its diffs
+	go e.forward(m, src, fwd, slices.Clone(missed))
+}
+
+// landCopy lands diff d of pg from src on this node's copy of a page it
+// does not home, or parks a clone of it while the page's ship is in
+// flight. An update of a page this node neither holds nor fetches is the
+// sender's error, recorded; the acknowledgement still flows.
+func (e *eagerEngine) landCopy(pg mem.PageID, d *page.Diff, src mem.ProcID) {
+	n := e.n
+	pmu := n.pageLock(pg)
+	pmu.Lock()
+	defer pmu.Unlock()
+	switch pc := e.pages[pg]; {
+	case pc != nil && pc.valid:
+		if err := e.landLocked(pc, d); err != nil {
+			n.noteErr("update", fmt.Errorf("diff for page %d from %d does not apply: %w", pg, src, err))
+		}
+	case e.fetching[pg]:
+		e.parked[pg] = append(e.parked[pg], d.Clone())
+	default:
+		n.noteErr("update", fmt.Errorf("update of page %d from %d, which this node neither holds nor fetches", pg, src))
+	}
+}
+
+// forward sends the copies that update m's writer src missed what they
+// missed, one merged update to each (fwd, by destination), and once all
+// are acknowledged acknowledges m, naming them (missed).
+func (e *eagerEngine) forward(m *wire.Msg, src mem.ProcID, fwd [][]wire.DiffRec, missed []wire.Want) {
+	defer m.Release()
+	n := e.n
+	acks, err := n.rpcAll(e.updates(nil, fwd), nil)
+	releaseAll(acks)
+	if err != nil {
+		n.noteErr("update forward", err) // unacknowledged: the writer's flush fails
+		return
+	}
+	if err := n.send(src, &wire.Msg{Kind: wire.KUpdateAck, Seq: m.Seq, Wants: missed}); err != nil {
+		n.noteErr(fmt.Sprintf("update ack to %d", src), err)
+	}
 }
 
 // applyFlushDone installs the home's reconciliation at the flusher: an

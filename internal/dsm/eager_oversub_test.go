@@ -3,12 +3,15 @@ package dsm
 import (
 	"encoding/binary"
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/framebuf"
 	"repro/internal/hb"
 	"repro/internal/mem"
+	"repro/internal/simnet"
+	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
@@ -78,20 +81,29 @@ func TestLostUpdateRepro(t *testing.T) {
 // a flush carries every local goroutine's writes to the page, not just its
 // own. Goroutine B writes word 2 of page 1 under lock 2, goroutine A word
 // 0 under lock 0; A's release drains both into one flush, whose
-// acknowledgment the tap on its home withholds. B's release then has nothing
-// of its own to push, but must not return — its word is not yet at the
-// home, so the next holder of lock 2 could miss it — until the flush that
-// carries it is acknowledged.
+// acknowledgment the tap on its home withholds — under EI by swallowing the
+// flush request, under EU by swallowing the home's acknowledgement of the
+// merged update it applied. B's release then has nothing of its own to
+// push, but must not return — its word is not yet at the home, so the next
+// holder of lock 2 could miss it — until the flush that carries it is
+// acknowledged.
 func TestReleaseWaitsForTheFlushCarryingItsWrites(t *testing.T) {
-	for _, mode := range []Mode{EagerInvalidate, EagerUpdate} {
-		t.Run(mode.String(), func(t *testing.T) {
-			s, tp := newTapSys(t, Config{Procs: 2, SpaceSize: 8192, PageSize: 1024, Mode: mode, GoroutinesPerNode: 2}, 1)
+	for _, c := range []struct {
+		mode                  Mode
+		flush, withhold, done wire.Kind
+	}{
+		{EagerInvalidate, wire.KFlushReq, wire.KFlushReq, wire.KFlushDone},
+		{EagerUpdate, wire.KUpdate, wire.KUpdateAck, wire.KUpdateAck},
+	} {
+		t.Run(c.mode.String(), func(t *testing.T) {
+			s, tp := newTapSys(t, Config{Procs: 2, SpaceSize: 8192, PageSize: 1024, Mode: c.mode, GoroutinesPerNode: 2}, 1)
 			defer s.Close()
 			n := s.Node(0)
-			// Node 1 homes page 1 behind a tap that swallows the first flush,
-			// which the test answers; a second one it would report.
+			// Node 1 homes page 1 behind a tap that swallows the first
+			// acknowledgement, which the test sends; a second flush it would
+			// report.
 			tp.mu.Lock()
-			tp.swaps = []step{{op: opSwap, arg: byte(wire.KFlushReq)}}
+			tp.swaps = []step{{op: opSwap, arg: byte(c.withhold)}}
 			tp.mu.Unlock()
 			const page1 = mem.Addr(1024)
 			must(t, n.Acquire(2)) // B
@@ -100,11 +112,11 @@ func TestReleaseWaitsForTheFlushCarryingItsWrites(t *testing.T) {
 			must(t, n.WriteUint64(page1, 0xA))
 			relA := make(chan error, 1)
 			go func() { relA <- n.Release(0) }()
-			waitFor(t, "A's release to send a flush", func() bool { return len(tp.received(wire.KFlushReq)) > 0 })
-			req := tp.received(wire.KFlushReq)[0]
-			if mode == EagerUpdate {
+			waitFor(t, "A's release to send a flush", func() bool { return len(tp.received(c.flush)) > 0 })
+			req := tp.received(c.flush)[0]
+			if c.mode == EagerUpdate {
 				img := make([]byte, 1024)
-				if len(req.Diffs) != 1 || req.Diffs[0].Diff.Apply(img) != nil ||
+				if len(req.Diffs) != 1 || req.Diffs[0].Page != 1 || req.Diffs[0].Diff.Apply(img) != nil ||
 					binary.LittleEndian.Uint64(img) != 0xA || binary.LittleEndian.Uint64(img[16:]) != 0xB {
 					t.Fatalf("A's flush diff does not carry both words: words 0 and 2 read %#x, %#x",
 						binary.LittleEndian.Uint64(img), binary.LittleEndian.Uint64(img[16:]))
@@ -117,7 +129,7 @@ func TestReleaseWaitsForTheFlushCarryingItsWrites(t *testing.T) {
 				t.Fatalf("B's release returned (%v) while the flush carrying its write was unacknowledged", err)
 			case <-time.After(100 * time.Millisecond):
 			}
-			tp.Endpoint.Send(0, (&wire.Msg{Kind: wire.KFlushDone, Seq: req.Seq, A: req.A}).EncodeAppend(framebuf.Get()))
+			tp.Endpoint.Send(0, (&wire.Msg{Kind: c.done, Seq: req.Seq, A: req.A}).EncodeAppend(framebuf.Get()))
 			for name, rel := range map[string]chan error{"A": relA, "B": relB} {
 				select {
 				case err := <-rel:
@@ -128,12 +140,115 @@ func TestReleaseWaitsForTheFlushCarryingItsWrites(t *testing.T) {
 					t.Fatalf("%s's release did not return once the flush was acknowledged", name)
 				}
 			}
-			if fl := tp.received(wire.KFlushReq); len(fl) > 1 {
-				t.Errorf("a second flush (page %d): B's release had no write of its own left to push", fl[1].A)
+			if fl := tp.received(c.flush); len(fl) > 1 {
+				t.Errorf("a second flush (%v): B's release had no write of its own left to push", fl[1].Kind)
 			}
 			if err := s.Close(); err != nil {
 				t.Errorf("Close: %v", err)
 			}
 		})
+	}
+}
+
+// heldLink is an endpoint whose frames to node to wait, while holding is
+// set, until release sends them on in order.
+type heldLink struct {
+	transport.Endpoint
+	to      int
+	mu      sync.Mutex
+	holding bool
+	held    [][]byte
+}
+
+func (h *heldLink) Send(dst int, frame []byte) error {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if dst == h.to && h.holding {
+		h.held = append(h.held, frame)
+		return nil
+	}
+	return h.Endpoint.Send(dst, frame)
+}
+
+func (h *heldLink) waiting() int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return len(h.held)
+}
+
+func (h *heldLink) release() error {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.holding = false
+	for _, f := range h.held {
+		if err := h.Endpoint.Send(h.to, f); err != nil {
+			return err
+		}
+	}
+	h.held = nil
+	return nil
+}
+
+// TestEUUpdateOvertakesShipRepro: under EU a writer sends its diff straight
+// to every copy its hint names, so the diff can reach a copy before the
+// home's ship of the page does — over TCP, or under a delaying fault plan.
+// Here the link from page 1's home (node 1) to the reader (node 2) holds
+// the ship while node 0, whose own ship named node 2 a copy, writes the
+// page under lock 0 and releases. The reader must park the diff and
+// acknowledge it, so the release returns with the ship still held, and
+// apply it when the ship lands: once it has the lock after the writer, it
+// reads the writer's word. A reader that dropped the update reads 0.
+func TestEUUpdateOvertakesShipRepro(t *testing.T) {
+	const page1, word = mem.Addr(1024), 0xBEEF
+	net := simnet.New(3)
+	link := &heldLink{Endpoint: net.Endpoint(1), to: 2, holding: true}
+	s, err := New(Config{Procs: 3, SpaceSize: 3 * 1024, PageSize: 1024, Mode: EagerUpdate, Transport: tapNet{net, link}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	w, r := s.Node(0), s.Node(2)
+	read := make(chan error, 1)
+	go func() { _, err := r.ReadUint64(page1); read <- err }()
+	waitFor(t, "the home to ship page 1 to the reader", func() bool { return link.waiting() > 0 })
+	if _, err := w.ReadUint64(page1); err != nil { // the ship names node 2
+		t.Fatal(err)
+	}
+	released := make(chan error, 1)
+	go func() {
+		err := w.Acquire(0)
+		if err == nil {
+			err = w.WriteUint64(page1+8, word)
+		}
+		if err == nil {
+			err = w.Release(0)
+		}
+		released <- err
+	}()
+	select {
+	case err := <-released:
+		must(t, err)
+	case <-time.After(5 * time.Second):
+		t.Fatal("the writer's release waits for a copy whose ship is held")
+	}
+	e := r.e.(*eagerEngine)
+	pmu := r.pageLock(1)
+	pmu.Lock()
+	parked := len(e.parked[1])
+	pmu.Unlock()
+	if parked != 1 {
+		t.Errorf("the reader parked %d diffs of page 1 before its ship, want the writer's one", parked)
+	}
+	must(t, link.release())
+	must(t, <-read)
+	must(t, r.Acquire(0))
+	got, err := r.ReadUint64(page1 + 8)
+	must(t, err)
+	must(t, r.Release(0))
+	if got != word {
+		t.Errorf("the reader reads %#x after the writer's release, want %#x", got, word)
+	}
+	if err := s.Close(); err != nil {
+		t.Errorf("Close: %v", err)
 	}
 }

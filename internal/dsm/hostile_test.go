@@ -248,10 +248,10 @@ type tap struct {
 	next  [][]byte    // what is left of a frame a swap split
 }
 
-// tapNet is simnet with one endpoint behind a tap.
+// tapNet is simnet with one endpoint behind a tap, or another wrapper.
 type tapNet struct {
 	*simnet.Network
-	tap *tap
+	tap transport.Endpoint
 }
 
 func (n tapNet) Endpoint(i int) transport.Endpoint {
@@ -683,6 +683,13 @@ var hostileRows = map[string][]hostileRow{
 		// shell.
 		{name: "an arrival answered in the master's stead", modes: lazyModes, flags: withGC, want: "interval gap for p", fails: "GC round at barrier 1: gcready for barrier 0", script: []step{swap(atBarrier0, wire.KBarrierArrive, &wire.Msg{Kind: wire.KBarrierExit})}},
 		{name: "forward from a non-manager", modes: li, pid: 2, want: "lockfwd of lock 1 from 2 dropped: only its manager 1 forwards it", script: []step{send(atEnd, 0, &wire.Msg{Kind: wire.KLockFwd, Seq: 99, A: 1, B: 2})}},
+		// A merged EU update lands each record on its own: node 1 homes pages
+		// 1, 4 and 7, whose records land, and neither holds nor fetches page
+		// 2, whose record is refused.
+		{name: "merged update of a page the node neither holds nor fetches", modes: eu, pid: 2, image: true, want: "update of page 2 from 2, which this node neither holds nor fetches", check: noCopyOf2,
+			script: []step{send(atStart, 1, &wire.Msg{Kind: wire.KUpdate, Seq: 99, Diffs: []wire.DiffRec{rec(1, 2, 0), rec(2, 2, 0), rec(4, 2, 0), rec(7, 2, 0)}})}},
+		{name: "merged update of a page out of range", modes: eu, pid: 2, image: true, want: "update of invalid page 1048576 from 2",
+			script: []step{send(atStart, 1, &wire.Msg{Kind: wire.KUpdate, Seq: 99, Diffs: []wire.DiffRec{rec(1, 2, 0), rec(1<<20, 2, 0)}})}},
 	},
 	"TestCorruptTCPFramesSurfaceOnClose": {
 		{name: "garbage", modes: lu, pid: 2, image: true, want: "undecodable frame from 2", script: []step{{opSend, atLocks, 0, slices.Repeat([]byte{0xff}, 24)}}},
@@ -705,11 +712,11 @@ var hostileRows = map[string][]hostileRow{
 		frameRow("eager page request beyond the space", ei, "page request", &wire.Msg{Kind: wire.KPageReq, Seq: 99, A: 1 << 20, B: 2}),
 		frameRow("sc read request from invalid requester", sc, "pagereq claims node 77", &wire.Msg{Kind: wire.KPageReq, Seq: 99, A: 1, B: 77}),
 		frameRow("page grant for impossible page", ei, "page install", &wire.Msg{Kind: wire.KPageResp, Seq: 99, A: 1 << 20, Data: make([]byte, 1024)}),
-		frameRow("flush reconciliation nobody asked for", eu, "flush reconcile", &wire.Msg{Kind: wire.KFlushDone, Seq: 424242, A: 1}),
+		frameRow("flush reconciliation nobody asked for", ei, "flush reconcile", &wire.Msg{Kind: wire.KFlushDone, Seq: 424242, A: 1}),
 		frameRow("invalidation beyond the space", ei, "invalidation", &wire.Msg{Kind: wire.KInval, Seq: 99, A: 1 << 20}),
 		frameRow("response nobody awaits", lu, "response routing", &wire.Msg{Kind: wire.KDiffResp, Seq: 424242}),
 		frameRow("diffs nobody asked for", li, "response routing", &wire.Msg{Kind: wire.KDiffResp, Seq: 424242, Diffs: []wire.DiffRec{rec(1, 2, 0)}}),
-		frameRow("update beyond the space", eu, "update of invalid page", &wire.Msg{Kind: wire.KUpdate, Seq: 99, A: 1 << 20, Diffs: []wire.DiffRec{rec(1, 2, 0)}}),
+		frameRow("update beyond the space", eu, "update of invalid page", &wire.Msg{Kind: wire.KUpdate, Seq: 99, Diffs: []wire.DiffRec{rec(1<<20, 2, 0)}}),
 		frameRow("flush carrying a diff from an invalid flusher", eu, "flushreq claims node 77", &wire.Msg{Kind: wire.KFlushReq, Seq: 99, A: 1, B: 77, Diffs: []wire.DiffRec{rec(1, 2, 0)}}),
 		frameRow("lock request smuggling diffs", li, "lockreq claims node 77", &wire.Msg{Kind: wire.KLockReq, Seq: 99, A: 1, B: 77, Sections: []wire.Section{{Mode: ownMode, Diffs: []wire.DiffRec{rec(1, 2, 0)}}}}),
 	},
@@ -874,6 +881,17 @@ func storeKnown(t *testing.T, pr *peerRun) {
 			}
 		}
 		e.mu.Unlock()
+	}
+}
+
+// noCopyOf2: node 1 holds no copy of page 2 and parked no diff for it.
+func noCopyOf2(t *testing.T, pr *peerRun) {
+	e := pr.h.e.(*eagerEngine)
+	pmu := pr.h.pageLock(2)
+	pmu.Lock()
+	defer pmu.Unlock()
+	if e.pages[2] != nil || len(e.parked[2]) > 0 {
+		t.Errorf("node 1 took a refused update of page 2: copy %v, %d parked", e.pages[2] != nil, len(e.parked[2]))
 	}
 }
 

@@ -860,15 +860,16 @@ func (n *Node) deliverResponse(m *wire.Msg) {
 // kinds serialize per page (the directory-order invariant: a page ship
 // and the invalidation that follows it in transport FIFO order are
 // processed in that order), lock kinds per lock, and diff traffic —
-// immutable payloads with no ordering dependence — by sequence number
-// for load spreading.
+// payloads with no ordering dependence, an EU update's included (a copy
+// parks one that overtakes its ship) — by sequence number for load
+// spreading.
 func dispatchKey(m *wire.Msg) uint32 {
 	switch m.Kind {
 	case wire.KLockReq, wire.KLockFwd, wire.KLockGrant:
 		// Separate namespace from pages so lock i and page i do not
 		// needlessly serialize.
 		return uint32(m.A)*2 + 1
-	case wire.KDiffReq, wire.KDiffResp:
+	case wire.KDiffReq, wire.KDiffResp, wire.KUpdate, wire.KUpdateAck:
 		return uint32(m.Seq)
 	default:
 		return uint32(m.A) * 2

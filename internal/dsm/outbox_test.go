@@ -17,13 +17,13 @@ import (
 
 // runEagerMultiPageFlush drives the deterministic per-home flush
 // aggregation pattern: node 1 dirties four pages all homed at node 0
-// inside one critical section, so the release-time flush stages four
-// KFlushReqs for one destination.
-func runEagerMultiPageFlush(t *testing.T) (Stats, TransportStats) {
+// inside one critical section, so the release-time flush has one
+// destination for all four.
+func runEagerMultiPageFlush(t *testing.T, mode Mode) (Stats, TransportStats) {
 	t.Helper()
 	s, err := New(Config{
 		Procs: 2, SpaceSize: 16 * 1024, PageSize: 1024,
-		Mode: EagerUpdate,
+		Mode: mode,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -57,35 +57,44 @@ func runEagerMultiPageFlush(t *testing.T) (Stats, TransportStats) {
 	return st, net
 }
 
-// TestOutboxBatchesFlushBurst: the eager release's four same-home flush
-// requests leave as one batch frame — four messages, fewer frames — and
-// the node's outbox counters agree with the interconnect's.
+// TestOutboxBatchesFlushBurst: an eager release that dirtied four pages
+// with one home. Under EI that is four flush requests, which leave as one
+// batch frame — four messages, fewer frames — and the node's outbox
+// counters agree with the interconnect's. Under EU it is one merged update.
 func TestOutboxBatchesFlushBurst(t *testing.T) {
-	st, net := runEagerMultiPageFlush(t)
-
-	if st.KindMsgs[wire.KFlushReq] != 4 {
-		t.Errorf("flusher sent %d KFlushReqs, want 4", st.KindMsgs[wire.KFlushReq])
-	}
-	if st.SentFrames >= st.SentMsgs {
-		t.Errorf("the outbox coalesced nothing: %d msgs in %d frames", st.SentMsgs, st.SentFrames)
-	}
-	if st.SentBatches == 0 {
-		t.Error("no batch frames sent")
-	}
-	if net.Frames >= net.Messages {
-		t.Errorf("interconnect saw %d messages in %d frames — expected fewer frames", net.Messages, net.Frames)
-	}
-	if net.Batches == 0 {
-		t.Error("interconnect counted no batch frames")
-	}
-	// Per-kind byte accounting sums to the total outbound bytes.
-	var kindTotal int64
-	for _, b := range st.KindBytes {
-		kindTotal += b
-	}
-	if kindTotal != st.SentBytes {
-		t.Errorf("per-kind bytes sum to %d, SentBytes = %d", kindTotal, st.SentBytes)
-	}
+	t.Run("EI", func(t *testing.T) {
+		st, net := runEagerMultiPageFlush(t, EagerInvalidate)
+		if st.KindMsgs[wire.KFlushReq] != 4 {
+			t.Errorf("flusher sent %d KFlushReqs, want 4", st.KindMsgs[wire.KFlushReq])
+		}
+		if st.SentFrames >= st.SentMsgs {
+			t.Errorf("the outbox coalesced nothing: %d msgs in %d frames", st.SentMsgs, st.SentFrames)
+		}
+		if st.SentBatches == 0 {
+			t.Error("no batch frames sent")
+		}
+		if net.Frames >= net.Messages {
+			t.Errorf("interconnect saw %d messages in %d frames — expected fewer frames", net.Messages, net.Frames)
+		}
+		if net.Batches == 0 {
+			t.Error("interconnect counted no batch frames")
+		}
+		// Per-kind byte accounting sums to the total outbound bytes.
+		var kindTotal int64
+		for _, b := range st.KindBytes {
+			kindTotal += b
+		}
+		if kindTotal != st.SentBytes {
+			t.Errorf("per-kind bytes sum to %d, SentBytes = %d", kindTotal, st.SentBytes)
+		}
+	})
+	t.Run("EU", func(t *testing.T) {
+		st, _ := runEagerMultiPageFlush(t, EagerUpdate)
+		if st.KindMsgs[wire.KUpdate] != 1 || st.KindMsgs[wire.KFlushReq] != 0 {
+			t.Errorf("flusher sent %d updates and %d flush requests, want one merged update",
+				st.KindMsgs[wire.KUpdate], st.KindMsgs[wire.KFlushReq])
+		}
+	})
 }
 
 // TestOutboxPreservesFIFO: staged (deferred) and immediate sends to one

@@ -77,7 +77,7 @@ func newSCEngine(n *Node) *scEngine {
 		pages:   make([]*scPage, n.sys.layout.NumPages()),
 		pending: make([]*scMiss, n.sys.layout.NumPages()),
 	}
-	e.dir = newDirectory(n, e)
+	e.dir = newDirectory(n, e, false)
 	return e
 }
 
@@ -229,7 +229,7 @@ func (e *scEngine) handle(m *wire.Msg, src mem.ProcID) bool {
 	switch m.Kind {
 	case wire.KWriteReq:
 		m.Retain() // the transaction outlives this handler
-		go e.dir.serveOwnership(m, "write request", wire.KWriteResp, false)
+		go e.dir.serveOwnership(m, "write request", wire.KWriteResp)
 	case wire.KPageResp:
 		// Intercepted response: install the read copy on the page's
 		// shard worker, in directory order, before any later

@@ -408,6 +408,11 @@ func FuzzDecode(f *testing.F) {
 	}
 	f.Add((&Msg{Kind: KLockGrant, Seq: 14, VC: vc.VC{1, 1},
 		Intervals: []IntervalRec{{Proc: 1, Index: 9, VC: vc.VC{-1, 9}, Pages: []mem.PageID{9, 2}}}}).EncodeAppend(nil))
+	// An EU release merged for one destination, four pages in one update.
+	diff := sampleMsgs()[3].Diffs[0].Diff
+	f.Add((&Msg{Kind: KUpdate, Seq: 15, Diffs: []DiffRec{
+		{Page: 4, Proc: 1, Diff: diff}, {Page: 5, Proc: 1, Index: 2, Diff: diff},
+		{Page: 6, Proc: 1, Diff: diff}, {Page: 7, Proc: 1, Diff: diff}}}).EncodeAppend(nil))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		if IsBatch(b) {
 			// Batch frames go through DecodeBatch (the dispatch loop's

@@ -189,7 +189,9 @@ const (
 	// KPageReq: requester -> page home. A/B = page id, requester.
 	KPageReq
 	// KPageResp: home -> requester with page contents and the applied
-	// clock of the copy. A = page id.
+	// clock of the copy. A = page id. An EU home's ship names in Wants
+	// (Page, Proc) every node in the page's copyset, the requester last if
+	// it just joined: in join order, the requester's first hint.
 	KPageResp
 	// KBarrierArrive: node -> barrier master with clock and intervals.
 	// A/B = barrier id, arriving node.
@@ -207,11 +209,12 @@ const (
 	// Kinds below serve the home directory the eager (EI/EU) and
 	// sequentially-consistent (SC) engines share (internal/dsm's
 	// directory.go): KPageReq/KPageResp are its copy transaction,
-	// KFlushReq/KFlushDone (EI/EU) and KWriteReq/KWriteResp (SC) its
-	// ownership transaction, the kinds below the owner and cacher sides.
+	// KFlushReq/KFlushDone (EI) and KWriteReq/KWriteResp (SC) its
+	// ownership transaction, the kinds below the owner and cacher sides,
+	// and KUpdate/KUpdateAck EU's merged release.
 
-	// KFetch: home -> current owner, asking for a page's committed
-	// contents on behalf of a requester. A = page id. Under SC the owner
+	// KFetch: home -> current owner (EI, SC; an EU home owns its pages),
+	// asking for a page's committed contents on behalf of a requester. A = page id. Under SC the owner
 	// downgrades its copy to read mode as it serves.
 	KFetch
 	// KFetchResp: owner -> home with the page contents.
@@ -220,18 +223,28 @@ const (
 	KInval
 	// KInvalAck: cacher -> home.
 	KInvalAck
-	// KUpdate: home -> cacher with a releaser's diff (EU). A = page id.
+	// KUpdate: an EU releaser's flush, merged per destination: releaser ->
+	// each node it must reach, one Diffs record (Page, Proc = releaser)
+	// per page that node should see — every dirty page it homes, and every
+	// one whose copy it holds as far as the releaser knows. A record of a
+	// page the receiver homes carries in Index how many of the page's
+	// copyset the releaser knows (the first that many to join), and the
+	// home forwards the diff, in an update of its own, to the members that
+	// joined after them. A and B unused.
 	KUpdate
-	// KUpdateAck: cacher -> home after applying the update.
+	// KUpdateAck: receiver -> sender of a KUpdate once every record has
+	// landed (or, at a copy whose ship is in flight, is parked for it)
+	// and, at a home, every forward is acknowledged. A home's names in
+	// Wants (Page, Proc) the members its forwards reached: the releaser's
+	// next flush sends them the page's diff directly.
 	KUpdateAck
-	// KFlushReq: releaser -> page home at an eager release or barrier
-	// flush point. A/B = page id, flusher; EU carries the diff. A
-	// non-empty Data section flags that the flusher's local copy is
-	// invalid, so the reply must carry a reconciliation base even if the
-	// flusher is still in the copyset.
+	// KFlushReq: releaser -> page home at an EI release or barrier flush
+	// point. A/B = page id, flusher. A non-empty Data section flags that
+	// the flusher's local copy is invalid, so the reply must carry a
+	// reconciliation base even if the flusher is still in the copyset.
 	KFlushReq
-	// KFlushDone: home -> releaser once every other cacher was invalidated
-	// (EI) or updated (EU): Data carries a reconciliation base when the
+	// KFlushDone: home -> releaser once every other cacher was
+	// invalidated (EI): Data carries a reconciliation base when the
 	// flusher asked for one or is no longer in the copyset (a concurrent
 	// flush of the same page invalidated its copy).
 	KFlushDone

@@ -626,6 +626,14 @@ func TestGoldenSizesGate(t *testing.T) {
 		{"barrier arrival, one own interval", &Msg{Kind: KBarrierArrive, Seq: 1000, A: 9, B: 3,
 			Sections: []Section{{Mode: lazy, VC: clock, Intervals: []IntervalRec{rec}}}}, 30, 32},
 		{"gc ready", &Msg{Kind: KGCReady, Seq: 1000, A: 9, B: 3}, 6, 8},
+		// An EU release merged for one destination: a record per page, the
+		// one the destination homes counting the copies its writer knows. Its
+		// home's acknowledgement names the two copies that hint missed.
+		{"merged update, four pages", &Msg{Kind: KUpdate, Seq: 1000, Diffs: []DiffRec{
+			{Page: 300, Proc: 2, Diff: diff}, {Page: 301, Proc: 2, Index: 2, Diff: diff},
+			{Page: 302, Proc: 2, Diff: diff}, {Page: 303, Proc: 2, Diff: diff}}}, 55, 56},
+		{"update ack naming two copies", &Msg{Kind: KUpdateAck, Seq: 1000,
+			Wants: []Want{{Page: 301, Proc: 0}, {Page: 301, Proc: 3}}}, 15, 16},
 	}
 	for _, tc := range cases {
 		got := len(tc.msg.EncodeAppend(nil))
