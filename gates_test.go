@@ -129,6 +129,18 @@ var gateRows = []gateRow{
 	// acknowledgement — 24 messages a step — beside the two barriers' 12.
 	// A flush through each page's home, which updates the other copies,
 	// measured 108.
+	// EI merges a release the same way, to the dirty pages' homes alone,
+	// and a home invalidates every other copy of each page, one
+	// invalidation and one acknowledgement per page and copy. A writer's
+	// pages have four homes, itself among them: 3 updates and 3
+	// acknowledgements, 2 x 3 x 2 + 3 x 2 invalidation messages — 24 per
+	// writer — then 9 misses of two messages per reader, beside the
+	// barriers' 12: 180 a step, every run. A directory transaction per
+	// dirty page, which made its writer the owner that later misses fetched
+	// from, measured 252.
+	{"ei-merge", barrierSlab, repro.EagerInvalidate, repro.RuntimeConfig{PageSize: 4096, GCEveryBarriers: 8}, []gateCheck{
+		{"msgs_per_step", "<=", 180},
+	}},
 	{"eu-merge", barrierSlab, repro.EagerUpdate, repro.RuntimeConfig{PageSize: 4096, GCEveryBarriers: 8}, []gateCheck{
 		{"msgs_per_step", "<=", 36},
 	}},
@@ -138,10 +150,11 @@ var gateRows = []gateRow{
 	// frames per critical section; a stage that flushed at once, 33.8-33.9).
 	// EU now merges a release per destination, which leaves little to
 	// coalesce: 10.1 frames with the outbox batching and without it, so the
-	// row bounds frames but no longer tells whether the outbox batches
-	// (TestOutboxBatchesFlushBurst/EI does). LU's revalidation has nothing
-	// left to coalesce either: it asks each creator once, one message to
-	// each peer, whether the outbox batches or not.
+	// row bounds frames but no longer tells whether the outbox batches:
+	// TestOutboxBatchesFlushBurst/EI does, holding an EI home's four
+	// invalidations of one copy to one batch frame. LU's revalidation has
+	// nothing left to coalesce either: it asks each creator once, one
+	// message to each peer, whether the outbox batches or not.
 	{"frames", writeShareTCP, repro.EagerUpdate, repro.RuntimeConfig{PageSize: 1024}, []gateCheck{
 		{"messages", ">", 0},
 		{"frames_per_critsec", "<=", 30},
@@ -372,10 +385,10 @@ func slabContents(buf []byte, pg, s int) {
 
 // barrierSlab is lrcbench's barrier-slab: four nodes each rewrite every
 // byte of their four pages, then after a barrier read and check the twelve
-// others (under LI a miss and a whole-page diff each; under EU the barrier
-// pushed them already). After 40 steps it reports the bytes allocated over
-// the bytes the interconnect moved in the next 200, and the messages per
-// step.
+// others (under LI a miss and a whole-page diff each, under EI a miss and a
+// ship; under EU the barrier pushed them already). After 40 steps it
+// reports the bytes allocated over the bytes the interconnect moved in the
+// next 200, and the messages per step.
 func barrierSlab(t *testing.T, rc repro.RuntimeConfig) gateMetrics {
 	testenv.SkipAllocGate(t)
 	const procs, slab, pages, warmup, steps = 4, 4, 16, 40, 200

@@ -445,7 +445,8 @@ func TestWrittenPageServeAllocatesNothingGate(t *testing.T) {
 }
 
 // pageServeAllocs has n answer node 1's request for page 0 the way its
-// engine does — the lazy page request, the directory's owner-side fetch —
+// engine does — the lazy page request, the eager home's ship, SC's
+// owner-side fetch —
 // and returns the objects one answer allocates and its staged size.
 func pageServeAllocs(n *Node) (allocs float64, size int) {
 	req := &wire.Msg{Seq: 1, A: 0, B: 1}
@@ -454,7 +455,7 @@ func pageServeAllocs(n *Node) (allocs float64, size int) {
 	case *lazyEngine:
 		serve = func() { e.handlePageReq(req) }
 	case *eagerEngine:
-		serve = func() { e.dir.serveFetch(req, 1) }
+		serve = func() { e.dir.shipOwn(req, e.update) }
 	case *scEngine:
 		serve = func() { e.dir.serveFetch(req, 1) }
 	}

@@ -12,41 +12,36 @@ import (
 
 // directory is the per-page home directory of the eager engines (§3's
 // Munin-style write-shared protocol) and the SC baseline (§6's Ivy). A
-// page's home keeps its entry — the owner, whose copy is the committed
-// one, and the copyset of nodes holding a copy — and runs the
-// transactions that read or change it:
+// page's home keeps its entry — who holds a copy — and runs the
+// transactions that read or change it.
 //
-//   - the copy transaction (KPageReq): the owner's copy travels home ->
-//     requester, which joins the copyset (serveCopy);
-//   - the ownership transaction (KFlushReq under EI, KWriteReq under SC):
-//     every other copy is invalidated, each acknowledged, the sender
-//     becomes the owner, and the reply carries the owner's copy as a base
-//     when the sender's own cannot be trusted (serveOwnership).
+// Under EI and EU the home owns every page it homes, for good: its own
+// copy is the committed one, ships are served from it inline (shipOwn),
+// and a writer's diff lands on it under the entry (absorb). Members are
+// kept in join order: EU's copyset only grows, and a writer's hint is a
+// prefix of that order, named by its length; an EI diff takes every
+// member but its writer out, for the home to invalidate.
 //
-// Under EU the home owns every page it homes, for good: its own copy is
-// the committed one, ships are served from it inline (shipOwn), and a
-// writer's diff lands on it under the entry (absorb), which also tells the
-// writer's update which copies its hint missed. The copyset only grows —
-// EU invalidates nothing — so its members are kept in join order too, and
-// a writer's hint is a prefix of that order, named by its length.
+// Under SC the home keeps the owner, whose copy is the committed one, and
+// runs the copy (KPageReq) and ownership (KWriteReq) transactions (serve),
+// each on a goroutine of its own that holds the entry's lock from its
+// first send to its last.
 //
-// Ordering: a transaction holds its entry's lock from its first send to
-// its last, and every send happens inside this file, so the transport's
-// FIFO delivery plus the receiver's per-page shard queue present each node
-// the directory's decisions in order: a cacher installs a page ship before
-// it processes the invalidation that follows it. Engines install grants
-// on the shard worker as they arrive, never after an rpc wakeup, so the
-// copyset always matches what each node holds. EU updates need no such
-// order: a copy parks an update that overtakes its ship (eagerEngine).
+// Ordering: every send that depends on an entry is staged under its lock,
+// or after absorb read it there, so the transport's FIFO delivery plus the
+// receiver's per-page shard queue present each node the directory's
+// decisions in order: a cacher installs a page ship before it processes
+// the invalidation that follows it. Engines install grants on the shard
+// worker as they arrive, so the copyset always matches what each node
+// holds. An update that overtakes a ship is the engine's (eagerEngine).
 //
-// The owner side — a home's fetch or invalidation arriving at a node — is
+// The holder side — a home's fetch or invalidation arriving at a node — is
 // here too (serveFetch, serveInval); the engine supplies only what it does
 // to its own copy (holder).
 type directory struct {
-	n         *Node
-	copies    holder
-	homeOwned bool       // EU: the home is every one of its pages' owner
-	entries   []dirEntry // used only for pages homed here
+	n       *Node
+	copies  holder
+	entries []dirEntry // used only for pages homed here
 }
 
 // holder is a directory engine's own copy of each page, as the owner side
@@ -59,43 +54,22 @@ type holder interface {
 	invalidateLocked(pg mem.PageID)
 }
 
-// dirEntry is one page's directory entry at its home. Under EU the copyset
-// is joined, its members in join order, the home's own copy implied.
+// dirEntry is one page's directory entry at its home. Under EI and EU the
+// copyset is joined, in join order, the home's own copy implied.
 type dirEntry struct {
 	mu      sync.Mutex
-	owner   mem.ProcID
-	copyset uint64       // EI, SC
-	joined  []mem.ProcID // EU
+	owner   mem.ProcID      // SC
+	copyset uint64          // SC
+	joined  []mem.ProcID    // EI, EU
+	rounds  []chan struct{} // EI: the invalidation rounds not yet acknowledged
 }
 
-func newDirectory(n *Node, copies holder, homeOwned bool) *directory {
-	d := &directory{n: n, copies: copies, homeOwned: homeOwned, entries: make([]dirEntry, n.sys.layout.NumPages())}
+func newDirectory(n *Node, copies holder) *directory {
+	d := &directory{n: n, copies: copies, entries: make([]dirEntry, n.sys.layout.NumPages())}
 	for pg := range d.entries {
 		d.entries[pg].owner = n.homeOf(mem.PageID(pg))
 	}
 	return d
-}
-
-// handle serves the kinds both directory engines speak: the copy
-// transaction on its own goroutine (it waits on the owner) unless the home
-// owns the page, the owner side inline on the page's shard worker.
-func (d *directory) handle(m *wire.Msg, src mem.ProcID) bool {
-	switch m.Kind {
-	case wire.KPageReq:
-		if d.homeOwned {
-			d.shipOwn(m)
-			break
-		}
-		m.Retain() // the transaction outlives this handler
-		go d.serveCopy(m)
-	case wire.KFetch:
-		d.serveFetch(m, src)
-	case wire.KInval:
-		d.serveInval(m, src)
-	default:
-		return false
-	}
-	return true
 }
 
 // lock validates the page of request m (op names it in errors; its B is
@@ -112,33 +86,13 @@ func (d *directory) lock(op string, m *wire.Msg) (*dirEntry, mem.PageID, mem.Pro
 	return e, pg, from
 }
 
-// serveCopy runs the copy transaction for request m.
-func (d *directory) serveCopy(m *wire.Msg) {
-	defer m.Release()
-	n := d.n
-	e, pg, to := d.lock("page request", m)
-	if e == nil {
-		return
-	}
-	defer e.mu.Unlock()
-	data, err := d.fetch(e, pg)
-	if err != nil {
-		n.noteErr(fmt.Sprintf("page %d owner fetch", pg), err)
-		return
-	}
-	e.copyset |= 1 << uint(to)
-	if err := n.send(to, &wire.Msg{Kind: wire.KPageResp, Seq: m.Seq, A: m.A, Data: data}); err != nil {
-		n.noteErr(fmt.Sprintf("page response to %d", to), err)
-	}
-}
-
-// shipOwn answers page request m from the home's own copy (EU), inline on
-// the page's shard worker: the requester joins the copyset, and the ship
-// names every member in join order as Wants (Page, Proc), the requester's
-// first hint. The copy is encoded into the frame under the entry, so the
-// ship holds exactly the diffs absorbed before the join.
-func (d *directory) shipOwn(m *wire.Msg) {
-	n := d.n
+// shipOwn answers page request m from the home's own copy (EI, EU), inline
+// on the page's shard worker: the requester joins the copyset, and under
+// EU (named) the ship names every member in join order as Wants (Page,
+// Proc), the requester's first hint. The copy is encoded into the frame
+// under the entry, so the ship holds exactly the diffs absorbed before the
+// join.
+func (d *directory) shipOwn(m *wire.Msg, named bool) {
 	e, pg, to := d.lock("page request", m)
 	if e == nil {
 		return
@@ -149,69 +103,139 @@ func (d *directory) shipOwn(m *wire.Msg) {
 	}
 	var buf [maxProcs]wire.Want
 	members := buf[:0]
-	for _, j := range e.joined {
-		members = append(members, wire.Want{Page: pg, Proc: j})
+	if named {
+		for _, j := range e.joined {
+			members = append(members, wire.Want{Page: pg, Proc: j})
+		}
 	}
+	d.stageCopy(to, pg, &wire.Msg{Kind: wire.KPageResp, Seq: m.Seq, A: m.A, Wants: members})
+}
+
+// stageCopy stages reply to dst carrying this node's committed copy of pg,
+// encoded under the stripe that keeps it still: the zero page at a home
+// nobody wrote. A node that neither homes nor holds pg stages nothing:
+// only a misbehaving or hostile peer asks it, and the record surfaces via
+// Close.
+func (d *directory) stageCopy(dst mem.ProcID, pg mem.PageID, reply *wire.Msg) {
+	n := d.n
 	pmu := n.pageLock(pg)
 	pmu.Lock()
 	defer pmu.Unlock()
 	data, held := d.copies.committedLocked(pg)
-	if !held {
-		data = n.sys.zeroPage // nobody ever wrote it
+	if !held && n.homeOf(pg) != n.id {
+		n.noteErr("page copy", fmt.Errorf("node %d asks for page %d, which this node neither homes nor holds", dst, pg))
+		return
 	}
-	n.stage(to, &wire.Msg{Kind: wire.KPageResp, Seq: m.Seq, A: m.A, Data: data, Wants: members})
+	if !held {
+		data = n.sys.zeroPage
+	}
+	reply.Data = data
+	n.stage(dst, reply)
 }
 
-// absorb runs land, which brings the home's own copy of pg up to a
-// writer's diff (EU), under pg's entry, and returns the copies the
-// writer's hint missed: the members that joined after the first known. A
-// ship served before land holds no part of the diff and its requester is
-// among the members; one served after holds all of it. So every copy gets
-// the diff from the writer, from the home or in its ship. The list is a
-// view of the entry's, good until the entry is reset.
-func (d *directory) absorb(pg mem.PageID, known int32, land func() error) ([]mem.ProcID, error) {
+// revocation is an EI home's round of invalidations for one writer's
+// update or its own flush, with the open rounds it follows. done, made
+// with the first invalidation, closes once all are acknowledged (end).
+type revocation struct {
+	invals []outMsg
+	after  []chan struct{}
+	done   chan struct{}
+}
+
+// absorb runs land, when non-nil, which brings the home's own copy of pg
+// up to writer's diff, under pg's entry, and returns the copies the diff
+// leaves stale.
+//
+// Under EU (r nil) those are the members that joined after the first
+// known, the writer's hint. A ship served before land holds no part of the
+// diff and its requester is among the members; one served after holds all
+// of it. So every copy gets the diff from the writer, from the home or in
+// its ship.
+//
+// Under EI they are every member but the writer; they leave the copyset,
+// each with an invalidation of pg in r. Two orders hold:
+//
+//   - the writer's own update never invalidates the writer's copy, which
+//     holds its words even from a ship served before land: the writer
+//     lands its diff again on any ship installed while the diff is
+//     unacknowledged (eagerEngine.installPage);
+//   - a copy's invalidation leaves after the ship that made it a member,
+//     on the same FIFO link, though r's are sent after absorb returns:
+//     shipOwn stages the ship under the entry before absorb can see the
+//     member.
+//
+// A copy an earlier round took out may not have processed its invalidation
+// yet, so r follows every round of pg still open.
+func (d *directory) absorb(pg mem.PageID, writer mem.ProcID, known int32, r *revocation, land func() error) (stale uint64, err error) {
 	e := &d.entries[pg]
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if known < 0 || int(known) > len(e.joined) {
-		return nil, fmt.Errorf("the writer knows %d copies of page %d, its home %d", known, pg, len(e.joined))
+		return 0, fmt.Errorf("the writer knows %d copies of page %d, its home %d", known, pg, len(e.joined))
 	}
-	if err := land(); err != nil {
-		return nil, err
+	if land != nil {
+		if err := land(); err != nil {
+			return 0, err
+		}
 	}
-	return e.joined[known:], nil
+	for _, j := range e.joined[known:] {
+		stale |= 1 << uint(j)
+	}
+	if r == nil {
+		return stale, nil
+	}
+	open := e.rounds[:0]
+	for _, c := range e.rounds {
+		select {
+		case <-c: // acknowledged
+		default:
+			open = append(open, c)
+			if c != r.done { // not a page the update names twice
+				r.after = append(r.after, c)
+			}
+		}
+	}
+	stale &^= 1 << uint(writer)
+	e.joined = slices.DeleteFunc(e.joined, func(j mem.ProcID) bool { return stale&(1<<uint(j)) != 0 })
+	for rest := stale; rest != 0; rest &= rest - 1 {
+		r.invals = append(r.invals, outMsg{dst: mem.ProcID(bits.TrailingZeros64(rest)), m: wire.Msg{Kind: wire.KInval, Seq: d.n.nextSeq(), A: int32(pg)}})
+	}
+	if stale != 0 {
+		if r.done == nil {
+			r.done = make(chan struct{})
+		}
+		open = append(open, r.done)
+	}
+	e.rounds = open
+	return stale, nil
 }
 
-// members returns the nodes that joined pg's copyset (EU).
-func (d *directory) members(pg mem.PageID) (set uint64) {
-	e := &d.entries[pg]
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for _, j := range e.joined {
-		set |= 1 << uint(j)
+// end closes r's round, its invalidations acknowledged or failed, then
+// waits for the rounds r follows: closed first, no two wait for each other.
+func (r *revocation) end() {
+	if r.done != nil {
+		close(r.done)
 	}
-	return set
+	for _, c := range r.after {
+		<-c
+	}
 }
 
-// serveOwnership runs the ownership transaction for request m, answering
-// with a message of kind resp; op names the request in errors.
-//
-// The reply carries the owner's copy as a base when the sender is not in
-// the copyset — an SC write miss, or an EI flusher that a concurrent flush
-// of the same page invalidated after it took its diff — or when the
-// request asks for one with a non-empty Data section (an EI flusher whose
-// copy was invalid at flush time). The sender re-applies its own diff on
-// top, so every committed word survives.
-func (d *directory) serveOwnership(m *wire.Msg, op string, resp wire.Kind) {
+// serve runs SC's transaction for request m: the copy transaction for a
+// read miss (KPageReq), the ownership transaction for a write miss
+// (KWriteReq), whose reply carries the owner's copy only when the sender
+// holds none.
+func (d *directory) serve(m *wire.Msg) {
 	defer m.Release()
 	n := d.n
-	e, pg, to := d.lock(op, m)
+	write := m.Kind == wire.KWriteReq
+	e, pg, to := d.lock(m.Kind.String(), m)
 	if e == nil {
 		return
 	}
 	defer e.mu.Unlock()
-	reply := &wire.Msg{Kind: resp, Seq: m.Seq, A: m.A}
-	if e.copyset&(1<<uint(to)) == 0 || len(m.Data) > 0 {
+	reply := &wire.Msg{Kind: wire.KPageResp, Seq: m.Seq, A: m.A}
+	if !write || e.copyset&(1<<uint(to)) == 0 {
 		data, err := d.fetch(e, pg)
 		if err != nil {
 			n.noteErr(fmt.Sprintf("page %d owner fetch", pg), err)
@@ -219,51 +243,38 @@ func (d *directory) serveOwnership(m *wire.Msg, op string, resp wire.Kind) {
 		}
 		reply.Data = data
 	}
-	if err := d.invalidate(e, pg, to); err != nil {
-		n.noteErr(fmt.Sprintf("invalidations of page %d", pg), err)
-		return
-	}
-	if e.owner != to {
-		e.owner = to
-		n.stats.ownershipMoves.Add(1)
+	if write {
+		// Every other copy is invalidated in one burst, which up to four
+		// fit in the frame with their acknowledgements.
+		var (
+			reqBuf [4]outMsg
+			ackBuf [4]*wire.Msg
+		)
+		others, reqs := e.copyset&^(1<<uint(to)), reqBuf[:0]
+		for rest := others; rest != 0; rest &= rest - 1 {
+			reqs = append(reqs, outMsg{dst: mem.ProcID(bits.TrailingZeros64(rest)), m: wire.Msg{Kind: wire.KInval, Seq: n.nextSeq(), A: int32(pg)}})
+		}
+		acks, err := n.rpcAll(reqs, ackBuf[:0])
+		releaseAll(acks)
+		if err != nil {
+			n.noteErr(fmt.Sprintf("invalidations of page %d", pg), err)
+			return
+		}
+		e.copyset &^= others
+		if e.owner != to {
+			e.owner = to
+			n.stats.ownershipMoves.Add(1)
+		}
+		reply.Kind = wire.KWriteResp
 	}
 	e.copyset |= 1 << uint(to)
 	if err := n.send(to, reply); err != nil {
-		n.noteErr(fmt.Sprintf("%v to %d", resp, to), err)
+		n.noteErr(fmt.Sprintf("%v to %d", reply.Kind, to), err)
 	}
 }
 
-// invalidate invalidates every copy of pg in e's copyset but except's as
-// one grouped burst: every request staged before a single flush, every
-// acknowledgment awaited concurrently. The copies leave the copyset.
-func (d *directory) invalidate(e *dirEntry, pg mem.PageID, except mem.ProcID) error {
-	n := d.n
-	others := e.copyset &^ (1 << uint(except))
-	// A burst of up to four, and its acknowledgements, live in the frame.
-	var (
-		reqBuf [4]outMsg
-		ackBuf [4]*wire.Msg
-	)
-	reqs := reqBuf[:0]
-	for rest := others; rest != 0; rest &= rest - 1 {
-		reqs = append(reqs, outMsg{dst: mem.ProcID(bits.TrailingZeros64(rest)), m: wire.Msg{
-			Kind: wire.KInval, Seq: n.nextSeq(), A: int32(pg),
-		}})
-	}
-	if len(reqs) == 0 {
-		return nil
-	}
-	acks, err := n.rpcAll(reqs, ackBuf[:0])
-	if err != nil {
-		return err
-	}
-	releaseAll(acks)
-	e.copyset &^= others
-	return nil
-}
-
-// fetch obtains pg's committed contents from e's owner (EI, SC); the
-// caller holds e's lock. It always travels as a KFetch, even when the home
+// fetch obtains pg's committed contents from e's owner (SC); the caller
+// holds e's lock. It always travels as a KFetch, even when the home
 // is itself the owner: a previous transaction's grant to this node may still be
 // queued on the page's shard, and reading memory directly would jump
 // ahead of it and serve pre-grant data. The loopback message queues
@@ -285,15 +296,15 @@ func (d *directory) fetch(e *dirEntry, pg mem.PageID) ([]byte, error) {
 func (d *directory) reset(pg mem.PageID, held bool) {
 	e := &d.entries[pg]
 	e.mu.Lock()
-	e.owner, e.copyset, e.joined = d.n.homeOf(pg), 0, nil
+	e.owner, e.copyset, e.joined, e.rounds = d.n.homeOf(pg), 0, nil, nil
 	if held {
 		e.copyset = 1 << uint(d.n.id)
 	}
 	e.mu.Unlock()
 }
 
-// serveFetch answers a home's fetch of this owner's committed copy, inline
-// on the page's shard worker.
+// serveFetch answers a home's fetch of this owner's committed copy (SC),
+// inline on the page's shard worker.
 func (d *directory) serveFetch(m *wire.Msg, src mem.ProcID) {
 	n := d.n
 	pg := mem.PageID(m.A)
@@ -301,25 +312,7 @@ func (d *directory) serveFetch(m *wire.Msg, src mem.ProcID) {
 		n.noteErr("owner fetch", fmt.Errorf("fetch of invalid page %d", pg))
 		return
 	}
-	pmu := n.pageLock(pg)
-	pmu.Lock()
-	defer pmu.Unlock()
-	data, held := d.copies.committedLocked(pg)
-	if !held && n.homeOf(pg) != n.id {
-		// The home thinks we own a page we never held: only a misbehaving
-		// (or hostile) peer can cause that. Drop the fetch; the record
-		// surfaces via Close.
-		n.noteErr("owner fetch", fmt.Errorf("fetch of page %d this node never held", pg))
-		return
-	}
-	if !held {
-		// The page's initial owner, and nobody ever wrote it: the
-		// committed state is the zero page.
-		data = n.sys.zeroPage
-	}
-	// Staging encodes: the copy's bytes go straight into the frame, under
-	// the stripe that keeps them still (the destination lock is a leaf).
-	n.stage(src, &wire.Msg{Kind: wire.KFetchResp, Seq: m.Seq, A: m.A, Data: data})
+	d.stageCopy(src, pg, &wire.Msg{Kind: wire.KFetchResp, Seq: m.Seq, A: m.A})
 }
 
 // serveInval applies a home's invalidation to this node's copy, inline on

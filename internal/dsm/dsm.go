@@ -58,14 +58,14 @@
 //     page the round brings current, and an LI access fault brings along
 //     the invalid sibling pages its intervals also wrote, where the paper
 //     fetches page by page at each access miss;
-//   - an EI flush issues one directory transaction per dirty page at its
-//     home rather than merging all traffic to one destination into a
-//     single message (the outbox does coalesce same-destination messages
-//     into shared batch frames — see outbox.go — but that changes
-//     physical framing only, never the message counts the paper
-//     compares); an EU flush does merge, one update per destination as
-//     the model counts, but a copy its writer did not yet know of is
-//     reached through the page's home, at two messages more.
+//   - an eager flush merges its diffs per destination, as the model
+//     counts, but every page's home owns it and takes each diff: an EI
+//     flush goes to the homes alone, which invalidate the other copies
+//     with one message per page and copy where the model merges them per
+//     cacher (the outbox coalesces one home's invalidations of one copy
+//     into a batch frame — see outbox.go — which changes physical framing
+//     only); under EU a copy its writer did not yet know of is reached
+//     through the home, at two messages more.
 //
 // The simulator remains the artifact that reproduces the paper's counts;
 // this runtime is the artifact that proves each protocol moves the right

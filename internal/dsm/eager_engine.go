@@ -17,26 +17,22 @@ import (
 // Munin's write-shared protocol (paper §3): a processor buffers its
 // modifications as twins until a release or barrier, then pushes them to
 // every other cacher of each dirty page — invalidations (EI) or diffs
-// (EU) — and blocks until all are acknowledged. Each page's home keeps
-// its directory entry (directory.go).
+// (EU) — and blocks until all are acknowledged.
 //
-// EI runs a directory transaction per dirty page: the flush goes to the
-// home, which invalidates the other copies and makes the flusher the
-// owner; a miss ships the page from the owner through the home. EU merges
-// a flush per destination, as Munin merges "all writes going to the same
-// destination": every node it must reach — each dirty page's home, and
-// the copies its hint names — gets one update carrying a diff for each of
-// its pages and returns one acknowledgement. The home owns its pages: it
-// lands each diff on its own copy, which its ships are served from,
-// forwards the diff to the copies the writer's hint missed, and names
-// them in its acknowledgement. A diff that reaches a copy before the
-// copy's ship waits for the ship (parked).
+// Each page's home keeps its directory entry (directory.go) and owns the
+// page: every miss is shipped from its copy, and every diff lands there.
+// A flush merges its traffic per destination, as Munin merges "all writes
+// going to the same destination": one update per node, a diff for each of
+// its pages, one acknowledgement back. Under EI the nodes are the dirty
+// pages' homes, which invalidate every other copy before they
+// acknowledge; under EU also the copies the writer's hint names, and a
+// home forwards the diff to those the hint missed.
 //
-// Concurrency: page copies, twins and the EU copy state are per-page state
-// under the node's striped lock table, and the write set has its own leaf
-// mutex. One flush is in flight per node (flushMu): a flush point holds it
-// across drain, burst and acknowledgment, so a release never returns while
-// a write made on its node before it is still propagating — another local
+// Concurrency: page copies, twins and the per-page copy state are under
+// the node's striped lock table, and the write set has its own leaf mutex.
+// One flush is in flight per node (flushMu): a flush point holds it across
+// drain, burst and acknowledgment, so a release never returns while a
+// write made on its node before it is still propagating — another local
 // goroutine's write is in this drain or in the flush that held the mutex
 // before — and two flushes of one page reach every copy in write order.
 type eagerEngine struct {
@@ -58,6 +54,9 @@ type eagerEngine struct {
 	hints    []uint64
 	fetching []bool
 	parked   [][]*page.Diff
+	// flying[pg] (EI) is this node's diff of pg while its flush is
+	// unacknowledged, for an install to land again (directory.absorb).
+	flying []*page.Diff
 
 	// ws is the write set of the critical sections since the last flush
 	// point; each flush drains it.
@@ -65,49 +64,29 @@ type eagerEngine struct {
 
 	// flushMu is held by the one flush in flight. Releases queued on it
 	// group-commit: the next holder drains every page dirtied meanwhile.
-	// cand, the pages it drained, pends, an EI burst, and out and made, an
-	// EU burst's records by destination and its diffs, are its scratch.
+	// cand, the pages it drained, and out and made, its records by
+	// destination and its diffs, are its scratch.
 	flushMu sync.Mutex
 	cand    []mem.PageID
-	pends   []pend
 	out     [][]wire.DiffRec
 	made    []*page.Diff
-	// flightMu guards inflight, the payloads of the EI flush in flight by
-	// request Seq, for the handler-side reconciliation (applyFlushDone).
-	flightMu sync.Mutex
-	inflight map[uint64]flushState
-}
-
-// baseWanted is a KFlushReq's Data when the flusher's copy is invalid:
-// any non-empty section asks the home for a reconciliation base.
-var baseWanted = []byte{1}
-
-type flushState struct {
-	pg   mem.PageID
-	diff *page.Diff
-}
-
-// pend is one page of an EI flush burst: its in-flight state and its
-// request.
-type pend struct {
-	fs  flushState
-	req wire.Msg
 }
 
 func newEagerEngine(n *Node, update bool) *eagerEngine {
 	numPages := n.sys.layout.NumPages()
 	e := &eagerEngine{
-		n:        n,
-		update:   update,
-		pages:    make([]*pageCopy, numPages),
-		ws:       newWriteSet(),
-		inflight: make(map[uint64]flushState),
+		n:      n,
+		update: update,
+		pages:  make([]*pageCopy, numPages),
+		ws:     newWriteSet(),
+		out:    make([][]wire.DiffRec, n.sys.cfg.Procs),
 	}
 	if update {
 		e.hints, e.fetching, e.parked = make([]uint64, numPages), make([]bool, numPages), make([][]*page.Diff, numPages)
-		e.out = make([][]wire.DiffRec, n.sys.cfg.Procs)
+	} else {
+		e.flying = make([]*page.Diff, numPages)
 	}
-	e.dir = newDirectory(n, e, update)
+	e.dir = newDirectory(n, e)
 	return e
 }
 
@@ -115,19 +94,14 @@ func (e *eagerEngine) clock() vc.VC { return vc.New(e.n.sys.cfg.Procs) }
 
 // --- accesses ---
 
-// ensureValid obtains a copy of pg, fetching it from the owner through
-// the home's directory on a miss. Under EI all misses go through the
-// message path, including the home's own (loopback is free), so the
-// directory transaction order is the single source of truth; under EU the
-// home owns the page, and its first access makes its copy, the zero page.
-// Miss service serializes per page under the miss lock, and the granted
-// page is installed by the page's shard worker as the response arrives —
-// in directory order, never abandoned — so the home's copyset always
-// matches what this node actually holds. An invalidation that lands
-// directly behind the install leaves the copy invalid again; that is the
-// same staleness window an eagerly-consistent access always had between
-// validation and use, and the flush path reports it (see flushPages'
-// needBase).
+// ensureValid obtains a copy of pg: the home's own, made on its first
+// access, or a ship from the home's. Miss service serializes per page
+// under the miss lock, and the ship is installed by the page's shard
+// worker as it arrives — in directory order, never abandoned — so the
+// home's copyset always matches what this node actually holds. An
+// invalidation right behind the install leaves the copy invalid again, the
+// window an eagerly-consistent access always had between validation and
+// use; a write through it still reaches the home as a diff of its words.
 func (e *eagerEngine) ensureValid(pg mem.PageID) error {
 	n := e.n
 	pmu := n.pageLock(pg)
@@ -149,7 +123,7 @@ func (e *eagerEngine) ensureValid(pg mem.PageID) error {
 		pmu.Unlock()
 		return nil
 	}
-	if e.update && n.homeOf(pg) == n.id {
+	if n.homeOf(pg) == n.id {
 		e.ownLocked(pg)
 		pmu.Unlock()
 		return nil
@@ -184,8 +158,7 @@ func (e *eagerEngine) ensureValid(pg mem.PageID) error {
 	return err
 }
 
-// ownLocked returns the EU home's own copy of pg, made on first use: a
-// page nobody has written is the zero page.
+// ownLocked returns the home's own copy of pg, made on first use.
 func (e *eagerEngine) ownLocked(pg mem.PageID) *pageCopy {
 	pc := e.pages[pg]
 	if pc == nil {
@@ -196,13 +169,12 @@ func (e *eagerEngine) ownLocked(pg mem.PageID) *pageCopy {
 }
 
 // installPage applies a granted page at the requester, on the page's
-// shard worker. Under EI that is directory order: every invalidation the
-// home sent before this ship has already been applied, and any sent after
-// will be. Under EU the diffs that overtook the ship land on it in arrival
-// order: the ship holds none of them (directory.absorb). The fetched data
-// lands as the committed contents: a concurrent local critical section
-// mid-flight on the stale copy keeps its uncommitted writes on top
-// (pageCopy.land).
+// shard worker, in directory order: every invalidation the home sent
+// before this ship has already been applied, and any sent after will be.
+// The data lands as the committed contents, under EI with this node's
+// flying diff on top, under EU followed by the diffs that overtook the
+// ship; a local critical section mid-flight on the stale copy keeps its
+// uncommitted writes on top (pageCopy.land).
 //
 // Returns false (recording the cause) for a grant that cannot be
 // installed — bad page id or wrong-size data — so the caller fails the
@@ -223,7 +195,11 @@ func (e *eagerEngine) installPage(m *wire.Msg) bool {
 		pc = &pageCopy{}
 		e.pages[pg] = pc
 	}
-	if err := pc.land(n, m.Data, nil); err != nil {
+	var own func([]byte) error
+	if !e.update && e.flying[pg] != nil {
+		own = e.flying[pg].Apply
+	}
+	if err := pc.land(n, m.Data, own); err != nil {
 		panic(fmt.Sprintf("dsm: node %d: installing page %d: %v", n.id, pg, err))
 	}
 	pc.valid = true
@@ -243,11 +219,11 @@ func (e *eagerEngine) installPage(m *wire.Msg) bool {
 // learn adds the copies an EU home's message m names in its Wants — a
 // ship's copyset, or those an acknowledgement's update missed — to the
 // hints of their pages, recording any want that names no page home homes
-// or no node.
+// or no node, and under EI, which keeps no hints, every want.
 func (e *eagerEngine) learn(m *wire.Msg, home mem.ProcID) {
 	n := e.n
 	for _, w := range m.Wants {
-		if !n.validPage(w.Page) || n.homeOf(w.Page) != home || w.Proc < 0 || int(w.Proc) >= n.sys.cfg.Procs {
+		if !e.update || !n.validPage(w.Page) || n.homeOf(w.Page) != home || w.Proc < 0 || int(w.Proc) >= n.sys.cfg.Procs {
 			n.noteErr("copyset", fmt.Errorf("%v from %d names node %d a copy of page %d", m.Kind, home, w.Proc, w.Page))
 			continue
 		}
@@ -291,143 +267,77 @@ func (e *eagerEngine) writePage(pg mem.PageID, off int, src []byte) error {
 
 // --- flush: the release/barrier-time propagation of §3 ---
 
-// flush commits this node's buffered modifications and pushes them to
-// every other cacher, blocking until each is invalidated (EI) or updated
-// (EU). flushMu is held throughout, so a flush that finds the write set
-// drained by the one before it still returns only once that one has been
-// acknowledged. Called from an application goroutine without locks.
-func (e *eagerEngine) flush() error {
-	e.flushMu.Lock()
-	defer e.flushMu.Unlock()
-	e.cand = e.ws.drain(e.cand)
-	e.ws.check(e.n, func(pg mem.PageID) bool { return e.pages[pg] != nil && e.pages[pg].twinned() })
-	push := e.flushPages
-	if e.update {
-		push = e.pushUpdates
-	}
-	if err := push(e.cand); err != nil {
-		return err // a burst abandoned mid-way left twins behind: they stay claimed
-	}
-	e.ws.settle(e.cand)
-	return nil
-}
-
 // commit ends the uncommitted writes to pg at a flush point and returns
 // their diff — nil when the page has none or they changed nothing — and,
-// read with it, whether the copy was invalid and the page's hint (EU).
-func (e *eagerEngine) commit(pg mem.PageID) (d *page.Diff, invalid bool, hint uint64, err error) {
+// read with it, the page's hint (EU). Under EI the diff is flying from
+// then on.
+func (e *eagerEngine) commit(pg mem.PageID) (d *page.Diff, hint uint64, err error) {
 	n := e.n
 	pmu := n.pageLock(pg)
 	pmu.Lock()
 	pc := e.pages[pg]
 	if pc == nil || !pc.twinned() {
 		pmu.Unlock()
-		return nil, false, 0, nil
+		return nil, 0, nil
 	}
-	invalid = !pc.valid
 	if e.update {
 		hint = e.hints[pg]
 	}
 	twin := pc.take()
 	d, err = page.MakeDiff(twin, pc.data)
 	n.releaseTwin(twin)
+	if err == nil && !d.Empty() && !e.update {
+		e.flying[pg] = d
+	}
 	pmu.Unlock()
 	if err != nil {
-		return nil, false, 0, err
+		return nil, 0, err
 	}
 	n.stats.diffsCreated.Add(1)
 	if d.Empty() {
-		return nil, false, 0, nil
+		return nil, 0, nil
 	}
-	return d, invalid, hint, nil
+	return d, hint, nil
 }
 
-// flushPages pushes every candidate page through its home (EI) as ONE
-// grouped burst: all KFlushReqs are staged before a single outbox flush,
-// so a release that dirtied several pages with a common home sends them in
-// one batch frame, and every home's directory transaction runs
-// concurrently instead of one blocking round trip per page.
-func (e *eagerEngine) flushPages(cand []mem.PageID) error {
+// flush commits this node's buffered modifications and pushes them to
+// every other cacher, blocking until each is invalidated (EI) or updated
+// (EU). flushMu is held throughout, so a flush that finds the write set
+// drained by the one before it still returns only once that one has been
+// acknowledged. Called from an application goroutine without locks.
+//
+// It diffs every drained page and sends each node it must reach ONE
+// update carrying a record for every page it should see: a page's home,
+// always, and under EU every other copy its hint names. An EU record bound
+// for the home carries in Index the number of copies the hint names, so
+// the home forwards the diff to those that joined since and names them in
+// its acknowledgement, which the next flush reaches directly. The diff of
+// a page this node homes is in the home's copy already: the flush sends
+// it to every member (EU) or invalidates them (EI) itself. A burst
+// abandoned mid-way leaves its twins claimed.
+func (e *eagerEngine) flush() error {
+	e.flushMu.Lock()
+	defer e.flushMu.Unlock()
 	n := e.n
-	// The burst's requests and acknowledgements live in the frame, a fifth
-	// page spilling; its pages in the flush's scratch.
-	var (
-		reqBuf  [4]outMsg
-		doneBuf [4]*wire.Msg
-	)
-	pends, reqs := e.pends[:0], reqBuf[:0]
-	defer func() { e.pends = pends[:0] }()
-	for _, pg := range cand {
-		// If our copy is invalid at flush time (a critical section may keep
-		// writing through an invalidation), the reconciliation must carry
-		// a base: becoming owner with stale data would silently revert
-		// other processors' committed words. Shard-ordered installs keep
-		// the home's copyset equal to what we actually hold, so the home's
-		// own check covers this too — the explicit flag (a non-empty Data
-		// section on KFlushReq) is defense in depth at one byte of cost.
-		d, needBase, _, err := e.commit(pg)
-		if err != nil {
-			return err
-		}
-		if d == nil {
-			continue
-		}
-		req := wire.Msg{Kind: wire.KFlushReq, Seq: n.nextSeq(), A: int32(pg), B: int32(n.id)}
-		if needBase {
-			req.Data = baseWanted
-		}
-		pends = append(pends, pend{fs: flushState{pg: pg, diff: d}, req: req})
-	}
-	if len(pends) == 0 {
-		return nil
-	}
-
-	// Stage the whole burst, flush once, await every reconciliation.
-	// The shard workers apply each KFlushDone payload (base data) before
-	// delivering it here; by the time rpcAll returns, this node's copies
-	// are the pages' authoritative state.
-	e.flightMu.Lock()
-	for i := range pends {
-		p := &pends[i]
-		e.inflight[p.req.Seq] = p.fs
-		reqs = append(reqs, outMsg{dst: n.homeOf(p.fs.pg), m: p.req})
-	}
-	e.flightMu.Unlock()
-	dones, err := n.rpcAll(reqs, doneBuf[:0])
-	releaseAll(dones) // applyFlushDone consumed them on the shard worker
-	if err != nil {
-		// Unacknowledged flushes will never reconcile; drop their
-		// in-flight entries (acknowledged ones were already consumed by
-		// applyFlushDone, for which delete is a no-op). The diffs stay
-		// with the collector: a late KFlushDone may read one.
-		e.flightMu.Lock()
-		for _, p := range pends {
-			delete(e.inflight, p.req.Seq)
-		}
-		e.flightMu.Unlock()
-		return err
-	}
-	for i := range pends {
-		pends[i].fs.diff.Release() // every reconciliation has applied it
-	}
-	n.stats.flushedPages.Add(int64(len(pends)))
-	return nil
-}
-
-// pushUpdates diffs every candidate page and sends each node it must reach
-// ONE update (EU) carrying a record for every page it should see: a page's
-// home, always, and every other copy its hint names. A record bound for
-// the home carries in Index the number of copies the hint names, so the
-// home forwards the diff to those that joined since and names them in its
-// acknowledgement, which the next flush reaches directly. The burst is
-// staged before a single flush and every acknowledgement awaited together.
-func (e *eagerEngine) pushUpdates(cand []mem.PageID) error {
-	n := e.n
+	cand := e.ws.drain(e.cand)
+	e.cand = cand
+	e.ws.check(n, func(pg mem.PageID) bool { return e.pages[pg] != nil && e.pages[pg].twinned() })
 	made := e.made[:0]
+	var own revocation // EI: the copies of the pages this node homes
 	defer func() {
 		for j := range e.out {
 			clear(e.out[j])
 			e.out[j] = e.out[j][:0]
+		}
+		for _, pg := range cand {
+			if !e.update { // under the miss lock, once a ship in flight is installed
+				mmu, pmu := n.missLock(pg), n.pageLock(pg)
+				mmu.Lock()
+				pmu.Lock()
+				e.flying[pg] = nil
+				pmu.Unlock()
+				mmu.Unlock()
+			}
 		}
 		for _, d := range made {
 			d.Release() // staging encoded every update that carries it
@@ -436,7 +346,7 @@ func (e *eagerEngine) pushUpdates(cand []mem.PageID) error {
 		e.made = made[:0]
 	}()
 	for _, pg := range cand {
-		d, _, hint, err := e.commit(pg)
+		d, hint, err := e.commit(pg)
 		if err != nil {
 			return err
 		}
@@ -445,10 +355,17 @@ func (e *eagerEngine) pushUpdates(cand []mem.PageID) error {
 		}
 		made = append(made, d)
 		home, known := n.homeOf(pg), int32(bits.OnesCount64(hint))
-		if home == n.id {
-			hint = e.dir.members(pg) // read after the diff: a later ship holds it
+		to := (hint | 1<<uint(home)) &^ (1 << uint(n.id))
+		// A copyset read after the diff: a later ship holds it. With nothing
+		// to land and no hint, absorb cannot fail.
+		switch {
+		case home != n.id:
+		case e.update:
+			to, _ = e.dir.absorb(pg, n.id, 0, nil, nil)
+		default:
+			_, _ = e.dir.absorb(pg, n.id, 0, &own, nil)
 		}
-		for rest := (hint | 1<<uint(home)) &^ (1 << uint(n.id)); rest != 0; rest &= rest - 1 {
+		for rest := to; rest != 0; rest &= rest - 1 {
 			j := mem.ProcID(bits.TrailingZeros64(rest))
 			rec := wire.DiffRec{Page: pg, Proc: n.id, Diff: d}
 			if j == home {
@@ -457,6 +374,15 @@ func (e *eagerEngine) pushUpdates(cand []mem.PageID) error {
 			e.out[j] = append(e.out[j], rec)
 		}
 	}
+	// The pages this node homes go first, their round ended before any
+	// update is awaited: open on another home's acknowledgement, it could
+	// wait, through that home's rounds, on itself.
+	acks, err := n.rpcAll(own.invals, nil)
+	releaseAll(acks)
+	own.end()
+	if err != nil {
+		return err
+	}
 	// One update and one acknowledgement per destination live in the frame,
 	// a fifth destination spilling.
 	var (
@@ -464,8 +390,7 @@ func (e *eagerEngine) pushUpdates(cand []mem.PageID) error {
 		ackBuf [4]*wire.Msg
 	)
 	reqs := e.updates(reqBuf[:0], e.out)
-	acks, err := n.rpcAll(reqs, ackBuf[:0])
-	if err != nil {
+	if acks, err = n.rpcAll(reqs, ackBuf[:0]); err != nil {
 		return err
 	}
 	for i, ack := range acks {
@@ -473,6 +398,7 @@ func (e *eagerEngine) pushUpdates(cand []mem.PageID) error {
 		ack.Release()
 	}
 	n.stats.flushedPages.Add(int64(len(made)))
+	e.ws.settle(cand)
 	return nil
 }
 
@@ -536,28 +462,23 @@ func (e *eagerEngine) postBarrier(b mem.BarrierID) error { return nil }
 // --- handler side ---
 
 func (e *eagerEngine) handle(m *wire.Msg, src mem.ProcID) bool {
-	switch {
-	case m.Kind == wire.KPageResp:
+	switch m.Kind {
+	case wire.KPageReq:
+		e.dir.shipOwn(m, e.update)
+	case wire.KPageResp:
 		// Intercepted response: install the granted page on the page's
 		// shard worker, then wake the faulting application goroutine.
 		ok := e.installPage(m)
-		if ok && e.update {
+		if ok {
 			e.learn(m, src)
 		}
 		e.n.answerWaiter(m, ok)
-	case e.update && m.Kind == wire.KUpdate:
+	case wire.KUpdate:
 		e.applyUpdate(m, src)
-	case !e.update && m.Kind == wire.KFlushReq:
-		m.Retain() // the transaction outlives this handler
-		go e.dir.serveOwnership(m, "flush request", wire.KFlushDone)
-	case !e.update && m.Kind == wire.KFlushDone:
-		// Intercepted response: apply the home's reconciliation on the
-		// page's shard worker so it is in place before any later
-		// directory message for the page arrives, then wake the
-		// application goroutine whose flush it answers.
-		e.n.answerWaiter(m, e.applyFlushDone(m))
+	case wire.KInval:
+		e.dir.serveInval(m, src)
 	default:
-		return e.dir.handle(m, src)
+		return false
 	}
 	return true
 }
@@ -571,57 +492,61 @@ func (e *eagerEngine) committedLocked(pg mem.PageID) ([]byte, bool) {
 	return nil, false
 }
 
-// invalidateLocked invalidates this node's copy (EI). If a critical
-// section has buffered modifications to the page, the twin stays, and
-// with it this node's duty to flush those words at its own release:
-// shipping them to the new owner on the ack instead (Munin's
-// false-sharing write-back) does not order them before the lock hand-off
-// — they would travel through the flusher's still-open transaction while
-// the section's release, finding no twin, sent nothing, waited for
-// nothing, and passed the lock to an acquirer that could still read the
-// word from a copy the transaction had not yet invalidated or reconciled
-// — a lost update. The release-time flush (needBase: the copy is invalid)
-// runs as its own directory transaction, behind the one that invalidated
-// us, so every copy is current or gone before the lock moves.
+// invalidateLocked invalidates this node's copy (EI). A twin stays, and
+// with it the duty to flush its section's words at its own release: their
+// diff against the stale copy lands on the home's, which holds the rest.
 func (e *eagerEngine) invalidateLocked(pg mem.PageID) {
 	if pc := e.pages[pg]; pc != nil {
 		pc.valid = false
 	}
 }
 
-// applyUpdate lands a writer's merged update (EU) record by record and
+// applyUpdate lands a writer's merged update record by record and
 // acknowledges it once. A record of a page this node homes lands on the
-// home's copy, and the copies the writer's hint missed are sent it before
-// the acknowledgement, which names them; that is the only case that waits,
-// on a goroutine of its own. Any other record lands on this node's copy,
-// or waits in parked for the ship of a page whose miss is in flight: a
-// writer that knows this node as a copy may reach it before its ship
-// does. Diffs land on the committed contents, so a concurrent critical
-// section's own eventual diff carries only its own modifications.
+// home's copy, and the copies it leaves stale are sent, before the
+// acknowledgement, the diff (EU: those the writer's hint missed, which the
+// acknowledgement names) or an invalidation (EI: all but the writer's):
+// the only case that waits, on a goroutine of its own. Under EU any other
+// record lands on this node's copy, or waits in parked for the ship of a
+// page whose miss is in flight. Diffs land on the committed contents, so a
+// concurrent critical section's eventual diff carries only its own words.
 func (e *eagerEngine) applyUpdate(m *wire.Msg, src mem.ProcID) {
 	n := e.n
 	var (
 		missedBuf [8]wire.Want
 		missed    = missedBuf[:0]
-		fwd       [][]wire.DiffRec // by destination, made by the first forward
+		fwd       [][]wire.DiffRec // EU, by destination, made by the first forward
+		r         revocation       // EI
 	)
 	for _, rec := range m.Diffs {
 		pg := rec.Page
+		land := func() error {
+			pmu := n.pageLock(pg)
+			pmu.Lock()
+			defer pmu.Unlock()
+			return e.landLocked(e.ownLocked(pg), rec.Diff)
+		}
 		switch {
 		case !n.validPage(pg):
 			n.noteErr("update", fmt.Errorf("update of invalid page %d from %d", pg, src))
-		case n.homeOf(pg) == n.id:
-			later, err := e.dir.absorb(pg, rec.Index, func() error {
-				pmu := n.pageLock(pg)
-				pmu.Lock()
-				defer pmu.Unlock()
-				return e.landLocked(e.ownLocked(pg), rec.Diff)
-			})
+		case n.homeOf(pg) != n.id && !e.update:
+			n.noteErr("update", fmt.Errorf("update of page %d from %d, which this node does not home", pg, src))
+		case n.homeOf(pg) != n.id:
+			e.landCopy(pg, rec.Diff, src)
+		default:
+			known, rp := rec.Index, &r
+			if e.update {
+				rp = nil
+			} else if known != 0 {
+				n.noteErr("update", fmt.Errorf("update of page %d from %d claims %d known copies; EI keeps no hints", pg, src, known))
+				known = 0
+			}
+			stale, err := e.dir.absorb(pg, src, known, rp, land)
 			if err != nil {
 				n.noteErr("update", fmt.Errorf("update of page %d from %d: %w", pg, src, err))
-				continue
 			}
-			for _, j := range later {
+			for ; e.update && stale != 0; stale &= stale - 1 {
+				j := mem.ProcID(bits.TrailingZeros64(stale))
 				missed = append(missed, wire.Want{Page: pg, Proc: j})
 				if j == src {
 					continue
@@ -631,20 +556,22 @@ func (e *eagerEngine) applyUpdate(m *wire.Msg, src mem.ProcID) {
 				}
 				fwd[j] = append(fwd[j], wire.DiffRec{Page: pg, Proc: rec.Proc, Diff: rec.Diff})
 			}
-		default:
-			e.landCopy(pg, rec.Diff, src)
 		}
 	}
-	if fwd == nil {
+	reqs := r.invals
+	if fwd != nil {
+		reqs = e.updates(nil, fwd)
+	}
+	if len(reqs) == 0 && len(r.after) == 0 {
 		n.stage(src, &wire.Msg{Kind: wire.KUpdateAck, Seq: m.Seq, Wants: missed})
 		return
 	}
 	m.Retain() // the forwards borrow its diffs
-	go e.forward(m, src, fwd, slices.Clone(missed))
+	go e.settle(m, src, reqs, slices.Clone(missed), r)
 }
 
 // landCopy lands diff d of pg from src on this node's copy of a page it
-// does not home, or parks a clone of it while the page's ship is in
+// does not home (EU), or parks a clone of it while the page's ship is in
 // flight. An update of a page this node neither holds nor fetches is the
 // sender's error, recorded; the acknowledgement still flows.
 func (e *eagerEngine) landCopy(pg mem.PageID, d *page.Diff, src mem.ProcID) {
@@ -664,66 +591,20 @@ func (e *eagerEngine) landCopy(pg mem.PageID, d *page.Diff, src mem.ProcID) {
 	}
 }
 
-// forward sends the copies that update m's writer src missed what they
-// missed, one merged update to each (fwd, by destination), and once all
-// are acknowledged acknowledges m, naming them (missed).
-func (e *eagerEngine) forward(m *wire.Msg, src mem.ProcID, fwd [][]wire.DiffRec, missed []wire.Want) {
+// settle sends what update m from src left stale — reqs, the forwards
+// (EU) or r's invalidations (EI) — and once all are acknowledged, and r's
+// earlier rounds have ended, acknowledges m, naming missed.
+func (e *eagerEngine) settle(m *wire.Msg, src mem.ProcID, reqs []outMsg, missed []wire.Want, r revocation) {
 	defer m.Release()
 	n := e.n
-	acks, err := n.rpcAll(e.updates(nil, fwd), nil)
+	acks, err := n.rpcAll(reqs, nil)
 	releaseAll(acks)
+	r.end()
 	if err != nil {
-		n.noteErr("update forward", err) // unacknowledged: the writer's flush fails
+		n.noteErr("update", err) // unacknowledged: the writer's flush fails
 		return
 	}
 	if err := n.send(src, &wire.Msg{Kind: wire.KUpdateAck, Seq: m.Seq, Wants: missed}); err != nil {
 		n.noteErr(fmt.Sprintf("update ack to %d", src), err)
 	}
-}
-
-// applyFlushDone installs the home's reconciliation at the flusher: an
-// optional fresh base (when a concurrent flush had invalidated this
-// node's copy) and this node's own flushed diff on top. Both land on the
-// committed contents: another critical section that already has a fresh
-// twin for the page keeps its uncommitted writes on top, where a base
-// copied over the data would erase them. Returns false (recording the
-// cause) for a reconciliation that matches no in-flight flush — a remote
-// peer's stray or forged KFlushDone — so the caller fails rather than
-// wakes any waiter on that seq.
-func (e *eagerEngine) applyFlushDone(m *wire.Msg) bool {
-	n := e.n
-	e.flightMu.Lock()
-	fs, ok := e.inflight[m.Seq]
-	if !ok {
-		e.flightMu.Unlock()
-		n.noteErr("flush reconcile", fmt.Errorf("flush done for unknown seq %d", m.Seq))
-		return false
-	}
-	delete(e.inflight, m.Seq)
-	e.flightMu.Unlock()
-	if m.Data != nil && len(m.Data) != n.sys.layout.PageSize() {
-		n.noteErr("flush reconcile",
-			fmt.Errorf("base for page %d is %d bytes, want a whole page", fs.pg, len(m.Data)))
-		return false
-	}
-
-	pmu := n.pageLock(fs.pg)
-	pmu.Lock()
-	defer pmu.Unlock()
-	pc := e.pages[fs.pg]
-	// Reassert the flushed diff unconditionally, not just over a fresh
-	// base: our flush transaction is the latest directory event for
-	// these words, but the local copy may have been replaced while the
-	// flush was in flight — a co-located goroutine, invalidated by an
-	// unrelated flush of the same page, can refetch and install
-	// directory-older owner data that predates our (EI: never shipped)
-	// modifications. Everything processed before this KFlushDone is
-	// directory-ordered before our transaction, so putting our words
-	// back is always correct — and without it they would be silently
-	// lost.
-	if err := pc.land(n, m.Data, fs.diff.Apply); err != nil {
-		panic(fmt.Sprintf("dsm: node %d: reapplying flushed diff to page %d: %v", n.id, fs.pg, err))
-	}
-	pc.valid = true
-	return true
 }

@@ -3,6 +3,7 @@ package dsm
 import (
 	"encoding/binary"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -80,30 +81,22 @@ func TestLostUpdateRepro(t *testing.T) {
 // TestReleaseWaitsForTheFlushCarryingItsWrites: the twin is the node's, so
 // a flush carries every local goroutine's writes to the page, not just its
 // own. Goroutine B writes word 2 of page 1 under lock 2, goroutine A word
-// 0 under lock 0; A's release drains both into one flush, whose
-// acknowledgment the tap on its home withholds — under EI by swallowing the
-// flush request, under EU by swallowing the home's acknowledgement of the
-// merged update it applied. B's release then has nothing of its own to
-// push, but must not return — its word is not yet at the home, so the next
-// holder of lock 2 could miss it — until the flush that carries it is
-// acknowledged.
+// 0 under lock 0; A's release drains both into one merged update, whose
+// acknowledgement the tap on its home swallows. B's release then has
+// nothing of its own to push, but must not return — its word is not yet
+// at the home, so the next holder of lock 2 could miss it — until the
+// flush that carries it is acknowledged.
 func TestReleaseWaitsForTheFlushCarryingItsWrites(t *testing.T) {
-	for _, c := range []struct {
-		mode                  Mode
-		flush, withhold, done wire.Kind
-	}{
-		{EagerInvalidate, wire.KFlushReq, wire.KFlushReq, wire.KFlushDone},
-		{EagerUpdate, wire.KUpdate, wire.KUpdateAck, wire.KUpdateAck},
-	} {
-		t.Run(c.mode.String(), func(t *testing.T) {
-			s, tp := newTapSys(t, Config{Procs: 2, SpaceSize: 8192, PageSize: 1024, Mode: c.mode, GoroutinesPerNode: 2}, 1)
+	for _, mode := range []Mode{EagerInvalidate, EagerUpdate} {
+		t.Run(mode.String(), func(t *testing.T) {
+			s, tp := newTapSys(t, Config{Procs: 2, SpaceSize: 8192, PageSize: 1024, Mode: mode, GoroutinesPerNode: 2}, 1)
 			defer s.Close()
 			n := s.Node(0)
 			// Node 1 homes page 1 behind a tap that swallows the first
 			// acknowledgement, which the test sends; a second flush it would
 			// report.
 			tp.mu.Lock()
-			tp.swaps = []step{{op: opSwap, arg: byte(c.withhold)}}
+			tp.swaps = []step{{op: opSwap, arg: byte(wire.KUpdateAck)}}
 			tp.mu.Unlock()
 			const page1 = mem.Addr(1024)
 			must(t, n.Acquire(2)) // B
@@ -112,15 +105,13 @@ func TestReleaseWaitsForTheFlushCarryingItsWrites(t *testing.T) {
 			must(t, n.WriteUint64(page1, 0xA))
 			relA := make(chan error, 1)
 			go func() { relA <- n.Release(0) }()
-			waitFor(t, "A's release to send a flush", func() bool { return len(tp.received(c.flush)) > 0 })
-			req := tp.received(c.flush)[0]
-			if c.mode == EagerUpdate {
-				img := make([]byte, 1024)
-				if len(req.Diffs) != 1 || req.Diffs[0].Page != 1 || req.Diffs[0].Diff.Apply(img) != nil ||
-					binary.LittleEndian.Uint64(img) != 0xA || binary.LittleEndian.Uint64(img[16:]) != 0xB {
-					t.Fatalf("A's flush diff does not carry both words: words 0 and 2 read %#x, %#x",
-						binary.LittleEndian.Uint64(img), binary.LittleEndian.Uint64(img[16:]))
-				}
+			waitFor(t, "A's release to send a flush", func() bool { return len(tp.received(wire.KUpdate)) > 0 })
+			req := tp.received(wire.KUpdate)[0]
+			img := make([]byte, 1024)
+			if len(req.Diffs) != 1 || req.Diffs[0].Page != 1 || req.Diffs[0].Diff.Apply(img) != nil ||
+				binary.LittleEndian.Uint64(img) != 0xA || binary.LittleEndian.Uint64(img[16:]) != 0xB {
+				t.Fatalf("A's flush diff does not carry both words: words 0 and 2 read %#x, %#x",
+					binary.LittleEndian.Uint64(img), binary.LittleEndian.Uint64(img[16:]))
 			}
 			relB := make(chan error, 1)
 			go func() { relB <- n.Release(2) }()
@@ -129,7 +120,7 @@ func TestReleaseWaitsForTheFlushCarryingItsWrites(t *testing.T) {
 				t.Fatalf("B's release returned (%v) while the flush carrying its write was unacknowledged", err)
 			case <-time.After(100 * time.Millisecond):
 			}
-			tp.Endpoint.Send(0, (&wire.Msg{Kind: c.done, Seq: req.Seq, A: req.A}).EncodeAppend(framebuf.Get()))
+			tp.Endpoint.Send(0, (&wire.Msg{Kind: wire.KUpdateAck, Seq: req.Seq}).EncodeAppend(framebuf.Get()))
 			for name, rel := range map[string]chan error{"A": relA, "B": relB} {
 				select {
 				case err := <-rel:
@@ -140,7 +131,7 @@ func TestReleaseWaitsForTheFlushCarryingItsWrites(t *testing.T) {
 					t.Fatalf("%s's release did not return once the flush was acknowledged", name)
 				}
 			}
-			if fl := tp.received(c.flush); len(fl) > 1 {
+			if fl := tp.received(wire.KUpdate); len(fl) > 1 {
 				t.Errorf("a second flush (%v): B's release had no write of its own left to push", fl[1].Kind)
 			}
 			if err := s.Close(); err != nil {
@@ -150,11 +141,13 @@ func TestReleaseWaitsForTheFlushCarryingItsWrites(t *testing.T) {
 	}
 }
 
-// heldLink is an endpoint whose frames to node to wait, while holding is
-// set, until release sends them on in order.
+// heldLink is an endpoint whose frames to node to — those holds reports,
+// or all if it is nil — wait, while holding is set, until release sends
+// them on in order.
 type heldLink struct {
 	transport.Endpoint
 	to      int
+	holds   func(frame []byte) bool
 	mu      sync.Mutex
 	holding bool
 	held    [][]byte
@@ -163,7 +156,7 @@ type heldLink struct {
 func (h *heldLink) Send(dst int, frame []byte) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if dst == h.to && h.holding {
+	if dst == h.to && h.holding && (h.holds == nil || h.holds(frame)) {
 		h.held = append(h.held, frame)
 		return nil
 	}
@@ -247,6 +240,117 @@ func TestEUUpdateOvertakesShipRepro(t *testing.T) {
 	must(t, r.Release(0))
 	if got != word {
 		t.Errorf("the reader reads %#x after the writer's release, want %#x", got, word)
+	}
+	if err := s.Close(); err != nil {
+		t.Errorf("Close: %v", err)
+	}
+}
+
+// TestEIShipBeforeOwnUpdateRepro: an EI home never invalidates its writer's
+// copy, so a ship the writer installs while its own update is on the way
+// home must not lose that update's words. The home's shard workers may
+// serve a page request before an update that reached the home first; here
+// the writer's link holds its update of page 1 instead, while the home
+// (node 1) invalidates the writer's copy and a second goroutine of the
+// writer's node misses the page. Once the update lands and the release
+// returns, the writer reads its own word; a writer that installed the ship
+// as it came reads 0.
+func TestEIShipBeforeOwnUpdateRepro(t *testing.T) {
+	const page1, word = mem.Addr(1024), 0xA
+	net := simnet.New(2)
+	link := &heldLink{Endpoint: net.Endpoint(0), to: 1, holding: true, holds: func(frame []byte) bool {
+		msgs, err := decodeFrame(slices.Clone(frame))
+		return err == nil && slices.ContainsFunc(msgs, func(m *wire.Msg) bool { return m.Kind == wire.KUpdate })
+	}}
+	s, err := New(Config{Procs: 2, SpaceSize: 2 * 1024, PageSize: 1024, Mode: EagerInvalidate, GoroutinesPerNode: 2, Transport: tapNet{net, link}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	w, h := s.Node(0), s.Node(1)
+	homeWrites := func(l mem.LockID, addr mem.Addr) { // invalidating the writer's copy
+		must(t, h.Acquire(l))
+		must(t, h.WriteUint64(addr, 1))
+		must(t, h.Release(l))
+	}
+	_, err = w.ReadUint64(page1)
+	must(t, err)
+	homeWrites(1, page1+16)
+	must(t, w.Acquire(0))
+	must(t, w.WriteUint64(page1, word))
+	released := make(chan error, 1)
+	go func() { released <- w.Release(0) }()
+	waitFor(t, "the writer's update to be held", func() bool { return link.waiting() > 0 })
+	homeWrites(2, page1+24)
+	if v, err := w.ReadUint64(page1 + 24); err != nil || v != 1 {
+		t.Fatalf("the second goroutine's miss reads %d (%v), want the home's 1", v, err)
+	}
+	must(t, link.release())
+	must(t, <-released)
+	got, err := w.ReadUint64(page1)
+	must(t, err)
+	if got != word {
+		t.Errorf("the writer reads %#x of its own word after its release, want %#x", got, word)
+	}
+	if err := s.Close(); err != nil {
+		t.Errorf("Close: %v", err)
+	}
+}
+
+// TestEIAckWaitsForEarlierInvalidationRepro: a copy an EI home took out of
+// the copyset for one writer may not yet have processed its invalidation
+// when the next writer of the page is due its acknowledgement, which must
+// wait for it too. Node 2 holds page 1; node 0's release makes the home
+// (node 1) invalidate node 2's copy on a link that holds the invalidation.
+// The home's own release of the page then finds only node 0's copy to
+// invalidate, but must not return before node 2's invalidation is
+// acknowledged: the next holder of its lock could read the stale copy.
+func TestEIAckWaitsForEarlierInvalidationRepro(t *testing.T) {
+	const page1 = mem.Addr(1024)
+	net := simnet.New(3)
+	link := &heldLink{Endpoint: net.Endpoint(1), to: 2}
+	s, err := New(Config{Procs: 3, SpaceSize: 3 * 1024, PageSize: 1024, Mode: EagerInvalidate, Transport: tapNet{net, link}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	w, h, x := s.Node(0), s.Node(1), s.Node(2)
+	_, err = x.ReadUint64(page1)
+	must(t, err)
+	link.mu.Lock()
+	link.holding = true
+	link.mu.Unlock()
+	locked := func(n *Node, l mem.LockID, addr mem.Addr, v uint64) chan error {
+		done := make(chan error, 1)
+		go func() {
+			err := n.Acquire(l)
+			if err == nil {
+				err = n.WriteUint64(addr, v)
+			}
+			if err == nil {
+				err = n.Release(l)
+			}
+			done <- err
+		}()
+		return done
+	}
+	first := locked(w, 0, page1, 1)
+	waitFor(t, "the home to invalidate node 2's copy", func() bool { return link.waiting() > 0 })
+	home := locked(h, 1, page1+8, 2)
+	select {
+	case err := <-home:
+		t.Fatalf("the home's release returned (%v) while node 2 had not processed an earlier invalidation", err)
+	case <-time.After(100 * time.Millisecond):
+	}
+	must(t, link.release())
+	must(t, <-first)
+	must(t, <-home)
+	must(t, x.Acquire(1))
+	got, err := x.ReadUint64(page1 + 8)
+	must(t, err)
+	must(t, x.Release(1))
+	if got != 2 {
+		t.Errorf("node 2 reads %d after the home's release, want 2", got)
 	}
 	if err := s.Close(); err != nil {
 		t.Errorf("Close: %v", err)

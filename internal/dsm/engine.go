@@ -107,8 +107,8 @@ type engine interface {
 	// the kind is not one of the engine's. It runs on the shard worker
 	// serializing the message's page (directory-order installs happen
 	// here) and must not block the worker: work that waits for responses
-	// (the home directory's transactions, directory.go, which the eager
-	// and SC engines share) is spawned onto its own goroutine. Responses produced inline defer
+	// (SC's directory transactions, an eager home's forwards and
+	// invalidations) is spawned onto its own goroutine. Responses produced inline defer
 	// through Node.stage — the worker's drain point flushes them, so a
 	// queued burst answers in coalesced frames — while spawned
 	// goroutines use Node.send/rpcAll, which flush themselves.

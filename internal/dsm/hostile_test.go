@@ -690,6 +690,14 @@ var hostileRows = map[string][]hostileRow{
 			script: []step{send(atStart, 1, &wire.Msg{Kind: wire.KUpdate, Seq: 99, Diffs: []wire.DiffRec{rec(1, 2, 0), rec(2, 2, 0), rec(4, 2, 0), rec(7, 2, 0)}})}},
 		{name: "merged update of a page out of range", modes: eu, pid: 2, image: true, want: "update of invalid page 1048576 from 2",
 			script: []step{send(atStart, 1, &wire.Msg{Kind: wire.KUpdate, Seq: 99, Diffs: []wire.DiffRec{rec(1, 2, 0), rec(1<<20, 2, 0)}})}},
+		// EI keeps no hints: a writer's update that claims known copies of
+		// page 1, which r holds since its cold read, still invalidates r's,
+		// and an acknowledgement naming copies of the puppet's page leaves
+		// r's hints empty.
+		{name: "EI/merged update claiming known copies", modes: ei, pid: 2, image: true, want: "update of page 1 from 2 claims 2 known copies", check: rLosesPage1,
+			script: []step{send(atLocks, 1, &wire.Msg{Kind: wire.KUpdate, Seq: 99, Diffs: []wire.DiffRec{rec(1, 2, 2)}})}},
+		{name: "EI/acknowledgement naming copies", modes: ei, pid: 2, want: "updateack from 2 names node 1 a copy of page 5", check: rKeepsNoHint,
+			script: []step{swap(atLocks, wire.KUpdate, &wire.Msg{Kind: wire.KUpdateAck, Wants: []wire.Want{{Page: 5, Proc: 1}}})}},
 	},
 	"TestCorruptTCPFramesSurfaceOnClose": {
 		{name: "garbage", modes: lu, pid: 2, image: true, want: "undecodable frame from 2", script: []step{{opSend, atLocks, 0, slices.Repeat([]byte{0xff}, 24)}}},
@@ -712,7 +720,9 @@ var hostileRows = map[string][]hostileRow{
 		frameRow("eager page request beyond the space", ei, "page request", &wire.Msg{Kind: wire.KPageReq, Seq: 99, A: 1 << 20, B: 2}),
 		frameRow("sc read request from invalid requester", sc, "pagereq claims node 77", &wire.Msg{Kind: wire.KPageReq, Seq: 99, A: 1, B: 77}),
 		frameRow("page grant for impossible page", ei, "page install", &wire.Msg{Kind: wire.KPageResp, Seq: 99, A: 1 << 20, Data: make([]byte, 1024)}),
-		frameRow("flush reconciliation nobody asked for", ei, "flush reconcile", &wire.Msg{Kind: wire.KFlushDone, Seq: 424242, A: 1}),
+		// EI retired its ownership transaction: a reconciliation is a
+		// response nobody awaits.
+		frameRow("flush reconciliation nobody asked for", ei, "unexpected response seq 424242 kind flushdone", &wire.Msg{Kind: wire.KFlushDone, Seq: 424242, A: 1}),
 		frameRow("invalidation beyond the space", ei, "invalidation", &wire.Msg{Kind: wire.KInval, Seq: 99, A: 1 << 20}),
 		frameRow("response nobody awaits", lu, "response routing", &wire.Msg{Kind: wire.KDiffResp, Seq: 424242}),
 		frameRow("diffs nobody asked for", li, "response routing", &wire.Msg{Kind: wire.KDiffResp, Seq: 424242, Diffs: []wire.DiffRec{rec(1, 2, 0)}}),
@@ -728,8 +738,9 @@ var hostileRows = map[string][]hostileRow{
 		shipRow("clock of the wrong width", wire.Msg{Kind: wire.KPageResp, Data: make([]byte, 1024), VC: vc.VC{0, 0, 0, 0}}),
 		// No home ships interval records with a page.
 		shipRow("clock beside an interval block", wire.Msg{Kind: wire.KPageResp, Data: make([]byte, 1024), VC: vc.VC{-1, -1, 0}, Intervals: []wire.IntervalRec{{Proc: 2, VC: vc.VC{-1, -1, 0}, Pages: []mem.PageID{5}}}}),
-		// An eager flusher's reconciliation base is a whole-page transfer too.
-		{name: "EI/short flush base", modes: ei, pid: 2, want: "flush reconcile", fails: "response refused", script: []step{swap(atLocks, wire.KFlushReq, &wire.Msg{Kind: wire.KFlushDone, A: 5, Data: make([]byte, 100)})}},
+		// The retired EI reconciliation, a short base, answering r's update of
+		// the puppet's page: refused before anything reads its page.
+		{name: "EI/short flush base", modes: ei, pid: 2, want: "flushdone answers seq", fails: "response refused", script: []step{swap(atLocks, wire.KUpdate, &wire.Msg{Kind: wire.KFlushDone, A: 5, Data: make([]byte, 100)})}},
 	},
 	"TestForgedIntervalRecordsRecordedNotAbsorbed": intervalRows(),
 	"TestHostileRangeWantsRecordedNotServed": {
@@ -892,6 +903,28 @@ func noCopyOf2(t *testing.T, pr *peerRun) {
 	defer pmu.Unlock()
 	if e.pages[2] != nil || len(e.parked[2]) > 0 {
 		t.Errorf("node 1 took a refused update of page 2: copy %v, %d parked", e.pages[2] != nil, len(e.parked[2]))
+	}
+}
+
+// rLosesPage1: r's copy of page 1, the one copy besides the home's, is
+// invalidated.
+func rLosesPage1(t *testing.T, pr *peerRun) {
+	e := pr.r.e.(*eagerEngine)
+	waitFor(t, "r's copy of page 1 to be invalidated", func() bool {
+		pmu := pr.r.pageLock(1)
+		pmu.Lock()
+		defer pmu.Unlock()
+		return e.pages[1] != nil && !e.pages[1].valid
+	})
+}
+
+// rKeepsNoHint: r holds no hint of any page.
+func rKeepsNoHint(t *testing.T, pr *peerRun) {
+	e := pr.r.e.(*eagerEngine)
+	for pg, h := range e.hints {
+		if h != 0 {
+			t.Errorf("r keeps hint %b of page %d", h, pg)
+		}
 	}
 }
 

@@ -90,10 +90,10 @@ type Stats struct {
 	// (EI and SC).
 	InvalsReceived int64
 	// UpdatesReceived counts release-time diffs applied to this node's
-	// copies (EU).
+	// copies: a home's (EI, EU) and a cacher's (EU).
 	UpdatesReceived int64
 	// OwnershipMoves counts directory owner changes processed at this
-	// node as a page home (eager and SC).
+	// node as a page home (SC).
 	OwnershipMoves int64
 	// PageMigrations counts home-table moves that landed a page HERE:
 	// first-touch finalizations whose new home is this node (so the
@@ -805,9 +805,9 @@ func (n *Node) rpcAll(reqs []outMsg, resps []*wire.Msg) ([]*wire.Msg, error) {
 // rpc, which holds a reference to it from then on — next to the caller's
 // own — and releases it once it has consumed the response (a caller that
 // ignores its responses may leave that to the garbage collector).
-// Engines that intercept their responses in handle (installs and
-// flush reconciliations apply on the page's shard queue to stay in
-// directory order) call this after processing. A response nobody waits
+// Engines that intercept their responses in handle (installs apply on
+// the page's shard queue to stay in directory order) call this after
+// processing. A response nobody waits
 // for is a protocol error surfaced through System.Close — unless the
 // node is shutting down, when a racing teardown legitimately abandons
 // waiters.
@@ -819,8 +819,8 @@ func (n *Node) deliverResponse(m *wire.Msg) {
 	}
 	if ok && w.want != m.Kind {
 		// A waiter is found by sequence number alone: a response of another
-		// kind would wake it over a page never installed, a flush never
-		// reconciled. Once delivered to, the waiter is its rpc's again.
+		// kind would wake it over a page never installed, an update never
+		// landed. Once delivered to, the waiter is its rpc's again.
 		want := w.want
 		n.waiterMu.Unlock()
 		w.deliver(nil)
@@ -860,8 +860,8 @@ func (n *Node) deliverResponse(m *wire.Msg) {
 // kinds serialize per page (the directory-order invariant: a page ship
 // and the invalidation that follows it in transport FIFO order are
 // processed in that order), lock kinds per lock, and diff traffic —
-// payloads with no ordering dependence, an EU update's included (a copy
-// parks one that overtakes its ship) — by sequence number for load
+// payloads with no ordering dependence, an eager update's included (the
+// engine lands one that a ship overtakes) — by sequence number for load
 // spreading.
 func dispatchKey(m *wire.Msg) uint32 {
 	switch m.Kind {

@@ -15,37 +15,45 @@ import (
 	"repro/internal/wire"
 )
 
-// runEagerMultiPageFlush drives the deterministic per-home flush
-// aggregation pattern: node 1 dirties four pages all homed at node 0
-// inside one critical section, so the release-time flush has one
-// destination for all four.
-func runEagerMultiPageFlush(t *testing.T, mode Mode) (Stats, TransportStats) {
+// flushPages are four pages homed at node 0 of three.
+var flushPages = []int{0, 3, 6, 9}
+
+// runEagerMultiPageFlush drives the per-home flush aggregation pattern:
+// node 2 reads four pages homed at node 0, then node 1 dirties all four
+// inside one critical section, so the release-time flush has one home for
+// all four. It returns the flusher's stats, the home's before and after
+// the release, and the interconnect's.
+func runEagerMultiPageFlush(t *testing.T, mode Mode) (flusher, homeBefore, home Stats, net TransportStats) {
 	t.Helper()
 	s, err := New(Config{
-		Procs: 2, SpaceSize: 16 * 1024, PageSize: 1024,
+		Procs: 3, SpaceSize: 16 * 1024, PageSize: 1024,
 		Mode: mode,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	n := s.Node(1)
+	h, n := s.Node(0), s.Node(1)
+	for _, pg := range flushPages { // node 2 joins every copyset
+		if _, err := s.Node(2).ReadUint64(mem.Addr(pg * 1024)); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if err := n.Acquire(0); err != nil {
 		t.Fatal(err)
 	}
-	for _, pg := range []int{0, 2, 4, 6} { // even pages are homed at node 0
+	for _, pg := range flushPages {
 		if err := n.WriteUint64(mem.Addr(pg*1024), uint64(pg)+1); err != nil {
 			t.Fatal(err)
 		}
 	}
+	homeBefore = h.Stats()
 	if err := n.Release(0); err != nil {
 		t.Fatal(err)
 	}
-	st := n.Stats()
-	net := s.NetStats()
+	flusher, home, net = n.Stats(), h.Stats(), s.NetStats()
 	// The values must be committed at the home.
-	h := s.Node(0)
-	for _, pg := range []int{0, 2, 4, 6} {
+	for _, pg := range flushPages {
 		v, err := h.ReadUint64(mem.Addr(pg * 1024))
 		if err != nil {
 			t.Fatal(err)
@@ -54,24 +62,30 @@ func runEagerMultiPageFlush(t *testing.T, mode Mode) (Stats, TransportStats) {
 			t.Errorf("page %d word = %d, want %d", pg, v, pg+1)
 		}
 	}
-	return st, net
+	return flusher, homeBefore, home, net
 }
 
 // TestOutboxBatchesFlushBurst: an eager release that dirtied four pages
-// with one home. Under EI that is four flush requests, which leave as one
-// batch frame — four messages, fewer frames — and the node's outbox
-// counters agree with the interconnect's. Under EU it is one merged update.
+// with one home, each cached at a third node. Under EI the flusher sends
+// the home one merged update, and the home invalidates the third node's
+// four copies: four invalidations, which leave as one batch frame — four
+// messages, one frame — and the home's outbox counters agree with the
+// interconnect's. Under EU the flusher sends one merged update to the home
+// and one to the third node.
 func TestOutboxBatchesFlushBurst(t *testing.T) {
 	t.Run("EI", func(t *testing.T) {
-		st, net := runEagerMultiPageFlush(t, EagerInvalidate)
-		if st.KindMsgs[wire.KFlushReq] != 4 {
-			t.Errorf("flusher sent %d KFlushReqs, want 4", st.KindMsgs[wire.KFlushReq])
+		flusher, before, home, net := runEagerMultiPageFlush(t, EagerInvalidate)
+		if got := flusher.KindMsgs[wire.KUpdate]; got != 1 {
+			t.Errorf("flusher sent %d updates, want one merged update", got)
 		}
-		if st.SentFrames >= st.SentMsgs {
-			t.Errorf("the outbox coalesced nothing: %d msgs in %d frames", st.SentMsgs, st.SentFrames)
+		if got := home.KindMsgs[wire.KInval] - before.KindMsgs[wire.KInval]; got != 4 {
+			t.Errorf("the home sent %d invalidations, want 4", got)
 		}
-		if st.SentBatches == 0 {
-			t.Error("no batch frames sent")
+		// The four invalidations in one batch frame, the acknowledgement in
+		// a frame of its own.
+		msgs, frames, batches := home.SentMsgs-before.SentMsgs, home.SentFrames-before.SentFrames, home.SentBatches-before.SentBatches
+		if msgs != 5 || frames != 2 || batches != 1 {
+			t.Errorf("the home's release traffic: %d msgs in %d frames, %d batches; want 5 in 2, one batch", msgs, frames, batches)
 		}
 		if net.Frames >= net.Messages {
 			t.Errorf("interconnect saw %d messages in %d frames — expected fewer frames", net.Messages, net.Frames)
@@ -81,18 +95,18 @@ func TestOutboxBatchesFlushBurst(t *testing.T) {
 		}
 		// Per-kind byte accounting sums to the total outbound bytes.
 		var kindTotal int64
-		for _, b := range st.KindBytes {
+		for _, b := range home.KindBytes {
 			kindTotal += b
 		}
-		if kindTotal != st.SentBytes {
-			t.Errorf("per-kind bytes sum to %d, SentBytes = %d", kindTotal, st.SentBytes)
+		if kindTotal != home.SentBytes {
+			t.Errorf("per-kind bytes sum to %d, SentBytes = %d", kindTotal, home.SentBytes)
 		}
 	})
 	t.Run("EU", func(t *testing.T) {
-		st, _ := runEagerMultiPageFlush(t, EagerUpdate)
-		if st.KindMsgs[wire.KUpdate] != 1 || st.KindMsgs[wire.KFlushReq] != 0 {
-			t.Errorf("flusher sent %d updates and %d flush requests, want one merged update",
-				st.KindMsgs[wire.KUpdate], st.KindMsgs[wire.KFlushReq])
+		flusher, _, _, _ := runEagerMultiPageFlush(t, EagerUpdate)
+		if flusher.KindMsgs[wire.KUpdate] != 2 || flusher.KindMsgs[wire.KFlushReq] != 0 {
+			t.Errorf("flusher sent %d updates and %d flush requests, want one merged update to each other node",
+				flusher.KindMsgs[wire.KUpdate], flusher.KindMsgs[wire.KFlushReq])
 		}
 	})
 }

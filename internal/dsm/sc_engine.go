@@ -77,7 +77,7 @@ func newSCEngine(n *Node) *scEngine {
 		pages:   make([]*scPage, n.sys.layout.NumPages()),
 		pending: make([]*scMiss, n.sys.layout.NumPages()),
 	}
-	e.dir = newDirectory(n, e, false)
+	e.dir = newDirectory(n, e)
 	return e
 }
 
@@ -227,9 +227,9 @@ func (e *scEngine) postBarrier(b mem.BarrierID) error { return nil }
 
 func (e *scEngine) handle(m *wire.Msg, src mem.ProcID) bool {
 	switch m.Kind {
-	case wire.KWriteReq:
+	case wire.KPageReq, wire.KWriteReq:
 		m.Retain() // the transaction outlives this handler
-		go e.dir.serveOwnership(m, "write request", wire.KWriteResp)
+		go e.dir.serve(m)
 	case wire.KPageResp:
 		// Intercepted response: install the read copy on the page's
 		// shard worker, in directory order, before any later
@@ -237,8 +237,12 @@ func (e *scEngine) handle(m *wire.Msg, src mem.ProcID) bool {
 		e.n.answerWaiter(m, e.install(m, scRead))
 	case wire.KWriteResp:
 		e.n.answerWaiter(m, e.install(m, scWrite))
+	case wire.KFetch:
+		e.dir.serveFetch(m, src)
+	case wire.KInval:
+		e.dir.serveInval(m, src)
 	default:
-		return e.dir.handle(m, src)
+		return false
 	}
 	return true
 }

@@ -208,45 +208,43 @@ const (
 
 	// Kinds below serve the home directory the eager (EI/EU) and
 	// sequentially-consistent (SC) engines share (internal/dsm's
-	// directory.go): KPageReq/KPageResp are its copy transaction,
-	// KFlushReq/KFlushDone (EI) and KWriteReq/KWriteResp (SC) its
-	// ownership transaction, the kinds below the owner and cacher sides,
-	// and KUpdate/KUpdateAck EU's merged release.
+	// directory.go): KPageReq/KPageResp ship a page, KWriteReq/KWriteResp
+	// are SC's ownership transaction, the kinds below the owner and
+	// cacher sides, and KUpdate/KUpdateAck the eager merged release.
 
-	// KFetch: home -> current owner (EI, SC; an EU home owns its pages),
-	// asking for a page's committed contents on behalf of a requester. A = page id. Under SC the owner
-	// downgrades its copy to read mode as it serves.
+	// KFetch: home -> current owner (SC; an eager home owns its pages),
+	// asking for a page's committed contents on behalf of a requester.
+	// A = page id. The owner downgrades its copy to read mode as it
+	// serves.
 	KFetch
 	// KFetchResp: owner -> home with the page contents.
 	KFetchResp
-	// KInval: home -> cacher, invalidating its copy. A = page id.
+	// KInval: home -> cacher, invalidating its copy (EI, SC). A = page id.
 	KInval
 	// KInvalAck: cacher -> home.
 	KInvalAck
-	// KUpdate: an EU releaser's flush, merged per destination: releaser ->
-	// each node it must reach, one Diffs record (Page, Proc = releaser)
-	// per page that node should see — every dirty page it homes, and every
-	// one whose copy it holds as far as the releaser knows. A record of a
-	// page the receiver homes carries in Index how many of the page's
-	// copyset the releaser knows (the first that many to join), and the
-	// home forwards the diff, in an update of its own, to the members that
-	// joined after them. A and B unused.
+	// KUpdate: an eager releaser's flush, merged per destination:
+	// releaser -> each node it must reach, one Diffs record (Page, Proc =
+	// releaser) per page that node should see — every dirty page it homes,
+	// and under EU every one whose copy it holds as far as the releaser
+	// knows. Under EU a record of a page the receiver homes carries in
+	// Index how many of the page's copyset the releaser knows (the first
+	// that many to join), and the home forwards the diff, in an update of
+	// its own, to the members that joined after them; an EI home
+	// invalidates every other copy instead, and Index is 0. A and B
+	// unused.
 	KUpdate
 	// KUpdateAck: receiver -> sender of a KUpdate once every record has
 	// landed (or, at a copy whose ship is in flight, is parked for it)
-	// and, at a home, every forward is acknowledged. A home's names in
-	// Wants (Page, Proc) the members its forwards reached: the releaser's
-	// next flush sends them the page's diff directly.
+	// and, at a home, every forward or invalidation is acknowledged. An EU
+	// home's names in Wants (Page, Proc) the members its forwards reached:
+	// the releaser's next flush sends them the page's diff directly.
 	KUpdateAck
-	// KFlushReq: releaser -> page home at an EI release or barrier flush
-	// point. A/B = page id, flusher. A non-empty Data section flags that
-	// the flusher's local copy is invalid, so the reply must carry a
-	// reconciliation base even if the flusher is still in the copyset.
+	// KFlushReq and KFlushDone are retired: EI's per-page ownership
+	// transaction, replaced by the merged KUpdate. They keep their
+	// numbers, and no engine handles them: a node records either as a
+	// protocol error.
 	KFlushReq
-	// KFlushDone: home -> releaser once every other cacher was
-	// invalidated (EI): Data carries a reconciliation base when the
-	// flusher asked for one or is no longer in the copyset (a concurrent
-	// flush of the same page invalidated its copy).
 	KFlushDone
 	// KWriteReq: requester -> page home asking for exclusive write
 	// ownership (SC). A/B = page id, requester.
