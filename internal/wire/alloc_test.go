@@ -2,6 +2,7 @@ package wire
 
 import (
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/framebuf"
@@ -66,6 +67,27 @@ func TestDecodeAllocationsGate(t *testing.T) {
 			if a := allocs(t, 20, tc.m.EncodeAppend(nil), true); a != 4 {
 				t.Errorf("decoding %s takes %v allocations, want its 4 slabs", tc.name, a)
 			}
+		}
+	})
+	t.Run("interval run past the bound", func(t *testing.T) {
+		// Two bytes a record, 64 entries a clock: half a MiB of frame
+		// announces one clock entry past the bound, and is refused before a
+		// slab is sized. The least of three windows is the decode's bill (a
+		// loaded machine's runtime allocates in the background now and then).
+		frame := expandingRun(maxIntervalWords/maxClock + 1)
+		least := ^uint64(0)
+		for range 3 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := Decode(frame)
+			runtime.ReadMemStats(&after)
+			if err == nil || !strings.Contains(err.Error(), "implausible interval block") {
+				t.Fatalf("err = %v, want implausible interval block", err)
+			}
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		if least > 4096 {
+			t.Errorf("refusing an interval block past the bound allocated %d bytes, want its error alone", least)
 		}
 	})
 	t.Run("borrowed payload", func(t *testing.T) {

@@ -87,6 +87,13 @@ func dataFrame(n uint64, body ...[]byte) []byte {
 	return cat(hdr(KPageResp, hasData), uv(n), cat(body...))
 }
 
+// expandingRun is a grant whose one run has n records of 64-entry clocks,
+// each record two bytes: a mask that keeps every predicted entry, and no
+// pages.
+func expandingRun(n int) []byte {
+	return cat(hdr(KLockGrant, hasIntervals), uv(1, 0, 0, uint64(n), maxClock), make([]byte, 2*n))
+}
+
 func run(off, size uint64) []byte {
 	return cat(uv(off, size), bytes.Repeat([]byte{0xab}, int(size)))
 }
@@ -159,9 +166,22 @@ func TestDecodeMalformed(t *testing.T) {
 		{"hostile clock count", cat(hdr(KLockGrant, hasVC), uv(1<<30)), "implausible clock count"},
 		{"negative clock count", cat(hdr(KLockGrant, hasVC), uv(0xffffffff)), "implausible clock count"},
 		{"over-long clock", cat(hdr(KLockGrant, hasVC), uv(maxClock+1), make([]byte, maxClock+1)), "implausible clock count"},
-		{"hostile interval count", cat(hdr(KLockGrant, hasIntervals), uv(1<<24), make([]byte, 64)), "implausible interval count"},
-		{"interval count one past the bytes", cat(hdr(KLockGrant, hasIntervals), uv(3), make([]byte, 3*minIntervalBytes-1)), "implausible interval count"},
-		{"hostile interval clock count", cat(hdr(KLockGrant, hasIntervals), uv(1, 0, 0, maxClock+1), make([]byte, 128)), "implausible interval clock count"},
+		{"hostile interval run count", cat(hdr(KLockGrant, hasIntervals), uv(1<<24), make([]byte, 64)), "implausible interval run count"},
+		{"interval run count one past the bytes", cat(hdr(KLockGrant, hasIntervals), uv(3), make([]byte, 3*minIntervalRunBytes-1)), "implausible interval run count"},
+		{"hostile interval count", cat(hdr(KLockGrant, hasIntervals), uv(1, 0, 0, 1<<24), make([]byte, 64)), "implausible interval count"},
+		{"interval count one past the bytes", cat(hdr(KLockGrant, hasIntervals), uv(1, 0, 0, 3), make([]byte, 3*minIntervalBytes-1)), "implausible interval count"},
+		{"hostile interval clock count", cat(hdr(KLockGrant, hasIntervals), uv(1, 0, 0, 1, maxClock+1), make([]byte, 128)), "implausible interval clock count"},
+		// A record of two bytes expands to a clock of 64 entries: the clock
+		// entries a block expands to answer to their own bound.
+		{"interval block past the expansion bound", expandingRun(maxIntervalWords/maxClock + 1), "implausible interval block"},
+		// Interval runs: one encoding per list. A run is maximal and not
+		// empty, it ends at an index an int32 holds, and a mask bit marks an
+		// entry that differs from its prediction, inside the clock.
+		{"empty interval run", cat(hdr(KLockGrant, hasIntervals), uv(1, 1, 0, 0, 0), uv(0, 0)), "empty interval run"},
+		{"interval runs that could merge", cat(hdr(KLockGrant, hasIntervals), uv(2, 1, 4, 1, 0, 0, 0, 1, 5, 1, 0, 0, 0)), "continues the run before it"},
+		{"interval run past the last index", cat(hdr(KLockGrant, hasIntervals), uv(1, 1, 0x7fffffff, 2, 0, 0, 0, 0, 0)), "past index"},
+		{"interval mask bit over a zero delta", cat(hdr(KLockGrant, hasIntervals), uv(1, 1, 4, 1, 2, 0b01, 0, 0)), "over a zero delta"},
+		{"interval mask bit past the clock", cat(hdr(KLockGrant, hasIntervals), uv(1, 1, 4, 1, 2, 0b100, 0, 0)), "past its 2 entries"},
 		{"hostile diff count", cat(hdr(KDiffResp, hasDiffs), uv(1<<24), make([]byte, 64)), "implausible diff count"},
 		{"diff count one past the bytes", cat(hdr(KDiffResp, hasDiffs), uv(3), make([]byte, 3*minDiffBytes-1)), "implausible diff count"},
 		{"hostile want count", cat(hdr(KDiffReq, hasWants), uv(1<<24), make([]byte, 64)), "implausible want count"},
@@ -178,7 +198,7 @@ func TestDecodeMalformed(t *testing.T) {
 		{"negative run length", diff(1, 0, 0x80000000), "truncated payload"},
 		// Presence bits: unknown ones, and known ones over nothing.
 		{"unknown flag bits", setBits(grant, 0x40), "unknown presence bits"},
-		{"presence bit over empty intervals", cat(hdr(KLockGrant, hasIntervals), uv(0)), "empty interval block"},
+		{"presence bit over empty intervals", cat(hdr(KLockGrant, hasIntervals), uv(0)), "empty interval run block"},
 		{"presence bit over empty diffs", cat(hdr(KDiffResp, hasDiffs), uv(0)), "empty diff block"},
 		{"presence bit over empty wants", cat(hdr(KDiffReq, hasWants), uv(0)), "empty want block"},
 		{"presence bit over empty section clock", section(hasVC, uv(0)), "empty section clock"},
@@ -293,10 +313,10 @@ func appendBatchRaw(count int, subs ...[]byte) []byte {
 func TestDecodeHostileCountAllocationGate(t *testing.T) {
 	testenv.SkipAllocGate(t)
 	b := cat(hdr(KLockGrant, hasIntervals),
-		uv(1),       // one interval
-		uv(0, 0, 0), // proc, index, clock len
-		uv(1<<24-1), // hostile page count
-		make([]byte, 16))
+		uv(1),             // one run
+		uv(0, 0, 1, 0, 0), // proc, index, one record, clock len, mask
+		uv(1<<24-1),       // hostile page count
+		make([]byte, 15))
 	if len(b) > 30 {
 		t.Fatalf("hostile frame is %d bytes, want at most 30", len(b))
 	}
@@ -413,6 +433,17 @@ func FuzzDecode(f *testing.F) {
 	f.Add((&Msg{Kind: KUpdate, Seq: 15, Diffs: []DiffRec{
 		{Page: 4, Proc: 1, Diff: diff}, {Page: 5, Proc: 1, Index: 2, Diff: diff},
 		{Page: 6, Proc: 1, Diff: diff}, {Page: 7, Proc: 1, Diff: diff}}}).EncodeAppend(nil))
+	// Interval runs: a maximal one, a run split in two (refused), a record
+	// whose own entry is not its index, and runs without a base clock, their
+	// first records' entries coded against -1.
+	clock := vc.VC{900, 412, 655, 130}
+	f.Add((&Msg{Kind: KLockGrant, Seq: 16, Sections: []Section{{VC: clock,
+		Intervals: notices(2, 650, 6, vc.VC{880, 400, 0, 128})}}}).EncodeAppend(nil))
+	f.Add(cat(hdr(KLockGrant, hasIntervals), uv(2, 1, 4, 1, 0, 0, 0, 1, 5, 1, 0, 0, 0)))
+	f.Add((&Msg{Kind: KLockGrant, Seq: 17, VC: vc.VC{4, 8},
+		Intervals: []IntervalRec{{Proc: 1, Index: 5, VC: vc.VC{3, 7}, Pages: []mem.PageID{2}}}}).EncodeAppend(nil))
+	f.Add((&Msg{Kind: KBarrierArrive, Seq: 18, Intervals: append(notices(1, 9, 3, vc.VC{0, 0}),
+		notices(0, 4, 2, vc.VC{0, 9})...)}).EncodeAppend(nil))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		if IsBatch(b) {
 			// Batch frames go through DecodeBatch (the dispatch loop's
@@ -459,6 +490,11 @@ func FuzzDecode(f *testing.F) {
 		// Released, the shells go back to the free list, so later inputs
 		// decode into the slabs these leave behind.
 		enc := m.EncodeAppend(nil)
+		if m.Data == nil && !bytes.Equal(enc, b) {
+			// One encoding per frame: only a data body split finer than the
+			// encoder splits it may re-encode differently.
+			t.Fatalf("accepted a frame the encoder spells differently:\n got % x\nwant % x", b, enc)
+		}
 		m.Release()
 		m2, err := Decode(enc)
 		if err != nil {

@@ -18,7 +18,9 @@
 //	presence    1 byte, bit per block below that follows   unknown bits rejected
 //	seq a b     uv64, uv32, uv32
 //	VC          uv n, n entries uv32(x+1)                  n <= 64; bit set <=> Msg.VC != nil (n = 0 legal)
-//	Intervals   uv n, n records (below)                    1 <= n, 4n <= bytes left
+//	Intervals   uv r, r runs (below)                       1 <= r, 6r <= bytes left; the clock entries it
+//	                                                       expands to, the enclosing clock's included,
+//	                                                       <= maxIntervalWords (2^24), before they size a slab
 //	Diffs       uv n, n x (uv32 page, proc, index, body)   1 <= n, 4n <= bytes left
 //	Wants       uv n, n x (uv32 page, uv proc<<1|s,        1 <= n, 3n <= bytes left; proc fits 32 bits;
 //	            uv32 index, and if s: uv32 span)           1 <= span, index + span <= 2^31 - 1
@@ -26,9 +28,11 @@
 //	Sections    uv n, n x (uv mode, presence byte with     2n <= bytes left; mode <= 255; bit set <=>
 //	            the VC/Intervals/Diffs bits, blocks)       Msg.Sections != nil; a section's VC has n >= 1
 //
-//	interval    uv32 proc, uv32 index,                     clock n <= 64
-//	record      uv n, n clock entries,
-//	            uv p, p pages: uv32(page - previous page)  p <= bytes left
+//	interval    uv32 proc, uv32 first index, uv c,         1 <= c, 2c <= bytes left; clock m <= 64;
+//	run         uv m, c records                            first + c - 1 <= 2^31 - 1; does not continue
+//	                                                       the run before it
+//	interval    uv mask, a zig-zag delta per set bit,      mask < 2^m; no delta is 0
+//	record      uv p, p pages: uv32(page - previous page)  p <= bytes left
 //	diff body   uv r, r x (uv32 off, uv32 len, len bytes)  2r <= bytes left; off < 2^31; len <= bytes left
 //	data body   uv r, r x (uv32 off, uv32 len, len bytes)  3r <= bytes left; len >= 1; off >= previous
 //	                                                       off + len; off + len <= n; len <= bytes left
@@ -54,26 +58,42 @@
 // diffs, last writer wins, under the range's first index. No record is
 // empty on another's behalf.
 //
-// A record's clock entries are delta-coded when the enclosing message or
-// section carries a clock of the same length: entry k is the zig-zag
-// coding of base[k] - x in wrapping 32-bit arithmetic. The sender's clock
-// dominates every interval it ships, so these are one byte each; a record
-// that does not sit under the base still round-trips, at more bytes.
-// Without such a base the entries are absolute, uv32(x+1) like the VC
-// block (clock entries start at -1). Page lists are sorted in practice,
-// so the wrapping difference to the previous page (the first to 0) is
-// small; an unsorted list round-trips as well. The diff body is produced
-// by page.Diff.AppendWireBody.
+// An interval block is a list of write notices, and travels as its maximal
+// runs: stretches of records of one processor, with consecutive indices
+// and clocks of one length m. That is how a lazy engine lists them —
+// core.Log.NoticesBetween groups a processor's intervals in index order —
+// so a run names its processor and first index once, and a record carries
+// neither. A record's clock travels as corrections to a prediction: entry
+// proc is predicted to be the record's index (core.Interval's invariant:
+// a closed interval's own entry is its index), every other entry to be
+// the same entry of the record before it in the run, and for a run's
+// first record to be base[k] of the enclosing message or section clock
+// when that clock has m entries, or -1 (no interval) when it has not. Bit
+// k of a record's mask says entry k differs from its prediction, and the
+// set bits' entries follow in order as the zig-zag coding of x minus the
+// prediction, in wrapping 32-bit arithmetic. The run's first index is
+// zig-zag coded against base[proc] when the base has m entries and proc <
+// m, and absolute otherwise. An honest record therefore costs a mask byte
+// and one byte or so per entry that moved since the record before it —
+// an acquire in between — and every list round-trips, whatever its
+// values: a record that breaks the invariant or does not sit under the
+// base at more bytes, records that continue no run as runs of one. Page
+// lists are sorted in practice, so the wrapping difference to the previous
+// page (the first to 0) is small; an unsorted list round-trips as well.
+// The diff body is produced by page.Diff.AppendWireBody.
 //
 // An accepted frame has exactly one encoding: varints must be minimal
 // and fit their field, a presence bit over an empty block is rejected
 // (except the two blocks whose emptiness differs from their absence, VC
-// and Sections), and trailing bytes are an error. (The run tables are the
-// exception: a diff body's runs may overlap, and a data body split finer
-// than the encoder splits it decodes to the same bytes.) Every count is
-// checked against the bytes remaining, at the smallest possible item size,
-// before it sizes an allocation; the one length the frame cannot vouch
-// for, Data's expanded n, is checked against MaxDataBytes instead.
+// and Sections), an interval run is neither empty nor a continuation of
+// the one before it, a mask bit never covers a zero delta, and trailing
+// bytes are an error. (The run tables are the exception: a diff body's
+// runs may overlap, and a data body split finer than the encoder splits it
+// decodes to the same bytes.) Every count is checked against the bytes
+// remaining, at the smallest possible item size, before it sizes an
+// allocation; the two lengths the frame cannot vouch for, Data's expanded
+// n and the clock entries an interval block expands to, are checked
+// against MaxDataBytes and maxIntervalWords instead.
 //
 // Frames: a payload is one message, or a batch frame — the KBatch byte,
 // uv count (>= 2), then count sub-frames of uv length + message. There
@@ -632,17 +652,30 @@ const _ = byte(kindLimit)
 // Smallest encodings, the item sizes hostile counts are checked against.
 const (
 	minMsgBytes      = 5 // kind, presence, seq, a, b
-	minIntervalBytes = 4 // proc, index, clock count, page count
-	minDiffBytes     = 4 // page, proc, index, run count
-	minRunBytes      = 2 // offset, length
-	minDataRunBytes  = 3 // offset, length, one byte: a data run is never empty
-	minWantBytes     = 3 // page, proc, index
-	minSectionBytes  = 2 // mode, presence
+	minIntervalBytes = 2 // clock mask, page count
+	// minIntervalRunBytes is a run's proc, first index, record count, clock
+	// length and one record.
+	minIntervalRunBytes = 4 + minIntervalBytes
+	minDiffBytes        = 4 // page, proc, index, run count
+	minRunBytes         = 2 // offset, length
+	minDataRunBytes     = 3 // offset, length, one byte: a data run is never empty
+	minWantBytes        = 3 // page, proc, index
+	minSectionBytes     = 2 // mode, presence
 	// minBatchedBytes is a sub-frame: its length prefix and a message.
 	minBatchedBytes = 1 + minMsgBytes
 	// maxClock bounds a clock's entry count (Config.Procs is capped at 64).
 	maxClock = 64
 )
+
+// maxIntervalWords bounds the clock entries an interval block expands to,
+// the enclosing clock's included: a record whose clock repeats its
+// prediction is two bytes, so the frame's length no longer vouches for its
+// clock. The largest blocks the runtime sends are a barrier's, which carry
+// an epoch's intervals: 2^24 entries (64 MiB of clocks, the TCP transport's
+// frame limit) hold 4,096 intervals of each of 64 processors (the cap),
+// where a splash-water arrival at 4 processors and scale 16 carries 2,385
+// records in all.
+const maxIntervalWords = 1 << 24
 
 // MaxDataBytes bounds the expanded length of a Data block — a page copy or
 // a barrier's plan blob. Zero suppression means the frame's own length no
@@ -673,7 +706,7 @@ func (m *Msg) growHint() int {
 }
 
 func payloadHint(ivs []IntervalRec, diffs []DiffRec) int {
-	n := 16 * len(ivs)
+	n := 8 * len(ivs) // a record in a run: a mask, the entries that moved, a page or two
 	for _, d := range diffs {
 		n += 8 + d.Diff.WireBodySize()
 	}
@@ -790,10 +823,7 @@ func appendPayload(buf []byte, present byte, clock vc.VC, ivs []IntervalRec, dif
 		}
 	}
 	if present&hasIntervals != 0 {
-		buf = putLen(buf, len(ivs))
-		for i := range ivs {
-			buf = appendInterval(buf, &ivs[i], clock)
-		}
+		buf = appendIntervals(buf, ivs, clock)
 	}
 	if present&hasDiffs != 0 {
 		buf = putLen(buf, len(diffs))
@@ -807,28 +837,103 @@ func appendPayload(buf []byte, present byte, clock vc.VC, ivs []IntervalRec, dif
 	return buf
 }
 
-// appendInterval encodes one interval record; base is the enclosing
-// message or section clock its entries are delta-coded against.
-func appendInterval(buf []byte, iv *IntervalRec, base vc.VC) []byte {
-	buf = put32(buf, int32(iv.Proc))
-	buf = put32(buf, iv.Index)
-	buf = putLen(buf, len(iv.VC))
-	if len(base) == len(iv.VC) {
-		for k, x := range iv.VC {
-			buf = put32(buf, zigzag(base[k]-x))
-		}
-	} else {
-		for _, x := range iv.VC {
-			buf = put32(buf, x+1)
+// appendIntervals encodes an interval block as its maximal runs; base is
+// the enclosing message or section clock the runs are coded against.
+func appendIntervals(buf []byte, ivs []IntervalRec, base vc.VC) []byte {
+	at := len(buf)
+	buf = append(buf, 0) // the run count; one byte holds most
+	runs := 0
+	for len(ivs) > 0 {
+		n := runLen(ivs)
+		buf = appendRun(buf, ivs[:n], base)
+		ivs = ivs[n:]
+		runs++
+	}
+	return setLen(buf, at, runs)
+}
+
+// runLen returns the length of the run ivs starts with: the records of one
+// processor with consecutive indices and clocks of one length.
+func runLen(ivs []IntervalRec) int {
+	n := 1
+	for ; n < len(ivs); n++ {
+		prev, iv := &ivs[n-1], &ivs[n]
+		if iv.Proc != prev.Proc || len(iv.VC) != len(prev.VC) || prev.Index == math.MaxInt32 || iv.Index != prev.Index+1 {
+			break
 		}
 	}
-	buf = putLen(buf, len(iv.Pages))
-	prev := mem.PageID(0)
-	for _, p := range iv.Pages {
-		buf = put32(buf, int32(p-prev))
-		prev = p
+	return n
+}
+
+// appendRun encodes one run: its processor, its first index — against the
+// base's entry for the processor when the base has the run's clock length
+// — its record count and clock length, then each record.
+func appendRun(buf []byte, run []IntervalRec, base vc.VC) []byte {
+	first := &run[0]
+	m := len(first.VC)
+	buf = put32(buf, int32(first.Proc))
+	own := ownEntry(first.Proc, m)
+	if len(base) != m {
+		base = nil
+	}
+	if base != nil && own >= 0 {
+		buf = put32(buf, zigzag(first.Index-base[own]))
+	} else {
+		buf = put32(buf, first.Index)
+	}
+	buf = putLen(putLen(buf, len(run)), m)
+	prev := base
+	var moved [maxClock]int32 // a record's zig-zag deltas
+	for i := range run {
+		iv := &run[i]
+		// A clock past maxClock entries is refused by its length; the mask
+		// covers the first maxClock.
+		var mask uint64
+		nm := 0
+		for k, x := range iv.VC[:min(m, maxClock)] {
+			if d := x - predict(prev, k, own, iv.Index); d != 0 {
+				mask |= 1 << k
+				moved[nm] = zigzag(d)
+				nm++
+			}
+		}
+		buf = binary.AppendUvarint(buf, mask)
+		for _, z := range moved[:nm] {
+			buf = put32(buf, z)
+		}
+		buf = putLen(buf, len(iv.Pages))
+		prevPage := mem.PageID(0)
+		for _, p := range iv.Pages {
+			buf = put32(buf, int32(p-prevPage))
+			prevPage = p
+		}
+		prev = iv.VC
 	}
 	return buf
+}
+
+// ownEntry returns the clock entry of a record of processor proc that its
+// index predicts, or -1 when a clock of m entries has none.
+func ownEntry(proc mem.ProcID, m int) int {
+	if uint32(proc) < uint32(m) {
+		return int(proc)
+	}
+	return -1
+}
+
+// predict returns what entry k of a record's clock is expected to be: the
+// record's index for its own entry (a closed interval's own entry is its
+// index), else entry k of prev — the record before it in the run, or for a
+// run's first record the base — or -1, the entry of no interval, when
+// there is neither.
+func predict(prev vc.VC, k, own int, index int32) int32 {
+	switch {
+	case k == own:
+		return index
+	case prev == nil:
+		return -1
+	}
+	return prev[k]
 }
 
 // appendData encodes the Data block: the expanded length, then the non-zero
@@ -1208,28 +1313,37 @@ func (d *decoder) data() []byte {
 	return out
 }
 
-// intervalList decodes an interval block (the inverse of appendInterval
-// per record); base is the enclosing clock, hasBase whether there is one.
-// A sizing pass walks the block first — every count checked against the
-// bytes actually present — so the records, their clocks and their page
-// lists are three slabs per block, whatever the record count; each
-// record's VC and Pages are capacity-limited windows of the shared slabs.
-// The enclosing clock is returned as one more window of the clock slab,
-// ahead of the records'. A message's first block fills the slabs its shell
-// kept from an earlier message where they are large enough, so a grant
-// decodes without allocating; the slabs, the returned clock included, then
-// die with the shell (the package doc's Ownership section).
+// intervalList decodes an interval block (the inverse of appendIntervals);
+// base is the enclosing clock, hasBase whether there is one. A sizing pass
+// walks the block first — every count checked against the bytes actually
+// present, the clock entries the runs expand to against maxIntervalWords —
+// so the records, their clocks and their page lists are three slabs per
+// block, whatever the record count; each record's VC and Pages are
+// capacity-limited windows of the shared slabs. The enclosing clock is
+// returned as one more window of the clock slab, ahead of the records'. A
+// message's first block fills the slabs its shell kept from an earlier
+// message where they are large enough, so a grant decodes without
+// allocating; the slabs, the returned clock included, then die with the
+// shell (the package doc's Ownership section).
 func (d *decoder) intervalList(base vc.VC, hasBase bool) (vc.VC, []IntervalRec) {
-	nivs := d.blockCount("interval", minIntervalBytes)
+	nruns := d.blockCount("interval run", minIntervalRunBytes)
 	start := d.off
-	nclock, npage := 0, 0
-	for i := 0; i < nivs && d.err == nil; i++ {
-		d.skip(2) // proc, index
+	nivs, nclock, npage := 0, 0, 0
+	for i := 0; i < nruns && d.err == nil; i++ {
+		d.skip(2) // proc, first index
+		n := d.countItems("interval", minIntervalBytes)
 		vn := d.count("interval clock count", maxClock)
-		d.skip(vn)
-		pn := d.countItems("interval page", 1)
-		d.skip(pn)
-		nclock, npage = nclock+vn, npage+pn
+		// A record of two bytes expands to a clock of 64 entries, so the
+		// bytes present vouch for the records, not for their clocks.
+		if nivs, nclock = nivs+n, nclock+n*vn; len(base)+nclock > maxIntervalWords {
+			d.fail("implausible interval block of %d clock entries (limit %d)", len(base)+nclock, maxIntervalWords)
+		}
+		for k := 0; k < n && d.err == nil; k++ {
+			d.skip(bits.OnesCount64(d.uvarint()))
+			pn := d.countItems("interval page", 1)
+			d.skip(pn)
+			npage += pn
+		}
 	}
 	if d.err != nil {
 		return nil, nil
@@ -1249,37 +1363,64 @@ func (d *decoder) intervalList(base vc.VC, hasBase bool) (vc.VC, []IntervalRec) 
 		clock, clocks = clocks[:len(base):len(base)], clocks[len(base):]
 		copy(clock, base)
 	}
-	for i := range out {
-		iv := &out[i]
-		iv.Proc = mem.ProcID(d.i32())
-		iv.Index = d.i32()
-		vn := int(d.u32())
+	recs := out
+	var last *IntervalRec // the last record of the run before
+	for i := 0; i < nruns; i++ {
+		proc, index := mem.ProcID(d.i32()), d.i32()
+		n, vn := int(d.u32()), int(d.u32())
 		if d.err != nil {
 			return nil, nil
 		}
-		iv.VC, clocks = clocks[:vn:vn], clocks[vn:]
-		if len(base) == vn {
-			for k := range iv.VC {
-				iv.VC[k] = base[k] - unzigzag(d.i32())
-			}
-		} else {
-			for k := range iv.VC {
-				iv.VC[k] = d.i32() - 1
-			}
+		own, prev := ownEntry(proc, vn), base
+		if len(base) != vn {
+			prev = nil
 		}
-		pn := int(d.u32())
+		if prev != nil && own >= 0 {
+			index = base[own] + unzigzag(index)
+		}
+		switch {
+		case n == 0:
+			d.fail("empty interval run")
+		case int64(index)+int64(n)-1 > math.MaxInt32:
+			d.fail("interval run %d/%d of %d records past index %d", proc, index, n, math.MaxInt32)
+		case last != nil && proc == last.Proc && vn == len(last.VC) && int64(index) == int64(last.Index)+1:
+			d.fail("interval run %d/%d continues the run before it", proc, index)
+		}
+		for k := 0; k < n && d.err == nil; k++ {
+			iv := &recs[k]
+			iv.Proc, iv.Index = proc, index+int32(k)
+			iv.VC, clocks = clocks[:vn:vn], clocks[vn:]
+			mask := d.uvarint()
+			if vn < maxClock && mask>>vn != 0 {
+				d.fail("interval clock mask %#x past its %d entries", mask, vn)
+			}
+			for e := range iv.VC {
+				x := predict(prev, e, own, iv.Index)
+				if mask&(1<<e) != 0 {
+					delta := unzigzag(d.i32())
+					if delta == 0 {
+						d.fail("interval clock mask bit %d over a zero delta", e)
+					}
+					x += delta
+				}
+				iv.VC[e] = x
+			}
+			pn := int(d.u32())
+			if d.err != nil {
+				return nil, nil
+			}
+			iv.Pages, pages = pages[:pn:pn], pages[pn:]
+			prevPage := mem.PageID(0)
+			for e := range iv.Pages {
+				prevPage += mem.PageID(d.i32())
+				iv.Pages[e] = prevPage
+			}
+			prev = iv.VC
+		}
 		if d.err != nil {
 			return nil, nil
 		}
-		iv.Pages, pages = pages[:pn:pn], pages[pn:]
-		prev := mem.PageID(0)
-		for k := range iv.Pages {
-			prev += mem.PageID(d.i32())
-			iv.Pages[k] = prev
-		}
-	}
-	if d.err != nil {
-		return nil, nil
+		last, recs = &recs[n-1], recs[n:]
 	}
 	return clock, out
 }
