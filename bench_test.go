@@ -395,13 +395,108 @@ func BenchmarkRuntimeBarrier(b *testing.B) {
 // in internal/transport — only that layer and dsm touch transport
 // implementations directly.)
 
-// BenchmarkRuntimeBatchedBarrierTCP is the outbox acceptance bench: the
-// write-share pattern (see writeShare) under every protocol. Under the
-// eager protocols what one peer is sent in a release's burst shares
-// frames, so frames/critsec sits well below msgs/critsec (TestRuntimeGate's
-// frames row holds EU's); under the lazy ones a round already asks each
-// creator once. The counts include the warm-up round.
-func BenchmarkRuntimeBatchedBarrierTCP(b *testing.B) {
+// writeShare is the barrier-heavy write-share pattern on a loopback TCP
+// cluster of four Systems: every round each node rewrites its four pages
+// of a shared region, bumps a locked counter and meets the others at a
+// barrier. Under LU every barrier makes each node revalidate the other
+// nodes' twelve pages, one diff request to each creator; under EU every
+// release pushes the node's four pages to the other nodes' copies.
+type writeShare struct {
+	systems  []*repro.DSM
+	counter  repro.Var[uint64]
+	lock     repro.Lock
+	pageSize int
+}
+
+const writeShareProcs, writeSharePages = 4, 4
+
+// newWriteShare builds the cluster, which tb closes, and runs a warm-up
+// round that caches every page of the region everywhere, so later rounds
+// are steady revalidation traffic, not cold misses.
+func newWriteShare(tb testing.TB, mode repro.DSMMode, pageSize int) *writeShare {
+	tb.Helper()
+	trs, err := repro.NewLoopbackTCPCluster(writeShareProcs)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	w := &writeShare{systems: make([]*repro.DSM, writeShareProcs), pageSize: pageSize}
+	for i, tr := range trs {
+		if w.systems[i], err = repro.NewDSM(repro.DSMConfig{
+			Procs: writeShareProcs, SpaceSize: 64 * 1024, PageSize: pageSize, Mode: mode, Transport: tr,
+		}); err != nil {
+			tb.Fatal(err)
+		}
+		tb.Cleanup(func() { w.systems[i].Close() })
+	}
+	a := repro.NewArena(w.systems[0].Layout())
+	w.counter, w.lock = repro.NewVar[uint64](a), a.NewLock()
+	onEveryNode(tb, writeShareProcs, w.node, func(i int, n *repro.Node) error {
+		for j := 0; j < writeSharePages; j++ {
+			if err := n.WriteUint64(w.pageAddr(i, j), 1); err != nil {
+				return err
+			}
+		}
+		if err := n.Barrier(0); err != nil {
+			return err
+		}
+		for owner := 0; owner < writeShareProcs; owner++ {
+			for j := 0; j < writeSharePages; j++ {
+				if _, err := n.ReadUint64(w.pageAddr(owner, j)); err != nil {
+					return err
+				}
+			}
+		}
+		return n.Barrier(0)
+	})
+	return w
+}
+
+func (w *writeShare) node(i int) *repro.Node { return w.systems[i].Node(i) }
+
+// pageAddr is owner's j-th page of the region, pages 16..31; page p is
+// homed at p%procs.
+func (w *writeShare) pageAddr(owner, j int) repro.Addr {
+	return repro.Addr((16 + j*writeShareProcs + owner) * w.pageSize)
+}
+
+// rounds runs count rounds of the pattern.
+func (w *writeShare) rounds(tb testing.TB, count int) {
+	onEveryNode(tb, writeShareProcs, w.node, func(i int, n *repro.Node) error {
+		for k := 0; k < count; k++ {
+			for j := 0; j < writeSharePages; j++ {
+				if err := n.WriteUint64(w.pageAddr(i, j), uint64(k)+2); err != nil {
+					return err
+				}
+			}
+			if err := repro.Locked(n, w.lock, func() error {
+				_, err := w.counter.Add(n, 1)
+				return err
+			}); err != nil {
+				return err
+			}
+			if err := n.Barrier(0); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+}
+
+// netStats sums the cluster's interconnect counters.
+func (w *writeShare) netStats() repro.TransportStats {
+	var st repro.TransportStats
+	for _, sys := range w.systems {
+		st.Add(sys.NetStats())
+	}
+	return st
+}
+
+// BenchmarkRuntimeWriteShareTCP runs the write-share pattern (see
+// writeShare) under every protocol over loopback TCP and reports the
+// messages and bytes of a critical section. Under the eager protocols a
+// release sends each peer one merged message; under the lazy ones a round
+// asks each creator once. The counts include the warm-up round.
+func BenchmarkRuntimeWriteShareTCP(b *testing.B) {
 	for _, m := range repro.DSMModes {
 		b.Run(m.String(), func(b *testing.B) {
 			w := newWriteShare(b, m, 1024)
@@ -411,7 +506,6 @@ func BenchmarkRuntimeBatchedBarrierTCP(b *testing.B) {
 			st := w.netStats()
 			crit := float64(writeShareProcs) * float64(b.N)
 			b.ReportMetric(float64(st.Messages)/crit, "msgs/critsec")
-			b.ReportMetric(float64(st.Frames)/crit, "frames/critsec")
 			b.ReportMetric(float64(st.Bytes)/crit, "B/critsec")
 		})
 	}

@@ -408,8 +408,8 @@ func runWorkload(out io.Writer, name string, procs, gpn int, scale float64, seed
 		// verifies the image. (A placement comparison is simnet-only, so
 		// there is exactly one run here.)
 		fmt.Fprintf(out, "== %s: %d procs, mode %s, page %d: this process's nodes done ==\n", name, procs, m, pageSize)
-		fmt.Fprintf(out, "%-28s%12d%12d%12d%14d   (this process's sends: msgs, frames, batches, wire bytes)\n",
-			"runtime", first.res.Net.Messages, first.res.Net.Frames, first.res.Net.Batches, first.res.Net.Bytes)
+		fmt.Fprintf(out, "%-28s%12d%14d   (this process's sends: msgs, wire bytes)\n",
+			"runtime", first.res.Net.Messages, first.res.Net.Bytes)
 		if route.statsJSON {
 			return emitStatsJSON(out, first.report)
 		}
@@ -438,8 +438,7 @@ func runWorkload(out io.Writer, name string, procs, gpn int, scale float64, seed
 	if !diverged {
 		fmt.Fprintf(out, "image: %d bytes, matches sequential reference under every placement\n", len(first.res.Image))
 	}
-	// Traffic table: live transport counters (messages vs the physical
-	// frames the outbox coalesced them into) next to the simulator's
+	// Traffic table: live transport counters next to the simulator's
 	// per-message model, normalized per critical section — one runtime
 	// row per placement policy when several are compared.
 	crit := int64(c.Acquires)
@@ -449,8 +448,8 @@ func runWorkload(out io.Writer, name string, procs, gpn int, scale float64, seed
 		}
 		return fmt.Sprintf("%.1f", float64(n)/float64(crit))
 	}
-	fmt.Fprintf(out, "%-28s%12s%12s%12s%14s%14s%14s\n",
-		"", "msgs", "frames", "batches", "wire bytes", "msgs/critsec", "wireB/critsec")
+	fmt.Fprintf(out, "%-28s%12s%14s%14s%14s\n",
+		"", "msgs", "wire bytes", "msgs/critsec", "wireB/critsec")
 	for _, r := range runs {
 		label := "runtime"
 		if len(runs) > 1 {
@@ -460,12 +459,12 @@ func runWorkload(out io.Writer, name string, procs, gpn int, scale float64, seed
 		if r.report.PageMigrations > 0 {
 			extra = fmt.Sprintf("   (%d pages re-homed)", r.report.PageMigrations)
 		}
-		fmt.Fprintf(out, "%-28s%12d%12d%12d%14d%14s%14s%s\n",
-			label, r.res.Net.Messages, r.res.Net.Frames, r.res.Net.Batches, r.res.Net.Bytes,
+		fmt.Fprintf(out, "%-28s%12d%14d%14s%14s%s\n",
+			label, r.res.Net.Messages, r.res.Net.Bytes,
 			perCrit(r.res.Net.Messages), perCrit(r.res.Net.Bytes), extra)
 	}
-	fmt.Fprintf(out, "%-28s%12d%12s%12s%14d%14s%14s   (trace replay, %s)\n",
-		"simulator", st.TotalMessages(), "-", "-", st.TotalBytes(), perCrit(st.TotalMessages()), perCrit(st.TotalBytes()), m)
+	fmt.Fprintf(out, "%-28s%12d%14d%14s%14s   (trace replay, %s)\n",
+		"simulator", st.TotalMessages(), st.TotalBytes(), perCrit(st.TotalMessages()), perCrit(st.TotalBytes()), m)
 	var misses, diffs, updates, intervals, invals, moves, migrations int64
 	var created, deferred, cacheHits, flattened, trimmed, aggregated, twinBytes, twinPeak int64
 	for _, ns := range first.res.Nodes {
@@ -558,8 +557,7 @@ func runDemo(out io.Writer, demo string, m dsm.Mode, procs, gpn, iters, pageSize
 	}
 	st := d.NetStats()
 	fmt.Fprintf(out, "demo=%s mode=%s procs=%d nodes=%d gpn=%d iters=%d\n", demo, m, procs, procs/gpn, gpn, iters)
-	fmt.Fprintf(out, "interconnect: %d messages in %d frames (%d batched), %d bytes\n",
-		st.Messages, st.Frames, st.Batches, st.Bytes)
+	fmt.Fprintf(out, "interconnect: %d messages, %d bytes\n", st.Messages, st.Bytes)
 	report := statsReport{
 		Program: "demo:" + demo, Mode: m.String(), Placement: placementName,
 		HomeTable: d.Status().HomeTable,

@@ -61,14 +61,14 @@ func TestRunDemoQueueLU(t *testing.T) {
 // flag it takes: every run must verify its image against the sequential
 // reference, never print DIVERGES, and print the row's lines — the
 // per-node counters, the -mode and -gpn shape, the traffic table of
-// msgs, frames, batches and bytes per critical section.
+// msgs and bytes per critical section.
 func TestRunWorkloadOnRuntime(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
 		want []string
 	}{
 		{[]string{"-app", "locusroute", "-mode", "LU"}, []string{"== locusroute", "runtime", "simulator", "access misses"}},
-		{[]string{"-app", "mp3d", "-mode", "LU"}, []string{"msgs", "frames", "batches", "wire bytes", "wireB/critsec", "runtime", "simulator"}},
+		{[]string{"-app", "mp3d", "-mode", "LU"}, []string{"msgs", "wire bytes", "wireB/critsec", "runtime", "simulator"}},
 		{[]string{"-app", "mp3d", "-gc", "2"}, nil},
 		{[]string{"-app", "mp3d", "-mode", "SC"}, []string{"mode SC", "runtime", "simulator", "ownership moves"}},
 		{[]string{"-app", "mp3d", "-gpn", "4", "-mode", "EI"}, []string{"4 procs on 1 nodes"}},

@@ -135,34 +135,21 @@ var gateRows = []gateRow{
 	// A flush through each page's home, which updates the other copies,
 	// measured 108.
 	// EI merges a release the same way, to the dirty pages' homes alone,
-	// and a home invalidates every other copy of each page, one
-	// invalidation and one acknowledgement per page and copy. A writer's
-	// pages have four homes, itself among them: 3 updates and 3
-	// acknowledgements, 2 x 3 x 2 + 3 x 2 invalidation messages — 24 per
-	// writer — then 9 misses of two messages per reader, beside the
-	// barriers' 12: 180 a step, every run. A directory transaction per
-	// dirty page, which made its writer the owner that later misses fetched
-	// from, measured 252.
+	// and a home invalidates every other copy of the pages an update names,
+	// one invalidation naming them and one acknowledgement per copy. A
+	// writer's pages have four homes, itself among them, so each update and
+	// the writer's own round name one page: 3 updates and 3
+	// acknowledgements, then an invalidation and its acknowledgement to
+	// each copy but the writer's and the home's, 2 x 2 at each of the three
+	// other homes and 3 x 2 at the writer's — 24 per writer — then 9 misses
+	// of two messages per reader, beside the barriers' 12: 180 a step,
+	// every run. A directory transaction per dirty page, which made its
+	// writer the owner that later misses fetched from, measured 252.
 	{"ei-merge", barrierSlab, repro.EagerInvalidate, repro.RuntimeConfig{PageSize: 4096, GCEveryBarriers: 8}, []gateCheck{
 		{"msgs_per_step", "<=", 180},
 	}},
 	{"eu-merge", barrierSlab, repro.EagerUpdate, repro.RuntimeConfig{PageSize: 4096, GCEveryBarriers: 8}, []gateCheck{
 		{"msgs_per_step", "<=", 36},
-	}},
-	// The outbox coalesces: without it every message is its own frame. The
-	// bound is 1.14 x the highest of fifteen runs over GOMAXPROCS 1, 2 and 8
-	// when EU pushed a release page by page through the homes (24.2-26.4
-	// frames per critical section; a stage that flushed at once, 33.8-33.9).
-	// EU now merges a release per destination, which leaves little to
-	// coalesce: 10.1 frames with the outbox batching and without it, so the
-	// row bounds frames but no longer tells whether the outbox batches:
-	// TestOutboxBatchesFlushBurst/EI does, holding an EI home's four
-	// invalidations of one copy to one batch frame. LU's revalidation has
-	// nothing left to coalesce either: it asks each creator once, one
-	// message to each peer, whether the outbox batches or not.
-	{"frames", writeShareTCP, repro.EagerUpdate, repro.RuntimeConfig{PageSize: 1024}, []gateCheck{
-		{"messages", ">", 0},
-		{"frames_per_critsec", "<=", 30},
 	}},
 }
 
@@ -443,115 +430,4 @@ func barrierSlab(t *testing.T, rc repro.RuntimeConfig) gateMetrics {
 		"alloc_per_wire_byte": alloc / float64(net1.Bytes-net0.Bytes),
 		"msgs_per_step":       float64(net1.Messages-net0.Messages) / steps,
 	}
-}
-
-// writeShareTCP runs the write-share pattern's warm-up and reports the
-// messages and the frames per critical section (one per node and round) of
-// the next 16 rounds.
-func writeShareTCP(t *testing.T, rc repro.RuntimeConfig) gateMetrics {
-	const rounds = 16
-	w := newWriteShare(t, rc.Mode, rc.PageSize)
-	before := w.netStats()
-	w.rounds(t, rounds)
-	after := w.netStats()
-	return gateMetrics{
-		"messages":           float64(after.Messages - before.Messages),
-		"frames_per_critsec": float64(after.Frames-before.Frames) / (rounds * writeShareProcs),
-	}
-}
-
-// writeShare is the barrier-heavy write-share pattern on a loopback TCP
-// cluster of four Systems: every round each node rewrites its four pages
-// of a shared region, bumps a locked counter and meets the others at a
-// barrier. Under LU every barrier makes each node revalidate the other
-// nodes' twelve pages, one diff request to each creator; under EU every
-// release pushes the node's four pages to the other nodes' copies.
-type writeShare struct {
-	systems  []*repro.DSM
-	counter  repro.Var[uint64]
-	lock     repro.Lock
-	pageSize int
-}
-
-const writeShareProcs, writeSharePages = 4, 4
-
-// newWriteShare builds the cluster, which tb closes, and runs a warm-up
-// round that caches every page of the region everywhere, so later rounds
-// are steady revalidation traffic, not cold misses.
-func newWriteShare(tb testing.TB, mode repro.DSMMode, pageSize int) *writeShare {
-	tb.Helper()
-	trs, err := repro.NewLoopbackTCPCluster(writeShareProcs)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	w := &writeShare{systems: make([]*repro.DSM, writeShareProcs), pageSize: pageSize}
-	for i, tr := range trs {
-		if w.systems[i], err = repro.NewDSM(repro.DSMConfig{
-			Procs: writeShareProcs, SpaceSize: 64 * 1024, PageSize: pageSize, Mode: mode, Transport: tr,
-		}); err != nil {
-			tb.Fatal(err)
-		}
-		tb.Cleanup(func() { w.systems[i].Close() })
-	}
-	a := repro.NewArena(w.systems[0].Layout())
-	w.counter, w.lock = repro.NewVar[uint64](a), a.NewLock()
-	onEveryNode(tb, writeShareProcs, w.node, func(i int, n *repro.Node) error {
-		for j := 0; j < writeSharePages; j++ {
-			if err := n.WriteUint64(w.pageAddr(i, j), 1); err != nil {
-				return err
-			}
-		}
-		if err := n.Barrier(0); err != nil {
-			return err
-		}
-		for owner := 0; owner < writeShareProcs; owner++ {
-			for j := 0; j < writeSharePages; j++ {
-				if _, err := n.ReadUint64(w.pageAddr(owner, j)); err != nil {
-					return err
-				}
-			}
-		}
-		return n.Barrier(0)
-	})
-	return w
-}
-
-func (w *writeShare) node(i int) *repro.Node { return w.systems[i].Node(i) }
-
-// pageAddr is owner's j-th page of the region, pages 16..31; page p is
-// homed at p%procs.
-func (w *writeShare) pageAddr(owner, j int) repro.Addr {
-	return repro.Addr((16 + j*writeShareProcs + owner) * w.pageSize)
-}
-
-// rounds runs count rounds of the pattern.
-func (w *writeShare) rounds(tb testing.TB, count int) {
-	onEveryNode(tb, writeShareProcs, w.node, func(i int, n *repro.Node) error {
-		for k := 0; k < count; k++ {
-			for j := 0; j < writeSharePages; j++ {
-				if err := n.WriteUint64(w.pageAddr(i, j), uint64(k)+2); err != nil {
-					return err
-				}
-			}
-			if err := repro.Locked(n, w.lock, func() error {
-				_, err := w.counter.Add(n, 1)
-				return err
-			}); err != nil {
-				return err
-			}
-			if err := n.Barrier(0); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-}
-
-// netStats sums the cluster's interconnect counters.
-func (w *writeShare) netStats() repro.TransportStats {
-	var st repro.TransportStats
-	for _, sys := range w.systems {
-		st.Add(sys.NetStats())
-	}
-	return st
 }

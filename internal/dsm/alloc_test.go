@@ -469,13 +469,17 @@ func pageServeAllocs(n *Node) (allocs float64, size int) {
 	return allocs, size
 }
 
-// takeStaged takes back what is staged for d, instead of flushing it at a
-// node that never asked.
+// takeStaged takes back the one frame staged for d, nil if none, instead
+// of flushing it at a node that never asked.
 func takeStaged(d *outDest) []byte {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	buf := d.buf
-	d.buf, d.ends = nil, d.ends[:0]
+	var buf []byte
+	if len(d.frames) > 0 {
+		buf = d.frames[0]
+	}
+	clear(d.frames)
+	d.frames = d.frames[:0]
 	d.count.Store(0)
 	return buf
 }

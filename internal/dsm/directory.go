@@ -33,7 +33,10 @@ import (
 // decisions in order: a cacher installs a page ship before it processes
 // the invalidation that follows it. Engines install grants on the shard
 // worker as they arrive, so the copyset always matches what each node
-// holds. An update that overtakes a ship is the engine's (eagerEngine).
+// holds. An invalidation travels on the shard of the first page it names,
+// so under EI, where one names every page of a round, it may overtake a
+// later page's ship; that, like an update that overtakes a ship, is the
+// engine's (eagerEngine).
 //
 // The holder side — a home's fetch or invalidation arriving at a node — is
 // here too (serveFetch, serveInval); the engine supplies only what it does
@@ -134,12 +137,24 @@ func (d *directory) stageCopy(dst mem.ProcID, pg mem.PageID, reply *wire.Msg) {
 }
 
 // revocation is an EI home's round of invalidations for one writer's
-// update or its own flush, with the open rounds it follows. done, made
-// with the first invalidation, closes once all are acknowledged (end).
+// update or its own flush, with the open rounds it follows: one KInval per
+// copy it takes out, naming every page of the round that copy holds. done,
+// made with the first invalidation, closes once all are acknowledged (end).
 type revocation struct {
 	invals []outMsg
 	after  []chan struct{}
 	done   chan struct{}
+}
+
+// revoke adds pg to the invalidation r sends copy j.
+func (r *revocation) revoke(n *Node, j mem.ProcID, pg mem.PageID) {
+	for i := range r.invals {
+		if r.invals[i].dst == j {
+			r.invals[i].m.Wants = append(r.invals[i].m.Wants, wire.Want{Page: pg})
+			return
+		}
+	}
+	r.invals = append(r.invals, outMsg{dst: j, m: wire.Msg{Kind: wire.KInval, Seq: n.nextSeq(), Wants: []wire.Want{{Page: pg}}}})
 }
 
 // absorb runs land, when non-nil, which brings the home's own copy of pg
@@ -153,7 +168,7 @@ type revocation struct {
 // its ship.
 //
 // Under EI they are every member but the writer; they leave the copyset,
-// each with an invalidation of pg in r. Two orders hold:
+// and r's invalidation of each names pg. Two orders hold:
 //
 //   - the writer's own update never invalidates the writer's copy, which
 //     holds its words even from a ship served before land: the writer
@@ -198,7 +213,7 @@ func (d *directory) absorb(pg mem.PageID, writer mem.ProcID, known int32, r *rev
 	stale &^= 1 << uint(writer)
 	e.joined = slices.DeleteFunc(e.joined, func(j mem.ProcID) bool { return stale&(1<<uint(j)) != 0 })
 	for rest := stale; rest != 0; rest &= rest - 1 {
-		r.invals = append(r.invals, outMsg{dst: mem.ProcID(bits.TrailingZeros64(rest)), m: wire.Msg{Kind: wire.KInval, Seq: d.n.nextSeq(), A: int32(pg)}})
+		r.revoke(d.n, mem.ProcID(bits.TrailingZeros64(rest)), pg)
 	}
 	if stale != 0 {
 		if r.done == nil {
@@ -244,15 +259,17 @@ func (d *directory) serve(m *wire.Msg) {
 		reply.Data = data
 	}
 	if write {
-		// Every other copy is invalidated in one burst, which up to four
-		// fit in the frame with their acknowledgements.
+		// Every other copy is invalidated in one burst, an invalidation
+		// naming pg each, up to four of them and their acknowledgements on
+		// the stack.
 		var (
 			reqBuf [4]outMsg
 			ackBuf [4]*wire.Msg
 		)
+		page := [1]wire.Want{{Page: pg}}
 		others, reqs := e.copyset&^(1<<uint(to)), reqBuf[:0]
 		for rest := others; rest != 0; rest &= rest - 1 {
-			reqs = append(reqs, outMsg{dst: mem.ProcID(bits.TrailingZeros64(rest)), m: wire.Msg{Kind: wire.KInval, Seq: n.nextSeq(), A: int32(pg)}})
+			reqs = append(reqs, outMsg{dst: mem.ProcID(bits.TrailingZeros64(rest)), m: wire.Msg{Kind: wire.KInval, Seq: n.nextSeq(), Wants: page[:]}})
 		}
 		acks, err := n.rpcAll(reqs, ackBuf[:0])
 		releaseAll(acks)
@@ -315,19 +332,28 @@ func (d *directory) serveFetch(m *wire.Msg, src mem.ProcID) {
 	d.stageCopy(src, pg, &wire.Msg{Kind: wire.KFetchResp, Seq: m.Seq, A: m.A})
 }
 
-// serveInval applies a home's invalidation to this node's copy, inline on
-// the page's shard worker, and acknowledges it.
+// serveInval applies a home's invalidation to this node's copies of the
+// pages it names, each under its stripe, inline on the first page's shard
+// worker, and acknowledges it once. One naming no page, or a page outside
+// the space, is recorded and dropped.
 func (d *directory) serveInval(m *wire.Msg, src mem.ProcID) {
 	n := d.n
-	pg := mem.PageID(m.A)
-	if !n.validPage(pg) {
-		n.noteErr("invalidate", fmt.Errorf("invalidation of invalid page %d", pg))
+	if len(m.Wants) == 0 {
+		n.noteErr("invalidate", fmt.Errorf("invalidation from %d names no page", src))
 		return
 	}
-	pmu := n.pageLock(pg)
-	pmu.Lock()
-	d.copies.invalidateLocked(pg)
-	pmu.Unlock()
-	n.stats.invalsReceived.Add(1)
-	n.stage(src, &wire.Msg{Kind: wire.KInvalAck, Seq: m.Seq, A: m.A})
+	for _, w := range m.Wants {
+		if !n.validPage(w.Page) {
+			n.noteErr("invalidate", fmt.Errorf("invalidation of invalid page %d", w.Page))
+			return
+		}
+	}
+	for _, w := range m.Wants {
+		pmu := n.pageLock(w.Page)
+		pmu.Lock()
+		d.copies.invalidateLocked(w.Page)
+		pmu.Unlock()
+	}
+	n.stats.invalsReceived.Add(int64(len(m.Wants)))
+	n.stage(src, &wire.Msg{Kind: wire.KInvalAck, Seq: m.Seq})
 }

@@ -60,12 +60,11 @@
 //     fetches page by page at each access miss;
 //   - an eager flush merges its diffs per destination, as the model
 //     counts, but every page's home owns it and takes each diff: an EI
-//     flush goes to the homes alone, which invalidate the other copies
-//     with one message per page and copy where the model merges them per
-//     cacher (the outbox coalesces one home's invalidations of one copy
-//     into a batch frame — see outbox.go — which changes physical framing
-//     only); under EU a copy its writer did not yet know of is reached
-//     through the home, at two messages more.
+//     flush goes to the homes alone, and each invalidates the other
+//     copies with one message per copy, naming the copy's pages of the
+//     round, where the model merges them per cacher across the homes;
+//     under EU a copy its writer did not yet know of is reached through
+//     the home, at two messages more.
 //
 // The simulator remains the artifact that reproduces the paper's counts;
 // this runtime is the artifact that proves each protocol moves the right
@@ -346,8 +345,7 @@ func New(cfg Config) (*System, error) {
 		s.ring = obs.NewTrafficRing(trafficRingLen)
 		s.stopSampler = s.ring.SampleEvery(time.Second, func() obs.TrafficSample {
 			t := s.tr.Totals()
-			return obs.TrafficSample{Messages: t.Messages, Frames: t.Frames,
-				Batches: t.Batches, Bytes: t.Bytes}
+			return obs.TrafficSample{Messages: t.Messages, Bytes: t.Bytes}
 		})
 	}
 	for _, n := range s.local {

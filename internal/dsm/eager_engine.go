@@ -44,19 +44,23 @@ type eagerEngine struct {
 	// critical section since the last flush wrote the page.
 	pages []*pageCopy
 
-	// EU copy state, each entry under its page's stripe. hints[pg] is the
-	// copies of pg this node knows of — the first ones to join pg's
-	// copyset at its home, this node among them — learned from the home's
-	// ship and acknowledgements; a flush sends them its diff directly.
-	// fetching[pg] is set while a miss of pg awaits the ship, and
-	// parked[pg] holds the diffs that reached the page meanwhile, in
+	// Copy state, each entry under its page's stripe. fetching[pg] is set
+	// while a miss of pg awaits the ship. Under EU hints[pg] is the copies
+	// of pg this node knows of — the first ones to join pg's copyset at its
+	// home, this node among them — learned from the home's ship and
+	// acknowledgements; a flush sends them its diff directly. parked[pg]
+	// holds the diffs that reached the page while it was fetched, in
 	// arrival order, for the install to apply.
-	hints    []uint64
 	fetching []bool
+	hints    []uint64
 	parked   [][]*page.Diff
-	// flying[pg] (EI) is this node's diff of pg while its flush is
-	// unacknowledged, for an install to land again (directory.absorb).
-	flying []*page.Diff
+	// Under EI flying[pg] is this node's diff of pg while its flush is
+	// unacknowledged, for an install to land again (directory.absorb), and
+	// revoked[pg] says an invalidation reached the page while it was
+	// fetched — one naming several pages travels on the first one's shard,
+	// so it can overtake the ship — for the install to leave invalid.
+	flying  []*page.Diff
+	revoked []bool
 
 	// ws is the write set of the critical sections since the last flush
 	// point; each flush drains it.
@@ -81,10 +85,11 @@ func newEagerEngine(n *Node, update bool) *eagerEngine {
 		ws:     newWriteSet(),
 		out:    make([][]wire.DiffRec, n.sys.cfg.Procs),
 	}
+	e.fetching = make([]bool, numPages)
 	if update {
-		e.hints, e.fetching, e.parked = make([]uint64, numPages), make([]bool, numPages), make([][]*page.Diff, numPages)
+		e.hints, e.parked = make([]uint64, numPages), make([][]*page.Diff, numPages)
 	} else {
-		e.flying = make([]*page.Diff, numPages)
+		e.flying, e.revoked = make([]*page.Diff, numPages), make([]bool, numPages)
 	}
 	e.dir = newDirectory(n, e)
 	return e
@@ -132,9 +137,7 @@ func (e *eagerEngine) ensureValid(pg mem.PageID) error {
 	if pc == nil {
 		n.stats.coldMisses.Add(1)
 	}
-	if e.update {
-		e.fetching[pg] = true
-	}
+	e.fetching[pg] = true
 	pmu.Unlock()
 	var start time.Time
 	if n.missHist != nil {
@@ -170,11 +173,11 @@ func (e *eagerEngine) ownLocked(pg mem.PageID) *pageCopy {
 
 // installPage applies a granted page at the requester, on the page's
 // shard worker, in directory order: every invalidation the home sent
-// before this ship has already been applied, and any sent after will be.
-// The data lands as the committed contents, under EI with this node's
-// flying diff on top, under EU followed by the diffs that overtook the
-// ship; a local critical section mid-flight on the stale copy keeps its
-// uncommitted writes on top (pageCopy.land).
+// before this ship has already been applied, and any sent after will be,
+// or was (revoked). The data lands as the committed contents, under EI
+// with this node's flying diff on top, under EU followed by the diffs that
+// overtook the ship; a local critical section mid-flight on the stale copy
+// keeps its uncommitted writes on top (pageCopy.land).
 //
 // Returns false (recording the cause) for a grant that cannot be
 // installed — bad page id or wrong-size data — so the caller fails the
@@ -202,16 +205,19 @@ func (e *eagerEngine) installPage(m *wire.Msg) bool {
 	if err := pc.land(n, m.Data, own); err != nil {
 		panic(fmt.Sprintf("dsm: node %d: installing page %d: %v", n.id, pg, err))
 	}
-	pc.valid = true
+	pc.valid = e.update || !e.revoked[pg]
+	e.fetching[pg] = false
 	n.stats.pagesFetched.Add(1)
-	if e.update {
+	if !e.update {
+		e.revoked[pg] = false
+	} else {
 		for _, d := range e.parked[pg] {
 			if err := e.landLocked(pc, d); err != nil {
 				n.noteErr("update", fmt.Errorf("parked diff for page %d does not apply: %w", pg, err))
 			}
 			d.Release()
 		}
-		e.parked[pg], e.fetching[pg] = nil, false
+		e.parked[pg] = nil
 	}
 	return true
 }
@@ -431,9 +437,11 @@ func (e *eagerEngine) dropPage(pg mem.PageID) {
 	if pc := e.pages[pg]; pc != nil {
 		pc.drop(e.n)
 	}
-	e.pages[pg] = nil
+	e.pages[pg], e.fetching[pg] = nil, false
 	if e.update {
-		e.hints[pg], e.fetching[pg] = 0, false
+		e.hints[pg] = 0
+	} else {
+		e.revoked[pg] = false
 	}
 	pmu.Unlock()
 	e.ws.drop(pg)
@@ -492,12 +500,16 @@ func (e *eagerEngine) committedLocked(pg mem.PageID) ([]byte, bool) {
 	return nil, false
 }
 
-// invalidateLocked invalidates this node's copy (EI). A twin stays, and
-// with it the duty to flush its section's words at its own release: their
-// diff against the stale copy lands on the home's, which holds the rest.
+// invalidateLocked invalidates this node's copy (EI), or the ship of a
+// fetch in flight it overtook (revoked). A twin stays, and with it the
+// duty to flush its section's words at its own release: their diff against
+// the stale copy lands on the home's, which holds the rest.
 func (e *eagerEngine) invalidateLocked(pg mem.PageID) {
 	if pc := e.pages[pg]; pc != nil {
 		pc.valid = false
+	}
+	if e.revoked != nil && e.fetching[pg] {
+		e.revoked[pg] = true
 	}
 }
 

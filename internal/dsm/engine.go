@@ -106,12 +106,13 @@ type engine interface {
 	// handle processes an engine-specific message, returning false if
 	// the kind is not one of the engine's. It runs on the shard worker
 	// serializing the message's page (directory-order installs happen
-	// here) and must not block the worker: work that waits for responses
-	// (SC's directory transactions, an eager home's forwards and
-	// invalidations) is spawned onto its own goroutine. Responses produced inline defer
-	// through Node.stage — the worker's drain point flushes them, so a
-	// queued burst answers in coalesced frames — while spawned
-	// goroutines use Node.send/rpcAll, which flush themselves.
+	// here; an eager update, and an invalidation's pages after its first,
+	// may overtake a ship) and must not block the worker: work that waits
+	// for responses (SC's directory transactions, an eager home's forwards
+	// and invalidations) is spawned onto its own goroutine. Responses
+	// produced inline defer through Node.stage — the worker flushes them
+	// once the handler returns — while spawned goroutines use
+	// Node.send/rpcAll, which flush themselves.
 	handle(m *wire.Msg, src mem.ProcID) bool
 
 	// dropPage surrenders page pg's old home: the engine forgets its

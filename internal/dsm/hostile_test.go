@@ -227,15 +227,6 @@ func decodeScript(b []byte) (steps []step) {
 	return steps
 }
 
-// decodeFrame expands one physical frame into its messages.
-func decodeFrame(b []byte) ([]*wire.Msg, error) {
-	if wire.IsBatch(b) {
-		return wire.DecodeBatch(b)
-	}
-	m, err := wire.Decode(b)
-	return []*wire.Msg{m}, err
-}
-
 // tap is the puppet's endpoint: it keeps every message the puppet gets and
 // carries out the armed swaps.
 type tap struct {
@@ -244,8 +235,6 @@ type tap struct {
 	mu    sync.Mutex
 	swaps []step
 	got   []*wire.Msg // held until the run is closed
-	from  int         // Recv's: the sender of the frames in next,
-	next  [][]byte    // what is left of a frame a swap split
 }
 
 // tapNet is simnet with one endpoint behind a tap, or another wrapper.
@@ -275,66 +264,52 @@ func newTapSys(t testing.TB, cfg Config, pid int) (*System, *tap) {
 }
 
 func (t *tap) Recv() (int, []byte, bool) {
-	for len(t.next) == 0 {
+	for {
 		src, frame, ok := t.Endpoint.Recv()
 		if !ok {
 			return src, frame, ok
 		}
-		next, back := t.pass(true, frame)
-		t.from, t.next = src, next
-		for _, f := range back {
-			t.Endpoint.Send(src, f)
+		stand, swapped := t.pass(true, frame)
+		if !swapped {
+			return src, frame, true
+		}
+		if len(stand) > 0 {
+			t.Endpoint.Send(src, stand)
 		}
 	}
-	f := t.next[0]
-	t.next = t.next[1:]
-	return t.from, f, true
 }
 
 func (t *tap) Send(dst int, frame []byte) error {
-	out, _ := t.pass(false, frame)
-	for _, f := range out {
-		if err := t.Endpoint.Send(dst, f); err != nil {
-			return err
+	if stand, swapped := t.pass(false, frame); swapped {
+		if len(stand) == 0 {
+			return nil
 		}
+		frame = stand
 	}
-	return nil
+	return t.Endpoint.Send(dst, frame)
 }
 
-// pass returns what goes on of a frame the puppet got (in) or sent — the
-// frame, or once a swap took one of its messages, the others one frame
-// each with a sent message's stand-in in its place — and the stand-ins
-// that go back to a got frame's sender.
-func (t *tap) pass(in bool, frame []byte) (out, back [][]byte) {
-	msgs, err := decodeFrame(slices.Clone(frame))
+// pass reports whether a swap takes the message of a frame the puppet got
+// (in) or sent, and returns its stand-in, which goes back to a got
+// frame's sender or on in a sent frame's place; an empty one withholds the
+// message.
+func (t *tap) pass(in bool, frame []byte) (stand []byte, swapped bool) {
+	m, err := wire.Decode(slices.Clone(frame))
 	if err != nil {
-		return [][]byte{frame}, nil
+		return nil, false
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	swapped := false
-	for _, m := range msgs {
-		f, to := m.EncodeAppend(framebuf.Get()), &out
-		if i := slices.IndexFunc(t.swaps, func(s step) bool { return wire.Kind(s.arg) == m.Kind }); i >= 0 {
-			f, swapped = patch(t.swaps[i].frame, m.Seq, t.mode), true
-			t.swaps = slices.Delete(t.swaps, i, i+1)
-			if in {
-				to = &back
-			}
-		}
-		if len(f) > 0 {
-			*to = append(*to, f)
-		}
-		if in {
-			t.got = append(t.got, m)
-		} else {
-			m.Release()
-		}
+	if i := slices.IndexFunc(t.swaps, func(s step) bool { return wire.Kind(s.arg) == m.Kind }); i >= 0 {
+		stand, swapped = patch(t.swaps[i].frame, m.Seq, t.mode), true
+		t.swaps = slices.Delete(t.swaps, i, i+1)
 	}
-	if !swapped {
-		return [][]byte{frame}, nil
+	if in {
+		t.got = append(t.got, m)
+	} else {
+		m.Release()
 	}
-	return out, back
+	return stand, swapped
 }
 
 // received returns the messages of kind k the puppet has got.
@@ -701,7 +676,9 @@ var hostileRows = map[string][]hostileRow{
 	},
 	"TestCorruptTCPFramesSurfaceOnClose": {
 		{name: "garbage", modes: lu, pid: 2, image: true, want: "undecodable frame from 2", script: []step{{opSend, atLocks, 0, slices.Repeat([]byte{0xff}, 24)}}},
-		{name: "lying batch", modes: lu, pid: 2, image: true, want: "undecodable batch frame from 2", script: []step{{opSend, atLocks, 0, append(wire.AppendBatchHeader(nil, 2), 0xde, 0xad, 0xbe, 0xef)}}},
+		// Byte 24 opened a batch frame of several messages, a format since
+		// retired: this one claims two and holds four bytes of garbage.
+		{name: "retired batch byte", modes: lu, pid: 2, image: true, want: "undecodable frame from 2", script: []step{{opSend, atLocks, 0, []byte{24, 2, 0xde, 0xad, 0xbe, 0xef}}}},
 		{name: "retired compressed kind", modes: lu, pid: 2, image: true, want: "unknown message kind 25", script: []step{{opSend, atLocks, 0, []byte{25, 24, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}}}},
 	},
 	"TestHostileSectionsRecordedNotPanic": {
@@ -723,7 +700,8 @@ var hostileRows = map[string][]hostileRow{
 		// EI retired its ownership transaction: a reconciliation is a
 		// response nobody awaits.
 		frameRow("flush reconciliation nobody asked for", ei, "unexpected response seq 424242 kind flushdone", &wire.Msg{Kind: wire.KFlushDone, Seq: 424242, A: 1}),
-		frameRow("invalidation beyond the space", ei, "invalidation", &wire.Msg{Kind: wire.KInval, Seq: 99, A: 1 << 20}),
+		frameRow("invalidation beyond the space", ei, "invalidation", &wire.Msg{Kind: wire.KInval, Seq: 99, Wants: []wire.Want{{Page: 1}, {Page: 1 << 20}}}),
+		frameRow("invalidation naming no page", sc, "names no page", &wire.Msg{Kind: wire.KInval, Seq: 99}),
 		frameRow("response nobody awaits", lu, "response routing", &wire.Msg{Kind: wire.KDiffResp, Seq: 424242}),
 		frameRow("diffs nobody asked for", li, "response routing", &wire.Msg{Kind: wire.KDiffResp, Seq: 424242, Diffs: []wire.DiffRec{rec(1, 2, 0)}}),
 		frameRow("update beyond the space", eu, "update of invalid page", &wire.Msg{Kind: wire.KUpdate, Seq: 99, Diffs: []wire.DiffRec{rec(1<<20, 2, 0)}}),

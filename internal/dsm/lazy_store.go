@@ -400,8 +400,7 @@ func (e *lazyEngine) handleDiffReq(m *wire.Msg, src mem.ProcID) {
 		resp.Diffs = append(resp.Diffs, wire.DiffRec{Page: w.Page, Proc: w.Proc, Index: w.Index, Diff: d})
 	}
 	e.mu.Unlock()
-	// Staged: the shard worker's drain point flushes it, so a burst of
-	// diff requests from one prefetching peer answers in few frames. The
+	// Staged: the shard worker flushes it once this handler returns. The
 	// store may discard the diffs now: stage reads them on serveLocked's
 	// counts.
 	n.stage(src, &resp)

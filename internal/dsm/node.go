@@ -102,12 +102,14 @@ type Stats struct {
 
 	// Outbound traffic as the node's outbox handed it to the transport
 	// (loopback excluded, matching the interconnect's accounting):
-	// SentMsgs logical messages in SentFrames physical frames, of which
-	// SentBatches carried more than one message, SentBytes of encoded
-	// payload in total. SentMsgs - SentFrames is the fixed per-message
-	// network cost the outbox's coalescing saved this node.
-	SentMsgs    int64
-	SentFrames  int64
+	// SentMsgs messages, each one frame, SentBytes of encoded payload in
+	// total.
+	SentMsgs int64
+	// SentFrames equals SentMsgs. Kept for bench/lrcbench; ROADMAP item 1
+	// removes it.
+	SentFrames int64
+	// SentBatches is always 0. Kept for bench/lrcbench; ROADMAP item 1
+	// removes it.
 	SentBatches int64
 	SentBytes   int64
 	// KindMsgs and KindBytes break the outbound traffic down by wire
@@ -150,12 +152,10 @@ type nodeStats struct {
 	ownershipMoves   atomic.Int64
 	pageMigrations   atomic.Int64
 
-	sentMsgs    atomic.Int64
-	sentFrames  atomic.Int64
-	sentBatches atomic.Int64
-	sentBytes   atomic.Int64
-	kindMsgs    [wire.NumKinds]atomic.Int64
-	kindBytes   [wire.NumKinds]atomic.Int64
+	sentMsgs  atomic.Int64
+	sentBytes atomic.Int64
+	kindMsgs  [wire.NumKinds]atomic.Int64
+	kindBytes [wire.NumKinds]atomic.Int64
 }
 
 // countSent ticks the per-kind and total outbound counters for one
@@ -192,10 +192,9 @@ func (s *nodeStats) snapshot() Stats {
 		OwnershipMoves:   s.ownershipMoves.Load(),
 		PageMigrations:   s.pageMigrations.Load(),
 		SentMsgs:         s.sentMsgs.Load(),
-		SentFrames:       s.sentFrames.Load(),
-		SentBatches:      s.sentBatches.Load(),
 		SentBytes:        s.sentBytes.Load(),
 	}
+	st.SentFrames = st.SentMsgs
 	_, st.TwinPoolMisses = page.PoolStats()
 	for k := range s.kindMsgs {
 		st.KindMsgs[k] = s.kindMsgs[k].Load()
@@ -229,7 +228,7 @@ type barEpisode struct {
 	err     error
 }
 
-// inFrame is one decoded incoming frame queued for a handler worker.
+// inFrame is one decoded incoming message queued for a handler worker.
 type inFrame struct {
 	m   *wire.Msg
 	src mem.ProcID
@@ -249,9 +248,9 @@ type Node struct {
 	// homes is the page→home table (placement.go).
 	homes homeTable
 	// out is the unified outbound pipeline: every protocol send stages
-	// through it, and flush points (immediate sends, grouped rpcAll
-	// flushes, worker drain transitions) coalesce same-destination
-	// messages into batch frames. See outbox.
+	// through it, encoded, until a flush point (an immediate send, a
+	// grouped rpcAll, a shard worker done with a message) sends it. See
+	// outbox.
 	out *outbox
 
 	// pageMu is the striped page-state lock table: pageLock(pg) guards
@@ -699,9 +698,8 @@ func (n *Node) send(dst mem.ProcID, m *wire.Msg) error {
 }
 
 // stage defers m on the outbox without a flush. Only shard-worker
-// inline handlers may use it: the worker's end-of-dispatch drain is the
-// guaranteed flush point, so under load a burst of responses to one
-// peer leaves as one batch frame, and at idle the flush is immediate.
+// inline handlers may use it: the worker flushes after each message it
+// processes, so what a handler stages leaves as soon as it returns.
 func (n *Node) stage(dst mem.ProcID, m *wire.Msg) {
 	n.out.stage(dst, m)
 }
@@ -732,13 +730,12 @@ type outMsg struct {
 }
 
 // rpcAll issues a group of requests as one staged burst — every request
-// is staged before any flush, so requests to the same destination
-// coalesce into one batch frame — then blocks for all responses, which it
-// appends to resps in request order (the caller holds them). On a flush
-// error the requests of the destinations that failed are withdrawn (a
-// failed stream sends nothing) and the first error is returned after the
-// surviving destinations' responses arrived and were released, so no
-// response is ever orphaned. With metrics configured, each awaited
+// is staged, and its waiter registered, before any flush — then blocks
+// for all responses, which it appends to resps in request order (the
+// caller holds them). On a flush error the requests of the destinations
+// that failed are withdrawn (a failed stream sends nothing) and the first
+// error is returned after the surviving destinations' responses arrived
+// and were released, so no response is ever orphaned. With metrics configured, each awaited
 // request's wait, from the group's first staging to its response, is one
 // rpcHist observation.
 func (n *Node) rpcAll(reqs []outMsg, resps []*wire.Msg) ([]*wire.Msg, error) {
@@ -871,77 +868,59 @@ func dispatchKey(m *wire.Msg) uint32 {
 		return uint32(m.A)*2 + 1
 	case wire.KDiffReq, wire.KDiffResp, wire.KUpdate, wire.KUpdateAck:
 		return uint32(m.Seq)
+	case wire.KInval:
+		// The first page's: an invalidation naming several (EI) may overtake
+		// a later page's ship, which the engine sees to.
+		if len(m.Wants) > 0 {
+			return uint32(m.Wants[0].Page) * 2
+		}
+		return 0
 	default:
 		return uint32(m.A) * 2
 	}
 }
 
-// dispatchLoop receives frames until the transport closes, decoding and
-// fanning them out to the worker pool. A batch frame is unpacked and
-// its messages dispatched in order, so the per-page shard FIFO the
-// directory invariants rely on is exactly the sender's staging order.
-// Decoded messages are recycled shells whose diffs borrow the frame
-// (internal/wire's Ownership section); attachFrame ties the frame's
-// lifetime to theirs. Barrier arrivals and the collective-exchange
-// responses are handled inline (they only park on rendezvous channels or
-// wake rpc waiters).
+// dispatchLoop receives frames until the transport closes, decoding each
+// into its one message and fanning them out to the worker pool in arrival
+// order, so the per-page shard FIFO the directory invariants rely on is
+// exactly the sender's staging order. A decoded message is a recycled
+// shell whose diffs borrow the frame (internal/wire's Ownership section);
+// attachFrame ties the frame's lifetime to its. Barrier arrivals and the
+// collective-exchange responses are handled inline (they only park on
+// rendezvous channels or wake rpc waiters).
 //
 // A frame that fails to decode came off the wire from a remote peer,
 // so it is not a local invariant violation: the error is recorded for
 // System.Close and the frame dropped, rather than letting one corrupt
 // or hostile peer panic the node.
 func (n *Node) dispatchLoop() {
-	var batch []*wire.Msg // reused from frame to frame
 	for {
 		src, payload, ok := n.ep.Recv()
 		if !ok {
 			n.shutdown()
 			return
 		}
-		var err error
-		what := "frame"
-		if wire.IsBatch(payload) {
-			what = "batch frame"
-			batch, err = wire.DecodeBatchAppend(batch[:0], payload)
-		} else {
-			var m *wire.Msg
-			if m, err = wire.Decode(payload); err == nil {
-				batch = append(batch[:0], m)
-			}
-		}
+		m, err := wire.Decode(payload)
 		if err != nil {
 			framebuf.Put(payload)
-			n.noteErr("inbound frame", fmt.Errorf("undecodable %s from %d: %w", what, src, err))
+			n.noteErr("inbound frame", fmt.Errorf("undecodable frame from %d: %w", src, err))
 			continue
 		}
-		attachFrame(payload, batch...)
-		for _, m := range batch {
-			n.dispatchMsg(m, mem.ProcID(src))
-		}
+		attachFrame(payload, m)
+		n.dispatchMsg(m, mem.ProcID(src))
 	}
 }
 
-// attachFrame settles the lifetime of a received frame once its messages
-// are decoded: recycled at once when none of them borrows it, otherwise
-// shared by the borrowers through one counted reference (Msg.Frame),
-// which each of them drops when its last holder releases it.
-func attachFrame(payload []byte, msgs ...*wire.Msg) {
-	borrowers := 0
-	for _, m := range msgs {
-		if m.HasDiffs() {
-			borrowers++
-		}
-	}
-	if borrowers == 0 {
+// attachFrame settles the lifetime of a received frame once its message
+// is decoded: recycled at once when the message does not borrow it,
+// otherwise held by one counted reference (Msg.Frame), which the message
+// drops when its last holder releases it.
+func attachFrame(payload []byte, m *wire.Msg) {
+	if !m.HasDiffs() {
 		framebuf.Put(payload)
 		return
 	}
-	ref := framebuf.NewRef(payload, borrowers)
-	for _, m := range msgs {
-		if m.HasDiffs() {
-			m.Frame = ref
-		}
-	}
+	m.Frame = framebuf.NewRef(payload, 1)
 }
 
 // dispatchMsg routes one decoded message: rendezvous kinds inline — the
@@ -965,10 +944,6 @@ func (n *Node) dispatchMsg(m *wire.Msg, src mem.ProcID) {
 		n.deliverResponse(m)
 		m.Release()
 	default:
-		// Count the frame against its source's collector gate before it
-		// can be processed, so the burst's replies flush as one frame when
-		// the last of them completes (see outbox.noteDispatched).
-		n.out.noteDispatched(src)
 		n.queues[dispatchKey(m)%handlerWorkers] <- inFrame{m: m, src: src}
 	}
 }
@@ -1000,42 +975,23 @@ func (n *Node) checkSender(m *wire.Msg, src mem.ProcID) error {
 	return nil
 }
 
-// worker drains one serialized frame queue. The queue-empty transition
-// is the worker's outbox flush point: responses its handlers staged
-// while a burst of frames was queued leave together — coalesced per
-// destination — and at idle every frame's responses flush before the
-// worker blocks again, so deferral never delays a response the sender
-// is waiting on. The worker lets go of a message as soon as its handler
-// returns: what the handler staged is encoded already, and a handler
-// that hands its message on — to an rpc waiter, to a serving goroutine,
-// to a lock's pending slot — retained it for the new holder first.
+// worker drains one serialized message queue, flushing the outbox after
+// each message, so what its handler staged leaves before the next is
+// processed and deferral never delays a response the sender is waiting
+// on. The worker lets go of a message as soon as its handler returns:
+// what the handler staged is encoded already, and a handler that hands
+// its message on — to an rpc waiter, to a serving goroutine, to a lock's
+// pending slot — retained it for the new holder first.
 func (n *Node) worker(q chan inFrame) {
 	defer n.workerWG.Done()
-	process := func(f inFrame) {
+	for f := range q {
 		n.process(f.m, f.src)
 		f.m.Release()
-		n.out.noteCompleted(f.src)
-	}
-	flush := func() { n.noteErr("outbox flush", n.out.flushAll()) }
-	for f := range q {
-		process(f)
-		for drained := false; !drained; {
-			select {
-			case f2, ok := <-q:
-				if !ok {
-					flush()
-					return
-				}
-				process(f2)
-			default:
-				drained = true
-			}
-		}
-		flush()
+		n.noteErr("outbox flush", n.out.flushAll())
 	}
 }
 
-// process handles one dispatched frame on its shard worker.
+// process handles one dispatched message on its shard worker.
 func (n *Node) process(m *wire.Msg, src mem.ProcID) {
 	switch {
 	case n.e.handle(m, src):

@@ -75,8 +75,6 @@ func (s *System) registerMetrics(r *obs.Registry) {
 
 	counter(sys("dsm_net_messages_total"), "logical messages sent by this instance's endpoints",
 		func() int64 { return s.tr.Totals().Messages })
-	counter(sys("dsm_net_frames_total"), "physical frames sent", func() int64 { return s.tr.Totals().Frames })
-	counter(sys("dsm_net_batches_total"), "multi-message batch frames sent", func() int64 { return s.tr.Totals().Batches })
 	counter(sys("dsm_net_bytes_total"), "wire bytes sent", func() int64 { return s.tr.Totals().Bytes })
 	counter(sys("dsm_twin_pool_misses_total"), "page-pool buffers allocated rather than recycled (process-wide)",
 		func() int64 { _, misses := page.PoolStats(); return misses })
@@ -111,8 +109,6 @@ func (s *System) registerMetrics(r *obs.Registry) {
 		nodeCounter("dsm_node_ownership_moves_total", "directory ownership transfers", n.stats.ownershipMoves.Load)
 		nodeCounter("dsm_node_page_migrations_total", "pages re-homed to this node", n.stats.pageMigrations.Load)
 		nodeCounter("dsm_node_sent_msgs_total", "outbound logical messages", n.stats.sentMsgs.Load)
-		nodeCounter("dsm_node_sent_frames_total", "outbound physical frames", n.stats.sentFrames.Load)
-		nodeCounter("dsm_node_sent_batches_total", "outbound batch frames", n.stats.sentBatches.Load)
 		nodeCounter("dsm_node_sent_bytes_total", "outbound payload bytes", n.stats.sentBytes.Load)
 		for k := wire.Kind(1); int(k) < wire.NumKinds; k++ {
 			if !k.Known() {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	stdnet "net"
 	"testing"
 
 	"repro/internal/framebuf"
@@ -65,33 +64,35 @@ func runEagerMultiPageFlush(t *testing.T, mode Mode) (flusher, homeBefore, home 
 	return flusher, homeBefore, home, net
 }
 
-// TestOutboxBatchesFlushBurst: an eager release that dirtied four pages
-// with one home, each cached at a third node. Under EI the flusher sends
-// the home one merged update, and the home invalidates the third node's
-// four copies: four invalidations, which leave as one batch frame — four
-// messages, one frame — and the home's outbox counters agree with the
-// interconnect's. Under EU the flusher sends one merged update to the home
-// and one to the third node.
+// TestOutboxBatchesFlushBurst: a release that dirtied four pages with one
+// home, each cached at a third node, leaves as one message per destination,
+// each its own frame.
+//
+// EI: the flusher sends the home one merged update, and the home
+// invalidates the third node's four copies in one invalidation naming all
+// four, then acknowledges: two messages, two frames, and the home's outbox
+// counters agree with the interconnect's.
+//
+// EU: the flusher sends one merged update to the home and one to the third
+// node, and no flush request.
 func TestOutboxBatchesFlushBurst(t *testing.T) {
 	t.Run("EI", func(t *testing.T) {
 		flusher, before, home, net := runEagerMultiPageFlush(t, EagerInvalidate)
 		if got := flusher.KindMsgs[wire.KUpdate]; got != 1 {
 			t.Errorf("flusher sent %d updates, want one merged update", got)
 		}
-		if got := home.KindMsgs[wire.KInval] - before.KindMsgs[wire.KInval]; got != 4 {
-			t.Errorf("the home sent %d invalidations, want 4", got)
+		if got := home.KindMsgs[wire.KInval] - before.KindMsgs[wire.KInval]; got != 1 {
+			t.Errorf("the home sent %d invalidations, want one naming the copy's four pages", got)
 		}
-		// The four invalidations in one batch frame, the acknowledgement in
-		// a frame of its own.
+		if got := home.KindMsgs[wire.KUpdateAck] - before.KindMsgs[wire.KUpdateAck]; got != 1 {
+			t.Errorf("the home sent %d update acknowledgements, want 1", got)
+		}
 		msgs, frames, batches := home.SentMsgs-before.SentMsgs, home.SentFrames-before.SentFrames, home.SentBatches-before.SentBatches
-		if msgs != 5 || frames != 2 || batches != 1 {
-			t.Errorf("the home's release traffic: %d msgs in %d frames, %d batches; want 5 in 2, one batch", msgs, frames, batches)
+		if msgs != 2 || frames != 2 || batches != 0 {
+			t.Errorf("the home's release traffic: %d msgs in %d frames, %d batches; want 2 in 2, none", msgs, frames, batches)
 		}
-		if net.Frames >= net.Messages {
-			t.Errorf("interconnect saw %d messages in %d frames — expected fewer frames", net.Messages, net.Frames)
-		}
-		if net.Batches == 0 {
-			t.Error("interconnect counted no batch frames")
+		if net.Frames != net.Messages || net.Batches != 0 {
+			t.Errorf("interconnect saw %d messages in %d frames, %d batches; want a frame per message", net.Messages, net.Frames, net.Batches)
 		}
 		// Per-kind byte accounting sums to the total outbound bytes.
 		var kindTotal int64
@@ -123,13 +124,15 @@ func TestOutboxPreservesFIFO(t *testing.T) {
 	a, b := raw.Endpoint(0), raw.Endpoint(1)
 	o := &outbox{n: &Node{id: 0, ep: a}, dsts: make([]outDest, 2)}
 
-	mk := func(seq uint64) *wire.Msg { return &wire.Msg{Kind: wire.KInval, Seq: seq, A: 1} }
+	mk := func(seq uint64) *wire.Msg {
+		return &wire.Msg{Kind: wire.KInval, Seq: seq, Wants: []wire.Want{{Page: 1}}}
+	}
 	o.stage(1, mk(1))
 	o.stage(1, mk(2))
-	if err := o.send(1, mk(3)); err != nil { // flushes 1,2,3 as one batch
+	if err := o.send(1, mk(3)); err != nil { // flushes 1, 2 and 3
 		t.Fatal(err)
 	}
-	if err := o.send(1, mk(4)); err != nil { // plain frame
+	if err := o.send(1, mk(4)); err != nil {
 		t.Fatal(err)
 	}
 	var seqs []uint64
@@ -138,21 +141,12 @@ func TestOutboxPreservesFIFO(t *testing.T) {
 		if !ok {
 			t.Fatal("raw recv failed")
 		}
-		if wire.IsBatch(payload) {
-			msgs, err := wire.DecodeBatch(payload)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, m := range msgs {
-				seqs = append(seqs, m.Seq)
-			}
-		} else {
-			m, err := wire.Decode(payload)
-			if err != nil {
-				t.Fatal(err)
-			}
-			seqs = append(seqs, m.Seq)
+		m, err := wire.Decode(payload)
+		if err != nil {
+			t.Fatal(err)
 		}
+		seqs = append(seqs, m.Seq)
+		m.Release()
 	}
 	for i, seq := range seqs {
 		if seq != uint64(i+1) {
@@ -160,8 +154,8 @@ func TestOutboxPreservesFIFO(t *testing.T) {
 		}
 	}
 	tot := raw.Totals()
-	if tot.Messages != 4 || tot.Frames != 2 || tot.Batches != 1 {
-		t.Errorf("raw totals = %+v, want 4 msgs in 2 frames (1 batch)", tot)
+	if tot.Messages != 4 || tot.Frames != 4 || tot.Batches != 0 {
+		t.Errorf("raw totals = %+v, want 4 msgs in 4 frames", tot)
 	}
 }
 
@@ -174,7 +168,7 @@ func (f *failEndpoint) Recv() (int, []byte, bool) { return 0, nil, false }
 
 // TestOutboxStickyFlushError: a send failure must reach whoever staged
 // for the destination, not just whoever happened to flush it. A shard
-// worker's drain-point flushAll can race into the window between an
+// worker's flushAll can race into the window between an
 // rpc's stage and its own flush; if the worker's flush eats the error,
 // the requester's empty-queue flush must still return the
 // destination's sticky failure — otherwise the requester parks in
@@ -200,24 +194,25 @@ func TestOutboxStickyFlushError(t *testing.T) {
 	}
 }
 
-// captureEndpoint keeps the bytes of the last frame it was handed and
-// recycles the buffer, like a receiver that has consumed it.
-type captureEndpoint struct{ got []byte }
+// captureEndpoint appends the bytes of every frame it is handed to got,
+// counts the frames, and recycles each buffer, like a receiver that has
+// consumed it.
+type captureEndpoint struct {
+	got    []byte
+	frames int
+}
 
 func (c *captureEndpoint) ID() int                   { return 0 }
 func (c *captureEndpoint) Recv() (int, []byte, bool) { return 0, nil, false }
 func (c *captureEndpoint) Send(_ int, payload []byte) error {
-	c.got = append(c.got[:0], payload...)
+	c.got = append(c.got, payload...)
 	framebuf.Put(payload)
+	c.frames++
 	return nil
 }
-func (c *captureEndpoint) SendBatch(_ int, frames stdnet.Buffers) error {
-	c.got = c.got[:0]
-	for _, f := range frames {
-		c.got = append(c.got, f...)
-	}
-	return nil
-}
+
+// reset forgets what the endpoint was handed.
+func (c *captureEndpoint) reset() { c.got, c.frames = c.got[:0], 0 }
 
 // stageGrant is a lock grant as a releaser sends it: a 4-entry clock and
 // one interval record.
@@ -229,45 +224,41 @@ func stageGrant(seq uint64) *wire.Msg {
 }
 
 // TestStageEncodesAtStage: staging is encoding. What a flush sends is,
-// byte for byte, the plain encoding of a lone staged message and the batch
-// frame of several — the wire format did not move when the encoder did —
+// byte for byte, the plain encoding of each staged message, a frame each
+// in staging order — the wire format did not move when the encoder did —
 // and the message is the caller's again when stage returns (mutating it
 // afterwards changes nothing).
 func TestStageEncodesAtStage(t *testing.T) {
 	ep := &captureEndpoint{}
 	o := &outbox{n: &Node{id: 0, ep: ep}, dsts: make([]outDest, 2)}
 	for _, count := range []int{1, 3} {
+		ep.reset()
 		var want []byte
-		if count > 1 {
-			want = wire.AppendBatchHeader(want, count)
-		}
 		for i := 0; i < count; i++ {
 			m := stageGrant(uint64(100 + i))
-			if count == 1 {
-				want = m.EncodeAppend(want)
-			} else {
-				want, _ = wire.AppendBatched(want, m)
-			}
+			want = m.EncodeAppend(want)
 			o.stage(1, m)
 			m.Seq, m.VC[0], m.Intervals[0].Pages[0] = 0, -1, 77 // dead to the outbox
 		}
 		if err := o.flushDst(1); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(ep.got, want) {
-			t.Errorf("%d staged: flushed frame\n%x\nwant\n%x", count, ep.got, want)
+		if ep.frames != count || !bytes.Equal(ep.got, want) {
+			t.Errorf("%d staged: flushed %d frames\n%x\nwant %d\n%x", count, ep.frames, ep.got, count, want)
 		}
 	}
 }
 
 // TestStageFlushAllocatesNothingGate: staging and flushing one message,
-// or a batch of three, allocates nothing once the frame free list is warm.
+// or three, allocates nothing once the frame free list is warm.
 func TestStageFlushAllocatesNothingGate(t *testing.T) {
 	testenv.SkipAllocGate(t)
-	o := &outbox{n: &Node{id: 0, ep: &captureEndpoint{}}, dsts: make([]outDest, 2)}
+	ep := &captureEndpoint{}
+	o := &outbox{n: &Node{id: 0, ep: ep}, dsts: make([]outDest, 2)}
 	for _, count := range []int{1, 3} {
 		msgs := []*wire.Msg{stageGrant(1), stageGrant(2), stageGrant(3)}[:count]
 		if allocs := testing.AllocsPerRun(200, func() {
+			ep.reset()
 			for _, m := range msgs {
 				o.stage(1, m)
 			}
@@ -282,14 +273,16 @@ func TestStageFlushAllocatesNothingGate(t *testing.T) {
 
 // BenchmarkWireStageFlush is the outbox's half of the message path, next
 // to internal/wire's codec benches: one grant staged and flushed, and
-// three staged and flushed as a batch.
+// three staged and flushed, a frame each.
 func BenchmarkWireStageFlush(b *testing.B) {
 	for _, count := range []int{1, 3} {
 		b.Run(fmt.Sprintf("msgs=%d", count), func(b *testing.B) {
-			o := &outbox{n: &Node{id: 0, ep: &captureEndpoint{}}, dsts: make([]outDest, 2)}
+			ep := &captureEndpoint{}
+			o := &outbox{n: &Node{id: 0, ep: ep}, dsts: make([]outDest, 2)}
 			msgs := []*wire.Msg{stageGrant(1), stageGrant(2), stageGrant(3)}[:count]
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
+				ep.reset()
 				for _, m := range msgs {
 					o.stage(1, m)
 				}

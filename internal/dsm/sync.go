@@ -479,8 +479,7 @@ func (n *Node) rendezvous(b mem.BarrierID, what string) error {
 // --- handler-side lock processing ---
 
 // handleLockReq runs on the lock's shard worker: its sends are staged
-// on the outbox and leave at the worker's drain point, so a burst of
-// lock traffic through this manager coalesces per destination.
+// on the outbox and leave when the worker flushes after the request.
 func (n *Node) handleLockReq(m *wire.Msg) {
 	l := mem.LockID(m.A)
 	requester := mem.ProcID(m.B) // its sender (checkSender)

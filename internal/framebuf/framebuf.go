@@ -10,7 +10,7 @@ package framebuf
 import "sync/atomic"
 
 // maxPooled caps the capacity of buffers the list retains: a frame that
-// grew to carry an unusually large batch of page-sized diffs must not
+// grew to carry an unusually large message of page-sized diffs must not
 // pin that memory for the process lifetime.
 const maxPooled = 1 << 20
 

@@ -6,23 +6,16 @@ import (
 )
 
 // TrafficSample is one interval's interconnect traffic delta: how many
-// logical messages, physical frames, batch frames and wire bytes moved
-// during the sampling interval ending at Unix.
+// messages and wire bytes moved during the sampling interval ending at
+// Unix.
 type TrafficSample struct {
 	Unix     int64 `json:"unix"`
 	Messages int64 `json:"messages"`
-	Frames   int64 `json:"frames"`
-	Batches  int64 `json:"batches"`
 	Bytes    int64 `json:"bytes"`
 }
 
 func (a TrafficSample) sub(b TrafficSample) TrafficSample {
-	return TrafficSample{
-		Messages: a.Messages - b.Messages,
-		Frames:   a.Frames - b.Frames,
-		Batches:  a.Batches - b.Batches,
-		Bytes:    a.Bytes - b.Bytes,
-	}
+	return TrafficSample{Messages: a.Messages - b.Messages, Bytes: a.Bytes - b.Bytes}
 }
 
 // TrafficRing keeps the most recent traffic samples in a fixed ring:

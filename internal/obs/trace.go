@@ -16,7 +16,7 @@ type Event struct {
 	NS   int64  // nanoseconds since the tracer started
 	Node int32  // processor id (Chrome renders it as the pid lane)
 	Cat  string // e.g. "sync", "recv", "send", "place"
-	Name string // e.g. "cs-enter", "lockgrant", "frame"
+	Name string // e.g. "cs-enter", "lockgrant", "migrate"
 	Arg  int64
 }
 

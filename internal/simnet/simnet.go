@@ -9,7 +9,6 @@ package simnet
 
 import (
 	"fmt"
-	stdnet "net"
 	"sync"
 	"sync/atomic"
 
@@ -34,15 +33,11 @@ type Network struct {
 	n      int
 	queues []chan frame
 
-	msgs    atomic.Int64
-	frames  atomic.Int64
-	batches atomic.Int64
-	bytes   atomic.Int64
+	msgs  atomic.Int64
+	bytes atomic.Int64
 	// per-endpoint sent counters
-	sentMsgs    []atomic.Int64
-	sentFrames  []atomic.Int64
-	sentBatches []atomic.Int64
-	sentBytes   []atomic.Int64
+	sentMsgs  []atomic.Int64
+	sentBytes []atomic.Int64
 
 	closeOnce sync.Once
 	closed    chan struct{}
@@ -67,13 +62,11 @@ func New(n int, opts ...Option) *Network {
 		panic(fmt.Sprintf("simnet: endpoint count %d must be positive", n))
 	}
 	net := &Network{
-		n:           n,
-		queues:      make([]chan frame, n),
-		sentMsgs:    make([]atomic.Int64, n),
-		sentFrames:  make([]atomic.Int64, n),
-		sentBatches: make([]atomic.Int64, n),
-		sentBytes:   make([]atomic.Int64, n),
-		closed:      make(chan struct{}),
+		n:         n,
+		queues:    make([]chan frame, n),
+		sentMsgs:  make([]atomic.Int64, n),
+		sentBytes: make([]atomic.Int64, n),
+		closed:    make(chan struct{}),
 	}
 	for i := range net.queues {
 		net.queues[i] = make(chan frame, 4096)
@@ -113,27 +106,16 @@ func (net *Network) Close() error {
 }
 
 // Totals returns the global traffic counters.
-func (net *Network) Totals() Stats {
-	bytes := net.bytes.Load()
-	return Stats{
-		Messages: net.msgs.Load(),
-		Frames:   net.frames.Load(),
-		Batches:  net.batches.Load(),
-		Bytes:    bytes,
-		RawBytes: bytes,
-	}
-}
+func (net *Network) Totals() Stats { return stats(net.msgs.Load(), net.bytes.Load()) }
 
 // SentBy returns endpoint i's send counters.
 func (net *Network) SentBy(i int) Stats {
-	bytes := net.sentBytes[i].Load()
-	return Stats{
-		Messages: net.sentMsgs[i].Load(),
-		Frames:   net.sentFrames[i].Load(),
-		Batches:  net.sentBatches[i].Load(),
-		Bytes:    bytes,
-		RawBytes: bytes,
-	}
+	return stats(net.sentMsgs[i].Load(), net.sentBytes[i].Load())
+}
+
+// stats fills the fields bench/lrcbench still reads from the two counters.
+func stats(msgs, bytes int64) Stats {
+	return Stats{Messages: msgs, Frames: msgs, Bytes: bytes, RawBytes: bytes}
 }
 
 // Endpoint is one node's attachment to the network.
@@ -161,10 +143,8 @@ func (e *Endpoint) Send(dst int, payload []byte) error {
 	}
 	if dst != e.id {
 		e.net.msgs.Add(1)
-		e.net.frames.Add(1)
 		e.net.bytes.Add(int64(len(payload)))
 		e.net.sentMsgs[e.id].Add(1)
-		e.net.sentFrames[e.id].Add(1)
 		e.net.sentBytes[e.id].Add(int64(len(payload)))
 	}
 	select {
@@ -174,47 +154,6 @@ func (e *Endpoint) Send(dst int, payload []byte) error {
 		return ErrClosed
 	}
 }
-
-// SendBatch delivers a batch — frames[0] the caller's batch header, each
-// later element one logical message — to dst as ONE network hop: the
-// concatenation arrives as a single Recv payload, and the traffic
-// counters record len(frames)-1 messages in one frame (the frame buffers
-// are borrowed; the delivered payload is a copy, in a buffer from the
-// free list the receiver returns it to).
-func (e *Endpoint) SendBatch(dst int, frames stdnet.Buffers) error {
-	if dst < 0 || dst >= e.net.n {
-		return fmt.Errorf("simnet: destination %d outside [0,%d)", dst, e.net.n)
-	}
-	if len(frames) < 2 {
-		return fmt.Errorf("simnet: batch of %d buffers (need header plus messages)", len(frames))
-	}
-	select {
-	case <-e.net.closed:
-		return ErrClosed
-	default:
-	}
-	payload := transport.Concat(frames)
-	total := len(payload)
-	if dst != e.id {
-		msgs := int64(len(frames) - 1)
-		e.net.msgs.Add(msgs)
-		e.net.frames.Add(1)
-		e.net.batches.Add(1)
-		e.net.bytes.Add(int64(total))
-		e.net.sentMsgs[e.id].Add(msgs)
-		e.net.sentFrames[e.id].Add(1)
-		e.net.sentBatches[e.id].Add(1)
-		e.net.sentBytes[e.id].Add(int64(total))
-	}
-	select {
-	case e.net.queues[dst] <- frame{src: e.id, payload: payload}:
-		return nil
-	case <-e.net.closed:
-		return ErrClosed
-	}
-}
-
-var _ transport.BatchSender = (*Endpoint)(nil)
 
 // Recv blocks until a payload arrives for this endpoint or the network
 // closes (ok=false).

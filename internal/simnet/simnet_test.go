@@ -200,49 +200,3 @@ func TestBadEndpointPanics(t *testing.T) {
 	}()
 	net.Endpoint(9)
 }
-
-// TestBatchedDeliveryOneHop pins the batched latency model: a batch of k
-// messages is delivered as ONE network hop — one Recv payload (the
-// concatenation), counted as k messages in one frame — so the latency
-// model charges one fixed per-frame cost plus the byte cost, not k
-// per-frame costs. This is where the paper's message-count savings
-// become simulated wall-clock savings.
-func TestBatchedDeliveryOneHop(t *testing.T) {
-	net := New(2)
-	defer net.Close()
-	a, b := net.Endpoint(0), net.Endpoint(1)
-	bs, ok := a.(transport.BatchSender)
-	if !ok {
-		t.Fatal("simnet endpoint does not implement BatchSender")
-	}
-	hdr := []byte("batchhdr")
-	m1 := make([]byte, 100)
-	m2 := make([]byte, 200)
-	m3 := make([]byte, 724)
-	if err := bs.SendBatch(1, [][]byte{hdr, m1, m2, m3}); err != nil {
-		t.Fatal(err)
-	}
-	src, payload, ok := b.Recv()
-	if !ok || src != 0 {
-		t.Fatalf("Recv = src %d ok %v", src, ok)
-	}
-	if len(payload) != len(hdr)+1024 {
-		t.Fatalf("batch delivered as %d bytes, want %d (one concatenated hop)", len(payload), len(hdr)+1024)
-	}
-	tot := net.Totals()
-	want := transport.Stats{Messages: 3, Frames: 1, Batches: 1, Bytes: int64(len(hdr)) + 1024, RawBytes: int64(len(hdr)) + 1024}
-	if tot != want {
-		t.Fatalf("totals = %+v, want %+v", tot, want)
-	}
-
-	// A loopback batch moves no counters, like loopback sends.
-	if err := bs.SendBatch(0, [][]byte{hdr, m1}); err != nil {
-		t.Fatal(err)
-	}
-	if tot2 := net.Totals(); tot2 != want {
-		t.Fatalf("loopback batch counted traffic: %+v", tot2)
-	}
-	if _, payload, ok := a.Recv(); !ok || len(payload) != len(hdr)+100 {
-		t.Fatalf("loopback batch payload = %d bytes ok=%v", len(payload), ok)
-	}
-}

@@ -1,19 +1,20 @@
 // Package fault is a chaos decorator over any transport.Transport: it
-// deterministically (seeded) drops, delays and duplicates frames,
+// deterministically (seeded) drops, delays and duplicates messages,
 // partitions the cluster, and can fail-stop-kill an endpoint after a
-// chosen number of sent frames — so the runtime's liveness and error
+// chosen number of sent messages — so the runtime's liveness and error
 // reporting under network faults and peer death can be tested against
-// both interconnects without touching either.
+// both interconnects without touching either. Every payload is one
+// message, so each fault is rolled once per message.
 //
 // All faults are applied on the send side, which keeps the transport
-// contract's per-sender FIFO ordering trivially intact: a delayed frame
-// delays everything behind it (like a slow link), a dropped frame
-// simply never enters the stream, and a duplicated frame is sent twice
+// contract's per-sender FIFO ordering trivially intact: a delayed message
+// delays everything behind it (like a slow link), a dropped message
+// simply never enters the stream, and a duplicated message is sent twice
 // back to back. Loopback sends (dst == self) are never faulted — the
 // runtime treats them as free local operations, not network traffic.
 //
 // Kill semantics are fail-stop: once the configured endpoint has sent
-// its N-th frame, its sends fail with ErrKilled (which wraps
+// its N-th message, its sends fail with ErrKilled (which wraps
 // transport.ErrClosed, so the dying node treats its own demise as a
 // shutdown, not a protocol fault), its Recv unblocks and reports
 // closure, and — when the inner transport serves only that endpoint,
@@ -29,7 +30,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	stdnet "net"
 	"strconv"
 	"strings"
 	"sync"
@@ -55,21 +55,21 @@ type Plan struct {
 	// Seed makes the probabilistic faults (Drop, Dup) deterministic;
 	// each endpoint derives its own stream from Seed and its id.
 	Seed int64
-	// Drop is the probability in [0,1) that a frame is silently dropped.
+	// Drop is the probability in [0,1) that a message is silently dropped.
 	Drop float64
-	// Dup is the probability in [0,1) that a frame is delivered twice.
+	// Dup is the probability in [0,1) that a message is delivered twice.
 	Dup float64
 	// Delay stalls every send by this long (plus up to Jitter, seeded),
 	// modeling a slow link; FIFO order is preserved.
 	Delay  time.Duration
 	Jitter time.Duration
 	// PartA/PartB split the cluster into endpoints [0,PartA) and
-	// [PartA,PartA+PartB): frames crossing the two groups are silently
+	// [PartA,PartA+PartB): messages crossing the two groups are silently
 	// dropped. Both zero disables; endpoints beyond the groups are
 	// unaffected.
 	PartA, PartB int
 	// KillPeer fail-stop-kills that endpoint as it attempts its
-	// KillAfter-th remote frame. The kill is active only when
+	// KillAfter-th remote message. The kill is active only when
 	// KillAfter >= 1, so the zero Plan injects nothing.
 	KillPeer  int
 	KillAfter int64
@@ -178,10 +178,9 @@ func parseProb(v string) (float64, error) {
 }
 
 // Transport decorates an inner transport with the plan's faults. It
-// implements transport.Transport; its endpoints implement BatchSender
-// by delegation, so the decorated stack keeps the inner transport's
-// framing and accounting (dropped frames never reach the inner
-// transport and are not accounted).
+// implements transport.Transport and keeps the inner transport's
+// accounting (dropped messages never reach the inner transport and are
+// not accounted).
 type Transport struct {
 	inner transport.Transport
 	plan  Plan
@@ -203,7 +202,7 @@ func (t *Transport) NumEndpoints() int { return t.inner.NumEndpoints() }
 func (t *Transport) Local() []int { return t.inner.Local() }
 
 // Totals returns the inner transport's counters: what actually crossed
-// the (decorated) wire — dropped frames are absent, duplicated frames
+// the (decorated) wire — dropped messages are absent, duplicated ones
 // counted twice.
 func (t *Transport) Totals() transport.Stats { return t.inner.Totals() }
 
@@ -332,7 +331,7 @@ func (e *Endpoint) kill() {
 }
 
 // Send applies the plan and forwards to the inner endpoint. Ownership
-// of payload transfers here as with any transport: a dropped frame is
+// of payload transfers here as with any transport: a dropped message is
 // simply abandoned.
 func (e *Endpoint) Send(dst int, payload []byte) error {
 	if dst == e.id {
@@ -357,33 +356,6 @@ func (e *Endpoint) Send(dst int, payload []byte) error {
 	}
 	if dup != nil {
 		return e.inner.Send(dst, dup)
-	}
-	return nil
-}
-
-// SendBatch applies the plan to the whole batch frame (the faults are
-// frame-granular, matching what a real network does to a physical
-// frame). The borrowed buffers are forwarded within the call, so a
-// duplicate is a second vectored send of the same buffers.
-func (e *Endpoint) SendBatch(dst int, frames stdnet.Buffers) error {
-	if dst == e.id {
-		return transport.SendBatch(e.inner, dst, frames)
-	}
-	act, err := e.decide(dst)
-	if err != nil {
-		return err
-	}
-	if act.drop {
-		return nil
-	}
-	if act.delay > 0 {
-		time.Sleep(act.delay)
-	}
-	if err := transport.SendBatch(e.inner, dst, frames); err != nil {
-		return err
-	}
-	if act.dup {
-		return transport.SendBatch(e.inner, dst, frames)
 	}
 	return nil
 }

@@ -84,10 +84,10 @@ type frame struct {
 // peer loud instead of corrupting directory order.
 //
 // prefix, vec and bufs are the vectored-write scratch (guarded by mu):
-// each frame goes out as one writev of the length prefix plus the payload
-// buffers, so the hot path copies nothing and issues one syscall per
-// frame — batched or not. vec keeps the vector's backing array from frame
-// to frame; bufs is the header the write consumes.
+// each frame goes out as one writev of the length prefix and the payload,
+// so the hot path copies nothing and issues one syscall per frame. vec
+// keeps the vector's backing array from frame to frame; bufs is the
+// header the write consumes.
 type sender struct {
 	addr   string
 	mu     sync.Mutex
@@ -115,10 +115,8 @@ type Transport struct {
 	closeOnce sync.Once
 	closeErr  error
 
-	msgs    atomic.Int64
-	frames  atomic.Int64
-	batches atomic.Int64
-	bytes   atomic.Int64
+	msgs  atomic.Int64
+	bytes atomic.Int64
 
 	senders []*sender
 
@@ -211,14 +209,9 @@ func (t *Transport) Addr() string { return t.ln.Addr().String() }
 // Totals returns this endpoint's send counters. Loopback sends are free,
 // matching the simulated interconnect's accounting.
 func (t *Transport) Totals() transport.Stats {
-	bytes := t.bytes.Load()
-	return transport.Stats{
-		Messages: t.msgs.Load(),
-		Frames:   t.frames.Load(),
-		Batches:  t.batches.Load(),
-		Bytes:    bytes,
-		RawBytes: bytes,
-	}
+	msgs, bytes := t.msgs.Load(), t.bytes.Load()
+	// Frames and RawBytes repeat Messages and Bytes for bench/lrcbench.
+	return transport.Stats{Messages: msgs, Frames: msgs, Bytes: bytes, RawBytes: bytes}
 }
 
 // noteErr records a receive-side connection failure for Close to report:
@@ -380,18 +373,17 @@ func (t *Transport) connLocked(s *sender, dst int) (net.Conn, error) {
 	return c, nil
 }
 
-// writeFrame sends one length-prefixed frame — the payload buffers, in
-// order — as a single vectored write: the mutex keeps another
-// goroutine's frame from interleaving, writev keeps it one syscall, and
-// nothing is copied. Caller holds s.mu; size is the total payload
-// length.
-func (t *Transport) writeFrame(s *sender, dst int, size int, payload ...[]byte) error {
+// writeFrame sends payload as one length-prefixed frame in a single
+// vectored write: the mutex keeps another goroutine's frame from
+// interleaving, writev keeps it one syscall, and nothing is copied.
+// Caller holds s.mu.
+func (t *Transport) writeFrame(s *sender, dst int, payload []byte) error {
 	c, err := t.connLocked(s, dst)
 	if err != nil {
 		return err
 	}
-	binary.LittleEndian.PutUint32(s.prefix[:], uint32(size))
-	s.vec = append(append(s.vec[:0], s.prefix[:]), payload...)
+	binary.LittleEndian.PutUint32(s.prefix[:], uint32(len(payload)))
+	s.vec = append(s.vec[:0], s.prefix[:], payload)
 	// WriteTo advances the header it is called on to the end of the
 	// vector, so it gets a copy; it also nils what it wrote, so vec pins no
 	// payload once the frame is out.
@@ -433,64 +425,14 @@ func (t *Transport) Send(dst int, payload []byte) error {
 	if s.broken != nil {
 		return s.broken
 	}
-	if err := t.writeFrame(s, dst, len(payload), payload); err != nil {
+	if err := t.writeFrame(s, dst, payload); err != nil {
 		return err
 	}
 	t.msgs.Add(1)
-	t.frames.Add(1)
 	t.bytes.Add(int64(len(payload)))
 	framebuf.Put(payload)
 	return nil
 }
-
-// SendBatch delivers a batch — frames[0] the caller's batch header, each
-// later element one logical message — as ONE length-prefixed stream
-// frame in one writev syscall; the peer receives the concatenation as a
-// single payload. The frame buffers are borrowed (written before
-// return), unlike Send's owned payload. Loopback concatenates into one
-// queued payload and counts no traffic.
-func (t *Transport) SendBatch(dst int, frames net.Buffers) error {
-	if dst < 0 || dst >= len(t.peers) {
-		return fmt.Errorf("tcp: destination %d outside [0,%d)", dst, len(t.peers))
-	}
-	if len(frames) < 2 {
-		return fmt.Errorf("tcp: batch of %d buffers (need header plus messages)", len(frames))
-	}
-	select {
-	case <-t.closed:
-		return transport.ErrClosed
-	default:
-	}
-	total := 0
-	for _, f := range frames {
-		total += len(f)
-	}
-	if dst == t.self {
-		payload := transport.Concat(frames)
-		select {
-		case t.recvq <- frame{src: t.self, payload: payload}:
-			return nil
-		case <-t.closed:
-			return transport.ErrClosed
-		}
-	}
-	s := t.senders[dst]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.broken != nil {
-		return s.broken
-	}
-	if err := t.writeFrame(s, dst, total, frames...); err != nil {
-		return err
-	}
-	t.msgs.Add(int64(len(frames) - 1))
-	t.frames.Add(1)
-	t.batches.Add(1)
-	t.bytes.Add(int64(total))
-	return nil
-}
-
-var _ transport.BatchSender = (*Transport)(nil)
 
 // Recv blocks until a payload arrives for this endpoint or the transport
 // closes (ok=false), draining frames already delivered first.

@@ -46,35 +46,26 @@ func TestSendRecv(t *testing.T) {
 	}
 }
 
-// TestSteadySendsAllocateNothingGate: a steady stream of frames to a peer, plain
-// and batched, allocates nothing per frame — the vectored write reuses its
-// vector, and the payload cycles sender, stream, receiver, free list.
+// TestSteadySendsAllocateNothingGate: a steady stream of frames to a peer
+// allocates nothing per frame — the vectored write reuses its vector, and
+// the payload cycles sender, stream, receiver, free list.
 func TestSteadySendsAllocateNothingGate(t *testing.T) {
 	testenv.SkipAllocGate(t)
 	ts := cluster(t, 2)
 	msg := []byte("a steady-state frame")
-	batch := net.Buffers{[]byte("HH"), msg, msg}
-	plain, batched := string(msg), "HH"+string(msg)+string(msg)
-	recv := func(want string) {
-		if _, p, ok := ts[1].Recv(); !ok || string(p) != want {
-			t.Fatalf("Recv = %q ok=%v, want %q", p, ok, want)
-		} else {
-			framebuf.Put(p)
-		}
-	}
 	round := func() {
 		if err := ts[0].Send(1, append(framebuf.Get(), msg...)); err != nil {
 			t.Fatal(err)
 		}
-		recv(plain)
-		if err := ts[0].SendBatch(1, batch); err != nil {
-			t.Fatal(err)
+		if _, p, ok := ts[1].Recv(); !ok || string(p) != string(msg) {
+			t.Fatalf("Recv = %q ok=%v, want %q", p, ok, msg)
+		} else {
+			framebuf.Put(p)
 		}
-		recv(batched)
 	}
 	round() // the dial, and the vector's first growth
 	if a := testing.AllocsPerRun(200, round); a != 0 {
-		t.Errorf("a plain frame and a batch to a peer allocate %v objects, want 0", a)
+		t.Errorf("a frame to a peer allocates %v objects, want 0", a)
 	}
 }
 
@@ -175,8 +166,10 @@ func TestAccounting(t *testing.T) {
 	if err := ts[0].Send(1, make([]byte, 50)); err != nil {
 		t.Fatal(err)
 	}
-	if tot := ts[0].Totals(); tot.Messages != 2 || tot.Bytes != 150 {
-		t.Fatalf("sender totals = %+v", tot)
+	// Each message is one frame.
+	want := transport.Stats{Messages: 2, Frames: 2, Bytes: 150, RawBytes: 150}
+	if tot := ts[0].Totals(); tot != want {
+		t.Fatalf("sender totals = %+v, want %+v", tot, want)
 	}
 	if tot := ts[1].Totals(); tot.Messages != 0 {
 		t.Fatalf("receiver counted sends: %+v", tot)
@@ -373,59 +366,4 @@ func mustListen(t *testing.T) net.Listener {
 		t.Fatal(err)
 	}
 	return ln
-}
-
-// TestSendBatchOneFrame: a batch goes out as ONE length-prefixed stream
-// frame (the peer receives the concatenation as a single payload), is
-// accounted as its message count in one frame, and interleaves in FIFO
-// order with plain sends on the same stream. The frame buffers are only
-// borrowed: reusing them after SendBatch must not corrupt the stream.
-func TestSendBatchOneFrame(t *testing.T) {
-	ts := cluster(t, 2)
-	hdr := []byte("HH")
-	m1 := []byte("first-message")
-	m2 := []byte("second")
-	if err := ts[0].Send(1, []byte("before")); err != nil {
-		t.Fatal(err)
-	}
-	if err := ts[0].SendBatch(1, [][]byte{hdr, m1, m2}); err != nil {
-		t.Fatal(err)
-	}
-	// Borrowed buffers: scribble over them after the call returns.
-	hdr[0], m1[0], m2[0] = 'x', 'x', 'x'
-	if err := ts[0].Send(1, []byte("after")); err != nil {
-		t.Fatal(err)
-	}
-
-	if _, p, ok := ts[1].Recv(); !ok || string(p) != "before" {
-		t.Fatalf("first frame = %q ok=%v", p, ok)
-	}
-	_, p, ok := ts[1].Recv()
-	if !ok || string(p) != "HHfirst-messagesecond" {
-		t.Fatalf("batch frame = %q ok=%v, want concatenation in one payload", p, ok)
-	}
-	if _, p, ok := ts[1].Recv(); !ok || string(p) != "after" {
-		t.Fatalf("frame after batch = %q ok=%v", p, ok)
-	}
-
-	tot := ts[0].Totals()
-	want := transport.Stats{
-		Messages: 2 + 2, Frames: 3, Batches: 1,
-		Bytes:    int64(len("before") + len("after") + len("HHfirst-messagesecond")),
-		RawBytes: int64(len("before") + len("after") + len("HHfirst-messagesecond")),
-	}
-	if tot != want {
-		t.Fatalf("totals = %+v, want %+v", tot, want)
-	}
-
-	// Loopback batches are free and still deliver one concatenated hop.
-	if err := ts[1].SendBatch(1, [][]byte{[]byte("A"), []byte("B"), []byte("C")}); err != nil {
-		t.Fatal(err)
-	}
-	if tot := ts[1].Totals(); tot.Messages != 0 || tot.Batches != 0 {
-		t.Fatalf("loopback batch counted: %+v", tot)
-	}
-	if _, p, ok := ts[1].Recv(); !ok || string(p) != "ABC" {
-		t.Fatalf("loopback batch = %q ok=%v", p, ok)
-	}
 }

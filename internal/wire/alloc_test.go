@@ -133,31 +133,25 @@ func TestSetClockAllocatesNothingGate(t *testing.T) {
 	}
 }
 
-// TestBatchReceiveAllocatesNothingGate: the steady receive path of a batch
-// frame — two diff responses decoded into shells, one frame reference
-// attached to both, both released — allocates nothing: the shells with
-// their slabs, the Ref and the frame buffer all come back for the next.
-func TestBatchReceiveAllocatesNothingGate(t *testing.T) {
+// TestReceiveAllocatesNothingGate: the steady receive path of a frame — a
+// diff response decoded into a shell, a frame reference attached, the
+// message released — allocates nothing: the shell with its slabs, the Ref
+// and the frame buffer all come back for the next.
+func TestReceiveAllocatesNothingGate(t *testing.T) {
 	testenv.SkipAllocGate(t)
 	drainShells()
-	enc := appendBatch(nil, shellDiffResp(t, 1, false), shellDiffResp(t, 4, true))
-	var msgs []*Msg
+	enc := shellDiffResp(t, 4, true).EncodeAppend(nil)
 	recv := func() {
 		frame := append(framebuf.Get(), enc...)
-		var err error
-		if msgs, err = DecodeBatchAppend(msgs[:0], frame); err != nil || len(msgs) != 2 || !msgs[1].HasDiffs() {
-			t.Fatalf("decoded %d messages, err %v", len(msgs), err)
+		m, err := Decode(frame)
+		if err != nil || !m.HasDiffs() {
+			t.Fatalf("decoded %v, err %v", m, err)
 		}
-		ref := framebuf.NewRef(frame, len(msgs))
-		for _, m := range msgs {
-			m.Frame = ref
-		}
-		for _, m := range msgs {
-			m.Release()
-		}
+		m.Frame = framebuf.NewRef(frame, 1)
+		m.Release()
 	}
 	recv()
 	if a := testing.AllocsPerRun(200, recv); a != 0 {
-		t.Errorf("receiving a two-message batch of diff responses allocates %v objects, want 0", a)
+		t.Errorf("receiving a diff response allocates %v objects, want 0", a)
 	}
 }

@@ -71,12 +71,34 @@ func cat(parts ...[]byte) []byte {
 
 // Retired kind bytes a peer may still send, each refused as unknown: the
 // first-touch hand-off's own ready/go pair (its rounds ride KGCReady /
-// KGCDone now) and the one flate-compressed frames opened with.
+// KGCDone now), the one a batch frame of several messages opened with, and
+// the one flate-compressed frames opened with.
 const (
 	retiredHandOffReady   Kind = 22
 	retiredHandOffGo      Kind = 23
+	retiredBatchKind      Kind = 24
 	retiredCompressedKind Kind = 25
 )
+
+// oldBatchRaw spells a frame of the retired batch format — byte 24, a
+// count, then each payload behind its length — claiming count messages, so
+// that the tests can hold the decoder to refusing it.
+func oldBatchRaw(count int, subs ...[]byte) []byte {
+	buf := cat([]byte{byte(retiredBatchKind)}, uv(uint64(count)))
+	for _, sub := range subs {
+		buf = append(binary.AppendUvarint(buf, uint64(len(sub))), sub...)
+	}
+	return buf
+}
+
+// oldBatch is the retired batch frame an outbox built of msgs.
+func oldBatch(msgs ...*Msg) []byte {
+	subs := make([][]byte, len(msgs))
+	for i, m := range msgs {
+		subs[i] = m.EncodeAppend(nil)
+	}
+	return oldBatchRaw(len(msgs), subs...)
+}
 
 // hdr is a message header: kind, presence byte, then seq 8, a 3, b 0.
 func hdr(k Kind, present byte) []byte { return []byte{byte(k), present, 8, 3, 0} }
@@ -129,9 +151,6 @@ var malformedData = []struct {
 // accepted frame has exactly one encoding, so everything the encoder
 // would have spelled differently is refused too.
 func TestDecodeMalformed(t *testing.T) {
-	if KBatch != 24 {
-		t.Fatalf("KBatch is byte %d, want 24: retiring a kind must not move the batch frame's first byte", KBatch)
-	}
 	grant := sampleMsgs()[1].EncodeAppend(nil)
 	secGrant := sampleMsgs()[6].EncodeAppend(nil)
 	setBits := func(b []byte, bits byte) []byte {
@@ -221,14 +240,13 @@ func TestDecodeMalformed(t *testing.T) {
 		{"truncated mid-section", secGrant[:len(secGrant)-5], "truncated"},
 		{"section flag without payload", hdr(KLockGrant, hasSections), "truncated"},
 		{"trailing bytes after sections", append(append([]byte(nil), secGrant...), 0xcc), "trailing"},
-		// Frame kinds are not messages.
-		{"batch in message position", cat(hdr(KBatch, 0)), "batch frame in message position"},
-		// The retired compressed-frame kind byte (the one after KBatch) is
-		// an unknown kind like any other.
-		{"compressed frame in message position", cat(hdr(retiredCompressedKind, 0)), "unknown message kind 25"},
-		// So are the hand-off's retired ready/go bytes, below KBatch's.
+		// Retired kind bytes are unknown kinds like any other: the
+		// hand-off's ready/go pair, the batch frame's and the compressed
+		// frame's.
 		{"retired hand-off ready", cat(hdr(retiredHandOffReady, 0)), "unknown message kind 22"},
 		{"retired hand-off go", cat(hdr(retiredHandOffGo, 0)), "unknown message kind 23"},
+		{"batch in message position", cat(hdr(retiredBatchKind, 0)), "unknown message kind 24"},
+		{"compressed frame in message position", cat(hdr(retiredCompressedKind, 0)), "unknown message kind 25"},
 	}
 	for _, tc := range append(cases, malformedData...) {
 		t.Run(tc.name, func(t *testing.T) {
@@ -243,66 +261,59 @@ func TestDecodeMalformed(t *testing.T) {
 	}
 }
 
-// TestDecodeBatchMalformed: the hostile-input table for batch frames —
-// every way a batch header or sub-frame can lie about its contents must
-// be rejected with a descriptive error, before any allocation sized by
-// the lie.
+// TestDecodeBatchMalformed: byte 24 opened a batch frame of several
+// messages, a format since retired. Every batch frame the old decoder
+// refused, and the sane one it accepted, is now refused at its first byte
+// as an unknown kind, before a count or length in it is read; a plain
+// message (the old table's "not a batch") decodes as itself.
 func TestDecodeBatchMalformed(t *testing.T) {
 	lockReq := sampleMsgs()[0].EncodeAppend(nil)
 	diffReq := sampleMsgs()[2].EncodeAppend(nil)
-	sane := appendBatch(nil, sampleMsgs()[0], sampleMsgs()[2])
-	nested := appendBatchRaw(2, lockReq, sane)
+	sane := oldBatch(sampleMsgs()[0], sampleMsgs()[2])
 	// The sane batch after its two header bytes, for splicing lies in.
 	body := sane[2:]
+	batch := byte(retiredBatchKind)
+	const refused = "unknown message kind 24"
 
 	cases := []struct {
 		name string
 		in   []byte
-		want string
+		want string // error substring; "" for a frame that decodes
 	}{
 		{"short header", sane[:1], "shorter than header"},
-		{"not a batch", lockReq, "not a batch"},
-		{"count zero", cat([]byte{byte(KBatch)}, uv(0), body), "implausible batch count"},
-		{"count one", cat([]byte{byte(KBatch)}, uv(1), body), "implausible batch count"},
-		// The hostile header: 2^30 claimed sub-messages in a tiny frame
-		// must fail the remaining-bytes bound, never size an allocation.
-		{"hostile count", cat([]byte{byte(KBatch)}, uv(1<<30), body), "implausible batch count"},
-		{"negative count", cat([]byte{byte(KBatch)}, uv(0xffffffff), body), "implausible batch count"},
-		{"count one past the bytes", cat([]byte{byte(KBatch)}, uv(3), make([]byte, 3*minBatchedBytes-1)), "implausible batch count"},
-		{"non-minimal count", cat([]byte{byte(KBatch), 0x82, 0x00}, body), "non-minimal varint"},
-		{"truncated sub-frame", sane[:len(sane)-3], "implausible batched frame length"},
-		{"sub-frame length overrun", cat(appendBatchRaw(2, lockReq), uv(uint64(len(diffReq))+1), diffReq), "implausible batched frame length"},
-		{"negative sub-frame length", cat([]byte{byte(KBatch)}, uv(2, 0xfffffff0), body), "implausible batched frame length"},
-		{"non-minimal sub-frame length", cat([]byte{byte(KBatch)}, uv(2), []byte{0x80 | byte(len(lockReq)), 0x00}, body[1:]), "implausible batched frame length"},
-		{"garbage sub-message", appendBatchRaw(2, bytes.Repeat([]byte{0xe7}, len(lockReq)), diffReq), "batched message 0"},
-		{"nested batch", nested, "batch frame in message position"},
-		{"trailing bytes", append(append([]byte(nil), sane...), 0xff), "trailing bytes after batch"},
+		{"not a batch", lockReq, ""},
+		{"count zero", cat([]byte{batch}, uv(0), body), refused},
+		{"count one", cat([]byte{batch}, uv(1), body), refused},
+		{"hostile count", cat([]byte{batch}, uv(1<<30), body), refused},
+		{"negative count", cat([]byte{batch}, uv(0xffffffff), body), refused},
+		{"count one past the bytes", cat([]byte{batch}, uv(3), make([]byte, 3*(1+minMsgBytes)-1)), refused},
+		{"non-minimal count", cat([]byte{batch, 0x82, 0x00}, body), refused},
+		{"truncated sub-frame", sane[:len(sane)-3], refused},
+		{"sub-frame length overrun", cat(oldBatchRaw(2, lockReq), uv(uint64(len(diffReq))+1), diffReq), refused},
+		{"negative sub-frame length", cat([]byte{batch}, uv(2, 0xfffffff0), body), refused},
+		{"non-minimal sub-frame length", cat([]byte{batch}, uv(2), []byte{0x80 | byte(len(lockReq)), 0x00}, body[1:]), refused},
+		{"garbage sub-message", oldBatchRaw(2, bytes.Repeat([]byte{0xe7}, len(lockReq)), diffReq), refused},
+		{"nested batch", oldBatchRaw(2, lockReq, sane), refused},
+		{"trailing bytes", append(append([]byte(nil), sane...), 0xff), refused},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			msgs, err := DecodeBatch(tc.in)
-			if err == nil {
-				t.Fatalf("decoded %d messages from malformed batch", len(msgs))
-			}
-			if !strings.Contains(err.Error(), tc.want) {
+			m, err := Decode(tc.in)
+			switch {
+			case tc.want == "" && err != nil:
+				t.Fatalf("a plain message is refused: %v", err)
+			case tc.want == "":
+				m.Release()
+			case err == nil:
+				t.Fatalf("decoded %v from a retired batch frame", m.Kind)
+			case !strings.Contains(err.Error(), tc.want):
 				t.Errorf("error %q does not contain %q", err, tc.want)
 			}
 		})
 	}
-	// Decode must also refuse a whole batch frame in message position.
-	if _, err := Decode(sane); err == nil || !strings.Contains(err.Error(), "batch frame in message position") {
-		t.Errorf("Decode(batch) = %v, want batch-in-message-position error", err)
+	if _, err := Decode(sane); err == nil || !strings.Contains(err.Error(), refused) {
+		t.Errorf("Decode(sane batch) = %v, want %q", err, refused)
 	}
-}
-
-// appendBatchRaw frames pre-encoded payloads as a batch claiming count
-// sub-messages without re-encoding them (for building hostile inputs).
-func appendBatchRaw(count int, subs ...[]byte) []byte {
-	buf := AppendBatchHeader(nil, count)
-	for _, sub := range subs {
-		buf = append(binary.AppendUvarint(buf, uint64(len(sub))), sub...)
-	}
-	return buf
 }
 
 // TestDecodeHostileCountAllocationGate: a tiny frame claiming 2^24 interval
@@ -397,23 +408,21 @@ func FuzzDecode(f *testing.F) {
 	f.Add(grant[:minMsgBytes])
 	f.Add(grant[:len(grant)/2])
 	f.Add(append(append([]byte(nil), grant...), 0))
-	// Batch frames: a sane two-message batch and damaged variants, so the
-	// fuzzer explores the batch framing too.
-	batch := appendBatch(nil, sampleMsgs()[0], sampleMsgs()[3])
-	f.Add(batch)
-	f.Add(batch[:len(batch)-2])
-	f.Add(append(append([]byte(nil), batch...), 0xfe))
-	// A dense page-sized payload, alone and inside a batch, plus damaged
-	// variants: the multi-byte length prefixes and a run as long as the
-	// block.
-	big := &Msg{Kind: KPageResp, Seq: 12, A: 1, Data: bytes.Repeat([]byte{0x5a}, 1024)}
-	for _, frame := range [][]byte{big.EncodeAppend(nil), appendBatch(nil, sampleMsgs()[0], big)} {
-		f.Add(frame)
-		f.Add(frame[:len(frame)-3])
-		flipped := append([]byte(nil), frame...)
-		flipped[5] ^= 0x40
-		f.Add(flipped)
-	}
+	// Frames of the retired batch format, which the body below holds to
+	// being refused: a sane two-message batch, a nested one and one
+	// claiming 2^30 messages.
+	sane := oldBatch(sampleMsgs()[0], sampleMsgs()[3])
+	f.Add(sane)
+	f.Add(oldBatchRaw(2, sampleMsgs()[0].EncodeAppend(nil), sane))
+	f.Add(cat(oldBatchRaw(1<<30), sane[2:]))
+	// A dense page-sized payload plus damaged variants: the multi-byte
+	// length prefixes and a run as long as the block.
+	big := (&Msg{Kind: KPageResp, Seq: 12, A: 1, Data: bytes.Repeat([]byte{0x5a}, 1024)}).EncodeAppend(nil)
+	f.Add(big)
+	f.Add(big[:len(big)-3])
+	flipped := append([]byte(nil), big...)
+	flipped[5] ^= 0x40
+	f.Add(flipped)
 	// Non-canonical spellings the decoder must refuse: a padded varint,
 	// a presence bit over an empty block, a record whose clock does not
 	// sit under the enclosing one (the zig-zag path).
@@ -444,30 +453,19 @@ func FuzzDecode(f *testing.F) {
 		Intervals: []IntervalRec{{Proc: 1, Index: 5, VC: vc.VC{3, 7}, Pages: []mem.PageID{2}}}}).EncodeAppend(nil))
 	f.Add((&Msg{Kind: KBarrierArrive, Seq: 18, Intervals: append(notices(1, 9, 3, vc.VC{0, 0}),
 		notices(0, 4, 2, vc.VC{0, 9})...)}).EncodeAppend(nil))
+	// Invalidations: SC's of one page, an EI home's of a copy's four pages
+	// in one round, and a retired batch byte claiming two messages in four
+	// bytes of garbage.
+	f.Add((&Msg{Kind: KInval, Seq: 19, Wants: []Want{{Page: 300}}}).EncodeAppend(nil))
+	f.Add((&Msg{Kind: KInval, Seq: 20, Wants: []Want{{Page: 300}, {Page: 301}, {Page: 302}, {Page: 303}}}).EncodeAppend(nil))
+	f.Add([]byte{byte(retiredBatchKind), 2, 0xde, 0xad, 0xbe, 0xef})
 	f.Fuzz(func(t *testing.T, b []byte) {
-		if IsBatch(b) {
-			// Batch frames go through DecodeBatch (the dispatch loop's
-			// routing): it must never panic, and anything it accepts must
-			// rebuild into a batch it accepts again with a stable encoding
-			// (the same canonical-form property as single frames).
-			msgs, err := DecodeBatch(b)
-			if err != nil {
-				return
-			}
-			rebuild := func(ms []*Msg) []byte { return appendBatch(nil, ms...) }
-			re := rebuild(msgs)
-			msgs2, err := DecodeBatch(re)
-			if err != nil {
-				t.Fatalf("re-decoding own batch encoding failed: %v", err)
-			}
-			if !bytes.Equal(rebuild(msgs2), re) {
-				t.Fatal("batch encoding is not a fixed point")
-			}
-			return
-		}
 		m, err := Decode(b)
 		if err != nil {
 			return // rejected: fine, as long as it did not panic
+		}
+		if !m.Kind.Known() {
+			t.Fatalf("accepted a frame of retired or unknown kind %d", b[0])
 		}
 		// Decoded diffs borrow b, each window capacity-limited to itself:
 		// growing one must reallocate, never write into the frame.

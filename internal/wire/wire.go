@@ -14,7 +14,7 @@
 // is, in order:
 //
 //	block       encoding                                   bound enforced by Decode
-//	kind        1 byte                                     known kind; KBatch rejected here
+//	kind        1 byte                                     known kind
 //	presence    1 byte, bit per block below that follows   unknown bits rejected
 //	seq a b     uv64, uv32, uv32
 //	VC          uv n, n entries uv32(x+1)                  n <= 64; bit set <=> Msg.VC != nil (n = 0 legal)
@@ -95,17 +95,16 @@
 // n and the clock entries an interval block expands to, are checked
 // against MaxDataBytes and maxIntervalWords instead.
 //
-// Frames: a payload is one message, or a batch frame — the KBatch byte,
-// uv count (>= 2), then count sub-frames of uv length + message. There
-// is no other frame kind: the sender's outbox coalesces what is staged
-// for one destination into one batch, and the bytes travel as encoded.
+// Frames: a payload is exactly one message, and the bytes travel as
+// encoded. There is no frame-level kind: byte 24, once a batch frame of
+// several messages, is retired like 22 and 23, and Decode refuses it.
 //
 // # Ownership
 //
-// Decode and DecodeBatch copy everything out of the frame except diff
-// payloads, so nothing but a diff needs the frame. Msg.Data is an
-// allocation of its own that outlives the message (a page ship's Data
-// becomes the receiver's page copy as it is). Everything else a message
+// Decode copies everything out of the frame except diff payloads, so
+// nothing but a diff needs the frame. Msg.Data is an allocation of its
+// own that outlives the message (a page ship's Data becomes the
+// receiver's page copy as it is). Everything else a message
 // decodes belongs to its shell and dies with it — see Messages below:
 // clocks, interval records with their clocks and page lists, diff records,
 // the diff headers they point to with their run tables and payload
@@ -117,14 +116,13 @@
 // re-encodes (a home relaying an update) as one copy of the same bytes. A
 // diff without runs borrows nothing.
 //
-// The frame lasts as long as the messages decoded from it: internal/dsm's
-// dispatch loop recycles a frame at once when no message in it carries
-// diffs (Msg.HasDiffs), and otherwise attaches a framebuf.Ref to each such
-// message (Msg.Frame; the messages of a batch share one), which the
-// message's last Release drops. Never releasing is always safe, the
-// garbage collector reclaims the frame; releasing early is the one bug,
-// and internal/framebuf's poison-on-release mode turns it into garbage the
-// differential tests catch.
+// The frame lasts as long as the message decoded from it: internal/dsm's
+// dispatch loop recycles a frame at once when its message carries no
+// diffs (Msg.HasDiffs), and otherwise attaches a framebuf.Ref to it
+// (Msg.Frame), which the message's last Release drops. Never releasing is
+// always safe, the garbage collector reclaims the frame; releasing early
+// is the one bug, and internal/framebuf's poison-on-release mode turns it
+// into garbage the differential tests catch.
 //
 // page.Diff.Clone is mandatory wherever a decoded diff is stored for
 // something that runs after the release: the runtime has one such place,
@@ -239,9 +237,11 @@ const (
 	KFetch
 	// KFetchResp: owner -> home with the page contents.
 	KFetchResp
-	// KInval: home -> cacher, invalidating its copy (EI, SC). A = page id.
+	// KInval: home -> cacher, invalidating its copies of the pages Wants
+	// names (Page; EI: every page of the round the copy holds, SC: the one
+	// page of a write miss). A and B unused.
 	KInval
-	// KInvalAck: cacher -> home.
+	// KInvalAck: cacher -> home, once for the whole list.
 	KInvalAck
 	// KUpdate: an eager releaser's flush, merged per destination:
 	// releaser -> each node it must reach, one Diffs record (Page, Proc =
@@ -263,7 +263,7 @@ const (
 	// KFlushReq and KFlushDone are retired: EI's per-page ownership
 	// transaction, replaced by the merged KUpdate. They keep their
 	// numbers, and no engine handles them: a node records either as a
-	// protocol error.
+	// protocol error. Kept for bench/lrcbench; ROADMAP item 1 removes them.
 	KFlushReq
 	KFlushDone
 	// KWriteReq: requester -> page home asking for exclusive write
@@ -273,17 +273,12 @@ const (
 	// page contents unless the requester already holds a current copy.
 	KWriteResp
 	// Kinds 22 and 23 are retired: the first-touch hand-off's own ready/go
-	// pair, whose rounds now ride KGCReady/KGCDone. Decode refuses them as
-	// unknown kinds.
+	// pair, whose rounds now ride KGCReady/KGCDone. Kind 24 is retired too:
+	// the batch frame, which carried several messages for one destination.
+	// Decode refuses all three as unknown kinds.
 	_
 	_
-
-	// KBatch is a frame-level kind, not a protocol message: one batch
-	// frame carries a counted run of length-prefixed sub-messages
-	// coalesced by the sender's outbox for one destination. It appears
-	// only at the top of a received payload (DecodeBatch); Decode rejects
-	// it in message position, which also forbids nested batches.
-	KBatch
+	_
 	kindLimit
 )
 
@@ -302,7 +297,6 @@ var kindNames = [kindLimit]string{
 	KUpdate: "update", KUpdateAck: "updateack",
 	KFlushReq: "flushreq", KFlushDone: "flushdone",
 	KWriteReq: "writereq", KWriteResp: "writeresp",
-	KBatch: "batch",
 }
 
 // IsResponse reports whether the kind answers an outstanding request and
@@ -661,8 +655,6 @@ const (
 	minDataRunBytes     = 3 // offset, length, one byte: a data run is never empty
 	minWantBytes        = 3 // page, proc, index
 	minSectionBytes     = 2 // mode, presence
-	// minBatchedBytes is a sub-frame: its length prefix and a message.
-	minBatchedBytes = 1 + minMsgBytes
 	// maxClock bounds a clock's entry count (Config.Procs is capped at 64).
 	maxClock = 64
 )
@@ -685,8 +677,7 @@ const MaxDataBytes = 4 << 20
 
 // EncodeAppend appends the message's encoding to buf and returns the
 // extended slice — the append-style encoder of the hot send path: with a
-// pooled buffer (framebuf.Get) the steady state is zero-alloc, and several
-// messages append into one buffer to form a batch frame.
+// pooled buffer (framebuf.Get) the steady state is zero-alloc.
 func (m *Msg) EncodeAppend(buf []byte) []byte {
 	// slices.Grow rounds a new buffer up to its allocation size class, so
 	// a recycled buffer also fits the next frame of about this size.
@@ -713,16 +704,6 @@ func payloadHint(ivs []IntervalRec, diffs []DiffRec) int {
 	return n
 }
 
-// AppendBatched appends m as one sub-frame of a batch frame — its encoded
-// length, then the encoding — and returns that length with the buffer.
-func AppendBatched(buf []byte, m *Msg) (out []byte, size int) {
-	// One byte holds the length of most messages.
-	start := len(buf)
-	buf = m.EncodeAppend(append(buf, 0))
-	size = len(buf) - start - 1
-	return setLen(buf, start, size), size
-}
-
 // setLen writes n as the varint at buf[at], where its first byte was
 // reserved before what follows was known; a wider varint moves what follows
 // up to make room.
@@ -732,21 +713,6 @@ func setLen(buf []byte, at, n int) []byte {
 		copy(buf[at+1+wider:], buf[at+1:len(buf)-wider])
 	}
 	binary.PutUvarint(buf[at:], uint64(n))
-	return buf
-}
-
-// PrefixLength turns buf, which holds exactly one message's plain
-// encoding, into that message's batch sub-frame, as AppendBatched would
-// have appended it to an empty buffer: the encoding moves up to make room
-// for its length. A sender that encodes as it stages calls it when a
-// second message joins the first.
-func PrefixLength(buf []byte) []byte {
-	size := len(buf)
-	k := lenLen(size)
-	var room [binary.MaxVarintLen64]byte
-	buf = append(buf, room[:k]...)
-	copy(buf[k:], buf[:size])
-	binary.PutUvarint(buf, uint64(size))
 	return buf
 }
 
@@ -980,8 +946,7 @@ type decoder struct {
 	b   []byte
 	off int
 	err error
-	// kept is the decoded message's kept storage (a batch frame's decoder,
-	// which decodes no message itself, has none).
+	// kept is the decoded message's kept storage.
 	kept *kept
 }
 
@@ -1146,11 +1111,6 @@ func (m *Msg) decode(b []byte) error {
 	m.Kind = Kind(b[0])
 	if !m.Kind.Known() {
 		return fmt.Errorf("wire: unknown message kind %d", m.Kind)
-	}
-	if m.Kind == KBatch {
-		// A batch is a frame, not a message: it is only legal at the top
-		// of a payload (DecodeBatch), which also forbids nested batches.
-		return fmt.Errorf("wire: batch frame in message position")
 	}
 	present := b[1]
 	if present&^msgPresence != 0 {
@@ -1494,72 +1454,4 @@ func (d *decoder) diffList() []DiffRec {
 		return nil
 	}
 	return out
-}
-
-// --- batch frames ---
-//
-// A batch frame coalesces several messages for one destination into one
-// physical frame: the KBatch byte and the sub-message count, followed by
-// exactly that many sub-frames, each a varint length and one encoded
-// message (AppendBatched). The sender's outbox builds batches append-style
-// into one pooled buffer; the receiver's dispatch loop unpacks them with
-// DecodeBatch before routing each sub-message.
-
-// AppendBatchHeader appends a batch frame header for count sub-messages.
-func AppendBatchHeader(buf []byte, count int) []byte {
-	return putLen(append(buf, byte(KBatch)), count)
-}
-
-// IsBatch reports whether the payload is a batch frame.
-func IsBatch(b []byte) bool { return len(b) > 0 && Kind(b[0]) == KBatch }
-
-// DecodeBatch parses a batch frame into its messages, whose diffs borrow
-// b exactly as Decode's do. It enforces the same hostility bounds as
-// Decode: the claimed count must fit the bytes actually present before
-// anything is allocated by it, every sub-frame must lie within the
-// payload, nested batches are rejected (Decode refuses KBatch in message
-// position), and trailing bytes are an error.
-func DecodeBatch(b []byte) ([]*Msg, error) { return DecodeBatchAppend(nil, b) }
-
-// DecodeBatchAppend is DecodeBatch appending the messages to dst, for a
-// receive loop that reuses one list. On an error the shells decoded so far
-// are released and dst is returned as it came.
-func DecodeBatchAppend(dst []*Msg, b []byte) ([]*Msg, error) {
-	if len(b) < 2 {
-		return dst, fmt.Errorf("wire: batch frame of %d bytes shorter than header", len(b))
-	}
-	if !IsBatch(b) {
-		return dst, fmt.Errorf("wire: frame of kind %v is not a batch", Kind(b[0]))
-	}
-	d := &decoder{b: b, off: 1}
-	count := d.countItems("batch", minBatchedBytes)
-	if d.err == nil && count < 2 {
-		// A batch of one would be a plain frame.
-		d.fail("implausible batch count %d", count)
-	}
-	if d.err != nil {
-		return dst, d.err
-	}
-	msgs := slices.Grow(dst, count)
-	fail := func(err error) ([]*Msg, error) {
-		for _, m := range msgs[len(dst):] {
-			m.Release()
-		}
-		return dst, err
-	}
-	for i := 0; i < count; i++ {
-		size := d.uvarint()
-		if d.err != nil || size > uint64(len(b)-d.off) {
-			return fail(fmt.Errorf("wire: implausible batched frame length %d at sub-message %d", size, i))
-		}
-		m, err := Decode(d.bytes(int(size)))
-		if err != nil {
-			return fail(fmt.Errorf("wire: batched message %d: %w", i, err))
-		}
-		msgs = append(msgs, m)
-	}
-	if d.off != len(b) {
-		return fail(fmt.Errorf("wire: %d trailing bytes after batch", len(b)-d.off))
-	}
-	return msgs, nil
 }

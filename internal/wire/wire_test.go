@@ -431,10 +431,9 @@ func procRuns(r *rand.Rand, ivs []IntervalRec, n int, draw func(*rand.Rand) int3
 }
 
 func TestPropEncodeDecodeRoundTrip(t *testing.T) {
-	// Every message kind: KBatch is a frame-level kind Decode rejects, and
-	// retired kinds are unknown.
+	// Every message kind; retired kinds are unknown.
 	var kinds []Kind
-	for k := Kind(1); k < KBatch; k++ {
+	for k := Kind(1); k < Kind(NumKinds); k++ {
 		if k.Known() {
 			kinds = append(kinds, k)
 		}
@@ -680,6 +679,12 @@ func TestGoldenSizesGate(t *testing.T) {
 			{Page: 302, Proc: 2, Diff: diff}, {Page: 303, Proc: 2, Diff: diff}}}, 55, 56},
 		{"update ack naming two copies", &Msg{Kind: KUpdateAck, Seq: 1000,
 			Wants: []Want{{Page: 301, Proc: 0}, {Page: 301, Proc: 3}}}, 15, 16},
+		// An invalidation names its pages in Wants: SC's write miss one, an
+		// EI home's round every page of the copy it revokes.
+		{"invalidation, one page", &Msg{Kind: KInval, Seq: 1000,
+			Wants: []Want{{Page: 300}}}, 11, 11},
+		{"invalidation, four pages", &Msg{Kind: KInval, Seq: 1000,
+			Wants: []Want{{Page: 300}, {Page: 301}, {Page: 302}, {Page: 303}}}, 23, 23},
 	}
 	for _, tc := range cases {
 		got := len(tc.msg.EncodeAppend(nil))
@@ -689,9 +694,6 @@ func TestGoldenSizesGate(t *testing.T) {
 	}
 	if got := len(appendIntervals(nil, []IntervalRec{rec}, clock)); got != 12 || got > 12 {
 		t.Errorf("one-page interval block = %d bytes, want 12 (bound 12)", got)
-	}
-	if got := len(AppendBatchHeader(nil, 3)); got != 2 {
-		t.Errorf("batch header = %d bytes, want 2", got)
 	}
 }
 
@@ -787,48 +789,12 @@ func TestDataRoundTripsZeroSuppressed(t *testing.T) {
 	}
 }
 
-// appendBatch builds a batch frame the way the runtime's outbox does:
-// header, then each message length-prefixed, all appended into one
-// buffer.
-func appendBatch(buf []byte, msgs ...*Msg) []byte {
-	buf = AppendBatchHeader(buf, len(msgs))
-	for _, m := range msgs {
-		buf, _ = AppendBatched(buf, m)
-	}
-	return buf
-}
-
-func TestBatchRoundTrip(t *testing.T) {
-	msgs := []*Msg{
-		{Kind: KLockReq, Seq: 1, A: 3, B: 2},
-		{Kind: KDiffReq, Seq: 2, A: 1, Wants: []Want{{Page: 4, Proc: 1, Index: 2}}},
-		{Kind: KPageResp, Seq: 3, A: 9, VC: vc.VC{1, 2}, Data: []byte{5, 6, 7}},
-	}
-	b := appendBatch(framebuf.Get(), msgs...)
-	if !IsBatch(b) {
-		t.Fatal("batch frame not recognized")
-	}
-	got, err := DecodeBatch(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(msgs) {
-		t.Fatalf("decoded %d messages, want %d", len(got), len(msgs))
-	}
-	for i, m := range msgs {
-		if !bytes.Equal(got[i].EncodeAppend(nil), m.EncodeAppend(nil)) {
-			t.Errorf("batched message %d changed across the codec", i)
-		}
-	}
-	framebuf.Put(b)
-}
-
 func TestEncodeAppendComposes(t *testing.T) {
-	// Appending into a shared buffer yields exactly the standalone
-	// encodings back to back — the property the outbox batch builder and
-	// the pooled single-frame path both rely on.
+	// Appending into a buffer that holds bytes already leaves them as they
+	// were and yields the standalone encoding after them: the append-style
+	// contract a pooled buffer's reuse relies on.
 	a := &Msg{Kind: KLockReq, Seq: 1, A: 2, B: 3}
-	b := &Msg{Kind: KInval, Seq: 4, A: 5}
+	b := &Msg{Kind: KInval, Seq: 4, Wants: []Want{{Page: 5}}}
 	ae, be := a.EncodeAppend(nil), b.EncodeAppend(nil)
 	joint := b.EncodeAppend(a.EncodeAppend(framebuf.Get()))
 	if !bytes.Equal(joint, append(append([]byte(nil), ae...), be...)) {

@@ -176,8 +176,9 @@ func (r row) run(t *testing.T) {
 		t.Errorf("image diverges from the sequential reference (first diff at byte %d)", firstDiff(res.Image, ref.Image))
 	}
 	// A single node (gpn = procs) resolves everything locally.
-	if n := res.Net; (nodes > 1 && n.Messages == 0) || n.Frames > n.Messages || n.Batches > n.Frames {
-		t.Errorf("traffic %+v: want Messages > 0 across nodes, Frames <= Messages and Batches <= Frames", n)
+	// Every message is its own frame.
+	if n := res.Net; (nodes > 1 && n.Messages == 0) || n.Frames != n.Messages || n.Batches != 0 {
+		t.Errorf("traffic %+v: want Messages > 0 across nodes, Frames == Messages and no Batches", n)
 	}
 	if len(res.Nodes) != nodes {
 		t.Errorf("stats for %d nodes, want %d", len(res.Nodes), nodes)
