@@ -12,185 +12,9 @@ import (
 	"repro/internal/page"
 	"repro/internal/proto"
 	"repro/internal/sim"
-	"repro/internal/trace"
 	"repro/internal/vc"
 	"repro/internal/workload"
 )
-
-// Benchmark configuration: each figure bench regenerates its paper figure
-// at this scale (EXPERIMENTS.md records the series; shapes are
-// scale-invariant, see TestPaperShapeClaims).
-const (
-	benchProcs = 16
-	benchScale = 0.25
-	benchSeed  = 42
-)
-
-func benchTrace(b *testing.B, app string) *trace.Trace {
-	b.Helper()
-	tr, err := workload.GenerateCached(app, benchProcs, benchScale, benchSeed)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return tr
-}
-
-// benchFigure regenerates one figure: a full four-protocol page-size sweep
-// over one workload, reporting the per-protocol totals at the extreme page
-// sizes as custom metrics (the full series is printed by cmd/lrcsim).
-func benchFigure(b *testing.B, app, metric string) {
-	tr := benchTrace(b, app)
-	var results []sim.Result
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var err error
-		results, err = sim.Sweep(tr, sim.ProtocolNames, mem.PaperPageSizes, proto.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	for _, p := range sim.ProtocolNames {
-		for _, ps := range []int{8192, 512} {
-			series, err := sim.Series(results, p, []int{ps}, metric)
-			if err != nil {
-				b.Fatal(err)
-			}
-			v := float64(series[0])
-			unit := fmt.Sprintf("%s@%d_msgs", p, ps)
-			if metric == "data" {
-				v /= 1024
-				unit = fmt.Sprintf("%s@%d_kB", p, ps)
-			}
-			b.ReportMetric(v, unit)
-		}
-	}
-}
-
-// Figures 5 and 6: LocusRoute messages and data vs page size.
-func BenchmarkFig05LocusRouteMessages(b *testing.B) { benchFigure(b, "locusroute", "messages") }
-func BenchmarkFig06LocusRouteData(b *testing.B)     { benchFigure(b, "locusroute", "data") }
-
-// Figures 7 and 8: Cholesky.
-func BenchmarkFig07CholeskyMessages(b *testing.B) { benchFigure(b, "cholesky", "messages") }
-func BenchmarkFig08CholeskyData(b *testing.B)     { benchFigure(b, "cholesky", "data") }
-
-// Figures 9 and 10: MP3D.
-func BenchmarkFig09MP3DMessages(b *testing.B) { benchFigure(b, "mp3d", "messages") }
-func BenchmarkFig10MP3DData(b *testing.B)     { benchFigure(b, "mp3d", "data") }
-
-// Figures 11 and 12: Water.
-func BenchmarkFig11WaterMessages(b *testing.B) { benchFigure(b, "water", "messages") }
-func BenchmarkFig12WaterData(b *testing.B)     { benchFigure(b, "water", "data") }
-
-// Figures 13 and 14: Pthor.
-func BenchmarkFig13PthorMessages(b *testing.B) { benchFigure(b, "pthor", "messages") }
-func BenchmarkFig14PthorData(b *testing.B)     { benchFigure(b, "pthor", "data") }
-
-// BenchmarkTable1 measures the per-operation message costs of Table 1 by
-// replaying micro-traces (the exact-cost assertions live in
-// internal/sim's Table 1 tests; this bench reports the measured costs).
-func BenchmarkTable1(b *testing.B) {
-	lockTransfer := &trace.Trace{
-		NumProcs: 4, SpaceSize: 16384, NumLocks: 4, NumBarriers: 1, Name: "t1",
-		Events: []trace.Event{
-			{Kind: trace.Acquire, Proc: 0, Sync: 2},
-			{Kind: trace.Release, Proc: 0, Sync: 2},
-			{Kind: trace.Acquire, Proc: 3, Sync: 2},
-			{Kind: trace.Release, Proc: 3, Sync: 2},
-		},
-	}
-	barrier := &trace.Trace{
-		NumProcs: 4, SpaceSize: 16384, NumLocks: 4, NumBarriers: 1, Name: "t1b",
-		Events: []trace.Event{
-			{Kind: trace.Barrier, Proc: 0, Sync: 0},
-			{Kind: trace.Barrier, Proc: 1, Sync: 0},
-			{Kind: trace.Barrier, Proc: 2, Sync: 0},
-			{Kind: trace.Barrier, Proc: 3, Sync: 0},
-		},
-	}
-	b.ResetTimer()
-	var lockMsgs, barMsgs int64
-	for i := 0; i < b.N; i++ {
-		for _, p := range sim.ProtocolNames {
-			st, err := sim.Run(lockTransfer, p, 1024, proto.Options{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			lockMsgs = st.TotalMessages()
-			st, err = sim.Run(barrier, p, 1024, proto.Options{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			barMsgs = st.TotalMessages()
-		}
-	}
-	b.ReportMetric(float64(lockMsgs), "lock_msgs")
-	b.ReportMetric(float64(barMsgs), "barrier_msgs")
-}
-
-// --- ablation benches: quantify the design choices of §4 ---
-
-func benchAblation(b *testing.B, opts proto.Options) {
-	tr := benchTrace(b, "locusroute")
-	var base, ablated *proto.Stats
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var err error
-		base, err = sim.Run(tr, "LI", 2048, proto.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		ablated, err = sim.Run(tr, "LI", 2048, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(base.TotalMessages()), "base_msgs")
-	b.ReportMetric(float64(ablated.TotalMessages()), "ablated_msgs")
-	b.ReportMetric(float64(base.TotalBytes())/1024, "base_kB")
-	b.ReportMetric(float64(ablated.TotalBytes())/1024, "ablated_kB")
-}
-
-// BenchmarkAblationNoPiggyback quantifies carrying write notices on lock
-// grants (§4.2, Figure 4) vs separate notice messages.
-func BenchmarkAblationNoPiggyback(b *testing.B) {
-	benchAblation(b, proto.Options{NoPiggyback: true})
-}
-
-// BenchmarkAblationNoDiffs quantifies diffs (§4.3) vs whole-page shipping.
-func BenchmarkAblationNoDiffs(b *testing.B) {
-	benchAblation(b, proto.Options{NoDiffs: true})
-}
-
-// BenchmarkAblationExclusiveWriter quantifies the multiple-writer protocol
-// (§4.3.1) vs DASH-style exclusive writers under false sharing.
-func BenchmarkAblationExclusiveWriter(b *testing.B) {
-	benchAblation(b, proto.Options{ExclusiveWriter: true})
-}
-
-// BenchmarkAblationIvy compares the SC single-writer baseline (§6 related
-// work) against LI on a migratory workload.
-func BenchmarkAblationIvy(b *testing.B) {
-	tr := benchTrace(b, "locusroute")
-	var li, sc *proto.Stats
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var err error
-		li, err = sim.Run(tr, "LI", 2048, proto.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		sc, err = sim.Run(tr, "SC", 2048, proto.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(li.TotalMessages()), "LI_msgs")
-	b.ReportMetric(float64(sc.TotalMessages()), "SC_msgs")
-}
 
 // --- live runtime benches ---
 
@@ -257,7 +81,7 @@ func benchRuntimeWorkload(b *testing.B, app string) {
 	for _, mode := range dsm.Modes {
 		for _, gpn := range []int{1, 2, 4} {
 			b.Run(fmt.Sprintf("%s/gpn=%d", mode, gpn), func(b *testing.B) {
-				prog, err := workload.New(app, max(4, 2*gpn), 0.05, benchSeed)
+				prog, err := workload.New(app, max(4, 2*gpn), 0.05, 42)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -332,25 +156,6 @@ func BenchmarkRuntimeCounterObs(b *testing.B) {
 			}
 			wg.Wait()
 		})
-	}
-}
-
-// BenchmarkPlacementPolicies emits the msgs/critsec series of both
-// placement policies, per protocol, on the writer-dominant partition
-// workload (see internal/workload/partition.go) as benchmark metrics.
-func BenchmarkPlacementPolicies(b *testing.B) {
-	const name = "partition"
-	for _, m := range repro.DSMModes {
-		for _, placement := range []string{"block", "first-touch"} {
-			b.Run(name+"/"+m.String()+"/"+placement, func(b *testing.B) {
-				var v float64
-				for i := 0; i < b.N; i++ {
-					res, ref := runVerified(b, name, repro.RuntimeConfig{PageSize: 1024, Mode: m, Placement: placement})
-					v = float64(res.Net.Messages) / float64(ref.Trace.Count().Acquires)
-				}
-				b.ReportMetric(v, "msgs/critsec")
-			})
-		}
 	}
 }
 
@@ -605,8 +410,13 @@ func BenchmarkTraceGeneration(b *testing.B) {
 	}
 }
 
+// BenchmarkReplayLI times the simulator's LI replay of a 16-processor
+// water trace.
 func BenchmarkReplayLI(b *testing.B) {
-	tr := benchTrace(b, "water")
+	tr, err := workload.GenerateCached("water", 16, 0.25, 42)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := sim.Run(tr, "LI", 2048, proto.Options{}); err != nil {

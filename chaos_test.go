@@ -177,26 +177,26 @@ func TestKillMidCriticalSectionAllModes(t *testing.T) {
 	}
 }
 
-// runMigrationSweep drives the placement machinery under fire: every
-// node writes a slab page of its own — homed elsewhere by the block
-// interleave, so first-touch claims it — and joins the first cluster
-// barrier, whose exchange and hand-off rendezvous re-home the slabs; a
-// fail-stop kill a few frames into the victim's run lands amid that
+// runGCEpochSweep drives the lazy GC round under fire: every node writes
+// a slab page of its own and joins a cluster barrier, and with
+// GCEveryBarriers 1 every barrier ends in the GC epoch's ready/go round;
+// a fail-stop kill a few frames into the victim's run lands amid that
 // traffic. The loop then goes on (locked counter increment, writes,
-// barrier) so a later kill still surfaces. Same outcome contract as
-// runLockIncrement, plus each surviving system's final home table.
-func runMigrationSweep(procs int, m repro.DSMMode, rpcTimeout time.Duration, trs []repro.Transport, victim int) (*lockIncrementOutcome, []string) {
+// barrier) so a later kill still surfaces. Unlike runLockIncrement's,
+// its outcome holds the survivors' errors alone: the victim's own
+// shutdown error proves nothing about how the others fared.
+func runGCEpochSweep(procs int, m repro.DSMMode, rpcTimeout time.Duration, trs []repro.Transport, victim int) *lockIncrementOutcome {
 	out := &lockIncrementOutcome{}
 	systems := make([]*repro.DSM, 0, len(trs))
 	for i, tr := range trs {
 		d, err := repro.NewDSM(repro.DSMConfig{
-			Procs:      procs,
-			SpaceSize:  1 << 16,
-			PageSize:   1024,
-			Mode:       m,
-			Placement:  dsm.PlaceFirstTouch,
-			RPCTimeout: rpcTimeout,
-			Transport:  tr,
+			Procs:           procs,
+			SpaceSize:       1 << 16,
+			PageSize:        1024,
+			Mode:            m,
+			GCEveryBarriers: 1,
+			RPCTimeout:      rpcTimeout,
+			Transport:       tr,
 		})
 		if err != nil {
 			out.runErrs = append(out.runErrs, err)
@@ -247,10 +247,10 @@ func runMigrationSweep(procs int, m repro.DSMMode, rpcTimeout time.Duration, trs
 					default:
 					}
 					if err := body(); err != nil {
-						mu.Lock()
-						out.runErrs = append(out.runErrs, err)
-						mu.Unlock()
 						if int(n.ID()) != victim {
+							mu.Lock()
+							out.runErrs = append(out.runErrs, err)
+							mu.Unlock()
 							stopOnce.Do(func() { close(stop) })
 						}
 						return
@@ -260,50 +260,45 @@ func runMigrationSweep(procs int, m repro.DSMMode, rpcTimeout time.Duration, trs
 		}
 	}
 	wg.Wait()
-	var homes []string
 	for _, d := range systems {
-		if !d.IsLocal(victim) {
-			homes = append(homes, d.Status().HomeTable)
-		}
-		if err := d.Close(); err != nil {
+		if err := d.Close(); err != nil && !d.IsLocal(victim) {
 			out.closeErrs = append(out.closeErrs, err)
 		}
 	}
-	return out, homes
+	return out
 }
 
-// TestKillMidMigrationEpochAllModes: a loopback TCP cluster under
-// first-touch placement loses its barrier master during the first
-// barrier's hand-off — the kill points walk the victim's death through
-// the exits that carry the home plan and both ready/go rounds of the
-// rendezvous. For every protocol the survivors must surface a
-// descriptive error within RPCTimeout, never hang in the rendezvous
-// collect, and never hold a half-applied home table.
-func TestKillMidMigrationEpochAllModes(t *testing.T) {
+// TestKillMidGCEpochLazyModes: a loopback TCP cluster collecting at every
+// barrier loses its barrier master during the first barrier's GC epoch —
+// the kill points walk the victim's death through the barrier exits and
+// the GC round's gos. Under both lazy protocols the survivors must
+// surface a descriptive error within RPCTimeout and never hang in
+// collectRound or in the wait for the master's go.
+func TestKillMidGCEpochLazyModes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("TCP kill matrix is not a -short test")
 	}
-	// Node 0 is the victim: barrier master AND placement planner, so its
-	// death hits the hand-off at its most central point.
+	// Node 0 is the victim: barrier master AND GC round collector, so its
+	// death hits the epoch at its most central point.
 	const (
 		procs      = 3
 		victim     = 0
 		rpcTimeout = time.Second // every cell waits one out
-		// A survivor's table is the block interleave or, whole, the plan
-		// that homes every slab at its writer.
-		blockTable  = "pg0=0,pg1=1,pg2=2,pg3=0,pg4=1,pg5=2"
-		handedTable = "pg0-1=0,pg2=1,pg3=2,pg4=1,pg5=2"
 	)
-	for _, m := range repro.DSMModes {
+	for _, m := range []repro.DSMMode{repro.LazyInvalidate, repro.LazyUpdate} {
 		m := m
 		t.Run(m.String(), func(t *testing.T) {
 			t.Parallel()
-			// The victim's frames 1-2 are slab miss traffic (its request, its
-			// answer to node 2's); 3-4 are its exits, 5-6 the round-1 gos,
-			// 7-8 the round-2 gos. It dies attempting the named frame: no
-			// exit out, no go out, one peer released into round 2, one peer
-			// released from the barrier.
-			for _, after := range []int{3, 5, 6, 8} {
+			// Homes are pg % 3: the victim writes page 1 (homed at node 1)
+			// and homes page 3, which node 2 writes. Its frames 1-2 are slab
+			// miss traffic (its page request, its answer to node 2's); 3-4
+			// are its exits. The epoch then materializes every written page
+			// at its home: frames 5-6 are the victim's diff request for page
+			// 3 and its diff response to node 1 for page 1, in either order,
+			// and 7-8 are the GC round's gos. It dies attempting the named
+			// frame: no exit out, one peer released from the barrier, no go
+			// out, one peer released from the GC round.
+			for _, after := range []int{3, 4, 7, 8} {
 				after := after
 				t.Run(fmt.Sprintf("kill@%d", after), func(t *testing.T) {
 					t.Parallel()
@@ -316,18 +311,10 @@ func TestKillMidMigrationEpochAllModes(t *testing.T) {
 						t.Fatal(err)
 					}
 					trs[victim] = repro.WrapFaultTransport(trs[victim], plan)
-					var (
-						out   *lockIncrementOutcome
-						homes []string
-					)
-					withWatchdog(t, rpcTimeout+30*time.Second, "mid-hand-off kill run", func() {
-						out, homes = runMigrationSweep(procs, m, rpcTimeout, trs, victim)
+					var out *lockIncrementOutcome
+					withWatchdog(t, rpcTimeout+30*time.Second, "mid-GC-epoch kill run", func() {
+						out = runGCEpochSweep(procs, m, rpcTimeout, trs, victim)
 					})
-					for _, table := range homes {
-						if !strings.HasPrefix(table, blockTable) && !strings.HasPrefix(table, handedTable) {
-							t.Errorf("survivor holds a half-applied home table: %s", table)
-						}
-					}
 					requireFaultError(t, m, out.all())
 				})
 			}

@@ -78,8 +78,7 @@ func run(args []string, out io.Writer) error {
 		demo       = fs.String("demo", "", "demo program: counter, stencil, queue")
 		app        = fs.String("app", "", "workload to run on the runtime ("+strings.Join(workload.Names, ", ")+") or \"all\"; traffic is printed next to the simulator's for the same trace, whose bytes are the paper's fixed-width accounting — the live codec is compact and may undercut it")
 		mode       = fs.String("mode", "LI", "protocol mode: "+dsm.ModeNames())
-		placement  = fs.String("placement", "block", "page placement policy: "+dsm.PlacementNames()+"; with -app, a comma list runs a per-policy traffic comparison")
-		statsJSON  = fs.Bool("statsjson", false, "emit the run's dsm.Stats (per-kind traffic and the re-homed pages) as JSON")
+		statsJSON  = fs.Bool("statsjson", false, "emit the run's dsm.Stats (per-kind traffic) as JSON")
 		procs      = fs.Int("procs", 8, "number of logical processors (with -transport tcp, fixed to peer count × -gpn)")
 		gpn        = fs.Int("gpn", 1, "application goroutines per DSM node: gpn > 1 multiplexes the processors onto procs/gpn oversubscribed nodes")
 		iters      = fs.Int("iters", 100, "iterations per node (demos)")
@@ -106,13 +105,6 @@ func run(args []string, out io.Writer) error {
 	if *gpn < 1 {
 		return fmt.Errorf("-gpn %d must be at least 1", *gpn)
 	}
-	placements := strings.Split(*placement, ",")
-	for i := range placements {
-		placements[i] = strings.TrimSpace(placements[i])
-		if _, err := dsm.ParsePlacement(placements[i]); err != nil {
-			return err
-		}
-	}
 
 	procsSet := false
 	fs.Visit(func(f *flag.Flag) {
@@ -133,9 +125,6 @@ func run(args []string, out io.Writer) error {
 		peerList, err = parsePeers(*peers)
 		if err != nil {
 			return err
-		}
-		if len(placements) > 1 {
-			return fmt.Errorf("a -placement comparison runs one cluster per policy; start each separately under -transport tcp")
 		}
 		if *self < 0 || *self >= len(peerList) {
 			return fmt.Errorf("-self %d outside peer list [0,%d)", *self, len(peerList))
@@ -212,8 +201,6 @@ func run(args []string, out io.Writer) error {
 		return tr, nil
 	}
 
-	route := routeCfg{statsJSON: *statsJSON, placements: placements}
-
 	switch {
 	case *app != "" && *demo != "":
 		return fmt.Errorf("-demo and -app are mutually exclusive")
@@ -222,27 +209,19 @@ func run(args []string, out io.Writer) error {
 			return fmt.Errorf("-app all runs one cluster per workload; start each -app separately under -transport tcp")
 		}
 		for _, name := range workload.Names {
-			if err := runWorkload(out, name, *procs, *gpn, *scale, *seed, m, *pageSize, *gc, route, ob, mkTransport); err != nil {
+			if err := runWorkload(out, name, *procs, *gpn, *scale, *seed, m, *pageSize, *gc, *statsJSON, ob, mkTransport); err != nil {
 				return err
 			}
 		}
 		return nil
 	case *app != "":
-		return runWorkload(out, *app, *procs, *gpn, *scale, *seed, m, *pageSize, *gc, route, ob, mkTransport)
+		return runWorkload(out, *app, *procs, *gpn, *scale, *seed, m, *pageSize, *gc, *statsJSON, ob, mkTransport)
 	default:
 		if *demo == "" {
 			*demo = "counter"
 		}
-		return runDemo(out, *demo, m, *procs, *gpn, *iters, *pageSize, *gc, route, ob, mkTransport)
+		return runDemo(out, *demo, m, *procs, *gpn, *iters, *pageSize, *gc, *statsJSON, ob, mkTransport)
 	}
-}
-
-// routeCfg carries the placement and reporting flags: the placement
-// policies to run (more than one means a per-policy comparison), and the
-// JSON stats toggle.
-type routeCfg struct {
-	placements []string
-	statsJSON  bool
 }
 
 // traceRingCap bounds the protocol event ring: newest events win.
@@ -301,18 +280,15 @@ func (ob *obsCfg) dumpTrace() error {
 }
 
 // statsReport is the -statsjson output: the run's parameters, every local
-// node's dsm.Stats — per-kind traffic breakdown and the re-homed pages —
-// and the interconnect totals.
+// node's dsm.Stats with its per-kind traffic breakdown, and the
+// interconnect totals.
 type statsReport struct {
-	Program        string             `json:"program"`
-	Mode           string             `json:"mode"`
-	Placement      string             `json:"placement,omitempty"`
-	HomeTable      string             `json:"homeTable,omitempty"`
-	PageMigrations int64              `json:"pageMigrations"`
-	Procs          int                `json:"procs"`
-	Nodes          int                `json:"nodes"`
-	Net            dsm.TransportStats `json:"net"`
-	Node           []dsm.Stats        `json:"nodeStats"`
+	Program string             `json:"program"`
+	Mode    string             `json:"mode"`
+	Procs   int                `json:"procs"`
+	Nodes   int                `json:"nodes"`
+	Net     dsm.TransportStats `json:"net"`
+	Node    []dsm.Stats        `json:"nodeStats"`
 }
 
 func emitStatsJSON(out io.Writer, rep statsReport) error {
@@ -345,73 +321,43 @@ func parsePeers(s string) ([]string, error) {
 // With gpn > 1 the program's processors are multiplexed onto procs/gpn
 // oversubscribed nodes. Under TCP only the process hosting node 0 holds
 // the image; the others report their own traffic.
-func runWorkload(out io.Writer, name string, procs, gpn int, scale float64, seed int64, m dsm.Mode, pageSize, gc int, route routeCfg, ob *obsCfg, mkTransport func() (repro.Transport, error)) error {
+func runWorkload(out io.Writer, name string, procs, gpn int, scale float64, seed int64, m dsm.Mode, pageSize, gc int, statsJSON bool, ob *obsCfg, mkTransport func() (repro.Transport, error)) error {
 	if procs%gpn != 0 {
 		return fmt.Errorf("-gpn %d does not divide -procs %d", gpn, procs)
 	}
-	placements := route.placements
-	if len(placements) == 0 {
-		placements = []string{"block"}
+	prog, err := workload.New(name, procs, scale, seed)
+	if err != nil {
+		return err
+	}
+	tr, err := mkTransport()
+	if err != nil {
+		return err
+	}
+	rc := workload.RuntimeConfig{
+		PageSize: pageSize, Mode: m, GCEveryBarriers: gc, GoroutinesPerNode: gpn,
+		RPCTimeout: ob.rpcTimeout, Metrics: ob.registry, Tracer: ob.tracer,
+		OnSystems: ob.onSystems,
+	}
+	if tr != nil {
+		rc.Transports = []repro.Transport{tr}
+	}
+	res, err := workload.RunOnRuntime(prog, rc)
+	if err != nil {
+		return err
+	}
+	report := statsReport{
+		Program: name, Mode: m.String(),
+		Procs: procs, Nodes: procs / gpn, Net: res.Net, Node: res.Nodes,
 	}
 
-	// One run per placement policy; a single policy is the common case,
-	// a comma list gives the per-policy traffic comparison rows.
-	type polRun struct {
-		policy string
-		res    *workload.RuntimeResult
-		report statsReport
-	}
-	runs := make([]polRun, 0, len(placements))
-	for _, pol := range placements {
-		prog, err := workload.New(name, procs, scale, seed)
-		if err != nil {
-			return err
-		}
-		tr, err := mkTransport()
-		if err != nil {
-			return err
-		}
-		rc := workload.RuntimeConfig{
-			PageSize: pageSize, Mode: m, GCEveryBarriers: gc, GoroutinesPerNode: gpn,
-			Placement: pol, RPCTimeout: ob.rpcTimeout, Metrics: ob.registry, Tracer: ob.tracer,
-		}
-		// Capture the run's systems so the report can include the final
-		// home table (read from the nodes' atomics after the run).
-		var systems []*dsm.System
-		rc.OnSystems = func(ss []*dsm.System) {
-			systems = ss
-			ob.onSystems(ss)
-		}
-		if tr != nil {
-			rc.Transports = []repro.Transport{tr}
-		}
-		res, err := workload.RunOnRuntime(prog, rc)
-		if err != nil {
-			return err
-		}
-		report := statsReport{
-			Program: name, Mode: m.String(), Placement: pol,
-			Procs: procs, Nodes: procs / gpn, Net: res.Net, Node: res.Nodes,
-		}
-		for _, ns := range res.Nodes {
-			report.PageMigrations += ns.PageMigrations
-		}
-		if len(systems) > 0 {
-			report.HomeTable = systems[0].Status().HomeTable
-		}
-		runs = append(runs, polRun{policy: pol, res: res, report: report})
-	}
-
-	first := runs[0]
-	if first.res.Image == nil {
+	if res.Image == nil {
 		// A TCP process hosting only non-zero nodes: node 0's process
-		// verifies the image. (A placement comparison is simnet-only, so
-		// there is exactly one run here.)
+		// verifies the image.
 		fmt.Fprintf(out, "== %s: %d procs, mode %s, page %d: this process's nodes done ==\n", name, procs, m, pageSize)
 		fmt.Fprintf(out, "%-28s%12d%14d   (this process's sends: msgs, wire bytes)\n",
-			"runtime", first.res.Net.Messages, first.res.Net.Bytes)
-		if route.statsJSON {
-			return emitStatsJSON(out, first.report)
+			"runtime", res.Net.Messages, res.Net.Bytes)
+		if statsJSON {
+			return emitStatsJSON(out, report)
 		}
 		return nil
 	}
@@ -427,20 +373,14 @@ func runWorkload(out io.Writer, name string, procs, gpn int, scale float64, seed
 	fmt.Fprintf(out, "== %s: %d procs on %d nodes, scale %g, mode %s, page %d ==\n", name, procs, procs/gpn, scale, m, pageSize)
 	fmt.Fprintf(out, "trace: %d events (%d reads, %d writes, %d acquires, %d barrier arrivals)\n",
 		len(ref.Trace.Events), c.Reads, c.Writes, c.Acquires, c.BarrierArrivals)
-	diverged := false
-	for _, r := range runs {
-		if !bytes.Equal(r.res.Image, ref.Image) {
-			diverged = true
-			fmt.Fprintf(out, "image (placement %s): %d bytes, DIVERGES from sequential reference (consistency violation!)\n",
-				r.policy, len(r.res.Image))
-		}
-	}
-	if !diverged {
-		fmt.Fprintf(out, "image: %d bytes, matches sequential reference under every placement\n", len(first.res.Image))
+	diverged := !bytes.Equal(res.Image, ref.Image)
+	if diverged {
+		fmt.Fprintf(out, "image: %d bytes, DIVERGES from sequential reference (consistency violation!)\n", len(res.Image))
+	} else {
+		fmt.Fprintf(out, "image: %d bytes, matches sequential reference\n", len(res.Image))
 	}
 	// Traffic table: live transport counters next to the simulator's
-	// per-message model, normalized per critical section — one runtime
-	// row per placement policy when several are compared.
+	// per-message model, normalized per critical section.
 	crit := int64(c.Acquires)
 	perCrit := func(n int64) string {
 		if crit == 0 {
@@ -450,31 +390,19 @@ func runWorkload(out io.Writer, name string, procs, gpn int, scale float64, seed
 	}
 	fmt.Fprintf(out, "%-28s%12s%14s%14s%14s\n",
 		"", "msgs", "wire bytes", "msgs/critsec", "wireB/critsec")
-	for _, r := range runs {
-		label := "runtime"
-		if len(runs) > 1 {
-			label = "runtime " + r.policy
-		}
-		extra := ""
-		if r.report.PageMigrations > 0 {
-			extra = fmt.Sprintf("   (%d pages re-homed)", r.report.PageMigrations)
-		}
-		fmt.Fprintf(out, "%-28s%12d%14d%14s%14s%s\n",
-			label, r.res.Net.Messages, r.res.Net.Bytes,
-			perCrit(r.res.Net.Messages), perCrit(r.res.Net.Bytes), extra)
-	}
+	fmt.Fprintf(out, "%-28s%12d%14d%14s%14s\n",
+		"runtime", res.Net.Messages, res.Net.Bytes, perCrit(res.Net.Messages), perCrit(res.Net.Bytes))
 	fmt.Fprintf(out, "%-28s%12d%14d%14s%14s   (trace replay, %s)\n",
 		"simulator", st.TotalMessages(), st.TotalBytes(), perCrit(st.TotalMessages()), perCrit(st.TotalBytes()), m)
-	var misses, diffs, updates, intervals, invals, moves, migrations int64
+	var misses, diffs, updates, intervals, invals, moves int64
 	var created, deferred, cacheHits, flattened, trimmed, aggregated, twinBytes, twinPeak int64
-	for _, ns := range first.res.Nodes {
+	for _, ns := range res.Nodes {
 		misses += ns.AccessMisses
 		diffs += ns.DiffsApplied
 		updates += ns.UpdatesReceived
 		intervals += ns.IntervalsCreated
 		invals += ns.InvalsReceived
 		moves += ns.OwnershipMoves
-		migrations += ns.PageMigrations
 		created += ns.DiffsCreated
 		deferred += ns.DiffsDeferred
 		cacheHits += ns.DiffCacheHits
@@ -484,15 +412,13 @@ func runWorkload(out io.Writer, name string, procs, gpn int, scale float64, seed
 		twinBytes += ns.TwinBytesLive
 		twinPeak = max(twinPeak, ns.TwinBytesPeak)
 	}
-	fmt.Fprintf(out, "nodes: %d access misses, %d diffs applied, %d updates, %d intervals, %d invalidations, %d ownership moves, %d page migrations\n",
-		misses, diffs, updates, intervals, invals, moves, migrations)
+	fmt.Fprintf(out, "nodes: %d access misses, %d diffs applied, %d updates, %d intervals, %d invalidations, %d ownership moves\n",
+		misses, diffs, updates, intervals, invals, moves)
 	fmt.Fprintf(out, "diff plane: %d created (%d trimmed by the twin budget), %d deferred, %d cache hits, %d flattened away, %d pages aggregated into faults, twin bytes: %d live at exit, %d peak on one node\n\n",
 		created, trimmed, deferred, cacheHits, flattened, aggregated, twinBytes, twinPeak)
-	if route.statsJSON {
-		for _, r := range runs {
-			if err := emitStatsJSON(out, r.report); err != nil {
-				return err
-			}
+	if statsJSON {
+		if err := emitStatsJSON(out, report); err != nil {
+			return err
 		}
 	}
 	if diverged {
@@ -501,7 +427,7 @@ func runWorkload(out io.Writer, name string, procs, gpn int, scale float64, seed
 	return nil
 }
 
-func runDemo(out io.Writer, demo string, m dsm.Mode, procs, gpn, iters, pageSize, gc int, route routeCfg, ob *obsCfg, mkTransport func() (repro.Transport, error)) error {
+func runDemo(out io.Writer, demo string, m dsm.Mode, procs, gpn, iters, pageSize, gc int, statsJSON bool, ob *obsCfg, mkTransport func() (repro.Transport, error)) error {
 	var body func(out io.Writer, d *repro.DSM, gpn, iters int) error
 	switch demo {
 	case "counter":
@@ -516,18 +442,6 @@ func runDemo(out io.Writer, demo string, m dsm.Mode, procs, gpn, iters, pageSize
 	if procs%gpn != 0 {
 		return fmt.Errorf("-gpn %d does not divide -procs %d", gpn, procs)
 	}
-	if len(route.placements) > 1 {
-		return fmt.Errorf("-placement comparison needs -app; a demo runs one policy")
-	}
-	placement := dsm.PlaceBlock
-	placementName := "block"
-	if len(route.placements) == 1 {
-		var err error
-		if placement, err = dsm.ParsePlacement(route.placements[0]); err != nil {
-			return err
-		}
-		placementName = route.placements[0]
-	}
 	const spaceSize = 1 << 20
 	tr, err := mkTransport()
 	if err != nil {
@@ -538,7 +452,6 @@ func runDemo(out io.Writer, demo string, m dsm.Mode, procs, gpn, iters, pageSize
 		SpaceSize:         spaceSize,
 		PageSize:          pageSize,
 		Mode:              m,
-		Placement:         placement,
 		GCEveryBarriers:   gc,
 		GoroutinesPerNode: gpn,
 		RPCTimeout:        ob.rpcTimeout,
@@ -559,18 +472,16 @@ func runDemo(out io.Writer, demo string, m dsm.Mode, procs, gpn, iters, pageSize
 	fmt.Fprintf(out, "demo=%s mode=%s procs=%d nodes=%d gpn=%d iters=%d\n", demo, m, procs, procs/gpn, gpn, iters)
 	fmt.Fprintf(out, "interconnect: %d messages, %d bytes\n", st.Messages, st.Bytes)
 	report := statsReport{
-		Program: "demo:" + demo, Mode: m.String(), Placement: placementName,
-		HomeTable: d.Status().HomeTable,
-		Procs:     procs, Nodes: procs / gpn, Net: st,
+		Program: "demo:" + demo, Mode: m.String(),
+		Procs: procs, Nodes: procs / gpn, Net: st,
 	}
 	for _, n := range d.Local() {
 		ns := n.Stats()
 		report.Node = append(report.Node, ns)
-		report.PageMigrations += ns.PageMigrations
 		fmt.Fprintf(out, "  node %d: misses %d (cold %d), diffs applied %d, intervals %d, gc runs %d, invals %d, updates %d\n",
 			n.ID(), ns.AccessMisses, ns.ColdMisses, ns.DiffsApplied, ns.IntervalsCreated, ns.GCRuns, ns.InvalsReceived, ns.UpdatesReceived)
 	}
-	if route.statsJSON {
+	if statsJSON {
 		return emitStatsJSON(out, report)
 	}
 	return nil

@@ -125,13 +125,9 @@ func TestRunErrors(t *testing.T) {
 	} else if !strings.Contains(err.Error(), "GCEveryBarriers") {
 		t.Errorf("-gc error %v does not name the field", err)
 	}
-	if err := run([]string{"-placement", "rr"}, &out); err == nil {
-		t.Error("retired placement rr accepted")
-	} else if !strings.Contains(err.Error(), "block, first-touch") {
-		t.Errorf("placement error %v does not enumerate the supported set", err)
-	}
-	// The pipeline has one configuration: its former knobs are not flags.
-	for _, flag := range []string{"-nobatch", "-flushmsgs=2", "-flushbytes=2", "-flushdelay=1ms", "-compress=64", "-eagerdiffs"} {
+	// The pipeline has one configuration and pages one home map: their
+	// former knobs are not flags.
+	for _, flag := range []string{"-nobatch", "-flushmsgs=2", "-flushbytes=2", "-flushdelay=1ms", "-compress=64", "-eagerdiffs", "-placement=block"} {
 		if err := run([]string{flag}, &out); err == nil {
 			t.Errorf("retired flag %s accepted", flag)
 		}

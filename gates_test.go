@@ -86,14 +86,6 @@ var gateRows = []gateRow{
 		{"page_responses", ">", 0},
 		{"page_response_bytes", "<=", 1024}, // a quarter of the page it expands to
 	}},
-	// First-touch placement earns its barrier exchange when re-homing each
-	// page to its user turns flush and directory exchanges with a remote
-	// home into loopback. 20 runs measured 0.64 (block 3.50-3.71
-	// msgs/critsec, first-touch 2.19-2.41), so one run of each decides.
-	{"first-touch", waterVersusBlock, repro.EagerInvalidate, repro.RuntimeConfig{PageSize: 1024, Placement: "first-touch"}, []gateCheck{
-		{"msgs_over_block", "<=", 0.85},
-		{"rehomed_pages", ">", 0},
-	}},
 	// A critical section costs a handful of small messages and allocates
 	// none of its bookkeeping: twin and diff leases, interval slot arrays,
 	// want and request lists and clocks are all recycled. What the row still
@@ -213,12 +205,11 @@ func water(t *testing.T, rc repro.RuntimeConfig) gateMetrics {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var created, deferred, hits, rehomed, reqs, reqBytes, grants, grantBytes, ships, shipBytes int64
+	var created, deferred, hits, reqs, reqBytes, grants, grantBytes, ships, shipBytes int64
 	for _, ns := range res.Nodes {
 		created += ns.DiffsCreated
 		deferred += ns.DiffsDeferred
 		hits += ns.DiffCacheHits
-		rehomed += ns.PageMigrations
 		reqs += ns.KindMsgs[wire.KLockReq]
 		reqBytes += ns.KindBytes[wire.KLockReq]
 		grants += ns.KindMsgs[wire.KLockGrant]
@@ -228,7 +219,6 @@ func water(t *testing.T, rc repro.RuntimeConfig) gateMetrics {
 	}
 	return gateMetrics{
 		"msgs_per_critsec":                 float64(res.Net.Messages) / float64(ref.Trace.Count().Acquires),
-		"rehomed_pages":                    float64(rehomed),
 		"deferred_closes":                  float64(deferred),
 		"diffs_created_per_deferred_close": float64(created) / float64(deferred),
 		"diff_cache_hits":                  float64(hits),
@@ -239,17 +229,6 @@ func water(t *testing.T, rc repro.RuntimeConfig) gateMetrics {
 		"page_responses":                   float64(ships),
 		"page_response_bytes":              float64(shipBytes) / float64(ships),
 	}
-}
-
-// waterVersusBlock runs water under rc's placement and under block
-// placement, and reports the first's messages per critical section over
-// the second's.
-func waterVersusBlock(t *testing.T, rc repro.RuntimeConfig) gateMetrics {
-	block := rc
-	block.Placement = "block"
-	m := water(t, rc)
-	m["msgs_over_block"] = m["msgs_per_critsec"] / water(t, block)["msgs_per_critsec"]
-	return m
 }
 
 // newGateDSM returns a single-System cluster that t closes.

@@ -34,9 +34,9 @@ func (f Flavor) String() string {
 type pstatus uint8
 
 const (
-	psNoCopy pstatus = iota // never materialized locally
-	psValid                 // current copy present
-	psInvalid               // stale copy retained (diff target, §4.3.3)
+	psNoCopy  pstatus = iota // never materialized locally
+	psValid                  // current copy present
+	psInvalid                // stale copy retained (diff target, §4.3.3)
 )
 
 // procState is one processor's view in the lazy engine.

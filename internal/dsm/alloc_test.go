@@ -3,7 +3,6 @@ package dsm
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"runtime"
 	"sync"
 	"testing"
@@ -45,53 +44,6 @@ func TestAccessHitAllocatesNothingGate(t *testing.T) {
 			t.Errorf("a write hit allocates %.1f objects, want 0", allocs)
 		}
 	})
-}
-
-// TestTouchTableLivesUntilFirstBarrier: an access ticks the home table's
-// touch counts only while first-touch is still collecting claims. Under
-// block placement the counts are never allocated; under first-touch the
-// first cluster barrier takes them, and later accesses find nothing to
-// tick.
-func TestTouchTableLivesUntilFirstBarrier(t *testing.T) {
-	if s := newSys(t, 2, LazyInvalidate); s.Node(0).homes.touch.Load() != nil {
-		t.Error("block placement allocated a touch table")
-	}
-	s, err := New(Config{Procs: 2, SpaceSize: 8192, PageSize: 1024, Mode: LazyInvalidate, Placement: PlaceFirstTouch})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	run := func(n *Node) error {
-		addr := 1024 + 8*mem.Addr(n.ID()) // both nodes touch page 1
-		if err := n.WriteUint64(addr, 1); err != nil {
-			return err
-		}
-		touch := n.homes.touch.Load()
-		if touch == nil || (*touch)[1].Load() != 1 {
-			return errors.New("no touch recorded before the first barrier")
-		}
-		if err := n.Barrier(0); err != nil {
-			return err
-		}
-		if err := n.WriteUint64(addr, 2); err != nil {
-			return err
-		}
-		if n.homes.touch.Load() != nil || (*touch)[1].Load() != 1 {
-			return errors.New("the touch table outlived the first barrier")
-		}
-		return nil
-	}
-	var wg sync.WaitGroup
-	for _, n := range s.Local() {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := run(n); err != nil {
-				t.Errorf("node %d: %v", n.ID(), err)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // The lock-ring shape: every critical section rewrites a 64-byte record,
@@ -282,7 +234,7 @@ func TestLockBurstRecyclesTwinsAndStoreGate(t *testing.T) {
 	}()
 	burst := func(round int) {
 		for _, n := range s.Local() {
-			l := mem.LockID(n.ID()) // managed here, as block placement homes pg ≡ n.ID()
+			l := mem.LockID(n.ID()) // managed here, as the home of pg ≡ n.ID() is n
 			for i := 0; i < perNode; i++ {
 				must(t, n.Acquire(l))
 				for j := 0; j < width; j++ {

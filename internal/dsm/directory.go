@@ -307,19 +307,6 @@ func (d *directory) fetch(e *dirEntry, pg mem.PageID) ([]byte, error) {
 	return data, nil
 }
 
-// reset restarts pg's entry under its current home, with the home holding
-// the only copy if held. Called only from first-touch's quiescent hand-off
-// (adoptPage), with no transaction in flight anywhere.
-func (d *directory) reset(pg mem.PageID, held bool) {
-	e := &d.entries[pg]
-	e.mu.Lock()
-	e.owner, e.copyset, e.joined, e.rounds = d.n.homeOf(pg), 0, nil, nil
-	if held {
-		e.copyset = 1 << uint(d.n.id)
-	}
-	e.mu.Unlock()
-}
-
 // serveFetch answers a home's fetch of this owner's committed copy (SC),
 // inline on the page's shard worker.
 func (d *directory) serveFetch(m *wire.Msg, src mem.ProcID) {

@@ -189,13 +189,6 @@ type Config struct {
 	// node of a cluster must run the same one: a peer's synchronization
 	// payload tagged with another mode is recorded and dropped.
 	Mode Mode
-	// Placement selects the initial page→home assignment: block (the
-	// pg % Procs interleave, the default) or first-touch (homes
-	// re-assigned at the first cluster barrier to the node that touched
-	// each page most). Every node of a cluster must be configured with
-	// the same policy; build one from the textual flag syntax with
-	// ParsePlacement. See placement.go.
-	Placement Placement
 	// GCEveryBarriers enables interval/diff garbage collection every k-th
 	// barrier episode (0 disables GC). GC validates every cached page,
 	// then discards the diffs of intervals covered by the barrier's
@@ -219,8 +212,7 @@ type Config struct {
 	// a failed New closes it before returning.
 	Transport Transport
 	// RPCTimeout bounds every blocking wait on a remote peer — rpc
-	// responses, and the master's barrier/GC/hand-off arrival
-	// collection. When it elapses the operation fails wrapping
+	// responses, and the master's barrier and GC arrival collection. When it elapses the operation fails wrapping
 	// ErrRPCTimeout, so a peer that died mid-critical-section surfaces
 	// as a descriptive System.Close error instead of hanging the run.
 	// 0 disables the timeout (waits are unbounded, the pre-fault
@@ -235,10 +227,9 @@ type Config struct {
 	// readable through System.Status. Serve it with obs.StartServer.
 	Metrics *obs.Registry
 	// Tracer, when non-nil, records protocol events (sends, receives,
-	// critical-section enter/exit, barrier episodes, first-touch
-	// migrations) into its bounded ring, dumpable as Chrome
-	// trace_event JSON. Nil disables tracing at one pointer check per
-	// site.
+	// critical-section enter/exit, barrier episodes) into its bounded
+	// ring, dumpable as Chrome trace_event JSON. Nil disables tracing at
+	// one pointer check per site.
 	Tracer *obs.Tracer
 }
 
@@ -295,9 +286,6 @@ func New(cfg Config) (*System, error) {
 	if !cfg.Mode.Valid() {
 		return fail(fmt.Errorf("dsm: unknown mode %d (supported: %s)", int(cfg.Mode), ModeNames()))
 	}
-	if !cfg.Placement.Valid() {
-		return fail(fmt.Errorf("dsm: unknown placement %d (supported: %s)", int(cfg.Placement), PlacementNames()))
-	}
 	if cfg.RPCTimeout < 0 {
 		return fail(fmt.Errorf("dsm: negative rpc timeout %v", cfg.RPCTimeout))
 	}
@@ -311,10 +299,6 @@ func New(cfg Config) (*System, error) {
 	if cfg.PageSize > wire.MaxDataBytes {
 		return fail(fmt.Errorf("dsm: page size %d exceeds the %d bytes one message may carry (wire.MaxDataBytes): no page could be shipped",
 			cfg.PageSize, wire.MaxDataBytes))
-	}
-	if cfg.Placement == PlaceFirstTouch && maxExchangeBytes(layout.NumPages()) > wire.MaxDataBytes {
-		return fail(fmt.Errorf("dsm: %d pages: the first barrier's first-touch exchange could exceed the %d bytes one message may carry (wire.MaxDataBytes)",
-			layout.NumPages(), wire.MaxDataBytes))
 	}
 	tr := cfg.Transport
 	if tr == nil {

@@ -450,7 +450,7 @@ func TestModeNames(t *testing.T) {
 // values for it; a value only one caller sets is a constant.
 func TestConfigSurface(t *testing.T) {
 	want := []string{
-		"Procs", "SpaceSize", "PageSize", "Mode", "Placement",
+		"Procs", "SpaceSize", "PageSize", "Mode",
 		"GCEveryBarriers", "GoroutinesPerNode", "Transport",
 		"RPCTimeout", "Metrics", "Tracer",
 	}
@@ -474,15 +474,10 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{Procs: 2, SpaceSize: 4096, PageSize: 1000}); err == nil {
 		t.Error("bad page size accepted")
 	}
-	// What one message's Data block may carry bounds a page, and the
-	// barrier exchange of a space with too many pages.
+	// What one message's Data block may carry bounds a page.
 	if _, err := New(Config{Procs: 2, SpaceSize: 4 * wire.MaxDataBytes, PageSize: 2 * wire.MaxDataBytes}); err == nil ||
 		!strings.Contains(err.Error(), "no page could be shipped") {
 		t.Errorf("unshippable page size: err = %v", err)
-	}
-	manyPages := Config{Procs: 2, SpaceSize: 64 * (wire.MaxDataBytes/8 + 1), PageSize: 64, Placement: PlaceFirstTouch}
-	if _, err := New(manyPages); err == nil || !strings.Contains(err.Error(), "exchange could exceed") {
-		t.Errorf("unshippable first-touch exchange: err = %v", err)
 	}
 	// A negative GC period is a mistake, not a way to say "off".
 	if _, err := New(Config{Procs: 2, SpaceSize: 4096, PageSize: 512, GCEveryBarriers: -1}); err == nil ||

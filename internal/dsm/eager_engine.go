@@ -426,39 +426,6 @@ func (e *eagerEngine) onGrant(grant *wire.Msg) error { return nil }
 func (e *eagerEngine) preRelease() error             { return e.flush() }
 func (e *eagerEngine) release()                      {}
 
-// dropPage and adoptPage run only in the quiescent hand-off
-// rendezvous: no flush, fetch or directory transaction for the page is
-// in flight anywhere, so resetting the directory entry alongside the
-// copy cannot strand a peer. The only time an EU copy leaves its copyset,
-// it takes the page's hint along: the new home's copyset starts empty.
-func (e *eagerEngine) dropPage(pg mem.PageID) {
-	pmu := e.n.pageLock(pg)
-	pmu.Lock()
-	if pc := e.pages[pg]; pc != nil {
-		pc.drop(e.n)
-	}
-	e.pages[pg], e.fetching[pg] = nil, false
-	if e.update {
-		e.hints[pg] = 0
-	} else {
-		e.revoked[pg] = false
-	}
-	pmu.Unlock()
-	e.ws.drop(pg)
-}
-
-func (e *eagerEngine) adoptPage(pg mem.PageID, data []byte) {
-	e.dir.reset(pg, data != nil)
-	if data == nil {
-		// Non-home: fault through the home's directory on first use.
-		return
-	}
-	pmu := e.n.pageLock(pg)
-	pmu.Lock()
-	e.pages[pg] = &pageCopy{data: append([]byte(nil), data...), valid: true}
-	pmu.Unlock()
-}
-
 func (e *eagerEngine) preBarrier() error                 { return e.flush() }
 func (e *eagerEngine) barrierEntry()                     {}
 func (e *eagerEngine) arrive(arrive *wire.Msg)           {}

@@ -42,11 +42,6 @@ import (
 //     node's lockMu held (grant also from a lock shard worker); barrier
 //     hooks are called by the barrier leader goroutine only; handle runs
 //     on a shard worker with per-page arrival order guaranteed.
-//   - dropPage and adoptPage are called only from first-touch's
-//     barrier-time hand-off rendezvous (placement.go), when every
-//     application goroutine cluster-wide is parked and no page traffic
-//     is in flight; they may mutate page state without coordination
-//     beyond the page stripe.
 //   - Statistics tick through the node's atomic counters from any
 //     goroutine.
 type engine interface {
@@ -114,19 +109,6 @@ type engine interface {
 	// once the handler returns — while spawned goroutines use
 	// Node.send/rpcAll, which flush themselves.
 	handle(m *wire.Msg, src mem.ProcID) bool
-
-	// dropPage surrenders page pg's old home: the engine forgets its
-	// copy of the page, releasing any twin. Called only during the quiescent
-	// hand-off rendezvous, after the page was brought current at its new
-	// home node.
-	dropPage(pg mem.PageID)
-	// adoptPage restarts page pg under its new home, right after
-	// dropPage. At that node, data is the page's authoritative contents
-	// (adopted as a valid copy — owned, under the directory engines,
-	// which reset the page's entry here); elsewhere data is nil and the
-	// engine starts cold, faulting the page from its home on first use.
-	// Called only during the quiescent hand-off rendezvous.
-	adoptPage(pg mem.PageID, data []byte)
 
 	// clock returns the node's vector time (zero for engines that do not
 	// track causality).

@@ -686,43 +686,6 @@ func (e *lazyEngine) checkGCInvariant(epoch vc.VC) error {
 	return nil
 }
 
-// --- engine interface: page migration ---
-
-func (e *lazyEngine) dropPage(pg mem.PageID) {
-	// The hand-off runs after barrierEntry closed the interval,
-	// so no live twin exists; any retained diffs stay for GC to discard.
-	// A deferred diff still reading its target out of this copy's data
-	// must be materialized before the data goes away.
-	pmu := e.n.pageLock(pg)
-	pmu.Lock()
-	if pc := e.pages[pg]; pc != nil && pc.pending != nil {
-		e.materializeSlot(pc, pc.pending, pg)
-	}
-	e.pages[pg] = nil
-	pmu.Unlock()
-	e.ws.drop(pg)
-}
-
-func (e *lazyEngine) adoptPage(pg mem.PageID, data []byte) {
-	if data == nil {
-		// Non-home: start cold and fault the page from its home on first
-		// use, like any never-touched page.
-		return
-	}
-	// The post-barrier clock covers every pre-hand-off interval, so a
-	// copy stamped with it has nothing outstanding.
-	e.mu.Lock()
-	applied := e.v.Clone()
-	e.mu.Unlock()
-	pmu := e.n.pageLock(pg)
-	pmu.Lock()
-	e.pages[pg] = &lazyPage{ // dropPage made any pending diff of the old copy
-		pageCopy: pageCopy{data: append([]byte(nil), data...), valid: true},
-		applied:  applied,
-	}
-	pmu.Unlock()
-}
-
 // --- engine interface: handler-side requests ---
 
 func (e *lazyEngine) handle(m *wire.Msg, src mem.ProcID) bool {

@@ -95,10 +95,6 @@ type Stats struct {
 	// OwnershipMoves counts directory owner changes processed at this
 	// node as a page home (SC).
 	OwnershipMoves int64
-	// PageMigrations counts home-table moves that landed a page HERE:
-	// first-touch finalizations whose new home is this node (so the
-	// cluster-wide sum is the total number of re-homed pages).
-	PageMigrations int64
 
 	// Outbound traffic as the node's outbox handed it to the transport
 	// (loopback excluded, matching the interconnect's accounting):
@@ -119,9 +115,16 @@ type Stats struct {
 	KindMsgs  [wire.NumKinds]int64
 	KindBytes [wire.NumKinds]int64
 
-	// Pages lists the pages first-touch re-homed: those whose home is no
-	// longer the block one.
+	// Pages is always nil. Kept for bench/lrcbench; ROADMAP item 1
+	// removes it.
 	Pages []PageStat
+}
+
+// PageStat is the element type of Stats.Pages, which nothing fills.
+// Kept for bench/lrcbench; ROADMAP item 1 removes it.
+type PageStat struct {
+	Page int
+	Home int
 }
 
 // nodeStats is the node's live counter cell: every field is an atomic,
@@ -150,7 +153,6 @@ type nodeStats struct {
 	invalsReceived   atomic.Int64
 	updatesReceived  atomic.Int64
 	ownershipMoves   atomic.Int64
-	pageMigrations   atomic.Int64
 
 	sentMsgs  atomic.Int64
 	sentBytes atomic.Int64
@@ -190,7 +192,6 @@ func (s *nodeStats) snapshot() Stats {
 		InvalsReceived:   s.invalsReceived.Load(),
 		UpdatesReceived:  s.updatesReceived.Load(),
 		OwnershipMoves:   s.ownershipMoves.Load(),
-		PageMigrations:   s.pageMigrations.Load(),
 		SentMsgs:         s.sentMsgs.Load(),
 		SentBytes:        s.sentBytes.Load(),
 	}
@@ -245,8 +246,6 @@ type Node struct {
 	ep  transport.Endpoint
 	// e is the node's protocol engine, the one Config.Mode names.
 	e engine
-	// homes is the page→home table (placement.go).
-	homes homeTable
 	// out is the unified outbound pipeline: every protocol send stages
 	// through it, encoded, until a flush point (an immediate send, a
 	// grouped rpcAll, a shard worker done with a message) sends it. See
@@ -344,8 +343,6 @@ func newNode(s *System, id mem.ProcID) *Node {
 		n.queues[i] = make(chan inFrame, workerQueueCap)
 	}
 	n.out = newOutbox(n)
-	// The engines read the home table as they build their directories.
-	n.homes.init(s.layout.NumPages(), s.cfg.Procs, s.cfg.Placement == PlaceFirstTouch)
 	switch m := s.cfg.Mode; m {
 	case LazyInvalidate, LazyUpdate:
 		n.e = newLazyEngine(n, m == LazyUpdate)
@@ -362,14 +359,11 @@ func (n *Node) pageLock(pg mem.PageID) *sync.Mutex {
 	return &n.pageMu[uint32(pg)%pageShards]
 }
 
-// homeOf returns page pg's current home node: the directory entry
-// under the eager and SC engines, the cold-copy server under the lazy
-// ones. A lock-free read of the home table — initialized by
-// Config.Placement, re-written only inside first-touch's quiescent
-// hand-off rendezvous, so every node consults the same table at a
-// consistent epoch.
+// homeOf returns page pg's home node: the directory entry under the
+// eager and SC engines, the cold-copy server under the lazy ones. Homes
+// are the static interleave pg % Procs, the paper's page→manager map.
 func (n *Node) homeOf(pg mem.PageID) mem.ProcID {
-	return n.homes.of(pg)
+	return mem.ProcID(int(pg) % n.sys.cfg.Procs)
 }
 
 // missLock returns the stripe serializing miss service for page pg.
@@ -385,9 +379,7 @@ func (n *Node) ID() mem.ProcID { return n.id }
 // is internally consistent (the set as a whole is a moment-in-time read
 // of monotone counters, not a transaction).
 func (n *Node) Stats() Stats {
-	st := n.stats.snapshot()
-	st.Pages = n.homes.moved(n.sys.cfg.Procs)
-	return st
+	return n.stats.snapshot()
 }
 
 // Clock returns a copy of the node's current vector clock (all zero
@@ -1090,7 +1082,6 @@ func (n *Node) Read(buf []byte, addr mem.Addr) error {
 // eight bytes are the access hit path's only allocation.
 
 func (n *Node) readPage(pg mem.PageID, off int, dst []byte) error {
-	n.homes.noteTouch(pg)
 	switch e := n.e.(type) {
 	case *lazyEngine:
 		return e.readPage(pg, off, dst)
@@ -1102,7 +1093,6 @@ func (n *Node) readPage(pg mem.PageID, off int, dst []byte) error {
 }
 
 func (n *Node) writePage(pg mem.PageID, off int, src []byte) error {
-	n.homes.noteTouch(pg)
 	switch e := n.e.(type) {
 	case *lazyEngine:
 		return e.writePage(pg, off, src)

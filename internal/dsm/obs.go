@@ -87,7 +87,7 @@ func (s *System) registerMetrics(r *obs.Registry) {
 		}
 		nodeCounter("dsm_node_access_misses_total", "application faults: accesses that found their page's copy invalid", n.stats.accessMisses.Load)
 		nodeCounter("dsm_node_pages_aggregated_total", "pages an LI fault brought current beside its own (siblings)", n.stats.pagesAggregated.Load)
-		nodeCounter("dsm_node_cold_misses_total", "cold (first-touch) misses", n.stats.coldMisses.Load)
+		nodeCounter("dsm_node_cold_misses_total", "cold misses (a page's first fetch)", n.stats.coldMisses.Load)
 		nodeCounter("dsm_node_diffs_applied_total", "diffs applied to local copies", n.stats.diffsApplied.Load)
 		nodeCounter("dsm_node_diffs_fetched_total", "diffs fetched from creators", n.stats.diffsFetched.Load)
 		nodeCounter("dsm_node_intervals_created_total", "intervals created", n.stats.intervalsCreated.Load)
@@ -107,7 +107,6 @@ func (s *System) registerMetrics(r *obs.Registry) {
 		nodeCounter("dsm_node_invals_received_total", "invalidations applied", n.stats.invalsReceived.Load)
 		nodeCounter("dsm_node_updates_received_total", "release-time updates applied", n.stats.updatesReceived.Load)
 		nodeCounter("dsm_node_ownership_moves_total", "directory ownership transfers", n.stats.ownershipMoves.Load)
-		nodeCounter("dsm_node_page_migrations_total", "pages re-homed to this node", n.stats.pageMigrations.Load)
 		nodeCounter("dsm_node_sent_msgs_total", "outbound logical messages", n.stats.sentMsgs.Load)
 		nodeCounter("dsm_node_sent_bytes_total", "outbound payload bytes", n.stats.sentBytes.Load)
 		for k := wire.Kind(1); int(k) < wire.NumKinds; k++ {
@@ -135,8 +134,8 @@ type NodeStatus struct {
 }
 
 // Status is the /statusz snapshot: the live configuration, interconnect
-// totals, each local node's counters, the home table, and the
-// recent-traffic ring (present when Config.Metrics enabled the sampler).
+// totals, each local node's counters, and the recent-traffic ring
+// (present when Config.Metrics enabled the sampler).
 type Status struct {
 	Procs             int                 `json:"procs"`
 	LocalNodes        []int               `json:"local_nodes"`
@@ -144,9 +143,6 @@ type Status struct {
 	PageSize          int                 `json:"page_size"`
 	NumPages          int                 `json:"num_pages"`
 	GoroutinesPerNode int                 `json:"goroutines_per_node"`
-	Placement         string              `json:"placement"`
-	HomeTable         string              `json:"home_table"`
-	PageMigrations    int64               `json:"page_migrations"`
 	GCEveryBarriers   int                 `json:"gc_every_barriers"`
 	RPCTimeout        string              `json:"rpc_timeout"`
 	Net               TransportStats      `json:"net"`
@@ -155,8 +151,7 @@ type Status struct {
 }
 
 // Status returns a live snapshot of the system for /statusz. Safe to
-// call concurrently with a running workload: counters are atomic reads
-// and the home table is read lock-free.
+// call concurrently with a running workload: counters are atomic reads.
 func (s *System) Status() Status {
 	st := Status{
 		Procs:             s.cfg.Procs,
@@ -164,21 +159,13 @@ func (s *System) Status() Status {
 		PageSize:          s.layout.PageSize(),
 		NumPages:          s.layout.NumPages(),
 		GoroutinesPerNode: s.cfg.GoroutinesPerNode,
-		Placement:         s.cfg.Placement.String(),
 		GCEveryBarriers:   s.cfg.GCEveryBarriers,
 		RPCTimeout:        s.cfg.RPCTimeout.String(),
 		Net:               s.tr.Totals(),
 	}
 	for _, n := range s.local {
 		st.LocalNodes = append(st.LocalNodes, int(n.id))
-		ns := NodeStatus{ID: int(n.id), Stats: n.Stats()}
-		st.Nodes = append(st.Nodes, ns)
-		st.PageMigrations += ns.Stats.PageMigrations
-	}
-	if len(s.local) > 0 {
-		// Home tables are cluster-agreed (they only change inside the
-		// quiescent rendezvous), so any local node's snapshot serves.
-		st.HomeTable = FormatHomeTable(s.local[0].homes.snapshot())
+		st.Nodes = append(st.Nodes, NodeStatus{ID: int(n.id), Stats: n.Stats()})
 	}
 	if s.ring != nil {
 		st.Traffic = s.ring.Recent()

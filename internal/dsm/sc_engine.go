@@ -192,29 +192,6 @@ func (e *scEngine) onGrant(grant *wire.Msg) error { return nil }
 func (e *scEngine) preRelease() error             { return nil }
 func (e *scEngine) release()                      {}
 
-// dropPage and adoptPage run only in the quiescent hand-off
-// rendezvous; no access, miss or directory transaction for the page is
-// in flight anywhere.
-func (e *scEngine) dropPage(pg mem.PageID) {
-	pmu := e.n.pageLock(pg)
-	pmu.Lock()
-	e.pages[pg] = nil
-	e.pending[pg] = nil
-	pmu.Unlock()
-}
-
-func (e *scEngine) adoptPage(pg mem.PageID, data []byte) {
-	e.dir.reset(pg, data != nil)
-	if data == nil {
-		// Non-home: miss through the home's directory on first use.
-		return
-	}
-	pmu := e.n.pageLock(pg)
-	pmu.Lock()
-	e.pages[pg] = &scPage{data: append([]byte(nil), data...), mode: scWrite}
-	pmu.Unlock()
-}
-
 func (e *scEngine) preBarrier() error                 { return nil }
 func (e *scEngine) barrierEntry()                     {}
 func (e *scEngine) arrive(arrive *wire.Msg)           {}

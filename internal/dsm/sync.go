@@ -275,23 +275,12 @@ func (n *Node) Barrier(b mem.BarrierID) error {
 }
 
 // clusterBarrier is the node-level barrier: the distributed rendezvous
-// through the master plus the engine's pre/post episode work. Under
-// PlaceFirstTouch the first one's arrival and exit messages additionally
-// carry the placement exchange in their Data payload — touch claims up,
-// the master's home moves down — and a non-empty plan is applied in a
-// dedicated rendezvous before any application goroutine leaves the
-// barrier (see placement.go).
+// through the master plus the engine's pre/post episode work.
 func (n *Node) clusterBarrier(b mem.BarrierID) error {
 	n.emit("sync", "barrier-enter", int64(b))
 	if err := n.e.preBarrier(); err != nil {
 		return err
 	}
-
-	// The touch table is there to take at the first cluster barrier only,
-	// on every node alike, so the cluster agrees which barrier carries the
-	// claims.
-	claims, ftDue := n.homes.takeClaims(n.id)
-	var homes []homeDelta
 
 	if n.id == master {
 		n.e.barrierEntry()
@@ -303,29 +292,11 @@ func (n *Node) clusterBarrier(b mem.BarrierID) error {
 			n.openSection("barrier arrival", m, mem.ProcID(m.B))
 		}
 		n.e.masterAbsorb(arrivals)
-		var exitData []byte
-		if ftDue {
-			// One undecodable arrival skips the placement: homes planned from
-			// partial claims would be agreed, but not first-touch.
-			complete := true
-			for _, m := range arrivals {
-				peer, err := decodeClaims(m.Data, mem.ProcID(m.B), n.sys.layout.NumPages())
-				if err != nil {
-					n.noteErr("first-touch exchange", fmt.Errorf("node %d: %w", m.B, err))
-					complete = false
-				}
-				claims = append(claims, peer...)
-			}
-			if complete {
-				homes = n.homes.planFirstTouch(claims)
-			}
-			exitData = encodeHomePlan(homes)
-		}
 		// Exit messages carry what each arriver lacks; an arrival is done
 		// with once it is answered.
 		for _, m := range arrivals {
 			exit := wire.NewMsg()
-			exit.Kind, exit.Seq, exit.A, exit.Data = wire.KBarrierExit, m.Seq, int32(b), exitData
+			exit.Kind, exit.Seq, exit.A = wire.KBarrierExit, m.Seq, int32(b)
 			n.e.exit(m, exit)
 			n.sealSection(exit)
 			err := n.send(mem.ProcID(m.B), exit)
@@ -338,9 +309,6 @@ func (n *Node) clusterBarrier(b mem.BarrierID) error {
 	} else {
 		arrive := wire.NewMsg()
 		arrive.Kind, arrive.Seq, arrive.A, arrive.B = wire.KBarrierArrive, n.nextSeq(), int32(b), int32(n.id)
-		if ftDue {
-			arrive.Data = encodeClaims(claims)
-		}
 		n.e.barrierEntry()
 		n.e.arrive(arrive)
 		n.sealSection(arrive)
@@ -350,17 +318,6 @@ func (n *Node) clusterBarrier(b mem.BarrierID) error {
 			return err
 		}
 		defer exit.Release()
-		if ftDue {
-			// An undecodable plan must fail the barrier loudly; an invalid
-			// home delta is merely recorded and the plan dropped (see
-			// decodeHomePlan): a home is a placement hint.
-			var homeErr error
-			homes, homeErr, err = decodeHomePlan(exit.Data, n.sys.layout.NumPages(), n.sys.cfg.Procs)
-			if err != nil {
-				return fmt.Errorf("dsm: node %d: barrier %d: %w", n.id, b, err)
-			}
-			n.noteErr("home delta", homeErr)
-		}
 		n.openSection("barrier exit", exit, mem.ProcID(exit.B))
 		if err := n.e.onExit(exit); err != nil {
 			return err
@@ -369,11 +326,6 @@ func (n *Node) clusterBarrier(b mem.BarrierID) error {
 	if err := n.e.postBarrier(b); err != nil {
 		return err
 	}
-	if len(homes) > 0 {
-		if err := n.handOff(b, homes); err != nil {
-			return err
-		}
-	}
 	n.emit("sync", "barrier-exit", int64(b))
 	return nil
 }
@@ -381,7 +333,7 @@ func (n *Node) clusterBarrier(b mem.BarrierID) error {
 // --- the master's rendezvous ---
 
 // master is the barrier master: it collects every barrier arrival and
-// every ready of the post-barrier rendezvous rounds.
+// every ready of the post-barrier GC rendezvous.
 const master = mem.ProcID(0)
 
 // park hands a rendezvous message from the dispatch loop to the master's
@@ -447,11 +399,11 @@ func (n *Node) collectRound(ch chan *wire.Msg, b mem.BarrierID, what string) ([]
 }
 
 // rendezvous is one ready/go round over every node after barrier b, for
-// the lazy engines' GC discard and both rounds of first-touch's hand-off
-// (what names it): a non-master sends KGCReady and blocks for the
-// matching KGCDone; the master collects a ready from every other node,
-// then releases them all. Per-sender FIFO delivery keeps a node's readies
-// in round order, so rounds need no label.
+// the lazy engines' GC discard (what names it): a non-master sends
+// KGCReady and blocks for the matching KGCDone; the master collects a
+// ready from every other node, then releases them all. Per-sender FIFO
+// delivery keeps a node's readies in round order, so rounds need no
+// label.
 func (n *Node) rendezvous(b mem.BarrierID, what string) error {
 	if n.id != master {
 		done, err := n.rpc(master, &wire.Msg{Kind: wire.KGCReady, Seq: n.nextSeq(), A: int32(b), B: int32(n.id)})

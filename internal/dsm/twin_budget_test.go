@@ -115,7 +115,7 @@ func TestTwinBudgetIsPerSystem(t *testing.T) {
 	run := func(s *System) {
 		t.Helper()
 		for _, n := range s.Local() {
-			// Block placement: the node homes the pages it writes, and it
+			// Homes are pg % procs: the node homes the pages it writes, and it
 			// manages the lock it writes them under, so nothing is sent.
 			l := mem.LockID(n.ID())
 			for pg := int(n.ID()); pg < budgetPages; pg += procs {
@@ -231,7 +231,7 @@ func TestBelowBudgetNothingIsDiffed(t *testing.T) {
 	driveSlots(t, []*System{s}, 1, func(n *Node, _ int) error {
 		for round := 1; round <= rounds; round++ {
 			for i := 0; i < slab; i++ {
-				pg := i*procs + int(n.ID()) // block placement: homed here
+				pg := i*procs + int(n.ID()) // pg % procs: homed here
 				if err := n.WriteUint64(mem.Addr(pg*budgetPageSize), uint64(round)); err != nil {
 					return err
 				}

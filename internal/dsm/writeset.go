@@ -55,13 +55,6 @@ func (pc *pageCopy) take() (t *page.Twin) {
 	return t
 }
 
-// drop releases the twin of a copy the caller is discarding.
-func (pc *pageCopy) drop(n *Node) {
-	if t := pc.take(); t != nil {
-		n.releaseTwin(t)
-	}
-}
-
 // land lands outside bytes on the committed contents: base, when non-nil,
 // replaces them (the copy keeps the buffer), and apply, when non-nil, then
 // patches them. Without a twin that is data itself. With one, the
@@ -154,13 +147,6 @@ func newWriteSet() *writeSet {
 func (w *writeSet) add(pg mem.PageID) {
 	w.mu.Lock()
 	w.dirty[pg] = struct{}{}
-	w.mu.Unlock()
-}
-
-// drop forgets pg, whose copy (and twin) the caller just discarded.
-func (w *writeSet) drop(pg mem.PageID) {
-	w.mu.Lock()
-	delete(w.dirty, pg)
 	w.mu.Unlock()
 }
 

@@ -50,7 +50,11 @@ func TestPageCopyLand(t *testing.T) {
 				if twinned {
 					pc.write(n, ws, 0, ownOff, fill(0xAA, page.WordSize))
 				}
-				defer pc.drop(n)
+				defer func() {
+					if t := pc.take(); t != nil {
+						n.releaseTwin(t)
+					}
+				}()
 				data, view, twin := slices.Clone(pc.data), slices.Clone(pc.committed()), pc.twin
 				var base []byte
 				if k.base {

@@ -135,7 +135,7 @@ func TestFillRangeMatchesFill(t *testing.T) {
 	buf := make([]byte, 32)
 	FillRange(buf, 100)
 	for i, b := range buf {
-		if b != Fill(mem.Addr(100 + i)) {
+		if b != Fill(mem.Addr(100+i)) {
 			t.Fatalf("FillRange[%d] = %#x, want %#x", i, b, Fill(mem.Addr(100+i)))
 		}
 	}

@@ -70,9 +70,9 @@ func cat(parts ...[]byte) []byte {
 }
 
 // Retired kind bytes a peer may still send, each refused as unknown: the
-// first-touch hand-off's own ready/go pair (its rounds ride KGCReady /
-// KGCDone now), the one a batch frame of several messages opened with, and
-// the one flate-compressed frames opened with.
+// ready/go pair of a page-home hand-off (homes are fixed now), the one a
+// batch frame of several messages opened with, and the one flate-compressed
+// frames opened with.
 const (
 	retiredHandOffReady   Kind = 22
 	retiredHandOffGo      Kind = 23
@@ -240,7 +240,7 @@ func TestDecodeMalformed(t *testing.T) {
 		{"truncated mid-section", secGrant[:len(secGrant)-5], "truncated"},
 		{"section flag without payload", hdr(KLockGrant, hasSections), "truncated"},
 		{"trailing bytes after sections", append(append([]byte(nil), secGrant...), 0xcc), "trailing"},
-		// Retired kind bytes are unknown kinds like any other: the
+		// Retired kind bytes are unknown kinds like any other: the retired
 		// hand-off's ready/go pair, the batch frame's and the compressed
 		// frame's.
 		{"retired hand-off ready", cat(hdr(retiredHandOffReady, 0)), "unknown message kind 22"},

@@ -217,10 +217,9 @@ const (
 	// KBarrierExit: master -> node with merged clock and intervals.
 	// A = barrier id.
 	KBarrierExit
-	// KGCReady: node -> barrier master, ready for the next step of a
-	// post-barrier rendezvous (the lazy engines' GC discard, either round
-	// of the first-touch hand-off); KGCDone: master -> node, go. A/B =
-	// barrier id, arriving node (ready only).
+	// KGCReady: node -> barrier master, ready for the lazy engines' GC
+	// discard after a barrier; KGCDone: master -> node, go. A/B = barrier
+	// id, arriving node (ready only).
 	KGCReady
 	KGCDone
 
@@ -272,10 +271,11 @@ const (
 	// KWriteResp: home -> requester granting ownership; Data carries the
 	// page contents unless the requester already holds a current copy.
 	KWriteResp
-	// Kinds 22 and 23 are retired: the first-touch hand-off's own ready/go
-	// pair, whose rounds now ride KGCReady/KGCDone. Kind 24 is retired too:
-	// the batch frame, which carried several messages for one destination.
-	// Decode refuses all three as unknown kinds.
+	// Kinds 22 and 23 are retired: the ready/go pair of a page-home
+	// hand-off the runtime no longer has (every page's home is fixed).
+	// Kind 24 is retired too: the batch frame, which carried several
+	// messages for one destination. Decode refuses all three as unknown
+	// kinds.
 	_
 	_
 	_

@@ -2,7 +2,6 @@ package workload
 
 import (
 	"bytes"
-	"cmp"
 	"encoding/binary"
 	"fmt"
 	"slices"
@@ -30,16 +29,15 @@ import (
 // row is one cell of the matrix. Over simnet, fault names a fault.Parse
 // plan the interconnect runs under.
 type row struct {
-	prog      string
-	procs     int
-	scale     float64
-	pageSize  int
-	mode      dsm.Mode
-	gpn       int
-	tcp       bool
-	placement string
-	gc        int
-	fault     string
+	prog     string
+	procs    int
+	scale    float64
+	pageSize int
+	mode     dsm.Mode
+	gpn      int
+	tcp      bool
+	gc       int
+	fault    string
 }
 
 func (r row) String() string {
@@ -49,15 +47,18 @@ func (r row) String() string {
 	} else if r.fault != "" {
 		transport = "simnet+" + r.fault
 	}
-	return fmt.Sprintf("%s/p%d/s%g/ps%d/%s/gpn%d/%s/%s/gc%d",
-		r.prog, r.procs, r.scale, r.pageSize, r.mode, r.gpn, transport, r.placement, r.gc)
+	// The "block" segment names the page→home map, pg % procs, which every
+	// row runs; it keeps the rows' names as they were when a second map
+	// existed.
+	return fmt.Sprintf("%s/p%d/s%g/ps%d/%s/gpn%d/%s/block/gc%d",
+		r.prog, r.procs, r.scale, r.pageSize, r.mode, r.gpn, transport, r.gc)
 }
 
 // matrixRows lists the matrix's cross products, each distinct cell once.
 func matrixRows() []row {
 	var rows []row
 	add := func(r row) {
-		r.gpn, r.placement = max(r.gpn, 1), cmp.Or(r.placement, "block")
+		r.gpn = max(r.gpn, 1)
 		if !slices.Contains(rows, r) {
 			rows = append(rows, r)
 		}
@@ -84,20 +85,13 @@ func matrixRows() []row {
 		// nothing.
 		add(row{prog: "water", procs: 4, scale: small, pageSize: 1024, mode: mode, fault: "delay=100us,jitter=100us,seed=3"})
 		// mp3d, the multi-writer program and the hardest on directory
-		// state: both placements, one goroutine per node and four (one
-		// node, where every hand-off and barrier resolves locally), and
-		// both shapes over TCP.
+		// state: one goroutine per node and four (one node, where every
+		// lock hand-off and barrier resolves locally), and both shapes
+		// over TCP.
 		for _, gpn := range []int{1, 4} {
-			for _, placement := range []string{"block", "first-touch"} {
-				add(row{prog: "mp3d", procs: 4, scale: small, pageSize: 1024, mode: mode, gpn: gpn, placement: placement})
-			}
+			add(row{prog: "mp3d", procs: 4, scale: small, pageSize: 1024, mode: mode, gpn: gpn})
 			add(row{prog: "mp3d", procs: 4, scale: small, pageSize: 1024, mode: mode, gpn: gpn, tcp: true})
 		}
-	}
-	// One home table per process: placement agreement holds only through
-	// the exchanged barrier payloads.
-	for _, mode := range []dsm.Mode{dsm.LazyUpdate, dsm.EagerInvalidate} {
-		add(row{prog: "mp3d", procs: 4, scale: small, pageSize: 1024, mode: mode, tcp: true, placement: "first-touch"})
 	}
 	// Barrier-time garbage collection, its collective round in process and
 	// over sockets.
@@ -150,7 +144,7 @@ func (r row) run(t *testing.T) {
 	}
 	rec := &recorded{prog, hb.NewLogs(r.procs)}
 	nodes := r.procs / r.gpn
-	rc := RuntimeConfig{PageSize: r.pageSize, Mode: r.mode, Placement: r.placement, GCEveryBarriers: r.gc, GoroutinesPerNode: r.gpn}
+	rc := RuntimeConfig{PageSize: r.pageSize, Mode: r.mode, GCEveryBarriers: r.gc, GoroutinesPerNode: r.gpn}
 	switch {
 	case r.tcp:
 		cluster, err := tcp.NewLoopbackCluster(nodes)

@@ -10,19 +10,16 @@ import (
 // size the runtime is configured with (the largest size the tests use).
 const partitionSlabAlign = 4096
 
-// Partition is the writer-dominant placement workload: each processor
-// owns a contiguous slab of the shared space and sweeps it with writes
-// every step, with a handful of lock-protected global counter updates
-// per step for the critical-section denominator. No processor ever
-// touches another's slab, so every slab page has exactly one (dominant)
-// writer — but under the static block placement the slab's pages are
-// homed round the whole cluster, and the eager protocols pay a
-// flush-request/flush-done exchange with each dirty page's home at
-// every release and barrier even though there is no other cacher to
-// invalidate. Re-homing the slabs to their writers (first-touch
-// placement) turns that recurring exchange into free loopback — the
-// workload exists to make that difference measurable
-// (BenchmarkPlacementPolicies).
+// Partition is the writer-dominant workload: each processor owns a
+// contiguous slab of the shared space and sweeps it with writes every
+// step, with a handful of lock-protected global counter updates per step
+// for the critical-section denominator. No processor ever touches
+// another's slab, so every slab page has exactly one writer — but the
+// runtime homes page pg at node pg % Procs, so a slab's pages are homed
+// round the whole cluster, and the eager protocols send each dirty
+// page's home an update at every release and barrier even though there
+// is no other cacher. It runs in -app all beside the paper's five
+// programs as the one whose data pages each have a single writer.
 //
 // The per-step sweep writes every other 64-byte chunk, so a 1KiB page
 // sees 8 writes per step.
@@ -78,9 +75,7 @@ func (w *Partition) Proc(c Ctx) {
 	lo := p * w.Chunks
 	hi := lo + w.Chunks
 
-	// Partitioned initialization — under the first-touch placement these
-	// writes are the claims that home each slab at its writer — then the
-	// fork barrier.
+	// Partitioned initialization, then the fork barrier.
 	for i := lo; i < hi; i++ {
 		c.Write(w.slabs.Elem(i, 64), 64)
 	}

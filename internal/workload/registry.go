@@ -8,7 +8,7 @@ import (
 )
 
 // Names lists the five workloads in the paper's presentation order,
-// plus the synthetic writer-dominant placement workload.
+// plus the synthetic writer-dominant partition workload.
 var Names = []string{"locusroute", "cholesky", "mp3d", "water", "pthor", "partition"}
 
 // New constructs a workload by name. procs is the processor count (the

@@ -19,9 +19,6 @@ type RuntimeConfig struct {
 	PageSize int
 	// Mode selects the consistency protocol (LI, LU, EI, EU or SC).
 	Mode dsm.Mode
-	// Placement names the initial page→home policy ("block" or
-	// "first-touch"; empty means block — see dsm.ParsePlacement).
-	Placement string
 	// GCEveryBarriers enables the runtime's barrier-time garbage
 	// collection every k-th episode (0 disables).
 	GCEveryBarriers int
@@ -187,15 +184,6 @@ func RunOnRuntime(p Program, rc RuntimeConfig) (*RuntimeResult, error) {
 		// systems, a nil image and no traffic.
 		return nil, fmt.Errorf("workload %s on runtime (%s): empty transport list", p.Name(), rc.Mode)
 	}
-	placement, err := dsm.ParsePlacement(rc.Placement)
-	if err != nil {
-		for _, tr := range transports {
-			if tr != nil {
-				tr.Close()
-			}
-		}
-		return nil, fmt.Errorf("workload %s on runtime (%s): %w", p.Name(), rc.Mode, err)
-	}
 	systems := make([]*dsm.System, 0, len(transports))
 	closeAll := func() {
 		for _, sys := range systems {
@@ -208,7 +196,6 @@ func RunOnRuntime(p Program, rc RuntimeConfig) (*RuntimeResult, error) {
 			SpaceSize:         cfg.SpaceSize,
 			PageSize:          rc.PageSize,
 			Mode:              rc.Mode,
-			Placement:         placement,
 			GCEveryBarriers:   rc.GCEveryBarriers,
 			GoroutinesPerNode: gpn,
 			RPCTimeout:        rc.RPCTimeout,

@@ -96,10 +96,8 @@ type (
 	// Node is one live DSM processor handle.
 	Node = dsm.Node
 	// NodeStats is a live node's accumulated protocol metrics, including
-	// the per-kind traffic breakdown and the pages first-touch re-homed.
+	// the per-kind traffic breakdown.
 	NodeStats = dsm.Stats
-	// PageStat is one re-homed page: its id and its home.
-	PageStat = dsm.PageStat
 	// Transport is the runtime's pluggable interconnect: the simulated
 	// in-process network by default (DSMConfig.Transport nil), or a real
 	// TCP cluster via NewTCPTransport.
