@@ -10,7 +10,9 @@ import (
 	"repro/internal/framebuf"
 	"repro/internal/mem"
 	"repro/internal/page"
+	"repro/internal/simnet"
 	"repro/internal/testenv"
+	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
@@ -362,7 +364,8 @@ func TestZeroPageServeAllocatesNothingGate(t *testing.T) {
 	testenv.SkipAllocGate(t)
 	allModes(t, func(t *testing.T, mode Mode) {
 		// Page 0 is homed at node 0 and untouched; node 1 asks.
-		allocs, size := pageServeAllocs(newSys(t, 2, mode).Node(0))
+		s, c := newCatchSys(t, servePair(mode), 0, 1)
+		allocs, size := pageServeAllocs(s.Node(0), c)
 		if allocs != 0 {
 			t.Errorf("serving a never-materialized page allocates %.1f objects, want 0", allocs)
 		}
@@ -373,20 +376,20 @@ func TestZeroPageServeAllocatesNothingGate(t *testing.T) {
 }
 
 // TestWrittenPageServeAllocatesNothingGate: a node asked for a page it holds
-// and wrote — its owner, under the directory engines — stages a view of
+// and wrote — its owner, under the directory engines — sends a view of
 // its committed contents under the page's stripe instead of copying the
 // page per request, under every engine, also while a later write is still
 // uncommitted (the view is then the twin).
 func TestWrittenPageServeAllocatesNothingGate(t *testing.T) {
 	testenv.SkipAllocGate(t)
 	allModes(t, func(t *testing.T, mode Mode) {
-		s := newSys(t, 2, mode)
+		s, c := newCatchSys(t, servePair(mode), 0, 1)
 		n, pageSize := s.Node(0), s.Layout().PageSize()
 		must(t, n.Acquire(0))
 		must(t, n.Write(0, bytes.Repeat([]byte{0x5A}, pageSize)))
 		must(t, n.Release(0))
 		must(t, n.WriteUint64(8, 1))
-		allocs, size := pageServeAllocs(n)
+		allocs, size := pageServeAllocs(n, c)
 		if allocs != 0 {
 			t.Errorf("serving a written page allocates %.1f objects, want 0", allocs)
 		}
@@ -399,8 +402,9 @@ func TestWrittenPageServeAllocatesNothingGate(t *testing.T) {
 // pageServeAllocs has n answer node 1's request for page 0 the way its
 // engine does — the lazy page request, the eager home's ship, SC's
 // owner-side fetch —
-// and returns the objects one answer allocates and its staged size.
-func pageServeAllocs(n *Node) (allocs float64, size int) {
+// and returns the objects one answer allocates and its size, as c caught it
+// on its way to node 1.
+func pageServeAllocs(n *Node, c *catcher) (allocs float64, size int) {
 	req := &wire.Msg{Seq: 1, A: 0, B: 1}
 	var serve func()
 	switch e := n.e.(type) {
@@ -411,29 +415,74 @@ func pageServeAllocs(n *Node) (allocs float64, size int) {
 	case *scEngine:
 		serve = func() { e.dir.serveFetch(req, 1) }
 	}
-	d := &n.out.dsts[1]
 	allocs = testing.AllocsPerRun(200, func() {
 		serve()
-		buf := takeStaged(d)
+		buf := c.take()
 		size = len(buf)
 		framebuf.Put(buf)
 	})
 	return allocs, size
 }
 
-// takeStaged takes back the one frame staged for d, nil if none, instead
-// of flushing it at a node that never asked.
-func takeStaged(d *outDest) []byte {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	var buf []byte
-	if len(d.frames) > 0 {
-		buf = d.frames[0]
+// servePair is a two-node cluster's configuration, as newSys makes it.
+func servePair(mode Mode) Config {
+	return Config{Procs: 2, SpaceSize: 64 * 1024, PageSize: 1024, Mode: mode}
+}
+
+// catcher is a node's endpoint that keeps the frames the node sends dst
+// instead of delivering them, so a test can read what a handler sent to a
+// node that never asked; every other send passes through.
+type catcher struct {
+	transport.Endpoint
+	dst    int
+	mu     sync.Mutex
+	frames [][]byte
+}
+
+func (c *catcher) Send(dst int, frame []byte) error {
+	if dst != c.dst {
+		return c.Endpoint.Send(dst, frame)
 	}
-	clear(d.frames)
-	d.frames = d.frames[:0]
-	d.count.Store(0)
+	c.mu.Lock()
+	c.frames = append(c.frames, frame)
+	c.mu.Unlock()
+	return nil
+}
+
+// take returns the first frame caught since the last take, nil if none,
+// and recycles the rest.
+func (c *catcher) take() []byte {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var buf []byte
+	if len(c.frames) > 0 {
+		buf = c.frames[0]
+		for _, f := range c.frames[1:] {
+			framebuf.Put(f)
+		}
+	}
+	clear(c.frames)
+	c.frames = c.frames[:0]
 	return buf
+}
+
+// newCatchSys starts a System over simnet whose node pid sends node dst
+// into a catcher, and closes it when the test ends.
+func newCatchSys(t *testing.T, cfg Config, pid, dst int) (*System, *catcher) {
+	t.Helper()
+	net := simnet.New(cfg.Procs)
+	c := &catcher{Endpoint: net.Endpoint(pid), dst: dst}
+	cfg.Transport = tapNet{net, c}
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := s.Close(); err != nil {
+			t.Errorf("Close: %v", err)
+		}
+	})
+	return s, c
 }
 
 // allocatedBy returns the bytes the process allocated while f ran. The
@@ -472,15 +521,7 @@ func warmDiffPool(n, pageSize int) {
 func TestDenseDiffServeAllocatesNoBodyGate(t *testing.T) {
 	testenv.SkipAllocGate(t)
 	const pageSize, serves, bound = 4096, 50, 64
-	s, err := New(Config{Procs: 2, SpaceSize: 8 * pageSize, PageSize: pageSize, Mode: LazyInvalidate})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if err := s.Close(); err != nil {
-			t.Errorf("Close: %v", err)
-		}
-	}()
+	s, c := newCatchSys(t, Config{Procs: 2, SpaceSize: 8 * pageSize, PageSize: pageSize, Mode: LazyInvalidate}, 0, 1)
 	n := s.Node(0)
 	e := n.e.(*lazyEngine)
 	pg := mem.PageID(0)
@@ -488,7 +529,6 @@ func TestDenseDiffServeAllocatesNoBodyGate(t *testing.T) {
 		pg++
 	}
 	warmDiffPool(serves, pageSize)
-	dst := &n.out.dsts[1]
 	buf := make([]byte, pageSize)
 	req := &wire.Msg{Kind: wire.KDiffReq, A: 1, Wants: make([]wire.Want, 1)}
 	least := ^uint64(0)
@@ -508,11 +548,11 @@ func TestDenseDiffServeAllocatesNoBodyGate(t *testing.T) {
 		if n.Stats().DiffsCreated != made+1 {
 			t.Fatal("the serve did not materialize a deferred diff")
 		}
-		staged := takeStaged(dst)
-		if len(staged) < pageSize {
-			t.Fatalf("the response is %d bytes, want a dense page's diff", len(staged))
+		sent := c.take()
+		if len(sent) < pageSize {
+			t.Fatalf("the response is %d bytes, want a dense page's diff", len(sent))
 		}
-		framebuf.Put(staged)
+		framebuf.Put(sent)
 		least = min(least, spent)
 	}
 	if least >= bound {

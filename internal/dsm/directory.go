@@ -27,11 +27,12 @@ import (
 // each on a goroutine of its own that holds the entry's lock from its
 // first send to its last.
 //
-// Ordering: every send that depends on an entry is staged under its lock,
-// or after absorb read it there, so the transport's FIFO delivery plus the
-// receiver's per-page shard queue present each node the directory's
-// decisions in order: a cacher installs a page ship before it processes
-// the invalidation that follows it. Engines install grants on the shard
+// Ordering: every send that depends on an entry is handed to the
+// transport under its lock, or after absorb read it there, so nothing
+// queues between the decision and the wire: the transport's FIFO delivery
+// plus the receiver's per-page shard queue present each node the
+// directory's decisions in order — a cacher installs a page ship before it
+// processes the invalidation that follows it. Engines install grants on the shard
 // worker as they arrive, so the copyset always matches what each node
 // holds. An invalidation travels on the shard of the first page it names,
 // so under EI, where one names every page of a round, it may overtake a
@@ -111,15 +112,15 @@ func (d *directory) shipOwn(m *wire.Msg, named bool) {
 			members = append(members, wire.Want{Page: pg, Proc: j})
 		}
 	}
-	d.stageCopy(to, pg, &wire.Msg{Kind: wire.KPageResp, Seq: m.Seq, A: m.A, Wants: members})
+	d.sendCopy(to, pg, &wire.Msg{Kind: wire.KPageResp, Seq: m.Seq, A: m.A, Wants: members})
 }
 
-// stageCopy stages reply to dst carrying this node's committed copy of pg,
+// sendCopy sends reply to dst carrying this node's committed copy of pg,
 // encoded under the stripe that keeps it still: the zero page at a home
-// nobody wrote. A node that neither homes nor holds pg stages nothing:
+// nobody wrote. A node that neither homes nor holds pg sends nothing:
 // only a misbehaving or hostile peer asks it, and the record surfaces via
 // Close.
-func (d *directory) stageCopy(dst mem.ProcID, pg mem.PageID, reply *wire.Msg) {
+func (d *directory) sendCopy(dst mem.ProcID, pg mem.PageID, reply *wire.Msg) {
 	n := d.n
 	pmu := n.pageLock(pg)
 	pmu.Lock()
@@ -133,7 +134,7 @@ func (d *directory) stageCopy(dst mem.ProcID, pg mem.PageID, reply *wire.Msg) {
 		data = n.sys.zeroPage
 	}
 	reply.Data = data
-	n.stage(dst, reply)
+	n.noteErr("page copy", n.send(dst, reply))
 }
 
 // revocation is an EI home's round of invalidations for one writer's
@@ -176,7 +177,7 @@ func (r *revocation) revoke(n *Node, j mem.ProcID, pg mem.PageID) {
 //     unacknowledged (eagerEngine.installPage);
 //   - a copy's invalidation leaves after the ship that made it a member,
 //     on the same FIFO link, though r's are sent after absorb returns:
-//     shipOwn stages the ship under the entry before absorb can see the
+//     shipOwn sends the ship under the entry before absorb can see the
 //     member.
 //
 // A copy an earlier round took out may not have processed its invalidation
@@ -316,7 +317,7 @@ func (d *directory) serveFetch(m *wire.Msg, src mem.ProcID) {
 		n.noteErr("owner fetch", fmt.Errorf("fetch of invalid page %d", pg))
 		return
 	}
-	d.stageCopy(src, pg, &wire.Msg{Kind: wire.KFetchResp, Seq: m.Seq, A: m.A})
+	d.sendCopy(src, pg, &wire.Msg{Kind: wire.KFetchResp, Seq: m.Seq, A: m.A})
 }
 
 // serveInval applies a home's invalidation to this node's copies of the
@@ -342,5 +343,5 @@ func (d *directory) serveInval(m *wire.Msg, src mem.ProcID) {
 		pmu.Unlock()
 	}
 	n.stats.invalsReceived.Add(int64(len(m.Wants)))
-	n.stage(src, &wire.Msg{Kind: wire.KInvalAck, Seq: m.Seq})
+	n.noteErr("invalidation ack", n.send(src, &wire.Msg{Kind: wire.KInvalAck, Seq: m.Seq}))
 }

@@ -346,7 +346,7 @@ func (e *eagerEngine) flush() error {
 			}
 		}
 		for _, d := range made {
-			d.Release() // staging encoded every update that carries it
+			d.Release() // sending encoded every update that carries it
 		}
 		clear(made)
 		e.made = made[:0]
@@ -426,8 +426,7 @@ func (e *eagerEngine) onGrant(grant *wire.Msg) error { return nil }
 func (e *eagerEngine) preRelease() error             { return e.flush() }
 func (e *eagerEngine) release()                      {}
 
-func (e *eagerEngine) preBarrier() error                 { return e.flush() }
-func (e *eagerEngine) barrierEntry()                     {}
+func (e *eagerEngine) barrierEntry() error               { return e.flush() }
 func (e *eagerEngine) arrive(arrive *wire.Msg)           {}
 func (e *eagerEngine) masterAbsorb(arrivals []*wire.Msg) {}
 func (e *eagerEngine) exit(m, exit *wire.Msg)            {}
@@ -542,7 +541,7 @@ func (e *eagerEngine) applyUpdate(m *wire.Msg, src mem.ProcID) {
 		reqs = e.updates(nil, fwd)
 	}
 	if len(reqs) == 0 && len(r.after) == 0 {
-		n.stage(src, &wire.Msg{Kind: wire.KUpdateAck, Seq: m.Seq, Wants: missed})
+		n.noteErr("update ack", n.send(src, &wire.Msg{Kind: wire.KUpdateAck, Seq: m.Seq, Wants: missed}))
 		return
 	}
 	m.Retain() // the forwards borrow its diffs

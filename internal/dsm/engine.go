@@ -76,12 +76,11 @@ type engine interface {
 	// engines close the interval the critical section wrote).
 	release()
 
-	// preBarrier runs before the barrier arrival (the eager flush
-	// point, like preRelease).
-	preBarrier() error
 	// barrierEntry runs as the node-level barrier begins on every node,
-	// master included (called by the barrier leader goroutine).
-	barrierEntry()
+	// master included, before its arrival (called by the barrier leader
+	// goroutine): the lazy engines close the current interval, the eager
+	// ones flush, like preRelease.
+	barrierEntry() error
 	// arrive fills a non-master node's arrival payload.
 	arrive(arrive *wire.Msg)
 	// masterAbsorb absorbs the payloads of all arrivals at the master,
@@ -104,10 +103,9 @@ type engine interface {
 	// here; an eager update, and an invalidation's pages after its first,
 	// may overtake a ship) and must not block the worker: work that waits
 	// for responses (SC's directory transactions, an eager home's forwards
-	// and invalidations) is spawned onto its own goroutine. Responses
-	// produced inline defer through Node.stage — the worker flushes them
-	// once the handler returns — while spawned goroutines use
-	// Node.send/rpcAll, which flush themselves.
+	// and invalidations) is spawned onto its own goroutine. A response
+	// produced inline leaves through Node.send in place, under whatever
+	// lock orders it, and its send error goes to noteErr.
 	handle(m *wire.Msg, src mem.ProcID) bool
 
 	// clock returns the node's vector time (zero for engines that do not

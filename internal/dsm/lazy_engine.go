@@ -490,13 +490,12 @@ func (e *lazyEngine) release() {
 
 // --- engine interface: barriers ---
 
-func (e *lazyEngine) preBarrier() error { return nil }
-
-func (e *lazyEngine) barrierEntry() {
+func (e *lazyEngine) barrierEntry() error {
 	e.mu.Lock()
 	e.closeIntervalLocked()
 	e.fresh = e.fresh[:0]
 	e.mu.Unlock()
+	return nil
 }
 
 // arrive ships this node's clock and its OWN intervals since the last
@@ -718,8 +717,8 @@ func (e *lazyEngine) handlePageReq(m *wire.Msg) {
 		// and no clock says nothing was applied to it.
 		resp.Data = n.sys.zeroPage
 	}
-	// Staging encodes: the copy's bytes go straight into the frame, under
+	// Sending encodes: the copy's bytes go straight into the frame, under
 	// the stripe that keeps them still (the destination lock is a leaf).
-	n.stage(requester, &resp)
+	n.noteErr("page response", n.send(requester, &resp))
 	pmu.Unlock()
 }

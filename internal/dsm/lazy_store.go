@@ -400,10 +400,9 @@ func (e *lazyEngine) handleDiffReq(m *wire.Msg, src mem.ProcID) {
 		resp.Diffs = append(resp.Diffs, wire.DiffRec{Page: w.Page, Proc: w.Proc, Index: w.Index, Diff: d})
 	}
 	e.mu.Unlock()
-	// Staged: the shard worker flushes it once this handler returns. The
-	// store may discard the diffs now: stage reads them on serveLocked's
-	// counts.
-	n.stage(src, &resp)
+	// The store may discard the diffs now: send encodes them on
+	// serveLocked's counts.
+	n.noteErr("diff response", n.send(src, &resp))
 	releaseDiffs(&resp)
 }
 

@@ -246,10 +246,8 @@ type Node struct {
 	ep  transport.Endpoint
 	// e is the node's protocol engine, the one Config.Mode names.
 	e engine
-	// out is the unified outbound pipeline: every protocol send stages
-	// through it, encoded, until a flush point (an immediate send, a
-	// grouped rpcAll, a shard worker done with a message) sends it. See
-	// outbox.
+	// out is the outbound pipeline every protocol send goes through, and
+	// the record of which destinations are dead. See outbox.
 	out *outbox
 
 	// pageMu is the striped page-state lock table: pageLock(pg) guards
@@ -292,14 +290,12 @@ type Node struct {
 	freeWaiters []*rpcWaiter
 	// abandoned records seqs whose rpc gave up waiting (RPCTimeout), so
 	// the late response — which may still arrive — classifies as an
-	// expected race rather than a protocol error. Bounded; guarded by
-	// waiterMu.
-	abandoned map[uint64]struct{}
-	// deadPeers records destinations whose sends failed (the outbox's
-	// sticky poison), with the first cause: parked waiters on a dead
-	// peer are failed immediately instead of waiting out the timeout.
-	// Guarded by waiterMu.
-	deadPeers map[mem.ProcID]error
+	// expected race rather than a protocol error. It keeps the most recent
+	// maxAbandoned, abandonedRing holding them in recording order, the
+	// oldest at abandonedNext once it is full. Guarded by waiterMu.
+	abandoned     map[uint64]struct{}
+	abandonedRing []uint64
+	abandonedNext int
 
 	errMu   sync.Mutex
 	errs    []error
@@ -398,8 +394,8 @@ const maxNotedErrs = 64
 // noteErr records a handler-side protocol error so System.Close can
 // surface it instead of letting it vanish (a dropped lock grant strands
 // its requester). Expected shutdown errors are not recorded, and
-// repeats of an already-recorded error text are collapsed (a poisoned
-// destination fails every later flush with the same sticky cause).
+// repeats of an already-recorded error text are collapsed (a broken
+// destination fails every later send with the same sticky cause).
 func (n *Node) noteErr(op string, err error) {
 	if err == nil || errors.Is(err, ErrClosed) {
 		return
@@ -477,6 +473,10 @@ type rpcWaiter struct {
 	want wire.Kind // the response kind the request takes
 }
 
+// maxAbandoned bounds Node.abandoned: a peer that never answers must not
+// grow it without end.
+const maxAbandoned = 1024
+
 // freedWaiter marks a waiter on the free list (in its dst): releasing it
 // again or delivering to it panics instead of corrupting its next rpc.
 const freedWaiter = mem.ProcID(-1 << 31)
@@ -513,7 +513,8 @@ func (w *rpcWaiter) deliver(m *wire.Msg) {
 // to leave, or timed out — and reports whether it was still there; false
 // means someone else took it and its delivery is in the channel or
 // instants away. After a timeout the seq is recorded as abandoned, so a
-// late response classifies as benign.
+// late response classifies as benign; past maxAbandoned, recording one
+// forgets the oldest.
 func (n *Node) unregister(seq uint64, timedOut bool) bool {
 	n.waiterMu.Lock()
 	defer n.waiterMu.Unlock()
@@ -521,14 +522,20 @@ func (n *Node) unregister(seq uint64, timedOut bool) bool {
 		return false
 	}
 	delete(n.waiters, seq)
-	if timedOut {
-		if n.abandoned == nil {
-			n.abandoned = make(map[uint64]struct{})
-		}
-		if len(n.abandoned) < 1024 {
-			n.abandoned[seq] = struct{}{}
-		}
+	if !timedOut {
+		return true
 	}
+	if n.abandoned == nil {
+		n.abandoned = make(map[uint64]struct{})
+	}
+	if len(n.abandonedRing) < maxAbandoned {
+		n.abandonedRing = append(n.abandonedRing, seq)
+	} else {
+		delete(n.abandoned, n.abandonedRing[n.abandonedNext])
+		n.abandonedRing[n.abandonedNext] = seq
+		n.abandonedNext = (n.abandonedNext + 1) % maxAbandoned
+	}
+	n.abandoned[seq] = struct{}{}
 	return true
 }
 
@@ -615,23 +622,17 @@ func (n *Node) recvTimed(ch chan *wire.Msg) (m *wire.Msg, ok, timedOut bool) {
 	return m, ok, timedOut
 }
 
-// peerFailed marks dst dead with its first send-failure cause and fails
-// every waiter parked on it: the paper's fail-stop model, propagated —
-// a node whose stream to a peer broke will never get its responses, so
-// its parked rpcs learn immediately instead of waiting out the timeout.
-// Shutdown errors are not peer deaths (every stream "fails" at Close).
+// peerFailed fails every waiter parked on dst once the outbox found its
+// stream broken (called by that send, under dst's outbox lock): the
+// paper's fail-stop model, propagated — a node whose stream to a peer
+// broke will never get its responses, so its parked rpcs learn
+// immediately instead of waiting out the timeout. Shutdown errors are not
+// peer deaths (every stream "fails" at Close).
 func (n *Node) peerFailed(dst mem.ProcID, cause error) {
-	if cause == nil || dst == n.id || errors.Is(cause, ErrClosed) {
+	if dst == n.id || errors.Is(cause, ErrClosed) {
 		return
 	}
 	n.waiterMu.Lock()
-	if n.deadPeers == nil {
-		n.deadPeers = make(map[mem.ProcID]error)
-	}
-	_, known := n.deadPeers[dst]
-	if !known {
-		n.deadPeers[dst] = cause
-	}
 	for seq, w := range n.waiters {
 		if w.dst == dst {
 			delete(n.waiters, seq)
@@ -639,16 +640,19 @@ func (n *Node) peerFailed(dst mem.ProcID, cause error) {
 		}
 	}
 	n.waiterMu.Unlock()
-	if !known {
-		n.noteErr("peer liveness", fmt.Errorf("node %d unreachable: %v", dst, cause))
-	}
+	n.noteErr("peer liveness", fmt.Errorf("node %d unreachable: %v", dst, cause))
 }
 
-// peerErr returns the recorded death cause for dst, or nil.
+// peerErr returns the cause dst's stream broke with — the outbox's sticky
+// error — or nil while dst is alive (or its stream only closed).
 func (n *Node) peerErr(dst mem.ProcID) error {
-	n.waiterMu.Lock()
-	defer n.waiterMu.Unlock()
-	return n.deadPeers[dst]
+	d := &n.out.dsts[dst]
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if dst == n.id || errors.Is(d.broken, ErrClosed) {
+		return nil
+	}
+	return d.broken
 }
 
 // failWaiter unblocks the rpc waiter parked on seq with a failure (its
@@ -681,27 +685,18 @@ func (n *Node) answerWaiter(m *wire.Msg, installed bool) {
 	}
 }
 
-// send stages m for dst on the outbox and flushes immediately — the
-// single-message path for anything latency-critical. Messages staged
-// earlier for dst (a worker's deferred responses) ride the same flush,
-// ahead of m in FIFO order.
+// send encodes m for dst and sends it through the outbox; m is the
+// caller's again when send returns.
 func (n *Node) send(dst mem.ProcID, m *wire.Msg) error {
 	return n.out.send(dst, m)
-}
-
-// stage defers m on the outbox without a flush. Only shard-worker
-// inline handlers may use it: the worker flushes after each message it
-// processes, so what a handler stages leaves as soon as it returns.
-func (n *Node) stage(dst mem.ProcID, m *wire.Msg) {
-	n.out.stage(dst, m)
 }
 
 // rpc sends m to dst and blocks for the response with the same Seq,
 // which the caller holds from then on (wire.Msg.Release when done with
 // it): a group of one, so that rpcAll is the one send and await path. m
 // is the caller's again as soon as it is sent. Any number of goroutines
-// may have rpcs outstanding concurrently. The requester is the flusher,
-// so a failed flush surfaces to it directly.
+// may have rpcs outstanding concurrently. A failed send surfaces to the
+// requester directly.
 func (n *Node) rpc(dst mem.ProcID, m *wire.Msg) (*wire.Msg, error) {
 	req := [1]outMsg{{dst: dst, m: *m}}
 	var resp [1]*wire.Msg
@@ -721,55 +716,42 @@ type outMsg struct {
 	m   wire.Msg
 }
 
-// rpcAll issues a group of requests as one staged burst — every request
-// is staged, and its waiter registered, before any flush — then blocks
-// for all responses, which it appends to resps in request order (the
-// caller holds them). On a flush error the requests of the destinations
-// that failed are withdrawn (a failed stream sends nothing) and the first
-// error is returned after the surviving destinations' responses arrived
-// and were released, so no response is ever orphaned. With metrics configured, each awaited
-// request's wait, from the group's first staging to its response, is one
-// rpcHist observation.
+// rpcAll sends a group of requests, registering each one's waiter before
+// its send, then blocks for all responses, which it appends to resps in
+// request order (the caller holds them). A request whose send fails is
+// withdrawn, and the first error is returned after the other requests'
+// responses arrived and were released, so no response is ever orphaned.
+// With metrics configured, each awaited request's wait, from the group's
+// first send to its response, is one rpcHist observation.
 func (n *Node) rpcAll(reqs []outMsg, resps []*wire.Msg) ([]*wire.Msg, error) {
 	var start time.Time
 	if n.rpcHist != nil {
 		start = time.Now()
 	}
-	// The parked waiters, in request order. Kept apart from reqs: a waiter
-	// read out of a request would make everything the request points to
-	// escape with it.
+	// The parked waiters, in request order, nil for a request that failed
+	// to leave. Kept apart from reqs: a waiter read out of a request would
+	// make everything the request points to escape with it.
 	var waiterBuf [32]*rpcWaiter
 	waiters := waiterBuf[:0]
+	var firstErr error
 	for i := range reqs {
 		r := &reqs[i]
-		waiters = append(waiters, n.register(r.m.Seq, r.dst, r.m.Kind))
-		n.out.stage(r.dst, &r.m)
-	}
-	var firstErr error
-	var failed map[mem.ProcID]bool // allocated on the first flush error
-	for i := range reqs {
-		dst := reqs[i].dst
-		if failed[dst] {
-			continue
-		}
-		if err := n.out.flushDst(dst); err != nil {
-			if failed == nil {
-				failed = make(map[mem.ProcID]bool)
-			}
-			failed[dst] = true
+		w := n.register(r.m.Seq, r.dst, r.m.Kind)
+		if err := n.out.send(r.dst, &r.m); err != nil {
+			n.unregister(r.m.Seq, false)
+			w = nil
 			if firstErr == nil {
 				firstErr = err
 			}
 		}
+		waiters = append(waiters, w)
 	}
 	got := len(resps)
 	for i := range reqs {
-		r := &reqs[i]
-		if failed[r.dst] {
-			n.unregister(r.m.Seq, false)
+		if waiters[i] == nil {
 			continue
 		}
-		m, err := n.await(r.m.Seq, waiters[i])
+		m, err := n.await(reqs[i].m.Seq, waiters[i])
 		if h := n.rpcHist; h != nil {
 			h.Observe(time.Since(start).Seconds())
 		}
@@ -875,7 +857,7 @@ func dispatchKey(m *wire.Msg) uint32 {
 // dispatchLoop receives frames until the transport closes, decoding each
 // into its one message and fanning them out to the worker pool in arrival
 // order, so the per-page shard FIFO the directory invariants rely on is
-// exactly the sender's staging order. A decoded message is a recycled
+// exactly the sender's send order. A decoded message is a recycled
 // shell whose diffs borrow the frame (internal/wire's Ownership section);
 // attachFrame ties the frame's lifetime to its. Barrier arrivals and the
 // collective-exchange responses are handled inline (they only park on
@@ -967,19 +949,16 @@ func (n *Node) checkSender(m *wire.Msg, src mem.ProcID) error {
 	return nil
 }
 
-// worker drains one serialized message queue, flushing the outbox after
-// each message, so what its handler staged leaves before the next is
-// processed and deferral never delays a response the sender is waiting
-// on. The worker lets go of a message as soon as its handler returns:
-// what the handler staged is encoded already, and a handler that hands
-// its message on — to an rpc waiter, to a serving goroutine, to a lock's
-// pending slot — retained it for the new holder first.
+// worker drains one serialized message queue. It lets go of a message as
+// soon as its handler returns: what the handler sent is encoded already,
+// and a handler that hands its message on — to an rpc waiter, to a
+// serving goroutine, to a lock's pending slot — retained it for the new
+// holder first.
 func (n *Node) worker(q chan inFrame) {
 	defer n.workerWG.Done()
 	for f := range q {
 		n.process(f.m, f.src)
 		f.m.Release()
-		n.noteErr("outbox flush", n.out.flushAll())
 	}
 }
 

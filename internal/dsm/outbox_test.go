@@ -112,10 +112,10 @@ func TestOutboxBatchesFlushBurst(t *testing.T) {
 	})
 }
 
-// TestOutboxPreservesFIFO: staged (deferred) and immediate sends to one
-// destination must leave in staging order. The protocol's directory
-// invariants test this implicitly everywhere; here the outbox is driven
-// directly so a regression points at the pipeline, not a protocol.
+// TestOutboxPreservesFIFO: sends to one destination arrive in the order
+// they were made, a frame each. The protocol's directory invariants test
+// this implicitly everywhere; here the outbox is driven directly so a
+// regression points at the pipeline, not a protocol.
 func TestOutboxPreservesFIFO(t *testing.T) {
 	// Drive an outbox directly over a raw simnet pair, observing the
 	// frames on the wire.
@@ -124,16 +124,10 @@ func TestOutboxPreservesFIFO(t *testing.T) {
 	a, b := raw.Endpoint(0), raw.Endpoint(1)
 	o := &outbox{n: &Node{id: 0, ep: a}, dsts: make([]outDest, 2)}
 
-	mk := func(seq uint64) *wire.Msg {
-		return &wire.Msg{Kind: wire.KInval, Seq: seq, Wants: []wire.Want{{Page: 1}}}
-	}
-	o.stage(1, mk(1))
-	o.stage(1, mk(2))
-	if err := o.send(1, mk(3)); err != nil { // flushes 1, 2 and 3
-		t.Fatal(err)
-	}
-	if err := o.send(1, mk(4)); err != nil {
-		t.Fatal(err)
+	for seq := uint64(1); seq <= 4; seq++ {
+		if err := o.send(1, &wire.Msg{Kind: wire.KInval, Seq: seq, Wants: []wire.Want{{Page: 1}}}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	var seqs []uint64
 	for len(seqs) < 4 {
@@ -150,7 +144,7 @@ func TestOutboxPreservesFIFO(t *testing.T) {
 	}
 	for i, seq := range seqs {
 		if seq != uint64(i+1) {
-			t.Fatalf("arrival order %v, want staging order 1..4", seqs)
+			t.Fatalf("arrival order %v, want send order 1..4", seqs)
 		}
 	}
 	tot := raw.Totals()
@@ -159,38 +153,49 @@ func TestOutboxPreservesFIFO(t *testing.T) {
 	}
 }
 
-// failEndpoint fails every remote send, like a poisoned TCP stream.
-type failEndpoint struct{ err error }
+// failEndpoint fails every remote send, like a poisoned TCP stream, and
+// counts the sends it was handed.
+type failEndpoint struct {
+	err   error
+	sends int
+}
 
 func (f *failEndpoint) ID() int                   { return 0 }
-func (f *failEndpoint) Send(int, []byte) error    { return f.err }
+func (f *failEndpoint) Send(int, []byte) error    { f.sends++; return f.err }
 func (f *failEndpoint) Recv() (int, []byte, bool) { return 0, nil, false }
 
-// TestOutboxStickyFlushError: a send failure must reach whoever staged
-// for the destination, not just whoever happened to flush it. A shard
-// worker's flushAll can race into the window between an
-// rpc's stage and its own flush; if the worker's flush eats the error,
-// the requester's empty-queue flush must still return the
-// destination's sticky failure — otherwise the requester parks in
-// await forever while the error sits in the worker's log.
+// TestOutboxStickyFlushError: a destination is fail-stop. The first send
+// failure is returned to its sender, every later send to the destination
+// returns the same error without reaching the transport, and it is the
+// node's record of the peer's death: an rpc waiter parked on it is failed
+// at once, and peerErr reports the cause.
 func TestOutboxStickyFlushError(t *testing.T) {
 	broken := errors.New("peer stream broken")
-	o := &outbox{n: &Node{id: 0, ep: &failEndpoint{err: broken}}, dsts: make([]outDest, 2)}
+	ep := &failEndpoint{err: broken}
+	n := &Node{id: 0, ep: ep, waiters: make(map[uint64]*rpcWaiter)}
+	n.out = &outbox{n: n, dsts: make([]outDest, 2)}
 
-	// The rpc path stages its request...
-	o.stage(1, &wire.Msg{Kind: wire.KLockReq, Seq: 1})
-	// ...a concurrent worker drain flushes it and hits the dead stream.
-	if err := o.flushAll(); !errors.Is(err, broken) {
-		t.Fatalf("worker flush error = %v, want the send failure", err)
+	w := n.register(1, 1, wire.KDiffReq)
+	if err := n.peerErr(1); err != nil {
+		t.Fatalf("peerErr before any send = %v, want nil", err)
 	}
-	// The requester's own flush finds an empty queue — it must still
-	// observe the sticky error instead of returning nil.
-	if err := o.flushDst(1); !errors.Is(err, broken) {
-		t.Fatalf("empty-queue flush error = %v, want sticky send failure", err)
+	if err := n.send(1, &wire.Msg{Kind: wire.KLockReq, Seq: 2}); !errors.Is(err, broken) {
+		t.Fatalf("send error = %v, want the send failure", err)
 	}
-	// Later sends to the destination fail fast too.
-	if err := o.send(1, &wire.Msg{Kind: wire.KLockReq, Seq: 2}); !errors.Is(err, broken) {
+	if m := <-w.ch; m != nil {
+		t.Fatalf("the parked waiter got %v, want its failure", m)
+	}
+	if err := n.send(1, &wire.Msg{Kind: wire.KLockReq, Seq: 3}); !errors.Is(err, broken) {
 		t.Fatalf("send after break = %v, want sticky send failure", err)
+	}
+	if ep.sends != 1 {
+		t.Errorf("the transport was handed %d sends, want only the one that broke the stream", ep.sends)
+	}
+	if err := n.peerErr(1); !errors.Is(err, broken) {
+		t.Errorf("peerErr = %v, want the send failure", err)
+	}
+	if errs := n.takeErrs(); len(errs) != 1 {
+		t.Errorf("recorded %v, want one peer liveness error", errs)
 	}
 }
 
@@ -223,10 +228,10 @@ func stageGrant(seq uint64) *wire.Msg {
 	}
 }
 
-// TestStageEncodesAtStage: staging is encoding. What a flush sends is,
-// byte for byte, the plain encoding of each staged message, a frame each
-// in staging order — the wire format did not move when the encoder did —
-// and the message is the caller's again when stage returns (mutating it
+// TestStageEncodesAtStage: sending is encoding. What reaches the
+// transport is, byte for byte, the plain encoding of each message, a frame
+// each in send order — the wire format did not move when the encoder did —
+// and the message is the caller's again when send returns (mutating it
 // afterwards changes nothing).
 func TestStageEncodesAtStage(t *testing.T) {
 	ep := &captureEndpoint{}
@@ -237,20 +242,19 @@ func TestStageEncodesAtStage(t *testing.T) {
 		for i := 0; i < count; i++ {
 			m := stageGrant(uint64(100 + i))
 			want = m.EncodeAppend(want)
-			o.stage(1, m)
+			if err := o.send(1, m); err != nil {
+				t.Fatal(err)
+			}
 			m.Seq, m.VC[0], m.Intervals[0].Pages[0] = 0, -1, 77 // dead to the outbox
 		}
-		if err := o.flushDst(1); err != nil {
-			t.Fatal(err)
-		}
 		if ep.frames != count || !bytes.Equal(ep.got, want) {
-			t.Errorf("%d staged: flushed %d frames\n%x\nwant %d\n%x", count, ep.frames, ep.got, count, want)
+			t.Errorf("%d sent: %d frames\n%x\nwant %d\n%x", count, ep.frames, ep.got, count, want)
 		}
 	}
 }
 
-// TestStageFlushAllocatesNothingGate: staging and flushing one message,
-// or three, allocates nothing once the frame free list is warm.
+// TestStageFlushAllocatesNothingGate: sending one message, or three,
+// allocates nothing once the frame free list is warm.
 func TestStageFlushAllocatesNothingGate(t *testing.T) {
 	testenv.SkipAllocGate(t)
 	ep := &captureEndpoint{}
@@ -260,20 +264,19 @@ func TestStageFlushAllocatesNothingGate(t *testing.T) {
 		if allocs := testing.AllocsPerRun(200, func() {
 			ep.reset()
 			for _, m := range msgs {
-				o.stage(1, m)
-			}
-			if err := o.flushDst(1); err != nil {
-				t.Fatal(err)
+				if err := o.send(1, m); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}); allocs != 0 {
-			t.Errorf("%d staged: stage + flush allocate %.1f objects per round, want 0", count, allocs)
+			t.Errorf("%d sent: send allocates %.1f objects per round, want 0", count, allocs)
 		}
 	}
 }
 
 // BenchmarkWireStageFlush is the outbox's half of the message path, next
-// to internal/wire's codec benches: one grant staged and flushed, and
-// three staged and flushed, a frame each.
+// to internal/wire's codec benches: one grant sent, and three, a frame
+// each.
 func BenchmarkWireStageFlush(b *testing.B) {
 	for _, count := range []int{1, 3} {
 		b.Run(fmt.Sprintf("msgs=%d", count), func(b *testing.B) {
@@ -284,10 +287,9 @@ func BenchmarkWireStageFlush(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				ep.reset()
 				for _, m := range msgs {
-					o.stage(1, m)
-				}
-				if err := o.flushDst(1); err != nil {
-					b.Fatal(err)
+					if err := o.send(1, m); err != nil {
+						b.Fatal(err)
+					}
 				}
 			}
 		})

@@ -122,7 +122,7 @@ func TestEarlyMsgReleaseIsCaught(t *testing.T) {
 			t.Fatalf("lock %d is not managed by node %d", lock, mgr.id)
 		}
 		// Receive the request as the dispatch loop would, then play the
-		// shard worker: process it, flush what it staged.
+		// shard worker: process it.
 		seq := requester.nextSeq()
 		w := requester.register(seq, mgr.id, wire.KLockReq)
 		frame := (&wire.Msg{Kind: wire.KLockReq, Seq: seq, A: lock, B: int32(requester.id)}).EncodeAppend(framebuf.Get())
@@ -137,9 +137,6 @@ func TestEarlyMsgReleaseIsCaught(t *testing.T) {
 		mgr.process(m, requester.id)
 		if !early {
 			m.Release()
-		}
-		if err := mgr.out.flushAll(); err != nil {
-			t.Fatal(err)
 		}
 		errs := mgr.takeErrs()
 		if !early {
@@ -339,25 +336,47 @@ func TestWaiterReleaseIsMarked(t *testing.T) {
 	n.unregister(seq, false)
 }
 
+// TestLateResponseAfterManyTimeoutsIsARace: the record of timed-out rpcs
+// keeps the most recent maxAbandoned of them. After more than that many
+// time out, a late response to the last one is still an expected race, not
+// a protocol error for Close; only the oldest, forgotten, is unexpected.
+func TestLateResponseAfterManyTimeoutsIsARace(t *testing.T) {
+	n := newSys(t, 2, LazyInvalidate).Node(0)
+	var first, last uint64
+	for i := 0; i < maxAbandoned+76; i++ {
+		last = n.nextSeq()
+		if first == 0 {
+			first = last
+		}
+		n.register(last, 1, wire.KDiffReq)
+		if !n.unregister(last, true) {
+			t.Fatal("a registered waiter was not there to time out")
+		}
+	}
+	n.deliverResponse(&wire.Msg{Kind: wire.KDiffResp, Seq: last})
+	if errs := n.takeErrs(); len(errs) != 0 {
+		t.Errorf("a late response to the latest timed-out rpc recorded %v, want an expected race", errs)
+	}
+	if races := n.takeRaces(); len(races) != 1 {
+		t.Errorf("recorded races %v, want the one late response", races)
+	}
+	n.deliverResponse(&wire.Msg{Kind: wire.KDiffResp, Seq: first})
+	if errs := n.takeErrs(); len(errs) != 1 {
+		t.Errorf("a response to the oldest, forgotten rpc recorded %v, want one unexpected response", errs)
+	}
+}
+
 // parkedDiffServe is the fixture of the two tests below: node 1 makes a
 // diff, a request for it from node 2 is served by hand and parked between
-// the serve's locked section and its stage (the test holds the
-// destination's lock, which stage needs), and a barrier's GC epoch then
+// the serve's locked section and its send (the test holds the
+// destination's lock, under which send encodes), and a barrier's GC epoch then
 // discards the diff from node 1's store. With early set the fixture
 // commits the bug a counted body allows — dropping a count while something
 // still reads on it — by releasing the parked response's count before it
 // is encoded. It returns the bytes the writer wrote, the frame the serve
-// staged, and what the serve's goroutine panicked with.
+// sent, and what the serve's goroutine panicked with.
 func parkedDiffServe(t *testing.T, early bool) (want, frame []byte, panicked any) {
-	s, err := New(Config{Procs: 3, SpaceSize: 64 * 1024, PageSize: 1024, Mode: LazyInvalidate, GCEveryBarriers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		if err := s.Close(); err != nil {
-			t.Errorf("Close: %v", err)
-		}
-	})
+	s, c := newCatchSys(t, Config{Procs: 3, SpaceSize: 64 * 1024, PageSize: 1024, Mode: LazyInvalidate, GCEveryBarriers: 1}, 1, 2)
 	writer := s.Node(1)
 	e := writer.e.(*lazyEngine)
 	// A page the writer homes — no other node materializes it at the epoch,
@@ -385,7 +404,7 @@ func parkedDiffServe(t *testing.T, early bool) (want, frame []byte, panicked any
 		e.handleDiffReq(&wire.Msg{Kind: wire.KDiffReq, Seq: 7, A: 2, Wants: []wire.Want{{Page: pg, Proc: id.Proc, Index: id.Index}}}, 2)
 	}()
 	// The serve makes the diff inside its locked section: once the diff
-	// exists and e.mu is free again, the serve is parked at stage.
+	// exists and e.mu is free again, the serve is parked at send.
 	for writer.Stats().DiffsCreated == 0 {
 		runtime.Gosched()
 	}
@@ -416,7 +435,7 @@ func parkedDiffServe(t *testing.T, early bool) (want, frame []byte, panicked any
 
 	dst.mu.Unlock()
 	panicked = <-served
-	return want, takeStaged(dst), panicked
+	return want, c.take(), panicked
 }
 
 // TestDiffServeSurvivesGC: a diff response built before a GC epoch and
@@ -430,7 +449,7 @@ func TestDiffServeSurvivesGC(t *testing.T) {
 	}
 	resp, err := wire.Decode(frame)
 	if err != nil || resp.Kind != wire.KDiffResp || len(resp.Diffs) != 1 {
-		t.Fatalf("staged response does not decode: %v (%+v)", err, resp)
+		t.Fatalf("sent response does not decode: %v (%+v)", err, resp)
 	}
 	got := make([]byte, len(want))
 	if err := resp.Diffs[0].Diff.Apply(got); err != nil || !bytes.Equal(got, want) {

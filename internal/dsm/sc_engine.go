@@ -192,8 +192,7 @@ func (e *scEngine) onGrant(grant *wire.Msg) error { return nil }
 func (e *scEngine) preRelease() error             { return nil }
 func (e *scEngine) release()                      {}
 
-func (e *scEngine) preBarrier() error                 { return nil }
-func (e *scEngine) barrierEntry()                     {}
+func (e *scEngine) barrierEntry() error               { return nil }
 func (e *scEngine) arrive(arrive *wire.Msg)           {}
 func (e *scEngine) masterAbsorb(arrivals []*wire.Msg) {}
 func (e *scEngine) exit(m, exit *wire.Msg)            {}

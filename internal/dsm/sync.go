@@ -278,12 +278,11 @@ func (n *Node) Barrier(b mem.BarrierID) error {
 // through the master plus the engine's pre/post episode work.
 func (n *Node) clusterBarrier(b mem.BarrierID) error {
 	n.emit("sync", "barrier-enter", int64(b))
-	if err := n.e.preBarrier(); err != nil {
+	if err := n.e.barrierEntry(); err != nil {
 		return err
 	}
 
 	if n.id == master {
-		n.e.barrierEntry()
 		arrivals, err := n.collectRound(n.barCh, b, "arrivals")
 		if err != nil {
 			return err
@@ -309,7 +308,6 @@ func (n *Node) clusterBarrier(b mem.BarrierID) error {
 	} else {
 		arrive := wire.NewMsg()
 		arrive.Kind, arrive.Seq, arrive.A, arrive.B = wire.KBarrierArrive, n.nextSeq(), int32(b), int32(n.id)
-		n.e.barrierEntry()
 		n.e.arrive(arrive)
 		n.sealSection(arrive)
 		exit, err := n.rpc(master, arrive)
@@ -430,8 +428,8 @@ func (n *Node) rendezvous(b mem.BarrierID, what string) error {
 
 // --- handler-side lock processing ---
 
-// handleLockReq runs on the lock's shard worker: its sends are staged
-// on the outbox and leave when the worker flushes after the request.
+// handleLockReq runs on the lock's shard worker and sends the grant or
+// forward in place.
 func (n *Node) handleLockReq(m *wire.Msg) {
 	l := mem.LockID(m.A)
 	requester := mem.ProcID(m.B) // its sender (checkSender)
@@ -442,14 +440,14 @@ func (n *Node) handleLockReq(m *wire.Msg) {
 		// First acquisition anywhere: grant directly from the manager
 		// with no consistency payload.
 		n.lockMu.Unlock()
-		n.stage(requester, &wire.Msg{Kind: wire.KLockGrant, Seq: m.Seq, A: m.A})
+		n.noteErr("lock grant", n.send(requester, &wire.Msg{Kind: wire.KLockGrant, Seq: m.Seq, A: m.A}))
 		return
 	}
 	n.lockMu.Unlock()
 	// The forward carries the requester's section through unopened —
 	// encoded here and now, while the request it shares it with is still
 	// held.
-	n.stage(prev, &wire.Msg{Kind: wire.KLockFwd, Seq: m.Seq, A: m.A, B: m.B, Sections: m.Sections})
+	n.noteErr("lock forward", n.send(prev, &wire.Msg{Kind: wire.KLockFwd, Seq: m.Seq, A: m.A, B: m.B, Sections: m.Sections}))
 }
 
 func (n *Node) handleLockFwd(m *wire.Msg) {

@@ -2,7 +2,7 @@
 // live DSM runtime — the default transport.Transport implementation:
 // reliable, FIFO, point-to-point message channels between n endpoints
 // (the paper's §5.1 network assumptions — no broadcast or multicast),
-// with per-endpoint message and byte accounting. All n endpoints are
+// with message and byte accounting. All n endpoints are
 // local to the process; internal/transport/tcp is the cross-process
 // counterpart.
 package simnet
@@ -35,44 +35,23 @@ type Network struct {
 
 	msgs  atomic.Int64
 	bytes atomic.Int64
-	// per-endpoint sent counters
-	sentMsgs  []atomic.Int64
-	sentBytes []atomic.Int64
 
 	closeOnce sync.Once
 	closed    chan struct{}
 }
 
-// Option configures a Network.
-type Option func(*Network)
-
-// WithQueueDepth is reserved for tests that want tiny queues; depth must
-// be positive.
-func WithQueueDepth(depth int) Option {
-	return func(n *Network) {
-		for i := range n.queues {
-			n.queues[i] = make(chan frame, depth)
-		}
-	}
-}
-
 // New creates a network of n endpoints.
-func New(n int, opts ...Option) *Network {
+func New(n int) *Network {
 	if n <= 0 {
 		panic(fmt.Sprintf("simnet: endpoint count %d must be positive", n))
 	}
 	net := &Network{
-		n:         n,
-		queues:    make([]chan frame, n),
-		sentMsgs:  make([]atomic.Int64, n),
-		sentBytes: make([]atomic.Int64, n),
-		closed:    make(chan struct{}),
+		n:      n,
+		queues: make([]chan frame, n),
+		closed: make(chan struct{}),
 	}
 	for i := range net.queues {
 		net.queues[i] = make(chan frame, 4096)
-	}
-	for _, o := range opts {
-		o(net)
 	}
 	return net
 }
@@ -108,11 +87,6 @@ func (net *Network) Close() error {
 // Totals returns the global traffic counters.
 func (net *Network) Totals() Stats { return stats(net.msgs.Load(), net.bytes.Load()) }
 
-// SentBy returns endpoint i's send counters.
-func (net *Network) SentBy(i int) Stats {
-	return stats(net.sentMsgs[i].Load(), net.sentBytes[i].Load())
-}
-
 // stats fills the fields bench/lrcbench still reads from the two counters.
 func stats(msgs, bytes int64) Stats {
 	return Stats{Messages: msgs, Frames: msgs, Bytes: bytes, RawBytes: bytes}
@@ -144,8 +118,6 @@ func (e *Endpoint) Send(dst int, payload []byte) error {
 	if dst != e.id {
 		e.net.msgs.Add(1)
 		e.net.bytes.Add(int64(len(payload)))
-		e.net.sentMsgs[e.id].Add(1)
-		e.net.sentBytes[e.id].Add(int64(len(payload)))
 	}
 	select {
 	case e.net.queues[dst] <- frame{src: e.id, payload: payload}:
@@ -170,15 +142,5 @@ func (e *Endpoint) Recv() (src int, payload []byte, ok bool) {
 		default:
 			return 0, nil, false
 		}
-	}
-}
-
-// TryRecv returns immediately with ok=false if nothing is queued.
-func (e *Endpoint) TryRecv() (src int, payload []byte, ok bool) {
-	select {
-	case f := <-e.net.queues[e.id]:
-		return f.src, f.payload, true
-	default:
-		return 0, nil, false
 	}
 }

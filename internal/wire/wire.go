@@ -136,7 +136,7 @@
 // a free list and NewMsg hands one to a sender whose message must pass
 // through an interface call; a sender that can keep its message on the
 // stack writes a literal. A message is never queued for sending — the
-// outbox encodes it as it is staged — so a sender's message is dead when
+// outbox encodes it as it is sent — so a sender's message is dead when
 // the send returns, and only received ones change hands. A shell starts
 // with one reference, its creator's: the dispatch loop's, which passes to
 // the shard worker or the collecting barrier master the message is queued
