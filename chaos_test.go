@@ -177,11 +177,11 @@ func TestKillMidCriticalSectionAllModes(t *testing.T) {
 	}
 }
 
-// runGCEpochSweep drives the lazy GC round under fire: every node writes
+// runGCEpochSweep drives the lazy GC epoch under fire: every node writes
 // a slab page of its own and joins a cluster barrier, and with
-// GCEveryBarriers 1 every barrier ends in the GC epoch's ready/go round;
-// a fail-stop kill a few frames into the victim's run lands amid that
-// traffic. The loop then goes on (locked counter increment, writes,
+// GCEveryBarriers 1 every barrier validates a GC epoch and discards the
+// one the barrier before validated; a fail-stop kill a few frames into
+// the victim's run lands amid that traffic. The loop then goes on (locked counter increment, writes,
 // barrier) so a later kill still surfaces. Unlike runLockIncrement's,
 // its outcome holds the survivors' errors alone: the victim's own
 // shutdown error proves nothing about how the others fared.
@@ -270,16 +270,17 @@ func runGCEpochSweep(procs int, m repro.DSMMode, rpcTimeout time.Duration, trs [
 
 // TestKillMidGCEpochLazyModes: a loopback TCP cluster collecting at every
 // barrier loses its barrier master during the first barrier's GC epoch —
-// the kill points walk the victim's death through the barrier exits and
-// the GC round's gos. Under both lazy protocols the survivors must
-// surface a descriptive error within RPCTimeout and never hang in
-// collectRound or in the wait for the master's go.
+// the kill points walk the victim's death through the barrier exits, the
+// epoch's validation and the lock traffic that follows it. Under both
+// lazy protocols the survivors must surface a descriptive error within
+// RPCTimeout and never hang in collectRound or in an rpc to the dead
+// master.
 func TestKillMidGCEpochLazyModes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("TCP kill matrix is not a -short test")
 	}
-	// Node 0 is the victim: barrier master AND GC round collector, so its
-	// death hits the epoch at its most central point.
+	// Node 0 is the victim: barrier master AND manager of the counter's
+	// lock, so its death hits the epoch at its most central point.
 	const (
 		procs      = 3
 		victim     = 0
@@ -293,11 +294,15 @@ func TestKillMidGCEpochLazyModes(t *testing.T) {
 			// and homes page 3, which node 2 writes. Its frames 1-2 are slab
 			// miss traffic (its page request, its answer to node 2's); 3-4
 			// are its exits. The epoch then materializes every written page
-			// at its home: frames 5-6 are the victim's diff request for page
-			// 3 and its diff response to node 1 for page 1, in either order,
-			// and 7-8 are the GC round's gos. It dies attempting the named
-			// frame: no exit out, one peer released from the barrier, no go
-			// out, one peer released from the GC round.
+			// at its home, and a node that has validated goes on to the
+			// locked increment: frames 5-8 are, in schedule order, the
+			// victim's diff request for page 3, its diff response to node 1
+			// for page 1 and, as lock 0's manager, its grant to the first
+			// requester and its forward of the second to it (now and then its
+			// answer to a cold miss on the counter's page comes sooner). It
+			// dies attempting the named frame: no exit out, one peer released
+			// from the barrier, and at 7 and 8 a survivor stranded in an rpc
+			// to it.
 			for _, after := range []int{3, 4, 7, 8} {
 				after := after
 				t.Run(fmt.Sprintf("kill@%d", after), func(t *testing.T) {

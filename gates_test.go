@@ -116,6 +116,11 @@ var gateRows = []gateRow{
 	// 2.14.
 	{"diff-plane-LI", barrierSlab, repro.LazyInvalidate, repro.RuntimeConfig{PageSize: 4096, GCEveryBarriers: 8}, []gateCheck{
 		{"alloc_per_wire_byte", "<=", 0.0105},
+		// The two barriers' 12 messages and 24 for the misses — 3 faults
+		// per reader, each a diff request and response to one creator — a
+		// step, every run. A GC epoch that ran a ready/go round of its own
+		// beside the barriers measured 37.5.
+		{"msgs_per_step", "<=", 36},
 	}},
 	{"diff-plane-EU", barrierSlab, repro.EagerUpdate, repro.RuntimeConfig{PageSize: 4096, GCEveryBarriers: 8}, []gateCheck{
 		{"alloc_per_wire_byte", "<=", 0.029},

@@ -211,7 +211,8 @@ func TestCriticalSectionAllocatesNothingGate(t *testing.T) {
 }
 
 // TestLockBurstRecyclesTwinsAndStoreGate runs two lock-only bursts of 2,000
-// critical sections on one four-node System, with a GC epoch between them.
+// critical sections on one four-node System, with a GC epoch between them:
+// two barriers, the first validating the epoch, the second discarding it.
 // Node by node, every section takes a lock the node manages and rewrites
 // four pages it homes, so nothing is sent: what a section allocates is its
 // twins and its interval's store entry. Each node parks 2 MiB of twins in a
@@ -254,17 +255,7 @@ func TestLockBurstRecyclesTwinsAndStoreGate(t *testing.T) {
 		return sum
 	}
 	burst(1)
-	var wg sync.WaitGroup
-	for _, n := range s.Local() {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := n.Barrier(0); err != nil {
-				t.Error(err)
-			}
-		}()
-	}
-	wg.Wait()
+	barriers(t, s, 2)
 	if runs := s.Node(0).Stats().GCRuns; runs != 1 {
 		t.Fatalf("%d GC epochs ran between the bursts, want 1", runs)
 	}
@@ -286,8 +277,8 @@ func TestLockBurstRecyclesTwinsAndStoreGate(t *testing.T) {
 
 // TestTwinPoolCoversBudgetGate runs the lock ring over three epochs: every
 // critical section twins a shared page and a private one, every interval
-// parks its twins until the GC epoch, and the epoch releases them all at
-// once. The System's parked twins stay far below the twin budget, and the
+// parks its twins until the GC epoch, and the epoch's discard, at the
+// barrier after the one that validated it, releases them all at once. The System's parked twins stay far below the twin budget, and the
 // page pool, which all its nodes share, keeps as many bytes as the budget,
 // so once the pool has been through an epoch every capture is served from
 // it: the last epoch must not miss once. (A pool 128 buffers deep dropped
@@ -297,10 +288,10 @@ func TestTwinPoolCoversBudgetGate(t *testing.T) {
 	testenv.SkipAllocGate(t)
 	const gcEvery = 8
 	s := newRingSys(t, gcEvery)
-	ringSteps(t, s, 0, 2*gcEvery)
+	ringSteps(t, s, 0, 2*gcEvery+1)
 	before := s.Node(0).Stats()
 	gets0, _ := page.PoolStats()
-	ringSteps(t, s, 2*gcEvery, 3*gcEvery)
+	ringSteps(t, s, 2*gcEvery+1, 3*gcEvery+1)
 	after := s.Node(0).Stats()
 	gets1, _ := page.PoolStats()
 	if after.GCRuns != 3 {

@@ -179,6 +179,42 @@ func TestOwnOnlyArrivalsDeliverTheWholeLogRepro(t *testing.T) {
 	})
 }
 
+// TestCollectingBarrierMovesOnlyArrivalsAndExits: the GC epoch has no
+// round of its own. Four nodes collecting at every barrier pass a lock
+// round, meet at a barrier that validates the epoch, then meet again with
+// nothing written: the second barrier discards the first one's epoch on
+// every node and moves its 2(n-1) arrivals and exits, not a message more.
+func TestCollectingBarrierMovesOnlyArrivalsAndExits(t *testing.T) {
+	bothModes(t, func(t *testing.T, mode Mode) {
+		const procs = 4
+		s, err := New(Config{Procs: procs, SpaceSize: 64 * 1024, PageSize: 1024, Mode: mode, GCEveryBarriers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() {
+			if err := s.Close(); err != nil {
+				t.Errorf("Close: %v", err)
+			}
+		})
+		for i := 0; i < procs; i++ {
+			if err := lockedAdd(s.Node(i), 0, 0, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		barriers(t, s, 1)
+		before := s.NetStats().Messages
+		barriers(t, s, 1)
+		if got := s.NetStats().Messages - before; got != 2*(procs-1) {
+			t.Errorf("a collecting barrier with nothing written moved %d messages, want %d", got, 2*(procs-1))
+		}
+		for i := 0; i < procs; i++ {
+			if runs := s.Node(i).Stats().GCRuns; runs != 1 {
+				t.Errorf("node %d completed %d GC epochs, want the first barrier's", i, runs)
+			}
+		}
+	})
+}
+
 // TestGrantDuringPendingArrivalsStaysClosedRepro: an own-only arrival is not
 // closed under happened-before, so the master must not let its log be
 // seen part-way through a barrier's arrivals. Here node 3 has arrived —

@@ -190,10 +190,11 @@ type Config struct {
 	// payload tagged with another mode is recorded and dropped.
 	Mode Mode
 	// GCEveryBarriers enables interval/diff garbage collection every k-th
-	// barrier episode (0 disables GC). GC validates every cached page,
-	// then discards the diffs of intervals covered by the barrier's
-	// merged clock, bounding memory (TreadMarks-style). Only the lazy
-	// protocols retain diffs; the eager and SC engines ignore it.
+	// barrier episode (0 disables GC). That barrier validates every cached
+	// page through its merged clock; the next barrier, whose arrivals prove
+	// every node has done so, discards the diffs and log records of the
+	// intervals that clock covers, bounding memory (TreadMarks-style). Only
+	// the lazy protocols retain diffs; the eager and SC engines ignore it.
 	GCEveryBarriers int
 	// GoroutinesPerNode is the number of application goroutines that
 	// drive each node (0 and 1 mean one). Node methods are safe for
@@ -212,7 +213,8 @@ type Config struct {
 	// a failed New closes it before returning.
 	Transport Transport
 	// RPCTimeout bounds every blocking wait on a remote peer — rpc
-	// responses, and the master's barrier and GC arrival collection. When it elapses the operation fails wrapping
+	// responses, and the master's collection of barrier arrivals. When it
+	// elapses the operation fails wrapping
 	// ErrRPCTimeout, so a peer that died mid-critical-section surfaces
 	// as a descriptive System.Close error instead of hanging the run.
 	// 0 disables the timeout (waits are unbounded, the pre-fault

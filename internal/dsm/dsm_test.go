@@ -127,6 +127,26 @@ func must(t *testing.T, err error) {
 	}
 }
 
+// barriers runs barriers 0 through count-1 in turn on every node of s,
+// each node on a goroutine of its own. A GC epoch a barrier validates is
+// discarded at the next one.
+func barriers(t *testing.T, s *System, count int) {
+	t.Helper()
+	for b := range mem.BarrierID(count) {
+		var wg sync.WaitGroup
+		for _, n := range s.Local() {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if err := n.Barrier(b); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		wg.Wait()
+	}
+}
+
 func TestBarrierPropagatesWrites(t *testing.T) {
 	allModes(t, func(t *testing.T, mode Mode) {
 		s := newSys(t, 4, mode)

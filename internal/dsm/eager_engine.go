@@ -431,7 +431,7 @@ func (e *eagerEngine) arrive(arrive *wire.Msg)           {}
 func (e *eagerEngine) masterAbsorb(arrivals []*wire.Msg) {}
 func (e *eagerEngine) exit(m, exit *wire.Msg)            {}
 func (e *eagerEngine) onExit(exit *wire.Msg) error       { return nil }
-func (e *eagerEngine) postBarrier(b mem.BarrierID) error { return nil }
+func (e *eagerEngine) postBarrier() error                { return nil }
 
 // --- handler side ---
 

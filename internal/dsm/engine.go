@@ -91,11 +91,15 @@ type engine interface {
 	// onExit absorbs the exit payload at a non-master node.
 	onExit(exit *wire.Msg) error
 	// postBarrier completes the episode after the rendezvous: the lazy
-	// engines invalidate or update noticed pages and run the configured
-	// garbage-collection epoch. Runs once per node, on the barrier
+	// engines discard the garbage-collection epoch the barrier before
+	// validated, invalidate or update noticed pages and validate through
+	// the next epoch when one is due. Runs once per node, on the barrier
 	// leader, while the node's other application goroutines are still
-	// parked in the local rendezvous.
-	postBarrier(b mem.BarrierID) error
+	// parked in the local rendezvous, and never earlier than the master
+	// holds every arrival: a non-master runs it only once it holds the
+	// exit, which the master sends after it collected them all. So when it
+	// runs, every node has left the previous barrier's postBarrier.
+	postBarrier() error
 
 	// handle processes an engine-specific message, returning false if
 	// the kind is not one of the engine's. It runs on the shard worker

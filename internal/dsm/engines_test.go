@@ -101,9 +101,10 @@ func TestLockChainContention(t *testing.T) {
 // TestGCHomeNeverTouchedPageRegression is the regression test for the
 // barrier-time GC hole: a page whose home never accesses it is modified
 // across several GC epochs (lock rounds between barriers), every epoch
-// discards the covered diffs, and only afterwards does a node that never
-// saw the page cold-miss on it. The home must have materialized the page
-// during the GC rounds — on the seed, weakening runGC's home
+// but the last has discarded the covered diffs by the end, and only then
+// does a node that never saw the page cold-miss on it. The home must have
+// materialized the page during the GC epochs — on the seed, weakening
+// runGC's home
 // materialization made exactly this sequence panic with "asked for diff
 // ... it does not hold" at the diff creator.
 func TestGCHomeNeverTouchedPageRegression(t *testing.T) {
@@ -133,8 +134,8 @@ func TestGCHomeNeverTouchedPageRegression(t *testing.T) {
 				defer wg.Done()
 				defer func() {
 					if errs[i] != nil {
-						// Unblock peers parked in the barrier or GC round,
-						// so a protocol failure reports instead of hanging.
+						// Unblock peers parked in the barrier, so a
+						// protocol failure reports instead of hanging.
 						s.Close()
 					}
 				}()
@@ -168,7 +169,8 @@ func TestGCHomeNeverTouchedPageRegression(t *testing.T) {
 							return
 						}
 					}
-					// GC epoch: every covered diff is discarded.
+					// A GC epoch: validated here, its covered diffs
+					// discarded at the next barrier.
 					if err := n.Barrier(0); err != nil {
 						errs[i] = err
 						return

@@ -51,10 +51,11 @@ type lazyEngine struct {
 	store     []slotRing
 	lastEpoch vc.VC
 	episodes  int
-	// flat caches the merged diffs handleDiffReq built for range wants,
-	// keyed by the range, so repeat requesters reuse one merge. Dropped
-	// wholesale when GC discards diffs.
-	flat map[flatKey]flatEntry
+	// gcEpoch is the clock of the last GC epoch runGC validated through,
+	// and gcDue says its discard has yet to run: the next postBarrier runs
+	// it. The barrier leader's alone.
+	gcEpoch vc.VC
+	gcDue   bool
 	// fresh accumulates the pages noticed by the intervals learned during
 	// the current barrier rendezvous, for postBarrier's invalidation step.
 	fresh []mem.PageID
@@ -71,14 +72,13 @@ type lazyEngine struct {
 	// intervals an acquire absorbed notice; under the node's lockMu, held
 	// from grant until the grant is encoded, its clock and records; and the
 	// barrier leader's alone, the floor and records of the arrival or exit
-	// it sends next, and the GC epoch's clock and pages to validate.
+	// it sends next, and the GC epoch's pages to validate.
 	cand       []mem.PageID
 	noticed    []mem.PageID
 	grantClock vc.VC
 	grantRecs  []wire.IntervalRec
 	barFloor   vc.VC
 	barRecs    []wire.IntervalRec
-	gcEpoch    vc.VC
 	gcPages    []mem.PageID
 	// Under mu: absorbIntervalsLocked's records waiting for their causal
 	// past, scratch kept across calls.
@@ -113,7 +113,6 @@ func newLazyEngine(n *Node, update bool) *lazyEngine {
 		log:       core.NewLog(n.sys.cfg.Procs),
 		store:     make([]slotRing, n.sys.cfg.Procs),
 		lastEpoch: vc.New(n.sys.cfg.Procs),
-		flat:      make(map[flatKey]flatEntry),
 		spare:     make(chan *prefetch, spareRounds),
 		ws:        newWriteSet(),
 		pages:     make([]*lazyPage, n.sys.layout.NumPages()),
@@ -553,9 +552,18 @@ func (e *lazyEngine) onExit(exit *wire.Msg) error {
 	return nil
 }
 
-func (e *lazyEngine) postBarrier(b mem.BarrierID) error {
+func (e *lazyEngine) postBarrier() error {
 	n := e.n
 	e.mu.Lock()
+	if e.gcDue {
+		// Every node has left the barrier that validated the epoch — the
+		// master holds all of this barrier's arrivals, and any other node
+		// the exit the master sent once it held them — so none will plan a
+		// step at or below it again.
+		e.discardLocked(e.gcEpoch)
+		e.gcDue = false
+		n.stats.gcRuns.Add(1)
+	}
 	affected := e.invalidateForLocked(e.fresh)
 	e.fresh = e.fresh[:0]
 	e.lastEpoch = append(e.lastEpoch[:0], e.v...)
@@ -569,7 +577,7 @@ func (e *lazyEngine) postBarrier(b mem.BarrierID) error {
 		}
 	}
 	if gcDue {
-		return e.runGC(b)
+		return e.runGC()
 	}
 	return nil
 }
@@ -577,11 +585,13 @@ func (e *lazyEngine) postBarrier(b mem.BarrierID) error {
 // runGC is the barrier-time garbage collection epoch: every node brings
 // each page it caches fully up to the epoch (and, as a page's home,
 // materializes pages with modification history so later cold misses can
-// be served without pre-epoch diffs), confirms readiness through the
-// master, then discards the diffs of every interval the epoch clock
-// covers and sweeps their records out of the log, whose floor rises to
-// the epoch: what a node keeps is bounded by the history since the last
-// epoch, not the run.
+// be served without pre-epoch diffs) and marks the epoch due. The next
+// barrier's postBarrier discards the diffs of every interval the epoch
+// clock covers and sweeps their records out of the log, whose floor rises
+// to the epoch: what a node keeps is bounded by the history since the
+// epoch before last, not the run. That barrier is the epoch's readiness
+// round: a node arrives at it only after its own validation, so no node
+// discards while another still needs pre-epoch diffs.
 //
 // runGC runs on the barrier leader while the node's other application
 // goroutines are parked in the local barrier rendezvous, so the only
@@ -595,10 +605,10 @@ func (e *lazyEngine) postBarrier(b mem.BarrierID) error {
 // dominates the epoch: any copy served with a smaller clock would send a
 // later requester to a creator for diffs the epoch discarded (the creator
 // refuses such requests as collected history), and would plan from
-// records the sweep removed. checkGCInvariant enforces this before any
-// diff is dropped, turning a would-be remote failure into a local
+// records the sweep removed. checkGCInvariant enforces this before the
+// epoch is marked due, turning a would-be remote failure into a local
 // descriptive error.
-func (e *lazyEngine) runGC(b mem.BarrierID) error {
+func (e *lazyEngine) runGC() error {
 	n := e.n
 	e.mu.Lock()
 	e.gcEpoch = append(e.gcEpoch[:0], e.lastEpoch...)
@@ -638,22 +648,12 @@ func (e *lazyEngine) runGC(b mem.BarrierID) error {
 	if err := e.checkGCInvariant(epoch); err != nil {
 		return err
 	}
-
-	// Readiness round through the master, so no node truncates while
-	// another still needs pre-epoch diffs.
-	if err := n.rendezvous(b, "GC round"); err != nil {
-		return err
-	}
-
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.discardLocked(epoch)
-	n.stats.gcRuns.Add(1)
+	e.gcDue = true
 	return nil
 }
 
-// checkGCInvariant verifies, before this node signals GC
-// readiness, that every copy it can later be asked to serve covers the
+// checkGCInvariant verifies, before this node marks the GC epoch due,
+// that every copy it can later be asked to serve covers the
 // epoch: its cached copies are valid with dominating clocks, and every
 // page it homes with modification history is materialized. A violation
 // means a later cold miss would chase discarded diffs.

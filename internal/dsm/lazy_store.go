@@ -114,27 +114,6 @@ func vacate(c *[]diffSlot) {
 // hosts.
 const twinBudget = page.PoolBytes
 
-// flatKey identifies a merged serve: every interval of this node on one
-// page with its index in [first, last], both of which wrote the page —
-// what a range want names.
-type flatKey struct {
-	pg          mem.PageID
-	first, last int32
-}
-
-// flatEntry is one cached merged diff with its served flag (see
-// diffSlot.served).
-type flatEntry struct {
-	d      *page.Diff
-	served bool
-}
-
-// flatCacheMax caps e.flat: each entry pins a merged diff (up to a page
-// of body), and runs whose barrier GC is disabled would otherwise grow
-// the cache by one entry per distinct served range for the life of the
-// process.
-const flatCacheMax = 256
-
 // materializeSlot computes a deferred slot's diff. Caller holds the
 // slot's page stripe; pc is the page's current copy (nil only if the
 // page was dropped, which materializes first, so a deferred slot always
@@ -187,7 +166,7 @@ func (e *lazyEngine) diffOf(slot *diffSlot, pg mem.PageID) *page.Diff {
 // noteServe counts one serve of a diff towards Stats.DiffCacheHits:
 // every serve after the first reuses the body the first one shipped —
 // a diff is its wire body, so there is nothing to rebuild. served is the
-// diff's flag in its store or cache entry. Caller holds e.mu.
+// slot's flag. Caller holds e.mu.
 func (e *lazyEngine) noteServe(served *bool) {
 	if *served {
 		e.n.stats.diffCacheHits.Add(1)
@@ -302,9 +281,9 @@ func (e *lazyEngine) collectedLocked(id core.IntervalID) bool {
 }
 
 // discardLocked is the GC epoch's discard: every retained diff of an
-// interval the epoch covers goes, its cell vacated, and with them the
-// merges of such diffs; then the log sweeps the intervals' records, which
-// raises the floors the rings span from. Caller holds e.mu.
+// interval the epoch covers goes, its cell vacated; then the log sweeps
+// the intervals' records, which raises the floors the rings span from.
+// Caller holds e.mu.
 func (e *lazyEngine) discardLocked(epoch vc.VC) {
 	n := e.n
 	for p, ring := range e.store {
@@ -338,12 +317,6 @@ func (e *lazyEngine) discardLocked(epoch vc.VC) {
 	if framebuf.Poisoned() {
 		e.checkPendingLocked()
 	}
-	// Merged serves merge only pre-epoch intervals their requesters
-	// still needed; the epoch retires them with the diffs they merged.
-	for _, flat := range e.flat {
-		flat.d.Release()
-	}
-	clear(e.flat)
 	e.log.Sweep(epoch)
 	e.trimFrom = max(e.trimFrom, e.log.Floor(n.id)+1)
 }
@@ -431,13 +404,12 @@ func (e *lazyEngine) serveLocked(w wire.Want) (*page.Diff, error) {
 }
 
 // mergedLocked serves range want w: the merge, last writer wins, of this
-// node's diffs of w.Page in its intervals w.Index through w.Index+w.Span.
-// The requester applies it where its plan has the first of them (see
-// missingWantsLocked for why it may); the range must start and end at
-// intervals of this node that wrote the page, so that it names the same
-// intervals to both sides, and every one of them must still be held.
-// Merges are cached by range so repeat requesters are served from one.
-// Caller holds e.mu.
+// node's diffs of w.Page in its intervals w.Index through w.Index+w.Span,
+// made fresh on a count of its own. The requester applies it where its
+// plan has the first of them (see missingWantsLocked for why it may); the
+// range must start and end at intervals of this node that wrote the page,
+// so that it names the same intervals to both sides, and every one of
+// them must still be held. Caller holds e.mu.
 func (e *lazyEngine) mergedLocked(w wire.Want) (*page.Diff, error) {
 	n := e.n
 	last := w.Index + w.Span
@@ -449,45 +421,26 @@ func (e *lazyEngine) mergedLocked(w wire.Want) (*page.Diff, error) {
 		return nil, fmt.Errorf("asked for diffs %d/%d..%d of page %d, not a run of this node's intervals on the page",
 			w.Proc, w.Index, last, w.Page)
 	}
-	key := flatKey{pg: w.Page, first: w.Index, last: last}
-	flat, cached := e.flat[key]
-	if !cached {
-		// Not cached (GC retires the cache with the store, so a cached range
-		// is held): merge what the store holds.
-		var diffBuf [8]*page.Diff
-		diffs := diffBuf[:0]
-		pmu := n.pageLock(w.Page)
-		pmu.Lock()
-		for _, k := range idxs {
-			slot := e.slotLocked(core.IntervalID{Proc: n.id, Index: k}, w.Page)
-			if slot == nil {
-				pmu.Unlock()
-				return nil, fmt.Errorf("asked for diffs %d/%d..%d of page %d, of which %d is no longer held",
-					w.Proc, w.Index, last, w.Page, k)
-			}
-			e.materializeSlot(e.pages[w.Page], slot, w.Page)
-			diffs = append(diffs, slot.d)
+	var diffBuf [8]*page.Diff
+	diffs := diffBuf[:0]
+	pmu := n.pageLock(w.Page)
+	pmu.Lock()
+	for _, k := range idxs {
+		slot := e.slotLocked(core.IntervalID{Proc: n.id, Index: k}, w.Page)
+		if slot == nil {
+			pmu.Unlock()
+			return nil, fmt.Errorf("asked for diffs %d/%d..%d of page %d, of which %d is no longer held",
+				w.Proc, w.Index, last, w.Page, k)
 		}
-		pmu.Unlock()
-		merged, err := page.FlattenDiffs(diffs, n.sys.layout.PageSize())
-		if err != nil {
-			// Own diffs are well-formed, so this cannot happen.
-			return nil, fmt.Errorf("merging diffs %d/%d..%d of page %d: %w", w.Proc, w.Index, last, w.Page, err)
-		}
-		if len(e.flat) >= flatCacheMax {
-			// The wholesale drop in discardLocked never runs with barrier GC
-			// disabled (GCEveryBarriers=0), so the cache bounds itself: evict an
-			// arbitrary entry (map order) — a re-merge costs one FlattenDiffs.
-			for k, old := range e.flat {
-				old.d.Release()
-				delete(e.flat, k)
-				break
-			}
-		}
-		flat = flatEntry{d: merged}
+		e.materializeSlot(e.pages[w.Page], slot, w.Page)
+		diffs = append(diffs, slot.d)
 	}
-	e.noteServe(&flat.served)
-	e.flat[key] = flat
+	pmu.Unlock()
+	merged, err := page.FlattenDiffs(diffs, n.sys.layout.PageSize())
+	if err != nil {
+		// Own diffs are well-formed, so this cannot happen.
+		return nil, fmt.Errorf("merging diffs %d/%d..%d of page %d: %w", w.Proc, w.Index, last, w.Page, err)
+	}
 	n.stats.diffsFlattened.Add(int64(len(idxs) - 1))
-	return flat.d.Retain(), nil
+	return merged, nil
 }

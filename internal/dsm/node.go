@@ -53,17 +53,20 @@ type Stats struct {
 	DiffsFetched     int64
 	IntervalsCreated int64
 	PagesFetched     int64
-	GCRuns           int64
-	DiffsDiscarded   int64
+	// GCRuns counts completed GC epochs: discards, each of which runs at
+	// the barrier after the one that validated its epoch.
+	GCRuns         int64
+	DiffsDiscarded int64
 
 	// Diff data plane: DiffsCreated counts MakeDiff executions (the eager
 	// engines' at their flush points, and every land that lifts a live
 	// twin's writes), the rest are the lazy engines': DiffsDeferred counts
 	// the pages interval closes parked with their twin instead of diffing
-	// (every one of them), DiffCacheHits counts
-	// serves of a diff after its first (the body the first serve shipped
-	// is reused as is), DiffsFlattened counts the diffs a creator merged
-	// away answering range wants (members - 1 per merged serve),
+	// (every one of them), DiffCacheHits counts serves of a retained diff
+	// after its first (the body the first serve shipped is reused as is; a
+	// range want's merge is made fresh for each serve and never counts),
+	// DiffsFlattened counts the diffs a creator merged away answering range
+	// wants (members - 1 per merged serve),
 	// DiffsFetched counts diff records received in answer to a request,
 	// one per want whether it names one interval or a range (piggybacked
 	// ones are not fetched; DiffsApplied counts the diffs a miss applied,
@@ -96,8 +99,8 @@ type Stats struct {
 	// node as a page home (SC).
 	OwnershipMoves int64
 
-	// Outbound traffic as the node's outbox handed it to the transport
-	// (loopback excluded, matching the interconnect's accounting):
+	// Outbound traffic as the node handed it to the transport (loopback
+	// excluded, matching the interconnect's accounting):
 	// SentMsgs messages, each one frame, SentBytes of encoded payload in
 	// total.
 	SentMsgs int64
@@ -161,7 +164,7 @@ type nodeStats struct {
 }
 
 // countSent ticks the per-kind and total outbound counters for one
-// encoded message of the given payload size (called by the outbox for
+// encoded message of the given payload size (called by Node.send for
 // remote destinations only).
 func (s *nodeStats) countSent(k wire.Kind, bytes int) {
 	s.sentMsgs.Add(1)
@@ -246,9 +249,9 @@ type Node struct {
 	ep  transport.Endpoint
 	// e is the node's protocol engine, the one Config.Mode names.
 	e engine
-	// out is the outbound pipeline every protocol send goes through, and
-	// the record of which destinations are dead. See outbox.
-	out *outbox
+	// dsts is every destination's send state (send), and the record of
+	// which destinations are dead.
+	dsts []outDest
 
 	// pageMu is the striped page-state lock table: pageLock(pg) guards
 	// the engine's per-page state (copy bytes, validity, twin, applied
@@ -272,10 +275,8 @@ type Node struct {
 	stats nodeStats
 
 	// Barrier master state, fed by the dispatch loop (park): barrier
-	// arrivals, and the readies of the post-barrier rendezvous rounds;
-	// collected holds a round's messages (collectRound).
+	// arrivals; collected holds a round's messages (collectRound).
 	barCh     chan *wire.Msg
-	gcCh      chan *wire.Msg
 	collected []*wire.Msg
 
 	// barMu guards the local two-level barrier episode.
@@ -330,7 +331,7 @@ func newNode(s *System, id mem.ProcID) *Node {
 		locks:    make(map[mem.LockID]*lockLocal),
 		mgrLast:  make(map[mem.LockID]mem.ProcID),
 		barCh:    make(chan *wire.Msg, s.cfg.Procs),
-		gcCh:     make(chan *wire.Msg, s.cfg.Procs),
+		dsts:     make([]outDest, s.cfg.Procs),
 		waiters:  make(map[uint64]*rpcWaiter),
 		queues:   make([]chan inFrame, handlerWorkers),
 		closedCh: make(chan struct{}),
@@ -338,7 +339,6 @@ func newNode(s *System, id mem.ProcID) *Node {
 	for i := range n.queues {
 		n.queues[i] = make(chan inFrame, workerQueueCap)
 	}
-	n.out = newOutbox(n)
 	switch m := s.cfg.Mode; m {
 	case LazyInvalidate, LazyUpdate:
 		n.e = newLazyEngine(n, m == LazyUpdate)
@@ -622,11 +622,11 @@ func (n *Node) recvTimed(ch chan *wire.Msg) (m *wire.Msg, ok, timedOut bool) {
 	return m, ok, timedOut
 }
 
-// peerFailed fails every waiter parked on dst once the outbox found its
-// stream broken (called by that send, under dst's outbox lock): the
-// paper's fail-stop model, propagated — a node whose stream to a peer
-// broke will never get its responses, so its parked rpcs learn
-// immediately instead of waiting out the timeout. Shutdown errors are not
+// peerFailed fails every waiter parked on dst once send found its stream
+// broken (called by that send, under dst's lock): the paper's fail-stop
+// model, propagated — a node whose stream to a peer broke will never get
+// its responses, so its parked rpcs learn immediately instead of waiting
+// out the timeout. Shutdown errors are not
 // peer deaths (every stream "fails" at Close).
 func (n *Node) peerFailed(dst mem.ProcID, cause error) {
 	if dst == n.id || errors.Is(cause, ErrClosed) {
@@ -643,10 +643,10 @@ func (n *Node) peerFailed(dst mem.ProcID, cause error) {
 	n.noteErr("peer liveness", fmt.Errorf("node %d unreachable: %v", dst, cause))
 }
 
-// peerErr returns the cause dst's stream broke with — the outbox's sticky
+// peerErr returns the cause dst's stream broke with — send's sticky
 // error — or nil while dst is alive (or its stream only closed).
 func (n *Node) peerErr(dst mem.ProcID) error {
-	d := &n.out.dsts[dst]
+	d := &n.dsts[dst]
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if dst == n.id || errors.Is(d.broken, ErrClosed) {
@@ -683,12 +683,6 @@ func (n *Node) answerWaiter(m *wire.Msg, installed bool) {
 	} else {
 		n.failWaiter(m.Seq)
 	}
-}
-
-// send encodes m for dst and sends it through the outbox; m is the
-// caller's again when send returns.
-func (n *Node) send(dst mem.ProcID, m *wire.Msg) error {
-	return n.out.send(dst, m)
 }
 
 // rpc sends m to dst and blocks for the response with the same Seq,
@@ -737,7 +731,7 @@ func (n *Node) rpcAll(reqs []outMsg, resps []*wire.Msg) ([]*wire.Msg, error) {
 	for i := range reqs {
 		r := &reqs[i]
 		w := n.register(r.m.Seq, r.dst, r.m.Kind)
-		if err := n.out.send(r.dst, &r.m); err != nil {
+		if err := n.send(r.dst, &r.m); err != nil {
 			n.unregister(r.m.Seq, false)
 			w = nil
 			if firstErr == nil {
@@ -897,7 +891,7 @@ func attachFrame(payload []byte, m *wire.Msg) {
 	m.Frame = framebuf.NewRef(payload, 1)
 }
 
-// dispatchMsg routes one decoded message: rendezvous kinds inline — the
+// dispatchMsg routes one decoded message: barrier kinds inline — the
 // collecting master holds an arrival from then on (park) — everything else
 // onto its serialized shard queue, whose worker holds it.
 func (n *Node) dispatchMsg(m *wire.Msg, src mem.ProcID) {
@@ -911,10 +905,8 @@ func (n *Node) dispatchMsg(m *wire.Msg, src mem.ProcID) {
 	}
 	switch m.Kind {
 	case wire.KBarrierArrive:
-		n.park(n.barCh, m, src)
-	case wire.KGCReady:
-		n.park(n.gcCh, m, src)
-	case wire.KBarrierExit, wire.KGCDone:
+		n.park(m, src)
+	case wire.KBarrierExit:
 		n.deliverResponse(m)
 		m.Release()
 	default:
@@ -924,7 +916,7 @@ func (n *Node) dispatchMsg(m *wire.Msg, src mem.ProcID) {
 
 // checkSender holds a message's claimed identity to the endpoint it came
 // from: a request that names its sender in B must come from that node, a
-// barrier exit or GC go from the master, and a lock forward from the
+// barrier exit from the master, and a lock forward from the
 // lock's manager. Everything after dispatch trusts these fields — a master
 // counts an arrival by B, a manager grants and a home ships to B, a waiter
 // wakes on whichever exit carries its seq. The check is only as good as
@@ -933,11 +925,11 @@ func (n *Node) dispatchMsg(m *wire.Msg, src mem.ProcID) {
 // binds a message to the identity its stream claims.
 func (n *Node) checkSender(m *wire.Msg, src mem.ProcID) error {
 	switch m.Kind {
-	case wire.KLockReq, wire.KBarrierArrive, wire.KGCReady, wire.KPageReq, wire.KWriteReq, wire.KFlushReq:
+	case wire.KLockReq, wire.KBarrierArrive, wire.KPageReq, wire.KWriteReq, wire.KFlushReq:
 		if mem.ProcID(m.B) != src {
 			return fmt.Errorf("%v claims node %d but came from %d", m.Kind, m.B, src)
 		}
-	case wire.KBarrierExit, wire.KGCDone:
+	case wire.KBarrierExit:
 		if src != master {
 			return fmt.Errorf("%v from %d dropped: only the barrier master %d sends it", m.Kind, src, master)
 		}
@@ -1005,7 +997,6 @@ func (n *Node) shutdown() {
 	}
 	n.waiterMu.Unlock()
 	close(n.barCh)
-	close(n.gcCh)
 }
 
 // --- application API: memory ---

@@ -92,11 +92,11 @@ func (s *System) registerMetrics(r *obs.Registry) {
 		nodeCounter("dsm_node_diffs_fetched_total", "diffs fetched from creators", n.stats.diffsFetched.Load)
 		nodeCounter("dsm_node_intervals_created_total", "intervals created", n.stats.intervalsCreated.Load)
 		nodeCounter("dsm_node_pages_fetched_total", "whole pages fetched", n.stats.pagesFetched.Load)
-		nodeCounter("dsm_node_gc_runs_total", "garbage collection rounds", n.stats.gcRuns.Load)
+		nodeCounter("dsm_node_gc_runs_total", "garbage collection epochs completed (discards)", n.stats.gcRuns.Load)
 		nodeCounter("dsm_node_diffs_discarded_total", "diffs discarded by GC", n.stats.diffsDiscarded.Load)
 		nodeCounter("dsm_node_diffs_created_total", "diffs computed (MakeDiff executions)", n.stats.diffsCreated.Load)
 		nodeCounter("dsm_node_diffs_deferred_total", "interval closes that deferred diff creation", n.stats.diffsDeferred.Load)
-		nodeCounter("dsm_node_diff_cache_hits_total", "diff serves after the diff's first", n.stats.diffCacheHits.Load)
+		nodeCounter("dsm_node_diff_cache_hits_total", "retained diff serves after the diff's first", n.stats.diffCacheHits.Load)
 		nodeCounter("dsm_node_diffs_flattened_total", "diffs elided by multi-interval flattening", n.stats.diffsFlattened.Load)
 		nodeCounter("dsm_node_diffs_trimmed_total", "deferred diffs materialized by the twin budget", n.stats.diffsTrimmed.Load)
 		r.GaugeFunc(fmt.Sprintf("dsm_node_twin_bytes_live{node=%q}", node),
@@ -171,13 +171,4 @@ func (s *System) Status() Status {
 		st.Traffic = s.ring.Recent()
 	}
 	return st
-}
-
-// DumpTrace writes the configured tracer's event ring as Chrome
-// trace_event JSON; a no-op without a tracer.
-func (s *System) DumpTrace(w interface{ Write([]byte) (int, error) }) error {
-	if s.cfg.Tracer == nil {
-		return nil
-	}
-	return s.cfg.Tracer.WriteChromeJSON(w)
 }

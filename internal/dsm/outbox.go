@@ -8,24 +8,6 @@ import (
 	"repro/internal/wire"
 )
 
-// outbox is the node's outbound message pipeline: every protocol message
-// leaves through send, which encodes it into a pooled frame of its own
-// (framebuf.Get) and hands the frame to the transport at once (ownership
-// transfers on Send). The message is dead the moment send returns — its
-// sender keeps it on the stack or returns its shell to the free list —
-// and no frame outlives the call that built it.
-//
-// Ordering: a destination's frames are encoded and sent under its lock,
-// so the per-(sender,receiver) order the directory and install invariants
-// rely on is the order of the send calls, carried the rest of the way by
-// the transport's FIFO delivery. A handler that sends under a directory
-// entry or page stripe puts its message on the wire before the next
-// decision that lock orders.
-type outbox struct {
-	n    *Node
-	dsts []outDest
-}
-
 // outDest is one destination's send state, guarded by mu (a leaf lock:
 // nothing else is acquired under it except the transport's own internals
 // inside Send and, once, the waiter table when the destination breaks).
@@ -38,17 +20,22 @@ type outDest struct {
 	broken error
 }
 
-func newOutbox(n *Node) *outbox {
-	return &outbox{n: n, dsts: make([]outDest, n.sys.cfg.Procs)}
-}
-
-// send encodes m into a frame for dst and sends it; m is the caller's
-// again when send returns. The first failure breaks the destination: it
-// fails the rpc waiters parked on dst (Node.peerFailed) and is returned by
-// this and every later send to dst.
-func (o *outbox) send(dst mem.ProcID, m *wire.Msg) error {
-	n := o.n
-	d := &o.dsts[dst]
+// send is the node's one way out: it encodes m into a pooled frame of its
+// own (framebuf.Get) and hands the frame to the transport at once
+// (ownership transfers on Send). m is the caller's again when send
+// returns — its sender keeps it on the stack or returns its shell to the
+// free list — and no frame outlives the call that built it. The first
+// failure breaks the destination: it fails the rpc waiters parked on dst
+// (peerFailed) and is returned by this and every later send to dst.
+//
+// Ordering: a destination's frames are encoded and sent under its lock,
+// so the per-(sender,receiver) order the directory and install invariants
+// rely on is the order of the send calls, carried the rest of the way by
+// the transport's FIFO delivery. A handler that sends under a directory
+// entry or page stripe puts its message on the wire before the next
+// decision that lock orders.
+func (n *Node) send(dst mem.ProcID, m *wire.Msg) error {
+	d := &n.dsts[dst]
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.broken != nil {

@@ -114,18 +114,18 @@ func TestOutboxBatchesFlushBurst(t *testing.T) {
 
 // TestOutboxPreservesFIFO: sends to one destination arrive in the order
 // they were made, a frame each. The protocol's directory invariants test
-// this implicitly everywhere; here the outbox is driven directly so a
-// regression points at the pipeline, not a protocol.
+// this implicitly everywhere; here a bare node's send is driven directly
+// so a regression points at the send path, not a protocol.
 func TestOutboxPreservesFIFO(t *testing.T) {
-	// Drive an outbox directly over a raw simnet pair, observing the
+	// Drive a bare node's send over a raw simnet pair, observing the
 	// frames on the wire.
 	raw := simnet.New(2)
 	defer raw.Close()
 	a, b := raw.Endpoint(0), raw.Endpoint(1)
-	o := &outbox{n: &Node{id: 0, ep: a}, dsts: make([]outDest, 2)}
+	n := &Node{id: 0, ep: a, dsts: make([]outDest, 2)}
 
 	for seq := uint64(1); seq <= 4; seq++ {
-		if err := o.send(1, &wire.Msg{Kind: wire.KInval, Seq: seq, Wants: []wire.Want{{Page: 1}}}); err != nil {
+		if err := n.send(1, &wire.Msg{Kind: wire.KInval, Seq: seq, Wants: []wire.Want{{Page: 1}}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -172,8 +172,7 @@ func (f *failEndpoint) Recv() (int, []byte, bool) { return 0, nil, false }
 func TestOutboxStickyFlushError(t *testing.T) {
 	broken := errors.New("peer stream broken")
 	ep := &failEndpoint{err: broken}
-	n := &Node{id: 0, ep: ep, waiters: make(map[uint64]*rpcWaiter)}
-	n.out = &outbox{n: n, dsts: make([]outDest, 2)}
+	n := &Node{id: 0, ep: ep, dsts: make([]outDest, 2), waiters: make(map[uint64]*rpcWaiter)}
 
 	w := n.register(1, 1, wire.KDiffReq)
 	if err := n.peerErr(1); err != nil {
@@ -235,17 +234,17 @@ func stageGrant(seq uint64) *wire.Msg {
 // afterwards changes nothing).
 func TestStageEncodesAtStage(t *testing.T) {
 	ep := &captureEndpoint{}
-	o := &outbox{n: &Node{id: 0, ep: ep}, dsts: make([]outDest, 2)}
+	n := &Node{id: 0, ep: ep, dsts: make([]outDest, 2)}
 	for _, count := range []int{1, 3} {
 		ep.reset()
 		var want []byte
 		for i := 0; i < count; i++ {
 			m := stageGrant(uint64(100 + i))
 			want = m.EncodeAppend(want)
-			if err := o.send(1, m); err != nil {
+			if err := n.send(1, m); err != nil {
 				t.Fatal(err)
 			}
-			m.Seq, m.VC[0], m.Intervals[0].Pages[0] = 0, -1, 77 // dead to the outbox
+			m.Seq, m.VC[0], m.Intervals[0].Pages[0] = 0, -1, 77 // dead to the sender
 		}
 		if ep.frames != count || !bytes.Equal(ep.got, want) {
 			t.Errorf("%d sent: %d frames\n%x\nwant %d\n%x", count, ep.frames, ep.got, count, want)
@@ -258,13 +257,13 @@ func TestStageEncodesAtStage(t *testing.T) {
 func TestStageFlushAllocatesNothingGate(t *testing.T) {
 	testenv.SkipAllocGate(t)
 	ep := &captureEndpoint{}
-	o := &outbox{n: &Node{id: 0, ep: ep}, dsts: make([]outDest, 2)}
+	n := &Node{id: 0, ep: ep, dsts: make([]outDest, 2)}
 	for _, count := range []int{1, 3} {
 		msgs := []*wire.Msg{stageGrant(1), stageGrant(2), stageGrant(3)}[:count]
 		if allocs := testing.AllocsPerRun(200, func() {
 			ep.reset()
 			for _, m := range msgs {
-				if err := o.send(1, m); err != nil {
+				if err := n.send(1, m); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -274,20 +273,20 @@ func TestStageFlushAllocatesNothingGate(t *testing.T) {
 	}
 }
 
-// BenchmarkWireStageFlush is the outbox's half of the message path, next
+// BenchmarkWireStageFlush is the send half of the message path, next
 // to internal/wire's codec benches: one grant sent, and three, a frame
 // each.
 func BenchmarkWireStageFlush(b *testing.B) {
 	for _, count := range []int{1, 3} {
 		b.Run(fmt.Sprintf("msgs=%d", count), func(b *testing.B) {
 			ep := &captureEndpoint{}
-			o := &outbox{n: &Node{id: 0, ep: ep}, dsts: make([]outDest, 2)}
+			n := &Node{id: 0, ep: ep, dsts: make([]outDest, 2)}
 			msgs := []*wire.Msg{stageGrant(1), stageGrant(2), stageGrant(3)}[:count]
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				ep.reset()
 				for _, m := range msgs {
-					if err := o.send(1, m); err != nil {
+					if err := n.send(1, m); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -240,8 +240,9 @@ func TestEarlyGrantReleaseIsCaught(t *testing.T) {
 // arrays allow — a page whose pending pointer still leads into the slots of
 // an interval the GC epoch discarded, where its next twin capture would
 // land in whatever interval takes the array next — on purpose, and checks
-// that the discard reports it: the array reads deadSlot once recycled. The
-// same epoch without the stale pointer records nothing.
+// that the discard, at the barrier after the one that validated the
+// epoch, reports it: the array reads deadSlot once recycled. The same
+// epoch without the stale pointer records nothing.
 func TestPendingIntoRecycledSlotsIsCaught(t *testing.T) {
 	const addr, pg, lock = mem.Addr(1024), mem.PageID(1), mem.LockID(0)
 	for _, stale := range []bool{false, true} {
@@ -272,17 +273,7 @@ func TestPendingIntoRecycledSlotsIsCaught(t *testing.T) {
 			pmu.Unlock()
 			e.mu.Unlock()
 		}
-		var wg sync.WaitGroup
-		for _, m := range s.Local() {
-			wg.Add(1)
-			go func(m *Node) {
-				defer wg.Done()
-				if err := m.Barrier(0); err != nil {
-					t.Error(err)
-				}
-			}(m)
-		}
-		wg.Wait()
+		barriers(t, s, 2)
 		if runs := n.Stats().GCRuns; runs != 1 {
 			t.Fatalf("%d GC epochs ran, want 1", runs)
 		}
@@ -369,8 +360,9 @@ func TestLateResponseAfterManyTimeoutsIsARace(t *testing.T) {
 // parkedDiffServe is the fixture of the two tests below: node 1 makes a
 // diff, a request for it from node 2 is served by hand and parked between
 // the serve's locked section and its send (the test holds the
-// destination's lock, under which send encodes), and a barrier's GC epoch then
-// discards the diff from node 1's store. With early set the fixture
+// destination's lock, under which send encodes), and a GC epoch then
+// discards the diff from node 1's store: one barrier validates it, the
+// next discards it. With early set the fixture
 // commits the bug a counted body allows — dropping a count while something
 // still reads on it — by releasing the parked response's count before it
 // is encoded. It returns the bytes the writer wrote, the frame the serve
@@ -396,7 +388,7 @@ func parkedDiffServe(t *testing.T, early bool) (want, frame []byte, panicked any
 	}
 	id := core.IntervalID{Proc: writer.id, Index: e.clock()[writer.id]}
 
-	dst := &writer.out.dsts[2]
+	dst := &writer.dsts[2]
 	dst.mu.Lock()
 	served := make(chan any)
 	go func() {
@@ -415,17 +407,7 @@ func parkedDiffServe(t *testing.T, early bool) (want, frame []byte, panicked any
 		d.Release() // the bug: the response's count goes before the response is encoded
 	}
 
-	var wg sync.WaitGroup
-	for _, n := range s.Local() {
-		wg.Add(1)
-		go func(n *Node) {
-			defer wg.Done()
-			if err := n.Barrier(0); err != nil {
-				t.Error(err)
-			}
-		}(n)
-	}
-	wg.Wait()
+	barriers(t, s, 2)
 	e.mu.Lock()
 	gone := e.slotLocked(id, pg) == nil
 	e.mu.Unlock()

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -44,26 +45,64 @@ func lazyEngineWithIntervals(t *testing.T) (*lazyEngine, mem.PageID) {
 	return n.e.(*lazyEngine), 1
 }
 
-// TestFlatCacheBounded: with barrier GC disabled the discard's wholesale
-// drop never runs, so a range serve that inserts into a full e.flat must
-// evict rather than grow without bound.
+// TestFlatCacheBounded: a range serve leaves nothing retained. Serving
+// one range 512 times merges it afresh each time, on a count of its own,
+// grows no engine state — the store keeps the very slots and diffs its
+// first serve materialized, and no serve counts as a cache hit — and each
+// merge goes back to the page pool when that count is released: under
+// poison-on-release its run table then reads dead.
 func TestFlatCacheBounded(t *testing.T) {
 	e, pg := lazyEngineWithIntervals(t)
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	for i := 0; i < flatCacheMax; i++ {
-		e.flat[flatKey{pg: pg, first: int32(1000 + i), last: int32(2000 + i)}] = flatEntry{d: &page.Diff{}}
+	want := wire.Want{Page: pg, Proc: 0, Index: 1, Span: 1}
+	serve := func(i int) {
+		t.Helper()
+		d, err := e.mergedLocked(want)
+		if err != nil {
+			t.Fatalf("serve %d of range 1..2: %v", i, err)
+		}
+		if d.Empty() {
+			t.Fatalf("serve %d of range 1..2 merged nothing", i)
+		}
+		d.Release()
+		if off := d.Runs()[0].Off; off >= 0 {
+			t.Fatalf("serve %d: the merge outlived its one release (first run at %d)", i, off)
+		}
 	}
-	d, err := e.mergedLocked(wire.Want{Page: pg, Proc: 0, Index: 1, Span: 1})
-	if err != nil {
-		t.Fatalf("serving range 1..2: %v", err)
+	serve(0) // materializes the range's deferred slots
+	ring := slices.Clone(e.store[0])
+	var diffs []*page.Diff
+	for _, cell := range ring {
+		for _, slot := range cell {
+			diffs = append(diffs, slot.d)
+		}
 	}
-	d.Release()
-	if len(e.flat) > flatCacheMax {
-		t.Errorf("flat cache grew to %d entries, cap is %d", len(e.flat), flatCacheMax)
+	before := e.n.Stats()
+	for i := 1; i <= 512; i++ {
+		serve(i)
 	}
-	if _, ok := e.flat[flatKey{pg: pg, first: 1, last: 2}]; !ok {
-		t.Error("fresh merge was not cached after eviction")
+	after := e.n.Stats()
+	if got := after.DiffsFlattened - before.DiffsFlattened; got != 512 {
+		t.Errorf("512 serves flattened %d diffs away, want one each", got)
+	}
+	if after.DiffCacheHits != before.DiffCacheHits {
+		t.Errorf("range serves counted %d cache hits, want none", after.DiffCacheHits-before.DiffCacheHits)
+	}
+	if len(e.store[0]) != len(ring) {
+		t.Fatalf("the store's ring grew from %d cells to %d", len(ring), len(e.store[0]))
+	}
+	var held []*page.Diff
+	for k, cell := range e.store[0] {
+		if len(cell) != len(ring[k]) || cap(cell) != cap(ring[k]) {
+			t.Errorf("cell %d went from %d/%d slots to %d/%d", k, len(ring[k]), cap(ring[k]), len(cell), cap(cell))
+		}
+		for _, slot := range cell {
+			held = append(held, slot.d)
+		}
+	}
+	if !slices.Equal(held, diffs) {
+		t.Errorf("the store's diffs changed across the serves: %p, then %p", diffs, held)
 	}
 }
 

@@ -197,7 +197,7 @@ func (e *scEngine) arrive(arrive *wire.Msg)           {}
 func (e *scEngine) masterAbsorb(arrivals []*wire.Msg) {}
 func (e *scEngine) exit(m, exit *wire.Msg)            {}
 func (e *scEngine) onExit(exit *wire.Msg) error       { return nil }
-func (e *scEngine) postBarrier(b mem.BarrierID) error { return nil }
+func (e *scEngine) postBarrier() error                { return nil }
 
 // --- handler side ---
 

@@ -283,7 +283,7 @@ func (n *Node) clusterBarrier(b mem.BarrierID) error {
 	}
 
 	if n.id == master {
-		arrivals, err := n.collectRound(n.barCh, b, "arrivals")
+		arrivals, err := n.collectRound(b)
 		if err != nil {
 			return err
 		}
@@ -321,7 +321,7 @@ func (n *Node) clusterBarrier(b mem.BarrierID) error {
 			return err
 		}
 	}
-	if err := n.e.postBarrier(b); err != nil {
+	if err := n.e.postBarrier(); err != nil {
 		return err
 	}
 	n.emit("sync", "barrier-exit", int64(b))
@@ -330,63 +330,64 @@ func (n *Node) clusterBarrier(b mem.BarrierID) error {
 
 // --- the master's rendezvous ---
 
-// master is the barrier master: it collects every barrier arrival and
-// every ready of the post-barrier GC rendezvous.
+// master is the barrier master: it collects every barrier arrival. A
+// barrier is the runtime's only collective: the lazy engines' GC epoch
+// needs no round of its own, because a node arrives at the next barrier
+// only after it validated through the epoch (lazyEngine.runGC).
 const master = mem.ProcID(0)
 
-// park hands a rendezvous message from the dispatch loop to the master's
+// park hands a barrier arrival from the dispatch loop to the master's
 // collecting round. Legitimate traffic never has more than Procs-1 of
-// them pending on a channel, and only at the master: a message that
-// reaches another node, or finds its channel full, is a forgery or a
-// confused peer, recorded and dropped instead of wedging the dispatch
-// loop.
-func (n *Node) park(ch chan *wire.Msg, m *wire.Msg, src mem.ProcID) {
+// them pending, and only at the master: an arrival that reaches another
+// node, or finds the channel full, is a forgery or a confused peer,
+// recorded and dropped instead of wedging the dispatch loop.
+func (n *Node) park(m *wire.Msg, src mem.ProcID) {
 	why := "this node is not the barrier master"
 	if n.id == master {
 		select {
-		case ch <- m:
+		case n.barCh <- m:
 			return
 		default:
-			why = fmt.Sprintf("%d already pending", cap(ch))
+			why = fmt.Sprintf("%d already pending", cap(n.barCh))
 		}
 	}
 	n.noteErr("rendezvous", fmt.Errorf("%v from %d dropped: %s", m.Kind, src, why))
 	m.Release()
 }
 
-// collectRound collects one message per non-master node off ch for
-// barrier b (what names the round in errors, which alone format it),
+// collectRound collects one arrival per non-master node for barrier b,
 // honoring RPCTimeout: a master collecting from a dead peer must unblock
-// and surface a descriptive error, exactly like a parked rpc. A message's
-// B is its sender (checkSender); one claiming the master, which only a
-// transport that lets a peer take the master's id delivers, or a second
-// one from a node already counted this round is recorded and dropped, and
-// the round keeps waiting for the others; one for another barrier fails
-// the round. The caller holds the returned messages, in the node's
-// collected list: the barrier leader's alone, good until its next round.
-func (n *Node) collectRound(ch chan *wire.Msg, b mem.BarrierID, what string) ([]*wire.Msg, error) {
+// and surface a descriptive error, exactly like a parked rpc. An
+// arrival's B is its sender (checkSender); one claiming the master, which
+// only a transport that lets a peer take the master's id delivers, or a
+// second one from a node already counted this round is recorded and
+// dropped, and the round keeps waiting for the others; one for another
+// barrier fails the round. The caller holds the returned messages, in the
+// node's collected list: the barrier leader's alone, good until its next
+// round.
+func (n *Node) collectRound(b mem.BarrierID) ([]*wire.Msg, error) {
 	got := n.collected[:0]
 	defer func() { n.collected = got[:0] }()
 	var counted uint64
 	for len(got) < n.sys.cfg.Procs-1 {
-		m, ok, timedOut := n.recvTimed(ch)
+		m, ok, timedOut := n.recvTimed(n.barCh)
 		switch {
 		case timedOut:
 			releaseAll(got)
-			return nil, fmt.Errorf("dsm: node %d: master: %s at barrier %d: no arrival within %v: %w",
-				n.id, what, b, n.sys.cfg.RPCTimeout, ErrRPCTimeout)
+			return nil, fmt.Errorf("dsm: node %d: master: arrivals at barrier %d: no arrival within %v: %w",
+				n.id, b, n.sys.cfg.RPCTimeout, ErrRPCTimeout)
 		case !ok || m == nil:
 			releaseAll(got)
-			return nil, fmt.Errorf("dsm: node %d: master: %s at barrier %d: %w", n.id, what, b, ErrClosed)
+			return nil, fmt.Errorf("dsm: node %d: master: arrivals at barrier %d: %w", n.id, b, ErrClosed)
 		}
 		from := mem.ProcID(m.B)
 		switch {
 		case from == master || counted&(1<<uint(from)) != 0:
-			n.noteErr("master: "+what, fmt.Errorf("%v from node %d dropped: the master's own or a second this round", m.Kind, from))
+			n.noteErr("master: arrivals", fmt.Errorf("%v from node %d dropped: the master's own or a second this round", m.Kind, from))
 			m.Release()
 			continue
 		case mem.BarrierID(m.A) != b:
-			err := fmt.Errorf("dsm: master: %s at barrier %d: %v for barrier %d from node %d", what, b, m.Kind, m.A, from)
+			err := fmt.Errorf("dsm: master: arrivals at barrier %d: %v for barrier %d from node %d", b, m.Kind, m.A, from)
 			releaseAll(append(got, m))
 			return nil, err
 		}
@@ -394,36 +395,6 @@ func (n *Node) collectRound(ch chan *wire.Msg, b mem.BarrierID, what string) ([]
 		got = append(got, m)
 	}
 	return got, nil
-}
-
-// rendezvous is one ready/go round over every node after barrier b, for
-// the lazy engines' GC discard (what names it): a non-master sends
-// KGCReady and blocks for the matching KGCDone; the master collects a
-// ready from every other node, then releases them all. Per-sender FIFO
-// delivery keeps a node's readies in round order, so rounds need no
-// label.
-func (n *Node) rendezvous(b mem.BarrierID, what string) error {
-	if n.id != master {
-		done, err := n.rpc(master, &wire.Msg{Kind: wire.KGCReady, Seq: n.nextSeq(), A: int32(b), B: int32(n.id)})
-		if err != nil {
-			return fmt.Errorf("dsm: node %d: %s: %w", n.id, what, err)
-		}
-		done.Release()
-		return nil
-	}
-	readies, err := n.collectRound(n.gcCh, b, what)
-	if err != nil {
-		return err
-	}
-	for i, m := range readies {
-		err := n.send(mem.ProcID(m.B), &wire.Msg{Kind: wire.KGCDone, Seq: m.Seq, A: int32(b)})
-		m.Release()
-		if err != nil {
-			releaseAll(readies[i+1:])
-			return err
-		}
-	}
-	return nil
 }
 
 // --- handler-side lock processing ---

@@ -222,9 +222,10 @@ func TestTrimRacesWritersOfPendingPages(t *testing.T) {
 }
 
 // TestBelowBudgetNothingIsDiffed: the hit-private shape — every node
-// rewrites 16 pages it homes, 8 rounds, one GC at the end — parks 128
-// twins per node, half the budget across the System's four: no diff is
-// ever created, none trimmed, and GC leaves no twin behind.
+// rewrites 16 pages it homes, 8 rounds, one GC at the end, discarded at
+// one barrier more — parks 128 twins per node, half the budget across the
+// System's four: no diff is ever created, none trimmed, and GC leaves no
+// twin behind.
 func TestBelowBudgetNothingIsDiffed(t *testing.T) {
 	const procs, slab, rounds = 4, 16, 8
 	s := newBudgetSys(t, Config{Procs: procs, GCEveryBarriers: rounds})
@@ -240,7 +241,7 @@ func TestBelowBudgetNothingIsDiffed(t *testing.T) {
 				return err
 			}
 		}
-		return nil
+		return n.Barrier(0)
 	})
 	for _, n := range s.Local() {
 		st := n.Stats()

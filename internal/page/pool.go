@@ -36,9 +36,9 @@ import (
 // and buffer, at the last release; after it the holder must not touch the
 // header at all — the next capture or diff reuses it. FlattenDiffs returns
 // its scratch before returning. A diff is made with one count, its maker's:
-// internal/dsm's lazy store (a slot, a flatten cache entry) drops it where
-// the diff dies — the GC epoch's discard, the cache's reset and eviction —
-// and the eager engine, whose diffs are made, used and dropped in one
+// internal/dsm's lazy store (a slot) drops it where the diff dies — the
+// GC epoch's discard — a range serve's merge once its response is
+// encoded, and the eager engine, whose diffs are made, used and dropped in one
 // transaction, when the transaction is acknowledged. A reader that outlives
 // the lock pinning the store's slot (a response or grant encoded after the
 // engine lock is dropped, a miss applying a stored diff) takes a count

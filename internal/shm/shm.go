@@ -42,8 +42,7 @@
 // left of a handle's last word stays unused. Elements inside one dense
 // Array[byte] (or a Bytes region) still share words: writers of
 // neighbouring elements need one lock, or a stride of a word or more.
-// Handles at explicit addresses (VarAt, ArrayAt, BytesAt) are their
-// owner's to lay out.
+// A handle at an explicit address (VarAt) is its owner's to lay out.
 //
 // Mem is satisfied by *dsm.Node. The allocator panics on exhaustion:
 // schema construction is deterministic start-up code, and an address
@@ -162,12 +161,6 @@ type Array[T Value] struct {
 	stride int
 }
 
-// ArrayAt returns a handle to n densely-packed values at an explicit
-// base address; see VarAt.
-func ArrayAt[T Value](base mem.Addr, n int) Array[T] {
-	return Array[T]{base: base, n: n, stride: valueSize[T]()}
-}
-
 // Len returns the element count.
 func (a Array[T]) Len() int { return a.n }
 
@@ -191,9 +184,6 @@ type Bytes struct {
 	base mem.Addr
 	size int
 }
-
-// BytesAt returns a handle to an explicit region; see VarAt.
-func BytesAt(base mem.Addr, size int) Bytes { return Bytes{base: base, size: size} }
 
 // Addr returns the region's base address.
 func (b Bytes) Addr() mem.Addr { return b.base }

@@ -136,7 +136,7 @@
 // a free list and NewMsg hands one to a sender whose message must pass
 // through an interface call; a sender that can keep its message on the
 // stack writes a literal. A message is never queued for sending — the
-// outbox encodes it as it is sent — so a sender's message is dead when
+// sender encodes it as it sends it — so a sender's message is dead when
 // the send returns, and only received ones change hands. A shell starts
 // with one reference, its creator's: the dispatch loop's, which passes to
 // the shard worker or the collecting barrier master the message is queued
@@ -217,9 +217,11 @@ const (
 	// KBarrierExit: master -> node with merged clock and intervals.
 	// A = barrier id.
 	KBarrierExit
-	// KGCReady: node -> barrier master, ready for the lazy engines' GC
-	// discard after a barrier; KGCDone: master -> node, go. A/B = barrier
-	// id, arriving node (ready only).
+	// KGCReady and KGCDone are retired: the lazy engines' GC ready/go
+	// round, replaced by the next barrier, at which the discard now runs.
+	// They keep their numbers, and no node handles them: a node records
+	// either as a protocol error. Kept for bench/lrcbench; ROADMAP item 1
+	// removes them.
 	KGCReady
 	KGCDone
 
