@@ -40,9 +40,12 @@ func TestDecodeAllocationsGate(t *testing.T) {
 	})
 	t.Run("interval slabs", func(t *testing.T) {
 		drainShells()
-		small, large := intervalBlock(keepRecs), intervalBlock(keepRecs+1)
+		small, large := intervalBlock(keepRecs, false), intervalBlock(keepRecs+1, false)
 		if a := allocs(t, 20, small, true); a != 0 {
 			t.Errorf("decoding a block inside the keep bound into a recycled shell takes %v allocations, want 0", a)
+		}
+		if a := allocs(t, 20, intervalBlock(keepRecs, true), true); a != 0 {
+			t.Errorf("decoding a block of repeated page lists into a recycled shell takes %v allocations, want 0", a)
 		}
 		if a := allocs(t, 20, large, true); a != 3 {
 			t.Errorf("decoding a block beyond the keep bound takes %v allocations, want its 3 slabs", a)

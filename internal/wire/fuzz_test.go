@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -188,19 +189,24 @@ func TestDecodeMalformed(t *testing.T) {
 		{"hostile interval run count", cat(hdr(KLockGrant, hasIntervals), uv(1<<24), make([]byte, 64)), "implausible interval run count"},
 		{"interval run count one past the bytes", cat(hdr(KLockGrant, hasIntervals), uv(3), make([]byte, 3*minIntervalRunBytes-1)), "implausible interval run count"},
 		{"hostile interval count", cat(hdr(KLockGrant, hasIntervals), uv(1, 0, 0, 1<<24), make([]byte, 64)), "implausible interval count"},
-		{"interval count one past the bytes", cat(hdr(KLockGrant, hasIntervals), uv(1, 0, 0, 3), make([]byte, 3*minIntervalBytes-1)), "implausible interval count"},
+		{"interval count one past the bytes", cat(hdr(KLockGrant, hasIntervals), uv(1, 0, 0, 4), make([]byte, 4*minIntervalBytes-1)), "implausible interval count"},
 		{"hostile interval clock count", cat(hdr(KLockGrant, hasIntervals), uv(1, 0, 0, 1, maxClock+1), make([]byte, 128)), "implausible interval clock count"},
 		// A record of two bytes expands to a clock of 64 entries: the clock
 		// entries a block expands to answer to their own bound.
 		{"interval block past the expansion bound", expandingRun(maxIntervalWords/maxClock + 1), "implausible interval block"},
 		// Interval runs: one encoding per list. A run is maximal and not
-		// empty, it ends at an index an int32 holds, and a mask bit marks an
-		// entry that differs from its prediction, inside the clock.
+		// empty, it ends at an index an int32 holds, a mask bit marks an
+		// entry that differs from its prediction, inside the clock, or (bit
+		// m) a page list that repeats the one before it in the run — which
+		// the run's first record has not, and which is never spelled out.
 		{"empty interval run", cat(hdr(KLockGrant, hasIntervals), uv(1, 1, 0, 0, 0), uv(0, 0)), "empty interval run"},
 		{"interval runs that could merge", cat(hdr(KLockGrant, hasIntervals), uv(2, 1, 4, 1, 0, 0, 0, 1, 5, 1, 0, 0, 0)), "continues the run before it"},
 		{"interval run past the last index", cat(hdr(KLockGrant, hasIntervals), uv(1, 1, 0x7fffffff, 2, 0, 0, 0, 0, 0)), "past index"},
 		{"interval mask bit over a zero delta", cat(hdr(KLockGrant, hasIntervals), uv(1, 1, 4, 1, 2, 0b01, 0, 0)), "over a zero delta"},
-		{"interval mask bit past the clock", cat(hdr(KLockGrant, hasIntervals), uv(1, 1, 4, 1, 2, 0b100, 0, 0)), "past its 2 entries"},
+		{"interval mask bit past the clock", cat(hdr(KLockGrant, hasIntervals), uv(1, 1, 4, 1, 2, 0b1000, 0, 0)), "past its 2 entries"},
+		{"repeat bit on a run's first record", cat(hdr(KLockGrant, hasIntervals), uv(1, 1, 4, 1, 2, 0b100, 0, 0)), "opens with a repeated page list"},
+		{"page list spelled out though it repeats", cat(hdr(KLockGrant, hasIntervals), uv(1, 1, 4, 2, 0, 0, 1, 7, 0, 1, 0)), "repeats the record before it"},
+		{"empty page list spelled out though it repeats", cat(hdr(KLockGrant, hasIntervals), uv(1, 1, 4, 2, 0, 0, 0, 0, 0)), "repeats the record before it"},
 		{"hostile diff count", cat(hdr(KDiffResp, hasDiffs), uv(1<<24), make([]byte, 64)), "implausible diff count"},
 		{"diff count one past the bytes", cat(hdr(KDiffResp, hasDiffs), uv(3), make([]byte, 3*minDiffBytes-1)), "implausible diff count"},
 		{"hostile want count", cat(hdr(KDiffReq, hasWants), uv(1<<24), make([]byte, 64)), "implausible want count"},
@@ -453,6 +459,18 @@ func FuzzDecode(f *testing.F) {
 		Intervals: []IntervalRec{{Proc: 1, Index: 5, VC: vc.VC{3, 7}, Pages: []mem.PageID{2}}}}).EncodeAppend(nil))
 	f.Add((&Msg{Kind: KBarrierArrive, Seq: 18, Intervals: append(notices(1, 9, 3, vc.VC{0, 0}),
 		notices(0, 4, 2, vc.VC{0, 9})...)}).EncodeAppend(nil))
+	// Repeated page lists: a water-shaped run whose records all repeat the
+	// first one's page, and a run that mixes repeated and spelled-out lists,
+	// an empty one among them; a clock whose neighbouring entries are -1 and
+	// MaxInt32, so its entry delta wraps.
+	f.Add((&Msg{Kind: KLockGrant, Seq: 21, Sections: []Section{{VC: clock,
+		Intervals: onePage(notices(2, 650, 6, vc.VC{880, 400, 0, 128}), 300)}}}).EncodeAppend(nil))
+	mixed := notices(1, 40, 6, vc.VC{3, 0, 5})
+	for i, pages := range [][]mem.PageID{{7, 9}, {7, 9}, {8}, nil, nil, {8}} {
+		mixed[i].Pages = pages
+	}
+	f.Add((&Msg{Kind: KBarrierArrive, Seq: 22, VC: vc.VC{3, 40, 5}, Intervals: mixed}).EncodeAppend(nil))
+	f.Add((&Msg{Kind: KLockReq, Seq: 23, A: 1, B: 2, Sections: []Section{{VC: vc.VC{-1, math.MaxInt32, -1, 0}}}}).EncodeAppend(nil))
 	// Invalidations: SC's of one page, an EI home's of a copy's four pages
 	// in one round, and a retired batch byte claiming two messages in four
 	// bytes of garbage.

@@ -10,14 +10,16 @@
 //
 // Every number is an unsigned LEB128 varint ("uv") unless noted. A 32-bit
 // field f travels as uv(uint32(f)), so any int32 round-trips and the
-// small non-negative values the protocol uses cost one byte. A message
-// is, in order:
+// small non-negative values the protocol uses cost one byte; zz(d) is the
+// zig-zag fold of a difference d taken in wrapping 32-bit arithmetic, so a
+// small one of either sign costs one byte too. A message is, in order:
 //
 //	block       encoding                                   bound enforced by Decode
 //	kind        1 byte                                     known kind
 //	presence    1 byte, bit per block below that follows   unknown bits rejected
 //	seq a b     uv64, uv32, uv32
-//	VC          uv n, n entries uv32(x+1)                  n <= 64; bit set <=> Msg.VC != nil (n = 0 legal)
+//	VC          uv n, uv32(x[0]+1), then for k = 1..n-1    n <= 64; bit set <=> Msg.VC != nil (n = 0 legal)
+//	            uv32 zz(x[k] - x[k-1])
 //	Intervals   uv r, r runs (below)                       1 <= r, 6r <= bytes left; the clock entries it
 //	                                                       expands to, the enclosing clock's included,
 //	                                                       <= maxIntervalWords (2^24), before they size a slab
@@ -28,11 +30,16 @@
 //	Sections    uv n, n x (uv mode, presence byte with     2n <= bytes left; mode <= 255; bit set <=>
 //	            the VC/Intervals/Diffs bits, blocks)       Msg.Sections != nil; a section's VC has n >= 1
 //
-//	interval    uv32 proc, uv32 first index, uv c,         1 <= c, 2c <= bytes left; clock m <= 64;
+//	interval    uv32 proc, uv32 first index, uv c,         1 <= c <= bytes left; clock m <= 64;
 //	run         uv m, c records                            first + c - 1 <= 2^31 - 1; does not continue
 //	                                                       the run before it
-//	interval    uv mask, a zig-zag delta per set bit,      mask < 2^m; no delta is 0
-//	record      uv p, p pages: uv32(page - previous page)  p <= bytes left
+//	interval    uv mask, uv32 zz(delta) per set bit below  mask < 2^(m+1); no delta is 0; repeat bit m
+//	record      m, then unless bit m is set a page list    never on a run's first record, and set exactly
+//	                                                       when the list equals the record before it's
+//	page list   uv p, uv32 first page (zz against the      p <= bytes left
+//	            first page of the record before it in the
+//	            run when that has one, else absolute),
+//	            p-1 x uv32(page - previous page)
 //	diff body   uv r, r x (uv32 off, uv32 len, len bytes)  2r <= bytes left; off < 2^31; len <= bytes left
 //	data body   uv r, r x (uv32 off, uv32 len, len bytes)  3r <= bytes left; len >= 1; off >= previous
 //	                                                       off + len; off + len <= n; len <= bytes left
@@ -73,23 +80,36 @@
 // set bits' entries follow in order as the zig-zag coding of x minus the
 // prediction, in wrapping 32-bit arithmetic. The run's first index is
 // zig-zag coded against base[proc] when the base has m entries and proc <
-// m, and absolute otherwise. An honest record therefore costs a mask byte
-// and one byte or so per entry that moved since the record before it —
-// an acquire in between — and every list round-trips, whatever its
-// values: a record that breaks the invariant or does not sit under the
-// base at more bytes, records that continue no run as runs of one. Page
-// lists are sorted in practice, so the wrapping difference to the previous
-// page (the first to 0) is small; an unsorted list round-trips as well.
-// The diff body is produced by page.Diff.AppendWireBody.
+// m, and absolute otherwise. A record's page list is predicted to be the
+// one of the record before it in the run — a processor's intervals between
+// two acquires mostly write the same page, as 70-80% of splash-water's
+// grant records do — and bit m of the mask, the repeat bit, says it is:
+// then no list follows, and the decoded record shares its predecessor's
+// list. A 64-entry clock leaves the mask no room for the bit, and every
+// list of such a run travels. A list that does travel codes its first page
+// against the first page of the record before it, when there is one with
+// pages, and every later page against the page before it: page lists are
+// sorted in practice, so the differences are small, and an unsorted list
+// round-trips as well. An honest record therefore costs a mask byte and
+// one byte or so per entry that moved since the record before it — an
+// acquire in between — plus two bytes or so for a list of one page that
+// moved, and every list round-trips, whatever its values: a record that
+// breaks the invariant or does not sit under the base at more bytes,
+// records that continue no run as runs of one. A clock block codes each
+// entry after the first against the entry before it: on a program whose
+// processors do alike, as water's do at 4 processors, the intervals of
+// processors that synchronize stay close. The diff body is produced by
+// page.Diff.AppendWireBody.
 //
 // An accepted frame has exactly one encoding: varints must be minimal
 // and fit their field, a presence bit over an empty block is rejected
 // (except the two blocks whose emptiness differs from their absence, VC
 // and Sections), an interval run is neither empty nor a continuation of
-// the one before it, a mask bit never covers a zero delta, and trailing
-// bytes are an error. (The run tables are the exception: a diff body's
-// runs may overlap, and a data body split finer than the encoder splits it
-// decodes to the same bytes.) Every count is checked against the bytes
+// the one before it, a mask bit never covers a zero delta, a page list
+// repeats the record before it in the repeat bit or not at all, and
+// trailing bytes are an error. (The run tables are the exception: a diff
+// body's runs may overlap, and a data body split finer than the encoder
+// splits it decodes to the same bytes.) Every count is checked against the bytes
 // remaining, at the smallest possible item size, before it sizes an
 // allocation; the two lengths the frame cannot vouch for, Data's expanded
 // n and the clock entries an interval block expands to, are checked
@@ -648,10 +668,11 @@ const _ = byte(kindLimit)
 // Smallest encodings, the item sizes hostile counts are checked against.
 const (
 	minMsgBytes      = 5 // kind, presence, seq, a, b
-	minIntervalBytes = 2 // clock mask, page count
+	minIntervalBytes = 1 // a mask whose repeat bit stands for the list
 	// minIntervalRunBytes is a run's proc, first index, record count, clock
-	// length and one record.
-	minIntervalRunBytes = 4 + minIntervalBytes
+	// length and a first record, which spells its list: a mask and a page
+	// count.
+	minIntervalRunBytes = 6
 	minDiffBytes        = 4 // page, proc, index, run count
 	minRunBytes         = 2 // offset, length
 	minDataRunBytes     = 3 // offset, length, one byte: a data run is never empty
@@ -786,8 +807,12 @@ func payloadBits(clock bool, ivs []IntervalRec, diffs []DiffRec) byte {
 func appendPayload(buf []byte, present byte, clock vc.VC, ivs []IntervalRec, diffs []DiffRec) []byte {
 	if present&hasVC != 0 {
 		buf = putLen(buf, len(clock))
-		for _, x := range clock {
-			buf = put32(buf, x+1)
+		for k, x := range clock {
+			if k == 0 {
+				buf = put32(buf, x+1)
+			} else {
+				buf = put32(buf, zigzag(x-clock[k-1]))
+			}
 		}
 	}
 	if present&hasIntervals != 0 {
@@ -851,6 +876,8 @@ func appendRun(buf []byte, run []IntervalRec, base vc.VC) []byte {
 	}
 	buf = putLen(putLen(buf, len(run)), m)
 	prev := base
+	rep := repeatBit(m)
+	var prevPages []mem.PageID
 	var moved [maxClock]int32 // a record's zig-zag deltas
 	for i := range run {
 		iv := &run[i]
@@ -865,17 +892,43 @@ func appendRun(buf []byte, run []IntervalRec, base vc.VC) []byte {
 				nm++
 			}
 		}
+		repeats := i > 0 && rep != 0 && slices.Equal(iv.Pages, prevPages)
+		if repeats {
+			mask |= rep
+		}
 		buf = binary.AppendUvarint(buf, mask)
 		for _, z := range moved[:nm] {
 			buf = put32(buf, z)
 		}
-		buf = putLen(buf, len(iv.Pages))
-		prevPage := mem.PageID(0)
-		for _, p := range iv.Pages {
-			buf = put32(buf, int32(p-prevPage))
-			prevPage = p
+		if !repeats {
+			buf = appendPages(buf, iv.Pages, prevPages)
 		}
-		prev = iv.VC
+		prev, prevPages = iv.VC, iv.Pages
+	}
+	return buf
+}
+
+// repeatBit returns the mask bit a record of an m-entry clock sets when its
+// page list is the one of the record before it in its run: bit m, one past
+// the clock's entries. A 64-entry clock leaves the mask no room, and the
+// result is 0: every list of such a run travels.
+func repeatBit(m int) uint64 { return 1 << uint(m) }
+
+// appendPages encodes a spelled-out page list: its length, its first page —
+// zig-zag coded against the first page of prev, the list of the record
+// before it in the run, when that has one, and absolute otherwise — and
+// each later page as the wrapping difference to the page before it.
+func appendPages(buf []byte, pages, prev []mem.PageID) []byte {
+	buf = putLen(buf, len(pages))
+	for k, p := range pages {
+		switch {
+		case k > 0:
+			buf = put32(buf, int32(p-pages[k-1]))
+		case len(prev) > 0:
+			buf = put32(buf, zigzag(int32(p-prev[0])))
+		default:
+			buf = put32(buf, int32(p))
+		}
 	}
 	return buf
 }
@@ -1198,8 +1251,12 @@ func (d *decoder) payload(present byte, emptyClock bool) (clock vc.VC, ivs []Int
 		if n == 0 && !emptyClock {
 			d.fail("presence bit over an empty section clock")
 		}
-		for i := 0; i < n; i++ {
-			entries[i] = d.i32() - 1
+		for k := 0; k < n; k++ {
+			if k == 0 {
+				entries[0] = d.i32() - 1
+			} else {
+				entries[k] = entries[k-1] + unzigzag(d.i32())
+			}
 		}
 	}
 	switch {
@@ -1281,7 +1338,8 @@ func (d *decoder) data() []byte {
 // present, the clock entries the runs expand to against maxIntervalWords —
 // so the records, their clocks and their page lists are three slabs per
 // block, whatever the record count; each record's VC and Pages are
-// capacity-limited windows of the shared slabs. The enclosing clock is
+// capacity-limited windows of the shared slabs, and a list that repeats the
+// one before it is that one's window. The enclosing clock is
 // returned as one more window of the clock slab, ahead of the records'. A
 // message's first block fills the slabs its shell kept from an earlier
 // message where they are large enough, so a grant decodes without
@@ -1300,11 +1358,16 @@ func (d *decoder) intervalList(base vc.VC, hasBase bool) (vc.VC, []IntervalRec) 
 		if nivs, nclock = nivs+n, nclock+n*vn; len(base)+nclock > maxIntervalWords {
 			d.fail("implausible interval block of %d clock entries (limit %d)", len(base)+nclock, maxIntervalWords)
 		}
+		rep := repeatBit(vn)
 		for k := 0; k < n && d.err == nil; k++ {
-			d.skip(bits.OnesCount64(d.uvarint()))
-			pn := d.countItems("interval page", 1)
-			d.skip(pn)
-			npage += pn
+			mask := d.uvarint()
+			d.skip(bits.OnesCount64(mask &^ rep))
+			if mask&rep == 0 {
+				// A repeated list shares its predecessor's window.
+				pn := d.countItems("interval page", 1)
+				d.skip(pn)
+				npage += pn
+			}
 		}
 	}
 	if d.err != nil {
@@ -1348,13 +1411,18 @@ func (d *decoder) intervalList(base vc.VC, hasBase bool) (vc.VC, []IntervalRec) 
 		case last != nil && proc == last.Proc && vn == len(last.VC) && int64(index) == int64(last.Index)+1:
 			d.fail("interval run %d/%d continues the run before it", proc, index)
 		}
+		rep := repeatBit(vn)
+		var prevPages []mem.PageID
 		for k := 0; k < n && d.err == nil; k++ {
 			iv := &recs[k]
 			iv.Proc, iv.Index = proc, index+int32(k)
 			iv.VC, clocks = clocks[:vn:vn], clocks[vn:]
 			mask := d.uvarint()
-			if vn < maxClock && mask>>vn != 0 {
-				d.fail("interval clock mask %#x past its %d entries", mask, vn)
+			switch {
+			case mask&^(rep|(rep-1)) != 0:
+				d.fail("interval clock mask %#x past its %d entries and repeat bit", mask, vn)
+			case mask&rep != 0 && k == 0:
+				d.fail("interval run %d/%d opens with a repeated page list", proc, index)
 			}
 			for e := range iv.VC {
 				x := predict(prev, e, own, iv.Index)
@@ -1367,17 +1435,15 @@ func (d *decoder) intervalList(base vc.VC, hasBase bool) (vc.VC, []IntervalRec) 
 				}
 				iv.VC[e] = x
 			}
-			pn := int(d.u32())
-			if d.err != nil {
+			switch {
+			case d.err != nil:
 				return nil, nil
+			case mask&rep != 0:
+				iv.Pages = prevPages
+			default:
+				iv.Pages, pages = d.pages(pages, prevPages, k > 0 && rep != 0)
 			}
-			iv.Pages, pages = pages[:pn:pn], pages[pn:]
-			prevPage := mem.PageID(0)
-			for e := range iv.Pages {
-				prevPage += mem.PageID(d.i32())
-				iv.Pages[e] = prevPage
-			}
-			prev = iv.VC
+			prev, prevPages = iv.VC, iv.Pages
 		}
 		if d.err != nil {
 			return nil, nil
@@ -1385,6 +1451,32 @@ func (d *decoder) intervalList(base vc.VC, hasBase bool) (vc.VC, []IntervalRec) 
 		last, recs = &recs[n-1], recs[n:]
 	}
 	return clock, out
+}
+
+// pages decodes a spelled-out page list (the inverse of appendPages) into
+// the head of slab and returns it with the rest of the slab; prev is the
+// list of the record before it in the run. A list equal to prev is refused
+// when repeatable says the repeat bit could have said so.
+func (d *decoder) pages(slab, prev []mem.PageID, repeatable bool) (list, rest []mem.PageID) {
+	pn := int(d.u32())
+	if d.err != nil {
+		return nil, slab
+	}
+	list, rest = slab[:pn:pn], slab[pn:]
+	for k := range list {
+		switch {
+		case k > 0:
+			list[k] = list[k-1] + mem.PageID(d.i32())
+		case len(prev) > 0:
+			list[0] = prev[0] + mem.PageID(unzigzag(d.i32()))
+		default:
+			list[0] = mem.PageID(d.i32())
+		}
+	}
+	if repeatable && slices.Equal(list, prev) && d.err == nil {
+		d.fail("interval page list spelled out though it repeats the record before it")
+	}
+	return list, rest
 }
 
 // diffList decodes a diff block. Like intervalList it sizes the block

@@ -106,11 +106,13 @@ func drainShells() {
 
 // TestDecodedIntervalsShareSlabsSafely: a block's records are decoded
 // into shared slabs yet stay independent — appending to one record's clock
-// or page list must not reach into its neighbour's — and the slabs are the
-// shell's: a block beyond the keep bound gets slabs for this message alone
-// and leaves the shell's kept slabs as they were.
+// or page list must not reach into its neighbour's, a list that repeats the
+// one before it included, which is its predecessor's window — and the slabs
+// are the shell's: a block beyond the keep bound gets slabs for this message
+// alone and leaves the shell's kept slabs as they were, and a block of
+// repeated lists takes one list's room of the page slab.
 func TestDecodedIntervalsShareSlabsSafely(t *testing.T) {
-	got, err := Decode(intervalBlock(2))
+	got, err := Decode(intervalBlock(2, false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,30 +123,51 @@ func TestDecodedIntervalsShareSlabsSafely(t *testing.T) {
 	}
 	got.Release()
 
+	got, err = Decode(intervalBlock(3, true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ivs := got.Intervals
+	if &ivs[1].Pages[0] != &ivs[0].Pages[0] || &ivs[2].Pages[0] != &ivs[0].Pages[0] {
+		t.Errorf("repeated page lists are copies, want their predecessor's window")
+	}
+	_ = append(ivs[1].Pages, 99)
+	if want := (IntervalRec{Proc: 1, Index: 2, VC: vc.VC{2, 7}, Pages: []mem.PageID{5, 9}}); !reflect.DeepEqual(ivs[2], want) {
+		t.Fatalf("appending to a repeated list changed the record after it: %+v", ivs[2])
+	}
+	got.Release()
+
 	drainShells()
-	decode := func(n int) *Msg {
-		m, err := Decode(intervalBlock(n))
+	decode := func(n int, repeat bool) *Msg {
+		m, err := Decode(intervalBlock(n, repeat))
 		if err != nil || len(m.Intervals) != n || m.Intervals[n-1].Index != int32(n-1) {
 			t.Fatalf("decoded %d records, err %v", len(m.Intervals), err)
 		}
 		m.Release()
 		return m
 	}
-	kept := decode(keepRecs).kept.intervals
-	if k := decode(keepRecs + 1).kept.intervals; cap(k.recs) != cap(kept.recs) || cap(k.clocks) != cap(kept.clocks) || cap(k.pages) != cap(kept.pages) ||
+	if one, all := cap(decode(1, false).kept.intervals.pages), cap(decode(keepRecs, true).kept.intervals.pages); all != one {
+		t.Errorf("a block of %d repeated two-page lists grew the shell's page slab from %d to %d", keepRecs, one, all)
+	}
+	kept := decode(keepRecs, false).kept.intervals
+	if k := decode(keepRecs+1, false).kept.intervals; cap(k.recs) != cap(kept.recs) || cap(k.clocks) != cap(kept.clocks) || cap(k.pages) != cap(kept.pages) ||
 		cap(k.recs) > keepRecs || cap(k.clocks) > keepWords || cap(k.pages) > keepWords {
 		t.Errorf("the shell kept slabs of %d records, %d clock entries, %d pages after a block beyond the bound (before it: %d, %d, %d; bound %d, %d, %d)",
 			cap(k.recs), cap(k.clocks), cap(k.pages), cap(kept.recs), cap(kept.clocks), cap(kept.pages), keepRecs, keepWords, keepWords)
 	}
 }
 
-// intervalBlock is a grant carrying n two-page interval records.
-func intervalBlock(n int) []byte {
+// intervalBlock is a grant carrying one run of n two-page interval
+// records; with repeat they all wrote pages 5 and 9, so every list after
+// the first repeats the one before it.
+func intervalBlock(n int, repeat bool) []byte {
 	m := &Msg{Kind: KLockGrant}
 	for i := 0; i < n; i++ {
-		m.Intervals = append(m.Intervals, IntervalRec{
-			Proc: 1, Index: int32(i), VC: vc.VC{int32(i), 7}, Pages: []mem.PageID{mem.PageID(i), 9},
-		})
+		pages := []mem.PageID{mem.PageID(i), 9}
+		if repeat {
+			pages[0] = 5
+		}
+		m.Intervals = append(m.Intervals, IntervalRec{Proc: 1, Index: int32(i), VC: vc.VC{int32(i), 7}, Pages: pages})
 	}
 	return m.EncodeAppend(nil)
 }
@@ -636,6 +659,11 @@ func TestGoldenSizesGate(t *testing.T) {
 		{"bare ack", &Msg{Kind: KUpdateAck, Seq: 1000, A: 7}, 6, 8},
 		{"lock request", &Msg{Kind: KLockReq, Seq: 1000, A: 5, B: 3,
 			Sections: []Section{{Mode: lazy, VC: clock}}}, 18, 20},
+		// The processors of a symmetric program advance together, and a
+		// clock entry codes against the entry before it: the neighbours cost
+		// a byte each (18 when each entry travelled alone).
+		{"lock request, entries close together", &Msg{Kind: KLockReq, Seq: 1000, A: 5, B: 3,
+			Sections: []Section{{Mode: lazy, VC: vc.VC{650, 648, 652, 649}}}}, 15, 15},
 		{"lock grant, one notice", &Msg{Kind: KLockGrant, Seq: 1000, A: 5,
 			Sections: []Section{{Mode: lazy, VC: clock, Intervals: []IntervalRec{rec}}}}, 30, 32},
 		{"diff request, one want", &Msg{Kind: KDiffReq, Seq: 1000, A: 3,
@@ -665,11 +693,18 @@ func TestGoldenSizesGate(t *testing.T) {
 		// Write notices as a lazy engine lists them, one run per processor:
 		// a record names neither its processor nor its index, and pays one
 		// byte of mask plus the clock entries that moved since the record
-		// before it. The per-record coding before runs measured 85 and 662.
+		// before it, and its page list coded against the one before it. The
+		// per-record coding before runs measured 85 and 662, runs with each
+		// list's first page coded against 0 51 and 283.
 		{"lock grant, a run of six notices", &Msg{Kind: KLockGrant, Seq: 1000, A: 5,
-			Sections: []Section{{Mode: lazy, VC: clock, Intervals: notices(2, 650, 6, vc.VC{880, 400, 0, 128})}}}, 51, 51},
+			Sections: []Section{{Mode: lazy, VC: clock, Intervals: notices(2, 650, 6, vc.VC{880, 400, 0, 128})}}}, 46, 46},
+		// The water shape: a processor's intervals between two acquires all
+		// wrote one page, and a record that repeats the list before it says
+		// so in its mask (51 bytes when each list travelled).
+		{"lock grant, a run of six notices on one page", &Msg{Kind: KLockGrant, Seq: 1000, A: 5,
+			Sections: []Section{{Mode: lazy, VC: clock, Intervals: onePage(notices(2, 650, 6, vc.VC{880, 400, 0, 128}), 300)}}}, 36, 36},
 		{"barrier arrival, 64 own intervals", &Msg{Kind: KBarrierArrive, Seq: 1000, A: 9, B: 3,
-			Sections: []Section{{Mode: lazy, VC: clock, Intervals: notices(3, 130, 64, vc.VC{880, 400, 650, 0})}}}, 283, 283},
+			Sections: []Section{{Mode: lazy, VC: clock, Intervals: notices(3, 130, 64, vc.VC{880, 400, 650, 0})}}}, 220, 220},
 		{"gc ready", &Msg{Kind: KGCReady, Seq: 1000, A: 9, B: 3}, 6, 8},
 		// An EU release merged for one destination: a record per page, the
 		// one the destination homes counting the copies its writer knows. Its
@@ -712,6 +747,15 @@ func notices(proc mem.ProcID, last int32, n int, from vc.VC) []IntervalRec {
 			v[(int(proc)+1)%len(v)] += 3
 		}
 		recs[i] = IntervalRec{Proc: proc, Index: v[proc], VC: v, Pages: []mem.PageID{300 + mem.PageID(i%3)}}
+	}
+	return recs
+}
+
+// onePage sets every record's page list to the one page pg, as a run of a
+// processor's intervals that all wrote one record's page lists it.
+func onePage(recs []IntervalRec, pg mem.PageID) []IntervalRec {
+	for i := range recs {
+		recs[i].Pages = []mem.PageID{pg}
 	}
 	return recs
 }
@@ -862,6 +906,7 @@ func shellMsgs(t *testing.T) []namedMsg {
 	return append([]namedMsg{
 		{"grant", g},
 		{"sectioned grant", &Msg{Kind: g.Kind, Seq: g.Seq, A: g.A, Sections: []Section{{Mode: 1, VC: g.VC, Intervals: g.Intervals}}}},
+		{"water-shaped grant", grantRun()},
 		{"diff response of 1", shellDiffResp(t, 1, false)},
 		{"diff response of 4", shellDiffResp(t, 4, false)},
 		{"sectioned diff response of 1", shellDiffResp(t, 1, true)},
@@ -1024,6 +1069,22 @@ func TestReleasedShellIsPoisoned(t *testing.T) {
 				name, clock, recClock, recPages, recs[0])
 		}
 	}
+	// A list that repeats the one before it is that one's window of the
+	// page slab, and reads the poison pattern through every record.
+	m, err := Decode(intervalBlock(3, true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lists [][]mem.PageID
+	for _, iv := range m.Intervals {
+		lists = append(lists, iv.Pages)
+	}
+	m.Release()
+	for i, pages := range lists {
+		if !reflect.DeepEqual(pages, []mem.PageID{mem.PageID(dead), mem.PageID(dead)}) {
+			t.Errorf("record %d's repeated page list held past the last release reads %v, want the poison pattern", i, pages)
+		}
+	}
 	// A clock without an interval block is the shell's as well.
 	for _, tc := range clockMsgs() {
 		m, err := Decode(tc.m.EncodeAppend(nil))
@@ -1039,7 +1100,7 @@ func TestReleasedShellIsPoisoned(t *testing.T) {
 			t.Errorf("%s: a clock held past the last release reads %v, want the poison pattern", tc.name, clock)
 		}
 	}
-	m, err := Decode(g.EncodeAppend(nil))
+	m, err = Decode(g.EncodeAppend(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
