@@ -58,6 +58,7 @@ import (
 	"repro/internal/proto"
 	"repro/internal/sim"
 	"repro/internal/transport/fault"
+	"repro/internal/wire"
 	"repro/internal/workload"
 )
 
@@ -281,17 +282,35 @@ func (ob *obsCfg) dumpTrace() error {
 
 // statsReport is the -statsjson output: the run's parameters, every local
 // node's dsm.Stats with its per-kind traffic breakdown, and the
-// interconnect totals.
+// interconnect totals. NodeKinds repeats each node's KindMsgs and
+// KindBytes keyed by wire.Kind name, in Node's order: the arrays are
+// indexed by the kinds' numbers.
 type statsReport struct {
-	Program string             `json:"program"`
-	Mode    string             `json:"mode"`
-	Procs   int                `json:"procs"`
-	Nodes   int                `json:"nodes"`
-	Net     dsm.TransportStats `json:"net"`
-	Node    []dsm.Stats        `json:"nodeStats"`
+	Program   string                   `json:"program"`
+	Mode      string                   `json:"mode"`
+	Procs     int                      `json:"procs"`
+	Nodes     int                      `json:"nodes"`
+	Net       dsm.TransportStats       `json:"net"`
+	Node      []dsm.Stats              `json:"nodeStats"`
+	NodeKinds []map[string]kindTraffic `json:"nodeKinds"`
+}
+
+// kindTraffic is one node's outbound messages and bytes of one wire kind.
+type kindTraffic struct {
+	Msgs  int64 `json:"msgs"`
+	Bytes int64 `json:"bytes"`
 }
 
 func emitStatsJSON(out io.Writer, rep statsReport) error {
+	rep.NodeKinds = make([]map[string]kindTraffic, len(rep.Node))
+	for i, ns := range rep.Node {
+		rep.NodeKinds[i] = make(map[string]kindTraffic)
+		for k := range ns.KindMsgs {
+			if kind := wire.Kind(k); kind.Known() {
+				rep.NodeKinds[i][kind.String()] = kindTraffic{ns.KindMsgs[k], ns.KindBytes[k]}
+			}
+		}
+	}
 	enc, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
 		return err
@@ -396,6 +415,7 @@ func runWorkload(out io.Writer, name string, procs, gpn int, scale float64, seed
 		"simulator", st.TotalMessages(), st.TotalBytes(), perCrit(st.TotalMessages()), perCrit(st.TotalBytes()), m)
 	var misses, diffs, updates, intervals, invals, moves int64
 	var created, deferred, cacheHits, flattened, trimmed, aggregated, twinBytes, twinPeak int64
+	var diffReqs, fallbacks int64
 	for _, ns := range res.Nodes {
 		misses += ns.AccessMisses
 		diffs += ns.DiffsApplied
@@ -411,11 +431,17 @@ func runWorkload(out io.Writer, name string, procs, gpn int, scale float64, seed
 		aggregated += ns.PagesAggregated
 		twinBytes += ns.TwinBytesLive
 		twinPeak = max(twinPeak, ns.TwinBytesPeak)
+		diffReqs += ns.KindMsgs[wire.KDiffReq]
+		fallbacks += ns.DiffFallbacks
+	}
+	reqsPerMiss := "-"
+	if misses > 0 {
+		reqsPerMiss = fmt.Sprintf("%.2f", float64(diffReqs)/float64(misses))
 	}
 	fmt.Fprintf(out, "nodes: %d access misses, %d diffs applied, %d updates, %d intervals, %d invalidations, %d ownership moves\n",
 		misses, diffs, updates, intervals, invals, moves)
-	fmt.Fprintf(out, "diff plane: %d created (%d trimmed by the twin budget), %d deferred, %d cache hits, %d flattened away, %d pages aggregated into faults, twin bytes: %d live at exit, %d peak on one node\n\n",
-		created, trimmed, deferred, cacheHits, flattened, aggregated, twinBytes, twinPeak)
+	fmt.Fprintf(out, "diff plane: %d created (%d trimmed by the twin budget), %d deferred, %d cache hits, %d flattened away, %d pages aggregated into faults, %s diff requests per access miss, %d fallbacks to a creator, twin bytes: %d live at exit, %d peak on one node\n\n",
+		created, trimmed, deferred, cacheHits, flattened, aggregated, reqsPerMiss, fallbacks, twinBytes, twinPeak)
 	if statsJSON {
 		if err := emitStatsJSON(out, report); err != nil {
 			return err

@@ -1,10 +1,13 @@
 package main
 
 import (
+	"encoding/json"
 	"net"
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/wire"
 )
 
 func TestRunDemoCounter(t *testing.T) {
@@ -67,7 +70,8 @@ func TestRunWorkloadOnRuntime(t *testing.T) {
 		args []string
 		want []string
 	}{
-		{[]string{"-app", "locusroute", "-mode", "LU"}, []string{"== locusroute", "runtime", "simulator", "access misses"}},
+		{[]string{"-app", "locusroute", "-mode", "LU"}, []string{"== locusroute", "runtime", "simulator", "access misses",
+			"diff requests per access miss", "fallbacks to a creator"}},
 		{[]string{"-app", "mp3d", "-mode", "LU"}, []string{"msgs", "wire bytes", "wireB/critsec", "runtime", "simulator"}},
 		{[]string{"-app", "mp3d", "-gc", "2"}, nil},
 		{[]string{"-app", "mp3d", "-mode", "SC"}, []string{"mode SC", "runtime", "simulator", "ownership moves"}},
@@ -88,6 +92,39 @@ func TestRunWorkloadOnRuntime(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestStatsJSONNamesKinds: -statsjson keys each node's per-kind traffic by
+// kind name beside the positional arrays, and the two agree.
+func TestStatsJSONNamesKinds(t *testing.T) {
+	var out strings.Builder
+	if err := run([]string{"-demo", "counter", "-procs", "2", "-iters", "5", "-statsjson"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	got := out.String()
+	var rep struct {
+		Node []struct {
+			KindMsgs  []int64
+			KindBytes []int64
+		} `json:"nodeStats"`
+		NodeKinds []map[string]kindTraffic `json:"nodeKinds"`
+	}
+	if err := json.Unmarshal([]byte(got[strings.Index(got, "{"):]), &rep); err != nil {
+		t.Fatalf("%v in:\n%s", err, got)
+	}
+	if len(rep.Node) != 2 || len(rep.NodeKinds) != 2 {
+		t.Fatalf("%d nodes' stats and %d nodes' kinds, want 2 and 2", len(rep.Node), len(rep.NodeKinds))
+	}
+	for i, kinds := range rep.NodeKinds {
+		for name, k := range map[string]wire.Kind{"lockreq": wire.KLockReq, "lockgrant": wire.KLockGrant, "arrive": wire.KBarrierArrive} {
+			if want := (kindTraffic{rep.Node[i].KindMsgs[k], rep.Node[i].KindBytes[k]}); kinds[name] != want {
+				t.Errorf("node %d's %s traffic reads %+v, its arrays %+v", i, name, kinds[name], want)
+			}
+		}
+		if kinds["lockreq"].Msgs+kinds["lockgrant"].Msgs == 0 {
+			t.Errorf("node %d names no lock traffic: %v", i, kinds)
+		}
 	}
 }
 

@@ -3,11 +3,14 @@ package dsm
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/mem"
+	"repro/internal/obs"
 	"repro/internal/wire"
 )
 
@@ -43,10 +46,11 @@ func slabPage(buf []byte, pg, st int) {
 // TestMissAggregationGate runs the barrier-slab pattern under LI: four
 // nodes each rewrite their four pages, meet at a barrier, and read the
 // other twelve. A reader lacks one interval of each of the three other
-// creators, and each names all four of its creator's pages, so a step's
-// three faults bring the twelve pages current with one KDiffReq to each
-// creator: per reader and step 3 requests, 12 diffs fetched, 3 faults and
-// 9 aggregated pages, where asking page by page sends 12 requests. Every
+// writers, each its page's one concurrent last modifier, and each names
+// all four of its writer's pages, so a step's three faults bring the
+// twelve pages current with one KDiffReq to each responder: per reader and
+// step 3 requests, 12 diffs fetched, 3 faults and 9 aggregated pages, where
+// asking page by page sends 12 requests. Every
 // read checks the page, and at the end every node's image is the one the
 // last step wrote.
 func TestMissAggregationGate(t *testing.T) {
@@ -186,5 +190,64 @@ func TestAggregationAddsNoRequest(t *testing.T) {
 	after = r.Stats()
 	if faults, reqs := after.AccessMisses-before.AccessMisses, after.KindMsgs[wire.KDiffReq]-before.KindMsgs[wire.KDiffReq]; faults != 1 || reqs != 2 {
 		t.Errorf("reading D then B: %d faults, %d diff requests; want 1 and 2", faults, reqs)
+	}
+}
+
+// TestMissAsksTheCreatorWhatItsModifierDoesNotHold: under LI a concurrent
+// last modifier whose copy took another processor's diff in through a page
+// ship says it does not hold it, and the miss asks the creator in a second
+// round. Node 0 caches page 1 (homed by node 1) while it is zero; node 1
+// writes word 0 under lock 0; node 2 takes the lock, fetches the page from
+// its home with that write in, and writes word 1. Node 0 then takes the
+// lock and reads the page: node 2's interval covers node 1's, so node 2 is
+// asked for both, holds only its own, and node 1 is asked for the other;
+// /metrics counts the fallback. (Under LU node 1's grant would have
+// carried its diff to node 2.)
+func TestMissAsksTheCreatorWhatItsModifierDoesNotHold(t *testing.T) {
+	reg := obs.NewRegistry()
+	s, err := New(Config{Procs: 3, SpaceSize: 3 * 1024, PageSize: 1024, Mode: LazyInvalidate, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := s.Close(); err != nil {
+			t.Errorf("Close: %v", err)
+		}
+	}()
+	n0, n1, n2 := s.Node(0), s.Node(1), s.Node(2)
+	locked := func(n *Node, body func() error) {
+		t.Helper()
+		if err := errors.Join(n.Acquire(0), body(), n.Release(0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := n0.ReadUint64(1024); err != nil {
+		t.Fatal(err)
+	}
+	locked(n1, func() error { return n1.WriteUint64(1024, 0xa) })
+	locked(n2, func() error { return n2.WriteUint64(1032, 0xb) })
+	before := n0.Stats()
+	var a, b uint64
+	locked(n0, func() (err error) {
+		a, err = n0.ReadUint64(1024)
+		if err == nil {
+			b, err = n0.ReadUint64(1032)
+		}
+		return err
+	})
+	if a != 0xa || b != 0xb {
+		t.Errorf("node 0 read %#x and %#x, want 0xa and 0xb", a, b)
+	}
+	after := n0.Stats()
+	got := [2]int64{after.KindMsgs[wire.KDiffReq] - before.KindMsgs[wire.KDiffReq], after.DiffFallbacks - before.DiffFallbacks}
+	if got != [2]int64{2, 1} {
+		t.Errorf("node 0 sent %d diff requests, %d of its wants asked again; want 2 and 1", got[0], got[1])
+	}
+	var page strings.Builder
+	if err := reg.WritePrometheus(&page); err != nil {
+		t.Fatal(err)
+	}
+	if want := `dsm_node_diff_fallbacks_total{node="0"} 1`; !strings.Contains(page.String(), want) {
+		t.Errorf("/metrics lacks %s:\n%s", want, page.String())
 	}
 }

@@ -50,14 +50,16 @@
 // chosen for correctness and simplicity over exact Table 1 message
 // counts:
 //
-//   - lazy diffs are fetched from their *creators* (who always retain
-//     them until garbage collection) rather than from hb-maximal
-//     modifiers, and interval records on the wire carry their vector
-//     timestamps;
-//   - lazy diffs are fetched by round, one request per creator for every
-//     page the round brings current, and an LI access fault brings along
-//     the invalid sibling pages its intervals also wrote, where the paper
-//     fetches page by page at each access miss;
+//   - lazy diffs are fetched, as the paper has it, from the hb-maximal
+//     modifiers of the page, each of which keeps the diffs it made or
+//     fetched until garbage collection — but one whose copy took a diff
+//     in through a page ship or a merged range says it does not hold it,
+//     and the miss asks that diff's creator in a second round; interval
+//     records on the wire carry their vector timestamps;
+//   - lazy diffs are fetched by round, one request per responder for
+//     every page the round brings current, and an LI access fault brings
+//     along the invalid sibling pages its intervals also wrote, where the
+//     paper fetches page by page at each access miss;
 //   - an eager flush merges its diffs per destination, as the model
 //     counts, but every page's home owns it and takes each diff: an EI
 //     flush goes to the homes alone, and each invalidates the other

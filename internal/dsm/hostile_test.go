@@ -627,6 +627,9 @@ func mismatchRows() (rows []hostileRow) {
 		// as its sibling, LU revalidates both in page order.
 		{"LI/two-page records swapped", li, []mem.PageID{1, 7}, []wire.DiffRec{rec(1, 0, 0), rec(7, 0, 0)}},
 		{"LU/two-page records swapped", lu, []mem.PageID{1, 7}, []wire.DiffRec{rec(7, 0, 0), rec(1, 0, 0)}},
+		// The puppet is the interval's creator: it may not say it does not
+		// hold its diff, and nobody else is asked.
+		{"not held by its creator", lazyModes, p7, []wire.DiffRec{{Page: 7, Proc: 0, Index: 0, NotHeld: true}}},
 	} {
 		resp, want, fails := &wire.Msg{Kind: wire.KDiffResp, Diffs: c.diffs}, "bad diff response from 0", "bad diff response from 0"
 		if c.diffs == nil { // refused before the miss sees it
@@ -636,6 +639,24 @@ func mismatchRows() (rows []hostileRow) {
 		rows = append(rows, hostileRow{name: c.name, modes: c.modes, want: want, fails: fails, check: requesterIntact, script: []step{swap(atLocks, wire.KLockReq, &wire.Msg{Kind: wire.KLockGrant, Sections: sec(vc.VC{0, -1, -1}, notice)}), swap(atLocks, wire.KDiffReq, resp), swap(atLocks, wire.KDiffReq, none), swap(atLocks, wire.KDiffReq, none)}})
 	}
 	return rows
+}
+
+// notHeldRows ask node 1, after the program, for another processor's diff:
+// r's (node 0's) interval 0, which wrote page 4 before barrier 0 — node 1's
+// clock covers it since, and node 1, which never touched page 4, does not
+// hold its diff. That one want is answered "not held", which node 1 does
+// not record (the puppet, which never sent the request, records the
+// response); a want no honest requester sends of node 1 is refused with
+// the whole request.
+func notHeldRows() []hostileRow {
+	return []hostileRow{
+		{name: "another processor's diff the clock covers", modes: lazyModes, pid: 2, image: true, check: answeredNotHeld,
+			want:   "node 2: response routing: unexpected response seq 99 kind diffresp",
+			script: []step{send(atEnd, 1, &wire.Msg{Kind: wire.KDiffReq, Seq: 99, A: 2, Wants: []wire.Want{{Page: 4, Proc: 0, Index: 0}}})}},
+		wantsRow("another processor's diff past the clock", lazyModes, 0, "asked for diff 0/9 page 4 this node does not hold", wire.Want{Page: 4, Proc: 0, Index: 9}),
+		wantsRow("another processor's diff of a page its interval did not write", lazyModes, 0, "asked for diff 0/0 of page 1, which the interval did not write", wire.Want{Page: 4, Proc: 0, Index: 0}, wire.Want{Page: 1, Proc: 0, Index: 0}),
+		wantsRow("its own diff of a page its interval did not write", lazyModes, 0, "asked for diff 1/0 page 4 this node does not hold", wire.Want{Page: 4, Proc: 1, Index: 0}),
+	}
 }
 
 // hostileRows is the table, by the test that runs each part: TestHostilePeer
@@ -740,7 +761,8 @@ var hostileRows = map[string][]hostileRow{
 		wantsRow("a want into collected history", lazyModes, withGC, "asked for diff 1/1 of page 7 from collected history", wire.Want{Page: 7, Proc: 1, Index: 1}),
 		wantsRow("a range want into collected history", lazyModes, withGC, "asked for diff 1/1 of page 7 from collected history", wire.Want{Page: 7, Proc: 1, Index: 1, Span: 1}),
 		// Barrier 0's epoch, discarded at its second meeting, swept node 0's
-		// interval 0. LI keeps no received diff.
+		// interval 0. LI keeps only the diffs its misses fetch, and reads no
+		// grant's.
 		{name: "LI/a diff record of a collected interval", modes: li, pid: 2, flags: withGC, check: storeKnown, script: collectedGrant},
 		{name: "LU/a diff record of a collected interval", modes: lu, pid: 2, flags: withGC, check: storeKnown, script: collectedGrant, want: "diff record 0/0 for page 4 names collected history"},
 		{name: "a lock request below the floor", modes: lazyModes, pid: 2, flags: withGC, want: "forged clock <-1,-1,-1> lies below the collected floor", check: servedFromFloor(wire.KLockGrant, 2), script: []step{send(atEnd, 1, &wire.Msg{Kind: wire.KLockReq, Seq: 99, A: 1, B: 2, Sections: sec(vc.VC{-1, -1, -1})})}},
@@ -748,6 +770,7 @@ var hostileRows = map[string][]hostileRow{
 		{name: "a barrier arrival below the floor", modes: lazyModes, pid: 2, flags: withGC, want: "forged clock <-1,-1,-1> lies below the collected floor", check: servedFromFloor(wire.KBarrierExit, 0), script: []step{swap(atDiscard1, wire.KBarrierArrive, &wire.Msg{Kind: wire.KBarrierArrive, A: 1, B: 2, Sections: sec(vc.VC{-1, -1, -1})})}},
 	},
 	"TestMismatchedDiffResponsesFailTheMiss": mismatchRows(),
+	"TestNotHeldWantsAnsweredOrRefused":      notHeldRows(),
 	"TestForgedArrivalIntervalsRecordedNotAbsorbedRepro": {
 		{name: "the master's interval in an arrival", modes: li, pid: 2, want: "carries interval p0/0 of another processor", check: mastersOwn, script: []step{swap(atBarrier0, wire.KBarrierArrive, &wire.Msg{Kind: wire.KBarrierArrive, B: 2, Sections: sec(vc.VC{-1, -1, 0},
 			wire.IntervalRec{VC: vc.VC{0, -1, -1}, Pages: []mem.PageID{3}}, wire.IntervalRec{Proc: 2, VC: vc.VC{-1, -1, 0}, Pages: []mem.PageID{2}})})}},
@@ -777,6 +800,30 @@ var hostileRows = map[string][]hostileRow{
 var collectedGrant = []step{swap(atLocks, wire.KLockReq, &wire.Msg{Kind: wire.KLockGrant, A: 2, Sections: []wire.Section{{Mode: ownMode, Diffs: []wire.DiffRec{rec(4, 0, 0)}}}})}
 
 // --- row checks, run before Close ---
+
+// answeredNotHeld: the puppet's request (seq 99) came back with one record,
+// r's diff 0/0 of page 4 marked not held, and node 1 recorded nothing.
+func answeredNotHeld(t *testing.T, pr *peerRun) {
+	defer func() {
+		if errs := pr.h.takeErrs(); len(errs) > 0 {
+			t.Errorf("node 1 recorded %v", errs)
+		}
+	}()
+	var resp *wire.Msg
+	waitFor(t, "the response to the puppet's request", func() bool {
+		for _, m := range pr.tap.received(wire.KDiffResp) {
+			if m.Seq == 99 {
+				resp = m
+			}
+		}
+		return resp != nil
+	})
+	want := wire.DiffRec{Page: 4, Proc: 0, Index: 0, NotHeld: true}
+	if len(resp.Diffs) != 1 || resp.Diffs[0].Page != want.Page || resp.Diffs[0].Proc != want.Proc ||
+		resp.Diffs[0].Index != want.Index || !resp.Diffs[0].NotHeld {
+		t.Errorf("the request was answered with %+v, want one record %+v", resp.Diffs, want)
+	}
+}
 
 // unanswered: no response to the puppet's request (seq 99) came back. It
 // closes the run first, so a response still in flight is counted.
@@ -859,20 +906,28 @@ func requesterIntact(t *testing.T, pr *peerRun) {
 	if _, err := n.ReadUint64(7176); err == nil {
 		t.Error("a second read of page 7 succeeded")
 	}
+	for _, node := range pr.s.Local() {
+		if f := node.Stats().DiffFallbacks; f != 0 {
+			t.Errorf("node %d asked %d wants again", node.id, f)
+		}
+	}
 }
 
 // storeKnown: a node's diff store holds cells only for intervals above the
-// floor that its clock covers; a diff of a collected interval lands in a
-// cell past both.
+// floor that its clock covers; a diff of a collected interval would land in
+// a cell below the one, one past its clock past the other.
 func storeKnown(t *testing.T, pr *peerRun) {
 	for _, n := range pr.s.Local() {
 		e := lazyOf(n)
 		e.mu.Lock()
 		for p, ring := range e.store {
 			floor := e.log.Floor(mem.ProcID(p))
-			for k := floor + 1; k <= floor+int32(len(ring)); k++ {
-				if len(ring.at(k, floor)) > 0 && k > e.v[p] {
-					t.Errorf("node %d stores a cell for %d/%d past its clock %v", n.id, p, k, e.v)
+			for _, c := range ring {
+				if len(c) == 0 {
+					continue
+				}
+				if k := c[0].index; k <= floor || k > e.v[p] {
+					t.Errorf("node %d stores a cell for %d/%d outside its floor %d and clock %v", n.id, p, k, floor, e.v)
 				}
 			}
 		}
@@ -985,6 +1040,7 @@ func TestForgedPageShipsRecordedNotInstalled(t *testing.T)            { runRows(
 func TestForgedIntervalRecordsRecordedNotAbsorbed(t *testing.T)       { runRows(t) }
 func TestHostileRangeWantsRecordedNotServed(t *testing.T)             { runRows(t) }
 func TestCollectedHistoryRecordedNotServed(t *testing.T)              { runRows(t) }
+func TestNotHeldWantsAnsweredOrRefused(t *testing.T)                  { runRows(t) }
 func TestMismatchedDiffResponsesFailTheMiss(t *testing.T)             { runRows(t) }
 func TestForgedArrivalIntervalsRecordedNotAbsorbedRepro(t *testing.T) { runRows(t) }
 func TestForgedRendezvousRecordedNotCounted(t *testing.T)             { runRows(t) }

@@ -14,14 +14,14 @@ import (
 
 // lazyEngine implements lazy release consistency (§4): intervals, twins,
 // diffs and vector clocks. Write notices ride lock grants and barrier
-// messages; diffs are fetched from their creators at access misses (LI)
-// or acquire time (LU). Fetching is by round, not by page: a round — an
-// LI fault, an LU revalidation, the GC epoch's bulk validation — plans
-// every page it brings current first and sends each creator one KDiffReq
-// for all of them. An LI fault brings with its page the siblings its
-// outstanding intervals also wrote, when they need no other creator, so a
-// reader of a creator's several pages asks it once, where the paper's
-// per-page fetch asks once per page.
+// messages; diffs are fetched from the concurrent last modifiers of a page
+// (§4.3.2) at access misses (LI) or acquire time (LU). Fetching is by
+// round, not by page: a round — an LI fault, an LU revalidation, the GC
+// epoch's bulk validation — plans every page it brings current first and
+// sends each responder one KDiffReq for all of them. An LI fault brings
+// with its page the siblings its outstanding intervals also wrote, when
+// they need no other responder, so a reader of a writer's several pages
+// asks it once, where the paper's per-page fetch asks once per page.
 //
 // Concurrency: page copies and their twins are per-page state under the
 // node's striped lock table, so independent pages are read, written and
@@ -46,8 +46,8 @@ type lazyEngine struct {
 	log *core.Log
 	// store is the retained-diff store, one ring per processor
 	// (slotRing): an interval's slots, parallel to its sorted page list in
-	// the log (slotLocked); an LU entry for a foreign interval has blank
-	// slots where no diff was received.
+	// the log (slotLocked); an entry for a foreign interval has blank slots
+	// where no diff was received.
 	store     []slotRing
 	lastEpoch vc.VC
 	episodes  int
@@ -149,8 +149,9 @@ func (e *lazyEngine) closeIntervalLocked() {
 	// The slots go to the store's cell for the interval's index, sized
 	// once: pending pointers point into them. The pages that had a twin
 	// move to the front of cand, in order: the interval's page list.
-	cell := e.store[n.id].cell(e.v[n.id]+1, e.log.Floor(n.id))
-	slots := occupy(*cell, len(e.cand))[:0]
+	k := e.v[n.id] + 1
+	cell := e.store[n.id].cell(k)
+	slots := occupy(*cell, len(e.cand), k)[:0]
 	for i, pg := range e.cand {
 		pmu := n.pageLock(pg)
 		pmu.Lock()
@@ -162,7 +163,7 @@ func (e *lazyEngine) closeIntervalLocked() {
 		// The page table's twin reference transfers to the slot as the
 		// diff base; the post-interval contents stay live in pc.data
 		// until the next twin capture snapshots them (pending).
-		slots = append(slots, diffSlot{held: true, base: pc.take()})
+		slots = append(slots, diffSlot{held: true, base: pc.take(), index: k})
 		pc.pending = &slots[len(slots)-1]
 		n.stats.diffsDeferred.Add(1)
 		pmu.Unlock()
@@ -441,7 +442,7 @@ func (e *lazyEngine) grant(req, grant *wire.Msg) {
 	if e.update {
 		// Piggyback every retained diff for the noticed intervals — the
 		// releaser supplies what it has (Figure 4's "l and x in a single
-		// message"); the acquirer fetches any remainder from creators.
+		// message"); the acquirer fetches any remainder from responders.
 		// Deferred local diffs materialize here (the piggyback is their
 		// first serve).
 		for _, rec := range grant.Intervals {
@@ -467,7 +468,7 @@ func (e *lazyEngine) onGrant(grant *wire.Msg) error {
 	if e.update {
 		// Piggybacked diffs enter the retained-diff store; the revalidation
 		// below then fetches only what is still missing. (An LI grant
-		// carries none, and LI keeps none.)
+		// carries none: LI keeps only the diffs its misses fetch.)
 		e.storeDiffRecsLocked(grant.Diffs)
 	}
 	affected := e.invalidateForLocked(e.noticed)
@@ -603,7 +604,7 @@ func (e *lazyEngine) postBarrier() error {
 // last epoch. Validation must therefore leave every copy this node serves —
 // its own caches and its homed pages — with an applied clock that
 // dominates the epoch: any copy served with a smaller clock would send a
-// later requester to a creator for diffs the epoch discarded (the creator
+// later requester to a responder for diffs the epoch discarded (which
 // refuses such requests as collected history), and would plan from
 // records the sweep removed. checkGCInvariant enforces this before the
 // epoch is marked due, turning a would-be remote failure into a local

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"time"
 
@@ -33,11 +34,13 @@ type fetchedDiffs []fetched
 // find looks for interval id of page pg among the held responses. The
 // first interval of a want has the want's record — for a range, the merge
 // of all its members; a later member of a range is supplied (ok) by that
-// merge and has no diff of its own.
+// merge and has no diff of its own. A record marked not held supplies
+// nothing: the round asked the creator again (fetch).
 func (f fetchedDiffs) find(pg mem.PageID, id core.IntervalID) (d *page.Diff, ok bool) {
 	for _, h := range f {
 		for i, w := range h.wants {
-			if w.Page != pg || w.Proc != id.Proc || id.Index < w.Index || id.Index-w.Index > w.Span {
+			if w.Page != pg || w.Proc != id.Proc || id.Index < w.Index || id.Index-w.Index > w.Span ||
+				h.resp.Diffs[i].NotHeld {
 				continue
 			}
 			if id.Index == w.Index {
@@ -107,9 +110,10 @@ func (e *lazyEngine) isValid(pg mem.PageID) bool {
 // serviceMissLocked brings page pg current: a cold copy is fetched from
 // the page's home, then every outstanding diff is collected — from held
 // (what the round already fetched; serviceMissLocked owns and releases
-// it), from the retained store, or from its creator — and applied in
-// happened-before order (§4.3.3). The caller holds pg's miss lock, so
-// concurrent faulting goroutines coalesce onto one transaction.
+// it), from the retained store, or from a concurrent last modifier of the
+// page (missingWantsLocked) — and applied in happened-before order
+// (§4.3.3). The caller holds pg's miss lock, so concurrent faulting
+// goroutines coalesce onto one transaction.
 func (e *lazyEngine) serviceMissLocked(pg mem.PageID, held fetchedDiffs) error {
 	n := e.n
 	// The miss's transients live in its frame; a plan too big for them
@@ -117,6 +121,7 @@ func (e *lazyEngine) serviceMissLocked(pg mem.PageID, held fetchedDiffs) error {
 	var (
 		clockBuf [2][maxProcs]int32
 		planBuf  [8]core.IntervalID
+		askBuf   [8]ask
 		reqBuf   [4]outMsg
 		respBuf  [4]*wire.Msg
 		stepBuf  [8]*page.Diff
@@ -204,17 +209,18 @@ func (e *lazyEngine) serviceMissLocked(pg mem.PageID, held fetchedDiffs) error {
 		pmu.Unlock()
 		vSnap := append(vc.VC(clockBuf[1][:0]), e.v...)
 		out := e.appendPlanLocked(planBuf[:0], pg, appliedSnap)
-		asked := len(wants)
-		wants = e.missingWantsLocked(wants, pg, out, held)
+		var reqs []outMsg
+		reqs, wants = e.diffReqs(reqBuf[:0], wants, e.missingWantsLocked(askBuf[:0], pg, out, held))
 		*kept = wants
-		reqs := e.diffReqs(reqBuf[:0], wants[asked:])
 		e.mu.Unlock()
 
-		// Fetch missing diffs from their creators (no locks held): all
-		// creators at once, one round trip instead of one per creator.
+		// Fetch missing diffs from their responders (no locks held): all
+		// at once, one round trip instead of one per responder.
 		if len(reqs) > 0 {
 			var err error
-			if held, err = e.fetch(reqs, held, respBuf[:0]); err != nil {
+			held, err = e.fetch(reqs, &wants, held, respBuf[:0])
+			*kept = wants
+			if err != nil {
 				return err
 			}
 		}
@@ -292,13 +298,64 @@ func clockSum(v vc.VC) int64 {
 	return s
 }
 
-// missingWantsLocked appends to wants the wants for the steps of plan out
+// ask is a want and the processor a round asks it of: the creator of a
+// concurrent last modifier of the want's page (missingWantsLocked).
+type ask struct {
+	to mem.ProcID
+	w  wire.Want
+}
+
+// lastModifiersLocked returns the concurrent last modifiers of plan out,
+// by bit of their creators, and fills last with each creator's latest
+// interval in out: the paper's responders (§4.3.2), core.Log.Maximal's
+// rule — a creator's latest interval, unless another creator's latest
+// interval covers it. Caller holds e.mu.
+func (e *lazyEngine) lastModifiersLocked(last *[maxProcs]int32, out []core.IntervalID) uint64 {
+	var creators uint64
+	for _, id := range out {
+		if creators&(1<<id.Proc) == 0 || id.Index > last[id.Proc] {
+			last[id.Proc] = id.Index
+		}
+		creators |= 1 << id.Proc
+	}
+	mods := creators
+	for cs := creators; cs != 0; cs &= cs - 1 {
+		p := bits.TrailingZeros64(cs)
+		for qs := creators &^ (1 << p); qs != 0; qs &= qs - 1 {
+			q := bits.TrailingZeros64(qs)
+			if e.log.Get(core.IntervalID{Proc: mem.ProcID(q), Index: last[q]}).VC.Covers(p, last[p]) {
+				mods &^= 1 << p
+				break
+			}
+		}
+	}
+	return mods
+}
+
+// responderLocked returns the processor a round asks for interval id's
+// diff, given its plan's concurrent last modifiers (lastModifiersLocked's
+// mods and last): the first, by processor, whose clock covers id. It
+// applied id's diff before it wrote the page, and keeps it until GC — or
+// says it does not (fetch). Every interval of a plan is covered by one of
+// them. Caller holds e.mu.
+func (e *lazyEngine) responderLocked(id core.IntervalID, last *[maxProcs]int32, mods uint64) mem.ProcID {
+	for ms := mods; ms != 0; ms &= ms - 1 {
+		p := bits.TrailingZeros64(ms)
+		if e.log.Get(core.IntervalID{Proc: mem.ProcID(p), Index: last[p]}).VC.Covers(int(id.Proc), id.Index) {
+			return mem.ProcID(p)
+		}
+	}
+	return id.Proc
+}
+
+// missingWantsLocked appends to asks the wants for the steps of plan out
 // (planLocked's, for page pg) that neither the retained store nor the held
-// responses supply, grouped by creator, creators ascending. A creator's
-// consecutive missing steps are asked for as one range want, answered by
-// one merged diff that is applied at the first one's step — so a step m
-// joins the run its creator has open only if that moves m's bytes past
-// nothing they may share a word with:
+// responses supply, each with its responder (responderLocked), grouped by
+// creator, creators ascending. A creator's consecutive missing steps that
+// it is the responder of are asked for as one range want, answered by one
+// merged diff that is applied at the first one's step — so a step m joins
+// the run its creator has open only if that moves m's bytes past nothing
+// they may share a word with:
 //
 //   - not past a step of the same creator that is supplied already: the
 //     merge would not hold it, and it may rewrite what the run's earlier
@@ -312,8 +369,12 @@ func clockSum(v vc.VC) int64 {
 // The log is closed under happened-before whenever e.mu is held, so every
 // interval that happened before m is in the plan or already in the copy,
 // and a replan, which only learns of intervals that do not precede the
-// ones it knew, never invalidates a range it holds. Caller holds e.mu.
-func (e *lazyEngine) missingWantsLocked(wants []wire.Want, pg mem.PageID, out []core.IntervalID, held fetchedDiffs) []wire.Want {
+// ones it knew, never invalidates a range it holds. A responder merges
+// only its own diffs (mergedLocked), so a step another processor responds
+// for is asked alone. Caller holds e.mu.
+func (e *lazyEngine) missingWantsLocked(asks []ask, pg mem.PageID, out []core.IntervalID, held fetchedDiffs) []ask {
+	var last [maxProcs]int32
+	mods := e.lastModifiersLocked(&last, out)
 	// after[p] is the first step of creator p, by index, that the plan puts
 	// after the first step of the open run: a clock covers any of p's steps
 	// there if it covers that one.
@@ -331,56 +392,57 @@ func (e *lazyEngine) missingWantsLocked(wants []wire.Want, pg mem.PageID, out []
 				open = false
 				continue
 			}
-			if open && !coversAny(e.log.Get(id).VC, after[:len(e.v)]) {
-				run := &wants[len(wants)-1]
+			to := e.responderLocked(id, &last, mods)
+			if open && to == id.Proc && !coversAny(e.log.Get(id).VC, after[:len(e.v)]) {
+				run := &asks[len(asks)-1].w
 				run.Span = id.Index - run.Index
 				continue
 			}
-			if len(wants) == cap(wants) {
+			if len(asks) == cap(asks) {
 				// A step is asked for at most once, so the page grows the
 				// list at most once.
-				wants = slices.Grow(wants, len(out))
+				asks = slices.Grow(asks, len(out))
 			}
-			wants = append(wants, wire.Want{Page: pg, Proc: id.Proc, Index: id.Index})
-			open = true
+			asks = append(asks, ask{to: to, w: wire.Want{Page: pg, Proc: id.Proc, Index: id.Index}})
+			open = to == id.Proc
 			for p := range e.v {
 				after[p] = math.MaxInt32
 			}
 		}
 	}
-	return wants
+	return asks
 }
 
-// diffReqs appends to reqs, grown once, one KDiffReq for each run of wants
-// that share a creator, with that run as its wants. A list ordered by
-// creator — one page's, as missingWantsLocked appends it, or a round's, as
-// prefetchDiffs sorts it — thus asks each creator once, for every page at
-// a time: a creator serves any mix of pages in one response.
-func (e *lazyEngine) diffReqs(reqs []outMsg, wants []wire.Want) []outMsg {
+// diffReqs appends to reqs, grown once, one KDiffReq for each responder of
+// asks, carrying every want asked of it — a responder serves any mix of
+// pages and creators in one response — and returns them with sent, the
+// list the requests' wants are appended to and point into. asks is sorted
+// by responder on the way, stably: one page's wants, or a round's, keep
+// their order within a responder's request.
+func (e *lazyEngine) diffReqs(reqs []outMsg, sent []wire.Want, asks []ask) ([]outMsg, []wire.Want) {
+	slices.SortStableFunc(asks, func(a, b ask) int { return cmp.Compare(a.to, b.to) })
 	n := 0
-	for rest := wants; len(rest) > 0; rest = rest[creatorRun(rest):] {
-		n++
+	for i := range asks {
+		if i == 0 || asks[i].to != asks[i-1].to {
+			n++
+		}
 	}
 	reqs = slices.Grow(reqs, n)
-	for len(wants) > 0 {
-		k := creatorRun(wants)
-		reqs = append(reqs, outMsg{dst: wants[0].Proc, m: wire.Msg{
-			Kind: wire.KDiffReq, Seq: e.n.nextSeq(), A: int32(e.n.id), Wants: wants[:k:k],
+	sent = slices.Grow(sent, len(asks))
+	for len(asks) > 0 {
+		k, from := 1, len(sent)
+		for k < len(asks) && asks[k].to == asks[0].to {
+			k++
+		}
+		for _, a := range asks[:k] {
+			sent = append(sent, a.w)
+		}
+		reqs = append(reqs, outMsg{dst: asks[0].to, m: wire.Msg{
+			Kind: wire.KDiffReq, Seq: e.n.nextSeq(), A: int32(e.n.id), Wants: sent[from:len(sent):len(sent)],
 		}})
-		wants = wants[k:]
+		asks = asks[k:]
 	}
-	return reqs
-}
-
-// creatorRun returns the length of the run of wants at the head of a
-// non-empty list that share its first want's creator, whatever their
-// pages.
-func creatorRun(wants []wire.Want) int {
-	k := 1
-	for k < len(wants) && wants[k].Proc == wants[0].Proc {
-		k++
-	}
-	return k
+	return reqs, sent
 }
 
 // stepsLocked appends to steps the diffs that carry out plan out, in its
@@ -421,19 +483,30 @@ func coversAny(v vc.VC, steps []int32) bool {
 // fetch sends a miss's diff requests and adds the responses to held, once
 // each is known to answer its request; if one does not, nothing of the
 // burst is kept or stored and the miss fails. The responses are gathered
-// in resps, the caller's storage.
-func (e *lazyEngine) fetch(reqs []outMsg, held fetchedDiffs, resps []*wire.Msg) (fetchedDiffs, error) {
+// in resps, the caller's storage. A want a responder answered "not held"
+// is asked of its creator in a second round, whose wants are appended to
+// *sent (diffReqs), and counts as a fallback; a creator that says so of its
+// own diff is at fault, so there is no third. The miss applies nothing
+// until the plan is whole.
+func (e *lazyEngine) fetch(reqs []outMsg, sent *[]wire.Want, held fetchedDiffs, resps []*wire.Msg) (fetchedDiffs, error) {
 	n := e.n
 	resps, err := n.rpcAll(reqs, resps[:0])
 	if err != nil {
 		return held, err
 	}
+	var askBuf [8]ask
+	again := askBuf[:0]
 	for i, resp := range resps {
-		if err := answers(resp, reqs[i].m.Wants); err != nil {
+		if err := answers(resp, reqs[i].m.Wants, reqs[i].dst); err != nil {
 			releaseAll(resps)
 			bad := fmt.Errorf("bad diff response from %d: %w", reqs[i].dst, err)
 			n.noteErr("diff fetch", bad)
 			return held, fmt.Errorf("dsm: node %d: diff fetch: %w", n.id, bad)
+		}
+		for j, r := range resp.Diffs {
+			if r.NotHeld {
+				again = append(again, ask{to: r.Proc, w: reqs[i].m.Wants[j]})
+			}
 		}
 	}
 	fresh := len(held)
@@ -442,41 +515,51 @@ func (e *lazyEngine) fetch(reqs []outMsg, held fetchedDiffs, resps []*wire.Msg) 
 		held = append(held, fetched{wants: reqs[i].m.Wants, resp: resp})
 	}
 	e.noteFetched(held[fresh:])
-	return held, nil
+	if len(again) == 0 {
+		return held, nil
+	}
+	n.stats.diffFallbacks.Add(int64(len(again)))
+	var reqBuf [4]outMsg
+	reqs, *sent = e.diffReqs(reqBuf[:0], *sent, again)
+	return e.fetch(reqs, sent, held, resps)
 }
 
-// answers checks a diff response against the wants it claims to answer
-// (deliverResponse has checked its kind): the miss finds a record by its
-// want's position, so a response of another shape would put one
-// interval's bytes at another's step.
-func answers(resp *wire.Msg, wants []wire.Want) error {
+// answers checks a diff response from responder from against the wants it
+// claims to answer (deliverResponse has checked its kind): the miss finds
+// a record by its want's position, so a response of another shape would
+// put one interval's bytes at another's step. A responder may say it does
+// not hold another processor's diff, never one of its own.
+func answers(resp *wire.Msg, wants []wire.Want, from mem.ProcID) error {
 	if len(resp.Diffs) != len(wants) {
 		return fmt.Errorf("%v with %d records for %d wants", resp.Kind, len(resp.Diffs), len(wants))
 	}
 	for i, w := range wants {
-		if r := resp.Diffs[i]; r.Page != w.Page || r.Proc != w.Proc || r.Index != w.Index {
+		r := resp.Diffs[i]
+		if r.Page != w.Page || r.Proc != w.Proc || r.Index != w.Index {
 			return fmt.Errorf("record %d is diff %d/%d of page %d, want %d/%d of page %d",
 				i, r.Proc, r.Index, r.Page, w.Proc, w.Index, w.Page)
+		}
+		if r.NotHeld && r.Proc == from {
+			return fmt.Errorf("record %d says its creator does not hold diff %d/%d of page %d",
+				i, r.Proc, r.Index, r.Page)
 		}
 	}
 	return nil
 }
 
-// noteFetched accounts a burst of diff responses. LI is done with a
-// fetched diff once the miss holding its response has applied it; under
-// LU the diffs of single intervals also enter the retained store, cloned,
-// because later lock grants piggyback them. A merged range is no
-// interval's diff: it is applied out of its frame and never kept.
+// noteFetched accounts a burst of diff responses, and enters the diffs of
+// single intervals into the retained store, cloned: the node may be asked
+// for them as a concurrent last modifier of the page until GC discards
+// them, and under LU later lock grants piggyback them. A merged range is
+// no interval's diff: it is applied out of its frame and never kept.
 func (e *lazyEngine) noteFetched(held fetchedDiffs) {
-	for _, h := range held {
-		e.n.stats.diffsFetched.Add(int64(len(h.resp.Diffs)))
-	}
-	if !e.update {
-		return
-	}
 	e.mu.Lock()
 	for _, h := range held {
 		for i, w := range h.wants {
+			if h.resp.Diffs[i].NotHeld {
+				continue
+			}
+			e.n.stats.diffsFetched.Add(1)
 			if w.Span == 0 {
 				e.storeDiffRecsLocked(h.resp.Diffs[i : i+1])
 			}
@@ -487,8 +570,8 @@ func (e *lazyEngine) noteFetched(held fetchedDiffs) {
 
 // fault services an application's miss on page pg and brings pg's
 // siblings (planFaultLocked) current with it, in one round: one KDiffReq to
-// each creator for all the pages, where validating page by page asks a
-// creator once per page. pg's miss lock is held while its round is
+// each responder for all the pages, where validating page by page asks a
+// responder once per page. pg's miss lock is held while its round is
 // planned, fetched and applied, so concurrent faults on pg coalesce onto
 // one round; each sibling is then applied under its own. A fault counts
 // one access miss; the siblings it finds invalid count as aggregated
@@ -529,14 +612,14 @@ func (e *lazyEngine) fault(pg mem.PageID) error {
 }
 
 // planFaultLocked plans a fault on page pg into pf: pf.pages is pg, then
-// its siblings, and pf.wants what they need from creators. A sibling is a
+// its siblings, and pf.asks what they need from responders. A sibling is a
 // page q that
 //
 //   - an interval of pg's plan wrote (its log record names q),
 //   - the node holds an invalid copy of — never a cold one: a cold copy's
 //     plan waits for the clock the home's copy arrives with, and a page the
 //     node never touched is not fetched for it,
-//   - and whose every want goes to a creator pg's own wants ask.
+//   - and whose every want goes to a responder pg's own wants ask.
 //
 // So a fault adds wants to requests its page sends anyway, never a request
 // or a destination. A cold pg has no plan yet, and no siblings: its miss
@@ -544,12 +627,12 @@ func (e *lazyEngine) fault(pg mem.PageID) error {
 func (e *lazyEngine) planFaultLocked(pf *prefetch, pg mem.PageID) {
 	pf.pages = append(pf.pages[:0], pg)
 	var ok bool
-	if pf.wants, ok = e.pageWantsLocked(pf.wants[:0], pg, &pf.plan); !ok {
+	if pf.asks, ok = e.pageWantsLocked(pf.asks[:0], pg, &pf.plan); !ok {
 		return
 	}
-	var asked uint64 // the creators pg's wants ask, by bit
-	for _, w := range pf.wants {
-		asked |= 1 << w.Proc
+	var asked uint64 // the responders pg's wants ask, by bit
+	for _, a := range pf.asks {
+		asked |= 1 << a.to
 	}
 	if asked == 0 {
 		return
@@ -564,68 +647,69 @@ func (e *lazyEngine) planFaultLocked(pf *prefetch, pg mem.PageID) {
 		if q == pg {
 			continue
 		}
-		k := len(pf.wants)
-		if pf.wants, ok = e.pageWantsLocked(pf.wants, q, &pf.sib); !ok {
+		k := len(pf.asks)
+		if pf.asks, ok = e.pageWantsLocked(pf.asks, q, &pf.sib); !ok {
 			continue
 		}
-		if asksOnly(pf.wants[k:], asked) {
+		if asksOnly(pf.asks[k:], asked) {
 			pf.pages = append(pf.pages, q)
 		} else {
-			pf.wants = pf.wants[:k]
+			pf.asks = pf.asks[:k]
 		}
 	}
 }
 
-// asksOnly reports whether every want goes to a creator in the set asked,
+// asksOnly reports whether every ask goes to a responder in the set asked,
 // by bit.
-func asksOnly(wants []wire.Want, asked uint64) bool {
-	for _, w := range wants {
-		if asked&(1<<w.Proc) == 0 {
+func asksOnly(asks []ask, asked uint64) bool {
+	for _, a := range asks {
+		if asked&(1<<a.to) == 0 {
 			return false
 		}
 	}
 	return true
 }
 
-// pageWantsLocked appends to wants what page pg's copy needs from creators
-// — the steps of its plan, made into *plan, that the store does not supply
-// (missingWantsLocked) — and reports whether the node holds an invalid copy
-// of pg to plan for: a valid one needs nothing, a cold one's plan waits for
-// the clock the home's copy arrives with. Caller holds e.mu.
-func (e *lazyEngine) pageWantsLocked(wants []wire.Want, pg mem.PageID, plan *[]core.IntervalID) ([]wire.Want, bool) {
+// pageWantsLocked appends to asks what page pg's copy needs from
+// responders — the steps of its plan, made into *plan, that the store does
+// not supply (missingWantsLocked) — and reports whether the node holds an
+// invalid copy of pg to plan for: a valid one needs nothing, a cold one's
+// plan waits for the clock the home's copy arrives with. Caller holds e.mu.
+func (e *lazyEngine) pageWantsLocked(asks []ask, pg mem.PageID, plan *[]core.IntervalID) ([]ask, bool) {
 	var clockBuf [maxProcs]int32
 	pmu := e.n.pageLock(pg)
 	pmu.Lock()
 	pc := e.pages[pg]
 	if pc == nil || pc.valid {
 		pmu.Unlock()
-		return wants, false
+		return asks, false
 	}
 	applied := append(vc.VC(clockBuf[:0]), pc.applied...)
 	pmu.Unlock()
 	*plan = e.appendPlanLocked((*plan)[:0], pg, applied)
-	return e.missingWantsLocked(wants, pg, *plan, nil), true
+	return e.missingWantsLocked(asks, pg, *plan, nil), true
 }
 
 // revalidate brings a list of pages current (LU's acquire/barrier-time
 // update step and the GC epoch's bulk validation) in one round, planned
 // into scratch from the engine's free list: with more than one page their
-// outstanding diffs are prefetched first, one KDiffReq to each creator for
-// all the pages, and each page's miss is handed the responses. Neither
+// outstanding diffs are prefetched first, one KDiffReq to each responder
+// for all the pages, and each page's miss is handed the responses. Neither
 // counts as an access miss: no application access faulted.
 func (e *lazyEngine) revalidate(pages []mem.PageID) error {
 	var pre fetchedDiffs
 	pf := e.takePrefetch()
 	defer e.putPrefetch(pf)
 	if len(pages) > 1 {
-		pf.wants = pf.wants[:0]
+		pf.asks = pf.asks[:0]
 		e.mu.Lock()
 		for _, pg := range pages {
-			pf.wants, _ = e.pageWantsLocked(pf.wants, pg, &pf.plan)
+			pf.asks, _ = e.pageWantsLocked(pf.asks, pg, &pf.plan)
 		}
 		e.mu.Unlock()
 		var err error
 		if pre, err = e.prefetchDiffs(pf); err != nil {
+			pre.release()
 			return err
 		}
 	}
@@ -653,8 +737,9 @@ func (e *lazyEngine) serveEach(pages []mem.PageID, held fetchedDiffs) (int, erro
 }
 
 // prefetch is the storage a round plans into — the pages a fault brings
-// current, the plans it makes, its candidate siblings, its wants, their
-// requests, the responses as they arrive and as the misses hold them — and
+// current, the plans it makes, its candidate siblings, its asks, the wants
+// its requests carry, the requests, the responses as they arrive and as
+// the misses hold them — and
 // keeps for the next round that takes it from the engine's free list
 // (takePrefetch): several rounds may run at once, a fault beside an
 // acquire or another goroutine's fault.
@@ -662,6 +747,7 @@ type prefetch struct {
 	pages     []mem.PageID
 	plan, sib []core.IntervalID
 	cand      []mem.PageID
+	asks      []ask
 	wants     []wire.Want
 	reqs      []outMsg
 	resps     []*wire.Msg
@@ -692,21 +778,20 @@ func (e *lazyEngine) putPrefetch(pf *prefetch) {
 	}
 }
 
-// prefetchDiffs fetches the wants planned into pf as one burst: ordered by
-// creator, page order kept within one, so that each creator is sent one
-// KDiffReq for all the round's pages — fewer requests than validating page
-// by page, which asks a creator once per page — and all creators answer
-// concurrently. The responses are returned in pf's storage; each page's
-// miss then finds its diffs in them and re-plans authoritatively (fresh
-// notices landing meanwhile just make it fetch the remainder as usual).
+// prefetchDiffs fetches the asks planned into pf as one burst: each
+// responder is sent one KDiffReq for all the round's pages (diffReqs) —
+// fewer requests than validating page by page, which asks a responder once
+// per page — and all responders answer concurrently. The responses are
+// returned in pf's storage; each page's miss then finds its diffs in them
+// and re-plans authoritatively (fresh notices landing meanwhile just make
+// it fetch the remainder as usual).
 func (e *lazyEngine) prefetchDiffs(pf *prefetch) (fetchedDiffs, error) {
-	if len(pf.wants) == 0 {
+	if len(pf.asks) == 0 {
 		return nil, nil
 	}
-	slices.SortStableFunc(pf.wants, func(a, b wire.Want) int { return cmp.Compare(a.Proc, b.Proc) })
-	pf.reqs = e.diffReqs(pf.reqs[:0], pf.wants)
+	pf.reqs, pf.wants = e.diffReqs(pf.reqs[:0], pf.wants[:0], pf.asks)
 	pf.resps = slices.Grow(pf.resps[:0], len(pf.reqs))
 	var err error
-	pf.held, err = e.fetch(pf.reqs, pf.held[:0], pf.resps)
+	pf.held, err = e.fetch(pf.reqs, &pf.wants, pf.held[:0], pf.resps)
 	return pf.held, err
 }

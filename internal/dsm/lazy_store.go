@@ -17,22 +17,26 @@ import (
 // or deferred (base twin captured, diff not yet computed). A deferred
 // slot's target contents are the target twin if set, else the live page
 // data (the slot is then the page's pending slot). The store holds this
-// node's own intervals' diffs and, under LU only, clones of the foreign
-// diffs it received — what a later lock grant piggybacks; LI applies a
-// fetched diff out of its response and keeps nothing. Fields are guarded
-// by the slot's page stripe unless noted; the store map itself is under
-// e.mu.
+// node's own intervals' diffs and clones of the foreign diffs of single
+// intervals it received — what it serves as a concurrent last modifier of
+// their page, and under LU what a later lock grant piggybacks — until the
+// GC epoch discards them. Fields are guarded by the slot's page stripe
+// unless noted; the store map itself is under e.mu.
 type diffSlot struct {
 	d      *page.Diff
 	base   *page.Twin
 	target *page.Twin
-	// held says the store has this slot's diff, made or deferred: an LU
-	// entry for a foreign interval has blank slots for the pages whose diff
-	// never arrived. Set with the slot, under e.mu.
+	// held says the store has this slot's diff, made or deferred: an entry
+	// for a foreign interval has blank slots for the pages whose diff never
+	// arrived. Set with the slot, under e.mu.
 	held bool
 	// served is set by the slot's first serve (Stats.DiffCacheHits counts
 	// the later ones). Guarded by e.mu.
 	served bool
+	// index is the slot's interval's index, the same in every slot of a
+	// cell: what a slotRing cell is looked up by. Set with the cell, under
+	// e.mu.
+	index int32
 }
 
 // deadSlot is what a swept slot array holds in test builds (poison mode):
@@ -43,47 +47,60 @@ var deadSlot = diffSlot{held: true, served: true}
 
 // slotRing is one processor's part of the retained-diff store: the slot
 // array of its interval k, parallel to the interval's page list in the
-// log, is cell k mod len(ring). The ring spans the indices (floor,
-// floor+len(ring)], floor being the log's swept floor for the processor —
-// never the first index stored, because LU stores a foreign processor's
-// intervals out of order — and its length is a power of two, doubled when
-// an index past the span is stored. A vacant cell has length 0. A swept
+// log, is cell k mod len(ring), and its slots carry k. The length is a
+// power of two, doubled when an interval is stored whose cell another
+// interval holds: a processor's own intervals, stored as they close, need
+// a ring that spans the indices since the GC epoch before last, another
+// processor's, stored as they are fetched (out of order under LU), one
+// about as long as the few they are. A vacant cell has length 0. A swept
 // cell keeps its array's capacity for the interval that lands there next,
 // so once the ring and its arrays have grown to an epoch's history the
 // store allocates nothing. Guarded by e.mu.
 type slotRing [][]diffSlot
 
 // at returns the cell of index k, empty when the ring holds nothing for k.
-func (r slotRing) at(k, floor int32) []diffSlot {
-	if k <= floor || int64(k)-int64(floor) > int64(len(r)) {
+func (r slotRing) at(k int32) []diffSlot {
+	if len(r) == 0 {
 		return nil
 	}
-	return r[int(k)&(len(r)-1)]
+	if c := r[int(k)&(len(r)-1)]; len(c) > 0 && c[0].index == k {
+		return c
+	}
+	return nil
 }
 
-// cell returns the cell of index k > floor, growing the ring to span it.
-// Growing moves slice headers only: a pending pointer into a cell's array
-// stays valid.
-func (r *slotRing) cell(k, floor int32) *[]diffSlot {
-	for int64(k)-int64(floor) > int64(len(*r)) {
+// cell returns the cell of index k, vacant or k's own, doubling the ring
+// while another interval holds it. Growing moves slice headers only: a
+// pending pointer into a cell's array stays valid.
+func (r *slotRing) cell(k int32) *[]diffSlot {
+	for {
+		if len(*r) > 0 {
+			if c := &(*r)[int(k)&(len(*r)-1)]; len(*c) == 0 || (*c)[0].index == k {
+				return c
+			}
+		}
+		// Cell i of the old ring goes to cell i of the new one, or, held by
+		// an interval that maps to it, to cell i + len(old).
 		old := *r
 		*r = make(slotRing, max(8, 2*len(old)))
-		for i := floor + 1; i <= floor+int32(len(old)); i++ {
-			(*r)[int(i)&(len(*r)-1)] = old[int(i)&(len(old)-1)]
+		for i, c := range old {
+			if len(c) > 0 {
+				i = int(c[0].index) & (len(*r) - 1)
+			}
+			(*r)[i] = c
 		}
 	}
-	return &(*r)[int(k)&(len(*r)-1)]
 }
 
-// occupy returns vacant cell c's array as n zeroed slots, reusing its
-// capacity when that suffices.
-func occupy(c []diffSlot, n int) []diffSlot {
+// occupy returns vacant cell c's array as n zeroed slots of interval k,
+// reusing its capacity when that suffices.
+func occupy(c []diffSlot, n int, k int32) []diffSlot {
+	s := c[:0]
 	if cap(c) < n {
-		return make([]diffSlot, n, 1<<bits.Len(uint(n-1)))
+		s = make([]diffSlot, 0, 1<<bits.Len(uint(n-1)))
 	}
-	s := c[:n]
-	if framebuf.Poisoned() {
-		clear(s)
+	for range n {
+		s = append(s, diffSlot{index: k})
 	}
 	return s
 }
@@ -180,7 +197,7 @@ func (e *lazyEngine) slotsLocked(id core.IntervalID) []diffSlot {
 	if !e.n.validProc(id.Proc) {
 		return nil
 	}
-	return e.store[id.Proc].at(id.Index, e.log.Floor(id.Proc))
+	return e.store[id.Proc].at(id.Index)
 }
 
 // slotLocked returns the store's slot for interval id's diff of page pg,
@@ -229,10 +246,10 @@ func (e *lazyEngine) trimTwinsLocked() {
 }
 
 // storeDiffRecsLocked enters received diff records, each one interval's
-// diff, into LU's retained store, as clones: the records borrow a frame
-// that is released long before a later grant piggybacks them. A record
-// never replaces a slot the store holds (crucially not a local deferred
-// one). Caller holds e.mu.
+// diff, into the retained store, as clones: the records borrow a frame
+// that is released long before a later request or grant asks for them. A
+// record never replaces a slot the store holds (crucially not a local
+// deferred one). Caller holds e.mu.
 func (e *lazyEngine) storeDiffRecsLocked(recs []wire.DiffRec) {
 	for _, rec := range recs {
 		if !e.n.validPage(rec.Page) {
@@ -263,12 +280,12 @@ func (e *lazyEngine) storeDiffRecsLocked(recs []wire.DiffRec) {
 				fmt.Errorf("diff record %v for page %d matches no logged write notice", id, rec.Page))
 			continue
 		}
-		cell := e.store[id.Proc].cell(id.Index, e.log.Floor(id.Proc))
+		cell := e.store[id.Proc].cell(id.Index)
 		if len(*cell) == 0 {
-			*cell = occupy(*cell, len(pages))
+			*cell = occupy(*cell, len(pages), id.Index)
 		}
-		if slots := *cell; !slots[k].held {
-			slots[k] = diffSlot{held: true, d: rec.Diff.Clone()}
+		if slot := &(*cell)[k]; !slot.held {
+			slot.held, slot.d = true, rec.Diff.Clone()
 		}
 	}
 }
@@ -287,12 +304,12 @@ func (e *lazyEngine) collectedLocked(id core.IntervalID) bool {
 func (e *lazyEngine) discardLocked(epoch vc.VC) {
 	n := e.n
 	for p, ring := range e.store {
-		floor := e.log.Floor(mem.ProcID(p))
-		for k := floor + 1; k <= min(epoch[p], floor+int32(len(ring))); k++ {
-			cell := &ring[int(k)&(len(ring)-1)]
-			if len(*cell) == 0 {
+		for c := range ring {
+			cell := &ring[c]
+			if len(*cell) == 0 || (*cell)[0].index > epoch[p] {
 				continue
 			}
+			k := (*cell)[0].index
 			for i, pg := range e.log.Get(core.IntervalID{Proc: mem.ProcID(p), Index: k}).Pages {
 				slot := &(*cell)[i]
 				if !slot.held {
@@ -354,14 +371,20 @@ func releaseDiffs(m *wire.Msg) {
 
 func (e *lazyEngine) handleDiffReq(m *wire.Msg, src mem.ProcID) {
 	n := e.n
-	var recBuf [8]wire.DiffRec
+	// A concurrent last modifier answers every want its interval covers,
+	// often more than a creator's own: the records live in the frame up to
+	// 32 wants.
+	var recBuf [32]wire.DiffRec
 	resp := wire.Msg{Kind: wire.KDiffResp, Seq: m.Seq, Diffs: recBuf[:0]}
 	e.mu.Lock()
-	// Record i answers want i. A want this node cannot answer — a diff it
-	// never made (or already garbage collected out from under a peer that
-	// should have known), a range that is not a run of its own intervals
-	// on the page — is the requester's bug or malice: record it and drop
-	// the whole request, a partial answer would install a torn page.
+	// Record i answers want i: the diff, or "not held" for another
+	// processor's diff that this node's clock covers but its store does not
+	// hold — the requester asks the creator instead. A want no honest
+	// requester sends — a diff of its own this node does not hold, one past
+	// its clock or of a page its interval did not write, collected history,
+	// a range that is not a run of its own intervals on the page — is the
+	// requester's bug or malice: record it and drop the whole request, a
+	// partial answer would install a torn page.
 	for _, w := range m.Wants {
 		d, err := e.serveLocked(w)
 		if err != nil {
@@ -370,7 +393,7 @@ func (e *lazyEngine) handleDiffReq(m *wire.Msg, src mem.ProcID) {
 			n.noteErr("diff request", err)
 			return
 		}
-		resp.Diffs = append(resp.Diffs, wire.DiffRec{Page: w.Page, Proc: w.Proc, Index: w.Index, Diff: d})
+		resp.Diffs = append(resp.Diffs, wire.DiffRec{Page: w.Page, Proc: w.Proc, Index: w.Index, Diff: d, NotHeld: d == nil})
 	}
 	e.mu.Unlock()
 	// The store may discard the diffs now: send encodes them on
@@ -380,8 +403,11 @@ func (e *lazyEngine) handleDiffReq(m *wire.Msg, src mem.ProcID) {
 }
 
 // serveLocked returns the diff that answers want w, on a count the caller
-// drops once the response is encoded. A deferred local slot materializes
-// here, on its first serve. Caller holds e.mu.
+// drops once the response is encoded, or nil when w names another
+// processor's diff of the page that this node's clock covers and its store
+// does not hold: its copy took that diff in as part of a page ship or a
+// merged range. A deferred local slot materializes here, on its first
+// serve. Caller holds e.mu.
 func (e *lazyEngine) serveLocked(w wire.Want) (*page.Diff, error) {
 	n := e.n
 	id := core.IntervalID{Proc: w.Proc, Index: w.Index}
@@ -396,7 +422,13 @@ func (e *lazyEngine) serveLocked(w wire.Want) (*page.Diff, error) {
 	}
 	slot := e.slotLocked(id, w.Page)
 	if slot == nil {
-		return nil, fmt.Errorf("asked for diff %v page %d this node does not hold", id, w.Page)
+		if id.Proc == n.id || !n.validProc(id.Proc) || !e.v.Covers(int(id.Proc), id.Index) {
+			return nil, fmt.Errorf("asked for diff %v page %d this node does not hold", id, w.Page)
+		}
+		if _, wrote := slices.BinarySearch(e.log.Get(id).Pages, w.Page); !wrote {
+			return nil, fmt.Errorf("asked for diff %v of page %d, which the interval did not write", id, w.Page)
+		}
+		return nil, nil
 	}
 	d := e.diffOf(slot, w.Page)
 	e.noteServe(&slot.served)

@@ -25,9 +25,10 @@ func heldCells(r slotRing) int {
 // TestSlotRing drives the retained-diff store's rings through the cases
 // their indexing must survive, on an LU node: its own interval closes,
 // which grow the ring while pages still point into its cells; foreign
-// records stored out of index order; a GC sweep, which must leave swept
-// cells vacant, poisoned and with their arrays; and the intervals that land
-// on swept cells next, which must take those arrays again.
+// records stored out of index order, far apart, which the ring holds at
+// the length their number needs; a GC sweep, which must leave swept cells
+// vacant, poisoned and with their arrays; and the intervals that land on
+// swept cells next, which must take those arrays again.
 func TestSlotRing(t *testing.T) {
 	e := planEngine(t, 2)
 	n := e.n
@@ -70,8 +71,9 @@ func TestSlotRing(t *testing.T) {
 		}
 	}
 
-	// Foreign records, stored out of order: the ring is anchored at the
-	// floor, not at the first index stored.
+	// Foreign records, stored out of order: four intervals whose cells
+	// differ fit the first eight cells, whatever their indices span; a
+	// fifth whose cell one of them holds doubles the ring.
 	clock := vc.New(2)
 	for k := 0; k < 10; k++ {
 		clock.Tick(1)
@@ -84,8 +86,8 @@ func TestSlotRing(t *testing.T) {
 	if errs := n.takeErrs(); len(errs) != 0 {
 		t.Fatalf("storing foreign records recorded %v", errs)
 	}
-	if len(e.store[1]) != 16 || heldCells(e.store[1]) != len(stored) {
-		t.Fatalf("after storing %v the foreign ring has %d cells, %d held; want 16 and %d", stored, len(e.store[1]), heldCells(e.store[1]), len(stored))
+	if len(e.store[1]) != 8 || heldCells(e.store[1]) != len(stored) {
+		t.Fatalf("after storing %v the foreign ring has %d cells, %d held; want 8 and %d", stored, len(e.store[1]), heldCells(e.store[1]), len(stored))
 	}
 	for k := 0; k < 10; k++ {
 		slot := e.slotLocked(foreign(k), 1)
@@ -94,6 +96,15 @@ func TestSlotRing(t *testing.T) {
 			t.Errorf("foreign interval %d's slot is %+v, want a received diff: %t", k, slot, want)
 		}
 	}
+	for k := 10; k < 12; k++ {
+		clock.Tick(1)
+		logInterval(e, 1, clock, 1)
+	}
+	e.storeDiffRecsLocked([]wire.DiffRec{{Page: 1, Proc: 1, Index: 11, Diff: wordDiff(t, 12, 1)}})
+	if len(e.store[1]) != 16 || heldCells(e.store[1]) != len(stored)+1 || e.slotLocked(foreign(11), 1) == nil || e.slotLocked(foreign(3), 1) == nil {
+		t.Fatalf("interval 11, whose cell interval 3 holds, left the foreign ring at %d cells, %d held; want 16 and %d, both found",
+			len(e.store[1]), heldCells(e.store[1]), len(stored)+1)
+	}
 
 	// The sweep: an epoch covering own 0..9 and foreign 0..5.
 	ownArr, foreignArr := e.slotsLocked(own(0)), e.slotsLocked(foreign(0))
@@ -101,8 +112,8 @@ func TestSlotRing(t *testing.T) {
 	if errs := n.takeErrs(); len(errs) != 0 {
 		t.Fatalf("the discard recorded %v", errs)
 	}
-	if heldCells(e.store[0]) != 10 || heldCells(e.store[1]) != 2 {
-		t.Errorf("after the sweep the rings hold %d own and %d foreign intervals, want 10 and 2", heldCells(e.store[0]), heldCells(e.store[1]))
+	if heldCells(e.store[0]) != 10 || heldCells(e.store[1]) != 3 {
+		t.Errorf("after the sweep the rings hold %d own and %d foreign intervals, want 10 and 3", heldCells(e.store[0]), heldCells(e.store[1]))
 	}
 	if e.slotLocked(foreign(3), 1) != nil || e.slotLocked(foreign(6), 1) == nil {
 		t.Error("the sweep did not drop exactly the covered foreign diffs")
@@ -121,7 +132,7 @@ func TestSlotRing(t *testing.T) {
 
 	// Capacity reuse: foreign interval 16 lands on interval 0's cell, and
 	// own interval 32 on its own interval 0's.
-	for k := 10; k <= 16; k++ {
+	for k := 12; k <= 16; k++ {
 		clock.Tick(1)
 		logInterval(e, 1, clock, 1)
 	}

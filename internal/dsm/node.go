@@ -69,16 +69,19 @@ type Stats struct {
 	// wants (members - 1 per merged serve),
 	// DiffsFetched counts diff records received in answer to a request,
 	// one per want whether it names one interval or a range (piggybacked
-	// ones are not fetched; DiffsApplied counts the diffs a miss applied,
-	// a merged range once), DiffsTrimmed counts deferred diffs materialized
-	// by the twin budget rather than by demand (non-zero means laziness was
-	// cut short to bound memory). TwinBytesLive gauges the bytes held in
+	// ones are not fetched, nor are wants a responder did not hold;
+	// DiffsApplied counts the diffs a miss applied, a merged range once),
+	// DiffFallbacks counts the wants a concurrent last modifier answered
+	// "not held" and the miss asked their creator for again, DiffsTrimmed
+	// counts deferred diffs materialized by the twin budget rather than by
+	// demand (non-zero means laziness was cut short to bound memory). TwinBytesLive gauges the bytes held in
 	// live twins, lazy and eager (capture minus final release), with
 	// TwinBytesPeak its high-water mark.
 	DiffsCreated   int64
 	DiffsDeferred  int64
 	DiffCacheHits  int64
 	DiffsFlattened int64
+	DiffFallbacks  int64
 	DiffsTrimmed   int64
 	TwinBytesLive  int64
 	TwinBytesPeak  int64
@@ -149,6 +152,7 @@ type nodeStats struct {
 	diffsDeferred    atomic.Int64
 	diffCacheHits    atomic.Int64
 	diffsFlattened   atomic.Int64
+	diffFallbacks    atomic.Int64
 	diffsTrimmed     atomic.Int64
 	twinBytesLive    atomic.Int64
 	twinBytesPeak    atomic.Int64
@@ -188,6 +192,7 @@ func (s *nodeStats) snapshot() Stats {
 		DiffsDeferred:    s.diffsDeferred.Load(),
 		DiffCacheHits:    s.diffCacheHits.Load(),
 		DiffsFlattened:   s.diffsFlattened.Load(),
+		DiffFallbacks:    s.diffFallbacks.Load(),
 		DiffsTrimmed:     s.diffsTrimmed.Load(),
 		TwinBytesLive:    s.twinBytesLive.Load(),
 		TwinBytesPeak:    s.twinBytesPeak.Load(),

@@ -89,7 +89,7 @@ func (s *System) registerMetrics(r *obs.Registry) {
 		nodeCounter("dsm_node_pages_aggregated_total", "pages an LI fault brought current beside its own (siblings)", n.stats.pagesAggregated.Load)
 		nodeCounter("dsm_node_cold_misses_total", "cold misses (a page's first fetch)", n.stats.coldMisses.Load)
 		nodeCounter("dsm_node_diffs_applied_total", "diffs applied to local copies", n.stats.diffsApplied.Load)
-		nodeCounter("dsm_node_diffs_fetched_total", "diffs fetched from creators", n.stats.diffsFetched.Load)
+		nodeCounter("dsm_node_diffs_fetched_total", "diffs fetched from concurrent last modifiers or creators", n.stats.diffsFetched.Load)
 		nodeCounter("dsm_node_intervals_created_total", "intervals created", n.stats.intervalsCreated.Load)
 		nodeCounter("dsm_node_pages_fetched_total", "whole pages fetched", n.stats.pagesFetched.Load)
 		nodeCounter("dsm_node_gc_runs_total", "garbage collection epochs completed (discards)", n.stats.gcRuns.Load)
@@ -98,6 +98,7 @@ func (s *System) registerMetrics(r *obs.Registry) {
 		nodeCounter("dsm_node_diffs_deferred_total", "interval closes that deferred diff creation", n.stats.diffsDeferred.Load)
 		nodeCounter("dsm_node_diff_cache_hits_total", "retained diff serves after the diff's first", n.stats.diffCacheHits.Load)
 		nodeCounter("dsm_node_diffs_flattened_total", "diffs elided by multi-interval flattening", n.stats.diffsFlattened.Load)
+		nodeCounter("dsm_node_diff_fallbacks_total", "wants a concurrent last modifier did not hold, asked again of their creators", n.stats.diffFallbacks.Load)
 		nodeCounter("dsm_node_diffs_trimmed_total", "deferred diffs materialized by the twin budget", n.stats.diffsTrimmed.Load)
 		r.GaugeFunc(fmt.Sprintf("dsm_node_twin_bytes_live{node=%q}", node),
 			"bytes currently held in live twins", func() float64 { return float64(n.stats.twinBytesLive.Load()) })

@@ -64,7 +64,7 @@ func TestEarlyReleaseIsCaught(t *testing.T) {
 		e := reader.e.(*lazyEngine)
 		pf := new(prefetch)
 		e.mu.Lock()
-		pf.wants, _ = e.pageWantsLocked(nil, pg, &pf.plan)
+		pf.asks, _ = e.pageWantsLocked(nil, pg, &pf.plan)
 		e.mu.Unlock()
 		pre, err := e.prefetchDiffs(pf)
 		if err != nil || len(pre) != 1 {

@@ -160,14 +160,15 @@ func wordDiff(t *testing.T, val byte, words ...int) *page.Diff {
 	return d
 }
 
-// wantsOf lists the wants of a miss's requests, which go to their creators.
+// wantsOf lists the wants of a miss's requests; a range goes to its
+// creator.
 func wantsOf(t *testing.T, reqs []outMsg) []wire.Want {
 	t.Helper()
 	var wants []wire.Want
 	for _, r := range reqs {
 		for _, w := range r.m.Wants {
-			if w.Proc != r.dst {
-				t.Errorf("want %+v sent to node %d", w, r.dst)
+			if w.Span > 0 && w.Proc != r.dst {
+				t.Errorf("range want %+v sent to node %d", w, r.dst)
 			}
 			wants = append(wants, w)
 		}
@@ -189,7 +190,7 @@ func TestMissPlanWants(t *testing.T) {
 	cases := []struct {
 		name    string
 		history []iv
-		stored  []core.IntervalID // single diffs LU's store already has
+		stored  []core.IntervalID // single diffs the store already has
 		held    []wire.Want       // wants a response is held for
 		want    []wire.Want
 	}{
@@ -258,11 +259,69 @@ func TestMissPlanWants(t *testing.T) {
 	}
 }
 
+// TestMissPlanResponders: a miss asks the concurrent last modifiers of its
+// page, each for every want its latest interval covers — the first of
+// them, by processor, that does — and one request carries all of a
+// responder's wants. Node 0 of four plans page 0, which every interval of
+// a history wrote.
+func TestMissPlanResponders(t *testing.T) {
+	const pg = mem.PageID(0)
+	type iv struct {
+		p     mem.ProcID
+		clock vc.VC
+	}
+	type req struct {
+		dst   mem.ProcID
+		wants []wire.Want
+	}
+	w := func(p mem.ProcID, k, span int32) wire.Want { return wire.Want{Page: pg, Proc: p, Index: k, Span: span} }
+	cases := []struct {
+		name    string
+		history []iv
+		want    []req
+	}{
+		{"a chain is served by its last modifier",
+			[]iv{{1, vc.VC{-1, 0, -1, -1}}, {2, vc.VC{-1, 0, 0, -1}}},
+			[]req{{2, []wire.Want{w(1, 0, 0), w(2, 0, 0)}}}},
+		{"concurrent last modifiers each serve their own",
+			[]iv{{1, vc.VC{-1, 0, -1, -1}}, {2, vc.VC{-1, -1, 0, -1}}},
+			[]req{{1, []wire.Want{w(1, 0, 0)}}, {2, []wire.Want{w(2, 0, 0)}}}},
+		{"a run another processor serves is asked interval by interval",
+			[]iv{{1, vc.VC{-1, 0, -1, -1}}, {1, vc.VC{-1, 1, -1, -1}}, {2, vc.VC{-1, 1, 0, -1}}},
+			[]req{{2, []wire.Want{w(1, 0, 0), w(1, 1, 0), w(2, 0, 0)}}}},
+		{"a run its creator serves stays one range",
+			[]iv{{1, vc.VC{-1, 0, -1, -1}}, {1, vc.VC{-1, 1, -1, -1}}, {2, vc.VC{-1, -1, 0, -1}}},
+			[]req{{1, []wire.Want{w(1, 0, 1)}}, {2, []wire.Want{w(2, 0, 0)}}}},
+		{"an interval two of them cover goes to the first",
+			[]iv{{1, vc.VC{-1, 0, -1, -1}}, {2, vc.VC{-1, 0, 0, -1}}, {3, vc.VC{-1, 0, -1, 0}}},
+			[]req{{2, []wire.Want{w(1, 0, 0), w(2, 0, 0)}}, {3, []wire.Want{w(3, 0, 0)}}}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			e := planEngine(t, 4)
+			e.mu.Lock()
+			defer e.mu.Unlock()
+			for _, h := range tc.history {
+				logInterval(e, h.p, h.clock, pg)
+			}
+			out := e.planLocked(pg, vc.New(4))
+			var got []req
+			for _, r := range e.missingDiffReqsLocked(nil, pg, out, nil) {
+				got = append(got, req{r.dst, r.m.Wants})
+			}
+			if !reflect.DeepEqual(got, tc.want) {
+				t.Errorf("plan %v sends\n  %+v, want\n  %+v", out, got, tc.want)
+			}
+		})
+	}
+}
+
 // missingDiffReqsLocked is one round of a miss's requests: those of the
 // wants for the steps of plan out that neither the store nor held supply.
 // Caller holds e.mu.
 func (e *lazyEngine) missingDiffReqsLocked(reqs []outMsg, pg mem.PageID, out []core.IntervalID, held fetchedDiffs) []outMsg {
-	return e.diffReqs(reqs, e.missingWantsLocked(nil, pg, out, held))
+	reqs, _ = e.diffReqs(reqs, nil, e.missingWantsLocked(nil, pg, out, held))
+	return reqs
 }
 
 // TestRangePlanMatchesSingleSteps is the property the rule must have: on a
@@ -370,7 +429,7 @@ func TestRangePlanMatchesSingleSteps(t *testing.T) {
 			if len(r.m.Wants) > 1 {
 				split++
 			}
-			if err := answers(resp, r.m.Wants); err != nil {
+			if err := answers(resp, r.m.Wants, r.dst); err != nil {
 				t.Fatal(err)
 			}
 			held = append(held, fetched{wants: r.m.Wants, resp: resp})

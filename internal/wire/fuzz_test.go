@@ -49,6 +49,10 @@ func sampleMsgs() []*Msg {
 		}},
 		{Kind: KBarrierArrive, Seq: 13, A: 0, B: 1, Data: []byte{1, 2, 3},
 			Sections: []Section{{Mode: 4}}},
+		// A responder that holds the first diff asked of it but not the
+		// second, another processor's.
+		{Kind: KDiffResp, Seq: 24, Diffs: []DiffRec{
+			{Page: 4, Proc: 1, Index: 2, Diff: diff}, {Page: 4, Proc: 3, Index: 6, NotHeld: true}}},
 	}
 }
 
@@ -163,9 +167,14 @@ func TestDecodeMalformed(t *testing.T) {
 	section := func(present byte, body ...[]byte) []byte {
 		return cat(hdr(KLockGrant, hasSections), uv(1, 0), []byte{present}, cat(body...))
 	}
-	// One diff record (page 4, proc 1, index 2) with the given body.
+	// One diff record (page 4, proc 1, index 2) with the given body; the
+	// processor field's low bit is the not-held bit.
 	diff := func(body ...uint64) []byte {
-		return cat(hdr(KDiffResp, hasDiffs), uv(1, 4, 1, 2), uv(body...))
+		return cat(hdr(KDiffResp, hasDiffs), uv(1, 4, 1<<1, 2), uv(body...))
+	}
+	// The same record marked not held, with the given body.
+	notHeld := func(k Kind, body ...uint64) []byte {
+		return cat(hdr(k, hasDiffs), uv(1, 4, 1<<1|1, 2), uv(body...))
 	}
 
 	cases := []struct {
@@ -221,6 +230,13 @@ func TestDecodeMalformed(t *testing.T) {
 		{"run count one past the bytes", cat(diff(3), make([]byte, 3*minRunBytes-1)), "implausible run count"},
 		{"negative run offset", diff(1, 0x80000000, 0), "negative run offset"},
 		{"negative run length", diff(1, 0, 0x80000000), "truncated payload"},
+		{"diff record processor overflows 32 bits", cat(hdr(KDiffResp, hasDiffs), uv(1, 4, 1<<33, 2, 0)), "overflows its 32-bit field"},
+		// A not-held record has one encoding, the body of no runs, and only
+		// a diff response carries one.
+		{"not-held record carrying a run", notHeld(KDiffResp, 1, 0, 4, 1, 2, 3, 4), "not-held diff record carries a body"},
+		{"not-held record carrying an empty run", notHeld(KDiffResp, 1, 8, 0), "not-held diff record carries a body"},
+		{"not-held record in an update", notHeld(KUpdate, 0), "outside a diff response"},
+		{"not-held record in a lock grant's section", section(hasDiffs, uv(1, 4, 1<<1|1, 2, 0)), "outside a diff response"},
 		// Presence bits: unknown ones, and known ones over nothing.
 		{"unknown flag bits", setBits(grant, 0x40), "unknown presence bits"},
 		{"presence bit over empty intervals", cat(hdr(KLockGrant, hasIntervals), uv(0)), "empty interval run block"},
@@ -477,6 +493,11 @@ func FuzzDecode(f *testing.F) {
 	f.Add((&Msg{Kind: KInval, Seq: 19, Wants: []Want{{Page: 300}}}).EncodeAppend(nil))
 	f.Add((&Msg{Kind: KInval, Seq: 20, Wants: []Want{{Page: 300}, {Page: 301}, {Page: 302}, {Page: 303}}}).EncodeAppend(nil))
 	f.Add([]byte{byte(retiredBatchKind), 2, 0xde, 0xad, 0xbe, 0xef})
+	// Not-held records: alone, and spelled with a body or outside a diff
+	// response, both refused.
+	f.Add((&Msg{Kind: KDiffResp, Seq: 25, Diffs: []DiffRec{{Page: 9, Proc: 2, Index: 40, NotHeld: true}}}).EncodeAppend(nil))
+	f.Add(cat(hdr(KDiffResp, hasDiffs), uv(1, 4, 1<<1|1, 2, 1, 0, 1), []byte{7}))
+	f.Add(cat(hdr(KUpdate, hasDiffs), uv(1, 4, 1<<1|1, 2, 0)))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		m, err := Decode(b)
 		if err != nil {

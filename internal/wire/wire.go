@@ -23,7 +23,8 @@
 //	Intervals   uv r, r runs (below)                       1 <= r, 6r <= bytes left; the clock entries it
 //	                                                       expands to, the enclosing clock's included,
 //	                                                       <= maxIntervalWords (2^24), before they size a slab
-//	Diffs       uv n, n x (uv32 page, proc, index, body)   1 <= n, 4n <= bytes left
+//	Diffs       uv n, n x (uv32 page, uv proc<<1|h,        1 <= n, 4n <= bytes left; proc fits 32 bits;
+//	            uv32 index, body)                          if h: body has no runs, message is a KDiffResp
 //	Wants       uv n, n x (uv32 page, uv proc<<1|s,        1 <= n, 3n <= bytes left; proc fits 32 bits;
 //	            uv32 index, and if s: uv32 span)           1 <= span, index + span <= 2^31 - 1
 //	Data        uv n, data body (below)                    1 <= n <= MaxDataBytes, before n sizes the buffer
@@ -63,7 +64,13 @@
 // a range want: a KDiffResp carries one record per want, in the request's
 // order, and the one that answers a range is the merge of the range's
 // diffs, last writer wins, under the range's first index. No record is
-// empty on another's behalf.
+// empty on another's behalf. A KDiffResp may also say, per want, that its
+// sender does not hold the diff: a responder asked for another
+// processor's diff it has not kept — its copy arrived as a page ship or
+// through a merged range — sets the not-held bit h, which rides the
+// processor field as the span bit does a want's, and sends the body of no
+// runs. A held record costs what it did before the bit, a not-held one has
+// that one encoding, and no other kind carries one.
 //
 // An interval block is a list of write notices, and travels as its maximal
 // runs: stretches of records of one processor, with consecutive indices
@@ -218,11 +225,11 @@ const (
 	// KLockGrant: holder -> requester, with clock, intervals and (LU)
 	// piggybacked diffs. A = lock id.
 	KLockGrant
-	// KDiffReq: requester -> creator, listing wanted (page, interval or
+	// KDiffReq: requester -> responder, listing wanted (page, interval or
 	// interval range) diffs. A = requester; B unused.
 	KDiffReq
 	// KDiffResp: responder -> requester with the diffs, one record per
-	// want, in the request's order.
+	// want, in the request's order, each the diff or a not-held mark.
 	KDiffResp
 	// KPageReq: requester -> page home. A/B = page id, requester.
 	KPageReq
@@ -354,12 +361,15 @@ type IntervalRec struct {
 }
 
 // DiffRec carries one interval's diff for one page — or, answering a range
-// want, the merge of the range's diffs under the range's first index.
+// want, the merge of the range's diffs under the range's first index. In a
+// KDiffResp a record may instead say its sender does not hold the diff
+// (NotHeld): then Diff is ignored on encode and decodes empty.
 type DiffRec struct {
-	Page  mem.PageID
-	Proc  mem.ProcID
-	Index int32
-	Diff  *page.Diff
+	Page    mem.PageID
+	Proc    mem.ProcID
+	Index   int32
+	Diff    *page.Diff
+	NotHeld bool
 }
 
 // Want names the diff a requester needs: that of interval Index of
@@ -722,7 +732,10 @@ func (m *Msg) growHint() int {
 func payloadHint(ivs []IntervalRec, diffs []DiffRec) int {
 	n := 8 * len(ivs) // a record in a run: a mask, the entries that moved, a page or two
 	for _, d := range diffs {
-		n += 8 + d.Diff.WireBodySize()
+		n += 8
+		if !d.NotHeld {
+			n += d.Diff.WireBodySize()
+		}
 	}
 	return n
 }
@@ -822,9 +835,19 @@ func appendPayload(buf []byte, present byte, clock vc.VC, ivs []IntervalRec, dif
 		buf = putLen(buf, len(diffs))
 		for _, d := range diffs {
 			buf = put32(buf, int32(d.Page))
-			buf = put32(buf, int32(d.Proc))
+			// The not-held bit rides the processor field, as a want's span
+			// bit does.
+			proc := uint64(uint32(d.Proc)) << 1
+			if d.NotHeld {
+				proc |= 1
+			}
+			buf = binary.AppendUvarint(buf, proc)
 			buf = put32(buf, d.Index)
-			buf = d.Diff.AppendWireBody(buf)
+			if d.NotHeld {
+				buf = append(buf, 0) // the body of no runs
+			} else {
+				buf = d.Diff.AppendWireBody(buf)
+			}
 		}
 	}
 	return buf
@@ -1003,6 +1026,9 @@ type decoder struct {
 	err error
 	// kept is the decoded message's kept storage.
 	kept *kept
+	// notHeldOK says a diff record may carry the not-held bit: the block
+	// is a KDiffResp's own.
+	notHeldOK bool
 }
 
 func (d *decoder) fail(format string, args ...any) {
@@ -1171,7 +1197,7 @@ func (m *Msg) decode(b []byte) error {
 	if present&^msgPresence != 0 {
 		return fmt.Errorf("wire: unknown presence bits %#x", present)
 	}
-	d := &decoder{b: b, off: 2, kept: m.kept}
+	d := &decoder{b: b, off: 2, kept: m.kept, notHeldOK: m.Kind == KDiffResp}
 	m.Seq = d.uvarint()
 	m.A = d.i32()
 	m.B = d.i32()
@@ -1190,6 +1216,7 @@ func (m *Msg) decode(b []byte) error {
 		m.Data = d.data()
 	}
 	if present&hasSections != 0 {
+		d.notHeldOK = false
 		if n := d.countItems("section", minSectionBytes); n == 1 {
 			m.Sections = m.kept.sec[:1]
 		} else {
@@ -1237,6 +1264,19 @@ func (d *decoder) want() Want {
 		}
 	}
 	return w
+}
+
+// diffProc decodes a diff record's processor field: the processor, shifted
+// left past the not-held bit, which only a KDiffResp's own records may set.
+func (d *decoder) diffProc() uint64 {
+	proc := d.uvarint()
+	if proc>>1 > math.MaxUint32 {
+		d.fail("diff record processor %d overflows its 32-bit field", proc>>1)
+	}
+	if proc&1 != 0 && !d.notHeldOK {
+		d.fail("not-held diff record outside a diff response")
+	}
+	return proc
 }
 
 // payload decodes the consistency blocks present announces (the inverse of
@@ -1494,8 +1534,13 @@ func (d *decoder) diffList() []DiffRec {
 	start := d.off
 	nruns := 0
 	for i := 0; i < ndiffs && d.err == nil; i++ {
-		d.skip(3) // page, proc, index
+		d.skip(1) // page
+		notHeld := d.diffProc()&1 != 0
+		d.skip(1) // index
 		rn := d.countItems("run", minRunBytes)
+		if notHeld && rn > 0 && d.err == nil {
+			d.fail("not-held diff record carries a body of %d runs", rn)
+		}
 		for k := 0; k < rn && d.err == nil; k++ {
 			if off := d.u32(); off > math.MaxInt32 {
 				// A negative offset would index backwards when the diff is
@@ -1527,7 +1572,8 @@ func (d *decoder) diffList() []DiffRec {
 	for i := range out {
 		rec := &out[i]
 		rec.Page = mem.PageID(d.i32())
-		rec.Proc = mem.ProcID(d.i32())
+		proc := d.diffProc()
+		rec.Proc, rec.NotHeld = mem.ProcID(uint32(proc>>1)), proc&1 != 0
 		rec.Index = d.i32()
 		body := d.off
 		rn := int(d.u32())

@@ -200,6 +200,25 @@ func TestDiffsRoundTrip(t *testing.T) {
 	}
 }
 
+// TestNotHeldRoundTrip: a not-held record keeps its mark and its name
+// through the codec, next to a held one, and decodes with an empty diff.
+func TestNotHeldRoundTrip(t *testing.T) {
+	d := mkDiff(t, 64, 4, 5, 20)
+	got := roundTrip(t, &Msg{Kind: KDiffResp, Diffs: []DiffRec{
+		{Page: 5, Proc: 2, Index: 3, Diff: d},
+		{Page: 5, Proc: 1, Index: 9, NotHeld: true},
+	}})
+	if len(got.Diffs) != 2 {
+		t.Fatalf("diffs = %d", len(got.Diffs))
+	}
+	if r := got.Diffs[0]; r.NotHeld || r.Diff.NumRuns() == 0 {
+		t.Errorf("held record decoded as %+v", r)
+	}
+	if r := got.Diffs[1]; !r.NotHeld || r.Page != 5 || r.Proc != 1 || r.Index != 9 || r.Diff.NumRuns() != 0 {
+		t.Errorf("not-held record decoded as %+v", r)
+	}
+}
+
 // TestDecodedDiffsShareSlabsSafely: a diff block's run tables are decoded
 // into per-block slabs, and each run's bytes are a window of the frame,
 // capacity-limited to the run: appending to one must not write into the
@@ -670,6 +689,10 @@ func TestGoldenSizesGate(t *testing.T) {
 			Wants: []Want{{Page: 300, Proc: 2, Index: 650}}}, 12, 12},
 		{"diff response, one 4-byte run", &Msg{Kind: KDiffResp, Seq: 1000,
 			Diffs: []DiffRec{{Page: 300, Proc: 2, Index: 650, Diff: diff}}}, 20, 20},
+		// A responder's "not held" for another processor's diff: the record's
+		// name and the body of no runs, its mark riding the processor field.
+		{"diff response, one not-held record", &Msg{Kind: KDiffResp, Seq: 1000,
+			Diffs: []DiffRec{{Page: 300, Proc: 2, Index: 650, NotHeld: true}}}, 13, 13},
 		// A run of 56 intervals of one processor on one page (what a
 		// splash-water miss asks for): one range want, answered by one
 		// merged record (the row above), next to a want per interval.
