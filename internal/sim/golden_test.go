@@ -125,3 +125,20 @@ func TestReplayMatchesGolden(t *testing.T) {
 		t.Errorf("%d of %d cells differ from %s", bad, len(got), replayGoldenFile)
 	}
 }
+
+// BenchmarkReplay times the paper's model on water's benchmark-shaped
+// trace (4 processors, scale 16, seed 1) under LI at 4 KiB pages: the
+// model a splash run charges to its set-up.
+func BenchmarkReplay(b *testing.B) {
+	tr, err := workload.GenerateCached("water", 4, 16, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := Run(tr, "LI", 4096, proto.Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.N)*float64(len(tr.Events))/b.Elapsed().Seconds(), "events/s")
+}

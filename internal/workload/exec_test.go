@@ -151,6 +151,7 @@ func TestExecuteErrorStopsProcessors(t *testing.T) {
 // shape (4 processors, scale 16, seed 1): the reference a splash run builds
 // before its cluster exists.
 func BenchmarkExecute(b *testing.B) {
+	b.ReportAllocs()
 	var events int
 	for b.Loop() {
 		p, err := New("water", 4, 16, 1)

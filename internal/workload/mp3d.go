@@ -65,17 +65,12 @@ func (w *MP3D) Proc(c Ctx) {
 	rng := rand.New(rand.NewSource(splitRNG(w.Seed, int64(p))))
 
 	perProc := (w.Particles + w.Procs - 1) / w.Procs
-	lo := p * perProc
-	hi := lo + perProc
-	if hi > w.Particles {
-		hi = w.Particles
-	}
+	// A processor past the last particle or cell gets an empty partition.
+	lo := min(p*perProc, w.Particles)
+	hi := min(lo+perProc, w.Particles)
 	cellsPer := (w.Cells + w.Procs - 1) / w.Procs
-	clo := p * cellsPer
-	chi := clo + cellsPer
-	if chi > w.Cells {
-		chi = w.Cells
-	}
+	clo := min(p*cellsPer, w.Cells)
+	chi := min(clo+cellsPer, w.Cells)
 
 	// Partitioned initialization, then the fork barrier.
 	for i := lo; i < hi; i++ {

@@ -32,6 +32,9 @@ func New(name string, procs int, scale float64, seed int64) (Program, error) {
 	case "water":
 		return NewWater(procs, scale, seed), nil
 	case "pthor":
+		if procs < 2 {
+			return nil, fmt.Errorf("workload: pthor needs at least 2 processors (each evaluates elements driven by another's wires), got %d", procs)
+		}
 		return NewPthor(procs, scale, seed), nil
 	case "partition":
 		return NewPartition(procs, scale, seed), nil

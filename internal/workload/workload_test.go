@@ -314,3 +314,34 @@ func TestSplitRNGIsStable(t *testing.T) {
 		t.Error("splitRNG collides on adjacent lanes")
 	}
 }
+
+// TestEveryShapeRunsOrIsRefused: every workload at every processor count
+// and scale either is refused by New with an error or runs through Execute
+// without a panic — a one-processor pthor once asked Intn for another
+// processor out of none, and a 64-processor mp3d at a small scale handed a
+// processor past the last particle a negative partition.
+func TestEveryShapeRunsOrIsRefused(t *testing.T) {
+	for _, name := range Names {
+		for _, procs := range []int{1, 2, 3, 5, 16, 64} {
+			for _, scale := range []float64{0.01, 0.05, 1} {
+				p, err := New(name, procs, scale, 1)
+				if err != nil {
+					if name != "pthor" || procs != 1 {
+						t.Errorf("%s p%d scale %g refused: %v", name, procs, scale, err)
+					}
+					continue
+				}
+				func() {
+					defer func() {
+						if r := recover(); r != nil {
+							t.Errorf("%s p%d scale %g panics: %v", name, procs, scale, r)
+						}
+					}()
+					if _, err := Execute(p); err != nil {
+						t.Errorf("%s p%d scale %g: %v", name, procs, scale, err)
+					}
+				}()
+			}
+		}
+	}
+}
