@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 
 	"repro/internal/mem"
 	"repro/internal/page"
@@ -41,11 +43,31 @@ const (
 
 // procState is one processor's view in the lazy engine.
 type procState struct {
-	v       vc.VC
-	cur     map[mem.PageID]*page.RangeSet // current interval's modifications
+	v vc.VC
+	// snap is a copy of v as some page's applied clock last took it. It
+	// is shared, like every applied clock, and so never written.
+	snap vc.VC
+	// cur lists the current interval's modifications in first-write
+	// order; curAt[pg] is 1 + pg's position in it, 0 if it has none.
+	cur     []curMods
+	curAt   []int32
 	status  []pstatus
 	applied []vc.VC // per page; nil means the zero clock (nothing applied)
 }
+
+// curMods is what the current interval modified on one page.
+type curMods struct {
+	pg   mem.PageID
+	mods *page.RangeSet
+}
+
+// slabLen is how many range sets, or range-set pointers, the engine
+// allocates at once for the interval records the log keeps; setRuns is
+// how many runs each of those range sets has room for before it grows.
+const (
+	slabLen = 1 << 10
+	setRuns = 1
+)
 
 // Engine is the trace-driven simulation engine for the lazy protocols LI
 // and LU. It maintains full protocol state — interval log, per-processor
@@ -63,6 +85,19 @@ type Engine struct {
 	locks   map[mem.LockID]mem.ProcID // last releaser; absent = never held
 	zero    vc.VC
 	copyset []uint64 // per page: bitmask of processors with a Valid copy
+
+	// Scratch reused across events: the pages an interval or a grant
+	// names, a page's outstanding intervals, and LU's per-responder
+	// totals at an acquire.
+	pages     []mem.PageID
+	out       []IntervalID
+	respBytes []int
+	respDiffs []int
+	// Slabs the log's interval records take their range sets and
+	// range-set lists from: the log keeps both, the simulator's never
+	// sweeps.
+	sets    []page.RangeSet
+	setPtrs []*page.RangeSet
 }
 
 // NewEngine constructs a lazy engine for n processors over the given
@@ -81,12 +116,15 @@ func NewEngine(layout *mem.Layout, n int, flavor Flavor, opts proto.Options) *En
 		locks:   make(map[mem.LockID]mem.ProcID),
 		zero:    vc.New(n),
 		copyset: make([]uint64, layout.NumPages()),
+
+		respBytes: make([]int, n),
+		respDiffs: make([]int, n),
 	}
 	e.stats.Protocol = flavor.String()
 	for i := range e.procs {
 		e.procs[i] = procState{
 			v:       vc.New(n),
-			cur:     make(map[mem.PageID]*page.RangeSet),
+			curAt:   make([]int32, layout.NumPages()),
 			status:  make([]pstatus, layout.NumPages()),
 			applied: make([]vc.VC, layout.NumPages()),
 		}
@@ -120,11 +158,52 @@ func (e *Engine) appliedOf(ps *procState, pg mem.PageID) vc.VC {
 	return e.zero
 }
 
+// snapshot returns an applied clock equal to ps.v: the one it handed out
+// last if ps.v has not moved since, else a new copy.
+func (e *Engine) snapshot(ps *procState) vc.VC {
+	if !slices.Equal(ps.snap, ps.v) {
+		ps.snap = ps.v.Clone()
+	}
+	return ps.snap
+}
+
+// newRangeSet returns an empty range set from the engine's slab.
+func (e *Engine) newRangeSet() *page.RangeSet {
+	if len(e.sets) == 0 {
+		e.sets = make([]page.RangeSet, slabLen)
+		runs := make([]page.Run, slabLen*setRuns)
+		for i := range e.sets {
+			e.sets[i] = page.RangeSetIn(runs[i*setRuns : i*setRuns : (i+1)*setRuns])
+		}
+	}
+	s := &e.sets[0]
+	e.sets = e.sets[1:]
+	return s
+}
+
+// newSetList returns a list of k range-set pointers from the engine's
+// slab, capped at k.
+func (e *Engine) newSetList(k int) []*page.RangeSet {
+	if k > slabLen {
+		return make([]*page.RangeSet, k)
+	}
+	if len(e.setPtrs) < k {
+		e.setPtrs = make([]*page.RangeSet, slabLen)
+	}
+	l := e.setPtrs[:k:k]
+	e.setPtrs = e.setPtrs[k:]
+	return l
+}
+
 // Read implements proto.Protocol.
 func (e *Engine) Read(p mem.ProcID, addr mem.Addr, size int) {
 	e.stats.Reads++
+	if size <= 0 {
+		return
+	}
 	ps := &e.procs[p]
-	for _, pg := range e.layout.PagesOf(addr, size) {
+	last := e.layout.PageOf(addr + mem.Addr(size) - 1)
+	for pg := e.layout.PageOf(addr); pg <= last; pg++ {
 		if ps.status[pg] != psValid {
 			e.miss(p, ps, pg)
 		}
@@ -142,12 +221,13 @@ func (e *Engine) Write(p mem.ProcID, addr mem.Addr, size int) {
 		if e.opts.ExclusiveWriter {
 			e.evictOtherCopies(p, pg)
 		}
-		mods := ps.cur[pg]
-		if mods == nil {
-			mods = &page.RangeSet{}
-			ps.cur[pg] = mods
+		at := ps.curAt[pg]
+		if at == 0 {
+			ps.cur = append(ps.cur, curMods{pg: pg, mods: e.newRangeSet()})
+			at = int32(len(ps.cur))
+			ps.curAt[pg] = at
 		}
-		mods.Add(off, n)
+		ps.cur[at-1].mods.Add(off, n)
 	})
 }
 
@@ -180,7 +260,8 @@ func (e *Engine) miss(p mem.ProcID, ps *procState, pg mem.PageID) {
 	if cold {
 		e.stats.ColdMisses++
 	}
-	out := e.log.Outstanding(nil, pg, e.appliedOf(ps, pg), ps.v, p)
+	out := e.log.Outstanding(e.out[:0], pg, e.appliedOf(ps, pg), ps.v, p)
+	e.out = out
 	if len(out) == 0 {
 		// No modifications to collect. A retained invalid copy can simply
 		// be revalidated; a cold page is fetched whole from its manager
@@ -215,7 +296,7 @@ func (e *Engine) miss(p mem.ProcID, ps *procState, pg mem.PageID) {
 		}
 	}
 	ps.status[pg] = psValid
-	ps.applied[pg] = ps.v.Clone()
+	ps.applied[pg] = e.snapshot(ps)
 	e.copyset[pg] |= 1 << uint(p)
 }
 
@@ -229,19 +310,19 @@ func (e *Engine) closeInterval(p mem.ProcID) {
 	if len(ps.cur) == 0 {
 		return
 	}
-	pages := make([]mem.PageID, 0, len(ps.cur))
-	for pg := range ps.cur {
-		pages = append(pages, pg)
+	slices.SortFunc(ps.cur, func(a, b curMods) int { return cmp.Compare(a.pg, b.pg) })
+	pages := e.pages[:0]
+	mods := e.newSetList(len(ps.cur))
+	for i, c := range ps.cur {
+		pages = append(pages, c.pg)
+		mods[i] = c.mods
+		ps.curAt[c.pg] = 0
 	}
-	sort.Slice(pages, func(i, j int) bool { return pages[i] < pages[j] })
-	mods := make([]*page.RangeSet, len(pages))
-	for i, pg := range pages {
-		mods[i] = ps.cur[pg]
-	}
+	ps.cur = ps.cur[:0]
 	idx := ps.v.Tick(int(p))
 	e.log.Append(Interval{ID: IntervalID{Proc: p, Index: idx}, VC: ps.v, Pages: pages, Mods: mods})
+	e.pages = pages
 	e.stats.IntervalsCreated++
-	ps.cur = make(map[mem.PageID]*page.RangeSet)
 }
 
 // Acquire implements proto.Protocol: the lock is located through its
@@ -275,17 +356,13 @@ func (e *Engine) Acquire(p mem.ProcID, l mem.LockID) {
 	}
 	qs := &e.procs[q]
 	// Write notices the acquirer lacks, piggybacked on the grant.
-	var newPages []mem.PageID
-	seen := make(map[mem.PageID]bool)
+	newPages := e.pages[:0]
 	intervals, notices := e.log.NoticesBetween(ps.v, qs.v, func(iv Interval) {
-		for _, pg := range iv.Pages {
-			if !seen[pg] {
-				seen[pg] = true
-				newPages = append(newPages, pg)
-			}
-		}
+		newPages = append(newPages, iv.Pages...)
 	})
-	sort.Slice(newPages, func(i, j int) bool { return newPages[i] < newPages[j] })
+	slices.Sort(newPages)
+	newPages = slices.Compact(newPages)
+	e.pages = newPages
 	e.stats.WriteNoticesSent += int64(notices)
 	grantBytes := proto.MsgHeaderBytes + proto.LockGrantBytes + proto.VCBytes(e.n)
 	noticeBytes := proto.NoticesBytes(notices, intervals)
@@ -319,20 +396,29 @@ func (e *Engine) Acquire(p mem.ProcID, l mem.LockID) {
 // request/response pair (the 2h term of Table 1). It returns the extra
 // bytes piggybacked on the grant.
 func (e *Engine) updateAtAcquire(p mem.ProcID, ps *procState, releaser mem.ProcID, newPages []mem.PageID) int {
-	// Gather assignments for all cached pages needing updates, grouped by
-	// responder so each responder is contacted once (batched across
-	// pages).
-	type want struct {
-		pg  mem.PageID
-		ids []IntervalID
+	// Total the diffs for all cached pages needing updates by responder,
+	// so each responder is contacted once (batched across pages).
+	var responders uint64 // bitmask of the responders with a total
+	charge := func(r mem.ProcID, pg mem.PageID, ids []IntervalID) {
+		if e.opts.NoDiffs {
+			e.respBytes[r] += e.layout.PageSize()
+			e.stats.PagesSent++
+			e.stats.PageBytes += int64(e.layout.PageSize())
+		} else {
+			b := e.log.CoalescedDiffBytes(pg, ids)
+			e.respBytes[r] += b
+			e.stats.DiffBytes += int64(b)
+		}
+		e.respDiffs[r] += len(ids)
+		responders |= 1 << uint(r)
 	}
-	perResponder := make(map[mem.ProcID][]want)
 	updated := false
 	for _, pg := range newPages {
 		if ps.status[pg] != psValid {
 			continue
 		}
-		out := e.log.Outstanding(nil, pg, e.appliedOf(ps, pg), ps.v, p)
+		out := e.log.Outstanding(e.out[:0], pg, e.appliedOf(ps, pg), ps.v, p)
+		e.out = out
 		if len(out) == 0 {
 			continue
 		}
@@ -344,46 +430,30 @@ func (e *Engine) updateAtAcquire(p mem.ProcID, ps *procState, releaser mem.ProcI
 		// the releaser does not cache need other concurrent last
 		// modifiers contacted (the "other" in Table 1's h).
 		if e.procs[releaser].status[pg] != psNoCopy {
-			perResponder[releaser] = append(perResponder[releaser], want{pg: pg, ids: out})
+			charge(releaser, pg, out)
 		} else {
 			for _, a := range e.log.AssignResponders(out) {
-				perResponder[a.Responder] = append(perResponder[a.Responder], want{pg: pg, ids: a.Intervals})
+				charge(a.Responder, pg, a.Intervals)
 			}
 		}
 		ps.applied[pg] = nil // set below once the snap exists
 		updated = true
 	}
-	piggy := 0
 	if updated {
-		snap := ps.v.Clone()
+		snap := e.snapshot(ps)
 		for _, pg := range newPages {
 			if ps.status[pg] == psValid && ps.applied[pg] == nil {
 				ps.applied[pg] = snap
 			}
 		}
 	}
-	responders := make([]mem.ProcID, 0, len(perResponder))
-	for r := range perResponder {
-		responders = append(responders, r)
-	}
-	sort.Slice(responders, func(i, j int) bool { return responders[i] < responders[j] })
-	for _, r := range responders {
-		bytes := 0
-		nDiffs := 0
-		for _, w := range perResponder[r] {
-			if e.opts.NoDiffs {
-				bytes += e.layout.PageSize()
-				e.stats.PagesSent++
-				e.stats.PageBytes += int64(e.layout.PageSize())
-			} else {
-				b := e.log.CoalescedDiffBytes(w.pg, w.ids)
-				bytes += b
-				e.stats.DiffBytes += int64(b)
-			}
-			nDiffs += len(w.ids)
-		}
-		e.stats.DiffsSent += int64(nDiffs)
-		if r == releaser {
+	piggy := 0
+	for ; responders != 0; responders &= responders - 1 {
+		r := bits.TrailingZeros64(responders)
+		bytes := e.respBytes[r]
+		e.stats.DiffsSent += int64(e.respDiffs[r])
+		e.respBytes[r], e.respDiffs[r] = 0, 0
+		if mem.ProcID(r) == releaser {
 			piggy += bytes // rides the grant message
 			continue
 		}
@@ -477,7 +547,7 @@ func (e *Engine) Barrier(arrivals []mem.ProcID, b mem.BarrierID) {
 	for pg := range episodePages {
 		pages = append(pages, pg)
 	}
-	sort.Slice(pages, func(i, j int) bool { return pages[i] < pages[j] })
+	slices.Sort(pages)
 
 	switch e.flavor {
 	case Invalidate:
@@ -514,16 +584,22 @@ func (e *Engine) updateAtBarrier(pages []mem.PageID, mergedV vc.VC) {
 			if qp.status[pg] != psValid {
 				continue
 			}
-			out := e.log.Outstanding(nil, pg, e.appliedOf(qp, pg), qp.v, mem.ProcID(q))
+			out := e.log.Outstanding(e.out[:0], pg, e.appliedOf(qp, pg), qp.v, mem.ProcID(q))
+			e.out = out
 			if len(out) == 0 {
 				continue
 			}
-			// Each modifier pushes its own episode diffs for this page.
-			byCreator := make(map[mem.ProcID][]IntervalID)
-			for _, id := range out {
-				byCreator[id.Proc] = append(byCreator[id.Proc], id)
-			}
-			for c, ids := range byCreator {
+			// Each modifier pushes its own episode diffs for this page:
+			// out's run of its intervals (Outstanding groups them by
+			// creator).
+			for len(out) > 0 {
+				c := out[0].Proc
+				k := 1
+				for k < len(out) && out[k].Proc == c {
+					k++
+				}
+				ids := out[:k]
+				out = out[k:]
 				sent[c][q] = true
 				if e.opts.NoDiffs {
 					payload[c][q] += e.layout.PageSize()

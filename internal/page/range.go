@@ -31,6 +31,11 @@ type RangeSet struct {
 	runs []Run
 }
 
+// RangeSetIn returns an empty set that keeps its first cap(buf) runs in
+// buf's array, so a caller that makes many small sets can allocate their
+// runs together. Past that the set grows like any slice.
+func RangeSetIn(buf []Run) RangeSet { return RangeSet{runs: buf[:0]} }
+
 // Add inserts the range [off, off+n) into the set, coalescing with any
 // overlapping or adjacent runs. Adding an empty or negative range is a
 // no-op.

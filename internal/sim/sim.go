@@ -49,7 +49,8 @@ func NewProtocol(name string, layout *mem.Layout, n int, opts proto.Options) (pr
 // Replay feeds every event of t to p in order, buffering barrier arrivals
 // into complete episodes. The trace must be valid (trace.Validate).
 func Replay(t *trace.Trace, p proto.Protocol) error {
-	pending := make(map[int32][]mem.ProcID)
+	pending := make([][]mem.ProcID, t.NumBarriers) // arrivals so far, by barrier
+	open := 0                                      // barriers with arrivals
 	for i, e := range t.Events {
 		switch e.Kind {
 		case trace.Read:
@@ -66,19 +67,25 @@ func Replay(t *trace.Trace, p proto.Protocol) error {
 		case trace.Release:
 			p.Release(e.Proc, mem.LockID(e.Sync))
 		case trace.Barrier:
+			if e.Sync < 0 || int(e.Sync) >= t.NumBarriers {
+				return fmt.Errorf("sim: event %d: barrier %d out of range [0,%d)", i, e.Sync, t.NumBarriers)
+			}
 			arr := append(pending[e.Sync], e.Proc)
+			if len(arr) == 1 {
+				open++
+			}
 			if len(arr) == t.NumProcs {
 				p.Barrier(arr, mem.BarrierID(e.Sync))
-				delete(pending, e.Sync)
-			} else {
-				pending[e.Sync] = arr
+				arr = arr[:0]
+				open--
 			}
+			pending[e.Sync] = arr
 		default:
 			return fmt.Errorf("sim: event %d has invalid kind %d", i, e.Kind)
 		}
 	}
-	if len(pending) != 0 {
-		return fmt.Errorf("sim: trace ended with %d incomplete barrier episodes", len(pending))
+	if open != 0 {
+		return fmt.Errorf("sim: trace ended with %d incomplete barrier episodes", open)
 	}
 	return nil
 }
