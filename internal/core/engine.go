@@ -86,11 +86,14 @@ type Engine struct {
 	zero    vc.VC
 	copyset []uint64 // per page: bitmask of processors with a Valid copy
 
-	// Scratch reused across events: the pages an interval or a grant
-	// names, a page's outstanding intervals, and LU's per-responder
-	// totals at an acquire.
+	// Scratch reused across events: the pages an interval, a grant or a
+	// barrier episode names, a page's outstanding intervals, their
+	// responders and coalesced ranges, and LU's per-responder totals at
+	// an acquire.
 	pages     []mem.PageID
 	out       []IntervalID
+	plan      assignScratch
+	union     page.RangeSet
 	respBytes []int
 	respDiffs []int
 	// Slabs the log's interval records take their range sets and
@@ -277,7 +280,7 @@ func (e *Engine) miss(p mem.ProcID, ps *procState, pg mem.PageID) {
 			}
 		}
 	} else {
-		for _, a := range e.log.AssignResponders(out) {
+		for _, a := range e.log.assign(&e.plan, out) {
 			e.stats.Msg(proto.CatMiss, proto.MsgHeaderBytes+proto.DiffReqBytes+proto.VCBytes(e.n))
 			var respBytes int
 			if e.opts.NoDiffs {
@@ -285,7 +288,7 @@ func (e *Engine) miss(p mem.ProcID, ps *procState, pg mem.PageID) {
 				e.stats.PagesSent++
 				e.stats.PageBytes += int64(e.layout.PageSize())
 			} else {
-				respBytes = e.log.CoalescedDiffBytes(pg, a.Intervals)
+				respBytes = e.log.coalescedDiffBytes(&e.union, pg, a.Intervals)
 				e.stats.DiffsSent += int64(len(a.Intervals))
 				e.stats.DiffBytes += int64(respBytes)
 			}
@@ -405,7 +408,7 @@ func (e *Engine) updateAtAcquire(p mem.ProcID, ps *procState, releaser mem.ProcI
 			e.stats.PagesSent++
 			e.stats.PageBytes += int64(e.layout.PageSize())
 		} else {
-			b := e.log.CoalescedDiffBytes(pg, ids)
+			b := e.log.coalescedDiffBytes(&e.union, pg, ids)
 			e.respBytes[r] += b
 			e.stats.DiffBytes += int64(b)
 		}
@@ -432,7 +435,7 @@ func (e *Engine) updateAtAcquire(p mem.ProcID, ps *procState, releaser mem.ProcI
 		if e.procs[releaser].status[pg] != psNoCopy {
 			charge(releaser, pg, out)
 		} else {
-			for _, a := range e.log.AssignResponders(out) {
+			for _, a := range e.log.assign(&e.plan, out) {
 				charge(a.Responder, pg, a.Intervals)
 			}
 		}
@@ -534,20 +537,13 @@ func (e *Engine) Barrier(arrivals []mem.ProcID, b mem.BarrierID) {
 			}
 		}
 	}
-	episodePages := make(map[mem.PageID][]mem.ProcID) // page -> modifier procs (episode-new)
+	pages := e.pages[:0]
 	e.log.NoticesBetween(minSent, mergedV, func(iv Interval) {
-		for _, pg := range iv.Pages {
-			mods := episodePages[pg]
-			if len(mods) == 0 || mods[len(mods)-1] != iv.ID.Proc {
-				episodePages[pg] = append(mods, iv.ID.Proc)
-			}
-		}
+		pages = append(pages, iv.Pages...)
 	})
-	pages := make([]mem.PageID, 0, len(episodePages))
-	for pg := range episodePages {
-		pages = append(pages, pg)
-	}
 	slices.Sort(pages)
+	pages = slices.Compact(pages)
+	e.pages = pages
 
 	switch e.flavor {
 	case Invalidate:
@@ -606,7 +602,7 @@ func (e *Engine) updateAtBarrier(pages []mem.PageID, mergedV vc.VC) {
 					e.stats.PagesSent++
 					e.stats.PageBytes += int64(e.layout.PageSize())
 				} else {
-					b := e.log.CoalescedDiffBytes(pg, ids)
+					b := e.log.coalescedDiffBytes(&e.union, pg, ids)
 					payload[c][q] += b
 					e.stats.DiffBytes += int64(b)
 				}

@@ -404,23 +404,32 @@ func (l *Log) ModifiersOf(pg mem.PageID) []mem.ProcID {
 // its latest outstanding interval can be maximal (program order), so the
 // candidates are the per-processor maxima; a candidate is then excluded if
 // another candidate's timestamp covers it.
-func (l *Log) Maximal(out []IntervalID) []IntervalID {
+func (l *Log) Maximal(out []IntervalID) []IntervalID { return l.appendMaximal(nil, out) }
+
+// appendMaximal appends Maximal(out), ascending by processor, to dst.
+func (l *Log) appendMaximal(dst, out []IntervalID) []IntervalID {
 	if len(out) == 0 {
-		return nil
+		return dst
 	}
-	// Per-processor maximum index.
-	lastByProc := make(map[mem.ProcID]int32, 4)
+	var lastBuf [64]int32
+	last := lastBuf[:0]
+	if l.n > len(lastBuf) {
+		last = make([]int32, 0, l.n)
+	}
+	last = last[:l.n]
+	for q := range last {
+		last[q] = -1 // interval indices start at 0
+	}
 	for _, id := range out {
-		if cur, ok := lastByProc[id.Proc]; !ok || id.Index > cur {
-			lastByProc[id.Proc] = id.Index
+		last[id.Proc] = max(last[id.Proc], id.Index)
+	}
+	var candBuf [64]IntervalID
+	cands := candBuf[:0]
+	for q, idx := range last {
+		if idx >= 0 {
+			cands = append(cands, IntervalID{Proc: mem.ProcID(q), Index: idx})
 		}
 	}
-	cands := make([]IntervalID, 0, len(lastByProc))
-	for p, idx := range lastByProc {
-		cands = append(cands, IntervalID{Proc: p, Index: idx})
-	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].Proc < cands[j].Proc })
-	var maximal []IntervalID
 	for _, c := range cands {
 		dominated := false
 		for _, d := range cands {
@@ -433,10 +442,10 @@ func (l *Log) Maximal(out []IntervalID) []IntervalID {
 			}
 		}
 		if !dominated {
-			maximal = append(maximal, c)
+			dst = append(dst, c)
 		}
 	}
-	return maximal
+	return dst
 }
 
 // IndicesOn returns the indices, ascending, of processor q's intervals
@@ -469,34 +478,51 @@ type Assignment struct {
 // so the assignment is total. Responders are returned in ascending
 // processor order and each interval is assigned to exactly one responder.
 func (l *Log) AssignResponders(out []IntervalID) []Assignment {
-	maximal := l.Maximal(out)
-	if len(maximal) == 0 {
+	var s assignScratch
+	return l.assign(&s, out)
+}
+
+// assignScratch is the storage an assignment is built in, which a caller
+// that plans many misses reuses.
+type assignScratch struct {
+	maximal []IntervalID
+	taken   []bool // parallel to the outstanding set
+	ids     []IntervalID
+	asg     []Assignment
+}
+
+// assign is AssignResponders built in s: the result and its interval
+// lists are valid until the next assign with s.
+func (l *Log) assign(s *assignScratch, out []IntervalID) []Assignment {
+	s.maximal = l.appendMaximal(s.maximal[:0], out)
+	if len(s.maximal) == 0 {
 		return nil
 	}
-	assigned := make(map[IntervalID]bool, len(out))
-	var result []Assignment
-	for _, m := range maximal {
+	s.taken = slices.Grow(s.taken[:0], len(out))[:len(out)]
+	clear(s.taken)
+	// Every interval lands in one assignment, so ids never outgrows this
+	// capacity and each assignment's list is a window of it.
+	s.ids = slices.Grow(s.ids[:0], len(out))
+	s.asg = s.asg[:0]
+	for _, m := range s.maximal {
 		mvc := l.Get(m).VC
-		a := Assignment{Responder: m.Proc}
-		for _, id := range out {
-			if assigned[id] {
-				continue
-			}
-			if id == m || mvc.Covers(int(id.Proc), id.Index) {
-				a.Intervals = append(a.Intervals, id)
-				assigned[id] = true
+		first := len(s.ids)
+		for i, id := range out {
+			if !s.taken[i] && (id == m || mvc.Covers(int(id.Proc), id.Index)) {
+				s.ids = append(s.ids, id)
+				s.taken[i] = true
 			}
 		}
-		if len(a.Intervals) > 0 {
-			result = append(result, a)
+		if len(s.ids) > first {
+			s.asg = append(s.asg, Assignment{Responder: m.Proc, Intervals: s.ids[first:len(s.ids):len(s.ids)]})
 		}
 	}
-	if len(assigned) != len(out) {
+	if len(s.ids) != len(out) {
 		// Cannot happen: every outstanding interval is dominated by some
 		// maximal candidate (see Maximal).
 		panic("core: responder assignment left intervals uncovered")
 	}
-	return result
+	return s.asg
 }
 
 // CoalescedDiffBytes returns the wire size of the diffs a responder sends
@@ -506,6 +532,13 @@ func (l *Log) AssignResponders(out []IntervalID) []Assignment {
 // size.
 func (l *Log) CoalescedDiffBytes(pg mem.PageID, ids []IntervalID) int {
 	var union page.RangeSet
+	return l.coalescedDiffBytes(&union, pg, ids)
+}
+
+// coalescedDiffBytes is CoalescedDiffBytes building the union in union,
+// which it clears first.
+func (l *Log) coalescedDiffBytes(union *page.RangeSet, pg mem.PageID, ids []IntervalID) int {
+	union.Clear()
 	found := false
 	for _, id := range ids {
 		if mods := l.Get(id).ModsFor(pg); mods != nil {
@@ -516,5 +549,5 @@ func (l *Log) CoalescedDiffBytes(pg mem.PageID, ids []IntervalID) int {
 	if !found {
 		return 0
 	}
-	return page.EstimateDiffWireSize(&union)
+	return page.EstimateDiffWireSize(union)
 }

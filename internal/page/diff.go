@@ -483,14 +483,22 @@ func checkRuns(runs []Run, data [][]byte) error {
 // MakeDiff would. The trace-driven simulator uses this to account bytes
 // without materializing page contents.
 func EstimateDiffWireSize(mods *RangeSet) int {
-	if mods.Empty() {
-		return DiffHeaderBytes
-	}
-	var dilated RangeSet
+	// The dilated runs start in the order the runs do, so each either
+	// joins the one before it (overlapping or adjacent, as RangeSet.Add
+	// coalesces) or starts a run of its own.
+	runs, bytes := 0, 0
+	var lo, hi int // the dilated run being built
 	for _, r := range mods.Runs() {
 		start := int(r.Off) &^ (WordSize - 1)
 		end := (int(r.End()) + WordSize - 1) &^ (WordSize - 1)
-		dilated.Add(start, end-start)
+		if runs > 0 && start <= hi {
+			hi = max(hi, end)
+			continue
+		}
+		bytes += hi - lo
+		lo, hi = start, end
+		runs++
 	}
-	return DiffHeaderBytes + dilated.NumRuns()*RunHeaderBytes + dilated.Bytes()
+	bytes += hi - lo
+	return DiffHeaderBytes + runs*RunHeaderBytes + bytes
 }
