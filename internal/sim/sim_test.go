@@ -96,6 +96,12 @@ func TestReplayIncompleteBarrier(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "incomplete barrier") {
 		t.Fatalf("incomplete barrier not reported: %v", err)
 	}
+	tr = microTrace()
+	tr.Events[1].Sync = 1 // the trace declares one barrier
+	p, _ = NewProtocol("LI", layout, 4, proto.Options{})
+	if err := Replay(tr, p); err == nil || !strings.Contains(err.Error(), "barrier 1 out of range") {
+		t.Fatalf("undeclared barrier not reported: %v", err)
+	}
 }
 
 func TestRunRejectsBadPageSize(t *testing.T) {

@@ -119,8 +119,24 @@ func (s *strayRelease) Proc(ctx Ctx) {
 	ctx.Barrier(0)
 }
 
+// strayLock is a program in which p1 takes a lock its Config does not
+// declare.
+type strayLock struct{ procs int }
+
+func (s *strayLock) Name() string { return "straylock" }
+func (s *strayLock) Config() Config {
+	return Config{NumProcs: s.procs, SpaceSize: 4096, NumLocks: 1, NumBarriers: 1}
+}
+func (s *strayLock) Proc(ctx Ctx) {
+	if ctx.Proc() == 1 {
+		ctx.Acquire(1)
+	}
+	ctx.Barrier(0)
+}
+
 // TestExecuteErrorStopsProcessors: an Execute that fails — on a deadlock,
-// on a release of a lock nobody holds, on an access outside the space —
+// on a release of a lock nobody holds, on a lock the program does not
+// declare, on an access outside the space —
 // leaves none of its processors behind, each of which used to stay blocked
 // for the life of the process.
 func TestExecuteErrorStopsProcessors(t *testing.T) {
@@ -132,6 +148,7 @@ func TestExecuteErrorStopsProcessors(t *testing.T) {
 	}{
 		{&deadlocked{procs: procs}, "deadlock"},
 		{&strayRelease{procs: procs}, "does not hold"},
+		{&strayLock{procs: procs}, "lock 1 outside [0,1)"},
 		{&outOfRange{procs: procs}, "outside space"},
 	} {
 		if _, err := Execute(tc.p); err == nil || !strings.Contains(err.Error(), tc.want) {
