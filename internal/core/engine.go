@@ -87,15 +87,12 @@ type Engine struct {
 	copyset []uint64 // per page: bitmask of processors with a Valid copy
 
 	// Scratch reused across events: the pages an interval, a grant or a
-	// barrier episode names, a page's outstanding intervals, their
-	// responders and coalesced ranges, and LU's per-responder totals at
-	// an acquire.
-	pages     []mem.PageID
-	out       []IntervalID
-	plan      assignScratch
-	union     page.RangeSet
-	respBytes []int
-	respDiffs []int
+	// barrier episode names, a page's outstanding intervals, and their
+	// responders and coalesced ranges.
+	pages []mem.PageID
+	out   []IntervalID
+	plan  assignScratch
+	union page.RangeSet
 	// Slabs the log's interval records take their range sets and
 	// range-set lists from: the log keeps both, the simulator's never
 	// sweeps.
@@ -119,9 +116,6 @@ func NewEngine(layout *mem.Layout, n int, flavor Flavor, opts proto.Options) *En
 		locks:   make(map[mem.LockID]mem.ProcID),
 		zero:    vc.New(n),
 		copyset: make([]uint64, layout.NumPages()),
-
-		respBytes: make([]int, n),
-		respDiffs: make([]int, n),
 	}
 	e.stats.Protocol = flavor.String()
 	for i := range e.procs {
@@ -401,18 +395,21 @@ func (e *Engine) Acquire(p mem.ProcID, l mem.LockID) {
 func (e *Engine) updateAtAcquire(p mem.ProcID, ps *procState, releaser mem.ProcID, newPages []mem.PageID) int {
 	// Total the diffs for all cached pages needing updates by responder,
 	// so each responder is contacted once (batched across pages).
-	var responders uint64 // bitmask of the responders with a total
+	var (
+		respBytes, respDiffs [64]int
+		responders           uint64 // bitmask of the responders with a total
+	)
 	charge := func(r mem.ProcID, pg mem.PageID, ids []IntervalID) {
 		if e.opts.NoDiffs {
-			e.respBytes[r] += e.layout.PageSize()
+			respBytes[r] += e.layout.PageSize()
 			e.stats.PagesSent++
 			e.stats.PageBytes += int64(e.layout.PageSize())
 		} else {
 			b := e.log.coalescedDiffBytes(&e.union, pg, ids)
-			e.respBytes[r] += b
+			respBytes[r] += b
 			e.stats.DiffBytes += int64(b)
 		}
-		e.respDiffs[r] += len(ids)
+		respDiffs[r] += len(ids)
 		responders |= 1 << uint(r)
 	}
 	updated := false
@@ -453,9 +450,8 @@ func (e *Engine) updateAtAcquire(p mem.ProcID, ps *procState, releaser mem.ProcI
 	piggy := 0
 	for ; responders != 0; responders &= responders - 1 {
 		r := bits.TrailingZeros64(responders)
-		bytes := e.respBytes[r]
-		e.stats.DiffsSent += int64(e.respDiffs[r])
-		e.respBytes[r], e.respDiffs[r] = 0, 0
+		bytes := respBytes[r]
+		e.stats.DiffsSent += int64(respDiffs[r])
 		if mem.ProcID(r) == releaser {
 			piggy += bytes // rides the grant message
 			continue
