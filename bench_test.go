@@ -1,7 +1,6 @@
 package repro_test
 
 import (
-	"fmt"
 	"sync"
 	"testing"
 
@@ -71,35 +70,28 @@ func BenchmarkRuntimeMigratoryCounter(b *testing.B) {
 
 // benchRuntimeWorkload runs one SPLASH workload end to end on the live DSM
 // runtime per iteration — the full life of an execution: node startup,
-// concurrent program body, closing barrier, image read-out — under every
-// protocol engine and node shape (gpn=1: four nodes of one goroutine;
-// gpn=2: two logical processors multiplexed onto each of two nodes;
-// gpn=4: eight logical processors on two oversubscribed nodes — never
-// fewer than two nodes, a single one has no interconnect to measure),
-// reporting interconnect traffic per run.
+// concurrent program body, closing barrier, image read-out — on four
+// nodes under every protocol engine, reporting interconnect traffic per
+// run.
 func benchRuntimeWorkload(b *testing.B, app string) {
 	for _, mode := range dsm.Modes {
-		for _, gpn := range []int{1, 2, 4} {
-			b.Run(fmt.Sprintf("%s/gpn=%d", mode, gpn), func(b *testing.B) {
-				prog, err := workload.New(app, max(4, 2*gpn), 0.05, 42)
+		b.Run(mode.String(), func(b *testing.B) {
+			prog, err := workload.New(app, 4, 0.05, 42)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var res *workload.RuntimeResult
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err = workload.RunOnRuntime(prog, workload.RuntimeConfig{PageSize: 1024, Mode: mode})
 				if err != nil {
 					b.Fatal(err)
 				}
-				var res *workload.RuntimeResult
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					res, err = workload.RunOnRuntime(prog, workload.RuntimeConfig{
-						PageSize: 1024, Mode: mode, GoroutinesPerNode: gpn,
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.StopTimer()
-				b.ReportMetric(float64(res.Net.Messages), "msgs/run")
-				b.ReportMetric(float64(res.Net.Bytes)/1024, "kB/run")
-			})
-		}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(res.Net.Messages), "msgs/run")
+			b.ReportMetric(float64(res.Net.Bytes)/1024, "kB/run")
+		})
 	}
 }
 

@@ -17,17 +17,10 @@
 // -self index, and the process hosting node 0 verifies and prints the
 // result.
 //
-// With -gpn k the logical processors are multiplexed onto procs/k
-// oversubscribed nodes, k concurrent application goroutines each —
-// node-local lock handoffs and two-level barriers replace most of the
-// interconnect traffic, the threads-per-node shape the concurrent node
-// core exists for.
-//
 // Examples:
 //
 //	lrcrun -demo counter -mode LU -procs 8
-//	lrcrun -demo counter -mode LI -procs 8 -gpn 4
-//	lrcrun -app water -mode LI -procs 8 -gpn 2
+//	lrcrun -app water -mode LI -procs 8
 //	lrcrun -demo stencil -procs 4 -gc 2
 //	lrcrun -app locusroute -mode EU -procs 8 -scale 0.25
 //	lrcrun -app mp3d -mode SC
@@ -80,8 +73,7 @@ func run(args []string, out io.Writer) error {
 		app        = fs.String("app", "", "workload to run on the runtime ("+strings.Join(workload.Names, ", ")+") or \"all\"; traffic is printed next to the simulator's for the same trace, whose bytes are the paper's fixed-width accounting — the live codec is compact and may undercut it")
 		mode       = fs.String("mode", "LI", "protocol mode: "+dsm.ModeNames())
 		statsJSON  = fs.Bool("statsjson", false, "emit the run's dsm.Stats (per-kind traffic) as JSON")
-		procs      = fs.Int("procs", 8, "number of logical processors (with -transport tcp, fixed to peer count × -gpn)")
-		gpn        = fs.Int("gpn", 1, "application goroutines per DSM node: gpn > 1 multiplexes the processors onto procs/gpn oversubscribed nodes")
+		procs      = fs.Int("procs", 8, "number of processors, one DSM node each (with -transport tcp, fixed to the peer count)")
 		iters      = fs.Int("iters", 100, "iterations per node (demos)")
 		scale      = fs.Float64("scale", 0.1, "workload scale factor (-app)")
 		seed       = fs.Int64("seed", 42, "workload random seed (-app)")
@@ -102,9 +94,6 @@ func run(args []string, out io.Writer) error {
 	m, err := dsm.ParseMode(*mode)
 	if err != nil {
 		return err
-	}
-	if *gpn < 1 {
-		return fmt.Errorf("-gpn %d must be at least 1", *gpn)
 	}
 
 	procsSet := false
@@ -130,11 +119,10 @@ func run(args []string, out io.Writer) error {
 		if *self < 0 || *self >= len(peerList) {
 			return fmt.Errorf("-self %d outside peer list [0,%d)", *self, len(peerList))
 		}
-		if procsSet && *procs != len(peerList)**gpn {
-			return fmt.Errorf("-procs %d conflicts with the %d-entry peer list at -gpn %d (processor count is peers × gpn)",
-				*procs, len(peerList), *gpn)
+		if procsSet && *procs != len(peerList) {
+			return fmt.Errorf("-procs %d conflicts with the %d-entry peer list", *procs, len(peerList))
 		}
-		*procs = len(peerList) * *gpn
+		*procs = len(peerList)
 	default:
 		return fmt.Errorf("unknown transport %q (supported: simnet, tcp)", *transport)
 	}
@@ -188,7 +176,7 @@ func run(args []string, out io.Writer) error {
 			if ob.plan == nil {
 				return nil, nil
 			}
-			tr = repro.NewSimNetTransport(*procs / *gpn)
+			tr = repro.NewSimNetTransport(*procs)
 		} else {
 			t, err := repro.NewTCPTransport(*self, peerList)
 			if err != nil {
@@ -210,18 +198,18 @@ func run(args []string, out io.Writer) error {
 			return fmt.Errorf("-app all runs one cluster per workload; start each -app separately under -transport tcp")
 		}
 		for _, name := range workload.Names {
-			if err := runWorkload(out, name, *procs, *gpn, *scale, *seed, m, *pageSize, *gc, *statsJSON, ob, mkTransport); err != nil {
+			if err := runWorkload(out, name, *procs, *scale, *seed, m, *pageSize, *gc, *statsJSON, ob, mkTransport); err != nil {
 				return err
 			}
 		}
 		return nil
 	case *app != "":
-		return runWorkload(out, *app, *procs, *gpn, *scale, *seed, m, *pageSize, *gc, *statsJSON, ob, mkTransport)
+		return runWorkload(out, *app, *procs, *scale, *seed, m, *pageSize, *gc, *statsJSON, ob, mkTransport)
 	default:
 		if *demo == "" {
 			*demo = "counter"
 		}
-		return runDemo(out, *demo, m, *procs, *gpn, *iters, *pageSize, *gc, *statsJSON, ob, mkTransport)
+		return runDemo(out, *demo, m, *procs, *iters, *pageSize, *gc, *statsJSON, ob, mkTransport)
 	}
 }
 
@@ -337,13 +325,9 @@ func parsePeers(s string) ([]string, error) {
 // runWorkload executes a SPLASH workload on the live runtime, verifies its
 // final memory image against the lockstep reference, and reports the
 // interconnect totals next to the simulator's counts for the same trace.
-// With gpn > 1 the program's processors are multiplexed onto procs/gpn
-// oversubscribed nodes. Under TCP only the process hosting node 0 holds
-// the image; the others report their own traffic.
-func runWorkload(out io.Writer, name string, procs, gpn int, scale float64, seed int64, m dsm.Mode, pageSize, gc int, statsJSON bool, ob *obsCfg, mkTransport func() (repro.Transport, error)) error {
-	if procs%gpn != 0 {
-		return fmt.Errorf("-gpn %d does not divide -procs %d", gpn, procs)
-	}
+// Under TCP only the process hosting node 0 holds the image; the others
+// report their own traffic.
+func runWorkload(out io.Writer, name string, procs int, scale float64, seed int64, m dsm.Mode, pageSize, gc int, statsJSON bool, ob *obsCfg, mkTransport func() (repro.Transport, error)) error {
 	prog, err := workload.New(name, procs, scale, seed)
 	if err != nil {
 		return err
@@ -353,7 +337,7 @@ func runWorkload(out io.Writer, name string, procs, gpn int, scale float64, seed
 		return err
 	}
 	rc := workload.RuntimeConfig{
-		PageSize: pageSize, Mode: m, GCEveryBarriers: gc, GoroutinesPerNode: gpn,
+		PageSize: pageSize, Mode: m, GCEveryBarriers: gc,
 		RPCTimeout: ob.rpcTimeout, Metrics: ob.registry, Tracer: ob.tracer,
 		OnSystems: ob.onSystems,
 	}
@@ -366,7 +350,7 @@ func runWorkload(out io.Writer, name string, procs, gpn int, scale float64, seed
 	}
 	report := statsReport{
 		Program: name, Mode: m.String(),
-		Procs: procs, Nodes: procs / gpn, Net: res.Net, Node: res.Nodes,
+		Procs: procs, Nodes: procs, Net: res.Net, Node: res.Nodes,
 	}
 
 	if res.Image == nil {
@@ -389,7 +373,7 @@ func runWorkload(out io.Writer, name string, procs, gpn int, scale float64, seed
 		return err
 	}
 	c := ref.Trace.Count()
-	fmt.Fprintf(out, "== %s: %d procs on %d nodes, scale %g, mode %s, page %d ==\n", name, procs, procs/gpn, scale, m, pageSize)
+	fmt.Fprintf(out, "== %s: %d procs, scale %g, mode %s, page %d ==\n", name, procs, scale, m, pageSize)
 	fmt.Fprintf(out, "trace: %d events (%d reads, %d writes, %d acquires, %d barrier arrivals)\n",
 		len(ref.Trace.Events), c.Reads, c.Writes, c.Acquires, c.BarrierArrivals)
 	diverged := !bytes.Equal(res.Image, ref.Image)
@@ -453,8 +437,8 @@ func runWorkload(out io.Writer, name string, procs, gpn int, scale float64, seed
 	return nil
 }
 
-func runDemo(out io.Writer, demo string, m dsm.Mode, procs, gpn, iters, pageSize, gc int, statsJSON bool, ob *obsCfg, mkTransport func() (repro.Transport, error)) error {
-	var body func(out io.Writer, d *repro.DSM, gpn, iters int) error
+func runDemo(out io.Writer, demo string, m dsm.Mode, procs, iters, pageSize, gc int, statsJSON bool, ob *obsCfg, mkTransport func() (repro.Transport, error)) error {
+	var body func(out io.Writer, d *repro.DSM, iters int) error
 	switch demo {
 	case "counter":
 		body = runCounter
@@ -465,25 +449,21 @@ func runDemo(out io.Writer, demo string, m dsm.Mode, procs, gpn, iters, pageSize
 	default:
 		return fmt.Errorf("unknown demo %q", demo)
 	}
-	if procs%gpn != 0 {
-		return fmt.Errorf("-gpn %d does not divide -procs %d", gpn, procs)
-	}
 	const spaceSize = 1 << 20
 	tr, err := mkTransport()
 	if err != nil {
 		return err
 	}
 	d, err := repro.NewDSM(repro.DSMConfig{
-		Procs:             procs / gpn,
-		SpaceSize:         spaceSize,
-		PageSize:          pageSize,
-		Mode:              m,
-		GCEveryBarriers:   gc,
-		GoroutinesPerNode: gpn,
-		RPCTimeout:        ob.rpcTimeout,
-		Metrics:           ob.registry,
-		Tracer:            ob.tracer,
-		Transport:         tr,
+		Procs:           procs,
+		SpaceSize:       spaceSize,
+		PageSize:        pageSize,
+		Mode:            m,
+		GCEveryBarriers: gc,
+		RPCTimeout:      ob.rpcTimeout,
+		Metrics:         ob.registry,
+		Tracer:          ob.tracer,
+		Transport:       tr,
 	})
 	if err != nil {
 		return err
@@ -491,15 +471,15 @@ func runDemo(out io.Writer, demo string, m dsm.Mode, procs, gpn, iters, pageSize
 	defer d.Close()
 	ob.onSystems([]*dsm.System{d})
 
-	if err := body(out, d, gpn, iters); err != nil {
+	if err := body(out, d, iters); err != nil {
 		return err
 	}
 	st := d.NetStats()
-	fmt.Fprintf(out, "demo=%s mode=%s procs=%d nodes=%d gpn=%d iters=%d\n", demo, m, procs, procs/gpn, gpn, iters)
+	fmt.Fprintf(out, "demo=%s mode=%s procs=%d iters=%d\n", demo, m, procs, iters)
 	fmt.Fprintf(out, "interconnect: %d messages, %d bytes\n", st.Messages, st.Bytes)
 	report := statsReport{
 		Program: "demo:" + demo, Mode: m.String(),
-		Procs: procs, Nodes: procs / gpn, Net: st,
+		Procs: procs, Nodes: procs, Net: st,
 	}
 	for _, n := range d.Local() {
 		ns := n.Stats()
@@ -528,14 +508,13 @@ func newDemoSchema(d *repro.DSM) *demoSchema {
 
 // runCounter is the migratory-data pattern of the paper's Figures 3 and 4:
 // every processor repeatedly locks, increments, unlocks one shared
-// counter (with -gpn > 1 several processors share each node and the
-// lock mostly hands off locally).
-func runCounter(out io.Writer, d *repro.DSM, gpn, iters int) error {
+// counter.
+func runCounter(out io.Writer, d *repro.DSM, iters int) error {
 	s := newDemoSchema(d)
 	counter := repro.NewVar[uint64](s.arena)
 	lock := s.arena.NewLock()
-	procs := d.NumProcs() * gpn
-	return parallel(d, gpn, func(n *repro.Node, id int) error {
+	procs := d.NumProcs()
+	return parallel(d, func(n *repro.Node, id int) error {
 		for k := 0; k < iters; k++ {
 			if err := repro.Locked(n, lock, func() error {
 				_, err := counter.Add(n, 1)
@@ -569,16 +548,16 @@ func runCounter(out io.Writer, d *repro.DSM, gpn, iters int) error {
 // runStencil is a barrier-per-step grid relaxation (the barrier-heavy
 // category of §5.3): each node owns a band of a grid, reads its
 // neighbors' boundary rows, and synchronizes with barriers.
-func runStencil(out io.Writer, d *repro.DSM, gpn, iters int) error {
+func runStencil(out io.Writer, d *repro.DSM, iters int) error {
 	const rowBytes = 512
 	s := newDemoSchema(d)
-	procs := d.NumProcs() * gpn
+	procs := d.NumProcs()
 	step := s.arena.NewBarrier()
 	// One boundary row per processor, padded a band apart like the
 	// original grid layout, so neighbors share pages only at band
-	// boundaries (and, oversubscribed, between co-located processors).
+	// boundaries.
 	rows := repro.NewBytesArray(s.arena, procs, rowBytes, 4*rowBytes)
-	return parallel(d, gpn, func(n *repro.Node, id int) error {
+	return parallel(d, func(n *repro.Node, id int) error {
 		row := make([]byte, rowBytes)
 		for k := 0; k < iters; k++ {
 			// Read the neighbor band's boundary row, then rewrite ours.
@@ -605,14 +584,14 @@ func runStencil(out io.Writer, d *repro.DSM, gpn, iters int) error {
 
 // runQueue is the migratory task-queue pattern of LocusRoute/Cholesky: a
 // lock-protected shared queue head with per-task data updates.
-func runQueue(out io.Writer, d *repro.DSM, gpn, iters int) error {
+func runQueue(out io.Writer, d *repro.DSM, iters int) error {
 	s := newDemoSchema(d)
 	head := repro.NewVar[uint64](s.arena)
 	lock := s.arena.NewLock()
 	s.arena.PageAlign()
-	total := d.NumProcs() * gpn * iters
+	total := d.NumProcs() * iters
 	tasks := repro.NewArray[uint64](s.arena, total)
-	err := parallel(d, gpn, func(n *repro.Node, id int) error {
+	err := parallel(d, func(n *repro.Node, id int) error {
 		for {
 			var task uint64
 			claimed := false
@@ -648,24 +627,19 @@ func runQueue(out io.Writer, d *repro.DSM, gpn, iters int) error {
 	return err
 }
 
-// parallel drives f with gpn concurrent goroutines on every node this
-// process hosts (all nodes over the in-process network, this process's
-// one under TCP). The id handed to f is the cluster-unique processor
-// id: processor p runs on node p mod NumProcs, like the workload
-// runtime's oversubscribed mapping.
-func parallel(d *repro.DSM, gpn int, f func(n *repro.Node, id int) error) error {
+// parallel drives f with one goroutine on every node this process hosts
+// (all nodes over the in-process network, this process's one under TCP),
+// handing it the node's id as the processor id.
+func parallel(d *repro.DSM, f func(n *repro.Node, id int) error) error {
 	local := d.Local()
-	nodes := d.NumProcs()
 	var wg sync.WaitGroup
-	errs := make([]error, len(local)*gpn)
+	errs := make([]error, len(local))
 	for i, n := range local {
-		for g := 0; g < gpn; g++ {
-			wg.Add(1)
-			go func(slot int, n *repro.Node, id int) {
-				defer wg.Done()
-				errs[slot] = f(n, id)
-			}(i*gpn+g, n, int(n.ID())+g*nodes)
-		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = f(n, int(n.ID()))
+		}()
 	}
 	wg.Wait()
 	for _, err := range errs {

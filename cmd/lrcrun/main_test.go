@@ -23,33 +23,6 @@ func TestRunDemoCounter(t *testing.T) {
 	}
 }
 
-func TestRunDemoCounterOversubscribed(t *testing.T) {
-	var out strings.Builder
-	if err := run([]string{"-demo", "counter", "-procs", "4", "-gpn", "2", "-iters", "5", "-mode", "SC"}, &out); err != nil {
-		t.Fatal(err)
-	}
-	got := out.String()
-	for _, want := range []string{"counter reached 20", "nodes=2 gpn=2"} {
-		if !strings.Contains(got, want) {
-			t.Errorf("output missing %q:\n%s", want, got)
-		}
-	}
-}
-
-func TestGPNFlagErrors(t *testing.T) {
-	for _, args := range [][]string{
-		{"-demo", "counter", "-procs", "4", "-gpn", "3"},
-		{"-app", "water", "-procs", "4", "-gpn", "3"},
-		{"-demo", "counter", "-gpn", "0"},
-		{"-transport", "tcp", "-peers", ":0,:0", "-self", "0", "-procs", "5", "-gpn", "2"},
-	} {
-		var out strings.Builder
-		if err := run(args, &out); err == nil {
-			t.Errorf("%v accepted", args)
-		}
-	}
-}
-
 func TestRunDemoQueueLU(t *testing.T) {
 	var out strings.Builder
 	if err := run([]string{"-demo", "queue", "-mode", "LU", "-procs", "2", "-iters", "5"}, &out); err != nil {
@@ -63,8 +36,8 @@ func TestRunDemoQueueLU(t *testing.T) {
 // TestRunWorkloadOnRuntime runs -app on the live runtime, one row per
 // flag it takes: every run must verify its image against the sequential
 // reference, never print DIVERGES, and print the row's lines — the
-// per-node counters, the -mode and -gpn shape, the traffic table of
-// msgs and bytes per critical section.
+// per-node counters, the -mode, the traffic table of msgs and bytes per
+// critical section.
 func TestRunWorkloadOnRuntime(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -75,7 +48,6 @@ func TestRunWorkloadOnRuntime(t *testing.T) {
 		{[]string{"-app", "mp3d", "-mode", "LU"}, []string{"msgs", "wire bytes", "wireB/critsec", "runtime", "simulator"}},
 		{[]string{"-app", "mp3d", "-gc", "2"}, nil},
 		{[]string{"-app", "mp3d", "-mode", "SC"}, []string{"mode SC", "runtime", "simulator", "ownership moves"}},
-		{[]string{"-app", "mp3d", "-gpn", "4", "-mode", "EI"}, []string{"4 procs on 1 nodes"}},
 	} {
 		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {
 			var out strings.Builder
@@ -162,9 +134,9 @@ func TestRunErrors(t *testing.T) {
 	} else if !strings.Contains(err.Error(), "GCEveryBarriers") {
 		t.Errorf("-gc error %v does not name the field", err)
 	}
-	// The pipeline has one configuration and pages one home map: their
-	// former knobs are not flags.
-	for _, flag := range []string{"-nobatch", "-flushmsgs=2", "-flushbytes=2", "-flushdelay=1ms", "-compress=64", "-eagerdiffs", "-placement=block"} {
+	// The pipeline has one configuration, pages one home map and nodes one
+	// application goroutine: their former knobs are not flags.
+	for _, flag := range []string{"-nobatch", "-flushmsgs=2", "-flushbytes=2", "-flushdelay=1ms", "-compress=64", "-eagerdiffs", "-placement=block", "-gpn=1"} {
 		if err := run([]string{flag}, &out); err == nil {
 			t.Errorf("retired flag %s accepted", flag)
 		}

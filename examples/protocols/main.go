@@ -87,37 +87,28 @@ func main() {
 	// --- the same matrix, live ---
 	//
 	// Every protocol engine moves real bytes on the runtime; the final
-	// image must match the lockstep sequential reference. The second
-	// column re-runs each engine oversubscribed: the same eight logical
-	// processors multiplexed onto two nodes, four concurrent goroutines
-	// each — lock handoffs and barrier rendezvous resolve node-locally,
-	// so the interconnect moves far fewer messages for the same program.
+	// image must match the lockstep sequential reference.
 	const procs, scale, seed, pageSize = 8, 0.05, 42, 1024
 	fmt.Println()
-	fmt.Println("== live runtime: all five engines, 1 and 4 goroutines per node ==")
-	fmt.Printf("%-12s %-6s %14s %16s\n", "workload", "mode", "msgs @gpn=1", "msgs @gpn=4")
+	fmt.Println("== live runtime: all five engines ==")
+	fmt.Printf("%-12s %-6s %14s\n", "workload", "mode", "msgs")
 	for _, app := range repro.Workloads {
 		ref, err := repro.ExecuteWorkload(app, procs, scale, seed)
 		if err != nil {
 			log.Fatal(err)
 		}
 		for _, mode := range repro.DSMModes {
-			var msgs [2]int64
-			for i, gpn := range []int{1, 4} {
-				res, err := repro.RunWorkloadOnRuntime(app, procs, scale, seed, repro.RuntimeConfig{
-					PageSize:          pageSize,
-					Mode:              mode,
-					GoroutinesPerNode: gpn,
-				})
-				if err != nil {
-					log.Fatal(err)
-				}
-				if !bytes.Equal(res.Image, ref.Image) {
-					log.Fatalf("%s/%s gpn=%d: runtime image diverges from the sequential reference", app, mode, gpn)
-				}
-				msgs[i] = res.Net.Messages
+			res, err := repro.RunWorkloadOnRuntime(app, procs, scale, seed, repro.RuntimeConfig{
+				PageSize: pageSize,
+				Mode:     mode,
+			})
+			if err != nil {
+				log.Fatal(err)
 			}
-			fmt.Printf("%-12s %-6s %14d %16d\n", app, mode, msgs[0], msgs[1])
+			if !bytes.Equal(res.Image, ref.Image) {
+				log.Fatalf("%s/%s: runtime image diverges from the sequential reference", app, mode)
+			}
+			fmt.Printf("%-12s %-6s %14d\n", app, mode, res.Net.Messages)
 		}
 	}
 }

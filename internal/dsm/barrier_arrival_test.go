@@ -219,12 +219,12 @@ func TestCollectingBarrierMovesOnlyArrivalsAndExits(t *testing.T) {
 // closed under happened-before, so the master must not let its log be
 // seen part-way through a barrier's arrivals. Here node 3 has arrived —
 // with an interval stamped after one of node 2's, which node 2 has not
-// yet delivered — when a straggler goroutine of node 1 asks the master's
-// handler for a lock. Whatever that grant teaches node 1 must be closed:
-// it may name node 3's interval only together with node 2's.
+// yet delivered — when node 1, which has not arrived yet, asks the
+// master's handler for a lock. Whatever that grant teaches node 1 must be
+// closed: it may name node 3's interval only together with node 2's.
 func TestGrantDuringPendingArrivalsStaysClosedRepro(t *testing.T) {
-	const procs, gpn = 4, 2
-	s, err := New(Config{Procs: procs, SpaceSize: 64 * 1024, PageSize: 1024, Mode: LazyInvalidate, GoroutinesPerNode: gpn})
+	const procs = 4
+	s, err := New(Config{Procs: procs, SpaceSize: 64 * 1024, PageSize: 1024, Mode: LazyInvalidate})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,21 +246,19 @@ func TestGrantDuringPendingArrivalsStaysClosedRepro(t *testing.T) {
 	}
 
 	var wg sync.WaitGroup
-	errs := make(chan error, procs*gpn)
-	arriveAll := func(i int) {
-		for g := 0; g < gpn; g++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				if err := s.Node(i).Barrier(0); err != nil {
-					errs <- fmt.Errorf("node %d: %w", i, err)
-				}
-			}()
-		}
+	errs := make(chan error, procs)
+	arrive := func(i int) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := s.Node(i).Barrier(0); err != nil {
+				errs <- fmt.Errorf("node %d: %w", i, err)
+			}
+		}()
 	}
 	// Node 3 arrives; the master has not entered the barrier, so the
 	// arrival waits on its rendezvous channel.
-	arriveAll(3)
+	arrive(3)
 	master := s.Node(0)
 	waitFor(t, "node 3's arrival to reach the master", func() bool { return len(master.barCh) == 1 })
 
@@ -272,7 +270,7 @@ func TestGrantDuringPendingArrivalsStaysClosedRepro(t *testing.T) {
 	checkLogClosed(t, lazyOf(straggler))
 
 	for _, i := range []int{0, 1, 2} {
-		arriveAll(i)
+		arrive(i)
 	}
 	wg.Wait()
 	close(errs)

@@ -10,13 +10,13 @@ import (
 	"repro/internal/transport/tcp"
 )
 
-// Concurrent-access torture tests for the sharded node core: N
-// application goroutines per node hammer disjoint and false-shared
-// pages under every protocol engine, over the in-process network and
-// over loopback TCP, and every read must return what the program's
-// synchronization promises (hb.Check) — run these under -race
-// to sweep the striped page state, the shard queues and the two-level
-// lock/barrier machinery.
+// Concurrent-access torture tests for the sharded node core: many nodes,
+// each driven by its one application goroutine, hammer disjoint and
+// false-shared pages under every protocol engine, over the in-process
+// network and over loopback TCP, and every read must return what the
+// program's synchronization promises (hb.Check) — run these under -race
+// to sweep the striped page state and the shard queues, whose workers
+// serve peers beside each node's application goroutine.
 
 // tortureParams scales the hammering to the test mode.
 func tortureParams(t *testing.T) (iters int) {
@@ -27,48 +27,26 @@ func tortureParams(t *testing.T) (iters int) {
 	return 25
 }
 
-// newSysGPN builds a simnet system with gpn application goroutines per
-// node declared for the barrier rendezvous.
-func newSysGPN(t *testing.T, procs, gpn int, mode Mode) *System {
-	t.Helper()
-	s, err := New(Config{
-		Procs: procs, SpaceSize: 256 * 1024, PageSize: 1024,
-		Mode: mode, GoroutinesPerNode: gpn,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		if err := s.Close(); err != nil {
-			t.Errorf("Close: %v", err)
-		}
-	})
-	return s
-}
-
-// driveSlots runs body once per (node, goroutine) slot across every
-// local node of every system, genuinely concurrently, and fails the
-// test on any error. slot = nodeID*gpn + g is a cluster-unique id.
-func driveSlots(t *testing.T, systems []*System, gpn int, body func(n *Node, slot int) error) {
+// driveNodes runs body on every local node of every system, one goroutine
+// per node, genuinely concurrently, and fails the test on any error.
+func driveNodes(t *testing.T, systems []*System, body func(n *Node) error) {
 	t.Helper()
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	var first error
 	for _, s := range systems {
 		for _, n := range s.Local() {
-			for g := 0; g < gpn; g++ {
-				wg.Add(1)
-				go func(n *Node, slot int) {
-					defer wg.Done()
-					if err := body(n, slot); err != nil {
-						mu.Lock()
-						if first == nil {
-							first = err
-						}
-						mu.Unlock()
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if err := body(n); err != nil {
+					mu.Lock()
+					if first == nil {
+						first = err
 					}
-				}(n, int(n.ID())*gpn+g)
-			}
+					mu.Unlock()
+				}
+			}()
 		}
 	}
 	wg.Wait()
@@ -77,19 +55,19 @@ func driveSlots(t *testing.T, systems []*System, gpn int, body func(n *Node, slo
 	}
 }
 
-// TestConcurrentDisjointPages: every goroutine owns a private page and
-// rewrites it each round; after each barrier every goroutine reads its
-// right neighbor's page. Independent pages must fault, install and diff
+// TestConcurrentDisjointPages: every node owns a private page and
+// rewrites it each round; after each barrier every node reads its right
+// neighbor's page. Independent pages must fault, install and diff
 // in parallel without bleeding into each other.
 func TestConcurrentDisjointPages(t *testing.T) {
-	const procs, gpn = 4, 4
+	const procs = 16
 	iters := tortureParams(t)
 	allModes(t, func(t *testing.T, mode Mode) {
-		s := newSysGPN(t, procs, gpn, mode)
-		slots := procs * gpn
+		s := newSys(t, procs, mode)
 		pageSz := s.Layout().PageSize()
-		logs := hb.NewLogs(slots)
-		driveSlots(t, []*System{s}, gpn, func(node *Node, slot int) error {
+		logs := hb.NewLogs(procs)
+		driveNodes(t, []*System{s}, func(node *Node) error {
+			slot := int(node.ID())
 			n := recNode{node, logs[slot]}
 			buf := make([]byte, pageSz)
 			for k := 0; k < iters; k++ {
@@ -102,7 +80,7 @@ func TestConcurrentDisjointPages(t *testing.T) {
 				if err := n.Barrier(0); err != nil {
 					return err
 				}
-				if err := n.Read(buf, mem.Addr((slot+1)%slots*pageSz)); err != nil {
+				if err := n.Read(buf, mem.Addr((slot+1)%procs*pageSz)); err != nil {
 					return err
 				}
 				if err := n.Barrier(1); err != nil {
@@ -115,19 +93,19 @@ func TestConcurrentDisjointPages(t *testing.T) {
 	})
 }
 
-// TestConcurrentFalseSharedPage: every goroutine owns one uint64 word
-// of a single shared page and bumps it each round — the multiple-writer
+// TestConcurrentFalseSharedPage: every node owns one uint64 word of a
+// single shared page and bumps it each round — the multiple-writer
 // protocols must merge the concurrent same-page writes (twins + diffs),
-// SC must serialize them — and after each barrier every goroutine
-// reads the whole word array.
+// SC must serialize them — and after each barrier every node reads the
+// whole word array.
 func TestConcurrentFalseSharedPage(t *testing.T) {
-	const procs, gpn = 4, 4
+	const procs = 16
 	iters := tortureParams(t)
 	allModes(t, func(t *testing.T, mode Mode) {
-		s := newSysGPN(t, procs, gpn, mode)
-		slots := procs * gpn
-		logs := hb.NewLogs(slots)
-		driveSlots(t, []*System{s}, gpn, func(node *Node, slot int) error {
+		s := newSys(t, procs, mode)
+		logs := hb.NewLogs(procs)
+		driveNodes(t, []*System{s}, func(node *Node) error {
+			slot := int(node.ID())
 			n := recNode{node, logs[slot]}
 			for k := 0; k < iters; k++ {
 				if err := n.WriteUint64(mem.Addr(slot*8), uint64(slot+1)*uint64(k+1)); err != nil {
@@ -136,7 +114,7 @@ func TestConcurrentFalseSharedPage(t *testing.T) {
 				if err := n.Barrier(0); err != nil {
 					return err
 				}
-				for sl := 0; sl < slots; sl++ {
+				for sl := 0; sl < procs; sl++ {
 					if _, err := n.ReadUint64(mem.Addr(sl * 8)); err != nil {
 						return err
 					}
@@ -151,20 +129,19 @@ func TestConcurrentFalseSharedPage(t *testing.T) {
 	})
 }
 
-// TestConcurrentLockedCounters: all goroutines of all nodes hammer a
-// shared counter under one lock (pure migratory data, local handoffs
-// interleaved with remote transfers) while also bumping a false-shared
-// per-slot tally under a second lock; both must come out exact, which
-// slot 0's reads past the last barrier check.
+// TestConcurrentLockedCounters: all nodes hammer a shared counter under
+// one lock (pure migratory data) while also bumping a false-shared
+// per-node tally under a second lock; both must come out exact, which
+// node 0's reads past the last barrier check.
 func TestConcurrentLockedCounters(t *testing.T) {
-	const procs, gpn = 4, 4
+	const procs = 16
 	iters := tortureParams(t)
 	allModes(t, func(t *testing.T, mode Mode) {
-		s := newSysGPN(t, procs, gpn, mode)
-		slots := procs * gpn
+		s := newSys(t, procs, mode)
 		const counterAddr, tallyBase = 0, 4096
-		logs := hb.NewLogs(slots)
-		driveSlots(t, []*System{s}, gpn, func(node *Node, slot int) error {
+		logs := hb.NewLogs(procs)
+		driveNodes(t, []*System{s}, func(node *Node) error {
+			slot := int(node.ID())
 			n := recNode{node, logs[slot]}
 			for k := 0; k < iters; k++ {
 				if err := n.Acquire(0); err != nil {
@@ -199,7 +176,7 @@ func TestConcurrentLockedCounters(t *testing.T) {
 		n0 := recNode{s.Node(0), logs[0]}
 		_, err := n0.ReadUint64(counterAddr)
 		must(t, err)
-		for sl := 0; sl < slots; sl++ {
+		for sl := 0; sl < procs; sl++ {
 			_, err := n0.ReadUint64(mem.Addr(tallyBase + sl*8))
 			must(t, err)
 		}
@@ -208,18 +185,19 @@ func TestConcurrentLockedCounters(t *testing.T) {
 }
 
 // TestConcurrentImageIdentical: the disjoint + false-shared mix, ending
-// with a full-space read-out on node 0 — checked as slot 0's read past
+// with a full-space read-out on node 0 — checked as its read past
 // the last barrier — that must also be byte-identical across modes: the
 // dsm-level analogue of the workload differential matrix.
 func TestConcurrentImageIdentical(t *testing.T) {
-	const procs, gpn = 4, 2
+	const procs = 8
 	iters := tortureParams(t)
 	var images [][]byte
 	allModes(t, func(t *testing.T, mode Mode) {
-		s := newSysGPN(t, procs, gpn, mode)
+		s := newSys(t, procs, mode)
 		pageSz := s.Layout().PageSize()
-		logs := hb.NewLogs(procs * gpn)
-		driveSlots(t, []*System{s}, gpn, func(node *Node, slot int) error {
+		logs := hb.NewLogs(procs)
+		driveNodes(t, []*System{s}, func(node *Node) error {
+			slot := int(node.ID())
 			n := recNode{node, logs[slot]}
 			for k := 0; k < iters; k++ {
 				// Private page, then a false-shared word on page 0.
@@ -253,9 +231,9 @@ func TestConcurrentImageIdentical(t *testing.T) {
 
 // TestConcurrentOverTCP: the locked-counter hammer across a real
 // loopback TCP cluster — every node an independent System on its own
-// listener, gpn goroutines each — under every protocol engine.
+// listener — under every protocol engine.
 func TestConcurrentOverTCP(t *testing.T) {
-	const procs, gpn = 2, 3
+	const procs = 6
 	iters := tortureParams(t)
 	allModes(t, func(t *testing.T, mode Mode) {
 		cluster, err := tcp.NewLoopbackCluster(procs)
@@ -266,13 +244,13 @@ func TestConcurrentOverTCP(t *testing.T) {
 		for i, tr := range cluster {
 			systems[i], err = New(Config{
 				Procs: procs, SpaceSize: 64 * 1024, PageSize: 1024,
-				Mode: mode, GoroutinesPerNode: gpn, Transport: tr,
+				Mode: mode, Transport: tr,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer systems[i].Close()
 		}
-		countUnderLock(t, systems, gpn, 0, 0, iters)
+		countUnderLock(t, systems, 0, 0, iters)
 	})
 }

@@ -1,18 +1,15 @@
 // Package dsm is a live software distributed shared memory runtime. Each
-// node is driven by any number of concurrent application goroutines
-// (Config.GoroutinesPerNode sizes the barrier rendezvous) and serves
+// node is one processor, driven by one application goroutine, and serves
 // incoming protocol frames through a dispatch loop feeding a worker
 // pool that serializes per-page work; nodes exchange real bytes (twins,
 // diffs, write notices, vector clocks, invalidations, page ships) over
 // a pluggable reliable FIFO interconnect (internal/transport) using the
 // wire format of internal/wire.
 //
-// Node state is sharded for concurrency: per-page protocol state lives
-// under a striped lock table keyed by page id, statistics are atomic
-// counters, and the distributed lock/barrier machinery two-levels local
-// goroutines in front of the node's single protocol identity — so
-// independent pages fault, install and diff in parallel, on both the
-// application side and the handler side.
+// Node state is sharded for the handler side's concurrency: per-page
+// protocol state lives under a striped lock table keyed by page id and
+// statistics are atomic counters, so the worker pool serves independent
+// pages in parallel, beside the application goroutine's own accesses.
 //
 // The consistency policy is pluggable: a protocol engine (see engine.go)
 // owns page state, data movement and the consistency payload of
@@ -198,14 +195,6 @@ type Config struct {
 	// intervals that clock covers, bounding memory (TreadMarks-style). Only
 	// the lazy protocols retain diffs; the eager and SC engines ignore it.
 	GCEveryBarriers int
-	// GoroutinesPerNode is the number of application goroutines that
-	// drive each node (0 and 1 mean one). Node methods are safe for
-	// concurrent use regardless; the knob sizes Node.Barrier's local
-	// rendezvous: all GoroutinesPerNode goroutines of a node must arrive
-	// at a barrier before the node arrives at the cluster barrier, and
-	// all are released when the cluster barrier completes. Locks contend
-	// node-locally by handoff (no extra protocol traffic).
-	GoroutinesPerNode int
 	// Transport supplies the interconnect. Nil builds the default
 	// in-process simulated network (internal/simnet) covering all Procs
 	// endpoints. A non-nil transport must span exactly Procs endpoints;
@@ -268,9 +257,9 @@ type System struct {
 	races   []error
 }
 
-// New builds and starts a DSM. Node methods are safe for concurrent use
-// from multiple goroutines (set GoroutinesPerNode when more than one
-// uses barriers); callers must Close the system when done.
+// New builds and starts a DSM. Each node takes one application goroutine
+// (see Node); the System's Status and each node's Stats and ID are safe
+// from any goroutine. Callers must Close the system when done.
 func New(cfg Config) (*System, error) {
 	// New owns cfg.Transport from the first line: every error return
 	// must close it, or a failed construction leaks the caller's
@@ -283,9 +272,6 @@ func New(cfg Config) (*System, error) {
 	}
 	if cfg.Procs <= 0 || cfg.Procs > maxProcs {
 		return fail(fmt.Errorf("dsm: processor count %d outside [1,%d]", cfg.Procs, maxProcs))
-	}
-	if cfg.GoroutinesPerNode < 0 || cfg.GoroutinesPerNode > 4096 {
-		return fail(fmt.Errorf("dsm: goroutines per node %d outside [0,4096]", cfg.GoroutinesPerNode))
 	}
 	if !cfg.Mode.Valid() {
 		return fail(fmt.Errorf("dsm: unknown mode %d (supported: %s)", int(cfg.Mode), ModeNames()))

@@ -152,7 +152,8 @@ func TestBarrierPropagatesWrites(t *testing.T) {
 		s := newSys(t, 4, mode)
 		logs := hb.NewLogs(4)
 		// Everyone writes its slot, synchronizes, then reads all.
-		driveSlots(t, []*System{s}, 1, func(node *Node, i int) error {
+		driveNodes(t, []*System{s}, func(node *Node) error {
+			i := int(node.ID())
 			n := recNode{node, logs[i]}
 			if err := n.WriteUint64(mem.Addr(i*2048), uint64(100+i)); err != nil {
 				return err
@@ -178,7 +179,8 @@ func TestMultipleWritersFalseSharing(t *testing.T) {
 	allModes(t, func(t *testing.T, mode Mode) {
 		s := newSys(t, 2, mode)
 		logs := hb.NewLogs(2)
-		driveSlots(t, []*System{s}, 1, func(node *Node, i int) error {
+		driveNodes(t, []*System{s}, func(node *Node) error {
+			i := int(node.ID())
 			n := recNode{node, logs[i]}
 			if err := n.WriteUint64(mem.Addr(i*512), uint64(i+1)); err != nil {
 				return err
@@ -203,7 +205,7 @@ func TestMigratoryCounter(t *testing.T) {
 	// predecessor.
 	allModes(t, func(t *testing.T, mode Mode) {
 		s := newSys(t, 8, mode)
-		countUnderLock(t, []*System{s}, 1, 3, 4096, 25)
+		countUnderLock(t, []*System{s}, 3, 4096, 25)
 		if s.NetStats().Messages == 0 {
 			t.Error("no messages counted on the interconnect")
 		}
@@ -358,7 +360,7 @@ func TestLockContentionQueues(t *testing.T) {
 	// Many nodes race for one lock simultaneously; every critical section
 	// must be atomic.
 	allModes(t, func(t *testing.T, mode Mode) {
-		countUnderLock(t, []*System{newSys(t, 6, mode)}, 1, 5, 0, 10)
+		countUnderLock(t, []*System{newSys(t, 6, mode)}, 5, 0, 10)
 	})
 }
 
@@ -368,23 +370,15 @@ func TestAPIErrors(t *testing.T) {
 	if err := n.Release(0); err == nil {
 		t.Error("release of unheld lock accepted")
 	}
-	// A second acquire of a held lock parks on the node's local handoff
-	// queue (it no longer errors: multiple application goroutines may
-	// contend for one lock) and proceeds at release.
+	// Acquiring a lock the node holds is an error, and leaves it held.
 	must(t, n.Acquire(0))
-	entered := make(chan struct{})
-	reacquired := make(chan error, 1)
-	go func() {
-		close(entered)
-		err := n.Acquire(0)
-		if err == nil {
-			err = n.Release(0)
-		}
-		reacquired <- err
-	}()
-	<-entered
+	if err := n.Acquire(0); err == nil || !strings.Contains(err.Error(), "which it holds") {
+		t.Errorf("second acquire of a held lock = %v, want an error", err)
+	}
 	must(t, n.Release(0))
-	must(t, <-reacquired)
+	if err := n.Release(0); err == nil {
+		t.Error("second release accepted")
+	}
 	if err := n.WriteUint64(1<<40, 1); err == nil {
 		t.Error("out-of-space write accepted")
 	}
@@ -392,6 +386,40 @@ func TestAPIErrors(t *testing.T) {
 	if err := n.Read(b[:], -4); err == nil {
 		t.Error("negative-address read accepted")
 	}
+}
+
+// TestSecondCallerGetsAnError: a node takes one application goroutine.
+// While node 1's goroutine waits in a barrier that node 0 has not reached,
+// a second goroutine's call of each kind on node 1 fails at once with an
+// error that says why, and leaves the node alone: the barrier completes,
+// and the node goes on serving its own goroutine.
+func TestSecondCallerGetsAnError(t *testing.T) {
+	allModes(t, func(t *testing.T, mode Mode) {
+		s := newSys(t, 2, mode)
+		n0, n1 := s.Node(0), s.Node(1)
+		arrived := make(chan error, 1)
+		go func() { arrived <- n1.Barrier(0) }()
+		waitFor(t, "node 1's arrival to reach the master", func() bool { return len(n0.barCh) == 1 })
+		var b [8]byte
+		for op, call := range map[string]func() error{
+			"read":    func() error { return n1.Read(b[:], 0) },
+			"write":   func() error { return n1.Write(0, b[:]) },
+			"acquire": func() error { return n1.Acquire(1) },
+			"release": func() error { return n1.Release(1) },
+			"barrier": func() error { return n1.Barrier(0) },
+		} {
+			if err := call(); err == nil || !strings.Contains(err.Error(), op+" while another goroutine is in a call on the node") {
+				t.Errorf("second goroutine's %s = %v, want the one-goroutine error", op, err)
+			}
+		}
+		must(t, n0.Barrier(0))
+		must(t, <-arrived)
+		must(t, lockedAdd(n1, 1, 8, 7))
+		barriers(t, s, 1)
+		if v, err := n0.ReadUint64(8); err != nil || v != 7 {
+			t.Errorf("node 0 reads node 1's word after the barrier as %d (%v), want 7", v, err)
+		}
+	})
 }
 
 // TestOutOfRangeAccesses: every access that does not lie wholly inside
@@ -471,7 +499,7 @@ func TestModeNames(t *testing.T) {
 func TestConfigSurface(t *testing.T) {
 	want := []string{
 		"Procs", "SpaceSize", "PageSize", "Mode",
-		"GCEveryBarriers", "GoroutinesPerNode", "Transport",
+		"GCEveryBarriers", "Transport",
 		"RPCTimeout", "Metrics", "Tracer",
 	}
 	typ := reflect.TypeOf(Config{})

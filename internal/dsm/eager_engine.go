@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
-	"sync"
 	"time"
 
 	"repro/internal/mem"
@@ -30,11 +29,10 @@ import (
 //
 // Concurrency: page copies, twins and the per-page copy state are under
 // the node's striped lock table, and the write set has its own leaf mutex.
-// One flush is in flight per node (flushMu): a flush point holds it across
-// drain, burst and acknowledgment, so a release never returns while a
-// write made on its node before it is still propagating — another local
-// goroutine's write is in this drain or in the flush that held the mutex
-// before — and two flushes of one page reach every copy in write order.
+// Misses and flushes are the application goroutine's, one at a time, so a
+// release returns only once every write its node made before it has been
+// acknowledged, and two flushes of one page reach every copy in write
+// order.
 type eagerEngine struct {
 	n      *Node
 	update bool // EU: push diffs; EI: push invalidations
@@ -66,14 +64,11 @@ type eagerEngine struct {
 	// point; each flush drains it.
 	ws *writeSet
 
-	// flushMu is held by the one flush in flight. Releases queued on it
-	// group-commit: the next holder drains every page dirtied meanwhile.
-	// cand, the pages it drained, and out and made, its records by
-	// destination and its diffs, are its scratch.
-	flushMu sync.Mutex
-	cand    []mem.PageID
-	out     [][]wire.DiffRec
-	made    []*page.Diff
+	// The flush's scratch: cand, the pages it drained, and out and made,
+	// its records by destination and its diffs.
+	cand []mem.PageID
+	out  [][]wire.DiffRec
+	made []*page.Diff
 }
 
 func newEagerEngine(n *Node, update bool) *eagerEngine {
@@ -100,30 +95,18 @@ func (e *eagerEngine) clock() vc.VC { return vc.New(e.n.sys.cfg.Procs) }
 // --- accesses ---
 
 // ensureValid obtains a copy of pg: the home's own, made on its first
-// access, or a ship from the home's. Miss service serializes per page
-// under the miss lock, and the ship is installed by the page's shard
-// worker as it arrives — in directory order, never abandoned — so the
-// home's copyset always matches what this node actually holds. An
-// invalidation right behind the install leaves the copy invalid again, the
-// window an eagerly-consistent access always had between validation and
-// use; a write through it still reaches the home as a diff of its words.
+// access, or a ship from the home's. The ship is installed by the page's
+// shard worker as it arrives — in directory order, never abandoned, even
+// by a miss that gave up waiting — so the home's copyset always matches
+// what this node actually holds. An invalidation right behind the install
+// leaves the copy invalid again, the window an eagerly-consistent access
+// always had between validation and use; a write through it still reaches
+// the home as a diff of its words.
 func (e *eagerEngine) ensureValid(pg mem.PageID) error {
 	n := e.n
 	pmu := n.pageLock(pg)
 	pmu.Lock()
 	pc := e.pages[pg]
-	if pc != nil && pc.valid {
-		pmu.Unlock()
-		return nil
-	}
-	pmu.Unlock()
-
-	mmu := n.missLock(pg)
-	mmu.Lock()
-	defer mmu.Unlock()
-
-	pmu.Lock()
-	pc = e.pages[pg]
 	if pc != nil && pc.valid {
 		pmu.Unlock()
 		return nil
@@ -308,9 +291,7 @@ func (e *eagerEngine) commit(pg mem.PageID) (d *page.Diff, hint uint64, err erro
 
 // flush commits this node's buffered modifications and pushes them to
 // every other cacher, blocking until each is invalidated (EI) or updated
-// (EU). flushMu is held throughout, so a flush that finds the write set
-// drained by the one before it still returns only once that one has been
-// acknowledged. Called from an application goroutine without locks.
+// (EU). Called from the application goroutine without locks.
 //
 // It diffs every drained page and sends each node it must reach ONE
 // update carrying a record for every page it should see: a page's home,
@@ -322,8 +303,6 @@ func (e *eagerEngine) commit(pg mem.PageID) (d *page.Diff, hint uint64, err erro
 // it to every member (EU) or invalidates them (EI) itself. A burst
 // abandoned mid-way leaves its twins claimed.
 func (e *eagerEngine) flush() error {
-	e.flushMu.Lock()
-	defer e.flushMu.Unlock()
 	n := e.n
 	cand := e.ws.drain(e.cand)
 	e.cand = cand
@@ -336,13 +315,11 @@ func (e *eagerEngine) flush() error {
 			e.out[j] = e.out[j][:0]
 		}
 		for _, pg := range cand {
-			if !e.update { // under the miss lock, once a ship in flight is installed
-				mmu, pmu := n.missLock(pg), n.pageLock(pg)
-				mmu.Lock()
+			if !e.update {
+				pmu := n.pageLock(pg)
 				pmu.Lock()
 				e.flying[pg] = nil
 				pmu.Unlock()
-				mmu.Unlock()
 			}
 		}
 		for _, d := range made {

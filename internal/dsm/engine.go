@@ -29,19 +29,21 @@ import (
 //     (writeset.go), the only code that touches a twin: outside bytes
 //     reach a copy only through its land, which keeps the twin the
 //     committed contents under a concurrent local writer.
-//   - Miss service — the blocking protocol transaction that brings a
-//     page current — serializes per page under Node.missLock; handler
-//     work never takes a miss lock, so it can always drain, and a
-//     goroutine holds at most one (a lazy fault applies its sibling pages
-//     after it let go of its own page's).
+//   - Accesses, and with them miss service — the blocking protocol
+//     transaction that brings a page current — and the lock and barrier
+//     hooks run on the node's one application goroutine (Node.enter
+//     turns away a second), except a grant answering a forward, which a
+//     lock shard worker builds. So one miss, one flush and one round are
+//     in progress at a time, and their scratch is the engine's.
+//     acquireStart, grant and release are called with the node's lockMu
+//     held; clock may be called from any goroutine.
 //   - Engine-global synchronization state (the lazy engine's vector
 //     clock, interval log and diff store) lives under an engine-private
-//     mutex ordered after lockMu and before the page stripes.
-//   - Every method may be called from multiple application goroutines
-//     concurrently. acquireStart, grant and release are called with the
-//     node's lockMu held (grant also from a lock shard worker); barrier
-//     hooks are called by the barrier leader goroutine only; handle runs
-//     on a shard worker with per-page arrival order guaranteed.
+//     mutex ordered after lockMu and before the page stripes: handlers
+//     read and extend it too.
+//   - handle runs on a shard worker with per-page arrival order
+//     guaranteed; handler work never waits on the application goroutine,
+//     so it can always drain.
 //   - Statistics tick through the node's atomic counters from any
 //     goroutine.
 type engine interface {
@@ -76,10 +78,9 @@ type engine interface {
 	// engines close the interval the critical section wrote).
 	release()
 
-	// barrierEntry runs as the node-level barrier begins on every node,
-	// master included, before its arrival (called by the barrier leader
-	// goroutine): the lazy engines close the current interval, the eager
-	// ones flush, like preRelease.
+	// barrierEntry runs as the barrier begins on every node, master
+	// included, before its arrival: the lazy engines close the current
+	// interval, the eager ones flush, like preRelease.
 	barrierEntry() error
 	// arrive fills a non-master node's arrival payload.
 	arrive(arrive *wire.Msg)
@@ -93,12 +94,11 @@ type engine interface {
 	// postBarrier completes the episode after the rendezvous: the lazy
 	// engines discard the garbage-collection epoch the barrier before
 	// validated, invalidate or update noticed pages and validate through
-	// the next epoch when one is due. Runs once per node, on the barrier
-	// leader, while the node's other application goroutines are still
-	// parked in the local rendezvous, and never earlier than the master
-	// holds every arrival: a non-master runs it only once it holds the
-	// exit, which the master sends after it collected them all. So when it
-	// runs, every node has left the previous barrier's postBarrier.
+	// the next epoch when one is due. Runs before the node's Barrier
+	// returns, and never earlier than the master holds every arrival: a
+	// non-master runs it only once it holds the exit, which the master
+	// sends after it collected them all. So when it runs, every node has
+	// left the previous barrier's postBarrier.
 	postBarrier() error
 
 	// handle processes an engine-specific message, returning false if

@@ -85,7 +85,7 @@ func TestLockChainContention(t *testing.T) {
 			}
 		}()
 		const l = mem.LockID(7)
-		countUnderLock(t, []*System{s}, 1, l, 0, iters)
+		countUnderLock(t, []*System{s}, l, 0, iters)
 		// The storm is over and node 0 took the lock last: it reacquires
 		// it locally (the `cached` path) — no lock messages may travel.
 		n := s.Node(0)
@@ -229,7 +229,8 @@ func TestFalseSharingLockedCounters(t *testing.T) {
 			}
 		}()
 		logs := hb.NewLogs(procs)
-		driveSlots(t, []*System{s}, 1, func(node *Node, i int) error {
+		driveNodes(t, []*System{s}, func(node *Node) error {
+			i := int(node.ID())
 			n := recNode{node, logs[i]}
 			for k := 0; k < iters; k++ {
 				c := (i + k) % counters

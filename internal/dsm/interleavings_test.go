@@ -1,13 +1,12 @@
 package dsm
 
 import (
-	"encoding/binary"
+	"errors"
 	"math/rand"
 	"sync"
 	"testing"
 	"time"
 
-	"repro/internal/framebuf"
 	"repro/internal/hb"
 	"repro/internal/mem"
 	"repro/internal/simnet"
@@ -16,30 +15,30 @@ import (
 )
 
 // TestLostUpdateRepro is the distilled mp3d counter pattern that once
-// broke EI at gpn>1: four locks guard four uint64 words on ONE page,
-// every goroutine of every node randomly picks a lock and increments its
-// word, with barrier rounds mixed in.
-// Early-committed neighbor words riding flushes, invalidations
-// and reconciliation bases all hit the same page while
-// other local goroutines are mid-critical-section; every word must
-// still count exactly.
+// broke EI with several goroutines to a node, run on eight nodes of one
+// goroutine each: four locks guard four uint64 words on ONE page, every
+// node randomly picks a lock and increments its word, with barrier rounds
+// mixed in. Early-committed neighbor words riding flushes, invalidations
+// and reconciliation bases all hit the same page while other nodes are
+// mid-critical-section, and each node's handler workers land them beside
+// its application goroutine; every word must still count exactly.
 //
-// Every goroutine records its history and hb.Check judges it: a read of a
-// word must return what the lock's previous holder wrote, so a lost
-// update shows up as the first stale read after the hand-off that lost
-// it, with the reader's and the writer's hb1 clocks — which is how a twin
-// made under the stripe, its page registered dirty after it, was told
-// apart from a missing notice or a wrong diff. A final delta cannot do
-// that. Every word is read and written only under its lock, so the
-// history is race-free.
+// Every node records its history and hb.Check judges it: a read of a word
+// must return what the lock's previous holder wrote, so a lost update
+// shows up as the first stale read after the hand-off that lost it, with
+// the reader's and the writer's hb1 clocks. A final delta cannot do that.
+// Every word is read and written only under its lock, so the history is
+// race-free.
 func TestLostUpdateRepro(t *testing.T) {
-	const procs, gpn, locks = 2, 4, 4
-	rounds := 3
-	iters := tortureParams(t)
+	const procs, locks = 8, 4
+	// Every hand-off crosses the interconnect, so half the torture count
+	// keeps CI's hundred runs under the race detector within their time.
+	rounds, iters := 3, tortureParams(t)/4
 	allModes(t, func(t *testing.T, mode Mode) {
-		s := newSysGPN(t, procs, gpn, mode)
-		logs := hb.NewLogs(procs * gpn)
-		driveSlots(t, []*System{s}, gpn, func(node *Node, slot int) error {
+		s := newSys(t, procs, mode)
+		logs := hb.NewLogs(procs)
+		driveNodes(t, []*System{s}, func(node *Node) error {
+			slot := int(node.ID())
 			n := recNode{node, logs[slot]}
 			rng := rand.New(rand.NewSource(int64(slot)*7919 + 17))
 			for r := 0; r < rounds; r++ {
@@ -65,8 +64,8 @@ func TestLostUpdateRepro(t *testing.T) {
 			}
 			return nil
 		})
-		// Slot 0 lives on node 0 and has passed the last barrier: its
-		// reads of the words now follow every increment in hb1.
+		// Node 0 has passed the last barrier: its reads of the words now
+		// follow every increment in hb1.
 		n0 := recNode{s.Node(0), logs[0]}
 		for l := 0; l < locks; l++ {
 			if _, err := n0.ReadUint64(mem.Addr(l * 8)); err != nil {
@@ -75,69 +74,6 @@ func TestLostUpdateRepro(t *testing.T) {
 		}
 		checkHistory(t, logs, hb.RaceFree)
 	})
-}
-
-// TestReleaseWaitsForTheFlushCarryingItsWrites: the twin is the node's, so
-// a flush carries every local goroutine's writes to the page, not just its
-// own. Goroutine B writes word 2 of page 1 under lock 2, goroutine A word
-// 0 under lock 0; A's release drains both into one merged update, whose
-// acknowledgement the tap on its home swallows. B's release then has
-// nothing of its own to push, but must not return — its word is not yet
-// at the home, so the next holder of lock 2 could miss it — until the
-// flush that carries it is acknowledged.
-func TestReleaseWaitsForTheFlushCarryingItsWrites(t *testing.T) {
-	for _, mode := range []Mode{EagerInvalidate, EagerUpdate} {
-		t.Run(mode.String(), func(t *testing.T) {
-			s, tp := newTapSys(t, Config{Procs: 2, SpaceSize: 8192, PageSize: 1024, Mode: mode, GoroutinesPerNode: 2}, 1)
-			defer s.Close()
-			n := s.Node(0)
-			// Node 1 homes page 1 behind a tap that swallows the first
-			// acknowledgement, which the test sends; a second flush it would
-			// report.
-			tp.mu.Lock()
-			tp.swaps = []step{{op: opSwap, arg: byte(wire.KUpdateAck)}}
-			tp.mu.Unlock()
-			const page1 = mem.Addr(1024)
-			must(t, n.Acquire(2)) // B
-			must(t, n.WriteUint64(page1+16, 0xB))
-			must(t, n.Acquire(0)) // A
-			must(t, n.WriteUint64(page1, 0xA))
-			relA := make(chan error, 1)
-			go func() { relA <- n.Release(0) }()
-			waitFor(t, "A's release to send a flush", func() bool { return len(tp.received(wire.KUpdate)) > 0 })
-			req := tp.received(wire.KUpdate)[0]
-			img := make([]byte, 1024)
-			if len(req.Diffs) != 1 || req.Diffs[0].Page != 1 || req.Diffs[0].Diff.Apply(img) != nil ||
-				binary.LittleEndian.Uint64(img) != 0xA || binary.LittleEndian.Uint64(img[16:]) != 0xB {
-				t.Fatalf("A's flush diff does not carry both words: words 0 and 2 read %#x, %#x",
-					binary.LittleEndian.Uint64(img), binary.LittleEndian.Uint64(img[16:]))
-			}
-			relB := make(chan error, 1)
-			go func() { relB <- n.Release(2) }()
-			select {
-			case err := <-relB:
-				t.Fatalf("B's release returned (%v) while the flush carrying its write was unacknowledged", err)
-			case <-time.After(100 * time.Millisecond):
-			}
-			tp.Endpoint.Send(0, (&wire.Msg{Kind: wire.KUpdateAck, Seq: req.Seq}).EncodeAppend(framebuf.Get()))
-			for name, rel := range map[string]chan error{"A": relA, "B": relB} {
-				select {
-				case err := <-rel:
-					if err != nil {
-						t.Errorf("%s's release: %v", name, err)
-					}
-				case <-time.After(5 * time.Second):
-					t.Fatalf("%s's release did not return once the flush was acknowledged", name)
-				}
-			}
-			if fl := tp.received(wire.KUpdate); len(fl) > 1 {
-				t.Errorf("a second flush (%v): B's release had no write of its own left to push", fl[1].Kind)
-			}
-			if err := s.Close(); err != nil {
-				t.Errorf("Close: %v", err)
-			}
-		})
-	}
 }
 
 // heldLink is an endpoint whose frames to node to — those holds reports,
@@ -166,6 +102,15 @@ func (h *heldLink) waiting() int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return len(h.held)
+}
+
+// releaseFirst sends the oldest held frame on and keeps holding the rest.
+func (h *heldLink) releaseFirst() error {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	f := h.held[0]
+	h.held = h.held[1:]
+	return h.Endpoint.Send(h.to, f)
 }
 
 func (h *heldLink) release() error {
@@ -310,48 +255,58 @@ func TestEIInvalidationOvertakesShipRepro(t *testing.T) {
 
 // TestEIShipBeforeOwnUpdateRepro: an EI home never invalidates its writer's
 // copy, so a ship the writer installs while its own update is on the way
-// home must not lose that update's words. The home's shard workers may
-// serve a page request before an update that reached the home first; here
-// the writer's link holds its update of page 1 instead, while the home
-// (node 1) invalidates the writer's copy and a second goroutine of the
-// writer's node misses the page. Once the update lands and the release
-// returns, the writer reads its own word; a writer that installed the ship
-// as it came reads 0.
+// home must not lose that update's words. A miss that gave up waiting
+// (RPCTimeout) leaves its request in flight, and the ship it asked for
+// lands whenever it comes — here during the writer's next flush. The
+// writer (node 0) writes its word of page 1 under lock 0; the home (node
+// 1) invalidates the writer's copy, which keeps its twin; the writer's
+// read of the page times out on a ship the home's link holds; and the
+// writer's release sends its update, whose acknowledgement the link holds
+// too. The ship, sent before the home had the update, lands first: the
+// writer must keep its word on top of it. Once the release returns, the
+// writer reads its own word; a writer that installed the ship as it came
+// reads 0.
 func TestEIShipBeforeOwnUpdateRepro(t *testing.T) {
 	const page1, word = mem.Addr(1024), 0xA
 	net := simnet.New(2)
-	link := &heldLink{Endpoint: net.Endpoint(0), to: 1, holding: true, holds: func(frame []byte) bool {
-		return wire.Kind(frame[0]) == wire.KUpdate
+	link := &heldLink{Endpoint: net.Endpoint(1), to: 0, holds: func(frame []byte) bool {
+		return wire.Kind(frame[0]) == wire.KPageResp || wire.Kind(frame[0]) == wire.KUpdateAck
 	}}
-	s, err := New(Config{Procs: 2, SpaceSize: 2 * 1024, PageSize: 1024, Mode: EagerInvalidate, GoroutinesPerNode: 2, Transport: tapNet{net, link}})
+	s, err := New(Config{Procs: 2, SpaceSize: 2 * 1024, PageSize: 1024, Mode: EagerInvalidate,
+		RPCTimeout: 100 * time.Millisecond, Transport: tapNet{net, link}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
 	w, h := s.Node(0), s.Node(1)
-	homeWrites := func(l mem.LockID, addr mem.Addr) { // invalidating the writer's copy
-		must(t, h.Acquire(l))
-		must(t, h.WriteUint64(addr, 1))
-		must(t, h.Release(l))
-	}
 	_, err = w.ReadUint64(page1)
 	must(t, err)
-	homeWrites(1, page1+16)
 	must(t, w.Acquire(0))
 	must(t, w.WriteUint64(page1, word))
+	must(t, h.Acquire(1)) // the home's write invalidates the writer's copy
+	must(t, h.WriteUint64(page1+16, 1))
+	must(t, h.Release(1))
+	link.mu.Lock()
+	link.holding = true
+	link.mu.Unlock()
+	if _, err := w.ReadUint64(page1 + 24); !errors.Is(err, ErrRPCTimeout) {
+		t.Fatalf("the writer's miss with the ship held returned %v, want a timeout", err)
+	}
+	fetched := w.Stats().PagesFetched
 	released := make(chan error, 1)
 	go func() { released <- w.Release(0) }()
-	waitFor(t, "the writer's update to be held", func() bool { return link.waiting() > 0 })
-	homeWrites(2, page1+24)
-	if v, err := w.ReadUint64(page1 + 24); err != nil || v != 1 {
-		t.Fatalf("the second goroutine's miss reads %d (%v), want the home's 1", v, err)
-	}
+	waitFor(t, "the ship and the update's acknowledgement to be held", func() bool { return link.waiting() == 2 })
+	must(t, link.releaseFirst())
+	waitFor(t, "the ship to land", func() bool { return w.Stats().PagesFetched > fetched })
 	must(t, link.release())
 	must(t, <-released)
 	got, err := w.ReadUint64(page1)
 	must(t, err)
 	if got != word {
 		t.Errorf("the writer reads %#x of its own word after its release, want %#x", got, word)
+	}
+	if v, err := w.ReadUint64(page1 + 16); err != nil || v != 1 {
+		t.Errorf("the writer reads the home's word as %d (%v), want 1", v, err)
 	}
 	if err := s.Close(); err != nil {
 		t.Errorf("Close: %v", err)

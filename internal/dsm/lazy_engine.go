@@ -53,7 +53,7 @@ type lazyEngine struct {
 	episodes  int
 	// gcEpoch is the clock of the last GC epoch runGC validated through,
 	// and gcDue says its discard has yet to run: the next postBarrier runs
-	// it. The barrier leader's alone.
+	// it. The application goroutine's alone.
 	gcEpoch vc.VC
 	gcDue   bool
 	// fresh accumulates the pages noticed by the intervals learned during
@@ -62,17 +62,17 @@ type lazyEngine struct {
 	// trimFrom is this node's oldest interval trimTwinsLocked may still
 	// find deferred slots in: its cursor, raised past the log's floor at GC.
 	trimFrom int32
-	// missWants[s] is the want list of the miss holding miss lock s.
-	missWants [pageShards][]wire.Want
-	// spare is the free list of round scratch (takePrefetch): faults,
-	// revalidations and the GC epoch's bulk validation plan into it.
-	spare chan *prefetch
+	// missWants is the want list of the miss in progress (bringCurrent),
+	// and round the scratch that faults, revalidations and the GC epoch's
+	// bulk validation plan into: the application goroutine's alone.
+	missWants []wire.Want
+	round     prefetch
 	// Scratch whose consumer finishes under the lock that filled it: under
 	// mu, closeIntervalLocked's sorted dirty pages and the pages the
 	// intervals an acquire absorbed notice; under the node's lockMu, held
 	// from grant until the grant is encoded, its clock and records; and the
-	// barrier leader's alone, the floor and records of the arrival or exit
-	// it sends next, and the GC epoch's pages to validate.
+	// application goroutine's alone, the floor and records of the arrival
+	// or exit it sends next, and the GC epoch's pages to validate.
 	cand       []mem.PageID
 	noticed    []mem.PageID
 	grantClock vc.VC
@@ -113,7 +113,6 @@ func newLazyEngine(n *Node, update bool) *lazyEngine {
 		log:       core.NewLog(n.sys.cfg.Procs),
 		store:     make([]slotRing, n.sys.cfg.Procs),
 		lastEpoch: vc.New(n.sys.cfg.Procs),
-		spare:     make(chan *prefetch, spareRounds),
 		ws:        newWriteSet(),
 		pages:     make([]*lazyPage, n.sys.layout.NumPages()),
 	}
@@ -134,10 +133,6 @@ func (e *lazyEngine) clock() vc.VC {
 // materialized on the first serve, or when the twin budget trims the
 // slot, or never: a covered slot whose diff nobody fetched is discarded
 // at GC twin and all, which is the lazy-creation win. Caller holds e.mu.
-// With multiple application goroutines the node's interval contains
-// every local goroutine's writes since the last synchronization point —
-// the node is one processor to the protocol, exactly as a multi-threaded
-// processor is to the paper's model.
 func (e *lazyEngine) closeIntervalLocked() {
 	n := e.n
 	e.cand = e.ws.drain(e.cand)
@@ -594,9 +589,8 @@ func (e *lazyEngine) postBarrier() error {
 // round: a node arrives at it only after its own validation, so no node
 // discards while another still needs pre-epoch diffs.
 //
-// runGC runs on the barrier leader while the node's other application
-// goroutines are parked in the local barrier rendezvous, so the only
-// concurrent page activity is handler-side serving.
+// runGC runs on the application goroutine, inside its Barrier, so the
+// only concurrent page activity is handler-side serving.
 //
 // The barrier rendezvous that precedes runGC is what pushes every write
 // notice to every node — the master absorbs all arrivals before building

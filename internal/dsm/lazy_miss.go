@@ -83,21 +83,6 @@ func releaseSteps(steps []*page.Diff) {
 	}
 }
 
-// serviceMiss brings page pg current under its miss lock, handed held (the
-// responses a round already fetched, which it owns and releases), and
-// reports whether it found the copy invalid: false means a concurrent miss
-// brought it current first.
-func (e *lazyEngine) serviceMiss(pg mem.PageID, held fetchedDiffs) (bool, error) {
-	mmu := e.n.missLock(pg)
-	mmu.Lock()
-	defer mmu.Unlock()
-	if e.isValid(pg) {
-		held.release()
-		return false, nil
-	}
-	return true, e.serviceMissLocked(pg, held)
-}
-
 // isValid reports whether the node holds a valid copy of page pg.
 func (e *lazyEngine) isValid(pg mem.PageID) bool {
 	pmu := e.n.pageLock(pg)
@@ -107,14 +92,13 @@ func (e *lazyEngine) isValid(pg mem.PageID) bool {
 	return pc != nil && pc.valid
 }
 
-// serviceMissLocked brings page pg current: a cold copy is fetched from
-// the page's home, then every outstanding diff is collected — from held
-// (what the round already fetched; serviceMissLocked owns and releases
-// it), from the retained store, or from a concurrent last modifier of the
-// page (missingWantsLocked) — and applied in happened-before order
-// (§4.3.3). The caller holds pg's miss lock, so concurrent faulting
-// goroutines coalesce onto one transaction.
-func (e *lazyEngine) serviceMissLocked(pg mem.PageID, held fetchedDiffs) error {
+// bringCurrent brings page pg current: a cold copy is fetched from the
+// page's home, then every outstanding diff is collected — from held (what
+// the round already fetched; bringCurrent owns and releases it), from the
+// retained store, or from a concurrent last modifier of the page
+// (missingWantsLocked) — and applied in happened-before order (§4.3.3).
+// Only the application goroutine runs misses, one at a time.
+func (e *lazyEngine) bringCurrent(pg mem.PageID, held fetchedDiffs) error {
 	n := e.n
 	// The miss's transients live in its frame; a plan too big for them
 	// spills to the heap.
@@ -137,11 +121,11 @@ func (e *lazyEngine) serviceMissLocked(pg mem.PageID, held fetchedDiffs) error {
 	steps := stepBuf[:0]
 	defer func() { releaseSteps(steps); held.release() }()
 	pmu := n.pageLock(pg)
-	// The wants live in the list the miss lock guards, not in the frame: a
-	// request or held response that points into the frame would move it to
-	// the heap. Every round's wants accumulate, because the held responses
-	// of earlier rounds are found by theirs.
-	kept := &e.missWants[uint32(pg)%pageShards]
+	// The wants live in the engine's list, not in the frame: a request or
+	// held response that points into the frame would move it to the heap.
+	// Every round's wants accumulate, because the held responses of earlier
+	// rounds are found by theirs.
+	kept := &e.missWants
 	wants := (*kept)[:0]
 
 	// The replan loop below may run several plan/apply rounds.
@@ -244,12 +228,9 @@ func (e *lazyEngine) serviceMissLocked(pg mem.PageID, held fetchedDiffs) error {
 		}
 		// The remote diffs land on the committed contents, after a deferred
 		// diff still reading its target out of pc.data is made (it would
-		// claim them). A local section that kept writing through the
-		// invalidation (only at gpn > 1) keeps a twin that land rebases:
-		// its interval must not re-register the remote words as its own,
-		// or a cached-lock re-write by their owner could be reverted by the
-		// misattributed copy, and handlePageReq's committed view must match
-		// the applied clock stamped below.
+		// claim them). The copy has no live twin for land to rebase: the
+		// acquire or barrier that invalidated it closed the interval, and
+		// the node writes only after this miss returns.
 		if len(steps) > 0 {
 			if pc.pending != nil {
 				e.materializeSlot(pc, pc.pending, pg)
@@ -571,39 +552,29 @@ func (e *lazyEngine) noteFetched(held fetchedDiffs) {
 // fault services an application's miss on page pg and brings pg's
 // siblings (planFaultLocked) current with it, in one round: one KDiffReq to
 // each responder for all the pages, where validating page by page asks a
-// responder once per page. pg's miss lock is held while its round is
-// planned, fetched and applied, so concurrent faults on pg coalesce onto
-// one round; each sibling is then applied under its own. A fault counts
-// one access miss; the siblings it finds invalid count as aggregated
-// pages.
+// responder once per page. pg is brought current first, then each sibling
+// with a miss of its own. A fault counts one access miss; the siblings it
+// finds invalid count as aggregated pages.
 func (e *lazyEngine) fault(pg mem.PageID) error {
 	n := e.n
-	mmu := n.missLock(pg)
-	mmu.Lock()
-	if e.isValid(pg) { // a concurrent fault brought it current
-		mmu.Unlock()
-		return nil
-	}
 	var start time.Time
 	if n.missHist != nil {
 		start = time.Now()
 	}
 	n.stats.accessMisses.Add(1)
-	pf := e.takePrefetch()
+	pf := &e.round
 	e.mu.Lock()
 	e.planFaultLocked(pf, pg)
 	e.mu.Unlock()
 	held, err := e.prefetchDiffs(pf)
 	if err == nil {
-		err = e.serviceMissLocked(pg, held.retain())
+		err = e.bringCurrent(pg, held.retain())
 	}
-	mmu.Unlock()
 	aggregated := 0
 	if err == nil {
 		aggregated, err = e.serveEach(pf.pages[1:], held)
 	}
 	held.release()
-	e.putPrefetch(pf)
 	n.stats.pagesAggregated.Add(int64(aggregated))
 	if err == nil && n.missHist != nil {
 		n.observeMiss(start, 1+aggregated)
@@ -692,14 +663,13 @@ func (e *lazyEngine) pageWantsLocked(asks []ask, pg mem.PageID, plan *[]core.Int
 
 // revalidate brings a list of pages current (LU's acquire/barrier-time
 // update step and the GC epoch's bulk validation) in one round, planned
-// into scratch from the engine's free list: with more than one page their
+// into the engine's round scratch: with more than one page their
 // outstanding diffs are prefetched first, one KDiffReq to each responder
 // for all the pages, and each page's miss is handed the responses. Neither
 // counts as an access miss: no application access faulted.
 func (e *lazyEngine) revalidate(pages []mem.PageID) error {
 	var pre fetchedDiffs
-	pf := e.takePrefetch()
-	defer e.putPrefetch(pf)
+	pf := &e.round
 	if len(pages) > 1 {
 		pf.asks = pf.asks[:0]
 		e.mu.Lock()
@@ -718,20 +688,20 @@ func (e *lazyEngine) revalidate(pages []mem.PageID) error {
 	return err
 }
 
-// serveEach brings each of pages current with a miss of its own, handing
-// each the held responses on a count of its own — one response answers
-// wants of several pages — and returns how many of them it found invalid.
-// The caller keeps, and releases, its own count on held.
+// serveEach brings each invalid page of pages current with a miss of its
+// own, handing each the held responses on a count of its own — one
+// response answers wants of several pages — and returns how many it
+// brought. The caller keeps, and releases, its own count on held.
 func (e *lazyEngine) serveEach(pages []mem.PageID, held fetchedDiffs) (int, error) {
 	brought := 0
 	for _, pg := range pages {
-		ok, err := e.serviceMiss(pg, held.retain())
-		if err != nil {
+		if e.isValid(pg) {
+			continue
+		}
+		if err := e.bringCurrent(pg, held.retain()); err != nil {
 			return brought, err
 		}
-		if ok {
-			brought++
-		}
+		brought++
 	}
 	return brought, nil
 }
@@ -739,10 +709,9 @@ func (e *lazyEngine) serveEach(pages []mem.PageID, held fetchedDiffs) (int, erro
 // prefetch is the storage a round plans into — the pages a fault brings
 // current, the plans it makes, its candidate siblings, its asks, the wants
 // its requests carry, the requests, the responses as they arrive and as
-// the misses hold them — and
-// keeps for the next round that takes it from the engine's free list
-// (takePrefetch): several rounds may run at once, a fault beside an
-// acquire or another goroutine's fault.
+// the misses hold them — and keeps for the next round: the engine's one
+// (lazyEngine.round), since only the application goroutine runs rounds,
+// one at a time.
 type prefetch struct {
 	pages     []mem.PageID
 	plan, sib []core.IntervalID
@@ -752,30 +721,6 @@ type prefetch struct {
 	reqs      []outMsg
 	resps     []*wire.Msg
 	held      fetchedDiffs
-}
-
-// spareRounds bounds the engine's free list of round scratch: a node runs
-// about as many rounds at once as it has faulting goroutines.
-const spareRounds = 8
-
-// takePrefetch returns round scratch from the engine's free list, or new
-// scratch when the list is empty.
-func (e *lazyEngine) takePrefetch() *prefetch {
-	select {
-	case pf := <-e.spare:
-		return pf
-	default:
-		return new(prefetch)
-	}
-}
-
-// putPrefetch returns a round's scratch to the free list, or drops it when
-// the list is full.
-func (e *lazyEngine) putPrefetch(pf *prefetch) {
-	select {
-	case e.spare <- pf:
-	default:
-	}
 }
 
 // prefetchDiffs fetches the asks planned into pf as one burst: each

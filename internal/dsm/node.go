@@ -214,27 +214,10 @@ func (s *nodeStats) snapshot() Stats {
 
 // lockLocal is a node's view of one lock.
 type lockLocal struct {
-	held      bool      // some local goroutine currently holds it
+	held      bool      // the node holds it
 	acquiring bool      // a grant is in flight to us (we are next holder)
 	cached    bool      // we were the last holder; reacquisition is local
 	pending   *wire.Msg // a forwarded request awaiting our release
-	// waiters are local goroutines parked until the holder releases: a
-	// node-level handoff queue over the single distributed lock identity,
-	// so N application goroutines can contend for the same lock without
-	// extra protocol traffic (a local handoff is the cached-reacquire
-	// fast path of §4.2).
-	waiters []chan struct{}
-}
-
-// barEpisode is one local barrier rendezvous: with GoroutinesPerNode=k,
-// the k-th arriver becomes the leader, performs the cluster barrier
-// (engine hooks, master exchange, post-barrier episode work) on behalf
-// of the node, and releases the others.
-type barEpisode struct {
-	id      mem.BarrierID
-	arrived int
-	done    chan struct{}
-	err     error
 }
 
 // inFrame is one decoded incoming message queued for a handler worker.
@@ -243,11 +226,13 @@ type inFrame struct {
 	src mem.ProcID
 }
 
-// Node is one DSM processor. All exported methods are safe for
-// concurrent use by multiple application goroutines (size the local
-// rendezvous with Config.GoroutinesPerNode when more than one goroutine
-// uses barriers); incoming protocol frames are served concurrently by a
-// dispatch loop feeding a worker pool that serializes per-page work.
+// Node is one DSM processor, driven by one application goroutine: Read,
+// Write, Acquire, Release and Barrier (and the helpers built on them) are
+// its calls, and one made while another goroutine's is in progress fails
+// with a descriptive error instead of racing it. Stats, Clock and ID, like
+// System.Status, are safe from any goroutine. Incoming protocol frames are
+// served concurrently by a dispatch loop feeding a worker pool that
+// serializes per-page work.
 type Node struct {
 	sys *System
 	id  mem.ProcID
@@ -262,12 +247,10 @@ type Node struct {
 	// the engine's per-page state (copy bytes, validity, twin, applied
 	// clock, generation) and is never held across a blocking operation.
 	pageMu [pageShards]sync.Mutex
-	// missMu serializes miss service per page stripe: the holder may
-	// block in RPCs while bringing the page current, so concurrent
-	// faulting goroutines on the same page coalesce onto one protocol
-	// transaction instead of racing fetches. Handler-side work never
-	// takes a miss lock.
-	missMu [pageShards]sync.Mutex
+
+	// busy is set while the application goroutine is in one of the node's
+	// calls (enter).
+	busy atomic.Bool
 
 	// lockMu guards the distributed-lock local state machine and the
 	// manager-side last-holder table. Engine payload hooks called under
@@ -283,10 +266,6 @@ type Node struct {
 	// arrivals; collected holds a round's messages (collectRound).
 	barCh     chan *wire.Msg
 	collected []*wire.Msg
-
-	// barMu guards the local two-level barrier episode.
-	barMu sync.Mutex
-	bar   *barEpisode
 
 	seqCtr   atomic.Uint64
 	waiterMu sync.Mutex
@@ -321,8 +300,7 @@ type Node struct {
 	missPages *obs.Histogram
 
 	// queues feed the handler worker pool; closed (by the dispatch loop)
-	// on shutdown. closedCh unblocks local waiters — lock queues and
-	// barrier rendezvous — when the transport goes away.
+	// on shutdown. closedCh is closed once the transport has gone away.
 	queues   []chan inFrame
 	workerWG sync.WaitGroup
 	closedCh chan struct{}
@@ -367,10 +345,18 @@ func (n *Node) homeOf(pg mem.PageID) mem.ProcID {
 	return mem.ProcID(int(pg) % n.sys.cfg.Procs)
 }
 
-// missLock returns the stripe serializing miss service for page pg.
-func (n *Node) missLock(pg mem.PageID) *sync.Mutex {
-	return &n.missMu[uint32(pg)%pageShards]
+// enter claims the node for the application call op, or fails it while
+// another goroutine's call is in progress: the node is one processor, and
+// its engine keeps one miss, one flush and one round's scratch at a time.
+// The caller releases the claim with leave.
+func (n *Node) enter(op string) error {
+	if n.busy.CompareAndSwap(false, true) {
+		return nil
+	}
+	return fmt.Errorf("dsm: node %d: %s while another goroutine is in a call on the node (one application goroutine per node)", n.id, op)
 }
+
+func (n *Node) leave() { n.busy.Store(false) }
 
 // ID returns the node's processor id.
 func (n *Node) ID() mem.ProcID { return n.id }
@@ -987,8 +973,8 @@ func (n *Node) start() {
 }
 
 // shutdown runs on the dispatch loop when the transport closes: drain
-// and stop the workers, then unblock every parked goroutine — rpc
-// waiters, a master collecting arrivals, local lock and barrier queues.
+// and stop the workers, then unblock every parked wait — rpc waiters and
+// a master collecting arrivals.
 func (n *Node) shutdown() {
 	for _, q := range n.queues {
 		close(q)
@@ -1012,13 +998,16 @@ func inSpace(addr mem.Addr, size int, space mem.Addr) bool {
 	return mem.Addr(size) <= space && addr >= 0 && addr <= space-mem.Addr(size)
 }
 
-// Write copies data into the shared address space at addr. Safe for
-// concurrent use; writes to distinct pages proceed in parallel.
+// Write copies data into the shared address space at addr.
 func (n *Node) Write(addr mem.Addr, data []byte) error {
 	lay := n.sys.layout
 	if !inSpace(addr, len(data), lay.SpaceSize()) {
 		return fmt.Errorf("dsm: write of %d bytes at %d outside space [0,%d)", len(data), addr, lay.SpaceSize())
 	}
+	if err := n.enter("write"); err != nil {
+		return err
+	}
+	defer n.leave()
 	// Page by page, with no closure and through the engine's concrete type,
 	// so that the caller's buffer can stay on its stack: a hit allocates
 	// nothing.
@@ -1034,13 +1023,16 @@ func (n *Node) Write(addr mem.Addr, data []byte) error {
 }
 
 // Read copies len(buf) bytes of the shared address space at addr into
-// buf. Safe for concurrent use; reads of distinct pages proceed in
-// parallel.
+// buf.
 func (n *Node) Read(buf []byte, addr mem.Addr) error {
 	lay := n.sys.layout
 	if !inSpace(addr, len(buf), lay.SpaceSize()) {
 		return fmt.Errorf("dsm: read of %d bytes at %d outside space [0,%d)", len(buf), addr, lay.SpaceSize())
 	}
+	if err := n.enter("read"); err != nil {
+		return err
+	}
+	defer n.leave()
 	for len(buf) > 0 { // as in Write
 		off := lay.Offset(addr)
 		count := min(len(buf), lay.PageSize()-off)

@@ -138,31 +138,30 @@ type NodeStatus struct {
 // totals, each local node's counters, and the recent-traffic ring
 // (present when Config.Metrics enabled the sampler).
 type Status struct {
-	Procs             int                 `json:"procs"`
-	LocalNodes        []int               `json:"local_nodes"`
-	Mode              string              `json:"mode"`
-	PageSize          int                 `json:"page_size"`
-	NumPages          int                 `json:"num_pages"`
-	GoroutinesPerNode int                 `json:"goroutines_per_node"`
-	GCEveryBarriers   int                 `json:"gc_every_barriers"`
-	RPCTimeout        string              `json:"rpc_timeout"`
-	Net               TransportStats      `json:"net"`
-	Nodes             []NodeStatus        `json:"nodes"`
-	Traffic           []obs.TrafficSample `json:"traffic,omitempty"`
+	Procs           int                 `json:"procs"`
+	LocalNodes      []int               `json:"local_nodes"`
+	Mode            string              `json:"mode"`
+	PageSize        int                 `json:"page_size"`
+	NumPages        int                 `json:"num_pages"`
+	GCEveryBarriers int                 `json:"gc_every_barriers"`
+	RPCTimeout      string              `json:"rpc_timeout"`
+	Net             TransportStats      `json:"net"`
+	Nodes           []NodeStatus        `json:"nodes"`
+	Traffic         []obs.TrafficSample `json:"traffic,omitempty"`
 }
 
 // Status returns a live snapshot of the system for /statusz. Safe to
-// call concurrently with a running workload: counters are atomic reads.
+// call from any goroutine, concurrently with a running workload:
+// counters are atomic reads.
 func (s *System) Status() Status {
 	st := Status{
-		Procs:             s.cfg.Procs,
-		Mode:              s.cfg.Mode.String(),
-		PageSize:          s.layout.PageSize(),
-		NumPages:          s.layout.NumPages(),
-		GoroutinesPerNode: s.cfg.GoroutinesPerNode,
-		GCEveryBarriers:   s.cfg.GCEveryBarriers,
-		RPCTimeout:        s.cfg.RPCTimeout.String(),
-		Net:               s.tr.Totals(),
+		Procs:           s.cfg.Procs,
+		Mode:            s.cfg.Mode.String(),
+		PageSize:        s.layout.PageSize(),
+		NumPages:        s.layout.NumPages(),
+		GCEveryBarriers: s.cfg.GCEveryBarriers,
+		RPCTimeout:      s.cfg.RPCTimeout.String(),
+		Net:             s.tr.Totals(),
 	}
 	for _, n := range s.local {
 		st.LocalNodes = append(st.LocalNodes, int(n.id))

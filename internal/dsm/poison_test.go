@@ -87,7 +87,7 @@ func TestEarlyReleaseIsCaught(t *testing.T) {
 			held.release()
 			held = fetchedDiffs{{wants, &wire.Msg{Kind: wire.KDiffResp, Diffs: diffs}}}
 		}
-		_, err = e.serviceMiss(pg, held)
+		err = e.bringCurrent(pg, held)
 		if early {
 			if err == nil || !strings.Contains(err.Error(), "exceeds page size") {
 				t.Errorf("a miss over a diff applied after its response's release = %v, want Apply's refusal", err)

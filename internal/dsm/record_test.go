@@ -57,24 +57,22 @@ func (r recNode) WriteUint64(addr mem.Addr, v uint64) error {
 	return r.Node.WriteUint64(addr, v)
 }
 
-// countUnderLock runs the migratory counter on every goroutine slot of
-// the systems' nodes: iters times each, take lock l and increment the
-// uint64 at addr. Node 0 then reads the word under the lock as slot 0.
-// The history must be race-free with every read legal, so every increment
-// saw its predecessor and the count is exact.
-func countUnderLock(t *testing.T, systems []*System, gpn int, l mem.LockID, addr mem.Addr, iters int) {
+// countUnderLock runs the migratory counter on every node of the
+// systems: iters times each, take lock l and increment the uint64 at
+// addr. Node 0 then reads the word under the lock. The history must be
+// race-free with every read legal, so every increment saw its predecessor
+// and the count is exact.
+func countUnderLock(t *testing.T, systems []*System, l mem.LockID, addr mem.Addr, iters int) {
 	t.Helper()
 	var n0 *Node
-	slots := 0
 	for _, s := range systems {
-		slots += len(s.Local()) * gpn
 		if s.IsLocal(0) {
 			n0 = s.Node(0)
 		}
 	}
-	logs := hb.NewLogs(slots)
-	driveSlots(t, systems, gpn, func(node *Node, slot int) error {
-		n := recNode{node, logs[slot]}
+	logs := hb.NewLogs(systems[0].NumProcs())
+	driveNodes(t, systems, func(node *Node) error {
+		n := recNode{node, logs[node.ID()]}
 		for k := 0; k < iters; k++ {
 			if err := n.Acquire(l); err != nil {
 				return err

@@ -34,16 +34,15 @@ import (
 // that the paper's Table 1 quantifies.
 //
 // Concurrency: page copies and the per-page pending-miss slot are
-// guarded by the node's striped lock table; miss service serializes per
-// page under the miss lock, so at most one miss per page is in flight
-// per node and concurrent faulting goroutines coalesce behind it.
+// guarded by the node's striped lock table; misses are the application
+// goroutine's, one at a time.
 type scEngine struct {
 	n   *Node
 	dir *directory
 
 	// pages[i] and pending[i] are guarded by n.pageLock(i). pending[i]
-	// is the one in-flight miss for page i (the miss lock admits at most
-	// one), completed by install on the page's shard worker.
+	// is the node's in-flight miss of page i, completed by install on the
+	// page's shard worker.
 	pages   []*scPage
 	pending []*scMiss
 }
@@ -134,17 +133,12 @@ func (e *scEngine) tryLocal(miss *scMiss) bool {
 	return false
 }
 
-// access performs one read or write that missed: against the local copy
-// if a concurrent miss made its mode suffice, otherwise through one
-// directory transaction at the home, with the blocked access completed by
-// install when the grant arrives (see the livelock discussion on scEngine).
+// access performs one read or write that missed through one directory
+// transaction at the home, with the blocked access completed by install
+// when the grant arrives (see the livelock discussion on scEngine).
 func (e *scEngine) access(miss *scMiss, kind wire.Kind) error {
 	n := e.n
 	pmu := n.pageLock(miss.pg)
-	mmu := n.missLock(miss.pg)
-	mmu.Lock()
-	defer mmu.Unlock()
-
 	for {
 		pmu.Lock()
 		if e.tryLocal(miss) {
@@ -245,7 +239,7 @@ func (e *scEngine) install(m *wire.Msg, mode scAccess) bool {
 	// An upgrade grant (no data) means the directory saw us in the copyset,
 	// so a current read copy must be installed here (copyset membership
 	// without an installed copy only exists while our own fetch is in
-	// flight, and the miss lock admits one miss per page at a time). A
+	// flight, and the node runs one miss at a time). A
 	// grant that violates that came from a confused or hostile peer —
 	// reject it.
 	switch pc := e.pages[pg]; {

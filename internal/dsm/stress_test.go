@@ -129,7 +129,8 @@ func TestSequentialConsistencyForProperlyLabeled(t *testing.T) {
 		// lock: a lost or torn append is a stale read.
 		total := 24
 		logs := hb.NewLogs(procs)
-		driveSlots(t, []*System{s}, 1, func(node *Node, i int) error {
+		driveNodes(t, []*System{s}, func(node *Node) error {
+			i := int(node.ID())
 			n := recNode{node, logs[i]}
 			for {
 				if err := n.Acquire(0); err != nil {

@@ -13,12 +13,10 @@ import (
 // carry — write notices, clocks, piggybacked diffs, or nothing at all —
 // is the engine's business, hooked in at the engine payload methods.
 //
-// With Config.GoroutinesPerNode > 1 both primitives are two-level: the
-// node presents one identity to the distributed protocol, and local
-// goroutines rendezvous in front of it. Lock contention between local
-// goroutines resolves by local handoff (the cached-reacquire fast path
-// of §4.2 — no protocol traffic); a barrier's last local arriver runs
-// the cluster exchange on behalf of the node and releases the rest.
+// Acquire, Release and Barrier are the node's application goroutine's:
+// a node is one processor to the protocol, as in the paper, and presents
+// one identity to it. Handler workers answer peers' lock requests and
+// forwards concurrently, under lockMu.
 
 // --- the protocol tag ---
 //
@@ -88,73 +86,54 @@ func (n *Node) lockLocalState(l mem.LockID) *lockLocal {
 // carries the releaser's clock and the write notices the acquirer lacks
 // (§4.2), and LU additionally revalidates the cached pages they name;
 // the eager and SC engines move no consistency payload at acquires.
-//
-// Any number of goroutines on the node may contend for the same lock:
-// while one holds it the others park on a local queue and are handed
-// the lock at release without touching the interconnect. A goroutine
-// must not re-acquire a lock it already holds (self-deadlock, exactly
-// as with a real mutex).
+// Acquiring a lock the node holds is an error, as is a call while
+// another goroutine's is in progress on the node.
 func (n *Node) Acquire(l mem.LockID) error {
-	for {
-		n.lockMu.Lock()
-		ll := n.lockLocalState(l)
-		if !ll.held && !ll.acquiring {
-			req := wire.NewMsg() // a shell: the engine hook is an interface call
-			req.Kind, req.Seq, req.A, req.B = wire.KLockReq, n.nextSeq(), int32(l), int32(n.id)
-			// The acquire-time engine hook runs on every successful
-			// acquisition path, local handoffs included: under the lazy
-			// protocols an acquire delimits the current interval.
-			n.e.acquireStart(req)
-			n.sealSection(req)
-			if ll.cached {
-				ll.held = true
-				n.lockMu.Unlock()
-				req.Release()
-				n.emit("sync", "cs-enter", int64(l))
-				return nil
-			}
-			ll.acquiring = true
-			n.lockMu.Unlock()
-
-			grant, err := n.rpc(n.sys.lockMgr(l), req)
-			req.Release()
-			if err != nil {
-				n.lockMu.Lock()
-				ll.acquiring = false
-				// Wake parked goroutines so they observe the failure (or
-				// retry) instead of waiting for a release that never comes.
-				for _, ch := range ll.waiters {
-					close(ch)
-				}
-				ll.waiters = nil
-				n.lockMu.Unlock()
-				return err
-			}
-
-			n.lockMu.Lock()
-			ll.held = true
-			ll.acquiring = false
-			ll.cached = true
-			n.lockMu.Unlock()
-			n.emit("sync", "cs-enter", int64(l))
-			// onGrant has absorbed the grant by the time it returns: the log
-			// has its records, LU's store clones of its piggybacked diffs.
-			n.openSection("lock grant", grant, mem.ProcID(grant.B))
-			err = n.e.onGrant(grant)
-			grant.Release()
-			return err
-		}
-		// Held (or being acquired) by another local goroutine: park until
-		// a release hands the lock over or sends it away, then retry.
-		ch := make(chan struct{})
-		ll.waiters = append(ll.waiters, ch)
-		n.lockMu.Unlock()
-		select {
-		case <-ch:
-		case <-n.closedCh:
-			return fmt.Errorf("dsm: node %d: acquire of lock %d: %w", n.id, l, ErrClosed)
-		}
+	if err := n.enter("acquire"); err != nil {
+		return err
 	}
+	defer n.leave()
+	n.lockMu.Lock()
+	ll := n.lockLocalState(l)
+	if ll.held {
+		n.lockMu.Unlock()
+		return fmt.Errorf("dsm: node %d: acquire of lock %d, which it holds", n.id, l)
+	}
+	req := wire.NewMsg() // a shell: the engine hook is an interface call
+	req.Kind, req.Seq, req.A, req.B = wire.KLockReq, n.nextSeq(), int32(l), int32(n.id)
+	// The acquire-time engine hook runs on every successful acquisition
+	// path, the cached one included: under the lazy protocols an acquire
+	// delimits the current interval.
+	n.e.acquireStart(req)
+	n.sealSection(req)
+	if ll.cached {
+		ll.held = true
+		n.lockMu.Unlock()
+		req.Release()
+		n.emit("sync", "cs-enter", int64(l))
+		return nil
+	}
+	ll.acquiring = true
+	n.lockMu.Unlock()
+
+	grant, err := n.rpc(n.sys.lockMgr(l), req)
+	req.Release()
+	n.lockMu.Lock()
+	ll.acquiring = false
+	if err == nil {
+		ll.held, ll.cached = true, true
+	}
+	n.lockMu.Unlock()
+	if err != nil {
+		return err
+	}
+	n.emit("sync", "cs-enter", int64(l))
+	// onGrant has absorbed the grant by the time it returns: the log has
+	// its records, LU's store clones of its piggybacked diffs.
+	n.openSection("lock grant", grant, mem.ProcID(grant.B))
+	err = n.e.onGrant(grant)
+	grant.Release()
+	return err
 }
 
 // Release releases lock l. Under the lazy protocols releases are purely
@@ -162,11 +141,14 @@ func (n *Node) Acquire(l mem.LockID) error {
 // grant — clock, notices, and for LU the retained diffs — goes straight
 // to the next acquirer. The eager engines first push the critical
 // section's modifications to every other cacher (preRelease), so the
-// next holder can never observe pre-release data. A remote requester
-// already waiting takes precedence over parked local goroutines (they
-// re-contend through the manager), keeping the distributed protocol
-// starvation-free.
+// next holder can never observe pre-release data. Like every application
+// call, it fails while another goroutine's call is in progress on the
+// node.
 func (n *Node) Release(l mem.LockID) error {
+	if err := n.enter("release"); err != nil {
+		return err
+	}
+	defer n.leave()
 	n.lockMu.Lock()
 	ll := n.lockLocalState(l)
 	if !ll.held {
@@ -177,9 +159,8 @@ func (n *Node) Release(l mem.LockID) error {
 	n.emit("sync", "cs-exit", int64(l))
 
 	// Eager flush point: blocking message exchanges, so outside lockMu.
-	// Only the holding goroutine calls Release, so held cannot flip
-	// underneath us; a concurrent local Acquire parks on the waiter
-	// queue, and a remote request parks in ll.pending.
+	// The lock stays held meanwhile: a remote request parks in
+	// ll.pending.
 	if err := n.e.preRelease(); err != nil {
 		return err
 	}
@@ -188,29 +169,14 @@ func (n *Node) Release(l mem.LockID) error {
 	defer n.lockMu.Unlock()
 	n.e.release()
 	ll.held = false
-	var err error
-	if ll.pending != nil {
-		req := ll.pending
-		ll.pending = nil
-		ll.cached = false
-		err = n.sendGrant(req)
-		req.Release()
+	if ll.pending == nil {
+		return nil
 	}
-	if len(ll.waiters) > 0 {
-		if ll.cached {
-			// Local handoff: wake exactly one parked goroutine; it takes
-			// the cached fast path.
-			close(ll.waiters[0])
-			ll.waiters = ll.waiters[1:]
-		} else {
-			// The lock left the node: every parked goroutine re-contends
-			// through the manager.
-			for _, ch := range ll.waiters {
-				close(ch)
-			}
-			ll.waiters = nil
-		}
-	}
+	req := ll.pending
+	ll.pending = nil
+	ll.cached = false
+	err := n.sendGrant(req)
+	req.Release()
 	return err
 }
 
@@ -230,53 +196,19 @@ func (n *Node) sendGrant(req *wire.Msg) error {
 
 // --- application API: barriers ---
 
-// Barrier blocks until every participant has arrived at barrier b: the
-// node's GoroutinesPerNode local goroutines first, then every node of
-// the cluster, exchanging the engine's consistency payload through the
-// master (node 0) — 2(n-1) messages, §4.2 — and running the engine's
-// post-barrier episode work (data movement, garbage collection) once
-// per node. The eager engines flush buffered modifications before
-// arriving, so every pre-barrier write is propagated before any
-// participant exits. All local participants must name the same barrier
-// id within one episode.
+// Barrier blocks until every node of the cluster has arrived at barrier
+// b, exchanging the engine's consistency payload through the master
+// (node 0) — 2(n-1) messages, §4.2 — and then runs the engine's
+// post-barrier episode work (data movement, garbage collection). The
+// eager engines flush buffered modifications before arriving, so every
+// pre-barrier write is propagated before any node exits. Each node
+// arrives from its one application goroutine; another goroutine's call
+// meanwhile fails.
 func (n *Node) Barrier(b mem.BarrierID) error {
-	k := n.sys.cfg.GoroutinesPerNode
-	if k <= 1 {
-		return n.clusterBarrier(b)
+	if err := n.enter("barrier"); err != nil {
+		return err
 	}
-	n.barMu.Lock()
-	ep := n.bar
-	if ep == nil {
-		ep = &barEpisode{id: b, done: make(chan struct{})}
-		n.bar = ep
-	}
-	if ep.id != b {
-		n.barMu.Unlock()
-		return fmt.Errorf("dsm: node %d: barrier %d entered while barrier %d is rendezvousing", n.id, b, ep.id)
-	}
-	ep.arrived++
-	if ep.arrived == k {
-		// Leader: run the cluster exchange on behalf of the node. The
-		// episode slot is cleared first so released participants can
-		// immediately start the next rendezvous.
-		n.bar = nil
-		n.barMu.Unlock()
-		ep.err = n.clusterBarrier(b)
-		close(ep.done)
-		return ep.err
-	}
-	n.barMu.Unlock()
-	select {
-	case <-ep.done:
-		return ep.err
-	case <-n.closedCh:
-		return fmt.Errorf("dsm: node %d: barrier %d: %w", n.id, b, ErrClosed)
-	}
-}
-
-// clusterBarrier is the node-level barrier: the distributed rendezvous
-// through the master plus the engine's pre/post episode work.
-func (n *Node) clusterBarrier(b mem.BarrierID) error {
+	defer n.leave()
 	n.emit("sync", "barrier-enter", int64(b))
 	if err := n.e.barrierEntry(); err != nil {
 		return err
@@ -363,8 +295,8 @@ func (n *Node) park(m *wire.Msg, src mem.ProcID) {
 // second one from a node already counted this round is recorded and
 // dropped, and the round keeps waiting for the others; one for another
 // barrier fails the round. The caller holds the returned messages, in the
-// node's collected list: the barrier leader's alone, good until its next
-// round.
+// node's collected list: the master's application goroutine's alone, good
+// until its next round.
 func (n *Node) collectRound(b mem.BarrierID) ([]*wire.Msg, error) {
 	got := n.collected[:0]
 	defer func() { n.collected = got[:0] }()
@@ -432,8 +364,8 @@ func (n *Node) handleLockFwd(m *wire.Msg) {
 	ll := n.lockLocalState(l)
 	ll.cached = false
 	if ll.held || ll.acquiring {
-		// A local goroutine holds the lock (or our own grant is still in
-		// flight): the successor waits for our release.
+		// The node holds the lock (or our own grant is still in flight):
+		// the successor waits for our release.
 		if ll.pending != nil {
 			// The manager forwards each lock to exactly one successor at a
 			// time, so a second pending request can only come from a

@@ -3,6 +3,7 @@ package dsm
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"testing"
 
 	"repro/internal/mem"
@@ -170,55 +171,57 @@ func TestTrimmedSlotsServeTheSameDiffs(t *testing.T) {
 	}
 }
 
-// TestTrimRacesWritersOfPendingPages: the slot the budget trims is the
-// page's pending one — its target is still the live page — while a
-// second goroutine of the node keeps writing those pages, capturing
-// twins that re-target the same slots. Whichever side wins each stripe,
-// a reader must find both goroutines' last writes. Run under -race.
+// TestTrimRacesWritersOfPendingPages: the slots the budget trims are
+// pages' pending ones — their target is still the live page — while the
+// writer's handlers serve those same slots to a reader. The writer (node
+// 0) writes word 0 of every page under lock 0, one interval a page, and
+// then word 1 under lock 1: that pass's closes trim, and its first writes
+// capture twins that re-target the pending slots, while node 1, holding
+// lock 0, faults every page and asks node 0 for the first pass's diffs.
+// Whichever side wins each stripe, the reader finds the first pass's
+// words, and once it holds lock 1 too, the second pass's. Run under -race.
 func TestTrimRacesWritersOfPendingPages(t *testing.T) {
-	s := newBudgetSys(t, Config{Procs: 2, GoroutinesPerNode: 2})
-	const passes = 2
-	// Goroutine g writes word g of every page, under its own lock.
-	driveSlots(t, []*System{s}, 2, func(n *Node, slot int) error {
-		if n.ID() != 0 {
-			return nil
-		}
-		g := slot
-		for pass := 1; pass <= passes; pass++ {
-			for pg := 0; pg < budgetPages; pg++ {
-				if err := n.Acquire(mem.LockID(g)); err != nil {
-					return err
-				}
-				if err := n.WriteUint64(mem.Addr(pg*budgetPageSize+8*g), uint64(pass)<<32|uint64(pg)); err != nil {
-					return err
-				}
-				if err := n.Release(mem.LockID(g)); err != nil {
+	s := newBudgetSys(t, Config{Procs: 2})
+	w, r := s.Node(0), s.Node(1)
+	word := func(g, pg int) (mem.Addr, uint64) {
+		return mem.Addr(pg*budgetPageSize + 8*g), uint64(g+1)<<32 | uint64(pg)
+	}
+	pass := func(g int) error {
+		for pg := 0; pg < budgetPages; pg++ {
+			addr, v := word(g, pg)
+			for _, err := range []error{w.Acquire(mem.LockID(g)), w.WriteUint64(addr, v), w.Release(mem.LockID(g))} {
+				if err != nil {
 					return err
 				}
 			}
 		}
 		return nil
-	})
-	if s.Node(0).Stats().DiffsTrimmed == 0 {
-		t.Fatal("the writers never tripped the budget")
 	}
-	r := s.Node(1)
-	for g := 0; g < 2; g++ {
-		if err := r.Acquire(mem.LockID(g)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for pg := 0; pg < budgetPages; pg++ {
-		for g := 0; g < 2; g++ {
-			got, err := r.ReadUint64(mem.Addr(pg*budgetPageSize + 8*g))
+	check := func(g int) error {
+		for pg := 0; pg < budgetPages; pg++ {
+			addr, want := word(g, pg)
+			got, err := r.ReadUint64(addr)
 			if err != nil {
-				t.Fatal(err)
+				return err
 			}
-			if want := uint64(passes)<<32 | uint64(pg); got != want {
-				t.Fatalf("page %d word %d = %#x, want %#x", pg, g, got, want)
+			if got != want {
+				return fmt.Errorf("page %d word %d = %#x, want %#x", pg, g, got, want)
 			}
 		}
+		return nil
 	}
+	must(t, pass(0))
+	must(t, r.Acquire(0))
+	read := make(chan error, 1)
+	go func() { read <- check(0) }()
+	must(t, pass(1))
+	must(t, <-read)
+	if w.Stats().DiffsTrimmed == 0 {
+		t.Fatal("the writer never tripped the budget")
+	}
+	must(t, r.Acquire(1))
+	must(t, check(0))
+	must(t, check(1))
 }
 
 // TestBelowBudgetNothingIsDiffed: the hit-private shape — every node
@@ -229,7 +232,7 @@ func TestTrimRacesWritersOfPendingPages(t *testing.T) {
 func TestBelowBudgetNothingIsDiffed(t *testing.T) {
 	const procs, slab, rounds = 4, 16, 8
 	s := newBudgetSys(t, Config{Procs: procs, GCEveryBarriers: rounds})
-	driveSlots(t, []*System{s}, 1, func(n *Node, _ int) error {
+	driveNodes(t, []*System{s}, func(n *Node) error {
 		for round := 1; round <= rounds; round++ {
 			for i := 0; i < slab; i++ {
 				pg := i*procs + int(n.ID()) // pg % procs: homed here

@@ -16,7 +16,8 @@ import (
 // uncommitted writes of the current interval (lazy) or critical sections
 // since the last flush (eager). Without a twin the two are the same bytes.
 // Everything that changes the committed contents goes through land, so the
-// invariant holds whatever a concurrent local writer is doing.
+// invariant holds whatever the node's own writer is doing when a handler
+// lands outside bytes (EU's landCopy).
 type pageCopy struct {
 	data  []byte
 	valid bool
@@ -124,9 +125,8 @@ func (n *Node) releaseTwin(t *page.Twin) {
 // page stripe or an engine mutex held and never the other way around.
 //
 // Invariant: twin ≠ nil ⇒ page ∈ dirty ∪ pages claimed by an open drain.
-// add keeps it by running under the stripe that made the twin — a second
-// local goroutine that finds the twin and releases finds the page here —
-// and the drainer by consuming every twin it claimed.
+// add keeps it by running under the stripe that made the twin, and the
+// drainer by consuming every twin it claimed.
 type writeSet struct {
 	mu    sync.Mutex
 	dirty map[mem.PageID]struct{}

@@ -26,10 +26,9 @@
 // build the schema up front, then share the handles.
 //
 // Handles are safe to share between any number of goroutines: they are
-// immutable values, and the runtime node behind Mem (*dsm.Node) is safe
-// for concurrent use — several application goroutines may drive one
-// node's handles at once (size dsm.Config.GoroutinesPerNode when more
-// than one uses Barrier), contending for Locks by node-local handoff.
+// immutable values. The runtime node behind Mem (*dsm.Node) takes one
+// application goroutine, so each goroutine drives its own node's handles;
+// a second goroutine's concurrent call on a node fails with an error.
 //
 // Distinct handles never share a diff word. The runtime's multiple-writer
 // protocol merges concurrent writers of one page word by word

@@ -40,21 +40,6 @@ func TestRuntimeResultShape(t *testing.T) {
 	}
 }
 
-// TestOversubscribedRejectsBadShape: a goroutine count that does not
-// divide the processor count is a configuration error, not a hang.
-func TestOversubscribedRejectsBadShape(t *testing.T) {
-	prog, err := New("water", 8, 0.05, diffSeed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := RunOnRuntime(prog, RuntimeConfig{GoroutinesPerNode: 3}); err == nil {
-		t.Fatal("gpn=3 over 8 processors accepted")
-	}
-	if _, err := RunOnRuntime(prog, RuntimeConfig{GoroutinesPerNode: -1}); err == nil {
-		t.Fatal("negative gpn accepted")
-	}
-}
-
 // outOfRange is a buggy program whose processor 1 accesses past the end of
 // the shared space after the barrier.
 type outOfRange struct{ procs int }

@@ -34,7 +34,6 @@ type row struct {
 	scale    float64
 	pageSize int
 	mode     dsm.Mode
-	gpn      int
 	tcp      bool
 	gc       int
 	fault    string
@@ -47,18 +46,18 @@ func (r row) String() string {
 	} else if r.fault != "" {
 		transport = "simnet+" + r.fault
 	}
-	// The "block" segment names the page→home map, pg % procs, which every
-	// row runs; it keeps the rows' names as they were when a second map
-	// existed.
-	return fmt.Sprintf("%s/p%d/s%g/ps%d/%s/gpn%d/%s/block/gc%d",
-		r.prog, r.procs, r.scale, r.pageSize, r.mode, r.gpn, transport, r.gc)
+	// The "gpn1" segment names the one application goroutine per node and
+	// the "block" segment the page→home map, pg % procs, which every row
+	// runs; they keep the rows' names as they were when other shapes and a
+	// second map existed.
+	return fmt.Sprintf("%s/p%d/s%g/ps%d/%s/gpn1/%s/block/gc%d",
+		r.prog, r.procs, r.scale, r.pageSize, r.mode, transport, r.gc)
 }
 
 // matrixRows lists the matrix's cross products, each distinct cell once.
 func matrixRows() []row {
 	var rows []row
 	add := func(r row) {
-		r.gpn = max(r.gpn, 1)
 		if !slices.Contains(rows, r) {
 			rows = append(rows, r)
 		}
@@ -66,32 +65,34 @@ func matrixRows() []row {
 	const small, big = 0.05, 0.1
 	for _, name := range Names {
 		for _, mode := range dsm.Modes {
-			// Every program and protocol at eight processors, on small and
-			// large pages and four goroutines to a node, and at four
-			// processors two to a node across real sockets.
+			// Every program and protocol at eight processors on small, 1 KiB
+			// and large pages, and at four across real sockets.
 			add(row{prog: name, procs: 8, scale: big, pageSize: 512, mode: mode})
+			add(row{prog: name, procs: 8, scale: big, pageSize: 1024, mode: mode})
 			add(row{prog: name, procs: 8, scale: big, pageSize: 4096, mode: mode})
-			add(row{prog: name, procs: 8, scale: big, pageSize: 1024, mode: mode, gpn: 4})
-			add(row{prog: name, procs: 4, scale: small, pageSize: 1024, mode: mode, gpn: 2, tcp: true})
-		}
-		// Over TCP under the two protocols that move data only at misses.
-		for _, mode := range []dsm.Mode{dsm.LazyInvalidate, dsm.SeqConsistent} {
 			add(row{prog: name, procs: 4, scale: small, pageSize: 1024, mode: mode, tcp: true})
+		}
+		// Over TCP at two nodes too, under the two protocols that move data
+		// only at misses.
+		for _, mode := range []dsm.Mode{dsm.LazyInvalidate, dsm.SeqConsistent} {
+			add(row{prog: name, procs: 2, scale: small, pageSize: 1024, mode: mode, tcp: true})
 		}
 	}
 	for _, mode := range dsm.Modes {
-		add(row{prog: "locusroute", procs: 4, scale: small, pageSize: 1024, mode: mode, tcp: true})
 		// Delay and jitter reorder nothing (per-peer FIFO holds) and lose
 		// nothing.
 		add(row{prog: "water", procs: 4, scale: small, pageSize: 1024, mode: mode, fault: "delay=100us,jitter=100us,seed=3"})
-		// mp3d, the multi-writer program and the hardest on directory
-		// state: one goroutine per node and four (one node, where every
-		// lock hand-off and barrier resolves locally), and both shapes
-		// over TCP.
-		for _, gpn := range []int{1, 4} {
-			add(row{prog: "mp3d", procs: 4, scale: small, pageSize: 1024, mode: mode, gpn: gpn})
-			add(row{prog: "mp3d", procs: 4, scale: small, pageSize: 1024, mode: mode, gpn: gpn, tcp: true})
+		// locusroute and mp3d over TCP at two nodes under every protocol.
+		for _, prog := range []string{"locusroute", "mp3d"} {
+			add(row{prog: prog, procs: 2, scale: small, pageSize: 1024, mode: mode, tcp: true})
 		}
+		// mp3d, the multi-writer program and the hardest on directory
+		// state, at four processors in process too, and on one node, where
+		// every lock hand-off and barrier resolves locally, in process and
+		// over TCP.
+		add(row{prog: "mp3d", procs: 4, scale: small, pageSize: 1024, mode: mode})
+		add(row{prog: "mp3d", procs: 1, scale: small, pageSize: 1024, mode: mode})
+		add(row{prog: "mp3d", procs: 1, scale: small, pageSize: 1024, mode: mode, tcp: true})
 	}
 	// Barrier-time garbage collection, its collective round in process and
 	// over sockets.
@@ -103,7 +104,7 @@ func matrixRows() []row {
 }
 
 // TestDifferentialMatrix runs every row; -short keeps the in-process
-// four-processor rows without faults. Under -v each row logs the reads it
+// rows of at most four processors without faults. Under -v each row logs the reads it
 // checked, how many were racy and the messages it moved.
 func TestDifferentialMatrix(t *testing.T) {
 	rows := matrixRows()
@@ -143,11 +144,10 @@ func (r row) run(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := &recorded{prog, hb.NewLogs(r.procs)}
-	nodes := r.procs / r.gpn
-	rc := RuntimeConfig{PageSize: r.pageSize, Mode: r.mode, GCEveryBarriers: r.gc, GoroutinesPerNode: r.gpn}
+	rc := RuntimeConfig{PageSize: r.pageSize, Mode: r.mode, GCEveryBarriers: r.gc}
 	switch {
 	case r.tcp:
-		cluster, err := tcp.NewLoopbackCluster(nodes)
+		cluster, err := tcp.NewLoopbackCluster(r.procs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,7 +159,7 @@ func (r row) run(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rc.Transports = []dsm.Transport{fault.Wrap(simnet.New(nodes), plan)}
+		rc.Transports = []dsm.Transport{fault.Wrap(simnet.New(r.procs), plan)}
 		rc.RPCTimeout = 2 * time.Minute
 	}
 	res, err := RunOnRuntime(rec, rc)
@@ -169,13 +169,13 @@ func (r row) run(t *testing.T) {
 	if !bytes.Equal(res.Image, ref.Image) {
 		t.Errorf("image diverges from the sequential reference (first diff at byte %d)", firstDiff(res.Image, ref.Image))
 	}
-	// A single node (gpn = procs) resolves everything locally.
+	// A single node resolves everything locally.
 	// Every message is its own frame.
-	if n := res.Net; (nodes > 1 && n.Messages == 0) || n.Frames != n.Messages || n.Batches != 0 {
+	if n := res.Net; (r.procs > 1 && n.Messages == 0) || n.Frames != n.Messages || n.Batches != 0 {
 		t.Errorf("traffic %+v: want Messages > 0 across nodes, Frames == Messages and no Batches", n)
 	}
-	if len(res.Nodes) != nodes {
-		t.Errorf("stats for %d nodes, want %d", len(res.Nodes), nodes)
+	if len(res.Nodes) != r.procs {
+		t.Errorf("stats for %d nodes, want %d", len(res.Nodes), r.procs)
 	}
 	st, err := hb.Check(rec.logs, hb.AllowRaces)
 	if err != nil {

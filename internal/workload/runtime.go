@@ -13,7 +13,9 @@ import (
 	"repro/internal/trace"
 )
 
-// RuntimeConfig configures a workload execution on the live DSM runtime.
+// RuntimeConfig configures a workload execution on the live DSM runtime,
+// which runs each of the program's processors as one node driven by one
+// goroutine.
 type RuntimeConfig struct {
 	// PageSize is the consistency granularity (default 4096).
 	PageSize int
@@ -22,16 +24,6 @@ type RuntimeConfig struct {
 	// GCEveryBarriers enables the runtime's barrier-time garbage
 	// collection every k-th episode (0 disables).
 	GCEveryBarriers int
-	// GoroutinesPerNode multiplexes the program's logical processors over
-	// fewer DSM nodes: with k > 1 the cluster has NumProcs/k nodes
-	// (NumProcs must be divisible by k) and logical processor p runs as
-	// an application goroutine on node p mod (NumProcs/k) — the
-	// oversubscribed-node shape. 0 and 1 mean one goroutine per node.
-	// Lock contention between co-located processors resolves by local
-	// handoff and barriers rendezvous locally before the node arrives at
-	// the cluster barrier, so the program observes identical consistency
-	// semantics at any k.
-	GoroutinesPerNode int
 	// RPCTimeout bounds every remote wait (rpc responses and master
 	// rendezvous collection) in the underlying systems; see
 	// dsm.Config.RPCTimeout. 0 waits forever.
@@ -53,9 +45,9 @@ type RuntimeConfig struct {
 	// built per transport instance and program bodies run on every local
 	// node of every instance — a loopback TCP cluster passes all of its
 	// transports here; a genuinely multi-process run passes just this
-	// process's. Each transport must span exactly the cluster's node
-	// count (NumProcs/GoroutinesPerNode), and across processes their
-	// local endpoints must partition it. The final image is read by node
+	// process's. Each transport must span exactly the program's NumProcs
+	// nodes, and across processes their local endpoints must partition
+	// it. The final image is read by node
 	// 0, so only the run hosting node 0 reports one.
 	Transports []dsm.Transport
 }
@@ -73,9 +65,7 @@ type RuntimeResult struct {
 	// transports, including the closing barriers and the image read-out.
 	Net dsm.TransportStats
 	// Nodes holds each node's protocol counters, indexed by node id
-	// (zero-valued for nodes hosted by other processes). With
-	// GoroutinesPerNode > 1 there are NumProcs/GoroutinesPerNode nodes,
-	// each serving its co-located logical processors.
+	// (zero-valued for nodes hosted by other processes).
 	Nodes []dsm.Stats
 }
 
@@ -88,8 +78,7 @@ type nodeErr struct{ err error }
 // nodeCtx adapts one dsm.Node to the Ctx interface through the typed
 // shared-memory façade: value-carrying operations go through shm handles
 // at the trace's addresses, so the encoding lives in one place. Each
-// logical processor gets its own nodeCtx (driven by exactly one
-// goroutine); with GoroutinesPerNode > 1 several share one node.
+// processor is one node, driven by its nodeCtx's goroutine.
 type nodeCtx struct {
 	n     *dsm.Node
 	proc  int
@@ -152,11 +141,9 @@ func (c *nodeCtx) Acquire(l int) { c.check(shm.LockAt(mem.LockID(l)).Acquire(c.n
 func (c *nodeCtx) Release(l int) { c.check(shm.LockAt(mem.LockID(l)).Release(c.n)) }
 func (c *nodeCtx) Barrier(b int) { c.check(shm.BarrierAt(mem.BarrierID(b)).Wait(c.n)) }
 
-// RunOnRuntime executes the program on the live DSM runtime: one genuinely
-// concurrent goroutine per logical processor, driving its node (its own
-// with the default GoroutinesPerNode of one, a shared one when
-// oversubscribed), with locks and barriers mapped to the runtime's
-// synchronization operations. After every body returns, all processors
+// RunOnRuntime executes the program on the live DSM runtime: one node per
+// processor, each driven by one genuinely concurrent goroutine, with locks
+// and barriers mapped to the runtime's synchronization operations. After every body returns, all processors
 // run one closing barrier (id Config().NumBarriers, outside the
 // program's range) so node 0's vector clock covers every interval,
 // processor 0 reads the whole space out as the final image, and a second
@@ -167,15 +154,6 @@ func RunOnRuntime(p Program, rc RuntimeConfig) (*RuntimeResult, error) {
 	if rc.PageSize == 0 {
 		rc.PageSize = 4096
 	}
-	gpn := rc.GoroutinesPerNode
-	if gpn == 0 {
-		gpn = 1
-	}
-	if gpn < 0 || cfg.NumProcs%gpn != 0 {
-		return nil, fmt.Errorf("workload %s on runtime (%s): %d goroutines per node does not divide %d processors",
-			p.Name(), rc.Mode, gpn, cfg.NumProcs)
-	}
-	nodes := cfg.NumProcs / gpn
 	transports := rc.Transports
 	if transports == nil {
 		transports = []dsm.Transport{nil} // default in-process network
@@ -192,16 +170,15 @@ func RunOnRuntime(p Program, rc RuntimeConfig) (*RuntimeResult, error) {
 	}
 	for i, tr := range transports {
 		sys, err := dsm.New(dsm.Config{
-			Procs:             nodes,
-			SpaceSize:         cfg.SpaceSize,
-			PageSize:          rc.PageSize,
-			Mode:              rc.Mode,
-			GCEveryBarriers:   rc.GCEveryBarriers,
-			GoroutinesPerNode: gpn,
-			RPCTimeout:        rc.RPCTimeout,
-			Metrics:           rc.Metrics,
-			Tracer:            rc.Tracer,
-			Transport:         tr,
+			Procs:           cfg.NumProcs,
+			SpaceSize:       cfg.SpaceSize,
+			PageSize:        rc.PageSize,
+			Mode:            rc.Mode,
+			GCEveryBarriers: rc.GCEveryBarriers,
+			RPCTimeout:      rc.RPCTimeout,
+			Metrics:         rc.Metrics,
+			Tracer:          rc.Tracer,
+			Transport:       tr,
 		})
 		if err != nil {
 			// dsm.New closed tr; close the systems already built and the
@@ -228,48 +205,44 @@ func RunOnRuntime(p Program, rc RuntimeConfig) (*RuntimeResult, error) {
 	var wg sync.WaitGroup
 	for _, sys := range systems {
 		for _, node := range sys.Local() {
-			// Logical processor p runs on node p mod nodes: every node
-			// hosts exactly gpn concurrent program goroutines.
-			for lp := int(node.ID()); lp < cfg.NumProcs; lp += nodes {
-				wg.Add(1)
-				go func(node *dsm.Node, proc int) {
-					defer wg.Done()
-					ctx := &nodeCtx{n: node, proc: proc, procs: cfg.NumProcs}
-					err := func() (err error) {
-						defer func() {
-							if r := recover(); r != nil {
-								ne, ok := r.(nodeErr)
-								if !ok {
-									panic(r) // workload bug, not a DSM failure
-								}
-								err = ne.err
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				proc := int(node.ID())
+				ctx := &nodeCtx{n: node, proc: proc, procs: cfg.NumProcs}
+				err := func() (err error) {
+					defer func() {
+						if r := recover(); r != nil {
+							ne, ok := r.(nodeErr)
+							if !ok {
+								panic(r) // workload bug, not a DSM failure
 							}
-						}()
-						p.Proc(ctx)
-						// Closing barrier: every processor's modifications
-						// become visible to node 0 before the image
-						// read-out.
-						if err := node.Barrier(syncBarrier); err != nil {
+							err = ne.err
+						}
+					}()
+					p.Proc(ctx)
+					// Closing barrier: every processor's modifications
+					// become visible to node 0 before the image read-out.
+					if err := node.Barrier(syncBarrier); err != nil {
+						return err
+					}
+					if proc == 0 {
+						img := make([]byte, cfg.SpaceSize)
+						if err := node.Read(img, 0); err != nil {
 							return err
 						}
-						if proc == 0 {
-							img := make([]byte, cfg.SpaceSize)
-							if err := node.Read(img, 0); err != nil {
-								return err
-							}
-							res.Image = img
-						}
-						// Read-out barrier: peers — possibly in other
-						// processes — stay alive serving pages and diffs
-						// until node 0 has the image.
-						return node.Barrier(readoutBarrier)
-					}()
-					if err != nil {
-						errs[proc] = err
-						closeAll() // unblock peers stuck in protocol operations
+						res.Image = img
 					}
-				}(node, lp)
-			}
+					// Read-out barrier: peers — possibly in other
+					// processes — stay alive serving pages and diffs
+					// until node 0 has the image.
+					return node.Barrier(readoutBarrier)
+				}()
+				if err != nil {
+					errs[proc] = err
+					closeAll() // unblock peers stuck in protocol operations
+				}
+			}()
 		}
 	}
 	wg.Wait()
@@ -293,7 +266,7 @@ func RunOnRuntime(p Program, rc RuntimeConfig) (*RuntimeResult, error) {
 	if failed != -1 {
 		return nil, fmt.Errorf("workload %s on runtime (%s): processor %d: %w", p.Name(), rc.Mode, failed, errs[failed])
 	}
-	res.Nodes = make([]dsm.Stats, nodes)
+	res.Nodes = make([]dsm.Stats, cfg.NumProcs)
 	for _, sys := range systems {
 		res.Net.Add(sys.NetStats())
 		for _, node := range sys.Local() {

@@ -18,13 +18,11 @@
 //     page ships over a pluggable interconnect, with the consistency
 //     policy — LI, LU, EI, EU or SC — selected per instance
 //     (DSMConfig.Mode; every node of a cluster runs the same one). See
-//     NewDSM. Nodes are concurrently usable: any number of application
-//     goroutines may drive one node (DSMConfig.GoroutinesPerNode sizes
-//     the barrier rendezvous), with per-page sharded protocol state and
-//     node-local lock handoff, so programs run oversubscribed —
-//     threads-per-node — as well as one processor per node
-//     (RuntimeConfig.GoroutinesPerNode for the SPLASH workloads,
-//     lrcrun -gpn on the command line).
+//     NewDSM. A node is one processor, as in the paper, driven by one
+//     application goroutine: a second goroutine's concurrent call on it
+//     fails with a descriptive error. Its Stats and ID, and a DSM's
+//     Status, are safe from any goroutine. Per-page sharded protocol
+//     state lets the node's handler workers serve peers beside it.
 //
 // The runtime's API is redesigned at both boundaries:
 //
