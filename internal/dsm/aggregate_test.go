@@ -251,3 +251,53 @@ func TestMissAsksTheCreatorWhatItsModifierDoesNotHold(t *testing.T) {
 		t.Errorf("/metrics lacks %s:\n%s", want, page.String())
 	}
 }
+
+// TestGCEpochValidatesInOneRound: the GC epoch's bulk validation is one
+// round, a cold page the node homes included. Node 0 of two, under LI with
+// GC at every barrier, caches page 1 and never touches page 0, which it
+// homes; node 1 writes both in one interval. Across the next barrier node
+// 0 validates both pages for the epoch — page 0 because after the discard
+// no one could rebuild it from diffs — with one diff request to node 1,
+// where asking for the cold page in a round of its own sends two.
+func TestGCEpochValidatesInOneRound(t *testing.T) {
+	const pageSize = 1024
+	s, err := New(Config{Procs: 2, SpaceSize: 4 * pageSize, PageSize: pageSize, Mode: LazyInvalidate, GCEveryBarriers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := s.Close(); err != nil {
+			t.Errorf("Close: %v", err)
+		}
+	})
+	n0, n1 := s.Node(0), s.Node(1)
+	if n0.homeOf(0) != 0 || n0.homeOf(1) != 1 {
+		t.Fatal("node 0 does not home page 0, or homes page 1")
+	}
+	barrier := func() {
+		onEvery(t, s, func(n *Node) error { return n.Barrier(0) })
+	}
+	if _, err := n0.ReadUint64(pageSize); err != nil {
+		t.Fatal(err)
+	}
+	barrier()
+	must(t, n1.WriteUint64(8, 0xa))
+	must(t, n1.WriteUint64(pageSize+8, 0xb))
+	before := n0.Stats()
+	barrier()
+	after := n0.Stats()
+	if reqs := after.KindMsgs[wire.KDiffReq] - before.KindMsgs[wire.KDiffReq]; reqs != 1 {
+		t.Errorf("node 0's GC epoch sent %d diff requests, want 1", reqs)
+	}
+	if e := lazyOf(n0); !e.isValid(0) || !e.isValid(1) {
+		t.Errorf("after the GC epoch: page 0 valid %t, page 1 valid %t on node 0; want both", e.isValid(0), e.isValid(1))
+	}
+	for _, c := range []struct {
+		addr mem.Addr
+		want uint64
+	}{{8, 0xa}, {pageSize + 8, 0xb}} {
+		if got, err := n0.ReadUint64(c.addr); err != nil || got != c.want {
+			t.Errorf("node 0 read %#x at %d (err %v), want %#x", got, c.addr, err, c.want)
+		}
+	}
+}

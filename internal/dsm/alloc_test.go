@@ -172,7 +172,7 @@ func ringSections(n *Node, step int) error {
 // another node (a grant carrying write notices), misses on the record the
 // notices invalidated (a diff request and response), writes it (twin
 // capture) and releases (an interval close with its slot array), and every
-// fourth barrier runs a GC epoch (the bulk validation's prefetch, the
+// fourth barrier runs a GC epoch (the bulk validation's round, the
 // discard and the sweep). Each of those recycles what it builds — twin and
 // diff leases, slot arrays, want and request lists, message shells and
 // their clocks — so a critical section allocates nothing. What a warm

@@ -28,11 +28,11 @@ import (
 // home forwards the diff to those the hint missed.
 //
 // Concurrency: page copies, twins and the per-page copy state are under
-// the node's striped lock table, and the write set has its own leaf mutex.
-// Misses and flushes are the application goroutine's, one at a time, so a
-// release returns only once every write its node made before it has been
-// acknowledged, and two flushes of one page reach every copy in write
-// order.
+// the node's striped lock table; the write set is the application
+// goroutine's alone. Misses and flushes are that goroutine's, one at a
+// time, so a release returns only once every write its node made before it
+// has been acknowledged, and two flushes of one page reach every copy in
+// write order.
 type eagerEngine struct {
 	n      *Node
 	update bool // EU: push diffs; EI: push invalidations

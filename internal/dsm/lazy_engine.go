@@ -23,19 +23,20 @@ import (
 // they need no other responder, so a reader of a writer's several pages
 // asks it once, where the paper's per-page fetch asks once per page.
 //
-// Concurrency: page copies and their twins are per-page state under the
-// node's striped lock table, so independent pages are read, written and
-// validated in parallel; the interval machinery — vector clock, interval
-// log, retained-diff store — stays under one engine mutex (mu), taken
-// only at synchronization points and when a validation plans or applies
-// outstanding diffs. Which pages the current interval dirtied is
-// tracked in the write set (twin creation registers the page) so closing
-// an interval does not need to sweep every page. A per-page generation
-// counter closes the plan/apply race: if fresh write notices for the
-// page land while a validation is fetching diffs, the apply step
-// observes the bumped generation and replans.
+// Concurrency: the node's one application goroutine runs every access,
+// round, synchronization hook and GC epoch; handlers serve page and diff
+// requests and build lock grants beside it. Page copies and their twins
+// are per-page state under the node's striped lock table, which a handler
+// takes to ship a copy or make a deferred diff out of it; the interval
+// machinery — vector clock, interval log, retained-diff store — stays
+// under one engine mutex (mu), which a handler takes to serve diffs and
+// grants. Only the application goroutine learns intervals, so a round
+// plans each page once: nothing can add to a plan while the round fetches
+// its diffs. Which pages the current interval dirtied is tracked in the
+// write set (twin creation registers the page) so closing an interval does
+// not need to sweep every page.
 //
-// Lock order: node.lockMu < e.mu < node.pageMu stripe < e.ws.mu.
+// Lock order: node.lockMu < e.mu < node.pageMu stripe.
 type lazyEngine struct {
 	n      *Node
 	update bool // LU: bring cached copies up to date at acquire time
@@ -62,11 +63,9 @@ type lazyEngine struct {
 	// trimFrom is this node's oldest interval trimTwinsLocked may still
 	// find deferred slots in: its cursor, raised past the log's floor at GC.
 	trimFrom int32
-	// missWants is the want list of the miss in progress (bringCurrent),
-	// and round the scratch that faults, revalidations and the GC epoch's
+	// round is the scratch that faults, revalidations and the GC epoch's
 	// bulk validation plan into: the application goroutine's alone.
-	missWants []wire.Want
-	round     prefetch
+	round round
 	// Scratch whose consumer finishes under the lock that filled it: under
 	// mu, closeIntervalLocked's sorted dirty pages and the pages the
 	// intervals an acquire absorbed notice; under the node's lockMu, held
@@ -96,8 +95,7 @@ type lazyEngine struct {
 // twin is present while the current interval has writes.
 type lazyPage struct {
 	pageCopy
-	applied vc.VC  // modifications reflected in data
-	gen     uint64 // bumped whenever fresh notices target this page
+	applied vc.VC // modifications reflected in data
 	// pending is the deferred diff slot of this node's latest closed
 	// interval on the page, while its post-interval contents still live
 	// in data (no snapshot taken yet). The next twin capture or any
@@ -348,12 +346,10 @@ func (e *lazyEngine) belowFloorLocked(v vc.VC) int {
 // invalidateForLocked applies LI semantics for freshly learned intervals,
 // given the pages they notice (absorbIntervalsLocked's list, which it
 // sorts and reuses): cached valid copies of noticed pages become invalid
-// (data retained as the diff target), and every materialized copy's
-// generation is bumped so an in-flight validation replans against the
-// now-larger log. It returns the affected cached pages, ascending: to LI,
-// which only drops them, in the caller's scratch, good until e.mu is
-// released; to LU, which revalidates them after that, as a copy. Caller
-// holds e.mu.
+// (data retained as the diff target). It returns the affected cached
+// pages, ascending: to LI, which only drops them, in the caller's scratch,
+// good until e.mu is released; to LU, which revalidates them after that,
+// as a copy. Caller holds e.mu.
 func (e *lazyEngine) invalidateForLocked(noticed []mem.PageID) []mem.PageID {
 	slices.Sort(noticed)
 	noticed = slices.Compact(noticed)
@@ -361,12 +357,9 @@ func (e *lazyEngine) invalidateForLocked(noticed []mem.PageID) []mem.PageID {
 	for _, pg := range noticed {
 		pmu := e.n.pageLock(pg)
 		pmu.Lock()
-		if pc := e.pages[pg]; pc != nil {
-			pc.gen++
-			if pc.valid {
-				pc.valid = false
-				affected = append(affected, pg)
-			}
+		if pc := e.pages[pg]; pc != nil && pc.valid {
+			pc.valid = false
+			affected = append(affected, pg)
 		}
 		pmu.Unlock()
 	}
@@ -629,7 +622,6 @@ func (e *lazyEngine) runGC() error {
 			// invalidation validate would return immediately and leave
 			// the stale stamp in place.
 			pc.valid = false
-			pc.gen++
 			toValidate = append(toValidate, pgid)
 		}
 		pmu.Unlock()

@@ -15,20 +15,18 @@ import (
 	"repro/internal/wire"
 )
 
-// fetched is one diff request a miss made and the response it holds:
-// record i of resp answers want i, which the miss checked before it kept
+// fetched is one diff request a round made and the response it holds:
+// record i of resp answers want i, which the round checked before it kept
 // the pair (answers).
 type fetched struct {
 	wants []wire.Want
 	resp  *wire.Msg
 }
 
-// fetchedDiffs is the diff responses a miss holds while it brings its
-// page current. Their diffs borrow the responses' frames, so a plan's
-// steps are applied straight out of the receive buffers — across
-// replans, which only fetch what the held responses and the retained
-// store still lack — and the frames are released when the miss
-// completes.
+// fetchedDiffs is the diff responses a round holds while it brings its
+// pages current. Their diffs borrow the responses' frames, so each page's
+// steps are applied straight out of the receive buffers, and the frames are
+// released once, when the round completes.
 type fetchedDiffs []fetched
 
 // find looks for interval id of page pg among the held responses. The
@@ -59,16 +57,6 @@ func (f fetchedDiffs) release() {
 	}
 }
 
-// retain takes a count on every held response for one more holder, and
-// returns the list capacity-limited, so that what the holder appends never
-// lands in the others' storage.
-func (f fetchedDiffs) retain() fetchedDiffs {
-	for _, h := range f {
-		h.resp.Retain()
-	}
-	return f[:len(f):len(f)]
-}
-
 // releaseAll releases every message of a list its caller holds.
 func releaseAll(msgs []*wire.Msg) {
 	for _, m := range msgs {
@@ -92,167 +80,109 @@ func (e *lazyEngine) isValid(pg mem.PageID) bool {
 	return pc != nil && pc.valid
 }
 
-// bringCurrent brings page pg current: a cold copy is fetched from the
-// page's home, then every outstanding diff is collected — from held (what
-// the round already fetched; bringCurrent owns and releases it), from the
-// retained store, or from a concurrent last modifier of the page
-// (missingWantsLocked) — and applied in happened-before order (§4.3.3).
-// Only the application goroutine runs misses, one at a time.
-func (e *lazyEngine) bringCurrent(pg mem.PageID, held fetchedDiffs) error {
+// ensureCopy gives a cold page pg its copy and reports whether it was
+// cold: the home makes the zero page, any other node fetches the home's
+// copy with the clock of what it reflects. Only the application goroutine
+// makes copies, so none appears meanwhile.
+func (e *lazyEngine) ensureCopy(pg mem.PageID) (cold bool, err error) {
 	n := e.n
-	// The miss's transients live in its frame; a plan too big for them
-	// spills to the heap.
-	var (
-		clockBuf [2][maxProcs]int32
-		planBuf  [8]core.IntervalID
-		askBuf   [8]ask
-		reqBuf   [4]outMsg
-		respBuf  [4]*wire.Msg
-		stepBuf  [8]*page.Diff
-		heldBuf  [4]fetched
-	)
-	if len(held) == 0 {
-		held = heldBuf[:0]
-	}
-	// A plan step out of the store is applied after e.mu is dropped, on a
-	// count of its own (one out of a held response borrows, and counts
-	// nothing). The steps go first: a borrowed one is a header in a held
-	// response's shell, which the next Decode refills once it is released.
-	steps := stepBuf[:0]
-	defer func() { releaseSteps(steps); held.release() }()
 	pmu := n.pageLock(pg)
-	// The wants live in the engine's list, not in the frame: a request or
-	// held response that points into the frame would move it to the heap.
-	// Every round's wants accumulate, because the held responses of earlier
-	// rounds are found by theirs.
-	kept := &e.missWants
-	wants := (*kept)[:0]
-
-	// The replan loop below may run several plan/apply rounds.
-	for {
+	pmu.Lock()
+	cold = e.pages[pg] == nil
+	pmu.Unlock()
+	if !cold {
+		return false, nil
+	}
+	n.stats.coldMisses.Add(1)
+	home := n.homeOf(pg)
+	if home == n.id {
 		pmu.Lock()
-		pc := e.pages[pg]
-		if pc != nil && pc.valid {
-			pmu.Unlock()
-			return nil
+		e.pages[pg] = &lazyPage{
+			pageCopy: pageCopy{data: make([]byte, n.sys.layout.PageSize())},
+			applied:  vc.New(n.sys.cfg.Procs),
 		}
-		cold := pc == nil
 		pmu.Unlock()
+		return true, nil
+	}
+	resp, err := n.rpc(home, &wire.Msg{
+		Kind: wire.KPageReq, Seq: n.nextSeq(), A: int32(pg), B: int32(n.id),
+	})
+	if err != nil {
+		return true, err
+	}
+	// The sender chose the expanded length: nothing but this check keeps a
+	// faulty home's short page out of the page table, where the next access
+	// would slice past its end. No home sends interval records with a page.
+	if len(resp.Data) != n.sys.layout.PageSize() ||
+		(resp.VC != nil && len(resp.VC) != n.sys.cfg.Procs) || len(resp.Intervals) > 0 {
+		bad := fmt.Errorf("bad page grant from %d: %v for page %d, %d data bytes, %d-entry clock, %d interval records",
+			home, resp.Kind, pg, len(resp.Data), len(resp.VC), len(resp.Intervals))
+		resp.Release()
+		n.noteErr("page install", bad)
+		return true, fmt.Errorf("dsm: node %d: page install: %w", n.id, bad)
+	}
+	// The decoded page is the copy's from here on; the clock is the shell's,
+	// so the copy keeps a copy (none: nothing applied).
+	applied := vc.New(n.sys.cfg.Procs)
+	copy(applied, resp.VC)
+	pmu.Lock()
+	e.pages[pg] = &lazyPage{pageCopy: pageCopy{data: resp.Data}, applied: applied}
+	pmu.Unlock()
+	resp.Release()
+	n.stats.pagesFetched.Add(1)
+	return true, nil
+}
 
-		if cold {
-			n.stats.coldMisses.Add(1)
-			if home := n.homeOf(pg); home == n.id {
-				pmu.Lock()
-				if e.pages[pg] == nil {
-					e.pages[pg] = &lazyPage{
-						pageCopy: pageCopy{data: make([]byte, n.sys.layout.PageSize())},
-						applied:  vc.New(n.sys.cfg.Procs),
-					}
-				}
-				pmu.Unlock()
-			} else {
-				resp, err := n.rpc(home, &wire.Msg{
-					Kind: wire.KPageReq, Seq: n.nextSeq(), A: int32(pg), B: int32(n.id),
-				})
-				if err != nil {
+// apply brings page i of round r current: the steps of its plan — out of
+// the round's responses, or the retained store — land on the copy's
+// committed contents in happened-before order (§4.3.3), and the copy is
+// valid through the node's clock.
+func (e *lazyEngine) apply(r *round, i int) error {
+	n := e.n
+	pg := r.pages[i]
+	var clockBuf [maxProcs]int32
+	// A step out of the store is applied after e.mu is dropped, on a count of
+	// its own (one out of a held response borrows, and counts nothing). The
+	// steps are released before the round's responses: a borrowed one is a
+	// header in a held response's shell, which the next Decode refills once
+	// it is released.
+	e.mu.Lock()
+	steps, err := e.stepsLocked(r.steps[:0], pg, r.planOf(i), r.held)
+	v := append(vc.VC(clockBuf[:0]), e.v...)
+	e.mu.Unlock()
+	r.steps = steps
+	defer releaseSteps(steps)
+	if err != nil {
+		return err
+	}
+	pmu := n.pageLock(pg)
+	pmu.Lock()
+	defer pmu.Unlock()
+	pc := e.pages[pg]
+	// The remote diffs land on the committed contents, after a deferred diff
+	// still reading its target out of pc.data is made (it would claim them).
+	// The copy has no live twin for land to rebase: the acquire or barrier
+	// that invalidated it closed the interval, and the node writes only after
+	// this round returns.
+	if len(steps) > 0 {
+		if pc.pending != nil {
+			e.materializeSlot(pc, pc.pending, pg)
+		}
+		if err := pc.land(n, nil, func(committed []byte) error {
+			for _, d := range steps {
+				if err := d.Apply(committed); err != nil {
 					return err
 				}
-				// The sender chose the expanded length: nothing but this check
-				// keeps a faulty home's short page out of the page table,
-				// where the next access would slice past its end. No home
-				// sends interval records with a page.
-				if len(resp.Data) != n.sys.layout.PageSize() ||
-					(resp.VC != nil && len(resp.VC) != n.sys.cfg.Procs) || len(resp.Intervals) > 0 {
-					bad := fmt.Errorf("bad page grant from %d: %v for page %d, %d data bytes, %d-entry clock, %d interval records",
-						home, resp.Kind, pg, len(resp.Data), len(resp.VC), len(resp.Intervals))
-					resp.Release()
-					n.noteErr("page install", bad)
-					return fmt.Errorf("dsm: node %d: page install: %w", n.id, bad)
-				}
-				// The decoded page is the copy's from here on; the clock is the
-				// shell's, so the copy keeps a copy (none: nothing applied).
-				pmu.Lock()
-				if e.pages[pg] == nil {
-					applied := vc.New(n.sys.cfg.Procs)
-					copy(applied, resp.VC)
-					e.pages[pg] = &lazyPage{pageCopy: pageCopy{data: resp.Data}, applied: applied}
-				}
-				pmu.Unlock()
-				resp.Release()
-				n.stats.pagesFetched.Add(1)
 			}
-		}
-
-		// Plan: what is outstanding between the copy's applied clock and
-		// the node's current knowledge?
-		e.mu.Lock()
-		pmu.Lock()
-		pc = e.pages[pg]
-		appliedSnap := append(vc.VC(clockBuf[0][:0]), pc.applied...)
-		genSnap := pc.gen
-		pmu.Unlock()
-		vSnap := append(vc.VC(clockBuf[1][:0]), e.v...)
-		out := e.appendPlanLocked(planBuf[:0], pg, appliedSnap)
-		var reqs []outMsg
-		reqs, wants = e.diffReqs(reqBuf[:0], wants, e.missingWantsLocked(askBuf[:0], pg, out, held))
-		*kept = wants
-		e.mu.Unlock()
-
-		// Fetch missing diffs from their responders (no locks held): all
-		// at once, one round trip instead of one per responder.
-		if len(reqs) > 0 {
-			var err error
-			held, err = e.fetch(reqs, &wants, held, respBuf[:0])
-			*kept = wants
-			if err != nil {
-				return err
-			}
-		}
-
-		releaseSteps(steps)
-		var err error
-		e.mu.Lock()
-		steps, err = e.stepsLocked(steps[:0], pg, out, held)
-		e.mu.Unlock()
-		if err != nil {
+			return nil
+		}); err != nil {
 			return err
 		}
-
-		// Apply. If fresh notices for this page landed while we were
-		// fetching (generation moved), the plan is stale: replan.
-		pmu.Lock()
-		pc = e.pages[pg]
-		if pc.gen != genSnap {
-			pmu.Unlock()
-			continue
-		}
-		// The remote diffs land on the committed contents, after a deferred
-		// diff still reading its target out of pc.data is made (it would
-		// claim them). The copy has no live twin for land to rebase: the
-		// acquire or barrier that invalidated it closed the interval, and
-		// the node writes only after this miss returns.
-		if len(steps) > 0 {
-			if pc.pending != nil {
-				e.materializeSlot(pc, pc.pending, pg)
-			}
-			if err := pc.land(n, nil, func(committed []byte) error {
-				for _, d := range steps {
-					if err := d.Apply(committed); err != nil {
-						return err
-					}
-				}
-				return nil
-			}); err != nil {
-				pmu.Unlock()
-				return err
-			}
-			n.stats.diffsApplied.Add(int64(len(steps)))
-		}
-		pc.valid = true
-		pc.applied.Max(vSnap)
-		pmu.Unlock()
-		return nil
+		n.stats.diffsApplied.Add(int64(len(steps)))
 	}
+	pc.valid = true
+	pc.applied.Max(v)
+	return nil
 }
 
 // appendPlanLocked appends to plan the intervals whose diffs a copy of
@@ -330,8 +260,8 @@ func (e *lazyEngine) responderLocked(id core.IntervalID, last *[maxProcs]int32, 
 }
 
 // missingWantsLocked appends to asks the wants for the steps of plan out
-// (planLocked's, for page pg) that neither the retained store nor the held
-// responses supply, each with its responder (responderLocked), grouped by
+// (appendPlanLocked's, for page pg) that the retained store does not
+// supply, each with its responder (responderLocked), grouped by
 // creator, creators ascending. A creator's consecutive missing steps that
 // it is the responder of are asked for as one range want, answered by one
 // merged diff that is applied at the first one's step — so a step m joins
@@ -348,12 +278,10 @@ func (e *lazyEngine) responderLocked(id core.IntervalID, last *[maxProcs]int32, 
 //     intervals share no word in a properly-labeled program.
 //
 // The log is closed under happened-before whenever e.mu is held, so every
-// interval that happened before m is in the plan or already in the copy,
-// and a replan, which only learns of intervals that do not precede the
-// ones it knew, never invalidates a range it holds. A responder merges
-// only its own diffs (mergedLocked), so a step another processor responds
-// for is asked alone. Caller holds e.mu.
-func (e *lazyEngine) missingWantsLocked(asks []ask, pg mem.PageID, out []core.IntervalID, held fetchedDiffs) []ask {
+// interval that happened before m is in the plan or already in the copy. A
+// responder merges only its own diffs (mergedLocked), so a step another
+// processor responds for is asked alone. Caller holds e.mu.
+func (e *lazyEngine) missingWantsLocked(asks []ask, pg mem.PageID, out []core.IntervalID) []ask {
 	var last [maxProcs]int32
 	mods := e.lastModifiersLocked(&last, out)
 	// after[p] is the first step of creator p, by index, that the plan puts
@@ -369,7 +297,7 @@ func (e *lazyEngine) missingWantsLocked(asks []ask, pg mem.PageID, out []core.In
 				}
 				continue
 			}
-			if _, ok := held.find(pg, id); ok || e.slotLocked(id, pg) != nil {
+			if e.slotLocked(id, pg) != nil {
 				open = false
 				continue
 			}
@@ -398,8 +326,8 @@ func (e *lazyEngine) missingWantsLocked(asks []ask, pg mem.PageID, out []core.In
 // asks, carrying every want asked of it — a responder serves any mix of
 // pages and creators in one response — and returns them with sent, the
 // list the requests' wants are appended to and point into. asks is sorted
-// by responder on the way, stably: one page's wants, or a round's, keep
-// their order within a responder's request.
+// by responder on the way, stably: a round's wants keep their order within
+// a responder's request.
 func (e *lazyEngine) diffReqs(reqs []outMsg, sent []wire.Want, asks []ask) ([]outMsg, []wire.Want) {
 	slices.SortStableFunc(asks, func(a, b ask) int { return cmp.Compare(a.to, b.to) })
 	n := 0
@@ -428,10 +356,9 @@ func (e *lazyEngine) diffReqs(reqs []outMsg, sent []wire.Want, asks []ask) ([]ou
 
 // stepsLocked appends to steps the diffs that carry out plan out, in its
 // order, each on a count of its own. A held response wins over the store:
-// it carries exactly what this miss asked for, and a merged range in it is
-// applied whole, at its first member's step, even if a plain diff of a
-// later member reached the store meanwhile (an LU piggyback) — that
-// member's bytes are in the merge, and it gets no step. Outstanding
+// it carries exactly what the round asked for, and a merged range in it is
+// applied whole, at its first member's step — the later members' bytes
+// are in the merge, and they get no step. Outstanding
 // excludes this node's own intervals, so a step from the store is a
 // received diff — always materialized. Caller holds e.mu.
 func (e *lazyEngine) stepsLocked(steps []*page.Diff, pg mem.PageID, out []core.IntervalID, held fetchedDiffs) ([]*page.Diff, error) {
@@ -461,48 +388,53 @@ func coversAny(v vc.VC, steps []int32) bool {
 	return false
 }
 
-// fetch sends a miss's diff requests and adds the responses to held, once
-// each is known to answer its request; if one does not, nothing of the
-// burst is kept or stored and the miss fails. The responses are gathered
-// in resps, the caller's storage. A want a responder answered "not held"
-// is asked of its creator in a second round, whose wants are appended to
-// *sent (diffReqs), and counts as a fallback; a creator that says so of its
-// own diff is at fault, so there is no third. The miss applies nothing
-// until the plan is whole.
-func (e *lazyEngine) fetch(reqs []outMsg, sent *[]wire.Want, held fetchedDiffs, resps []*wire.Msg) (fetchedDiffs, error) {
+// fetch sends the asks planned into round r as one burst — each responder
+// one KDiffReq for all the round's pages (diffReqs), where validating page
+// by page asks a responder once per page — and holds the responses in
+// r.held, once each is known to answer its request; if one does not,
+// nothing of the burst is kept or stored and the round fails. A want a
+// responder answered "not held" is asked of its creator in a second burst,
+// and counts as a fallback; a creator that says so of its own diff is at
+// fault (answers), so there is no third. The round applies nothing until
+// every page's plan is whole.
+func (e *lazyEngine) fetch(r *round) error {
 	n := e.n
-	resps, err := n.rpcAll(reqs, resps[:0])
-	if err != nil {
-		return held, err
-	}
-	var askBuf [8]ask
-	again := askBuf[:0]
-	for i, resp := range resps {
-		if err := answers(resp, reqs[i].m.Wants, reqs[i].dst); err != nil {
-			releaseAll(resps)
-			bad := fmt.Errorf("bad diff response from %d: %w", reqs[i].dst, err)
-			n.noteErr("diff fetch", bad)
-			return held, fmt.Errorf("dsm: node %d: diff fetch: %w", n.id, bad)
+	r.held = r.held[:0]
+	r.reqs, r.wants = e.diffReqs(r.reqs[:0], r.wants[:0], r.asks)
+	for len(r.reqs) > 0 {
+		resps, err := n.rpcAll(r.reqs, r.resps[:0])
+		r.resps = resps
+		if err != nil {
+			return err
 		}
-		for j, r := range resp.Diffs {
-			if r.NotHeld {
-				again = append(again, ask{to: r.Proc, w: reqs[i].m.Wants[j]})
+		// The asks are in the requests' wants by now: their storage takes
+		// the second burst's.
+		again := r.asks[:0]
+		for i, resp := range resps {
+			if err := answers(resp, r.reqs[i].m.Wants, r.reqs[i].dst); err != nil {
+				releaseAll(resps)
+				bad := fmt.Errorf("bad diff response from %d: %w", r.reqs[i].dst, err)
+				n.noteErr("diff fetch", bad)
+				return fmt.Errorf("dsm: node %d: diff fetch: %w", n.id, bad)
+			}
+			for j, rec := range resp.Diffs {
+				if rec.NotHeld {
+					again = append(again, ask{to: rec.Proc, w: r.reqs[i].m.Wants[j]})
+				}
 			}
 		}
+		fresh := len(r.held)
+		for i, resp := range resps {
+			r.held = append(r.held, fetched{wants: r.reqs[i].m.Wants, resp: resp})
+		}
+		e.noteFetched(r.held[fresh:])
+		if len(again) > 0 {
+			n.stats.diffFallbacks.Add(int64(len(again)))
+		}
+		r.asks = again
+		r.reqs, r.wants = e.diffReqs(r.reqs[:0], r.wants, again)
 	}
-	fresh := len(held)
-	held = slices.Grow(held, len(resps))
-	for i, resp := range resps {
-		held = append(held, fetched{wants: reqs[i].m.Wants, resp: resp})
-	}
-	e.noteFetched(held[fresh:])
-	if len(again) == 0 {
-		return held, nil
-	}
-	n.stats.diffFallbacks.Add(int64(len(again)))
-	var reqBuf [4]outMsg
-	reqs, *sent = e.diffReqs(reqBuf[:0], *sent, again)
-	return e.fetch(reqs, sent, held, resps)
+	return nil
 }
 
 // answers checks a diff response from responder from against the wants it
@@ -552,9 +484,8 @@ func (e *lazyEngine) noteFetched(held fetchedDiffs) {
 // fault services an application's miss on page pg and brings pg's
 // siblings (planFaultLocked) current with it, in one round: one KDiffReq to
 // each responder for all the pages, where validating page by page asks a
-// responder once per page. pg is brought current first, then each sibling
-// with a miss of its own. A fault counts one access miss; the siblings it
-// finds invalid count as aggregated pages.
+// responder once per page. A cold pg gets its copy first and asks alone. A
+// fault counts one access miss; its siblings count as aggregated pages.
 func (e *lazyEngine) fault(pg mem.PageID) error {
 	n := e.n
 	var start time.Time
@@ -562,70 +493,61 @@ func (e *lazyEngine) fault(pg mem.PageID) error {
 		start = time.Now()
 	}
 	n.stats.accessMisses.Add(1)
-	pf := &e.round
+	cold, err := e.ensureCopy(pg)
+	if err != nil {
+		return err
+	}
+	r := &e.round
 	e.mu.Lock()
-	e.planFaultLocked(pf, pg)
+	e.planFaultLocked(r, pg, cold)
 	e.mu.Unlock()
-	held, err := e.prefetchDiffs(pf)
-	if err == nil {
-		err = e.bringCurrent(pg, held.retain())
+	if err := e.bring(r); err != nil {
+		return err
 	}
-	aggregated := 0
-	if err == nil {
-		aggregated, err = e.serveEach(pf.pages[1:], held)
+	n.stats.pagesAggregated.Add(int64(len(r.pages) - 1))
+	if n.missHist != nil {
+		n.observeMiss(start, len(r.pages))
 	}
-	held.release()
-	n.stats.pagesAggregated.Add(int64(aggregated))
-	if err == nil && n.missHist != nil {
-		n.observeMiss(start, 1+aggregated)
-	}
-	return err
+	return nil
 }
 
-// planFaultLocked plans a fault on page pg into pf: pf.pages is pg, then
-// its siblings, and pf.asks what they need from responders. A sibling is a
-// page q that
+// planFaultLocked plans a fault on page pg into r: r.pages is pg, then its
+// siblings. A sibling is a page q that
 //
 //   - an interval of pg's plan wrote (its log record names q),
-//   - the node holds an invalid copy of — never a cold one: a cold copy's
-//     plan waits for the clock the home's copy arrives with, and a page the
-//     node never touched is not fetched for it,
+//   - the node holds an invalid copy of — never a cold one: a page the node
+//     never touched is not fetched for it,
 //   - and whose every want goes to a responder pg's own wants ask.
 //
 // So a fault adds wants to requests its page sends anyway, never a request
-// or a destination. A cold pg has no plan yet, and no siblings: its miss
-// fetches the copy and asks alone. Caller holds e.mu.
-func (e *lazyEngine) planFaultLocked(pf *prefetch, pg mem.PageID) {
-	pf.pages = append(pf.pages[:0], pg)
-	var ok bool
-	if pf.asks, ok = e.pageWantsLocked(pf.asks[:0], pg, &pf.plan); !ok {
+// or a destination. A cold pg, whose copy has just arrived, has no
+// siblings: it asks alone. Caller holds e.mu.
+func (e *lazyEngine) planFaultLocked(r *round, pg mem.PageID, cold bool) {
+	r.reset()
+	if !e.planPageLocked(r, pg) || cold {
 		return
 	}
 	var asked uint64 // the responders pg's wants ask, by bit
-	for _, a := range pf.asks {
+	for _, a := range r.asks {
 		asked |= 1 << a.to
 	}
 	if asked == 0 {
 		return
 	}
-	cand := pf.cand[:0]
-	for _, id := range pf.plan {
+	cand := r.cand[:0]
+	for _, id := range r.plan {
 		cand = append(cand, e.log.Get(id).Pages...)
 	}
 	slices.Sort(cand)
-	pf.cand = slices.Compact(cand)
-	for _, q := range pf.cand {
+	r.cand = slices.Compact(cand)
+	for _, q := range r.cand {
 		if q == pg {
 			continue
 		}
-		k := len(pf.asks)
-		if pf.asks, ok = e.pageWantsLocked(pf.asks, q, &pf.sib); !ok {
-			continue
-		}
-		if asksOnly(pf.asks[k:], asked) {
-			pf.pages = append(pf.pages, q)
-		} else {
-			pf.asks = pf.asks[:k]
+		k, m := len(r.asks), len(r.plan)
+		if e.planPageLocked(r, q) && !asksOnly(r.asks[k:], asked) {
+			r.pages, r.ends = r.pages[:len(r.pages)-1], r.ends[:len(r.ends)-1]
+			r.plan, r.asks = r.plan[:m], r.asks[:k]
 		}
 	}
 }
@@ -641,102 +563,92 @@ func asksOnly(asks []ask, asked uint64) bool {
 	return true
 }
 
-// pageWantsLocked appends to asks what page pg's copy needs from
-// responders — the steps of its plan, made into *plan, that the store does
-// not supply (missingWantsLocked) — and reports whether the node holds an
-// invalid copy of pg to plan for: a valid one needs nothing, a cold one's
-// plan waits for the clock the home's copy arrives with. Caller holds e.mu.
-func (e *lazyEngine) pageWantsLocked(asks []ask, pg mem.PageID, plan *[]core.IntervalID) ([]ask, bool) {
+// planPageLocked plans page pg into round r — its plan, the intervals its
+// copy lacks in the order they are applied (appendPlanLocked), and the
+// asks for the steps the store does not supply (missingWantsLocked) — and
+// reports whether the node holds an invalid copy of pg to plan for: a
+// valid one needs nothing, and a cold one has no clock to plan from yet
+// (ensureCopy). Caller holds e.mu.
+func (e *lazyEngine) planPageLocked(r *round, pg mem.PageID) bool {
 	var clockBuf [maxProcs]int32
 	pmu := e.n.pageLock(pg)
 	pmu.Lock()
 	pc := e.pages[pg]
 	if pc == nil || pc.valid {
 		pmu.Unlock()
-		return asks, false
+		return false
 	}
 	applied := append(vc.VC(clockBuf[:0]), pc.applied...)
 	pmu.Unlock()
-	*plan = e.appendPlanLocked((*plan)[:0], pg, applied)
-	return e.missingWantsLocked(asks, pg, *plan, nil), true
+	from := len(r.plan)
+	r.plan = e.appendPlanLocked(r.plan, pg, applied)
+	r.asks = e.missingWantsLocked(r.asks, pg, r.plan[from:])
+	r.pages = append(r.pages, pg)
+	r.ends = append(r.ends, len(r.plan))
+	return true
 }
 
 // revalidate brings a list of pages current (LU's acquire/barrier-time
-// update step and the GC epoch's bulk validation) in one round, planned
-// into the engine's round scratch: with more than one page their
-// outstanding diffs are prefetched first, one KDiffReq to each responder
-// for all the pages, and each page's miss is handed the responses. Neither
-// counts as an access miss: no application access faulted.
+// update step and the GC epoch's bulk validation) in one round: each cold
+// page gets its copy first, then every page is planned into the engine's
+// round scratch, and the round asks each responder once for all of them.
+// Neither counts as an access miss: no application access faulted.
 func (e *lazyEngine) revalidate(pages []mem.PageID) error {
-	var pre fetchedDiffs
-	pf := &e.round
-	if len(pages) > 1 {
-		pf.asks = pf.asks[:0]
-		e.mu.Lock()
-		for _, pg := range pages {
-			pf.asks, _ = e.pageWantsLocked(pf.asks, pg, &pf.plan)
-		}
-		e.mu.Unlock()
-		var err error
-		if pre, err = e.prefetchDiffs(pf); err != nil {
-			pre.release()
+	for _, pg := range pages {
+		if _, err := e.ensureCopy(pg); err != nil {
 			return err
 		}
 	}
-	_, err := e.serveEach(pages, pre)
-	pre.release()
+	r := &e.round
+	r.reset()
+	e.mu.Lock()
+	for _, pg := range pages {
+		e.planPageLocked(r, pg)
+	}
+	e.mu.Unlock()
+	return e.bring(r)
+}
+
+// bring carries out the plans of round r: it fetches what they ask for
+// (fetch), applies each page's and releases the responses.
+func (e *lazyEngine) bring(r *round) error {
+	err := e.fetch(r)
+	for i := 0; err == nil && i < len(r.pages); i++ {
+		err = e.apply(r, i)
+	}
+	r.held.release()
 	return err
 }
 
-// serveEach brings each invalid page of pages current with a miss of its
-// own, handing each the held responses on a count of its own — one
-// response answers wants of several pages — and returns how many it
-// brought. The caller keeps, and releases, its own count on held.
-func (e *lazyEngine) serveEach(pages []mem.PageID, held fetchedDiffs) (int, error) {
-	brought := 0
-	for _, pg := range pages {
-		if e.isValid(pg) {
-			continue
-		}
-		if err := e.bringCurrent(pg, held.retain()); err != nil {
-			return brought, err
-		}
-		brought++
-	}
-	return brought, nil
+// round is the storage a round plans into — the pages it brings current,
+// their plans end to end and where each ends, a fault's candidate
+// siblings, the asks, the wants its requests carry, the requests, the
+// responses it holds and the steps of the page it applies — and keeps for
+// the next round: the engine's one (lazyEngine.round), since only the
+// application goroutine runs rounds, one at a time.
+type round struct {
+	pages []mem.PageID
+	ends  []int // pages[i]'s plan ends at plan[ends[i]]
+	plan  []core.IntervalID
+	cand  []mem.PageID
+	asks  []ask
+	wants []wire.Want
+	reqs  []outMsg
+	resps []*wire.Msg
+	held  fetchedDiffs
+	steps []*page.Diff
 }
 
-// prefetch is the storage a round plans into — the pages a fault brings
-// current, the plans it makes, its candidate siblings, its asks, the wants
-// its requests carry, the requests, the responses as they arrive and as
-// the misses hold them — and keeps for the next round: the engine's one
-// (lazyEngine.round), since only the application goroutine runs rounds,
-// one at a time.
-type prefetch struct {
-	pages     []mem.PageID
-	plan, sib []core.IntervalID
-	cand      []mem.PageID
-	asks      []ask
-	wants     []wire.Want
-	reqs      []outMsg
-	resps     []*wire.Msg
-	held      fetchedDiffs
+// reset empties r for a round's plans.
+func (r *round) reset() {
+	r.pages, r.ends, r.plan, r.asks = r.pages[:0], r.ends[:0], r.plan[:0], r.asks[:0]
 }
 
-// prefetchDiffs fetches the asks planned into pf as one burst: each
-// responder is sent one KDiffReq for all the round's pages (diffReqs) —
-// fewer requests than validating page by page, which asks a responder once
-// per page — and all responders answer concurrently. The responses are
-// returned in pf's storage; each page's miss then finds its diffs in them
-// and re-plans authoritatively (fresh notices landing meanwhile just make
-// it fetch the remainder as usual).
-func (e *lazyEngine) prefetchDiffs(pf *prefetch) (fetchedDiffs, error) {
-	if len(pf.asks) == 0 {
-		return nil, nil
+// planOf returns page i's plan.
+func (r *round) planOf(i int) []core.IntervalID {
+	from := 0
+	if i > 0 {
+		from = r.ends[i-1]
 	}
-	pf.reqs, pf.wants = e.diffReqs(pf.reqs[:0], pf.wants[:0], pf.asks)
-	pf.resps = slices.Grow(pf.resps[:0], len(pf.reqs))
-	var err error
-	pf.held, err = e.fetch(pf.reqs, &pf.wants, pf.held[:0], pf.resps)
-	return pf.held, err
+	return r.plan[from:r.ends[i]]
 }

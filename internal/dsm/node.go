@@ -245,7 +245,7 @@ type Node struct {
 
 	// pageMu is the striped page-state lock table: pageLock(pg) guards
 	// the engine's per-page state (copy bytes, validity, twin, applied
-	// clock, generation) and is never held across a blocking operation.
+	// clock) and is never held across a blocking operation.
 	pageMu [pageShards]sync.Mutex
 
 	// busy is set while the application goroutine is in one of the node's

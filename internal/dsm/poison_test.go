@@ -57,37 +57,40 @@ func TestEarlyReleaseIsCaught(t *testing.T) {
 		}
 		wg.Wait()
 
-		// Service the miss by hand. Fetch the diff as revalidate would and
-		// move the response into a frame this goroutine alone holds, so
-		// that its release poisons it here and now (the fetched frame's
-		// last release is the shard worker's, whenever it drains).
+		// Service the miss by hand: plan it, fetch its diff as a round
+		// would and move the response into a frame this goroutine alone
+		// holds, so that its release poisons it here and now (the fetched
+		// frame's last release is the shard worker's, whenever it drains).
 		e := reader.e.(*lazyEngine)
-		pf := new(prefetch)
+		r := new(round)
 		e.mu.Lock()
-		pf.asks, _ = e.pageWantsLocked(nil, pg, &pf.plan)
+		planned := e.planPageLocked(r, pg)
 		e.mu.Unlock()
-		pre, err := e.prefetchDiffs(pf)
-		if err != nil || len(pre) != 1 {
-			t.Fatalf("prefetch: %d responses for the page, err %v", len(pre), err)
+		if !planned {
+			t.Fatal("the reader's copy of the page is not invalid")
 		}
-		wants := pre[0].wants
-		frame := pre[0].resp.EncodeAppend(framebuf.Get())
-		pre.release()
+		if err := e.fetch(r); err != nil || len(r.held) != 1 {
+			t.Fatalf("fetch: %d responses for the page, err %v", len(r.held), err)
+		}
+		wants := r.held[0].wants
+		frame := r.held[0].resp.EncodeAppend(framebuf.Get())
+		r.held.release()
 		resp, err := wire.Decode(frame)
 		if err != nil {
 			t.Fatal(err)
 		}
 		attachFrame(frame, resp)
-		held := fetchedDiffs{{wants, resp}}
+		r.held = fetchedDiffs{{wants, resp}}
 		if early {
 			// The bug: the frame goes before the miss has applied its
-			// diffs. (The miss gets a stand-in without the reference, so
+			// diffs. (The round gets a stand-in without the reference, so
 			// its own, correct, release has nothing left to do.)
 			diffs := resp.Diffs // the shell forgets them when it is released
-			held.release()
-			held = fetchedDiffs{{wants, &wire.Msg{Kind: wire.KDiffResp, Diffs: diffs}}}
+			r.held.release()
+			r.held = fetchedDiffs{{wants, &wire.Msg{Kind: wire.KDiffResp, Diffs: diffs}}}
 		}
-		err = e.bringCurrent(pg, held)
+		err = e.apply(r, 0)
+		r.held.release()
 		if early {
 			if err == nil || !strings.Contains(err.Error(), "exceeds page size") {
 				t.Errorf("a miss over a diff applied after its response's release = %v, want Apply's refusal", err)

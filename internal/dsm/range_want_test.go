@@ -191,44 +191,39 @@ func TestMissPlanWants(t *testing.T) {
 		name    string
 		history []iv
 		stored  []core.IntervalID // single diffs the store already has
-		held    []wire.Want       // wants a response is held for
 		want    []wire.Want
 	}{
 		{"an uninterrupted run is one want",
 			[]iv{{1, vc.VC{-1, 0, -1, -1}, on}, {1, vc.VC{-1, 1, -1, -1}, on}, {1, vc.VC{-1, 2, -1, -1}, on}},
-			nil, nil,
+			nil,
 			[]wire.Want{{Page: pg, Proc: 1, Index: 0, Span: 2}}},
 		{"a range spans the creator's intervals that left the page alone",
 			[]iv{{1, vc.VC{-1, 0, -1, -1}, on}, {1, vc.VC{-1, 1, -1, -1}, []mem.PageID{other}}, {1, vc.VC{-1, 2, -1, -1}, on}},
-			nil, nil,
+			nil,
 			[]wire.Want{{Page: pg, Proc: 1, Index: 0, Span: 2}}},
 		{"another creator's step in between that the member's clock covers splits the run",
 			// 2/0 saw 1/0 and 1/1 saw 2/0: the chain is the plan, and 1/1
 			// may overwrite 2/0.
 			[]iv{{1, vc.VC{-1, 0, -1, -1}, on}, {2, vc.VC{-1, 0, 0, -1}, on}, {1, vc.VC{-1, 1, 0, -1}, on}},
-			nil, nil,
+			nil,
 			[]wire.Want{{Page: pg, Proc: 1, Index: 0}, {Page: pg, Proc: 1, Index: 1}, {Page: pg, Proc: 2, Index: 0}}},
 		{"one that is concurrent with the member does not",
 			// 2/0 knows nobody and nobody knows it; the plan puts it between
 			// 1/0 and 1/1 (equal clock sums order by processor).
 			[]iv{{1, vc.VC{-1, 0, -1, -1}, on}, {2, vc.VC{-1, -1, 0, -1}, on}, {1, vc.VC{-1, 1, -1, -1}, on}},
-			nil, nil,
+			nil,
 			[]wire.Want{{Page: pg, Proc: 1, Index: 0, Span: 1}, {Page: pg, Proc: 2, Index: 0}}},
 		{"a later member covering it splits where it starts to, not before",
 			[]iv{{1, vc.VC{-1, 0, -1, -1}, on}, {2, vc.VC{-1, -1, 0, -1}, on}, {1, vc.VC{-1, 1, -1, -1}, on}, {1, vc.VC{-1, 2, 0, -1}, on}},
-			nil, nil,
+			nil,
 			[]wire.Want{{Page: pg, Proc: 1, Index: 0, Span: 1}, {Page: pg, Proc: 1, Index: 2}, {Page: pg, Proc: 2, Index: 0}}},
 		{"a member the store has is never ranged across",
 			[]iv{{1, vc.VC{-1, 0, -1, -1}, on}, {1, vc.VC{-1, 1, -1, -1}, on}, {1, vc.VC{-1, 2, -1, -1}, on}},
-			[]core.IntervalID{{Proc: 1, Index: 1}}, nil,
+			[]core.IntervalID{{Proc: 1, Index: 1}},
 			[]wire.Want{{Page: pg, Proc: 1, Index: 0}, {Page: pg, Proc: 1, Index: 2}}},
-		{"a replan over a held range asks only for what is new",
-			[]iv{{1, vc.VC{-1, 0, -1, -1}, on}, {1, vc.VC{-1, 1, -1, -1}, on}, {1, vc.VC{-1, 2, -1, -1}, on}, {1, vc.VC{-1, 3, -1, -1}, on}},
-			nil, []wire.Want{{Page: pg, Proc: 1, Index: 0, Span: 1}},
-			[]wire.Want{{Page: pg, Proc: 1, Index: 2, Span: 1}}},
 		{"nothing missing, nothing asked",
 			[]iv{{1, vc.VC{-1, 0, -1, -1}, on}, {1, vc.VC{-1, 1, -1, -1}, on}},
-			nil, []wire.Want{{Page: pg, Proc: 1, Index: 0, Span: 1}},
+			[]core.IntervalID{{Proc: 1, Index: 0}, {Proc: 1, Index: 1}},
 			nil},
 	}
 	for _, tc := range cases {
@@ -242,16 +237,8 @@ func TestMissPlanWants(t *testing.T) {
 			for _, id := range tc.stored {
 				e.storeDiffRecsLocked([]wire.DiffRec{{Page: pg, Proc: id.Proc, Index: id.Index, Diff: wordDiff(t, 1, 0)}})
 			}
-			var held fetchedDiffs
-			if tc.held != nil {
-				resp := &wire.Msg{Kind: wire.KDiffResp}
-				for _, w := range tc.held {
-					resp.Diffs = append(resp.Diffs, wire.DiffRec{Page: w.Page, Proc: w.Proc, Index: w.Index, Diff: wordDiff(t, 2, 0)})
-				}
-				held = fetchedDiffs{{wants: tc.held, resp: resp}}
-			}
 			out := e.planLocked(pg, vc.New(4))
-			got := wantsOf(t, e.missingDiffReqsLocked(nil, pg, out, held))
+			got := wantsOf(t, e.missingDiffReqsLocked(nil, pg, out))
 			if !reflect.DeepEqual(got, tc.want) {
 				t.Errorf("plan %v asks for\n  %+v, want\n  %+v", out, got, tc.want)
 			}
@@ -306,7 +293,7 @@ func TestMissPlanResponders(t *testing.T) {
 			}
 			out := e.planLocked(pg, vc.New(4))
 			var got []req
-			for _, r := range e.missingDiffReqsLocked(nil, pg, out, nil) {
+			for _, r := range e.missingDiffReqsLocked(nil, pg, out) {
 				got = append(got, req{r.dst, r.m.Wants})
 			}
 			if !reflect.DeepEqual(got, tc.want) {
@@ -316,11 +303,11 @@ func TestMissPlanResponders(t *testing.T) {
 	}
 }
 
-// missingDiffReqsLocked is one round of a miss's requests: those of the
-// wants for the steps of plan out that neither the store nor held supply.
-// Caller holds e.mu.
-func (e *lazyEngine) missingDiffReqsLocked(reqs []outMsg, pg mem.PageID, out []core.IntervalID, held fetchedDiffs) []outMsg {
-	reqs, _ = e.diffReqs(reqs, nil, e.missingWantsLocked(nil, pg, out, held))
+// missingDiffReqsLocked is a one-page round's requests: those of the wants
+// for the steps of plan out that the store does not supply. Caller holds
+// e.mu.
+func (e *lazyEngine) missingDiffReqsLocked(reqs []outMsg, pg mem.PageID, out []core.IntervalID) []outMsg {
+	reqs, _ = e.diffReqs(reqs, nil, e.missingWantsLocked(nil, pg, out))
 	return reqs
 }
 
@@ -409,7 +396,7 @@ func TestRangePlanMatchesSingleSteps(t *testing.T) {
 		}
 		// Play the creators: a range is answered from the range alone.
 		var held fetchedDiffs
-		for _, r := range e.missingDiffReqsLocked(nil, pg, out, nil) {
+		for _, r := range e.missingDiffReqsLocked(nil, pg, out) {
 			resp := &wire.Msg{Kind: wire.KDiffResp}
 			for _, w := range r.m.Wants {
 				var members []*page.Diff

@@ -3,7 +3,6 @@ package dsm
 import (
 	"fmt"
 	"slices"
-	"sync"
 
 	"repro/internal/framebuf"
 	"repro/internal/mem"
@@ -121,14 +120,14 @@ func (n *Node) releaseTwin(t *page.Twin) {
 
 // writeSet is the write-capture state of a twinning engine (lazy or
 // eager): the pages twinned since the last drain, so an interval close or
-// a flush does not sweep every page. Its mutex is a leaf, taken with a
-// page stripe or an engine mutex held and never the other way around.
+// a flush does not sweep every page. It has no lock: only the node's
+// application goroutine uses it — add in pageCopy.write, drain, settle and
+// check at an interval close or an eager flush.
 //
 // Invariant: twin ≠ nil ⇒ page ∈ dirty ∪ pages claimed by an open drain.
 // add keeps it by running under the stripe that made the twin, and the
 // drainer by consuming every twin it claimed.
 type writeSet struct {
-	mu    sync.Mutex
 	dirty map[mem.PageID]struct{}
 	// claimed counts, per page, the drains that took it and have not
 	// settled. Kept in test builds only (poison mode), for check.
@@ -145,18 +144,14 @@ func newWriteSet() *writeSet {
 
 // add registers pg's freshly made twin. Caller holds pg's stripe.
 func (w *writeSet) add(pg mem.PageID) {
-	w.mu.Lock()
 	w.dirty[pg] = struct{}{}
-	w.mu.Unlock()
 }
 
 // drain empties the set into buf[:0], sorted: the caller now owns every
 // candidate's twin and consumes it, then settles.
 func (w *writeSet) drain(buf []mem.PageID) []mem.PageID {
 	buf = buf[:0]
-	w.mu.Lock()
 	if len(w.dirty) == 0 { // the common interval close: nothing written
-		w.mu.Unlock()
 		return buf
 	}
 	for pg := range w.dirty {
@@ -166,7 +161,6 @@ func (w *writeSet) drain(buf []mem.PageID) []mem.PageID {
 		}
 	}
 	clear(w.dirty)
-	w.mu.Unlock()
 	slices.Sort(buf)
 	return buf
 }
@@ -176,13 +170,11 @@ func (w *writeSet) settle(cand []mem.PageID) {
 	if w.claimed == nil {
 		return
 	}
-	w.mu.Lock()
 	for _, pg := range cand {
 		if w.claimed[pg]--; w.claimed[pg] == 0 {
 			delete(w.claimed, pg)
 		}
 	}
-	w.mu.Unlock()
 }
 
 // check asserts the invariant over every page of n, in test builds, the
@@ -199,11 +191,7 @@ func (w *writeSet) check(n *Node, twinned func(pg mem.PageID) bool) {
 			if !twinned(pg) {
 				continue
 			}
-			w.mu.Lock()
-			_, dirty := w.dirty[pg]
-			covered := dirty || w.claimed[pg] > 0
-			w.mu.Unlock()
-			if !covered {
+			if _, dirty := w.dirty[pg]; !dirty && w.claimed[pg] == 0 {
 				n.noteErr("write set", fmt.Errorf("page %d has a twin but is neither dirty nor claimed by an open drain", pg))
 			}
 		}
