@@ -109,10 +109,12 @@ var gateRows = []gateRow{
 	}},
 	// A critical section costs a handful of small messages and allocates
 	// none of its bookkeeping: twin and diff leases, interval slot arrays,
-	// want and request lists and clocks are all recycled. What the row still
-	// measures is warm-up past its four epochs: message shells' interval
-	// slabs growing to the largest block they have decoded, and the rpc
-	// waiter and frame lists reaching their peak. The bound is 1.13 x the
+	// want and request lists and clocks are all recycled, and every block a
+	// message carries takes its slabs from the wire slab pool. What the row
+	// still measures is warm-up past its four epochs: the rpc waiter and
+	// frame lists reaching their peak (message shells' interval slabs grew
+	// to the largest block they had decoded until the blocks came from the
+	// pool). The bound is 1.13 x the
 	// highest of fifteen runs over GOMAXPROCS 1, 2 and 8 when it was set
 	// (134-190 B; 24-61 B since faults plan into recycled round scratch);
 	// headers, slot arrays, request lists and clocks made per operation
@@ -120,7 +122,8 @@ var gateRows = []gateRow{
 	// 1,165-1,222 B, and fresh messages, a channel per rpc and a 128-deep
 	// twin pool 11.5 KB. Since a miss keeps the diffs it fetches until GC,
 	// the four warm-up epochs leave some of that retention's growth to the
-	// measured ones: 47-141 B (40-60 B after sixteen).
+	// measured ones: 47-141 B (40-60 B after sixteen); 9-118 B since the
+	// blocks' slabs come from the pool.
 	// A miss asks each concurrent last modifier of its page once, for every
 	// diff its clock covers: the bound on requests is 1.13 x the highest of
 	// fifteen runs over GOMAXPROCS 1, 2 and 8 (1.24-1.72); asking every
@@ -128,6 +131,19 @@ var gateRows = []gateRow{
 	{"control-plane", lockRing, repro.LazyInvalidate, repro.RuntimeConfig{PageSize: 4096, GCEveryBarriers: 8}, []gateCheck{
 		{"alloc_bytes_per_critsec", "<=", 215},
 		{"diff_requests_per_critsec", "<=", 1.95},
+	}},
+	// Water's allocation per critical section, on the second of two fresh
+	// clusters as lrcbench's splash-water measures it (the first fills the
+	// process's pools and free lists), at scale 1: 5,369 critical sections
+	// and barriers whose arrivals and exits carry hundreds of write notices. Every interval block, decoded or exported, takes its slabs
+	// from the wire slab pool and the master absorbs in place, so what is
+	// left is a fresh cluster growing its log, store and round scratch to
+	// the run. The bound is 1.13 x the highest of fifteen runs over
+	// GOMAXPROCS 1, 2 and 8 (868-904 B); blocks past a shell's 4 KiB
+	// decoded into slabs of their own, export lists per node and copied
+	// absorbs measured 1,033-1,338 B (1,325-1,338 on one core).
+	{"water-alloc", waterAlloc, repro.LazyInvalidate, repro.RuntimeConfig{PageSize: 4096, GCEveryBarriers: 8}, []gateCheck{
+		{"alloc_bytes_per_critsec", "<=", 1020},
 	}},
 	// The data that moves is diffs, so nothing the size of the data is
 	// allocated: a made diff is a lease on a pooled buffer, the encoder
@@ -269,6 +285,29 @@ func splash(t *testing.T, name string, rc repro.RuntimeConfig) gateMetrics {
 		"page_responses":                   float64(ships),
 		"page_response_bytes":              float64(shipBytes) / float64(ships),
 	}
+}
+
+// waterAlloc runs water at scale 1 on two fresh clusters and reports the
+// bytes the second run allocated per critical section.
+func waterAlloc(t *testing.T, rc repro.RuntimeConfig) gateMetrics {
+	testenv.SkipAllocGate(t)
+	const scale = 1
+	ref, err := repro.ExecuteWorkload("water", workloadProcs, scale, workloadSeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var res *repro.RuntimeResult
+	run := func() { res, err = repro.RunWorkloadOnRuntime("water", workloadProcs, scale, workloadSeed, rc) }
+	run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	alloc := allocatedBy(run)
+	if err != nil || string(res.Image) != string(ref.Image) {
+		t.Fatalf("water: err %v, or the runtime image diverges from the reference", err)
+	}
+	return gateMetrics{"alloc_bytes_per_critsec": alloc / float64(ref.Trace.Count().Acquires)}
 }
 
 // newGateDSM returns a single-System cluster that t closes.

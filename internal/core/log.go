@@ -170,7 +170,7 @@ func (l *Log) Append(iv Interval) {
 			hist = make([][]int32, l.n)
 			l.byPage[pg] = hist
 		}
-		hist[iv.ID.Proc] = appendDoubling(hist[iv.ID.Proc], iv.ID.Index)
+		hist[iv.ID.Proc] = AppendDoubling(hist[iv.ID.Proc], iv.ID.Index)
 	}
 }
 
@@ -190,12 +190,13 @@ func (l *Log) newChunk() *chunk {
 	}
 }
 
-// appendDoubling is append for a list that only ever grows: the runtime's
-// append grows a large slice by a quarter, which over a list's life
-// allocates about five times its final size; doubling allocates twice it.
-func appendDoubling(s []int32, x int32) []int32 {
+// AppendDoubling is append for a list that only ever grows, or scratch
+// reused at its high-water mark: the runtime's append grows a large slice by
+// a quarter, which over a list's life allocates about five times its final
+// size; doubling allocates twice it.
+func AppendDoubling[T any](s []T, x T) []T {
 	if len(s) == cap(s) {
-		s = append(make([]int32, 0, max(4, 2*cap(s))), s...)
+		s = append(make([]T, 0, max(4, 2*cap(s))), s...)
 	}
 	return append(s, x)
 }
@@ -332,9 +333,10 @@ func (l *Log) NoticesBetween(from, to vc.VC, fn func(iv Interval)) (intervals, n
 // Outstanding appends to out the ids of every interval above the floor
 // that modified page pg, is known to the inquiring processor (index <=
 // known[creator]), and is not yet reflected in its copy (index >
-// applied[creator]), and returns the extended list. self is the inquiring
-// processor: its own intervals are never outstanding, because a
-// processor's own writes are always present in its own copy.
+// applied[creator]), and returns the extended list, grown by doubling
+// (AppendDoubling). self is the inquiring processor: its own intervals are
+// never outstanding, because a processor's own writes are always present in
+// its own copy.
 func (l *Log) Outstanding(out []IntervalID, pg mem.PageID, applied, known vc.VC, self mem.ProcID) []IntervalID {
 	hist := l.byPage[pg]
 	if hist == nil {
@@ -353,7 +355,7 @@ func (l *Log) Outstanding(out []IntervalID, pg mem.PageID, applied, known vc.VC,
 		// First index strictly greater than lo.
 		start := sort.Search(len(idxs), func(i int) bool { return idxs[i] > lo })
 		for i := start; i < len(idxs) && idxs[i] <= hi; i++ {
-			out = append(out, IntervalID{Proc: mem.ProcID(q), Index: idxs[i]})
+			out = AppendDoubling(out, IntervalID{Proc: mem.ProcID(q), Index: idxs[i]})
 		}
 	}
 	return out

@@ -57,13 +57,13 @@ const (
 	ringPrivBase                       = ringLocks * ringSpacing
 )
 
-// newRingSys returns a lock-ring cluster that collects every gcEvery
-// barriers.
-func newRingSys(t *testing.T, gcEvery int) *System {
+// newRingSys returns a lock-ring cluster of mode that collects every
+// gcEvery barriers.
+func newRingSys(t *testing.T, mode Mode, gcEvery int) *System {
 	t.Helper()
 	s, err := New(Config{
 		Procs: ringProcs, SpaceSize: ringPrivBase + ringProcs*ringPageSize, PageSize: ringPageSize,
-		Mode: LazyInvalidate, GCEveryBarriers: gcEvery,
+		Mode: mode, GCEveryBarriers: gcEvery,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -82,10 +82,10 @@ func ringSteps(t *testing.T, s *System, first, last int) {
 	newRingDriver(t, s).steps(t, first, last)
 }
 
-// ringDriver runs the lock ring on one goroutine per node that lives as
-// long as the test, so that driving the ring allocates nothing of its own.
-// A node is sent a step to run that step's critical sections, or
-// ringBarrier to enter the barrier, and answers on done.
+// ringDriver runs a program on one goroutine per node that lives as long
+// as the test, so that driving it allocates nothing of its own. A node is
+// sent a step to run that step's part (the lock ring's: its critical
+// sections), or ringBarrier to enter the barrier, and answers on done.
 type ringDriver struct {
 	cmds []chan int
 	done chan error
@@ -93,20 +93,23 @@ type ringDriver struct {
 
 const ringBarrier = -1
 
-func newRingDriver(t *testing.T, s *System) *ringDriver {
+func newRingDriver(t *testing.T, s *System) *ringDriver { return newDriver(t, s, ringSections) }
+
+// newDriver returns a driver whose nodes run part for each step.
+func newDriver(t *testing.T, s *System, part func(n *Node, step int) error) *ringDriver {
 	d := &ringDriver{done: make(chan error)}
-	for id := 0; id < ringProcs; id++ {
+	for _, n := range s.Local() {
 		cmds := make(chan int)
 		d.cmds = append(d.cmds, cmds)
-		go func(n *Node) {
+		go func() {
 			for step := range cmds {
 				if step == ringBarrier {
 					d.done <- n.Barrier(0)
 				} else {
-					d.done <- ringSections(n, step)
+					d.done <- part(n, step)
 				}
 			}
-		}(s.Node(id))
+		}()
 	}
 	t.Cleanup(func() {
 		for _, cmds := range d.cmds {
@@ -129,13 +132,19 @@ func (d *ringDriver) steps(t *testing.T, first, last int) {
 				t.Fatal(err)
 			}
 		}
-		for _, cmds := range d.cmds {
-			cmds <- ringBarrier
-		}
-		for range d.cmds {
-			if err := <-d.done; err != nil {
-				t.Fatal(err)
-			}
+		d.all(t, ringBarrier)
+	}
+}
+
+// all runs step on every node at once.
+func (d *ringDriver) all(t *testing.T, step int) {
+	t.Helper()
+	for _, cmds := range d.cmds {
+		cmds <- step
+	}
+	for range d.cmds {
+		if err := <-d.done; err != nil {
+			t.Fatal(err)
 		}
 	}
 }
@@ -168,45 +177,111 @@ func ringSections(n *Node, step int) error {
 }
 
 // TestCriticalSectionAllocatesNothingGate counts the objects a critical
-// section allocates once the lock ring is warm: each takes a lock from
-// another node (a grant carrying write notices), misses on the record the
-// notices invalidated (a diff request and response), writes it (twin
-// capture) and releases (an interval close with its slot array), and every
-// fourth barrier runs a GC epoch (the bulk validation's round, the
-// discard and the sweep). Each of those recycles what it builds — twin and
-// diff leases, slot arrays, want and request lists, message shells and
-// their clocks — so a critical section allocates nothing. What a warm
-// epoch may still allocate is a message shell's interval slab growing to
-// the largest block it has decoded: 0-4 objects after 48 epochs, on a
-// loaded box too. The bound, one object per 10 critical sections, is
-// crossed by any per-operation allocation (a slot array made per interval
-// close measures 2 per critical section).
+// section allocates once the lock ring is warm, under LI and LU: each takes
+// a lock from another node (a grant carrying write notices, and under LU
+// the releaser's diffs), brings the record the notices invalidated current
+// (LI: a miss's diff request and response; LU: the acquire's revalidation,
+// which fetches what the grant did not carry), writes it (twin capture)
+// and releases (an interval close with its slot array), and every fourth
+// barrier runs a GC epoch (the bulk validation's round, the discard and
+// the sweep). Each of those recycles what it builds — twin and diff leases,
+// slot arrays, want and request lists, message shells, their clocks and
+// the slabs their blocks take from the wire slab pool — so a critical
+// section allocates nothing: 0-4 objects per warm epoch, on a loaded box
+// too. The bound, one object per 10 critical sections, is crossed by any
+// per-operation allocation (a slot array made per interval close measures
+// 2 per critical section; under LU, the acquire's revalidation list cloned
+// and its grant's diff list grown per critical section 0.31).
 func TestCriticalSectionAllocatesNothingGate(t *testing.T) {
 	testenv.SkipAllocGate(t)
-	const gcEvery, warmEpochs = 4, 48
-	s := newRingSys(t, gcEvery)
-	d := newRingDriver(t, s)
-	step := 0
-	epoch := func() {
-		d.steps(t, step, step+gcEvery)
-		step += gcEvery
+	for _, mode := range []Mode{LazyInvalidate, LazyUpdate} {
+		t.Run(mode.String(), func(t *testing.T) {
+			const gcEvery, warmEpochs = 4, 48
+			s := newRingSys(t, mode, gcEvery)
+			d := newRingDriver(t, s)
+			step := 0
+			epoch := func() {
+				d.steps(t, step, step+gcEvery)
+				step += gcEvery
+			}
+			for range warmEpochs {
+				epoch()
+			}
+			before := s.Node(0).Stats()
+			allocs := testing.AllocsPerRun(4, epoch)
+			after := s.Node(0).Stats()
+			// LU takes no access misses: its acquires bring the records current.
+			missed := after.AccessMisses > before.AccessMisses || mode == LazyUpdate
+			if after.GCRuns-before.GCRuns != 5 || !missed ||
+				after.IntervalsCreated == before.IntervalsCreated || after.DiffsFetched == before.DiffsFetched {
+				t.Fatalf("the measured epochs ran %d GC epochs, %d misses, %d intervals, %d fetched diffs on node 0: want 5 and more than none",
+					after.GCRuns-before.GCRuns, after.AccessMisses-before.AccessMisses,
+					after.IntervalsCreated-before.IntervalsCreated, after.DiffsFetched-before.DiffsFetched)
+			}
+			if perCS := allocs / (gcEvery * ringLocks); perCS > 0.1 {
+				t.Errorf("a warm critical section allocates %.3f objects (%.0f per epoch of %d), want 0", perCS, allocs, gcEvery*ringLocks)
+			} else {
+				t.Logf("%.0f objects per epoch of %d critical sections", allocs, gcEvery*ringLocks)
+			}
+		})
 	}
-	for range warmEpochs {
-		epoch()
+}
+
+// TestBarrierNoticesAllocateNothingGate: a barrier round moves an epoch's
+// write notices — four LI nodes each close 240 intervals on a lock and page
+// of their own between barriers, so each arrival carries 240 records, the
+// master absorbs 720 and each exit carries the 720 its node lacks — and
+// allocates nothing once warm: the arrivals and exits are built in, and
+// decoded into, slabs of the wire slab pool, the master absorbs in place,
+// and the GC epoch every barrier runs recycles the log's chunks. A block
+// decoded into slabs of its own measured 18 objects a round (three per
+// arrival and exit), the bound is one.
+func TestBarrierNoticesAllocateNothingGate(t *testing.T) {
+	testenv.SkipAllocGate(t)
+	const procs, pageSize, intervals, warm, measured = 4, 1024, 240, 8, 8
+	s, err := New(Config{Procs: procs, SpaceSize: procs * pageSize, PageSize: pageSize, Mode: LazyInvalidate, GCEveryBarriers: 1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	before := s.Node(0).Stats()
-	allocs := testing.AllocsPerRun(4, epoch)
-	after := s.Node(0).Stats()
-	if after.GCRuns-before.GCRuns != 5 || after.AccessMisses == before.AccessMisses ||
-		after.IntervalsCreated == before.IntervalsCreated || after.DiffsFetched == before.DiffsFetched {
-		t.Fatalf("the measured epochs ran %d GC epochs, %d misses, %d intervals, %d fetched diffs on node 0: want 5 and more than none",
-			after.GCRuns-before.GCRuns, after.AccessMisses-before.AccessMisses,
-			after.IntervalsCreated-before.IntervalsCreated, after.DiffsFetched-before.DiffsFetched)
+	t.Cleanup(func() {
+		if err := s.Close(); err != nil {
+			t.Errorf("Close: %v", err)
+		}
+	})
+	d := newDriver(t, s, func(n *Node, step int) error {
+		l, base := mem.LockID(n.ID()), mem.Addr(int(n.ID())*pageSize) // its lock and its page, both managed and homed here
+		for i := range intervals {
+			err := n.Acquire(l)
+			if err == nil {
+				err = n.WriteUint64(base+mem.Addr(8*(i%(pageSize/8))), uint64(step))
+			}
+			if err == nil {
+				err = n.Release(l)
+			}
+			if err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	var mallocs uint64
+	for step := range warm + measured {
+		d.all(t, step)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		d.all(t, ringBarrier)
+		runtime.ReadMemStats(&after)
+		if step >= warm {
+			mallocs += after.Mallocs - before.Mallocs
+		}
 	}
-	if perCS := allocs / (gcEvery * ringLocks); perCS > 0.1 {
-		t.Errorf("a warm critical section allocates %.3f objects (%.0f per epoch of %d), want 0", perCS, allocs, gcEvery*ringLocks)
+	if got := s.Node(1).Stats().IntervalsCreated; got != (warm+measured)*intervals {
+		t.Fatalf("node 1 closed %d intervals, want %d", got, (warm+measured)*intervals)
+	}
+	if per := float64(mallocs) / measured; per >= 1 {
+		t.Errorf("a warm barrier round moving %d write notices allocates %.2f objects, want under 1", procs*intervals, per)
 	} else {
-		t.Logf("%.0f objects per epoch of %d critical sections", allocs, gcEvery*ringLocks)
+		t.Logf("%.2f objects per barrier round", per)
 	}
 }
 
@@ -287,7 +362,7 @@ func TestLockBurstRecyclesTwinsAndStoreGate(t *testing.T) {
 func TestTwinPoolCoversBudgetGate(t *testing.T) {
 	testenv.SkipAllocGate(t)
 	const gcEvery = 8
-	s := newRingSys(t, gcEvery)
+	s := newRingSys(t, LazyInvalidate, gcEvery)
 	ringSteps(t, s, 0, 2*gcEvery+1)
 	before := s.Node(0).Stats()
 	gets0, _ := page.PoolStats()
@@ -322,7 +397,7 @@ func TestTwinPoolCoversBudgetGate(t *testing.T) {
 func TestLogFlatInRunLength(t *testing.T) {
 	const gcEvery = 2
 	held := func(epochs int) []int {
-		s := newRingSys(t, gcEvery)
+		s := newRingSys(t, LazyInvalidate, gcEvery)
 		ringSteps(t, s, 0, epochs*gcEvery+1)
 		counts := make([]int, ringProcs)
 		for id := range counts {

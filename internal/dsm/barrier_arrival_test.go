@@ -93,7 +93,7 @@ func TestOwnOnlyArrivalsDeliverTheWholeLogRepro(t *testing.T) {
 			e := lazyOf(s.Node(i))
 			var arrive wire.Msg
 			e.mu.Lock()
-			known := len(e.intervalsSinceLocked(nil, e.lastEpoch))
+			known := len(e.intervalsSinceLocked(&wire.Msg{}, e.lastEpoch))
 			e.mu.Unlock()
 			e.arrive(&arrive)
 			for _, rec := range arrive.Intervals {

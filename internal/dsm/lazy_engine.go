@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/mem"
+	"repro/internal/page"
 	"repro/internal/vc"
 	"repro/internal/wire"
 )
@@ -66,22 +67,20 @@ type lazyEngine struct {
 	// round is the scratch that faults, revalidations and the GC epoch's
 	// bulk validation plan into: the application goroutine's alone.
 	round round
-	// Scratch whose consumer finishes under the lock that filled it: under
-	// mu, closeIntervalLocked's sorted dirty pages and the pages the
-	// intervals an acquire absorbed notice; under the node's lockMu, held
-	// from grant until the grant is encoded, its clock and records; and the
-	// application goroutine's alone, the floor and records of the arrival
-	// or exit it sends next, and the GC epoch's pages to validate.
-	cand       []mem.PageID
-	noticed    []mem.PageID
-	grantClock vc.VC
-	grantRecs  []wire.IntervalRec
-	barFloor   vc.VC
-	barRecs    []wire.IntervalRec
-	gcPages    []mem.PageID
-	// Under mu: absorbIntervalsLocked's records waiting for their causal
-	// past, scratch kept across calls.
-	pending []wire.IntervalRec
+	// Scratch: under mu, closeIntervalLocked's sorted dirty pages; the
+	// application goroutine's alone, the pages the intervals an acquire
+	// absorbed notice (filled under mu), the floor of the arrival it sends
+	// next and the GC epoch's pages to validate. The records a grant,
+	// arrival or exit exports are its message's (intervalsSinceLocked).
+	cand     []mem.PageID
+	noticed  []mem.PageID
+	barFloor vc.VC
+	gcPages  []mem.PageID
+	// Under mu: absorbIntervalsLocked's records that arrived ahead of
+	// their causal past, scratch kept across calls, and mergedLocked's
+	// diffs of a range.
+	pending []*wire.IntervalRec
+	merging []*page.Diff
 
 	// ws is the current interval's write set; closeIntervalLocked drains
 	// it into cand.
@@ -190,8 +189,10 @@ func (e *lazyEngine) closeIntervalLocked() {
 
 // absorbIntervalsLocked merges a batch of received interval record lists
 // into the log, skipping already-known records, and appends the pages the
-// genuinely new records notice to fresh. Nothing of the lists is kept: they
-// may die with the messages they came in. Caller holds e.mu.
+// genuinely new records notice to fresh. A record that extends its
+// processor's run goes straight into the log; only one that arrived ahead
+// of its causal past waits, pointed to from pending. Nothing of the lists is
+// kept: they may die with the messages they came in. Caller holds e.mu.
 func (e *lazyEngine) absorbIntervalsLocked(fresh []mem.PageID, batch ...[]wire.IntervalRec) []mem.PageID {
 	// The records came off the wire: validate before touching the log. A
 	// processor id outside the cluster, a clock of another width or a page
@@ -199,7 +200,8 @@ func (e *lazyEngine) absorbIntervalsLocked(fresh []mem.PageID, batch ...[]wire.I
 	// the record rather than panic, before the log absorbs it.
 	pending := e.pending[:0]
 	for _, recs := range batch {
-		for _, rec := range recs {
+		for i := range recs {
+			rec := &recs[i]
 			if rec.Proc < 0 || int(rec.Proc) >= len(e.v) {
 				e.n.noteErr("interval absorb",
 					fmt.Errorf("interval record for invalid processor %d", rec.Proc))
@@ -218,8 +220,12 @@ func (e *lazyEngine) absorbIntervalsLocked(fresh []mem.PageID, batch ...[]wire.I
 					fmt.Errorf("interval record p%d/%d names invalid page %d", rec.Proc, rec.Index, *bad))
 				continue
 			}
-			if !e.v.Covers(int(rec.Proc), rec.Index) {
-				pending = append(pending, rec)
+			switch {
+			case e.v.Covers(int(rec.Proc), rec.Index): // known
+			case e.extends(rec):
+				fresh = e.appendLocked(fresh, rec)
+			default:
+				pending = core.AppendDoubling(pending, rec)
 			}
 		}
 	}
@@ -227,7 +233,7 @@ func (e *lazyEngine) absorbIntervalsLocked(fresh []mem.PageID, batch ...[]wire.I
 	// emits records in it. A record goes in once it extends its processor's
 	// run and the node knows everything else its clock names, so the log
 	// stays closed under happened-before; an honest batch is, and goes in
-	// whole, most of it on the first pass.
+	// whole, most of it as it is read.
 	if !slices.IsSortedFunc(pending, byProcIndex) {
 		slices.SortFunc(pending, byProcIndex)
 	}
@@ -236,22 +242,11 @@ func (e *lazyEngine) absorbIntervalsLocked(fresh []mem.PageID, batch ...[]wire.I
 		progress = false
 		kept := pending[:0]
 		for _, rec := range pending {
-			if rec.Index != e.v[rec.Proc]+1 || rec.VC[rec.Proc] != rec.Index || !e.knowsBesides(rec) {
+			if !e.extends(rec) {
 				kept = append(kept, rec)
 				continue
 			}
-			// The log copies the decoded clock and page list: they go back to
-			// the message's shell when it is released.
-			e.log.Append(core.Interval{
-				ID:    core.IntervalID{Proc: rec.Proc, Index: rec.Index},
-				VC:    rec.VC,
-				Pages: rec.Pages,
-			})
-			// Track per-processor high-water mark in our clock: Covers uses
-			// e.v, so advance it per record to keep the dedupe correct for
-			// consecutive indices.
-			e.v[rec.Proc] = rec.Index
-			fresh = append(fresh, rec.Pages...)
+			fresh = e.appendLocked(fresh, rec)
 			progress = true
 		}
 		pending = kept
@@ -268,14 +263,18 @@ func (e *lazyEngine) absorbIntervalsLocked(fresh []mem.PageID, batch ...[]wire.I
 					rec.Proc, rec.Index, rec.VC, e.v))
 		}
 	}
-	clear(pending[:gathered]) // the records point into their messages' slabs
+	clear(pending[:gathered]) // the records are their messages' slabs
 	e.pending = pending[:0]
 	return fresh
 }
 
-// knowsBesides reports whether the node knows every interval rec's clock
-// names but rec's own. Caller holds e.mu.
-func (e *lazyEngine) knowsBesides(rec wire.IntervalRec) bool {
+// extends reports whether rec is the next interval of its processor and the
+// node knows every other interval its clock names: whether the log may take
+// it now. Caller holds e.mu.
+func (e *lazyEngine) extends(rec *wire.IntervalRec) bool {
+	if rec.Index != e.v[rec.Proc]+1 || rec.VC[rec.Proc] != rec.Index {
+		return false
+	}
 	for q, k := range rec.VC {
 		if q != int(rec.Proc) && k > e.v[q] {
 			return false
@@ -284,8 +283,20 @@ func (e *lazyEngine) knowsBesides(rec wire.IntervalRec) bool {
 	return true
 }
 
+// appendLocked logs rec, which extends its processor's run, and returns
+// fresh with the pages it notices. Caller holds e.mu.
+func (e *lazyEngine) appendLocked(fresh []mem.PageID, rec *wire.IntervalRec) []mem.PageID {
+	// The log copies the decoded clock and page list: they go back to the
+	// slab pool when the message is released.
+	e.log.Append(core.Interval{ID: core.IntervalID{Proc: rec.Proc, Index: rec.Index}, VC: rec.VC, Pages: rec.Pages})
+	// Covers and extends read e.v: advance it per record, so that the next
+	// index of the processor extends it and a duplicate is known.
+	e.v[rec.Proc] = rec.Index
+	return append(fresh, rec.Pages...)
+}
+
 // byProcIndex orders interval records as the log takes them.
-func byProcIndex(a, b wire.IntervalRec) int {
+func byProcIndex(a, b *wire.IntervalRec) int {
 	return cmp.Or(cmp.Compare(a.Proc, b.Proc), cmp.Compare(a.Index, b.Index))
 }
 
@@ -302,9 +313,10 @@ func invalidPageIn(n *Node, pages []mem.PageID) *mem.PageID {
 	return nil
 }
 
-// intervalsSinceLocked appends to recs a wire record for every interval
-// (r, k) the log holds with k > floor[r]. Caller holds e.mu.
-func (e *lazyEngine) intervalsSinceLocked(recs []wire.IntervalRec, floor vc.VC) []wire.IntervalRec {
+// intervalsSinceLocked returns a wire record for every interval (r, k) the
+// log holds with k > floor[r], in records m takes from the wire slab pool:
+// they go back when m, encoded by then, is released. Caller holds e.mu.
+func (e *lazyEngine) intervalsSinceLocked(m *wire.Msg, floor vc.VC) []wire.IntervalRec {
 	if len(floor) != len(e.v) || slices.Min(floor) < -1 {
 		// A legitimate acquirer always stamps its full clock; a missing,
 		// short or below-empty one is a forged request. Treat the sender as
@@ -319,14 +331,9 @@ func (e *lazyEngine) intervalsSinceLocked(recs []wire.IntervalRec, floor vc.VC) 
 			floor, e.log.Floor(mem.ProcID(q)), q))
 	}
 	count, _ := e.log.NoticesBetween(floor, e.v, nil)
-	recs = slices.Grow(recs, count)
+	recs := m.TakeIntervals(count)[:0]
 	e.log.NoticesBetween(floor, e.v, func(iv core.Interval) {
-		recs = append(recs, wire.IntervalRec{
-			Proc:  iv.ID.Proc,
-			Index: iv.ID.Index,
-			VC:    iv.VC,
-			Pages: iv.Pages,
-		})
+		recs = append(recs, wire.IntervalRec{Proc: iv.ID.Proc, Index: iv.ID.Index, VC: iv.VC, Pages: iv.Pages})
 	})
 	return recs
 }
@@ -347,9 +354,10 @@ func (e *lazyEngine) belowFloorLocked(v vc.VC) int {
 // given the pages they notice (absorbIntervalsLocked's list, which it
 // sorts and reuses): cached valid copies of noticed pages become invalid
 // (data retained as the diff target). It returns the affected cached
-// pages, ascending: to LI, which only drops them, in the caller's scratch,
-// good until e.mu is released; to LU, which revalidates them after that,
-// as a copy. Caller holds e.mu.
+// pages, ascending, in the caller's scratch — noticed or fresh, which only
+// the application goroutine fills — so LU revalidates them out of it after
+// e.mu is released, before that goroutine's next acquire or barrier.
+// Caller holds e.mu.
 func (e *lazyEngine) invalidateForLocked(noticed []mem.PageID) []mem.PageID {
 	slices.Sort(noticed)
 	noticed = slices.Compact(noticed)
@@ -362,9 +370,6 @@ func (e *lazyEngine) invalidateForLocked(noticed []mem.PageID) []mem.PageID {
 			affected = append(affected, pg)
 		}
 		pmu.Unlock()
-	}
-	if e.update {
-		return slices.Clone(affected)
 	}
 	return affected
 }
@@ -423,16 +428,20 @@ func (e *lazyEngine) acquireStart(req *wire.Msg) {
 func (e *lazyEngine) grant(req, grant *wire.Msg) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	// The caller encodes the grant before it lets go of lockMu.
-	e.grantRecs = e.intervalsSinceLocked(e.grantRecs[:0], req.VC)
-	e.grantClock = append(e.grantClock[:0], e.v...)
-	grant.VC, grant.Intervals = e.grantClock, e.grantRecs
+	grant.Intervals = e.intervalsSinceLocked(grant, req.VC)
+	grant.SetClock(e.v)
 	if e.update {
 		// Piggyback every retained diff for the noticed intervals — the
 		// releaser supplies what it has (Figure 4's "l and x in a single
 		// message"); the acquirer fetches any remainder from responders.
 		// Deferred local diffs materialize here (the piggyback is their
-		// first serve).
+		// first serve). The records come from the wire slab pool, as many
+		// as the notices name pages at most.
+		n := 0
+		for _, rec := range grant.Intervals {
+			n += len(rec.Pages)
+		}
+		grant.Diffs = grant.TakeDiffs(n)[:0]
 		for _, rec := range grant.Intervals {
 			id := core.IntervalID{Proc: rec.Proc, Index: rec.Index}
 			for _, pg := range rec.Pages {
@@ -495,8 +504,7 @@ func (e *lazyEngine) arrive(arrive *wire.Msg) {
 	arrive.SetClock(e.v)
 	e.barFloor = append(e.barFloor[:0], e.v...)
 	e.barFloor[e.n.id] = e.lastEpoch[e.n.id]
-	e.barRecs = e.intervalsSinceLocked(e.barRecs[:0], e.barFloor)
-	arrive.Intervals = e.barRecs
+	arrive.Intervals = e.intervalsSinceLocked(arrive, e.barFloor)
 	e.mu.Unlock()
 }
 
@@ -529,8 +537,7 @@ func (e *lazyEngine) masterAbsorb(arrivals []*wire.Msg) {
 func (e *lazyEngine) exit(m, exit *wire.Msg) {
 	e.mu.Lock()
 	exit.SetClock(e.v)
-	e.barRecs = e.intervalsSinceLocked(e.barRecs[:0], m.VC)
-	exit.Intervals = e.barRecs
+	exit.Intervals = e.intervalsSinceLocked(exit, m.VC)
 	e.mu.Unlock()
 }
 

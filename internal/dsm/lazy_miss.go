@@ -121,8 +121,8 @@ func (e *lazyEngine) ensureCopy(pg mem.PageID) (cold bool, err error) {
 		n.noteErr("page install", bad)
 		return true, fmt.Errorf("dsm: node %d: page install: %w", n.id, bad)
 	}
-	// The decoded page is the copy's from here on; the clock is the shell's,
-	// so the copy keeps a copy (none: nothing applied).
+	// The decoded page is the copy's from here on; the clock is the
+	// message's, so the copy keeps a copy (none: nothing applied).
 	applied := vc.New(n.sys.cfg.Procs)
 	copy(applied, resp.VC)
 	pmu.Lock()
@@ -144,8 +144,8 @@ func (e *lazyEngine) apply(r *round, i int) error {
 	// A step out of the store is applied after e.mu is dropped, on a count of
 	// its own (one out of a held response borrows, and counts nothing). The
 	// steps are released before the round's responses: a borrowed one is a
-	// header in a held response's shell, which the next Decode refills once
-	// it is released.
+	// header in a held response's slab, which the next message to take it
+	// refills once the response is released.
 	e.mu.Lock()
 	steps, err := e.stepsLocked(r.steps[:0], pg, r.planOf(i), r.held)
 	v := append(vc.VC(clockBuf[:0]), e.v...)

@@ -453,8 +453,7 @@ func (e *lazyEngine) mergedLocked(w wire.Want) (*page.Diff, error) {
 		return nil, fmt.Errorf("asked for diffs %d/%d..%d of page %d, not a run of this node's intervals on the page",
 			w.Proc, w.Index, last, w.Page)
 	}
-	var diffBuf [8]*page.Diff
-	diffs := diffBuf[:0]
+	diffs := e.merging[:0]
 	pmu := n.pageLock(w.Page)
 	pmu.Lock()
 	for _, k := range idxs {
@@ -465,10 +464,12 @@ func (e *lazyEngine) mergedLocked(w wire.Want) (*page.Diff, error) {
 				w.Proc, w.Index, last, w.Page, k)
 		}
 		e.materializeSlot(e.pages[w.Page], slot, w.Page)
-		diffs = append(diffs, slot.d)
+		diffs = core.AppendDoubling(diffs, slot.d)
 	}
 	pmu.Unlock()
+	e.merging = diffs
 	merged, err := page.FlattenDiffs(diffs, n.sys.layout.PageSize())
+	clear(diffs)
 	if err != nil {
 		// Own diffs are well-formed, so this cannot happen.
 		return nil, fmt.Errorf("merging diffs %d/%d..%d of page %d: %w", w.Proc, w.Index, last, w.Page, err)

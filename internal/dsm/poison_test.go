@@ -164,7 +164,7 @@ func TestEarlyMsgReleaseIsCaught(t *testing.T) {
 	}
 }
 
-// TestEarlyGrantReleaseIsCaught commits the bug the shell's interval slabs
+// TestEarlyGrantReleaseIsCaught commits the bug pooled interval slabs
 // allow — keeping a grant's interval records past the grant's release — on
 // purpose, and checks that the value oracle and the protocol's validation
 // both see it: the kept records read as poison, so their write notices are

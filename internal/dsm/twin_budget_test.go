@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/mem"
 	"repro/internal/vc"
+	"repro/internal/wire"
 )
 
 // Tests for the deferred-twin budget (twinBudget, trimTwinsLocked): the
@@ -319,7 +320,7 @@ func TestForgedFloorClockGrantsEverything(t *testing.T) {
 	e := lazyOf(n)
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if got := len(e.intervalsSinceLocked(nil, vc.VC{-7, 1 << 30})); got != 3 {
+	if got := len(e.intervalsSinceLocked(&wire.Msg{}, vc.VC{-7, 1 << 30})); got != 3 {
 		t.Errorf("forged floor clock was granted %d intervals, want all 3", got)
 	}
 }

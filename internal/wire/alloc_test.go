@@ -1,22 +1,25 @@
 package wire
 
 import (
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
 
 	"repro/internal/framebuf"
+	"repro/internal/mem"
 	"repro/internal/testenv"
 	"repro/internal/vc"
 )
 
 // TestDecodeAllocationsGate: what one Decode allocates, shape by shape. A
-// shell keeps its slabs across Release — interval records, the clock slab
-// (the message's clock is its first window) and the page slab, a first
-// section, a diff block's records, headers, runs and payload windows, and
-// wants — so a steady receive path decodes the runtime's messages without
-// allocating, and a block past what the shell keeps allocates its own
-// slabs and nothing more.
+// block of any size decodes into slabs from the slab pool — interval
+// records, the clock slab (the message's clock is its first window) and the
+// page slab, a diff block's records, headers, runs and payload windows, and
+// wants — which its message's last Release gives back, and a shell keeps its
+// first section: so once a block of a size has been decoded and released,
+// the next one of that size allocates nothing, a barrier's thousand-record
+// block as much as a grant's few.
 func TestDecodeAllocationsGate(t *testing.T) {
 	testenv.SkipAllocGate(t)
 	allocs := func(t *testing.T, runs int, frame []byte, release bool) float64 {
@@ -34,24 +37,21 @@ func TestDecodeAllocationsGate(t *testing.T) {
 		for _, tc := range shellMsgs(t) {
 			drainShells()
 			if a := allocs(t, 200, tc.m.EncodeAppend(nil), true); a != 0 {
-				t.Errorf("decoding a %s into a shell allocates %.1f objects, want 0: its slabs are the shell's", tc.name, a)
+				t.Errorf("decoding a %s into a shell allocates %.1f objects, want 0: its slabs are the pool's", tc.name, a)
 			}
 		}
 	})
 	t.Run("interval slabs", func(t *testing.T) {
 		drainShells()
-		small, large := intervalBlock(keepRecs, false), intervalBlock(keepRecs+1, false)
-		if a := allocs(t, 20, small, true); a != 0 {
-			t.Errorf("decoding a block inside the keep bound into a recycled shell takes %v allocations, want 0", a)
-		}
-		if a := allocs(t, 20, intervalBlock(keepRecs, true), true); a != 0 {
-			t.Errorf("decoding a block of repeated page lists into a recycled shell takes %v allocations, want 0", a)
-		}
-		if a := allocs(t, 20, large, true); a != 3 {
-			t.Errorf("decoding a block beyond the keep bound takes %v allocations, want its 3 slabs", a)
-		}
-		if a := allocs(t, 20, small, true); a != 0 {
-			t.Errorf("after a large block a small one takes %v allocations, want 0", a)
+		// 73 records filled the 4 KiB a shell once kept; 2,000 are a
+		// barrier arrival's.
+		for _, n := range []int{73, 74, 2000} {
+			if a := allocs(t, 20, intervalBlock(n, false), true); a != 0 {
+				t.Errorf("decoding a block of %d records after one of its size takes %v allocations, want 0", n, a)
+			}
+			if a := allocs(t, 20, intervalBlock(n, true), true); a != 0 {
+				t.Errorf("decoding a block of %d repeated page lists takes %v allocations, want 0", n, a)
+			}
 		}
 	})
 	t.Run("diff run tables", func(t *testing.T) {
@@ -60,15 +60,10 @@ func TestDecodeAllocationsGate(t *testing.T) {
 		}
 	})
 	t.Run("diff block past the bound", func(t *testing.T) {
+		// Past the 4 KiB a shell once kept: 200 runs, or a second block.
 		for _, tc := range pastTheBoundMsgs(t) {
-			drainShells()
-			m, err := Decode(shellDiffResp(t, 4, false).EncodeAppend(nil))
-			if err != nil {
-				t.Fatal(err)
-			}
-			m.Release()
-			if a := allocs(t, 20, tc.m.EncodeAppend(nil), true); a != 4 {
-				t.Errorf("decoding %s takes %v allocations, want its 4 slabs", tc.name, a)
+			if a := allocs(t, 20, tc.m.EncodeAppend(nil), true); a != 0 {
+				t.Errorf("decoding %s after one of its shape takes %v allocations, want 0", tc.name, a)
 			}
 		}
 	})
@@ -91,6 +86,35 @@ func TestDecodeAllocationsGate(t *testing.T) {
 		}
 		if least > 4096 {
 			t.Errorf("refusing an interval block past the bound allocated %d bytes, want its error alone", least)
+		}
+	})
+	t.Run("poisoned past the last release", func(t *testing.T) {
+		// What a holder kept of a 300-record block and of its wants reads
+		// the poison pattern once the message is released: the slabs went
+		// back to the pool scrubbed, whatever their size class.
+		framebuf.SetPoison(true)
+		defer framebuf.SetPoison(false)
+		m := &Msg{Kind: KDiffReq, VC: vc.VC{300, 7}, Wants: make([]Want, 300)}
+		for i := range 300 {
+			m.Intervals = append(m.Intervals, IntervalRec{Proc: 1, Index: int32(i), VC: vc.VC{int32(i), 7}, Pages: []mem.PageID{mem.PageID(i), 9}})
+			m.Wants[i] = Want{Page: 3, Proc: 2, Index: int32(i)}
+		}
+		got, err := Decode(m.EncodeAppend(nil))
+		if err != nil || !reflect.DeepEqual(got.Intervals, m.Intervals) || !reflect.DeepEqual(got.Wants, m.Wants) {
+			t.Fatalf("decoded %d records and %d wants, err %v", len(got.Intervals), len(got.Wants), err)
+		}
+		clock, recs, wants, last := got.VC, got.Intervals, got.Wants, got.Intervals[299]
+		got.Release()
+		deadWant := Want{Page: mem.PageID(dead), Proc: mem.ProcID(dead), Index: dead, Span: dead}
+		for i, iv := range recs {
+			if iv.Proc != mem.ProcID(dead) || iv.Index != dead || iv.VC != nil || iv.Pages != nil || wants[i] != deadWant {
+				t.Fatalf("past the last release record %d reads %+v and want %d %+v, want the poison pattern", i, iv, i, wants[i])
+			}
+		}
+		if !reflect.DeepEqual(clock, vc.VC{dead, dead}) || !reflect.DeepEqual(last.VC, vc.VC{dead, dead}) ||
+			!reflect.DeepEqual(last.Pages, []mem.PageID{mem.PageID(dead), mem.PageID(dead)}) {
+			t.Errorf("past the last release the message clock reads %v, the last record's clock %v and pages %v: want the poison pattern",
+				clock, last.VC, last.Pages)
 		}
 	})
 	t.Run("borrowed payload", func(t *testing.T) {

@@ -131,17 +131,14 @@
 // Decode copies everything out of the frame except diff payloads, so
 // nothing but a diff needs the frame. Msg.Data is an allocation of its
 // own that outlives the message (a page ship's Data becomes the
-// receiver's page copy as it is). Everything else a message
-// decodes belongs to its shell and dies with it — see Messages below:
-// clocks, interval records with their clocks and page lists, diff records,
-// the diff headers they point to with their run tables and payload
-// windows, and wants; a page ship's clock is copied by the copy that keeps
-// it. A decoded DiffRec's Diff borrows as well: its wire body and every
-// run's bytes are capacity-limited windows of the frame the message was
-// decoded from, so a 4 KiB diff response is decoded without allocating or
-// touching a payload byte, applies straight out of the receive buffer, and
-// re-encodes (a home relaying an update) as one copy of the same bytes. A
-// diff without runs borrows nothing.
+// receiver's page copy as it is). Everything else a message decodes is in
+// slabs it holds and dies with it — see Messages below. A decoded DiffRec's
+// Diff borrows as well: its wire body and every run's bytes are
+// capacity-limited windows of the frame the message was decoded from, so a
+// 4 KiB diff response is decoded without allocating or touching a payload
+// byte, applies straight out of the receive buffer, and re-encodes (a home
+// relaying an update) as one copy of the same bytes. A diff without runs
+// borrows nothing.
 //
 // The frame lasts as long as the message decoded from it: internal/dsm's
 // dispatch loop recycles a frame at once when its message carries no
@@ -156,7 +153,7 @@
 // the LU engine's retained-diff store, whose entries are piggybacked on
 // later lock grants. Nothing else may keep a DiffRec, a *page.Diff or a
 // RunData slice of a received message: a stale *page.Diff does not merely
-// dangle over a recycled frame, it is a header the shell reuses for the
+// dangle over a recycled frame, it is a header the slab pool hands to the
 // next message's diff.
 //
 // Messages: a Msg on the heap is a recycled shell. Decode fills one from
@@ -174,29 +171,25 @@
 // — the worker when the handler returns, the waiter's rpc when it has
 // consumed the response, the master when it has answered the arrival — and
 // the last one drops the frame reference and returns the shell to the free
-// list. What is recycled is the shell: its scalar fields, its slice
-// headers, Sections, whose first element lives in the shell, and its slabs,
-// each bounded by keepSlabBytes: the first clock decoded without an
-// interval block, or the clock a sender copied in (SetClock); those of the
-// first interval block decoded into it — records, clocks and page lists,
-// with the enclosing message or section clock as the clock slab's first
-// window — those of the first diff block — records, diff headers, runs and
-// payload windows — and the wants. The next Decode into the shell fills
-// them in place, so nothing may read a decoded clock, an IntervalRec, its
-// VC or Pages, a DiffRec, its Diff, or a Want after the message's last
-// Release: whoever needs one longer copies it first (the interval log,
-// core.Log.Append, copies what it is handed; a page copy copies the
-// applied clock of its KPageResp; the LU store clones a diff; a diff
-// request is served before its handler returns). A block past the bound,
-// or a later block or clock of the same message, is allocated for that
-// message and left to the garbage collector, like Data, the one array that
-// is never reused: it belongs to whoever absorbed it (a page copy keeps
-// the Data of a KPageResp) and to the garbage collector otherwise. Under
-// poison-on-release a released shell reads as an invalid kind with 0xDB
-// scalars, its kept clocks, records, page lists and wants as 0xDB entries,
-// and a kept diff header as runs at a negative offset, which
-// page.Diff.Apply refuses; one Release too many panics, like
-// framebuf.Ref.
+// list. What is recycled is the shell — its scalars, its slice headers,
+// its first section and the clock a sender copied in (SetClock) — and the
+// slabs the message took from the slab pool, one process-wide pool,
+// size-classed and bounded in bytes. Every block decodes into its slabs,
+// whatever its size — an interval block's records, clocks and page lists,
+// the enclosing clock the clock slab's first window, a diff block's
+// records, diff headers, runs and payload windows, the wants, a clock
+// without an interval block — and a sender's block is built in them
+// (TakeIntervals, TakeDiffs). The last Release gives them back for the next
+// message, so nothing may read a decoded clock, an IntervalRec, its VC or
+// Pages, a DiffRec, its Diff, or a Want after it: whoever needs one longer
+// copies it first (core.Log.Append copies what it is handed; a page copy
+// copies the applied clock of its KPageResp; the LU store clones a diff; a
+// diff request is served before its handler returns). Data is never reused:
+// it belongs to whoever absorbed it, or to the garbage collector.
+// Under poison-on-release a released shell reads as an invalid kind with
+// 0xDB scalars, the slabs it gave back as 0xDB entries, and a kept diff
+// header as runs at a negative offset, which page.Diff.Apply refuses; one
+// Release too many panics, like framebuf.Ref.
 package wire
 
 import (
@@ -205,6 +198,7 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"sync"
 	"sync/atomic"
 	"unsafe"
 
@@ -427,25 +421,12 @@ type Msg struct {
 	kept *kept
 }
 
-// kept is what a shell keeps across Release for the next Decode to fill in
-// place: its first section (most messages that have any have one) and the
-// storage of the first clock without an interval block, the first interval
-// block, the first diff block and the wants block decoded into it.
+// kept is what a shell keeps across Release: its first section, SetClock's
+// storage and the lists of the slabs the message holds.
 type kept struct {
-	sec       [1]Section
-	clock     clockSlab
-	intervals intervalSlabs
-	diffs     diffSlabs
-	wants     []Want
-}
-
-// clockSlab is the storage of a clock decoded into a shell without an
-// interval block beside it (one with a block is that block's first clock
-// window), or of the clock a sender copies in with SetClock. taken says a
-// clock of this message has claimed it: a later one allocates its own.
-type clockSlab struct {
-	entries []int32
-	taken   bool
+	sec   [1]Section
+	clock []int32
+	slabs heldSlabs
 }
 
 // shell allocates a message and its kept storage together.
@@ -454,95 +435,131 @@ type shell struct {
 	k kept
 }
 
-// intervalSlabs is the storage of an interval block decoded into a shell —
-// the records, their clocks behind the enclosing one, their page lists.
-// taken says a block of this message, the first that fits, has claimed
-// them: a later block of the same message allocates its own.
-type intervalSlabs struct {
-	recs   []IntervalRec
-	clocks []int32
-	pages  []mem.PageID
-	taken  bool
+// heldSlabs lists the slabs a message took from the slab pool, per type.
+type heldSlabs struct {
+	recs  [][]IntervalRec
+	words [][]int32
+	pages [][]mem.PageID
+	diffs [][]DiffRec
+	hdrs  [][]page.Diff
+	runs  [][]page.Run
+	data  [][][]byte
+	wants [][]Want
 }
 
-// diffSlabs is the storage of a diff block decoded into a shell — the
-// records, the diff header each record points to, the run tables and the
-// payload windows the headers borrow (the payloads are the frame's). taken
-// is intervalSlabs' flag.
-type diffSlabs struct {
-	recs  []DiffRec
-	hdrs  []page.Diff
-	runs  []page.Run
-	data  [][]byte
-	taken bool
+// release gives every slab back to its pool, scrubbed (slabPool.put).
+func (h *heldSlabs) release(poisoned bool) {
+	giveBack(&recSlabs, &h.recs, poisoned)
+	giveBack(&wordSlabs, &h.words, poisoned)
+	giveBack(&pageSlabs, &h.pages, poisoned)
+	giveBack(&diffSlabs, &h.diffs, poisoned)
+	giveBack(&hdrSlabs, &h.hdrs, poisoned)
+	giveBack(&runSlabs, &h.runs, poisoned)
+	giveBack(&dataSlabs, &h.data, poisoned)
+	giveBack(&wantSlabs, &h.wants, poisoned)
 }
 
-// keepSlabBytes bounds each slab a released shell keeps. A lock grant's
-// interval block is a few hundred bytes, a diff response's block a few
-// records of a few runs; a barrier exit's thousand records are allocated
-// for that message and dropped with it, every slab of the block, so a kept
-// record never points into storage the bound does not cover.
+// take returns n elements of a slab from p, listed in held.
+func take[T any](p *slabPool[T], held *[][]T, n int) []T {
+	*held = append(*held, p.get(n))
+	return (*held)[len(*held)-1]
+}
+
+func giveBack[T any](p *slabPool[T], held *[][]T, poisoned bool) {
+	for _, s := range *held {
+		p.put(s, poisoned)
+	}
+	*held = slices.Delete(*held, 0, len(*held))
+}
+
+// The slab pool: a mutex-guarded free stack per size class and element
+// type, in internal/page/pool.go's idiom, shared by the process's nodes.
+// Class c holds slabs of 1<<c elements and retains up to slabPoolBytes of
+// them; a slab past the last class, or one its class has no room for, is
+// left to the garbage collector.
 const (
-	keepSlabBytes = 4 << 10
-	keepRecs      = keepSlabBytes / int(unsafe.Sizeof(IntervalRec{}))
-	keepWords     = keepSlabBytes / 4                               // clock entries, page ids
-	keepDiffs     = keepSlabBytes / int(unsafe.Sizeof(page.Diff{})) // diff records and their headers
-	keepRuns      = keepSlabBytes / int(unsafe.Sizeof([]byte(nil))) // runs and their payload windows
-	keepWants     = keepSlabBytes / int(unsafe.Sizeof(Want{}))
+	slabClasses   = 21 // 1 to 1 Mi elements
+	slabPoolBytes = 4 << 20
 )
 
-// fit returns n <= limit elements of the kept slab, which grows by
-// doubling up to limit when it is too small, and leaves the slab n long.
-// The result is never nil: an empty clock is not an absent one.
-func fit[T any](kept *[]T, n, limit int) []T {
-	if *kept == nil || n > cap(*kept) {
-		*kept = make([]T, n, min(max(n, 2*cap(*kept)), limit))
+type slabPool[T any] struct {
+	classes [slabClasses]struct {
+		mu   sync.Mutex
+		free [][]T
 	}
-	*kept = (*kept)[:n]
-	return *kept
+	// poison, if any, makes a slab released under poison-on-release read
+	// as garbage; otherwise a released slab is cleared, to pin nothing.
+	poison func(s []T)
 }
 
-// release readies what a released shell keeps for the next Decode. The
-// diff headers and windows of the last block are cleared, so that a shell
-// on the free list pins no frame — except under poison-on-release, which
-// leaves the headers for poison to turn into garbage.
-func (k *kept) release(poisoned bool, dead int32) {
-	k.sec = [1]Section{}
-	if k.diffs.taken && !poisoned {
-		clear(k.diffs.hdrs)
-		clear(k.diffs.data)
+// get returns a slab of n elements, recycled when n's class has one: never
+// nil, with unspecified contents that its taker overwrites.
+func (p *slabPool[T]) get(n int) []T {
+	c := bits.Len(uint(max(n, 1) - 1)) // the class whose slabs hold n
+	if c >= slabClasses {
+		return make([]T, n)
 	}
-	k.clock.taken, k.intervals.taken, k.diffs.taken = false, false, false
-	if poisoned {
-		k.poison(dead)
+	cl := &p.classes[c]
+	cl.mu.Lock()
+	if last := len(cl.free) - 1; last >= 0 {
+		s := cl.free[last]
+		cl.free[last] = nil
+		cl.free = cl.free[:last]
+		cl.mu.Unlock()
+		return s[:n]
 	}
+	cl.mu.Unlock()
+	return make([]T, n, 1<<c)
 }
 
-// poison overwrites the kept slabs, so that whatever a holder kept past the
-// message's last Release reads as garbage: records, clocks, page lists and
-// wants read dead values, and a kept diff header — whose windows still
-// point into the frame, poisoned at its own release — is refused by
-// page.Diff.Apply, its runs starting at a negative offset.
-func (k *kept) poison(dead int32) {
-	iv, df := &k.intervals, &k.diffs
-	fill(k.clock.entries, dead)
-	fill(iv.recs, IntervalRec{Proc: mem.ProcID(dead), Index: dead})
-	fill(iv.clocks, dead)
-	fill(iv.pages, mem.PageID(dead))
-	// A kept record still points to its header, which the runs poison.
-	recs := df.recs[:cap(df.recs)]
-	for i := range recs {
-		recs[i].Page, recs[i].Proc, recs[i].Index = mem.PageID(dead), mem.ProcID(dead), dead
+// put scrubs s and lists it, unless it is no class's size or the class is full.
+func (p *slabPool[T]) put(s []T, poisoned bool) {
+	c := bits.Len(uint(cap(s) - 1))
+	if c >= slabClasses || cap(s) != 1<<c {
+		return
 	}
-	fill(df.runs, page.Run{Off: dead, Len: dead})
-	fill(k.wants, Want{Page: mem.PageID(dead), Proc: mem.ProcID(dead), Index: dead, Span: dead})
+	switch s = s[:cap(s)]; {
+	case !poisoned:
+		clear(s)
+	case p.poison != nil:
+		p.poison(s)
+	}
+	cl := &p.classes[c]
+	cl.mu.Lock()
+	if (len(cl.free)+1)*cap(s)*int(unsafe.Sizeof(s[0])) <= slabPoolBytes {
+		cl.free = append(cl.free, s)
+	}
+	cl.mu.Unlock()
 }
 
-// fill sets every element of s, up to its capacity, to x.
-func fill[T any](s []T, x T) {
-	s = s[:cap(s)]
-	for i := range s {
-		s[i] = x
+// dead is what a released slab's numbers read under poison-on-release:
+// 0xDBDBDBDB, framebuf.PoisonByte in every byte.
+const dead int32 = -0x24242425
+
+// The pools. A poisoned diff record keeps pointing to its header, and a
+// header to its runs, so a kept *page.Diff — its windows in the poisoned
+// frame — is refused by page.Diff.Apply, its runs at a negative offset.
+var (
+	recSlabs  = slabPool[IntervalRec]{poison: fillWith(IntervalRec{Proc: mem.ProcID(dead), Index: dead})}
+	wordSlabs = slabPool[int32]{poison: fillWith(dead)}
+	pageSlabs = slabPool[mem.PageID]{poison: fillWith(mem.PageID(dead))}
+	diffSlabs = slabPool[DiffRec]{poison: func(s []DiffRec) {
+		for i := range s {
+			s[i].Page, s[i].Proc, s[i].Index = mem.PageID(dead), mem.ProcID(dead), dead
+		}
+	}}
+	hdrSlabs  slabPool[page.Diff]
+	runSlabs  = slabPool[page.Run]{poison: fillWith(page.Run{Off: dead, Len: dead})}
+	dataSlabs slabPool[[]byte]
+	wantSlabs = slabPool[Want]{poison: fillWith(Want{Page: mem.PageID(dead), Proc: mem.ProcID(dead), Index: dead, Span: dead})}
+)
+
+// fillWith returns the poison that sets every element of a slab to x.
+func fillWith[T any](x T) func([]T) {
+	return func(s []T) {
+		for i := range s {
+			s[i] = x
+		}
 	}
 }
 
@@ -572,17 +589,38 @@ func NewMsg() *Msg {
 }
 
 // SetClock sets m.VC to a copy of v, in the storage a shell keeps across
-// Release when v fits it: a sender's clock then costs nothing, and like a
+// Release for its one clock: a sender's clock then costs nothing, and like a
 // decoded clock it is the shell's, gone with the last Release. A literal,
 // which keeps nothing, gets a copy of its own.
 func (m *Msg) SetClock(v vc.VC) {
-	if m.kept == nil || m.kept.clock.taken || len(v) > maxClock {
+	if m.kept == nil {
 		m.VC = append(make(vc.VC, 0, len(v)), v...)
 		return
 	}
-	m.kept.clock.taken = true
-	m.VC = fit(&m.kept.clock.entries, len(v), maxClock)
+	if k := m.kept; k.clock == nil || cap(k.clock) < len(v) {
+		k.clock = make([]int32, len(v))
+	}
+	m.VC = m.kept.clock[:len(v):len(v)]
 	copy(m.VC, v)
+}
+
+// TakeIntervals returns n interval records from the slab pool for a sender
+// to fill: like a decoded block's they are m's until its last Release, so a
+// sender that encodes m before releasing it builds its block without
+// allocating. A literal gets records of its own.
+func (m *Msg) TakeIntervals(n int) []IntervalRec {
+	if m.kept == nil {
+		return make([]IntervalRec, n)
+	}
+	return take(&recSlabs, &m.kept.slabs.recs, n)
+}
+
+// TakeDiffs is TakeIntervals for diff records.
+func (m *Msg) TakeDiffs(n int) []DiffRec {
+	if m.kept == nil {
+		return make([]DiffRec, n)
+	}
+	return take(&diffSlabs, &m.kept.slabs.diffs, n)
 }
 
 // AppendSection appends s to m.Sections. A shell's first section lives in
@@ -608,9 +646,9 @@ func (m *Msg) Retain() {
 
 // Release drops one reference. The last one releases the frame the
 // message borrows and recycles the shell: every slice header is cleared,
-// and of what they pointed to the slabs of its first interval block, its
-// first diff block and its wants are reused — the rest stays with whoever
-// absorbed it. Dropping a message without releasing it is always safe;
+// and every slab the message took goes back to the slab pool — Data stays
+// with whoever absorbed it. Dropping a message without releasing it is
+// always safe (the garbage collector takes its slabs);
 // releasing more often than retained panics. On a literal Release only
 // lets go of the frame; on nil it does nothing.
 func (m *Msg) Release() {
@@ -626,12 +664,13 @@ func (m *Msg) Release() {
 		m.Frame.Release()
 		k := m.kept
 		*m = Msg{kept: k}
-		dead := uint64(framebuf.PoisonByte) * 0x0101010101010101
+		k.sec = [1]Section{}
 		poisoned := framebuf.Poisoned()
 		if poisoned {
-			m.Kind, m.Seq, m.A, m.B = poisonKind, dead, int32(dead), int32(dead)
+			m.Kind, m.Seq, m.A, m.B = poisonKind, uint64(framebuf.PoisonByte)*0x0101010101010101, dead, dead
+			wordSlabs.poison(k.clock[:cap(k.clock)])
 		}
-		k.release(poisoned, int32(dead))
+		k.slabs.release(poisoned)
 		select {
 		case freeMsgs <- m:
 		default:
@@ -1024,8 +1063,8 @@ type decoder struct {
 	b   []byte
 	off int
 	err error
-	// kept is the decoded message's kept storage.
-	kept *kept
+	// slabs lists the slabs the decoded message holds.
+	slabs *heldSlabs
 	// notHeldOK says a diff record may carry the not-held bit: the block
 	// is a KDiffResp's own.
 	notHeldOK bool
@@ -1173,8 +1212,8 @@ func (d *decoder) bytes(n int) []byte {
 }
 
 // Decode parses an encoded message into a recycled shell (NewMsg) the
-// caller holds the one reference to. The message's diffs borrow b and its
-// interval block is the shell's (the package doc's Ownership section);
+// caller holds the one reference to. The message's diffs borrow b, its
+// blocks are slabs it holds (the package doc's Ownership section), and
 // everything else is copied out.
 func Decode(b []byte) (*Msg, error) {
 	m := NewMsg()
@@ -1197,16 +1236,14 @@ func (m *Msg) decode(b []byte) error {
 	if present&^msgPresence != 0 {
 		return fmt.Errorf("wire: unknown presence bits %#x", present)
 	}
-	d := &decoder{b: b, off: 2, kept: m.kept, notHeldOK: m.Kind == KDiffResp}
+	d := &decoder{b: b, off: 2, slabs: &m.kept.slabs, notHeldOK: m.Kind == KDiffResp}
 	m.Seq = d.uvarint()
 	m.A = d.i32()
 	m.B = d.i32()
 	m.VC, m.Intervals, m.Diffs = d.payload(present, true)
 	if present&hasWants != 0 {
-		if n := d.blockCount("want", minWantBytes); n > keepWants {
-			m.Wants = make([]Want, n)
-		} else if n > 0 {
-			m.Wants = fit(&m.kept.wants, n, keepWants)
+		if n := d.blockCount("want", minWantBytes); n > 0 {
+			m.Wants = take(&wantSlabs, &d.slabs.wants, n)
 		}
 		for i := range m.Wants {
 			m.Wants[i] = d.want()
@@ -1303,28 +1340,14 @@ func (d *decoder) payload(present byte, emptyClock bool) (clock vc.VC, ivs []Int
 	case present&hasIntervals != 0:
 		clock, ivs = d.intervalList(entries[:n], present&hasVC != 0)
 	case present&hasVC != 0 && d.err == nil:
-		clock = d.clock(entries[:n])
+		// A slab, never nil: an empty clock is not an absent one.
+		clock = take(&wordSlabs, &d.slabs.words, n)[:n:n]
+		copy(clock, entries[:n])
 	}
 	if present&hasDiffs != 0 {
 		diffs = d.diffList()
 	}
 	return clock, ivs, diffs
-}
-
-// clock returns a copy of a clock decoded without an interval block, in
-// the clock slab the shell kept when no clock of this message has claimed
-// it, and allocated otherwise. It is never nil: an empty clock is not an
-// absent one.
-func (d *decoder) clock(entries []int32) vc.VC {
-	var clock vc.VC
-	if k := &d.kept.clock; !k.taken {
-		k.taken = true
-		clock = fit(&k.entries, len(entries), maxClock)
-	} else {
-		clock = make(vc.VC, len(entries))
-	}
-	copy(clock, entries)
-	return clock[:len(entries):len(entries)]
 }
 
 // data decodes a Data block (the inverse of appendData) into the one
@@ -1379,12 +1402,9 @@ func (d *decoder) data() []byte {
 // so the records, their clocks and their page lists are three slabs per
 // block, whatever the record count; each record's VC and Pages are
 // capacity-limited windows of the shared slabs, and a list that repeats the
-// one before it is that one's window. The enclosing clock is
-// returned as one more window of the clock slab, ahead of the records'. A
-// message's first block fills the slabs its shell kept from an earlier
-// message where they are large enough, so a grant decodes without
-// allocating; the slabs, the returned clock included, then die with the
-// shell (the package doc's Ownership section).
+// one before it is that one's window. The enclosing clock is returned as one
+// more window of the clock slab, ahead of the records'. The slabs are the
+// message's, from the slab pool (the package doc's Ownership section).
 func (d *decoder) intervalList(base vc.VC, hasBase bool) (vc.VC, []IntervalRec) {
 	nruns := d.blockCount("interval run", minIntervalRunBytes)
 	start := d.off
@@ -1414,15 +1434,9 @@ func (d *decoder) intervalList(base vc.VC, hasBase bool) (vc.VC, []IntervalRec) 
 		return nil, nil
 	}
 	d.off = start
-	var out []IntervalRec
-	var clocks []int32
-	var pages []mem.PageID
-	if k := &d.kept.intervals; !k.taken && nivs <= keepRecs && len(base)+nclock <= keepWords && npage <= keepWords {
-		k.taken = true
-		out, clocks, pages = fit(&k.recs, nivs, keepRecs), fit(&k.clocks, len(base)+nclock, keepWords), fit(&k.pages, npage, keepWords)
-	} else {
-		out, clocks, pages = make([]IntervalRec, nivs), make([]int32, len(base)+nclock), make([]mem.PageID, npage)
-	}
+	out := take(&recSlabs, &d.slabs.recs, nivs)
+	clocks := take(&wordSlabs, &d.slabs.words, len(base)+nclock)
+	pages := take(&pageSlabs, &d.slabs.pages, npage)
 	var clock vc.VC
 	if hasBase {
 		clock, clocks = clocks[:len(base):len(base)], clocks[len(base):]
@@ -1525,10 +1539,8 @@ func (d *decoder) pages(slab, prev []mem.PageID, repeatable bool) (list, rest []
 // they point to, the runs and the payload windows, each header's a
 // capacity-limited window of the last two. No payload byte is copied: each
 // diff's wire body and each run's data are capacity-limited windows of the
-// frame being decoded. A message's first block fills the slabs its shell
-// kept where they are large enough, so a diff response decodes without
-// allocating; the slabs then die with the shell, and the frame with its
-// last holder (the package doc's Ownership section).
+// frame being decoded. The slabs are the message's, from the slab pool, and
+// the frame its last holder's (the package doc's Ownership section).
 func (d *decoder) diffList() []DiffRec {
 	ndiffs := d.blockCount("diff", minDiffBytes)
 	start := d.off
@@ -1555,20 +1567,8 @@ func (d *decoder) diffList() []DiffRec {
 		return nil
 	}
 	d.off = start
-	var (
-		out  []DiffRec
-		hdrs []page.Diff
-		runs []page.Run
-		data [][]byte
-	)
-	if k := &d.kept.diffs; !k.taken && ndiffs <= keepDiffs && nruns <= keepRuns {
-		k.taken = true
-		out, hdrs = fit(&k.recs, ndiffs, keepDiffs), fit(&k.hdrs, ndiffs, keepDiffs)
-		runs, data = fit(&k.runs, nruns, keepRuns), fit(&k.data, nruns, keepRuns)
-	} else {
-		out, hdrs = make([]DiffRec, ndiffs), make([]page.Diff, ndiffs)
-		runs, data = make([]page.Run, nruns), make([][]byte, nruns)
-	}
+	out, hdrs := take(&diffSlabs, &d.slabs.diffs, ndiffs), take(&hdrSlabs, &d.slabs.hdrs, ndiffs)
+	runs, data := take(&runSlabs, &d.slabs.runs, nruns), take(&dataSlabs, &d.slabs.data, nruns)
 	for i := range out {
 		rec := &out[i]
 		rec.Page = mem.PageID(d.i32())

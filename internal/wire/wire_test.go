@@ -108,9 +108,9 @@ func drainShells() {
 // into shared slabs yet stay independent — appending to one record's clock
 // or page list must not reach into its neighbour's, a list that repeats the
 // one before it included, which is its predecessor's window — and the slabs
-// are the shell's: a block beyond the keep bound gets slabs for this message
-// alone and leaves the shell's kept slabs as they were, and a block of
-// repeated lists takes one list's room of the page slab.
+// are the pool's: a released block's slabs are the ones the next block of
+// its size decodes into, whatever the size, and a block of repeated lists
+// takes one list's room of the page slab.
 func TestDecodedIntervalsShareSlabsSafely(t *testing.T) {
 	got, err := Decode(intervalBlock(2, false))
 	if err != nil {
@@ -143,17 +143,25 @@ func TestDecodedIntervalsShareSlabsSafely(t *testing.T) {
 		if err != nil || len(m.Intervals) != n || m.Intervals[n-1].Index != int32(n-1) {
 			t.Fatalf("decoded %d records, err %v", len(m.Intervals), err)
 		}
-		m.Release()
 		return m
 	}
-	if one, all := cap(decode(1, false).kept.intervals.pages), cap(decode(keepRecs, true).kept.intervals.pages); all != one {
-		t.Errorf("a block of %d repeated two-page lists grew the shell's page slab from %d to %d", keepRecs, one, all)
+	m := decode(300, true)
+	if pages := m.kept.slabs.pages; len(pages) != 1 || len(pages[0]) != 2 {
+		t.Errorf("a block of 300 repeated two-page lists took page slabs %d long, want one of 2", len(pages[0]))
 	}
-	kept := decode(keepRecs, false).kept.intervals
-	if k := decode(keepRecs+1, false).kept.intervals; cap(k.recs) != cap(kept.recs) || cap(k.clocks) != cap(kept.clocks) || cap(k.pages) != cap(kept.pages) ||
-		cap(k.recs) > keepRecs || cap(k.clocks) > keepWords || cap(k.pages) > keepWords {
-		t.Errorf("the shell kept slabs of %d records, %d clock entries, %d pages after a block beyond the bound (before it: %d, %d, %d; bound %d, %d, %d)",
-			cap(k.recs), cap(k.clocks), cap(k.pages), cap(kept.recs), cap(kept.clocks), cap(kept.pages), keepRecs, keepWords, keepWords)
+	m.Release()
+	for _, n := range []int{2, 73, 74, 2000} {
+		m := decode(n, false)
+		recs, clocks, pages := &m.Intervals[0], &m.Intervals[0].VC[0], &m.Intervals[0].Pages[0]
+		m.Release()
+		if len(m.kept.slabs.recs) != 0 || len(m.kept.slabs.words) != 0 || len(m.kept.slabs.pages) != 0 {
+			t.Errorf("a released block of %d records left its shell holding slabs", n)
+		}
+		m = decode(n, false)
+		if &m.Intervals[0] != recs || &m.Intervals[0].VC[0] != clocks || &m.Intervals[0].Pages[0] != pages {
+			t.Errorf("a block of %d records did not decode into the slabs the one before it gave back", n)
+		}
+		m.Release()
 	}
 }
 
@@ -969,22 +977,15 @@ func shellDiffReq() *Msg {
 	return &Msg{Kind: KDiffReq, Seq: 12, A: 1, Wants: []Want{{Page: 1, Proc: 2, Index: 3}, {Page: 1, Proc: 2, Index: 5, Span: 2}}}
 }
 
-// TestDiffBlockPastTheBound: a diff block the shell does not keep — one with
-// more runs than the bound, or a message's second block — still decodes to
-// the diffs that were sent, into slabs of its own, and leaves the shell's
-// kept slabs as they were for the next message.
+// TestDiffBlockPastTheBound: a diff block past the 4 KiB a shell once kept —
+// one of 200 runs — and a message's second block decode to the diffs that
+// were sent, into slabs from the pool like any block, and the message's
+// last Release gives every one of them back.
 func TestDiffBlockPastTheBound(t *testing.T) {
 	for _, tc := range pastTheBoundMsgs(t) {
 		enc := tc.m.EncodeAppend(nil)
-		drainShells()
-		warm := shellDiffResp(t, 4, false).EncodeAppend(nil)
-		m, err := Decode(warm)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m.Release()
-		kept := m.kept.diffs
-		if m, err = Decode(enc); err != nil || !bytes.Equal(m.EncodeAppend(nil), enc) {
+		m, err := Decode(enc)
+		if err != nil || !bytes.Equal(m.EncodeAppend(nil), enc) {
 			t.Fatalf("%s: decoded %+v, err %v: does not re-encode as sent", tc.name, m, err)
 		}
 		last := m.Diffs[len(m.Diffs)-1]
@@ -998,26 +999,29 @@ func TestDiffBlockPastTheBound(t *testing.T) {
 		if err := last.Diff.Apply(got); err != nil || !bytes.Equal(got, want) {
 			t.Errorf("%s applies differently from what was sent (err %v)", tc.name, err)
 		}
+		blocks := len(tc.m.Sections) + 1
+		if k := m.kept.slabs; len(k.diffs) != blocks || len(k.hdrs) != blocks || len(k.runs) != blocks || len(k.data) != blocks {
+			t.Errorf("%s: the message holds %d/%d/%d/%d diff slabs, want %d of each", tc.name,
+				len(k.diffs), len(k.hdrs), len(k.runs), len(k.data), blocks)
+		}
 		m.Release()
-		if k := m.kept.diffs; cap(k.recs) != cap(kept.recs) || cap(k.hdrs) != cap(kept.hdrs) ||
-			cap(k.runs) != cap(kept.runs) || cap(k.data) != cap(kept.data) {
-			t.Errorf("%s: the shell's kept slabs changed size: %d/%d/%d/%d, were %d/%d/%d/%d", tc.name,
-				cap(k.recs), cap(k.hdrs), cap(k.runs), cap(k.data), cap(kept.recs), cap(kept.hdrs), cap(kept.runs), cap(kept.data))
+		if k := m.kept.slabs; len(k.diffs)+len(k.hdrs)+len(k.runs)+len(k.data) != 0 {
+			t.Errorf("%s: the released message still holds diff slabs", tc.name)
 		}
 	}
 }
 
-// pastTheBoundMsgs carry a diff block the shell does not keep: one with
-// more runs than the bound, and a message's second block.
+// pastTheBoundMsgs carry a diff block a shell once did not keep: one of 200
+// runs, past the 170 run windows 4 KiB held, and a message's second block.
 func pastTheBoundMsgs(t *testing.T) []namedMsg {
 	var writes []int
-	for i := 0; i <= keepRuns; i++ {
+	for i := 0; i < 200; i++ {
 		writes = append(writes, 8*i) // every other word: one run each
 	}
-	big := mkDiff(t, 8*(keepRuns+1), writes...)
+	big := mkDiff(t, 8*200, writes...)
 	small := mkDiff(t, 1024, 0, 512)
 	return []namedMsg{
-		{"a block past the bound", &Msg{Kind: KDiffResp, Diffs: []DiffRec{{Page: 1, Proc: 2, Index: 3, Diff: big}}}},
+		{"a block of 200 runs", &Msg{Kind: KDiffResp, Diffs: []DiffRec{{Page: 1, Proc: 2, Index: 3, Diff: big}}}},
 		{"a second block", &Msg{Kind: KLockGrant, Diffs: []DiffRec{{Page: 1, Proc: 2, Index: 3, Diff: small}},
 			Sections: []Section{{Mode: 1, Diffs: []DiffRec{{Page: 4, Proc: 1, Index: 0, Diff: small}}}}}},
 	}
@@ -1057,7 +1061,7 @@ func TestMsgReferences(t *testing.T) {
 // TestReleasedShellIsPoisoned: under poison-on-release a released shell
 // reads as garbage at once — an invalid kind, poison scalars, no slices —
 // rather than as whatever message it held, or holds next; and so do the
-// interval slabs it keeps, through whatever a holder kept of them: the
+// interval slabs it gave back, through whatever a holder kept of them: the
 // records, a record's clock and page list, and the message or section
 // clock that is the clock slab's first window.
 func TestReleasedShellIsPoisoned(t *testing.T) {
