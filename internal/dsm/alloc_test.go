@@ -429,9 +429,14 @@ func TestLogFlatInRunLength(t *testing.T) {
 func TestZeroPageServeAllocatesNothingGate(t *testing.T) {
 	testenv.SkipAllocGate(t)
 	allModes(t, func(t *testing.T, mode Mode) {
-		// Page 0 is homed at node 0 and untouched; node 1 asks.
-		s, c := newCatchSys(t, servePair(mode), 0, 1)
-		allocs, size := pageServeAllocs(s.Node(0), c)
+		// Page 0 is homed at node 0 and untouched; node 1 asks — under SC,
+		// where only a page's home fetches it, node 0 itself, by loopback.
+		from := 1
+		if mode == SeqConsistent {
+			from = 0
+		}
+		s, c := newCatchSys(t, servePair(mode), 0, from)
+		allocs, size := pageServeAllocs(s.Node(0), c, 0, mem.ProcID(from))
 		if allocs != 0 {
 			t.Errorf("serving a never-materialized page allocates %.1f objects, want 0", allocs)
 		}
@@ -449,13 +454,22 @@ func TestZeroPageServeAllocatesNothingGate(t *testing.T) {
 func TestWrittenPageServeAllocatesNothingGate(t *testing.T) {
 	testenv.SkipAllocGate(t)
 	allModes(t, func(t *testing.T, mode Mode) {
-		s, c := newCatchSys(t, servePair(mode), 0, 1)
+		// Node 0 writes page 0, which it homes, and node 1 asks — under SC
+		// for page 1, which node 1 homes and fetches from its owner, node 0
+		// since the write.
+		pg := mem.PageID(0)
+		if mode == SeqConsistent {
+			pg = 1
+		}
+		s, c := newCatchSys(t, servePair(mode), 0, -1)
 		n, pageSize := s.Node(0), s.Layout().PageSize()
+		addr := mem.Addr(pg) * mem.Addr(pageSize)
 		must(t, n.Acquire(0))
-		must(t, n.Write(0, bytes.Repeat([]byte{0x5A}, pageSize)))
+		must(t, n.Write(addr, bytes.Repeat([]byte{0x5A}, pageSize)))
 		must(t, n.Release(0))
-		must(t, n.WriteUint64(8, 1))
-		allocs, size := pageServeAllocs(n, c)
+		must(t, n.WriteUint64(addr+8, 1))
+		c.catch(1)
+		allocs, size := pageServeAllocs(n, c, pg, 1)
 		if allocs != 0 {
 			t.Errorf("serving a written page allocates %.1f objects, want 0", allocs)
 		}
@@ -465,13 +479,12 @@ func TestWrittenPageServeAllocatesNothingGate(t *testing.T) {
 	})
 }
 
-// pageServeAllocs has n answer node 1's request for page 0 the way its
+// pageServeAllocs has n answer node from's request for page pg the way its
 // engine does — the lazy page request, the eager home's ship, SC's
-// owner-side fetch —
-// and returns the objects one answer allocates and its size, as c caught it
-// on its way to node 1.
-func pageServeAllocs(n *Node, c *catcher) (allocs float64, size int) {
-	req := &wire.Msg{Seq: 1, A: 0, B: 1}
+// owner-side fetch — and returns the objects one answer allocates and its
+// size, as c caught it on its way to from.
+func pageServeAllocs(n *Node, c *catcher, pg mem.PageID, from mem.ProcID) (allocs float64, size int) {
+	req := &wire.Msg{Seq: 1, A: int32(pg), B: int32(from)}
 	var serve func()
 	switch e := n.e.(type) {
 	case *lazyEngine:
@@ -479,7 +492,7 @@ func pageServeAllocs(n *Node, c *catcher) (allocs float64, size int) {
 	case *eagerEngine:
 		serve = func() { e.dir.shipOwn(req, e.update) }
 	case *scEngine:
-		serve = func() { e.dir.serveFetch(req, 1) }
+		serve = func() { e.dir.serveFetch(req, from) }
 	}
 	allocs = testing.AllocsPerRun(200, func() {
 		serve()
@@ -506,13 +519,22 @@ type catcher struct {
 }
 
 func (c *catcher) Send(dst int, frame []byte) error {
+	c.mu.Lock()
 	if dst != c.dst {
+		c.mu.Unlock()
 		return c.Endpoint.Send(dst, frame)
 	}
-	c.mu.Lock()
 	c.frames = append(c.frames, frame)
 	c.mu.Unlock()
 	return nil
+}
+
+// catch makes c keep what the node sends dst from now on, and no longer
+// what it sends the destination before; -1 keeps nothing.
+func (c *catcher) catch(dst int) {
+	c.mu.Lock()
+	c.dst = dst
+	c.mu.Unlock()
 }
 
 // take returns the first frame caught since the last take, nil if none,
@@ -533,7 +555,7 @@ func (c *catcher) take() []byte {
 }
 
 // newCatchSys starts a System over simnet whose node pid sends node dst
-// into a catcher, and closes it when the test ends.
+// (none for -1) into a catcher, and closes it when the test ends.
 func newCatchSys(t *testing.T, cfg Config, pid, dst int) (*System, *catcher) {
 	t.Helper()
 	net := simnet.New(cfg.Procs)

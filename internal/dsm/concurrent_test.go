@@ -15,7 +15,7 @@ import (
 // false-shared pages under every protocol engine, over the in-process
 // network and over loopback TCP, and every read must return what the
 // program's synchronization promises (hb.Check) — run these under -race
-// to sweep the striped page state and the shard queues, whose workers
+// to sweep the striped page state and the per-sender queues, whose workers
 // serve peers beside each node's application goroutine.
 
 // tortureParams scales the hammering to the test mode.

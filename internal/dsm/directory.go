@@ -29,15 +29,16 @@ import (
 //
 // Ordering: every send that depends on an entry is handed to the
 // transport under its lock, or after absorb read it there, so nothing
-// queues between the decision and the wire: the transport's FIFO delivery
-// plus the receiver's per-page shard queue present each node the
-// directory's decisions in order — a cacher installs a page ship before it
-// processes the invalidation that follows it. Engines install grants on the shard
-// worker as they arrive, so the copyset always matches what each node
-// holds. An invalidation travels on the shard of the first page it names,
-// so under EI, where one names every page of a round, it may overtake a
-// later page's ship; that, like an update that overtakes a ship, is the
-// engine's (eagerEngine).
+// queues between the decision and the wire, and only a page's home sends
+// its ships, grants, invalidations and fetches (a receiver refuses them
+// from anyone else, fromHome). The transport's FIFO delivery plus the
+// receiver's one queue per sender then present each node the directory's
+// decisions in order — a cacher installs a page ship before it processes
+// any invalidation sent after it, whichever pages that names. Engines
+// install grants on the sender's worker as they arrive, so the copyset
+// always matches what each node holds. Only an EU writer's update, which
+// comes from another node, may overtake a ship; that is the engine's
+// (eagerEngine).
 //
 // The holder side — a home's fetch or invalidation arriving at a node — is
 // here too (serveFetch, serveInval); the engine supplies only what it does
@@ -91,7 +92,7 @@ func (d *directory) lock(op string, m *wire.Msg) (*dirEntry, mem.PageID, mem.Pro
 }
 
 // shipOwn answers page request m from the home's own copy (EI, EU), inline
-// on the page's shard worker: the requester joins the copyset, and under
+// on the requester's worker: the requester joins the copyset, and under
 // EU (named) the ship names every member in join order as Wants (Page,
 // Proc), the requester's first hint. The copy is encoded into the frame
 // under the entry, so the ship holds exactly the diffs absorbed before the
@@ -292,12 +293,12 @@ func (d *directory) serve(m *wire.Msg) {
 }
 
 // fetch obtains pg's committed contents from e's owner (SC); the caller
-// holds e's lock. It always travels as a KFetch, even when the home
-// is itself the owner: a previous transaction's grant to this node may still be
-// queued on the page's shard, and reading memory directly would jump
+// holds e's lock. It always travels as a KFetch, even when the home is
+// itself the owner: a previous transaction's grant to this node may still
+// be queued on the home's worker, and reading memory directly would jump
 // ahead of it and serve pre-grant data. The loopback message queues
-// behind every install in flight, so the shard worker answers with the
-// page in directory order (loopback costs no simulated traffic).
+// behind every grant the home sent before it, so the worker answers with
+// the page in directory order (loopback costs no simulated traffic).
 func (d *directory) fetch(e *dirEntry, pg mem.PageID) ([]byte, error) {
 	resp, err := d.n.rpc(e.owner, &wire.Msg{Kind: wire.KFetch, Seq: d.n.nextSeq(), A: int32(pg)})
 	if err != nil {
@@ -309,7 +310,7 @@ func (d *directory) fetch(e *dirEntry, pg mem.PageID) ([]byte, error) {
 }
 
 // serveFetch answers a home's fetch of this owner's committed copy (SC),
-// inline on the page's shard worker.
+// inline on the home's worker.
 func (d *directory) serveFetch(m *wire.Msg, src mem.ProcID) {
 	n := d.n
 	pg := mem.PageID(m.A)
@@ -317,13 +318,15 @@ func (d *directory) serveFetch(m *wire.Msg, src mem.ProcID) {
 		n.noteErr("owner fetch", fmt.Errorf("fetch of invalid page %d", pg))
 		return
 	}
-	d.sendCopy(src, pg, &wire.Msg{Kind: wire.KFetchResp, Seq: m.Seq, A: m.A})
+	if d.fromHome(m, pg, src) {
+		d.sendCopy(src, pg, &wire.Msg{Kind: wire.KFetchResp, Seq: m.Seq, A: m.A})
+	}
 }
 
 // serveInval applies a home's invalidation to this node's copies of the
-// pages it names, each under its stripe, inline on the first page's shard
-// worker, and acknowledges it once. One naming no page, or a page outside
-// the space, is recorded and dropped.
+// pages it names, each under its stripe, inline on the home's worker, and
+// acknowledges it once. One naming no page, a page outside the space or a
+// page its sender does not home is recorded and dropped.
 func (d *directory) serveInval(m *wire.Msg, src mem.ProcID) {
 	n := d.n
 	if len(m.Wants) == 0 {
@@ -336,6 +339,9 @@ func (d *directory) serveInval(m *wire.Msg, src mem.ProcID) {
 			return
 		}
 	}
+	if slices.ContainsFunc(m.Wants, func(w wire.Want) bool { return !d.fromHome(m, w.Page, src) }) {
+		return
+	}
 	for _, w := range m.Wants {
 		pmu := n.pageLock(w.Page)
 		pmu.Lock()
@@ -344,4 +350,15 @@ func (d *directory) serveInval(m *wire.Msg, src mem.ProcID) {
 	}
 	n.stats.invalsReceived.Add(int64(len(m.Wants)))
 	n.noteErr("invalidation ack", n.send(src, &wire.Msg{Kind: wire.KInvalAck, Seq: m.Seq}))
+}
+
+// fromHome reports whether src homes pg, a valid page m names, recording m
+// otherwise: a node takes a page's ships, grants, invalidations and fetches
+// from its home alone.
+func (d *directory) fromHome(m *wire.Msg, pg mem.PageID, src mem.ProcID) bool {
+	ok := d.n.homeOf(pg) == src
+	if !ok {
+		d.n.noteErr("directory", fmt.Errorf("%v of page %d from %d, which does not home it", m.Kind, pg, src))
+	}
+	return ok
 }

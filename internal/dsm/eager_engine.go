@@ -42,23 +42,20 @@ type eagerEngine struct {
 	// critical section since the last flush wrote the page.
 	pages []*pageCopy
 
-	// Copy state, each entry under its page's stripe. fetching[pg] is set
-	// while a miss of pg awaits the ship. Under EU hints[pg] is the copies
-	// of pg this node knows of — the first ones to join pg's copyset at its
-	// home, this node among them — learned from the home's ship and
-	// acknowledgements; a flush sends them its diff directly. parked[pg]
-	// holds the diffs that reached the page while it was fetched, in
-	// arrival order, for the install to apply.
+	// Copy state, each entry under its page's stripe. Under EU
+	// fetching[pg] is set while a miss of pg awaits the ship, hints[pg] is
+	// the copies of pg this node knows of — the first ones to join pg's
+	// copyset at its home, this node among them — learned from the home's
+	// ship and acknowledgements; a flush sends them its diff directly.
+	// parked[pg] holds the diffs that reached the page while it was
+	// fetched, in arrival order, for the install to apply: a writer's
+	// update travels on its own link, so it can overtake the home's ship.
 	fetching []bool
 	hints    []uint64
 	parked   [][]*page.Diff
 	// Under EI flying[pg] is this node's diff of pg while its flush is
-	// unacknowledged, for an install to land again (directory.absorb), and
-	// revoked[pg] says an invalidation reached the page while it was
-	// fetched — one naming several pages travels on the first one's shard,
-	// so it can overtake the ship — for the install to leave invalid.
-	flying  []*page.Diff
-	revoked []bool
+	// unacknowledged, for an install to land again (directory.absorb).
+	flying []*page.Diff
 
 	// ws is the write set of the critical sections since the last flush
 	// point; each flush drains it.
@@ -80,11 +77,10 @@ func newEagerEngine(n *Node, update bool) *eagerEngine {
 		ws:     newWriteSet(),
 		out:    make([][]wire.DiffRec, n.sys.cfg.Procs),
 	}
-	e.fetching = make([]bool, numPages)
 	if update {
-		e.hints, e.parked = make([]uint64, numPages), make([][]*page.Diff, numPages)
+		e.fetching, e.hints, e.parked = make([]bool, numPages), make([]uint64, numPages), make([][]*page.Diff, numPages)
 	} else {
-		e.flying, e.revoked = make([]*page.Diff, numPages), make([]bool, numPages)
+		e.flying = make([]*page.Diff, numPages)
 	}
 	e.dir = newDirectory(n, e)
 	return e
@@ -95,10 +91,10 @@ func (e *eagerEngine) clock() vc.VC { return vc.New(e.n.sys.cfg.Procs) }
 // --- accesses ---
 
 // ensureValid obtains a copy of pg: the home's own, made on its first
-// access, or a ship from the home's. The ship is installed by the page's
-// shard worker as it arrives — in directory order, never abandoned, even
-// by a miss that gave up waiting — so the home's copyset always matches
-// what this node actually holds. An invalidation right behind the install
+// access, or a ship from the home's. The ship is installed by the home's
+// worker as it arrives — in directory order, never abandoned, even by a
+// miss that gave up waiting — so the home's copyset always matches what
+// this node actually holds. An invalidation right behind the install
 // leaves the copy invalid again, the window an eagerly-consistent access
 // always had between validation and use; a write through it still reaches
 // the home as a diff of its words.
@@ -120,7 +116,9 @@ func (e *eagerEngine) ensureValid(pg mem.PageID) error {
 	if pc == nil {
 		n.stats.coldMisses.Add(1)
 	}
-	e.fetching[pg] = true
+	if e.update {
+		e.fetching[pg] = true
+	}
 	pmu.Unlock()
 	var start time.Time
 	if n.missHist != nil {
@@ -128,7 +126,7 @@ func (e *eagerEngine) ensureValid(pg mem.PageID) error {
 	}
 
 	// The response is intercepted in handle: by the time rpc returns,
-	// the shard worker has installed the granted page — the one it names.
+	// the home's worker has installed the granted page — the one it names.
 	resp, err := n.rpc(n.homeOf(pg), &wire.Msg{
 		Kind: wire.KPageReq, Seq: n.nextSeq(), A: int32(pg), B: int32(n.id),
 	})
@@ -154,23 +152,27 @@ func (e *eagerEngine) ownLocked(pg mem.PageID) *pageCopy {
 	return pc
 }
 
-// installPage applies a granted page at the requester, on the page's
-// shard worker, in directory order: every invalidation the home sent
-// before this ship has already been applied, and any sent after will be,
-// or was (revoked). The data lands as the committed contents, under EI
-// with this node's flying diff on top, under EU followed by the diffs that
-// overtook the ship; a local critical section mid-flight on the stale copy
-// keeps its uncommitted writes on top (pageCopy.land).
+// installPage applies a page granted by src at the requester, on src's
+// worker, in directory order: every invalidation the home sent before this
+// ship has already been applied, and any sent after will be. The data
+// lands as the committed contents, under EI with this node's flying diff
+// on top, under EU followed by the diffs that overtook the ship; a local
+// critical section mid-flight on the stale copy keeps its uncommitted
+// writes on top (pageCopy.land).
 //
 // Returns false (recording the cause) for a grant that cannot be
-// installed — bad page id or wrong-size data — so the caller fails the
-// waiter instead of delivering a response that installed nothing.
-func (e *eagerEngine) installPage(m *wire.Msg) bool {
+// installed — bad page id, wrong-size data, or a sender that does not home
+// the page — so the caller fails the waiter instead of delivering a
+// response that installed nothing.
+func (e *eagerEngine) installPage(m *wire.Msg, src mem.ProcID) bool {
 	n := e.n
 	pg := mem.PageID(m.A)
 	if !n.validPage(pg) || len(m.Data) != n.sys.layout.PageSize() {
 		n.noteErr("page install",
 			fmt.Errorf("bad page grant: page %d, %d data bytes", pg, len(m.Data)))
+		return false
+	}
+	if !e.dir.fromHome(m, pg, src) {
 		return false
 	}
 	pmu := n.pageLock(pg)
@@ -188,12 +190,10 @@ func (e *eagerEngine) installPage(m *wire.Msg) bool {
 	if err := pc.land(n, m.Data, own); err != nil {
 		panic(fmt.Sprintf("dsm: node %d: installing page %d: %v", n.id, pg, err))
 	}
-	pc.valid = e.update || !e.revoked[pg]
-	e.fetching[pg] = false
+	pc.valid = true
 	n.stats.pagesFetched.Add(1)
-	if !e.update {
-		e.revoked[pg] = false
-	} else {
+	if e.update {
+		e.fetching[pg] = false
 		for _, d := range e.parked[pg] {
 			if err := e.landLocked(pc, d); err != nil {
 				n.noteErr("update", fmt.Errorf("parked diff for page %d does not apply: %w", pg, err))
@@ -417,9 +417,9 @@ func (e *eagerEngine) handle(m *wire.Msg, src mem.ProcID) bool {
 	case wire.KPageReq:
 		e.dir.shipOwn(m, e.update)
 	case wire.KPageResp:
-		// Intercepted response: install the granted page on the page's
-		// shard worker, then wake the faulting application goroutine.
-		ok := e.installPage(m)
+		// Intercepted response: install the granted page on the home's
+		// worker, then wake the faulting application goroutine.
+		ok := e.installPage(m, src)
 		if ok {
 			e.learn(m, src)
 		}
@@ -443,16 +443,12 @@ func (e *eagerEngine) committedLocked(pg mem.PageID) ([]byte, bool) {
 	return nil, false
 }
 
-// invalidateLocked invalidates this node's copy (EI), or the ship of a
-// fetch in flight it overtook (revoked). A twin stays, and with it the
-// duty to flush its section's words at its own release: their diff against
-// the stale copy lands on the home's, which holds the rest.
+// invalidateLocked invalidates this node's copy (EI). A twin stays, and
+// with it the duty to flush its section's words at its own release: their
+// diff against the stale copy lands on the home's, which holds the rest.
 func (e *eagerEngine) invalidateLocked(pg mem.PageID) {
 	if pc := e.pages[pg]; pc != nil {
 		pc.valid = false
-	}
-	if e.revoked != nil && e.fetching[pg] {
-		e.revoked[pg] = true
 	}
 }
 

@@ -33,7 +33,7 @@ import (
 //     transaction that brings a page current — and the lock and barrier
 //     hooks run on the node's one application goroutine (Node.enter
 //     turns away a second), except a grant answering a forward, which a
-//     lock shard worker builds. So one miss, one flush and one round are
+//     handler worker builds. So one miss, one flush and one round are
 //     in progress at a time, and their scratch is the engine's.
 //     acquireStart, grant and release are called with the node's lockMu
 //     held; clock may be called from any goroutine.
@@ -41,9 +41,9 @@ import (
 //     clock, interval log and diff store) lives under an engine-private
 //     mutex ordered after lockMu and before the page stripes: handlers
 //     read and extend it too.
-//   - handle runs on a shard worker with per-page arrival order
-//     guaranteed; handler work never waits on the application goroutine,
-//     so it can always drain.
+//   - handle runs on its sender's worker, one message at a time in the
+//     order that peer sent them; handler work never waits on the
+//     application goroutine, so it can always drain.
 //   - Statistics tick through the node's atomic counters from any
 //     goroutine.
 type engine interface {
@@ -65,8 +65,8 @@ type engine interface {
 	// (write notices and piggybacked diffs under the lazy protocols;
 	// nothing under EI/EU/SC, §3: "no consistency-related operations
 	// occur on an acquire"). Called with lockMu held, from the
-	// application goroutine or a lock shard worker, whichever releases
-	// the lock to a waiter.
+	// application goroutine or a handler worker, whichever releases the
+	// lock to a waiter.
 	grant(req, grant *wire.Msg)
 	// onGrant absorbs a received grant's consistency payload.
 	onGrant(grant *wire.Msg) error
@@ -102,14 +102,14 @@ type engine interface {
 	postBarrier() error
 
 	// handle processes an engine-specific message, returning false if
-	// the kind is not one of the engine's. It runs on the shard worker
-	// serializing the message's page (directory-order installs happen
-	// here; an eager update, and an invalidation's pages after its first,
-	// may overtake a ship) and must not block the worker: work that waits
-	// for responses (SC's directory transactions, an eager home's forwards
-	// and invalidations) is spawned onto its own goroutine. A response
-	// produced inline leaves through Node.send in place, under whatever
-	// lock orders it, and its send error goes to noteErr.
+	// the kind is not one of the engine's. It runs on the sender's worker,
+	// so a home's ships, grants, invalidations and fetches arrive in
+	// directory order (installs happen here; only an EU writer's update
+	// may overtake a ship), and must not block the worker: work that
+	// waits for responses (SC's directory transactions, an eager home's
+	// forwards and invalidations) is spawned onto its own goroutine. A
+	// response produced inline leaves through Node.send in place, under
+	// whatever lock orders it, and its send error goes to noteErr.
 	handle(m *wire.Msg, src mem.ProcID) bool
 
 	// clock returns the node's vector time (zero for engines that do not

@@ -1,6 +1,7 @@
 package dsm
 
 import (
+	"bytes"
 	"cmp"
 	"encoding/binary"
 	"errors"
@@ -672,8 +673,8 @@ var hostileRows = map[string][]hostileRow{
 		// findings).
 		{name: "a page request answered with another kind", modes: []Mode{EagerInvalidate, SeqConsistent}, want: "diffresp answers seq", fails: "response refused",
 			script: []step{swap(atRead, wire.KPageReq, &wire.Msg{Kind: wire.KDiffResp})}},
-		{name: "a page grant for another page", modes: []Mode{EagerInvalidate, EagerUpdate}, pid: 2, want: "grant for page 1 answers the miss of page 5", fails: "answers the miss of page 5",
-			script: []step{swap(atRead, wire.KPageReq, &wire.Msg{Kind: wire.KPageResp, A: 1, Data: make([]byte, 1024)})}},
+		{name: "a page grant for another page", modes: []Mode{EagerInvalidate, EagerUpdate}, pid: 2, want: "grant for page 2 answers the miss of page 5", fails: "answers the miss of page 5",
+			script: []step{swap(atRead, wire.KPageReq, &wire.Msg{Kind: wire.KPageResp, A: 2, Data: make([]byte, 1024)})}},
 		// FuzzPeer finding: the arriver that took a forged exit holds back
 		// later what it thinks the master has, and the records stamped after
 		// those must wait for them, not leave the master's log unclosed. The
@@ -742,6 +743,11 @@ var hostileRows = map[string][]hostileRow{
 		// The retired EI reconciliation, a short base, answering r's update of
 		// the puppet's page: refused before anything reads its page.
 		{name: "EI/short flush base", modes: ei, pid: 2, want: "flushdone answers seq", fails: "response refused", script: []step{swap(atLocks, wire.KUpdate, &wire.Msg{Kind: wire.KFlushDone, A: 5, Data: make([]byte, 100)})}},
+		// Only a page's home ships it: an unsolicited ship of page 1, which
+		// node 1 homes, from the puppet leaves r's copy as it was.
+		{name: "a ship from a node that does not home the page", modes: []Mode{EagerInvalidate, EagerUpdate, SeqConsistent}, pid: 2, image: true,
+			want: "pageresp of page 1 from 2, which does not home it", check: rKeepsPage1,
+			script: []step{send(atLocks, 0, &wire.Msg{Kind: wire.KPageResp, Seq: 777, A: 1, Data: bytes.Repeat([]byte{0xff}, 1024)})}},
 	},
 	"TestForgedIntervalRecordsRecordedNotAbsorbed": intervalRows(),
 	"TestHostileRangeWantsRecordedNotServed": {
@@ -956,6 +962,13 @@ func rLosesPage1(t *testing.T, pr *peerRun) {
 		defer pmu.Unlock()
 		return e.pages[1] != nil && !e.pages[1].valid
 	})
+}
+
+// rKeepsPage1: r's copy of page 1 still reads node 1's word.
+func rKeepsPage1(t *testing.T, pr *peerRun) {
+	if v, err := pr.r.ReadUint64(1024); err != nil || v != 0x1111 {
+		t.Errorf("r reads %#x from page 1 (err %v), want node 1's 0x1111", v, err)
+	}
 }
 
 // rKeepsNoHint: r holds no hint of any page.

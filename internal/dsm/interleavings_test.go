@@ -191,58 +191,49 @@ func TestEUUpdateOvertakesShipRepro(t *testing.T) {
 }
 
 // TestEIInvalidationOvertakesShipRepro: an EI home invalidates a copy's
-// pages of a round in one message, which the copy processes on the shard
-// of its first page, so the invalidation of a later page can run before
-// that page's ship, sent earlier, is installed. Here the link from the
-// home (node 1) to the reader (node 2) holds the ship of page 1 — the
-// invalidation overtakes it on the wire instead — while node 0 writes
-// pages 1 and 4 under lock 0 and releases. The home's one invalidation of
-// the reader's copies names both, the reader acknowledges it, and the
-// release returns with the ship still held. The ship must then install
-// invalid: once the reader has the lock after the writer, it misses page
-// 1 again and reads the writer's word. A reader that installed the stale
-// ship as valid reads 0.
+// pages of a round in one message, naming them in page order, and a ship
+// of one of them may be ahead of it on the link. The reader must process
+// the two in the order the home sent them, whatever pages the
+// invalidation names first. Here the reader (node 2) holds page 1 and
+// fetches page 4, both homed at node 1, while the link from the home
+// holds every frame, in order; node 0 writes both pages under lock 0 and
+// releases. The home's one invalidation of the reader's copies names page
+// 1, then page 4, and queues behind page 4's ship. Once the link lets
+// both go and the reader has the lock after the writer, it must miss page
+// 4 again and read the writer's word. A reader that ran the invalidation
+// before it installed the ship installs that ship valid and reads 0.
 func TestEIInvalidationOvertakesShipRepro(t *testing.T) {
 	const page1, page4, word = mem.Addr(1024), mem.Addr(4 * 1024), 0xBEEF
 	net := simnet.New(3)
-	link := &heldLink{Endpoint: net.Endpoint(1), to: 2, holding: true, holds: func(frame []byte) bool {
-		return wire.Kind(frame[0]) == wire.KPageResp
-	}}
+	link := &heldLink{Endpoint: net.Endpoint(1), to: 2}
 	s, err := New(Config{Procs: 3, SpaceSize: 6 * 1024, PageSize: 1024, Mode: EagerInvalidate, Transport: tapNet{net, link}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
 	w, r := s.Node(0), s.Node(2)
-	link.mu.Lock()
-	link.holding = false // the reader's copy of page 4 arrives as it comes
-	link.mu.Unlock()
-	_, err = r.ReadUint64(page4)
+	_, err = r.ReadUint64(page1)
 	must(t, err)
 	link.mu.Lock()
 	link.holding = true
 	link.mu.Unlock()
 	read := make(chan error, 1)
-	go func() { _, err := r.ReadUint64(page1); read <- err }()
-	waitFor(t, "the home to ship page 1 to the reader", func() bool { return link.waiting() > 0 })
+	go func() { _, err := r.ReadUint64(page4); read <- err }()
+	waitFor(t, "the home to ship page 4 to the reader", func() bool { return link.waiting() > 0 })
 	must(t, w.Acquire(0))
 	must(t, w.WriteUint64(page1+8, word))
 	must(t, w.WriteUint64(page4+8, word))
 	released := make(chan error, 1)
 	go func() { released <- w.Release(0) }()
-	select {
-	case err := <-released:
-		must(t, err)
-	case <-time.After(5 * time.Second):
-		t.Fatal("the writer's release waits for a copy whose ship is held")
-	}
-	if got := r.Stats().InvalsReceived; got != 2 {
-		t.Errorf("the reader invalidated %d pages before its ship, want pages 1 and 4", got)
-	}
+	waitFor(t, "the home to invalidate the reader's copies", func() bool { return link.waiting() == 2 })
 	must(t, link.release())
+	must(t, <-released)
 	must(t, <-read)
+	if got := r.Stats().InvalsReceived; got != 2 {
+		t.Errorf("the reader invalidated %d pages, want pages 1 and 4", got)
+	}
 	must(t, r.Acquire(0))
-	got, err := r.ReadUint64(page1 + 8)
+	got, err := r.ReadUint64(page4 + 8)
 	must(t, err)
 	must(t, r.Release(0))
 	if got != word {

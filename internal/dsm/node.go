@@ -18,19 +18,17 @@ import (
 
 // Sharding parameters of the node core. Page state is striped across
 // pageShards mutexes keyed by page id, so independent pages fault,
-// install and diff in parallel; incoming frames are dispatched onto
-// handlerWorkers serialized queues keyed the same way, so all protocol
-// work for one page is processed in arrival order while different pages
-// proceed concurrently.
+// install and diff in parallel; incoming messages are queued on
+// handlerWorkers FIFO queues keyed by sender (its id modulo the pool
+// size), so each peer's messages are processed in the order it sent them
+// while different peers' proceed concurrently.
 const (
 	// pageShards is the stripe count of the per-page state lock table.
 	pageShards = 64
-	// handlerWorkers is the size of the per-node handler worker pool;
-	// each worker owns one FIFO queue of dispatched frames.
+	// handlerWorkers is the size of the per-node handler worker pool.
 	handlerWorkers = 8
 	// workerQueueCap bounds each worker queue; a full queue backpressures
-	// the dispatch loop (and through it the transport), exactly like the
-	// old single handler goroutine falling behind.
+	// the dispatch loop, and through it the transport.
 	workerQueueCap = 1024
 )
 
@@ -134,8 +132,8 @@ type PageStat struct {
 }
 
 // nodeStats is the node's live counter cell: every field is an atomic,
-// so counters tick from any goroutine — application, shard worker or
-// directory transaction — without touching any page shard lock, and a
+// so counters tick from any goroutine — application, handler worker or
+// directory transaction — without touching any page stripe, and a
 // Stats snapshot never contends with (or tears against) an in-flight
 // page transaction.
 type nodeStats struct {
@@ -761,12 +759,11 @@ func (n *Node) rpcAll(reqs []outMsg, resps []*wire.Msg) ([]*wire.Msg, error) {
 // rpc, which holds a reference to it from then on — next to the caller's
 // own — and releases it once it has consumed the response (a caller that
 // ignores its responses may leave that to the garbage collector).
-// Engines that intercept their responses in handle (installs apply on
-// the page's shard queue to stay in directory order) call this after
-// processing. A response nobody waits
-// for is a protocol error surfaced through System.Close — unless the
-// node is shutting down, when a racing teardown legitimately abandons
-// waiters.
+// Engines that intercept their responses in handle (a grant installs on
+// its home's worker, in the order the home sent it) call this after
+// processing. A response nobody waits for is a protocol error surfaced
+// through System.Close — unless the node is shutting down, when a racing
+// teardown legitimately abandons waiters.
 func (n *Node) deliverResponse(m *wire.Msg) {
 	n.waiterMu.Lock()
 	w, ok := n.waiters[m.Seq]
@@ -812,41 +809,11 @@ func (n *Node) deliverResponse(m *wire.Msg) {
 		fmt.Errorf("unexpected response seq %d kind %v", m.Seq, m.Kind))
 }
 
-// dispatchKey maps a frame to its serialization domain: page-keyed
-// kinds serialize per page (the directory-order invariant: a page ship
-// and the invalidation that follows it in transport FIFO order are
-// processed in that order), lock kinds per lock, and diff traffic —
-// payloads with no ordering dependence, an eager update's included (the
-// engine lands one that a ship overtakes) — by sequence number for load
-// spreading.
-func dispatchKey(m *wire.Msg) uint32 {
-	switch m.Kind {
-	case wire.KLockReq, wire.KLockFwd, wire.KLockGrant:
-		// Separate namespace from pages so lock i and page i do not
-		// needlessly serialize.
-		return uint32(m.A)*2 + 1
-	case wire.KDiffReq, wire.KDiffResp, wire.KUpdate, wire.KUpdateAck:
-		return uint32(m.Seq)
-	case wire.KInval:
-		// The first page's: an invalidation naming several (EI) may overtake
-		// a later page's ship, which the engine sees to.
-		if len(m.Wants) > 0 {
-			return uint32(m.Wants[0].Page) * 2
-		}
-		return 0
-	default:
-		return uint32(m.A) * 2
-	}
-}
-
 // dispatchLoop receives frames until the transport closes, decoding each
-// into its one message and fanning them out to the worker pool in arrival
-// order, so the per-page shard FIFO the directory invariants rely on is
-// exactly the sender's send order. A decoded message is a recycled
-// shell whose diffs borrow the frame (internal/wire's Ownership section);
-// attachFrame ties the frame's lifetime to its. Barrier arrivals and the
-// collective-exchange responses are handled inline (they only park on
-// rendezvous channels or wake rpc waiters).
+// into its one message, which owns the frame from then on
+// (wire.Msg.HoldFrame), and queues each on its sender's worker in arrival
+// order. Barrier arrivals and exits are handled inline (they only park on
+// the master or wake an rpc waiter).
 //
 // A frame that fails to decode came off the wire from a remote peer,
 // so it is not a local invariant violation: the error is recorded for
@@ -865,26 +832,14 @@ func (n *Node) dispatchLoop() {
 			n.noteErr("inbound frame", fmt.Errorf("undecodable frame from %d: %w", src, err))
 			continue
 		}
-		attachFrame(payload, m)
+		m.HoldFrame(payload)
 		n.dispatchMsg(m, mem.ProcID(src))
 	}
 }
 
-// attachFrame settles the lifetime of a received frame once its message
-// is decoded: recycled at once when the message does not borrow it,
-// otherwise held by one counted reference (Msg.Frame), which the message
-// drops when its last holder releases it.
-func attachFrame(payload []byte, m *wire.Msg) {
-	if !m.HasDiffs() {
-		framebuf.Put(payload)
-		return
-	}
-	m.Frame = framebuf.NewRef(payload, 1)
-}
-
 // dispatchMsg routes one decoded message: barrier kinds inline — the
 // collecting master holds an arrival from then on (park) — everything else
-// onto its serialized shard queue, whose worker holds it.
+// onto its sender's queue, whose worker holds it.
 func (n *Node) dispatchMsg(m *wire.Msg, src mem.ProcID) {
 	if n.traceOn() {
 		n.emit("recv", m.Kind.String(), int64(src))
@@ -901,7 +856,7 @@ func (n *Node) dispatchMsg(m *wire.Msg, src mem.ProcID) {
 		n.deliverResponse(m)
 		m.Release()
 	default:
-		n.queues[dispatchKey(m)%handlerWorkers] <- inFrame{m: m, src: src}
+		n.queues[int(src)%handlerWorkers] <- inFrame{m: m, src: src}
 	}
 }
 
@@ -945,7 +900,7 @@ func (n *Node) worker(q chan inFrame) {
 	}
 }
 
-// process handles one dispatched message on its shard worker.
+// process handles one dispatched message on its sender's worker.
 func (n *Node) process(m *wire.Msg, src mem.ProcID) {
 	switch {
 	case n.e.handle(m, src):

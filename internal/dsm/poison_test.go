@@ -60,7 +60,7 @@ func TestEarlyReleaseIsCaught(t *testing.T) {
 		// Service the miss by hand: plan it, fetch its diff as a round
 		// would and move the response into a frame this goroutine alone
 		// holds, so that its release poisons it here and now (the fetched
-		// frame's last release is the shard worker's, whenever it drains).
+		// frame's last release is the handler worker's, whenever it drains).
 		e := reader.e.(*lazyEngine)
 		r := new(round)
 		e.mu.Lock()
@@ -79,7 +79,7 @@ func TestEarlyReleaseIsCaught(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		attachFrame(frame, resp)
+		resp.HoldFrame(frame)
 		r.held = fetchedDiffs{{wants, resp}}
 		if early {
 			// The bug: the frame goes before the miss has applied its
@@ -125,7 +125,7 @@ func TestEarlyMsgReleaseIsCaught(t *testing.T) {
 			t.Fatalf("lock %d is not managed by node %d", lock, mgr.id)
 		}
 		// Receive the request as the dispatch loop would, then play the
-		// shard worker: process it.
+		// handler worker: process it.
 		seq := requester.nextSeq()
 		w := requester.register(seq, mgr.id, wire.KLockReq)
 		frame := (&wire.Msg{Kind: wire.KLockReq, Seq: seq, A: lock, B: int32(requester.id)}).EncodeAppend(framebuf.Get())
@@ -133,7 +133,7 @@ func TestEarlyMsgReleaseIsCaught(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		attachFrame(frame, m)
+		m.HoldFrame(frame)
 		if early {
 			m.Release() // the bug: the worker's reference goes before the handler ran
 		}

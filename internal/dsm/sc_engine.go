@@ -20,8 +20,8 @@ import (
 // writer. Locks and barriers cost the same messages as under the RC
 // protocols but carry no consistency payload.
 //
-// Page installs happen on the page's *shard worker* as the grant arrives,
-// in directory order, and the access that missed completes there too,
+// Page installs happen on the home's worker as the grant arrives, in
+// directory order, and the access that missed completes there too,
 // while the granted copy is still current — before any later
 // invalidation or fetch for that page can be processed. Completing it on
 // the application goroutine after the rpc wakeup instead (the obvious
@@ -42,7 +42,7 @@ type scEngine struct {
 
 	// pages[i] and pending[i] are guarded by n.pageLock(i). pending[i]
 	// is the node's in-flight miss of page i, completed by install on the
-	// page's shard worker.
+	// home's worker.
 	pages   []*scPage
 	pending []*scMiss
 }
@@ -85,8 +85,8 @@ func (e *scEngine) clock() vc.VC { return vc.New(e.n.sys.cfg.Procs) }
 // --- accesses ---
 
 // A hit is served on the caller's stack. A miss is completed by install,
-// on the page's shard worker, so it reads into, and writes from, a buffer
-// of its own: the caller's would have to live on the heap for every hit.
+// on the home's worker, so it reads into, and writes from, a buffer of its
+// own: the caller's would have to live on the heap for every hit.
 
 func (e *scEngine) readPage(pg mem.PageID, off int, dst []byte) error {
 	if e.hit(&scMiss{pg: pg, off: off, dst: dst}) {
@@ -139,43 +139,37 @@ func (e *scEngine) tryLocal(miss *scMiss) bool {
 func (e *scEngine) access(miss *scMiss, kind wire.Kind) error {
 	n := e.n
 	pmu := n.pageLock(miss.pg)
-	for {
-		pmu.Lock()
-		if e.tryLocal(miss) {
-			pmu.Unlock()
-			return nil
-		}
-		var start time.Time
-		if n.missHist != nil {
-			start = time.Now()
-		}
-		n.stats.accessMisses.Add(1)
-		if e.pages[miss.pg] == nil {
-			n.stats.coldMisses.Add(1)
-		}
-		e.pending[miss.pg] = miss
+	pmu.Lock()
+	if e.tryLocal(miss) {
 		pmu.Unlock()
-
-		resp, err := n.rpc(n.homeOf(miss.pg), &wire.Msg{
-			Kind: kind, Seq: n.nextSeq(), A: int32(miss.pg), B: int32(n.id),
-		})
-		resp.Release() // installed on the shard worker already
-		pmu.Lock()
-		e.pending[miss.pg] = nil
-		done := miss.done
-		pmu.Unlock()
-		if err != nil {
-			return err
-		}
-		if done {
-			if n.missHist != nil {
-				n.observeMiss(start, 1)
-			}
-			return nil
-		}
-		// Unreachable with the current grants (every response installs a
-		// sufficient copy); kept as a correct fallback.
+		return nil
 	}
+	var start time.Time
+	if n.missHist != nil {
+		start = time.Now()
+	}
+	n.stats.accessMisses.Add(1)
+	if e.pages[miss.pg] == nil {
+		n.stats.coldMisses.Add(1)
+	}
+	e.pending[miss.pg] = miss
+	pmu.Unlock()
+
+	resp, err := n.rpc(n.homeOf(miss.pg), &wire.Msg{
+		Kind: kind, Seq: n.nextSeq(), A: int32(miss.pg), B: int32(n.id),
+	})
+	resp.Release() // installed on the home's worker already
+	pmu.Lock()
+	e.pending[miss.pg] = nil
+	done := miss.done
+	pmu.Unlock()
+	if err == nil && !done {
+		err = fmt.Errorf("dsm: node %d: %v of page %d: the grant did not complete the access", n.id, kind, miss.pg)
+	}
+	if err == nil && n.missHist != nil {
+		n.observeMiss(start, 1)
+	}
+	return err
 }
 
 // --- lock and barrier hooks: SC needs no consistency payload ---
@@ -201,12 +195,12 @@ func (e *scEngine) handle(m *wire.Msg, src mem.ProcID) bool {
 		m.Retain() // the transaction outlives this handler
 		go e.dir.serve(m)
 	case wire.KPageResp:
-		// Intercepted response: install the read copy on the page's
-		// shard worker, in directory order, before any later
-		// invalidation can be processed.
-		e.n.answerWaiter(m, e.install(m, scRead))
+		// Intercepted response: install the read copy on the home's
+		// worker, in directory order, before any later invalidation can
+		// be processed.
+		e.n.answerWaiter(m, e.install(m, src, scRead))
 	case wire.KWriteResp:
-		e.n.answerWaiter(m, e.install(m, scWrite))
+		e.n.answerWaiter(m, e.install(m, src, scWrite))
 	case wire.KFetch:
 		e.dir.serveFetch(m, src)
 	case wire.KInval:
@@ -217,20 +211,23 @@ func (e *scEngine) handle(m *wire.Msg, src mem.ProcID) bool {
 	return true
 }
 
-// install applies a granted copy or upgrade at the requester, on the
-// page's shard worker, and completes the blocked access against it
-// while the grant is still current in directory order.
+// install applies a copy or upgrade granted by src at the requester, on
+// src's worker, and completes the blocked access against it while the
+// grant is still current in directory order.
 //
 // Returns false (recording the cause) for a grant that cannot be
-// installed — bad page id, wrong-size data, or an upgrade with no local
-// copy — so the caller fails the waiter instead of waking it over
-// nothing.
-func (e *scEngine) install(m *wire.Msg, mode scAccess) bool {
+// installed — bad page id, wrong-size data, a sender that does not home
+// the page, or an upgrade with no local copy — so the caller fails the
+// waiter instead of waking it over nothing.
+func (e *scEngine) install(m *wire.Msg, src mem.ProcID, mode scAccess) bool {
 	n := e.n
 	pg := mem.PageID(m.A)
 	if !n.validPage(pg) || (m.Data != nil && len(m.Data) != n.sys.layout.PageSize()) {
 		n.noteErr("page install",
 			fmt.Errorf("bad page grant: page %d, %d data bytes", pg, len(m.Data)))
+		return false
+	}
+	if !e.dir.fromHome(m, pg, src) {
 		return false
 	}
 	pmu := n.pageLock(pg)

@@ -331,7 +331,7 @@ func (n *Node) collectRound(b mem.BarrierID) ([]*wire.Msg, error) {
 
 // --- handler-side lock processing ---
 
-// handleLockReq runs on the lock's shard worker and sends the grant or
+// handleLockReq runs on the requester's worker and sends the grant or
 // forward in place.
 func (n *Node) handleLockReq(m *wire.Msg) {
 	l := mem.LockID(m.A)

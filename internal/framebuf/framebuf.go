@@ -1,10 +1,9 @@
 // Package framebuf owns the buffers wire frames travel in: one free list
 // that senders encode into, transports receive into, and receivers
-// return to, plus the counted reference a receiver holds on a frame
-// while decoded diffs still borrow its bytes, recycled on a list of its
-// own (see internal/wire's
-// Ownership section). It is a leaf package so that the codec, every
-// transport and the runtime share one list without an import cycle.
+// return to — a received frame through the message decoded from it, which
+// holds it while its diffs borrow its bytes (internal/wire's Ownership
+// section). It is a leaf package so that the codec, every transport and
+// the runtime share one list without an import cycle.
 package framebuf
 
 import "sync/atomic"
@@ -61,66 +60,6 @@ func Put(b []byte) {
 	select {
 	case free <- b[:0]:
 	default:
-	}
-}
-
-// Ref is a counted reference to one received frame. The receiver that
-// decodes borrowing messages out of a frame creates it with one
-// reference per holder; the last Release recycles the buffer, and the Ref
-// itself, which the next NewRef hands out again — so nothing may touch a
-// Ref after releasing its reference. Dropping a Ref without releasing it
-// is always safe — the garbage collector reclaims the frame — so Release
-// is a recycling contract, not a correctness one. Releasing more often
-// than retained is a bug and panics (as long as no NewRef has taken the
-// Ref off the free list in between). All methods are safe on a nil Ref (a
-// message that borrows nothing carries none).
-type Ref struct {
-	buf  []byte
-	refs atomic.Int32
-}
-
-// freeRefs is the Ref free list, in the idiom of free: the ring stores
-// pointers, so recycling allocates nothing. A Ref is released once per
-// received frame that carries diffs, so it is sized like free.
-var freeRefs = make(chan *Ref, 512)
-
-// NewRef wraps buf with the given number of references, in a Ref off the
-// free list when there is one.
-func NewRef(buf []byte, refs int) *Ref {
-	var r *Ref
-	select {
-	case r = <-freeRefs:
-	default:
-		r = new(Ref)
-	}
-	r.buf = buf
-	r.refs.Store(int32(refs))
-	return r
-}
-
-// Retain adds a reference for a holder that outlives the current one.
-func (r *Ref) Retain() {
-	if r != nil {
-		r.refs.Add(1)
-	}
-}
-
-// Release drops one reference; the last one returns the frame, and then
-// the Ref, to their free lists.
-func (r *Ref) Release() {
-	if r == nil {
-		return
-	}
-	switch n := r.refs.Add(-1); {
-	case n == 0:
-		Put(r.buf)
-		r.buf = nil
-		select {
-		case freeRefs <- r:
-		default:
-		}
-	case n < 0:
-		panic("framebuf: reference released more often than retained")
 	}
 }
 

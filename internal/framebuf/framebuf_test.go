@@ -3,8 +3,6 @@ package framebuf
 import (
 	"bytes"
 	"testing"
-
-	"repro/internal/testenv"
 )
 
 // drain empties the free list so a test sees only its own buffers.
@@ -53,68 +51,6 @@ func TestGetLen(t *testing.T) {
 	}
 	if got := GetLen(0); len(got) != 0 {
 		t.Fatalf("GetLen(0) = %d bytes", len(got))
-	}
-}
-
-// A Ref recycles its frame at the last release and not before; a nil Ref
-// is inert; one release too many is a bug that must not pass silently.
-func TestRefCounts(t *testing.T) {
-	drain()
-	buf := append(make([]byte, 0, 128), "frame"...)
-	r := NewRef(buf, 2)
-	r.Retain()
-	r.Release()
-	r.Release()
-	if len(free) != 0 {
-		t.Fatal("frame recycled while a reference was still held")
-	}
-	r.Release()
-	if len(free) != 1 {
-		t.Fatal("last release did not recycle the frame")
-	}
-	var none *Ref
-	none.Retain()
-	none.Release()
-	defer func() {
-		if recover() == nil {
-			t.Error("releasing more often than retained did not panic")
-		}
-	}()
-	r.Release()
-}
-
-// TestRefIsRecycled: the last release puts the Ref itself on its free list
-// and the next NewRef hands it out again; a recycled Ref released once too
-// often still panics.
-func TestRefIsRecycled(t *testing.T) {
-	drain()
-	for len(freeRefs) > 0 {
-		<-freeRefs
-	}
-	r := NewRef(Get(), 1)
-	r.Release()
-	again := NewRef(Get(), 2)
-	if again != r {
-		t.Fatal("NewRef after a last release did not reuse the released Ref")
-	}
-	again.Release()
-	again.Release()
-	recycled := NewRef(Get(), 1)
-	recycled.Release()
-	defer func() {
-		if recover() == nil {
-			t.Error("releasing a recycled Ref once too often did not panic")
-		}
-	}()
-	recycled.Release()
-}
-
-// TestRefAllocatesNothingGate: a steady stream of received frames, each
-// taking a Ref and releasing it, allocates no Ref.
-func TestRefAllocatesNothingGate(t *testing.T) {
-	testenv.SkipAllocGate(t)
-	if a := testing.AllocsPerRun(100, func() { NewRef(Get(), 1).Release() }); a != 0 {
-		t.Errorf("a frame's Ref allocates %v objects, want 0", a)
 	}
 }
 

@@ -161,9 +161,9 @@ func TestSetClockAllocatesNothingGate(t *testing.T) {
 }
 
 // TestReceiveAllocatesNothingGate: the steady receive path of a frame — a
-// diff response decoded into a shell, a frame reference attached, the
-// message released — allocates nothing: the shell with its slabs, the Ref
-// and the frame buffer all come back for the next.
+// diff response decoded into a shell that then holds its frame, the
+// message released — allocates nothing: the shell with its slabs and the
+// frame buffer both come back for the next.
 func TestReceiveAllocatesNothingGate(t *testing.T) {
 	testenv.SkipAllocGate(t)
 	drainShells()
@@ -171,10 +171,10 @@ func TestReceiveAllocatesNothingGate(t *testing.T) {
 	recv := func() {
 		frame := append(framebuf.Get(), enc...)
 		m, err := Decode(frame)
-		if err != nil || !m.HasDiffs() {
+		if err != nil || len(m.Sections) != 1 || len(m.Sections[0].Diffs) == 0 {
 			t.Fatalf("decoded %v, err %v", m, err)
 		}
-		m.Frame = framebuf.NewRef(frame, 1)
+		m.HoldFrame(frame)
 		m.Release()
 	}
 	recv()

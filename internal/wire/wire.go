@@ -140,13 +140,13 @@
 // relaying an update) as one copy of the same bytes. A diff without runs
 // borrows nothing.
 //
-// The frame lasts as long as the message decoded from it: internal/dsm's
-// dispatch loop recycles a frame at once when its message carries no
-// diffs (Msg.HasDiffs), and otherwise attaches a framebuf.Ref to it
-// (Msg.Frame), which the message's last Release drops. Never releasing is
-// always safe, the garbage collector reclaims the frame; releasing early
-// is the one bug, and internal/framebuf's poison-on-release mode turns it
-// into garbage the differential tests catch.
+// Decode only borrows the frame, which stays its caller's. A receiver
+// that recycles frames hands it to the message (Msg.HoldFrame), its one
+// owner from then on: a message that carries diffs keeps the frame until
+// its last Release, any other returns it to internal/framebuf at once.
+// Never releasing is always safe, the garbage collector reclaims the
+// frame; releasing early is the one bug, and internal/framebuf's
+// poison-on-release mode turns it into garbage the differential tests catch.
 //
 // page.Diff.Clone is mandatory wherever a decoded diff is stored for
 // something that runs after the release: the runtime has one such place,
@@ -163,15 +163,15 @@
 // sender encodes it as it sends it — so a sender's message is dead when
 // the send returns, and only received ones change hands. A shell starts
 // with one reference, its creator's: the dispatch loop's, which passes to
-// the shard worker or the collecting barrier master the message is queued
-// for. A holder that outlives the one it got the message from retains it
-// first (Msg.Retain): an rpc waiter handed a response, a lock parking a
-// forwarded request until its release, a goroutine a handler spawned to
-// serve a request. Each holder makes ONE call when it is done, Msg.Release
-// — the worker when the handler returns, the waiter's rpc when it has
-// consumed the response, the master when it has answered the arrival — and
-// the last one drops the frame reference and returns the shell to the free
-// list. What is recycled is the shell — its scalars, its slice headers,
+// the sender's worker or the collecting barrier master the message is
+// queued for. A holder that outlives the one it got the message from
+// retains it first (Msg.Retain): an rpc waiter handed a response, a lock
+// parking a forwarded request until its release, a goroutine a handler
+// spawned to serve a request. Each holder makes ONE call when it is done,
+// Msg.Release — the worker when the handler returns, the waiter's rpc when
+// it has consumed the response, the master when it has answered the
+// arrival — and the last one returns the frame it holds and the shell to
+// their free lists. What is recycled is the shell — its scalars, its slice headers,
 // its first section and the clock a sender copied in (SetClock) — and the
 // slabs the message took from the slab pool, one process-wide pool,
 // size-classed and bounded in bytes. Every block decodes into its slabs,
@@ -189,7 +189,7 @@
 // Under poison-on-release a released shell reads as an invalid kind with
 // 0xDB scalars, the slabs it gave back as 0xDB entries, and a kept diff
 // header as runs at a negative offset, which page.Diff.Apply refuses; one
-// Release too many panics, like framebuf.Ref.
+// Release too many panics.
 package wire
 
 import (
@@ -406,11 +406,6 @@ type Msg struct {
 	Data      []byte    // page contents (KPageResp)
 	Sections  []Section // per-engine payloads on shared sync messages
 
-	// Frame is the received frame a decoded message's diffs borrow, set by
-	// the receiver when HasDiffs (see the package doc's Ownership
-	// section); nil otherwise. Not encoded.
-	Frame *framebuf.Ref
-
 	// refs counts the holders of a recycled shell (NewMsg, Decode) — through
 	// sync/atomic's functions, not an atomic.Int32, because literals are
 	// copied by value; kept is the storage a shell keeps across Release, and
@@ -422,11 +417,13 @@ type Msg struct {
 }
 
 // kept is what a shell keeps across Release: its first section, SetClock's
-// storage and the lists of the slabs the message holds.
+// storage and the lists of the slabs the message holds — and, until the
+// last Release, the received frame its diffs borrow (HoldFrame).
 type kept struct {
 	sec   [1]Section
 	clock []int32
 	slabs heldSlabs
+	frame []byte
 }
 
 // shell allocates a message and its kept storage together.
@@ -635,36 +632,30 @@ func (m *Msg) AppendSection(s Section) {
 
 // Retain adds a reference for a holder that outlives the current one: a
 // handler that parks its message, or hands it to another goroutine. A
-// literal's references are its frame's.
+// literal holds nothing, so Retain and Release leave it alone.
 func (m *Msg) Retain() {
 	if m.kept != nil {
 		atomic.AddInt32(&m.refs, 1)
-	} else {
-		m.Frame.Retain()
 	}
 }
 
-// Release drops one reference. The last one releases the frame the
-// message borrows and recycles the shell: every slice header is cleared,
-// and every slab the message took goes back to the slab pool — Data stays
-// with whoever absorbed it. Dropping a message without releasing it is
-// always safe (the garbage collector takes its slabs);
-// releasing more often than retained panics. On a literal Release only
-// lets go of the frame; on nil it does nothing.
+// Release drops one reference. The last one returns the frame the message
+// holds to internal/framebuf and recycles the shell: every slice header is
+// cleared, and every slab the message took goes back to the slab pool —
+// Data stays with whoever absorbed it. Dropping a message without
+// releasing it is always safe (the garbage collector takes its slabs and
+// frame); releasing more often than retained panics. On a literal or nil
+// it does nothing.
 func (m *Msg) Release() {
-	if m == nil {
-		return
-	}
-	if m.kept == nil {
-		m.Frame.Release()
+	if m == nil || m.kept == nil {
 		return
 	}
 	switch n := atomic.AddInt32(&m.refs, -1); {
 	case n == 0:
-		m.Frame.Release()
 		k := m.kept
+		framebuf.Put(k.frame)
 		*m = Msg{kept: k}
-		k.sec = [1]Section{}
+		k.sec, k.frame = [1]Section{}, nil
 		poisoned := framebuf.Poisoned()
 		if poisoned {
 			m.Kind, m.Seq, m.A, m.B = poisonKind, uint64(framebuf.PoisonByte)*0x0101010101010101, dead, dead
@@ -680,18 +671,20 @@ func (m *Msg) Release() {
 	}
 }
 
-// HasDiffs reports whether the message carries diff records, flat or in a
-// section — for a decoded message, whether it borrows its frame.
-func (m *Msg) HasDiffs() bool {
-	if len(m.Diffs) > 0 {
-		return true
-	}
+// HoldFrame settles the custody of frame, the buffer Decode filled m from:
+// a message whose diffs borrow it — flat or in a section — keeps it until
+// its last Release; any other message needs none of it, and frame goes
+// back to internal/framebuf at once.
+func (m *Msg) HoldFrame(frame []byte) {
+	borrows := len(m.Diffs) > 0
 	for i := range m.Sections {
-		if len(m.Sections[i].Diffs) > 0 {
-			return true
-		}
+		borrows = borrows || len(m.Sections[i].Diffs) > 0
 	}
-	return false
+	if borrows {
+		m.kept.frame = frame
+	} else {
+		framebuf.Put(frame)
+	}
 }
 
 // Presence bits: one per optional block, in wire order. A message uses

@@ -281,8 +281,8 @@ func TestDecodeBorrowsFrame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !m.HasDiffs() {
-		t.Fatal("decoded diff response reports no diffs")
+	if len(m.Diffs) == 0 {
+		t.Fatal("decoded diff response carries no diffs")
 	}
 	got := m.Diffs[0].Diff
 	if got.NumRuns() != 1 || len(got.RunData(0)) != size {
@@ -1027,8 +1027,8 @@ func pastTheBoundMsgs(t *testing.T) []namedMsg {
 	}
 }
 
-// TestMsgReferences: a retained shell survives its first release, a
-// literal is never recycled, and one release too many panics.
+// TestMsgReferences: a retained shell survives its first release, and one
+// release too many panics.
 func TestMsgReferences(t *testing.T) {
 	m := NewMsg()
 	m.Seq = 7
@@ -1040,13 +1040,6 @@ func TestMsgReferences(t *testing.T) {
 	m.Release()
 	if m.Seq == 7 {
 		t.Fatal("the last release did not clear the shell")
-	}
-	lit := &Msg{Seq: 7, Frame: framebuf.NewRef(framebuf.Get(), 1)}
-	lit.Retain()
-	lit.Release()
-	lit.Release() // lets go of the frame, nothing else
-	if lit.Seq != 7 {
-		t.Errorf("releasing a literal cleared it: %+v", lit)
 	}
 	var none *Msg
 	none.Release()
@@ -1136,7 +1129,7 @@ func TestReleasedShellIsPoisoned(t *testing.T) {
 		m.A != int32(uint32(poison)) || m.B != m.A {
 		t.Errorf("released shell reads kind %v seq %#x a %#x b %#x, want the poison pattern", m.Kind, m.Seq, m.A, m.B)
 	}
-	if m.VC != nil || m.Intervals != nil || m.Diffs != nil || m.Wants != nil || m.Data != nil || m.Sections != nil || m.Frame != nil {
+	if m.VC != nil || m.Intervals != nil || m.Diffs != nil || m.Wants != nil || m.Data != nil || m.Sections != nil || m.kept.frame != nil {
 		t.Errorf("released shell kept a slice or its frame: %+v", m)
 	}
 	// The next user gets it clean.
@@ -1144,6 +1137,54 @@ func TestReleasedShellIsPoisoned(t *testing.T) {
 		t.Errorf("a shell taken off the free list is not clean: %+v", again)
 	} else {
 		again.Release()
+	}
+}
+
+// TestHoldFrameCustody: a decoded message is its frame's one owner. One
+// whose diffs borrow the frame, flat or in a section, holds it across a
+// retained holder and returns it to internal/framebuf at the last Release,
+// not before; one without diffs returns it at once; a literal's Retain and
+// Release hold nothing. Poison-on-release shows when a frame went back:
+// framebuf.Put overwrites it.
+func TestHoldFrameCustody(t *testing.T) {
+	framebuf.SetPoison(true)
+	defer framebuf.SetPoison(false)
+	returned := func(frame []byte) bool {
+		return bytes.Equal(frame, bytes.Repeat([]byte{framebuf.PoisonByte}, len(frame)))
+	}
+	for _, sectioned := range []bool{false, true} {
+		frame := shellDiffResp(t, 4, sectioned).EncodeAppend(framebuf.Get())
+		m, err := Decode(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.HoldFrame(frame)
+		m.Retain()
+		m.Release()
+		if returned(frame) {
+			t.Fatalf("sectioned=%v: the frame went back while a holder was left", sectioned)
+		}
+		m.Release()
+		if !returned(frame) {
+			t.Errorf("sectioned=%v: the last release kept the frame", sectioned)
+		}
+	}
+	frame := shellDiffReq().EncodeAppend(framebuf.Get())
+	m, err := Decode(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.HoldFrame(frame)
+	if !returned(frame) {
+		t.Error("a message without diffs held its frame")
+	}
+	m.Release()
+	lit := &Msg{Seq: 7, Diffs: []DiffRec{{Page: 1}}}
+	lit.Retain()
+	lit.Release()
+	lit.Release()
+	if lit.Seq != 7 || len(lit.Diffs) != 1 {
+		t.Errorf("releasing a literal changed it: %+v", lit)
 	}
 }
 
@@ -1167,7 +1208,7 @@ func TestReleasedDiffSlabsArePoisoned(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m.Frame = framebuf.NewRef(frame, 1)
+		m.HoldFrame(frame)
 		recs, want := m.Diffs, sent.Diffs
 		if sectioned {
 			recs, want = m.Sections[0].Diffs, sent.Sections[0].Diffs
