@@ -85,7 +85,7 @@ func run(args []string, out io.Writer) error {
 		metrics    = fs.String("metrics", "", "serve live observability on this address (host:port): /metrics Prometheus text, /statusz JSON, /trace Chrome JSON, /debug/pprof/ profiles")
 		tracePath  = fs.String("trace", "", "dump the protocol event ring as Chrome trace_event JSON to this file on exit (success or failure)")
 		faultSpec  = fs.String("fault", "", "inject transport faults, e.g. drop=0.01,dup=0.005,delay=2ms,jitter=1ms,partition=2x2,kill=3@5000,seed=7")
-		rpcTimeout = fs.Duration("rpctimeout", 0, "fail any remote wait (rpc response, master rendezvous) after this long instead of hanging (0 = wait forever)")
+		rpcTimeout = fs.Duration("rpctimeout", 0, "fail any remote wait (rpc response, master rendezvous) after this long instead of hanging; the first timeout stops its node, whose later calls fail with it (0 = wait forever)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err

@@ -172,10 +172,11 @@ func (r *revocation) revoke(n *Node, j mem.ProcID, pg mem.PageID) {
 // Under EI they are every member but the writer; they leave the copyset,
 // and r's invalidation of each names pg. Two orders hold:
 //
-//   - the writer's own update never invalidates the writer's copy, which
-//     holds its words even from a ship served before land: the writer
-//     lands its diff again on any ship installed while the diff is
-//     unacknowledged (eagerEngine.installPage);
+//   - the writer's own update never invalidates the writer's copy, and no
+//     ship served before land reaches the writer while the diff is
+//     unacknowledged: the writer's one application goroutine waits for the
+//     acknowledgement before its next miss, and a miss that gave up stopped
+//     the writer (eagerEngine.ensureValid);
 //   - a copy's invalidation leaves after the ship that made it a member,
 //     on the same FIFO link, though r's are sent after absorb returns:
 //     shipOwn sends the ship under the entry before absorb can see the

@@ -205,12 +205,12 @@ type Config struct {
 	Transport Transport
 	// RPCTimeout bounds every blocking wait on a remote peer — rpc
 	// responses, and the master's collection of barrier arrivals. When it
-	// elapses the operation fails wrapping
-	// ErrRPCTimeout, so a peer that died mid-critical-section surfaces
-	// as a descriptive System.Close error instead of hanging the run.
-	// 0 disables the timeout (waits are unbounded, the pre-fault
-	// behavior). Late responses that arrive after their waiter timed
-	// out are classified as expected races (see System.ShutdownRaces).
+	// elapses the call fails wrapping ErrRPCTimeout, so a dead peer
+	// surfaces as the call's error instead of hanging the run, and the
+	// node stops (fail-stop): every later call on it fails with that
+	// timeout, and it drops every message that reaches it, so its peers'
+	// waits on it time out in turn. 0 disables the timeout (waits are
+	// unbounded, the pre-fault behavior).
 	RPCTimeout time.Duration
 	// Metrics, when non-nil, publishes the runtime's live counters into
 	// the registry: interconnect totals, every node's protocol and
@@ -251,10 +251,6 @@ type System struct {
 	// per-second interconnect traffic ring and the goroutine feeding it.
 	ring        *obs.TrafficRing
 	stopSampler func()
-	// races are the expected shutdown-race events Close collected and
-	// classified away from its error (see ShutdownRaces).
-	racesMu sync.Mutex
-	races   []error
 }
 
 // New builds and starts a DSM. Each node takes one application goroutine
@@ -371,11 +367,7 @@ func (s *System) NetStats() TransportStats { return s.tr.Totals() }
 // error the handler goroutines recorded while the system ran (a lock
 // grant or protocol response that could not be delivered would otherwise
 // strand its requester silently). Nodes blocked in protocol operations
-// return errors. Expected shutdown races — late responses to timed-out
-// rpcs, messages racing the teardown — are classified away from the
-// returned error and available through ShutdownRaces, so chaos tests
-// can assert on fault causes without false positives. Close is
-// idempotent; every call returns the same error.
+// return errors. Close is idempotent; every call returns the same error.
 func (s *System) Close() error {
 	s.closeOnce.Do(func() {
 		if s.stopSampler != nil {
@@ -386,26 +378,12 @@ func (s *System) Close() error {
 			errs = append(errs, fmt.Errorf("dsm: transport: %w", err))
 		}
 		s.handlers.Wait()
-		var races []error
 		for _, n := range s.local {
 			errs = append(errs, n.takeErrs()...)
-			races = append(races, n.takeRaces()...)
 		}
-		s.racesMu.Lock()
-		s.races = races
-		s.racesMu.Unlock()
 		s.closeErr = errors.Join(errs...)
 	})
 	return s.closeErr
-}
-
-// ShutdownRaces returns the expected-race events Close classified away
-// from its error: responses that arrived after their rpc timed out, and
-// similar teardown races. Meaningful after Close; nil on a quiet run.
-func (s *System) ShutdownRaces() []error {
-	s.racesMu.Lock()
-	defer s.racesMu.Unlock()
-	return append([]error(nil), s.races...)
 }
 
 // lockMgr returns the manager node of a lock.

@@ -53,9 +53,6 @@ type eagerEngine struct {
 	fetching []bool
 	hints    []uint64
 	parked   [][]*page.Diff
-	// Under EI flying[pg] is this node's diff of pg while its flush is
-	// unacknowledged, for an install to land again (directory.absorb).
-	flying []*page.Diff
 
 	// ws is the write set of the critical sections since the last flush
 	// point; each flush drains it.
@@ -79,8 +76,6 @@ func newEagerEngine(n *Node, update bool) *eagerEngine {
 	}
 	if update {
 		e.fetching, e.hints, e.parked = make([]bool, numPages), make([]uint64, numPages), make([][]*page.Diff, numPages)
-	} else {
-		e.flying = make([]*page.Diff, numPages)
 	}
 	e.dir = newDirectory(n, e)
 	return e
@@ -92,12 +87,14 @@ func (e *eagerEngine) clock() vc.VC { return vc.New(e.n.sys.cfg.Procs) }
 
 // ensureValid obtains a copy of pg: the home's own, made on its first
 // access, or a ship from the home's. The ship is installed by the home's
-// worker as it arrives — in directory order, never abandoned, even by a
-// miss that gave up waiting — so the home's copyset always matches what
-// this node actually holds. An invalidation right behind the install
-// leaves the copy invalid again, the window an eagerly-consistent access
-// always had between validation and use; a write through it still reaches
-// the home as a diff of its words.
+// worker as it arrives, in directory order, so the home's copyset always
+// matches what this node actually holds. None lands while this node's own
+// update of the page is unacknowledged: the one application goroutine's
+// misses and flushes take turns, and a miss that gave up waiting stopped
+// the node (Node.fail), which installs nothing after. An invalidation
+// right behind the install leaves the copy invalid again, the window an
+// eagerly-consistent access always had between validation and use; a
+// write through it still reaches the home as a diff of its words.
 func (e *eagerEngine) ensureValid(pg mem.PageID) error {
 	n := e.n
 	pmu := n.pageLock(pg)
@@ -155,10 +152,12 @@ func (e *eagerEngine) ownLocked(pg mem.PageID) *pageCopy {
 // installPage applies a page granted by src at the requester, on src's
 // worker, in directory order: every invalidation the home sent before this
 // ship has already been applied, and any sent after will be. The data
-// lands as the committed contents, under EI with this node's flying diff
-// on top, under EU followed by the diffs that overtook the ship; a local
-// critical section mid-flight on the stale copy keeps its uncommitted
-// writes on top (pageCopy.land).
+// lands as the committed contents, under EU followed by the diffs that
+// overtook the ship; a local critical section mid-flight on the stale
+// copy keeps its uncommitted writes on top (pageCopy.land). The ship holds
+// every diff this node flushed: the one application goroutine's flushes
+// and misses take turns, and a miss that gave up stopped the node
+// (ensureValid).
 //
 // Returns false (recording the cause) for a grant that cannot be
 // installed — bad page id, wrong-size data, or a sender that does not home
@@ -183,11 +182,7 @@ func (e *eagerEngine) installPage(m *wire.Msg, src mem.ProcID) bool {
 		pc = &pageCopy{}
 		e.pages[pg] = pc
 	}
-	var own func([]byte) error
-	if !e.update && e.flying[pg] != nil {
-		own = e.flying[pg].Apply
-	}
-	if err := pc.land(n, m.Data, own); err != nil {
+	if err := pc.land(n, m.Data, nil); err != nil {
 		panic(fmt.Sprintf("dsm: node %d: installing page %d: %v", n.id, pg, err))
 	}
 	pc.valid = true
@@ -258,8 +253,7 @@ func (e *eagerEngine) writePage(pg mem.PageID, off int, src []byte) error {
 
 // commit ends the uncommitted writes to pg at a flush point and returns
 // their diff — nil when the page has none or they changed nothing — and,
-// read with it, the page's hint (EU). Under EI the diff is flying from
-// then on.
+// read with it, the page's hint (EU).
 func (e *eagerEngine) commit(pg mem.PageID) (d *page.Diff, hint uint64, err error) {
 	n := e.n
 	pmu := n.pageLock(pg)
@@ -275,9 +269,6 @@ func (e *eagerEngine) commit(pg mem.PageID) (d *page.Diff, hint uint64, err erro
 	twin := pc.take()
 	d, err = page.MakeDiff(twin, pc.data)
 	n.releaseTwin(twin)
-	if err == nil && !d.Empty() && !e.update {
-		e.flying[pg] = d
-	}
 	pmu.Unlock()
 	if err != nil {
 		return nil, 0, err
@@ -300,8 +291,8 @@ func (e *eagerEngine) commit(pg mem.PageID) (d *page.Diff, hint uint64, err erro
 // the home forwards the diff to those that joined since and names them in
 // its acknowledgement, which the next flush reaches directly. The diff of
 // a page this node homes is in the home's copy already: the flush sends
-// it to every member (EU) or invalidates them (EI) itself. A burst
-// abandoned mid-way leaves its twins claimed.
+// it to every member (EU) or invalidates them (EI) itself. A flush that
+// fails mid-way leaves its twins claimed.
 func (e *eagerEngine) flush() error {
 	n := e.n
 	cand := e.ws.drain(e.cand)
@@ -313,14 +304,6 @@ func (e *eagerEngine) flush() error {
 		for j := range e.out {
 			clear(e.out[j])
 			e.out[j] = e.out[j][:0]
-		}
-		for _, pg := range cand {
-			if !e.update {
-				pmu := n.pageLock(pg)
-				pmu.Lock()
-				e.flying[pg] = nil
-				pmu.Unlock()
-			}
 		}
 		for _, d := range made {
 			d.Release() // sending encoded every update that carries it

@@ -675,12 +675,12 @@ var hostileRows = map[string][]hostileRow{
 			script: []step{swap(atRead, wire.KPageReq, &wire.Msg{Kind: wire.KDiffResp})}},
 		{name: "a page grant for another page", modes: []Mode{EagerInvalidate, EagerUpdate}, pid: 2, want: "grant for page 2 answers the miss of page 5", fails: "answers the miss of page 5",
 			script: []step{swap(atRead, wire.KPageReq, &wire.Msg{Kind: wire.KPageResp, A: 2, Data: make([]byte, 1024)})}},
-		// FuzzPeer finding: the arriver that took a forged exit holds back
-		// later what it thinks the master has, and the records stamped after
-		// those must wait for them, not leave the master's log unclosed. The
-		// master's barrier 0, which never gets the swallowed arrival, fails
-		// with an error that names the round, not a released shell.
-		{name: "an arrival answered in the master's stead", modes: lazyModes, flags: withGC, want: "interval gap for p", fails: "master: arrivals at barrier 0: no arrival within", script: []step{swap(atBarrier0, wire.KBarrierArrive, &wire.Msg{Kind: wire.KBarrierExit})}},
+		// FuzzPeer finding: the master's barrier 0, which never gets the
+		// arrival swallowed and answered in its stead, fails with an error
+		// that names the round, not a released shell. The master stops on
+		// it, the arrivers' waits on it time out in turn, and every node
+		// ends stopped, its log closed.
+		{name: "an arrival answered in the master's stead", modes: lazyModes, flags: withGC, fails: "master: arrivals at barrier 0: no arrival within", check: allStopped, script: []step{swap(atBarrier0, wire.KBarrierArrive, &wire.Msg{Kind: wire.KBarrierExit})}},
 		{name: "forward from a non-manager", modes: li, pid: 2, want: "lockfwd of lock 1 from 2 dropped: only its manager 1 forwards it", script: []step{send(atEnd, 0, &wire.Msg{Kind: wire.KLockFwd, Seq: 99, A: 1, B: 2})}},
 		// A merged EU update lands each record on its own: node 1 homes pages
 		// 1, 4 and 7, whose records land, and neither holds nor fetches page
@@ -938,6 +938,17 @@ func storeKnown(t *testing.T, pr *peerRun) {
 			}
 		}
 		e.mu.Unlock()
+	}
+}
+
+// allStopped: every node has stopped on a timeout, so its next call
+// fails at once with it.
+func allStopped(t *testing.T, pr *peerRun) {
+	for _, n := range pr.s.Local() {
+		begin := time.Now()
+		if _, err := n.ReadUint64(0); !errors.Is(err, ErrRPCTimeout) || time.Since(begin) > peerTimeout/2 {
+			t.Errorf("node %d's read after the run returned %v in %v, want its timeout at once", n.id, err, time.Since(begin))
+		}
 	}
 }
 

@@ -104,15 +104,6 @@ func (h *heldLink) waiting() int {
 	return len(h.held)
 }
 
-// releaseFirst sends the oldest held frame on and keeps holding the rest.
-func (h *heldLink) releaseFirst() error {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	f := h.held[0]
-	h.held = h.held[1:]
-	return h.Endpoint.Send(h.to, f)
-}
-
 func (h *heldLink) release() error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -244,64 +235,130 @@ func TestEIInvalidationOvertakesShipRepro(t *testing.T) {
 	}
 }
 
-// TestEIShipBeforeOwnUpdateRepro: an EI home never invalidates its writer's
-// copy, so a ship the writer installs while its own update is on the way
-// home must not lose that update's words. A miss that gave up waiting
-// (RPCTimeout) leaves its request in flight, and the ship it asked for
-// lands whenever it comes — here during the writer's next flush. The
-// writer (node 0) writes its word of page 1 under lock 0; the home (node
-// 1) invalidates the writer's copy, which keeps its twin; the writer's
-// read of the page times out on a ship the home's link holds; and the
-// writer's release sends its update, whose acknowledgement the link holds
-// too. The ship, sent before the home had the update, lands first: the
-// writer must keep its word on top of it. Once the release returns, the
-// writer reads its own word; a writer that installed the ship as it came
-// reads 0.
-func TestEIShipBeforeOwnUpdateRepro(t *testing.T) {
-	const page1, word = mem.Addr(1024), 0xA
-	net := simnet.New(2)
-	link := &heldLink{Endpoint: net.Endpoint(1), to: 0, holds: func(frame []byte) bool {
-		return wire.Kind(frame[0]) == wire.KPageResp || wire.Kind(frame[0]) == wire.KUpdateAck
-	}}
-	s, err := New(Config{Procs: 2, SpaceSize: 2 * 1024, PageSize: 1024, Mode: EagerInvalidate,
-		RPCTimeout: 100 * time.Millisecond, Transport: tapNet{net, link}})
-	if err != nil {
-		t.Fatal(err)
+// TestTimedOutNodeStops: the first rpc timeout stops its node. The
+// paper's channels are reliable, so a node that ran on past a response it
+// gave up on would act on what it never received.
+//
+// In the grant rows node 1 writes 7 at 2048 (page 2, homed at node 2)
+// under lock 0, and node 2's acquisition of lock 0 times out on node 1's
+// grant, which the link holds and then lets go. Node 0 then asks for the
+// lock, which its manager forwards to node 2, the last requester. A node 2
+// that ran on would grant it with notices that lack node 1's interval,
+// and node 0 would read 0; a stopped one drops the forward, and node 0's
+// acquisition times out in turn.
+//
+// In the release rows, one per mode, node 0 writes its own page in a
+// critical section, and its cold read of page 1 times out on a ship the
+// home's link holds. Its release must then fail at once with that
+// timeout, as must every later call, and a peer's miss on its page must
+// time out in turn.
+//
+// A wait parked when another gives up must give up at once. A worker may
+// have taken up a message just before its node stopped: a response whose
+// wait gave up is no protocol error, and a forward that finds the lock
+// free once the acquisition that gave up has cleared it is not granted.
+func TestTimedOutNodeStops(t *testing.T) {
+	const timeout = 200 * time.Millisecond
+	start := func(t *testing.T, mode Mode, link *heldLink, net *simnet.Network) *System {
+		s, err := New(Config{Procs: 3, SpaceSize: 3 * 1024, PageSize: 1024, Mode: mode, RPCTimeout: timeout, Transport: tapNet{net, link}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { s.Close() })
+		link.mu.Lock()
+		link.holding = true
+		link.mu.Unlock()
+		return s
 	}
-	defer s.Close()
-	w, h := s.Node(0), s.Node(1)
-	_, err = w.ReadUint64(page1)
-	must(t, err)
-	must(t, w.Acquire(0))
-	must(t, w.WriteUint64(page1, word))
-	must(t, h.Acquire(1)) // the home's write invalidates the writer's copy
-	must(t, h.WriteUint64(page1+16, 1))
-	must(t, h.Release(1))
-	link.mu.Lock()
-	link.holding = true
-	link.mu.Unlock()
-	if _, err := w.ReadUint64(page1 + 24); !errors.Is(err, ErrRPCTimeout) {
-		t.Fatalf("the writer's miss with the ship held returned %v, want a timeout", err)
+	for _, mode := range []Mode{LazyInvalidate, LazyUpdate} {
+		t.Run(mode.String()+"/a grant its acquirer gave up on", func(t *testing.T) {
+			net := simnet.New(3)
+			link := &heldLink{Endpoint: net.Endpoint(1), to: 2, holds: func(frame []byte) bool { return wire.Kind(frame[0]) == wire.KLockGrant }}
+			s := start(t, mode, link, net)
+			r, w, x := s.Node(0), s.Node(1), s.Node(2)
+			must(t, w.Acquire(0))
+			must(t, w.WriteUint64(2048, 7))
+			must(t, w.Release(0))
+			if err := x.Acquire(0); !errors.Is(err, ErrRPCTimeout) {
+				t.Fatalf("node 2's acquisition with its grant held returned %v, want a timeout", err)
+			}
+			must(t, link.release())
+			err := r.Acquire(0)
+			if err == nil {
+				v, rerr := r.ReadUint64(2048)
+				t.Fatalf("node 0 acquired lock 0 through the node that gave up on it and reads %d (%v), want a timeout", v, rerr)
+			}
+			if !errors.Is(err, ErrRPCTimeout) {
+				t.Errorf("node 0's acquisition returned %v, want a timeout", err)
+			}
+		})
 	}
-	fetched := w.Stats().PagesFetched
-	released := make(chan error, 1)
-	go func() { released <- w.Release(0) }()
-	waitFor(t, "the ship and the update's acknowledgement to be held", func() bool { return link.waiting() == 2 })
-	must(t, link.releaseFirst())
-	waitFor(t, "the ship to land", func() bool { return w.Stats().PagesFetched > fetched })
-	must(t, link.release())
-	must(t, <-released)
-	got, err := w.ReadUint64(page1)
-	must(t, err)
-	if got != word {
-		t.Errorf("the writer reads %#x of its own word after its release, want %#x", got, word)
+	for _, mode := range Modes {
+		t.Run(mode.String()+"/a release after a miss that gave up", func(t *testing.T) {
+			net := simnet.New(3)
+			link := &heldLink{Endpoint: net.Endpoint(1), to: 0}
+			s := start(t, mode, link, net)
+			n := s.Node(0)
+			must(t, n.Acquire(0))
+			must(t, n.WriteUint64(8, 1))
+			if _, err := n.ReadUint64(1024); !errors.Is(err, ErrRPCTimeout) {
+				t.Fatalf("the read with its ship held returned %v, want a timeout", err)
+			}
+			for _, call := range []struct {
+				name string
+				do   func() error
+			}{
+				{"release", func() error { return n.Release(0) }},
+				{"read of its own page", func() error { _, err := n.ReadUint64(8); return err }},
+				{"barrier", func() error { return n.Barrier(0) }},
+			} {
+				begin := time.Now()
+				err := call.do()
+				if took := time.Since(begin); !errors.Is(err, ErrRPCTimeout) || took > timeout/2 {
+					t.Errorf("the %s after the timeout returned %v in %v, want the timeout at once", call.name, err, took)
+				}
+			}
+			if _, err := s.Node(2).ReadUint64(8); !errors.Is(err, ErrRPCTimeout) {
+				t.Errorf("a peer's miss on the stopped node's page returned %v, want a timeout", err)
+			}
+		})
 	}
-	if v, err := w.ReadUint64(page1 + 16); err != nil || v != 1 {
-		t.Errorf("the writer reads the home's word as %d (%v), want 1", v, err)
-	}
-	if err := s.Close(); err != nil {
-		t.Errorf("Close: %v", err)
-	}
+	t.Run("a wait parked when another gives up", func(t *testing.T) {
+		s, err := New(Config{Procs: 2, SpaceSize: 2 * 1024, PageSize: 1024, RPCTimeout: time.Hour})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		n, seq := s.Node(0), uint64(99)
+		w := n.register(seq, 1, wire.KPageReq)
+		awaited := make(chan error, 1)
+		go func() { _, err := n.await(seq, w); awaited <- err }()
+		n.fail(ErrRPCTimeout)
+		select {
+		case err := <-awaited:
+			if !errors.Is(err, ErrRPCTimeout) {
+				t.Errorf("the parked wait returned %v, want the timeout", err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("the parked wait did not give up when its node stopped")
+		}
+	})
+	t.Run("a response taken up before the stop", func(t *testing.T) {
+		n := newSys(t, 2, LazyInvalidate).Node(0)
+		n.fail(ErrRPCTimeout)
+		n.deliverResponse(&wire.Msg{Kind: wire.KDiffResp, Seq: 99})
+		if errs := n.takeErrs(); len(errs) != 0 {
+			t.Errorf("a response whose wait gave up recorded %v", errs)
+		}
+	})
+	t.Run("a forward taken up before the stop", func(t *testing.T) {
+		n := newSys(t, 3, LazyInvalidate).Node(2)
+		n.fail(ErrRPCTimeout)
+		n.handleLockFwd(&wire.Msg{Kind: wire.KLockFwd, Seq: 1, A: 0, B: 0})
+		if sent, errs := n.Stats().KindMsgs[wire.KLockGrant], n.takeErrs(); sent != 0 || len(errs) != 1 || !errors.Is(errs[0], ErrRPCTimeout) {
+			t.Errorf("the stopped node sent %d grants and recorded %v, want none and the timeout", sent, errs)
+		}
+	})
 }
 
 // TestEIAckWaitsForEarlierInvalidationRepro: a copy an EI home took out of

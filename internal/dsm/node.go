@@ -271,21 +271,13 @@ type Node struct {
 	// freeWaiters recycles rpc waiters (register takes, await returns);
 	// guarded by waiterMu.
 	freeWaiters []*rpcWaiter
-	// abandoned records seqs whose rpc gave up waiting (RPCTimeout), so
-	// the late response — which may still arrive — classifies as an
-	// expected race rather than a protocol error. It keeps the most recent
-	// maxAbandoned, abandonedRing holding them in recording order, the
-	// oldest at abandonedNext once it is full. Guarded by waiterMu.
-	abandoned     map[uint64]struct{}
-	abandonedRing []uint64
-	abandonedNext int
+	// failure is the timeout the node stopped on; stopped closes with it.
+	failure atomic.Pointer[error]
+	stopped chan struct{}
 
 	errMu   sync.Mutex
 	errs    []error
 	errSeen map[string]struct{}
-	// races collects expected shutdown-race and late-response events,
-	// classified away from System.Close's error (see noteRace).
-	races []error
 
 	// rpcHist, when metrics are configured, observes each rpc's
 	// wall-clock wait (seconds). Nil otherwise — the nil check is the
@@ -316,6 +308,7 @@ func newNode(s *System, id mem.ProcID) *Node {
 		waiters:  make(map[uint64]*rpcWaiter),
 		queues:   make([]chan inFrame, handlerWorkers),
 		closedCh: make(chan struct{}),
+		stopped:  make(chan struct{}),
 	}
 	for i := range n.queues {
 		n.queues[i] = make(chan inFrame, workerQueueCap)
@@ -343,11 +336,15 @@ func (n *Node) homeOf(pg mem.PageID) mem.ProcID {
 	return mem.ProcID(int(pg) % n.sys.cfg.Procs)
 }
 
-// enter claims the node for the application call op, or fails it while
-// another goroutine's call is in progress: the node is one processor, and
-// its engine keeps one miss, one flush and one round's scratch at a time.
-// The caller releases the claim with leave.
+// enter claims the node for the application call op, or fails it once
+// the node has stopped (fail) or while another goroutine's call is in
+// progress: the node is one processor, and its engine keeps one miss, one
+// flush and one round's scratch at a time. The caller releases the claim
+// with leave.
 func (n *Node) enter(op string) error {
+	if err := n.failure.Load(); err != nil {
+		return fmt.Errorf("dsm: node %d: %s on a stopped node: %w", n.id, op, *err)
+	}
 	if n.busy.CompareAndSwap(false, true) {
 		return nil
 	}
@@ -373,7 +370,7 @@ func (n *Node) Clock() vc.VC {
 	return n.e.clock()
 }
 
-// maxNotedErrs bounds each node's recorded error and race lists: under
+// maxNotedErrs bounds each node's recorded error list: under
 // injected faults one dead stream can fail thousands of operations, and
 // System.Close's joined error must stay readable (deduplication below
 // already collapses repeats; the cap is the backstop for errors whose
@@ -401,36 +398,12 @@ func (n *Node) noteErr(op string, err error) {
 	n.errMu.Unlock()
 }
 
-// noteRace records an expected shutdown-race or late-response event —
-// a response whose waiter timed out, a message racing a teardown —
-// classified separately from real faults: chaos tests assert on
-// System.Close's error for fault causes, and these would be false
-// positives there. They remain observable via System.ShutdownRaces.
-func (n *Node) noteRace(op string, err error) {
-	if err == nil {
-		return
-	}
-	n.errMu.Lock()
-	if len(n.races) < maxNotedErrs {
-		n.races = append(n.races, fmt.Errorf("dsm: node %d: %s: %w", n.id, op, err))
-	}
-	n.errMu.Unlock()
-}
-
 func (n *Node) takeErrs() []error {
 	n.errMu.Lock()
 	defer n.errMu.Unlock()
 	errs := n.errs
 	n.errs = nil
 	return errs
-}
-
-func (n *Node) takeRaces() []error {
-	n.errMu.Lock()
-	defer n.errMu.Unlock()
-	races := n.races
-	n.races = nil
-	return races
 }
 
 // validPage and validProc bound-check ids arriving in remote messages
@@ -461,10 +434,6 @@ type rpcWaiter struct {
 	dst  mem.ProcID
 	want wire.Kind // the response kind the request takes
 }
-
-// maxAbandoned bounds Node.abandoned: a peer that never answers must not
-// grow it without end.
-const maxAbandoned = 1024
 
 // freedWaiter marks a waiter on the free list (in its dst): releasing it
 // again or delivering to it panics instead of corrupting its next rpc.
@@ -499,33 +468,15 @@ func (w *rpcWaiter) deliver(m *wire.Msg) {
 }
 
 // unregister takes seq's waiter out of Node.waiters — its request failed
-// to leave, or timed out — and reports whether it was still there; false
-// means someone else took it and its delivery is in the channel or
-// instants away. After a timeout the seq is recorded as abandoned, so a
-// late response classifies as benign; past maxAbandoned, recording one
-// forgets the oldest.
-func (n *Node) unregister(seq uint64, timedOut bool) bool {
+// to leave, or the wait gave up — and reports whether it was still there;
+// false means someone else took it and its delivery is in the channel or
+// instants away.
+func (n *Node) unregister(seq uint64) bool {
 	n.waiterMu.Lock()
 	defer n.waiterMu.Unlock()
-	if _, ok := n.waiters[seq]; !ok {
-		return false
-	}
+	_, ok := n.waiters[seq]
 	delete(n.waiters, seq)
-	if !timedOut {
-		return true
-	}
-	if n.abandoned == nil {
-		n.abandoned = make(map[uint64]struct{})
-	}
-	if len(n.abandonedRing) < maxAbandoned {
-		n.abandonedRing = append(n.abandonedRing, seq)
-	} else {
-		delete(n.abandoned, n.abandonedRing[n.abandonedNext])
-		n.abandonedRing[n.abandonedNext] = seq
-		n.abandonedNext = (n.abandonedNext + 1) % maxAbandoned
-	}
-	n.abandoned[seq] = struct{}{}
-	return true
+	return ok
 }
 
 // freeWaiter recycles a waiter that has received its delivery.
@@ -542,18 +493,19 @@ func (n *Node) freeWaiter(w *rpcWaiter) {
 // await blocks for the response registered under seq, honoring the
 // configured RPCTimeout. A nil delivery means the waiter was failed: by
 // shutdown (ErrClosed), by dst's death (the recorded cause), or by the
-// engine refusing the response (failWaiter). On
-// timeout the waiter is abandoned — a response that still arrives is
-// classified as an expected race, not a protocol error — and the error
-// wraps ErrRPCTimeout, never ErrClosed, so callers and tests can tell a
-// hung peer from a clean teardown.
+// engine refusing the response (failWaiter). A wait that gives up — its
+// timeout elapsed, or the node stopped on another's — stops the node
+// (fail) and returns the timeout it stopped on, which wraps ErrRPCTimeout,
+// never ErrClosed, so callers and tests can tell a hung peer from a clean
+// teardown.
 func (n *Node) await(seq uint64, w *rpcWaiter) (*wire.Msg, error) {
 	dst := w.dst
-	m, _, timedOut := n.recvTimed(w.ch)
-	if timedOut {
-		if n.unregister(seq, true) {
-			return nil, fmt.Errorf("dsm: node %d: rpc seq %d to node %d: no response within %v: %w",
-				n.id, seq, dst, n.sys.cfg.RPCTimeout, ErrRPCTimeout)
+	m, _, gaveUp := n.recvTimed(w.ch)
+	if gaveUp {
+		err := n.fail(fmt.Errorf("dsm: node %d: rpc seq %d to node %d: no response within %v: %w",
+			n.id, seq, dst, n.sys.cfg.RPCTimeout, ErrRPCTimeout))
+		if n.unregister(seq) {
+			return nil, err
 		}
 		// The response (or a failure) won the race.
 		m = <-w.ch
@@ -575,6 +527,20 @@ func (n *Node) await(seq uint64, w *rpcWaiter) (*wire.Msg, error) {
 	return m, nil
 }
 
+// fail stops the node on its first rpc timeout and returns that timeout,
+// whatever err a later caller brings: a node that ran on past a response
+// it gave up on would act on what it never received. It fails stop, the
+// model peerFailed follows for a broken stream: every parked wait gives up
+// at once (recvTimed), every later call fails (enter), and every frame
+// that arrives from then on is dropped (dispatchLoop), so nothing lands on
+// the node and no grant leaves it (sendGrant). Safe from any goroutine.
+func (n *Node) fail(err error) error {
+	if n.failure.CompareAndSwap(nil, &err) {
+		close(n.stopped)
+	}
+	return *n.failure.Load()
+}
+
 // rpcTimers recycles the RPCTimeout timers, one per parked receive
 // otherwise. go.mod's language version gives timers the Go 1.23
 // semantics: nothing is delivered after Stop, so a recycled timer cannot
@@ -582,9 +548,9 @@ func (n *Node) await(seq uint64, w *rpcWaiter) (*wire.Msg, error) {
 var rpcTimers sync.Pool
 
 // recvTimed receives from ch, giving up after the configured RPCTimeout
-// (never, when it is zero); timedOut reports that it gave up. A message
-// already buffered is taken without arming a timer.
-func (n *Node) recvTimed(ch chan *wire.Msg) (m *wire.Msg, ok, timedOut bool) {
+// (never, when it is zero) or when the node stops; gaveUp reports that it
+// gave up. A message already buffered is taken without arming a timer.
+func (n *Node) recvTimed(ch chan *wire.Msg) (m *wire.Msg, ok, gaveUp bool) {
 	d := n.sys.cfg.RPCTimeout
 	if d <= 0 {
 		m, ok = <-ch
@@ -604,11 +570,13 @@ func (n *Node) recvTimed(ch chan *wire.Msg) (m *wire.Msg, ok, timedOut bool) {
 	select {
 	case m, ok = <-ch:
 	case <-t.C:
-		timedOut = true
+		gaveUp = true
+	case <-n.stopped:
+		gaveUp = true
 	}
 	t.Stop()
 	rpcTimers.Put(t)
-	return m, ok, timedOut
+	return m, ok, gaveUp
 }
 
 // peerFailed fails every waiter parked on dst once send found its stream
@@ -721,7 +689,7 @@ func (n *Node) rpcAll(reqs []outMsg, resps []*wire.Msg) ([]*wire.Msg, error) {
 		r := &reqs[i]
 		w := n.register(r.m.Seq, r.dst, r.m.Kind)
 		if err := n.send(r.dst, &r.m); err != nil {
-			n.unregister(r.m.Seq, false)
+			n.unregister(r.m.Seq)
 			w = nil
 			if firstErr == nil {
 				firstErr = err
@@ -762,8 +730,8 @@ func (n *Node) rpcAll(reqs []outMsg, resps []*wire.Msg) ([]*wire.Msg, error) {
 // Engines that intercept their responses in handle (a grant installs on
 // its home's worker, in the order the home sent it) call this after
 // processing. A response nobody waits for is a protocol error surfaced
-// through System.Close — unless the node is shutting down, when a racing
-// teardown legitimately abandons waiters.
+// through System.Close — unless the node is shutting down or has stopped,
+// when a wait may have given up on it.
 func (n *Node) deliverResponse(m *wire.Msg) {
 	n.waiterMu.Lock()
 	w, ok := n.waiters[m.Seq]
@@ -780,28 +748,16 @@ func (n *Node) deliverResponse(m *wire.Msg) {
 		n.noteErr("response routing", fmt.Errorf("%v answers seq %d, which awaits %v", m.Kind, m.Seq, want))
 		return
 	}
-	var late bool
-	if !ok {
-		if _, late = n.abandoned[m.Seq]; late {
-			delete(n.abandoned, m.Seq)
-		}
-	}
 	n.waiterMu.Unlock()
 	if ok {
 		m.Retain()
 		w.deliver(m)
 		return
 	}
-	if late {
-		// The waiter timed out (RPCTimeout) before this response landed:
-		// an expected race under a slow or faulty interconnect, recorded
-		// apart from real protocol errors.
-		n.noteRace("response routing",
-			fmt.Errorf("response seq %d kind %v arrived after its rpc timed out", m.Seq, m.Kind))
-		return
-	}
 	select {
 	case <-n.closedCh:
+		return
+	case <-n.stopped:
 		return
 	default:
 	}
@@ -813,7 +769,7 @@ func (n *Node) deliverResponse(m *wire.Msg) {
 // into its one message, which owns the frame from then on
 // (wire.Msg.HoldFrame), and queues each on its sender's worker in arrival
 // order. Barrier arrivals and exits are handled inline (they only park on
-// the master or wake an rpc waiter).
+// the master or wake an rpc waiter). A stopped node (fail) drops them all.
 //
 // A frame that fails to decode came off the wire from a remote peer,
 // so it is not a local invariant violation: the error is recorded for
@@ -825,6 +781,10 @@ func (n *Node) dispatchLoop() {
 		if !ok {
 			n.shutdown()
 			return
+		}
+		if n.failure.Load() != nil {
+			framebuf.Put(payload)
+			continue
 		}
 		m, err := wire.Decode(payload)
 		if err != nil {

@@ -152,7 +152,7 @@ func TestEarlyMsgReleaseIsCaught(t *testing.T) {
 				t.Errorf("request processed in order recorded %v", errs)
 			}
 		} else {
-			requester.unregister(seq, false)
+			requester.unregister(seq)
 			want := fmt.Sprintf("unhandled message kind Kind(%d)", framebuf.PoisonByte)
 			if len(errs) != 1 || !strings.Contains(errs[0].Error(), want) {
 				t.Errorf("a request released before its handler ran was processed as if intact: recorded %v, want one error containing %q", errs, want)
@@ -327,37 +327,7 @@ func TestWaiterReleaseIsMarked(t *testing.T) {
 	if w2 := n.register(seq, 1, wire.KLockReq); w2 != w || w2.dst != 1 {
 		t.Errorf("register did not reuse the released waiter")
 	}
-	n.unregister(seq, false)
-}
-
-// TestLateResponseAfterManyTimeoutsIsARace: the record of timed-out rpcs
-// keeps the most recent maxAbandoned of them. After more than that many
-// time out, a late response to the last one is still an expected race, not
-// a protocol error for Close; only the oldest, forgotten, is unexpected.
-func TestLateResponseAfterManyTimeoutsIsARace(t *testing.T) {
-	n := newSys(t, 2, LazyInvalidate).Node(0)
-	var first, last uint64
-	for i := 0; i < maxAbandoned+76; i++ {
-		last = n.nextSeq()
-		if first == 0 {
-			first = last
-		}
-		n.register(last, 1, wire.KDiffReq)
-		if !n.unregister(last, true) {
-			t.Fatal("a registered waiter was not there to time out")
-		}
-	}
-	n.deliverResponse(&wire.Msg{Kind: wire.KDiffResp, Seq: last})
-	if errs := n.takeErrs(); len(errs) != 0 {
-		t.Errorf("a late response to the latest timed-out rpc recorded %v, want an expected race", errs)
-	}
-	if races := n.takeRaces(); len(races) != 1 {
-		t.Errorf("recorded races %v, want the one late response", races)
-	}
-	n.deliverResponse(&wire.Msg{Kind: wire.KDiffResp, Seq: first})
-	if errs := n.takeErrs(); len(errs) != 1 {
-		t.Errorf("a response to the oldest, forgotten rpc recorded %v, want one unexpected response", errs)
-	}
+	n.unregister(seq)
 }
 
 // parkedDiffServe is the fixture of the two tests below: node 1 makes a

@@ -180,9 +180,14 @@ func (n *Node) Release(l mem.LockID) error {
 	return err
 }
 
-// sendGrant builds and sends the lock grant for a forwarded request,
-// with the engine's consistency payload. Caller holds lockMu.
+// sendGrant builds and sends the lock grant for a forwarded request, with
+// the engine's consistency payload; caller holds lockMu. A stopped node
+// sends none, and a forward that finds acquiring cleared by an acquisition
+// that gave up finds the node stopped: it stopped before it took lockMu.
 func (n *Node) sendGrant(req *wire.Msg) error {
+	if err := n.failure.Load(); err != nil {
+		return *err
+	}
 	grant := wire.NewMsg() // a shell: the engine hook is an interface call
 	grant.Kind, grant.Seq, grant.A = wire.KLockGrant, req.Seq, req.A
 	n.openSection("lock grant build", req, mem.ProcID(req.B))
@@ -288,8 +293,8 @@ func (n *Node) park(m *wire.Msg, src mem.ProcID) {
 }
 
 // collectRound collects one arrival per non-master node for barrier b,
-// honoring RPCTimeout: a master collecting from a dead peer must unblock
-// and surface a descriptive error, exactly like a parked rpc. An
+// honoring RPCTimeout: a master collecting from a dead peer must unblock,
+// stop and surface a descriptive error, exactly like a parked rpc. An
 // arrival's B is its sender (checkSender); one claiming the master, which
 // only a transport that lets a peer take the master's id delivers, or a
 // second one from a node already counted this round is recorded and
@@ -302,12 +307,12 @@ func (n *Node) collectRound(b mem.BarrierID) ([]*wire.Msg, error) {
 	defer func() { n.collected = got[:0] }()
 	var counted uint64
 	for len(got) < n.sys.cfg.Procs-1 {
-		m, ok, timedOut := n.recvTimed(n.barCh)
+		m, ok, gaveUp := n.recvTimed(n.barCh)
 		switch {
-		case timedOut:
+		case gaveUp:
 			releaseAll(got)
-			return nil, fmt.Errorf("dsm: node %d: master: arrivals at barrier %d: no arrival within %v: %w",
-				n.id, b, n.sys.cfg.RPCTimeout, ErrRPCTimeout)
+			return nil, n.fail(fmt.Errorf("dsm: node %d: master: arrivals at barrier %d: no arrival within %v: %w",
+				n.id, b, n.sys.cfg.RPCTimeout, ErrRPCTimeout))
 		case !ok || m == nil:
 			releaseAll(got)
 			return nil, fmt.Errorf("dsm: node %d: master: arrivals at barrier %d: %w", n.id, b, ErrClosed)

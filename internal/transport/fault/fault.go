@@ -331,8 +331,8 @@ func (e *Endpoint) kill() {
 }
 
 // Send applies the plan and forwards to the inner endpoint. Ownership
-// of payload transfers here as with any transport: a dropped message is
-// simply abandoned.
+// of payload transfers here as with any transport: a dropped message's
+// payload is left to the garbage collector.
 func (e *Endpoint) Send(dst int, payload []byte) error {
 	if dst == e.id {
 		return e.inner.Send(dst, payload)
