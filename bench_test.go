@@ -156,6 +156,25 @@ func BenchmarkRuntimeCholesky(b *testing.B)   { benchRuntimeWorkload(b, "cholesk
 func BenchmarkRuntimeWater(b *testing.B)      { benchRuntimeWorkload(b, "water") }
 func BenchmarkRuntimePthor(b *testing.B)      { benchRuntimeWorkload(b, "pthor") }
 
+// BenchmarkRuntimeLockRing runs the control-plane gate's lock ring (LI,
+// 4 KiB pages, a GC epoch every eight barriers) over simnet, one step per
+// iteration after a two-epoch warm-up, and reports the time, messages and
+// diff requests per critical section: an LI fault's round, the lazy miss
+// service and the sync path, small message by small message.
+func BenchmarkRuntimeLockRing(b *testing.B) {
+	const gcEvery = 8
+	r := newRing(b, repro.RuntimeConfig{Mode: repro.LazyInvalidate, PageSize: 4096, GCEveryBarriers: gcEvery})
+	r.steps(b, 0, 2*gcEvery)
+	msgs, reqs := r.sys.NetStats().Messages, r.diffReqs()
+	b.ResetTimer()
+	r.steps(b, 2*gcEvery, 2*gcEvery+b.N)
+	b.StopTimer()
+	crit := float64(b.N * ringLocks)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/crit, "ns/critsec")
+	b.ReportMetric(float64(r.sys.NetStats().Messages-msgs)/crit, "msgs/critsec")
+	b.ReportMetric(float64(r.diffReqs()-reqs)/crit, "diffreqs/critsec")
+}
+
 // BenchmarkRuntimeBarrier measures a live all-write-then-barrier round.
 func BenchmarkRuntimeBarrier(b *testing.B) {
 	d, err := repro.NewDSM(repro.DSMConfig{

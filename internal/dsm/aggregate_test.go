@@ -301,3 +301,91 @@ func TestGCEpochValidatesInOneRound(t *testing.T) {
 		}
 	}
 }
+
+// TestFaultBringsPagesItsPlanDidNotWrite: a fault's siblings are every
+// page the node holds an invalid copy of, not only the pages its own plan's
+// intervals wrote. Node 1 writes page A in one interval and page E in the
+// next; node 0 caches both, and after a barrier its fault on A, whose one
+// outstanding interval wrote A alone, asks node 1 once and takes E along,
+// since E's one want goes to node 1 as well.
+func TestFaultBringsPagesItsPlanDidNotWrite(t *testing.T) {
+	const pageSize = 1024
+	const pgA, pgE = mem.PageID(1), mem.PageID(4)
+	addr := func(pg mem.PageID) mem.Addr { return mem.Addr(int(pg) * pageSize) }
+	s := newSys(t, 3, LazyInvalidate)
+	r, w := s.Node(0), s.Node(1)
+	for _, pg := range []mem.PageID{pgA, pgE} {
+		if _, err := r.ReadUint64(addr(pg)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	barrier := func() {
+		onEvery(t, s, func(n *Node) error { return n.Barrier(0) })
+	}
+	barrier()
+	for _, pg := range []mem.PageID{pgA, pgE} {
+		must(t, w.Acquire(0))
+		must(t, w.WriteUint64(addr(pg), 100+uint64(pg)))
+		must(t, w.Release(0))
+	}
+	barrier()
+
+	before := r.Stats()
+	if v, err := r.ReadUint64(addr(pgA)); err != nil || v != 100+uint64(pgA) {
+		t.Fatalf("read A = %d, %v", v, err)
+	}
+	if v, err := r.ReadUint64(addr(pgE)); err != nil || v != 100+uint64(pgE) {
+		t.Fatalf("read E = %d, %v", v, err)
+	}
+	after := r.Stats()
+	got := [3]int64{after.AccessMisses - before.AccessMisses, after.KindMsgs[wire.KDiffReq] - before.KindMsgs[wire.KDiffReq],
+		after.PagesAggregated - before.PagesAggregated}
+	if got != [3]int64{1, 1, 1} {
+		t.Errorf("reading A then E: %d faults, %d diff requests, %d aggregated pages; want 1, 1 and 1 (E with A)", got[0], got[1], got[2])
+	}
+}
+
+// TestUnwrittenPageIsZeroLocally: a node's cold miss of a page no interval
+// it knows of wrote makes the zero page without a message, home or not,
+// while its log holds every interval it knows of. Past a GC epoch's sweep
+// the log no longer does, and a cold miss fetches the home's copy.
+func TestUnwrittenPageIsZeroLocally(t *testing.T) {
+	const pageSize = 1024
+	bothModes(t, func(t *testing.T, mode Mode) {
+		s, err := New(Config{Procs: 3, SpaceSize: 6 * pageSize, PageSize: pageSize, Mode: mode, GCEveryBarriers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() {
+			if err := s.Close(); err != nil {
+				t.Errorf("Close: %v", err)
+			}
+		})
+		// Page 2 is node 2's and nobody writes it; node 1 writes its page 1.
+		n0, n1 := s.Node(0), s.Node(1)
+		read := func(n *Node) (cold, fetched, reqs int64) {
+			t.Helper()
+			before := n.Stats()
+			if v, err := n.ReadUint64(2 * pageSize); err != nil || v != 0 {
+				t.Fatalf("node %d read %d at page 2 (err %v), want 0", n.ID(), v, err)
+			}
+			after := n.Stats()
+			return after.ColdMisses - before.ColdMisses, after.PagesFetched - before.PagesFetched,
+				after.KindMsgs[wire.KPageReq] - before.KindMsgs[wire.KPageReq]
+		}
+		if cold, fetched, reqs := read(n0); cold != 1 || fetched != 0 || reqs != 0 {
+			t.Errorf("before any sweep: %d cold misses, %d pages fetched, %d page requests; want 1, 0 and 0", cold, fetched, reqs)
+		}
+		must(t, n1.WriteUint64(pageSize, 1))
+		// The first barrier's epoch covers the write; the second sweeps it.
+		for range 2 {
+			onEvery(t, s, func(n *Node) error { return n.Barrier(0) })
+		}
+		if floor := lazyOf(n1).log.Floor(1); floor < 0 {
+			t.Fatalf("node 1's log swept nothing of its own (floor %d)", floor)
+		}
+		if cold, fetched, reqs := read(n1); cold != 1 || fetched != 1 || reqs != 1 {
+			t.Errorf("past a sweep: %d cold misses, %d pages fetched, %d page requests; want 1, 1 and 1", cold, fetched, reqs)
+		}
+	})
+}

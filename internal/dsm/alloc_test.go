@@ -650,6 +650,40 @@ func TestDenseDiffServeAllocatesNoBodyGate(t *testing.T) {
 	}
 }
 
+// TestWideDiffRequestAllocatesNothingGate: one diff request of 64 wants —
+// a fault that brings every invalid page its responders serve asks for as
+// many — is answered without allocating: the response's records come from
+// the wire slab pool, the diffs are the store's, made at the first serve,
+// and the response is encoded into a pooled frame. Records on the
+// handler's stack that a 33rd want overflowed allocated per request.
+func TestWideDiffRequestAllocatesNothingGate(t *testing.T) {
+	testenv.SkipAllocGate(t)
+	const pageSize, wants = 1024, 64
+	s, c := newCatchSys(t, Config{Procs: 2, SpaceSize: wants * pageSize, PageSize: pageSize, Mode: LazyInvalidate}, 0, 1)
+	n := s.Node(0)
+	e := n.e.(*lazyEngine)
+	for pg := range wants {
+		must(t, n.WriteUint64(s.Layout().Base(mem.PageID(pg))+8, uint64(pg)+1))
+	}
+	e.release()
+	req := &wire.Msg{Kind: wire.KDiffReq, A: 1, Wants: make([]wire.Want, wants)}
+	for pg := range req.Wants {
+		req.Wants[pg] = wire.Want{Page: mem.PageID(pg), Proc: n.id, Index: e.clock()[n.id]}
+	}
+	serve := func() {
+		req.Seq++
+		e.handleDiffReq(req, 1)
+		framebuf.Put(c.take())
+	}
+	serve() // the first serve makes the deferred diffs
+	if allocs := testing.AllocsPerRun(100, serve); allocs != 0 {
+		t.Errorf("serving a request of %d wants allocates %.1f objects, want 0", wants, allocs)
+	}
+	if got := n.Stats().DiffsCreated; got != wants {
+		t.Errorf("%d diffs made, want %d: one per want, at the first serve", got, wants)
+	}
+}
+
 // TestEagerFlushBurstAllocatesNoScratchGate: one EU release that dirtied four
 // dense pages cached at the three other nodes — one merged update to each of
 // them carrying all four pages, each applied inline, a page's home among

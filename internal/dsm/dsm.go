@@ -55,8 +55,10 @@
 //     records on the wire carry their vector timestamps;
 //   - lazy diffs are fetched by round, one request per responder for
 //     every page the round brings current, and an LI access fault brings
-//     along the invalid sibling pages its intervals also wrote, where the
-//     paper fetches page by page at each access miss;
+//     along every other invalid copy whose diffs its responders serve,
+//     where the paper fetches page by page at each access miss; a page no
+//     interval the node knows of wrote is zero locally until the first GC
+//     sweep, where the paper's node fetches it from its home;
 //   - an eager flush merges its diffs per destination, as the model
 //     counts, but every page's home owns it and takes each diff: an EI
 //     flush goes to the homes alone, and each invalidates the other

@@ -573,8 +573,14 @@ func shipRow(name string, m wire.Msg) hostileRow {
 	if m.Kind != wire.KPageResp { // refused before the install sees it
 		want, fails = "diffresp answers seq", "response refused"
 	}
-	return hostileRow{name: name, modes: lazyModes, pid: 2, want: want, fails: fails, check: refusedTwice(fails), script: []step{swap(atRead, wire.KPageReq, &m), swap(atLocks, wire.KPageReq, &m)}}
+	return hostileRow{name: name, modes: lazyModes, pid: 2, want: want, fails: fails, check: refusedTwice(fails), script: []step{wrote5, swap(atRead, wire.KPageReq, &m), swap(atLocks, wire.KPageReq, &m)}}
 }
+
+// wrote5 is the puppet's arrival at barrier 0 with a write notice of its
+// page 5: r, the master, then knows a writer of the page, so its cold
+// misses of it ship the page where they would make the zero page.
+var wrote5 = swap(atBarrier0, wire.KBarrierArrive, &wire.Msg{Kind: wire.KBarrierArrive, B: 2,
+	Sections: sec(vc.VC{-1, -1, 0}, wire.IntervalRec{Proc: 2, VC: vc.VC{-1, -1, 0}, Pages: []mem.PageID{5}})})
 
 // intervalRows grant lock 0 as its manager, or let node 1 out of barrier 0
 // in the master's stead, with a bad interval record beside a sound one:

@@ -251,7 +251,10 @@ func TestEIInvalidationOvertakesShipRepro(t *testing.T) {
 // critical section, and its cold read of page 1 times out on a ship the
 // home's link holds. Its release must then fail at once with that
 // timeout, as must every later call, and a peer's miss on its page must
-// time out in turn.
+// time out in turn. A lazy node makes a page no interval it knows of wrote
+// the zero page without a message, so there node 2 first writes page 1
+// under lock 0 and learns of a write of node 0's page under lock 2: both
+// misses ship.
 //
 // A wait parked when another gives up must give up at once. A worker may
 // have taken up a message just before its node stopped: a response whose
@@ -299,6 +302,17 @@ func TestTimedOutNodeStops(t *testing.T) {
 			link := &heldLink{Endpoint: net.Endpoint(1), to: 0}
 			s := start(t, mode, link, net)
 			n := s.Node(0)
+			if mode == LazyInvalidate || mode == LazyUpdate {
+				p := s.Node(2)
+				must(t, n.Acquire(2))
+				must(t, n.WriteUint64(16, 1))
+				must(t, n.Release(2))
+				must(t, p.Acquire(2))
+				must(t, p.Release(2))
+				must(t, p.Acquire(0))
+				must(t, p.WriteUint64(1024, 2))
+				must(t, p.Release(0))
+			}
 			must(t, n.Acquire(0))
 			must(t, n.WriteUint64(8, 1))
 			if _, err := n.ReadUint64(1024); !errors.Is(err, ErrRPCTimeout) {

@@ -20,8 +20,8 @@ import (
 // round, not by page: a round — an LI fault, an LU revalidation, the GC
 // epoch's bulk validation — plans every page it brings current first and
 // sends each responder one KDiffReq for all of them. An LI fault brings
-// with its page the siblings its outstanding intervals also wrote, when
-// they need no other responder, so a reader of a writer's several pages
+// with its page every other page the node holds an invalid copy of whose
+// diffs the same responders serve, so a reader of a writer's several pages
 // asks it once, where the paper's per-page fetch asks once per page.
 //
 // Concurrency: the node's one application goroutine runs every access,
@@ -61,6 +61,12 @@ type lazyEngine struct {
 	// fresh accumulates the pages noticed by the intervals learned during
 	// the current barrier rendezvous, for postBarrier's invalidation step.
 	fresh []mem.PageID
+	// stale lists, under LI, the pages whose copies invalidateForLocked
+	// made invalid and no fault has planned since: a fault's candidate
+	// siblings (planFaultLocked), which prunes the copies it plans or finds
+	// valid. A GC epoch validates every copy and empties it. The
+	// application goroutine's alone.
+	stale []mem.PageID
 	// trimFrom is this node's oldest interval trimTwinsLocked may still
 	// find deferred slots in: its cursor, raised past the log's floor at GC.
 	trimFrom int32
@@ -356,8 +362,8 @@ func (e *lazyEngine) belowFloorLocked(v vc.VC) int {
 // (data retained as the diff target). It returns the affected cached
 // pages, ascending, in the caller's scratch — noticed or fresh, which only
 // the application goroutine fills — so LU revalidates them out of it after
-// e.mu is released, before that goroutine's next acquire or barrier.
-// Caller holds e.mu.
+// e.mu is released, before that goroutine's next acquire or barrier. Under
+// LI they join e.stale. Caller holds e.mu.
 func (e *lazyEngine) invalidateForLocked(noticed []mem.PageID) []mem.PageID {
 	slices.Sort(noticed)
 	noticed = slices.Compact(noticed)
@@ -370,6 +376,9 @@ func (e *lazyEngine) invalidateForLocked(noticed []mem.PageID) []mem.PageID {
 			affected = append(affected, pg)
 		}
 		pmu.Unlock()
+	}
+	if !e.update {
+		e.stale = append(e.stale, affected...)
 	}
 	return affected
 }
@@ -642,6 +651,7 @@ func (e *lazyEngine) runGC() error {
 	if err := e.checkGCInvariant(epoch); err != nil {
 		return err
 	}
+	e.stale = e.stale[:0]
 	e.gcDue = true
 	return nil
 }

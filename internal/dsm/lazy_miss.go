@@ -81,9 +81,11 @@ func (e *lazyEngine) isValid(pg mem.PageID) bool {
 }
 
 // ensureCopy gives a cold page pg its copy and reports whether it was
-// cold: the home makes the zero page, any other node fetches the home's
-// copy with the clock of what it reflects. Only the application goroutine
-// makes copies, so none appears meanwhile.
+// cold: the home makes the zero page, and so does any other node while its
+// log holds the page's whole history and names no interval that wrote it
+// (unwrittenLocked); otherwise it fetches the home's copy with the clock of
+// what it reflects. Only the application goroutine makes copies, so none
+// appears meanwhile.
 func (e *lazyEngine) ensureCopy(pg mem.PageID) (cold bool, err error) {
 	n := e.n
 	pmu := n.pageLock(pg)
@@ -95,7 +97,10 @@ func (e *lazyEngine) ensureCopy(pg mem.PageID) (cold bool, err error) {
 	}
 	n.stats.coldMisses.Add(1)
 	home := n.homeOf(pg)
-	if home == n.id {
+	e.mu.Lock()
+	zero := home == n.id || e.unwrittenLocked(pg)
+	e.mu.Unlock()
+	if zero {
 		pmu.Lock()
 		e.pages[pg] = &lazyPage{
 			pageCopy: pageCopy{data: make([]byte, n.sys.layout.PageSize())},
@@ -131,6 +136,19 @@ func (e *lazyEngine) ensureCopy(pg mem.PageID) (cold bool, err error) {
 	resp.Release()
 	n.stats.pagesFetched.Add(1)
 	return true, nil
+}
+
+// unwrittenLocked reports whether the node knows page pg to be the zero
+// page: no GC epoch has swept its log, so the log holds every interval the
+// node knows of, and none of them wrote pg. (The node's own never did: it
+// holds no copy.) Caller holds e.mu.
+func (e *lazyEngine) unwrittenLocked(pg mem.PageID) bool {
+	var clockBuf [maxProcs]int32
+	empty := clockBuf[:len(e.v)]
+	for p := range empty {
+		empty[p] = -1
+	}
+	return e.belowFloorLocked(empty) < 0 && !e.log.HasOutstanding(pg, empty, e.v, e.n.id)
 }
 
 // apply brings page i of round r current: the steps of its plan — out of
@@ -514,14 +532,15 @@ func (e *lazyEngine) fault(pg mem.PageID) error {
 // planFaultLocked plans a fault on page pg into r: r.pages is pg, then its
 // siblings. A sibling is a page q that
 //
-//   - an interval of pg's plan wrote (its log record names q),
-//   - the node holds an invalid copy of — never a cold one: a page the node
-//     never touched is not fetched for it,
+//   - the node holds an invalid copy of (e.stale) — never a cold one: a
+//     page the node never touched is not fetched for it,
 //   - and whose every want goes to a responder pg's own wants ask.
 //
 // So a fault adds wants to requests its page sends anyway, never a request
-// or a destination. A cold pg, whose copy has just arrived, has no
-// siblings: it asks alone. Caller holds e.mu.
+// or a destination, and brings every invalid page those responders can
+// serve, whoever wrote it. A cold pg, whose copy has just arrived, has no
+// siblings: it asks alone. The pages the fault plans leave e.stale, and
+// so do copies found valid. Caller holds e.mu.
 func (e *lazyEngine) planFaultLocked(r *round, pg mem.PageID, cold bool) {
 	r.reset()
 	if !e.planPageLocked(r, pg) || cold {
@@ -531,16 +550,8 @@ func (e *lazyEngine) planFaultLocked(r *round, pg mem.PageID, cold bool) {
 	for _, a := range r.asks {
 		asked |= 1 << a.to
 	}
-	if asked == 0 {
-		return
-	}
-	cand := r.cand[:0]
-	for _, id := range r.plan {
-		cand = append(cand, e.log.Get(id).Pages...)
-	}
-	slices.Sort(cand)
-	r.cand = slices.Compact(cand)
-	for _, q := range r.cand {
+	stale := e.stale[:0]
+	for _, q := range e.stale {
 		if q == pg {
 			continue
 		}
@@ -548,8 +559,10 @@ func (e *lazyEngine) planFaultLocked(r *round, pg mem.PageID, cold bool) {
 		if e.planPageLocked(r, q) && !asksOnly(r.asks[k:], asked) {
 			r.pages, r.ends = r.pages[:len(r.pages)-1], r.ends[:len(r.ends)-1]
 			r.plan, r.asks = r.plan[:m], r.asks[:k]
+			stale = append(stale, q)
 		}
 	}
+	e.stale = stale
 }
 
 // asksOnly reports whether every ask goes to a responder in the set asked,
@@ -621,16 +634,15 @@ func (e *lazyEngine) bring(r *round) error {
 }
 
 // round is the storage a round plans into — the pages it brings current,
-// their plans end to end and where each ends, a fault's candidate
-// siblings, the asks, the wants its requests carry, the requests, the
-// responses it holds and the steps of the page it applies — and keeps for
-// the next round: the engine's one (lazyEngine.round), since only the
-// application goroutine runs rounds, one at a time.
+// their plans end to end and where each ends, the asks, the wants its
+// requests carry, the requests, the responses it holds and the steps of
+// the page it applies — and keeps for the next round: the engine's one
+// (lazyEngine.round), since only the application goroutine runs rounds,
+// one at a time.
 type round struct {
 	pages []mem.PageID
 	ends  []int // pages[i]'s plan ends at plan[ends[i]]
 	plan  []core.IntervalID
-	cand  []mem.PageID
 	asks  []ask
 	wants []wire.Want
 	reqs  []outMsg

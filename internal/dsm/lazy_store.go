@@ -372,10 +372,12 @@ func releaseDiffs(m *wire.Msg) {
 func (e *lazyEngine) handleDiffReq(m *wire.Msg, src mem.ProcID) {
 	n := e.n
 	// A concurrent last modifier answers every want its interval covers,
-	// often more than a creator's own: the records live in the frame up to
-	// 32 wants.
-	var recBuf [32]wire.DiffRec
-	resp := wire.Msg{Kind: wire.KDiffResp, Seq: m.Seq, Diffs: recBuf[:0]}
+	// and a fault asks for every invalid page its responders serve: the
+	// records come from the wire slab pool, as many as the wants.
+	resp := wire.NewMsg()
+	defer resp.Release()
+	resp.Kind, resp.Seq = wire.KDiffResp, m.Seq
+	resp.Diffs = resp.TakeDiffs(len(m.Wants))[:0]
 	e.mu.Lock()
 	// Record i answers want i: the diff, or "not held" for another
 	// processor's diff that this node's clock covers but its store does not
@@ -389,7 +391,7 @@ func (e *lazyEngine) handleDiffReq(m *wire.Msg, src mem.ProcID) {
 		d, err := e.serveLocked(w)
 		if err != nil {
 			e.mu.Unlock()
-			releaseDiffs(&resp)
+			releaseDiffs(resp)
 			n.noteErr("diff request", err)
 			return
 		}
@@ -398,8 +400,8 @@ func (e *lazyEngine) handleDiffReq(m *wire.Msg, src mem.ProcID) {
 	e.mu.Unlock()
 	// The store may discard the diffs now: send encodes them on
 	// serveLocked's counts.
-	n.noteErr("diff response", n.send(src, &resp))
-	releaseDiffs(&resp)
+	n.noteErr("diff response", n.send(src, resp))
+	releaseDiffs(resp)
 }
 
 // serveLocked returns the diff that answers want w, on a count the caller

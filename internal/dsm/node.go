@@ -40,7 +40,8 @@ type Stats struct {
 	// AccessMisses counts application accesses that found their page's
 	// copy invalid: one per fault, however many pages it brought current.
 	// PagesAggregated counts the other pages an LI fault brought current in
-	// the same round (its siblings, lazyEngine.fault). A lazy engine's
+	// the same round (its siblings, lazyEngine.fault: invalid copies whose
+	// diffs the fault's own responders serve). A lazy engine's
 	// acquire-time and GC-epoch revalidations are no faults and count in
 	// neither; ColdMisses counts every copy a miss found missing, a GC
 	// epoch's materialization of a homed page included.

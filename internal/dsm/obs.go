@@ -86,8 +86,8 @@ func (s *System) registerMetrics(r *obs.Registry) {
 			counter(fmt.Sprintf("%s{node=%q}", fam, node), help, fn)
 		}
 		nodeCounter("dsm_node_access_misses_total", "application faults: accesses that found their page's copy invalid", n.stats.accessMisses.Load)
-		nodeCounter("dsm_node_pages_aggregated_total", "pages an LI fault brought current beside its own (siblings)", n.stats.pagesAggregated.Load)
-		nodeCounter("dsm_node_cold_misses_total", "cold misses (a page's first fetch)", n.stats.coldMisses.Load)
+		nodeCounter("dsm_node_pages_aggregated_total", "invalid pages an LI fault brought current beside its own, from the responders it asked anyway (siblings)", n.stats.pagesAggregated.Load)
+		nodeCounter("dsm_node_cold_misses_total", "cold misses (a page's first copy: fetched, or made zero where nothing known wrote it)", n.stats.coldMisses.Load)
 		nodeCounter("dsm_node_diffs_applied_total", "diffs applied to local copies", n.stats.diffsApplied.Load)
 		nodeCounter("dsm_node_diffs_fetched_total", "diffs fetched from concurrent last modifiers or creators", n.stats.diffsFetched.Load)
 		nodeCounter("dsm_node_intervals_created_total", "intervals created", n.stats.intervalsCreated.Load)

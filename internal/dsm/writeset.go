@@ -55,9 +55,9 @@ func (pc *pageCopy) take() (t *page.Twin) {
 	return t
 }
 
-// land lands outside bytes on the committed contents: base, when non-nil,
-// replaces them (the copy keeps the buffer), and apply, when non-nil, then
-// patches them. Without a twin that is data itself. With one, the
+// land lands outside bytes on the committed contents: either base, which
+// replaces them (the copy keeps the buffer), or apply, which patches them;
+// no caller brings both. Without a twin that is data itself. With one, the
 // uncommitted words are lifted off as a diff, the new committed state is
 // built, the twin is rebased beneath it and the words are reinstated on
 // top — the words belong to a local section that holds their locks, so no
@@ -73,13 +73,12 @@ func (pc *pageCopy) land(n *Node, base []byte, apply func(committed []byte) erro
 		}
 		defer lifted.Release()
 		n.stats.diffsCreated.Add(1)
-		if committed == nil {
-			committed = slices.Clone(pc.twin.Data())
-		}
-	} else if committed == nil {
-		committed = pc.data
 	}
 	if apply != nil {
+		committed = pc.data
+		if lifted != nil {
+			committed = slices.Clone(pc.twin.Data())
+		}
 		if err := apply(committed); err != nil {
 			return err
 		}

@@ -9,8 +9,7 @@ import (
 )
 
 // TestPageCopyLand is the table of pageCopy.land: outside bytes — diffs
-// only, a base only, a base with diffs on top, or a diff that does not fit
-// the page — land on a copy with no twin and on one whose twin is live
+// only, a base only, or a diff that does not fit the page — land on a copy with no twin and on one whose twin is live
 // under an uncommitted word disjoint from the landing ones. After each,
 // the committed view and the twin hold the new committed contents and the
 // data holds them plus the uncommitted word; a failed apply leaves data,
@@ -36,7 +35,6 @@ func TestPageCopyLand(t *testing.T) {
 	}{
 		{"diffs only", false, landing},
 		{"base only", true, nil},
-		{"base and diffs", true, landing},
 		{"a diff that fails to apply", false, tooLong},
 	}
 	for _, twinned := range []bool{false, true} {
