@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -182,10 +183,10 @@ func ringSections(n *Node, step int) error {
 // the releaser's diffs), brings the record the notices invalidated current
 // (LI: a miss's diff request and response; LU: the acquire's revalidation,
 // which fetches what the grant did not carry), writes it (twin capture)
-// and releases (an interval close with its slot array), and every fourth
+// and releases (an interval close with its store slots), and every fourth
 // barrier runs a GC epoch (the bulk validation's round, the discard and
 // the sweep). Each of those recycles what it builds — twin and diff leases,
-// slot arrays, want and request lists, message shells, their clocks and
+// the store's chunks and slabs, want and request lists, message shells, their clocks and
 // the slabs their blocks take from the wire slab pool — so a critical
 // section allocates nothing: 0-4 objects per warm epoch, on a loaded box
 // too. The bound, one object per 10 critical sections, is crossed by any
@@ -293,9 +294,9 @@ func TestBarrierNoticesAllocateNothingGate(t *testing.T) {
 // twins and its interval's store entry. Each node parks 2 MiB of twins in a
 // burst, the System twice the twin budget, which trims the System to what
 // the page pool keeps; so the epoch's release refills the pool the second
-// burst captures from, and the second burst's intervals land in the cells
-// and arrays the first left in the store's rings. It allocates under 0.1
-// objects per section. A budget per node (none trimmed, twice what the pool
+// burst captures from, and the second burst's intervals take the store's
+// chunks and slabs the sweep freed. It allocates under 0.1 objects per
+// section (0.008 today). A budget per node (none trimmed, twice what the pool
 // keeps released at the epoch) measures 3.9 per section, and a slot array
 // made per interval close 1.
 func TestLockBurstRecyclesTwinsAndStoreGate(t *testing.T) {
@@ -348,6 +349,101 @@ func TestLockBurstRecyclesTwinsAndStoreGate(t *testing.T) {
 	} else {
 		t.Logf("%.3f objects per critical section", perCS)
 	}
+}
+
+// TestFirstEpochStoreAllocatesPerSlabGate runs 2,048 critical sections on
+// each node of a fresh four-node LI System, before any GC epoch: every
+// section takes a lock the node manages and rewrites one word of a page it
+// homes, so nothing is sent and each section closes one interval, whose
+// slot and entry the retained-diff store takes. A store that has never
+// been swept has nothing to recycle, so this is what its storage costs a
+// fresh cluster: its objects, counted by a memory profile of every
+// allocation made in lazy_store.go, must be at most one per 64 interval
+// closes. Slots bump-allocated from 6 KiB slabs and entries in 2 KiB
+// chunks measure one per 85 (24 a node); a slot array made per interval
+// close, with a ring of them that doubles, one per close.
+func TestFirstEpochStoreAllocatesPerSlabGate(t *testing.T) {
+	testenv.SkipAllocGate(t)
+	const procs, pageSize, pages, perNode = 4, 1024, 16, 2048
+	s, err := New(Config{Procs: procs, SpaceSize: procs * pages * pageSize, PageSize: pageSize, Mode: LazyInvalidate, GCEveryBarriers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := s.Close(); err != nil {
+			t.Errorf("Close: %v", err)
+		}
+	}()
+	allocs := storeAllocs(func() {
+		for _, n := range s.Local() {
+			l := mem.LockID(n.ID()) // managed here, as the home of pg ≡ n.ID() is n
+			for i := range perNode {
+				pg := int(n.ID()) + procs*(i%pages)
+				must(t, n.Acquire(l))
+				must(t, n.WriteUint64(mem.Addr(pg*pageSize+8*(i%(pageSize/8))), uint64(i)))
+				must(t, n.Release(l))
+			}
+		}
+	})
+	var closes int64
+	for _, n := range s.Local() {
+		st := n.Stats()
+		if st.GCRuns != 0 {
+			t.Fatalf("node %d ran %d GC epochs, want none", n.ID(), st.GCRuns)
+		}
+		closes += st.IntervalsCreated
+	}
+	if closes != procs*perNode {
+		t.Fatalf("the sections closed %d intervals, want %d", closes, procs*perNode)
+	}
+	if allocs*64 > closes {
+		t.Errorf("the store made %d objects for %d interval closes (one per %.1f), want at most one per 64",
+			allocs, closes, float64(closes)/float64(max(allocs, 1)))
+	} else {
+		t.Logf("%d store objects for %d interval closes", allocs, closes)
+	}
+}
+
+// storeAllocs returns the objects allocated while f ran whose allocating
+// frame — the first outside the runtime and core.AppendDoubling — lies in
+// lazy_store.go: the retained-diff store's own storage. It profiles every
+// allocation while it counts; the profile is published by a GC cycle, so
+// it runs two on each side.
+func storeAllocs(f func()) int64 {
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
+	count := func() (objs int64) {
+		runtime.GC()
+		runtime.GC()
+		var recs []runtime.MemProfileRecord
+		for {
+			n, ok := runtime.MemProfile(recs, true)
+			if ok {
+				recs = recs[:n]
+				break
+			}
+			recs = make([]runtime.MemProfileRecord, n+64)
+		}
+		for i := range recs {
+			frames := runtime.CallersFrames(recs[i].Stack())
+			for {
+				fr, more := frames.Next()
+				if !strings.HasPrefix(fr.Function, "runtime.") && !strings.HasPrefix(fr.Function, "repro/internal/core.AppendDoubling") {
+					if strings.HasSuffix(fr.File, "/lazy_store.go") {
+						objs += recs[i].AllocObjects
+					}
+					break
+				}
+				if !more {
+					break
+				}
+			}
+		}
+		return objs
+	}
+	before := count()
+	f()
+	return count() - before
 }
 
 // TestTwinPoolCoversBudgetGate runs the lock ring over three epochs: every
@@ -751,5 +847,63 @@ func TestEagerFlushBurstAllocatesNoScratchGate(t *testing.T) {
 		t.Errorf("one EU flush of %d dense pages to %d cachers allocates %d B, want < %d", pages, procs-1, least, bound)
 	} else {
 		t.Logf("%d B per flush", least)
+	}
+}
+
+// BenchmarkIntervalClose times LI critical sections on a one-node System —
+// an acquire, a one-word write, which captures the page's twin, and the
+// release, which closes the interval: its twin becomes a deferred slot of
+// the retained-diff store and its record enters the log — so nothing is
+// sent. fresh runs them on Systems no GC epoch ever sweeps, a new one
+// every 4,096 sections (untimed), so the store and the log take their
+// chunks and slabs as they grow and every twin is a new lease; warm runs a
+// GC epoch every 1,024 sections (two untimed barriers), so the store, the
+// log and the page pool take back what the sweep freed. allocs/op is what
+// a close costs a fresh cluster and a warm one.
+func BenchmarkIntervalClose(b *testing.B) {
+	const pageSize, pages, epoch, life = 1024, 16, 1024, 4096
+	for _, warm := range []bool{false, true} {
+		name := map[bool]string{false: "fresh", true: "warm"}[warm]
+		b.Run(name, func(b *testing.B) {
+			var s *System
+			start := func() {
+				if s != nil {
+					must(b, s.Close())
+				}
+				var err error
+				if s, err = New(Config{Procs: 1, SpaceSize: pages * pageSize, PageSize: pageSize, Mode: LazyInvalidate, GCEveryBarriers: 1}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			section := func(i int) {
+				n := s.Node(0)
+				if warm && i%epoch == 0 {
+					b.StopTimer()
+					must(b, n.Barrier(0))
+					b.StartTimer()
+				}
+				must(b, n.Acquire(0))
+				must(b, n.WriteUint64(mem.Addr(i%pages*pageSize+8*(i/pages%(pageSize/8))), uint64(i)))
+				must(b, n.Release(0))
+			}
+			start()
+			if warm {
+				for i := range 8 * epoch {
+					section(i)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := range b.N {
+				if !warm && i%life == 0 {
+					b.StopTimer()
+					start()
+					b.StartTimer()
+				}
+				section(i)
+			}
+			b.StopTimer()
+			must(b, s.Close())
+		})
 	}
 }

@@ -925,21 +925,23 @@ func requesterIntact(t *testing.T, pr *peerRun) {
 	}
 }
 
-// storeKnown: a node's diff store holds cells only for intervals above the
-// floor that its clock covers; a diff of a collected interval would land in
-// a cell below the one, one past its clock past the other.
+// storeKnown: a node's diff store holds entries only for intervals above
+// the floor that its clock covers; a diff of a collected interval would
+// land in an entry below the one, one past its clock past the other.
 func storeKnown(t *testing.T, pr *peerRun) {
 	for _, n := range pr.s.Local() {
 		e := lazyOf(n)
 		e.mu.Lock()
-		for p, ring := range e.store {
-			floor := e.log.Floor(mem.ProcID(p))
-			for _, c := range ring {
-				if len(c) == 0 {
+		for p := range e.store.procs {
+			sp, floor := &e.store.procs[p], e.log.Floor(mem.ProcID(p))
+			for c, chunk := range sp.chunks {
+				if chunk == nil {
 					continue
 				}
-				if k := c[0].index; k <= floor || k > e.v[p] {
-					t.Errorf("node %d stores a cell for %d/%d outside its floor %d and clock %v", n.id, p, k, floor, e.v)
+				for i, ent := range chunk.ents {
+					if k := (sp.dropped+int32(c))*chunkIntervals + int32(i); ent.n > 0 && (k <= floor || k > e.v[p]) {
+						t.Errorf("node %d stores an entry for %d/%d outside its floor %d and clock %v", n.id, p, k, floor, e.v)
+					}
 				}
 			}
 		}

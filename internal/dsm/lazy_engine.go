@@ -46,11 +46,10 @@ type lazyEngine struct {
 	mu  sync.Mutex
 	v   vc.VC
 	log *core.Log
-	// store is the retained-diff store, one ring per processor
-	// (slotRing): an interval's slots, parallel to its sorted page list in
-	// the log (slotLocked); an entry for a foreign interval has blank slots
-	// where no diff was received.
-	store     []slotRing
+	// store is the retained-diff store (slotStore): an interval's slots,
+	// parallel to its sorted page list in the log (slotLocked); an entry
+	// for a foreign interval has blank slots where no diff was received.
+	store     slotStore
 	lastEpoch vc.VC
 	episodes  int
 	// gcEpoch is the clock of the last GC epoch runGC validated through,
@@ -83,10 +82,11 @@ type lazyEngine struct {
 	barFloor vc.VC
 	gcPages  []mem.PageID
 	// Under mu: absorbIntervalsLocked's records that arrived ahead of
-	// their causal past, scratch kept across calls, and mergedLocked's
-	// diffs of a range.
+	// their causal past, scratch kept across calls, mergedLocked's diffs of
+	// a range and sortPlanLocked's keyed steps.
 	pending []*wire.IntervalRec
 	merging []*page.Diff
+	keyed   []keyedStep
 
 	// ws is the current interval's write set; closeIntervalLocked drains
 	// it into cand.
@@ -114,7 +114,7 @@ func newLazyEngine(n *Node, update bool) *lazyEngine {
 		update:    update,
 		v:         vc.New(n.sys.cfg.Procs),
 		log:       core.NewLog(n.sys.cfg.Procs),
-		store:     make([]slotRing, n.sys.cfg.Procs),
+		store:     newSlotStore(n.sys.cfg.Procs),
 		lastEpoch: vc.New(n.sys.cfg.Procs),
 		ws:        newWriteSet(),
 		pages:     make([]*lazyPage, n.sys.layout.NumPages()),
@@ -144,12 +144,10 @@ func (e *lazyEngine) closeIntervalLocked() {
 		return
 	}
 
-	// The slots go to the store's cell for the interval's index, sized
-	// once: pending pointers point into them. The pages that had a twin
-	// move to the front of cand, in order: the interval's page list.
-	k := e.v[n.id] + 1
-	cell := e.store[n.id].cell(k)
-	slots := occupy(*cell, len(e.cand), k)[:0]
+	// The slots are the store's next ones for the interval's index:
+	// pending pointers point into them. The pages that had a twin move to
+	// the front of cand, in order: the interval's page list.
+	k, held := e.v[n.id]+1, 0
 	for i, pg := range e.cand {
 		pmu := n.pageLock(pg)
 		pmu.Lock()
@@ -161,18 +159,20 @@ func (e *lazyEngine) closeIntervalLocked() {
 		// The page table's twin reference transfers to the slot as the
 		// diff base; the post-interval contents stay live in pc.data
 		// until the next twin capture snapshots them (pending).
-		slots = append(slots, diffSlot{held: true, base: pc.take(), index: k})
-		pc.pending = &slots[len(slots)-1]
+		slot := e.store.slot(n.id, k, held)
+		*slot = diffSlot{base: pc.take()}
+		pc.pending = slot
 		n.stats.diffsDeferred.Add(1)
 		pmu.Unlock()
-		e.cand[i], e.cand[len(slots)-1] = e.cand[len(slots)-1], pg
+		e.cand[i], e.cand[held] = e.cand[held], pg
+		held++
 	}
-	pages := e.cand[:len(slots)]
+	pages := e.cand[:held]
 	e.ws.settle(e.cand)
-	*cell = slots
-	if len(pages) == 0 {
-		return // the cell stays vacant, for the next interval
+	if held == 0 {
+		return // the slots stay free, for the next interval
 	}
+	e.store.hold(n.id, k, held)
 	idx := e.v.Tick(int(n.id))
 	id := core.IntervalID{Proc: n.id, Index: idx}
 	for _, pg := range pages {
@@ -459,7 +459,7 @@ func (e *lazyEngine) grant(req, grant *wire.Msg) {
 					continue
 				}
 				d := e.diffOf(slot, pg)
-				e.noteServe(&slot.served)
+				e.noteServe(slot)
 				grant.Diffs = append(grant.Diffs, wire.DiffRec{
 					Page: pg, Proc: id.Proc, Index: id.Index, Diff: d.Retain(), // sendGrant releases
 				})

@@ -203,20 +203,33 @@ func (e *lazyEngine) apply(r *round, i int) error {
 	return nil
 }
 
-// appendPlanLocked appends to plan the intervals whose diffs a copy of
-// page pg with the given applied clock lacks, in the order they are
-// applied: a linear extension of happened-before — interval clock sums
-// strictly increase along hb1 chains, and concurrent intervals touch
-// disjoint words in properly-labeled programs. Caller holds e.mu.
-func (e *lazyEngine) appendPlanLocked(plan []core.IntervalID, pg mem.PageID, applied vc.VC) []core.IntervalID {
-	out := e.log.Outstanding(plan, pg, applied, e.v, e.n.id)
-	slices.SortFunc(out[len(plan):], func(a, b core.IntervalID) int {
-		return cmp.Or(
-			cmp.Compare(clockSum(e.log.Get(a).VC), clockSum(e.log.Get(b).VC)),
-			cmp.Compare(a.Proc, b.Proc),
-			cmp.Compare(a.Index, b.Index))
+// sortPlanLocked puts a plan's steps in the order they are applied: a
+// linear extension of happened-before — interval clock sums strictly
+// increase along hb1 chains, and concurrent intervals touch disjoint words
+// in properly-labeled programs — by clock sum, then processor and index.
+// Each step's sum is taken once, into the engine's scratch. Caller holds
+// e.mu.
+func (e *lazyEngine) sortPlanLocked(out []core.IntervalID) {
+	if len(out) < 2 {
+		return
+	}
+	keyed := slices.Grow(e.keyed[:0], len(out))
+	for _, id := range out {
+		keyed = append(keyed, keyedStep{sum: clockSum(e.log.Get(id).VC), id: id})
+	}
+	slices.SortFunc(keyed, func(a, b keyedStep) int {
+		return cmp.Or(cmp.Compare(a.sum, b.sum), cmp.Compare(a.id.Proc, b.id.Proc), cmp.Compare(a.id.Index, b.id.Index))
 	})
-	return out
+	for i := range keyed {
+		out[i] = keyed[i].id
+	}
+	e.keyed = keyed[:0]
+}
+
+// keyedStep is a plan step and its interval's clock sum, its sort key.
+type keyedStep struct {
+	sum int64
+	id  core.IntervalID
 }
 
 func clockSum(v vc.VC) int64 {
@@ -261,6 +274,23 @@ func (e *lazyEngine) lastModifiersLocked(last *[maxProcs]int32, out []core.Inter
 	return mods
 }
 
+// respondersLocked returns, by bit, the responders the wants for plan out
+// of page pg go to, whatever the plan's order: responderLocked's for each
+// step the store does not supply. These are missingWantsLocked's asks'
+// destinations, which its ranges do not change: a run extends only while
+// its steps' responder is their creator. Caller holds e.mu.
+func (e *lazyEngine) respondersLocked(pg mem.PageID, out []core.IntervalID) uint64 {
+	var last [maxProcs]int32
+	mods := e.lastModifiersLocked(&last, out)
+	var to uint64
+	for _, id := range out {
+		if e.slotLocked(id, pg) == nil {
+			to |= 1 << e.responderLocked(id, &last, mods)
+		}
+	}
+	return to
+}
+
 // responderLocked returns the processor a round asks for interval id's
 // diff, given its plan's concurrent last modifiers (lastModifiersLocked's
 // mods and last): the first, by processor, whose clock covers id. It
@@ -278,7 +308,7 @@ func (e *lazyEngine) responderLocked(id core.IntervalID, last *[maxProcs]int32, 
 }
 
 // missingWantsLocked appends to asks the wants for the steps of plan out
-// (appendPlanLocked's, for page pg) that the retained store does not
+// (planPageLocked's, for page pg) that the retained store does not
 // supply, each with its responder (responderLocked), grouped by
 // creator, creators ascending. A creator's consecutive missing steps that
 // it is the responder of are asked for as one range want, answered by one
@@ -543,7 +573,7 @@ func (e *lazyEngine) fault(pg mem.PageID) error {
 // so do copies found valid. Caller holds e.mu.
 func (e *lazyEngine) planFaultLocked(r *round, pg mem.PageID, cold bool) {
 	r.reset()
-	if !e.planPageLocked(r, pg) || cold {
+	if _, planned := e.planPageLocked(r, pg, anyResponder); !planned || cold {
 		return
 	}
 	var asked uint64 // the responders pg's wants ask, by bit
@@ -555,50 +585,48 @@ func (e *lazyEngine) planFaultLocked(r *round, pg mem.PageID, cold bool) {
 		if q == pg {
 			continue
 		}
-		k, m := len(r.asks), len(r.plan)
-		if e.planPageLocked(r, q) && !asksOnly(r.asks[k:], asked) {
-			r.pages, r.ends = r.pages[:len(r.pages)-1], r.ends[:len(r.ends)-1]
-			r.plan, r.asks = r.plan[:m], r.asks[:k]
+		if invalid, planned := e.planPageLocked(r, q, asked); invalid && !planned {
 			stale = append(stale, q)
 		}
 	}
 	e.stale = stale
 }
 
-// asksOnly reports whether every ask goes to a responder in the set asked,
-// by bit.
-func asksOnly(asks []ask, asked uint64) bool {
-	for _, a := range asks {
-		if asked&(1<<a.to) == 0 {
-			return false
-		}
-	}
-	return true
-}
+// anyResponder is the set of every responder, by bit: planPageLocked's
+// only for a page planned whoever its wants ask.
+const anyResponder = ^uint64(0)
 
 // planPageLocked plans page pg into round r — its plan, the intervals its
-// copy lacks in the order they are applied (appendPlanLocked), and the
-// asks for the steps the store does not supply (missingWantsLocked) — and
-// reports whether the node holds an invalid copy of pg to plan for: a
-// valid one needs nothing, and a cold one has no clock to plan from yet
-// (ensureCopy). Caller holds e.mu.
-func (e *lazyEngine) planPageLocked(r *round, pg mem.PageID) bool {
+// copy lacks in the order they are applied (sortPlanLocked), and the
+// asks for the steps the store does not supply (missingWantsLocked) — if
+// every ask goes to a responder in the set only, by bit, which it checks
+// before it sorts the plan. It reports whether the node holds an invalid
+// copy of pg to plan for — a valid one needs nothing, and a cold one has
+// no clock to plan from yet (ensureCopy) — and whether it planned it.
+// Caller holds e.mu.
+func (e *lazyEngine) planPageLocked(r *round, pg mem.PageID, only uint64) (invalid, planned bool) {
 	var clockBuf [maxProcs]int32
 	pmu := e.n.pageLock(pg)
 	pmu.Lock()
 	pc := e.pages[pg]
 	if pc == nil || pc.valid {
 		pmu.Unlock()
-		return false
+		return false, false
 	}
 	applied := append(vc.VC(clockBuf[:0]), pc.applied...)
 	pmu.Unlock()
 	from := len(r.plan)
-	r.plan = e.appendPlanLocked(r.plan, pg, applied)
-	r.asks = e.missingWantsLocked(r.asks, pg, r.plan[from:])
+	r.plan = e.log.Outstanding(r.plan, pg, applied, e.v, e.n.id)
+	out := r.plan[from:]
+	if only != anyResponder && e.respondersLocked(pg, out)&^only != 0 {
+		r.plan = r.plan[:from]
+		return true, false
+	}
+	e.sortPlanLocked(out)
+	r.asks = e.missingWantsLocked(r.asks, pg, out)
 	r.pages = append(r.pages, pg)
 	r.ends = append(r.ends, len(r.plan))
-	return true
+	return true, true
 }
 
 // revalidate brings a list of pages current (LU's acquire/barrier-time
@@ -616,7 +644,7 @@ func (e *lazyEngine) revalidate(pages []mem.PageID) error {
 	r.reset()
 	e.mu.Lock()
 	for _, pg := range pages {
-		e.planPageLocked(r, pg)
+		e.planPageLocked(r, pg, anyResponder)
 	}
 	e.mu.Unlock()
 	return e.bring(r)

@@ -2,7 +2,6 @@ package dsm
 
 import (
 	"fmt"
-	"math/bits"
 	"slices"
 
 	"repro/internal/core"
@@ -20,103 +19,180 @@ import (
 // node's own intervals' diffs and clones of the foreign diffs of single
 // intervals it received — what it serves as a concurrent last modifier of
 // their page, and under LU what a later lock grant piggybacks — until the
-// GC epoch discards them. Fields are guarded by the slot's page stripe
-// unless noted; the store map itself is under e.mu.
+// GC epoch discards them. Every slot of an own interval holds its diff,
+// made or deferred; an entry for a foreign interval has blank slots, d
+// nil, for the pages whose diff never arrived. An own slot's fields are
+// guarded by its page stripe, a foreign one's d by e.mu, which guards the
+// store itself; a materialized slot's target is only ever servedMark,
+// written under e.mu (noteServe).
 type diffSlot struct {
 	d      *page.Diff
 	base   *page.Twin
 	target *page.Twin
-	// held says the store has this slot's diff, made or deferred: an entry
-	// for a foreign interval has blank slots for the pages whose diff never
-	// arrived. Set with the slot, under e.mu.
-	held bool
-	// served is set by the slot's first serve (Stats.DiffCacheHits counts
-	// the later ones). Guarded by e.mu.
-	served bool
-	// index is the slot's interval's index, the same in every slot of a
-	// cell: what a slotRing cell is looked up by. Set with the cell, under
-	// e.mu.
-	index int32
 }
 
-// deadSlot is what a swept slot array holds in test builds (poison mode):
-// held, yet with neither a diff nor a twin, which no live slot is — a
-// stale pointer into the array (a page's pending slot) panics at its first
+// Marker twins, never captured or released, told apart by address:
+// servedMark is a materialized slot's target once a serve has shipped its
+// diff, deadMark a discarded slot's base and target in test builds.
+var servedMark, deadMark page.Twin
+
+// deadSlot is what a discarded slot holds in test builds (poison mode): a
+// base and a target that are one twin, which no live slot has — a stale
+// pointer to it (a page's pending slot) fails at its first
 // materialization, and checkPendingLocked reports it at once.
-var deadSlot = diffSlot{held: true, served: true}
+var deadSlot = diffSlot{base: &deadMark, target: &deadMark}
 
-// slotRing is one processor's part of the retained-diff store: the slot
-// array of its interval k, parallel to the interval's page list in the
-// log, is cell k mod len(ring), and its slots carry k. The length is a
-// power of two, doubled when an interval is stored whose cell another
-// interval holds: a processor's own intervals, stored as they close, need
-// a ring that spans the indices since the GC epoch before last, another
-// processor's, stored as they are fetched (out of order under LU), one
-// about as long as the few they are. A vacant cell has length 0. A swept
-// cell keeps its array's capacity for the interval that lands there next,
-// so once the ring and its arrays have grown to an epoch's history the
-// store allocates nothing. Guarded by e.mu.
-type slotRing [][]diffSlot
+// The store's storage, per processor: chunks of entries indexed by
+// interval index, as core.Log keeps its records, and slabs of slots handed
+// out in order. Both are fixed-size; an epoch fills them, and the sweep
+// that covers them frees them whole to the store's free lists, which the
+// next epoch takes from before it allocates.
+const (
+	chunkIntervals = 255 // entries per chunk: with its link, 2 KiB
+	slabSlots      = 255 // slots per slab: with its last index and link, 6 KiB
+)
 
-// at returns the cell of index k, empty when the ring holds nothing for k.
-func (r slotRing) at(k int32) []diffSlot {
-	if len(r) == 0 {
-		return nil
-	}
-	if c := r[int(k)&(len(r)-1)]; len(c) > 0 && c[0].index == k {
-		return c
-	}
-	return nil
+// slotEnt locates an interval's slots, parallel to its sorted page list in
+// the log: n of them from position off of its processor's slabs, none when
+// n is 0.
+type slotEnt struct {
+	off uint32
+	n   int32
 }
 
-// cell returns the cell of index k, vacant or k's own, doubling the ring
-// while another interval holds it. Growing moves slice headers only: a
-// pending pointer into a cell's array stays valid.
-func (r *slotRing) cell(k int32) *[]diffSlot {
-	for {
-		if len(*r) > 0 {
-			if c := &(*r)[int(k)&(len(*r)-1)]; len(*c) == 0 || (*c)[0].index == k {
-				return c
+// slotChunk holds the entries of chunkIntervals consecutive interval
+// indices of one processor; next links the store's free chunks.
+type slotChunk struct {
+	ents [chunkIntervals]slotEnt
+	next *slotChunk
+}
+
+// slotSlab is a run of slots and the highest interval index any of them
+// was handed to: the sweep that covers that index frees the slab. next
+// links the store's free slabs.
+type slotSlab struct {
+	slots [slabSlots]diffSlot
+	last  int32
+	next  *slotSlab
+}
+
+// slotProc is one processor's part of the store. Slabs never move once
+// taken, so a page's pending pointer into one stays valid until the sweep
+// that frees it. A processor's own intervals fill it in close order,
+// another processor's, stored as they are fetched (out of order under LU),
+// only as densely as the few diffs they are.
+type slotProc struct {
+	// chunks[c] holds the entries of indices [(dropped+c)*chunkIntervals,
+	// (dropped+c+1)*chunkIntervals), or is nil where the store holds none.
+	chunks  []*slotChunk
+	dropped int32
+	// slabs[i] holds positions [base+i*slabSlots, base+(i+1)*slabSlots);
+	// next is the first position not handed out. Positions wrap at 2^32,
+	// which the few live slabs never span.
+	slabs      []*slotSlab
+	base, next uint32
+}
+
+// slotStore is the retained-diff store, one slotProc per processor, with
+// the chunks and slabs sweeps freed, linked through their own next fields
+// so that freeing allocates nothing. Guarded by e.mu.
+type slotStore struct {
+	procs  []slotProc
+	chunks *slotChunk
+	slabs  *slotSlab
+}
+
+func newSlotStore(procs int) slotStore { return slotStore{procs: make([]slotProc, procs)} }
+
+// entry returns interval id's entry, zero when the store holds none, and
+// its processor's part. id.Proc must be valid.
+func (s *slotStore) entry(id core.IntervalID) (*slotProc, slotEnt) {
+	p := &s.procs[id.Proc]
+	if c := id.Index/chunkIntervals - p.dropped; id.Index >= 0 && c >= 0 && int(c) < len(p.chunks) && p.chunks[c] != nil {
+		return p, p.chunks[c].ents[id.Index%chunkIntervals]
+	}
+	return p, slotEnt{}
+}
+
+// at returns the slot at position off.
+func (p *slotProc) at(off uint32) *diffSlot {
+	rel := off - p.base
+	return &p.slabs[rel/slabSlots].slots[rel%slabSlots]
+}
+
+// slot returns the i-th slot past processor q's next position for interval
+// k, taking a slab when the position is past the last one. hold enters the
+// slots into k's entry.
+func (s *slotStore) slot(q mem.ProcID, k int32, i int) *diffSlot {
+	p := &s.procs[q]
+	rel := p.next + uint32(i) - p.base
+	for int(rel/slabSlots) >= len(p.slabs) {
+		sl := s.slabs
+		if sl != nil {
+			s.slabs, sl.next = sl.next, nil
+			if framebuf.Poisoned() {
+				*sl = slotSlab{}
 			}
+		} else {
+			sl = new(slotSlab)
 		}
-		// Cell i of the old ring goes to cell i of the new one, or, held by
-		// an interval that maps to it, to cell i + len(old).
-		old := *r
-		*r = make(slotRing, max(8, 2*len(old)))
-		for i, c := range old {
-			if len(c) > 0 {
-				i = int(c[0].index) & (len(*r) - 1)
-			}
-			(*r)[i] = c
-		}
+		p.slabs = core.AppendDoubling(p.slabs, sl)
 	}
+	sl := p.slabs[rel/slabSlots]
+	sl.last = max(sl.last, k)
+	return &sl.slots[rel%slabSlots]
 }
 
-// occupy returns vacant cell c's array as n zeroed slots of interval k,
-// reusing its capacity when that suffices.
-func occupy(c []diffSlot, n int, k int32) []diffSlot {
-	s := c[:0]
-	if cap(c) < n {
-		s = make([]diffSlot, 0, 1<<bits.Len(uint(n-1)))
+// hold enters the n slots past processor q's next position, each taken by
+// slot, as interval k's, and returns its entry.
+func (s *slotStore) hold(q mem.ProcID, k int32, n int) slotEnt {
+	p := &s.procs[q]
+	c := int(k/chunkIntervals - p.dropped)
+	for c >= len(p.chunks) {
+		p.chunks = core.AppendDoubling(p.chunks, nil)
 	}
-	for range n {
-		s = append(s, diffSlot{index: k})
+	if p.chunks[c] == nil {
+		if ch := s.chunks; ch != nil {
+			s.chunks, ch.next = ch.next, nil
+			p.chunks[c] = ch
+		} else {
+			p.chunks[c] = new(slotChunk)
+		}
 	}
-	return s
+	ent := slotEnt{off: p.next, n: int32(n)}
+	p.chunks[c].ents[k%chunkIntervals] = ent
+	p.next += uint32(n)
+	return ent
 }
 
-// vacate empties a swept cell, keeping its array: zeroed, or in test
-// builds filled with deadSlot until occupy hands it out again.
-func vacate(c *[]diffSlot) {
-	s := (*c)[:cap(*c)]
-	if framebuf.Poisoned() {
-		for i := range s {
-			s[i] = deadSlot
+// sweep frees processor q's chunks and slabs that hold nothing above
+// index floor to the store's free lists. The discard has emptied their
+// entries and slots — in test builds a slot it emptied reads deadSlot until
+// its slab is taken again, so a stale pointer into a freed slab is caught
+// like one into a kept slab.
+func (s *slotStore) sweep(q int, floor int32) {
+	p := &s.procs[q]
+	gone := 0
+	for gone < len(p.chunks) && (p.dropped+int32(gone)+1)*chunkIntervals-1 <= floor {
+		if c := p.chunks[gone]; c != nil {
+			c.next, s.chunks = s.chunks, c
 		}
-	} else {
-		clear(s)
+		gone++
 	}
-	*c = s[:0]
+	p.chunks = p.chunks[:copy(p.chunks, p.chunks[gone:])]
+	clear(p.chunks[len(p.chunks):cap(p.chunks)])
+	p.dropped += int32(gone)
+	gone = 0
+	for ; gone < len(p.slabs) && p.slabs[gone].last <= floor; gone++ {
+		sl := p.slabs[gone]
+		sl.last, sl.next, s.slabs = 0, s.slabs, sl
+	}
+	p.slabs = p.slabs[:copy(p.slabs, p.slabs[gone:])]
+	clear(p.slabs[len(p.slabs):cap(p.slabs)])
+	p.base += uint32(gone) * slabSlots
+	if len(p.slabs) == 0 {
+		p.next = p.base
+	}
 }
 
 // twinBudget bounds the bytes of twins a System's nodes keep live
@@ -180,40 +256,37 @@ func (e *lazyEngine) diffOf(slot *diffSlot, pg mem.PageID) *page.Diff {
 	return slot.d
 }
 
-// noteServe counts one serve of a diff towards Stats.DiffCacheHits:
-// every serve after the first reuses the body the first one shipped —
-// a diff is its wire body, so there is nothing to rebuild. served is the
-// slot's flag. Caller holds e.mu.
-func (e *lazyEngine) noteServe(served *bool) {
-	if *served {
+// noteServe counts one serve of materialized slot's diff towards
+// Stats.DiffCacheHits: every serve after the first reuses the body the
+// first one shipped — a diff is its wire body, so there is nothing to
+// rebuild. The first marks the slot's target. Caller holds e.mu.
+func (e *lazyEngine) noteServe(slot *diffSlot) {
+	if slot.target == &servedMark {
 		e.n.stats.diffCacheHits.Add(1)
 	}
-	*served = true
-}
-
-// slotsLocked returns interval id's slot array in the store, empty when
-// the store holds none. Caller holds e.mu.
-func (e *lazyEngine) slotsLocked(id core.IntervalID) []diffSlot {
-	if !e.n.validProc(id.Proc) {
-		return nil
-	}
-	return e.store[id.Proc].at(id.Index)
+	slot.target = &servedMark
 }
 
 // slotLocked returns the store's slot for interval id's diff of page pg,
 // or nil when it holds none. Caller holds e.mu.
 func (e *lazyEngine) slotLocked(id core.IntervalID, pg mem.PageID) *diffSlot {
-	slots := e.slotsLocked(id)
-	if len(slots) == 0 {
+	if !e.n.validProc(id.Proc) {
+		return nil
+	}
+	p, ent := e.store.entry(id)
+	if ent.n == 0 {
 		return nil
 	}
 	// A store entry's interval is in the log (own intervals are logged as
 	// they are stored, storeDiffRecsLocked checks).
 	i, ok := slices.BinarySearch(e.log.Get(id).Pages, pg)
-	if !ok || !slots[i].held {
+	if !ok {
 		return nil
 	}
-	return &slots[i]
+	if slot := p.at(ent.off + uint32(i)); id.Proc == e.n.id || slot.d != nil {
+		return slot
+	}
+	return nil
 }
 
 // trimTwinsLocked enforces twinBudget once an interval is logged: while
@@ -229,15 +302,15 @@ func (e *lazyEngine) trimTwinsLocked() {
 	n := e.n
 	for ; n.sys.twinBytes.Load() > twinBudget && e.trimFrom <= e.v[n.id]; e.trimFrom++ {
 		id := core.IntervalID{Proc: n.id, Index: e.trimFrom}
-		slots := e.slotsLocked(id)
+		p, ent := e.store.entry(id)
 		for i, pg := range e.log.Get(id).Pages {
 			if n.sys.twinBytes.Load() <= twinBudget {
 				return
 			}
 			pmu := n.pageLock(pg)
 			pmu.Lock()
-			if slots[i].base != nil {
-				e.materializeSlot(e.pages[pg], &slots[i], pg)
+			if slot := p.at(ent.off + uint32(i)); slot.base != nil {
+				e.materializeSlot(e.pages[pg], slot, pg)
 				n.stats.diffsTrimmed.Add(1)
 			}
 			pmu.Unlock()
@@ -280,12 +353,15 @@ func (e *lazyEngine) storeDiffRecsLocked(recs []wire.DiffRec) {
 				fmt.Errorf("diff record %v for page %d matches no logged write notice", id, rec.Page))
 			continue
 		}
-		cell := e.store[id.Proc].cell(id.Index)
-		if len(*cell) == 0 {
-			*cell = occupy(*cell, len(pages), id.Index)
+		p, ent := e.store.entry(id)
+		if ent.n == 0 {
+			for i := range pages {
+				e.store.slot(id.Proc, id.Index, i)
+			}
+			ent = e.store.hold(id.Proc, id.Index, len(pages))
 		}
-		if slot := &(*cell)[k]; !slot.held {
-			slot.held, slot.d = true, rec.Diff.Clone()
+		if slot := p.at(ent.off + uint32(k)); id.Proc != e.n.id && slot.d == nil {
+			slot.d = rec.Diff.Clone()
 		}
 	}
 }
@@ -298,38 +374,44 @@ func (e *lazyEngine) collectedLocked(id core.IntervalID) bool {
 }
 
 // discardLocked is the GC epoch's discard: every retained diff of an
-// interval the epoch covers goes, its cell vacated; then the log sweeps
-// the intervals' records, which raises the floors the rings span from.
+// interval the epoch covers goes, its slots emptied and its entry cleared,
+// and the store frees the chunks and slabs that held only such intervals;
+// then the log sweeps the intervals' records, which raises its floors.
 // Caller holds e.mu.
 func (e *lazyEngine) discardLocked(epoch vc.VC) {
 	n := e.n
-	for p, ring := range e.store {
-		for c := range ring {
-			cell := &ring[c]
-			if len(*cell) == 0 || (*cell)[0].index > epoch[p] {
+	gone := diffSlot{}
+	if framebuf.Poisoned() {
+		gone = deadSlot
+	}
+	for q := range e.store.procs {
+		for k := e.log.Floor(mem.ProcID(q)) + 1; k <= epoch[q]; k++ {
+			id := core.IntervalID{Proc: mem.ProcID(q), Index: k}
+			p, ent := e.store.entry(id)
+			if ent.n == 0 {
 				continue
 			}
-			k := (*cell)[0].index
-			for i, pg := range e.log.Get(core.IntervalID{Proc: mem.ProcID(p), Index: k}).Pages {
-				slot := &(*cell)[i]
-				if !slot.held {
-					continue
-				}
-				n.stats.diffsDiscarded.Add(1)
+			for i, pg := range e.log.Get(id).Pages {
+				slot := p.at(ent.off + uint32(i))
 				pmu := n.pageLock(pg)
 				pmu.Lock()
-				if slot.d == nil {
-					// A covered slot whose diff was never fetched: drop the
-					// twins without ever computing it — the deferred work the
-					// lazy pipeline saves outright.
-					e.dropTwins(e.pages[pg], slot)
-				} else {
+				switch {
+				case slot.d != nil:
 					slot.d.Release() // the store's count; a serve in flight has its own
+					n.stats.diffsDiscarded.Add(1)
+				case slot.base != nil:
+					// A covered slot whose diff was never fetched: drop the twins
+					// without ever computing it — the deferred work the lazy
+					// pipeline saves outright.
+					e.dropTwins(e.pages[pg], slot)
+					n.stats.diffsDiscarded.Add(1)
 				}
+				*slot = gone
 				pmu.Unlock()
 			}
-			vacate(cell)
+			p.chunks[k/chunkIntervals-p.dropped].ents[k%chunkIntervals] = slotEnt{}
 		}
+		e.store.sweep(q, epoch[q])
 	}
 	if framebuf.Poisoned() {
 		e.checkPendingLocked()
@@ -339,17 +421,17 @@ func (e *lazyEngine) discardLocked(epoch vc.VC) {
 }
 
 // checkPendingLocked asserts, in test builds, that no page's pending slot
-// lies in an array the discard vacated: the write that next snapshots the
-// page would plant its twin in whatever interval lands in the cell next.
-// Such a slot reads deadSlot until then. A violation is a recorded error
-// that fails the run at Close, like writeSet.check's. Caller holds e.mu.
+// is one the discard emptied: the write that next snapshots the page would
+// plant its twin in whatever interval the slot is handed to next. Such a
+// slot reads deadSlot until then. A violation is a recorded error that
+// fails the run at Close, like writeSet.check's. Caller holds e.mu.
 func (e *lazyEngine) checkPendingLocked() {
 	n := e.n
 	for stripe := range n.pageMu { // one lock per stripe, not per page
 		n.pageMu[stripe].Lock()
 		for pg := mem.PageID(stripe); n.validPage(pg); pg += pageShards {
 			if pc := e.pages[pg]; pc != nil && pc.pending != nil && *pc.pending == deadSlot {
-				n.noteErr("diff store", fmt.Errorf("page %d's pending slot lies in a recycled slot array", pg))
+				n.noteErr("diff store", fmt.Errorf("page %d's pending slot lies in a discarded slot", pg))
 			}
 		}
 		n.pageMu[stripe].Unlock()
@@ -433,7 +515,7 @@ func (e *lazyEngine) serveLocked(w wire.Want) (*page.Diff, error) {
 		return nil, nil
 	}
 	d := e.diffOf(slot, w.Page)
-	e.noteServe(&slot.served)
+	e.noteServe(slot)
 	return d.Retain(), nil
 }
 

@@ -64,7 +64,7 @@ func TestEarlyReleaseIsCaught(t *testing.T) {
 		e := reader.e.(*lazyEngine)
 		r := new(round)
 		e.mu.Lock()
-		planned := e.planPageLocked(r, pg)
+		_, planned := e.planPageLocked(r, pg, anyResponder)
 		e.mu.Unlock()
 		if !planned {
 			t.Fatal("the reader's copy of the page is not invalid")
@@ -239,61 +239,85 @@ func TestEarlyGrantReleaseIsCaught(t *testing.T) {
 	}
 }
 
-// TestPendingIntoRecycledSlotsIsCaught commits the bug the recycled slot
-// arrays allow — a page whose pending pointer still leads into the slots of
-// an interval the GC epoch discarded, where its next twin capture would
-// land in whatever interval takes the array next — on purpose, and checks
-// that the discard, at the barrier after the one that validated the
-// epoch, reports it: the array reads deadSlot once recycled. The same
-// epoch without the stale pointer records nothing.
+// TestPendingIntoRecycledSlotsIsCaught commits the bug the recycled slots
+// allow — a page whose pending pointer still leads into the slots of an
+// interval the GC epoch discarded, where its next twin capture would land
+// in whatever interval the slot is handed to next — on purpose, and checks
+// that the discard, at the barrier after the one that validated the epoch,
+// reports it: the slot reads deadSlot once discarded, whether the sweep
+// frees its slab (the interval was the slab's last) or keeps it (a later
+// interval, above the epoch, shares it). The same epoch without the stale
+// pointer records nothing.
 func TestPendingIntoRecycledSlotsIsCaught(t *testing.T) {
 	const addr, pg, lock = mem.Addr(1024), mem.PageID(1), mem.LockID(0)
-	for _, stale := range []bool{false, true} {
-		s, err := New(Config{Procs: 2, SpaceSize: 8 * 1024, PageSize: 1024, Mode: LazyInvalidate, GCEveryBarriers: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		n := s.Node(0)
-		for _, err := range []error{n.Acquire(lock), n.WriteUint64(addr, 1), n.Release(lock)} {
+	for _, row := range []struct {
+		name         string
+		stale, later bool
+	}{
+		{"no stale pointer", false, false},
+		{"stale pointer into a freed slab", true, false},
+		{"stale pointer into a kept slab", true, true},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			s, err := New(Config{Procs: 2, SpaceSize: 8 * 1024, PageSize: 1024, Mode: LazyInvalidate, GCEveryBarriers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		e := lazyOf(n)
-		pmu := n.pageLock(pg)
-		if stale {
-			// The bug: the slot's diff is made, which ends the page's pending
-			// claim on it, and the page is pointed back at it anyway.
-			e.mu.Lock()
-			pmu.Lock()
-			pc := e.pages[pg]
-			slot := pc.pending
-			if slot == nil {
-				t.Fatal("the closed interval left no pending slot")
+			n := s.Node(0)
+			section := func(addr mem.Addr) {
+				for _, err := range []error{n.Acquire(lock), n.WriteUint64(addr, 1), n.Release(lock)} {
+					if err != nil {
+						t.Fatal(err)
+					}
+				}
 			}
-			e.materializeSlot(pc, slot, pg)
-			pc.pending = slot
-			pmu.Unlock()
+			section(addr)
+			e := lazyOf(n)
+			pmu := n.pageLock(pg)
+			if row.stale {
+				// The bug: the slot's diff is made, which ends the page's pending
+				// claim on it, and the page is pointed back at it anyway.
+				e.mu.Lock()
+				pmu.Lock()
+				pc := e.pages[pg]
+				slot := pc.pending
+				if slot == nil {
+					t.Fatal("the closed interval left no pending slot")
+				}
+				e.materializeSlot(pc, slot, pg)
+				pc.pending = slot
+				pmu.Unlock()
+				e.mu.Unlock()
+			}
+			barriers(t, s, 1) // validates the epoch
+			if row.later {
+				section(addr + 1024) // page 2's interval, above the epoch, in the same slab
+			}
+			barriers(t, s, 1) // discards it
+			if runs := n.Stats().GCRuns; runs != 1 {
+				t.Fatalf("%d GC epochs ran, want 1", runs)
+			}
+			e.mu.Lock()
+			freed := e.store.slabs != nil
 			e.mu.Unlock()
-		}
-		barriers(t, s, 2)
-		if runs := n.Stats().GCRuns; runs != 1 {
-			t.Fatalf("%d GC epochs ran, want 1", runs)
-		}
-		errs := n.takeErrs()
-		const want = "pending slot lies in a recycled slot array"
-		if stale && (len(errs) != 1 || !strings.Contains(errs[0].Error(), want)) {
-			t.Errorf("a pending slot in a recycled array was not reported: recorded %v, want one error containing %q", errs, want)
-		}
-		if !stale && len(errs) != 0 {
-			t.Errorf("an epoch without a stale pending slot recorded %v", errs)
-		}
-		pmu.Lock()
-		e.pages[pg].pending = nil
-		pmu.Unlock()
-		if err := s.Close(); err != nil {
-			t.Errorf("Close: %v", err)
-		}
+			if freed == row.later {
+				t.Fatalf("the sweep freed a slab: %t, want %t", freed, !row.later)
+			}
+			errs := n.takeErrs()
+			const want = "pending slot lies in a discarded slot"
+			if row.stale && (len(errs) != 1 || !strings.Contains(errs[0].Error(), want)) {
+				t.Errorf("a pending slot in a discarded slot was not reported: recorded %v, want one error containing %q", errs, want)
+			}
+			if !row.stale && len(errs) != 0 {
+				t.Errorf("an epoch without a stale pending slot recorded %v", errs)
+			}
+			pmu.Lock()
+			e.pages[pg].pending = nil
+			pmu.Unlock()
+			if err := s.Close(); err != nil {
+				t.Errorf("Close: %v", err)
+			}
+		})
 	}
 }
 

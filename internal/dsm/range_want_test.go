@@ -71,13 +71,17 @@ func TestFlatCacheBounded(t *testing.T) {
 		}
 	}
 	serve(0) // materializes the range's deferred slots
-	ring := slices.Clone(e.store[0])
-	var diffs []*page.Diff
-	for _, cell := range ring {
-		for _, slot := range cell {
-			diffs = append(diffs, slot.d)
+	own := &e.store.procs[0]
+	slabs, chunks := slices.Clone(own.slabs), slices.Clone(own.chunks)
+	heldDiffs := func() (diffs []*page.Diff) {
+		for k := int32(0); k <= e.v[0]; k++ {
+			if slot := e.slotLocked(core.IntervalID{Proc: 0, Index: k}, pg); slot != nil {
+				diffs = append(diffs, slot.d)
+			}
 		}
+		return diffs
 	}
+	diffs := heldDiffs()
 	before := e.n.Stats()
 	for i := 1; i <= 512; i++ {
 		serve(i)
@@ -89,19 +93,11 @@ func TestFlatCacheBounded(t *testing.T) {
 	if after.DiffCacheHits != before.DiffCacheHits {
 		t.Errorf("range serves counted %d cache hits, want none", after.DiffCacheHits-before.DiffCacheHits)
 	}
-	if len(e.store[0]) != len(ring) {
-		t.Fatalf("the store's ring grew from %d cells to %d", len(ring), len(e.store[0]))
+	if !slices.Equal(own.slabs, slabs) || !slices.Equal(own.chunks, chunks) || own.next != 3 {
+		t.Errorf("the store went from %d slabs and %d chunks to %d and %d, %d slots handed out (want 3)",
+			len(slabs), len(chunks), len(own.slabs), len(own.chunks), own.next)
 	}
-	var held []*page.Diff
-	for k, cell := range e.store[0] {
-		if len(cell) != len(ring[k]) || cap(cell) != cap(ring[k]) {
-			t.Errorf("cell %d went from %d/%d slots to %d/%d", k, len(ring[k]), cap(ring[k]), len(cell), cap(cell))
-		}
-		for _, slot := range cell {
-			held = append(held, slot.d)
-		}
-	}
-	if !slices.Equal(held, diffs) {
+	if held := heldDiffs(); len(diffs) != 3 || !slices.Equal(held, diffs) {
 		t.Errorf("the store's diffs changed across the serves: %p, then %p", diffs, held)
 	}
 }
@@ -329,7 +325,7 @@ func TestRangePlanMatchesSingleSteps(t *testing.T) {
 	ranged, split := 0, 0
 	for round := 0; round < 300; round++ {
 		e.mu.Lock()
-		e.log, e.v, e.store = core.NewLog(procs), vc.New(procs), make([]slotRing, procs)
+		e.log, e.v, e.store = core.NewLog(procs), vc.New(procs), newSlotStore(procs)
 		// Processors 1.. write; 0 is the reader. A processor may write a word
 		// only if it has seen the word's last writer.
 		clocks := make([]vc.VC, procs)
