@@ -399,7 +399,7 @@ func runWorkload(out io.Writer, name string, procs int, scale float64, seed int6
 		"simulator", st.TotalMessages(), st.TotalBytes(), perCrit(st.TotalMessages()), perCrit(st.TotalBytes()), m)
 	var misses, diffs, updates, intervals, invals, moves int64
 	var created, deferred, cacheHits, flattened, trimmed, aggregated, twinBytes, twinPeak int64
-	var diffReqs, fallbacks int64
+	var diffReqs, fallbacks, kept, forwards int64
 	for _, ns := range res.Nodes {
 		misses += ns.AccessMisses
 		diffs += ns.DiffsApplied
@@ -417,6 +417,8 @@ func runWorkload(out io.Writer, name string, procs int, scale float64, seed int6
 		twinPeak = max(twinPeak, ns.TwinBytesPeak)
 		diffReqs += ns.KindMsgs[wire.KDiffReq]
 		fallbacks += ns.DiffFallbacks
+		kept += ns.KeptPages
+		forwards += ns.PageForwards
 	}
 	reqsPerMiss := "-"
 	if misses > 0 {
@@ -424,8 +426,8 @@ func runWorkload(out io.Writer, name string, procs int, scale float64, seed int6
 	}
 	fmt.Fprintf(out, "nodes: %d access misses, %d diffs applied, %d updates, %d intervals, %d invalidations, %d ownership moves\n",
 		misses, diffs, updates, intervals, invals, moves)
-	fmt.Fprintf(out, "diff plane: %d created (%d trimmed by the twin budget), %d deferred, %d cache hits, %d flattened away, %d pages aggregated into faults, %s diff requests per access miss, %d fallbacks to a creator, twin bytes: %d live at exit, %d peak on one node\n\n",
-		created, trimmed, deferred, cacheHits, flattened, aggregated, reqsPerMiss, fallbacks, twinBytes, twinPeak)
+	fmt.Fprintf(out, "diff plane: %d created (%d trimmed by the twin budget), %d deferred, %d cache hits, %d flattened away, %d pages aggregated into faults, %s diff requests per access miss, %d fallbacks to a creator, %d pages held by a keeper for their home (%d page requests forwarded), twin bytes: %d live at exit, %d peak on one node\n\n",
+		created, trimmed, deferred, cacheHits, flattened, aggregated, reqsPerMiss, fallbacks, kept, forwards, twinBytes, twinPeak)
 	if statsJSON {
 		if err := emitStatsJSON(out, report); err != nil {
 			return err

@@ -253,12 +253,14 @@ func TestMissAsksTheCreatorWhatItsModifierDoesNotHold(t *testing.T) {
 }
 
 // TestGCEpochValidatesInOneRound: the GC epoch's bulk validation is one
-// round, a cold page the node homes included. Node 0 of two, under LI with
-// GC at every barrier, caches page 1 and never touches page 0, which it
-// homes; node 1 writes both in one interval. Across the next barrier node
-// 0 validates both pages for the epoch — page 0 because after the discard
-// no one could rebuild it from diffs — with one diff request to node 1,
-// where asking for the cold page in a round of its own sends two.
+// round over the copies the node holds, and a page the node homes but
+// never touched is not built: its modifier keeps it. Node 0 of two, under
+// LI with GC at every barrier, caches page 1 and never touches page 0,
+// which it homes; node 1 writes both in one interval. Across the next
+// barrier node 0 validates page 1 for the epoch with one diff request to
+// node 1 and names node 1 page 0's keeper. After the next barrier has
+// discarded the epoch, node 0's read of page 0 takes node 1's copy with
+// one page request and one response, and reads node 1's word.
 func TestGCEpochValidatesInOneRound(t *testing.T) {
 	const pageSize = 1024
 	s, err := New(Config{Procs: 2, SpaceSize: 4 * pageSize, PageSize: pageSize, Mode: LazyInvalidate, GCEveryBarriers: 1})
@@ -289,16 +291,94 @@ func TestGCEpochValidatesInOneRound(t *testing.T) {
 	if reqs := after.KindMsgs[wire.KDiffReq] - before.KindMsgs[wire.KDiffReq]; reqs != 1 {
 		t.Errorf("node 0's GC epoch sent %d diff requests, want 1", reqs)
 	}
-	if e := lazyOf(n0); !e.isValid(0) || !e.isValid(1) {
-		t.Errorf("after the GC epoch: page 0 valid %t, page 1 valid %t on node 0; want both", e.isValid(0), e.isValid(1))
+	if pages := after.PagesFetched - before.PagesFetched; pages != 0 {
+		t.Errorf("node 0's GC epoch fetched %d pages, want none", pages)
 	}
+	e := lazyOf(n0)
+	keeper := func() (cold bool, k mem.ProcID) {
+		pmu := n0.pageLock(0)
+		pmu.Lock()
+		defer pmu.Unlock()
+		return e.pages[0] == nil, e.keeperLocked(0)
+	}
+	if cold, k := keeper(); !cold || k != 1 || !e.isValid(1) || after.KeptPages != 1 {
+		t.Errorf("after the GC epoch: node 0 holds no copy of page 0 %t, its keeper %d, page 1 valid %t, %d kept pages; want true, 1, true, 1",
+			cold, k, e.isValid(1), after.KeptPages)
+	}
+	barrier() // discards the epoch
+	b0, b1 := n0.Stats(), n1.Stats()
+	if got, err := n0.ReadUint64(8); err != nil || got != 0xa {
+		t.Errorf("node 0 read %#x from page 0 (err %v), want 0xa", got, err)
+	}
+	a0, a1 := n0.Stats(), n1.Stats()
+	if got := [3]int64{a0.KindMsgs[wire.KPageReq] - b0.KindMsgs[wire.KPageReq], a1.KindMsgs[wire.KPageResp] - b1.KindMsgs[wire.KPageResp],
+		a0.KindMsgs[wire.KDiffReq] - b0.KindMsgs[wire.KDiffReq]}; got != [3]int64{1, 1, 0} {
+		t.Errorf("node 0's read of page 0 sent %d page requests, node 1 %d page responses, node 0 %d diff requests; want 1, 1, 0", got[0], got[1], got[2])
+	}
+	if cold, k := keeper(); cold || k != -1 || a0.KeptPages != 0 {
+		t.Errorf("after node 0's read: no copy of page 0 %t, its keeper %d, %d kept pages; want false, -1, 0", cold, k, a0.KeptPages)
+	}
+	if got, err := n0.ReadUint64(pageSize + 8); err != nil || got != 0xb {
+		t.Errorf("node 0 read %#x from page 1 (err %v), want 0xb", got, err)
+	}
+}
+
+// TestGCKeeperServesColdMiss: a page whose home never touched it is
+// served, once a GC epoch has collected its history, from the copy of the
+// keeper the home named — never as the zero page. Node 0 of three homes
+// page 0 and node 1 writes it; after the epoch and its discard, a cold
+// miss of the page reads node 1's word: node 2's goes to the home, which
+// forwards it to node 1, which answers node 2 (two page requests, one
+// response), and the home's own goes to node 1 directly.
+func TestGCKeeperServesColdMiss(t *testing.T) {
+	const pageSize = 1024
 	for _, c := range []struct {
-		addr mem.Addr
-		want uint64
-	}{{8, 0xa}, {pageSize + 8, 0xb}} {
-		if got, err := n0.ReadUint64(c.addr); err != nil || got != c.want {
-			t.Errorf("node 0 read %#x at %d (err %v), want %#x", got, c.addr, err, c.want)
-		}
+		name      string
+		reader    int
+		pageReqs  int64 // sent by every node
+		forwarded int64 // by the home
+	}{
+		{"another node's miss", 2, 2, 1},
+		{"the home's own miss", 0, 1, 0},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s, err := New(Config{Procs: 3, SpaceSize: 6 * pageSize, PageSize: pageSize, Mode: LazyInvalidate, GCEveryBarriers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() {
+				if err := s.Close(); err != nil {
+					t.Errorf("Close: %v", err)
+				}
+			})
+			home, writer, reader := s.Node(0), s.Node(1), s.Node(c.reader)
+			must(t, writer.WriteUint64(16, 0x5eed))
+			for range 2 { // the epoch, then its discard
+				onEvery(t, s, func(n *Node) error { return n.Barrier(0) })
+			}
+			if floor := lazyOf(reader).log.Floor(1); floor < 0 {
+				t.Fatalf("node %d's log floor for node 1 is %d: the epoch was not discarded", c.reader, floor)
+			}
+			var before [3]Stats
+			for i := range before {
+				before[i] = s.Node(i).Stats()
+			}
+			if got, err := reader.ReadUint64(16); err != nil || got != 0x5eed {
+				t.Errorf("node %d read %#x (err %v), want node 1's 0x5eed", c.reader, got, err)
+			}
+			var reqs, resps int64
+			for i := range before {
+				after := s.Node(i).Stats()
+				reqs += after.KindMsgs[wire.KPageReq] - before[i].KindMsgs[wire.KPageReq]
+				resps += after.KindMsgs[wire.KPageResp] - before[i].KindMsgs[wire.KPageResp]
+			}
+			if sent := writer.Stats().KindMsgs[wire.KPageResp] - before[1].KindMsgs[wire.KPageResp]; reqs != c.pageReqs || resps != 1 || sent != 1 {
+				t.Errorf("the miss sent %d page requests and %d responses, %d of them node 1's; want %d, 1, 1", reqs, resps, sent, c.pageReqs)
+			}
+			if fwd := home.Stats().PageForwards - before[0].PageForwards; fwd != c.forwarded {
+				t.Errorf("the home forwarded %d page requests, want %d", fwd, c.forwarded)
+			}
+		})
 	}
 }
 

@@ -58,7 +58,10 @@
 //     along every other invalid copy whose diffs its responders serve,
 //     where the paper fetches page by page at each access miss; a page no
 //     interval the node knows of wrote is zero locally until the first GC
-//     sweep, where the paper's node fetches it from its home;
+//     sweep, where the paper's node fetches it from its home, and after
+//     one the home forwards a request for a page it never touched to the
+//     keeper a GC epoch named among the page's modifiers, a message the
+//     model, which has no GC, does not count;
 //   - an eager flush merges its diffs per destination, as the model
 //     counts, but every page's home owns it and takes each diff: an EI
 //     flush goes to the homes alone, and each invalidates the other

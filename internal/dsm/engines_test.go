@@ -102,11 +102,12 @@ func TestLockChainContention(t *testing.T) {
 // barrier-time GC hole: a page whose home never accesses it is modified
 // across several GC epochs (lock rounds between barriers), every epoch
 // but the last has discarded the covered diffs by the end, and only then
-// does a node that never saw the page cold-miss on it. The home must have
-// materialized the page during the GC epochs — on the seed, weakening
-// runGC's home
-// materialization made exactly this sequence panic with "asked for diff
-// ... it does not hold" at the diff creator.
+// does a node that never saw the page cold-miss on it. The home, which
+// holds no copy, must have named a keeper at the first GC epoch, whose
+// copy every epoch validates and which serves the miss the home forwards
+// — on the seed, weakening runGC's home materialization, which the keeper
+// replaced, made exactly this sequence panic with "asked for diff ... it
+// does not hold" at the diff creator.
 func TestGCHomeNeverTouchedPageRegression(t *testing.T) {
 	bothModes(t, func(t *testing.T, mode Mode) {
 		const procs = 4
@@ -177,8 +178,8 @@ func TestGCHomeNeverTouchedPageRegression(t *testing.T) {
 					}
 				}
 				if i == 3 {
-					// Cold miss after the final GC: served by the home's
-					// materialized copy, no pre-epoch diffs exist anymore.
+					// Cold miss after the final GC: served by the keeper's
+					// copy, no pre-epoch diffs exist anymore.
 					v, err := n.ReadUint64(addr)
 					if err != nil {
 						errs[i] = err

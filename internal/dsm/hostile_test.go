@@ -673,6 +673,20 @@ var hostileRows = map[string][]hostileRow{
 		{name: "arrival from 2 claiming node 1", modes: li, pid: 2, image: true, want: "arrive claims node 1 but came from 2", script: []step{send(atBarrier0, 0, &wire.Msg{Kind: wire.KBarrierArrive, Seq: 5, B: 1})}},
 		{name: "lock request from 2 claiming node 1", modes: li, pid: 2, want: "lockreq claims node 1 but came from 2", check: noHolderOf4, script: []step{send(atEnd, 1, &wire.Msg{Kind: wire.KLockReq, Seq: 99, A: 4, B: 1})}},
 		{name: "page request from 2 claiming node 1", modes: li, pid: 2, want: "pagereq claims node 1 but came from 2", script: []step{send(atEnd, 0, &wire.Msg{Kind: wire.KPageReq, Seq: 99, B: 1})}},
+		// Only a lazy page's home forwards a request with its requester in
+		// B, and only to a keeper, which holds a copy: a request from a node
+		// that does not home the page is refused, and one that reaches a
+		// node holding no copy is refused unanswered — never with the zero
+		// page.
+		{name: "page request for another home's page claiming node 0", modes: lazyModes, pid: 2, image: true, want: "pagereq claims node 0 but came from 2", check: pageReqUnanswered,
+			script: []step{send(atLocks, 1, &wire.Msg{Kind: wire.KPageReq, Seq: 424242, A: 3, B: 0})}},
+		{name: "forwarded page request to a node holding no copy", modes: lazyModes, pid: 2, image: true, want: "request for page 5 from 0, which this node neither homes nor holds", check: pageReqUnanswered,
+			script: []step{send(atLocks, 1, &wire.Msg{Kind: wire.KPageReq, Seq: 424242, A: 5, B: 0})}},
+		// The puppet's arrival claims it wrote page 5, its own, which it
+		// holds no copy of: at the GC epoch the page has history, no copy at
+		// its home and no modifier but the home to keep it, and the home's
+		// epoch fails its invariant check.
+		{name: "GC/homed page with history, no copy and no keeper", modes: lazyModes, pid: 2, flags: withGC, fails: "homed page 5 has modification history but neither a copy nor a keeper", script: []step{wrote5}},
 		{name: "exit from a non-master", modes: li, pid: 2, image: true, want: "exit from 2 dropped: only the barrier master 0 sends it", script: []step{preempt(atBarrier0, 1, &wire.Msg{Kind: wire.KBarrierExit})}},
 		// A response is found by seq alone: neither another kind nor another
 		// page's grant may wake a miss over a page never installed (FuzzPeer
@@ -845,6 +859,15 @@ func unanswered(t *testing.T, pr *peerRun) {
 		if m.Seq == 99 {
 			t.Errorf("the refused request was answered with %d diffs", len(m.Diffs))
 		}
+	}
+}
+
+// pageReqUnanswered: no node got an answer to the puppet's page request
+// (seq 424242), which names node 0 its requester. It closes the run
+// first, so a response still in flight is counted.
+func pageReqUnanswered(t *testing.T, pr *peerRun) {
+	if err := pr.s.Close(); err != nil && strings.Contains(err.Error(), "seq 424242 kind pageresp") {
+		t.Errorf("the refused page request was answered: %v", err)
 	}
 }
 

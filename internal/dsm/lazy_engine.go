@@ -94,6 +94,13 @@ type lazyEngine struct {
 
 	// pages[i] is guarded by n.pageLock(i).
 	pages []*lazyPage
+	// keepers[pg/Procs] names, for page pg this node homes, the keeper
+	// whose copy stands in for the home's, or -1: a GC epoch names one of
+	// the page's modifiers when the home holds no copy of a page with
+	// history, and the home's own cold miss fetches the keeper's copy and
+	// clears it. Guarded by pg's stripe; only the application goroutine
+	// writes it.
+	keepers []mem.ProcID
 }
 
 // lazyPage is a node's local copy of one page, guarded by its stripe; its
@@ -118,7 +125,30 @@ func newLazyEngine(n *Node, update bool) *lazyEngine {
 		lastEpoch: vc.New(n.sys.cfg.Procs),
 		ws:        newWriteSet(),
 		pages:     make([]*lazyPage, n.sys.layout.NumPages()),
+		keepers:   slices.Repeat([]mem.ProcID{-1}, (n.sys.layout.NumPages()+n.sys.cfg.Procs-1)/n.sys.cfg.Procs),
 	}
+}
+
+// keeperLocked returns the keeper of page pg, or -1 when it has none or
+// another home. Caller holds pg's stripe.
+func (e *lazyEngine) keeperLocked(pg mem.PageID) mem.ProcID {
+	if e.n.homeOf(pg) != e.n.id {
+		return -1
+	}
+	return e.keepers[int(pg)/e.n.sys.cfg.Procs]
+}
+
+// setKeeperLocked names k the keeper of page pg, which this node homes, or
+// clears it (-1). Caller holds pg's stripe.
+func (e *lazyEngine) setKeeperLocked(pg mem.PageID, k mem.ProcID) {
+	at := &e.keepers[int(pg)/e.n.sys.cfg.Procs]
+	switch {
+	case *at < 0 && k >= 0:
+		e.n.stats.keptPages.Add(1)
+	case *at >= 0 && k < 0:
+		e.n.stats.keptPages.Add(-1)
+	}
+	*at = k
 }
 
 func (e *lazyEngine) clock() vc.VC {
@@ -588,10 +618,8 @@ func (e *lazyEngine) postBarrier() error {
 }
 
 // runGC is the barrier-time garbage collection epoch: every node brings
-// each page it caches fully up to the epoch (and, as a page's home,
-// materializes pages with modification history so later cold misses can
-// be served without pre-epoch diffs) and marks the epoch due. The next
-// barrier's postBarrier discards the diffs of every interval the epoch
+// each page it caches fully up to the epoch and marks the epoch due. The
+// next barrier's postBarrier discards the diffs of every interval the epoch
 // clock covers and sweeps their records out of the log, whose floor rises
 // to the epoch: what a node keeps is bounded by the history since the
 // epoch before last, not the run. That barrier is the epoch's readiness
@@ -604,14 +632,19 @@ func (e *lazyEngine) postBarrier() error {
 // The barrier rendezvous that precedes runGC is what pushes every write
 // notice to every node — the master absorbs all arrivals before building
 // exits, so each home's log lists every modifier of its pages since the
-// last epoch. Validation must therefore leave every copy this node serves —
-// its own caches and its homed pages — with an applied clock that
-// dominates the epoch: any copy served with a smaller clock would send a
-// later requester to a responder for diffs the epoch discarded (which
-// refuses such requests as collected history), and would plan from
-// records the sweep removed. checkGCInvariant enforces this before the
-// epoch is marked due, turning a would-be remote failure into a local
-// descriptive error.
+// last epoch. Validation must therefore leave every copy this node serves
+// with an applied clock that dominates the epoch: any copy served with a
+// smaller clock would send a later requester to a responder for diffs the
+// epoch discarded (which refuses such requests as collected history), and
+// would plan from records the sweep removed. A page the node homes but
+// never touched is not built: the home names one of the page's modifiers
+// its keeper (keepers), whose copy — a modifier holds one, LI and LU never
+// drop a copy — this same epoch validates on the keeper, and every later
+// epoch again, and forwards cold misses of the page to it (handlePageReq)
+// until its own miss takes the keeper's copy (ensureCopy): modifications
+// move only to a node that accesses the page. checkGCInvariant enforces
+// this before the epoch is marked due, turning a would-be remote failure
+// into a local descriptive error.
 func (e *lazyEngine) runGC() error {
 	n := e.n
 	e.mu.Lock()
@@ -625,13 +658,11 @@ func (e *lazyEngine) runGC() error {
 		switch {
 		case pc != nil && !pc.valid:
 			toValidate = append(toValidate, pgid)
-		case pc == nil && n.homeOf(pgid) == n.id && len(e.log.ModifiersOf(pgid)) > 0:
-			// A home that never touched its page materializes it now:
-			// after the discard no one could reconstruct it from diffs.
+		case pc == nil && n.homeOf(pgid) == n.id && e.keeperLocked(pgid) < 0:
 			// The log only knows modifiers since its floor, which is
-			// enough: a home whose page has swept history materialized it
-			// at the epoch that swept it.
-			toValidate = append(toValidate, pgid)
+			// enough: a page whose history an epoch swept has had a
+			// keeper since that epoch.
+			e.nameKeeperLocked(pgid)
 		case pc != nil && pc.valid && !pc.applied.Dominates(epoch):
 			// Valid but stamped before the epoch: force a refresh so the
 			// advertised clock covers the epoch. Without the
@@ -656,11 +687,24 @@ func (e *lazyEngine) runGC() error {
 	return nil
 }
 
+// nameKeeperLocked names the first of page pg's modifiers in the log,
+// other than this node, pg's keeper; a page without one keeps none.
+// Caller holds e.mu and pg's stripe.
+func (e *lazyEngine) nameKeeperLocked(pg mem.PageID) {
+	for _, q := range e.log.ModifiersOf(pg) {
+		if q != e.n.id {
+			e.setKeeperLocked(pg, q)
+			return
+		}
+	}
+}
+
 // checkGCInvariant verifies, before this node marks the GC epoch due,
-// that every copy it can later be asked to serve covers the
-// epoch: its cached copies are valid with dominating clocks, and every
-// page it homes with modification history is materialized. A violation
-// means a later cold miss would chase discarded diffs.
+// that every copy it can later be asked to serve covers the epoch: its
+// cached copies are valid with dominating clocks, and every page it homes
+// with modification history has a copy here or a keeper, whose own check
+// covers the keeper's copy. A violation means a later cold miss would
+// chase discarded diffs.
 func (e *lazyEngine) checkGCInvariant(epoch vc.VC) error {
 	n := e.n
 	e.mu.Lock()
@@ -671,9 +715,9 @@ func (e *lazyEngine) checkGCInvariant(epoch vc.VC) error {
 		pmu.Lock()
 		pc := e.pages[pg]
 		if pc == nil {
-			if n.homeOf(pgid) == n.id && len(e.log.ModifiersOf(pgid)) > 0 {
+			if n.homeOf(pgid) == n.id && e.keeperLocked(pgid) < 0 && len(e.log.ModifiersOf(pgid)) > 0 {
 				pmu.Unlock()
-				return fmt.Errorf("dsm: node %d: GC invariant: homed page %d has modification history but no materialized copy", n.id, pgid)
+				return fmt.Errorf("dsm: node %d: GC invariant: homed page %d has modification history but neither a copy nor a keeper", n.id, pgid)
 			}
 			pmu.Unlock()
 			continue
@@ -703,26 +747,42 @@ func (e *lazyEngine) handle(m *wire.Msg, src mem.ProcID) bool {
 	return true
 }
 
+// handlePageReq answers a page request with the committed contents of
+// this node's copy and the clock of what they reflect. A home without a
+// copy makes the zero page, or forwards the request unchanged to the
+// page's keeper, which answers the requester in B. A node that neither
+// homes nor holds the page is asked only by a faulty home: it records that
+// and answers nothing, never the zero page.
 func (e *lazyEngine) handlePageReq(m *wire.Msg) {
 	n := e.n
 	pg := mem.PageID(m.A)
-	requester := mem.ProcID(m.B) // its sender (checkSender)
+	requester := mem.ProcID(m.B) // its sender, or the home's when forwarded (checkSender)
 	if !n.validPage(pg) {
 		n.noteErr("page request", fmt.Errorf("request for invalid page %d from %d", pg, requester))
 		return
 	}
 	pmu := n.pageLock(pg)
 	pmu.Lock()
+	defer pmu.Unlock()
 	resp := wire.Msg{Kind: wire.KPageResp, Seq: m.Seq, A: m.A}
-	if pc := e.pages[pg]; pc != nil {
+	pc := e.pages[pg]
+	switch keeper := e.keeperLocked(pg); {
+	case pc != nil:
 		resp.Data, resp.VC = pc.committed(), pc.applied
-	} else {
-		// Never materialized here: the committed state is the zero page,
-		// and no clock says nothing was applied to it.
+	case n.homeOf(pg) != n.id:
+		n.noteErr("page request", fmt.Errorf("request for page %d from %d, which this node neither homes nor holds", pg, requester))
+		return
+	case keeper >= 0:
+		n.stats.pageForwards.Add(1)
+		n.noteErr("page forward", n.send(keeper, &wire.Msg{Kind: wire.KPageReq, Seq: m.Seq, A: m.A, B: m.B}))
+		return
+	default:
+		// Nothing wrote the page before the last GC epoch, or this home
+		// would hold a copy or name a keeper: the committed state is the
+		// zero page, and no clock says nothing was applied to it.
 		resp.Data = n.sys.zeroPage
 	}
 	// Sending encodes: the copy's bytes go straight into the frame, under
 	// the stripe that keeps them still (the destination lock is a leaf).
 	n.noteErr("page response", n.send(requester, &resp))
-	pmu.Unlock()
 }

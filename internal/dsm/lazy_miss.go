@@ -81,25 +81,31 @@ func (e *lazyEngine) isValid(pg mem.PageID) bool {
 }
 
 // ensureCopy gives a cold page pg its copy and reports whether it was
-// cold: the home makes the zero page, and so does any other node while its
-// log holds the page's whole history and names no interval that wrote it
-// (unwrittenLocked); otherwise it fetches the home's copy with the clock of
-// what it reflects. Only the application goroutine makes copies, so none
-// appears meanwhile.
+// cold: the home makes the zero page unless it named a keeper for the page
+// (runGC), whose copy it fetches and then clears the keeper; any other
+// node makes the zero page while its log holds the page's whole history
+// and names no interval that wrote it (unwrittenLocked), and otherwise
+// fetches the home's copy — or, forwarded by the home, its keeper's — with
+// the clock of what it reflects. Only the application goroutine makes
+// copies and names keepers, so none appears meanwhile.
 func (e *lazyEngine) ensureCopy(pg mem.PageID) (cold bool, err error) {
 	n := e.n
 	pmu := n.pageLock(pg)
 	pmu.Lock()
-	cold = e.pages[pg] == nil
+	cold, from := e.pages[pg] == nil, e.keeperLocked(pg)
 	pmu.Unlock()
 	if !cold {
 		return false, nil
 	}
 	n.stats.coldMisses.Add(1)
 	home := n.homeOf(pg)
-	e.mu.Lock()
-	zero := home == n.id || e.unwrittenLocked(pg)
-	e.mu.Unlock()
+	zero := home == n.id && from < 0
+	if home != n.id {
+		from = home
+		e.mu.Lock()
+		zero = e.unwrittenLocked(pg)
+		e.mu.Unlock()
+	}
 	if zero {
 		pmu.Lock()
 		e.pages[pg] = &lazyPage{
@@ -109,7 +115,7 @@ func (e *lazyEngine) ensureCopy(pg mem.PageID) (cold bool, err error) {
 		pmu.Unlock()
 		return true, nil
 	}
-	resp, err := n.rpc(home, &wire.Msg{
+	resp, err := n.rpc(from, &wire.Msg{
 		Kind: wire.KPageReq, Seq: n.nextSeq(), A: int32(pg), B: int32(n.id),
 	})
 	if err != nil {
@@ -121,7 +127,7 @@ func (e *lazyEngine) ensureCopy(pg mem.PageID) (cold bool, err error) {
 	if len(resp.Data) != n.sys.layout.PageSize() ||
 		(resp.VC != nil && len(resp.VC) != n.sys.cfg.Procs) || len(resp.Intervals) > 0 {
 		bad := fmt.Errorf("bad page grant from %d: %v for page %d, %d data bytes, %d-entry clock, %d interval records",
-			home, resp.Kind, pg, len(resp.Data), len(resp.VC), len(resp.Intervals))
+			from, resp.Kind, pg, len(resp.Data), len(resp.VC), len(resp.Intervals))
 		resp.Release()
 		n.noteErr("page install", bad)
 		return true, fmt.Errorf("dsm: node %d: page install: %w", n.id, bad)
@@ -132,6 +138,9 @@ func (e *lazyEngine) ensureCopy(pg mem.PageID) (cold bool, err error) {
 	copy(applied, resp.VC)
 	pmu.Lock()
 	e.pages[pg] = &lazyPage{pageCopy: pageCopy{data: resp.Data}, applied: applied}
+	if home == n.id {
+		e.setKeeperLocked(pg, -1) // the home's copy is validated from here on
+	}
 	pmu.Unlock()
 	resp.Release()
 	n.stats.pagesFetched.Add(1)
@@ -629,17 +638,12 @@ func (e *lazyEngine) planPageLocked(r *round, pg mem.PageID, only uint64) (inval
 	return true, true
 }
 
-// revalidate brings a list of pages current (LU's acquire/barrier-time
-// update step and the GC epoch's bulk validation) in one round: each cold
-// page gets its copy first, then every page is planned into the engine's
-// round scratch, and the round asks each responder once for all of them.
+// revalidate brings a list of pages the node holds copies of current
+// (LU's acquire/barrier-time update step and the GC epoch's bulk
+// validation) in one round: every page is planned into the engine's round
+// scratch, and the round asks each responder once for all of them.
 // Neither counts as an access miss: no application access faulted.
 func (e *lazyEngine) revalidate(pages []mem.PageID) error {
-	for _, pg := range pages {
-		if _, err := e.ensureCopy(pg); err != nil {
-			return err
-		}
-	}
 	r := &e.round
 	r.reset()
 	e.mu.Lock()

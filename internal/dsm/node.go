@@ -43,8 +43,7 @@ type Stats struct {
 	// the same round (its siblings, lazyEngine.fault: invalid copies whose
 	// diffs the fault's own responders serve). A lazy engine's
 	// acquire-time and GC-epoch revalidations are no faults and count in
-	// neither; ColdMisses counts every copy a miss found missing, a GC
-	// epoch's materialization of a homed page included.
+	// neither; ColdMisses counts every copy a miss found missing.
 	AccessMisses     int64
 	PagesAggregated  int64
 	ColdMisses       int64
@@ -52,6 +51,12 @@ type Stats struct {
 	DiffsFetched     int64
 	IntervalsCreated int64
 	PagesFetched     int64
+	// PageForwards counts the page requests this node, as the page's lazy
+	// home, forwarded to the page's keeper: a modifier a GC epoch named to
+	// hold the copy of a page the home never touched. KeptPages gauges the
+	// pages it homes that have a keeper now.
+	PageForwards int64
+	KeptPages    int64
 	// GCRuns counts completed GC epochs: discards, each of which runs at
 	// the barrier after the one that validated its epoch.
 	GCRuns         int64
@@ -145,6 +150,8 @@ type nodeStats struct {
 	diffsFetched     atomic.Int64
 	intervalsCreated atomic.Int64
 	pagesFetched     atomic.Int64
+	pageForwards     atomic.Int64
+	keptPages        atomic.Int64
 	gcRuns           atomic.Int64
 	diffsDiscarded   atomic.Int64
 	diffsCreated     atomic.Int64
@@ -185,6 +192,8 @@ func (s *nodeStats) snapshot() Stats {
 		DiffsFetched:     s.diffsFetched.Load(),
 		IntervalsCreated: s.intervalsCreated.Load(),
 		PagesFetched:     s.pagesFetched.Load(),
+		PageForwards:     s.pageForwards.Load(),
+		KeptPages:        s.keptPages.Load(),
 		GCRuns:           s.gcRuns.Load(),
 		DiffsDiscarded:   s.diffsDiscarded.Load(),
 		DiffsCreated:     s.diffsCreated.Load(),
@@ -822,18 +831,20 @@ func (n *Node) dispatchMsg(m *wire.Msg, src mem.ProcID) {
 }
 
 // checkSender holds a message's claimed identity to the endpoint it came
-// from: a request that names its sender in B must come from that node, a
-// barrier exit from the master, and a lock forward from the
-// lock's manager. Everything after dispatch trusts these fields — a master
-// counts an arrival by B, a manager grants and a home ships to B, a waiter
-// wakes on whichever exit carries its seq. The check is only as good as
+// from: a request that names its sender in B must come from that node —
+// but a lazy page request from the page's home, which forwards it to the
+// page's keeper with the requester in B — a barrier exit from the master,
+// and a lock forward from the lock's manager. Everything after dispatch
+// trusts these fields — a master counts an arrival by B, a manager grants
+// and a home or keeper ships to B, a waiter wakes on whichever exit
+// carries its seq. The check is only as good as
 // the transport's src: simnet's is the sending endpoint, but TCP takes it
 // from the stream's hello, which nothing authenticates, so over TCP it
 // binds a message to the identity its stream claims.
 func (n *Node) checkSender(m *wire.Msg, src mem.ProcID) error {
 	switch m.Kind {
 	case wire.KLockReq, wire.KBarrierArrive, wire.KPageReq, wire.KWriteReq, wire.KFlushReq:
-		if mem.ProcID(m.B) != src {
+		if mem.ProcID(m.B) != src && !n.homeForward(m, src) {
 			return fmt.Errorf("%v claims node %d but came from %d", m.Kind, m.B, src)
 		}
 	case wire.KBarrierExit:
@@ -846,6 +857,13 @@ func (n *Node) checkSender(m *wire.Msg, src mem.ProcID) error {
 		}
 	}
 	return nil
+}
+
+// homeForward reports whether m is a page request a lazy home forwarded
+// from src: src homes m's page.
+func (n *Node) homeForward(m *wire.Msg, src mem.ProcID) bool {
+	_, lazy := n.e.(*lazyEngine)
+	return lazy && m.Kind == wire.KPageReq && src == n.homeOf(mem.PageID(m.A))
 }
 
 // worker drains one serialized message queue. It lets go of a message as

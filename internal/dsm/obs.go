@@ -92,6 +92,9 @@ func (s *System) registerMetrics(r *obs.Registry) {
 		nodeCounter("dsm_node_diffs_fetched_total", "diffs fetched from concurrent last modifiers or creators", n.stats.diffsFetched.Load)
 		nodeCounter("dsm_node_intervals_created_total", "intervals created", n.stats.intervalsCreated.Load)
 		nodeCounter("dsm_node_pages_fetched_total", "whole pages fetched", n.stats.pagesFetched.Load)
+		nodeCounter("dsm_node_page_forwards_total", "page requests a lazy home forwarded to the page's keeper", n.stats.pageForwards.Load)
+		r.GaugeFunc(fmt.Sprintf("dsm_node_kept_pages{node=%q}", node),
+			"homed pages whose copy a keeper holds", func() float64 { return float64(n.stats.keptPages.Load()) })
 		nodeCounter("dsm_node_gc_runs_total", "garbage collection epochs completed (discards)", n.stats.gcRuns.Load)
 		nodeCounter("dsm_node_diffs_discarded_total", "diffs discarded by GC", n.stats.diffsDiscarded.Load)
 		nodeCounter("dsm_node_diffs_created_total", "diffs computed (MakeDiff executions)", n.stats.diffsCreated.Load)
