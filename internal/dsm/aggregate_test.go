@@ -323,6 +323,52 @@ func TestGCEpochValidatesInOneRound(t *testing.T) {
 	}
 }
 
+// TestGCEpochStampsValidCopies: a GC epoch leaves every copy it keeps
+// stamped through the epoch (heldLocked's clock clause), a valid one too.
+// Node 0 of two, under LI with GC at every barrier, reads page 1; node 1
+// then writes page 2 only, so node 0's copy of page 1 stays valid with a
+// clock that lacks node 1's interval. The next barrier's epoch covers that
+// interval: node 0, the master, restamps the copy with a round that plans
+// nothing and sends nothing, and the copy is valid through the epoch.
+func TestGCEpochStampsValidCopies(t *testing.T) {
+	const pageSize = 1024
+	s, err := New(Config{Procs: 2, SpaceSize: 4 * pageSize, PageSize: pageSize, Mode: LazyInvalidate, GCEveryBarriers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := s.Close(); err != nil {
+			t.Errorf("Close: %v", err)
+		}
+	})
+	n0, n1 := s.Node(0), s.Node(1)
+	barrier := func() {
+		onEvery(t, s, func(n *Node) error { return n.Barrier(0) })
+	}
+	if _, err := n0.ReadUint64(pageSize); err != nil {
+		t.Fatal(err)
+	}
+	barrier()
+	must(t, n1.WriteUint64(2*pageSize, 0xc))
+	before := n0.Stats()
+	barrier()
+	after := n0.Stats()
+	if sent := after.SentMsgs - before.SentMsgs; sent != 1 {
+		t.Errorf("node 0 sent %d messages across the barrier, want its exit to node 1 alone", sent)
+	}
+	e := lazyOf(n0)
+	e.mu.Lock()
+	epoch := e.gcEpoch.Clone()
+	e.mu.Unlock()
+	pmu := n0.pageLock(1)
+	pmu.Lock()
+	valid, applied := e.pages[1].valid, e.pages[1].applied.Clone()
+	pmu.Unlock()
+	if epoch[1] < 0 || !valid || !applied.Dominates(epoch) {
+		t.Errorf("after the GC epoch %v node 0's copy of page 1 is valid %t, stamped %v; want valid and stamped through the epoch", epoch, valid, applied)
+	}
+}
+
 // TestGCKeeperServesColdMiss: a page whose home never touched it is
 // served, once a GC epoch has collected its history, from the copy of the
 // keeper the home named — never as the zero page. Node 0 of three homes

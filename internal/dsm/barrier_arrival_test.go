@@ -22,15 +22,6 @@ import (
 // lazyOf returns node n's engine, an LI or LU one.
 func lazyOf(n *Node) *lazyEngine { return n.e.(*lazyEngine) }
 
-// planLocked returns, in a list of its own, the plan a miss of page pg
-// makes from a copy with the given applied clock: the intervals it lacks,
-// in the order they are applied.
-func (e *lazyEngine) planLocked(pg mem.PageID, applied vc.VC) []core.IntervalID {
-	out := e.log.Outstanding(nil, pg, applied, e.v, e.n.id)
-	e.sortPlanLocked(out)
-	return out
-}
-
 // logOf snapshots every interval in e's log, in (proc, index) order.
 func logOf(e *lazyEngine) (clock vc.VC, ivs []core.Interval) {
 	e.mu.Lock()

@@ -1,15 +1,11 @@
 // Package dsm is a live software distributed shared memory runtime. Each
 // node is one processor, driven by one application goroutine, and serves
-// incoming protocol frames through a dispatch loop feeding a worker
-// pool that runs each peer's messages in the order it sent them; nodes
-// exchange real bytes (twins, diffs, write notices, vector clocks,
-// invalidations, page ships) over a pluggable reliable FIFO interconnect
-// (internal/transport) using the wire format of internal/wire.
-//
-// Node state is sharded for the handler side's concurrency: per-page
-// protocol state lives under a striped lock table keyed by page id and
-// statistics are atomic counters, so the worker pool serves different
-// peers in parallel, beside the application goroutine's own accesses.
+// incoming protocol frames beside it on a worker pool that runs each
+// peer's messages in the order it sent them and different peers' in
+// parallel (Message order, node.go); nodes exchange real bytes (twins,
+// diffs, write notices, vector clocks, invalidations, page ships) over a
+// pluggable reliable FIFO interconnect (internal/transport) using the wire
+// format of internal/wire.
 //
 // The consistency policy is pluggable: a protocol engine (see engine.go)
 // owns page state, data movement and the consistency payload of

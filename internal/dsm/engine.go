@@ -41,9 +41,7 @@ import (
 //     clock, interval log and diff store) lives under an engine-private
 //     mutex ordered after lockMu and before the page stripes: handlers
 //     read and extend it too.
-//   - handle runs on its sender's worker, one message at a time in the
-//     order that peer sent them; handler work never waits on the
-//     application goroutine, so it can always drain.
+//   - handle runs on its sender's worker, in Message order (node.go).
 //   - Statistics tick through the node's atomic counters from any
 //     goroutine.
 type engine interface {
@@ -102,14 +100,10 @@ type engine interface {
 	postBarrier() error
 
 	// handle processes an engine-specific message, returning false if
-	// the kind is not one of the engine's. It runs on the sender's worker,
-	// so a home's ships, grants, invalidations and fetches arrive in
-	// directory order (installs happen here; only an EU writer's update
-	// may overtake a ship), and must not block the worker: work that
-	// waits for responses (SC's directory transactions, an eager home's
-	// forwards and invalidations) is spawned onto its own goroutine. A
-	// response produced inline leaves through Node.send in place, under
-	// whatever lock orders it, and its send error goes to noteErr.
+	// the kind is not one of the engine's. It runs on the sender's worker
+	// and must not block it (Message order, node.go); installs happen
+	// here. A response produced inline leaves through Node.send in place,
+	// under whatever lock orders it, and its send error goes to noteErr.
 	handle(m *wire.Msg, src mem.ProcID) bool
 
 	// clock returns the node's vector time (zero for engines that do not

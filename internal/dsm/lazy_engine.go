@@ -42,21 +42,10 @@ type lazyEngine struct {
 	n      *Node
 	update bool // LU: bring cached copies up to date at acquire time
 
-	// mu guards the interval machinery below.
-	mu  sync.Mutex
-	v   vc.VC
-	log *core.Log
-	// store is the retained-diff store (slotStore): an interval's slots,
-	// parallel to its sorted page list in the log (slotLocked); an entry
-	// for a foreign interval has blank slots where no diff was received.
-	store     slotStore
-	lastEpoch vc.VC
-	episodes  int
-	// gcEpoch is the clock of the last GC epoch runGC validated through,
-	// and gcDue says its discard has yet to run: the next postBarrier runs
-	// it. The application goroutine's alone.
-	gcEpoch vc.VC
-	gcDue   bool
+	// mu guards the ledger and the scratch below that says so.
+	mu sync.Mutex
+	ledger
+	gcState
 	// fresh accumulates the pages noticed by the intervals learned during
 	// the current barrier rendezvous, for postBarrier's invalidation step.
 	fresh []mem.PageID
@@ -74,19 +63,17 @@ type lazyEngine struct {
 	round round
 	// Scratch: under mu, closeIntervalLocked's sorted dirty pages; the
 	// application goroutine's alone, the pages the intervals an acquire
-	// absorbed notice (filled under mu), the floor of the arrival it sends
-	// next and the GC epoch's pages to validate. The records a grant,
-	// arrival or exit exports are its message's (intervalsSinceLocked).
+	// absorbed notice (filled under mu) and the floor of the arrival it
+	// sends next. The records a grant, arrival or exit exports are its
+	// message's (intervalsSinceLocked).
 	cand     []mem.PageID
 	noticed  []mem.PageID
 	barFloor vc.VC
-	gcPages  []mem.PageID
 	// Under mu: absorbIntervalsLocked's records that arrived ahead of
-	// their causal past, scratch kept across calls, mergedLocked's diffs of
-	// a range and sortPlanLocked's keyed steps.
+	// their causal past, scratch kept across calls, and mergedLocked's diffs
+	// of a range.
 	pending []*wire.IntervalRec
 	merging []*page.Diff
-	keyed   []keyedStep
 
 	// ws is the current interval's write set; closeIntervalLocked drains
 	// it into cand.
@@ -94,13 +81,6 @@ type lazyEngine struct {
 
 	// pages[i] is guarded by n.pageLock(i).
 	pages []*lazyPage
-	// keepers[pg/Procs] names, for page pg this node homes, the keeper
-	// whose copy stands in for the home's, or -1: a GC epoch names one of
-	// the page's modifiers when the home holds no copy of a page with
-	// history, and the home's own cold miss fetches the keeper's copy and
-	// clears it. Guarded by pg's stripe; only the application goroutine
-	// writes it.
-	keepers []mem.ProcID
 }
 
 // lazyPage is a node's local copy of one page, guarded by its stripe; its
@@ -116,39 +96,18 @@ type lazyPage struct {
 }
 
 func newLazyEngine(n *Node, update bool) *lazyEngine {
+	procs, pages := n.sys.cfg.Procs, n.sys.layout.NumPages()
 	return &lazyEngine{
-		n:         n,
-		update:    update,
-		v:         vc.New(n.sys.cfg.Procs),
-		log:       core.NewLog(n.sys.cfg.Procs),
-		store:     newSlotStore(n.sys.cfg.Procs),
-		lastEpoch: vc.New(n.sys.cfg.Procs),
-		ws:        newWriteSet(),
-		pages:     make([]*lazyPage, n.sys.layout.NumPages()),
-		keepers:   slices.Repeat([]mem.ProcID{-1}, (n.sys.layout.NumPages()+n.sys.cfg.Procs-1)/n.sys.cfg.Procs),
+		n:      n,
+		update: update,
+		ledger: newLedger(n.id, procs),
+		gcState: gcState{
+			lastEpoch: vc.New(procs),
+			keepers:   slices.Repeat([]mem.ProcID{-1}, (pages+procs-1)/procs),
+		},
+		ws:    newWriteSet(),
+		pages: make([]*lazyPage, pages),
 	}
-}
-
-// keeperLocked returns the keeper of page pg, or -1 when it has none or
-// another home. Caller holds pg's stripe.
-func (e *lazyEngine) keeperLocked(pg mem.PageID) mem.ProcID {
-	if e.n.homeOf(pg) != e.n.id {
-		return -1
-	}
-	return e.keepers[int(pg)/e.n.sys.cfg.Procs]
-}
-
-// setKeeperLocked names k the keeper of page pg, which this node homes, or
-// clears it (-1). Caller holds pg's stripe.
-func (e *lazyEngine) setKeeperLocked(pg mem.PageID, k mem.ProcID) {
-	at := &e.keepers[int(pg)/e.n.sys.cfg.Procs]
-	switch {
-	case *at < 0 && k >= 0:
-		e.n.stats.keptPages.Add(1)
-	case *at >= 0 && k < 0:
-		e.n.stats.keptPages.Add(-1)
-	}
-	*at = k
 }
 
 func (e *lazyEngine) clock() vc.VC {
@@ -188,10 +147,17 @@ func (e *lazyEngine) closeIntervalLocked() {
 		}
 		// The page table's twin reference transfers to the slot as the
 		// diff base; the post-interval contents stay live in pc.data
-		// until the next twin capture snapshots them (pending).
+		// until the next twin capture snapshots them (pending). The copy
+		// now reflects interval k, which a page with a twin makes sure
+		// exists: keep the applied clock faithful so page-home responses
+		// advertise the right coverage and GC validation sees own pages as
+		// current.
 		slot := e.store.slot(n.id, k, held)
 		*slot = diffSlot{base: pc.take()}
 		pc.pending = slot
+		if pc.applied[n.id] < k {
+			pc.applied[n.id] = k
+		}
 		n.stats.diffsDeferred.Add(1)
 		pmu.Unlock()
 		e.cand[i], e.cand[held] = e.cand[held], pg
@@ -203,22 +169,10 @@ func (e *lazyEngine) closeIntervalLocked() {
 		return // the slots stay free, for the next interval
 	}
 	e.store.hold(n.id, k, held)
-	idx := e.v.Tick(int(n.id))
-	id := core.IntervalID{Proc: n.id, Index: idx}
-	for _, pg := range pages {
-		// The local copy now reflects this interval: keep the applied
-		// clock faithful so page-home responses advertise the right
-		// coverage and GC validation sees own pages as current.
-		pmu := n.pageLock(pg)
-		pmu.Lock()
-		if pc := e.pages[pg]; pc != nil && pc.applied[n.id] < idx {
-			pc.applied[n.id] = idx
-		}
-		pmu.Unlock()
-	}
+	e.v.Tick(int(n.id))
 	// No Mods: byte ranges size the simulator's diffs; these are real. The
 	// log copies the clock and the page scratch in.
-	e.log.Append(core.Interval{ID: id, VC: e.v, Pages: pages})
+	e.log.Append(core.Interval{ID: core.IntervalID{Proc: n.id, Index: k}, VC: e.v, Pages: pages})
 	n.stats.intervalsCreated.Add(1)
 	e.trimTwinsLocked()
 }
@@ -238,7 +192,7 @@ func (e *lazyEngine) absorbIntervalsLocked(fresh []mem.PageID, batch ...[]wire.I
 	for _, recs := range batch {
 		for i := range recs {
 			rec := &recs[i]
-			if rec.Proc < 0 || int(rec.Proc) >= len(e.v) {
+			if !e.validProc(rec.Proc) {
 				e.n.noteErr("interval absorb",
 					fmt.Errorf("interval record for invalid processor %d", rec.Proc))
 				continue
@@ -359,12 +313,17 @@ func (e *lazyEngine) intervalsSinceLocked(m *wire.Msg, floor vc.VC) []wire.Inter
 		// knowing nothing — over-granting is safe, indexing with a forged
 		// clock is not.
 		floor = vc.New(len(e.v))
-	} else if q := e.belowFloorLocked(floor); q >= 0 {
-		// Every node's clock covers the last GC epoch once it has left the
-		// barrier that ran it, so one that does not is forged. The log
-		// answers from its floor.
-		e.n.noteErr("interval export", fmt.Errorf("forged clock %v lies below the collected floor %d of processor %d",
-			floor, e.log.Floor(mem.ProcID(q)), q))
+	} else {
+		for q, k := range floor {
+			if k < e.log.Floor(mem.ProcID(q)) {
+				// Every node's clock covers the last GC epoch once it has left
+				// the barrier that ran it, so one that does not is forged. The
+				// log answers from its floor.
+				e.n.noteErr("interval export", fmt.Errorf("forged clock %v lies below the collected floor %d of processor %d",
+					floor, e.log.Floor(mem.ProcID(q)), q))
+				break
+			}
+		}
 	}
 	count, _ := e.log.NoticesBetween(floor, e.v, nil)
 	recs := m.TakeIntervals(count)[:0]
@@ -372,18 +331,6 @@ func (e *lazyEngine) intervalsSinceLocked(m *wire.Msg, floor vc.VC) []wire.Inter
 		recs = append(recs, wire.IntervalRec{Proc: iv.ID.Proc, Index: iv.ID.Index, VC: iv.VC, Pages: iv.Pages})
 	})
 	return recs
-}
-
-// belowFloorLocked returns a processor whose entry in clock v lies below
-// the log's floor, or -1 if v covers every swept interval. Caller holds
-// e.mu.
-func (e *lazyEngine) belowFloorLocked(v vc.VC) int {
-	for q, k := range v {
-		if k < e.log.Floor(mem.ProcID(q)) {
-			return q
-		}
-	}
-	return -1
 }
 
 // invalidateForLocked applies LI semantics for freshly learned intervals,
@@ -484,15 +431,11 @@ func (e *lazyEngine) grant(req, grant *wire.Msg) {
 		for _, rec := range grant.Intervals {
 			id := core.IntervalID{Proc: rec.Proc, Index: rec.Index}
 			for _, pg := range rec.Pages {
-				slot := e.slotLocked(id, pg)
-				if slot == nil {
-					continue
+				if d := e.serveSlotLocked(id, pg); d != nil {
+					grant.Diffs = append(grant.Diffs, wire.DiffRec{
+						Page: pg, Proc: id.Proc, Index: id.Index, Diff: d, // sendGrant releases
+					})
 				}
-				d := e.diffOf(slot, pg)
-				e.noteServe(slot)
-				grant.Diffs = append(grant.Diffs, wire.DiffRec{
-					Page: pg, Proc: id.Proc, Index: id.Index, Diff: d.Retain(), // sendGrant releases
-				})
 			}
 		}
 	}
@@ -613,122 +556,6 @@ func (e *lazyEngine) postBarrier() error {
 	}
 	if gcDue {
 		return e.runGC()
-	}
-	return nil
-}
-
-// runGC is the barrier-time garbage collection epoch: every node brings
-// each page it caches fully up to the epoch and marks the epoch due. The
-// next barrier's postBarrier discards the diffs of every interval the epoch
-// clock covers and sweeps their records out of the log, whose floor rises
-// to the epoch: what a node keeps is bounded by the history since the
-// epoch before last, not the run. That barrier is the epoch's readiness
-// round: a node arrives at it only after its own validation, so no node
-// discards while another still needs pre-epoch diffs.
-//
-// runGC runs on the application goroutine, inside its Barrier, so the
-// only concurrent page activity is handler-side serving.
-//
-// The barrier rendezvous that precedes runGC is what pushes every write
-// notice to every node — the master absorbs all arrivals before building
-// exits, so each home's log lists every modifier of its pages since the
-// last epoch. Validation must therefore leave every copy this node serves
-// with an applied clock that dominates the epoch: any copy served with a
-// smaller clock would send a later requester to a responder for diffs the
-// epoch discarded (which refuses such requests as collected history), and
-// would plan from records the sweep removed. A page the node homes but
-// never touched is not built: the home names one of the page's modifiers
-// its keeper (keepers), whose copy — a modifier holds one, LI and LU never
-// drop a copy — this same epoch validates on the keeper, and every later
-// epoch again, and forwards cold misses of the page to it (handlePageReq)
-// until its own miss takes the keeper's copy (ensureCopy): modifications
-// move only to a node that accesses the page. checkGCInvariant enforces
-// this before the epoch is marked due, turning a would-be remote failure
-// into a local descriptive error.
-func (e *lazyEngine) runGC() error {
-	n := e.n
-	e.mu.Lock()
-	e.gcEpoch = append(e.gcEpoch[:0], e.lastEpoch...)
-	epoch, toValidate := e.gcEpoch, e.gcPages[:0]
-	for pg := range e.pages {
-		pgid := mem.PageID(pg)
-		pmu := n.pageLock(pgid)
-		pmu.Lock()
-		pc := e.pages[pg]
-		switch {
-		case pc != nil && !pc.valid:
-			toValidate = append(toValidate, pgid)
-		case pc == nil && n.homeOf(pgid) == n.id && e.keeperLocked(pgid) < 0:
-			// The log only knows modifiers since its floor, which is
-			// enough: a page whose history an epoch swept has had a
-			// keeper since that epoch.
-			e.nameKeeperLocked(pgid)
-		case pc != nil && pc.valid && !pc.applied.Dominates(epoch):
-			// Valid but stamped before the epoch: force a refresh so the
-			// advertised clock covers the epoch. Without the
-			// invalidation validate would return immediately and leave
-			// the stale stamp in place.
-			pc.valid = false
-			toValidate = append(toValidate, pgid)
-		}
-		pmu.Unlock()
-	}
-	e.gcPages = toValidate
-	e.mu.Unlock()
-
-	if err := e.revalidate(toValidate); err != nil {
-		return err
-	}
-	if err := e.checkGCInvariant(epoch); err != nil {
-		return err
-	}
-	e.stale = e.stale[:0]
-	e.gcDue = true
-	return nil
-}
-
-// nameKeeperLocked names the first of page pg's modifiers in the log,
-// other than this node, pg's keeper; a page without one keeps none.
-// Caller holds e.mu and pg's stripe.
-func (e *lazyEngine) nameKeeperLocked(pg mem.PageID) {
-	for _, q := range e.log.ModifiersOf(pg) {
-		if q != e.n.id {
-			e.setKeeperLocked(pg, q)
-			return
-		}
-	}
-}
-
-// checkGCInvariant verifies, before this node marks the GC epoch due,
-// that every copy it can later be asked to serve covers the epoch: its
-// cached copies are valid with dominating clocks, and every page it homes
-// with modification history has a copy here or a keeper, whose own check
-// covers the keeper's copy. A violation means a later cold miss would
-// chase discarded diffs.
-func (e *lazyEngine) checkGCInvariant(epoch vc.VC) error {
-	n := e.n
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for pg := range e.pages {
-		pgid := mem.PageID(pg)
-		pmu := n.pageLock(pgid)
-		pmu.Lock()
-		pc := e.pages[pg]
-		if pc == nil {
-			if n.homeOf(pgid) == n.id && e.keeperLocked(pgid) < 0 && len(e.log.ModifiersOf(pgid)) > 0 {
-				pmu.Unlock()
-				return fmt.Errorf("dsm: node %d: GC invariant: homed page %d has modification history but neither a copy nor a keeper", n.id, pgid)
-			}
-			pmu.Unlock()
-			continue
-		}
-		if !pc.valid || !pc.applied.Dominates(epoch) {
-			err := fmt.Errorf("dsm: node %d: GC invariant: page %d copy not validated through the epoch (valid=%t applied=%v epoch=%v)",
-				n.id, pgid, pc.valid, pc.applied, epoch)
-			pmu.Unlock()
-			return err
-		}
-		pmu.Unlock()
 	}
 	return nil
 }

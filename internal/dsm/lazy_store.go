@@ -8,7 +8,6 @@ import (
 	"repro/internal/framebuf"
 	"repro/internal/mem"
 	"repro/internal/page"
-	"repro/internal/vc"
 	"repro/internal/wire"
 )
 
@@ -24,7 +23,7 @@ import (
 // nil, for the pages whose diff never arrived. An own slot's fields are
 // guarded by its page stripe, a foreign one's d by e.mu, which guards the
 // store itself; a materialized slot's target is only ever servedMark,
-// written under e.mu (noteServe).
+// written under e.mu (serveSlotLocked).
 type diffSlot struct {
 	d      *page.Diff
 	base   *page.Twin
@@ -247,43 +246,45 @@ func (e *lazyEngine) dropTwins(pc *lazyPage, slot *diffSlot) {
 	}
 }
 
-// diffOf returns slot's diff, made now under pg's stripe if deferred.
-func (e *lazyEngine) diffOf(slot *diffSlot, pg mem.PageID) *page.Diff {
+// serveSlotLocked returns the store's diff of page pg in interval id, made
+// now under pg's stripe if deferred, on a count the caller drops once it is
+// encoded, or nil when the store holds none. Each serve after a slot's
+// first counts towards Stats.DiffCacheHits: it reuses the body the first
+// one shipped — a diff is its wire body, so there is nothing to rebuild.
+// The first marks the slot's target. Caller holds e.mu.
+func (e *lazyEngine) serveSlotLocked(id core.IntervalID, pg mem.PageID) *page.Diff {
+	slot := e.slotLocked(id, pg)
+	if slot == nil {
+		return nil
+	}
 	pmu := e.n.pageLock(pg)
 	pmu.Lock()
-	defer pmu.Unlock()
 	e.materializeSlot(e.pages[pg], slot, pg)
-	return slot.d
-}
-
-// noteServe counts one serve of materialized slot's diff towards
-// Stats.DiffCacheHits: every serve after the first reuses the body the
-// first one shipped — a diff is its wire body, so there is nothing to
-// rebuild. The first marks the slot's target. Caller holds e.mu.
-func (e *lazyEngine) noteServe(slot *diffSlot) {
+	pmu.Unlock()
 	if slot.target == &servedMark {
 		e.n.stats.diffCacheHits.Add(1)
 	}
 	slot.target = &servedMark
+	return slot.d.Retain()
 }
 
 // slotLocked returns the store's slot for interval id's diff of page pg,
 // or nil when it holds none. Caller holds e.mu.
-func (e *lazyEngine) slotLocked(id core.IntervalID, pg mem.PageID) *diffSlot {
-	if !e.n.validProc(id.Proc) {
+func (l *ledger) slotLocked(id core.IntervalID, pg mem.PageID) *diffSlot {
+	if !l.validProc(id.Proc) {
 		return nil
 	}
-	p, ent := e.store.entry(id)
+	p, ent := l.store.entry(id)
 	if ent.n == 0 {
 		return nil
 	}
 	// A store entry's interval is in the log (own intervals are logged as
-	// they are stored, storeDiffRecsLocked checks).
-	i, ok := slices.BinarySearch(e.log.Get(id).Pages, pg)
+	// they are stored, storeLocked checks).
+	i, ok := slices.BinarySearch(l.log.Get(id).Pages, pg)
 	if !ok {
 		return nil
 	}
-	if slot := p.at(ent.off + uint32(i)); id.Proc == e.n.id || slot.d != nil {
+	if slot := p.at(ent.off + uint32(i)); id.Proc == l.self || slot.d != nil {
 		return slot
 	}
 	return nil
@@ -319,123 +320,60 @@ func (e *lazyEngine) trimTwinsLocked() {
 }
 
 // storeDiffRecsLocked enters received diff records, each one interval's
-// diff, into the retained store, as clones: the records borrow a frame
-// that is released long before a later request or grant asks for them. A
-// record never replaces a slot the store holds (crucially not a local
-// deferred one). Caller holds e.mu.
+// diff, into the retained store (storeLocked), and records those it
+// refuses. The page count is the engine's: the page id indexes the stripe
+// table when the slot is later piggybacked, so an out-of-range one is the
+// sender's corruption. Caller holds e.mu.
 func (e *lazyEngine) storeDiffRecsLocked(recs []wire.DiffRec) {
 	for _, rec := range recs {
 		if !e.n.validPage(rec.Page) {
-			// The page id indexes the stripe table when the slot is later
-			// piggybacked; an out-of-range one is the sender's corruption.
-			e.n.noteErr("diff store",
-				fmt.Errorf("diff record for invalid page %d", rec.Page))
+			e.n.noteErr("diff store", fmt.Errorf("diff record for invalid page %d", rec.Page))
 			continue
 		}
-		id := core.IntervalID{Proc: rec.Proc, Index: rec.Index}
-		if e.collectedLocked(id) {
-			// A GC epoch swept the interval's record: no plan asks for it and
-			// no grant carries it any more.
-			e.n.noteErr("diff store",
-				fmt.Errorf("diff record %v for page %d names collected history", id, rec.Page))
-			continue
-		}
-		// Every diff the protocol sends answers a plan made from the log,
-		// or rides the grant that carried its interval.
-		var pages []mem.PageID
-		k, ok := 0, e.n.validProc(id.Proc) && id.Index >= 0 && e.v.Covers(int(id.Proc), id.Index)
-		if ok {
-			pages = e.log.Get(id).Pages
-			k, ok = slices.BinarySearch(pages, rec.Page)
-		}
-		if !ok {
-			e.n.noteErr("diff store",
-				fmt.Errorf("diff record %v for page %d matches no logged write notice", id, rec.Page))
-			continue
-		}
-		p, ent := e.store.entry(id)
-		if ent.n == 0 {
-			for i := range pages {
-				e.store.slot(id.Proc, id.Index, i)
-			}
-			ent = e.store.hold(id.Proc, id.Index, len(pages))
-		}
-		if slot := p.at(ent.off + uint32(k)); id.Proc != e.n.id && slot.d == nil {
-			slot.d = rec.Diff.Clone()
-		}
+		e.n.noteErr("diff store", e.storeLocked(rec))
 	}
+}
+
+// storeLocked enters rec, one interval's diff, into the retained store as
+// a clone: the record borrows a frame that is released long before a later
+// request or grant asks for it. A record never replaces a slot the store
+// holds (crucially not a local deferred one). Caller holds e.mu.
+func (l *ledger) storeLocked(rec wire.DiffRec) error {
+	id := core.IntervalID{Proc: rec.Proc, Index: rec.Index}
+	if l.collectedLocked(id) {
+		// A GC epoch swept the interval's record: no plan asks for it and
+		// no grant carries it any more.
+		return fmt.Errorf("diff record %v for page %d names collected history", id, rec.Page)
+	}
+	// Every diff the protocol sends answers a plan made from the log, or
+	// rides the grant that carried its interval.
+	var pages []mem.PageID
+	k, ok := 0, l.validProc(id.Proc) && id.Index >= 0 && l.v.Covers(int(id.Proc), id.Index)
+	if ok {
+		pages = l.log.Get(id).Pages
+		k, ok = slices.BinarySearch(pages, rec.Page)
+	}
+	if !ok {
+		return fmt.Errorf("diff record %v for page %d matches no logged write notice", id, rec.Page)
+	}
+	p, ent := l.store.entry(id)
+	if ent.n == 0 {
+		for i := range pages {
+			l.store.slot(id.Proc, id.Index, i)
+		}
+		ent = l.store.hold(id.Proc, id.Index, len(pages))
+	}
+	if slot := p.at(ent.off + uint32(k)); id.Proc != l.self && slot.d == nil {
+		slot.d = rec.Diff.Clone()
+	}
+	return nil
 }
 
 // collectedLocked reports whether interval id is at or below the log's
 // floor: a GC epoch swept its record, and its diffs went with it. Caller
 // holds e.mu.
-func (e *lazyEngine) collectedLocked(id core.IntervalID) bool {
-	return e.n.validProc(id.Proc) && id.Index <= e.log.Floor(id.Proc)
-}
-
-// discardLocked is the GC epoch's discard: every retained diff of an
-// interval the epoch covers goes, its slots emptied and its entry cleared,
-// and the store frees the chunks and slabs that held only such intervals;
-// then the log sweeps the intervals' records, which raises its floors.
-// Caller holds e.mu.
-func (e *lazyEngine) discardLocked(epoch vc.VC) {
-	n := e.n
-	gone := diffSlot{}
-	if framebuf.Poisoned() {
-		gone = deadSlot
-	}
-	for q := range e.store.procs {
-		for k := e.log.Floor(mem.ProcID(q)) + 1; k <= epoch[q]; k++ {
-			id := core.IntervalID{Proc: mem.ProcID(q), Index: k}
-			p, ent := e.store.entry(id)
-			if ent.n == 0 {
-				continue
-			}
-			for i, pg := range e.log.Get(id).Pages {
-				slot := p.at(ent.off + uint32(i))
-				pmu := n.pageLock(pg)
-				pmu.Lock()
-				switch {
-				case slot.d != nil:
-					slot.d.Release() // the store's count; a serve in flight has its own
-					n.stats.diffsDiscarded.Add(1)
-				case slot.base != nil:
-					// A covered slot whose diff was never fetched: drop the twins
-					// without ever computing it — the deferred work the lazy
-					// pipeline saves outright.
-					e.dropTwins(e.pages[pg], slot)
-					n.stats.diffsDiscarded.Add(1)
-				}
-				*slot = gone
-				pmu.Unlock()
-			}
-			p.chunks[k/chunkIntervals-p.dropped].ents[k%chunkIntervals] = slotEnt{}
-		}
-		e.store.sweep(q, epoch[q])
-	}
-	if framebuf.Poisoned() {
-		e.checkPendingLocked()
-	}
-	e.log.Sweep(epoch)
-	e.trimFrom = max(e.trimFrom, e.log.Floor(n.id)+1)
-}
-
-// checkPendingLocked asserts, in test builds, that no page's pending slot
-// is one the discard emptied: the write that next snapshots the page would
-// plant its twin in whatever interval the slot is handed to next. Such a
-// slot reads deadSlot until then. A violation is a recorded error that
-// fails the run at Close, like writeSet.check's. Caller holds e.mu.
-func (e *lazyEngine) checkPendingLocked() {
-	n := e.n
-	for stripe := range n.pageMu { // one lock per stripe, not per page
-		n.pageMu[stripe].Lock()
-		for pg := mem.PageID(stripe); n.validPage(pg); pg += pageShards {
-			if pc := e.pages[pg]; pc != nil && pc.pending != nil && *pc.pending == deadSlot {
-				n.noteErr("diff store", fmt.Errorf("page %d's pending slot lies in a discarded slot", pg))
-			}
-		}
-		n.pageMu[stripe].Unlock()
-	}
+func (l *ledger) collectedLocked(id core.IntervalID) bool {
+	return l.validProc(id.Proc) && id.Index <= l.log.Floor(id.Proc)
 }
 
 // releaseDiffs drops the counts the builder of m took on the diffs it
@@ -504,19 +442,16 @@ func (e *lazyEngine) serveLocked(w wire.Want) (*page.Diff, error) {
 	if w.Span != 0 {
 		return e.mergedLocked(w)
 	}
-	slot := e.slotLocked(id, w.Page)
-	if slot == nil {
-		if id.Proc == n.id || !n.validProc(id.Proc) || !e.v.Covers(int(id.Proc), id.Index) {
-			return nil, fmt.Errorf("asked for diff %v page %d this node does not hold", id, w.Page)
-		}
-		if _, wrote := slices.BinarySearch(e.log.Get(id).Pages, w.Page); !wrote {
-			return nil, fmt.Errorf("asked for diff %v of page %d, which the interval did not write", id, w.Page)
-		}
-		return nil, nil
+	if d := e.serveSlotLocked(id, w.Page); d != nil {
+		return d, nil
 	}
-	d := e.diffOf(slot, w.Page)
-	e.noteServe(slot)
-	return d.Retain(), nil
+	if id.Proc == n.id || !n.validProc(id.Proc) || !e.v.Covers(int(id.Proc), id.Index) {
+		return nil, fmt.Errorf("asked for diff %v page %d this node does not hold", id, w.Page)
+	}
+	if _, wrote := slices.BinarySearch(e.log.Get(id).Pages, w.Page); !wrote {
+		return nil, fmt.Errorf("asked for diff %v of page %d, which the interval did not write", id, w.Page)
+	}
+	return nil, nil
 }
 
 // mergedLocked serves range want w: the merge, last writer wins, of this

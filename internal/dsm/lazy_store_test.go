@@ -20,7 +20,7 @@ import (
 // epoch, poisoned, and empty the covered slots of those it keeps; and the
 // closes after it, which must take the freed chunk and slab again.
 func TestSlotSlabs(t *testing.T) {
-	e := planEngine(t, 2)
+	e := lazyOf(newSys(t, 2, LazyUpdate).Node(0))
 	n := e.n
 	// Section i closes node 0's interval i, which writes page pageOf(i), one
 	// node 0 homes, under a lock it manages: no message is sent.
@@ -69,7 +69,7 @@ func TestSlotSlabs(t *testing.T) {
 	clock := vc.New(2)
 	for k := 0; k <= 600; k++ {
 		clock.Tick(1)
-		logInterval(e, 1, clock, 1)
+		logInterval(&e.ledger, 1, clock, 1)
 	}
 	stored := map[int]bool{9: true, 3: true, 600: true, 0: true}
 	for _, k := range []int{9, 3, 600, 0} {

@@ -1,11 +1,11 @@
 package dsm
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/framebuf"
 	"repro/internal/mem"
@@ -16,20 +16,31 @@ import (
 	"repro/internal/wire"
 )
 
-// Sharding parameters of the node core. Page state is striped across
-// pageShards mutexes keyed by page id, so independent pages fault,
-// install and diff in parallel; incoming messages are queued on
-// handlerWorkers FIFO queues keyed by sender (its id modulo the pool
-// size), so each peer's messages are processed in the order it sent them
-// while different peers' proceed concurrently.
+// Message order, the one contract between a node's dispatch loop and its
+// workers. The dispatch loop (dispatchLoop) decodes each frame into its one
+// message and routes it (dispatchMsg): a barrier arrival or exit inline —
+// it only parks on the master (park) or wakes an rpc waiter — and every
+// other message onto the FIFO queue of its sender's worker, one of
+// handlerWorkers, keyed by the sender's id modulo the pool size. A worker
+// runs its queue one message at a time (process, the engine's handle
+// first), so each peer's messages are handled in the order it sent them
+// while different peers' proceed concurrently: a node takes a page's
+// ships, grants, invalidations and fetches from its home alone, so they
+// land in directory order, and an invalidation never overtakes a ship the
+// home sent before it (TestEIInvalidationOvertakesShipRepro); only an EU
+// writer's direct update may overtake a ship. A handler never blocks its
+// worker: work that waits for responses (SC's directory transactions, an
+// eager home's forwards and invalidations) runs on its own goroutine, and
+// no handler waits on the application goroutine, so every queue drains. A
+// full queue backpressures the dispatch loop, and through it the
+// transport. A stopped node (fail) drops every frame.
+//
+// Page state is striped across pageShards mutexes keyed by page id, so
+// independent pages fault, install and diff in parallel.
 const (
-	// pageShards is the stripe count of the per-page state lock table.
-	pageShards = 64
-	// handlerWorkers is the size of the per-node handler worker pool.
-	handlerWorkers = 8
-	// workerQueueCap bounds each worker queue; a full queue backpressures
-	// the dispatch loop, and through it the transport.
-	workerQueueCap = 1024
+	pageShards     = 64   // stripes of the page-state lock table
+	handlerWorkers = 8    // workers, each with its queue, per node
+	workerQueueCap = 1024 // messages a worker's queue holds
 )
 
 // Stats counts a node's protocol events. Which counters move depends on
@@ -239,8 +250,7 @@ type inFrame struct {
 // its calls, and one made while another goroutine's is in progress fails
 // with a descriptive error instead of racing it. Stats, Clock and ID, like
 // System.Status, are safe from any goroutine. Incoming protocol frames are
-// served concurrently by a dispatch loop feeding a worker pool that
-// serializes per-page work.
+// served beside it, in Message order.
 type Node struct {
 	sys *System
 	id  mem.ProcID
@@ -275,12 +285,7 @@ type Node struct {
 	barCh     chan *wire.Msg
 	collected []*wire.Msg
 
-	seqCtr   atomic.Uint64
-	waiterMu sync.Mutex
-	waiters  map[uint64]*rpcWaiter
-	// freeWaiters recycles rpc waiters (register takes, await returns);
-	// guarded by waiterMu.
-	freeWaiters []*rpcWaiter
+	waiterTable
 	// failure is the timeout the node stopped on; stopped closes with it.
 	failure atomic.Pointer[error]
 	stopped chan struct{}
@@ -308,17 +313,17 @@ type Node struct {
 
 func newNode(s *System, id mem.ProcID) *Node {
 	n := &Node{
-		sys:      s,
-		id:       id,
-		ep:       s.tr.Endpoint(int(id)),
-		locks:    make(map[mem.LockID]*lockLocal),
-		mgrLast:  make(map[mem.LockID]mem.ProcID),
-		barCh:    make(chan *wire.Msg, s.cfg.Procs),
-		dsts:     make([]outDest, s.cfg.Procs),
-		waiters:  make(map[uint64]*rpcWaiter),
-		queues:   make([]chan inFrame, handlerWorkers),
-		closedCh: make(chan struct{}),
-		stopped:  make(chan struct{}),
+		sys:         s,
+		id:          id,
+		ep:          s.tr.Endpoint(int(id)),
+		locks:       make(map[mem.LockID]*lockLocal),
+		mgrLast:     make(map[mem.LockID]mem.ProcID),
+		barCh:       make(chan *wire.Msg, s.cfg.Procs),
+		dsts:        make([]outDest, s.cfg.Procs),
+		waiterTable: waiterTable{waiters: make(map[uint64]*rpcWaiter)},
+		queues:      make([]chan inFrame, handlerWorkers),
+		closedCh:    make(chan struct{}),
+		stopped:     make(chan struct{}),
 	}
 	for i := range n.queues {
 		n.queues[i] = make(chan inFrame, workerQueueCap)
@@ -429,357 +434,9 @@ func (n *Node) validProc(p mem.ProcID) bool {
 	return p >= 0 && int(p) < n.sys.cfg.Procs
 }
 
-// --- request/response plumbing ---
-
-// rpcWaiter is one parked rpc: its response channel (buffered, so a
-// delivery never blocks) and the destination the request went to, so a
-// send failure to that destination can fail exactly the waiters parked
-// on it. Whoever takes a waiter out of Node.waiters delivers to it exactly
-// once — a response, or nil for a failure (shutdown, dst's death, a
-// rejected response) — and await recycles it through Node.freeWaiters once
-// it has received that delivery; a waiter given up on is left to the
-// garbage collector.
-type rpcWaiter struct {
-	ch   chan *wire.Msg
-	dst  mem.ProcID
-	want wire.Kind // the response kind the request takes
-}
-
-// freedWaiter marks a waiter on the free list (in its dst): releasing it
-// again or delivering to it panics instead of corrupting its next rpc.
-const freedWaiter = mem.ProcID(-1 << 31)
-
-func (n *Node) nextSeq() uint64 { return n.seqCtr.Add(1) }
-
-// register parks a waiter for the response to a request of kind req to dst.
-func (n *Node) register(seq uint64, dst mem.ProcID, req wire.Kind) *rpcWaiter {
-	n.waiterMu.Lock()
-	var w *rpcWaiter
-	if last := len(n.freeWaiters) - 1; last >= 0 {
-		w, n.freeWaiters = n.freeWaiters[last], n.freeWaiters[:last]
-	} else {
-		w = &rpcWaiter{ch: make(chan *wire.Msg, 1)}
-	}
-	w.dst, w.want = dst, req+1 // every response kind follows its request's
-	if req == wire.KLockReq {
-		w.want = wire.KLockGrant // from the holder, past the manager's forward
-	}
-	n.waiters[seq] = w
-	n.waiterMu.Unlock()
-	return w
-}
-
-// deliver hands a waiter taken out of Node.waiters its one delivery.
-func (w *rpcWaiter) deliver(m *wire.Msg) {
-	if w.dst == freedWaiter {
-		panic("dsm: delivery to a released rpc waiter")
-	}
-	w.ch <- m
-}
-
-// unregister takes seq's waiter out of Node.waiters — its request failed
-// to leave, or the wait gave up — and reports whether it was still there;
-// false means someone else took it and its delivery is in the channel or
-// instants away.
-func (n *Node) unregister(seq uint64) bool {
-	n.waiterMu.Lock()
-	defer n.waiterMu.Unlock()
-	_, ok := n.waiters[seq]
-	delete(n.waiters, seq)
-	return ok
-}
-
-// freeWaiter recycles a waiter that has received its delivery.
-func (n *Node) freeWaiter(w *rpcWaiter) {
-	if w.dst == freedWaiter {
-		panic("dsm: rpc waiter released twice")
-	}
-	w.dst = freedWaiter
-	n.waiterMu.Lock()
-	n.freeWaiters = append(n.freeWaiters, w)
-	n.waiterMu.Unlock()
-}
-
-// await blocks for the response registered under seq, honoring the
-// configured RPCTimeout. A nil delivery means the waiter was failed: by
-// shutdown (ErrClosed), by dst's death (the recorded cause), or by the
-// engine refusing the response (failWaiter). A wait that gives up — its
-// timeout elapsed, or the node stopped on another's — stops the node
-// (fail) and returns the timeout it stopped on, which wraps ErrRPCTimeout,
-// never ErrClosed, so callers and tests can tell a hung peer from a clean
-// teardown.
-func (n *Node) await(seq uint64, w *rpcWaiter) (*wire.Msg, error) {
-	dst := w.dst
-	m, _, gaveUp := n.recvTimed(w.ch)
-	if gaveUp {
-		err := n.fail(fmt.Errorf("dsm: node %d: rpc seq %d to node %d: no response within %v: %w",
-			n.id, seq, dst, n.sys.cfg.RPCTimeout, ErrRPCTimeout))
-		if n.unregister(seq) {
-			return nil, err
-		}
-		// The response (or a failure) won the race.
-		m = <-w.ch
-	}
-	n.freeWaiter(w)
-	if m == nil {
-		if cause := n.peerErr(dst); cause != nil {
-			return nil, fmt.Errorf("dsm: node %d: rpc seq %d to node %d: peer unreachable: %w",
-				n.id, seq, dst, cause)
-		}
-		select {
-		case <-n.closedCh:
-			return nil, fmt.Errorf("dsm: node %d: awaiting seq %d: %w", n.id, seq, ErrClosed)
-		default:
-			// failWaiter: the engine refused the response and recorded why.
-			return nil, fmt.Errorf("dsm: node %d: rpc seq %d to node %d: response refused", n.id, seq, dst)
-		}
-	}
-	return m, nil
-}
-
-// fail stops the node on its first rpc timeout and returns that timeout,
-// whatever err a later caller brings: a node that ran on past a response
-// it gave up on would act on what it never received. It fails stop, the
-// model peerFailed follows for a broken stream: every parked wait gives up
-// at once (recvTimed), every later call fails (enter), and every frame
-// that arrives from then on is dropped (dispatchLoop), so nothing lands on
-// the node and no grant leaves it (sendGrant). Safe from any goroutine.
-func (n *Node) fail(err error) error {
-	if n.failure.CompareAndSwap(nil, &err) {
-		close(n.stopped)
-	}
-	return *n.failure.Load()
-}
-
-// rpcTimers recycles the RPCTimeout timers, one per parked receive
-// otherwise. go.mod's language version gives timers the Go 1.23
-// semantics: nothing is delivered after Stop, so a recycled timer cannot
-// fire a stale tick into its next user.
-var rpcTimers sync.Pool
-
-// recvTimed receives from ch, giving up after the configured RPCTimeout
-// (never, when it is zero) or when the node stops; gaveUp reports that it
-// gave up. A message already buffered is taken without arming a timer.
-func (n *Node) recvTimed(ch chan *wire.Msg) (m *wire.Msg, ok, gaveUp bool) {
-	d := n.sys.cfg.RPCTimeout
-	if d <= 0 {
-		m, ok = <-ch
-		return m, ok, false
-	}
-	select {
-	case m, ok = <-ch:
-		return m, ok, false
-	default:
-	}
-	t, _ := rpcTimers.Get().(*time.Timer)
-	if t == nil {
-		t = time.NewTimer(d)
-	} else {
-		t.Reset(d)
-	}
-	select {
-	case m, ok = <-ch:
-	case <-t.C:
-		gaveUp = true
-	case <-n.stopped:
-		gaveUp = true
-	}
-	t.Stop()
-	rpcTimers.Put(t)
-	return m, ok, gaveUp
-}
-
-// peerFailed fails every waiter parked on dst once send found its stream
-// broken (called by that send, under dst's lock): the paper's fail-stop
-// model, propagated — a node whose stream to a peer broke will never get
-// its responses, so its parked rpcs learn immediately instead of waiting
-// out the timeout. Shutdown errors are not
-// peer deaths (every stream "fails" at Close).
-func (n *Node) peerFailed(dst mem.ProcID, cause error) {
-	if dst == n.id || errors.Is(cause, ErrClosed) {
-		return
-	}
-	n.waiterMu.Lock()
-	for seq, w := range n.waiters {
-		if w.dst == dst {
-			delete(n.waiters, seq)
-			w.deliver(nil)
-		}
-	}
-	n.waiterMu.Unlock()
-	n.noteErr("peer liveness", fmt.Errorf("node %d unreachable: %v", dst, cause))
-}
-
-// peerErr returns the cause dst's stream broke with — send's sticky
-// error — or nil while dst is alive (or its stream only closed).
-func (n *Node) peerErr(dst mem.ProcID) error {
-	d := &n.dsts[dst]
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if dst == n.id || errors.Is(d.broken, ErrClosed) {
-		return nil
-	}
-	return d.broken
-}
-
-// failWaiter unblocks the rpc waiter parked on seq with a failure (its
-// await returns an error) after the engine rejected the response it was
-// waiting for; the detailed cause was recorded with noteErr for
-// System.Close. Failing rather than stranding the waiter keeps the
-// application live so the run can reach Close and surface the cause. A
-// missing waiter is fine — the rejected response may not have matched
-// any request to begin with.
-func (n *Node) failWaiter(seq uint64) {
-	n.waiterMu.Lock()
-	w, ok := n.waiters[seq]
-	if ok {
-		delete(n.waiters, seq)
-	}
-	n.waiterMu.Unlock()
-	if ok {
-		w.deliver(nil)
-	}
-}
-
-// answerWaiter wakes the waiter of a response its engine intercepted with
-// the response once installed, and fails it over one the engine rejected
-// (the cause is already in noteErr).
-func (n *Node) answerWaiter(m *wire.Msg, installed bool) {
-	if installed {
-		n.deliverResponse(m)
-	} else {
-		n.failWaiter(m.Seq)
-	}
-}
-
-// rpc sends m to dst and blocks for the response with the same Seq,
-// which the caller holds from then on (wire.Msg.Release when done with
-// it): a group of one, so that rpcAll is the one send and await path. m
-// is the caller's again as soon as it is sent. Any number of goroutines
-// may have rpcs outstanding concurrently. A failed send surfaces to the
-// requester directly.
-func (n *Node) rpc(dst mem.ProcID, m *wire.Msg) (*wire.Msg, error) {
-	req := [1]outMsg{{dst: dst, m: *m}}
-	var resp [1]*wire.Msg
-	got, err := n.rpcAll(req[:], resp[:0])
-	if err != nil {
-		return nil, err
-	}
-	return got[0], nil
-}
-
-// outMsg is one request of a grouped send: the message by value, so a
-// group built in a local array never reaches the heap, and its destination.
-// Nothing rpcAll reads out of a group leaks, so neither do the lists a
-// request's slices point to (a miss's wants, a flush's diff record).
-type outMsg struct {
-	dst mem.ProcID
-	m   wire.Msg
-}
-
-// rpcAll sends a group of requests, registering each one's waiter before
-// its send, then blocks for all responses, which it appends to resps in
-// request order (the caller holds them). A request whose send fails is
-// withdrawn, and the first error is returned after the other requests'
-// responses arrived and were released, so no response is ever orphaned.
-// With metrics configured, each awaited request's wait, from the group's
-// first send to its response, is one rpcHist observation.
-func (n *Node) rpcAll(reqs []outMsg, resps []*wire.Msg) ([]*wire.Msg, error) {
-	var start time.Time
-	if n.rpcHist != nil {
-		start = time.Now()
-	}
-	// The parked waiters, in request order, nil for a request that failed
-	// to leave. Kept apart from reqs: a waiter read out of a request would
-	// make everything the request points to escape with it.
-	var waiterBuf [32]*rpcWaiter
-	waiters := waiterBuf[:0]
-	var firstErr error
-	for i := range reqs {
-		r := &reqs[i]
-		w := n.register(r.m.Seq, r.dst, r.m.Kind)
-		if err := n.send(r.dst, &r.m); err != nil {
-			n.unregister(r.m.Seq)
-			w = nil
-			if firstErr == nil {
-				firstErr = err
-			}
-		}
-		waiters = append(waiters, w)
-	}
-	got := len(resps)
-	for i := range reqs {
-		if waiters[i] == nil {
-			continue
-		}
-		m, err := n.await(reqs[i].m.Seq, waiters[i])
-		if h := n.rpcHist; h != nil {
-			h.Observe(time.Since(start).Seconds())
-		}
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		resps = append(resps, m)
-	}
-	if firstErr != nil {
-		for _, m := range resps[got:] {
-			m.Release()
-		}
-		return resps[:got], firstErr
-	}
-	return resps, nil
-}
-
-// deliverResponse hands a response message to the requester parked in
-// rpc, which holds a reference to it from then on — next to the caller's
-// own — and releases it once it has consumed the response (a caller that
-// ignores its responses may leave that to the garbage collector).
-// Engines that intercept their responses in handle (a grant installs on
-// its home's worker, in the order the home sent it) call this after
-// processing. A response nobody waits for is a protocol error surfaced
-// through System.Close — unless the node is shutting down or has stopped,
-// when a wait may have given up on it.
-func (n *Node) deliverResponse(m *wire.Msg) {
-	n.waiterMu.Lock()
-	w, ok := n.waiters[m.Seq]
-	if ok {
-		delete(n.waiters, m.Seq)
-	}
-	if ok && w.want != m.Kind {
-		// A waiter is found by sequence number alone: a response of another
-		// kind would wake it over a page never installed, an update never
-		// landed. Once delivered to, the waiter is its rpc's again.
-		want := w.want
-		n.waiterMu.Unlock()
-		w.deliver(nil)
-		n.noteErr("response routing", fmt.Errorf("%v answers seq %d, which awaits %v", m.Kind, m.Seq, want))
-		return
-	}
-	n.waiterMu.Unlock()
-	if ok {
-		m.Retain()
-		w.deliver(m)
-		return
-	}
-	select {
-	case <-n.closedCh:
-		return
-	case <-n.stopped:
-		return
-	default:
-	}
-	n.noteErr("response routing",
-		fmt.Errorf("unexpected response seq %d kind %v", m.Seq, m.Kind))
-}
-
 // dispatchLoop receives frames until the transport closes, decoding each
 // into its one message, which owns the frame from then on
-// (wire.Msg.HoldFrame), and queues each on its sender's worker in arrival
-// order. Barrier arrivals and exits are handled inline (they only park on
-// the master or wake an rpc waiter). A stopped node (fail) drops them all.
+// (wire.Msg.HoldFrame), and routes it in Message order.
 //
 // A frame that fails to decode came off the wire from a remote peer,
 // so it is not a local invariant violation: the error is recorded for
@@ -807,9 +464,8 @@ func (n *Node) dispatchLoop() {
 	}
 }
 
-// dispatchMsg routes one decoded message: barrier kinds inline — the
-// collecting master holds an arrival from then on (park) — everything else
-// onto its sender's queue, whose worker holds it.
+// dispatchMsg routes one decoded message (Message order): the collecting
+// master holds an arrival from then on (park), a worker what it queues.
 func (n *Node) dispatchMsg(m *wire.Msg, src mem.ProcID) {
 	if n.traceOn() {
 		n.emit("recv", m.Kind.String(), int64(src))
@@ -866,10 +522,10 @@ func (n *Node) homeForward(m *wire.Msg, src mem.ProcID) bool {
 	return lazy && m.Kind == wire.KPageReq && src == n.homeOf(mem.PageID(m.A))
 }
 
-// worker drains one serialized message queue. It lets go of a message as
-// soon as its handler returns: what the handler sent is encoded already,
-// and a handler that hands its message on — to an rpc waiter, to a
-// serving goroutine, to a lock's pending slot — retained it for the new
+// worker drains one message queue (Message order). It lets go of a
+// message as soon as its handler returns: what the handler sent is encoded
+// already, and a handler that hands its message on — to an rpc waiter, to
+// a serving goroutine, to a lock's pending slot — retained it for the new
 // holder first.
 func (n *Node) worker(q chan inFrame) {
 	defer n.workerWG.Done()
@@ -915,12 +571,7 @@ func (n *Node) shutdown() {
 	}
 	n.workerWG.Wait()
 	close(n.closedCh)
-	n.waiterMu.Lock()
-	for seq, w := range n.waiters {
-		delete(n.waiters, seq)
-		w.deliver(nil)
-	}
-	n.waiterMu.Unlock()
+	n.failWaiters(-1)
 	close(n.barCh)
 }
 
@@ -1007,9 +658,7 @@ func (n *Node) writePage(pg mem.PageID, off int, src []byte) error {
 // WriteUint64 stores a little-endian uint64 at addr.
 func (n *Node) WriteUint64(addr mem.Addr, v uint64) error {
 	var b [8]byte
-	for i := range b {
-		b[i] = byte(v >> (8 * i))
-	}
+	binary.LittleEndian.PutUint64(b[:], v)
 	return n.Write(addr, b[:])
 }
 
@@ -1019,9 +668,5 @@ func (n *Node) ReadUint64(addr mem.Addr) (uint64, error) {
 	if err := n.Read(b[:], addr); err != nil {
 		return 0, err
 	}
-	var v uint64
-	for i := range b {
-		v |= uint64(b[i]) << (8 * i)
-	}
-	return v, nil
+	return binary.LittleEndian.Uint64(b[:]), nil
 }

@@ -172,7 +172,7 @@ func (f *failEndpoint) Recv() (int, []byte, bool) { return 0, nil, false }
 func TestOutboxStickyFlushError(t *testing.T) {
 	broken := errors.New("peer stream broken")
 	ep := &failEndpoint{err: broken}
-	n := &Node{id: 0, ep: ep, dsts: make([]outDest, 2), waiters: make(map[uint64]*rpcWaiter)}
+	n := &Node{id: 0, ep: ep, dsts: make([]outDest, 2), waiterTable: waiterTable{waiters: make(map[uint64]*rpcWaiter)}}
 
 	w := n.register(1, 1, wire.KDiffReq)
 	if err := n.peerErr(1); err != nil {

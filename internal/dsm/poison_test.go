@@ -74,7 +74,7 @@ func TestEarlyReleaseIsCaught(t *testing.T) {
 		}
 		wants := r.held[0].wants
 		frame := r.held[0].resp.EncodeAppend(framebuf.Get())
-		r.held.release()
+		r.held[0].resp.Release()
 		resp, err := wire.Decode(frame)
 		if err != nil {
 			t.Fatal(err)
@@ -86,11 +86,11 @@ func TestEarlyReleaseIsCaught(t *testing.T) {
 			// diffs. (The round gets a stand-in without the reference, so
 			// its own, correct, release has nothing left to do.)
 			diffs := resp.Diffs // the shell forgets them when it is released
-			r.held.release()
+			r.held[0].resp.Release()
 			r.held = fetchedDiffs{{wants, &wire.Msg{Kind: wire.KDiffResp, Diffs: diffs}}}
 		}
 		err = e.apply(r, 0)
-		r.held.release()
+		r.held[0].resp.Release()
 		if early {
 			if err == nil || !strings.Contains(err.Error(), "exceeds page size") {
 				t.Errorf("a miss over a diff applied after its response's release = %v, want Apply's refusal", err)
@@ -152,7 +152,7 @@ func TestEarlyMsgReleaseIsCaught(t *testing.T) {
 				t.Errorf("request processed in order recorded %v", errs)
 			}
 		} else {
-			requester.unregister(seq)
+			requester.takeWaiter(seq)
 			want := fmt.Sprintf("unhandled message kind Kind(%d)", framebuf.PoisonByte)
 			if len(errs) != 1 || !strings.Contains(errs[0].Error(), want) {
 				t.Errorf("a request released before its handler ran was processed as if intact: recorded %v, want one error containing %q", errs, want)
@@ -337,7 +337,7 @@ func TestWaiterReleaseIsMarked(t *testing.T) {
 	}
 	seq := n.nextSeq()
 	w := n.register(seq, 1, wire.KLockReq)
-	n.failWaiter(seq)
+	n.answerWaiter(&wire.Msg{Seq: seq}, false)
 	if _, err := n.await(seq, w); err == nil {
 		t.Fatal("a failed waiter's await returned no error")
 	}
@@ -351,7 +351,7 @@ func TestWaiterReleaseIsMarked(t *testing.T) {
 	if w2 := n.register(seq, 1, wire.KLockReq); w2 != w || w2.dst != 1 {
 		t.Errorf("register did not reuse the released waiter")
 	}
-	n.unregister(seq)
+	n.takeWaiter(seq)
 }
 
 // parkedDiffServe is the fixture of the two tests below: node 1 makes a

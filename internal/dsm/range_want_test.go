@@ -116,30 +116,33 @@ func TestServeRefusesSpansTheCodecRefuses(t *testing.T) {
 	}
 }
 
-// planEngine returns node 0's LU engine of a fresh cluster (LU: the engine
-// with a store of received diffs) for a test that writes its log, clock
-// and store by hand under e.mu.
-func planEngine(t *testing.T, procs int) *lazyEngine {
-	t.Helper()
-	s, err := New(Config{Procs: procs, SpaceSize: 8 * 1024, PageSize: 1024, Mode: LazyUpdate})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		if err := s.Close(); err != nil {
-			t.Errorf("Close: %v", err)
-		}
-	})
-	return s.Node(0).e.(*lazyEngine)
+// logInterval appends processor p's next interval, closed at clock, to the
+// ledger's log and knowledge.
+func logInterval(l *ledger, p mem.ProcID, clock vc.VC, pages ...mem.PageID) core.IntervalID {
+	id := core.IntervalID{Proc: p, Index: clock[p]}
+	l.log.Append(core.Interval{ID: id, VC: clock, Pages: pages})
+	l.v[p] = id.Index
+	return id
 }
 
-// logInterval appends processor p's next interval, closed at clock, to the
-// engine's log and knowledge.
-func logInterval(e *lazyEngine, p mem.ProcID, clock vc.VC, pages ...mem.PageID) core.IntervalID {
-	id := core.IntervalID{Proc: p, Index: clock[p]}
-	e.log.Append(core.Interval{ID: id, VC: clock, Pages: pages})
-	e.v[p] = id.Index
-	return id
+// storeDiff enters diff d of interval id on page pg into the ledger's store.
+func storeDiff(t *testing.T, l *ledger, id core.IntervalID, pg mem.PageID, d *page.Diff) {
+	t.Helper()
+	if err := l.storeLocked(wire.DiffRec{Page: pg, Proc: id.Proc, Index: id.Index, Diff: d}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// planPage plans page pg, from a copy with the given applied clock, into a
+// round of its own, and returns the plan and the requests its node sends.
+func planPage(t *testing.T, l *ledger, pg mem.PageID, applied vc.VC) ([]core.IntervalID, []outMsg) {
+	t.Helper()
+	var r round
+	if !l.plan(&r, pg, applied, anyResponder) {
+		t.Fatalf("page %d refused by a plan that takes every responder", pg)
+	}
+	reqs, _ := (&Node{id: l.self}).diffReqs(nil, nil, r.asks)
+	return r.planOf(0), reqs
 }
 
 // wordDiff returns a diff that sets the given 8-byte words of a page to val.
@@ -224,17 +227,15 @@ func TestMissPlanWants(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			e := planEngine(t, 4)
-			e.mu.Lock()
-			defer e.mu.Unlock()
+			l := newLedger(0, 4)
 			for _, h := range tc.history {
-				logInterval(e, h.p, h.clock, h.pages...)
+				logInterval(&l, h.p, h.clock, h.pages...)
 			}
 			for _, id := range tc.stored {
-				e.storeDiffRecsLocked([]wire.DiffRec{{Page: pg, Proc: id.Proc, Index: id.Index, Diff: wordDiff(t, 1, 0)}})
+				storeDiff(t, &l, id, pg, wordDiff(t, 1, 0))
 			}
-			out := e.planLocked(pg, vc.New(4))
-			got := wantsOf(t, e.missingDiffReqsLocked(nil, pg, out))
+			out, reqs := planPage(t, &l, pg, vc.New(4))
+			got := wantsOf(t, reqs)
 			if !reflect.DeepEqual(got, tc.want) {
 				t.Errorf("plan %v asks for\n  %+v, want\n  %+v", out, got, tc.want)
 			}
@@ -281,15 +282,13 @@ func TestMissPlanResponders(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			e := planEngine(t, 4)
-			e.mu.Lock()
-			defer e.mu.Unlock()
+			l := newLedger(0, 4)
 			for _, h := range tc.history {
-				logInterval(e, h.p, h.clock, pg)
+				logInterval(&l, h.p, h.clock, pg)
 			}
-			out := e.planLocked(pg, vc.New(4))
+			out, reqs := planPage(t, &l, pg, vc.New(4))
 			var got []req
-			for _, r := range e.missingDiffReqsLocked(nil, pg, out) {
+			for _, r := range reqs {
 				got = append(got, req{r.dst, r.m.Wants})
 			}
 			if !reflect.DeepEqual(got, tc.want) {
@@ -299,14 +298,6 @@ func TestMissPlanResponders(t *testing.T) {
 	}
 }
 
-// missingDiffReqsLocked is a one-page round's requests: those of the wants
-// for the steps of plan out that the store does not supply. Caller holds
-// e.mu.
-func (e *lazyEngine) missingDiffReqsLocked(reqs []outMsg, pg mem.PageID, out []core.IntervalID) []outMsg {
-	reqs, _ = e.diffReqs(reqs, nil, e.missingWantsLocked(nil, pg, out))
-	return reqs
-}
-
 // TestRangePlanMatchesSingleSteps is the property the rule must have: on a
 // random history that is closed under happened-before and whose concurrent
 // intervals write disjoint words (every word's writers form a chain), a
@@ -314,18 +305,21 @@ func (e *lazyEngine) missingDiffReqsLocked(reqs []outMsg, pg mem.PageID, out []c
 // the range alone — leaves the page as the same plan does one interval's
 // diff at a time. Copies start at a random consistent cut, and the store
 // holds a random few single diffs, so runs open and close mid-history.
+//
+// On the same histories it pins the rule a fault's siblings rest on, that
+// respondersLocked and missingWantsLocked agree: a page planned for only
+// the destinations of its own asks is planned, and one that may not ask
+// any one of them is refused and leaves the round exactly as it was.
 func TestRangePlanMatchesSingleSteps(t *testing.T) {
 	const (
 		procs, words = 5, 12
 		pg, other    = mem.PageID(0), mem.PageID(1)
 		pageSize     = 1024
 	)
-	e := planEngine(t, procs)
 	rng := rand.New(rand.NewSource(1))
-	ranged, split := 0, 0
-	for round := 0; round < 300; round++ {
-		e.mu.Lock()
-		e.log, e.v, e.store = core.NewLog(procs), vc.New(procs), newSlotStore(procs)
+	ranged, split, refused := 0, 0, 0
+	for trial := 0; trial < 300; trial++ {
+		l := newLedger(0, procs)
 		// Processors 1.. write; 0 is the reader. A processor may write a word
 		// only if it has seen the word's last writer.
 		clocks := make([]vc.VC, procs)
@@ -352,10 +346,10 @@ func TestRangePlanMatchesSingleSteps(t *testing.T) {
 			}
 			clocks[p].Tick(p)
 			if len(mine) == 0 {
-				logInterval(e, mem.ProcID(p), clocks[p], other)
+				logInterval(&l, mem.ProcID(p), clocks[p], other)
 				continue
 			}
-			id := logInterval(e, mem.ProcID(p), clocks[p], pg)
+			id := logInterval(&l, mem.ProcID(p), clocks[p], pg)
 			diffs[id] = wordDiff(t, byte(1+len(diffs)), mine...)
 			for _, w := range mine {
 				lastWriter[w] = &id
@@ -376,7 +370,8 @@ func TestRangePlanMatchesSingleSteps(t *testing.T) {
 		}
 		// The copy at the cut: everything the cut covers, singly.
 		var covered []core.IntervalID
-		for _, id := range e.planLocked(pg, vc.New(procs)) {
+		all, _ := planPage(t, &l, pg, vc.New(procs))
+		for _, id := range all {
 			if cut.Covers(int(id.Proc), id.Index) {
 				covered = append(covered, id)
 			}
@@ -384,19 +379,43 @@ func TestRangePlanMatchesSingleSteps(t *testing.T) {
 		base := make([]byte, pageSize)
 		apply(base, single(covered))
 
-		out := e.planLocked(pg, cut)
+		out, _ := planPage(t, &l, pg, cut)
 		for _, id := range out {
 			if rng.Intn(8) == 0 {
-				e.storeDiffRecsLocked([]wire.DiffRec{{Page: pg, Proc: id.Proc, Index: id.Index, Diff: diffs[id]}})
+				storeDiff(t, &l, id, pg, diffs[id])
 			}
 		}
+		out, reqs := planPage(t, &l, pg, cut)
+
+		// Only the asks' destinations: planned. One of them short: refused,
+		// with the round, which holds another page's plan, left as it was.
+		var dsts uint64
+		for _, r := range reqs {
+			dsts |= 1 << r.dst
+		}
+		var r round
+		l.plan(&r, other, vc.New(procs), anyResponder)
+		pages, ends, plan, asks := slices.Clone(r.pages), slices.Clone(r.ends), slices.Clone(r.plan), slices.Clone(r.asks)
+		for ds := dsts; ds != 0; ds &= ds - 1 {
+			refused++
+			if l.plan(&r, pg, cut, dsts&^(ds&-ds)) {
+				t.Fatalf("round %d: plan %v from cut %v, whose asks go to %b, was planned without responder %b", trial, out, cut, dsts, ds&-ds)
+			}
+			if !slices.Equal(r.pages, pages) || !slices.Equal(r.ends, ends) || !slices.Equal(r.plan, plan) || !slices.Equal(r.asks, asks) {
+				t.Fatalf("round %d: refusing plan %v changed the round", trial, out)
+			}
+		}
+		if !l.plan(&r, pg, cut, dsts) {
+			t.Fatalf("round %d: plan %v from cut %v was refused the responders %b its asks go to", trial, out, cut, dsts)
+		}
+
 		// Play the creators: a range is answered from the range alone.
 		var held fetchedDiffs
-		for _, r := range e.missingDiffReqsLocked(nil, pg, out) {
+		for _, r := range reqs {
 			resp := &wire.Msg{Kind: wire.KDiffResp}
 			for _, w := range r.m.Wants {
 				var members []*page.Diff
-				for _, k := range e.log.IndicesOn(w.Page, w.Proc, w.Index, w.Index+w.Span) {
+				for _, k := range l.log.IndicesOn(w.Page, w.Proc, w.Index, w.Index+w.Span) {
 					members = append(members, diffs[core.IntervalID{Proc: w.Proc, Index: k}])
 				}
 				d := members[0]
@@ -417,8 +436,7 @@ func TestRangePlanMatchesSingleSteps(t *testing.T) {
 			}
 			held = append(held, fetched{wants: r.m.Wants, resp: resp})
 		}
-		steps, err := e.stepsLocked(nil, pg, out, held)
-		e.mu.Unlock()
+		steps, err := l.stepsLocked(nil, pg, out, held)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -427,10 +445,56 @@ func TestRangePlanMatchesSingleSteps(t *testing.T) {
 		apply(got, steps)
 		if !bytes.Equal(got, want) {
 			t.Fatalf("round %d: plan %v from cut %v: merged ranges leave\n%s, single steps\n%s",
-				round, out, cut, fmt.Sprint(got[:8*words]), fmt.Sprint(want[:8*words]))
+				trial, out, cut, fmt.Sprint(got[:8*words]), fmt.Sprint(want[:8*words]))
 		}
 	}
-	if ranged < 100 || split < 100 {
-		t.Fatalf("generator is lopsided: %d ranges, %d creators asked for more than one want", ranged, split)
+	if ranged < 100 || split < 100 || refused < 100 {
+		t.Fatalf("generator is lopsided: %d ranges, %d creators asked for more than one want, %d refusals", ranged, split, refused)
+	}
+}
+
+// BenchmarkPlanFault times the planner's half of an LI fault on a ledger
+// alone: the faulting page, which writers 1 to 3 wrote concurrently, then
+// its 64 candidate siblings, each a stale copy of a page one of the four
+// writers wrote in each of its four intervals. The fault's wants ask
+// writers 1 to 3, so 48 siblings are planned, each one range want to its
+// writer, and writer 4's 16 are refused before their plans are sorted.
+// allocs/op is 0: the round keeps its storage.
+func BenchmarkPlanFault(b *testing.B) {
+	const procs, writers, intervals, stale = 5, 4, 4, 64
+	const fault = mem.PageID(stale)
+	l := newLedger(0, procs)
+	for k := range intervals {
+		for w := 1; w <= writers; w++ {
+			var pages []mem.PageID
+			for pg := mem.PageID(w - 1); pg < stale; pg += writers {
+				pages = append(pages, pg)
+			}
+			if k == 0 && w < writers {
+				pages = append(pages, fault)
+			}
+			clock := vc.New(procs)
+			clock[w] = int32(k)
+			logInterval(&l, mem.ProcID(w), clock, pages...)
+		}
+	}
+	applied := vc.New(procs)
+	var r round
+	planned := 0
+	b.ReportAllocs()
+	for range b.N {
+		r.reset()
+		l.plan(&r, fault, applied, anyResponder)
+		var asked uint64
+		for _, a := range r.asks {
+			asked |= 1 << a.to
+		}
+		for q := range mem.PageID(stale) {
+			l.plan(&r, q, applied, asked)
+		}
+		planned = len(r.pages)
+	}
+	if planned != 1+stale*(writers-1)/writers {
+		b.Fatalf("the fault planned %d pages, want %d", planned, 1+stale*(writers-1)/writers)
 	}
 }

@@ -177,9 +177,10 @@ func (w *writeSet) settle(cand []mem.PageID) {
 }
 
 // check asserts the invariant over every page of n, in test builds, the
-// way checkGCInvariant does its own: a violation is a recorded error that
-// fails the run at Close. twinned reports, under pg's stripe, whether the
-// engine holds a twin for it. Called after each drain, with no stripe held.
+// way checkPendingLocked does the store's: a violation is a recorded
+// error that fails the run at Close. twinned reports, under pg's stripe,
+// whether the engine holds a twin for it. Called after each drain, with no
+// stripe held.
 func (w *writeSet) check(n *Node, twinned func(pg mem.PageID) bool) {
 	if w.claimed == nil {
 		return
