@@ -22,6 +22,7 @@ import (
 // traffic per critical section — the live counterpart of the paper's
 // migratory-data comparison.
 func BenchmarkRuntimeMigratoryCounter(b *testing.B) {
+	noPoison(b)
 	for _, m := range repro.DSMModes {
 		mode := repro.DSMConfig{Procs: 4, SpaceSize: 64 * 1024, PageSize: 1024, Mode: m}
 		b.Run(mode.Mode.String(), func(b *testing.B) {
@@ -74,6 +75,7 @@ func BenchmarkRuntimeMigratoryCounter(b *testing.B) {
 // nodes under every protocol engine, reporting interconnect traffic per
 // run.
 func benchRuntimeWorkload(b *testing.B, app string) {
+	noPoison(b)
 	for _, mode := range dsm.Modes {
 		b.Run(mode.String(), func(b *testing.B) {
 			prog, err := workload.New(app, 4, 0.05, 42)
@@ -104,6 +106,7 @@ func benchRuntimeWorkload(b *testing.B, app string) {
 // BENCH_obs.json and uploads it; nothing asserts the gap, because a
 // wall-clock bound would flake on shared runners.
 func BenchmarkRuntimeCounterObs(b *testing.B) {
+	noPoison(b)
 	const procs = 8
 	for _, obsOn := range []bool{false, true} {
 		name := "metrics=off"
@@ -162,6 +165,7 @@ func BenchmarkRuntimePthor(b *testing.B)      { benchRuntimeWorkload(b, "pthor")
 // diff requests per critical section: an LI fault's round, the lazy miss
 // service and the sync path, small message by small message.
 func BenchmarkRuntimeLockRing(b *testing.B) {
+	noPoison(b)
 	const gcEvery = 8
 	r := newRing(b, repro.RuntimeConfig{Mode: repro.LazyInvalidate, PageSize: 4096, GCEveryBarriers: gcEvery})
 	r.steps(b, 0, 2*gcEvery)
@@ -177,6 +181,7 @@ func BenchmarkRuntimeLockRing(b *testing.B) {
 
 // BenchmarkRuntimeBarrier measures a live all-write-then-barrier round.
 func BenchmarkRuntimeBarrier(b *testing.B) {
+	noPoison(b)
 	d, err := repro.NewDSM(repro.DSMConfig{
 		Procs: 4, SpaceSize: 64 * 1024, PageSize: 1024, Mode: repro.LazyInvalidate,
 	})
@@ -313,6 +318,7 @@ func (w *writeShare) netStats() repro.TransportStats {
 // release sends each peer one merged message; under the lazy ones a round
 // asks each creator once. The counts include the warm-up round.
 func BenchmarkRuntimeWriteShareTCP(b *testing.B) {
+	noPoison(b)
 	for _, m := range repro.DSMModes {
 		b.Run(m.String(), func(b *testing.B) {
 			w := newWriteShare(b, m, 1024)
@@ -330,6 +336,7 @@ func BenchmarkRuntimeWriteShareTCP(b *testing.B) {
 // --- substrate micro-benches ---
 
 func BenchmarkDiffCreate(b *testing.B) {
+	noPoison(b)
 	data := make([]byte, 4096)
 	tw := page.NewTwin(data)
 	for i := 0; i < 4096; i += 64 {
@@ -345,6 +352,7 @@ func BenchmarkDiffCreate(b *testing.B) {
 }
 
 func BenchmarkDiffApply(b *testing.B) {
+	noPoison(b)
 	data := make([]byte, 4096)
 	tw := page.NewTwin(data)
 	for i := 0; i < 4096; i += 64 {
@@ -364,6 +372,7 @@ func BenchmarkDiffApply(b *testing.B) {
 }
 
 func BenchmarkVectorClockMax(b *testing.B) {
+	noPoison(b)
 	a := vc.New(16)
 	c := vc.New(16)
 	for i := range c {
@@ -376,6 +385,7 @@ func BenchmarkVectorClockMax(b *testing.B) {
 }
 
 func BenchmarkRangeSetAdd(b *testing.B) {
+	noPoison(b)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		var s page.RangeSet
@@ -386,6 +396,7 @@ func BenchmarkRangeSetAdd(b *testing.B) {
 }
 
 func BenchmarkOutstandingLookup(b *testing.B) {
+	noPoison(b)
 	log := core.NewLog(16)
 	clock := vc.New(16)
 	for p := 0; p < 16; p++ {
@@ -409,6 +420,7 @@ func BenchmarkOutstandingLookup(b *testing.B) {
 }
 
 func BenchmarkTraceGeneration(b *testing.B) {
+	noPoison(b)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		prog, err := workload.New("water", 8, 0.1, int64(i))
@@ -424,6 +436,7 @@ func BenchmarkTraceGeneration(b *testing.B) {
 // BenchmarkReplayLI times the simulator's LI replay of a 16-processor
 // water trace.
 func BenchmarkReplayLI(b *testing.B) {
+	noPoison(b)
 	tr, err := workload.GenerateCached("water", 16, 0.25, 42)
 	if err != nil {
 		b.Fatal(err)

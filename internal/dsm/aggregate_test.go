@@ -5,12 +5,14 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/mem"
 	"repro/internal/obs"
+	"repro/internal/vc"
 	"repro/internal/wire"
 )
 
@@ -323,49 +325,76 @@ func TestGCEpochValidatesInOneRound(t *testing.T) {
 	}
 }
 
-// TestGCEpochStampsValidCopies: a GC epoch leaves every copy it keeps
-// stamped through the epoch (heldLocked's clock clause), a valid one too.
-// Node 0 of two, under LI with GC at every barrier, reads page 1; node 1
-// then writes page 2 only, so node 0's copy of page 1 stays valid with a
-// clock that lacks node 1's interval. The next barrier's epoch covers that
-// interval: node 0, the master, restamps the copy with a round that plans
-// nothing and sends nothing, and the copy is valid through the epoch.
-func TestGCEpochStampsValidCopies(t *testing.T) {
-	const pageSize = 1024
-	s, err := New(Config{Procs: 2, SpaceSize: 4 * pageSize, PageSize: pageSize, Mode: LazyInvalidate, GCEveryBarriers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		if err := s.Close(); err != nil {
-			t.Errorf("Close: %v", err)
+// TestGCEpochLeavesValidCopies: a GC epoch validates only invalid copies.
+// A valid copy keeps the stamp it had, below the epoch, and a cold miss
+// served from it after the discard plans from that stamp, which lies below
+// the requester's log floor: the plan reads only intervals above the
+// floor. Node 0 of three writes page P under LI or LU with GC at every
+// barrier; P is node 0's own (homed there) or one its home never touched,
+// so that node 0 is its keeper. Node 1 then writes page 4 only, so node
+// 0's copy stays valid with a clock that lacks node 1's interval. The next
+// epoch sends nothing from node 0 but its exits and plans nothing; through
+// the discard after it the copy keeps its stamp; node 2's cold miss of P
+// then reads node 0's page.
+func TestGCEpochLeavesValidCopies(t *testing.T) {
+	const pageSize, procs = 1024, 3
+	for _, mode := range []Mode{LazyInvalidate, LazyUpdate} {
+		for _, c := range []struct {
+			name string
+			pg   mem.PageID
+		}{{"home", 0}, {"keeper", 1}} {
+			t.Run(fmt.Sprintf("%v/%s", mode, c.name), func(t *testing.T) {
+				s, err := New(Config{Procs: procs, SpaceSize: 6 * pageSize, PageSize: pageSize, Mode: mode, GCEveryBarriers: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() {
+					if err := s.Close(); err != nil {
+						t.Errorf("Close: %v", err)
+					}
+				})
+				n0, n1, n2 := s.Node(0), s.Node(1), s.Node(2)
+				barrier := func() {
+					onEvery(t, s, func(n *Node) error { return n.Barrier(0) })
+				}
+				e := lazyOf(n0)
+				stamp := func() (bool, vc.VC) {
+					pmu := n0.pageLock(c.pg)
+					pmu.Lock()
+					defer pmu.Unlock()
+					return e.pages[c.pg].valid, e.pages[c.pg].applied.Clone()
+				}
+				addr := mem.Addr(c.pg)*pageSize + 40
+				must(t, n0.WriteUint64(addr, 0x5eed))
+				barrier() // an epoch: node 1 names node 0 keeper of page 1
+				must(t, n1.WriteUint64(4*pageSize, 0xc))
+				_, pre := stamp()
+				before := n0.Stats()
+				barrier() // the epoch that covers node 1's interval
+				after := n0.Stats()
+				if sent, reqs := after.SentMsgs-before.SentMsgs, after.KindMsgs[wire.KDiffReq]-before.KindMsgs[wire.KDiffReq]; sent != procs-1 || reqs != 0 || len(e.round.pages) != 0 {
+					t.Errorf("node 0's epoch sent %d messages, %d diff requests and planned pages %v; want its %d exits alone and no plan",
+						sent, reqs, e.round.pages, procs-1)
+				}
+				barrier() // discards it
+				valid, post := stamp()
+				floor := lazyOf(n2).log.Floor(1)
+				if !valid || !slices.Equal(post, pre) || pre[1] >= floor {
+					t.Errorf("through the discard node 0's copy of page %d is valid %t, stamped %v; want valid, stamped %v as before the epoch, below node 1's floor %d",
+						c.pg, valid, post, pre, floor)
+				}
+				got, want := make([]byte, pageSize), make([]byte, pageSize)
+				binary.LittleEndian.PutUint64(want[40:], 0x5eed)
+				before = n0.Stats()
+				must(t, n2.Read(got, mem.Addr(c.pg)*pageSize))
+				if !bytes.Equal(got, want) {
+					t.Errorf("node 2's cold miss of page %d read %x..., want node 0's page %x...", c.pg, got[:48], want[:48])
+				}
+				if resps := n0.Stats().KindMsgs[wire.KPageResp] - before.KindMsgs[wire.KPageResp]; resps != 1 {
+					t.Errorf("node 0 answered node 2's cold miss with %d page responses, want 1: its copy, stamped %v", resps, pre)
+				}
+			})
 		}
-	})
-	n0, n1 := s.Node(0), s.Node(1)
-	barrier := func() {
-		onEvery(t, s, func(n *Node) error { return n.Barrier(0) })
-	}
-	if _, err := n0.ReadUint64(pageSize); err != nil {
-		t.Fatal(err)
-	}
-	barrier()
-	must(t, n1.WriteUint64(2*pageSize, 0xc))
-	before := n0.Stats()
-	barrier()
-	after := n0.Stats()
-	if sent := after.SentMsgs - before.SentMsgs; sent != 1 {
-		t.Errorf("node 0 sent %d messages across the barrier, want its exit to node 1 alone", sent)
-	}
-	e := lazyOf(n0)
-	e.mu.Lock()
-	epoch := e.gcEpoch.Clone()
-	e.mu.Unlock()
-	pmu := n0.pageLock(1)
-	pmu.Lock()
-	valid, applied := e.pages[1].valid, e.pages[1].applied.Clone()
-	pmu.Unlock()
-	if epoch[1] < 0 || !valid || !applied.Dominates(epoch) {
-		t.Errorf("after the GC epoch %v node 0's copy of page 1 is valid %t, stamped %v; want valid and stamped through the epoch", epoch, valid, applied)
 	}
 }
 

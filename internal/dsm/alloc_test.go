@@ -815,7 +815,7 @@ func TestEagerFlushBurstAllocatesNoScratchGate(t *testing.T) {
 		}
 	}
 	flush := func() {
-		if err := flusher.e.preRelease(); err != nil {
+		if err := flusher.e.release(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -861,6 +861,7 @@ func TestEagerFlushBurstAllocatesNoScratchGate(t *testing.T) {
 // log and the page pool take back what the sweep freed. allocs/op is what
 // a close costs a fresh cluster and a warm one.
 func BenchmarkIntervalClose(b *testing.B) {
+	noPoison(b)
 	const pageSize, pages, epoch, life = 1024, 16, 1024, 4096
 	for _, warm := range []bool{false, true} {
 		name := map[bool]string{false: "fresh", true: "warm"}[warm]

@@ -364,28 +364,42 @@ func TestLockContentionQueues(t *testing.T) {
 	})
 }
 
+// TestAPIErrors: under every mode, a misuse of the API is an error, never
+// a panic, and leaves the node working.
 func TestAPIErrors(t *testing.T) {
-	s := newSys(t, 2, LazyInvalidate)
-	n := s.Node(0)
-	if err := n.Release(0); err == nil {
-		t.Error("release of unheld lock accepted")
-	}
-	// Acquiring a lock the node holds is an error, and leaves it held.
-	must(t, n.Acquire(0))
-	if err := n.Acquire(0); err == nil || !strings.Contains(err.Error(), "which it holds") {
-		t.Errorf("second acquire of a held lock = %v, want an error", err)
-	}
-	must(t, n.Release(0))
-	if err := n.Release(0); err == nil {
-		t.Error("second release accepted")
-	}
-	if err := n.WriteUint64(1<<40, 1); err == nil {
-		t.Error("out-of-space write accepted")
-	}
-	var b [8]byte
-	if err := n.Read(b[:], -4); err == nil {
-		t.Error("negative-address read accepted")
-	}
+	allModes(t, func(t *testing.T, mode Mode) {
+		s := newSys(t, 2, mode)
+		n := s.Node(0)
+		if err := n.Release(0); err == nil {
+			t.Error("release of unheld lock accepted")
+		}
+		// Acquiring a lock the node holds is an error, and leaves it held.
+		must(t, n.Acquire(0))
+		if err := n.Acquire(0); err == nil || !strings.Contains(err.Error(), "which it holds") {
+			t.Errorf("second acquire of a held lock = %v, want an error", err)
+		}
+		must(t, n.Release(0))
+		if err := n.Release(0); err == nil {
+			t.Error("second release accepted")
+		}
+		// A negative lock id has no manager.
+		for _, l := range []mem.LockID{-1, math.MinInt32} {
+			if err := n.Acquire(l); err == nil || !strings.Contains(err.Error(), "lock ids are non-negative") {
+				t.Errorf("acquire of lock %d = %v, want the non-negative error", l, err)
+			}
+			if err := n.Release(l); err == nil || !strings.Contains(err.Error(), "not held") {
+				t.Errorf("release of lock %d = %v, want the not-held error", l, err)
+			}
+		}
+		if err := n.WriteUint64(1<<40, 1); err == nil {
+			t.Error("out-of-space write accepted")
+		}
+		var b [8]byte
+		if err := n.Read(b[:], -4); err == nil {
+			t.Error("negative-address read accepted")
+		}
+		must(t, lockedAdd(n, 1, 8, 7))
+	})
 }
 
 // TestSecondCallerGetsAnError: a node takes one application goroutine.

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/mem"
 	"repro/internal/page"
-	"repro/internal/vc"
 	"repro/internal/wire"
 )
 
@@ -34,6 +33,7 @@ import (
 // has been acknowledged, and two flushes of one page reach every copy in
 // write order.
 type eagerEngine struct {
+	noPayload
 	n      *Node
 	update bool // EU: push diffs; EI: push invalidations
 	dir    *directory
@@ -80,8 +80,6 @@ func newEagerEngine(n *Node, update bool) *eagerEngine {
 	e.dir = newDirectory(n, e)
 	return e
 }
-
-func (e *eagerEngine) clock() vc.VC { return vc.New(e.n.sys.cfg.Procs) }
 
 // --- accesses ---
 
@@ -380,18 +378,7 @@ func (e *eagerEngine) updates(reqs []outMsg, out [][]wire.DiffRec) []outMsg {
 
 // --- lock and barrier hooks: flush at every release point ---
 
-func (e *eagerEngine) acquireStart(req *wire.Msg)    {}
-func (e *eagerEngine) grant(req, grant *wire.Msg)    {}
-func (e *eagerEngine) onGrant(grant *wire.Msg) error { return nil }
-func (e *eagerEngine) preRelease() error             { return e.flush() }
-func (e *eagerEngine) release()                      {}
-
-func (e *eagerEngine) barrierEntry() error               { return e.flush() }
-func (e *eagerEngine) arrive(arrive *wire.Msg)           {}
-func (e *eagerEngine) masterAbsorb(arrivals []*wire.Msg) {}
-func (e *eagerEngine) exit(m, exit *wire.Msg)            {}
-func (e *eagerEngine) onExit(exit *wire.Msg) error       { return nil }
-func (e *eagerEngine) postBarrier() error                { return nil }
+func (e *eagerEngine) release() error { return e.flush() }
 
 // --- handler side ---
 

@@ -2,7 +2,6 @@ package dsm
 
 import (
 	"repro/internal/mem"
-	"repro/internal/vc"
 	"repro/internal/wire"
 )
 
@@ -35,8 +34,8 @@ import (
 //     turns away a second), except a grant answering a forward, which a
 //     handler worker builds. So one miss, one flush and one round are
 //     in progress at a time, and their scratch is the engine's.
-//     acquireStart, grant and release are called with the node's lockMu
-//     held; clock may be called from any goroutine.
+//     acquireStart and grant are called with the node's lockMu held;
+//     release is called with no lock held, before a Release takes lockMu.
 //   - Engine-global synchronization state (the lazy engine's vector
 //     clock, interval log and diff store) lives under an engine-private
 //     mutex ordered after lockMu and before the page stripes: handlers
@@ -68,18 +67,12 @@ type engine interface {
 	grant(req, grant *wire.Msg)
 	// onGrant absorbs a received grant's consistency payload.
 	onGrant(grant *wire.Msg) error
-	// preRelease runs before a release takes effect: the eager engines
-	// push buffered modifications to every other cacher and block for
-	// acknowledgments here.
-	preRelease() error
-	// release runs (lockMu held) as the release takes effect (the lazy
-	// engines close the interval the critical section wrote).
-	release()
-
-	// barrierEntry runs as the barrier begins on every node, master
-	// included, before its arrival: the lazy engines close the current
-	// interval, the eager ones flush, like preRelease.
-	barrierEntry() error
+	// release runs at a release point — a lock release, before it takes
+	// effect, and a barrier, on every node before its arrival — with no
+	// lock held: the lazy engines close the current interval, the eager
+	// ones push buffered modifications to every other cacher and block for
+	// acknowledgments, and SC does nothing.
+	release() error
 	// arrive fills a non-master node's arrival payload.
 	arrive(arrive *wire.Msg)
 	// masterAbsorb absorbs the payloads of all arrivals at the master,
@@ -105,8 +98,19 @@ type engine interface {
 	// here. A response produced inline leaves through Node.send in place,
 	// under whatever lock orders it, and its send error goes to noteErr.
 	handle(m *wire.Msg, src mem.ProcID) bool
-
-	// clock returns the node's vector time (zero for engines that do not
-	// track causality).
-	clock() vc.VC
 }
+
+// noPayload is the synchronization hooks of an engine whose lock and
+// barrier messages carry no consistency payload (EI/EU and SC), which EI/EU
+// and SC embed. Its release does nothing; the eager engine's own flushes.
+type noPayload struct{}
+
+func (noPayload) acquireStart(req *wire.Msg)        {}
+func (noPayload) grant(req, grant *wire.Msg)        {}
+func (noPayload) onGrant(grant *wire.Msg) error     { return nil }
+func (noPayload) release() error                    { return nil }
+func (noPayload) arrive(arrive *wire.Msg)           {}
+func (noPayload) masterAbsorb(arrivals []*wire.Msg) {}
+func (noPayload) exit(m, exit *wire.Msg)            {}
+func (noPayload) onExit(exit *wire.Msg) error       { return nil }
+func (noPayload) postBarrier() error                { return nil }

@@ -46,13 +46,10 @@ type lazyEngine struct {
 	mu sync.Mutex
 	ledger
 	gcState
-	// fresh accumulates the pages noticed by the intervals learned during
-	// the current barrier rendezvous, for postBarrier's invalidation step.
-	fresh []mem.PageID
 	// stale lists, under LI, the pages whose copies invalidateForLocked
 	// made invalid and no fault has planned since: a fault's candidate
 	// siblings (planFaultLocked), which prunes the copies it plans or finds
-	// valid. A GC epoch validates every copy and empties it. The
+	// valid. A GC epoch validates every invalid copy and empties it. The
 	// application goroutine's alone.
 	stale []mem.PageID
 	// trimFrom is this node's oldest interval trimTwinsLocked may still
@@ -62,10 +59,11 @@ type lazyEngine struct {
 	// bulk validation plan into: the application goroutine's alone.
 	round round
 	// Scratch: under mu, closeIntervalLocked's sorted dirty pages; the
-	// application goroutine's alone, the pages the intervals an acquire
-	// absorbed notice (filled under mu) and the floor of the arrival it
-	// sends next. The records a grant, arrival or exit exports are its
-	// message's (intervalsSinceLocked).
+	// application goroutine's alone, the pages the intervals an acquire or
+	// a barrier absorbed notice (filled under mu; no acquire runs inside a
+	// barrier) and the floor of the arrival it sends next. The records a
+	// grant, arrival or exit exports are its message's
+	// (intervalsSinceLocked).
 	cand     []mem.PageID
 	noticed  []mem.PageID
 	barFloor vc.VC
@@ -150,8 +148,7 @@ func (e *lazyEngine) closeIntervalLocked() {
 		// until the next twin capture snapshots them (pending). The copy
 		// now reflects interval k, which a page with a twin makes sure
 		// exists: keep the applied clock faithful so page-home responses
-		// advertise the right coverage and GC validation sees own pages as
-		// current.
+		// advertise the right coverage.
 		slot := e.store.slot(n.id, k, held)
 		*slot = diffSlot{base: pc.take()}
 		pc.pending = slot
@@ -337,10 +334,10 @@ func (e *lazyEngine) intervalsSinceLocked(m *wire.Msg, floor vc.VC) []wire.Inter
 // given the pages they notice (absorbIntervalsLocked's list, which it
 // sorts and reuses): cached valid copies of noticed pages become invalid
 // (data retained as the diff target). It returns the affected cached
-// pages, ascending, in the caller's scratch — noticed or fresh, which only
-// the application goroutine fills — so LU revalidates them out of it after
-// e.mu is released, before that goroutine's next acquire or barrier. Under
-// LI they join e.stale. Caller holds e.mu.
+// pages, ascending, in e.noticed's storage, which only the application
+// goroutine fills, so LU revalidates them out of it after e.mu is released,
+// before that goroutine's next acquire or barrier. Under LI they join
+// e.stale. Caller holds e.mu.
 func (e *lazyEngine) invalidateForLocked(noticed []mem.PageID) []mem.PageID {
 	slices.Sort(noticed)
 	noticed = slices.Compact(noticed)
@@ -459,23 +456,17 @@ func (e *lazyEngine) onGrant(grant *wire.Msg) error {
 	return nil
 }
 
-func (e *lazyEngine) preRelease() error { return nil }
-
-func (e *lazyEngine) release() {
+// release closes the interval a critical section, or a barrier's
+// episode, wrote: at a lock release before the lock can pass on, and at a
+// barrier before the arrival ships it.
+func (e *lazyEngine) release() error {
 	e.mu.Lock()
 	e.closeIntervalLocked()
-	e.mu.Unlock()
-}
-
-// --- engine interface: barriers ---
-
-func (e *lazyEngine) barrierEntry() error {
-	e.mu.Lock()
-	e.closeIntervalLocked()
-	e.fresh = e.fresh[:0]
 	e.mu.Unlock()
 	return nil
 }
+
+// --- engine interface: barriers ---
 
 // arrive ships this node's clock and its OWN intervals since the last
 // barrier. Every interval has one creator and every creator arrives, so
@@ -513,7 +504,7 @@ func (e *lazyEngine) masterAbsorb(arrivals []*wire.Msg) {
 			return true
 		}))
 	}
-	e.fresh = e.absorbIntervalsLocked(e.fresh, batch...)
+	e.noticed = e.absorbIntervalsLocked(e.noticed[:0], batch...)
 }
 
 func (e *lazyEngine) exit(m, exit *wire.Msg) {
@@ -525,7 +516,7 @@ func (e *lazyEngine) exit(m, exit *wire.Msg) {
 
 func (e *lazyEngine) onExit(exit *wire.Msg) error {
 	e.mu.Lock()
-	e.fresh = e.absorbIntervalsLocked(e.fresh[:0], exit.Intervals)
+	e.noticed = e.absorbIntervalsLocked(e.noticed[:0], exit.Intervals)
 	e.mu.Unlock()
 	return nil
 }
@@ -542,8 +533,7 @@ func (e *lazyEngine) postBarrier() error {
 		e.gcDue = false
 		n.stats.gcRuns.Add(1)
 	}
-	affected := e.invalidateForLocked(e.fresh)
-	e.fresh = e.fresh[:0]
+	affected := e.invalidateForLocked(e.noticed)
 	e.lastEpoch = append(e.lastEpoch[:0], e.v...)
 	e.episodes++
 	gcDue := n.sys.cfg.GCEveryBarriers > 0 && e.episodes%n.sys.cfg.GCEveryBarriers == 0

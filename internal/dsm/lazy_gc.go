@@ -33,14 +33,14 @@ type gcState struct {
 	keepers []mem.ProcID
 }
 
-// runGC is the barrier-time garbage collection epoch: every node brings
-// each page it caches fully up to the epoch and marks the epoch due. The
-// next barrier's postBarrier discards the diffs of every interval the epoch
-// clock covers and sweeps their records out of the log, whose floor rises
-// to the epoch: what a node keeps is bounded by the history since the
-// epoch before last, not the run. That barrier is the epoch's readiness
-// round: a node arrives at it only after its own validation, so no node
-// discards while another still needs pre-epoch diffs.
+// runGC is the barrier-time garbage collection epoch: every node validates
+// each invalid copy it holds and marks the epoch due. The next barrier's
+// postBarrier discards the diffs of every interval the epoch clock covers
+// and sweeps their records out of the log, whose floor rises to the epoch:
+// what a node keeps is bounded by the history since the epoch before last,
+// not the run. That barrier is the epoch's readiness round: a node arrives
+// at it only after its own validation, so no node discards while another
+// still needs pre-epoch diffs.
 //
 // runGC runs on the application goroutine, inside its Barrier, so the
 // only concurrent page activity is handler-side serving.
@@ -49,10 +49,9 @@ type gcState struct {
 // notice to every node — the master absorbs all arrivals before building
 // exits, so each home's log lists every modifier of its pages since the
 // last epoch. Validation must therefore leave every page as heldLocked
-// requires: any copy served with a clock that does not dominate the epoch
-// would send a later requester to a responder for diffs the epoch
-// discarded (which refuses such requests as collected history), and would
-// plan from records the sweep removed. A page the node homes but never
+// requires: an invalid copy would plan, later, from records the sweep
+// removed and ask a responder for diffs the epoch discarded (which refuses
+// such requests as collected history). A page the node homes but never
 // touched is not built: the home names one of the page's modifiers its
 // keeper (keepers), whose copy — a modifier holds one, LI and LU never drop
 // a copy — this same epoch validates on the keeper, and every later epoch
@@ -64,24 +63,19 @@ type gcState struct {
 func (e *lazyEngine) runGC() error {
 	e.mu.Lock()
 	e.gcEpoch = append(e.gcEpoch[:0], e.lastEpoch...)
-	epoch, toValidate := e.gcEpoch, e.gcPages[:0]
+	toValidate := e.gcPages[:0]
 	for pg := range e.pages {
 		pgid := mem.PageID(pg)
 		pmu := e.n.pageLock(pgid)
 		pmu.Lock()
 		switch pc := e.pages[pg]; {
-		case e.heldLocked(pgid, pc, epoch):
+		case e.heldLocked(pgid, pc):
 		case pc == nil:
 			// The log only knows modifiers since its floor, which is
 			// enough: a page whose history an epoch swept has had a
 			// keeper since that epoch.
 			e.nameKeeperLocked(pgid)
 		default:
-			// Invalid, or valid but stamped before the epoch: a refresh
-			// advertises a clock that covers it. Without the invalidation
-			// validate would return immediately and leave the stale stamp in
-			// place.
-			pc.valid = false
 			toValidate = append(toValidate, pgid)
 		}
 		pmu.Unlock()
@@ -92,7 +86,7 @@ func (e *lazyEngine) runGC() error {
 	if err := e.revalidate(toValidate); err != nil {
 		return err
 	}
-	if err := e.checkGCInvariant(epoch); err != nil {
+	if err := e.checkGCInvariant(); err != nil {
 		return err
 	}
 	e.stale = e.stale[:0]
@@ -101,21 +95,24 @@ func (e *lazyEngine) runGC() error {
 }
 
 // heldLocked is what a GC epoch requires of page pg, whose copy is pc (nil
-// when the node holds none): a valid copy whose applied clock dominates the
-// epoch, or, for a page this node homes with modification history and no
-// copy, a keeper, whose own epoch covers the keeper's copy. Caller holds
-// e.mu and pg's stripe.
-func (e *lazyEngine) heldLocked(pg mem.PageID, pc *lazyPage, epoch vc.VC) bool {
+// when the node holds none): a valid copy, or, for a page this node homes
+// with modification history and no copy, a keeper, whose own epoch covers
+// the keeper's copy. A valid copy keeps its stamp, which may lie below the
+// epoch: it reflects every interval the node knows of that wrote the page,
+// and a plan from its stamp reads only the intervals above the log's floor,
+// as one from the zero page's empty clock does. Caller holds e.mu and pg's
+// stripe.
+func (e *lazyEngine) heldLocked(pg mem.PageID, pc *lazyPage) bool {
 	if pc == nil {
 		return e.n.homeOf(pg) != e.n.id || e.keeperLocked(pg) >= 0 || !e.writtenLocked(pg, -1)
 	}
-	return pc.valid && pc.applied.Dominates(epoch)
+	return pc.valid
 }
 
 // checkGCInvariant verifies, before this node marks the GC epoch due, that
 // every page meets what the epoch requires of it (heldLocked). A violation
 // means a later cold miss would chase discarded diffs.
-func (e *lazyEngine) checkGCInvariant(epoch vc.VC) error {
+func (e *lazyEngine) checkGCInvariant() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	for pg := range e.pages {
@@ -124,12 +121,11 @@ func (e *lazyEngine) checkGCInvariant(epoch vc.VC) error {
 		pmu.Lock()
 		var err error
 		switch pc := e.pages[pg]; {
-		case e.heldLocked(pgid, pc, epoch):
+		case e.heldLocked(pgid, pc):
 		case pc == nil:
 			err = fmt.Errorf("dsm: node %d: GC invariant: homed page %d has modification history but neither a copy nor a keeper", e.n.id, pgid)
 		default:
-			err = fmt.Errorf("dsm: node %d: GC invariant: page %d copy not validated through the epoch (valid=%t applied=%v epoch=%v)",
-				e.n.id, pgid, pc.valid, pc.applied, epoch)
+			err = fmt.Errorf("dsm: node %d: GC invariant: page %d copy left invalid by the epoch's validation (applied=%v)", e.n.id, pgid, pc.applied)
 		}
 		pmu.Unlock()
 		if err != nil {

@@ -82,18 +82,20 @@ const anyResponder = ^uint64(0)
 // its plan, the intervals the copy lacks in the order they are applied
 // (sortPlanLocked), and the asks for the steps the store does not supply
 // (missingWantsLocked) — if every ask goes to a responder in the set only,
-// by bit, which it checks before it sorts the plan, and reports whether it
-// did. A page it refuses leaves r as it was. Caller holds e.mu.
+// by bit, and reports whether it did. A page it refuses leaves r as it was.
+// Caller holds e.mu.
 func (l *ledger) plan(r *round, pg mem.PageID, applied vc.VC, only uint64) bool {
-	from := len(r.plan)
+	from, asked := len(r.plan), len(r.asks)
 	r.plan = l.log.Outstanding(r.plan, pg, applied, l.v, l.self)
 	out := r.plan[from:]
-	if only != anyResponder && l.respondersLocked(pg, out)&^only != 0 {
-		r.plan = r.plan[:from]
-		return false
-	}
 	l.sortPlanLocked(out)
 	r.asks = l.missingWantsLocked(r.asks, pg, out)
+	for _, a := range r.asks[asked:] {
+		if only&(1<<a.to) == 0 {
+			r.plan, r.asks = r.plan[:from], r.asks[:asked]
+			return false
+		}
+	}
 	r.pages = append(r.pages, pg)
 	r.ends = append(r.ends, len(r.plan))
 	return true
@@ -157,23 +159,6 @@ func (l *ledger) lastModifiersLocked(last *[maxProcs]int32, out []core.IntervalI
 		}
 	}
 	return mods
-}
-
-// respondersLocked returns, by bit, the responders the wants for plan out
-// of page pg go to, whatever the plan's order: responderLocked's for each
-// step the store does not supply. These are missingWantsLocked's asks'
-// destinations, which its ranges do not change: a run extends only while
-// its steps' responder is their creator. Caller holds e.mu.
-func (l *ledger) respondersLocked(pg mem.PageID, out []core.IntervalID) uint64 {
-	var last [maxProcs]int32
-	mods := l.lastModifiersLocked(&last, out)
-	var to uint64
-	for _, id := range out {
-		if l.slotLocked(id, pg) == nil {
-			to |= 1 << l.responderLocked(id, &last, mods)
-		}
-	}
-	return to
 }
 
 // responderLocked returns the processor a round asks for interval id's

@@ -382,7 +382,10 @@ func (n *Node) Stats() Stats {
 // Clock returns a copy of the node's current vector clock (all zero
 // entries under the eager and SC engines, which do not track causality).
 func (n *Node) Clock() vc.VC {
-	return n.e.clock()
+	if e, lazy := n.e.(*lazyEngine); lazy {
+		return e.clock()
+	}
+	return vc.New(n.sys.cfg.Procs)
 }
 
 // maxNotedErrs bounds each node's recorded error list: under

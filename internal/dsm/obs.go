@@ -80,7 +80,6 @@ func (s *System) registerMetrics(r *obs.Registry) {
 		func() int64 { _, misses := page.PoolStats(); return misses })
 
 	for _, n := range s.local {
-		n := n
 		node := fmt.Sprintf("%d", n.id)
 		nodeCounter := func(fam, help string, fn func() int64) {
 			counter(fmt.Sprintf("%s{node=%q}", fam, node), help, fn)

@@ -277,6 +277,7 @@ func TestStageFlushAllocatesNothingGate(t *testing.T) {
 // to internal/wire's codec benches: one grant sent, and three, a frame
 // each.
 func BenchmarkWireStageFlush(b *testing.B) {
+	noPoison(b)
 	for _, count := range []int{1, 3} {
 		b.Run(fmt.Sprintf("msgs=%d", count), func(b *testing.B) {
 			ep := &captureEndpoint{}

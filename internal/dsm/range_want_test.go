@@ -307,9 +307,9 @@ func TestMissPlanResponders(t *testing.T) {
 // holds a random few single diffs, so runs open and close mid-history.
 //
 // On the same histories it pins the rule a fault's siblings rest on, that
-// respondersLocked and missingWantsLocked agree: a page planned for only
-// the destinations of its own asks is planned, and one that may not ask
-// any one of them is refused and leaves the round exactly as it was.
+// a page's own asks decide its refusal: a page planned for only the
+// destinations of its own asks is planned, and one that may not ask any one
+// of them is refused and leaves the round exactly as it was.
 func TestRangePlanMatchesSingleSteps(t *testing.T) {
 	const (
 		procs, words = 5, 12
@@ -458,9 +458,10 @@ func TestRangePlanMatchesSingleSteps(t *testing.T) {
 // its 64 candidate siblings, each a stale copy of a page one of the four
 // writers wrote in each of its four intervals. The fault's wants ask
 // writers 1 to 3, so 48 siblings are planned, each one range want to its
-// writer, and writer 4's 16 are refused before their plans are sorted.
+// writer, and writer 4's 16 are refused once their asks are planned.
 // allocs/op is 0: the round keeps its storage.
 func BenchmarkPlanFault(b *testing.B) {
+	noPoison(b)
 	const procs, writers, intervals, stale = 5, 4, 4, 64
 	const fault = mem.PageID(stale)
 	l := newLedger(0, procs)

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/mem"
-	"repro/internal/vc"
 	"repro/internal/wire"
 )
 
@@ -37,6 +36,7 @@ import (
 // guarded by the node's striped lock table; misses are the application
 // goroutine's, one at a time.
 type scEngine struct {
+	noPayload
 	n   *Node
 	dir *directory
 
@@ -79,8 +79,6 @@ func newSCEngine(n *Node) *scEngine {
 	e.dir = newDirectory(n, e)
 	return e
 }
-
-func (e *scEngine) clock() vc.VC { return vc.New(e.n.sys.cfg.Procs) }
 
 // --- accesses ---
 
@@ -171,21 +169,6 @@ func (e *scEngine) access(miss *scMiss, kind wire.Kind) error {
 	}
 	return err
 }
-
-// --- lock and barrier hooks: SC needs no consistency payload ---
-
-func (e *scEngine) acquireStart(req *wire.Msg)    {}
-func (e *scEngine) grant(req, grant *wire.Msg)    {}
-func (e *scEngine) onGrant(grant *wire.Msg) error { return nil }
-func (e *scEngine) preRelease() error             { return nil }
-func (e *scEngine) release()                      {}
-
-func (e *scEngine) barrierEntry() error               { return nil }
-func (e *scEngine) arrive(arrive *wire.Msg)           {}
-func (e *scEngine) masterAbsorb(arrivals []*wire.Msg) {}
-func (e *scEngine) exit(m, exit *wire.Msg)            {}
-func (e *scEngine) onExit(exit *wire.Msg) error       { return nil }
-func (e *scEngine) postBarrier() error                { return nil }
 
 // --- handler side ---
 

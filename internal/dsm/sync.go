@@ -86,9 +86,12 @@ func (n *Node) lockLocalState(l mem.LockID) *lockLocal {
 // carries the releaser's clock and the write notices the acquirer lacks
 // (§4.2), and LU additionally revalidates the cached pages they name;
 // the eager and SC engines move no consistency payload at acquires.
-// Acquiring a lock the node holds is an error, as is a call while
-// another goroutine's is in progress on the node.
+// Acquiring a lock the node holds is an error, as is a negative lock id or
+// a call while another goroutine's is in progress on the node.
 func (n *Node) Acquire(l mem.LockID) error {
+	if l < 0 {
+		return fmt.Errorf("dsm: node %d: acquire of lock %d: lock ids are non-negative", n.id, l)
+	}
 	if err := n.enter("acquire"); err != nil {
 		return err
 	}
@@ -136,14 +139,15 @@ func (n *Node) Acquire(l mem.LockID) error {
 	return err
 }
 
-// Release releases lock l. Under the lazy protocols releases are purely
-// local (§4.2) unless a forwarded request is pending, in which case the
-// grant — clock, notices, and for LU the retained diffs — goes straight
-// to the next acquirer. The eager engines first push the critical
-// section's modifications to every other cacher (preRelease), so the
-// next holder can never observe pre-release data. Like every application
-// call, it fails while another goroutine's call is in progress on the
-// node.
+// Release releases lock l. The engine's release point comes first, with
+// the lock still held: the lazy engines close the critical section's
+// interval, and the eager ones push its modifications to every other
+// cacher, so the next holder can never observe pre-release data. Under the
+// lazy protocols releases are otherwise purely local (§4.2) unless a
+// forwarded request is pending, in which case the grant — clock, notices,
+// and for LU the retained diffs — goes straight to the next acquirer. Like
+// every application call, it fails while another goroutine's call is in
+// progress on the node.
 func (n *Node) Release(l mem.LockID) error {
 	if err := n.enter("release"); err != nil {
 		return err
@@ -158,16 +162,15 @@ func (n *Node) Release(l mem.LockID) error {
 	n.lockMu.Unlock()
 	n.emit("sync", "cs-exit", int64(l))
 
-	// Eager flush point: blocking message exchanges, so outside lockMu.
-	// The lock stays held meanwhile: a remote request parks in
-	// ll.pending.
-	if err := n.e.preRelease(); err != nil {
+	// The release point may exchange messages, so it runs outside lockMu.
+	// The lock stays held meanwhile: a remote request parks in ll.pending,
+	// and its grant carries what the release point closed.
+	if err := n.e.release(); err != nil {
 		return err
 	}
 
 	n.lockMu.Lock()
 	defer n.lockMu.Unlock()
-	n.e.release()
 	ll.held = false
 	if ll.pending == nil {
 		return nil
@@ -204,9 +207,11 @@ func (n *Node) sendGrant(req *wire.Msg) error {
 // Barrier blocks until every node of the cluster has arrived at barrier
 // b, exchanging the engine's consistency payload through the master
 // (node 0) — 2(n-1) messages, §4.2 — and then runs the engine's
-// post-barrier episode work (data movement, garbage collection). The
-// eager engines flush buffered modifications before arriving, so every
-// pre-barrier write is propagated before any node exits. Each node
+// post-barrier episode work (data movement, garbage collection). Every
+// node passes the engine's release point before it arrives: the lazy
+// engines close the interval the arrival ships, and the eager ones flush
+// buffered modifications, so every pre-barrier write is propagated before
+// any node exits. Each node
 // arrives from its one application goroutine; another goroutine's call
 // meanwhile fails.
 func (n *Node) Barrier(b mem.BarrierID) error {
@@ -215,7 +220,7 @@ func (n *Node) Barrier(b mem.BarrierID) error {
 	}
 	defer n.leave()
 	n.emit("sync", "barrier-enter", int64(b))
-	if err := n.e.barrierEntry(); err != nil {
+	if err := n.e.release(); err != nil {
 		return err
 	}
 
@@ -270,7 +275,7 @@ func (n *Node) Barrier(b mem.BarrierID) error {
 // master is the barrier master: it collects every barrier arrival. A
 // barrier is the runtime's only collective: the lazy engines' GC epoch
 // needs no round of its own, because a node arrives at the next barrier
-// only after it validated through the epoch (lazyEngine.runGC).
+// only after it validated for the epoch (lazyEngine.runGC).
 const master = mem.ProcID(0)
 
 // park hands a barrier arrival from the dispatch loop to the master's

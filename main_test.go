@@ -15,3 +15,12 @@ func TestMain(m *testing.M) {
 	framebuf.SetPoison(true)
 	os.Exit(m.Run())
 }
+
+// noPoison turns poison-on-release off for a benchmark and restores it on
+// cleanup: the tests keep it, and the benchmark times what a run without
+// it does, not the byte-by-byte overwrite of every released buffer.
+func noPoison(b *testing.B) {
+	was := framebuf.Poisoned()
+	framebuf.SetPoison(false)
+	b.Cleanup(func() { framebuf.SetPoison(was) })
+}
