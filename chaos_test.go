@@ -555,13 +555,16 @@ poll:
 	if !strings.Contains(body, "dsm_node_rpc_seconds_bucket") {
 		t.Error("missing rpc latency histogram")
 	}
-	for _, want := range []string{"dsm_node_twin_bytes_peak", "dsm_node_diffs_trimmed_total", "dsm_node_pages_aggregated_total"} {
+	for _, want := range []string{"dsm_node_twin_bytes_peak", "dsm_node_diffs_created_total", "dsm_node_pages_aggregated_total"} {
 		if !strings.Contains(body, want) {
-			t.Errorf("/metrics missing the twin-budget series %s", want)
+			t.Errorf("/metrics missing the diff-plane series %s", want)
 		}
 	}
+	if strings.Contains(body, "dsm_node_diffs_trimmed_total") {
+		t.Error("/metrics still serves the retired twin-budget series dsm_node_diffs_trimmed_total")
+	}
 	statusz := get("/statusz")
-	for _, want := range []string{`"procs"`, `"mode"`, `"nodes"`, `"net"`, `"TwinBytesPeak"`, `"DiffsTrimmed"`} {
+	for _, want := range []string{`"procs"`, `"mode"`, `"nodes"`, `"net"`, `"TwinBytesPeak"`, `"DiffsCreated"`} {
 		if !strings.Contains(statusz, want) {
 			t.Errorf("/statusz missing %s:\n%s", want, statusz)
 		}

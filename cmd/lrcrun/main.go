@@ -398,7 +398,7 @@ func runWorkload(out io.Writer, name string, procs int, scale float64, seed int6
 	fmt.Fprintf(out, "%-28s%12d%14d%14s%14s   (trace replay, %s)\n",
 		"simulator", st.TotalMessages(), st.TotalBytes(), perCrit(st.TotalMessages()), perCrit(st.TotalBytes()), m)
 	var misses, diffs, updates, intervals, invals, moves int64
-	var created, deferred, cacheHits, flattened, trimmed, aggregated, twinBytes, twinPeak int64
+	var created, cacheHits, flattened, aggregated, logBytes, logPeak int64
 	var diffReqs, fallbacks, kept, forwards int64
 	for _, ns := range res.Nodes {
 		misses += ns.AccessMisses
@@ -408,13 +408,11 @@ func runWorkload(out io.Writer, name string, procs int, scale float64, seed int6
 		invals += ns.InvalsReceived
 		moves += ns.OwnershipMoves
 		created += ns.DiffsCreated
-		deferred += ns.DiffsDeferred
 		cacheHits += ns.DiffCacheHits
 		flattened += ns.DiffsFlattened
-		trimmed += ns.DiffsTrimmed
 		aggregated += ns.PagesAggregated
-		twinBytes += ns.TwinBytesLive
-		twinPeak = max(twinPeak, ns.TwinBytesPeak)
+		logBytes += ns.TwinBytesLive
+		logPeak = max(logPeak, ns.TwinBytesPeak)
 		diffReqs += ns.KindMsgs[wire.KDiffReq]
 		fallbacks += ns.DiffFallbacks
 		kept += ns.KeptPages
@@ -426,8 +424,8 @@ func runWorkload(out io.Writer, name string, procs int, scale float64, seed int6
 	}
 	fmt.Fprintf(out, "nodes: %d access misses, %d diffs applied, %d updates, %d intervals, %d invalidations, %d ownership moves\n",
 		misses, diffs, updates, intervals, invals, moves)
-	fmt.Fprintf(out, "diff plane: %d created (%d trimmed by the twin budget), %d deferred, %d cache hits, %d flattened away, %d pages aggregated into faults, %s diff requests per access miss, %d fallbacks to a creator, %d pages held by a keeper for their home (%d page requests forwarded), twin bytes: %d live at exit, %d peak on one node\n\n",
-		created, trimmed, deferred, cacheHits, flattened, aggregated, reqsPerMiss, fallbacks, kept, forwards, twinBytes, twinPeak)
+	fmt.Fprintf(out, "diff plane: %d created, %d cache hits, %d flattened away, %d pages aggregated into faults, %s diff requests per access miss, %d fallbacks to a creator, %d pages held by a keeper for their home (%d page requests forwarded), write-log bytes: %d live at exit, %d peak on one node\n\n",
+		created, cacheHits, flattened, aggregated, reqsPerMiss, fallbacks, kept, forwards, logBytes, logPeak)
 	if statsJSON {
 		if err := emitStatsJSON(out, report); err != nil {
 			return err

@@ -20,7 +20,7 @@ import (
 // TestAccessHitAllocatesNothingGate: an 8-byte read or write that hits — the
 // operation an application performs millions of times between two
 // synchronization points — touches the heap under no engine. The write
-// hits are to a page the interval has already twinned.
+// hits are to words the interval has already logged.
 func TestAccessHitAllocatesNothingGate(t *testing.T) {
 	testenv.SkipAllocGate(t)
 	allModes(t, func(t *testing.T, mode Mode) {
@@ -121,8 +121,8 @@ func newDriver(t *testing.T, s *System, part func(n *Node, step int) error) *rin
 }
 
 // steps runs steps [first, last): one node at a time runs its critical
-// sections (every node has released its step's twins before the next
-// capture, so each step asks the same of the pools), then all nodes meet
+// sections (every node has committed its step's write logs before the
+// next one writes, so each step asks the same of the pools), then all nodes meet
 // at the barrier.
 func (d *ringDriver) steps(t *testing.T, first, last int) {
 	t.Helper()
@@ -182,11 +182,12 @@ func ringSections(n *Node, step int) error {
 // a lock from another node (a grant carrying write notices, and under LU
 // the releaser's diffs), brings the record the notices invalidated current
 // (LI: a miss's diff request and response; LU: the acquire's revalidation,
-// which fetches what the grant did not carry), writes it (twin capture)
-// and releases (an interval close with its store slots), and every fourth
-// barrier runs a GC epoch (the bulk validation's round, the discard and
-// the sweep). Each of those recycles what it builds — twin and diff leases,
-// the store's chunks and slabs, want and request lists, message shells, their clocks and
+// which fetches what the grant did not carry), writes it (the first write
+// of each word logs it) and releases (an interval close cutting its diffs
+// into the store), and every fourth barrier runs a GC epoch (the bulk
+// validation's round, the discard and the sweep). Each of those recycles
+// what it builds — write logs, diff leases, the store's chunks, slabs and
+// body slabs, want and request lists, message shells, their clocks and
 // the slabs their blocks take from the wire slab pool — so a critical
 // section allocates nothing: 0-4 objects per warm epoch, on a loaded box
 // too. The bound, one object per 10 critical sections, is crossed by any
@@ -289,16 +290,15 @@ func TestBarrierNoticesAllocateNothingGate(t *testing.T) {
 // TestLockBurstRecyclesTwinsAndStoreGate runs two lock-only bursts of 2,000
 // critical sections on one four-node System, with a GC epoch between them:
 // two barriers, the first validating the epoch, the second discarding it.
-// Node by node, every section takes a lock the node manages and rewrites
-// four pages it homes, so nothing is sent: what a section allocates is its
-// twins and its interval's store entry. Each node parks 2 MiB of twins in a
-// burst, the System twice the twin budget, which trims the System to what
-// the page pool keeps; so the epoch's release refills the pool the second
-// burst captures from, and the second burst's intervals take the store's
-// chunks and slabs the sweep freed. It allocates under 0.1 objects per
-// section (0.008 today). A budget per node (none trimmed, twice what the pool
-// keeps released at the epoch) measures 3.9 per section, and a slot array
-// made per interval close 1.
+// Node by node, every section takes a lock the node manages and rewrites a
+// word of four pages it homes, so nothing is sent: what a section
+// allocates is its pages' write logs and its interval's store entry and
+// bodies. The epoch's sweep releases the first burst's body slabs to the
+// page pool, and the second burst's intervals take the store's chunks and
+// slabs the sweep freed and their body slabs from the pool. It allocates
+// under 0.1 objects per section. Twins captured per section and a twin
+// budget counted per node measured 3.9 per section, a slot array made per
+// interval close 1.
 func TestLockBurstRecyclesTwinsAndStoreGate(t *testing.T) {
 	testenv.SkipAllocGate(t)
 	const procs, pageSize, pages, perNode, width = 4, 1024, 64, 500, 4
@@ -324,25 +324,15 @@ func TestLockBurstRecyclesTwinsAndStoreGate(t *testing.T) {
 			}
 		}
 	}
-	trimmed := func() (sum int64) {
-		for _, n := range s.Local() {
-			sum += n.Stats().DiffsTrimmed
-		}
-		return sum
-	}
 	burst(1)
 	barriers(t, s, 2)
 	if runs := s.Node(0).Stats().GCRuns; runs != 1 {
 		t.Fatalf("%d GC epochs ran between the bursts, want 1", runs)
 	}
-	trimmed0 := trimmed()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	burst(2)
 	runtime.ReadMemStats(&after)
-	if trimmed() == trimmed0 {
-		t.Fatal("the second burst never reached the twin budget")
-	}
 	perCS := float64(after.Mallocs-before.Mallocs) / (procs * perNode)
 	if perCS >= 0.1 {
 		t.Errorf("a critical section of the second burst allocates %.3f objects, want < 0.1", perCS)
@@ -446,16 +436,15 @@ func storeAllocs(f func()) int64 {
 	return count() - before
 }
 
-// TestTwinPoolCoversBudgetGate runs the lock ring over three epochs: every
-// critical section twins a shared page and a private one, every interval
-// parks its twins until the GC epoch, and the epoch's discard, at the
-// barrier after the one that validated it, releases them all at once. The System's parked twins stay far below the twin budget, and the
-// page pool, which all its nodes share, keeps as many bytes as the budget,
-// so once the pool has been through an epoch every capture is served from
-// it: the last epoch must not miss once. (A pool 128 buffers deep dropped
-// most of what an epoch released and allocated it again over the next
-// steps.)
-func TestTwinPoolCoversBudgetGate(t *testing.T) {
+// TestBodySlabsComeFromThePoolGate runs the lock ring over three epochs:
+// every critical section writes a shared record and a private word, every
+// interval close cuts its diffs into the store's body slabs, and the
+// epoch's discard, at the barrier after the one that validated it, sweeps
+// the slabs it covers back to the page pool, which all the System's nodes
+// share. So once the pool has been through an epoch, the next epoch's body
+// slabs — and every diff lease a serve or a miss reads a body into — come
+// from it: the third epoch must take some, and miss the pool not once.
+func TestBodySlabsComeFromThePoolGate(t *testing.T) {
 	testenv.SkipAllocGate(t)
 	const gcEvery = 8
 	s := newRingSys(t, LazyInvalidate, gcEvery)
@@ -468,19 +457,20 @@ func TestTwinPoolCoversBudgetGate(t *testing.T) {
 	if after.GCRuns != 3 {
 		t.Fatalf("%d GC epochs ran, want 3", after.GCRuns)
 	}
-	// The nodes' peaks added up bound the System's.
-	var peaks int64
 	for _, n := range s.Local() {
-		peaks += n.Stats().TwinBytesPeak
-	}
-	if peaks > twinBudget/2 {
-		t.Fatalf("the nodes' twin bytes peaked at %d together: the run was meant to stay far below the budget of %d", peaks, twinBudget)
+		e := lazyOf(n)
+		e.mu.Lock()
+		held := len(e.store.procs[n.id].bodies)
+		e.mu.Unlock()
+		if held == 0 {
+			t.Fatalf("node %d's store holds no body slab after the third epoch", n.id)
+		}
 	}
 	if gets1 == gets0 {
-		t.Fatal("the last epoch captured no twins")
+		t.Fatal("the third epoch took nothing from the pool")
 	}
 	if missed := after.TwinPoolMisses - before.TwinPoolMisses; missed != 0 {
-		t.Errorf("the last epoch's %d captures missed the pool %d times, want 0", gets1-gets0, missed)
+		t.Errorf("the third epoch's %d pool gets missed %d times, want 0", gets1-gets0, missed)
 	}
 }
 
@@ -546,7 +536,7 @@ func TestZeroPageServeAllocatesNothingGate(t *testing.T) {
 // and wrote — its owner, under the directory engines — sends a view of
 // its committed contents under the page's stripe instead of copying the
 // page per request, under every engine, also while a later write is still
-// uncommitted (the view is then the twin).
+// uncommitted (the view then has the log's old words swapped in).
 func TestWrittenPageServeAllocatesNothingGate(t *testing.T) {
 	testenv.SkipAllocGate(t)
 	allModes(t, func(t *testing.T, mode Mode) {
@@ -697,11 +687,12 @@ func warmDiffPool(n, pageSize int) {
 	tw.Release()
 }
 
-// TestDenseDiffServeAllocatesNoBodyGate: with a warm pool, the first serve of
-// a deferred dense 4 KiB diff — MakeDiff into a pooled lease, the response
-// encoded into a pooled frame — allocates nothing: the lease brings the
-// diff's header, run table and window with its body. A header made per
-// diff measured 120 B, and a body made with make took it past 4,864 B.
+// TestDenseDiffServeAllocatesNoBodyGate: with a warm pool, the serve of a
+// dense 4 KiB diff — its body read out of the store's body slab into a
+// pooled lease, the response encoded into a pooled frame — allocates
+// nothing: the lease brings the diff's header, run table and window with
+// its body. A header made per diff measured 120 B, and a body made with
+// make took it past 4,864 B.
 func TestDenseDiffServeAllocatesNoBodyGate(t *testing.T) {
 	testenv.SkipAllocGate(t)
 	const pageSize, serves, bound = 4096, 50, 64
@@ -717,21 +708,21 @@ func TestDenseDiffServeAllocatesNoBodyGate(t *testing.T) {
 	req := &wire.Msg{Kind: wire.KDiffReq, A: 1, Wants: make([]wire.Want, 1)}
 	least := ^uint64(0)
 	for i := 0; i < serves; i++ {
-		// A fresh interval rewrites every byte of the page; its diff stays
-		// deferred until the request below asks for it.
+		// A fresh interval rewrites every byte of the page; its close cuts
+		// the diff into the store, and the request below asks for it.
 		for k := range buf {
 			buf[k] = byte(i + 1)
 		}
 		if err := n.Write(s.Layout().Base(pg), buf); err != nil {
 			t.Fatal(err)
 		}
-		e.release()
-		req.Seq, req.Wants[0] = uint64(i), wire.Want{Page: pg, Proc: n.id, Index: e.clock()[n.id]}
 		made := n.Stats().DiffsCreated
-		spent := allocatedBy(func() { e.handleDiffReq(req, 1) })
+		e.release()
 		if n.Stats().DiffsCreated != made+1 {
-			t.Fatal("the serve did not materialize a deferred diff")
+			t.Fatal("the interval close did not cut the page's diff")
 		}
+		req.Seq, req.Wants[0] = uint64(i), wire.Want{Page: pg, Proc: n.id, Index: e.clock()[n.id]}
+		spent := allocatedBy(func() { e.handleDiffReq(req, 1) })
 		sent := c.take()
 		if len(sent) < pageSize {
 			t.Fatalf("the response is %d bytes, want a dense page's diff", len(sent))
@@ -740,17 +731,17 @@ func TestDenseDiffServeAllocatesNoBodyGate(t *testing.T) {
 		least = min(least, spent)
 	}
 	if least >= bound {
-		t.Errorf("materializing and serving one dense %d-byte diff allocates %d B, want < %d", pageSize, least, bound)
+		t.Errorf("serving one dense %d-byte diff allocates %d B, want < %d", pageSize, least, bound)
 	} else {
-		t.Logf("%d B per materialize + serve", least)
+		t.Logf("%d B per serve", least)
 	}
 }
 
 // TestWideDiffRequestAllocatesNothingGate: one diff request of 64 wants —
 // a fault that brings every invalid page its responders serve asks for as
 // many — is answered without allocating: the response's records come from
-// the wire slab pool, the diffs are the store's, made at the first serve,
-// and the response is encoded into a pooled frame. Records on the
+// the wire slab pool, the diffs are the store's bodies read into pooled
+// leases, and the response is encoded into a pooled frame. Records on the
 // handler's stack that a 33rd want overflowed allocated per request.
 func TestWideDiffRequestAllocatesNothingGate(t *testing.T) {
 	testenv.SkipAllocGate(t)
@@ -771,7 +762,7 @@ func TestWideDiffRequestAllocatesNothingGate(t *testing.T) {
 		e.handleDiffReq(req, 1)
 		framebuf.Put(c.take())
 	}
-	serve() // the first serve makes the deferred diffs
+	serve() // the first serve warms the pools
 	if allocs := testing.AllocsPerRun(100, serve); allocs != 0 {
 		t.Errorf("serving a request of %d wants allocates %.1f objects, want 0", wants, allocs)
 	}
@@ -851,15 +842,15 @@ func TestEagerFlushBurstAllocatesNoScratchGate(t *testing.T) {
 }
 
 // BenchmarkIntervalClose times LI critical sections on a one-node System —
-// an acquire, a one-word write, which captures the page's twin, and the
-// release, which closes the interval: its twin becomes a deferred slot of
-// the retained-diff store and its record enters the log — so nothing is
-// sent. fresh runs them on Systems no GC epoch ever sweeps, a new one
-// every 4,096 sections (untimed), so the store and the log take their
-// chunks and slabs as they grow and every twin is a new lease; warm runs a
-// GC epoch every 1,024 sections (two untimed barriers), so the store, the
-// log and the page pool take back what the sweep freed. allocs/op is what
-// a close costs a fresh cluster and a warm one.
+// an acquire, a one-word write, which logs the word, and the release, which
+// closes the interval: the log is cut into a body in the retained-diff
+// store's slabs and the record enters the log — so nothing is sent. fresh
+// runs them on Systems no GC epoch ever sweeps, a new one every 4,096
+// sections (untimed), so the store and the log take their chunks and slabs
+// as they grow; warm runs a GC epoch every 1,024 sections (two untimed
+// barriers), so the store, the log and the page pool take back what the
+// sweep freed. allocs/op is what a close costs a fresh cluster and a warm
+// one.
 func BenchmarkIntervalClose(b *testing.B) {
 	noPoison(b)
 	const pageSize, pages, epoch, life = 1024, 16, 1024, 4096

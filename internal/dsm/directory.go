@@ -53,8 +53,8 @@ type directory struct {
 // of a transaction sees it. Both methods run under pg's stripe.
 type holder interface {
 	// committedLocked returns this node's committed contents of pg, a view
-	// good under the stripe; false if it holds none.
-	committedLocked(pg mem.PageID) ([]byte, bool)
+	// good under the stripe until its done; false if it holds none.
+	committedLocked(pg mem.PageID) (committedView, bool)
 	// invalidateLocked takes away this node's access to its copy of pg.
 	invalidateLocked(pg mem.PageID)
 }
@@ -126,16 +126,17 @@ func (d *directory) sendCopy(dst mem.ProcID, pg mem.PageID, reply *wire.Msg) {
 	pmu := n.pageLock(pg)
 	pmu.Lock()
 	defer pmu.Unlock()
-	data, held := d.copies.committedLocked(pg)
+	view, held := d.copies.committedLocked(pg)
 	if !held && n.homeOf(pg) != n.id {
 		n.noteErr("page copy", fmt.Errorf("node %d asks for page %d, which this node neither homes nor holds", dst, pg))
 		return
 	}
 	if !held {
-		data = n.sys.zeroPage
+		view.data = n.sys.zeroPage
 	}
-	reply.Data = data
+	reply.Data = view.data
 	n.noteErr("page copy", n.send(dst, reply))
+	view.done()
 }
 
 // revocation is an EI home's round of invalidations for one writer's

@@ -2,8 +2,8 @@
 // node is one processor, driven by one application goroutine, and serves
 // incoming protocol frames beside it on a worker pool that runs each
 // peer's messages in the order it sent them and different peers' in
-// parallel (Message order, node.go); nodes exchange real bytes (twins,
-// diffs, write notices, vector clocks, invalidations, page ships) over a
+// parallel (Message order, node.go); nodes exchange real bytes (diffs,
+// write notices, vector clocks, invalidations, page ships) over a
 // pluggable reliable FIFO interconnect (internal/transport) using the wire
 // format of internal/wire.
 //
@@ -35,7 +35,11 @@
 // Ordinary accesses are performed through an explicit Read/Write API
 // rather than VM page protection: Go's runtime owns the process signal
 // handling and heap, so access *detection* is by API call, which leaves
-// the consistency protocol — the object of study — unchanged. The typed
+// the consistency protocol — the object of study — unchanged. Writes are
+// detected the same way, as Midway detects them in software: the first
+// write of each word in an interval (lazy) or flush window (eager) logs its
+// old value (page.WriteLog), and the diff is cut from the logged words, so
+// no engine keeps a twin of a page. The typed
 // layer applications program against (allocator, Var/Array handles, lock
 // and barrier objects) is internal/shm.
 //
@@ -64,7 +68,12 @@
 //     copies with one message per copy, naming the copy's pages of the
 //     round, where the model merges them per cacher across the homes;
 //     under EU a copy its writer did not yet know of is reached through
-//     the home, at two messages more.
+//     the home, at two messages more;
+//   - a lazy interval close cuts each written page's diff at once, from
+//     its write log into the node's retained-diff store, where the paper
+//     makes a diff from its twin only when someone asks for it: a cut
+//     costs the words written, which a twin kept for a lazy diff would
+//     cost a page.
 //
 // The simulator remains the artifact that reproduces the paper's counts;
 // this runtime is the artifact that proves each protocol moves the right
@@ -77,7 +86,6 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/mem"
@@ -238,12 +246,7 @@ type System struct {
 	local  []*Node // the nodes this System hosts, ascending id
 	// zeroPage is the initial image of every page, read-only: what a node
 	// serves for a page it never materialized (it encodes to three bytes).
-	zeroPage []byte
-	// twinBytes is the bytes of twins the local nodes hold live together,
-	// the gauge twinBudget bounds: the nodes draw their twins from one page
-	// pool.
-	twinBytes atomic.Int64
-
+	zeroPage  []byte
 	handlers  sync.WaitGroup
 	closeOnce sync.Once
 	closeErr  error

@@ -13,7 +13,7 @@ import (
 
 // eagerEngine implements eager release consistency in the style of
 // Munin's write-shared protocol (paper §3): a processor buffers its
-// modifications as twins until a release or barrier, then pushes them to
+// modifications in write logs until a release or barrier, then pushes them to
 // every other cacher of each dirty page — invalidations (EI) or diffs
 // (EU) — and blocks until all are acknowledged.
 //
@@ -26,7 +26,7 @@ import (
 // acknowledge; under EU also the copies the writer's hint names, and a
 // home forwards the diff to those the hint missed.
 //
-// Concurrency: page copies, twins and the per-page copy state are under
+// Concurrency: page copies, write logs and the per-page copy state are under
 // the node's striped lock table; the write set is the application
 // goroutine's alone. Misses and flushes are that goroutine's, one at a
 // time, so a release returns only once every write its node made before it
@@ -38,7 +38,7 @@ type eagerEngine struct {
 	update bool // EU: push diffs; EI: push invalidations
 	dir    *directory
 
-	// pages[i] is guarded by n.pageLock(i); its twin is present while a
+	// pages[i] is guarded by n.pageLock(i); its log holds words while a
 	// critical section since the last flush wrote the page.
 	pages []*pageCopy
 
@@ -58,9 +58,11 @@ type eagerEngine struct {
 	// point; each flush drains it.
 	ws *writeSet
 
-	// The flush's scratch: cand, the pages it drained, and out and made,
-	// its records by destination and its diffs.
+	// The flush's scratch: cand, the pages it drained, runs, the runs of
+	// the diff it cuts, and out and made, its records by destination and
+	// its diffs.
 	cand []mem.PageID
+	runs []page.Run
 	out  [][]wire.DiffRec
 	made []*page.Diff
 }
@@ -180,7 +182,7 @@ func (e *eagerEngine) installPage(m *wire.Msg, src mem.ProcID) bool {
 		pc = &pageCopy{}
 		e.pages[pg] = pc
 	}
-	if err := pc.land(n, m.Data, nil); err != nil {
+	if err := pc.land(m.Data, nil); err != nil {
 		panic(fmt.Sprintf("dsm: node %d: installing page %d: %v", n.id, pg, err))
 	}
 	pc.valid = true
@@ -218,7 +220,7 @@ func (e *eagerEngine) learn(m *wire.Msg, home mem.ProcID) {
 
 // landLocked applies diff d to this node's copy pc, under its stripe.
 func (e *eagerEngine) landLocked(pc *pageCopy, d *page.Diff) error {
-	if err := pc.land(e.n, nil, d.Apply); err != nil {
+	if err := pc.land(nil, d.Apply); err != nil {
 		return err
 	}
 	e.n.stats.updatesReceived.Add(1)
@@ -250,32 +252,28 @@ func (e *eagerEngine) writePage(pg mem.PageID, off int, src []byte) error {
 // --- flush: the release/barrier-time propagation of §3 ---
 
 // commit ends the uncommitted writes to pg at a flush point and returns
-// their diff — nil when the page has none or they changed nothing — and,
-// read with it, the page's hint (EU).
-func (e *eagerEngine) commit(pg mem.PageID) (d *page.Diff, hint uint64, err error) {
+// their diff, cut from the page's write log — nil when the page has none or
+// they changed nothing — and, read with it, the page's hint (EU).
+func (e *eagerEngine) commit(pg mem.PageID) (d *page.Diff, hint uint64) {
 	n := e.n
 	pmu := n.pageLock(pg)
 	pmu.Lock()
+	defer pmu.Unlock()
 	pc := e.pages[pg]
-	if pc == nil || !pc.twinned() {
-		pmu.Unlock()
-		return nil, 0, nil
+	if pc == nil || !pc.dirty() {
+		return nil, 0
 	}
 	if e.update {
 		hint = e.hints[pg]
 	}
-	twin := pc.take()
-	d, err = page.MakeDiff(twin, pc.data)
-	n.releaseTwin(twin)
-	pmu.Unlock()
-	if err != nil {
-		return nil, 0, err
-	}
+	e.runs = pc.cut(e.runs[:0])
+	d = page.DiffOf(e.runs, pc.data)
+	pc.commit(n)
 	n.stats.diffsCreated.Add(1)
 	if d.Empty() {
-		return nil, 0, nil
+		return nil, 0
 	}
-	return d, hint, nil
+	return d, hint
 }
 
 // flush commits this node's buffered modifications and pushes them to
@@ -290,12 +288,12 @@ func (e *eagerEngine) commit(pg mem.PageID) (d *page.Diff, hint uint64, err erro
 // its acknowledgement, which the next flush reaches directly. The diff of
 // a page this node homes is in the home's copy already: the flush sends
 // it to every member (EU) or invalidates them (EI) itself. A flush that
-// fails mid-way leaves its twins claimed.
+// fails mid-way leaves its pages claimed.
 func (e *eagerEngine) flush() error {
 	n := e.n
 	cand := e.ws.drain(e.cand)
 	e.cand = cand
-	e.ws.check(n, func(pg mem.PageID) bool { return e.pages[pg] != nil && e.pages[pg].twinned() })
+	e.ws.check(n, func(pg mem.PageID) bool { return e.pages[pg] != nil && e.pages[pg].dirty() })
 	made := e.made[:0]
 	var own revocation // EI: the copies of the pages this node homes
 	defer func() {
@@ -310,10 +308,7 @@ func (e *eagerEngine) flush() error {
 		e.made = made[:0]
 	}()
 	for _, pg := range cand {
-		d, hint, err := e.commit(pg)
-		if err != nil {
-			return err
-		}
+		d, hint := e.commit(pg)
 		if d == nil {
 			continue
 		}
@@ -406,16 +401,16 @@ func (e *eagerEngine) handle(m *wire.Msg, src mem.ProcID) bool {
 
 // committedLocked returns a view of this node's committed contents of pg,
 // without the writes of a critical section still in flight.
-func (e *eagerEngine) committedLocked(pg mem.PageID) ([]byte, bool) {
+func (e *eagerEngine) committedLocked(pg mem.PageID) (committedView, bool) {
 	if pc := e.pages[pg]; pc != nil {
 		return pc.committed(), true
 	}
-	return nil, false
+	return committedView{}, false
 }
 
-// invalidateLocked invalidates this node's copy (EI). A twin stays, and
-// with it the duty to flush its section's words at its own release: their
-// diff against the stale copy lands on the home's, which holds the rest.
+// invalidateLocked invalidates this node's copy (EI). Its logged words
+// stay, and with them the duty to flush its section's words at its own
+// release: their diff lands on the home's copy, which holds the rest.
 func (e *eagerEngine) invalidateLocked(pg mem.PageID) {
 	if pc := e.pages[pg]; pc != nil {
 		pc.valid = false

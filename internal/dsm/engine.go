@@ -24,10 +24,11 @@ import (
 //     (Node.pageLock); engines take the stripe for exactly the page they
 //     touch and never hold it across a blocking operation, so
 //     independent pages fault, install and diff in parallel. Stripes are
-//     leaf locks. A twinning engine's (LI/LU/EI/EU) copy is a pageCopy
-//     (writeset.go), the only code that touches a twin: outside bytes
-//     reach a copy only through its land, which keeps the twin the
-//     committed contents under a concurrent local writer.
+//     leaf locks. A write-capturing engine's (LI/LU/EI/EU) copy is a
+//     pageCopy (writeset.go), the only code that touches its write log:
+//     outside bytes reach a copy only through its land, which keeps the
+//     log's saved words the committed contents under a concurrent local
+//     writer.
 //   - Accesses, and with them miss service — the blocking protocol
 //     transaction that brings a page current — and the lock and barrier
 //     hooks run on the node's one application goroutine (Node.enter
@@ -48,9 +49,9 @@ type engine interface {
 	// the local copy current enough for the protocol's guarantees.
 	readPage(pg mem.PageID, off int, dst []byte) error
 	// writePage copies src into page pg at off, first obtaining whatever
-	// access the protocol requires (a valid copy whose first write captures
-	// the twin under the multiple-writer protocols, exclusive ownership
-	// under SC).
+	// access the protocol requires (a valid copy whose write log takes the
+	// words' old values under the multiple-writer protocols, exclusive
+	// ownership under SC).
 	writePage(pg mem.PageID, off int, src []byte) error
 
 	// acquireStart runs as an Acquire begins (lockMu held): the lazy

@@ -1153,3 +1153,27 @@ func settle(tb testing.TB, before int) {
 		}
 	}
 }
+
+// TestForgedFloorClockGrantsEverything: a requester clock with an entry
+// below "knows nothing" is treated like a missing one, not used as an
+// index.
+func TestForgedFloorClockGrantsEverything(t *testing.T) {
+	n := newSys(t, 2, LazyInvalidate).Node(0)
+	for i := 0; i < 3; i++ {
+		if err := n.Acquire(0); err != nil {
+			t.Fatal(err)
+		}
+		if err := n.WriteUint64(0, uint64(i)); err != nil {
+			t.Fatal(err)
+		}
+		if err := n.Release(0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e := lazyOf(n)
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if got := len(e.intervalsSinceLocked(&wire.Msg{}, vc.VC{-7, 1 << 30})); got != 3 {
+		t.Errorf("forged floor clock was granted %d intervals, want all 3", got)
+	}
+}

@@ -13,8 +13,8 @@ import (
 	"repro/internal/wire"
 )
 
-// lazyEngine implements lazy release consistency (§4): intervals, twins,
-// diffs and vector clocks. Write notices ride lock grants and barrier
+// lazyEngine implements lazy release consistency (§4): intervals, write
+// logs, diffs and vector clocks. Write notices ride lock grants and barrier
 // messages; diffs are fetched from the concurrent last modifiers of a page
 // (§4.3.2) at access misses (LI) or acquire time (LU). Fetching is by
 // round, not by page: a round — an LI fault, an LU revalidation, the GC
@@ -26,16 +26,16 @@ import (
 //
 // Concurrency: the node's one application goroutine runs every access,
 // round, synchronization hook and GC epoch; handlers serve page and diff
-// requests and build lock grants beside it. Page copies and their twins
-// are per-page state under the node's striped lock table, which a handler
-// takes to ship a copy or make a deferred diff out of it; the interval
-// machinery — vector clock, interval log, retained-diff store — stays
-// under one engine mutex (mu), which a handler takes to serve diffs and
-// grants. Only the application goroutine learns intervals, so a round
-// plans each page once: nothing can add to a plan while the round fetches
-// its diffs. Which pages the current interval dirtied is tracked in the
-// write set (twin creation registers the page) so closing an interval does
-// not need to sweep every page.
+// requests and build lock grants beside it. Page copies and their write
+// logs are per-page state under the node's striped lock table, which a
+// handler takes to ship a copy; the interval machinery — vector clock,
+// interval log, retained-diff store — stays under one engine mutex (mu),
+// which a handler takes to serve diffs and grants. Only the application
+// goroutine learns intervals, so a round plans each page once: nothing can
+// add to a plan while the round fetches its diffs. Which pages the current
+// interval dirtied is tracked in the write set (a page's first logged
+// write registers it) so closing an interval does not need to sweep every
+// page.
 //
 // Lock order: node.lockMu < e.mu < node.pageMu stripe.
 type lazyEngine struct {
@@ -52,19 +52,18 @@ type lazyEngine struct {
 	// valid. A GC epoch validates every invalid copy and empties it. The
 	// application goroutine's alone.
 	stale []mem.PageID
-	// trimFrom is this node's oldest interval trimTwinsLocked may still
-	// find deferred slots in: its cursor, raised past the log's floor at GC.
-	trimFrom int32
 	// round is the scratch that faults, revalidations and the GC epoch's
 	// bulk validation plan into: the application goroutine's alone.
 	round round
-	// Scratch: under mu, closeIntervalLocked's sorted dirty pages; the
+	// Scratch: under mu, closeIntervalLocked's sorted dirty pages and the
+	// runs of the diff it cuts; the
 	// application goroutine's alone, the pages the intervals an acquire or
 	// a barrier absorbed notice (filled under mu; no acquire runs inside a
 	// barrier) and the floor of the arrival it sends next. The records a
 	// grant, arrival or exit exports are its message's
 	// (intervalsSinceLocked).
 	cand     []mem.PageID
+	runs     []page.Run
 	noticed  []mem.PageID
 	barFloor vc.VC
 	// Under mu: absorbIntervalsLocked's records that arrived ahead of
@@ -82,15 +81,10 @@ type lazyEngine struct {
 }
 
 // lazyPage is a node's local copy of one page, guarded by its stripe; its
-// twin is present while the current interval has writes.
+// log holds words while the current interval has writes.
 type lazyPage struct {
 	pageCopy
 	applied vc.VC // modifications reflected in data
-	// pending is the deferred diff slot of this node's latest closed
-	// interval on the page, while its post-interval contents still live
-	// in data (no snapshot taken yet). The next twin capture or any
-	// mutation of data resolves it — see materializeSlot.
-	pending *diffSlot
 }
 
 func newLazyEngine(n *Node, update bool) *lazyEngine {
@@ -116,46 +110,44 @@ func (e *lazyEngine) clock() vc.VC {
 
 // --- interval management ---
 
-// closeIntervalLocked ends the current interval: each dirtied page's
-// twin becomes a retained diff-store entry and the interval record with
-// its write notices enters the log. The diff itself is not computed
-// here — the slot keeps the twin as its base and the diff is
-// materialized on the first serve, or when the twin budget trims the
-// slot, or never: a covered slot whose diff nobody fetched is discarded
-// at GC twin and all, which is the lazy-creation win. Caller holds e.mu.
+// closeIntervalLocked ends the current interval: each dirtied page's write
+// log is cut into its diff, whose body the retained-diff store lays out in
+// this node's body slabs, and the interval record with its write notices
+// enters the log. A cut costs the words the interval wrote, so every diff
+// is made here, whether anyone fetches it or not; a covered one nobody
+// fetched is discarded at GC. Caller holds e.mu.
 func (e *lazyEngine) closeIntervalLocked() {
 	n := e.n
 	e.cand = e.ws.drain(e.cand)
-	e.ws.check(n, func(pg mem.PageID) bool { return e.pages[pg] != nil && e.pages[pg].twinned() })
+	e.ws.check(n, func(pg mem.PageID) bool { return e.pages[pg] != nil && e.pages[pg].dirty() })
 	if len(e.cand) == 0 {
 		return
 	}
 
-	// The slots are the store's next ones for the interval's index:
-	// pending pointers point into them. The pages that had a twin move to
-	// the front of cand, in order: the interval's page list.
+	// The slots are the store's next ones for the interval's index. The
+	// pages with logged writes move to the front of cand, in order: the
+	// interval's page list.
 	k, held := e.v[n.id]+1, 0
 	for i, pg := range e.cand {
 		pmu := n.pageLock(pg)
 		pmu.Lock()
 		pc := e.pages[pg]
-		if pc == nil || !pc.twinned() {
+		if pc == nil || !pc.dirty() {
 			pmu.Unlock()
 			continue
 		}
-		// The page table's twin reference transfers to the slot as the
-		// diff base; the post-interval contents stay live in pc.data
-		// until the next twin capture snapshots them (pending). The copy
-		// now reflects interval k, which a page with a twin makes sure
-		// exists: keep the applied clock faithful so page-home responses
-		// advertise the right coverage.
-		slot := e.store.slot(n.id, k, held)
-		*slot = diffSlot{base: pc.take()}
-		pc.pending = slot
+		// The copy now reflects interval k, which a page with logged writes
+		// makes sure exists: keep the applied clock faithful so page-home
+		// responses advertise the right coverage.
+		e.runs = pc.cut(e.runs[:0])
+		slot, body := e.store.put(n.id, k, page.BodySize(e.runs))
+		page.AppendBody(body[:0], e.runs, pc.data)
+		*e.store.slot(n.id, k, held) = slot
+		pc.commit(n)
 		if pc.applied[n.id] < k {
 			pc.applied[n.id] = k
 		}
-		n.stats.diffsDeferred.Add(1)
+		n.stats.diffsCreated.Add(1)
 		pmu.Unlock()
 		e.cand[i], e.cand[held] = e.cand[held], pg
 		held++
@@ -171,7 +163,6 @@ func (e *lazyEngine) closeIntervalLocked() {
 	// log copies the clock and the page scratch in.
 	e.log.Append(core.Interval{ID: core.IntervalID{Proc: n.id, Index: k}, VC: e.v, Pages: pages})
 	n.stats.intervalsCreated.Add(1)
-	e.trimTwinsLocked()
 }
 
 // absorbIntervalsLocked merges a batch of received interval record lists
@@ -386,15 +377,7 @@ func (e *lazyEngine) writePage(pg mem.PageID, off int, src []byte) error {
 	}
 	pmu := e.n.pageLock(pg)
 	pmu.Lock()
-	pc := e.pages[pg]
-	if t := pc.write(e.n, e.ws, pg, off, src); t != nil && pc.pending != nil {
-		// The fresh twin is a snapshot of the page exactly as the pending
-		// interval left it: it becomes the deferred diff's target (shared
-		// with the page table — twins are immutable), deferring the diff
-		// past this new interval for free.
-		pc.pending.target = t.Retain()
-		pc.pending = nil
-	}
+	e.pages[pg].write(e.n, e.ws, pg, off, src)
 	pmu.Unlock()
 	return nil
 }
@@ -417,9 +400,8 @@ func (e *lazyEngine) grant(req, grant *wire.Msg) {
 		// Piggyback every retained diff for the noticed intervals — the
 		// releaser supplies what it has (Figure 4's "l and x in a single
 		// message"); the acquirer fetches any remainder from responders.
-		// Deferred local diffs materialize here (the piggyback is their
-		// first serve). The records come from the wire slab pool, as many
-		// as the notices name pages at most.
+		// The records come from the wire slab pool, as many as the notices
+		// name pages at most.
 		n := 0
 		for _, rec := range grant.Intervals {
 			n += len(rec.Pages)
@@ -428,7 +410,9 @@ func (e *lazyEngine) grant(req, grant *wire.Msg) {
 		for _, rec := range grant.Intervals {
 			id := core.IntervalID{Proc: rec.Proc, Index: rec.Index}
 			for _, pg := range rec.Pages {
-				if d := e.serveSlotLocked(id, pg); d != nil {
+				d, err := e.serveSlotLocked(id, pg)
+				e.n.noteErr("grant piggyback", err)
+				if d != nil {
 					grant.Diffs = append(grant.Diffs, wire.DiffRec{
 						Page: pg, Proc: id.Proc, Index: id.Index, Diff: d, // sendGrant releases
 					})
@@ -585,7 +569,9 @@ func (e *lazyEngine) handlePageReq(m *wire.Msg) {
 	pc := e.pages[pg]
 	switch keeper := e.keeperLocked(pg); {
 	case pc != nil:
-		resp.Data, resp.VC = pc.committed(), pc.applied
+		view := pc.committed()
+		defer view.done() // after the send below, before the stripe's unlock
+		resp.Data, resp.VC = view.data, pc.applied
 	case n.homeOf(pg) != n.id:
 		n.noteErr("page request", fmt.Errorf("request for page %d from %d, which this node neither homes nor holds", pg, requester))
 		return

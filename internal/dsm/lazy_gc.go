@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/framebuf"
 	"repro/internal/mem"
 	"repro/internal/vc"
 )
@@ -89,6 +88,11 @@ func (e *lazyEngine) runGC() error {
 	if err := e.checkGCInvariant(); err != nil {
 		return err
 	}
+	// Every body the store holds belongs to an interval the epoch covers:
+	// closed now, their slabs hold nothing the discard keeps.
+	e.mu.Lock()
+	e.store.closeBodies()
+	e.mu.Unlock()
 	e.stale = e.stale[:0]
 	e.gcDue = true
 	return nil
@@ -176,10 +180,6 @@ func (e *lazyEngine) nameKeeperLocked(pg mem.PageID) {
 // Caller holds e.mu.
 func (e *lazyEngine) discardLocked(epoch vc.VC) {
 	n := e.n
-	gone := diffSlot{}
-	if framebuf.Poisoned() {
-		gone = deadSlot
-	}
 	for q := range e.store.procs {
 		for k := e.log.Floor(mem.ProcID(q)) + 1; k <= epoch[q]; k++ {
 			id := core.IntervalID{Proc: mem.ProcID(q), Index: k}
@@ -187,49 +187,16 @@ func (e *lazyEngine) discardLocked(epoch vc.VC) {
 			if ent.n == 0 {
 				continue
 			}
-			for i, pg := range e.log.Get(id).Pages {
-				slot := p.at(ent.off + uint32(i))
-				pmu := n.pageLock(pg)
-				pmu.Lock()
-				switch {
-				case slot.d != nil:
-					slot.d.Release() // the store's count; a serve in flight has its own
-					n.stats.diffsDiscarded.Add(1)
-				case slot.base != nil:
-					// A covered slot whose diff was never fetched: drop the twins
-					// without ever computing it — the deferred work the lazy
-					// pipeline saves outright.
-					e.dropTwins(e.pages[pg], slot)
+			for i := range uint32(ent.n) {
+				slot := p.at(ent.off + i)
+				if slot.held() {
 					n.stats.diffsDiscarded.Add(1)
 				}
-				*slot = gone
-				pmu.Unlock()
+				*slot = diffSlot{}
 			}
 			p.chunks[k/chunkIntervals-p.dropped].ents[k%chunkIntervals] = slotEnt{}
 		}
 		e.store.sweep(q, epoch[q])
 	}
-	if framebuf.Poisoned() {
-		e.checkPendingLocked()
-	}
 	e.log.Sweep(epoch)
-	e.trimFrom = max(e.trimFrom, e.log.Floor(n.id)+1)
-}
-
-// checkPendingLocked asserts, in test builds, that no page's pending slot
-// is one the discard emptied: the write that next snapshots the page would
-// plant its twin in whatever interval the slot is handed to next. Such a
-// slot reads deadSlot until then. A violation is a recorded error that
-// fails the run at Close, like writeSet.check's. Caller holds e.mu.
-func (e *lazyEngine) checkPendingLocked() {
-	n := e.n
-	for stripe := range n.pageMu { // one lock per stripe, not per page
-		n.pageMu[stripe].Lock()
-		for pg := mem.PageID(stripe); n.validPage(pg); pg += pageShards {
-			if pc := e.pages[pg]; pc != nil && pc.pending != nil && *pc.pending == deadSlot {
-				n.noteErr("diff store", fmt.Errorf("page %d's pending slot lies in a discarded slot", pg))
-			}
-		}
-		n.pageMu[stripe].Unlock()
-	}
 }

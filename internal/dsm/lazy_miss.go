@@ -143,16 +143,12 @@ func (e *lazyEngine) apply(r *round, i int) error {
 	pmu.Lock()
 	defer pmu.Unlock()
 	pc := e.pages[pg]
-	// The remote diffs land on the committed contents, after a deferred diff
-	// still reading its target out of pc.data is made (it would claim them).
-	// The copy has no live twin for land to rebase: the acquire or barrier
-	// that invalidated it closed the interval, and the node writes only after
-	// this round returns.
+	// The remote diffs land on the committed contents. The copy has no
+	// logged words to swap: the acquire or barrier that invalidated it
+	// closed the interval, and the node writes only after this round
+	// returns.
 	if len(steps) > 0 {
-		if pc.pending != nil {
-			e.materializeSlot(pc, pc.pending, pg)
-		}
-		if err := pc.land(n, nil, func(committed []byte) error {
+		if err := pc.land(nil, func(committed []byte) error {
 			for _, d := range steps {
 				if err := d.Apply(committed); err != nil {
 					return err

@@ -289,20 +289,25 @@ func (f fetchedDiffs) find(pg mem.PageID, id core.IntervalID) (d *page.Diff, ok 
 // order, each on a count of its own. A held response wins over the store:
 // it carries exactly what the round asked for, and a merged range in it is
 // applied whole, at its first member's step — the later members' bytes
-// are in the merge, and they get no step. Outstanding
-// excludes this node's own intervals, so a step from the store is a
-// received diff — always materialized. Caller holds e.mu.
+// are in the merge, and they get no step. Outstanding excludes this node's
+// own intervals, so a step from the store is a received diff, read into a
+// lease of its own. Caller holds e.mu.
 func (l *ledger) stepsLocked(steps []*page.Diff, pg mem.PageID, out []core.IntervalID, held fetchedDiffs) ([]*page.Diff, error) {
 	for _, id := range out {
 		d, ok := held.find(pg, id)
-		if slot := l.slotLocked(id, pg); !ok && slot != nil {
-			d, ok = slot.d, true
-		}
-		if !ok {
+		switch slot := l.slotLocked(id, pg); {
+		case ok:
+			d = d.Retain()
+		case slot != nil:
+			var err error
+			if d, err = slot.diff(); err != nil {
+				return steps, fmt.Errorf("dsm: node %d: diff %v for page %d: %w", l.self, id, pg, err)
+			}
+		default:
 			return steps, fmt.Errorf("dsm: node %d: diff %v for page %d unavailable", l.self, id, pg)
 		}
 		if d != nil {
-			steps = append(steps, d.Retain())
+			steps = append(steps, d)
 		}
 	}
 	return steps, nil

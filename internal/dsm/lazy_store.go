@@ -5,50 +5,68 @@ import (
 	"slices"
 
 	"repro/internal/core"
-	"repro/internal/framebuf"
 	"repro/internal/mem"
 	"repro/internal/page"
 	"repro/internal/wire"
 )
 
-// diffSlot is one retained diff in the store: either materialized (d set)
-// or deferred (base twin captured, diff not yet computed). A deferred
-// slot's target contents are the target twin if set, else the live page
-// data (the slot is then the page's pending slot). The store holds this
-// node's own intervals' diffs and clones of the foreign diffs of single
-// intervals it received — what it serves as a concurrent last modifier of
-// their page, and under LU what a later lock grant piggybacks — until the
-// GC epoch discards them. Every slot of an own interval holds its diff,
-// made or deferred; an entry for a foreign interval has blank slots, d
-// nil, for the pages whose diff never arrived. An own slot's fields are
-// guarded by its page stripe, a foreign one's d by e.mu, which guards the
-// store itself; a materialized slot's target is only ever servedMark,
-// written under e.mu (serveSlotLocked).
+// diffSlot is one retained diff in the store: a reference to its wire body,
+// n bytes from off of body slab b. The store holds this node's own
+// intervals' diffs, cut at interval close (closeIntervalLocked), and copies
+// of the foreign diffs of single intervals it received — what it serves as
+// a concurrent last modifier of their page, and under LU what a later lock
+// grant piggybacks — until the GC epoch discards them. Every slot of an own
+// interval holds its diff; an entry for a foreign interval has blank slots,
+// n 0, for the pages whose diff never arrived. A body is immutable, and
+// read through one constructor (diff); the top bit of n marks a slot
+// a serve has shipped. Guarded, like the store, by e.mu.
 type diffSlot struct {
-	d      *page.Diff
-	base   *page.Twin
-	target *page.Twin
+	b   *page.Slab
+	off uint32
+	n   uint32
 }
 
-// Marker twins, never captured or released, told apart by address:
-// servedMark is a materialized slot's target once a serve has shipped its
-// diff, deadMark a discarded slot's base and target in test builds.
-var servedMark, deadMark page.Twin
+// servedBit marks, in a slot's n, a body a serve has shipped: later serves
+// count as cache hits.
+const servedBit = 1 << 31
 
-// deadSlot is what a discarded slot holds in test builds (poison mode): a
-// base and a target that are one twin, which no live slot has — a stale
-// pointer to it (a page's pending slot) fails at its first
-// materialization, and checkPendingLocked reports it at once.
-var deadSlot = diffSlot{base: &deadMark, target: &deadMark}
+// held reports whether the slot holds a diff.
+func (s *diffSlot) held() bool { return s.n&^servedBit != 0 }
+
+// body returns the slot's wire body, a window of its slab.
+func (s *diffSlot) body() []byte {
+	end := s.off + s.n&^servedBit
+	return s.b.Bytes()[s.off:end:end]
+}
+
+// diff returns the slot's diff in a lease of its own, on one count the
+// caller drops when it has read: the one way a stored body is read — to be
+// served, merged, piggybacked or applied — so a holder keeps it past e.mu
+// and the discard. A body that does not parse (its slab was freed under it)
+// is an error. Caller holds e.mu.
+func (s *diffSlot) diff() (*page.Diff, error) {
+	d, err := page.ParseBody(s.body())
+	if err != nil {
+		return nil, fmt.Errorf("stored diff body: %w", err)
+	}
+	return d, nil
+}
 
 // The store's storage, per processor: chunks of entries indexed by
-// interval index, as core.Log keeps its records, and slabs of slots handed
-// out in order. Both are fixed-size; an epoch fills them, and the sweep
-// that covers them frees them whole to the store's free lists, which the
-// next epoch takes from before it allocates.
+// interval index, as core.Log keeps its records, slabs of slots handed out
+// in order, and body slabs — leases off the page pool — the bodies are laid
+// out in, in order. An epoch fills them, and the sweep that covers them
+// frees them whole: chunks and slot slabs to the store's free lists, which
+// the next epoch takes from before it allocates, body slabs to the page
+// pool. Chunks and slot slabs are fixed-size. Body slabs start at
+// minBodySlab bytes and double, up to page.SlabBytes, each time one fills
+// before an epoch closes it, so a processor whose few diffs a node keeps
+// costs it a small slab, and one whose many it keeps a slab a pooled page
+// lease.
 const (
 	chunkIntervals = 255 // entries per chunk: with its link, 2 KiB
-	slabSlots      = 255 // slots per slab: with its last index and link, 6 KiB
+	slabSlots      = 383 // slots per slab: with its last index and link, 6 KiB
+	minBodySlab    = 1 << 10
 )
 
 // slotEnt locates an interval's slots, parallel to its sorted page list in
@@ -75,11 +93,17 @@ type slotSlab struct {
 	next  *slotSlab
 }
 
-// slotProc is one processor's part of the store. Slabs never move once
-// taken, so a page's pending pointer into one stays valid until the sweep
-// that frees it. A processor's own intervals fill it in close order,
-// another processor's, stored as they are fetched (out of order under LU),
-// only as densely as the few diffs they are.
+// bodySlab is a body slab and the highest interval index any body in it
+// belongs to: the sweep that covers that index releases the slab.
+type bodySlab struct {
+	s    *page.Slab
+	last int32
+}
+
+// slotProc is one processor's part of the store. A processor's own
+// intervals fill it in close order, another processor's, stored as they are
+// fetched (out of order under LU), only as densely as the few diffs they
+// are.
 type slotProc struct {
 	// chunks[c] holds the entries of indices [(dropped+c)*chunkIntervals,
 	// (dropped+c+1)*chunkIntervals), or is nil where the store holds none.
@@ -90,6 +114,13 @@ type slotProc struct {
 	// which the few live slabs never span.
 	slabs      []*slotSlab
 	base, next uint32
+	// bodies are the body slabs, oldest first; the last is filled from
+	// fill on, unless closed (closeBodies). grow is the size of the next
+	// slab.
+	bodies []bodySlab
+	fill   int
+	closed bool
+	grow   int
 }
 
 // slotStore is the retained-diff store, one slotProc per processor, with
@@ -129,9 +160,6 @@ func (s *slotStore) slot(q mem.ProcID, k int32, i int) *diffSlot {
 		sl := s.slabs
 		if sl != nil {
 			s.slabs, sl.next = sl.next, nil
-			if framebuf.Poisoned() {
-				*sl = slotSlab{}
-			}
 		} else {
 			sl = new(slotSlab)
 		}
@@ -164,11 +192,33 @@ func (s *slotStore) hold(q mem.ProcID, k int32, n int) slotEnt {
 	return ent
 }
 
+// put lays out a body of size bytes for processor q's interval k in q's
+// body slabs — the last one, or a fresh one off the page pool when it is
+// full or closed — and returns its slot and the bytes to write it into.
+func (s *slotStore) put(q mem.ProcID, k int32, size int) (diffSlot, []byte) {
+	p := &s.procs[q]
+	last := len(p.bodies) - 1
+	if last < 0 || p.closed || p.fill+size > len(p.bodies[last].s.Bytes()) {
+		switch {
+		case p.grow == 0:
+			p.grow = minBodySlab
+		case last >= 0 && !p.closed:
+			p.grow = min(2*p.grow, page.SlabBytes)
+		}
+		p.bodies = core.AppendDoubling(p.bodies, bodySlab{s: page.NewSlab(max(size, p.grow))})
+		p.fill, p.closed, last = 0, false, last+1
+	}
+	b := &p.bodies[last]
+	b.last = max(b.last, k)
+	off := p.fill
+	p.fill += size
+	return diffSlot{b: b.s, off: uint32(off), n: uint32(size)}, b.s.Bytes()[off:p.fill:p.fill]
+}
+
 // sweep frees processor q's chunks and slabs that hold nothing above
-// index floor to the store's free lists. The discard has emptied their
-// entries and slots — in test builds a slot it emptied reads deadSlot until
-// its slab is taken again, so a stale pointer into a freed slab is caught
-// like one into a kept slab.
+// index floor: chunks and slot slabs to the store's free lists, body slabs
+// to the page pool. The discard has emptied their entries and slots; a
+// body read from a released slab fails to parse (poisoned, in test builds).
 func (s *slotStore) sweep(q int, floor int32) {
 	p := &s.procs[q]
 	gone := 0
@@ -192,80 +242,39 @@ func (s *slotStore) sweep(q int, floor int32) {
 	if len(p.slabs) == 0 {
 		p.next = p.base
 	}
+	gone = 0
+	for ; gone < len(p.bodies) && p.bodies[gone].last <= floor; gone++ {
+		p.bodies[gone].s.Release()
+	}
+	p.bodies = p.bodies[:copy(p.bodies, p.bodies[gone:])]
+	clear(p.bodies[len(p.bodies):cap(p.bodies)])
 }
 
-// twinBudget bounds the bytes of twins a System's nodes keep live
-// together, parked in deferred slots or capturing the current interval:
-// past it, interval close materializes the closing node's oldest deferred
-// diffs (a sparse MakeDiff each) so memory follows the working set since
-// the last GC epoch instead of the run length. Below it nothing changes:
-// diffs are still made on demand only, or never when GC covers them. The
-// budget is per System, not per node, because its nodes share the page
-// pool, which keeps as many bytes of each size class: what a GC epoch
-// releases is what the next one captures, however many nodes the System
-// hosts.
-const twinBudget = page.PoolBytes
-
-// materializeSlot computes a deferred slot's diff. Caller holds the
-// slot's page stripe; pc is the page's current copy (nil only if the
-// page was dropped, which materializes first, so a deferred slot always
-// still has its target contents). The base and any target twin are
-// released once the diff exists.
-func (e *lazyEngine) materializeSlot(pc *lazyPage, slot *diffSlot, pg mem.PageID) {
-	if slot.d != nil {
-		return
-	}
-	var cur []byte
-	switch {
-	case slot.target != nil:
-		cur = slot.target.Data()
-	case pc != nil:
-		cur = pc.data
-	default:
-		panic(fmt.Sprintf("dsm: node %d: deferred diff for page %d lost its target contents", e.n.id, pg))
-	}
-	d, err := page.MakeDiff(slot.base, cur)
-	if err != nil {
-		panic(fmt.Sprintf("dsm: node %d: diffing page %d: %v", e.n.id, pg, err))
-	}
-	slot.d = d
-	e.dropTwins(pc, slot)
-	e.n.stats.diffsCreated.Add(1)
-}
-
-// dropTwins releases a deferred slot's base and target twins, and pc's
-// pending pointer to it. Caller holds the slot's page stripe.
-func (e *lazyEngine) dropTwins(pc *lazyPage, slot *diffSlot) {
-	e.n.releaseTwin(slot.base)
-	slot.base = nil
-	if slot.target != nil {
-		e.n.releaseTwin(slot.target)
-		slot.target = nil
-	} else if pc != nil && pc.pending == slot {
-		pc.pending = nil
+// closeBodies closes every processor's last body slab: what the store
+// keeps from here on goes into slabs of its own. The GC epoch closes them
+// once it has validated, so the bodies of the intervals it covers fill
+// slabs of their own, which its discard frees whole.
+func (s *slotStore) closeBodies() {
+	for q := range s.procs {
+		s.procs[q].closed = true
 	}
 }
 
-// serveSlotLocked returns the store's diff of page pg in interval id, made
-// now under pg's stripe if deferred, on a count the caller drops once it is
-// encoded, or nil when the store holds none. Each serve after a slot's
-// first counts towards Stats.DiffCacheHits: it reuses the body the first
-// one shipped — a diff is its wire body, so there is nothing to rebuild.
-// The first marks the slot's target. Caller holds e.mu.
-func (e *lazyEngine) serveSlotLocked(id core.IntervalID, pg mem.PageID) *page.Diff {
+// serveSlotLocked returns the store's diff of page pg in interval id, on a
+// count of its own that the caller drops once it is encoded, or nil when
+// the store holds none. Each serve after a slot's first counts towards
+// Stats.DiffCacheHits: it ships the body the first one shipped — a diff is
+// its wire body, so there is nothing to rebuild. Caller holds e.mu.
+func (e *lazyEngine) serveSlotLocked(id core.IntervalID, pg mem.PageID) (*page.Diff, error) {
 	slot := e.slotLocked(id, pg)
 	if slot == nil {
-		return nil
+		return nil, nil
 	}
-	pmu := e.n.pageLock(pg)
-	pmu.Lock()
-	e.materializeSlot(e.pages[pg], slot, pg)
-	pmu.Unlock()
-	if slot.target == &servedMark {
+	if slot.n&servedBit != 0 {
 		e.n.stats.diffCacheHits.Add(1)
 	}
-	slot.target = &servedMark
-	return slot.d.Retain()
+	slot.n |= servedBit
+	return slot.diff()
 }
 
 // slotLocked returns the store's slot for interval id's diff of page pg,
@@ -284,39 +293,10 @@ func (l *ledger) slotLocked(id core.IntervalID, pg mem.PageID) *diffSlot {
 	if !ok {
 		return nil
 	}
-	if slot := p.at(ent.off + uint32(i)); id.Proc == l.self || slot.d != nil {
+	if slot := p.at(ent.off + uint32(i)); slot.held() {
 		return slot
 	}
 	return nil
-}
-
-// trimTwinsLocked enforces twinBudget once an interval is logged: while
-// the System's nodes hold more twin bytes than the budget, this node's
-// oldest slot that is still deferred — its intervals in close order from
-// the trimFrom cursor, each one's pages in order — is materialized, one at
-// a time so each twin goes back to the page pool as the next capture needs
-// one. A trimmed slot serves the same diff demand would have made (its
-// target contents are fixed from the moment its interval closed), so no
-// message changes. Caller holds e.mu; stripes are taken under it, as
-// handleDiffReq does.
-func (e *lazyEngine) trimTwinsLocked() {
-	n := e.n
-	for ; n.sys.twinBytes.Load() > twinBudget && e.trimFrom <= e.v[n.id]; e.trimFrom++ {
-		id := core.IntervalID{Proc: n.id, Index: e.trimFrom}
-		p, ent := e.store.entry(id)
-		for i, pg := range e.log.Get(id).Pages {
-			if n.sys.twinBytes.Load() <= twinBudget {
-				return
-			}
-			pmu := n.pageLock(pg)
-			pmu.Lock()
-			if slot := p.at(ent.off + uint32(i)); slot.base != nil {
-				e.materializeSlot(e.pages[pg], slot, pg)
-				n.stats.diffsTrimmed.Add(1)
-			}
-			pmu.Unlock()
-		}
-	}
 }
 
 // storeDiffRecsLocked enters received diff records, each one interval's
@@ -334,10 +314,11 @@ func (e *lazyEngine) storeDiffRecsLocked(recs []wire.DiffRec) {
 	}
 }
 
-// storeLocked enters rec, one interval's diff, into the retained store as
-// a clone: the record borrows a frame that is released long before a later
-// request or grant asks for it. A record never replaces a slot the store
-// holds (crucially not a local deferred one). Caller holds e.mu.
+// storeLocked enters rec, one interval's diff, into the retained store: its
+// body is copied into the creator's body slabs, since the record borrows a
+// frame that is released long before a later request or grant asks for
+// it. A record never replaces a slot the store holds (crucially not an own
+// one). Caller holds e.mu.
 func (l *ledger) storeLocked(rec wire.DiffRec) error {
 	id := core.IntervalID{Proc: rec.Proc, Index: rec.Index}
 	if l.collectedLocked(id) {
@@ -363,8 +344,11 @@ func (l *ledger) storeLocked(rec wire.DiffRec) error {
 		}
 		ent = l.store.hold(id.Proc, id.Index, len(pages))
 	}
-	if slot := p.at(ent.off + uint32(k)); id.Proc != l.self && slot.d == nil {
-		slot.d = rec.Diff.Clone()
+	if slot := p.at(ent.off + uint32(k)); !slot.held() {
+		body := rec.Diff.EnsureWireBody()
+		stored, dst := l.store.put(id.Proc, id.Index, len(body))
+		copy(dst, body)
+		*slot = stored
 	}
 	return nil
 }
@@ -428,8 +412,7 @@ func (e *lazyEngine) handleDiffReq(m *wire.Msg, src mem.ProcID) {
 // drops once the response is encoded, or nil when w names another
 // processor's diff of the page that this node's clock covers and its store
 // does not hold: its copy took that diff in as part of a page ship or a
-// merged range. A deferred local slot materializes here, on its first
-// serve. Caller holds e.mu.
+// merged range. Caller holds e.mu.
 func (e *lazyEngine) serveLocked(w wire.Want) (*page.Diff, error) {
 	n := e.n
 	id := core.IntervalID{Proc: w.Proc, Index: w.Index}
@@ -442,8 +425,8 @@ func (e *lazyEngine) serveLocked(w wire.Want) (*page.Diff, error) {
 	if w.Span != 0 {
 		return e.mergedLocked(w)
 	}
-	if d := e.serveSlotLocked(id, w.Page); d != nil {
-		return d, nil
+	if d, err := e.serveSlotLocked(id, w.Page); d != nil || err != nil {
+		return d, err
 	}
 	if id.Proc == n.id || !n.validProc(id.Proc) || !e.v.Covers(int(id.Proc), id.Index) {
 		return nil, fmt.Errorf("asked for diff %v page %d this node does not hold", id, w.Page)
@@ -473,22 +456,24 @@ func (e *lazyEngine) mergedLocked(w wire.Want) (*page.Diff, error) {
 			w.Proc, w.Index, last, w.Page)
 	}
 	diffs := e.merging[:0]
-	pmu := n.pageLock(w.Page)
-	pmu.Lock()
+	defer func() { // the merge is laid out afresh: the members go back to the pool
+		releaseAll(diffs)
+		clear(diffs)
+		e.merging = diffs[:0]
+	}()
 	for _, k := range idxs {
 		slot := e.slotLocked(core.IntervalID{Proc: n.id, Index: k}, w.Page)
 		if slot == nil {
-			pmu.Unlock()
 			return nil, fmt.Errorf("asked for diffs %d/%d..%d of page %d, of which %d is no longer held",
 				w.Proc, w.Index, last, w.Page, k)
 		}
-		e.materializeSlot(e.pages[w.Page], slot, w.Page)
-		diffs = core.AppendDoubling(diffs, slot.d)
+		d, err := slot.diff()
+		if err != nil {
+			return nil, err
+		}
+		diffs = core.AppendDoubling(diffs, d)
 	}
-	pmu.Unlock()
-	e.merging = diffs
 	merged, err := page.FlattenDiffs(diffs, n.sys.layout.PageSize())
-	clear(diffs)
 	if err != nil {
 		// Own diffs are well-formed, so this cannot happen.
 		return nil, fmt.Errorf("merging diffs %d/%d..%d of page %d: %w", w.Proc, w.Index, last, w.Page, err)

@@ -9,7 +9,7 @@ import (
 
 // TestMain runs the package's tests under poison-on-release: a released
 // frame or page buffer is overwritten before it can be reused, so a diff,
-// twin or payload still read after its release turns into garbage bytes
+// store slab or payload still read after its release turns into garbage bytes
 // the differential, torture and chaos oracles catch on the spot.
 func TestMain(m *testing.M) {
 	framebuf.SetPoison(true)

@@ -73,11 +73,10 @@ type Stats struct {
 	GCRuns         int64
 	DiffsDiscarded int64
 
-	// Diff data plane: DiffsCreated counts MakeDiff executions (the eager
-	// engines' at their flush points, and every land that lifts a live
-	// twin's writes), the rest are the lazy engines': DiffsDeferred counts
-	// the pages interval closes parked with their twin instead of diffing
-	// (every one of them), DiffCacheHits counts serves of a retained diff
+	// Diff data plane: DiffsCreated counts the diffs cut from write logs
+	// (the lazy engines' at interval close, one per dirty page, the eager
+	// engines' at their flush points), the rest are the lazy engines':
+	// DiffCacheHits counts serves of a retained diff
 	// after its first (the body the first serve shipped is reused as is; a
 	// range want's merge is made fresh for each serve and never counts),
 	// DiffsFlattened counts the diffs a creator merged away answering range
@@ -87,21 +86,22 @@ type Stats struct {
 	// ones are not fetched, nor are wants a responder did not hold;
 	// DiffsApplied counts the diffs a miss applied, a merged range once),
 	// DiffFallbacks counts the wants a concurrent last modifier answered
-	// "not held" and the miss asked their creator for again, DiffsTrimmed
-	// counts deferred diffs materialized by the twin budget rather than by
-	// demand (non-zero means laziness was cut short to bound memory). TwinBytesLive gauges the bytes held in
-	// live twins, lazy and eager (capture minus final release), with
-	// TwinBytesPeak its high-water mark.
-	DiffsCreated   int64
+	// "not held" and the miss asked their creator for again. TwinBytesLive
+	// gauges the bytes of old values the node's write logs hold, lazy and
+	// eager (first writes of words minus commits), with TwinBytesPeak its
+	// high-water mark.
+	DiffsCreated int64
+	// DiffsDeferred is always 0: no diff waits for a serve. Kept for
+	// bench/lrcbench; ROADMAP item 1 removes it.
 	DiffsDeferred  int64
 	DiffCacheHits  int64
 	DiffsFlattened int64
 	DiffFallbacks  int64
-	DiffsTrimmed   int64
 	TwinBytesLive  int64
 	TwinBytesPeak  int64
-	// TwinPoolMisses counts the twin captures the page pool had to allocate
-	// for. The pool is the process's: every node reports the same figure.
+	// TwinPoolMisses counts the leases — diffs, store body slabs — the page
+	// pool had to allocate for. The pool is the process's: every node
+	// reports the same figure.
 	TwinPoolMisses int64
 
 	// FlushedPages counts dirty pages pushed at eager release/barrier
@@ -170,7 +170,6 @@ type nodeStats struct {
 	diffCacheHits    atomic.Int64
 	diffsFlattened   atomic.Int64
 	diffFallbacks    atomic.Int64
-	diffsTrimmed     atomic.Int64
 	twinBytesLive    atomic.Int64
 	twinBytesPeak    atomic.Int64
 	flushedPages     atomic.Int64
@@ -212,9 +211,7 @@ func (s *nodeStats) snapshot() Stats {
 		DiffCacheHits:    s.diffCacheHits.Load(),
 		DiffsFlattened:   s.diffsFlattened.Load(),
 		DiffFallbacks:    s.diffFallbacks.Load(),
-		DiffsTrimmed:     s.diffsTrimmed.Load(),
 		TwinBytesLive:    s.twinBytesLive.Load(),
-		TwinBytesPeak:    s.twinBytesPeak.Load(),
 		FlushedPages:     s.flushedPages.Load(),
 		InvalsReceived:   s.invalsReceived.Load(),
 		UpdatesReceived:  s.updatesReceived.Load(),
@@ -222,6 +219,8 @@ func (s *nodeStats) snapshot() Stats {
 		SentMsgs:         s.sentMsgs.Load(),
 		SentBytes:        s.sentBytes.Load(),
 	}
+	s.raisePeak(st.TwinBytesLive)
+	st.TwinBytesPeak = s.twinBytesPeak.Load()
 	st.SentFrames = st.SentMsgs
 	_, st.TwinPoolMisses = page.PoolStats()
 	for k := range s.kindMsgs {
@@ -262,8 +261,8 @@ type Node struct {
 	dsts []outDest
 
 	// pageMu is the striped page-state lock table: pageLock(pg) guards
-	// the engine's per-page state (copy bytes, validity, twin, applied
-	// clock) and is never held across a blocking operation.
+	// the engine's per-page state (copy bytes, validity, write log,
+	// applied clock) and is never held across a blocking operation.
 	pageMu [pageShards]sync.Mutex
 
 	// busy is set while the application goroutine is in one of the node's

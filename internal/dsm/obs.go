@@ -96,16 +96,14 @@ func (s *System) registerMetrics(r *obs.Registry) {
 			"homed pages whose copy a keeper holds", func() float64 { return float64(n.stats.keptPages.Load()) })
 		nodeCounter("dsm_node_gc_runs_total", "garbage collection epochs completed (discards)", n.stats.gcRuns.Load)
 		nodeCounter("dsm_node_diffs_discarded_total", "diffs discarded by GC", n.stats.diffsDiscarded.Load)
-		nodeCounter("dsm_node_diffs_created_total", "diffs computed (MakeDiff executions)", n.stats.diffsCreated.Load)
-		nodeCounter("dsm_node_diffs_deferred_total", "interval closes that deferred diff creation", n.stats.diffsDeferred.Load)
+		nodeCounter("dsm_node_diffs_created_total", "diffs cut from write logs", n.stats.diffsCreated.Load)
 		nodeCounter("dsm_node_diff_cache_hits_total", "retained diff serves after the diff's first", n.stats.diffCacheHits.Load)
 		nodeCounter("dsm_node_diffs_flattened_total", "diffs elided by multi-interval flattening", n.stats.diffsFlattened.Load)
 		nodeCounter("dsm_node_diff_fallbacks_total", "wants a concurrent last modifier did not hold, asked again of their creators", n.stats.diffFallbacks.Load)
-		nodeCounter("dsm_node_diffs_trimmed_total", "deferred diffs materialized by the twin budget", n.stats.diffsTrimmed.Load)
 		r.GaugeFunc(fmt.Sprintf("dsm_node_twin_bytes_live{node=%q}", node),
-			"bytes currently held in live twins", func() float64 { return float64(n.stats.twinBytesLive.Load()) })
+			"bytes of old values the write logs hold", func() float64 { return float64(n.stats.twinBytesLive.Load()) })
 		r.GaugeFunc(fmt.Sprintf("dsm_node_twin_bytes_peak{node=%q}", node),
-			"high-water mark of bytes held in live twins", func() float64 { return float64(n.stats.twinBytesPeak.Load()) })
+			"high-water mark of bytes the write logs hold", func() float64 { return float64(n.stats.twinBytesPeak.Load()) })
 		nodeCounter("dsm_node_flushed_pages_total", "dirty pages pushed at eager flush points", n.stats.flushedPages.Load)
 		nodeCounter("dsm_node_invals_received_total", "invalidations applied", n.stats.invalsReceived.Load)
 		nodeCounter("dsm_node_updates_received_total", "release-time updates applied", n.stats.updatesReceived.Load)

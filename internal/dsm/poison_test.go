@@ -2,8 +2,8 @@ package dsm
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
-	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -239,85 +239,48 @@ func TestEarlyGrantReleaseIsCaught(t *testing.T) {
 	}
 }
 
-// TestPendingIntoRecycledSlotsIsCaught commits the bug the recycled slots
-// allow — a page whose pending pointer still leads into the slots of an
-// interval the GC epoch discarded, where its next twin capture would land
-// in whatever interval the slot is handed to next — on purpose, and checks
-// that the discard, at the barrier after the one that validated the epoch,
-// reports it: the slot reads deadSlot once discarded, whether the sweep
-// frees its slab (the interval was the slab's last) or keeps it (a later
-// interval, above the epoch, shares it). The same epoch without the stale
-// pointer records nothing.
-func TestPendingIntoRecycledSlotsIsCaught(t *testing.T) {
+// TestFreedBodySlabReadIsCaught commits the bug the recycled body slabs
+// allow — a slot kept past the GC epoch whose sweep released its body's
+// slab to the page pool — on purpose, and checks that reading it is
+// caught: the pool poisons a released slab, and what was the body no
+// longer parses. The same slot read before the epoch reads the diff
+// written.
+func TestFreedBodySlabReadIsCaught(t *testing.T) {
 	const addr, pg, lock = mem.Addr(1024), mem.PageID(1), mem.LockID(0)
-	for _, row := range []struct {
-		name         string
-		stale, later bool
-	}{
-		{"no stale pointer", false, false},
-		{"stale pointer into a freed slab", true, false},
-		{"stale pointer into a kept slab", true, true},
-	} {
-		t.Run(row.name, func(t *testing.T) {
-			s, err := New(Config{Procs: 2, SpaceSize: 8 * 1024, PageSize: 1024, Mode: LazyInvalidate, GCEveryBarriers: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			n := s.Node(0)
-			section := func(addr mem.Addr) {
-				for _, err := range []error{n.Acquire(lock), n.WriteUint64(addr, 1), n.Release(lock)} {
-					if err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-			section(addr)
-			e := lazyOf(n)
-			pmu := n.pageLock(pg)
-			if row.stale {
-				// The bug: the slot's diff is made, which ends the page's pending
-				// claim on it, and the page is pointed back at it anyway.
-				e.mu.Lock()
-				pmu.Lock()
-				pc := e.pages[pg]
-				slot := pc.pending
-				if slot == nil {
-					t.Fatal("the closed interval left no pending slot")
-				}
-				e.materializeSlot(pc, slot, pg)
-				pc.pending = slot
-				pmu.Unlock()
-				e.mu.Unlock()
-			}
-			barriers(t, s, 1) // validates the epoch
-			if row.later {
-				section(addr + 1024) // page 2's interval, above the epoch, in the same slab
-			}
-			barriers(t, s, 1) // discards it
-			if runs := n.Stats().GCRuns; runs != 1 {
-				t.Fatalf("%d GC epochs ran, want 1", runs)
-			}
-			e.mu.Lock()
-			freed := e.store.slabs != nil
-			e.mu.Unlock()
-			if freed == row.later {
-				t.Fatalf("the sweep freed a slab: %t, want %t", freed, !row.later)
-			}
-			errs := n.takeErrs()
-			const want = "pending slot lies in a discarded slot"
-			if row.stale && (len(errs) != 1 || !strings.Contains(errs[0].Error(), want)) {
-				t.Errorf("a pending slot in a discarded slot was not reported: recorded %v, want one error containing %q", errs, want)
-			}
-			if !row.stale && len(errs) != 0 {
-				t.Errorf("an epoch without a stale pending slot recorded %v", errs)
-			}
-			pmu.Lock()
-			e.pages[pg].pending = nil
-			pmu.Unlock()
-			if err := s.Close(); err != nil {
-				t.Errorf("Close: %v", err)
-			}
-		})
+	s, err := New(Config{Procs: 2, SpaceSize: 8 * 1024, PageSize: 1024, Mode: LazyInvalidate, GCEveryBarriers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := s.Close(); err != nil {
+			t.Errorf("Close: %v", err)
+		}
+	}()
+	n := s.Node(0)
+	for _, err := range []error{n.Acquire(lock), n.WriteUint64(addr, 0x5A5A), n.Release(lock)} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	e := lazyOf(n)
+	id := core.IntervalID{Proc: n.id, Index: e.clock()[n.id]}
+	e.mu.Lock()
+	kept := *e.slotLocked(id, pg) // the bug: a slot outlives the lock that pins it
+	e.mu.Unlock()
+	d, err := kept.diff()
+	if err != nil || d.NumRuns() != 1 || binary.LittleEndian.Uint32(d.RunData(0)) != 0x5A5A {
+		t.Fatalf("the slot read before the epoch: %v, %v", d, err)
+	}
+	d.Release()
+	barriers(t, s, 2) // the first validates the epoch, the second discards it
+	e.mu.Lock()
+	gone, slabs := e.slotLocked(id, pg) == nil, len(e.store.procs[n.id].bodies)
+	e.mu.Unlock()
+	if runs := n.Stats().GCRuns; runs != 1 || !gone || slabs != 0 {
+		t.Fatalf("%d GC epochs ran, slot gone %v, %d body slabs kept: want 1, true and 0", runs, gone, slabs)
+	}
+	if d, err := kept.diff(); err == nil || !strings.Contains(err.Error(), "malformed diff body") {
+		t.Errorf("a body read from a released slab gave %v, %v: want a malformed-body error", d, err)
 	}
 }
 
@@ -355,21 +318,22 @@ func TestWaiterReleaseIsMarked(t *testing.T) {
 }
 
 // parkedDiffServe is the fixture of the two tests below: node 1 makes a
-// diff, a request for it from node 2 is served by hand and parked between
-// the serve's locked section and its send (the test holds the
-// destination's lock, under which send encodes), and a GC epoch then
-// discards the diff from node 1's store: one barrier validates it, the
-// next discards it. With early set the fixture
-// commits the bug a counted body allows — dropping a count while something
-// still reads on it — by releasing the parked response's count before it
-// is encoded. It returns the bytes the writer wrote, the frame the serve
-// sent, and what the serve's goroutine panicked with.
+// diff, a request for it from node 2 is served as handleDiffReq serves it —
+// serveLocked under the engine lock, the send after it, the release after
+// the send — and parked at the send (the test holds the destination's
+// lock, under which send encodes), and a GC epoch then discards the diff
+// from node 1's store and releases its body slab: one barrier validates
+// it, the next discards it. With early set the fixture commits the bug a
+// counted diff allows — dropping a count while something still reads on
+// it — by releasing the served diff's count before it is encoded. It
+// returns the bytes the writer wrote, the frame the serve sent, and what
+// the serve's goroutine panicked with.
 func parkedDiffServe(t *testing.T, early bool) (want, frame []byte, panicked any) {
 	s, c := newCatchSys(t, Config{Procs: 3, SpaceSize: 64 * 1024, PageSize: 1024, Mode: LazyInvalidate, GCEveryBarriers: 1}, 1, 2)
 	writer := s.Node(1)
 	e := writer.e.(*lazyEngine)
-	// A page the writer homes — no other node materializes it at the epoch,
-	// so the parked serve is the diff's only reader — and a lock it manages.
+	// A page the writer homes — no other node fetches it at the epoch, so
+	// the parked serve is the diff's only reader — and a lock it manages.
 	pg := mem.PageID(0)
 	for writer.homeOf(pg) != writer.id {
 		pg++
@@ -385,42 +349,42 @@ func parkedDiffServe(t *testing.T, early bool) (want, frame []byte, panicked any
 	}
 	id := core.IntervalID{Proc: writer.id, Index: e.clock()[writer.id]}
 
+	e.mu.Lock()
+	d, err := e.serveLocked(wire.Want{Page: pg, Proc: id.Proc, Index: id.Index})
+	e.mu.Unlock()
+	if err != nil || d == nil {
+		t.Fatalf("serving the diff: %v, %v", d, err)
+	}
+	resp := &wire.Msg{Kind: wire.KDiffResp, Seq: 7, Diffs: []wire.DiffRec{{Page: pg, Proc: id.Proc, Index: id.Index, Diff: d}}}
 	dst := &writer.dsts[2]
 	dst.mu.Lock()
 	served := make(chan any)
 	go func() {
 		defer func() { served <- recover() }()
-		e.handleDiffReq(&wire.Msg{Kind: wire.KDiffReq, Seq: 7, A: 2, Wants: []wire.Want{{Page: pg, Proc: id.Proc, Index: id.Index}}}, 2)
+		writer.noteErr("diff response", writer.send(2, resp))
+		releaseDiffs(resp)
 	}()
-	// The serve makes the diff inside its locked section: once the diff
-	// exists and e.mu is free again, the serve is parked at send.
-	for writer.Stats().DiffsCreated == 0 {
-		runtime.Gosched()
-	}
-	e.mu.Lock()
-	d := e.slotLocked(id, pg).d
-	e.mu.Unlock()
-	if early {
-		d.Release() // the bug: the response's count goes before the response is encoded
-	}
 
 	barriers(t, s, 2)
 	e.mu.Lock()
-	gone := e.slotLocked(id, pg) == nil
+	gone, slabs := e.slotLocked(id, pg) == nil, len(e.store.procs[writer.id].bodies)
 	e.mu.Unlock()
-	if st := writer.Stats(); st.GCRuns != 1 || !gone {
-		t.Fatalf("the epoch did not discard the diff: %d GC runs, slot gone %v", st.GCRuns, gone)
+	if st := writer.Stats(); st.GCRuns != 1 || !gone || slabs != 0 {
+		t.Fatalf("the epoch did not discard the diff: %d GC runs, slot gone %v, %d body slabs kept", st.GCRuns, gone, slabs)
 	}
-
+	if early {
+		d.Release() // the bug: the response's count goes before the response is encoded
+	}
 	dst.mu.Unlock()
 	panicked = <-served
 	return want, c.take(), panicked
 }
 
 // TestDiffServeSurvivesGC: a diff response built before a GC epoch and
-// encoded after it still ships the diff's bytes — the serve took a count
-// under the engine lock, so the store's discard did not recycle the body.
-// Without handleDiffReq's Retain the frame below is poison.
+// encoded after it still ships the diff's bytes — the serve read the body
+// into a lease of its own under the engine lock, so the store's discard and
+// the release of its body slab did not touch it. A serve that shipped the
+// slab's bytes in place would encode poison below.
 func TestDiffServeSurvivesGC(t *testing.T) {
 	want, frame, panicked := parkedDiffServe(t, false)
 	if panicked != nil {
@@ -437,10 +401,10 @@ func TestDiffServeSurvivesGC(t *testing.T) {
 }
 
 // TestEarlyDiffReleaseIsCaught: the same serve with its count dropped
-// early. The epoch's discard is then the last release, the body goes back
-// to the pool poisoned, and the response encodes 0xDB where the diff was —
-// no requester can rebuild the writer's page from it — and the serve's own
-// release, one too many now, panics instead of recycling the body twice.
+// early. That is the lease's last release, so it goes back to the pool
+// poisoned, and the response encodes 0xDB where the diff was — no
+// requester can rebuild the writer's page from it — and the serve's own
+// release, one too many now, panics instead of recycling the lease twice.
 func TestEarlyDiffReleaseIsCaught(t *testing.T) {
 	want, frame, panicked := parkedDiffServe(t, true)
 	if panicked == nil {

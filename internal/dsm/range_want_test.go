@@ -47,8 +47,8 @@ func lazyEngineWithIntervals(t *testing.T) (*lazyEngine, mem.PageID) {
 
 // TestFlatCacheBounded: a range serve leaves nothing retained. Serving
 // one range 512 times merges it afresh each time, on a count of its own,
-// grows no engine state — the store keeps the very slots and diffs its
-// first serve materialized, and no serve counts as a cache hit — and each
+// grows no engine state — the store keeps the very slots, bodies and body
+// slabs the closes made, and no serve counts as a cache hit — and each
 // merge goes back to the page pool when that count is released: under
 // poison-on-release its run table then reads dead.
 func TestFlatCacheBounded(t *testing.T) {
@@ -70,35 +70,34 @@ func TestFlatCacheBounded(t *testing.T) {
 			t.Fatalf("serve %d: the merge outlived its one release (first run at %d)", i, off)
 		}
 	}
-	serve(0) // materializes the range's deferred slots
 	own := &e.store.procs[0]
-	slabs, chunks := slices.Clone(own.slabs), slices.Clone(own.chunks)
-	heldDiffs := func() (diffs []*page.Diff) {
+	slabs, chunks, bodies := slices.Clone(own.slabs), slices.Clone(own.chunks), slices.Clone(own.bodies)
+	heldSlots := func() (slots []diffSlot) {
 		for k := int32(0); k <= e.v[0]; k++ {
 			if slot := e.slotLocked(core.IntervalID{Proc: 0, Index: k}, pg); slot != nil {
-				diffs = append(diffs, slot.d)
+				slots = append(slots, *slot)
 			}
 		}
-		return diffs
+		return slots
 	}
-	diffs := heldDiffs()
+	diffs := heldSlots()
 	before := e.n.Stats()
-	for i := 1; i <= 512; i++ {
+	for i := 0; i <= 512; i++ {
 		serve(i)
 	}
 	after := e.n.Stats()
-	if got := after.DiffsFlattened - before.DiffsFlattened; got != 512 {
-		t.Errorf("512 serves flattened %d diffs away, want one each", got)
+	if got := after.DiffsFlattened - before.DiffsFlattened; got != 513 {
+		t.Errorf("513 serves flattened %d diffs away, want one each", got)
 	}
 	if after.DiffCacheHits != before.DiffCacheHits {
 		t.Errorf("range serves counted %d cache hits, want none", after.DiffCacheHits-before.DiffCacheHits)
 	}
-	if !slices.Equal(own.slabs, slabs) || !slices.Equal(own.chunks, chunks) || own.next != 3 {
-		t.Errorf("the store went from %d slabs and %d chunks to %d and %d, %d slots handed out (want 3)",
-			len(slabs), len(chunks), len(own.slabs), len(own.chunks), own.next)
+	if !slices.Equal(own.slabs, slabs) || !slices.Equal(own.chunks, chunks) || !slices.Equal(own.bodies, bodies) || own.next != 3 {
+		t.Errorf("the store went from %d slabs, %d chunks and %d body slabs to %d, %d and %d, %d slots handed out (want 3)",
+			len(slabs), len(chunks), len(bodies), len(own.slabs), len(own.chunks), len(own.bodies), own.next)
 	}
-	if held := heldDiffs(); len(diffs) != 3 || !slices.Equal(held, diffs) {
-		t.Errorf("the store's diffs changed across the serves: %p, then %p", diffs, held)
+	if held := heldSlots(); len(diffs) != 3 || !slices.Equal(held, diffs) {
+		t.Errorf("the store's slots changed across the serves: %v, then %v", diffs, held)
 	}
 }
 

@@ -241,15 +241,15 @@ func (e *scEngine) install(m *wire.Msg, src mem.ProcID, mode scAccess) bool {
 // committedLocked returns a view of this node's page contents for the
 // home, downgrading a writable copy to read mode: the owner may keep
 // reading, but its next write must re-acquire exclusivity.
-func (e *scEngine) committedLocked(pg mem.PageID) ([]byte, bool) {
+func (e *scEngine) committedLocked(pg mem.PageID) (committedView, bool) {
 	pc := e.pages[pg]
 	if pc == nil {
-		return nil, false
+		return committedView{}, false
 	}
 	if pc.mode == scWrite {
 		pc.mode = scRead
 	}
-	return pc.data, true
+	return committedView{data: pc.data}, true
 }
 
 // invalidateLocked drops this node's access to its copy.

@@ -9,11 +9,13 @@ import (
 )
 
 // TestPageCopyLand is the table of pageCopy.land: outside bytes — diffs
-// only, a base only, or a diff that does not fit the page — land on a copy with no twin and on one whose twin is live
-// under an uncommitted word disjoint from the landing ones. After each,
-// the committed view and the twin hold the new committed contents and the
-// data holds them plus the uncommitted word; a failed apply leaves data,
-// view and twin as they were. The twin gauge does not move.
+// only, a base only, or a diff that does not fit the page — land on a copy
+// with no twin, no logged writes, and on one with a live twin, a log that
+// holds an uncommitted word disjoint from the landing ones (the rows keep
+// the names of the twin the log replaced). After each, the committed view holds the
+// new committed contents and the data holds them plus the uncommitted word,
+// which is still the whole of the window's cut; a failed apply leaves data
+// and view as they were. The log gauge does not move.
 func TestPageCopyLand(t *testing.T) {
 	const size, ownOff = 64, 8
 	n := newSys(t, 1, EagerUpdate).Node(0)
@@ -37,23 +39,24 @@ func TestPageCopyLand(t *testing.T) {
 		{"base only", true, nil},
 		{"a diff that fails to apply", false, tooLong},
 	}
-	for _, twinned := range []bool{false, true} {
+	view := func(pc *pageCopy) []byte {
+		v := pc.committed()
+		defer v.done()
+		return slices.Clone(v.data)
+	}
+	for _, written := range []bool{false, true} {
 		for _, k := range kinds {
 			name := "no twin/" + k.name
-			if twinned {
+			if written {
 				name = "live twin/" + k.name
 			}
 			t.Run(name, func(t *testing.T) {
 				pc := &pageCopy{data: fill(0x11, size), valid: true}
-				if twinned {
+				if written {
 					pc.write(n, ws, 0, ownOff, fill(0xAA, page.WordSize))
 				}
-				defer func() {
-					if t := pc.take(); t != nil {
-						n.releaseTwin(t)
-					}
-				}()
-				data, view, twin := slices.Clone(pc.data), slices.Clone(pc.committed()), pc.twin
+				defer pc.commit(n)
+				data, committed0 := slices.Clone(pc.data), view(pc)
 				var base []byte
 				if k.base {
 					base = fill(0x77, size)
@@ -63,16 +66,16 @@ func TestPageCopyLand(t *testing.T) {
 					apply = k.d.Apply
 				}
 				live := n.Stats().TwinBytesLive
-				err := pc.land(n, base, apply)
+				err := pc.land(base, apply)
 				if got := n.Stats().TwinBytesLive; got != live {
-					t.Errorf("twin bytes live went %d -> %d", live, got)
+					t.Errorf("log bytes live went %d -> %d", live, got)
 				}
 				if k.d == tooLong {
 					if err == nil {
 						t.Fatal("a diff past the page's end landed")
 					}
-					if !bytes.Equal(pc.data, data) || !bytes.Equal(pc.committed(), view) || pc.twin != twin {
-						t.Errorf("a failed land changed the copy: data % x, view % x", pc.data, pc.committed())
+					if !bytes.Equal(pc.data, data) || !bytes.Equal(view(pc), committed0) {
+						t.Errorf("a failed land changed the copy: data % x, view % x", pc.data, view(pc))
 					}
 					return
 				}
@@ -86,45 +89,48 @@ func TestPageCopyLand(t *testing.T) {
 				if k.d != nil {
 					must(t, k.d.Apply(committed))
 				}
-				if !bytes.Equal(pc.committed(), committed) {
-					t.Errorf("committed view % x, want % x", pc.committed(), committed)
+				if got := view(pc); !bytes.Equal(got, committed) {
+					t.Errorf("committed view % x, want % x", got, committed)
 				}
 				want := committed
-				if twinned {
-					if pc.twin == nil || !bytes.Equal(pc.twin.Data(), committed) {
-						t.Errorf("the twin was not rebased onto % x", committed)
-					}
+				var cut []page.Run
+				if written {
 					want = slices.Clone(committed)
 					copy(want[ownOff:], fill(0xAA, page.WordSize))
-				} else if pc.twin != nil {
-					t.Error("landing captured a twin")
+					cut = []page.Run{{Off: ownOff, Len: page.WordSize}}
+				} else if pc.dirty() {
+					t.Error("landing logged a write")
 				}
 				if !bytes.Equal(pc.data, want) {
 					t.Errorf("data % x, want % x", pc.data, want)
+				}
+				if got := pc.cut(nil); !slices.Equal(got, cut) {
+					t.Errorf("the window cuts to %v after the land, want %v", got, cut)
 				}
 			})
 		}
 	}
 }
 
-// TestEagerTwinsAreGauged: an EI/EU critical section's twin counts in
-// TwinBytesLive while the section is open, and the release's flush gives
-// it back.
+// TestEagerTwinsAreGauged: an EI/EU critical section's logged words count
+// in the twin gauge, TwinBytesLive, while the section is open, and the
+// release's flush gives them back.
 func TestEagerTwinsAreGauged(t *testing.T) {
 	for _, mode := range []Mode{EagerInvalidate, EagerUpdate} {
 		t.Run(mode.String(), func(t *testing.T) {
-			s := newSys(t, 2, mode)
-			n, pageSize := s.Node(0), int64(s.Layout().PageSize())
+			n := newSys(t, 2, mode).Node(0)
 			must(t, n.Acquire(0))
 			must(t, n.WriteUint64(1024, 7))
-			must(t, n.WriteUint64(1032, 8)) // the same twin
-			if st := n.Stats(); st.TwinBytesLive != pageSize {
-				t.Errorf("with one section open on one page: %d twin bytes live, want %d", st.TwinBytesLive, pageSize)
+			must(t, n.WriteUint64(1032, 8))
+			must(t, n.WriteUint64(1024, 9)) // words the section logged already
+			const logged = 4 * page.WordSize
+			if st := n.Stats(); st.TwinBytesLive != logged {
+				t.Errorf("with one section open on four words: %d log bytes live, want %d", st.TwinBytesLive, logged)
 			}
 			must(t, n.Release(0))
-			if st := n.Stats(); st.TwinBytesLive != 0 || st.TwinBytesPeak != pageSize {
-				t.Errorf("after the release's flush: %d twin bytes live, peak %d; want 0 and %d",
-					st.TwinBytesLive, st.TwinBytesPeak, pageSize)
+			if st := n.Stats(); st.TwinBytesLive != 0 || st.TwinBytesPeak != logged {
+				t.Errorf("after the release's flush: %d log bytes live, peak %d; want 0 and %d",
+					st.TwinBytesLive, st.TwinBytesPeak, logged)
 			}
 		})
 	}

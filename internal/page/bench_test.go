@@ -1,7 +1,9 @@
 package page
 
 import (
+	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/testenv"
@@ -123,5 +125,99 @@ func TestDiffServeFromCacheAllocsGate(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("serving a diff allocated %.1f objects per op, want 0", allocs)
+	}
+}
+
+// BenchmarkFlatten merges diffs of one 4 KiB page into one, as a range
+// serve does: sparse is 16 diffs of 64 scattered 8-byte runs each, whose
+// union is most of a thousand runs; dense is 4 diffs of the whole page.
+func BenchmarkFlatten(b *testing.B) {
+	const size, slots = 4096, 4096 / 8
+	rng := rand.New(rand.NewSource(1))
+	var sparse, dense []*Diff
+	for range 16 {
+		offs := rng.Perm(slots)[:64]
+		slices.Sort(offs)
+		runs, data := make([]Run, len(offs)), make([][]byte, len(offs))
+		for i, o := range offs {
+			runs[i], data[i] = Run{Off: int32(8 * o), Len: 8}, bytes.Repeat([]byte{byte(o)}, 8)
+		}
+		d, err := DiffFromRuns(runs, data)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sparse = append(sparse, d)
+	}
+	for k := range 4 {
+		d, err := DiffFromRuns([]Run{{Off: 0, Len: size}}, [][]byte{bytes.Repeat([]byte{byte(k + 1)}, size)})
+		if err != nil {
+			b.Fatal(err)
+		}
+		dense = append(dense, d)
+	}
+	for _, c := range []struct {
+		name  string
+		diffs []*Diff
+	}{{"sparse16", sparse}, {"dense4", dense}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for range b.N {
+				d, err := FlattenDiffs(c.diffs, size)
+				if err != nil {
+					b.Fatal(err)
+				}
+				d.Release()
+			}
+		})
+	}
+}
+
+// BenchmarkWriteLog times one window of 8-byte writes on a 4 KiB page and
+// its cut into a wire body, against the twin it replaces (a capture at the
+// first write and MakeDiff at the cut): sparse writes 8 words, dense every
+// word once in a strided order, as hit-private does.
+func BenchmarkWriteLog(b *testing.B) {
+	const size = 4096
+	for _, c := range []struct {
+		name   string
+		writes int
+	}{{"sparse", 8}, {"dense", size / 8}} {
+		offs := make([]int, c.writes)
+		for i := range offs {
+			offs[i] = (i * 37 % (size / 8)) * 8
+		}
+		data := make([]byte, size)
+		var v [8]byte
+		b.Run(c.name+"/log", func(b *testing.B) {
+			var log WriteLog
+			var runs []Run
+			var body []byte
+			b.ReportAllocs()
+			for i := range b.N {
+				v[0] = byte(i)
+				for _, off := range offs {
+					log.Write(data, off, v[:])
+				}
+				runs = log.Cut(runs[:0], data)
+				body = AppendBody(body[:0], runs, data)
+				log.Reset()
+			}
+		})
+		b.Run(c.name+"/twin", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := range b.N {
+				v[0] = byte(i)
+				tw := NewTwin(data)
+				for _, off := range offs {
+					copy(data[off:], v[:])
+				}
+				d, err := MakeDiff(tw, data)
+				if err != nil {
+					b.Fatal(err)
+				}
+				d.Release()
+				tw.Release()
+			}
+		})
 	}
 }

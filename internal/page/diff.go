@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"math/bits"
 )
 
@@ -27,16 +28,17 @@ const (
 
 // Twin is a pristine copy of a page's contents, taken at the first write
 // after the page became writable, so that the processor's modifications
-// can later be recovered as a diff (current XOR twin, run-length encoded).
+// can later be recovered as a diff (current XOR twin, run-length encoded):
+// what a DSM that detects writes by VM protection must keep. The runtime
+// captures writes with a WriteLog instead; Twin and MakeDiff are the oracle
+// its cut is tested against, and a benchmark baseline.
 //
-// Twins are reference-counted leases (pool.go): the lazy engine shares
-// one twin between the page table and a deferred diff (the snapshot a
-// not-yet-computed diff will be computed against), and the twin — header
-// and buffer — returns to the size-classed pool at the last Release. A
-// twin that is never released is simply reclaimed by the garbage
-// collector — Release is a recycling contract, not a correctness one — but
-// after releasing its reference a holder must not touch the twin again:
-// the next capture reuses it.
+// Twins are reference-counted leases (pool.go): the twin — header and
+// buffer — returns to the size-classed pool at the last Release. A twin
+// that is never released is simply reclaimed by the garbage collector —
+// Release is a recycling contract, not a correctness one — but after
+// releasing its reference a holder must not touch the twin again: the next
+// capture reuses it.
 type Twin lease
 
 // NewTwin captures a twin of the given page contents with one reference.
@@ -63,17 +65,17 @@ func (t *Twin) Retain() *Twin {
 // Releasing more often than retained panics.
 func (t *Twin) Release() bool { return (*lease)(t).release() }
 
-// Diff is a run-length encoding of the difference between a twin and the
-// current contents of a page: the set of word-aligned byte runs that
-// changed, together with their new values. A diff is immutable once
-// built.
+// Diff is a run-length encoding of the difference between a page's
+// contents before a window of writes and after it: the set of word-aligned
+// byte runs that changed, together with their new values. A diff is
+// immutable once built.
 //
 // A diff has one payload representation: its wire body (the layout
 // AppendWireBody documents), held in a single buffer, with each run's
-// data a window of that buffer. MakeDiff, FlattenDiffs, DiffFromRuns and
-// Clone lay the body out once, in a lease off the pool (pool.go) that
-// brings the header, the buffer and the capacity of a run table and its
-// windows: the diff is made with one reference, whoever reads it beyond
+// data a window of that buffer. DiffOf, MakeDiff, FlattenDiffs,
+// DiffFromRuns, ParseBody and Clone lay the body out once, in a lease off
+// the pool (pool.go) that brings the header, the buffer and the capacity
+// of a run table and its windows: the diff is made with one reference, whoever reads it beyond
 // the lock that pins its holder takes another (Retain), and the last
 // Release returns the whole lease to the pool — Twin's contract, a
 // recycling one. A diff without runs is the one shared empty diff, which
@@ -133,12 +135,14 @@ func MakeDiff(twin *Twin, current []byte) (*Diff, error) {
 		i = nextUnchangedWord(a, b, i+WordSize, n)
 		runs = append(runs, Run{Off: int32(start), Len: int32(i - start)})
 	}
-	return layOutPage(runs, b), nil
+	return DiffOf(runs, b), nil
 }
 
-// layOutPage is layOut for runs whose payloads are their own bytes of src.
-func layOutPage(runs []Run, src []byte) *Diff {
-	return layOut(runs, func(k int) []byte { return src[runs[k].Off:runs[k].End()] })
+// DiffOf returns the diff of runs whose payloads are their own bytes of
+// data — a WriteLog's Cut of data, say — laid out in a lease off the pool
+// with one reference: the empty diff for no runs.
+func DiffOf(runs []Run, data []byte) *Diff {
+	return layOut(runs, func(k int) []byte { return data[runs[k].Off:runs[k].End()] })
 }
 
 // layOut builds the diff of runs, copying the run table into a lease off
@@ -148,20 +152,85 @@ func layOut(runs []Run, payload func(k int) []byte) *Diff {
 	if len(runs) == 0 {
 		return emptyDiff
 	}
+	l := getLease(BodySize(runs))
+	body := appendBody(l.buf[:0], runs, payload)
+	l.buf, l.runs = body, append(l.runs, runs...)
+	l.data = windows(l.data, body, l.runs)
+	return (*Diff)(l)
+}
+
+// BodySize returns the size of the wire body of runs (AppendWireBody's
+// layout).
+func BodySize(runs []Run) int {
 	size := uvarintLen(uint64(len(runs)))
 	for _, r := range runs {
 		size += uvarintLen(uint64(uint32(r.Off))) + uvarintLen(uint64(uint32(r.Len))) + int(r.Len)
 	}
-	l := getLease(size)
-	body := binary.AppendUvarint(l.buf[:0], uint64(len(runs)))
+	return size
+}
+
+// AppendBody appends to dst the wire body of runs whose payloads are their
+// own bytes of data: BodySize(runs) bytes.
+func AppendBody(dst []byte, runs []Run, data []byte) []byte {
+	return appendBody(dst, runs, func(k int) []byte { return data[runs[k].Off:runs[k].End()] })
+}
+
+func appendBody(body []byte, runs []Run, payload func(k int) []byte) []byte {
+	body = binary.AppendUvarint(body, uint64(len(runs)))
 	for k, r := range runs {
 		body = binary.AppendUvarint(body, uint64(uint32(r.Off)))
 		body = binary.AppendUvarint(body, uint64(uint32(r.Len)))
 		body = append(body, payload(k)...)
 	}
-	l.buf, l.runs = body, append(l.runs, runs...)
-	l.data = windows(l.data, body, l.runs)
-	return (*Diff)(l)
+	return body
+}
+
+// ParseBody returns the diff whose wire body is body, copied into a lease
+// off the pool with one reference (the empty diff for one without runs):
+// the way back from a body kept as bytes. body must be a canonical
+// (minimal-varint) spelling of the layout, with every run at a
+// non-negative offset and nothing after the last payload; anything else —
+// bytes that were never a body, or were overwritten since — is an error.
+func ParseBody(body []byte) (*Diff, error) {
+	pos := 0
+	next := func() (uint64, bool) {
+		v, k := binary.Uvarint(body[pos:])
+		if k <= 0 || k != uvarintLen(v) {
+			return 0, false
+		}
+		pos += k
+		return v, true
+	}
+	count, ok := next()
+	if !ok || count > uint64(len(body)) {
+		return nil, fmt.Errorf("page: malformed diff body: bad run count")
+	}
+	for k := uint64(0); k < count; k++ {
+		off, ok1 := next()
+		n, ok2 := next()
+		if !ok1 || !ok2 || off > math.MaxInt32 || n > uint64(len(body)-pos) {
+			return nil, fmt.Errorf("page: malformed diff body: bad run %d", k)
+		}
+		pos += int(n)
+	}
+	if pos != len(body) {
+		return nil, fmt.Errorf("page: malformed diff body: %d bytes past its last run", len(body)-pos)
+	}
+	if count == 0 {
+		return emptyDiff, nil
+	}
+	l := getLease(len(body))
+	l.buf = append(l.buf[:0], body...)
+	pos = uvarintLen(count)
+	for range count {
+		off, k := binary.Uvarint(l.buf[pos:])
+		pos += k
+		n, k := binary.Uvarint(l.buf[pos:])
+		pos += k + int(n)
+		l.runs = append(l.runs, Run{Off: int32(off), Len: int32(n)})
+	}
+	l.data = windows(l.data, l.buf, l.runs)
+	return (*Diff)(l), nil
 }
 
 // windows appends to data each run's payload as a capacity-limited window

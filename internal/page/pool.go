@@ -9,47 +9,45 @@ import (
 
 // Size-classed free lists of leases for the data plane: a mutex-guarded
 // stack per class, non-blocking get/put. A lease is a counted hold on one
-// pooled buffer together with the header that holds it — a Twin and a Diff
-// are the same header under two method sets — so the header, the buffer
-// and the diff's run table and payload windows are recycled as one: a
-// steady-state capture, diff, flatten or clone allocates nothing. Twins and
-// diff bodies are the traffic — every write-notice capture copies a full
-// page, every made, flattened or cloned diff lays its wire body out in one
-// buffer — with FlattenDiffs' scratch page the only other user. A lease's
-// class follows its buffer, not the page: a sparse diff takes 64 B, a dense
-// 4 KiB one (4,100 B with its run header) the 8 KiB class. A header keeps
-// the capacity of its run table and windows across uses.
+// pooled buffer together with the header that holds it — a Twin, a Diff and
+// a Slab are the same header under three method sets — so the header, the
+// buffer and the diff's run table and payload windows are recycled as one:
+// a steady-state diff, parse, flatten or clone allocates nothing. Diff
+// bodies and internal/dsm's store slabs are the traffic — every made,
+// parsed, flattened or cloned diff lays its wire body out in one buffer,
+// every interval close cuts its diffs' bodies into a slab — with
+// FlattenDiffs' scratch page the only other user. A lease's class follows
+// its buffer, not the page: a sparse diff takes 64 B, a dense 4 KiB one
+// (4,100 B with its run header) the 8 KiB class. A header keeps the
+// capacity of its run table and windows across uses.
 //
 // Retention is bounded in bytes, not leases: each class keeps up to
-// PoolBytes of buffers, the bytes of twins one node may park in deferred
-// diff slots (internal/dsm's twin budget is this constant). A
-// garbage-collection epoch releases everything a node parked or stored at
-// once, and the captures and diffs of the next epoch take it all back, so a
-// pool shallower than the budget drops leases at every epoch only to
-// allocate them again. With the two equal, a workload whose parked twins fit
-// the budget captures from the pool alone once it has been through one
-// epoch; PoolStats counts the gets that did not (a cluster of several nodes
-// in one process shares the pool and can still overflow it).
+// PoolBytes of buffers. A garbage-collection epoch's sweep releases the
+// store slabs of the intervals it covers at once, and the closes of the
+// next epoch take them back, so a pool shallower than what one epoch
+// stores drops slabs at every epoch only to allocate them again; PoolStats
+// counts the gets that missed (a cluster of several nodes in one process
+// shares the pool and can overflow it).
 //
-// Ownership discipline: a lease is recycled by its last holder. Twins and
-// made diffs are counted (Twin.Release, Diff.Release) and go back, header
-// and buffer, at the last release; after it the holder must not touch the
-// header at all — the next capture or diff reuses it. FlattenDiffs returns
-// its scratch before returning. A diff is made with one count, its maker's:
-// internal/dsm's lazy store (a slot) drops it where the diff dies — the
-// GC epoch's discard — a range serve's merge once its response is
-// encoded, and the eager engine, whose diffs are made, used and dropped in one
-// transaction, when the transaction is acknowledged. A reader that outlives
-// the lock pinning the store's slot (a response or grant encoded after the
-// engine lock is dropped, a miss applying a stored diff) takes a count
-// under that lock and drops it when it has read. A decoded diff is not a
-// lease: it borrows its frame and counts nothing, see Diff.Clone.
+// Ownership discipline: a lease is recycled by its last holder. Twins,
+// made diffs and slabs are counted (Twin.Release, Diff.Release,
+// Slab.Release) and go back, header and buffer, at the last release; after
+// it the holder must not touch the header at all — the next diff reuses
+// it. FlattenDiffs returns its scratch before returning. A diff is made
+// with one count, its maker's: internal/dsm's lazy store keeps no diff but
+// bodies in its slabs, which its GC sweep releases, and reads a body into
+// a diff of its own (ParseBody) for each serve, merge or apply, which
+// drops it once encoded or applied; the eager engine, whose diffs are
+// made, used and dropped in one transaction, drops them when the
+// transaction is acknowledged. A decoded diff is not a lease: it borrows
+// its frame and counts nothing, see Diff.Clone.
 //
 // Under internal/framebuf's poison-on-release test mode a released lease is
 // poisoned before it is listed: its buffer is overwritten and a diff's run
-// table rewritten to runs at a negative offset, so a twin or diff read
-// after its last release — through a stale header or a window of its body
-// — fails the differential tests at once (Diff.Apply refuses such runs).
+// table rewritten to runs at a negative offset, so a twin, diff or slab
+// read after its last release — through a stale header or a window of its
+// body — fails the differential tests at once (Diff.Apply refuses such
+// runs, ParseBody such a body).
 
 const (
 	// minPoolShift..maxPoolShift bound the pooled classes: 64 B to 64 KiB
@@ -62,10 +60,11 @@ const (
 	PoolBytes = 4 << 20
 )
 
-// lease is the header the pool recycles: a counted hold on buf. A twin
-// uses buf alone; a diff lays its wire body out in buf, with runs its run
-// table and data[i] run i's payload, a window of buf. A decoded diff fills
-// the same header over a received frame and owns nothing (owned false).
+// lease is the header the pool recycles: a counted hold on buf. A twin and
+// a slab use buf alone; a diff lays its wire body out in buf, with runs its
+// run table and data[i] run i's payload, a window of buf. A decoded diff
+// fills the same header over a received frame and owns nothing (owned
+// false).
 type lease struct {
 	buf   []byte
 	runs  []Run
@@ -132,6 +131,27 @@ func getLease(n int) *lease {
 	poolMisses.Add(1)
 	return newLease(make([]byte, n, 1<<(minPoolShift+c)))
 }
+
+// SlabBytes is the size of the pool's largest class: a Slab's, unless its
+// holder needs more.
+const SlabBytes = 1 << maxPoolShift
+
+// Slab is a counted hold on a pooled byte buffer that its holder lays many
+// small things out in: internal/dsm's retained-diff store keeps its diffs'
+// wire bodies in them, and frees each whole.
+type Slab lease
+
+// NewSlab returns a Slab of n bytes with one reference, off the pool when n
+// is a pooled class's size (SlabBytes is) and freshly allocated otherwise.
+// Contents are unspecified.
+func NewSlab(n int) *Slab { return (*Slab)(getLease(n)) }
+
+// Bytes returns the slab's buffer.
+func (s *Slab) Bytes() []byte { return s.buf }
+
+// Release drops one reference; the last recycles the slab, whose bytes
+// must not be read afterwards (under poison mode they read 0xDB).
+func (s *Slab) Release() { (*lease)(s).release() }
 
 func newLease(buf []byte) *lease {
 	l := &lease{buf: buf, owned: true}

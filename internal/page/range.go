@@ -1,8 +1,12 @@
 // Package page implements the per-page data machinery of a multiple-writer
-// DSM: twins (pristine copies made at the first write after a protection
-// downgrade), diffs (run-length encodings of the words a processor changed,
-// computed twin-vs-current), and range sets (bookkeeping of which bytes of
-// a page an interval modified, used by the simulator's byte accounting).
+// DSM: write logs (the old value of each word a window of writes touched,
+// saved at its first write), diffs (run-length encodings of the words a
+// processor changed, cut from a write log), and range sets (bookkeeping of
+// which bytes of a page an interval modified, used by the simulator's byte
+// accounting). Twins (pristine copies of a page made at the first write
+// after a protection downgrade, as a VM-based DSM makes them) and MakeDiff,
+// which diffs a page against its twin, remain as the oracle a write log's
+// cut is held to.
 //
 // Diffs are the paper's §4.3 mechanism for limiting the amount of data a
 // release (eager) or an access miss / acquire (lazy) moves across the
