@@ -27,7 +27,7 @@ import (
 // home forwards the diff to those the hint missed.
 //
 // Concurrency: page copies, write logs and the per-page copy state are under
-// the node's striped lock table; the write set is the application
+// the node's striped lock table; the dirty list is the application
 // goroutine's alone. Misses and flushes are that goroutine's, one at a
 // time, so a release returns only once every write its node made before it
 // has been acknowledged, and two flushes of one page reach every copy in
@@ -54,14 +54,12 @@ type eagerEngine struct {
 	hints    []uint64
 	parked   [][]*page.Diff
 
-	// ws is the write set of the critical sections since the last flush
-	// point; each flush drains it.
-	ws *writeSet
+	// dirty lists the pages the critical sections since the last flush
+	// point wrote; each flush drains it.
+	dirty dirtyList
 
-	// The flush's scratch: cand, the pages it drained, runs, the runs of
-	// the diff it cuts, and out and made, its records by destination and
-	// its diffs.
-	cand []mem.PageID
+	// The flush's scratch: runs, the runs of the diff it cuts, and out and
+	// made, its records by destination and its diffs.
 	runs []page.Run
 	out  [][]wire.DiffRec
 	made []*page.Diff
@@ -73,7 +71,6 @@ func newEagerEngine(n *Node, update bool) *eagerEngine {
 		n:      n,
 		update: update,
 		pages:  make([]*pageCopy, numPages),
-		ws:     newWriteSet(),
 		out:    make([][]wire.DiffRec, n.sys.cfg.Procs),
 	}
 	if update {
@@ -244,31 +241,27 @@ func (e *eagerEngine) writePage(pg mem.PageID, off int, src []byte) error {
 	}
 	pmu := e.n.pageLock(pg)
 	pmu.Lock()
-	e.pages[pg].write(e.n, e.ws, pg, off, src)
+	e.pages[pg].write(e.n, &e.dirty, pg, off, src)
 	pmu.Unlock()
 	return nil
 }
 
 // --- flush: the release/barrier-time propagation of §3 ---
 
-// commit ends the uncommitted writes to pg at a flush point and returns
-// their diff, cut from the page's write log — nil when the page has none or
-// they changed nothing — and, read with it, the page's hint (EU).
+// commit ends the uncommitted writes to drained page pg at a flush point
+// and returns their diff, cut from the page's write log — nil when they
+// changed nothing — and, read with it, the page's hint (EU).
 func (e *eagerEngine) commit(pg mem.PageID) (d *page.Diff, hint uint64) {
 	n := e.n
 	pmu := n.pageLock(pg)
 	pmu.Lock()
 	defer pmu.Unlock()
 	pc := e.pages[pg]
-	if pc == nil || !pc.dirty() {
-		return nil, 0
-	}
 	if e.update {
 		hint = e.hints[pg]
 	}
-	e.runs = pc.cut(e.runs[:0])
+	e.runs = pc.take(n, pg, e.runs[:0])
 	d = page.DiffOf(e.runs, pc.data)
-	pc.commit(n)
 	n.stats.diffsCreated.Add(1)
 	if d.Empty() {
 		return nil, 0
@@ -287,13 +280,9 @@ func (e *eagerEngine) commit(pg mem.PageID) (d *page.Diff, hint uint64) {
 // the home forwards the diff to those that joined since and names them in
 // its acknowledgement, which the next flush reaches directly. The diff of
 // a page this node homes is in the home's copy already: the flush sends
-// it to every member (EU) or invalidates them (EI) itself. A flush that
-// fails mid-way leaves its pages claimed.
+// it to every member (EU) or invalidates them (EI) itself.
 func (e *eagerEngine) flush() error {
 	n := e.n
-	cand := e.ws.drain(e.cand)
-	e.cand = cand
-	e.ws.check(n, func(pg mem.PageID) bool { return e.pages[pg] != nil && e.pages[pg].dirty() })
 	made := e.made[:0]
 	var own revocation // EI: the copies of the pages this node homes
 	defer func() {
@@ -307,7 +296,7 @@ func (e *eagerEngine) flush() error {
 		clear(made)
 		e.made = made[:0]
 	}()
-	for _, pg := range cand {
+	for _, pg := range e.dirty.drain() {
 		d, hint := e.commit(pg)
 		if d == nil {
 			continue
@@ -357,7 +346,6 @@ func (e *eagerEngine) flush() error {
 		ack.Release()
 	}
 	n.stats.flushedPages.Add(int64(len(made)))
-	e.ws.settle(cand)
 	return nil
 }
 

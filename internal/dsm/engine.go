@@ -25,16 +25,18 @@ import (
 //     touch and never hold it across a blocking operation, so
 //     independent pages fault, install and diff in parallel. Stripes are
 //     leaf locks. A write-capturing engine's (LI/LU/EI/EU) copy is a
-//     pageCopy (writeset.go), the only code that touches its write log:
-//     outside bytes reach a copy only through its land, which keeps the
-//     log's saved words the committed contents under a concurrent local
-//     writer.
+//     pageCopy (writeset.go), the only code that touches its write log or
+//     lists its page on the engine's dirty list: outside bytes reach a
+//     copy only through its land, which keeps the log's saved words the
+//     committed contents under a concurrent local writer; its log is the
+//     page's dirty bit (pageCopy states the invariant).
 //   - Accesses, and with them miss service — the blocking protocol
 //     transaction that brings a page current — and the lock and barrier
 //     hooks run on the node's one application goroutine (Node.enter
 //     turns away a second), except a grant answering a forward, which a
 //     handler worker builds. So one miss, one flush and one round are
-//     in progress at a time, and their scratch is the engine's.
+//     in progress at a time, and their scratch, and the dirty list, are
+//     the engine's.
 //     acquireStart and grant are called with the node's lockMu held;
 //     release is called with no lock held, before a Release takes lockMu.
 //   - Engine-global synchronization state (the lazy engine's vector

@@ -749,7 +749,7 @@ var hostileRows = map[string][]hostileRow{
 		frameRow("response nobody awaits", lu, "response routing", &wire.Msg{Kind: wire.KDiffResp, Seq: 424242}),
 		frameRow("diffs nobody asked for", li, "response routing", &wire.Msg{Kind: wire.KDiffResp, Seq: 424242, Diffs: []wire.DiffRec{rec(1, 2, 0)}}),
 		frameRow("update beyond the space", eu, "update of invalid page", &wire.Msg{Kind: wire.KUpdate, Seq: 99, Diffs: []wire.DiffRec{rec(1<<20, 2, 0)}}),
-		frameRow("flush carrying a diff from an invalid flusher", eu, "flushreq claims node 77", &wire.Msg{Kind: wire.KFlushReq, Seq: 99, A: 1, B: 77, Diffs: []wire.DiffRec{rec(1, 2, 0)}}),
+		frameRow("flush carrying a diff from an invalid flusher", eu, "unhandled message kind flushreq from 2", &wire.Msg{Kind: wire.KFlushReq, Seq: 99, A: 1, B: 77, Diffs: []wire.DiffRec{rec(1, 2, 0)}}),
 		frameRow("lock request smuggling diffs", li, "lockreq claims node 77", &wire.Msg{Kind: wire.KLockReq, Seq: 99, A: 1, B: 77, Sections: []wire.Section{{Mode: ownMode, Diffs: []wire.DiffRec{rec(1, 2, 0)}}}}),
 	},
 	"TestForgedPageShipsRecordedNotInstalled": {

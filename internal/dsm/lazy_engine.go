@@ -32,10 +32,9 @@ import (
 // interval log, retained-diff store — stays under one engine mutex (mu),
 // which a handler takes to serve diffs and grants. Only the application
 // goroutine learns intervals, so a round plans each page once: nothing can
-// add to a plan while the round fetches its diffs. Which pages the current
-// interval dirtied is tracked in the write set (a page's first logged
-// write registers it) so closing an interval does not need to sweep every
-// page.
+// add to a plan while the round fetches its diffs. The pages the current
+// interval wrote are on the dirty list (a page's first logged write lists
+// it), so closing an interval does not need to sweep every page.
 //
 // Lock order: node.lockMu < e.mu < node.pageMu stripe.
 type lazyEngine struct {
@@ -55,14 +54,12 @@ type lazyEngine struct {
 	// round is the scratch that faults, revalidations and the GC epoch's
 	// bulk validation plan into: the application goroutine's alone.
 	round round
-	// Scratch: under mu, closeIntervalLocked's sorted dirty pages and the
-	// runs of the diff it cuts; the
+	// Scratch: under mu, the runs of the diff closeIntervalLocked cuts; the
 	// application goroutine's alone, the pages the intervals an acquire or
 	// a barrier absorbed notice (filled under mu; no acquire runs inside a
 	// barrier) and the floor of the arrival it sends next. The records a
 	// grant, arrival or exit exports are its message's
 	// (intervalsSinceLocked).
-	cand     []mem.PageID
 	runs     []page.Run
 	noticed  []mem.PageID
 	barFloor vc.VC
@@ -72,9 +69,9 @@ type lazyEngine struct {
 	pending []*wire.IntervalRec
 	merging []*page.Diff
 
-	// ws is the current interval's write set; closeIntervalLocked drains
-	// it into cand.
-	ws *writeSet
+	// dirty lists the pages the current interval wrote;
+	// closeIntervalLocked drains it.
+	dirty dirtyList
 
 	// pages[i] is guarded by n.pageLock(i).
 	pages []*lazyPage
@@ -97,7 +94,6 @@ func newLazyEngine(n *Node, update bool) *lazyEngine {
 			lastEpoch: vc.New(procs),
 			keepers:   slices.Repeat([]mem.ProcID{-1}, (pages+procs-1)/procs),
 		},
-		ws:    newWriteSet(),
 		pages: make([]*lazyPage, pages),
 	}
 }
@@ -118,46 +114,31 @@ func (e *lazyEngine) clock() vc.VC {
 // fetched is discarded at GC. Caller holds e.mu.
 func (e *lazyEngine) closeIntervalLocked() {
 	n := e.n
-	e.cand = e.ws.drain(e.cand)
-	e.ws.check(n, func(pg mem.PageID) bool { return e.pages[pg] != nil && e.pages[pg].dirty() })
-	if len(e.cand) == 0 {
+	pages := e.dirty.drain()
+	if len(pages) == 0 {
 		return
 	}
-
-	// The slots are the store's next ones for the interval's index. The
-	// pages with logged writes move to the front of cand, in order: the
-	// interval's page list.
-	k, held := e.v[n.id]+1, 0
-	for i, pg := range e.cand {
+	// The slots are the store's next ones for the interval's index, one per
+	// page in order: the interval's page list.
+	k := e.v[n.id] + 1
+	for i, pg := range pages {
 		pmu := n.pageLock(pg)
 		pmu.Lock()
 		pc := e.pages[pg]
-		if pc == nil || !pc.dirty() {
-			pmu.Unlock()
-			continue
-		}
-		// The copy now reflects interval k, which a page with logged writes
-		// makes sure exists: keep the applied clock faithful so page-home
-		// responses advertise the right coverage.
-		e.runs = pc.cut(e.runs[:0])
+		e.runs = pc.take(n, pg, e.runs[:0])
 		slot, body := e.store.put(n.id, k, page.BodySize(e.runs))
 		page.AppendBody(body[:0], e.runs, pc.data)
-		*e.store.slot(n.id, k, held) = slot
-		pc.commit(n)
+		*e.store.slot(n.id, k, i) = slot
+		// The copy now reflects interval k, which a written page makes sure
+		// exists: keep the applied clock faithful so page-home responses
+		// advertise the right coverage.
 		if pc.applied[n.id] < k {
 			pc.applied[n.id] = k
 		}
 		n.stats.diffsCreated.Add(1)
 		pmu.Unlock()
-		e.cand[i], e.cand[held] = e.cand[held], pg
-		held++
 	}
-	pages := e.cand[:held]
-	e.ws.settle(e.cand)
-	if held == 0 {
-		return // the slots stay free, for the next interval
-	}
-	e.store.hold(n.id, k, held)
+	e.store.hold(n.id, k, len(pages))
 	e.v.Tick(int(n.id))
 	// No Mods: byte ranges size the simulator's diffs; these are real. The
 	// log copies the clock and the page scratch in.
@@ -377,7 +358,7 @@ func (e *lazyEngine) writePage(pg mem.PageID, off int, src []byte) error {
 	}
 	pmu := e.n.pageLock(pg)
 	pmu.Lock()
-	e.pages[pg].write(e.n, e.ws, pg, off, src)
+	e.pages[pg].write(e.n, &e.dirty, pg, off, src)
 	pmu.Unlock()
 	return nil
 }

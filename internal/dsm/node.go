@@ -91,8 +91,8 @@ type Stats struct {
 	// eager (first writes of words minus commits), with TwinBytesPeak its
 	// high-water mark.
 	DiffsCreated int64
-	// DiffsDeferred is always 0: no diff waits for a serve. Kept for
-	// bench/lrcbench; ROADMAP item 1 removes it.
+	// DiffsDeferred is always 0: no diff waits for a serve, and nothing
+	// counts one. Kept for bench/lrcbench; ROADMAP item 1 removes it.
 	DiffsDeferred  int64
 	DiffCacheHits  int64
 	DiffsFlattened int64
@@ -166,7 +166,6 @@ type nodeStats struct {
 	gcRuns           atomic.Int64
 	diffsDiscarded   atomic.Int64
 	diffsCreated     atomic.Int64
-	diffsDeferred    atomic.Int64
 	diffCacheHits    atomic.Int64
 	diffsFlattened   atomic.Int64
 	diffFallbacks    atomic.Int64
@@ -207,7 +206,6 @@ func (s *nodeStats) snapshot() Stats {
 		GCRuns:           s.gcRuns.Load(),
 		DiffsDiscarded:   s.diffsDiscarded.Load(),
 		DiffsCreated:     s.diffsCreated.Load(),
-		DiffsDeferred:    s.diffsDeferred.Load(),
 		DiffCacheHits:    s.diffCacheHits.Load(),
 		DiffsFlattened:   s.diffsFlattened.Load(),
 		DiffFallbacks:    s.diffFallbacks.Load(),
@@ -501,7 +499,7 @@ func (n *Node) dispatchMsg(m *wire.Msg, src mem.ProcID) {
 // binds a message to the identity its stream claims.
 func (n *Node) checkSender(m *wire.Msg, src mem.ProcID) error {
 	switch m.Kind {
-	case wire.KLockReq, wire.KBarrierArrive, wire.KPageReq, wire.KWriteReq, wire.KFlushReq:
+	case wire.KLockReq, wire.KBarrierArrive, wire.KPageReq, wire.KWriteReq:
 		if mem.ProcID(m.B) != src && !n.homeForward(m, src) {
 			return fmt.Errorf("%v claims node %d but came from %d", m.Kind, m.B, src)
 		}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 
-	"repro/internal/framebuf"
 	"repro/internal/mem"
 	"repro/internal/page"
 )
@@ -15,11 +14,15 @@ import (
 // current interval (lazy) or critical sections since the last flush
 // (eager); the log holds what those writes overwrote, word by word, so that
 // swapping it in (committed, land) shows the committed contents and the cut
-// at the commit point (lazy close, eager commit) is the window's diff.
-// Without logged words the two are the same bytes. Everything that changes
-// the committed contents goes through land, so the log keeps the committed
-// values whatever the node's own writer is doing when a handler lands
-// outside bytes (EU's landCopy).
+// at the commit point (take, at a lazy close or an eager flush) is the
+// window's diff. Without logged words the two are the same bytes.
+// Everything that changes the committed contents goes through land, so the
+// log keeps the committed values whatever the node's own writer is doing
+// when a handler lands outside bytes (EU's landCopy).
+//
+// The log is the page's dirty bit: it holds words exactly while the page is
+// on its engine's dirty list, because write lists the page as the log
+// leaves empty and only take, run on each drained page, empties it.
 type pageCopy struct {
 	data  []byte
 	valid bool
@@ -27,33 +30,35 @@ type pageCopy struct {
 }
 
 // write copies src into the copy at off, logging the words it writes
-// first; the first write since the last commit point registers pg with ws.
-// The node's log gauge counts the logged bytes.
-func (pc *pageCopy) write(n *Node, ws *writeSet, pg mem.PageID, off int, src []byte) {
+// first; the window's first logged word lists pg on dirty, under the same
+// stripe that sees the log leave empty, so a page is listed once per
+// window. The node's log gauge counts the logged bytes.
+func (pc *pageCopy) write(n *Node, dirty *dirtyList, pg mem.PageID, off int, src []byte) {
 	if pc.log.Empty() {
-		ws.add(pg)
+		dirty.pages = append(dirty.pages, pg)
 	}
 	if logged := pc.log.Write(pc.data, off, src); logged > 0 {
 		n.stats.twinBytesLive.Add(int64(logged))
 	}
 }
 
-// dirty reports whether uncommitted writes are live.
-func (pc *pageCopy) dirty() bool { return !pc.log.Empty() }
-
-// cut appends to runs the runs of the uncommitted writes' diff: the words
-// they changed, laid out against data.
-func (pc *pageCopy) cut(runs []page.Run) []page.Run { return pc.log.Cut(runs, pc.data) }
-
-// commit ends the uncommitted writes at a commit point: data is now
-// committed, and the log's bytes leave the node's gauge. Only commits lower
-// the gauge, so its high-water mark is taken here, before the first of
-// them, and by a Stats snapshot.
-func (pc *pageCopy) commit(n *Node) {
+// take ends the window of a drained page at its commit point: it appends
+// to runs the runs of the window's diff, the words it changed laid out
+// against data, and commits — data is now committed, which leaves its
+// bytes alone, and the log's bytes leave the node's gauge. Only commits
+// lower the gauge, so its high-water mark is taken here, before the first
+// of them, and by a Stats snapshot. A drained page with no logged word
+// was listed twice or committed outside a drain: recorded, so Close fails.
+func (pc *pageCopy) take(n *Node, pg mem.PageID, runs []page.Run) []page.Run {
+	if pc.log.Empty() {
+		n.noteErr("write set", fmt.Errorf("page %d drained with no logged write", pg))
+	}
+	runs = pc.log.Cut(runs, pc.data)
 	st := &n.stats
 	st.raisePeak(st.twinBytesLive.Load())
 	st.twinBytesLive.Add(-int64(pc.log.Bytes()))
 	pc.log.Reset()
+	return runs
 }
 
 // committedView is a page's committed contents as a holder ships them: a
@@ -110,83 +115,19 @@ func (s *nodeStats) raisePeak(live int64) {
 	}
 }
 
-// writeSet is the write-capture state of a lazy or eager engine: the pages
-// written since the last drain, so an interval close or a flush does not
-// sweep every page. It has no lock: only the node's
-// application goroutine uses it — add in pageCopy.write, drain, settle and
-// check at an interval close or an eager flush.
-//
-// Invariant: logged words ⇒ page ∈ dirty ∪ pages claimed by an open drain.
-// add keeps it by running under the stripe of the first logged write, and
-// the drainer by committing every page it claimed.
-type writeSet struct {
-	dirty map[mem.PageID]struct{}
-	// claimed counts, per page, the drains that took it and have not
-	// settled. Kept in test builds only (poison mode), for check.
-	claimed map[mem.PageID]int
+// dirtyList is the pages whose copies' logs hold words, in first-write
+// order, each listed once (pageCopy.write). It has no lock: only the
+// node's application goroutine writes, drains and takes, at an interval
+// close or an eager flush.
+type dirtyList struct {
+	pages   []mem.PageID
+	drained []mem.PageID // the last drain's, whose storage the next list reuses
 }
 
-func newWriteSet() *writeSet {
-	w := &writeSet{dirty: make(map[mem.PageID]struct{})}
-	if framebuf.Poisoned() {
-		w.claimed = make(map[mem.PageID]int)
-	}
-	return w
-}
-
-// add registers pg's first logged write. Caller holds pg's stripe.
-func (w *writeSet) add(pg mem.PageID) {
-	w.dirty[pg] = struct{}{}
-}
-
-// drain empties the set into buf[:0], sorted: the caller now owns every
-// candidate's log and commits it, then settles.
-func (w *writeSet) drain(buf []mem.PageID) []mem.PageID {
-	buf = buf[:0]
-	if len(w.dirty) == 0 { // the common interval close: nothing written
-		return buf
-	}
-	for pg := range w.dirty {
-		buf = append(buf, pg)
-		if w.claimed != nil {
-			w.claimed[pg]++
-		}
-	}
-	clear(w.dirty)
-	slices.Sort(buf)
-	return buf
-}
-
-// settle ends a drain's claims once the pages it took are committed.
-func (w *writeSet) settle(cand []mem.PageID) {
-	if w.claimed == nil {
-		return
-	}
-	for _, pg := range cand {
-		if w.claimed[pg]--; w.claimed[pg] == 0 {
-			delete(w.claimed, pg)
-		}
-	}
-}
-
-// check asserts the invariant over every page of n, in test builds, the
-// way a recorded error fails the run at Close. dirty reports, under pg's
-// stripe, whether the engine's copy of it has logged words. Called after
-// each drain, with no stripe held.
-func (w *writeSet) check(n *Node, dirty func(pg mem.PageID) bool) {
-	if w.claimed == nil {
-		return
-	}
-	for stripe := range n.pageMu { // one lock per stripe, not per page
-		n.pageMu[stripe].Lock()
-		for pg := mem.PageID(stripe); n.validPage(pg); pg += pageShards {
-			if !dirty(pg) {
-				continue
-			}
-			if _, dirty := w.dirty[pg]; !dirty && w.claimed[pg] == 0 {
-				n.noteErr("write set", fmt.Errorf("page %d has logged writes but is neither dirty nor claimed by an open drain", pg))
-			}
-		}
-		n.pageMu[stripe].Unlock()
-	}
+// drain hands over the listed pages, sorted, and empties the list; the
+// caller takes every one before the next drain.
+func (l *dirtyList) drain() []mem.PageID {
+	slices.Sort(l.pages)
+	l.pages, l.drained = l.drained[:0], l.pages
+	return l.drained
 }

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/mem"
 	"repro/internal/page"
 )
 
@@ -19,7 +20,7 @@ import (
 func TestPageCopyLand(t *testing.T) {
 	const size, ownOff = 64, 8
 	n := newSys(t, 1, EagerUpdate).Node(0)
-	ws := newWriteSet()
+	var dirty dirtyList
 	fill := func(b byte, k int) []byte { return bytes.Repeat([]byte{b}, k) }
 	diff := func(off int32, payload []byte) *page.Diff {
 		d, err := page.DiffFromRuns([]page.Run{{Off: off, Len: int32(len(payload))}}, [][]byte{payload})
@@ -53,9 +54,8 @@ func TestPageCopyLand(t *testing.T) {
 			t.Run(name, func(t *testing.T) {
 				pc := &pageCopy{data: fill(0x11, size), valid: true}
 				if written {
-					pc.write(n, ws, 0, ownOff, fill(0xAA, page.WordSize))
+					pc.write(n, &dirty, 0, ownOff, fill(0xAA, page.WordSize))
 				}
-				defer pc.commit(n)
 				data, committed0 := slices.Clone(pc.data), view(pc)
 				var base []byte
 				if k.base {
@@ -71,6 +71,9 @@ func TestPageCopyLand(t *testing.T) {
 					t.Errorf("log bytes live went %d -> %d", live, got)
 				}
 				if k.d == tooLong {
+					if written {
+						defer pc.take(n, 0, nil)
+					}
 					if err == nil {
 						t.Fatal("a diff past the page's end landed")
 					}
@@ -98,13 +101,16 @@ func TestPageCopyLand(t *testing.T) {
 					want = slices.Clone(committed)
 					copy(want[ownOff:], fill(0xAA, page.WordSize))
 					cut = []page.Run{{Off: ownOff, Len: page.WordSize}}
-				} else if pc.dirty() {
+				} else if !pc.log.Empty() {
 					t.Error("landing logged a write")
 				}
 				if !bytes.Equal(pc.data, want) {
 					t.Errorf("data % x, want % x", pc.data, want)
 				}
-				if got := pc.cut(nil); !slices.Equal(got, cut) {
+				if !written {
+					return
+				}
+				if got := pc.take(n, 0, nil); !slices.Equal(got, cut) {
 					t.Errorf("the window cuts to %v after the land, want %v", got, cut)
 				}
 			})
@@ -131,6 +137,36 @@ func TestEagerTwinsAreGauged(t *testing.T) {
 			if st := n.Stats(); st.TwinBytesLive != 0 || st.TwinBytesPeak != logged {
 				t.Errorf("after the release's flush: %d log bytes live, peak %d; want 0 and %d",
 					st.TwinBytesLive, st.TwinBytesPeak, logged)
+			}
+		})
+	}
+}
+
+// TestDirtyList: a section that writes one page many times and two others
+// once lists each page once, and the close (LI/LU) or flush (EI/EU) at its
+// release drains them sorted and leaves the list empty.
+func TestDirtyList(t *testing.T) {
+	for _, mode := range []Mode{LazyInvalidate, LazyUpdate, EagerInvalidate, EagerUpdate} {
+		t.Run(mode.String(), func(t *testing.T) {
+			n := newSys(t, 2, mode).Node(0)
+			var dirty *dirtyList
+			switch e := n.e.(type) {
+			case *lazyEngine:
+				dirty = &e.dirty
+			case *eagerEngine:
+				dirty = &e.dirty
+			}
+			const size = 1024 // newSys's page size
+			must(t, n.Acquire(0))
+			for i, pg := range []mem.PageID{5, 3, 5, 5, 1, 5} {
+				must(t, n.WriteUint64(mem.Addr(int(pg)*size+8*i), uint64(i+1)))
+			}
+			if want := []mem.PageID{5, 3, 1}; !slices.Equal(dirty.pages, want) {
+				t.Errorf("listed %v in the section, want %v", dirty.pages, want)
+			}
+			must(t, n.Release(0))
+			if want := []mem.PageID{1, 3, 5}; !slices.Equal(dirty.drained, want) || len(dirty.pages) != 0 {
+				t.Errorf("after the release: drained %v, listed %v; want %v and none", dirty.drained, dirty.pages, want)
 			}
 		})
 	}
