@@ -137,8 +137,10 @@ func TestMismatchedModesFailLoudly(t *testing.T) {
 
 // The cluster: three nodes, eight 1 KiB pages homed pg % 3. The puppet is
 // node 0 (barrier master, manager of lock 0) or node 2. Node 1 homes the
-// pages the program shares (1, 4, 7); the other program node, r, reads the
-// puppet's page pid+3 cold and writes it under lock 1: a copyset of one. A
+// pages the program shares (1, 4, 7), and writes two words of page 1 in its
+// first window, so a page listed twice on the dirty list fails Close; the
+// other program node, r, reads the puppet's page pid+3 cold and writes it
+// under lock 1: a copyset of one. A
 // run that collects (withGC) meets at each barrier twice: the barrier's GC
 // epoch is discarded at the next one, so the second meeting is where the
 // first one's epoch goes.
@@ -378,7 +380,7 @@ func (pr *peerRun) program(n *Node, at phase) {
 		pr.note(n.Barrier(mem.BarrierID(at / atBarrier1)))
 	case int(n.id) == pr.pid:
 	case at == atStart && n == pr.h:
-		pr.note(n.WriteUint64(1024, 0x1111))
+		pr.note(n.WriteUint64(1024, 0x1111), n.WriteUint64(1032, 0x2222))
 	case at == atStart:
 		pr.note(n.WriteUint64(4096, 0x2222))
 	case at == atRead && n == pr.r:

@@ -3,8 +3,10 @@ package dsm
 import (
 	"fmt"
 	"slices"
+	"unsafe"
 
 	"repro/internal/core"
+	"repro/internal/framebuf"
 	"repro/internal/mem"
 	"repro/internal/page"
 	"repro/internal/wire"
@@ -56,7 +58,7 @@ func (s *diffSlot) diff() (*page.Diff, error) {
 // interval index, as core.Log keeps its records, slabs of slots handed out
 // in order, and body slabs — leases off the page pool — the bodies are laid
 // out in, in order. An epoch fills them, and the sweep that covers them
-// frees them whole: chunks and slot slabs to the store's free lists, which
+// frees them whole: chunks and slot slabs to the store's pools, which
 // the next epoch takes from before it allocates, body slabs to the page
 // pool. Chunks and slot slabs are fixed-size. Body slabs start at
 // minBodySlab bytes and double, up to page.SlabBytes, each time one fills
@@ -64,8 +66,8 @@ func (s *diffSlot) diff() (*page.Diff, error) {
 // costs it a small slab, and one whose many it keeps a slab a pooled page
 // lease.
 const (
-	chunkIntervals = 255 // entries per chunk: with its link, 2 KiB
-	slabSlots      = 383 // slots per slab: with its last index and link, 6 KiB
+	chunkIntervals = 256 // entries per chunk: 2 KiB
+	slabSlots      = 383 // slots per slab: with its last index, 6 KiB
 	minBodySlab    = 1 << 10
 )
 
@@ -78,19 +80,16 @@ type slotEnt struct {
 }
 
 // slotChunk holds the entries of chunkIntervals consecutive interval
-// indices of one processor; next links the store's free chunks.
+// indices of one processor.
 type slotChunk struct {
 	ents [chunkIntervals]slotEnt
-	next *slotChunk
 }
 
 // slotSlab is a run of slots and the highest interval index any of them
-// was handed to: the sweep that covers that index frees the slab. next
-// links the store's free slabs.
+// was handed to: the sweep that covers that index frees the slab.
 type slotSlab struct {
 	slots [slabSlots]diffSlot
 	last  int32
-	next  *slotSlab
 }
 
 // bodySlab is a body slab and the highest interval index any body in it
@@ -124,12 +123,12 @@ type slotProc struct {
 }
 
 // slotStore is the retained-diff store, one slotProc per processor, with
-// the chunks and slabs sweeps freed, linked through their own next fields
-// so that freeing allocates nothing. Guarded by e.mu.
+// pools of the chunks and slabs sweeps freed, each item in class 0: a
+// store's own, so that nothing crosses Systems. Guarded by e.mu.
 type slotStore struct {
 	procs  []slotProc
-	chunks *slotChunk
-	slabs  *slotSlab
+	chunks framebuf.Pool[*slotChunk]
+	slabs  framebuf.Pool[*slotSlab]
 }
 
 func newSlotStore(procs int) slotStore { return slotStore{procs: make([]slotProc, procs)} }
@@ -157,10 +156,8 @@ func (s *slotStore) slot(q mem.ProcID, k int32, i int) *diffSlot {
 	p := &s.procs[q]
 	rel := p.next + uint32(i) - p.base
 	for int(rel/slabSlots) >= len(p.slabs) {
-		sl := s.slabs
-		if sl != nil {
-			s.slabs, sl.next = sl.next, nil
-		} else {
+		sl, ok := s.slabs.Get(0)
+		if !ok {
 			sl = new(slotSlab)
 		}
 		p.slabs = core.AppendDoubling(p.slabs, sl)
@@ -179,12 +176,11 @@ func (s *slotStore) hold(q mem.ProcID, k int32, n int) slotEnt {
 		p.chunks = core.AppendDoubling(p.chunks, nil)
 	}
 	if p.chunks[c] == nil {
-		if ch := s.chunks; ch != nil {
-			s.chunks, ch.next = ch.next, nil
-			p.chunks[c] = ch
-		} else {
-			p.chunks[c] = new(slotChunk)
+		ch, ok := s.chunks.Get(0)
+		if !ok {
+			ch = new(slotChunk)
 		}
+		p.chunks[c] = ch
 	}
 	ent := slotEnt{off: p.next, n: int32(n)}
 	p.chunks[c].ents[k%chunkIntervals] = ent
@@ -216,7 +212,7 @@ func (s *slotStore) put(q mem.ProcID, k int32, size int) (diffSlot, []byte) {
 }
 
 // sweep frees processor q's chunks and slabs that hold nothing above
-// index floor: chunks and slot slabs to the store's free lists, body slabs
+// index floor: chunks and slot slabs to the store's pools, body slabs
 // to the page pool. The discard has emptied their entries and slots; a
 // body read from a released slab fails to parse (poisoned, in test builds).
 func (s *slotStore) sweep(q int, floor int32) {
@@ -224,7 +220,7 @@ func (s *slotStore) sweep(q int, floor int32) {
 	gone := 0
 	for gone < len(p.chunks) && (p.dropped+int32(gone)+1)*chunkIntervals-1 <= floor {
 		if c := p.chunks[gone]; c != nil {
-			c.next, s.chunks = s.chunks, c
+			s.chunks.Put(0, c, int(unsafe.Sizeof(*c)))
 		}
 		gone++
 	}
@@ -234,7 +230,8 @@ func (s *slotStore) sweep(q int, floor int32) {
 	gone = 0
 	for ; gone < len(p.slabs) && p.slabs[gone].last <= floor; gone++ {
 		sl := p.slabs[gone]
-		sl.last, sl.next, s.slabs = 0, s.slabs, sl
+		sl.last = 0
+		s.slabs.Put(0, sl, int(unsafe.Sizeof(*sl)))
 	}
 	p.slabs = p.slabs[:copy(p.slabs, p.slabs[gone:])]
 	clear(p.slabs[len(p.slabs):cap(p.slabs)])

@@ -8,6 +8,7 @@ import (
 	"unsafe"
 
 	"repro/internal/core"
+	"repro/internal/framebuf"
 	"repro/internal/mem"
 	"repro/internal/page"
 	"repro/internal/vc"
@@ -40,7 +41,7 @@ func TestSlotSlabs(t *testing.T) {
 	foreign := func(k int) core.IntervalID { return core.IntervalID{Proc: 1, Index: int32(k)} }
 
 	// Own closes: 400 one-slot intervals fill slab 0 and chunk 0 and run
-	// into chunk 1 at interval 255 and slab 1 at interval 383.
+	// into chunk 1 at interval 256 and slab 1 at interval 383.
 	const closes = 400
 	for i := range closes {
 		section(i)
@@ -113,8 +114,8 @@ func TestSlotSlabs(t *testing.T) {
 		t.Errorf("after the sweep the store keeps %d own slabs, %d own chunks (%d dropped), %d own body slabs, %d foreign slabs, %d foreign chunks and %d foreign body slabs; want 1, 1 (1), 1, 1, 3 and 1",
 			len(mine.slabs), len(mine.chunks), mine.dropped, len(mine.bodies), len(theirs.slabs), len(theirs.chunks), len(theirs.bodies))
 	}
-	if e.store.slabs != freedSlab || freedSlab.next != nil || e.store.chunks != freedChunk || freedChunk.next != nil {
-		t.Error("the sweep did not free exactly own slab 0 and chunk 0")
+	if slabs, chunks := pooled(&e.store.slabs), pooled(&e.store.chunks); len(slabs) != 1 || slabs[0] != freedSlab || len(chunks) != 1 || chunks[0] != freedChunk {
+		t.Errorf("the sweep freed %d slabs and %d chunks, want exactly own slab 0 and chunk 0", len(slabs), len(chunks))
 	}
 	if e.slotLocked(foreign(3), 1) != nil || e.slotLocked(foreign(9), 1) == nil || e.slotLocked(foreign(600), 1) == nil ||
 		e.slotLocked(own(389), pageOf(389)) != nil || e.slotLocked(own(390), pageOf(390)) == nil {
@@ -137,9 +138,9 @@ func TestSlotSlabs(t *testing.T) {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.store.slabs != nil || e.store.chunks != nil || len(mine.slabs) != 2 || mine.chunks[1] != freedChunk {
-		t.Errorf("the closes after the sweep left slab %p and chunk %p free, %d own slabs: the freed ones were not taken",
-			e.store.slabs, e.store.chunks, len(mine.slabs))
+	if slabs, chunks := pooled(&e.store.slabs), pooled(&e.store.chunks); len(slabs) != 0 || len(chunks) != 0 || len(mine.slabs) != 2 || mine.chunks[1] != freedChunk {
+		t.Errorf("the closes after the sweep left %d slabs and %d chunks free, %d own slabs: the freed ones were not taken",
+			len(slabs), len(chunks), len(mine.slabs))
 	}
 	if got := e.slotLocked(own(766), pageOf(766)); got != &freedSlab.slots[0] {
 		t.Error("own interval 766 did not take the freed slab's first slot")
@@ -149,10 +150,23 @@ func TestSlotSlabs(t *testing.T) {
 	}
 }
 
+// pooled returns what class 0 of p lists, last listed first, and leaves
+// it listed.
+func pooled[T any](p *framebuf.Pool[T]) []T {
+	var items []T
+	for x, ok := p.Get(0); ok; x, ok = p.Get(0) {
+		items = append(items, x)
+	}
+	for i := len(items) - 1; i >= 0; i-- {
+		p.Put(0, items[i], 1)
+	}
+	return items
+}
+
 // TestSlotStorageSizes pins the store's storage to its size classes: a
 // slot is a reference to its body — a slab pointer, an offset and a
-// length — and a chunk or slab with its link and last index fills a 2 KiB
-// or 6 KiB allocation to within a slot.
+// length — and a chunk, or a slab with its last index, fills a 2 KiB or
+// 6 KiB allocation to within a slot.
 func TestSlotStorageSizes(t *testing.T) {
 	if got := unsafe.Sizeof(diffSlot{}); got != 16 {
 		t.Errorf("a slot is %d bytes, want 16", got)

@@ -1,9 +1,13 @@
-// Package framebuf owns the buffers wire frames travel in: one free list
-// that senders encode into, transports receive into, and receivers
-// return to — a received frame through the message decoded from it, which
-// holds it while its diffs borrow its bytes (internal/wire's Ownership
-// section). It is a leaf package so that the codec, every transport and
-// the runtime share one list without an import cycle.
+// Package framebuf owns the data plane's free lists. Frames, the buffers
+// wire frames travel in, have one free list that senders encode into,
+// transports receive into, and receivers return to — a received frame
+// through the message decoded from it, which holds it while its diffs
+// borrow its bytes (internal/wire's Ownership section). Everything else
+// the data plane recycles — leases, write-log buffers, message slabs, the
+// retained-diff store's chunks — goes through Pool, a free stack per size
+// class (pool.go). Both honour poison-on-release (SetPoison). It is a leaf
+// package so that the codec, every transport, internal/page and the
+// runtime share them without an import cycle.
 package framebuf
 
 import "sync/atomic"
@@ -70,8 +74,9 @@ const PoisonByte = 0xDB
 var poison atomic.Bool
 
 // SetPoison switches poison-on-release mode, a test hook: with it on,
-// every buffer entering this free list or internal/page's pool is first
-// overwritten with PoisonByte (both call Poison), so a slice that still
+// every buffer entering the frame list is first overwritten with
+// PoisonByte, and every item a Pool takes back is poisoned by its pool's
+// Poison hook (internal/page's buffers call Poison), so a slice that still
 // aliases a recycled buffer reads garbage at once instead of whenever the
 // buffer happens to be reused. Tests enable it from TestMain so the
 // differential oracles catch a premature release deterministically.

@@ -6,11 +6,11 @@
 // (/metrics, /statusz, /trace).
 //
 // The registry is built for live publication from hot paths: counters
-// and gauges are single atomics, histograms are atomic bucket arrays,
-// and callback series (CounterFunc/GaugeFunc) read a value only when
-// scraped — so a runtime that already keeps atomic counters (dsm's
-// nodeStats, the transports' totals) exposes them with zero additional
-// cost on the paths that tick them.
+// and gauges are callback series (CounterFunc/GaugeFunc) that read a
+// value only when scraped — so a runtime that already keeps atomic
+// counters (dsm's nodeStats, the transports' totals) exposes them with
+// zero additional cost on the paths that tick them — and histograms are
+// atomic bucket arrays.
 package obs
 
 import (
@@ -22,37 +22,6 @@ import (
 	"sync"
 	"sync/atomic"
 )
-
-// Counter is a monotonically increasing metric cell.
-type Counter struct{ v atomic.Int64 }
-
-// Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Add adds d (which must not be negative for Prometheus semantics).
-func (c *Counter) Add(d int64) { c.v.Add(d) }
-
-// Value returns the current count.
-func (c *Counter) Value() int64 { return c.v.Load() }
-
-// Gauge is a metric cell that can go up and down.
-type Gauge struct{ bits atomic.Uint64 }
-
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Add adds d to the gauge (atomic CAS loop).
-func (g *Gauge) Add(d float64) {
-	for {
-		old := g.bits.Load()
-		if g.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+d)) {
-			return
-		}
-	}
-}
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
 // Histogram is a fixed-bucket cumulative histogram. Observe is
 // lock-free: a bucket increment, a count increment and a CAS-added sum.
@@ -103,7 +72,6 @@ type series struct {
 	typ  string // "counter" | "gauge" | "histogram"
 	read func() float64
 	hist *Histogram
-	obj  any // the registered cell, for idempotent re-registration
 }
 
 // Registry holds a process's metric series and renders them in
@@ -134,40 +102,6 @@ func (r *Registry) add(s *series) {
 	r.names = append(r.names, s.name)
 }
 
-// Counter registers (or returns the existing) counter cell named name.
-// Registering an existing name as a different metric type panics: it is
-// a programming error, like a duplicate flag registration.
-func (r *Registry) Counter(name, help string) *Counter {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if s, ok := r.byName[name]; ok {
-		if c, ok := s.obj.(*Counter); ok {
-			return c
-		}
-		panic("obs: series " + name + " already registered with a different type")
-	}
-	c := &Counter{}
-	r.add(&series{name: name, fam: splitName(name), help: help, typ: "counter",
-		read: func() float64 { return float64(c.Value()) }, obj: c})
-	return c
-}
-
-// Gauge registers (or returns the existing) gauge cell named name.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if s, ok := r.byName[name]; ok {
-		if g, ok := s.obj.(*Gauge); ok {
-			return g
-		}
-		panic("obs: series " + name + " already registered with a different type")
-	}
-	g := &Gauge{}
-	r.add(&series{name: name, fam: splitName(name), help: help, typ: "gauge",
-		read: func() float64 { return g.Value() }, obj: g})
-	return g
-}
-
 // CounterFunc registers a callback-backed counter series: fn is called
 // at exposition time only, so publishing an existing atomic costs
 // nothing on the path that ticks it.
@@ -191,19 +125,20 @@ func (r *Registry) registerFunc(name, help, typ string, fn func() float64) {
 
 // Histogram registers (or returns the existing) histogram named name
 // with the given ascending upper bucket bounds (the +Inf bucket is
-// implicit).
+// implicit). Registering an existing name as a different metric type
+// panics: it is a programming error, like a duplicate flag registration.
 func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if s, ok := r.byName[name]; ok {
-		if h, ok := s.obj.(*Histogram); ok {
-			return h
+		if s.hist != nil {
+			return s.hist
 		}
 		panic("obs: series " + name + " already registered with a different type")
 	}
 	h := &Histogram{bounds: append([]float64(nil), bounds...)}
 	h.counts = make([]atomic.Int64, len(bounds)+1)
-	r.add(&series{name: name, fam: splitName(name), help: help, typ: "histogram", hist: h, obj: h})
+	r.add(&series{name: name, fam: splitName(name), help: help, typ: "histogram", hist: h})
 	return h
 }
 

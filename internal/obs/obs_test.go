@@ -8,18 +8,19 @@ import (
 	"net/http"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
 
 func TestRegistryPrometheusText(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter(`reqs_total{node="0"}`, "requests")
-	c.Add(41)
-	c.Inc()
-	r.Counter(`reqs_total{node="1"}`, "requests").Add(7)
-	g := r.Gauge("queue_depth", "depth")
-	g.Set(3.5)
+	var reqs atomic.Int64
+	r.CounterFunc(`reqs_total{node="0"}`, "requests", func() float64 { return float64(reqs.Load()) })
+	reqs.Add(41)
+	reqs.Add(1)
+	r.CounterFunc(`reqs_total{node="1"}`, "requests", func() float64 { return 7 })
+	r.GaugeFunc("queue_depth", "depth", func() float64 { return 3.5 })
 	r.GaugeFunc("procs", "cluster size", func() float64 { return 8 })
 
 	var buf bytes.Buffer
@@ -43,9 +44,26 @@ func TestRegistryPrometheusText(t *testing.T) {
 	if n := strings.Count(out, "# TYPE reqs_total counter"); n != 1 {
 		t.Errorf("TYPE for reqs_total emitted %d times", n)
 	}
-	// Idempotent re-registration returns the same cell.
-	if c2 := r.Counter(`reqs_total{node="0"}`, "requests"); c2 != c {
-		t.Error("re-registration returned a different cell")
+	// Re-registering a histogram returns the same one; a name registered
+	// twice as a callback series, or as a histogram and as a callback
+	// series, is a programming error.
+	h := r.Histogram("lat_seconds", "latency", []float64{1})
+	if h2 := r.Histogram("lat_seconds", "latency", []float64{1}); h2 != h {
+		t.Error("re-registration returned a different histogram")
+	}
+	for name, register := range map[string]func(){
+		"counter twice":          func() { r.CounterFunc(`reqs_total{node="0"}`, "requests", func() float64 { return 0 }) },
+		"histogram over counter": func() { r.Histogram(`reqs_total{node="1"}`, "requests", []float64{1}) },
+		"gauge over histogram":   func() { r.GaugeFunc("lat_seconds", "latency", func() float64 { return 0 }) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("registering %s did not panic", name)
+				}
+			}()
+			register()
+		}()
 	}
 }
 
@@ -81,15 +99,19 @@ func TestRegistryHistogram(t *testing.T) {
 
 func TestRegistryConcurrent(t *testing.T) {
 	r := NewRegistry()
+	var counts [4]atomic.Int64
+	for w := range counts {
+		r.CounterFunc(fmt.Sprintf(`c_total{w="%d"}`, w), "c", func() float64 { return float64(counts[w].Load()) })
+	}
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			c := r.Counter(fmt.Sprintf(`c_total{w="%d"}`, i%4), "c")
+			r.GaugeFunc(fmt.Sprintf(`g{i="%d"}`, i), "g", func() float64 { return float64(i) })
 			h := r.Histogram(fmt.Sprintf(`h_seconds{w="%d"}`, i%4), "h", []float64{1, 10})
 			for j := 0; j < 1000; j++ {
-				c.Inc()
+				counts[i%4].Add(1)
 				h.Observe(float64(j % 20))
 			}
 			var sink bytes.Buffer
@@ -101,8 +123,10 @@ func TestRegistryConcurrent(t *testing.T) {
 	if err := r.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), `c_total{w="0"} 2000`) {
-		t.Errorf("lost counter increments:\n%s", buf.String())
+	for _, want := range []string{`c_total{w="0"} 2000`, `h_seconds_count{w="0"} 2000`, `g{i="7"} 7`} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("exposition missing %q:\n%s", want, buf.String())
+		}
 	}
 }
 
@@ -197,7 +221,7 @@ func TestTracerRingAndChromeDump(t *testing.T) {
 
 func TestServerEndpoints(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("hits_total", "hits").Add(3)
+	r.CounterFunc("hits_total", "hits", func() float64 { return 3 })
 	tr := NewTracer(8)
 	tr.Emit(1, "sync", "cs-enter", 7)
 	srv, err := StartServer("127.0.0.1:0", ServerConfig{
@@ -240,16 +264,6 @@ func TestServerEndpoints(t *testing.T) {
 	if body := get("/debug/pprof/allocs"); !strings.HasPrefix(body, "\x1f\x8b") {
 		t.Errorf("/debug/pprof/allocs is not a gzipped profile: %d bytes starting %q", len(body), body[:min(len(body), 8)])
 	}
-}
-
-func BenchmarkCounterInc(b *testing.B) {
-	r := NewRegistry()
-	c := r.Counter("bench_total", "bench")
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			c.Inc()
-		}
-	})
 }
 
 func BenchmarkHistogramObserve(b *testing.B) {

@@ -86,7 +86,8 @@ func TestLeasesRecycleWholeGate(t *testing.T) {
 // TestReleasedLeaseIsPoisoned: under poison-on-release a read through a
 // twin or a diff after its last release fails at once, before the next
 // capture or diff reuses the header: the twin reads poison, and the diff's
-// runs start at a negative offset, which Apply refuses.
+// runs start at a negative offset, which Apply refuses. A write log's
+// buffer, given back by Reset, reads poison too.
 func TestReleasedLeaseIsPoisoned(t *testing.T) {
 	framebuf.SetPoison(true)
 	defer framebuf.SetPoison(false)
@@ -102,6 +103,15 @@ func TestReleasedLeaseIsPoisoned(t *testing.T) {
 	tw.Release()
 	if data := tw.Data(); len(data) != len(cur) || data[0] != framebuf.PoisonByte {
 		t.Errorf("a released twin reads %d bytes starting %#x, want poison", len(data), data[0])
+	}
+	var log WriteLog
+	log.Write(cur, 8, []byte{1, 2, 3, 4})
+	buf := log.buf[:cap(log.buf)]
+	log.Reset()
+	for i, w := range buf {
+		if w != uint64(framebuf.PoisonByte)*0x0101010101010101 {
+			t.Fatalf("word %d of a reset write log's buffer reads %#x, want poison", i, w)
+		}
 	}
 }
 

@@ -1,15 +1,15 @@
 package page
 
 import (
-	"sync"
+	"math/bits"
 	"sync/atomic"
 
 	"repro/internal/framebuf"
 )
 
-// Size-classed free lists of leases for the data plane: a mutex-guarded
-// stack per class, non-blocking get/put. A lease is a counted hold on one
-// pooled buffer together with the header that holds it — a Twin, a Diff and
+// The lease pool: a framebuf.Pool of leases, classed by their buffer's
+// bytes from 64 B to 64 KiB. A lease is a counted hold on one pooled
+// buffer together with the header that holds it — a Twin, a Diff and
 // a Slab are the same header under three method sets — so the header, the
 // buffer and the diff's run table and payload windows are recycled as one:
 // a steady-state diff, parse, flatten or clone allocates nothing. Diff
@@ -22,12 +22,12 @@ import (
 // capacity of its run table and windows across uses.
 //
 // Retention is bounded in bytes, not leases: each class keeps up to
-// PoolBytes of buffers. A garbage-collection epoch's sweep releases the
-// store slabs of the intervals it covers at once, and the closes of the
-// next epoch take them back, so a pool shallower than what one epoch
-// stores drops slabs at every epoch only to allocate them again; PoolStats
-// counts the gets that missed (a cluster of several nodes in one process
-// shares the pool and can overflow it).
+// framebuf.PoolBytes of buffers. A garbage-collection epoch's sweep
+// releases the store slabs of the intervals it covers at once, and the
+// closes of the next epoch take them back, so a pool shallower than what
+// one epoch stores drops slabs at every epoch only to allocate them again;
+// PoolStats counts the gets that missed (a cluster of several nodes in one
+// process shares the pool and can overflow it).
 //
 // Ownership discipline: a lease is recycled by its last holder. Twins,
 // made diffs and slabs are counted (Twin.Release, Diff.Release,
@@ -49,15 +49,12 @@ import (
 // body — fails the differential tests at once (Diff.Apply refuses such
 // runs, ParseBody such a body).
 
+// minPoolShift..maxPoolShift bound the pooled classes: 64 B to 64 KiB in
+// powers of two, covering every page size the runtime configures. Class c
+// holds buffers of 1<<c bytes.
 const (
-	// minPoolShift..maxPoolShift bound the pooled classes: 64 B to 64 KiB
-	// in powers of two, covering every page size the runtime configures.
 	minPoolShift = 6
 	maxPoolShift = 16
-	numClasses   = maxPoolShift - minPoolShift + 1
-
-	// PoolBytes bounds the bytes each class retains.
-	PoolBytes = 4 << 20
 )
 
 // lease is the header the pool recycles: a counted hold on buf. A twin and
@@ -74,14 +71,8 @@ type lease struct {
 	refs atomic.Int32
 }
 
-// leaseClass is one size class's free stack.
-type leaseClass struct {
-	mu   sync.Mutex
-	free []*lease
-}
-
 var (
-	classes    [numClasses]leaseClass
+	leases     = framebuf.Pool[*lease]{Poison: poisonLease}
 	poolGets   atomic.Int64
 	poolMisses atomic.Int64
 )
@@ -98,11 +89,7 @@ func classFor(n int) int {
 	if n <= 0 || n > 1<<maxPoolShift {
 		return -1
 	}
-	c := 0
-	for 1<<(minPoolShift+c) < n {
-		c++
-	}
-	return c
+	return max(bits.Len(uint(n-1)), minPoolShift)
 }
 
 // getLease returns an owned lease with one reference over a length-n
@@ -116,20 +103,13 @@ func getLease(n int) *lease {
 		return newLease(make([]byte, n))
 	}
 	poolGets.Add(1)
-	cl := &classes[c]
-	cl.mu.Lock()
-	if last := len(cl.free) - 1; last >= 0 {
-		l := cl.free[last]
-		cl.free[last] = nil
-		cl.free = cl.free[:last]
-		cl.mu.Unlock()
+	if l, ok := leases.Get(c); ok {
 		l.buf, l.runs, l.data = l.buf[:n], l.runs[:0], l.data[:0]
 		l.refs.Store(1)
 		return l
 	}
-	cl.mu.Unlock()
 	poolMisses.Add(1)
-	return newLease(make([]byte, n, 1<<(minPoolShift+c)))
+	return newLease(make([]byte, n, 1<<c))
 }
 
 // SlabBytes is the size of the pool's largest class: a Slab's, unless its
@@ -175,24 +155,21 @@ func (l *lease) release() bool {
 
 // putLease recycles a lease whose last reference is gone. A lease whose
 // buffer is not an exact class size (an oversized one) is left to the
-// garbage collector, as is whatever would take its class past PoolBytes.
+// garbage collector, as is whatever would take its class past
+// framebuf.PoolBytes.
 func putLease(l *lease) {
-	c := classFor(cap(l.buf))
-	if c < 0 || cap(l.buf) != 1<<(minPoolShift+c) {
-		return
+	if c := classFor(cap(l.buf)); c >= 0 && cap(l.buf) == 1<<c {
+		leases.Put(c, l, 1<<c)
 	}
-	if framebuf.Poisoned() {
-		framebuf.Poison(l.buf[:cap(l.buf)])
-		dead := uint32(framebuf.PoisonByte) * 0x01010101
-		runs := l.runs[:cap(l.runs)]
-		for i := range runs {
-			runs[i] = Run{Off: int32(dead), Len: int32(dead)}
-		}
+}
+
+// poisonLease is the pool's poison: it overwrites a released lease's
+// buffer and rewrites its run table to runs at a negative offset.
+func poisonLease(l *lease) {
+	framebuf.Poison(l.buf[:cap(l.buf)])
+	dead := uint32(framebuf.PoisonByte) * 0x01010101
+	runs := l.runs[:cap(l.runs)]
+	for i := range runs {
+		runs[i] = Run{Off: int32(dead), Len: int32(dead)}
 	}
-	cl := &classes[c]
-	cl.mu.Lock()
-	if len(cl.free) < PoolBytes>>(minPoolShift+c) {
-		cl.free = append(cl.free, l)
-	}
-	cl.mu.Unlock()
 }

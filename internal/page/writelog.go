@@ -4,7 +4,8 @@ import (
 	"encoding/binary"
 	"math/bits"
 	"slices"
-	"sync"
+
+	"repro/internal/framebuf"
 )
 
 // WriteLog captures a page copy's writes word by word, as Midway's software
@@ -21,9 +22,10 @@ import (
 // logged like any other: its old value is its few bytes.
 //
 // The zero value is an empty log. A log holds storage only while its window
-// is open: the first write takes it off a pool of its own, which Reset
-// gives it back to, so a page that is not being written costs a pointer and
-// a steady-state window allocates nothing.
+// is open: the first write takes it off the log storage pool (logBufs, a
+// framebuf.Pool of word slabs), which Reset gives it back to, so a page that
+// is not being written costs a pointer and a steady-state window allocates
+// nothing.
 type WriteLog struct {
 	// buf is the window's storage, nil while it is empty: the bitmap of
 	// logged words (bit w of buf[w/64]), then one entry per logged word in
@@ -59,7 +61,7 @@ func (w *WriteLog) Write(data []byte, off int, src []byte) (logged int) {
 	first, last := uint(off)/WordSize, uint(off+len(src)-1)/WordSize
 	if w.buf == nil {
 		w.marks = (len(data) + 64*WordSize - 1) / (64 * WordSize)
-		w.buf = getLogBuf(w.marks + 8)[:w.marks]
+		w.buf = framebuf.GetSlab(&logBufs, w.marks+8)[:w.marks]
 		clear(w.buf)
 	} else if n := last - first + 1; first/64 == last/64 && n < 64 {
 		// A write within one bitmap word whose words are all logged: a
@@ -73,9 +75,9 @@ func (w *WriteLog) Write(data []byte, off int, src []byte) (logged int) {
 		if m, bit := &w.buf[k/64], uint64(1)<<(k%64); *m&bit == 0 {
 			*m |= bit
 			if len(w.buf) == cap(w.buf) {
-				grown := getLogBuf(2 * len(w.buf))[:len(w.buf)]
+				grown := framebuf.GetSlab(&logBufs, 2*len(w.buf))[:len(w.buf)]
 				copy(grown, w.buf)
-				putLogBuf(w.buf)
+				framebuf.PutSlab(&logBufs, w.buf)
 				w.buf = grown
 			}
 			w.buf = append(w.buf, uint64(k)<<32|uint64(wordAt(data, int(k)*WordSize)))
@@ -156,7 +158,7 @@ func (w *WriteLog) sort() {
 	case 16*len(ents) < 64*w.marks:
 		slices.Sort(ents)
 	default:
-		byWord := getLogBuf(64 * w.marks)[:64*w.marks]
+		byWord := framebuf.GetSlab(&logBufs, 64*w.marks)
 		for _, e := range ents {
 			byWord[e>>32] = e
 		}
@@ -167,7 +169,7 @@ func (w *WriteLog) sort() {
 				i++
 			}
 		}
-		putLogBuf(byWord)
+		framebuf.PutSlab(&logBufs, byWord)
 	}
 }
 
@@ -175,60 +177,18 @@ func (w *WriteLog) sort() {
 // the log forgets its words and gives its storage back.
 func (w *WriteLog) Reset() {
 	if w.buf != nil {
-		putLogBuf(w.buf)
+		framebuf.PutSlab(&logBufs, w.buf)
 		w.buf = nil
 	}
 }
 
-// The log storage pool: a free stack per power-of-two capacity, from
-// minLogShift words up, each bounded at PoolBytes, as the lease classes
-// are.
-const (
-	minLogShift = 4
-	logClasses  = 24
-)
-
-var logFree [logClasses]struct {
-	mu   sync.Mutex
-	free [][]uint64
-}
-
-// logClass returns the class whose buffers hold n words.
-func logClass(n int) int {
-	return max(bits.Len(uint(n-1)), minLogShift) - minLogShift
-}
-
-// getLogBuf returns an empty buffer of at least n words, from the pool when
-// it has one. Its contents are unspecified.
-func getLogBuf(n int) []uint64 {
-	c := logClass(n)
-	if c >= logClasses {
-		return make([]uint64, 0, n)
+// logBufs is the log storage pool, classed by capacity in words: a log's
+// buffers hold its page's bitmap and at least eight entries, so the
+// smallest class a log takes is 16 words. A buffer goes back as it is, its
+// stale words overwritten before it is read again, and under
+// poison-on-release reads PoisonByte in every byte.
+var logBufs = framebuf.Pool[[]uint64]{Poison: func(b []uint64) {
+	for i := range b {
+		b[i] = uint64(framebuf.PoisonByte) * 0x0101010101010101
 	}
-	fl := &logFree[c]
-	fl.mu.Lock()
-	if last := len(fl.free) - 1; last >= 0 {
-		b := fl.free[last]
-		fl.free[last] = nil
-		fl.free = fl.free[:last]
-		fl.mu.Unlock()
-		return b
-	}
-	fl.mu.Unlock()
-	return make([]uint64, 0, 1<<(c+minLogShift))
-}
-
-// putLogBuf returns b to the pool, unless its class is full or b is not a
-// class's size.
-func putLogBuf(b []uint64) {
-	c := logClass(cap(b))
-	if c >= logClasses || cap(b) != 1<<(c+minLogShift) {
-		return
-	}
-	fl := &logFree[c]
-	fl.mu.Lock()
-	if len(fl.free) < PoolBytes/8>>(c+minLogShift) {
-		fl.free = append(fl.free, b[:0])
-	}
-	fl.mu.Unlock()
-}
+}}

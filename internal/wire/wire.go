@@ -171,21 +171,22 @@
 // Msg.Release — the worker when the handler returns, the waiter's rpc when
 // it has consumed the response, the master when it has answered the
 // arrival — and the last one returns the frame it holds and the shell to
-// their free lists. What is recycled is the shell — its scalars, its slice headers,
-// its first section and the clock a sender copied in (SetClock) — and the
-// slabs the message took from the slab pool, one process-wide pool,
-// size-classed and bounded in bytes. Every block decodes into its slabs,
-// whatever its size — an interval block's records, clocks and page lists,
-// the enclosing clock the clock slab's first window, a diff block's
-// records, diff headers, runs and payload windows, the wants, a clock
-// without an interval block — and a sender's block is built in them
-// (TakeIntervals, TakeDiffs). The last Release gives them back for the next
-// message, so nothing may read a decoded clock, an IntervalRec, its VC or
-// Pages, a DiffRec, its Diff, or a Want after it: whoever needs one longer
-// copies it first (core.Log.Append copies what it is handed; a page copy
-// copies the applied clock of its KPageResp; the LU store clones a diff; a
-// diff request is served before its handler returns). Data is never reused:
-// it belongs to whoever absorbed it, or to the garbage collector.
+// their free lists. What is recycled is the shell — its scalars, its slice
+// headers, its first section and the clock a sender copied in (SetClock) —
+// and the slabs the message took from the slab pool, process-wide
+// framebuf.Pools (one per element type), size-classed and bounded in bytes.
+// Every block decodes into its slabs, whatever its size — an interval
+// block's records, clocks and page lists, the enclosing clock the clock
+// slab's first window, a diff block's records, diff headers, runs and
+// payload windows, the wants, a clock without an interval block — and a
+// sender's block is built in them (TakeIntervals, TakeDiffs). The last
+// Release gives them back for the next message, so nothing may read a
+// decoded clock, an IntervalRec, its VC or Pages, a DiffRec, its Diff, or a
+// Want after it: whoever needs one longer copies it first (core.Log.Append
+// copies what it is handed; a page copy copies the applied clock of its
+// KPageResp; the LU store clones a diff; a diff request is served before its
+// handler returns). Data is never reused: it belongs to whoever absorbed it,
+// or to the garbage collector.
 // Under poison-on-release a released shell reads as an invalid kind with
 // 0xDB scalars, the slabs it gave back as 0xDB entries, and a kept diff
 // header as runs at a negative offset, which page.Diff.Apply refuses; one
@@ -198,9 +199,7 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"sync"
 	"sync/atomic"
-	"unsafe"
 
 	"repro/internal/framebuf"
 	"repro/internal/mem"
@@ -444,112 +443,59 @@ type heldSlabs struct {
 	wants [][]Want
 }
 
-// release gives every slab back to its pool, scrubbed (slabPool.put).
-func (h *heldSlabs) release(poisoned bool) {
-	giveBack(&recSlabs, &h.recs, poisoned)
-	giveBack(&wordSlabs, &h.words, poisoned)
-	giveBack(&pageSlabs, &h.pages, poisoned)
-	giveBack(&diffSlabs, &h.diffs, poisoned)
-	giveBack(&hdrSlabs, &h.hdrs, poisoned)
-	giveBack(&runSlabs, &h.runs, poisoned)
-	giveBack(&dataSlabs, &h.data, poisoned)
-	giveBack(&wantSlabs, &h.wants, poisoned)
+// release gives every slab back to its pool, scrubbed or poisoned.
+func (h *heldSlabs) release() {
+	giveBack(&recSlabs, &h.recs)
+	giveBack(&wordSlabs, &h.words)
+	giveBack(&pageSlabs, &h.pages)
+	giveBack(&diffSlabs, &h.diffs)
+	giveBack(&hdrSlabs, &h.hdrs)
+	giveBack(&runSlabs, &h.runs)
+	giveBack(&dataSlabs, &h.data)
+	giveBack(&wantSlabs, &h.wants)
 }
 
 // take returns n elements of a slab from p, listed in held.
-func take[T any](p *slabPool[T], held *[][]T, n int) []T {
-	*held = append(*held, p.get(n))
+func take[T any](p *framebuf.Pool[[]T], held *[][]T, n int) []T {
+	*held = append(*held, framebuf.GetSlab(p, n))
 	return (*held)[len(*held)-1]
 }
 
-func giveBack[T any](p *slabPool[T], held *[][]T, poisoned bool) {
+func giveBack[T any](p *framebuf.Pool[[]T], held *[][]T) {
 	for _, s := range *held {
-		p.put(s, poisoned)
+		framebuf.PutSlab(p, s)
 	}
 	*held = slices.Delete(*held, 0, len(*held))
-}
-
-// The slab pool: a mutex-guarded free stack per size class and element
-// type, in internal/page/pool.go's idiom, shared by the process's nodes.
-// Class c holds slabs of 1<<c elements and retains up to slabPoolBytes of
-// them; a slab past the last class, or one its class has no room for, is
-// left to the garbage collector.
-const (
-	slabClasses   = 21 // 1 to 1 Mi elements
-	slabPoolBytes = 4 << 20
-)
-
-type slabPool[T any] struct {
-	classes [slabClasses]struct {
-		mu   sync.Mutex
-		free [][]T
-	}
-	// poison, if any, makes a slab released under poison-on-release read
-	// as garbage; otherwise a released slab is cleared, to pin nothing.
-	poison func(s []T)
-}
-
-// get returns a slab of n elements, recycled when n's class has one: never
-// nil, with unspecified contents that its taker overwrites.
-func (p *slabPool[T]) get(n int) []T {
-	c := bits.Len(uint(max(n, 1) - 1)) // the class whose slabs hold n
-	if c >= slabClasses {
-		return make([]T, n)
-	}
-	cl := &p.classes[c]
-	cl.mu.Lock()
-	if last := len(cl.free) - 1; last >= 0 {
-		s := cl.free[last]
-		cl.free[last] = nil
-		cl.free = cl.free[:last]
-		cl.mu.Unlock()
-		return s[:n]
-	}
-	cl.mu.Unlock()
-	return make([]T, n, 1<<c)
-}
-
-// put scrubs s and lists it, unless it is no class's size or the class is full.
-func (p *slabPool[T]) put(s []T, poisoned bool) {
-	c := bits.Len(uint(cap(s) - 1))
-	if c >= slabClasses || cap(s) != 1<<c {
-		return
-	}
-	switch s = s[:cap(s)]; {
-	case !poisoned:
-		clear(s)
-	case p.poison != nil:
-		p.poison(s)
-	}
-	cl := &p.classes[c]
-	cl.mu.Lock()
-	if (len(cl.free)+1)*cap(s)*int(unsafe.Sizeof(s[0])) <= slabPoolBytes {
-		cl.free = append(cl.free, s)
-	}
-	cl.mu.Unlock()
 }
 
 // dead is what a released slab's numbers read under poison-on-release:
 // 0xDBDBDBDB, framebuf.PoisonByte in every byte.
 const dead int32 = -0x24242425
 
-// The pools. A poisoned diff record keeps pointing to its header, and a
-// header to its runs, so a kept *page.Diff — its windows in the poisoned
-// frame — is refused by page.Diff.Apply, its runs at a negative offset.
+// The slab pools, one per element type, shared by the process's nodes. A
+// poisoned diff record keeps pointing to its header, and a header to its
+// runs, so a kept *page.Diff — its windows in the poisoned frame — is
+// refused by page.Diff.Apply, its runs at a negative offset.
 var (
-	recSlabs  = slabPool[IntervalRec]{poison: fillWith(IntervalRec{Proc: mem.ProcID(dead), Index: dead})}
-	wordSlabs = slabPool[int32]{poison: fillWith(dead)}
-	pageSlabs = slabPool[mem.PageID]{poison: fillWith(mem.PageID(dead))}
-	diffSlabs = slabPool[DiffRec]{poison: func(s []DiffRec) {
+	recSlabs  = slabs(fillWith(IntervalRec{Proc: mem.ProcID(dead), Index: dead}))
+	wordSlabs = slabs(fillWith(dead))
+	pageSlabs = slabs(fillWith(mem.PageID(dead)))
+	diffSlabs = slabs(func(s []DiffRec) {
 		for i := range s {
 			s[i].Page, s[i].Proc, s[i].Index = mem.PageID(dead), mem.ProcID(dead), dead
 		}
-	}}
-	hdrSlabs  slabPool[page.Diff]
-	runSlabs  = slabPool[page.Run]{poison: fillWith(page.Run{Off: dead, Len: dead})}
-	dataSlabs slabPool[[]byte]
-	wantSlabs = slabPool[Want]{poison: fillWith(Want{Page: mem.PageID(dead), Proc: mem.ProcID(dead), Index: dead, Span: dead})}
+	})
+	hdrSlabs  = slabs[page.Diff](nil)
+	runSlabs  = slabs(fillWith(page.Run{Off: dead, Len: dead}))
+	dataSlabs = slabs[[]byte](nil)
+	wantSlabs = slabs(fillWith(Want{Page: mem.PageID(dead), Proc: mem.ProcID(dead), Index: dead, Span: dead}))
 )
+
+// slabs returns a slab pool that clears a released slab, to pin nothing,
+// and under poison-on-release leaves it to poison, if any.
+func slabs[T any](poison func([]T)) framebuf.Pool[[]T] {
+	return framebuf.Pool[[]T]{Scrub: func(s []T) { clear(s) }, Poison: poison}
+}
 
 // fillWith returns the poison that sets every element of a slab to x.
 func fillWith[T any](x T) func([]T) {
@@ -656,12 +602,11 @@ func (m *Msg) Release() {
 		framebuf.Put(k.frame)
 		*m = Msg{kept: k}
 		k.sec, k.frame = [1]Section{}, nil
-		poisoned := framebuf.Poisoned()
-		if poisoned {
+		if framebuf.Poisoned() {
 			m.Kind, m.Seq, m.A, m.B = poisonKind, uint64(framebuf.PoisonByte)*0x0101010101010101, dead, dead
-			wordSlabs.poison(k.clock[:cap(k.clock)])
+			wordSlabs.Poison(k.clock[:cap(k.clock)])
 		}
-		k.slabs.release(poisoned)
+		k.slabs.release()
 		select {
 		case freeMsgs <- m:
 		default:
