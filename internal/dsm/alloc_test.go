@@ -690,8 +690,7 @@ func warmDiffPool(n, pageSize int) {
 // TestDenseDiffServeAllocatesNoBodyGate: with a warm pool, the serve of a
 // dense 4 KiB diff — its body read out of the store's body slab into a
 // pooled lease, the response encoded into a pooled frame — allocates
-// nothing: the lease brings the diff's header, run table and window with
-// its body. A header made per diff measured 120 B, and a body made with
+// nothing: the lease brings the diff's header with its body. A header made per diff measured 120 B, and a body made with
 // make took it past 4,864 B.
 func TestDenseDiffServeAllocatesNoBodyGate(t *testing.T) {
 	testenv.SkipAllocGate(t)

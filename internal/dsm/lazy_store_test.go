@@ -60,11 +60,12 @@ func TestSlotSlabs(t *testing.T) {
 		}
 		d, err := slot.diff()
 		// The section's value changes the low word of its page's record.
-		if err != nil || d.NumRuns() != 1 || d.Runs()[0] != (page.Run{Off: 8, Len: 4}) {
+		if err != nil || d.NumRuns() != 1 || d.AppendRuns(nil)[0] != (page.Run{Off: 8, Len: 4}) {
 			t.Errorf("interval %d's diff of page %d reads %v (%v), want the record's low word", i, pg, d, err)
 			continue
 		}
-		if got := binary.LittleEndian.Uint32(d.RunData(0)); got != uint32(i)+1 {
+		body := d.EnsureWireBody()
+		if got := binary.LittleEndian.Uint32(body[len(body)-4:]); got != uint32(i)+1 {
 			t.Errorf("interval %d's diff of page %d carries %d", i, pg, got)
 		}
 		d.Release()

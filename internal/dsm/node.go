@@ -120,7 +120,7 @@ type Stats struct {
 	// Outbound traffic as the node handed it to the transport (loopback
 	// excluded, matching the interconnect's accounting):
 	// SentMsgs messages, each one frame, SentBytes of encoded payload in
-	// total.
+	// total: the sums of KindMsgs and KindBytes.
 	SentMsgs int64
 	// SentFrames equals SentMsgs. Kept for bench/lrcbench; ROADMAP item 1
 	// removes it.
@@ -176,18 +176,14 @@ type nodeStats struct {
 	updatesReceived  atomic.Int64
 	ownershipMoves   atomic.Int64
 
-	sentMsgs  atomic.Int64
-	sentBytes atomic.Int64
 	kindMsgs  [wire.NumKinds]atomic.Int64
 	kindBytes [wire.NumKinds]atomic.Int64
 }
 
-// countSent ticks the per-kind and total outbound counters for one
-// encoded message of the given payload size (called by Node.send for
-// remote destinations only).
+// countSent ticks the per-kind outbound counters, whose sums are the
+// totals, for one encoded message of the given payload size (called by
+// Node.send for remote destinations only).
 func (s *nodeStats) countSent(k wire.Kind, bytes int) {
-	s.sentMsgs.Add(1)
-	s.sentBytes.Add(int64(bytes))
 	s.kindMsgs[k].Add(1)
 	s.kindBytes[k].Add(int64(bytes))
 }
@@ -214,17 +210,17 @@ func (s *nodeStats) snapshot() Stats {
 		InvalsReceived:   s.invalsReceived.Load(),
 		UpdatesReceived:  s.updatesReceived.Load(),
 		OwnershipMoves:   s.ownershipMoves.Load(),
-		SentMsgs:         s.sentMsgs.Load(),
-		SentBytes:        s.sentBytes.Load(),
 	}
 	s.raisePeak(st.TwinBytesLive)
 	st.TwinBytesPeak = s.twinBytesPeak.Load()
-	st.SentFrames = st.SentMsgs
 	_, st.TwinPoolMisses = page.PoolStats()
 	for k := range s.kindMsgs {
 		st.KindMsgs[k] = s.kindMsgs[k].Load()
 		st.KindBytes[k] = s.kindBytes[k].Load()
+		st.SentMsgs += st.KindMsgs[k]
+		st.SentBytes += st.KindBytes[k]
 	}
+	st.SentFrames = st.SentMsgs
 	return st
 }
 

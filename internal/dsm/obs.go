@@ -108,8 +108,8 @@ func (s *System) registerMetrics(r *obs.Registry) {
 		nodeCounter("dsm_node_invals_received_total", "invalidations applied", n.stats.invalsReceived.Load)
 		nodeCounter("dsm_node_updates_received_total", "release-time updates applied", n.stats.updatesReceived.Load)
 		nodeCounter("dsm_node_ownership_moves_total", "directory ownership transfers", n.stats.ownershipMoves.Load)
-		nodeCounter("dsm_node_sent_msgs_total", "outbound logical messages", n.stats.sentMsgs.Load)
-		nodeCounter("dsm_node_sent_bytes_total", "outbound payload bytes", n.stats.sentBytes.Load)
+		nodeCounter("dsm_node_sent_msgs_total", "outbound logical messages", func() int64 { return n.stats.snapshot().SentMsgs })
+		nodeCounter("dsm_node_sent_bytes_total", "outbound payload bytes", func() int64 { return n.stats.snapshot().SentBytes })
 		for k := wire.Kind(1); int(k) < wire.NumKinds; k++ {
 			if !k.Known() {
 				continue // a retired kind

@@ -2,7 +2,6 @@ package dsm
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"slices"
 	"strings"
@@ -27,9 +26,9 @@ func TestPoisonModeIsOn(t *testing.T) {
 // TestEarlyReleaseIsCaught commits the one bug the borrowed diff plane
 // allows — letting go of a response, and so of its frame and its shell,
 // before its diffs are applied — on purpose, and checks that the miss sees
-// it: the diff header the released shell kept reads as poison, its runs
-// starting at a negative offset, so Apply refuses it and the miss fails
-// rather than install a page. The same miss without the early release
+// it: the diff header the released shell kept reads as poison, a body that
+// does not parse, so Apply refuses it and the miss fails rather than
+// install a page. The same miss without the early release
 // reads the writer's value, so the verdict is the release's doing.
 func TestEarlyReleaseIsCaught(t *testing.T) {
 	const addr, pg = mem.Addr(2048), mem.PageID(2)
@@ -92,7 +91,7 @@ func TestEarlyReleaseIsCaught(t *testing.T) {
 		err = e.apply(r, 0)
 		r.held[0].resp.Release()
 		if early {
-			if err == nil || !strings.Contains(err.Error(), "exceeds page size") {
+			if err == nil || !strings.Contains(err.Error(), "malformed diff body") {
 				t.Errorf("a miss over a diff applied after its response's release = %v, want Apply's refusal", err)
 			}
 			continue
@@ -268,7 +267,7 @@ func TestFreedBodySlabReadIsCaught(t *testing.T) {
 	kept := *e.slotLocked(id, pg) // the bug: a slot outlives the lock that pins it
 	e.mu.Unlock()
 	d, err := kept.diff()
-	if err != nil || d.NumRuns() != 1 || binary.LittleEndian.Uint32(d.RunData(0)) != 0x5A5A {
+	if err != nil || d.NumRuns() != 1 || !bytes.HasSuffix(d.EnsureWireBody(), []byte{0x5A, 0x5A, 0, 0}) {
 		t.Fatalf("the slot read before the epoch: %v, %v", d, err)
 	}
 	d.Release()

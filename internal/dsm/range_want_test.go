@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -50,7 +51,7 @@ func lazyEngineWithIntervals(t *testing.T) (*lazyEngine, mem.PageID) {
 // grows no engine state — the store keeps the very slots, bodies and body
 // slabs the closes made, and no serve counts as a cache hit — and each
 // merge goes back to the page pool when that count is released: under
-// poison-on-release its run table then reads dead.
+// poison-on-release its body then no longer parses.
 func TestFlatCacheBounded(t *testing.T) {
 	e, pg := lazyEngineWithIntervals(t)
 	e.mu.Lock()
@@ -66,8 +67,8 @@ func TestFlatCacheBounded(t *testing.T) {
 			t.Fatalf("serve %d of range 1..2 merged nothing", i)
 		}
 		d.Release()
-		if off := d.Runs()[0].Off; off >= 0 {
-			t.Fatalf("serve %d: the merge outlived its one release (first run at %d)", i, off)
+		if err := d.Apply(make([]byte, 1<<16)); err == nil || !strings.Contains(err.Error(), "malformed diff body") {
+			t.Fatalf("serve %d: the merge outlived its one release (it applies with %v)", i, err)
 		}
 	}
 	own := &e.store.procs[0]

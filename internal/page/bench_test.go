@@ -27,7 +27,8 @@ func byteLoopMakeDiff(twin *Twin, current []byte) (*Diff, error) {
 	}
 	a, b := twin.Data(), current
 	n := len(current)
-	d := &Diff{}
+	var runs []Run
+	var data [][]byte
 	i := 0
 	for i < n {
 		for i < n && byteWordEqual(a, b, i, n) {
@@ -46,10 +47,10 @@ func byteLoopMakeDiff(twin *Twin, current []byte) (*Diff, error) {
 		}
 		payload := make([]byte, end-start)
 		copy(payload, b[start:end])
-		d.runs = append(d.runs, Run{Off: int32(start), Len: int32(end - start)})
-		d.data = append(d.data, payload)
+		runs = append(runs, Run{Off: int32(start), Len: int32(end - start)})
+		data = append(data, payload)
 	}
-	return d, nil
+	return DiffFromRuns(runs, data)
 }
 
 // sparsePage builds a 4KB page pair with a handful of scattered word
@@ -103,7 +104,7 @@ func BenchmarkDiffServe(b *testing.B) {
 	}
 	buf := make([]byte, 0, d.WireSize())
 	for i := 0; i < b.N; i++ {
-		buf = d.AppendWireBody(buf[:0])
+		buf = append(buf[:0], d.EnsureWireBody()...)
 	}
 	_ = buf
 }
@@ -121,7 +122,6 @@ func TestDiffServeFromCacheAllocsGate(t *testing.T) {
 	buf := make([]byte, 0, 2*d.WireSize())
 	allocs := testing.AllocsPerRun(100, func() {
 		buf = append(buf[:0], d.EnsureWireBody()...)
-		buf = d.AppendWireBody(buf)
 	})
 	if allocs != 0 {
 		t.Fatalf("serving a diff allocated %.1f objects per op, want 0", allocs)

@@ -12,7 +12,7 @@ import (
 // diff carries a 16-byte header (page id, creating interval, run count)
 // plus, per run, an 8-byte (offset, length) descriptor and the run's
 // payload bytes. The live runtime's encoding of the same fields is
-// varint-coded and smaller (AppendWireBody); the payload term is equal.
+// varint-coded and smaller (AppendBody); the payload term is equal.
 const (
 	// DiffHeaderBytes is the fixed per-diff header size on the wire.
 	DiffHeaderBytes = 16
@@ -70,20 +70,18 @@ func (t *Twin) Release() bool { return (*lease)(t).release() }
 // byte runs that changed, together with their new values. A diff is
 // immutable once built.
 //
-// A diff has one payload representation: its wire body (the layout
-// AppendWireBody documents), held in a single buffer, with each run's
-// data a window of that buffer. DiffOf, MakeDiff, FlattenDiffs,
-// DiffFromRuns, ParseBody and Clone lay the body out once, in a lease off
-// the pool (pool.go) that brings the header, the buffer and the capacity
-// of a run table and its windows: the diff is made with one reference, whoever reads it beyond
-// the lock that pins its holder takes another (Retain), and the last
-// Release returns the whole lease to the pool — Twin's contract, a
+// A diff is its wire body (the layout AppendBody documents) and nothing
+// else: one buffer, which Apply, NumRuns, AppendRuns, WireSize and Clone
+// read. DiffOf, MakeDiff, FlattenDiffs, DiffFromRuns, ParseBody and Clone
+// lay the body out once, in a lease off the pool (pool.go) that brings the
+// header and the buffer: the diff is made with one reference, whoever reads
+// it beyond the lock that pins its holder takes another (Retain), and the
+// last Release returns the whole lease to the pool — Twin's contract, a
 // recycling one. A diff without runs is the one shared empty diff, which
 // owns nothing. The wire decoder fills a header its message keeps over the
 // received frame's bytes instead (SetWire): such a diff borrows the frame,
-// and its run table and payload windows the message's storage, counts
-// nothing, and is reused for another diff once the message is released —
-// Clone is the one way to keep it longer.
+// counts nothing, and is reused for another diff once the message is
+// released — Clone is the one way to keep it longer.
 type Diff lease
 
 // emptyDiff is every made diff without runs: immutable, owning nothing.
@@ -99,8 +97,8 @@ func (d *Diff) Retain() *Diff {
 
 // Release drops one reference; the last one recycles the diff, which must
 // not be read afterwards — the next diff reuses its header and body, and
-// in test mode the pool poisons both first. A no-op on a borrowed, empty or
-// nil diff; releasing more often than retained panics.
+// in test mode the pool poisons the body first. A no-op on a borrowed,
+// empty or nil diff; releasing more often than retained panics.
 func (d *Diff) Release() {
 	if d != nil && d.owned {
 		(*lease)(d).release()
@@ -108,8 +106,7 @@ func (d *Diff) Release() {
 }
 
 // maxFrameRuns is how many runs MakeDiff collects in its frame before the
-// list spills to the heap; layOut then copies them into the lease's own
-// table.
+// list spills to the heap.
 const maxFrameRuns = 64
 
 // MakeDiff computes the diff between twin and current, which must be the
@@ -145,21 +142,19 @@ func DiffOf(runs []Run, data []byte) *Diff {
 	return layOut(runs, func(k int) []byte { return data[runs[k].Off:runs[k].End()] })
 }
 
-// layOut builds the diff of runs, copying the run table into a lease off
-// the pool and run k's bytes from payload(k) (which must be runs[k].Len
-// long) into its wire body; the diff holds the lease with one reference.
+// layOut builds the diff of runs, writing run k's bytes from payload(k)
+// (which must be runs[k].Len long) into the wire body it lays out in a
+// lease off the pool; the diff holds the lease with one reference.
 func layOut(runs []Run, payload func(k int) []byte) *Diff {
 	if len(runs) == 0 {
 		return emptyDiff
 	}
 	l := getLease(BodySize(runs))
-	body := appendBody(l.buf[:0], runs, payload)
-	l.buf, l.runs = body, append(l.runs, runs...)
-	l.data = windows(l.data, body, l.runs)
+	l.buf = appendBody(l.buf[:0], runs, payload)
 	return (*Diff)(l)
 }
 
-// BodySize returns the size of the wire body of runs (AppendWireBody's
+// BodySize returns the size of the wire body of runs (AppendBody's
 // layout).
 func BodySize(runs []Run) int {
 	size := uvarintLen(uint64(len(runs)))
@@ -170,7 +165,12 @@ func BodySize(runs []Run) int {
 }
 
 // AppendBody appends to dst the wire body of runs whose payloads are their
-// own bytes of data: BodySize(runs) bytes.
+// own bytes of data: BodySize(runs) bytes. This comment is the one
+// definition of the layout: the run count, then per run its offset, its
+// length and its payload bytes, every number an unsigned varint (a run of
+// a 4 KiB page costs 2-4 descriptor bytes, not the model's
+// RunHeaderBytes). The message encoder (internal/wire) appends these bytes
+// and ScanBody parses them.
 func AppendBody(dst []byte, runs []Run, data []byte) []byte {
 	return appendBody(dst, runs, func(k int) []byte { return data[runs[k].Off:runs[k].End()] })
 }
@@ -185,66 +185,110 @@ func appendBody(body []byte, runs []Run, payload func(k int) []byte) []byte {
 	return body
 }
 
-// ParseBody returns the diff whose wire body is body, copied into a lease
-// off the pool with one reference (the empty diff for one without runs):
-// the way back from a body kept as bytes. body must be a canonical
-// (minimal-varint) spelling of the layout, with every run at a
-// non-negative offset and nothing after the last payload; anything else —
-// bytes that were never a body, or were overwritten since — is an error.
-func ParseBody(body []byte) (*Diff, error) {
-	pos := 0
-	next := func() (uint64, bool) {
-		v, k := binary.Uvarint(body[pos:])
-		if k <= 0 || k != uvarintLen(v) {
-			return 0, false
-		}
-		pos += k
-		return v, true
-	}
-	count, ok := next()
-	if !ok || count > uint64(len(body)) {
-		return nil, fmt.Errorf("page: malformed diff body: bad run count")
-	}
-	for k := uint64(0); k < count; k++ {
-		off, ok1 := next()
-		n, ok2 := next()
-		if !ok1 || !ok2 || off > math.MaxInt32 || n > uint64(len(body)-pos) {
-			return nil, fmt.Errorf("page: malformed diff body: bad run %d", k)
-		}
-		pos += int(n)
-	}
-	if pos != len(body) {
-		return nil, fmt.Errorf("page: malformed diff body: %d bytes past its last run", len(body)-pos)
-	}
-	if count == 0 {
-		return emptyDiff, nil
-	}
-	l := getLease(len(body))
-	l.buf = append(l.buf[:0], body...)
-	pos = uvarintLen(count)
-	for range count {
-		off, k := binary.Uvarint(l.buf[pos:])
-		pos += k
-		n, k := binary.Uvarint(l.buf[pos:])
-		pos += k + int(n)
-		l.runs = append(l.runs, Run{Off: int32(off), Len: int32(n)})
-	}
-	l.data = windows(l.data, l.buf, l.runs)
-	return (*Diff)(l), nil
+// ScanBody parses the wire body that b begins with and returns its size
+// in bytes and its run count: the one parser of the layout, which Apply,
+// ParseBody and the message decoder all run. It holds a body to the
+// bounds a received frame answers to — every varint minimal, an offset or
+// a length a 32-bit field, a run count no more than the bytes after it
+// allow at two bytes a run, an offset below 2^31 and every payload present
+// — and names the first one broken. Runs may overlap, and need not
+// be in order.
+func ScanBody(b []byte) (size, runs int, err error) {
+	size, runs, _, err = scanBody(b)
+	return size, runs, err
 }
 
-// windows appends to data each run's payload as a capacity-limited window
-// of body, which must be the wire body of runs in its canonical
-// (minimal-varint) spelling — the only one either constructor admits.
-func windows(data [][]byte, body []byte, runs []Run) [][]byte {
-	pos := uvarintLen(uint64(len(runs)))
-	for _, r := range runs {
-		pos += uvarintLen(uint64(uint32(r.Off))) + uvarintLen(uint64(uint32(r.Len)))
-		end := pos + int(r.Len)
-		data = append(data, body[pos:end:end])
-		pos = end
+// scanBody is ScanBody, also returning end, the furthest end of a run.
+func scanBody(b []byte) (size, runs, end int, err error) {
+	count, pos, err := bodyUvarint(b, 0, math.MaxUint64)
+	if err != nil {
+		return 0, 0, 0, err
 	}
-	return data
+	if count > uint64(len(b)-pos)/2 { // a run is two bytes at least
+		return 0, 0, 0, bodyErr("implausible run count %d for %d remaining bytes", count, len(b)-pos)
+	}
+	for range count {
+		var off, n uint64
+		if off, pos, err = bodyUvarint(b, pos, math.MaxUint32); err != nil {
+			return 0, 0, 0, err
+		}
+		if off > math.MaxInt32 {
+			// A negative offset would index backwards when the diff is
+			// applied; nothing legitimate encodes one.
+			return 0, 0, 0, bodyErr("negative run offset %d", int32(off))
+		}
+		if n, pos, err = bodyUvarint(b, pos, math.MaxUint32); err != nil {
+			return 0, 0, 0, err
+		}
+		if n > uint64(len(b)-pos) {
+			return 0, 0, 0, bodyErr("truncated payload at offset %d (want %d bytes)", pos, n)
+		}
+		pos += int(n)
+		end = max(end, int(off+n))
+	}
+	return pos, int(count), end, nil
+}
+
+// scanWhole is scanBody over a body that must end where b does.
+func scanWhole(b []byte) (end int, err error) {
+	size, _, end, err := scanBody(b)
+	if err == nil && size != len(b) {
+		err = bodyErr("%d bytes past its last run", len(b)-size)
+	}
+	return end, err
+}
+
+// bodyUvarint reads the varint at b[pos:], which must be minimal and at
+// most limit, and returns it with the position after it.
+func bodyUvarint(b []byte, pos int, limit uint64) (uint64, int, error) {
+	if pos < len(b) && b[pos] < 0x80 {
+		return uint64(b[pos]), pos + 1, nil
+	}
+	x, k := binary.Uvarint(b[pos:])
+	switch {
+	case k == 0:
+		return 0, 0, bodyErr("truncated at offset %d", len(b))
+	case k < 0:
+		return 0, 0, bodyErr("varint overflows 64 bits at offset %d", pos)
+	case k != uvarintLen(x):
+		return 0, 0, bodyErr("non-minimal varint at offset %d", pos)
+	case x > limit:
+		return 0, 0, bodyErr("varint %d overflows its 32-bit field", x)
+	}
+	return x, pos + k, nil
+}
+
+func bodyErr(format string, args ...any) error {
+	return fmt.Errorf("page: malformed diff body: "+format, args...)
+}
+
+// runs yields each run of the diff with its payload, in body order: the
+// walk of a body scanBody accepted.
+func (d *Diff) runs(yield func(Run, []byte) bool) {
+	body := d.EnsureWireBody()
+	pos := uvarintLen(uint64(d.NumRuns()))
+	for range d.NumRuns() {
+		off, k := binary.Uvarint(body[pos:])
+		n, k2 := binary.Uvarint(body[pos+k:])
+		pos += k + k2 + int(n)
+		if !yield(Run{Off: int32(off), Len: int32(n)}, body[pos-int(n):pos]) {
+			return
+		}
+	}
+}
+
+// ParseBody returns the diff whose wire body is body, copied into a lease
+// off the pool with one reference (the empty diff for one without runs):
+// the way back from a body kept as bytes. Anything ScanBody refuses — bytes
+// that were never a body, or were overwritten since — is an error, and so
+// is anything after the last payload.
+func ParseBody(body []byte) (*Diff, error) {
+	if _, err := scanWhole(body); err != nil {
+		return nil, err
+	}
+	var d Diff
+	d.SetWire(body)
+	return d.Clone(), nil
 }
 
 // nextChangedWord returns the smallest word-aligned offset >= i whose
@@ -400,30 +444,31 @@ func wordEqual(a, b []byte, off, n int) bool {
 }
 
 // Empty reports whether the diff carries no modifications.
-func (d *Diff) Empty() bool { return len(d.runs) == 0 }
+func (d *Diff) Empty() bool { return d.buf == nil }
 
 // NumRuns returns the number of runs in the diff.
-func (d *Diff) NumRuns() int { return len(d.runs) }
+func (d *Diff) NumRuns() int {
+	n, _ := binary.Uvarint(d.EnsureWireBody())
+	return int(n)
+}
 
-// Runs returns the diff's runs; callers must not mutate the slice.
-func (d *Diff) Runs() []Run { return d.runs }
-
-// RunData returns the payload of run i; callers must not mutate it.
-func (d *Diff) RunData(i int) []byte { return d.data[i] }
-
-// PayloadBytes returns the number of modified bytes the diff carries.
-func (d *Diff) PayloadBytes() int {
-	total := 0
-	for _, r := range d.runs {
-		total += int(r.Len)
+// AppendRuns appends the diff's runs to dst, in body order. The diff must
+// be one a constructor made or the decoder accepted, and not released.
+func (d *Diff) AppendRuns(dst []Run) []Run {
+	for r := range d.runs {
+		dst = append(dst, r)
 	}
-	return total
+	return dst
 }
 
 // WireSize returns the size of the diff on the wire under the package's
 // size model.
 func (d *Diff) WireSize() int {
-	return DiffHeaderBytes + len(d.runs)*RunHeaderBytes + d.PayloadBytes()
+	size := DiffHeaderBytes
+	for r := range d.runs {
+		size += RunHeaderBytes + int(r.Len)
+	}
+	return size
 }
 
 // emptyBody is the wire body of a diff without runs: a zero run count.
@@ -439,34 +484,19 @@ func (d *Diff) EnsureWireBody() []byte {
 	return d.buf
 }
 
-// AppendWireBody appends the diff's wire body to buf. This comment is
-// the one definition of the layout: the run count, then per run its
-// offset, its length and its payload bytes, every number an unsigned
-// varint (a run of a 4 KiB page costs 2-4 descriptor bytes, not the
-// model's RunHeaderBytes). The message encoder (internal/wire) appends
-// these bytes and its decoder parses them; layOut writes them.
-func (d *Diff) AppendWireBody(buf []byte) []byte {
-	return append(buf, d.EnsureWireBody()...)
-}
-
-// WireBodySize returns the exact number of bytes AppendWireBody appends.
-func (d *Diff) WireBodySize() int { return len(d.EnsureWireBody()) }
-
 // uvarintLen returns the length of x's unsigned varint encoding.
 func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
 // Clone returns a copy of the diff in a lease of its own, with one
 // reference (the empty diff for one without runs). A decoded diff borrows
-// the frame it arrived in, and its run table the message it was decoded
-// into; whoever keeps one past the message's release keeps a Clone
-// instead, which copies both.
+// the frame it arrived in; whoever keeps one past the message's release
+// keeps a Clone instead.
 func (d *Diff) Clone() *Diff {
-	if len(d.runs) == 0 {
+	if d.buf == nil {
 		return emptyDiff
 	}
 	l := getLease(len(d.buf))
-	l.buf, l.runs = append(l.buf[:0], d.buf...), append(l.runs, d.runs...)
-	l.data = windows(l.data, l.buf, l.runs)
+	copy(l.buf, d.buf)
 	return (*Diff)(l)
 }
 
@@ -475,75 +505,55 @@ func (d *Diff) Clone() *Diff {
 // ordering of modifications is realized (§4.3.3: diffs are applied in the
 // order specified by hb1).
 //
-// Every run is validated before any byte moves, so a hostile diff — one
-// whose runs a peer forged with negative or out-of-page coordinates — is
-// rejected whole and leaves the page untouched rather than torn.
+// The whole body is parsed, and every run checked against the page, before
+// any byte moves, so a hostile diff — a body a peer forged, or one read
+// after its release — is rejected whole and leaves the page untouched
+// rather than torn.
 func (d *Diff) Apply(contents []byte) error {
-	for _, r := range d.runs {
-		if r.Off < 0 || r.Len < 0 || int(r.Off)+int(r.Len) > len(contents) {
-			return fmt.Errorf("page: diff run [%d,%d) exceeds page size %d", r.Off, r.End(), len(contents))
-		}
+	end, err := scanWhole(d.EnsureWireBody())
+	if err != nil {
+		return err
 	}
-	for i, r := range d.runs {
-		copy(contents[r.Off:r.End()], d.data[i])
+	if end > len(contents) {
+		return fmt.Errorf("page: diff run ending at %d exceeds page size %d", end, len(contents))
+	}
+	for r, payload := range d.runs {
+		copy(contents[r.Off:], payload)
 	}
 	return nil
 }
 
-// Ranges returns the byte ranges the diff covers as a RangeSet.
-func (d *Diff) Ranges() *RangeSet {
-	s := &RangeSet{}
-	for _, r := range d.runs {
-		s.AddRun(r)
-	}
-	return s
-}
-
 // DiffFromRuns constructs a diff from explicit runs and payloads, copying
-// both into a lease the diff owns. Each payload must match its
-// run's length and declare a non-negative offset, so no constructor path
-// can build a diff Apply must refuse.
+// both into a lease the diff owns. Each payload must match its run's
+// length and declare a non-negative offset, so no constructor path can
+// build a diff Apply must refuse for its body.
 func DiffFromRuns(runs []Run, data [][]byte) (*Diff, error) {
-	if err := checkRuns(runs, data); err != nil {
-		return nil, err
+	if len(runs) != len(data) {
+		return nil, fmt.Errorf("page: %d runs but %d payloads", len(runs), len(data))
+	}
+	for i, r := range runs {
+		if int(r.Len) != len(data[i]) {
+			return nil, fmt.Errorf("page: run %d declares %d bytes but payload has %d", i, r.Len, len(data[i]))
+		}
+		if r.Off < 0 {
+			return nil, fmt.Errorf("page: run %d has negative offset %d", i, r.Off)
+		}
 	}
 	return layOut(runs, func(k int) []byte { return data[k] }), nil
 }
 
-// SetWire makes d, in place, the diff of an encoded wire body without
-// copying it — the wire decoder's initializer, which fills a header the
-// decoded message keeps. body must be the AppendWireBody layout of runs in
-// its canonical (minimal-varint) spelling and data[k] the window of body
-// holding run k's payload; the decoder has established both, and only the
-// run table is re-checked here. The diff borrows body, runs and data: see
-// Clone. A diff without runs borrows nothing. On an error d is left as it
-// was. Whatever d held before is dropped, not released: SetWire is for a
-// header that owns nothing.
-func (d *Diff) SetWire(body []byte, runs []Run, data [][]byte) error {
-	if err := checkRuns(runs, data); err != nil {
-		return err
-	}
-	if len(runs) == 0 {
+// SetWire makes d, in place, the diff whose wire body is body, without
+// copying it: the wire decoder's initializer, which fills a header the
+// decoded message keeps over a body ScanBody accepted. The diff borrows
+// body: see Clone. A diff without runs borrows nothing. Whatever d held
+// before is dropped, not released: SetWire is for a header that owns
+// nothing.
+func (d *Diff) SetWire(body []byte) {
+	if len(body) <= 1 { // the body of no runs
 		*d = Diff{}
-		return nil
+		return
 	}
-	*d = Diff{runs: runs, data: data, buf: body}
-	return nil
-}
-
-func checkRuns(runs []Run, data [][]byte) error {
-	if len(runs) != len(data) {
-		return fmt.Errorf("page: %d runs but %d payloads", len(runs), len(data))
-	}
-	for i, r := range runs {
-		if int(r.Len) != len(data[i]) {
-			return fmt.Errorf("page: run %d declares %d bytes but payload has %d", i, r.Len, len(data[i]))
-		}
-		if r.Off < 0 {
-			return fmt.Errorf("page: run %d has negative offset %d", i, r.Off)
-		}
-	}
-	return nil
+	*d = Diff{buf: body}
 }
 
 // EstimateDiffWireSize returns the wire size a diff would have for a

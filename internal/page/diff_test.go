@@ -3,6 +3,8 @@ package page
 import (
 	"bytes"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -16,7 +18,7 @@ func TestMakeDiffEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !d.Empty() || d.NumRuns() != 0 || d.PayloadBytes() != 0 {
+	if !d.Empty() || d.NumRuns() != 0 {
 		t.Fatalf("diff of identical data not empty: %d runs", d.NumRuns())
 	}
 	if got := d.WireSize(); got != DiffHeaderBytes {
@@ -35,7 +37,7 @@ func TestMakeDiffSingleWord(t *testing.T) {
 	if d.NumRuns() != 1 {
 		t.Fatalf("NumRuns = %d, want 1", d.NumRuns())
 	}
-	r := d.Runs()[0]
+	r := d.AppendRuns(nil)[0]
 	if r.Off != 8 || r.Len != 4 {
 		t.Errorf("run = [%d,%d), want word-dilated [8,12)", r.Off, r.End())
 	}
@@ -50,8 +52,8 @@ func TestMakeDiffCoalescesAdjacentWords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.NumRuns() != 1 || d.Runs()[0].Off != 4 || d.Runs()[0].Len != 8 {
-		t.Fatalf("adjacent changed words did not coalesce: %v", d.Runs())
+	if runs := d.AppendRuns(nil); len(runs) != 1 || runs[0] != (Run{Off: 4, Len: 8}) {
+		t.Fatalf("adjacent changed words did not coalesce: %v", runs)
 	}
 }
 
@@ -91,7 +93,7 @@ func TestApplyOutOfRange(t *testing.T) {
 
 // TestDiffIsItsWireBody: MakeDiff lays the wire body out once — run
 // count, then offset, length and bytes per run, all varints — and the
-// runs' data are windows of that one buffer, not copies beside it.
+// diff's runs and sizes are read from that one buffer.
 func TestDiffIsItsWireBody(t *testing.T) {
 	data := make([]byte, 4096)
 	tw := NewTwin(data)
@@ -105,11 +107,14 @@ func TestDiffIsItsWireBody(t *testing.T) {
 	if !bytes.Equal(body, want) {
 		t.Fatalf("wire body = % x, want % x", body, want)
 	}
-	if len(body) != d.WireBodySize() || !bytes.Equal(d.AppendWireBody(nil), body) {
-		t.Error("WireBodySize / AppendWireBody disagree with the body")
+	if runs := d.AppendRuns(nil); !slices.Equal(runs, []Run{{Off: 8, Len: 4}, {Off: 300, Len: 4}}) {
+		t.Errorf("runs read from the body: %v", runs)
 	}
-	if &d.RunData(0)[0] != &body[3] || &d.RunData(1)[0] != &body[10] {
-		t.Error("run data is not a window of the wire body")
+	if size, runs, err := ScanBody(append(body, 0xFF)); size != len(body) || runs != 2 || err != nil {
+		t.Errorf("ScanBody of the body and a byte after it = %d, %d, %v; want %d, 2", size, runs, err, len(body))
+	}
+	if got, want := d.WireSize(), DiffHeaderBytes+2*RunHeaderBytes+8; got != want {
+		t.Errorf("WireSize = %d, want %d", got, want)
 	}
 	if got := (&Diff{}).EnsureWireBody(); !bytes.Equal(got, []byte{0}) {
 		t.Errorf("empty diff's wire body = % x, want a zero run count", got)
@@ -117,7 +122,9 @@ func TestDiffIsItsWireBody(t *testing.T) {
 }
 
 // TestCloneOwnsItsBody: a diff built over borrowed bytes reads whatever
-// those bytes become; its Clone does not, and is otherwise the same diff.
+// those bytes become — new payload bytes, or bytes that are no body any
+// more, which Apply refuses whole; its Clone does not, and is otherwise the
+// same diff.
 func TestCloneOwnsItsBody(t *testing.T) {
 	src, err := DiffFromRuns([]Run{{Off: 4, Len: 4}, {Off: 200, Len: 2}}, [][]byte{{1, 2, 3, 4}, {9, 9}})
 	if err != nil {
@@ -125,13 +132,9 @@ func TestCloneOwnsItsBody(t *testing.T) {
 	}
 	frame := append([]byte(nil), src.EnsureWireBody()...)
 	borrowed := new(Diff)
-	if err := borrowed.SetWire(frame, src.Runs(), [][]byte{frame[3:7:7], frame[10:12:12]}); err != nil {
-		t.Fatal(err)
-	}
+	borrowed.SetWire(frame)
 	clone := borrowed.Clone()
-	for i := range frame {
-		frame[i] = 0xDB
-	}
+	copy(frame[3:7], []byte{0xDB, 0xDB, 0xDB, 0xDB}) // run 0's payload
 	want, got := make([]byte, 256), make([]byte, 256)
 	if err := src.Apply(want); err != nil {
 		t.Fatal(err)
@@ -142,21 +145,23 @@ func TestCloneOwnsItsBody(t *testing.T) {
 	if !bytes.Equal(clone.EnsureWireBody(), src.EnsureWireBody()) {
 		t.Error("clone's wire body differs from the original's")
 	}
-	if err := borrowed.Apply(got); err != nil || got[4] != 0xDB {
-		t.Errorf("borrowing diff did not follow its bytes (err %v, byte 4 = %#x)", err, got[4])
+	if err := borrowed.Apply(got); err != nil || got[4] != 0xDB || got[200] != 9 {
+		t.Errorf("borrowing diff did not follow its bytes (err %v, bytes 4 and 200 = %#x, %#x)", err, got[4], got[200])
+	}
+	copy(frame, bytes.Repeat([]byte{framebuf.PoisonByte}, len(frame)))
+	before := bytes.Clone(got)
+	if err := borrowed.Apply(got); err == nil || !strings.Contains(err.Error(), "malformed diff body") || !bytes.Equal(got, before) {
+		t.Errorf("a diff over poisoned bytes applied (err %v)", err)
 	}
 	if c := (&Diff{}).Clone(); !c.Empty() {
 		t.Error("clone of an empty diff is not empty")
 	}
 	// SetWire fills a header in place: refilled without runs, the same
 	// header forgets the frame.
-	if err := borrowed.SetWire([]byte{0}, nil, nil); err != nil || !borrowed.Empty() ||
-		borrowed.EnsureWireBody()[0] != 0 || &borrowed.EnsureWireBody()[0] == &frame[0] {
-		t.Errorf("a diff without runs must borrow nothing (err %v)", err)
-	}
-	// A run table that does not match its payloads leaves the header alone.
-	if err := borrowed.SetWire(frame, src.Runs(), nil); err == nil || !borrowed.Empty() {
-		t.Errorf("SetWire over mismatched runs: err %v, header now has %d runs", err, borrowed.NumRuns())
+	zero := []byte{0}
+	borrowed.SetWire(zero)
+	if !borrowed.Empty() || borrowed.EnsureWireBody()[0] != 0 || &borrowed.EnsureWireBody()[0] == &zero[0] {
+		t.Error("a diff without runs must borrow nothing")
 	}
 }
 
@@ -238,7 +243,10 @@ func TestPropDiffRunsCoverExactlyChangedWords(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		rs := d.Ranges()
+		var rs RangeSet
+		for _, run := range d.AppendRuns(nil) {
+			rs.AddRun(run)
+		}
 		for k := 0; k < size; k++ {
 			if changed[k] && !rs.Contains(k) {
 				return false // a changed byte must be covered

@@ -1,6 +1,10 @@
 package page
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/framebuf"
+)
 
 // FlattenDiffs merges several diffs for the same page — ordered earliest
 // interval first — into one diff that, applied once, yields the same
@@ -13,28 +17,39 @@ import "fmt"
 // the union ranges back out into the output diff's own lease; stale
 // scratch bytes outside the union are never read. Each diff's runs are
 // sorted and disjoint, so the union is built by merging them into it one
-// list at a time, in the scratch lease's run table, which keeps its
-// capacity for the next merge; the scratch is returned to the pool before
-// FlattenDiffs returns.
+// list at a time, in a slab of the runScratch pool that holds the union,
+// the next diff's runs and their merge; page and slab go back to their
+// pools before FlattenDiffs returns.
 func FlattenDiffs(diffs []*Diff, pageSize int) (*Diff, error) {
 	scratch := getLease(pageSize)
 	defer putLease(scratch)
-	union := scratch.runs[:0]
+	total := 0
 	for k, d := range diffs {
 		if err := d.Apply(scratch.buf); err != nil {
-			scratch.runs = union
 			return nil, fmt.Errorf("page: flatten diff %d: %w", k, err)
 		}
-		// The merge goes after the union and is then moved down: appending
-		// never writes below len(union), so the union reads intact.
-		n := len(union)
-		union = mergeRuns(union, union[:n], d.runs)
-		union = union[:copy(union, union[n:])]
+		total += d.NumRuns()
 	}
-	flat := DiffOf(union, scratch.buf)
-	scratch.runs = union
-	return flat, nil
+	// The union and a diff's runs, n+r of them, merge into at most n+r
+	// more: twice the inputs' runs hold every step.
+	slab := framebuf.GetSlab(&runScratch, 2*total)
+	defer framebuf.PutSlab(&runScratch, slab)
+	union := slab[:0]
+	for _, d := range diffs {
+		// The merge goes after the union and the diff's runs and is then
+		// moved down: appending never writes below len(union), so both read
+		// intact.
+		n := len(union)
+		union = d.AppendRuns(union)
+		m := len(union)
+		union = mergeRuns(union, union[:n], union[n:m])
+		union = union[:copy(union, union[m:])]
+	}
+	return DiffOf(union, scratch.buf), nil
 }
+
+// runScratch is FlattenDiffs' pool of run slabs, classed by capacity.
+var runScratch framebuf.Pool[[]Run]
 
 // mergeRuns appends to dst the union of a and b, each sorted by offset:
 // runs that overlap or touch coalesce, as in a RangeSet, and empty runs

@@ -106,7 +106,7 @@ func TestFlattenLastWriterWins(t *testing.T) {
 	}
 	// Runs [0,12) coalesce and [16,20) stays separate.
 	if flat.NumRuns() != 2 {
-		t.Fatalf("flat has %d runs, want 2 (%v)", flat.NumRuns(), flat.Runs())
+		t.Fatalf("flat has %d runs, want 2 (%v)", flat.NumRuns(), flat.AppendRuns(nil))
 	}
 }
 
@@ -117,7 +117,8 @@ func TestFlattenRejectsHostileRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := &Diff{runs: []Run{{Off: 60, Len: 8}}, data: [][]byte{bytes.Repeat([]byte{9}, 8)}}
+	bad := new(Diff) // one run of 8 bytes at 60
+	bad.SetWire(append([]byte{1, 60, 8}, bytes.Repeat([]byte{9}, 8)...))
 	if _, err := FlattenDiffs([]*Diff{good, bad}, 64); err == nil {
 		t.Fatal("out-of-page run in flatten group not rejected")
 	}

@@ -2,6 +2,7 @@ package page
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"repro/internal/framebuf"
@@ -51,9 +52,10 @@ func TestDiffBodiesRecycleGate(t *testing.T) {
 }
 
 // TestLeasesRecycleWholeGate: the pool recycles a lease — the twin or diff
-// header with its buffer, its run table and its payload windows — so a
+// header with its buffer — and a merge's run scratch is pooled too, so a
 // steady-state capture, diff and merge, each released when done, allocates
-// nothing at all.
+// nothing at all: not even a merge whose union has more runs than a
+// scratch array in a stack frame would hold.
 func TestLeasesRecycleWholeGate(t *testing.T) {
 	testenv.SkipAllocGate(t)
 	sparseTwin, sparseCur := sparsePage(3)
@@ -81,12 +83,41 @@ func TestLeasesRecycleWholeGate(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
 		t.Errorf("a released capture, two diffs and their merge allocate %.1f objects, want 0", allocs)
 	}
+
+	// Two diffs of 48 one-word runs each, interleaved: a union of 96.
+	const interleave = 48
+	zero := NewTwin(make([]byte, 4096))
+	evens, odds := make([]byte, 4096), make([]byte, 4096)
+	for k := range interleave {
+		evens[64*k], odds[64*k+32] = 1, 1
+	}
+	wide := func() {
+		a, err := MakeDiff(zero, evens)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := MakeDiff(zero, odds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		flat, err := FlattenDiffs([]*Diff{a, b}, 4096)
+		if err != nil || flat.NumRuns() != 2*interleave {
+			t.Fatalf("flatten of two interleaved diffs: %d runs, err %v; want %d", flat.NumRuns(), err, 2*interleave)
+		}
+		flat.Release()
+		b.Release()
+		a.Release()
+	}
+	wide()
+	if allocs := testing.AllocsPerRun(100, wide); allocs != 0 {
+		t.Errorf("a merge of %d runs allocates %.1f objects, want 0", 2*interleave, allocs)
+	}
 }
 
 // TestReleasedLeaseIsPoisoned: under poison-on-release a read through a
 // twin or a diff after its last release fails at once, before the next
 // capture or diff reuses the header: the twin reads poison, and the diff's
-// runs start at a negative offset, which Apply refuses. A write log's
+// body no longer parses, which Apply refuses as malformed. A write log's
 // buffer, given back by Reset, reads poison too.
 func TestReleasedLeaseIsPoisoned(t *testing.T) {
 	framebuf.SetPoison(true)
@@ -97,8 +128,8 @@ func TestReleasedLeaseIsPoisoned(t *testing.T) {
 		t.Fatal(err)
 	}
 	d.Release()
-	if err := d.Apply(make([]byte, len(cur))); err == nil {
-		t.Error("a released diff still applies")
+	if err := d.Apply(make([]byte, len(cur))); err == nil || !strings.Contains(err.Error(), "malformed diff body") {
+		t.Errorf("a released diff applies with %v, want a malformed body", err)
 	}
 	tw.Release()
 	if data := tw.Data(); len(data) != len(cur) || data[0] != framebuf.PoisonByte {
@@ -149,9 +180,7 @@ func TestDiffLeaseCounts(t *testing.T) {
 
 	frame := []byte{1, 8, 4, 1, 2, 3, 4}
 	borrowed := new(Diff)
-	if err := borrowed.SetWire(frame, []Run{{Off: 8, Len: 4}}, [][]byte{frame[3:7:7]}); err != nil {
-		t.Fatal(err)
-	}
+	borrowed.SetWire(frame)
 	empty, err := MakeDiff(tw, tw.Data())
 	if err != nil || !empty.Empty() {
 		t.Fatalf("diff of a page against itself: empty %v, err %v", empty.Empty(), err)
@@ -179,9 +208,7 @@ func TestCloneOfBorrowedDiffIsPooled(t *testing.T) {
 	}
 	frame := append([]byte(nil), src.EnsureWireBody()...)
 	borrowed := new(Diff)
-	if err := borrowed.SetWire(frame, src.Runs(), windows(nil, frame, src.Runs())); err != nil {
-		t.Fatal(err)
-	}
+	borrowed.SetWire(frame)
 	borrowed.Clone().Release() // warm the body's class
 	gets, misses := PoolStats()
 	clone := borrowed.Clone()
@@ -190,6 +217,9 @@ func TestCloneOfBorrowedDiffIsPooled(t *testing.T) {
 	}
 	framebuf.Poison(frame)
 	got := make([]byte, len(cur))
+	if err := borrowed.Apply(got); err == nil || !strings.Contains(err.Error(), "malformed diff body") {
+		t.Errorf("a diff borrowing a poisoned frame applies with %v, want a malformed body", err)
+	}
 	if err := clone.Apply(got); err != nil || !bytes.Equal(got, cur) {
 		t.Errorf("clone does not survive its source frame's poison (err %v)", err)
 	}

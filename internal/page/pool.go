@@ -10,16 +10,14 @@ import (
 // The lease pool: a framebuf.Pool of leases, classed by their buffer's
 // bytes from 64 B to 64 KiB. A lease is a counted hold on one pooled
 // buffer together with the header that holds it — a Twin, a Diff and
-// a Slab are the same header under three method sets — so the header, the
-// buffer and the diff's run table and payload windows are recycled as one:
-// a steady-state diff, parse, flatten or clone allocates nothing. Diff
-// bodies and internal/dsm's store slabs are the traffic — every made,
-// parsed, flattened or cloned diff lays its wire body out in one buffer,
-// every interval close cuts its diffs' bodies into a slab — with
-// FlattenDiffs' scratch page the only other user. A lease's class follows
-// its buffer, not the page: a sparse diff takes 64 B, a dense 4 KiB one
-// (4,100 B with its run header) the 8 KiB class. A header keeps the
-// capacity of its run table and windows across uses.
+// a Slab are the same header under three method sets — so the header and
+// the buffer are recycled as one: a steady-state diff, parse, flatten or
+// clone allocates nothing. Diff bodies and internal/dsm's store slabs are
+// the traffic — every made, parsed, flattened or cloned diff lays its wire
+// body out in one buffer, every interval close cuts its diffs' bodies into
+// a slab — with FlattenDiffs' scratch page the only other user. A lease's
+// class follows its buffer, not the page: a sparse diff takes 64 B, a
+// dense 4 KiB one (4,100 B with its run header) the 8 KiB class.
 //
 // Retention is bounded in bytes, not leases: each class keeps up to
 // framebuf.PoolBytes of buffers. A garbage-collection epoch's sweep
@@ -42,12 +40,11 @@ import (
 // transaction is acknowledged. A decoded diff is not a lease: it borrows
 // its frame and counts nothing, see Diff.Clone.
 //
-// Under internal/framebuf's poison-on-release test mode a released lease is
-// poisoned before it is listed: its buffer is overwritten and a diff's run
-// table rewritten to runs at a negative offset, so a twin, diff or slab
-// read after its last release — through a stale header or a window of its
-// body — fails the differential tests at once (Diff.Apply refuses such
-// runs, ParseBody such a body).
+// Under internal/framebuf's poison-on-release test mode a released lease's
+// buffer is overwritten before it is listed, so a twin, diff or slab read
+// after its last release fails the differential tests at once: a diff's
+// body, or a slab's, no longer parses, and Diff.Apply and ParseBody refuse
+// it as malformed.
 
 // minPoolShift..maxPoolShift bound the pooled classes: 64 B to 64 KiB in
 // powers of two, covering every page size the runtime configures. Class c
@@ -58,21 +55,18 @@ const (
 )
 
 // lease is the header the pool recycles: a counted hold on buf. A twin and
-// a slab use buf alone; a diff lays its wire body out in buf, with runs its
-// run table and data[i] run i's payload, a window of buf. A decoded diff
+// a slab hold their bytes in buf, a diff its wire body. A decoded diff
 // fills the same header over a received frame and owns nothing (owned
 // false).
 type lease struct {
 	buf   []byte
-	runs  []Run
-	data  [][]byte
 	owned bool
 	// refs counts the holders of an owned lease.
 	refs atomic.Int32
 }
 
 var (
-	leases     = framebuf.Pool[*lease]{Poison: poisonLease}
+	leases     = framebuf.Pool[*lease]{Poison: func(l *lease) { framebuf.Poison(l.buf[:cap(l.buf)]) }}
 	poolGets   atomic.Int64
 	poolMisses atomic.Int64
 )
@@ -93,10 +87,9 @@ func classFor(n int) int {
 }
 
 // getLease returns an owned lease with one reference over a length-n
-// buffer and an empty run table and window list, recycled from the pool
-// when the fitting class has one and freshly allocated otherwise. Contents
-// are unspecified: every caller must overwrite the bytes it will later
-// read.
+// buffer, recycled from the pool when the fitting class has one and
+// freshly allocated otherwise. Contents are unspecified: every caller
+// must overwrite the bytes it will later read.
 func getLease(n int) *lease {
 	c := classFor(n)
 	if c < 0 {
@@ -104,7 +97,7 @@ func getLease(n int) *lease {
 	}
 	poolGets.Add(1)
 	if l, ok := leases.Get(c); ok {
-		l.buf, l.runs, l.data = l.buf[:n], l.runs[:0], l.data[:0]
+		l.buf = l.buf[:n]
 		l.refs.Store(1)
 		return l
 	}
@@ -160,16 +153,5 @@ func (l *lease) release() bool {
 func putLease(l *lease) {
 	if c := classFor(cap(l.buf)); c >= 0 && cap(l.buf) == 1<<c {
 		leases.Put(c, l, 1<<c)
-	}
-}
-
-// poisonLease is the pool's poison: it overwrites a released lease's
-// buffer and rewrites its run table to runs at a negative offset.
-func poisonLease(l *lease) {
-	framebuf.Poison(l.buf[:cap(l.buf)])
-	dead := uint32(framebuf.PoisonByte) * 0x01010101
-	runs := l.runs[:cap(l.runs)]
-	for i := range runs {
-		runs[i] = Run{Off: int32(dead), Len: int32(dead)}
 	}
 }

@@ -15,11 +15,12 @@ import (
 // TestDecodeAllocationsGate: what one Decode allocates, shape by shape. A
 // block of any size decodes into slabs from the slab pool — interval
 // records, the clock slab (the message's clock is its first window) and the
-// page slab, a diff block's records, headers, runs and payload windows, and
-// wants — which its message's last Release gives back, and a shell keeps its
-// first section: so once a block of a size has been decoded and released,
-// the next one of that size allocates nothing, a barrier's thousand-record
-// block as much as a grant's few.
+// page slab, a diff block's records and headers (each diff borrows its
+// body from the frame, whatever its run count), and wants — which its
+// message's last Release gives back, and a shell keeps its first section:
+// so once a block of a size has been decoded and released, the next one of
+// that size allocates nothing, a barrier's thousand-record block as much as
+// a grant's few.
 func TestDecodeAllocationsGate(t *testing.T) {
 	testenv.SkipAllocGate(t)
 	allocs := func(t *testing.T, runs int, frame []byte, release bool) float64 {

@@ -227,7 +227,8 @@ func TestDecodeMalformed(t *testing.T) {
 		{"want range overflows its index", cat(hdr(KDiffReq, hasWants), uv(1, 4, 1<<1|1, 0x7fffffff, 1)), "with span 1"},
 		{"want processor overflows 32 bits", cat(hdr(KDiffReq, hasWants), uv(1, 4, 1<<33, 2)), "overflows its 32-bit field"},
 		{"hostile run count", diff(1 << 26), "implausible run count"},
-		{"run count one past the bytes", cat(diff(3), make([]byte, 3*minRunBytes-1)), "implausible run count"},
+		// A run is two bytes at least: an offset and a length.
+		{"run count one past the bytes", cat(diff(3), make([]byte, 3*2-1)), "implausible run count"},
 		{"negative run offset", diff(1, 0x80000000, 0), "negative run offset"},
 		{"negative run length", diff(1, 0, 0x80000000), "truncated payload"},
 		{"diff record processor overflows 32 bits", cat(hdr(KDiffResp, hasDiffs), uv(1, 4, 1<<33, 2, 0)), "overflows its 32-bit field"},
@@ -506,15 +507,12 @@ func FuzzDecode(f *testing.F) {
 		if !m.Kind.Known() {
 			t.Fatalf("accepted a frame of retired or unknown kind %d", b[0])
 		}
-		// Decoded diffs borrow b, each window capacity-limited to itself:
-		// growing one must reallocate, never write into the frame.
+		// Decoded diffs borrow b, each body a window capacity-limited to
+		// itself: growing one must reallocate, never write into the frame.
 		pristine := append([]byte(nil), b...)
 		grow := func(recs []DiffRec) {
 			for _, rec := range recs {
 				_ = append(rec.Diff.EnsureWireBody(), 0xEE)
-				for i := 0; i < rec.Diff.NumRuns(); i++ {
-					_ = append(rec.Diff.RunData(i), 0xEE)
-				}
 			}
 		}
 		grow(m.Diffs)

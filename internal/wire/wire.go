@@ -105,8 +105,9 @@
 // records that continue no run as runs of one. A clock block codes each
 // entry after the first against the entry before it: on a program whose
 // processors do alike, as water's do at 4 processors, the intervals of
-// processors that synchronize stay close. The diff body is produced by
-// page.Diff.AppendWireBody.
+// processors that synchronize stay close. The diff body is page.AppendBody's
+// layout, and page.ScanBody, which enforces its bounds above, is the one
+// parser of it: the decoder hands it each body and keeps what it accepts.
 //
 // An accepted frame has exactly one encoding: varints must be minimal
 // and fit their field, a presence bit over an empty block is rejected
@@ -114,10 +115,10 @@
 // and Sections), an interval run is neither empty nor a continuation of
 // the one before it, a mask bit never covers a zero delta, a page list
 // repeats the record before it in the repeat bit or not at all, and
-// trailing bytes are an error. (The run tables are the exception: a diff
+// trailing bytes are an error. (Run lists are the exception: a diff
 // body's runs may overlap, and a data body split finer than the encoder
-// splits it decodes to the same bytes.) Every count is checked against the bytes
-// remaining, at the smallest possible item size, before it sizes an
+// splits it decodes to the same bytes.) Every count is checked against the
+// bytes remaining, at the smallest possible item size, before it sizes an
 // allocation; the two lengths the frame cannot vouch for, Data's expanded
 // n and the clock entries an interval block expands to, are checked
 // against MaxDataBytes and maxIntervalWords instead.
@@ -128,17 +129,16 @@
 //
 // # Ownership
 //
-// Decode copies everything out of the frame except diff payloads, so
+// Decode copies everything out of the frame except diff bodies, so
 // nothing but a diff needs the frame. Msg.Data is an allocation of its
 // own that outlives the message (a page ship's Data becomes the
 // receiver's page copy as it is). Everything else a message decodes is in
 // slabs it holds and dies with it — see Messages below. A decoded DiffRec's
-// Diff borrows as well: its wire body and every run's bytes are
-// capacity-limited windows of the frame the message was decoded from, so a
-// 4 KiB diff response is decoded without allocating or touching a payload
-// byte, applies straight out of the receive buffer, and re-encodes (a home
-// relaying an update) as one copy of the same bytes. A diff without runs
-// borrows nothing.
+// Diff borrows as well: it is its wire body, a capacity-limited window of
+// the frame the message was decoded from, so a 4 KiB diff response is
+// decoded without allocating or copying a payload byte, applies straight
+// out of the receive buffer, and re-encodes (a home relaying an update) as
+// one copy of the same bytes. A diff without runs borrows nothing.
 //
 // Decode only borrows the frame, which stays its caller's. A receiver
 // that recycles frames hands it to the message (Msg.HoldFrame), its one
@@ -151,8 +151,8 @@
 // page.Diff.Clone is mandatory wherever a decoded diff is stored for
 // something that runs after the release: the runtime has one such place,
 // the LU engine's retained-diff store, whose entries are piggybacked on
-// later lock grants. Nothing else may keep a DiffRec, a *page.Diff or a
-// RunData slice of a received message: a stale *page.Diff does not merely
+// later lock grants. Nothing else may keep a DiffRec, a *page.Diff or its
+// wire body of a received message: a stale *page.Diff does not merely
 // dangle over a recycled frame, it is a header the slab pool hands to the
 // next message's diff.
 //
@@ -177,20 +177,20 @@
 // framebuf.Pools (one per element type), size-classed and bounded in bytes.
 // Every block decodes into its slabs, whatever its size — an interval
 // block's records, clocks and page lists, the enclosing clock the clock
-// slab's first window, a diff block's records, diff headers, runs and
-// payload windows, the wants, a clock without an interval block — and a
-// sender's block is built in them (TakeIntervals, TakeDiffs). The last
-// Release gives them back for the next message, so nothing may read a
-// decoded clock, an IntervalRec, its VC or Pages, a DiffRec, its Diff, or a
-// Want after it: whoever needs one longer copies it first (core.Log.Append
-// copies what it is handed; a page copy copies the applied clock of its
-// KPageResp; the LU store clones a diff; a diff request is served before its
-// handler returns). Data is never reused: it belongs to whoever absorbed it,
-// or to the garbage collector.
+// slab's first window, a diff block's records and diff headers, the wants,
+// a clock without an interval block — and a sender's block is built in
+// them (TakeIntervals, TakeDiffs). The last Release gives them back for
+// the next message, so nothing may read a decoded clock, an IntervalRec,
+// its VC or Pages, a DiffRec, its Diff, or a Want after it: whoever needs
+// one longer copies it first (core.Log.Append copies what it is handed; a
+// page copy copies the applied clock of its KPageResp; the LU store clones
+// a diff; a diff request is served before its handler returns). Data is
+// never reused: it belongs to whoever absorbed it, or to the garbage
+// collector.
 // Under poison-on-release a released shell reads as an invalid kind with
 // 0xDB scalars, the slabs it gave back as 0xDB entries, and a kept diff
-// header as runs at a negative offset, which page.Diff.Apply refuses; one
-// Release too many panics.
+// header as a body of 0xDB bytes, which page.Diff.Apply refuses as
+// malformed; one Release too many panics.
 package wire
 
 import (
@@ -438,8 +438,6 @@ type heldSlabs struct {
 	pages [][]mem.PageID
 	diffs [][]DiffRec
 	hdrs  [][]page.Diff
-	runs  [][]page.Run
-	data  [][][]byte
 	wants [][]Want
 }
 
@@ -450,8 +448,6 @@ func (h *heldSlabs) release() {
 	giveBack(&pageSlabs, &h.pages)
 	giveBack(&diffSlabs, &h.diffs)
 	giveBack(&hdrSlabs, &h.hdrs)
-	giveBack(&runSlabs, &h.runs)
-	giveBack(&dataSlabs, &h.data)
 	giveBack(&wantSlabs, &h.wants)
 }
 
@@ -472,10 +468,14 @@ func giveBack[T any](p *framebuf.Pool[[]T], held *[][]T) {
 // 0xDBDBDBDB, framebuf.PoisonByte in every byte.
 const dead int32 = -0x24242425
 
+// deadBody is the wire body a released diff header borrows under
+// poison-on-release: no body at all, a varint cut short.
+var deadBody = []byte{framebuf.PoisonByte, framebuf.PoisonByte}
+
 // The slab pools, one per element type, shared by the process's nodes. A
-// poisoned diff record keeps pointing to its header, and a header to its
-// runs, so a kept *page.Diff — its windows in the poisoned frame — is
-// refused by page.Diff.Apply, its runs at a negative offset.
+// poisoned diff record keeps pointing to its header, and a header is
+// poisoned to borrow deadBody, so a kept *page.Diff is refused by
+// page.Diff.Apply as malformed, whoever holds the frame it borrowed.
 var (
 	recSlabs  = slabs(fillWith(IntervalRec{Proc: mem.ProcID(dead), Index: dead}))
 	wordSlabs = slabs(fillWith(dead))
@@ -485,9 +485,11 @@ var (
 			s[i].Page, s[i].Proc, s[i].Index = mem.PageID(dead), mem.ProcID(dead), dead
 		}
 	})
-	hdrSlabs  = slabs[page.Diff](nil)
-	runSlabs  = slabs(fillWith(page.Run{Off: dead, Len: dead}))
-	dataSlabs = slabs[[]byte](nil)
+	hdrSlabs = slabs(func(s []page.Diff) {
+		for i := range s {
+			s[i].SetWire(deadBody)
+		}
+	})
 	wantSlabs = slabs(fillWith(Want{Page: mem.PageID(dead), Proc: mem.ProcID(dead), Index: dead, Span: dead}))
 )
 
@@ -661,7 +663,6 @@ const (
 	// count.
 	minIntervalRunBytes = 6
 	minDiffBytes        = 4 // page, proc, index, run count
-	minRunBytes         = 2 // offset, length
 	minDataRunBytes     = 3 // offset, length, one byte: a data run is never empty
 	minWantBytes        = 3 // page, proc, index
 	minSectionBytes     = 2 // mode, presence
@@ -711,7 +712,7 @@ func payloadHint(ivs []IntervalRec, diffs []DiffRec) int {
 	for _, d := range diffs {
 		n += 8
 		if !d.NotHeld {
-			n += d.Diff.WireBodySize()
+			n += len(d.Diff.EnsureWireBody())
 		}
 	}
 	return n
@@ -823,7 +824,7 @@ func appendPayload(buf []byte, present byte, clock vc.VC, ivs []IntervalRec, dif
 			if d.NotHeld {
 				buf = append(buf, 0) // the body of no runs
 			} else {
-				buf = d.Diff.AppendWireBody(buf)
+				buf = append(buf, d.Diff.EnsureWireBody()...)
 			}
 		}
 	}
@@ -1471,65 +1472,39 @@ func (d *decoder) pages(slab, prev []mem.PageID, repeatable bool) (list, rest []
 	return list, rest
 }
 
-// diffList decodes a diff block. Like intervalList it sizes the block
-// first — every run's offset and length checked against the bytes present
-// — then decodes into four slabs per block: the records, the diff headers
-// they point to, the runs and the payload windows, each header's a
-// capacity-limited window of the last two. No payload byte is copied: each
-// diff's wire body and each run's data are capacity-limited windows of the
-// frame being decoded. The slabs are the message's, from the slab pool, and
-// the frame its last holder's (the package doc's Ownership section).
+// diffList decodes a diff block in one pass, into two slabs per block:
+// the records and the diff headers they point to. No payload byte is
+// copied: page.ScanBody checks each record's body where it lies, and its
+// header borrows it as a capacity-limited window of the frame being
+// decoded. The slabs are the message's, from the slab pool, and the frame
+// its last holder's (the package doc's Ownership section).
 func (d *decoder) diffList() []DiffRec {
 	ndiffs := d.blockCount("diff", minDiffBytes)
-	start := d.off
-	nruns := 0
-	for i := 0; i < ndiffs && d.err == nil; i++ {
-		d.skip(1) // page
-		notHeld := d.diffProc()&1 != 0
-		d.skip(1) // index
-		rn := d.countItems("run", minRunBytes)
-		if notHeld && rn > 0 && d.err == nil {
-			d.fail("not-held diff record carries a body of %d runs", rn)
-		}
-		for k := 0; k < rn && d.err == nil; k++ {
-			if off := d.u32(); off > math.MaxInt32 {
-				// A negative offset would index backwards when the diff is
-				// applied; nothing legitimate encodes one.
-				d.fail("negative run offset %d", int32(off))
-			}
-			d.bytes(int(d.u32()))
-		}
-		nruns += rn
-	}
 	if d.err != nil {
 		return nil
 	}
-	d.off = start
 	out, hdrs := take(&diffSlabs, &d.slabs.diffs, ndiffs), take(&hdrSlabs, &d.slabs.hdrs, ndiffs)
-	runs, data := take(&runSlabs, &d.slabs.runs, nruns), take(&dataSlabs, &d.slabs.data, nruns)
 	for i := range out {
 		rec := &out[i]
 		rec.Page = mem.PageID(d.i32())
 		proc := d.diffProc()
 		rec.Proc, rec.NotHeld = mem.ProcID(uint32(proc>>1)), proc&1 != 0
 		rec.Index = d.i32()
-		body := d.off
-		rn := int(d.u32())
-		for k := 0; k < rn; k++ {
-			runs[k].Off = d.i32()
-			payload := d.bytes(int(d.u32()))
-			runs[k].Len = int32(len(payload))
-			data[k] = payload[:len(payload):len(payload)]
-		}
-		if err := hdrs[i].SetWire(d.b[body:d.off:d.off], runs[:rn:rn], data[:rn:rn]); err != nil {
-			d.fail("%v", err)
+		if d.err != nil {
 			return nil
 		}
-		rec.Diff = &hdrs[i]
-		runs, data = runs[rn:], data[rn:]
-	}
-	if d.err != nil {
-		return nil
+		size, runs, err := page.ScanBody(d.b[d.off:])
+		switch {
+		case err != nil:
+			d.fail("diff body at offset %d: %v", d.off, err)
+			return nil
+		case rec.NotHeld && runs > 0:
+			d.fail("not-held diff record carries a body of %d runs", runs)
+			return nil
+		}
+		end := d.off + size
+		hdrs[i].SetWire(d.b[d.off:end:end])
+		rec.Diff, d.off = &hdrs[i], end
 	}
 	return out
 }

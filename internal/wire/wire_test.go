@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -227,10 +228,10 @@ func TestNotHeldRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDecodedDiffsShareSlabsSafely: a diff block's run tables are decoded
-// into per-block slabs, and each run's bytes are a window of the frame,
-// capacity-limited to the run: appending to one must not write into the
-// frame behind it.
+// TestDecodedDiffsShareSlabsSafely: a diff block's headers are decoded
+// into a per-block slab, and each diff's body is a window of the frame,
+// capacity-limited to its record: appending to one must not write into the
+// frame behind it, where the next record lies.
 func TestDecodedDiffsShareSlabsSafely(t *testing.T) {
 	frame := sparseDiffResp(t, 3)
 	pristine := append([]byte(nil), frame...)
@@ -238,18 +239,19 @@ func TestDecodedDiffsShareSlabsSafely(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first := got.Diffs[0].Diff
-	_ = append(first.RunData(0), 0xEE)
-	_ = append(first.EnsureWireBody(), 0xEE)
+	first, second := got.Diffs[0].Diff.EnsureWireBody(), got.Diffs[1].Diff.EnsureWireBody()
+	if cap(first) != len(first) || &first[0] != &frame[len(frame)-len(second)-3-len(first)] || &second[0] != &frame[len(frame)-len(second)] {
+		t.Fatalf("the bodies are not capacity-limited windows of the frame, each its record's")
+	}
+	_ = append(first, 0xEE)
 	if !bytes.Equal(frame, pristine) {
 		t.Fatalf("appending to a borrowed window wrote into the frame:\n was %x\n now %x", pristine, frame)
 	}
-	if b := first.RunData(1); b[0] != 0xAB {
-		t.Fatalf("run 1 reads % x", b)
-	}
-	target := make([]byte, 4096)
-	if err := got.Diffs[1].Diff.Apply(target); err != nil || target[16] != 0xAB {
-		t.Fatalf("second diff of the block applies wrongly: %v, byte 16 = %#x", err, target[16])
+	for i, rec := range got.Diffs {
+		target := make([]byte, 4096)
+		if err := rec.Diff.Apply(target); err != nil || target[0] != 0xAB || target[8] != 0xAB || target[16] != 0xAB {
+			t.Fatalf("diff %d of the block applies wrongly: %v, bytes 0, 8, 16 = %#x", i, err, []byte{target[0], target[8], target[16]})
+		}
 	}
 }
 
@@ -270,9 +272,9 @@ func sparseDiffResp(t *testing.T, runs int) []byte {
 }
 
 // TestDecodeBorrowsFrame pins the codec's ownership rule for diffs: a
-// decoded run's data is the frame's own bytes, and a Clone — the one way
+// decoded diff's body is the frame's own bytes, and a Clone — the one way
 // to keep a diff past its frame — survives the frame's poisoned release
-// while the borrowing diff reads the poison.
+// while the borrowing diff reads the poison, which is no body at all.
 func TestDecodeBorrowsFrame(t *testing.T) {
 	resp, cur := denseDiffResp(t)
 	size := len(cur)
@@ -285,12 +287,12 @@ func TestDecodeBorrowsFrame(t *testing.T) {
 		t.Fatal("decoded diff response carries no diffs")
 	}
 	got := m.Diffs[0].Diff
-	if got.NumRuns() != 1 || len(got.RunData(0)) != size {
-		t.Fatalf("decoded %d runs, first %d bytes", got.NumRuns(), len(got.RunData(0)))
+	if runs := got.AppendRuns(nil); len(runs) != 1 || runs[0] != (page.Run{Off: 0, Len: int32(size)}) {
+		t.Fatalf("decoded runs %v, want one of %d bytes", runs, size)
 	}
-	// The payload is the frame's tail; the run must be those very bytes.
-	if &got.RunData(0)[0] != &frame[len(frame)-size] {
-		t.Error("decoded run data does not alias the frame")
+	// The body is the frame's tail; the diff must be those very bytes.
+	if body := got.EnsureWireBody(); &body[len(body)-1] != &frame[len(frame)-1] {
+		t.Error("decoded body does not alias the frame")
 	}
 
 	clone := got.Clone()
@@ -301,8 +303,8 @@ func TestDecodeBorrowsFrame(t *testing.T) {
 	if err := clone.Apply(page1); err != nil || !bytes.Equal(page1, cur) {
 		t.Errorf("clone does not survive its frame's release (err %v)", err)
 	}
-	if err := got.Apply(page2); err != nil || !bytes.Equal(page2, bytes.Repeat([]byte{framebuf.PoisonByte}, size)) {
-		t.Errorf("borrowing diff still reads payload after a poisoned release (err %v)", err)
+	if err := got.Apply(page2); err == nil || !strings.Contains(err.Error(), "malformed diff body") || !bytes.Equal(page2, make([]byte, size)) {
+		t.Errorf("borrowing diff still applies after a poisoned release (err %v)", err)
 	}
 	if enc := (&Msg{Kind: KDiffResp, Seq: 43, Diffs: []DiffRec{{Page: 3, Proc: 1, Index: 7, Diff: clone}}}).EncodeAppend(nil); !bytes.Equal(enc, resp.EncodeAppend(nil)) {
 		t.Error("clone re-encodes differently from the original diff")
@@ -332,8 +334,8 @@ func TestCachedWireBodyEncodesIdentically(t *testing.T) {
 	m := &Msg{Kind: KDiffResp, Seq: 9, A: 1,
 		Diffs: []DiffRec{{Page: 5, Proc: 2, Index: 3, Diff: d}}}
 	a := m.EncodeAppend(nil)
-	if body := d.EnsureWireBody(); !bytes.HasSuffix(a, body) || len(body) != d.WireBodySize() {
-		t.Fatalf("frame does not end in the diff's %d-byte wire body:\n frame %x\n body  %x", d.WireBodySize(), a, body)
+	if body := d.EnsureWireBody(); !bytes.HasSuffix(a, body) {
+		t.Fatalf("frame does not end in the diff's %d-byte wire body:\n frame %x\n body  %x", len(body), a, body)
 	}
 	if b := m.EncodeAppend(nil); !bytes.Equal(a, b) {
 		t.Fatal("second encode differs from first")
@@ -1000,19 +1002,20 @@ func TestDiffBlockPastTheBound(t *testing.T) {
 			t.Errorf("%s applies differently from what was sent (err %v)", tc.name, err)
 		}
 		blocks := len(tc.m.Sections) + 1
-		if k := m.kept.slabs; len(k.diffs) != blocks || len(k.hdrs) != blocks || len(k.runs) != blocks || len(k.data) != blocks {
-			t.Errorf("%s: the message holds %d/%d/%d/%d diff slabs, want %d of each", tc.name,
-				len(k.diffs), len(k.hdrs), len(k.runs), len(k.data), blocks)
+		if k := m.kept.slabs; len(k.diffs) != blocks || len(k.hdrs) != blocks {
+			t.Errorf("%s: the message holds %d/%d diff slabs, want %d of each", tc.name,
+				len(k.diffs), len(k.hdrs), blocks)
 		}
 		m.Release()
-		if k := m.kept.slabs; len(k.diffs)+len(k.hdrs)+len(k.runs)+len(k.data) != 0 {
+		if k := m.kept.slabs; len(k.diffs)+len(k.hdrs) != 0 {
 			t.Errorf("%s: the released message still holds diff slabs", tc.name)
 		}
 	}
 }
 
 // pastTheBoundMsgs carry a diff block a shell once did not keep: one of 200
-// runs, past the 170 run windows 4 KiB held, and a message's second block.
+// runs, past the 170 run windows 4 KiB once held, and a message's second
+// block.
 func pastTheBoundMsgs(t *testing.T) []namedMsg {
 	var writes []int
 	for i := 0; i < 200; i++ {
@@ -1190,11 +1193,10 @@ func TestHoldFrameCustody(t *testing.T) {
 
 // TestReleasedDiffSlabsArePoisoned: under poison-on-release, what a holder
 // kept of a diff response past its last Release is garbage at once — the
-// records read the poison pattern, a kept *page.Diff is refused by Apply,
-// its runs starting at a negative offset, and its payload, the frame's,
-// reads 0xDB — and so are a diff request's wants. Without the last release
-// the same holder reads the diff that was sent, and so does a Clone after
-// it.
+// records read the poison pattern, a kept *page.Diff is refused by Apply
+// as a malformed body, and the body it borrowed, the frame's, reads 0xDB —
+// and so are a diff request's wants. Without the last release the same
+// holder reads the diff that was sent, and so does a Clone after it.
 func TestReleasedDiffSlabsArePoisoned(t *testing.T) {
 	framebuf.SetPoison(true)
 	defer framebuf.SetPoison(false)
@@ -1213,7 +1215,7 @@ func TestReleasedDiffSlabsArePoisoned(t *testing.T) {
 		if sectioned {
 			recs, want = m.Sections[0].Diffs, sent.Sections[0].Diffs
 		}
-		d, payload := recs[3].Diff, recs[3].Diff.RunData(0)
+		d, payload := recs[3].Diff, recs[3].Diff.EnsureWireBody()
 		wantPage, got := make([]byte, 1024), make([]byte, 1024)
 		if err := want[3].Diff.Apply(wantPage); err != nil {
 			t.Fatal(err)
@@ -1225,8 +1227,8 @@ func TestReleasedDiffSlabsArePoisoned(t *testing.T) {
 		}
 		clone := d.Clone()
 		m.Release()
-		if err := d.Apply(make([]byte, 1024)); err == nil {
-			t.Errorf("sectioned=%v: a diff held past its response's release still applies", sectioned)
+		if err := d.Apply(make([]byte, 1024)); err == nil || !strings.Contains(err.Error(), "malformed diff body") {
+			t.Errorf("sectioned=%v: a diff held past its response's release applies with %v, want a malformed body", sectioned, err)
 		}
 		if err := clone.Apply(got); err != nil || !bytes.Equal(got, wantPage) {
 			t.Errorf("sectioned=%v: a Clone does not survive its response's release (err %v)", sectioned, err)
