@@ -87,15 +87,18 @@ var gateRows = []gateRow{
 		// -race). The 22 page responses (102-138 B each) move it less.
 		{"live_over_model_bytes", "<=", 0.26},
 		{"lock_requests", ">", 0},
-		// A header, one section tag and a four-entry clock, each entry after
-		// the first coded against the one before it: 13.3-13.6 B (13.6-14.0
-		// with each entry coded alone).
-		{"lock_request_bytes", "<=", 15.5},
+		// A header and a four-entry clock, each entry after the first coded
+		// against the one before it: 10.2-10.5 B (13.3-13.6 with a
+		// mode-tagged section around the clock, 13.6-14.0 with each entry
+		// coded alone too).
+		{"lock_request_bytes", "<=", 12.5},
 		// Write notices travel as one run per processor, a record paying a
 		// mask byte, the clock entries that moved and its page list unless
-		// it repeats the record before it's: 23-32 B a grant, 29-40 B with
-		// every list spelled out and its first page coded against 0, 62-69 B
-		// with a processor, index and whole clock per record.
+		// it repeats the record before it's, and a grant without notices is
+		// its header: 18-20 B a grant (22-24 with a section tag and a clock
+		// on every grant), 29-40 B with every list spelled out and its first
+		// page coded against 0, 62-69 B with a processor, index and whole
+		// clock per record.
 		{"lock_grant_bytes", "<=", 36},
 		{"page_responses", ">", 0},
 		{"page_response_bytes", "<=", 1024}, // a quarter of the page it expands to

@@ -194,8 +194,11 @@ type Config struct {
 	// PageSize is the consistency granularity (a power of two).
 	PageSize int
 	// Mode selects the consistency protocol (LI, LU, EI, EU or SC). Every
-	// node of a cluster must run the same one: a peer's synchronization
-	// payload tagged with another mode is recorded and dropped.
+	// node of a cluster must run the same one, and every System must agree
+	// on Procs, PageSize, SpaceSize and GCEveryBarriers too: New of a
+	// System that does not host node 0 checks them against node 0's
+	// System, which must be built first, and fails naming the first field
+	// that differs (join.go).
 	Mode Mode
 	// GCEveryBarriers enables interval/diff garbage collection every k-th
 	// barrier episode (0 disables GC). That barrier validates every cached
@@ -259,7 +262,9 @@ type System struct {
 
 // New builds and starts a DSM. Each node takes one application goroutine
 // (see Node); the System's Status and each node's Stats and ID are safe
-// from any goroutine. Callers must Close the system when done.
+// from any goroutine. Callers must Close the system when done. A System
+// that does not host node 0 joins node 0's before New returns, within
+// RPCTimeout.
 func New(cfg Config) (*System, error) {
 	// New owns cfg.Transport from the first line: every error return
 	// must close it, or a failed construction leaks the caller's
@@ -329,6 +334,12 @@ func New(cfg Config) (*System, error) {
 			defer s.handlers.Done()
 			n.dispatchLoop()
 		}(n)
+	}
+	if s.nodes[master] == nil {
+		if err := s.local[0].join(); err != nil {
+			s.Close()
+			return nil, err
+		}
 	}
 	return s, nil
 }

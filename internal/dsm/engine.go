@@ -14,9 +14,9 @@ import (
 //
 // A node runs exactly one engine, the one Config.Mode names, for every
 // page. The hooks read and write a synchronization message's flat
-// VC/Intervals/Diffs; the Node carries that payload on the wire as one
-// section tagged with the mode (sync.go), so an engine never sees the
-// payload of a peer that runs another protocol.
+// VC/Intervals/Diffs, which travel as they are (sync.go): every System of
+// a cluster runs the same mode, checked once as it joins (join.go), so an
+// engine never sees the payload of a peer that runs another protocol.
 //
 // Concurrency contract:
 //

@@ -53,81 +53,159 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// foreignSection matches the error a node records for a section tagged
-// with another protocol than its own.
-var foreignSection = regexp.MustCompile(`section for (non-resident mode|mode \S+ on an \S+ node)`)
+// wideTransport claims a cluster of n endpoints over a transport of fewer.
+type wideTransport struct {
+	Transport
+	n int
+}
 
-// TestMismatchedModesFailLoudly: the section tag is the one thing that
-// tells a node its peer runs another protocol — LI and LU speak the same
-// message kinds. Two Systems over loopback TCP configured with different
-// modes run a program that writes, meets at a barrier, reads the peer's
-// page, passes a lock and meets again. Whatever each side makes of the
-// other's traffic, the run ends within the RPC timeouts, nothing panics,
-// and at least one side's Close names the foreign section.
+func (w wideTransport) NumEndpoints() int { return w.n }
+
+// TestMismatchedModesFailLoudly: Systems that disagree on a cluster-wide
+// field — LI and LU speak the same message kinds, and no message says
+// which protocol wrote it — fail at the join. Over loopback TCP, node 0's
+// System is built, then node 1's with one field changed: node 1's New
+// fails naming the field, at once, and node 0's Close names it too.
 func TestMismatchedModesFailLoudly(t *testing.T) {
-	for _, pair := range [][2]Mode{{LazyInvalidate, LazyUpdate}, {LazyInvalidate, EagerUpdate}, {SeqConsistent, LazyInvalidate}} {
-		t.Run(pair[0].String()+"-"+pair[1].String(), func(t *testing.T) {
+	base := Config{Procs: 2, SpaceSize: 8192, PageSize: 1024, RPCTimeout: 2 * time.Second}
+	for _, row := range []struct {
+		name, field    string
+		master, joiner func(*Config)
+	}{
+		{"LI-LU", "Mode", func(c *Config) {}, func(c *Config) { c.Mode = LazyUpdate }},
+		{"LI-EU", "Mode", func(c *Config) {}, func(c *Config) { c.Mode = EagerUpdate }},
+		{"SC-LI", "Mode", func(c *Config) { c.Mode = SeqConsistent }, func(c *Config) {}},
+		{"Procs", "Procs", func(c *Config) {}, func(c *Config) { c.Procs = 3 }},
+		{"PageSize", "PageSize", func(c *Config) {}, func(c *Config) { c.PageSize = 512 }},
+		{"SpaceSize", "SpaceSize", func(c *Config) {}, func(c *Config) { c.SpaceSize = 16384 }},
+		{"GCEveryBarriers", "GCEveryBarriers", func(c *Config) {}, func(c *Config) { c.GCEveryBarriers = 2 }},
+	} {
+		t.Run(row.name, func(t *testing.T) {
 			cluster, err := tcp.NewLoopbackCluster(2)
 			if err != nil {
 				t.Fatal(err)
 			}
-			systems := make([]*System, 2)
-			for i := range systems {
-				systems[i], err = New(Config{Procs: 2, SpaceSize: 8192, PageSize: 1024, Mode: pair[i],
-					RPCTimeout: 2 * time.Second, Transport: cluster[i]})
-				if err != nil {
-					t.Fatal(err)
-				}
+			mcfg, jcfg := base, base
+			row.master(&mcfg)
+			row.joiner(&jcfg)
+			mcfg.Transport, jcfg.Transport = cluster[0], cluster[1]
+			if jcfg.Procs != base.Procs {
+				jcfg.Transport = wideTransport{cluster[1], jcfg.Procs}
 			}
-			program := func(n *Node) error {
-				own, peer := mem.Addr(1024*n.ID()), mem.Addr(1024*(1-n.ID()))
-				if err := n.WriteUint64(own, 1); err != nil {
-					return err
-				}
-				if err := n.Barrier(0); err != nil {
-					return err
-				}
-				if _, err := n.ReadUint64(peer); err != nil {
-					return err
-				}
-				if err := n.Acquire(0); err != nil {
-					return err
-				}
-				if err := n.WriteUint64(4096, uint64(n.ID())); err != nil {
-					return err
-				}
-				if err := n.Release(0); err != nil {
-					return err
-				}
-				return n.Barrier(1)
+			s0, err := New(mcfg)
+			if err != nil {
+				cluster[1].Close()
+				t.Fatal(err)
 			}
-			done := make(chan struct{})
+			named := regexp.MustCompile(`node 1's Config\.` + row.field + ` \S+ differs from the master's \S+`)
+			joined := make(chan error, 1)
 			go func() {
-				defer close(done)
-				var wg sync.WaitGroup
-				for _, s := range systems {
-					wg.Add(1)
-					go func(n *Node) {
-						defer wg.Done()
-						program(n) // failing is expected; hanging is not
-					}(s.Local()[0])
+				s1, err := New(jcfg)
+				if err == nil {
+					s1.Close()
 				}
-				wg.Wait()
+				joined <- err
 			}()
 			select {
-			case <-done:
-			case <-time.After(30 * time.Second):
-				t.Error("the mismatched run did not end within its RPC timeouts")
-			}
-			named := false
-			for _, s := range systems {
-				if cerr := s.Close(); cerr != nil && foreignSection.MatchString(cerr.Error()) {
-					named = true
+			case err := <-joined:
+				if err == nil || !named.MatchString(err.Error()) {
+					t.Errorf("the joiner's New = %v, want it to name Config.%s", err, row.field)
 				}
+			case <-time.After(peerDeadline):
+				t.Fatal("hang: the joiner's New did not return")
 			}
-			<-done
-			if !named {
-				t.Error("neither side's Close names a foreign section")
+			if err := s0.Close(); err == nil || !named.MatchString(err.Error()) {
+				t.Errorf("the master's Close = %v, want it to name Config.%s", err, row.field)
+			}
+		})
+	}
+}
+
+// sniffer is an endpoint that keeps every message its node sends.
+type sniffer struct {
+	transport.Endpoint
+	mu   *sync.Mutex
+	sent *[]*wire.Msg
+}
+
+func (s sniffer) Send(dst int, frame []byte) error {
+	if m, err := wire.Decode(slices.Clone(frame)); err == nil {
+		s.mu.Lock()
+		*s.sent = append(*s.sent, m)
+		s.mu.Unlock()
+	}
+	return s.Endpoint.Send(dst, frame)
+}
+
+type sniffNet struct {
+	*simnet.Network
+	eps []transport.Endpoint
+}
+
+func (n sniffNet) Endpoint(i int) transport.Endpoint { return n.eps[i] }
+
+// TestSyncMessagesCarryNoSection: under every protocol, no message a lock
+// round or a barrier round sends carries a wire.Section; a lazy request's
+// or arrival's payload is its flat clock, one entry per node, and a grant
+// or exit carries a clock exactly when write notices follow it.
+func TestSyncMessagesCarryNoSection(t *testing.T) {
+	const procs = 3
+	for _, mode := range Modes {
+		t.Run(mode.String(), func(t *testing.T) {
+			var mu sync.Mutex
+			var sent []*wire.Msg
+			net := sniffNet{Network: simnet.New(procs)}
+			for i := range procs {
+				net.eps = append(net.eps, sniffer{net.Network.Endpoint(i), &mu, &sent})
+			}
+			s, err := New(Config{Procs: procs, SpaceSize: 8192, PageSize: 1024, Mode: mode, Transport: net})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var wg sync.WaitGroup
+			for _, n := range s.Local() {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					err := errors.Join(n.WriteUint64(mem.Addr(1024*n.ID()), 1), n.Barrier(0), n.Acquire(0))
+					if err == nil {
+						var v uint64
+						v, err = n.ReadUint64(4096)
+						err = errors.Join(err, n.WriteUint64(4096, v+1), n.Release(0), n.Barrier(1))
+					}
+					if err == nil { // a lock round and a barrier with nothing to notice
+						err = errors.Join(n.Acquire(1), n.Release(1), n.Barrier(2))
+					}
+					if err != nil {
+						t.Errorf("node %d: %v", n.ID(), err)
+					}
+				}()
+			}
+			wg.Wait()
+			must(t, s.Close())
+			seen := map[wire.Kind]int{}
+			for _, m := range sent {
+				seen[m.Kind]++
+				if m.Sections != nil {
+					t.Errorf("%v carries %d sections", m.Kind, len(m.Sections))
+				}
+				lazy := mode <= LazyUpdate
+				switch m.Kind {
+				case wire.KLockReq, wire.KBarrierArrive:
+					if lazy != (len(m.VC) == procs) {
+						t.Errorf("%v carries a %d-entry clock", m.Kind, len(m.VC))
+					}
+				case wire.KLockGrant, wire.KBarrierExit:
+					if want := len(m.Intervals) > 0; (m.VC != nil) != want || want && len(m.VC) != procs {
+						t.Errorf("%v carries a %d-entry clock beside %d records", m.Kind, len(m.VC), len(m.Intervals))
+					}
+				}
+				m.Release()
+			}
+			for _, k := range []wire.Kind{wire.KLockReq, wire.KLockGrant, wire.KBarrierArrive, wire.KBarrierExit} {
+				if seen[k] == 0 {
+					t.Errorf("no %v was sent: %v", k, seen)
+				}
 			}
 		})
 	}
@@ -149,7 +227,6 @@ const (
 	peerTimeout  = 250 * time.Millisecond
 	peerDeadline = 12 * peerTimeout // for any call or Close: past it the run hangs
 	withGC       = 8                // mode byte flag: GCEveryBarriers = 1
-	ownMode      = 100              // a section mode that stands for the run's
 )
 
 // phase is a point of the program a script step is armed at.
@@ -195,24 +272,16 @@ func swap(at phase, k wire.Kind, m *wire.Msg) step {
 func preempt(at phase, to int, m *wire.Msg) step {
 	return step{opPreempt, at, byte(to), m.EncodeAppend(nil)}
 }
-func sec(v vc.VC, ivs ...wire.IntervalRec) []wire.Section {
-	return []wire.Section{{Mode: ownMode, VC: v, Intervals: ivs}}
-}
 
-// patch re-encodes frame with seq (unless 0) and ownMode sections in mode,
-// into a buffer of its own; a frame that does not decode is copied as is.
-func patch(frame []byte, seq uint64, mode Mode) []byte {
+// patch re-encodes frame with seq (unless 0), into a buffer of its own; a
+// frame that does not decode is copied as is.
+func patch(frame []byte, seq uint64) []byte {
 	m, err := wire.Decode(slices.Clone(frame))
 	if err != nil {
 		return append(framebuf.Get(), frame...)
 	}
 	defer m.Release()
 	m.Seq = cmp.Or(seq, m.Seq)
-	for i := range m.Sections {
-		if m.Sections[i].Mode == ownMode {
-			m.Sections[i].Mode = uint16(mode)
-		}
-	}
 	return m.EncodeAppend(framebuf.Get())
 }
 
@@ -238,7 +307,6 @@ func decodeScript(b []byte) (steps []step) {
 // carries out the armed swaps.
 type tap struct {
 	transport.Endpoint
-	mode  Mode
 	mu    sync.Mutex
 	swaps []step
 	got   []*wire.Msg // held until the run is closed
@@ -261,7 +329,7 @@ func (n tapNet) Endpoint(i int) transport.Endpoint {
 // caller closes the System.
 func newTapSys(t testing.TB, cfg Config, pid int) (*System, *tap) {
 	net := simnet.New(cfg.Procs)
-	tp := &tap{Endpoint: net.Endpoint(pid), mode: cfg.Mode}
+	tp := &tap{Endpoint: net.Endpoint(pid)}
 	cfg.Transport = tapNet{net, tp}
 	s, err := New(cfg)
 	if err != nil {
@@ -308,7 +376,7 @@ func (t *tap) pass(in bool, frame []byte) (stand []byte, swapped bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if i := slices.IndexFunc(t.swaps, func(s step) bool { return wire.Kind(s.arg) == m.Kind }); i >= 0 {
-		stand, swapped = patch(t.swaps[i].frame, m.Seq, t.mode), true
+		stand, swapped = patch(t.swaps[i].frame, m.Seq), true
 		t.swaps = slices.Delete(t.swaps, i, i+1)
 	}
 	if in {
@@ -408,7 +476,7 @@ func (pr *peerRun) preempt(st step) bool {
 	}
 	n.waiterMu.Unlock()
 	if seq != 0 {
-		pr.tap.Endpoint.Send(int(n.id), patch(st.frame, seq, pr.s.cfg.Mode))
+		pr.tap.Endpoint.Send(int(n.id), patch(st.frame, seq))
 	}
 	return seq != 0
 }
@@ -432,7 +500,7 @@ func runPeer(t *testing.T, cfg Config, pid int, script []step) *peerRun {
 			case st.op == opPreempt:
 				preempts = append(preempts, st)
 			default:
-				tp.Endpoint.Send(dst, patch(st.frame, 0, cfg.Mode))
+				tp.Endpoint.Send(dst, patch(st.frame, 0))
 			}
 		}
 		if at == atEnd {
@@ -489,8 +557,8 @@ func (pr *peerRun) close(t *testing.T) error {
 	defer pr.tap.mu.Unlock()
 	for _, m := range pr.tap.got {
 		if mode := pr.s.cfg.Mode; mode <= LazyUpdate && (m.Kind == wire.KDiffReq && m.B != 0 || m.Kind == wire.KLockReq &&
-			(m.VC != nil || len(m.Sections) != 1 || Mode(m.Sections[0].Mode) != mode || len(m.Sections[0].VC) != peerProcs)) {
-			t.Errorf("the puppet got %v with B %d, clock %v, sections %+v", m.Kind, m.B, m.VC, m.Sections)
+			(m.Sections != nil || len(m.VC) != peerProcs || m.Intervals != nil || m.Diffs != nil)) {
+			t.Errorf("the puppet got %v with B %d, clock %v, %d records, %d diffs, sections %+v", m.Kind, m.B, m.VC, len(m.Intervals), len(m.Diffs), m.Sections)
 		}
 		m.Release()
 	}
@@ -520,6 +588,12 @@ func peerConfig(b byte) Config {
 		cfg.GCEveryBarriers = 1
 	}
 	return cfg
+}
+
+// joinOf returns the join body of peerConfig(b).
+func joinOf(b byte) []byte {
+	cfg := peerConfig(b)
+	return cfg.joinBody()
 }
 
 // --- the table ---
@@ -560,11 +634,17 @@ func wantsRow(name string, modes []Mode, flags byte, want string, wants ...wire.
 	return hostileRow{name: name, modes: modes, pid: 2, flags: flags, want: want, check: unanswered, script: []step{send(atEnd, 1, &wire.Msg{Kind: wire.KDiffReq, Seq: 99, A: 2, Wants: wants})}}
 }
 
-// sectionRow asks node 1, lock 1's manager, for the lock after the program
-// with sections its last holder must refuse building the grant it still
-// sends.
-func sectionRow(name, want string, sections ...wire.Section) hostileRow {
-	return hostileRow{name: name, modes: lu, pid: 2, want: want, check: granted, script: []step{send(atEnd, 1, &wire.Msg{Kind: wire.KLockReq, Seq: 99, A: 1, B: 2, Sections: sections})}}
+// requestRow asks node 1, lock 1's manager, for the lock after the program
+// with a request it must refuse whole.
+func requestRow(name, want string, m *wire.Msg) hostileRow {
+	m.Kind, m.Seq, m.A, m.B = wire.KLockReq, 99, 1, 2
+	return hostileRow{name: name, modes: lu, pid: 2, want: want, check: notQueued, script: []step{send(atEnd, 1, m)}}
+}
+
+// carriesSection is what a node records for a message of kind k from 0
+// or 2 that carries a wire.Section.
+func carriesSection(k wire.Kind, from int) string {
+	return fmt.Sprintf("%v from %d refused: it carries a section", k, from)
 }
 
 // shipRow answers r's cold read of the puppet's page with m, and its write
@@ -582,7 +662,7 @@ func shipRow(name string, m wire.Msg) hostileRow {
 // page 5: r, the master, then knows a writer of the page, so its cold
 // misses of it ship the page where they would make the zero page.
 var wrote5 = swap(atBarrier0, wire.KBarrierArrive, &wire.Msg{Kind: wire.KBarrierArrive, B: 2,
-	Sections: sec(vc.VC{-1, -1, 0}, wire.IntervalRec{Proc: 2, VC: vc.VC{-1, -1, 0}, Pages: []mem.PageID{5}})})
+	VC: vc.VC{-1, -1, 0}, Intervals: []wire.IntervalRec{{Proc: 2, VC: vc.VC{-1, -1, 0}, Pages: []mem.PageID{5}}}})
 
 // intervalRows grant lock 0 as its manager, or let node 1 out of barrier 0
 // in the master's stead, with a bad interval record beside a sound one:
@@ -601,7 +681,7 @@ func intervalRows() (rows []hostileRow) {
 			// FuzzPeer finding: a clock that names intervals nobody sent.
 			{"clock past what the node knows", "interval record p0/1 is stamped <1,9,-1>", wire.IntervalRec{Index: 1, VC: vc.VC{1, 9, -1}, Pages: []mem.PageID{1}}},
 		} { // the bad record first: a block is sorted before it is absorbed
-			m := &wire.Msg{Kind: kind, Sections: sec(vc.VC{3, -1, -1}, c.bad, sound)}
+			m := &wire.Msg{Kind: kind, VC: vc.VC{3, -1, -1}, Intervals: []wire.IntervalRec{c.bad, sound}}
 			st, name := swap(atLocks, wire.KLockReq, m), "grant/"
 			if kind == wire.KBarrierExit {
 				st, name = preempt(atBarrier0, 1, m), "barrier exit/"
@@ -645,7 +725,7 @@ func mismatchRows() (rows []hostileRow) {
 			resp, want, fails = &wire.Msg{Kind: wire.KPageResp, Data: make([]byte, 1024)}, "pageresp answers seq", "response refused"
 		}
 		notice, none := wire.IntervalRec{VC: vc.VC{0, -1, -1}, Pages: c.pages}, &wire.Msg{Kind: wire.KDiffResp}
-		rows = append(rows, hostileRow{name: c.name, modes: c.modes, want: want, fails: fails, check: requesterIntact, script: []step{swap(atLocks, wire.KLockReq, &wire.Msg{Kind: wire.KLockGrant, Sections: sec(vc.VC{0, -1, -1}, notice)}), swap(atLocks, wire.KDiffReq, resp), swap(atLocks, wire.KDiffReq, none), swap(atLocks, wire.KDiffReq, none)}})
+		rows = append(rows, hostileRow{name: c.name, modes: c.modes, want: want, fails: fails, check: requesterIntact, script: []step{swap(atLocks, wire.KLockReq, &wire.Msg{Kind: wire.KLockGrant, VC: vc.VC{0, -1, -1}, Intervals: []wire.IntervalRec{notice}}), swap(atLocks, wire.KDiffReq, resp), swap(atLocks, wire.KDiffReq, none), swap(atLocks, wire.KDiffReq, none)}})
 	}
 	return rows
 }
@@ -719,6 +799,16 @@ var hostileRows = map[string][]hostileRow{
 			script: []step{send(atLocks, 1, &wire.Msg{Kind: wire.KUpdate, Seq: 99, Diffs: []wire.DiffRec{rec(1, 2, 2)}})}},
 		{name: "EI/acknowledgement naming copies", modes: ei, pid: 2, want: "updateack from 2 names node 1 a copy of page 5", check: rKeepsNoHint,
 			script: []step{swap(atLocks, wire.KUpdate, &wire.Msg{Kind: wire.KUpdateAck, Wants: []wire.Want{{Page: 5, Proc: 1}}})}},
+		// A join reaches the master once per System as it starts; one in
+		// the middle of a run changes nothing but what Close reports.
+		{name: "a join at a node that is not the master", modes: li, pid: 2, image: true, want: "join from 2 dropped: only the master 0 is joined",
+			script: []step{send(atStart, 1, &wire.Msg{Kind: wire.KJoin, Seq: 99, B: 2, Data: joinOf(0)})}},
+		{name: "a join of another configuration", modes: li, pid: 2, image: true, want: "node 2's Config.GCEveryBarriers 1 differs from the master's 0",
+			script: []step{send(atStart, 0, &wire.Msg{Kind: wire.KJoin, Seq: 99, B: 2, Data: joinOf(withGC)})}},
+		{name: "a malformed join", modes: li, pid: 2, image: true, want: "malformed join of node 2: no Config.PageSize",
+			script: []step{send(atStart, 0, &wire.Msg{Kind: wire.KJoin, Seq: 99, B: 2, Data: []byte{0, peerProcs}})}},
+		{name: "a join claiming node 1", modes: li, pid: 2, image: true, want: "join claims node 1 but came from 2",
+			script: []step{send(atStart, 0, &wire.Msg{Kind: wire.KJoin, Seq: 99, B: 1, Data: joinOf(0)})}},
 	},
 	"TestCorruptTCPFramesSurfaceOnClose": {
 		{name: "garbage", modes: lu, pid: 2, image: true, want: "undecodable frame from 2", script: []step{{opSend, atLocks, 0, slices.Repeat([]byte{0xff}, 24)}}},
@@ -727,11 +817,29 @@ var hostileRows = map[string][]hostileRow{
 		{name: "retired batch byte", modes: lu, pid: 2, image: true, want: "undecodable frame from 2", script: []step{{opSend, atLocks, 0, []byte{24, 2, 0xde, 0xad, 0xbe, 0xef}}}},
 		{name: "retired compressed kind", modes: lu, pid: 2, image: true, want: "unknown message kind 25", script: []step{{opSend, atLocks, 0, []byte{25, 24, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}}}},
 	},
+	// No runtime message carries a wire.Section: a lock request, grant,
+	// arrival or exit that does, whatever the section says, is refused
+	// whole, and so is a synchronization clock not one entry per node.
 	"TestHostileSectionsRecordedNotPanic": {
-		sectionRow("non-resident mode", "section for mode EI on an LU node", wire.Section{Mode: uint16(EagerInvalidate)}),
-		sectionRow("mode beyond the engine table", "section for mode Mode(127) on an LU node", wire.Section{Mode: 0x7f}),
-		sectionRow("duplicate mode sections", "duplicate section for mode", wire.Section{Mode: ownMode}, wire.Section{Mode: ownMode}),
-		sectionRow("truncated section clock", "carries a 1-entry clock", wire.Section{Mode: ownMode, VC: []int32{3}}),
+		requestRow("non-resident mode", carriesSection(wire.KLockReq, 2), &wire.Msg{Sections: []wire.Section{{Mode: uint16(EagerInvalidate)}}}),
+		requestRow("mode beyond the engine table", carriesSection(wire.KLockReq, 2), &wire.Msg{Sections: []wire.Section{{Mode: 0x7f}}}),
+		requestRow("duplicate mode sections", carriesSection(wire.KLockReq, 2), &wire.Msg{Sections: []wire.Section{{Mode: uint16(LazyUpdate)}, {Mode: uint16(LazyUpdate)}}}),
+		requestRow("truncated section clock", carriesSection(wire.KLockReq, 2), &wire.Msg{Sections: []wire.Section{{Mode: uint16(LazyUpdate), VC: []int32{3}}}}),
+		requestRow("a section beside the flat clock", carriesSection(wire.KLockReq, 2), &wire.Msg{VC: vc.VC{-1, -1, -1}, Sections: []wire.Section{{}}}),
+		requestRow("truncated clock", "lockreq from 2 refused: it carries a 1-entry clock (cluster has 3)", &wire.Msg{VC: vc.VC{3}}),
+		requestRow("empty clock", "lockreq from 2 refused: it carries a 0-entry clock (cluster has 3)", &wire.Msg{VC: vc.VC{}}),
+		// A grant after the program answers nothing: refused before its
+		// routing would record it as a response nobody awaits. The other
+		// stand-ins reach a node that waits for the real message, which
+		// comes after them: the run ends as an honest one would.
+		{name: "a grant carrying a section", modes: lazyModes, image: true, want: carriesSection(wire.KLockGrant, 0),
+			script: []step{send(atEnd, 1, &wire.Msg{Kind: wire.KLockGrant, Seq: 99, Sections: []wire.Section{{VC: vc.VC{0, -1, -1}, Intervals: []wire.IntervalRec{sound}}}})}},
+		{name: "an arrival carrying a section", modes: lazyModes, pid: 2, image: true, want: carriesSection(wire.KBarrierArrive, 2),
+			script: []step{send(atBarrier0, 0, &wire.Msg{Kind: wire.KBarrierArrive, Seq: 6, B: 2, Sections: []wire.Section{{VC: vc.VC{-1, -1, 0}}}})}},
+		{name: "an exit carrying a section", modes: lazyModes, image: true, want: carriesSection(wire.KBarrierExit, 0),
+			script: []step{preempt(atBarrier0, 1, &wire.Msg{Kind: wire.KBarrierExit, Sections: []wire.Section{{VC: vc.VC{0, -1, -1}, Intervals: []wire.IntervalRec{sound}}}})}},
+		{name: "a grant whose clock is too wide", modes: lazyModes, image: true, want: "lockgrant from 0 refused: it carries a 4-entry clock (cluster has 3)",
+			script: []step{send(atEnd, 1, &wire.Msg{Kind: wire.KLockGrant, Seq: 99, VC: vc.VC{0, -1, -1, -1}, Intervals: []wire.IntervalRec{sound}})}},
 	},
 	"TestForgedFramesRecordedNotPanic": {
 		frameRow("unknown kind", sc, "unhandled message kind", &wire.Msg{Kind: wire.KDiffReq, Seq: 99, Wants: []wire.Want{{Page: 0}}}),
@@ -752,7 +860,7 @@ var hostileRows = map[string][]hostileRow{
 		frameRow("diffs nobody asked for", li, "response routing", &wire.Msg{Kind: wire.KDiffResp, Seq: 424242, Diffs: []wire.DiffRec{rec(1, 2, 0)}}),
 		frameRow("update beyond the space", eu, "update of invalid page", &wire.Msg{Kind: wire.KUpdate, Seq: 99, Diffs: []wire.DiffRec{rec(1<<20, 2, 0)}}),
 		frameRow("flush carrying a diff from an invalid flusher", eu, "unhandled message kind flushreq from 2", &wire.Msg{Kind: wire.KFlushReq, Seq: 99, A: 1, B: 77, Diffs: []wire.DiffRec{rec(1, 2, 0)}}),
-		frameRow("lock request smuggling diffs", li, "lockreq claims node 77", &wire.Msg{Kind: wire.KLockReq, Seq: 99, A: 1, B: 77, Sections: []wire.Section{{Mode: ownMode, Diffs: []wire.DiffRec{rec(1, 2, 0)}}}}),
+		frameRow("lock request smuggling diffs", li, "lockreq claims node 77", &wire.Msg{Kind: wire.KLockReq, Seq: 99, A: 1, B: 77, Diffs: []wire.DiffRec{rec(1, 2, 0)}}),
 	},
 	"TestForgedPageShipsRecordedNotInstalled": {
 		shipRow("short page", wire.Msg{Kind: wire.KPageResp, Data: make([]byte, 100)}),
@@ -793,15 +901,15 @@ var hostileRows = map[string][]hostileRow{
 		// grant's.
 		{name: "LI/a diff record of a collected interval", modes: li, pid: 2, flags: withGC, check: storeKnown, script: collectedGrant},
 		{name: "LU/a diff record of a collected interval", modes: lu, pid: 2, flags: withGC, check: storeKnown, script: collectedGrant, want: "diff record 0/0 for page 4 names collected history"},
-		{name: "a lock request below the floor", modes: lazyModes, pid: 2, flags: withGC, want: "forged clock <-1,-1,-1> lies below the collected floor", check: servedFromFloor(wire.KLockGrant, 2), script: []step{send(atEnd, 1, &wire.Msg{Kind: wire.KLockReq, Seq: 99, A: 1, B: 2, Sections: sec(vc.VC{-1, -1, -1})})}},
+		{name: "a lock request below the floor", modes: lazyModes, pid: 2, flags: withGC, want: "forged clock <-1,-1,-1> lies below the collected floor", check: servedFromFloor(wire.KLockGrant, 2), script: []step{send(atEnd, 1, &wire.Msg{Kind: wire.KLockReq, Seq: 99, A: 1, B: 2, VC: vc.VC{-1, -1, -1}})}},
 		// The puppet's own second arrival at barrier 1 claims to know nothing.
-		{name: "a barrier arrival below the floor", modes: lazyModes, pid: 2, flags: withGC, want: "forged clock <-1,-1,-1> lies below the collected floor", check: servedFromFloor(wire.KBarrierExit, 0), script: []step{swap(atDiscard1, wire.KBarrierArrive, &wire.Msg{Kind: wire.KBarrierArrive, A: 1, B: 2, Sections: sec(vc.VC{-1, -1, -1})})}},
+		{name: "a barrier arrival below the floor", modes: lazyModes, pid: 2, flags: withGC, want: "forged clock <-1,-1,-1> lies below the collected floor", check: servedFromFloor(wire.KBarrierExit, 0), script: []step{swap(atDiscard1, wire.KBarrierArrive, &wire.Msg{Kind: wire.KBarrierArrive, A: 1, B: 2, VC: vc.VC{-1, -1, -1}})}},
 	},
 	"TestMismatchedDiffResponsesFailTheMiss": mismatchRows(),
 	"TestNotHeldWantsAnsweredOrRefused":      notHeldRows(),
 	"TestForgedArrivalIntervalsRecordedNotAbsorbedRepro": {
-		{name: "the master's interval in an arrival", modes: li, pid: 2, want: "carries interval p0/0 of another processor", check: mastersOwn, script: []step{swap(atBarrier0, wire.KBarrierArrive, &wire.Msg{Kind: wire.KBarrierArrive, B: 2, Sections: sec(vc.VC{-1, -1, 0},
-			wire.IntervalRec{VC: vc.VC{0, -1, -1}, Pages: []mem.PageID{3}}, wire.IntervalRec{Proc: 2, VC: vc.VC{-1, -1, 0}, Pages: []mem.PageID{2}})})}},
+		{name: "the master's interval in an arrival", modes: li, pid: 2, want: "carries interval p0/0 of another processor", check: mastersOwn, script: []step{swap(atBarrier0, wire.KBarrierArrive, &wire.Msg{Kind: wire.KBarrierArrive, B: 2, VC: vc.VC{-1, -1, 0},
+			Intervals: []wire.IntervalRec{{VC: vc.VC{0, -1, -1}, Pages: []mem.PageID{3}}, {Proc: 2, VC: vc.VC{-1, -1, 0}, Pages: []mem.PageID{2}}}})}},
 	},
 	"TestForgedRendezvousRecordedNotCounted": {
 		// The GC's ready/go round is retired: a ready is a kind no node
@@ -818,14 +926,14 @@ var hostileRows = map[string][]hostileRow{
 		// A barrier's Data is read by nobody: the master's exit carries the
 		// bytes of a home plan that names page 0 twice, and the arriver
 		// leaves as from an honest exit. The eager and SC exits carry no
-		// section, so the stand-in is the honest exit plus Data.
+		// payload, so the stand-in is the honest exit plus Data.
 		{name: "stray data on a barrier exit", modes: []Mode{EagerInvalidate, EagerUpdate, SeqConsistent}, image: true,
 			script: []step{swap(atBarrier0, wire.KBarrierExit, &wire.Msg{Kind: wire.KBarrierExit, Data: []byte{2, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}})}},
 	},
 }
 
 // collectedGrant grants the puppet's lock with node 0's diff of interval 0.
-var collectedGrant = []step{swap(atLocks, wire.KLockReq, &wire.Msg{Kind: wire.KLockGrant, A: 2, Sections: []wire.Section{{Mode: ownMode, Diffs: []wire.DiffRec{rec(4, 0, 0)}}}})}
+var collectedGrant = []step{swap(atLocks, wire.KLockReq, &wire.Msg{Kind: wire.KLockGrant, A: 2, Diffs: []wire.DiffRec{rec(4, 0, 0)}})}
 
 // --- row checks, run before Close ---
 
@@ -873,8 +981,21 @@ func pageReqUnanswered(t *testing.T, pr *peerRun) {
 	}
 }
 
-func granted(t *testing.T, pr *peerRun) {
-	waitFor(t, "the lock to be granted to the puppet", func() bool { return len(pr.tap.received(wire.KLockGrant)) > 0 })
+// notQueued: lock 1's manager, node 1, did not take the puppet for the
+// lock's last holder, and no grant reached the puppet.
+func notQueued(t *testing.T, pr *peerRun) {
+	pr.h.lockMu.Lock()
+	last := pr.h.mgrLast[1]
+	pr.h.lockMu.Unlock()
+	if last == 2 {
+		t.Error("lock 1's manager queued the refused request")
+	}
+	pr.s.Close()
+	for _, m := range pr.tap.received(wire.KLockGrant) {
+		if m.Seq == 99 {
+			t.Error("the refused request was granted")
+		}
+	}
 }
 
 // servedFromFloor checks that the last message of kind k the puppet gets
@@ -883,11 +1004,9 @@ func servedFromFloor(k wire.Kind, floor int32) func(t *testing.T, pr *peerRun) {
 	return func(t *testing.T, pr *peerRun) {
 		waitFor(t, fmt.Sprintf("a %v at the puppet", k), func() bool { return len(pr.tap.received(k)) > 0 })
 		got := pr.tap.received(k)
-		for _, s := range got[len(got)-1].Sections {
-			for _, r := range s.Intervals {
-				if int(r.Proc) != pr.pid && r.Index <= floor {
-					t.Errorf("%v exports %d/%d, at or below the floor %d", k, r.Proc, r.Index, floor)
-				}
+		for _, r := range got[len(got)-1].Intervals {
+			if int(r.Proc) != pr.pid && r.Index <= floor {
+				t.Errorf("%v exports %d/%d, at or below the floor %d", k, r.Proc, r.Index, floor)
 			}
 		}
 	}

@@ -376,7 +376,12 @@ func (e *lazyEngine) grant(req, grant *wire.Msg) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	grant.Intervals = e.intervalsSinceLocked(grant, req.VC)
-	grant.SetClock(e.v)
+	if len(grant.Intervals) > 0 {
+		// onGrant reads records only: the clock travels as the codec's
+		// prediction base for each run's first record, and a grant without
+		// records ships none.
+		grant.SetClock(e.v)
+	}
 	if e.update {
 		// Piggyback every retained diff for the noticed intervals — the
 		// releaser supplies what it has (Figure 4's "l and x in a single
@@ -474,8 +479,10 @@ func (e *lazyEngine) masterAbsorb(arrivals []*wire.Msg) {
 
 func (e *lazyEngine) exit(m, exit *wire.Msg) {
 	e.mu.Lock()
-	exit.SetClock(e.v)
 	exit.Intervals = e.intervalsSinceLocked(exit, m.VC)
+	if len(exit.Intervals) > 0 { // a prediction base, as a grant's
+		exit.SetClock(e.v)
+	}
 	e.mu.Unlock()
 }
 

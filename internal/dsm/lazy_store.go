@@ -358,15 +358,10 @@ func (l *ledger) collectedLocked(id core.IntervalID) bool {
 }
 
 // releaseDiffs drops the counts the builder of m took on the diffs it
-// names, flat or in a section, once m is encoded.
+// names, once m is encoded.
 func releaseDiffs(m *wire.Msg) {
 	for _, r := range m.Diffs {
 		r.Diff.Release()
-	}
-	for i := range m.Sections {
-		for _, r := range m.Sections[i].Diffs {
-			r.Diff.Release()
-		}
 	}
 }
 

@@ -471,6 +471,11 @@ func (n *Node) dispatchMsg(m *wire.Msg, src mem.ProcID) {
 		m.Release()
 		return
 	}
+	if err := n.checkPayload(m, src); err != nil {
+		n.noteErr("inbound payload", err)
+		m.Release()
+		return
+	}
 	switch m.Kind {
 	case wire.KBarrierArrive:
 		n.park(m, src)
@@ -495,7 +500,7 @@ func (n *Node) dispatchMsg(m *wire.Msg, src mem.ProcID) {
 // binds a message to the identity its stream claims.
 func (n *Node) checkSender(m *wire.Msg, src mem.ProcID) error {
 	switch m.Kind {
-	case wire.KLockReq, wire.KBarrierArrive, wire.KPageReq, wire.KWriteReq:
+	case wire.KLockReq, wire.KBarrierArrive, wire.KPageReq, wire.KWriteReq, wire.KJoin:
 		if mem.ProcID(m.B) != src && !n.homeForward(m, src) {
 			return fmt.Errorf("%v claims node %d but came from %d", m.Kind, m.B, src)
 		}
@@ -542,6 +547,8 @@ func (n *Node) process(m *wire.Msg, src mem.ProcID) {
 		n.handleLockReq(m)
 	case m.Kind == wire.KLockFwd:
 		n.handleLockFwd(m)
+	case m.Kind == wire.KJoin:
+		n.handleJoin(m, src)
 	default:
 		// Remote peers choose the kind; an unhandled one is their bug (or
 		// malice), not ours — record and drop instead of panicking.

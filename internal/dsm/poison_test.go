@@ -3,7 +3,6 @@ package dsm
 import (
 	"bytes"
 	"fmt"
-	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -191,29 +190,25 @@ func TestEarlyGrantReleaseIsCaught(t *testing.T) {
 		req := wire.NewMsg()
 		req.Kind, req.A, req.B = wire.KLockReq, int32(lock), int32(reader.id)
 		reader.e.acquireStart(req)
-		reader.sealSection(req)
 		writer.lockMu.Lock()
 		built := wire.NewMsg()
 		built.Kind, built.A = wire.KLockGrant, int32(lock)
-		writer.openSection("lock grant build", req, reader.id)
 		writer.e.grant(req, built)
-		writer.sealSection(built)
 		frame := built.EncodeAppend(framebuf.Get())
 		writer.lockMu.Unlock()
 		built.Release()
 		req.Release()
 		grant, err := wire.Decode(frame)
-		if err != nil || len(grant.Sections) != 1 || len(grant.Sections[0].Intervals) != 1 {
-			t.Fatalf("decoded grant %+v, err %v: want one section with the writer's interval", grant, err)
+		if err != nil || len(grant.Intervals) != 1 {
+			t.Fatalf("decoded grant %+v, err %v: want the writer's interval", grant, err)
 		}
 		if early {
 			// The bug: the records are read after the shell they live in
 			// has gone back to the free list.
-			kept := &wire.Msg{Kind: grant.Kind, A: grant.A, Sections: slices.Clone(grant.Sections)}
+			kept := &wire.Msg{Kind: grant.Kind, A: grant.A, VC: grant.VC, Intervals: grant.Intervals}
 			grant.Release()
 			grant = kept
 		}
-		reader.openSection("lock grant", grant, writer.id)
 		err = reader.e.onGrant(grant)
 		grant.Release()
 		if err != nil {

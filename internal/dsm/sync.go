@@ -18,54 +18,32 @@ import (
 // one identity to it. Handler workers answer peers' lock requests and
 // forwards concurrently, under lockMu.
 
-// --- the protocol tag ---
+// --- the consistency payload ---
 //
-// Every lock request, lock grant and barrier message carries the engine's
-// consistency payload as one wire.Section tagged with the sender's Mode
-// (an engine with nothing to say sends none). A receiver accepts only its
-// own mode: that check is the one place a cluster whose Systems disagree
-// on Config.Mode surfaces — LI and LU speak the same message kinds, so
-// nothing else would notice. The engine hooks read and write the
-// message's flat VC/Intervals/Diffs; sealSection and openSection move the
-// payload between those and the section.
+// Every lock request, forward and grant and every barrier arrival and exit
+// carries the engine's consistency payload in the message's flat
+// VC/Intervals/Diffs, which the engine hooks write and read as they are:
+// no tag says which protocol wrote them. A cluster's Systems agree on the
+// protocol and the rest of the cluster-wide configuration once, when a
+// System that does not host the master joins (join.go), and dispatch holds
+// each received payload to the cluster (checkPayload).
 
-// sealSection moves the payload an engine hook left in m's flat fields
-// into m's one section.
-func (n *Node) sealSection(m *wire.Msg) {
-	if m.VC != nil || len(m.Intervals) > 0 || len(m.Diffs) > 0 {
-		m.AppendSection(wire.Section{
-			Mode: uint16(n.sys.cfg.Mode), VC: m.VC,
-			Intervals: m.Intervals, Diffs: m.Diffs,
-		})
-		m.VC, m.Intervals, m.Diffs = nil, nil, nil
+// checkPayload holds a received message's consistency payload to what the
+// runtime sends: no message carries a wire.Section, which the codec still
+// reads, and a synchronization message's clock has one entry per
+// processor. A message that breaks either is a forgery, a corruption or a
+// misconfigured peer, refused whole like a forged sender.
+func (n *Node) checkPayload(m *wire.Msg, src mem.ProcID) error {
+	if m.Sections != nil {
+		return fmt.Errorf("%v from %d refused: it carries a section, which no runtime message does", m.Kind, src)
 	}
-}
-
-// openSection is sealSection's inverse on a received message: its section
-// becomes the flat payload the engine hooks read, and nothing else does
-// (no section is an empty payload). A section for another mode, a second
-// one, or one whose clock does not match the cluster is a forgery, a
-// corruption or a misconfigured peer: recorded and dropped (op names the
-// message for the error).
-func (n *Node) openSection(op string, m *wire.Msg, src mem.ProcID) {
-	mode, procs := n.sys.cfg.Mode, n.sys.cfg.Procs
-	m.VC, m.Intervals, m.Diffs = nil, nil, nil
-	opened := false
-	for _, s := range m.Sections {
-		switch {
-		case Mode(s.Mode) != mode:
-			n.noteErr(op, fmt.Errorf("section for mode %v on an %v node, from %d", Mode(s.Mode), mode, src))
-		case opened:
-			n.noteErr(op, fmt.Errorf("duplicate section for mode %v from %d", mode, src))
-		case len(s.VC) != 0 && len(s.VC) != procs:
-			n.noteErr(op, fmt.Errorf("section for mode %v from %d carries a %d-entry clock (cluster has %d)",
-				mode, src, len(s.VC), procs))
-		default:
-			m.VC, m.Intervals, m.Diffs = s.VC, s.Intervals, s.Diffs
-			opened = true
+	switch m.Kind {
+	case wire.KLockReq, wire.KLockFwd, wire.KLockGrant, wire.KBarrierArrive, wire.KBarrierExit:
+		if procs := n.sys.cfg.Procs; m.VC != nil && len(m.VC) != procs {
+			return fmt.Errorf("%v from %d refused: it carries a %d-entry clock (cluster has %d)", m.Kind, src, len(m.VC), procs)
 		}
 	}
-	m.Sections = nil
+	return nil
 }
 
 // --- application API: locks ---
@@ -108,7 +86,6 @@ func (n *Node) Acquire(l mem.LockID) error {
 	// path, the cached one included: under the lazy protocols an acquire
 	// delimits the current interval.
 	n.e.acquireStart(req)
-	n.sealSection(req)
 	if ll.cached {
 		ll.held = true
 		n.lockMu.Unlock()
@@ -133,7 +110,6 @@ func (n *Node) Acquire(l mem.LockID) error {
 	n.emit("sync", "cs-enter", int64(l))
 	// onGrant has absorbed the grant by the time it returns: the log has
 	// its records, LU's store clones of its piggybacked diffs.
-	n.openSection("lock grant", grant, mem.ProcID(grant.B))
 	err = n.e.onGrant(grant)
 	grant.Release()
 	return err
@@ -193,9 +169,7 @@ func (n *Node) sendGrant(req *wire.Msg) error {
 	}
 	grant := wire.NewMsg() // a shell: the engine hook is an interface call
 	grant.Kind, grant.Seq, grant.A = wire.KLockGrant, req.Seq, req.A
-	n.openSection("lock grant build", req, mem.ProcID(req.B))
 	n.e.grant(req, grant)
-	n.sealSection(grant)
 	err := n.send(mem.ProcID(req.B), grant)
 	releaseDiffs(grant) // LU's piggyback, retained under the engine lock
 	grant.Release()
@@ -229,9 +203,6 @@ func (n *Node) Barrier(b mem.BarrierID) error {
 		if err != nil {
 			return err
 		}
-		for _, m := range arrivals {
-			n.openSection("barrier arrival", m, mem.ProcID(m.B))
-		}
 		n.e.masterAbsorb(arrivals)
 		// Exit messages carry what each arriver lacks; an arrival is done
 		// with once it is answered.
@@ -239,7 +210,6 @@ func (n *Node) Barrier(b mem.BarrierID) error {
 			exit := wire.NewMsg()
 			exit.Kind, exit.Seq, exit.A = wire.KBarrierExit, m.Seq, int32(b)
 			n.e.exit(m, exit)
-			n.sealSection(exit)
 			err := n.send(mem.ProcID(m.B), exit)
 			exit.Release()
 			m.Release()
@@ -251,14 +221,12 @@ func (n *Node) Barrier(b mem.BarrierID) error {
 		arrive := wire.NewMsg()
 		arrive.Kind, arrive.Seq, arrive.A, arrive.B = wire.KBarrierArrive, n.nextSeq(), int32(b), int32(n.id)
 		n.e.arrive(arrive)
-		n.sealSection(arrive)
 		exit, err := n.rpc(master, arrive)
 		arrive.Release()
 		if err != nil {
 			return err
 		}
 		defer exit.Release()
-		n.openSection("barrier exit", exit, mem.ProcID(exit.B))
 		if err := n.e.onExit(exit); err != nil {
 			return err
 		}
@@ -357,10 +325,10 @@ func (n *Node) handleLockReq(m *wire.Msg) {
 		return
 	}
 	n.lockMu.Unlock()
-	// The forward carries the requester's section through unopened —
-	// encoded here and now, while the request it shares it with is still
-	// held.
-	n.noteErr("lock forward", n.send(prev, &wire.Msg{Kind: wire.KLockFwd, Seq: m.Seq, A: m.A, B: m.B, Sections: m.Sections}))
+	// The forward carries the requester's clock, which the grant is built
+	// against — encoded here and now, while the request it shares it with
+	// is still held.
+	n.noteErr("lock forward", n.send(prev, &wire.Msg{Kind: wire.KLockFwd, Seq: m.Seq, A: m.A, B: m.B, VC: m.VC}))
 }
 
 func (n *Node) handleLockFwd(m *wire.Msg) {

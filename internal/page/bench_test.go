@@ -172,41 +172,70 @@ func BenchmarkFlatten(b *testing.B) {
 	}
 }
 
-// BenchmarkWriteLog times one window of 8-byte writes on a 4 KiB page and
-// its cut into a wire body, against the twin it replaces (a capture at the
-// first write and MakeDiff at the cut): sparse writes 8 words, dense every
-// word once in a strided order, as hit-private does.
+// BenchmarkWriteLog times a window of 8-byte writes on a 4 KiB page in
+// two parts, and against the twin it replaces (a capture at the first
+// write and MakeDiff at the cut). writes is the window's writes and its
+// Reset, with ns per write reported; cut is the cut of the written window
+// into a wire body, its entries put back in write order first. sparse
+// writes 8 words, half half the words once in an odd stride, as
+// hit-private writes its pages, dense every word once in a strided order;
+// the writes change a word's first byte, so a dense cut makes 512 runs,
+// but dense-one-run's change every byte, and its cut is one run.
 func BenchmarkWriteLog(b *testing.B) {
-	const size = 4096
+	const size, words = 4096, 4096 / 8
 	for _, c := range []struct {
-		name   string
-		writes int
-	}{{"sparse", 8}, {"dense", size / 8}} {
+		name          string
+		writes, every int // writes, one in every `every` words
+		whole         bool
+	}{{"sparse", 8, 37, false}, {"half", words / 2, 2*101 + 1, false}, {"dense", words, 37, false}, {"dense-one-run", words, 37, true}} {
 		offs := make([]int, c.writes)
 		for i := range offs {
-			offs[i] = (i * 37 % (size / 8)) * 8
+			offs[i] = (i * c.every % words) * 8
 		}
 		data := make([]byte, size)
+		value := func(v *[8]byte, i int) {
+			*v = [8]byte{byte(i)}
+			if c.whole {
+				*v = [8]byte{byte(i), byte(i), byte(i), byte(i), byte(i), byte(i), byte(i), byte(i)}
+			}
+		}
 		var v [8]byte
-		b.Run(c.name+"/log", func(b *testing.B) {
+		b.Run(c.name+"/writes", func(b *testing.B) {
 			var log WriteLog
-			var runs []Run
-			var body []byte
 			b.ReportAllocs()
 			for i := range b.N {
-				v[0] = byte(i)
+				value(&v, i+1)
 				for _, off := range offs {
 					log.Write(data, off, v[:])
 				}
-				runs = log.Cut(runs[:0], data)
-				body = AppendBody(body[:0], runs, data)
 				log.Reset()
 			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(offs)), "ns/write")
+		})
+		b.Run(c.name+"/cut", func(b *testing.B) {
+			var log WriteLog
+			value(&v, 0)
+			clear(data)
+			value(&v, 0xa5)
+			for _, off := range offs {
+				log.Write(data, off, v[:])
+			}
+			defer log.Reset()
+			written := slices.Clone(log.buf)
+			var runs []Run
+			var body []byte
+			b.ReportAllocs()
+			for range b.N {
+				copy(log.buf, written)
+				runs = log.Cut(runs[:0], data)
+				body = AppendBody(body[:0], runs, data)
+			}
+			b.ReportMetric(float64(len(runs)), "runs")
 		})
 		b.Run(c.name+"/twin", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := range b.N {
-				v[0] = byte(i)
+				value(&v, i+1)
 				tw := NewTwin(data)
 				for _, off := range offs {
 					copy(data[off:], v[:])
@@ -219,5 +248,41 @@ func BenchmarkWriteLog(b *testing.B) {
 				tw.Release()
 			}
 		})
+	}
+}
+
+// BenchmarkApply times Diff.Apply on a 4 KiB page: one 64-byte run, 64
+// one-byte runs spread over the page, and the whole page in one run.
+func BenchmarkApply(b *testing.B) {
+	const size = 4096
+	spread := make([]Run, 64)
+	payloads := make([][]byte, 64)
+	for i := range spread {
+		spread[i], payloads[i] = Run{Off: int32(i * size / 64), Len: 1}, []byte{byte(i) | 1}
+	}
+	for _, c := range []struct {
+		name string
+		runs []Run
+		data [][]byte
+	}{
+		{"run64", []Run{{Off: 1024, Len: 64}}, [][]byte{bytes.Repeat([]byte{0xab}, 64)}},
+		{"spread64", spread, payloads},
+		{"page", []Run{{Off: 0, Len: size}}, [][]byte{bytes.Repeat([]byte{0xcd}, size)}},
+	} {
+		d, err := DiffFromRuns(c.runs, c.data)
+		if err != nil {
+			b.Fatal(err)
+		}
+		dst := make([]byte, size)
+		b.Run(c.name, func(b *testing.B) {
+			b.SetBytes(int64(len(d.EnsureWireBody())))
+			b.ReportAllocs()
+			for range b.N {
+				if err := d.Apply(dst); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		d.Release()
 	}
 }

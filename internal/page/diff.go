@@ -194,12 +194,20 @@ func appendBody(body []byte, runs []Run, payload func(k int) []byte) []byte {
 // — and names the first one broken. Runs may overlap, and need not
 // be in order.
 func ScanBody(b []byte) (size, runs int, err error) {
-	size, runs, _, err = scanBody(b)
+	size, runs, _, err = scanBody(b, nil)
 	return size, runs, err
 }
 
-// scanBody is ScanBody, also returning end, the furthest end of a run.
-func scanBody(b []byte) (size, runs, end int, err error) {
+// bodyRun is one run of a body as scanBody found it: its offset and
+// length, and where its payload sits in the body.
+type bodyRun struct{ off, n, at int32 }
+
+// tableRuns is how many runs Apply's frame holds the scan's table of.
+const tableRuns = 64
+
+// scanBody is ScanBody, also returning end, the furthest end of a run,
+// and filling table with the body's first len(table) runs.
+func scanBody(b []byte, table []bodyRun) (size, runs, end int, err error) {
 	count, pos, err := bodyUvarint(b, 0, math.MaxUint64)
 	if err != nil {
 		return 0, 0, 0, err
@@ -207,43 +215,74 @@ func scanBody(b []byte) (size, runs, end int, err error) {
 	if count > uint64(len(b)-pos)/2 { // a run is two bytes at least
 		return 0, 0, 0, bodyErr("implausible run count %d for %d remaining bytes", count, len(b)-pos)
 	}
-	for range count {
-		var off, n uint64
-		if off, pos, err = bodyUvarint(b, pos, math.MaxUint32); err != nil {
-			return 0, 0, 0, err
+	for i := range int(count) {
+		// bodyUvarint by hand, its short form inline: a call per number
+		// costs more than the rest of the loop.
+		off, at, ok := shortUvarint(b, pos)
+		if !ok {
+			if off, at, err = longUvarint(b, pos, math.MaxUint32); err != nil {
+				return 0, 0, 0, err
+			}
 		}
 		if off > math.MaxInt32 {
 			// A negative offset would index backwards when the diff is
 			// applied; nothing legitimate encodes one.
 			return 0, 0, 0, bodyErr("negative run offset %d", int32(off))
 		}
-		if n, pos, err = bodyUvarint(b, pos, math.MaxUint32); err != nil {
-			return 0, 0, 0, err
+		n, payload, ok := shortUvarint(b, at)
+		if !ok {
+			if n, payload, err = longUvarint(b, at, math.MaxUint32); err != nil {
+				return 0, 0, 0, err
+			}
 		}
-		if n > uint64(len(b)-pos) {
-			return 0, 0, 0, bodyErr("truncated payload at offset %d (want %d bytes)", pos, n)
+		if n > uint64(len(b)-payload) {
+			return 0, 0, 0, bodyErr("truncated payload at offset %d (want %d bytes)", payload, n)
 		}
-		pos += int(n)
+		if i < len(table) {
+			table[i] = bodyRun{int32(off), int32(n), int32(payload)}
+		}
+		pos = payload + int(n)
 		end = max(end, int(off+n))
 	}
 	return pos, int(count), end, nil
 }
 
 // scanWhole is scanBody over a body that must end where b does.
-func scanWhole(b []byte) (end int, err error) {
-	size, _, end, err := scanBody(b)
+func scanWhole(b []byte, table []bodyRun) (runs, end int, err error) {
+	size, runs, end, err := scanBody(b, table)
 	if err == nil && size != len(b) {
 		err = bodyErr("%d bytes past its last run", len(b)-size)
 	}
-	return end, err
+	return runs, end, err
 }
 
 // bodyUvarint reads the varint at b[pos:], which must be minimal and at
 // most limit, and returns it with the position after it.
 func bodyUvarint(b []byte, pos int, limit uint64) (uint64, int, error) {
-	if pos < len(b) && b[pos] < 0x80 {
-		return uint64(b[pos]), pos + 1, nil
+	if x, next, ok := shortUvarint(b, pos); ok {
+		return x, next, nil
 	}
+	return longUvarint(b, pos, limit)
+}
+
+// shortUvarint reads the one- or two-byte minimal varint at b[pos:] — a
+// 4 KiB page's every run count, offset and length but a run past 16 KiB —
+// and reports whether there was one; anything else is longUvarint's to
+// read or refuse. Every limit bodyUvarint takes holds two bytes' worth.
+func shortUvarint(b []byte, pos int) (x uint64, next int, ok bool) {
+	if uint(pos) >= uint(len(b)) {
+		return 0, pos, false
+	}
+	if c := b[pos]; c < 0x80 {
+		return uint64(c), pos + 1, true
+	}
+	if uint(pos+1) >= uint(len(b)) || b[pos+1]-1 >= 0x7f { // 1..0x7f: a minimal second byte
+		return 0, pos, false
+	}
+	return uint64(b[pos]&0x7f) | uint64(b[pos+1])<<7, pos + 2, true
+}
+
+func longUvarint(b []byte, pos int, limit uint64) (uint64, int, error) {
 	x, k := binary.Uvarint(b[pos:])
 	switch {
 	case k == 0:
@@ -262,19 +301,33 @@ func bodyErr(format string, args ...any) error {
 	return fmt.Errorf("page: malformed diff body: "+format, args...)
 }
 
-// runs yields each run of the diff with its payload, in body order: the
-// walk of a body scanBody accepted.
-func (d *Diff) runs(yield func(Run, []byte) bool) {
-	body := d.EnsureWireBody()
-	pos := uvarintLen(uint64(d.NumRuns()))
-	for range d.NumRuns() {
-		off, k := binary.Uvarint(body[pos:])
-		n, k2 := binary.Uvarint(body[pos+k:])
-		pos += k + k2 + int(n)
-		if !yield(Run{Off: int32(off), Len: int32(n)}, body[pos-int(n):pos]) {
-			return
-		}
+// nextRun reads the run at body[pos:] of a body scanBody accepted, and
+// returns it with the position of its payload and the position after it:
+// the walk Apply, AppendRuns and WireSize share.
+func nextRun(body []byte, pos int) (r Run, payload, next int) {
+	off, pos, ok := shortUvarint(body, pos)
+	if !ok {
+		off, pos = walkLong(body, pos)
 	}
+	n, pos, ok := shortUvarint(body, pos)
+	if !ok {
+		n, pos = walkLong(body, pos)
+	}
+	return Run{Off: int32(off), Len: int32(n)}, pos, pos + int(n)
+}
+
+// firstRun returns the run count of a body scanBody accepted and the
+// position of its first run.
+func firstRun(body []byte) (count, pos int) {
+	n, k := binary.Uvarint(body)
+	return int(n), k
+}
+
+// walkLong reads the varint at b[pos:] of a body scanBody accepted that
+// shortUvarint did not.
+func walkLong(b []byte, pos int) (uint64, int) {
+	x, k := binary.Uvarint(b[pos:])
+	return x, pos + k
 }
 
 // ParseBody returns the diff whose wire body is body, copied into a lease
@@ -283,7 +336,7 @@ func (d *Diff) runs(yield func(Run, []byte) bool) {
 // that were never a body, or were overwritten since — is an error, and so
 // is anything after the last payload.
 func ParseBody(body []byte) (*Diff, error) {
-	if _, err := scanWhole(body); err != nil {
+	if _, _, err := scanWhole(body, nil); err != nil {
 		return nil, err
 	}
 	var d Diff
@@ -448,14 +501,18 @@ func (d *Diff) Empty() bool { return d.buf == nil }
 
 // NumRuns returns the number of runs in the diff.
 func (d *Diff) NumRuns() int {
-	n, _ := binary.Uvarint(d.EnsureWireBody())
-	return int(n)
+	n, _ := firstRun(d.EnsureWireBody())
+	return n
 }
 
 // AppendRuns appends the diff's runs to dst, in body order. The diff must
 // be one a constructor made or the decoder accepted, and not released.
 func (d *Diff) AppendRuns(dst []Run) []Run {
-	for r := range d.runs {
+	body := d.EnsureWireBody()
+	count, pos := firstRun(body)
+	for range count {
+		var r Run
+		r, _, pos = nextRun(body, pos)
 		dst = append(dst, r)
 	}
 	return dst
@@ -464,9 +521,13 @@ func (d *Diff) AppendRuns(dst []Run) []Run {
 // WireSize returns the size of the diff on the wire under the package's
 // size model.
 func (d *Diff) WireSize() int {
-	size := DiffHeaderBytes
-	for r := range d.runs {
-		size += RunHeaderBytes + int(r.Len)
+	body := d.EnsureWireBody()
+	count, pos := firstRun(body)
+	size := DiffHeaderBytes + count*RunHeaderBytes
+	for range count {
+		var r Run
+		r, _, pos = nextRun(body, pos)
+		size += int(r.Len)
 	}
 	return size
 }
@@ -510,15 +571,28 @@ func (d *Diff) Clone() *Diff {
 // after its release — is rejected whole and leaves the page untouched
 // rather than torn.
 func (d *Diff) Apply(contents []byte) error {
-	end, err := scanWhole(d.EnsureWireBody())
+	var table [tableRuns]bodyRun
+	body := d.EnsureWireBody()
+	count, end, err := scanWhole(body, table[:])
 	if err != nil {
 		return err
 	}
 	if end > len(contents) {
 		return fmt.Errorf("page: diff run ending at %d exceeds page size %d", end, len(contents))
 	}
-	for r, payload := range d.runs {
-		copy(contents[r.Off:], payload)
+	// A body of up to tableRuns runs, most of them, is copied from the
+	// table its scan filled; a longer one is walked again.
+	if count <= len(table) {
+		for _, r := range table[:count] {
+			copy(contents[r.off:], body[r.at:r.at+r.n])
+		}
+		return nil
+	}
+	_, pos := firstRun(body)
+	for range count {
+		r, at, next := nextRun(body, pos)
+		copy(contents[r.Off:], body[at:next])
+		pos = next
 	}
 	return nil
 }

@@ -225,6 +225,43 @@ func TestPropDiffRoundTrip(t *testing.T) {
 	}
 }
 
+// TestApplyPastTheRunTable: a body of more runs than Apply's table holds,
+// with offsets and a length past two varint bytes, applies, lists and
+// sizes like the runs it was made of.
+func TestApplyPastTheRunTable(t *testing.T) {
+	const size = 64 << 10
+	orig := make([]byte, size)
+	tw := NewTwin(orig)
+	cur := make([]byte, size)
+	var runs []Run
+	for off := 0; off < 48<<10; off += 256 { // 192 runs, most past 16 KiB
+		cur[off] = byte(off>>8) | 1
+		runs = append(runs, Run{Off: int32(off), Len: WordSize})
+	}
+	for off := 48 << 10; off < size; off++ { // one 16 KiB run
+		cur[off] = 0xee
+	}
+	runs = append(runs, Run{Off: 48 << 10, Len: 16 << 10})
+	d, err := MakeDiff(tw, cur)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Release()
+	got := make([]byte, size)
+	if err := d.Apply(got); err != nil || !bytes.Equal(got, cur) {
+		t.Fatalf("Apply of %d runs: err %v, page differs: %t", d.NumRuns(), err, !bytes.Equal(got, cur))
+	}
+	if listed := d.AppendRuns(nil); !slices.Equal(listed, runs) {
+		t.Errorf("AppendRuns lists %d runs, want the %d made", len(listed), len(runs))
+	}
+	if want := DiffHeaderBytes + len(runs)*RunHeaderBytes + 192*WordSize + 16<<10; d.WireSize() != want {
+		t.Errorf("WireSize = %d, want %d", d.WireSize(), want)
+	}
+	if err := d.Apply(make([]byte, size-1)); err == nil || !strings.Contains(err.Error(), "exceeds page size") {
+		t.Errorf("Apply to a page a byte short = %v, want the run refused", err)
+	}
+}
+
 func TestPropDiffRunsCoverExactlyChangedWords(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))

@@ -66,13 +66,13 @@ func BenchmarkWireDecodeShell(b *testing.B) {
 }
 
 // A water-shaped lock grant: the releaser's clock and six write notices of
-// one processor in its section, the LI hot-path message (the notices run,
+// one processor, the LI hot-path message (the notices run,
 // splash-water's grants carry 5.6 on average, and 70-80% of its records
 // repeat the page list of the record before them, as five of these six
 // do), encoded into a pooled frame and decoded into a recycled shell.
 func grantRun() *Msg {
-	return &Msg{Kind: KLockGrant, Seq: 1000, A: 5, Sections: []Section{{VC: vc.VC{900, 412, 655, 130},
-		Intervals: onePage(notices(2, 650, 6, vc.VC{880, 400, 0, 128}), 300)}}}
+	return &Msg{Kind: KLockGrant, Seq: 1000, A: 5, VC: vc.VC{900, 412, 655, 130},
+		Intervals: onePage(notices(2, 650, 6, vc.VC{880, 400, 0, 128}), 300)}
 }
 
 func BenchmarkWireEncodeGrantRun(b *testing.B) {
@@ -101,11 +101,11 @@ func BenchmarkWireDecodeGrantRun(b *testing.B) {
 // BenchmarkWireDecodeBarrierBlock decodes an LI barrier arrival as the
 // master receives it: the arriver's clock and the 2,000 intervals it closed
 // in the epoch, all its own (splash-water's arrivals at 4 processors and
-// scale 16 carry up to 2,385), in its section, into a recycled shell whose
-// slabs come from the slab pool.
+// scale 16 carry up to 2,385), into a recycled shell whose slabs come from
+// the slab pool.
 func BenchmarkWireDecodeBarrierBlock(b *testing.B) {
-	enc := (&Msg{Kind: KBarrierArrive, Seq: 1000, A: 0, B: 1, Sections: []Section{{Mode: 1, VC: vc.VC{2100, 2400, 2050, 2080},
-		Intervals: notices(1, 2400, 2000, vc.VC{2000, 400, 1900, 1950})}}}).EncodeAppend(nil)
+	enc := (&Msg{Kind: KBarrierArrive, Seq: 1000, A: 0, B: 1, VC: vc.VC{2100, 2400, 2050, 2080},
+		Intervals: notices(1, 2400, 2000, vc.VC{2000, 400, 1900, 1950})}).EncodeAppend(nil)
 	b.SetBytes(int64(len(enc)))
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -29,7 +29,8 @@
 //	            uv32 index, and if s: uv32 span)           1 <= span, index + span <= 2^31 - 1
 //	Data        uv n, data body (below)                    1 <= n <= MaxDataBytes, before n sizes the buffer
 //	Sections    uv n, n x (uv mode, presence byte with     2n <= bytes left; mode <= 255; bit set <=>
-//	            the VC/Intervals/Diffs bits, blocks)       Msg.Sections != nil; a section's VC has n >= 1
+//	            the VC/Intervals/Diffs bits, blocks)       Msg.Sections != nil; a section's VC has n >= 1;
+//	                                                       no runtime message carries one (Section)
 //
 //	interval    uv32 proc, uv32 first index, uv c,         1 <= c <= bytes left; clock m <= 64;
 //	run         uv m, c records                            first + c - 1 <= 2^31 - 1; does not continue
@@ -82,7 +83,9 @@
 // a closed interval's own entry is its index), every other entry to be
 // the same entry of the record before it in the run, and for a run's
 // first record to be base[k] of the enclosing message or section clock
-// when that clock has m entries, or -1 (no interval) when it has not. Bit
+// when that clock has m entries, or -1 (no interval) when it has not: a
+// lock grant or barrier exit carries its sender's clock only as this base,
+// beside records. Bit
 // k of a record's mask says entry k differs from its prediction, and the
 // set bits' entries follow in order as the zig-zag coding of x minus the
 // prediction, in wrapping 32-bit arithmetic. The run's first index is
@@ -296,11 +299,18 @@ const (
 	// Kinds 22 and 23 are retired: the ready/go pair of a page-home
 	// hand-off the runtime no longer has (every page's home is fixed).
 	// Kind 24 is retired too: the batch frame, which carried several
-	// messages for one destination. Decode refuses all three as unknown
-	// kinds.
+	// messages for one destination, and so is 25, the compressed frame.
+	// Decode refuses all four as unknown kinds.
 	_
 	_
 	_
+	_
+	// KJoin: a System that does not host node 0 -> node 0, once, as it
+	// starts, carrying in Data the configuration every System of a cluster
+	// shares (internal/dsm's Config). B = the joining node.
+	KJoin
+	// KJoinResp: node 0 -> the joiner with node 0's configuration in Data.
+	KJoinResp
 	kindLimit
 )
 
@@ -319,6 +329,7 @@ var kindNames = [kindLimit]string{
 	KUpdate: "update", KUpdateAck: "updateack",
 	KFlushReq: "flushreq", KFlushDone: "flushdone",
 	KWriteReq: "writereq", KWriteResp: "writeresp",
+	KJoin: "join", KJoinResp: "joinresp",
 }
 
 // IsResponse reports whether the kind answers an outstanding request and
@@ -326,7 +337,7 @@ var kindNames = [kindLimit]string{
 func (k Kind) IsResponse() bool {
 	switch k {
 	case KLockGrant, KDiffResp, KPageResp, KBarrierExit, KGCDone,
-		KFetchResp, KInvalAck, KUpdateAck, KFlushDone, KWriteResp:
+		KFetchResp, KInvalAck, KUpdateAck, KFlushDone, KWriteResp, KJoinResp:
 		return true
 	}
 	return false
@@ -377,13 +388,12 @@ type Want struct {
 	Span  int32
 }
 
-// Section is the sender's protocol tag and consistency payload on a
-// runtime synchronization message: a lock request, grant or forward, or a
-// barrier arrival or exit carries its engine's clock, write notices and
-// piggybacked diffs in one section, not in the flat VC/Intervals/Diffs
-// fields. Mode is the dsm-layer protocol id (small; the decoder bounds it
-// at 255, and the dsm layer records and drops a section whose mode is not
-// the receiver's own).
+// Section is a protocol-tagged consistency payload: a mode id (the
+// decoder bounds it at 255) and a clock, write notices and diffs, coded as
+// a message's own. No runtime message carries one — a synchronization
+// message's payload is its flat VC/Intervals/Diffs, and internal/dsm
+// refuses a message that carries a section — but the codec still encodes
+// and decodes it. Kept for bench/lrcbench; ROADMAP item 1 removes it.
 type Section struct {
 	Mode      uint16
 	VC        vc.VC
@@ -403,7 +413,7 @@ type Msg struct {
 	Diffs     []DiffRec
 	Wants     []Want
 	Data      []byte    // page contents (KPageResp)
-	Sections  []Section // per-engine payloads on shared sync messages
+	Sections  []Section // protocol-tagged payloads: see Section
 
 	// refs counts the holders of a recycled shell (NewMsg, Decode) — through
 	// sync/atomic's functions, not an atomic.Int32, because literals are

@@ -673,9 +673,10 @@ func TestRoundTripExtremes(t *testing.T) {
 // field added to the consistency plane moves these numbers; the bounds
 // are the ones the traffic gates rest on (the paper's write notice is
 // the model's 20 bytes per one-page interval; a fixed-width record cost
-// 36).
+// 36). A synchronization message's payload is flat: the mode-tagged
+// section it once travelled in cost 3 bytes more (its count, mode and
+// presence byte) on each lock request, grant and barrier message.
 func TestGoldenSizesGate(t *testing.T) {
-	const lazy = 0 // LI's section tag, as the runtime emits it
 	clock := vc.VC{900, 412, 655, 130}
 	rec := IntervalRec{Proc: 2, Index: 650, VC: vc.VC{880, 400, 650, 128}, Pages: []mem.PageID{300}}
 	diff := mkDiff(t, 4096, 1024) // one 4-byte run
@@ -686,15 +687,17 @@ func TestGoldenSizesGate(t *testing.T) {
 		max  int
 	}{
 		{"bare ack", &Msg{Kind: KUpdateAck, Seq: 1000, A: 7}, 6, 8},
-		{"lock request", &Msg{Kind: KLockReq, Seq: 1000, A: 5, B: 3,
-			Sections: []Section{{Mode: lazy, VC: clock}}}, 18, 20},
+		{"lock request", &Msg{Kind: KLockReq, Seq: 1000, A: 5, B: 3, VC: clock}, 15, 17},
 		// The processors of a symmetric program advance together, and a
 		// clock entry codes against the entry before it: the neighbours cost
-		// a byte each (18 when each entry travelled alone).
+		// a byte each (15 when each entry travelled alone).
 		{"lock request, entries close together", &Msg{Kind: KLockReq, Seq: 1000, A: 5, B: 3,
-			Sections: []Section{{Mode: lazy, VC: vc.VC{650, 648, 652, 649}}}}, 15, 15},
+			VC: vc.VC{650, 648, 652, 649}}, 12, 12},
 		{"lock grant, one notice", &Msg{Kind: KLockGrant, Seq: 1000, A: 5,
-			Sections: []Section{{Mode: lazy, VC: clock, Intervals: []IntervalRec{rec}}}}, 30, 32},
+			VC: clock, Intervals: []IntervalRec{rec}}, 27, 29},
+		// A grant without notices ships no clock: its receiver reads records
+		// only, and the clock is their prediction base.
+		{"lock grant, no notices", &Msg{Kind: KLockGrant, Seq: 1000, A: 5}, 6, 6},
 		{"diff request, one want", &Msg{Kind: KDiffReq, Seq: 1000, A: 3,
 			Wants: []Want{{Page: 300, Proc: 2, Index: 650}}}, 12, 12},
 		{"diff response, one 4-byte run", &Msg{Kind: KDiffResp, Seq: 1000,
@@ -722,22 +725,22 @@ func TestGoldenSizesGate(t *testing.T) {
 		{"page response, zero page", &Msg{Kind: KPageResp, Seq: 1000, A: 300, VC: clock,
 			Data: make([]byte, 4096)}, 19, 24},
 		{"barrier arrival, one own interval", &Msg{Kind: KBarrierArrive, Seq: 1000, A: 9, B: 3,
-			Sections: []Section{{Mode: lazy, VC: clock, Intervals: []IntervalRec{rec}}}}, 30, 32},
+			VC: clock, Intervals: []IntervalRec{rec}}, 27, 29},
 		// Write notices as a lazy engine lists them, one run per processor:
 		// a record names neither its processor nor its index, and pays one
 		// byte of mask plus the clock entries that moved since the record
 		// before it, and its page list coded against the one before it. The
-		// per-record coding before runs measured 85 and 662, runs with each
-		// list's first page coded against 0 51 and 283.
+		// per-record coding before runs measured 82 and 659, runs with each
+		// list's first page coded against 0 48 and 280.
 		{"lock grant, a run of six notices", &Msg{Kind: KLockGrant, Seq: 1000, A: 5,
-			Sections: []Section{{Mode: lazy, VC: clock, Intervals: notices(2, 650, 6, vc.VC{880, 400, 0, 128})}}}, 46, 46},
+			VC: clock, Intervals: notices(2, 650, 6, vc.VC{880, 400, 0, 128})}, 43, 43},
 		// The water shape: a processor's intervals between two acquires all
 		// wrote one page, and a record that repeats the list before it says
-		// so in its mask (51 bytes when each list travelled).
+		// so in its mask (48 bytes when each list travelled).
 		{"lock grant, a run of six notices on one page", &Msg{Kind: KLockGrant, Seq: 1000, A: 5,
-			Sections: []Section{{Mode: lazy, VC: clock, Intervals: onePage(notices(2, 650, 6, vc.VC{880, 400, 0, 128}), 300)}}}, 36, 36},
+			VC: clock, Intervals: onePage(notices(2, 650, 6, vc.VC{880, 400, 0, 128}), 300)}, 33, 33},
 		{"barrier arrival, 64 own intervals", &Msg{Kind: KBarrierArrive, Seq: 1000, A: 9, B: 3,
-			Sections: []Section{{Mode: lazy, VC: clock, Intervals: notices(3, 130, 64, vc.VC{880, 400, 650, 0})}}}, 220, 220},
+			VC: clock, Intervals: notices(3, 130, 64, vc.VC{880, 400, 650, 0})}, 217, 217},
 		{"gc ready", &Msg{Kind: KGCReady, Seq: 1000, A: 9, B: 3}, 6, 8},
 		// An EU release merged for one destination: a record per page, the
 		// one the destination homes counting the copies its writer knows. Its
@@ -931,7 +934,7 @@ type namedMsg struct {
 }
 
 // shellMsgs are the messages a receive path decodes most: a lock grant,
-// flat and in the runtime's form with its payload in one mode-tagged
+// flat as the runtime sends it and with its payload in one mode-tagged
 // section, diff responses of one and four records, flat and sectioned,
 // and a diff request.
 func shellMsgs(t *testing.T) []namedMsg {
@@ -948,13 +951,13 @@ func shellMsgs(t *testing.T) []namedMsg {
 	}, clockMsgs()...)
 }
 
-// clockMsgs carry a clock without an interval block: a lock request's, in
-// its section, and a clock of its own.
+// clockMsgs carry a clock without an interval block: a lock request's,
+// flat as the runtime sends it and in a section.
 func clockMsgs() []namedMsg {
 	clock := vc.VC{4, 5, 6, 7}
 	return []namedMsg{
-		{"lock request", &Msg{Kind: KLockReq, Seq: 13, A: 3, B: 1, Sections: []Section{{Mode: 1, VC: clock}}}},
-		{"bare clock", &Msg{Kind: KLockGrant, Seq: 14, A: 3, VC: clock}},
+		{"lock request", &Msg{Kind: KLockReq, Seq: 13, A: 3, B: 1, VC: clock}},
+		{"sectioned lock request", &Msg{Kind: KLockReq, Seq: 14, A: 3, B: 1, Sections: []Section{{Mode: 1, VC: clock}}}},
 	}
 }
 
