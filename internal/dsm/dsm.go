@@ -196,9 +196,10 @@ type Config struct {
 	// Mode selects the consistency protocol (LI, LU, EI, EU or SC). Every
 	// node of a cluster must run the same one, and every System must agree
 	// on Procs, PageSize, SpaceSize and GCEveryBarriers too: New of a
-	// System that does not host node 0 checks them against node 0's
-	// System, which must be built first, and fails naming the first field
-	// that differs (join.go).
+	// System that does not host node 0 waits for node 0's System (within
+	// the TCP dial budget and RPCTimeout), checks them against it, and
+	// fails naming the first field that differs; node 0's System records
+	// the same difference and stops on it (join.go).
 	Mode Mode
 	// GCEveryBarriers enables interval/diff garbage collection every k-th
 	// barrier episode (0 disables GC). That barrier validates every cached
@@ -249,7 +250,9 @@ type System struct {
 	local  []*Node // the nodes this System hosts, ascending id
 	// zeroPage is the initial image of every page, read-only: what a node
 	// serves for a page it never materialized (it encodes to three bytes).
-	zeroPage  []byte
+	zeroPage []byte
+	// joinBody is cfg's cluster-wide fields as a join carries them.
+	joinBody  []byte
 	handlers  sync.WaitGroup
 	closeOnce sync.Once
 	closeErr  error
@@ -307,6 +310,7 @@ func New(cfg Config) (*System, error) {
 		tr:       tr,
 		nodes:    make([]*Node, cfg.Procs),
 		zeroPage: make([]byte, cfg.PageSize),
+		joinBody: cfg.joinBody(),
 	}
 	for _, id := range tr.Local() {
 		if id < 0 || id >= cfg.Procs {

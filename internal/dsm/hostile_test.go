@@ -11,6 +11,7 @@ import (
 	"regexp"
 	"runtime"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -64,10 +65,13 @@ func (w wideTransport) NumEndpoints() int { return w.n }
 // TestMismatchedModesFailLoudly: Systems that disagree on a cluster-wide
 // field — LI and LU speak the same message kinds, and no message says
 // which protocol wrote it — fail at the join. Over loopback TCP, node 0's
-// System is built, then node 1's with one field changed: node 1's New
-// fails naming the field, at once, and node 0's Close names it too.
+// System is built and its program waits at barrier 0 for node 1, then node
+// 1's System is built with one field changed. No wait has a timeout
+// (RPCTimeout 0), yet nothing hangs: node 1's New fails naming the field,
+// node 0's barrier returns it, so does its next call, and its Close names
+// it too.
 func TestMismatchedModesFailLoudly(t *testing.T) {
-	base := Config{Procs: 2, SpaceSize: 8192, PageSize: 1024, RPCTimeout: 2 * time.Second}
+	base := Config{Procs: 2, SpaceSize: 8192, PageSize: 1024}
 	for _, row := range []struct {
 		name, field    string
 		master, joiner func(*Config)
@@ -98,6 +102,8 @@ func TestMismatchedModesFailLoudly(t *testing.T) {
 				t.Fatal(err)
 			}
 			named := regexp.MustCompile(`node 1's Config\.` + row.field + ` \S+ differs from the master's \S+`)
+			waited := make(chan error, 1)
+			go func() { waited <- s0.Node(0).Barrier(0) }()
 			joined := make(chan error, 1)
 			go func() {
 				s1, err := New(jcfg)
@@ -113,6 +119,18 @@ func TestMismatchedModesFailLoudly(t *testing.T) {
 				}
 			case <-time.After(peerDeadline):
 				t.Fatal("hang: the joiner's New did not return")
+			}
+			select {
+			case err := <-waited:
+				if err == nil || !named.MatchString(err.Error()) {
+					t.Errorf("the master's barrier = %v, want it to name Config.%s", err, row.field)
+				}
+			case <-time.After(peerDeadline):
+				s0.Close()
+				t.Fatal("hang: the master's barrier did not return")
+			}
+			if err := s0.Node(0).Barrier(0); err == nil || !named.MatchString(err.Error()) {
+				t.Errorf("the master's barrier after the join = %v, want it to name Config.%s", err, row.field)
 			}
 			if err := s0.Close(); err == nil || !named.MatchString(err.Error()) {
 				t.Errorf("the master's Close = %v, want it to name Config.%s", err, row.field)
@@ -641,6 +659,14 @@ func requestRow(name, want string, m *wire.Msg) hostileRow {
 	return hostileRow{name: name, modes: lu, pid: 2, want: want, check: notQueued, script: []step{send(atEnd, 1, m)}}
 }
 
+// joinRow sends the master, before the program, puppet 2's join with body,
+// which stops every node on want.
+func joinRow(name, want string, body []byte) hostileRow {
+	named := func(err error) bool { return err != nil && strings.Contains(err.Error(), want) }
+	return hostileRow{name: name, modes: li, pid: 2, want: want, fails: want, check: stoppedOn(strconv.Quote(want), named),
+		script: []step{send(atStart, 0, &wire.Msg{Kind: wire.KJoin, Seq: 99, B: 2, Data: body})}}
+}
+
 // carriesSection is what a node records for a message of kind k from 0
 // or 2 that carries a wire.Section.
 func carriesSection(k wire.Kind, from int) string {
@@ -799,14 +825,15 @@ var hostileRows = map[string][]hostileRow{
 			script: []step{send(atLocks, 1, &wire.Msg{Kind: wire.KUpdate, Seq: 99, Diffs: []wire.DiffRec{rec(1, 2, 2)}})}},
 		{name: "EI/acknowledgement naming copies", modes: ei, pid: 2, want: "updateack from 2 names node 1 a copy of page 5", check: rKeepsNoHint,
 			script: []step{swap(atLocks, wire.KUpdate, &wire.Msg{Kind: wire.KUpdateAck, Wants: []wire.Want{{Page: 5, Proc: 1}}})}},
-		// A join reaches the master once per System as it starts; one in
-		// the middle of a run changes nothing but what Close reports.
+		// A join reaches the master once per System as it starts. One at
+		// another node changes nothing but what Close reports; one at the
+		// master that differs, or does not parse, stops every node of the
+		// master's System (here, all three) at once, so every call fails
+		// naming it.
 		{name: "a join at a node that is not the master", modes: li, pid: 2, image: true, want: "join from 2 dropped: only the master 0 is joined",
 			script: []step{send(atStart, 1, &wire.Msg{Kind: wire.KJoin, Seq: 99, B: 2, Data: joinOf(0)})}},
-		{name: "a join of another configuration", modes: li, pid: 2, image: true, want: "node 2's Config.GCEveryBarriers 1 differs from the master's 0",
-			script: []step{send(atStart, 0, &wire.Msg{Kind: wire.KJoin, Seq: 99, B: 2, Data: joinOf(withGC)})}},
-		{name: "a malformed join", modes: li, pid: 2, image: true, want: "malformed join of node 2: no Config.PageSize",
-			script: []step{send(atStart, 0, &wire.Msg{Kind: wire.KJoin, Seq: 99, B: 2, Data: []byte{0, peerProcs}})}},
+		joinRow("a join of another configuration", "node 2's Config.GCEveryBarriers 1 differs from the master's 0", joinOf(withGC)),
+		joinRow("a malformed join", "malformed join of node 2: no Config.PageSize", []byte{0, peerProcs}),
 		{name: "a join claiming node 1", modes: li, pid: 2, image: true, want: "join claims node 1 but came from 2",
 			script: []step{send(atStart, 0, &wire.Msg{Kind: wire.KJoin, Seq: 99, B: 1, Data: joinOf(0)})}},
 	},
@@ -1095,11 +1122,17 @@ func storeKnown(t *testing.T, pr *peerRun) {
 
 // allStopped: every node has stopped on a timeout, so its next call
 // fails at once with it.
-func allStopped(t *testing.T, pr *peerRun) {
-	for _, n := range pr.s.Local() {
-		begin := time.Now()
-		if _, err := n.ReadUint64(0); !errors.Is(err, ErrRPCTimeout) || time.Since(begin) > peerTimeout/2 {
-			t.Errorf("node %d's read after the run returned %v in %v, want its timeout at once", n.id, err, time.Since(begin))
+var allStopped = stoppedOn("its timeout", func(err error) bool { return errors.Is(err, ErrRPCTimeout) })
+
+// stoppedOn returns the check that every node has stopped on a cause: a
+// read after the run fails at once, with an error stopped accepts.
+func stoppedOn(cause string, stopped func(error) bool) func(*testing.T, *peerRun) {
+	return func(t *testing.T, pr *peerRun) {
+		for _, n := range pr.s.Local() {
+			begin := time.Now()
+			if _, err := n.ReadUint64(0); !stopped(err) || time.Since(begin) > peerTimeout/2 {
+				t.Errorf("node %d's read after the run returned %v in %v, want %s at once", n.id, err, time.Since(begin), cause)
+			}
 		}
 	}
 }

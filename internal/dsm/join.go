@@ -15,25 +15,33 @@ import (
 // New checks that once per System instead of on every message. A System
 // that does not host the master (node 0) makes one rpc to it, its first
 // local node's KJoin carrying the cluster-wide Config fields, and fails if
-// the master's answer differs; the master records the same difference for
-// its Close. The master's New waits for nobody: Systems are built master
-// first, and a single System hosts the master and joins no one.
+// the master's answer differs. The master answers, records the difference
+// for its Close and stops its System's nodes on it (fail), so a program
+// already waiting at the master for the failed joiner returns the
+// difference instead of waiting for it forever. The master's New waits
+// for nobody: a joiner's New waits for the master's System, within the
+// TCP dial budget and RPCTimeout, and a single System hosts the master
+// and joins no one.
 
 // clusterFields are the Config fields every System of a cluster shares, in
-// the order a join carries them.
+// the order a join carries them, and how an error shows each.
 var clusterFields = [...]struct {
 	name string
 	of   func(*Config) uint64
+	show func(uint64) string
 }{
-	{"Mode", func(c *Config) uint64 { return uint64(c.Mode) }},
-	{"Procs", func(c *Config) uint64 { return uint64(c.Procs) }},
-	{"PageSize", func(c *Config) uint64 { return uint64(c.PageSize) }},
-	{"SpaceSize", func(c *Config) uint64 { return uint64(c.SpaceSize) }},
-	{"GCEveryBarriers", func(c *Config) uint64 { return uint64(c.GCEveryBarriers) }},
+	{"Mode", func(c *Config) uint64 { return uint64(c.Mode) }, func(v uint64) string { return Mode(v).String() }},
+	{"Procs", func(c *Config) uint64 { return uint64(c.Procs) }, decimal},
+	{"PageSize", func(c *Config) uint64 { return uint64(c.PageSize) }, decimal},
+	{"SpaceSize", func(c *Config) uint64 { return uint64(c.SpaceSize) }, decimal},
+	{"GCEveryBarriers", func(c *Config) uint64 { return uint64(c.GCEveryBarriers) }, decimal},
 }
 
+func decimal(v uint64) string { return strconv.FormatUint(v, 10) }
+
 // joinBody encodes c's cluster-wide fields as a join and its answer carry
-// them in Data: a varint each, in clusterFields' order.
+// them in Data: a varint each, in clusterFields' order. New keeps the
+// System's in System.joinBody.
 func (c *Config) joinBody() []byte {
 	var b []byte
 	for _, f := range clusterFields {
@@ -46,12 +54,6 @@ func (c *Config) joinBody() []byte {
 // configuration (its join body) differs from the master's, in the same
 // words at both ends; nil when they agree.
 func joinMismatch(joiner mem.ProcID, joined, master []byte) error {
-	show := func(name string, v uint64) string {
-		if name == "Mode" {
-			return Mode(v).String()
-		}
-		return strconv.FormatUint(v, 10)
-	}
 	for _, f := range clusterFields {
 		j, k := binary.Uvarint(joined)
 		m, l := binary.Uvarint(master)
@@ -60,7 +62,7 @@ func joinMismatch(joiner mem.ProcID, joined, master []byte) error {
 		}
 		joined, master = joined[k:], master[l:]
 		if j != m {
-			return fmt.Errorf("node %d's Config.%s %s differs from the master's %s", joiner, f.name, show(f.name, j), show(f.name, m))
+			return fmt.Errorf("node %d's Config.%s %s differs from the master's %s", joiner, f.name, f.show(j), f.show(m))
 		}
 	}
 	if len(joined) != 0 || len(master) != 0 {
@@ -73,9 +75,9 @@ func joinMismatch(joiner mem.ProcID, joined, master []byte) error {
 // from its first local node, which fails naming the first field the
 // master's configuration differs in.
 func (n *Node) join() error {
-	resp, err := n.rpc(master, &wire.Msg{Kind: wire.KJoin, Seq: n.nextSeq(), B: int32(n.id), Data: n.sys.cfg.joinBody()})
+	resp, err := n.rpc(master, &wire.Msg{Kind: wire.KJoin, Seq: n.nextSeq(), B: int32(n.id), Data: n.sys.joinBody})
 	if err == nil {
-		err = joinMismatch(n.id, n.sys.cfg.joinBody(), resp.Data)
+		err = joinMismatch(n.id, n.sys.joinBody, resp.Data)
 		resp.Release()
 	}
 	if err != nil {
@@ -84,14 +86,23 @@ func (n *Node) join() error {
 	return nil
 }
 
-// handleJoin answers a join at the master with the master's configuration,
-// recording any difference for Close; a join anywhere else is recorded and
-// dropped.
+// handleJoin answers a join at the master with the master's configuration.
+// A join that differs, or does not parse, is recorded for Close and stops
+// every node of the master's System once the answer is sent: the cluster
+// cannot run, and a node waiting for the joiner would otherwise wait for
+// good when RPCTimeout is 0. A join anywhere else is recorded and dropped.
 func (n *Node) handleJoin(m *wire.Msg, src mem.ProcID) {
 	if n.id != master {
 		n.noteErr("join", fmt.Errorf("join from %d dropped: only the master %d is joined", src, master))
 		return
 	}
-	n.noteErr("join", joinMismatch(src, m.Data, n.sys.cfg.joinBody()))
-	n.noteErr("join", n.send(src, &wire.Msg{Kind: wire.KJoinResp, Seq: m.Seq, Data: n.sys.cfg.joinBody()}))
+	mismatch := joinMismatch(src, m.Data, n.sys.joinBody)
+	n.noteErr("join", mismatch)
+	n.noteErr("join", n.send(src, &wire.Msg{Kind: wire.KJoinResp, Seq: m.Seq, Data: n.sys.joinBody}))
+	if mismatch != nil {
+		err := fmt.Errorf("dsm: node %d: join: %w", n.id, mismatch)
+		for _, l := range n.sys.local {
+			l.fail(err)
+		}
+	}
 }

@@ -161,9 +161,10 @@ func (n *Node) freeWaiter(w *rpcWaiter) {
 // configured RPCTimeout. A nil delivery means the waiter was failed: by
 // shutdown (ErrClosed), by dst's death (the recorded cause), or by the
 // engine refusing the response (answerWaiter). A wait that gives up — its
-// timeout elapsed, or the node stopped on another's — stops the node
-// (fail) and returns the timeout it stopped on, which wraps ErrRPCTimeout,
-// never ErrClosed, so callers and tests can tell a hung peer from a clean
+// timeout elapsed, or the node stopped on another cause — stops the node
+// (fail) and returns the cause it stopped on: a timeout, which wraps
+// ErrRPCTimeout, or a join's difference, never ErrClosed, so callers and
+// tests can tell a hung peer or a misconfigured cluster from a clean
 // teardown.
 func (n *Node) await(seq uint64, w *rpcWaiter) (*wire.Msg, error) {
 	dst := w.dst
@@ -194,13 +195,15 @@ func (n *Node) await(seq uint64, w *rpcWaiter) (*wire.Msg, error) {
 	return m, nil
 }
 
-// fail stops the node on its first rpc timeout and returns that timeout,
-// whatever err a later caller brings: a node that ran on past a response
-// it gave up on would act on what it never received. It fails stop, the
-// model peerFailed follows for a broken stream: every parked wait gives up
-// at once (recvTimed), every later call fails (enter), and every frame
-// that arrives from then on is dropped (dispatchLoop), so nothing lands on
-// the node and no grant leaves it (sendGrant). Safe from any goroutine.
+// fail stops the node on its first rpc timeout, or on a join whose
+// configuration differs from the master's (handleJoin), and returns that
+// first cause whatever err a later caller brings: a node that ran on past
+// a response it gave up on would act on what it never received. It fails
+// stop, the model peerFailed follows for a broken stream: every parked
+// wait gives up at once (recvTimed), every later call fails (enter), and
+// every frame that arrives from then on is dropped (dispatchLoop), so
+// nothing lands on the node and no grant leaves it (sendGrant). Safe from
+// any goroutine.
 func (n *Node) fail(err error) error {
 	if n.failure.CompareAndSwap(nil, &err) {
 		close(n.stopped)
@@ -220,8 +223,12 @@ var rpcTimers sync.Pool
 func (n *Node) recvTimed(ch chan *wire.Msg) (m *wire.Msg, ok, gaveUp bool) {
 	d := n.sys.cfg.RPCTimeout
 	if d <= 0 {
-		m, ok = <-ch
-		return m, ok, false
+		select {
+		case m, ok = <-ch:
+			return m, ok, false
+		case <-n.stopped:
+			return nil, false, true
+		}
 	}
 	select {
 	case m, ok = <-ch:

@@ -252,14 +252,20 @@ func BenchmarkWriteLog(b *testing.B) {
 }
 
 // BenchmarkApply times Diff.Apply on a 4 KiB page: one 64-byte run, 64
-// one-byte runs spread over the page, and the whole page in one run.
+// one-byte runs spread over the page, 512 one-byte runs, one in each word
+// (the body BenchmarkWriteLog's dense cut makes), and the whole page in
+// one run.
 func BenchmarkApply(b *testing.B) {
 	const size = 4096
-	spread := make([]Run, 64)
-	payloads := make([][]byte, 64)
-	for i := range spread {
-		spread[i], payloads[i] = Run{Off: int32(i * size / 64), Len: 1}, []byte{byte(i) | 1}
+	spaced := func(n int) ([]Run, [][]byte) {
+		runs, payloads := make([]Run, n), make([][]byte, n)
+		for i := range runs {
+			runs[i], payloads[i] = Run{Off: int32(i * size / n), Len: 1}, []byte{byte(i) | 1}
+		}
+		return runs, payloads
 	}
+	spread, payloads := spaced(64)
+	dense, densePayloads := spaced(size / 8)
 	for _, c := range []struct {
 		name string
 		runs []Run
@@ -267,6 +273,7 @@ func BenchmarkApply(b *testing.B) {
 	}{
 		{"run64", []Run{{Off: 1024, Len: 64}}, [][]byte{bytes.Repeat([]byte{0xab}, 64)}},
 		{"spread64", spread, payloads},
+		{"dense512", dense, densePayloads},
 		{"page", []Run{{Off: 0, Len: size}}, [][]byte{bytes.Repeat([]byte{0xcd}, size)}},
 	} {
 		d, err := DiffFromRuns(c.runs, c.data)

@@ -194,20 +194,12 @@ func appendBody(body []byte, runs []Run, payload func(k int) []byte) []byte {
 // — and names the first one broken. Runs may overlap, and need not
 // be in order.
 func ScanBody(b []byte) (size, runs int, err error) {
-	size, runs, _, err = scanBody(b, nil)
+	size, runs, _, err = scanBody(b)
 	return size, runs, err
 }
 
-// bodyRun is one run of a body as scanBody found it: its offset and
-// length, and where its payload sits in the body.
-type bodyRun struct{ off, n, at int32 }
-
-// tableRuns is how many runs Apply's frame holds the scan's table of.
-const tableRuns = 64
-
-// scanBody is ScanBody, also returning end, the furthest end of a run,
-// and filling table with the body's first len(table) runs.
-func scanBody(b []byte, table []bodyRun) (size, runs, end int, err error) {
+// scanBody is ScanBody, also returning end, the furthest end of a run.
+func scanBody(b []byte) (size, runs, end int, err error) {
 	count, pos, err := bodyUvarint(b, 0, math.MaxUint64)
 	if err != nil {
 		return 0, 0, 0, err
@@ -215,7 +207,7 @@ func scanBody(b []byte, table []bodyRun) (size, runs, end int, err error) {
 	if count > uint64(len(b)-pos)/2 { // a run is two bytes at least
 		return 0, 0, 0, bodyErr("implausible run count %d for %d remaining bytes", count, len(b)-pos)
 	}
-	for i := range int(count) {
+	for range count {
 		// bodyUvarint by hand, its short form inline: a call per number
 		// costs more than the rest of the loop.
 		off, at, ok := shortUvarint(b, pos)
@@ -238,9 +230,6 @@ func scanBody(b []byte, table []bodyRun) (size, runs, end int, err error) {
 		if n > uint64(len(b)-payload) {
 			return 0, 0, 0, bodyErr("truncated payload at offset %d (want %d bytes)", payload, n)
 		}
-		if i < len(table) {
-			table[i] = bodyRun{int32(off), int32(n), int32(payload)}
-		}
 		pos = payload + int(n)
 		end = max(end, int(off+n))
 	}
@@ -248,8 +237,8 @@ func scanBody(b []byte, table []bodyRun) (size, runs, end int, err error) {
 }
 
 // scanWhole is scanBody over a body that must end where b does.
-func scanWhole(b []byte, table []bodyRun) (runs, end int, err error) {
-	size, runs, end, err := scanBody(b, table)
+func scanWhole(b []byte) (runs, end int, err error) {
+	size, runs, end, err := scanBody(b)
 	if err == nil && size != len(b) {
 		err = bodyErr("%d bytes past its last run", len(b)-size)
 	}
@@ -336,7 +325,7 @@ func walkLong(b []byte, pos int) (uint64, int) {
 // that were never a body, or were overwritten since — is an error, and so
 // is anything after the last payload.
 func ParseBody(body []byte) (*Diff, error) {
-	if _, _, err := scanWhole(body, nil); err != nil {
+	if _, _, err := scanWhole(body); err != nil {
 		return nil, err
 	}
 	var d Diff
@@ -571,23 +560,15 @@ func (d *Diff) Clone() *Diff {
 // after its release — is rejected whole and leaves the page untouched
 // rather than torn.
 func (d *Diff) Apply(contents []byte) error {
-	var table [tableRuns]bodyRun
 	body := d.EnsureWireBody()
-	count, end, err := scanWhole(body, table[:])
+	count, end, err := scanWhole(body)
 	if err != nil {
 		return err
 	}
 	if end > len(contents) {
 		return fmt.Errorf("page: diff run ending at %d exceeds page size %d", end, len(contents))
 	}
-	// A body of up to tableRuns runs, most of them, is copied from the
-	// table its scan filled; a longer one is walked again.
-	if count <= len(table) {
-		for _, r := range table[:count] {
-			copy(contents[r.off:], body[r.at:r.at+r.n])
-		}
-		return nil
-	}
+	// The scan accepted the body: walk it again, copying each run.
 	_, pos := firstRun(body)
 	for range count {
 		r, at, next := nextRun(body, pos)

@@ -225,10 +225,9 @@ func TestPropDiffRoundTrip(t *testing.T) {
 	}
 }
 
-// TestApplyPastTheRunTable: a body of more runs than Apply's table holds,
-// with offsets and a length past two varint bytes, applies, lists and
-// sizes like the runs it was made of.
-func TestApplyPastTheRunTable(t *testing.T) {
+// TestApplyLongBody: a body of 193 runs, with offsets and a length past
+// two varint bytes, applies, lists and sizes like the runs it was made of.
+func TestApplyLongBody(t *testing.T) {
 	const size = 64 << 10
 	orig := make([]byte, size)
 	tw := NewTwin(orig)
