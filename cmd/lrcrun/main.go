@@ -78,7 +78,7 @@ func run(args []string, out io.Writer) error {
 		scale      = fs.Float64("scale", 0.1, "workload scale factor (-app)")
 		seed       = fs.Int64("seed", 42, "workload random seed (-app)")
 		pageSize   = fs.Int("pagesize", 4096, "consistency page size in bytes")
-		gc         = fs.Int("gc", 0, "garbage-collect every N barriers (0 = off)")
+		gc         = fs.Int("gc", 0, "garbage-collect every N barriers, and at any barrier once the history since the last collection outnumbers the pages (0 = off)")
 		transport  = fs.String("transport", "simnet", "interconnect: simnet (in-process) or tcp (cross-process; requires -peers)")
 		peers      = fs.String("peers", "", "comma-separated host:port of every node, in id order (-transport tcp)")
 		self       = fs.Int("self", 0, "this process's index into -peers (-transport tcp)")
@@ -399,7 +399,7 @@ func runWorkload(out io.Writer, name string, procs int, scale float64, seed int6
 		"simulator", st.TotalMessages(), st.TotalBytes(), perCrit(st.TotalMessages()), perCrit(st.TotalBytes()), m)
 	var misses, diffs, updates, intervals, invals, moves int64
 	var created, cacheHits, flattened, aggregated, logBytes, logPeak int64
-	var diffReqs, fallbacks, kept, forwards int64
+	var diffReqs, fallbacks, kept, forwards, logRecords int64
 	for _, ns := range res.Nodes {
 		misses += ns.AccessMisses
 		diffs += ns.DiffsApplied
@@ -417,6 +417,7 @@ func runWorkload(out io.Writer, name string, procs int, scale float64, seed int6
 		fallbacks += ns.DiffFallbacks
 		kept += ns.KeptPages
 		forwards += ns.PageForwards
+		logRecords = max(logRecords, ns.LogRecords)
 	}
 	reqsPerMiss := "-"
 	if misses > 0 {
@@ -424,8 +425,8 @@ func runWorkload(out io.Writer, name string, procs int, scale float64, seed int6
 	}
 	fmt.Fprintf(out, "nodes: %d access misses, %d diffs applied, %d updates, %d intervals, %d invalidations, %d ownership moves\n",
 		misses, diffs, updates, intervals, invals, moves)
-	fmt.Fprintf(out, "diff plane: %d created, %d cache hits, %d flattened away, %d pages aggregated into faults, %s diff requests per access miss, %d fallbacks to a creator, %d pages held by a keeper for their home (%d page requests forwarded), write-log bytes: %d live at exit, %d peak on one node\n\n",
-		created, cacheHits, flattened, aggregated, reqsPerMiss, fallbacks, kept, forwards, logBytes, logPeak)
+	fmt.Fprintf(out, "diff plane: %d created, %d cache hits, %d flattened away, %d pages aggregated into faults, %s diff requests per access miss, %d fallbacks to a creator, %d pages held by a keeper for their home (%d page requests forwarded), %d interval records logged at exit on one node, write-log bytes: %d live at exit, %d peak on one node\n\n",
+		created, cacheHits, flattened, aggregated, reqsPerMiss, fallbacks, kept, forwards, logRecords, logBytes, logPeak)
 	if statsJSON {
 		if err := emitStatsJSON(out, report); err != nil {
 			return err

@@ -46,7 +46,8 @@ func TestRunWorkloadOnRuntime(t *testing.T) {
 		{[]string{"-app", "locusroute", "-mode", "LU"}, []string{"== locusroute", "runtime", "simulator", "access misses",
 			"diff requests per access miss", "fallbacks to a creator"}},
 		{[]string{"-app", "mp3d", "-mode", "LU"}, []string{"msgs", "wire bytes", "wireB/critsec", "runtime", "simulator"}},
-		{[]string{"-app", "mp3d", "-gc", "2"}, []string{"pages held by a keeper for their home", "page requests forwarded"}},
+		{[]string{"-app", "mp3d", "-gc", "2"}, []string{"pages held by a keeper for their home", "page requests forwarded",
+			"interval records logged at exit on one node"}},
 		{[]string{"-app", "mp3d", "-mode", "SC"}, []string{"mode SC", "runtime", "simulator", "ownership moves"}},
 	} {
 		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {

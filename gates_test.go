@@ -144,30 +144,37 @@ var gateRows = []gateRow{
 	// Water's allocation per critical section, on the second of two fresh
 	// clusters as lrcbench's splash-water measures it (the first fills the
 	// process's pools and free lists), at scale 1: 5,369 critical sections
-	// and barriers whose arrivals and exits carry hundreds of write notices. Every interval block, decoded or exported, takes its slabs
-	// from the wire slab pool and the master absorbs in place, so what is
-	// left is a fresh cluster growing its log, store and round scratch to
-	// the run. The bound is 1.13 x the highest of fifteen runs over
-	// GOMAXPROCS 1, 2 and 8 (695-727 B); a twin per written page, parked
-	// until its diff was asked for, measured 718-749 B (up to 769 B beside
-	// other test processes), homes that built each untouched page at the
-	// GC epoch 797-858 B, a store of one slot array per
-	// interval in doubling rings 861-894 B, blocks past a shell's
-	// 4 KiB decoded into slabs of their own, export lists per node and
-	// copied absorbs 1,033-1,338 B (1,325-1,338 on one core).
+	// and barriers whose arrivals and exits carry hundreds of write
+	// notices. Every interval block, decoded or exported, takes its slabs
+	// from the wire slab pool and the master absorbs in place, and a
+	// barrier runs a GC epoch once the history since the last one reaches
+	// the pages, whose sweep hands the log's chunks and the store's storage
+	// to the next epoch: what is left is a fresh cluster growing its log,
+	// store and round scratch to about one epoch's history. The bound is
+	// 1.13 x the highest of fifteen runs over GOMAXPROCS 1, 2 and 8
+	// (581-644 B). A log and store that grew with the whole run, collected
+	// only at the bridge's closing barrier, measured 695-727 B; a twin per
+	// written page, parked until its diff was asked for, 718-749 B (up to
+	// 769 B beside other test processes), homes that built each untouched
+	// page at the GC epoch 797-858 B, a store of one slot array per
+	// interval in doubling rings 861-894 B, blocks past a shell's 4 KiB
+	// decoded into slabs of their own, export lists per node and copied
+	// absorbs 1,033-1,338 B (1,325-1,338 on one core).
 	{"water-alloc", waterAlloc, repro.LazyInvalidate, repro.RuntimeConfig{PageSize: 4096, GCEveryBarriers: 8}, []gateCheck{
-		{"alloc_bytes_per_critsec", "<=", 821},
+		{"alloc_bytes_per_critsec", "<=", 727},
 	}},
-	// Water's diff-response bytes per critical section at scale 1, whose
-	// one GC epoch falls at the bridge's closing barrier: a GC epoch moves
-	// no diff to a home that never touched its page — it names a keeper
-	// among the page's modifiers and forwards later misses to it — so what
-	// is left is the program's own misses, which the schedule moves. The
-	// bound is 1.13 x the highest of 44 runs: fifteen over GOMAXPROCS 1, 2
-	// and 8 (1.48-1.89), five under -race (1.55-1.57) and 24 beside two or
-	// three other test processes on 2 vCPU (1.55-2.90). Homes that built
-	// each untouched page at the epoch out of its whole diff history
-	// measured 9.40-11.53.
+	// Water's diff-response bytes per critical section at scale 1, where
+	// each node runs four GC epochs (gc_runs 16 over the four nodes), at the
+	// barriers whose history since the last epoch reaches the pages: a GC
+	// epoch moves no diff to a home that never touched its page — it names
+	// a keeper among the page's modifiers and forwards later misses to it —
+	// so what is left is the program's own misses, which the schedule
+	// moves. The bound is 1.13 x the highest of 44 runs when the one epoch
+	// fell at the bridge's closing barrier: fifteen over GOMAXPROCS 1, 2 and
+	// 8 (1.48-1.89), five under -race (1.55-1.57) and 24 beside two or three
+	// other test processes on 2 vCPU (1.55-2.90). The mid-run epochs read
+	// 1.56-1.66 over fifteen runs. Homes that built each untouched page at
+	// the epoch out of its whole diff history measured 9.40-11.53.
 	{"water-gc-diffs", waterGC, repro.LazyInvalidate, repro.RuntimeConfig{PageSize: 4096, GCEveryBarriers: 8}, []gateCheck{
 		{"gc_runs", ">", 0},
 		{"diffresp_bytes_per_critsec", "<=", 3.3},

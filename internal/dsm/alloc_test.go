@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -51,19 +52,25 @@ func TestAccessHitAllocatesNothingGate(t *testing.T) {
 
 // The lock-ring shape: every critical section rewrites a 64-byte record,
 // four to a page, under its lock, and then a word of the node's private
-// page; a barrier ends every step.
+// page; a barrier ends every step. A step closes two intervals per
+// critical section, the record's at its release and the private word's at
+// the next acquire or the barrier: more than the ring's 12 pages, so every
+// barrier runs a GC epoch unless the space has room for more.
 const (
 	ringProcs, ringLocks, ringPageSize = 4, 32, 4096
 	ringSpacing                        = ringPageSize / 4
 	ringPrivBase                       = ringLocks * ringSpacing
+	ringPages                          = ringPrivBase/ringPageSize + ringProcs
+	ringStepIntervals                  = 2 * ringLocks
 )
 
 // newRingSys returns a lock-ring cluster of mode that collects every
-// gcEvery barriers.
-func newRingSys(t *testing.T, mode Mode, gcEvery int) *System {
+// gcEvery barriers, in a space of pages pages (at least ringPages; the
+// ring never touches the others).
+func newRingSys(t *testing.T, mode Mode, gcEvery, pages int) *System {
 	t.Helper()
 	s, err := New(Config{
-		Procs: ringProcs, SpaceSize: ringPrivBase + ringProcs*ringPageSize, PageSize: ringPageSize,
+		Procs: ringProcs, SpaceSize: mem.Addr(pages * ringPageSize), PageSize: ringPageSize,
 		Mode: mode, GCEveryBarriers: gcEvery,
 	})
 	if err != nil {
@@ -75,6 +82,12 @@ func newRingSys(t *testing.T, mode Mode, gcEvery int) *System {
 		}
 	})
 	return s
+}
+
+// ringGCRuns returns the GC epochs every node of a ring cluster
+// (newRingSys) has discarded after its first barriers steps.
+func ringGCRuns(gcEvery, pages, barriers int) int64 {
+	return predictGCRuns(gcEvery, pages, slices.Repeat([]int{ringStepIntervals}, barriers))
 }
 
 // ringSteps runs steps [first, last) of the lock ring (ringDriver.steps).
@@ -97,7 +110,7 @@ const ringBarrier = -1
 func newRingDriver(t *testing.T, s *System) *ringDriver { return newDriver(t, s, ringSections) }
 
 // newDriver returns a driver whose nodes run part for each step.
-func newDriver(t *testing.T, s *System, part func(n *Node, step int) error) *ringDriver {
+func newDriver(t testing.TB, s *System, part func(n *Node, step int) error) *ringDriver {
 	d := &ringDriver{done: make(chan error)}
 	for _, n := range s.Local() {
 		cmds := make(chan int)
@@ -138,7 +151,7 @@ func (d *ringDriver) steps(t *testing.T, first, last int) {
 }
 
 // all runs step on every node at once.
-func (d *ringDriver) all(t *testing.T, step int) {
+func (d *ringDriver) all(t testing.TB, step int) {
 	t.Helper()
 	for _, cmds := range d.cmds {
 		cmds <- step
@@ -184,8 +197,10 @@ func ringSections(n *Node, step int) error {
 // (LI: a miss's diff request and response; LU: the acquire's revalidation,
 // which fetches what the grant did not carry), writes it (the first write
 // of each word logs it) and releases (an interval close cutting its diffs
-// into the store), and every fourth barrier runs a GC epoch (the bulk
-// validation's round, the discard and the sweep). Each of those recycles
+// into the store), and every second barrier runs a GC epoch (the bulk
+// validation's round, the discard and the sweep): the space has 128 pages,
+// which the ring's history reaches every second step, so the steps after
+// the other barriers miss. Each of those recycles
 // what it builds — write logs, diff leases, the store's chunks, slabs and
 // body slabs, want and request lists, message shells, their clocks and
 // the slabs their blocks take from the wire slab pool — so a critical
@@ -198,8 +213,8 @@ func TestCriticalSectionAllocatesNothingGate(t *testing.T) {
 	testenv.SkipAllocGate(t)
 	for _, mode := range []Mode{LazyInvalidate, LazyUpdate} {
 		t.Run(mode.String(), func(t *testing.T) {
-			const gcEvery, warmEpochs = 4, 48
-			s := newRingSys(t, mode, gcEvery)
+			const gcEvery, pages, warmEpochs = 4, 2 * ringStepIntervals, 48
+			s := newRingSys(t, mode, gcEvery, pages)
 			d := newRingDriver(t, s)
 			step := 0
 			epoch := func() {
@@ -214,11 +229,13 @@ func TestCriticalSectionAllocatesNothingGate(t *testing.T) {
 			after := s.Node(0).Stats()
 			// LU takes no access misses: its acquires bring the records current.
 			missed := after.AccessMisses > before.AccessMisses || mode == LazyUpdate
-			if after.GCRuns-before.GCRuns != 5 || !missed ||
+			// AllocsPerRun runs epoch once more than it measures.
+			runs := ringGCRuns(gcEvery, pages, step) - ringGCRuns(gcEvery, pages, warmEpochs*gcEvery)
+			if after.GCRuns-before.GCRuns != runs || !missed ||
 				after.IntervalsCreated == before.IntervalsCreated || after.DiffsFetched == before.DiffsFetched {
-				t.Fatalf("the measured epochs ran %d GC epochs, %d misses, %d intervals, %d fetched diffs on node 0: want 5 and more than none",
+				t.Fatalf("the measured epochs ran %d GC epochs, %d misses, %d intervals, %d fetched diffs on node 0: want %d and more than none",
 					after.GCRuns-before.GCRuns, after.AccessMisses-before.AccessMisses,
-					after.IntervalsCreated-before.IntervalsCreated, after.DiffsFetched-before.DiffsFetched)
+					after.IntervalsCreated-before.IntervalsCreated, after.DiffsFetched-before.DiffsFetched, runs)
 			}
 			if perCS := allocs / (gcEvery * ringLocks); perCS > 0.1 {
 				t.Errorf("a warm critical section allocates %.3f objects (%.0f per epoch of %d), want 0", perCS, allocs, gcEvery*ringLocks)
@@ -436,26 +453,28 @@ func storeAllocs(f func()) int64 {
 	return count() - before
 }
 
-// TestBodySlabsComeFromThePoolGate runs the lock ring over three epochs:
-// every critical section writes a shared record and a private word, every
-// interval close cuts its diffs into the store's body slabs, and the
-// epoch's discard, at the barrier after the one that validated it, sweeps
-// the slabs it covers back to the page pool, which all the System's nodes
-// share. So once the pool has been through an epoch, the next epoch's body
-// slabs — and every diff lease a serve or a miss reads a body into — come
-// from it: the third epoch must take some, and miss the pool not once.
+// TestBodySlabsComeFromThePoolGate runs the lock ring for 25 steps, each
+// of whose barriers runs a GC epoch (the ring's history outnumbers its
+// pages at every one): every critical section writes a shared record and a
+// private word, every interval close cuts its diffs into the store's body
+// slabs, and an epoch's discard, at the barrier after the one that
+// validated it, sweeps the slabs it covers back to the page pool, which
+// all the System's nodes share. So once the pool has been through the
+// first sixteen epochs, the next eight steps' body slabs — and every diff
+// lease a serve or a miss reads a body into — come from it: they must take
+// some, and miss the pool not once.
 func TestBodySlabsComeFromThePoolGate(t *testing.T) {
 	testenv.SkipAllocGate(t)
 	const gcEvery = 8
-	s := newRingSys(t, LazyInvalidate, gcEvery)
+	s := newRingSys(t, LazyInvalidate, gcEvery, ringPages)
 	ringSteps(t, s, 0, 2*gcEvery+1)
 	before := s.Node(0).Stats()
 	gets0, _ := page.PoolStats()
 	ringSteps(t, s, 2*gcEvery+1, 3*gcEvery+1)
 	after := s.Node(0).Stats()
 	gets1, _ := page.PoolStats()
-	if after.GCRuns != 3 {
-		t.Fatalf("%d GC epochs ran, want 3", after.GCRuns)
+	if runs := ringGCRuns(gcEvery, ringPages, 3*gcEvery+1); after.GCRuns != runs {
+		t.Fatalf("%d GC epochs ran, want %d", after.GCRuns, runs)
 	}
 	for _, n := range s.Local() {
 		e := lazyOf(n)
@@ -463,47 +482,42 @@ func TestBodySlabsComeFromThePoolGate(t *testing.T) {
 		held := len(e.store.procs[n.id].bodies)
 		e.mu.Unlock()
 		if held == 0 {
-			t.Fatalf("node %d's store holds no body slab after the third epoch", n.id)
+			t.Fatalf("node %d's store holds no body slab after the last step", n.id)
 		}
 	}
 	if gets1 == gets0 {
-		t.Fatal("the third epoch took nothing from the pool")
+		t.Fatal("the last eight steps took nothing from the pool")
 	}
 	if missed := after.TwinPoolMisses - before.TwinPoolMisses; missed != 0 {
-		t.Errorf("the third epoch's %d pool gets missed %d times, want 0", gets1-gets0, missed)
+		t.Errorf("the last eight steps' %d pool gets missed %d times, want 0", gets1-gets0, missed)
 	}
 }
 
 // TestLogFlatInRunLength: a GC epoch sweeps the interval log, so what a
 // node's log holds follows the history since the last epoch, not the run.
-// The lock ring runs for 8 and for 64 epochs and one step past the last;
-// every node's log then holds that one step's intervals, the same number
-// after both runs, where an unswept log would hold eight times as many
-// after the longer one.
+// The lock ring runs for 17 and for 129 steps, and every barrier runs an
+// epoch, as each step's intervals outnumber the ring's pages; every node's
+// log then holds the last step's intervals, the same number after both
+// runs, where an unswept log would hold eight times as many after the
+// longer one.
 func TestLogFlatInRunLength(t *testing.T) {
 	const gcEvery = 2
-	held := func(epochs int) []int {
-		s := newRingSys(t, LazyInvalidate, gcEvery)
-		ringSteps(t, s, 0, epochs*gcEvery+1)
+	held := func(periods int) []int {
+		s := newRingSys(t, LazyInvalidate, gcEvery, ringPages)
+		ringSteps(t, s, 0, periods*gcEvery+1)
 		counts := make([]int, ringProcs)
 		for id := range counts {
-			e := lazyOf(s.Node(id))
-			if runs := s.Node(id).Stats().GCRuns; runs != int64(epochs) {
-				t.Fatalf("node %d ran %d GC epochs, want %d", id, runs, epochs)
+			if runs, want := s.Node(id).Stats().GCRuns, ringGCRuns(gcEvery, ringPages, periods*gcEvery+1); runs != want {
+				t.Fatalf("node %d ran %d GC epochs, want %d", id, runs, want)
 			}
-			e.mu.Lock()
-			counts[id] = e.log.Count()
-			e.mu.Unlock()
+			counts[id] = lazyOf(s.Node(id)).logCount()
 		}
 		return counts
 	}
 	short, long := held(8), held(64)
-	// A step closes two intervals per critical section: the record's at its
-	// release, the private word's at the next acquire or the barrier.
-	bound := 2 * ringLocks
 	for id := range short {
-		if short[id] != long[id] || long[id] == 0 || long[id] > bound {
-			t.Errorf("node %d's log holds %d intervals after 8 epochs and %d after 64, want the same, at most %d", id, short[id], long[id], bound)
+		if short[id] != long[id] || long[id] == 0 || long[id] > ringStepIntervals {
+			t.Errorf("node %d's log holds %d intervals after 17 steps and %d after 129, want the same, at most %d", id, short[id], long[id], ringStepIntervals)
 		}
 	}
 }

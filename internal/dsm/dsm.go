@@ -201,12 +201,17 @@ type Config struct {
 	// fails naming the first field that differs; node 0's System records
 	// the same difference and stops on it (join.go).
 	Mode Mode
-	// GCEveryBarriers enables interval/diff garbage collection every k-th
-	// barrier episode (0 disables GC). That barrier validates every cached
+	// GCEveryBarriers enables interval/diff garbage collection (0 disables
+	// it): a GC epoch starts at every k-th barrier episode, and at any
+	// barrier that leaves at least as many intervals since the last epoch
+	// as the space has pages, so the retained history stays bounded however
+	// far apart the k-th barriers fall. That barrier validates every cached
 	// page through its merged clock; the next barrier, whose arrivals prove
 	// every node has done so, discards the diffs and log records of the
-	// intervals that clock covers, bounding memory (TreadMarks-style). Only
-	// the lazy protocols retain diffs; the eager and SC engines ignore it.
+	// intervals that clock covers, bounding memory (TreadMarks-style).
+	// Every node takes the same decision from the clock the barrier left
+	// it, with no message of its own. Only the lazy protocols retain
+	// diffs; the eager and SC engines ignore it.
 	GCEveryBarriers int
 	// Transport supplies the interconnect. Nil builds the default
 	// in-process simulated network (internal/simnet) covering all Procs

@@ -92,6 +92,7 @@ func newLazyEngine(n *Node, update bool) *lazyEngine {
 		ledger: newLedger(n.id, procs),
 		gcState: gcState{
 			lastEpoch: vc.New(procs),
+			gcEpoch:   vc.New(procs),
 			keepers:   slices.Repeat([]mem.ProcID{-1}, (pages+procs-1)/procs),
 		},
 		pages: make([]*lazyPage, pages),
@@ -143,6 +144,7 @@ func (e *lazyEngine) closeIntervalLocked() {
 	// No Mods: byte ranges size the simulator's diffs; these are real. The
 	// log copies the clock and the page scratch in.
 	e.log.Append(core.Interval{ID: core.IntervalID{Proc: n.id, Index: k}, VC: e.v, Pages: pages})
+	n.stats.logRecords.Add(1)
 	n.stats.intervalsCreated.Add(1)
 }
 
@@ -248,6 +250,7 @@ func (e *lazyEngine) appendLocked(fresh []mem.PageID, rec *wire.IntervalRec) []m
 	// The log copies the decoded clock and page list: they go back to the
 	// slab pool when the message is released.
 	e.log.Append(core.Interval{ID: core.IntervalID{Proc: rec.Proc, Index: rec.Index}, VC: rec.VC, Pages: rec.Pages})
+	e.n.stats.logRecords.Add(1)
 	// Covers and extends read e.v: advance it per record, so that the next
 	// index of the processor extends it and a duplicate is known.
 	e.v[rec.Proc] = rec.Index
@@ -508,7 +511,8 @@ func (e *lazyEngine) postBarrier() error {
 	affected := e.invalidateForLocked(e.noticed)
 	e.lastEpoch = append(e.lastEpoch[:0], e.v...)
 	e.episodes++
-	gcDue := n.sys.cfg.GCEveryBarriers > 0 && e.episodes%n.sys.cfg.GCEveryBarriers == 0
+	k := n.sys.cfg.GCEveryBarriers
+	gcDue := k > 0 && (e.episodes%k == 0 || e.sinceEpochLocked() >= n.sys.layout.NumPages())
 	e.mu.Unlock()
 
 	if e.update {

@@ -20,9 +20,10 @@ type gcState struct {
 	// barriers.
 	lastEpoch vc.VC
 	episodes  int
-	// gcEpoch is the clock of the last GC epoch runGC validated through,
-	// and gcDue says its discard has yet to run: the next postBarrier runs
-	// it. gcPages is runGC's scratch, the pages to validate.
+	// gcEpoch is the clock of the last GC epoch runGC validated through
+	// (every entry -1 before the first), and gcDue says its discard has
+	// yet to run: the next postBarrier runs it. gcPages is runGC's
+	// scratch, the pages to validate.
 	gcEpoch vc.VC
 	gcDue   bool
 	gcPages []mem.PageID
@@ -32,8 +33,26 @@ type gcState struct {
 	keepers []mem.ProcID
 }
 
+// sinceEpochLocked counts the intervals the node's clock holds above the
+// last GC epoch's. At a barrier's postBarrier every node's clock is the
+// master's merged one and every node's epoch the same barrier's, so every
+// node counts the same: a barrier runs an epoch once the count reaches the
+// space's pages, with no message of its own. Caller holds e.mu.
+func (e *lazyEngine) sinceEpochLocked() int {
+	since := 0
+	for q, k := range e.v {
+		since += int(k - e.gcEpoch[q])
+	}
+	return since
+}
+
 // runGC is the barrier-time garbage collection epoch: every node validates
-// each invalid copy it holds and marks the epoch due. The next barrier's
+// each invalid copy it holds and marks the epoch due. It runs at every
+// GCEveryBarriers-th barrier, and at any barrier that leaves at least as
+// many intervals above the last epoch as the space has pages
+// (sinceEpochLocked): an epoch walks every page, so collecting no sooner
+// costs O(1) per interval, and the history a node keeps stays near one
+// barrier's intervals plus the pages' worth. The next barrier's
 // postBarrier discards the diffs of every interval the epoch clock covers
 // and sweeps their records out of the log, whose floor rises to the epoch:
 // what a node keeps is bounded by the history since the epoch before last,
@@ -199,4 +218,5 @@ func (e *lazyEngine) discardLocked(epoch vc.VC) {
 		e.store.sweep(q, epoch[q])
 	}
 	e.log.Sweep(epoch)
+	n.stats.logRecords.Store(int64(e.log.Count()))
 }

@@ -69,9 +69,12 @@ type Stats struct {
 	PageForwards int64
 	KeptPages    int64
 	// GCRuns counts completed GC epochs: discards, each of which runs at
-	// the barrier after the one that validated its epoch.
+	// the barrier after the one that validated its epoch. LogRecords
+	// gauges the interval records the lazy engine's log holds: the history
+	// since the last discarded epoch.
 	GCRuns         int64
 	DiffsDiscarded int64
+	LogRecords     int64
 
 	// Diff data plane: DiffsCreated counts the diffs cut from write logs
 	// (the lazy engines' at interval close, one per dirty page, the eager
@@ -165,6 +168,7 @@ type nodeStats struct {
 	keptPages        atomic.Int64
 	gcRuns           atomic.Int64
 	diffsDiscarded   atomic.Int64
+	logRecords       atomic.Int64
 	diffsCreated     atomic.Int64
 	diffCacheHits    atomic.Int64
 	diffsFlattened   atomic.Int64
@@ -201,6 +205,7 @@ func (s *nodeStats) snapshot() Stats {
 		KeptPages:        s.keptPages.Load(),
 		GCRuns:           s.gcRuns.Load(),
 		DiffsDiscarded:   s.diffsDiscarded.Load(),
+		LogRecords:       s.logRecords.Load(),
 		DiffsCreated:     s.diffsCreated.Load(),
 		DiffCacheHits:    s.diffCacheHits.Load(),
 		DiffsFlattened:   s.diffsFlattened.Load(),

@@ -96,6 +96,8 @@ func (s *System) registerMetrics(r *obs.Registry) {
 			"homed pages whose copy a keeper holds", func() float64 { return float64(n.stats.keptPages.Load()) })
 		nodeCounter("dsm_node_gc_runs_total", "garbage collection epochs completed (discards)", n.stats.gcRuns.Load)
 		nodeCounter("dsm_node_diffs_discarded_total", "diffs discarded by GC", n.stats.diffsDiscarded.Load)
+		r.GaugeFunc(fmt.Sprintf("dsm_node_log_records{node=%q}", node),
+			"interval records the lazy log holds: the history since the last discarded GC epoch", func() float64 { return float64(n.stats.logRecords.Load()) })
 		nodeCounter("dsm_node_diffs_created_total", "diffs cut from write logs", n.stats.diffsCreated.Load)
 		nodeCounter("dsm_node_diff_cache_hits_total", "retained diff serves after the diff's first", n.stats.diffCacheHits.Load)
 		nodeCounter("dsm_node_diffs_flattened_total", "diffs elided by multi-interval flattening", n.stats.diffsFlattened.Load)

@@ -12,6 +12,10 @@ const (
 	Classes = 21
 	// PoolBytes bounds the bytes each class of a Pool retains.
 	PoolBytes = 4 << 20
+	// freeStart is the room a class's stack starts with, so that a steady
+	// state's few items, freed and taken back each GC epoch, never grow it
+	// by one more past a new high-water mark.
+	freeStart = 16
 )
 
 // Pool is the free list of the data plane's storage other than frames —
@@ -63,6 +67,9 @@ func (p *Pool[T]) Put(c int, x T, size int) {
 	cl := &p.classes[c]
 	cl.mu.Lock()
 	if (len(cl.free)+1)*size <= PoolBytes {
+		if cl.free == nil {
+			cl.free = make([]T, 0, freeStart)
+		}
 		cl.free = append(cl.free, x)
 	}
 	cl.mu.Unlock()

@@ -1,6 +1,10 @@
 package framebuf
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/testenv"
+)
 
 // A class is a stack: Get returns the item Put listed last, and an empty
 // class reports so.
@@ -19,6 +23,25 @@ func TestPoolReusesLastIn(t *testing.T) {
 	}
 	if got, ok := p.Get(3); ok {
 		t.Fatalf("an emptied class handed out %p", got)
+	}
+}
+
+// A class's stack starts with room for freeStart items: a fresh class
+// allocates once for its first freeStart items, where a stack grown by
+// append reallocates at every power of two.
+func TestPoolStackStartsWithRoomGate(t *testing.T) {
+	testenv.SkipAllocGate(t)
+	x := new(int)
+	pools := make([]Pool[*int], 2)
+	run := 0
+	if allocs := testing.AllocsPerRun(1, func() {
+		p := &pools[run]
+		run++
+		for range freeStart {
+			p.Put(0, x, 8)
+		}
+	}); allocs != 1 {
+		t.Errorf("a fresh class allocates %.0f times for its first %d items, want 1", allocs, freeStart)
 	}
 }
 

@@ -22,7 +22,8 @@ type RuntimeConfig struct {
 	// Mode selects the consistency protocol (LI, LU, EI, EU or SC).
 	Mode dsm.Mode
 	// GCEveryBarriers enables the runtime's barrier-time garbage
-	// collection every k-th episode (0 disables).
+	// collection every k-th episode, and at any episode once the history
+	// since the last collection outnumbers the pages (0 disables).
 	GCEveryBarriers int
 	// RPCTimeout bounds every remote wait (rpc responses and master
 	// rendezvous collection) in the underlying systems; see
